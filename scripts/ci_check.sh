@@ -37,7 +37,12 @@
 #      header, `error: slo` bodies, `slo_*` samples in `/metrics`), then
 #      recover to 200s once the rolling window drains and the minimum
 #      dwell elapses; and the fleet's `slo` axis must leave historical
-#      slo-less cell digests untouched.
+#      slo-less cell digests untouched;
+#  12. an end-to-end benchmark smoke: the harness's self-tests, then
+#      `benchmarks/e2e/run.py --smoke` on `sweep_grid` and
+#      `des_two_region` (the oracle-driven workloads whose digests an
+#      oracle change must not move); each must end on a JSON line with
+#      `"correct": true` and `"failed": 0`.
 #
 # Usage:  scripts/ci_check.sh   (from the repository root or anywhere)
 
@@ -329,5 +334,17 @@ python -m pytest -q \
     "tests/pcam/test_columnar_parity.py::test_vmc_era_parity_oracle" \
     "tests/pcam/test_columnar_parity.py::test_vmc_parity_under_chaos_and_churn" \
     "tests/pcam/test_columnar_parity.py::test_des_loop_parity"
+
+echo "== e2e benchmark smoke =="
+python3 -m pytest benchmarks/e2e/tests -q
+for workload in sweep_grid des_two_region; do
+    E2E_OUT="$(python3 benchmarks/e2e/run.py --smoke --workload "$workload")"
+    echo "$E2E_OUT"
+    tail -n 1 <<<"$E2E_OUT" | python3 -c '
+import json, sys
+doc = json.loads(sys.stdin.readline())
+sys.exit(0 if doc["correct"] is True and doc["failed"] == 0 else 1)
+' || { echo "e2e smoke: $workload not correct or has failed operations" >&2; exit 1; }
+done
 
 echo "ci_check: all gates passed"

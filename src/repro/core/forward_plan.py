@@ -148,7 +148,8 @@ def build_forward_plan(
     for name, v in (("arrival", a), ("target", f)):
         if np.any(v < -1e-12):
             raise ValueError(f"{name} fractions must be non-negative")
-        if not np.isclose(v.sum(), 1.0, atol=1e-6):
+        # np.isclose(x, 1.0, atol=1e-6) at its default rtol, as floats
+        if not abs(float(v.sum()) - 1.0) <= 1e-6 + 1e-5:
             raise ValueError(f"{name} fractions must sum to 1, got {v.sum()}")
 
     surplus = np.maximum(a - f, 0.0)  # arrivals beyond local assignment

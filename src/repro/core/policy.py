@@ -174,7 +174,8 @@ class Policy(abc.ABC):
             raise ValueError("rmttf values must be >= 0")
         if global_rate < 0:
             raise ValueError("global_rate must be >= 0")
-        if not np.isclose(prev_fractions.sum(), 1.0, atol=1e-6):
+        # np.isclose(x, 1.0, atol=1e-6) at its default rtol, as floats
+        if not abs(float(prev_fractions.sum()) - 1.0) <= 1e-6 + 1e-5:
             raise ValueError(
                 f"prev_fractions must sum to 1, got {prev_fractions.sum()}"
             )

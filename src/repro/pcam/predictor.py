@@ -21,13 +21,19 @@ Implementations share the :class:`RttfPredictor` interface:
 from __future__ import annotations
 
 import abc
+import math
 from collections import deque
 
 import numpy as np
 
 from repro.ml.derived import slope_features
 from repro.ml.toolchain import TrainedModel
-from repro.pcam.vm import VirtualMachine
+from repro.pcam.vm import (
+    VirtualMachine,
+    mean_field_ttf_s,
+    thread_free_slots,
+    usable_memory_mb,
+)
 
 
 class RttfPredictor(abc.ABC):
@@ -280,13 +286,77 @@ class OracleRttfPredictor(RttfPredictor):
         self._rng = rng
 
     def predict_rttf(self, vm: VirtualMachine) -> float:
-        rate = vm.last_request_rate
-        if rate <= 0:
-            # An idle ACTIVE VM accumulates nothing; report its remaining
-            # budget at a nominal 1 req/s to keep the value finite.
-            rate = 1.0
-        ttf = vm.true_time_to_failure_s(rate, self.mean_demand)
-        if self.noise_std > 0 and np.isfinite(ttf):
-            assert self._rng is not None
-            ttf *= max(1.0 + self._rng.normal(0.0, self.noise_std), 0.05)
-        return ttf
+        return float(self.predict_rttf_batch([vm])[0])
+
+    def predict_rttf_batch(
+        self, vms: list[VirtualMachine]
+    ) -> np.ndarray:
+        """One :func:`~repro.pcam.vm.mean_field_ttf_s` call per VM.
+
+        Reads each VM's anomaly level and last rate (one column gather
+        when the pool shares a :class:`VmStateTable`), derives the
+        instance-shape constants once per type, and writes nothing back;
+        noise draws happen per finite value in ``vms`` order.
+        """
+        out = np.empty(len(vms), dtype=float)
+        if not vms:
+            return out
+        leaked, stuck, rates = _anomaly_state(vms)
+        mean_demand = self.mean_demand
+        shapes: dict[int, tuple[float, float, float, int]] = {}
+        for k, vm in enumerate(vms):
+            itype = vm.itype
+            shape = shapes.get(id(itype))
+            if shape is None:
+                shape = shapes[id(itype)] = (
+                    itype.cpu_power,
+                    usable_memory_mb(itype.memory_mb),
+                    itype.swap_mb,
+                    thread_free_slots(itype.thread_slots),
+                )
+            rate = rates[k]
+            if rate <= 0:
+                # An idle ACTIVE VM accumulates nothing; report its
+                # remaining budget at a nominal 1 req/s to keep the
+                # value finite.
+                rate = 1.0
+            policy = vm.failure_policy
+            injector = vm.injector
+            ttf = mean_field_ttf_s(
+                leaked[k],
+                stuck[k],
+                rate,
+                mean_demand,
+                *shape,
+                policy.sla_response_time_s,
+                injector.expected_leak_rate_mb(rate),
+                injector.expected_thread_rate(rate),
+                policy.swap_exhaustion,
+                policy.thread_exhaustion,
+            )
+            if self.noise_std > 0 and math.isfinite(ttf):
+                assert self._rng is not None
+                ttf *= max(1.0 + self._rng.normal(0.0, self.noise_std), 0.05)
+            out[k] = ttf
+        return out
+
+
+def _anomaly_state(
+    vms: list[VirtualMachine],
+) -> tuple[list[float], list[int], list[float]]:
+    """``(leaked_mb, stuck_threads, last_request_rate)`` lists in pool order."""
+    table = getattr(vms[0], "table", None)
+    if table is not None and all(
+        getattr(vm, "table", None) is table for vm in vms
+    ):
+        rows = [vm.row for vm in vms]
+        return (
+            table.leaked_mb[rows].tolist(),
+            table.stuck_threads[rows].tolist(),
+            table.last_request_rate[rows].tolist(),
+        )
+    return (
+        [vm.leaked_mb for vm in vms],
+        [vm.stuck_threads for vm in vms],
+        [vm.last_request_rate for vm in vms],
+    )

@@ -51,6 +51,9 @@ from repro.pcam.vm import (
     FailurePolicy,
     VirtualMachine,
     VmState,
+    effective_capacity,
+    thread_free_slots,
+    usable_memory_mb,
 )
 from repro.sim.instances import InstanceType
 
@@ -227,12 +230,10 @@ class VmStateTable:
         self.cpu_power[row] = itype.cpu_power
         self.memory_mb[row] = itype.memory_mb
         self.swap_mb[row] = itype.swap_mb
-        usable = max(itype.memory_mb - BASELINE_MEMORY_MB, 1.0)
+        usable = usable_memory_mb(itype.memory_mb)
         self.usable_memory_mb[row] = usable
         self.anomaly_budget_mb[row] = usable + itype.swap_mb
-        self.thread_free_slots[row] = max(
-            itype.thread_slots - BASELINE_THREADS, 1
-        )
+        self.thread_free_slots[row] = thread_free_slots(itype.thread_slots)
         if rejuvenation_time_s is not None:
             self.rejuvenation_time_s[row] = rejuvenation_time_s
         self.sla_response_time_s[row] = policy.sla_response_time_s
@@ -363,32 +364,18 @@ class VmStateTable:
     def capacity_at(self, row: int) -> float:
         """Scalar effective capacity of one row (the per-request path).
 
-        Pure-Python float arithmetic replicating the property chain of
-        the scalar VM, so a single lookup stays cheap inside the DES
+        :func:`repro.pcam.vm.effective_capacity` on the row's cells:
+        pure-Python floats, so a single lookup stays cheap inside the DES
         request loop (no NumPy call overhead).
         """
-        leaked = float(self.leaked_mb[row])
-        usable = float(self.usable_memory_mb[row])
-        swap = float(self.swap_mb[row])
-        spilled = leaked - usable
-        if spilled <= 0.0:
-            swap_used = 0.0
-        elif spilled >= swap:
-            swap_used = swap
-        else:
-            swap_used = spilled
-        if swap == 0.0:
-            swap_pressure = 1.0 if leaked >= usable else 0.0
-        else:
-            swap_pressure = swap_used / swap
-        ratio = int(self.stuck_threads[row]) / int(
-            self.thread_free_slots[row]
+        return effective_capacity(
+            float(self.cpu_power[row]),
+            float(self.leaked_mb[row]),
+            float(self.usable_memory_mb[row]),
+            float(self.swap_mb[row]),
+            int(self.stuck_threads[row]),
+            int(self.thread_free_slots[row]),
         )
-        thread_pressure = 1.0 if ratio >= 1.0 else ratio
-        factor = (1.0 - SWAP_CAPACITY_PENALTY * swap_pressure) * (
-            1.0 - thread_pressure
-        )
-        return float(self.cpu_power[row]) * max(factor, 0.02)
 
     def response_time_of(
         self, idx: np.ndarray, request_rate: np.ndarray, mean_demand: float

@@ -32,6 +32,7 @@ steeply -- giving the ML models a learnable signal.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,163 @@ SWAP_CAPACITY_PENALTY = 0.7
 
 #: Baseline thread count of a healthy server replica.
 BASELINE_THREADS = 24
+
+
+# ---------------------------------------------------------------------- #
+# the scalar capacity / response-time model
+# ---------------------------------------------------------------------- #
+# One spelling of the physics over plain Python numbers.  The
+# ``VirtualMachine`` properties, ``VmStateTable.capacity_at`` (the DES
+# request path) and the mean-field oracle kernel below all call these, so
+# they agree bit-for-bit by construction.  (The ``*_of`` NumPy kernels in
+# :mod:`repro.pcam.state_table` are the array form, pinned against these
+# by ``tests/pcam/test_columnar_parity.py``.)
+
+
+def usable_memory_mb(memory_mb: float) -> float:
+    """RAM available to absorb leaks before spilling to swap."""
+    return max(memory_mb - BASELINE_MEMORY_MB, 1.0)
+
+
+def thread_free_slots(thread_slots: int) -> int:
+    """Scheduler slots stuck threads can occupy before exhaustion."""
+    return max(thread_slots - BASELINE_THREADS, 1)
+
+
+def swap_used_mb(leaked_mb: float, usable_mb: float, swap_mb: float) -> float:
+    """Leaked memory that spilled past RAM into swap, in [0, swap_mb]."""
+    # pure-Python clamp: this sits on the per-request DES hot path, where
+    # np.clip on a scalar costs ~50x a float comparison
+    spilled = leaked_mb - usable_mb
+    if spilled <= 0.0:
+        return 0.0
+    return swap_mb if spilled >= swap_mb else spilled
+
+
+def swap_pressure(leaked_mb: float, usable_mb: float, swap_mb: float) -> float:
+    """Swap occupancy in [0, 1]."""
+    if swap_mb == 0:
+        return 1.0 if leaked_mb >= usable_mb else 0.0
+    return swap_used_mb(leaked_mb, usable_mb, swap_mb) / swap_mb
+
+
+def thread_pressure(stuck_threads: int, free_slots: int) -> float:
+    """Thread-slot occupancy by stuck threads, in [0, 1]."""
+    ratio = stuck_threads / free_slots
+    return 1.0 if ratio >= 1.0 else ratio
+
+
+def effective_capacity(
+    cpu_power: float,
+    leaked_mb: float,
+    usable_mb: float,
+    swap_mb: float,
+    stuck_threads: int,
+    free_slots: int,
+) -> float:
+    """Service capacity in demand-units/second.
+
+    Healthy capacity shrunk by swap thrashing and thread-slot loss; a
+    floor of 2 % keeps the queueing model defined until the hard failure
+    point trips.
+    """
+    factor = (
+        1.0 - SWAP_CAPACITY_PENALTY * swap_pressure(leaked_mb, usable_mb, swap_mb)
+    ) * (1.0 - thread_pressure(stuck_threads, free_slots))
+    return cpu_power * max(factor, 0.02)
+
+
+def mm1_response_time_s(
+    capacity: float, request_rate: float, mean_demand: float
+) -> float:
+    """M/M/1-style mean response time on ``capacity`` demand-units/second.
+
+    Utilisation is clamped at 0.99: past saturation the model reports a
+    steeply growing but finite response time, which is what a real
+    overloaded server (with queue limits) exhibits.
+    """
+    mu = capacity / mean_demand  # requests/second
+    service_time = 1.0 / mu
+    rho = min(request_rate / mu, 0.99)
+    return service_time / (1.0 - rho)
+
+
+def mean_field_ttf_s(
+    leaked_mb: float,
+    stuck_threads: int,
+    request_rate: float,
+    mean_demand: float,
+    cpu_power: float,
+    usable_mb: float,
+    swap_mb: float,
+    free_slots: int,
+    sla_response_time_s: float,
+    leak_rate: float,
+    thread_rate: float,
+    swap_exhaustion: bool,
+    thread_exhaustion: bool,
+) -> float:
+    """Mean-field (noise-free) time to the F2PM failure point.
+
+    At a constant ``request_rate`` the leak grows at ``leak_rate`` MB/s
+    and stuck threads at ``thread_rate``/s (the injector's expected
+    rates), so each hard clause has a closed-form horizon; the SLA
+    crossing is found on that deterministic trajectory by a coarse scan
+    followed by bisection.  Returns the earliest clause the policy
+    enables.  Pure: reads nothing but its arguments and writes nothing.
+    """
+    if request_rate <= 0 or leak_rate <= 0:
+        return math.inf
+    t_crash = max(usable_mb + swap_mb - leaked_mb, 0.0) / leak_rate
+    if thread_rate > 0:
+        t_threads = max(free_slots - stuck_threads, 0) / thread_rate
+    else:
+        t_threads = math.inf
+
+    def violates(t: float) -> bool:
+        capacity = effective_capacity(
+            cpu_power,
+            leaked_mb + leak_rate * t,
+            usable_mb,
+            swap_mb,
+            int(stuck_threads + thread_rate * t),
+            free_slots,
+        )
+        return (
+            mm1_response_time_s(capacity, request_rate, mean_demand)
+            > sla_response_time_s
+        )
+
+    # The state stops changing once swap and thread slots have both
+    # saturated, so an SLA crossing lies before that.  With swap
+    # exhaustion on (the default) the scan need not pass ``t_crash``.
+    horizon = t_crash
+    if not swap_exhaustion and math.isfinite(t_threads):
+        horizon = max(t_crash, t_threads)
+
+    # Scan the trajectory coarsely, then bisect inside the crossing
+    # interval (the coarse step alone would quantise the answer by
+    # horizon/400, which breaks monotonicity between VMs whose crash
+    # horizons differ).
+    t_sla = math.inf
+    t, dt = 0.0, max(horizon / 400.0, 1.0)
+    while t < horizon:
+        t += dt
+        if violates(t):
+            lo, hi = max(t - dt, 0.0), t
+            for _ in range(30):
+                mid = 0.5 * (lo + hi)
+                if violates(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            t_sla = hi
+            break
+    return min(
+        t_crash if swap_exhaustion else math.inf,
+        t_sla,
+        t_threads if thread_exhaustion else math.inf,
+    )
 
 
 class VirtualMachine:
@@ -146,7 +304,7 @@ class VirtualMachine:
     @property
     def usable_memory_mb(self) -> float:
         """RAM available to absorb leaks before spilling to swap."""
-        return max(self.itype.memory_mb - BASELINE_MEMORY_MB, 1.0)
+        return usable_memory_mb(self.itype.memory_mb)
 
     @property
     def anomaly_budget_mb(self) -> float:
@@ -154,57 +312,53 @@ class VirtualMachine:
         return self.usable_memory_mb + self.itype.swap_mb
 
     @property
+    def thread_free_slots(self) -> int:
+        """Scheduler slots stuck threads can occupy before exhaustion."""
+        return thread_free_slots(self.itype.thread_slots)
+
+    @property
     def swap_used_mb(self) -> float:
         """Leaked memory that spilled past RAM into swap."""
-        # pure-Python clamp: this property sits on the per-request DES hot
-        # path, where np.clip on a scalar costs ~50x a float comparison
-        spilled = self.leaked_mb - self.usable_memory_mb
-        if spilled <= 0.0:
-            return 0.0
-        swap = self.itype.swap_mb
-        return swap if spilled >= swap else spilled
+        return swap_used_mb(
+            self.leaked_mb, self.usable_memory_mb, self.itype.swap_mb
+        )
 
     @property
     def swap_pressure(self) -> float:
         """Swap occupancy in [0, 1]."""
-        if self.itype.swap_mb == 0:
-            return 1.0 if self.leaked_mb >= self.usable_memory_mb else 0.0
-        return self.swap_used_mb / self.itype.swap_mb
+        return swap_pressure(
+            self.leaked_mb, self.usable_memory_mb, self.itype.swap_mb
+        )
 
     @property
     def thread_pressure(self) -> float:
         """Thread-slot occupancy by stuck threads, in [0, 1]."""
-        free_slots = max(self.itype.thread_slots - BASELINE_THREADS, 1)
-        ratio = self.stuck_threads / free_slots
-        return 1.0 if ratio >= 1.0 else ratio
+        return thread_pressure(self.stuck_threads, self.thread_free_slots)
 
     @property
     def effective_capacity(self) -> float:
-        """Current service capacity in demand-units/second.
-
-        Healthy capacity shrunk by swap thrashing and thread-slot loss; a
-        floor of 2 % keeps the queueing model defined until the hard
-        failure point trips.
-        """
-        factor = (1.0 - SWAP_CAPACITY_PENALTY * self.swap_pressure) * (
-            1.0 - self.thread_pressure
+        """Current service capacity in demand-units/second."""
+        itype = self.itype
+        return effective_capacity(
+            itype.cpu_power,
+            self.leaked_mb,
+            self.usable_memory_mb,
+            itype.swap_mb,
+            self.stuck_threads,
+            self.thread_free_slots,
         )
-        return self.itype.cpu_power * max(factor, 0.02)
 
     def response_time_s(self, request_rate: float, mean_demand: float = 1.5) -> float:
         """M/M/1-style mean response time at ``request_rate`` req/s.
 
         ``mean_demand`` is the average demand-units per request (from the
-        TPC-W mix).  Utilisation is clamped at 0.99: past saturation the
-        model reports a steeply growing but finite response time, which is
-        what a real overloaded server (with queue limits) exhibits.
+        TPC-W mix); see :func:`mm1_response_time_s`.
         """
         if request_rate < 0:
             raise ValueError("request_rate must be >= 0")
-        mu = self.effective_capacity / mean_demand  # requests/second
-        service_time = 1.0 / mu
-        rho = min(request_rate / mu, 0.99)
-        return service_time / (1.0 - rho)
+        return mm1_response_time_s(
+            self.effective_capacity, request_rate, mean_demand
+        )
 
     # ------------------------------------------------------------------ #
     # failure point
@@ -224,56 +378,31 @@ class VirtualMachine:
     def true_time_to_failure_s(
         self, request_rate: float, mean_demand: float = 1.5
     ) -> float:
-        """Mean-field (noise-free) time to the hard failure point.
+        """Mean-field (noise-free) time to this VM's failure point.
 
-        Used by tests and by the oracle predictor: at a constant request
-        rate the leak accumulates at ``injector.expected_leak_rate_mb``
-        MB/s, so the crash arrives when the remaining budget is consumed.
-        The SLA clause can trip earlier; we bound by the time at which
-        degraded capacity pushes the M/M/1 response time over the SLA,
-        found by bisection on the leak trajectory.
+        Used by tests, the planner and the oracle predictor:
+        :func:`mean_field_ttf_s` on the current anomaly level, with the
+        injector's expected leak and thread rates at ``request_rate``.
         """
         if request_rate <= 0:
             return float("inf")
-        leak_rate = self.injector.expected_leak_rate_mb(request_rate)
-        if leak_rate <= 0:
-            return float("inf")
-        remaining = max(self.anomaly_budget_mb - self.leaked_mb, 0.0)
-        t_crash = remaining / leak_rate
-
-        # SLA crossing: scan the deterministic trajectory coarsely, then
-        # bisect inside the crossing interval (the coarse step alone would
-        # quantise the answer by t_crash/400, which breaks monotonicity
-        # between VMs whose crash horizons differ).
-        saved = (self.leaked_mb, self.stuck_threads, self.last_response_time_s)
-        thread_rate = self.injector.expected_thread_rate(request_rate)
-
-        def violates(t: float) -> bool:
-            self.leaked_mb = saved[0] + leak_rate * t
-            self.stuck_threads = int(saved[1] + thread_rate * t)
-            return (
-                self.response_time_s(request_rate, mean_demand)
-                > self.failure_policy.sla_response_time_s
-            )
-
-        t_sla = float("inf")
-        try:
-            t, dt = 0.0, max(t_crash / 400.0, 1.0)
-            while t < t_crash:
-                t += dt
-                if violates(t):
-                    lo, hi = max(t - dt, 0.0), t
-                    for _ in range(30):
-                        mid = 0.5 * (lo + hi)
-                        if violates(mid):
-                            hi = mid
-                        else:
-                            lo = mid
-                    t_sla = hi
-                    break
-        finally:
-            self.leaked_mb, self.stuck_threads, self.last_response_time_s = saved
-        return min(t_crash, t_sla)
+        itype = self.itype
+        policy = self.failure_policy
+        return mean_field_ttf_s(
+            self.leaked_mb,
+            self.stuck_threads,
+            request_rate,
+            mean_demand,
+            itype.cpu_power,
+            self.usable_memory_mb,
+            itype.swap_mb,
+            self.thread_free_slots,
+            policy.sla_response_time_s,
+            self.injector.expected_leak_rate_mb(request_rate),
+            self.injector.expected_thread_rate(request_rate),
+            policy.swap_exhaustion,
+            policy.thread_exhaustion,
+        )
 
     # ------------------------------------------------------------------ #
     # era advancement

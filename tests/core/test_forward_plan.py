@@ -56,6 +56,17 @@ class TestBuildForwardPlan:
         with pytest.raises(ValueError, match="vectors"):
             build_forward_plan(REGIONS, np.array([1.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "total", [1 + 1.0e-5, 1 - 1.0e-5, 1 + 1.2e-5, 1 - 1.2e-5, float("nan")]
+    )
+    def test_simplex_tolerance_is_np_isclose(self, total):
+        arrivals = np.array([0.5, 0.3, total - 0.8])
+        if np.isclose(arrivals.sum(), 1.0, atol=1e-6):
+            plan(arrivals, [0.2, 0.3, 0.5])
+        else:
+            with pytest.raises(ValueError, match="sum to 1"):
+                plan(arrivals, [0.2, 0.3, 0.5])
+
 
 class TestForwardPlanObject:
     def test_row_stochastic_enforced(self):

@@ -116,6 +116,18 @@ class TestPolicyBase:
         with pytest.raises(ValueError, match="sum to 1"):
             p.compute(np.array([0.5, 0.9]), np.array([1.0, 1.0]), 10.0)
 
+    @pytest.mark.parametrize(
+        "total", [1 + 1.0e-5, 1 - 1.0e-5, 1 + 1.2e-5, 1 - 1.2e-5, float("nan")]
+    )
+    def test_simplex_tolerance_is_np_isclose(self, total):
+        prev = np.array([0.5, total - 0.5])
+        rmttf = np.array([1.0, 1.0])
+        if np.isclose(prev.sum(), 1.0, atol=1e-6):
+            SensibleRoutingPolicy().compute(prev, rmttf, 10.0)
+        else:
+            with pytest.raises(ValueError, match="sum to 1"):
+                SensibleRoutingPolicy().compute(prev, rmttf, 10.0)
+
     def test_negative_rmttf_rejected(self):
         p = SensibleRoutingPolicy()
         with pytest.raises(ValueError):

@@ -1,0 +1,387 @@
+"""The mean-field RTTF oracle: exactness, purity, and the policy clauses.
+
+``reference_ttf`` is the algorithm the oracle ran before it became
+:func:`repro.pcam.vm.mean_field_ttf_s` -- kept verbatim, because it finds
+the SLA crossing by driving a VM's *public* properties, so equality with
+the kernel pins both the kernel's arithmetic and the property chain.
+"""
+
+import copy
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.chaos.predictor import CorruptiblePredictor
+from repro.pcam.predictor import ConservativeRttfPredictor, OracleRttfPredictor
+from repro.pcam.state_table import MUTABLE_COLUMNS, TableBackedVM, VmStateTable
+from repro.pcam.vm import FailurePolicy, VirtualMachine, VmState
+from repro.sim import INSTANCE_CATALOG, M3_MEDIUM, PRIVATE_SMALL
+from repro.workload import AnomalyInjector
+
+SHAPES = [
+    *INSTANCE_CATALOG.values(),
+    dataclasses.replace(PRIVATE_SMALL, name="swapless", swap_mb=0.0),
+]
+
+
+def reference_ttf(vm, request_rate, mean_demand=1.5):
+    """The pre-kernel ``true_time_to_failure_s``: mutate, scan, restore."""
+    if request_rate <= 0:
+        return float("inf")
+    leak_rate = vm.injector.expected_leak_rate_mb(request_rate)
+    if leak_rate <= 0:
+        return float("inf")
+    remaining = max(vm.anomaly_budget_mb - vm.leaked_mb, 0.0)
+    t_crash = remaining / leak_rate
+
+    saved = (vm.leaked_mb, vm.stuck_threads, vm.last_response_time_s)
+    thread_rate = vm.injector.expected_thread_rate(request_rate)
+
+    def violates(t):
+        vm.leaked_mb = saved[0] + leak_rate * t
+        vm.stuck_threads = int(saved[1] + thread_rate * t)
+        return (
+            vm.response_time_s(request_rate, mean_demand)
+            > vm.failure_policy.sla_response_time_s
+        )
+
+    t_sla = float("inf")
+    try:
+        t, dt = 0.0, max(t_crash / 400.0, 1.0)
+        while t < t_crash:
+            t += dt
+            if violates(t):
+                lo, hi = max(t - dt, 0.0), t
+                for _ in range(30):
+                    mid = 0.5 * (lo + hi)
+                    if violates(mid):
+                        hi = mid
+                    else:
+                        lo = mid
+                t_sla = hi
+                break
+    finally:
+        vm.leaked_mb, vm.stuck_threads, vm.last_response_time_s = saved
+    return min(t_crash, t_sla)
+
+
+def make_vm(
+    itype=PRIVATE_SMALL,
+    leaked=0.0,
+    stuck=0,
+    rate=0.0,
+    policy=None,
+    name="oracle/vm",
+    **injector_kw,
+):
+    vm = VirtualMachine(
+        name,
+        itype,
+        AnomalyInjector(np.random.default_rng(0), **injector_kw),
+        failure_policy=policy,
+        state=VmState.ACTIVE,
+    )
+    vm.leaked_mb = leaked
+    vm.stuck_threads = stuck
+    vm.last_request_rate = rate
+    return vm
+
+
+def aged_pool(n=8, table=False):
+    """ACTIVE VMs of mixed shapes at different anomaly levels and rates."""
+    vms = []
+    for i in range(n):
+        itype = SHAPES[i % len(SHAPES)]
+        vms.append(
+            make_vm(
+                itype,
+                leaked=0.15 * i * itype.memory_mb,
+                stuck=11 * i,
+                rate=0.0 if i == 3 else 2.0 + 1.5 * i,
+                name=f"pool/vm{i}",
+            )
+        )
+    if table:
+        VmStateTable().adopt_all(vms)
+    return vms
+
+
+# ---------------------------------------------------------------------- #
+# exactness
+# ---------------------------------------------------------------------- #
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    itype=st.sampled_from(SHAPES),
+    leak_fraction=st.floats(0.0, 1.2),
+    thread_fraction=st.floats(0.0, 2.0),
+    rate=st.one_of(st.floats(0.05, 60.0), st.sampled_from([0.0, -1.0])),
+    mean_demand=st.floats(0.5, 4.0),
+    sla=st.one_of(st.floats(0.02, 10.0), st.just(1e6)),
+    leak_probability=st.sampled_from([0.10, 0.02, 0.0]),
+)
+def test_kernel_equals_reference_exactly(
+    itype, leak_fraction, thread_fraction, rate, mean_demand, sla,
+    leak_probability,
+):
+    # leak_probability == 0 leaves only the thread overhead leaking;
+    # with thread_probability == 0 as well the leak rate is exactly 0
+    thread_probability = 0.05 if leak_probability else 0.0
+    no_threads = FailurePolicy(sla_response_time_s=sla, thread_exhaustion=False)
+    vm = make_vm(
+        itype,
+        policy=no_threads,
+        leak_probability=leak_probability,
+        thread_probability=thread_probability,
+    )
+    vm.leaked_mb = leak_fraction * vm.anomaly_budget_mb
+    vm.stuck_threads = int(thread_fraction * vm.thread_free_slots)
+
+    expected = reference_ttf(vm, rate, mean_demand)
+    assert vm.true_time_to_failure_s(rate, mean_demand) == expected
+
+    # the thread clause only ever adds its closed-form bound
+    vm.failure_policy = FailurePolicy(sla_response_time_s=sla)
+    thread_rate = vm.injector.expected_thread_rate(max(rate, 0.0))
+    t_threads = (
+        max(vm.thread_free_slots - vm.stuck_threads, 0) / thread_rate
+        if thread_rate > 0 and math.isfinite(expected)
+        else float("inf")
+    )
+    assert vm.true_time_to_failure_s(rate, mean_demand) == min(
+        expected, t_threads
+    )
+
+    # same value from a table row
+    VmStateTable().adopt(vm)
+    assert isinstance(vm, TableBackedVM)
+    assert vm.true_time_to_failure_s(rate, mean_demand) == min(
+        expected, t_threads
+    )
+
+
+def reference_predict_rttf(vm, mean_demand, noise_std, rng):
+    """The pre-kernel ``OracleRttfPredictor.predict_rttf``."""
+    rate = vm.last_request_rate
+    if rate <= 0:
+        rate = 1.0
+    ttf = reference_ttf(vm, rate, mean_demand)
+    if noise_std > 0 and np.isfinite(ttf):
+        ttf *= max(1.0 + rng.normal(0.0, noise_std), 0.05)
+    return ttf
+
+
+@pytest.mark.parametrize("table", [False, True])
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_batch_equals_per_vm_loop(table, noise_std):
+    """Default policy: batch == scalar == the old per-VM loop, same draws."""
+    vms = aged_pool(table=table)
+    rngs = [np.random.default_rng(7) for _ in range(3)]
+    batch = OracleRttfPredictor(1.4, noise_std=noise_std, rng=rngs[0])
+    scalar = OracleRttfPredictor(1.4, noise_std=noise_std, rng=rngs[1])
+
+    want = [reference_predict_rttf(vm, 1.4, noise_std, rngs[2]) for vm in vms]
+
+    assert batch.predict_rttf_batch(vms).tolist() == want
+    assert [scalar.predict_rttf(vm) for vm in vms] == want
+    states = [rng.bit_generator.state for rng in rngs]
+    assert states[0] == states[1] == states[2]
+    # an idle VM is reported at the nominal 1 req/s, not as immortal
+    assert math.isfinite(want[3])
+
+
+def test_scalar_and_table_pools_agree():
+    scalar = OracleRttfPredictor().predict_rttf_batch(aged_pool())
+    table = OracleRttfPredictor().predict_rttf_batch(aged_pool(table=True))
+    assert scalar.tolist() == table.tolist()
+
+
+def test_mixed_pool_falls_back_to_attribute_reads():
+    vms = aged_pool()
+    want = OracleRttfPredictor().predict_rttf_batch(vms).tolist()
+    VmStateTable().adopt_all(vms[:3])
+    VmStateTable().adopt_all(vms[5:])
+    assert OracleRttfPredictor().predict_rttf_batch(vms).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda inner: ConservativeRttfPredictor(inner, margin=0.8),
+        CorruptiblePredictor,
+        lambda inner: CorruptiblePredictor(
+            ConservativeRttfPredictor(inner, margin=0.9)
+        ),
+    ],
+)
+def test_wrappers_batch_equals_loop(wrap):
+    vms = aged_pool(table=True)
+    batch_rng, loop_rng = np.random.default_rng(3), np.random.default_rng(3)
+    batch = wrap(OracleRttfPredictor(noise_std=0.2, rng=batch_rng))
+    loop = wrap(OracleRttfPredictor(noise_std=0.2, rng=loop_rng))
+    rows = vms[0].table.feature_matrix(np.array([vm.row for vm in vms]))
+
+    assert batch.predict_rttf_batch(vms).tolist() == [
+        loop.predict_rttf(vm) for vm in vms
+    ]
+    assert batch.predict_rttf_rows(rows, vms).tolist() == [
+        loop.predict_rttf(vm) for vm in vms
+    ]
+    assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------- #
+# purity: an observer between steps must never see fabricated state
+# ---------------------------------------------------------------------- #
+
+
+def test_batch_writes_no_table_cell(monkeypatch):
+    vms = aged_pool(table=True)
+    table = vms[0].table
+    writes = []
+    for name in dir(TableBackedVM):
+        prop = getattr(TableBackedVM, name)
+        if isinstance(prop, property) and prop.fset is not None:
+
+            def counting(self, value, _name=name, _fset=prop.fset):
+                writes.append(_name)
+                _fset(self, value)
+
+            monkeypatch.setattr(
+                TableBackedVM, name, property(prop.fget, counting)
+            )
+    # the setter hook is live ...
+    vms[0].leaked_mb = vms[0].leaked_mb
+    assert writes == ["leaked_mb"]
+    writes.clear()
+    # ... and direct column stores would raise
+    columns = [getattr(table, name) for name, _ in MUTABLE_COLUMNS]
+    for column in columns:
+        column.flags.writeable = False
+    try:
+        OracleRttfPredictor().predict_rttf_batch(vms)
+        vms[1].true_time_to_failure_s(9.0)
+    finally:
+        for column in columns:
+            column.flags.writeable = True
+    assert writes == []
+
+
+def test_batch_writes_no_vm_attribute(monkeypatch):
+    vms = aged_pool()
+    writes = []
+
+    def counting(self, name, value):
+        writes.append(name)
+        object.__setattr__(self, name, value)
+
+    monkeypatch.setattr(VirtualMachine, "__setattr__", counting)
+    vms[0].leaked_mb = vms[0].leaked_mb
+    assert writes == ["leaked_mb"]
+    writes.clear()
+    before = [copy.copy(vm.__dict__) for vm in vms]
+    OracleRttfPredictor().predict_rttf_batch(vms)
+    vms[1].true_time_to_failure_s(9.0)
+    assert writes == []
+    assert [vm.__dict__ for vm in vms] == before
+
+
+# ---------------------------------------------------------------------- #
+# the FailurePolicy clauses
+# ---------------------------------------------------------------------- #
+
+
+def mean_field_failure_time(vm, rate, step_s=0.25, mean_demand=1.5):
+    """Step the expected trajectory until ``failure_point_reached()``."""
+    leak_rate = vm.injector.expected_leak_rate_mb(rate)
+    thread_rate = vm.injector.expected_thread_rate(rate)
+    leaked0, stuck0 = vm.leaked_mb, vm.stuck_threads
+    t = 0.0
+    while t < 1e5:
+        vm.leaked_mb = leaked0 + leak_rate * t
+        vm.stuck_threads = int(stuck0 + thread_rate * t)
+        vm.last_response_time_s = vm.response_time_s(rate, mean_demand)
+        if vm.failure_point_reached():
+            break
+        t += step_s
+    else:
+        t = float("inf")
+    vm.leaked_mb, vm.stuck_threads, vm.last_response_time_s = leaked0, stuck0, 0.0
+    return t
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        FailurePolicy(),
+        FailurePolicy(sla_response_time_s=1e6),
+        FailurePolicy(sla_response_time_s=1e6, thread_exhaustion=False),
+        FailurePolicy(sla_response_time_s=1e6, swap_exhaustion=False),
+        FailurePolicy(sla_response_time_s=2.0, swap_exhaustion=False),
+        FailurePolicy(
+            sla_response_time_s=1.0,
+            swap_exhaustion=False,
+            thread_exhaustion=False,
+        ),
+    ],
+    ids=lambda p: (
+        f"sla{p.sla_response_time_s:g}"
+        f"-swap{int(p.swap_exhaustion)}-threads{int(p.thread_exhaustion)}"
+    ),
+)
+@pytest.mark.parametrize("itype", [M3_MEDIUM, PRIVATE_SMALL], ids=lambda t: t.name)
+def test_oracle_matches_stepped_failure_point(itype, policy):
+    rate, step_s = 20.0, 0.25
+    vm = make_vm(itype, policy=policy)
+    stepped = mean_field_failure_time(vm, rate, step_s)
+    assert math.isfinite(stepped)
+    assert vm.true_time_to_failure_s(rate) == pytest.approx(
+        stepped, abs=step_s + 1e-6
+    )
+
+
+def test_thread_exhaustion_bounds_the_oracle():
+    """m3.medium at 20 req/s, SLA out of reach: 232 free slots at 1/s."""
+    vm = make_vm(M3_MEDIUM, policy=FailurePolicy(sla_response_time_s=1e6))
+    assert vm.true_time_to_failure_s(20.0) == 232.0
+    # already exhausted
+    vm.stuck_threads = 500
+    assert vm.true_time_to_failure_s(20.0) == 0.0
+
+
+def test_swap_horizon_ignored_when_clause_is_off():
+    on = make_vm(
+        M3_MEDIUM,
+        policy=FailurePolicy(sla_response_time_s=1e6, thread_exhaustion=False),
+    )
+    off = make_vm(
+        M3_MEDIUM,
+        policy=FailurePolicy(
+            sla_response_time_s=1e6,
+            swap_exhaustion=False,
+            thread_exhaustion=False,
+        ),
+    )
+    assert on.true_time_to_failure_s(20.0) == pytest.approx(2421.6, abs=0.05)
+    assert off.true_time_to_failure_s(20.0) == float("inf")
+    assert not math.isfinite(mean_field_failure_time(off, 20.0, step_s=5.0))
+
+
+def test_sla_crossing_found_past_swap_saturation():
+    """Swap clause off, threads slow: the SLA trips after the swap fills."""
+    vm = make_vm(
+        PRIVATE_SMALL,
+        policy=FailurePolicy(swap_exhaustion=False),
+        leak_probability=0.5,
+        thread_probability=0.005,
+    )
+    rate = 5.0
+    swap_full_s = vm.anomaly_budget_mb / vm.injector.expected_leak_rate_mb(rate)
+    stepped = mean_field_failure_time(vm, rate, step_s=1.0)
+    assert swap_full_s < stepped < float("inf")
+    assert vm.true_time_to_failure_s(rate) == pytest.approx(stepped, abs=1.0 + 1e-6)
