@@ -21,6 +21,11 @@ service, completion bookkeeping, era-boundary control cycle); loop
 construction is excluded.  The predictor is a constant stub so that the
 measurement tracks the request machinery rather than the oracle
 predictor's root-finding.
+
+The fleet-scale (10 000 VMs / 9 000 active / 200 000 requests per era)
+``process_era`` figure is not measured here: it is ``pcam_fleet_10k``
+``work_per_s`` in the benchmark of record
+(``python3 benchmarks/e2e/run.py --workload pcam_fleet_10k``).
 """
 
 from __future__ import annotations
@@ -60,23 +65,6 @@ BENCH_SEED = 5
 #: (standard microbenchmark practice: the minimum is the least noisy
 #: estimator of the achievable throughput on a shared machine).
 REPEATS = 3
-
-#: The huge tier: one fluid-era region at fleet scale, run twice -- once
-#: on the columnar :class:`~repro.pcam.state_table.VmStateTable` path and
-#: once on the per-VM-object reference path.  The two are bit-identical
-#: (tests/pcam/test_columnar_parity.py), so the ratio is a pure
-#: measurement of the struct-of-arrays refactor.
-HUGE_N_VMS = 10_000
-HUGE_TARGET_ACTIVE = 9_000
-HUGE_ERAS = 3
-HUGE_REQUESTS_PER_ERA = 200_000
-
-#: Gate floor for the columnar speedup at the huge tier (see
-#: ``scripts/bench_gate.py``).  Quiet machines measure ~5.5-6.5x; a
-#: loaded host can sink the best interleaved ratio to ~5x, so the floor
-#: sits below that while still catching any real loss of the columnar
-#: win (a broken fast path reads ~1x).
-HUGE_MIN_SPEEDUP = 4.5
 
 
 class _ConstantPredictor(RttfPredictor):
@@ -201,96 +189,6 @@ def measure_telemetry() -> dict:
     return out
 
 
-class _FlatModel:
-    """Constant trained-model stub: isolates the feature-extraction cost."""
-
-    def predict(self, rows):
-        import numpy as np
-
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return np.full(rows.shape[0], 1e9)
-
-    def predict_one(self, row):
-        return 1e9
-
-
-def _build_huge_vmc(columnar: bool):
-    import numpy as np
-
-    from repro.pcam import (
-        TrainedRttfPredictor,
-        VirtualMachineController,
-        VmcConfig,
-    )
-
-    m3 = get_instance_type("m3.medium")
-    ps = get_instance_type("private.small")
-    vms = [
-        VirtualMachine(
-            f"vm{i:05d}",
-            m3 if i % 2 else ps,
-            AnomalyInjector(np.random.default_rng(i)),
-        )
-        for i in range(HUGE_N_VMS)
-    ]
-    return VirtualMachineController(
-        "fleet",
-        vms,
-        TrainedRttfPredictor(_FlatModel()),
-        VmcConfig(target_active=HUGE_TARGET_ACTIVE, columnar=columnar),
-    )
-
-
-def measure_huge() -> dict:
-    """Fleet-scale fluid eras: columnar table vs per-VM-object path.
-
-    Counts **VM-era events/sec** (pool size x eras / wall), the unit of
-    control-plane work at this tier: every VM-era pays load accounting, a
-    feature-row extraction, an RTTF prediction, failure checks and the
-    rejuvenation-threshold scan.  The per-VM anomaly-injection RNG draws
-    are inherently per-object (each VM owns its stream) and bound the
-    achievable ratio -- the reported speedup is end-to-end ``process_era``
-    wall time, not a best-case kernel measurement.
-
-    The two modes are measured **interleaved** (columnar then objects,
-    back-to-back, each repeat) and the gated ``speedup`` is the best of
-    the per-repeat ratios.  Each ratio therefore compares the two modes
-    under the same moment of machine weather; a load spike during one
-    mode's phase skews at most one repeat instead of silently sinking
-    the single recorded ratio, so ``--check`` holds the huge-tier floor
-    even when the baseline is regenerated on a loaded host.
-    """
-    out: dict = {
-        "n_vms": HUGE_N_VMS,
-        "target_active": HUGE_TARGET_ACTIVE,
-        "eras": HUGE_ERAS,
-        "requests_per_era": HUGE_REQUESTS_PER_ERA,
-    }
-    vm_eras = HUGE_N_VMS * HUGE_ERAS
-    walls: dict[str, list[float]] = {"columnar": [], "objects": []}
-    for _ in range(REPEATS):
-        for key, columnar in (("columnar", True), ("objects", False)):
-            vmc = _build_huge_vmc(columnar)
-            t0 = time.perf_counter()
-            for era in range(HUGE_ERAS):
-                vmc.process_era(
-                    HUGE_REQUESTS_PER_ERA, 30.0, era * 30.0
-                )
-            walls[key].append(time.perf_counter() - t0)
-    for key, samples in walls.items():
-        wall_s = min(samples)
-        out[key] = {
-            "wall_s": round(wall_s, 4),
-            "events_per_s": round(vm_eras / wall_s, 1),
-        }
-    ratios = [
-        obj / col for col, obj in zip(walls["columnar"], walls["objects"])
-    ]
-    out["speedup_per_repeat"] = [round(r, 2) for r in ratios]
-    out["speedup"] = round(max(ratios), 2)
-    return out
-
-
 def run_benchmark() -> dict:
     """Measure every scale; returns the full payload (JSON-ready)."""
     results = {scale: measure_scale(scale) for scale in SCALES}
@@ -300,7 +198,6 @@ def run_benchmark() -> dict:
         "unit": "wall-clock throughput of DesControlLoop.run",
         "scales": results,
         "telemetry": measure_telemetry(),
-        "huge": measure_huge(),
     }
 
 
@@ -318,12 +215,6 @@ def main(argv: list[str]) -> int:
             f"telemetry {mode:>8}: {rec['requests_per_s']:>12,.1f} req/s  "
             f"(small scale, {rec['wall_s']:.3f}s)"
         )
-    huge = payload["huge"]
-    print(
-        f"   huge: {huge['columnar']['events_per_s']:>12,.1f} VM-eras/s "
-        f"columnar  {huge['objects']['events_per_s']:>12,.1f} objects  "
-        f"({huge['speedup']:.2f}x, {huge['n_vms']} VMs)"
-    )
     if "--check" in argv:
         sys.path.insert(0, str(REPO_ROOT / "scripts"))
         from bench_gate import check_against_baseline

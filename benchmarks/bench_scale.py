@@ -49,16 +49,9 @@ def test_loop_throughput_vs_vms(benchmark, vms):
     assert mgr.loop.era_index == 10
 
 
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "objects"])
-def test_huge_fleet_era_throughput(benchmark, columnar):
-    """One fluid era over a 10k-VM pool: columnar table vs object path.
-
-    The ``columnar``/``objects`` pair is the pytest-benchmark view of the
-    huge tier recorded in ``BENCH_hotpath.json`` (see
-    ``benchmarks/bench_hotpath.py::measure_huge``); comparing the two ids
-    in ``--benchmark-compare`` output shows the struct-of-arrays speedup.
-    Single-round pedantic timing keeps the objects leg bounded.
-    """
+def test_huge_fleet_era_throughput(benchmark):
+    """One fluid era over a 10k-VM pool (the pytest-benchmark view of the
+    ``pcam_fleet_10k`` workload in ``benchmarks/e2e``)."""
     import numpy as np
 
     from repro.pcam import (
@@ -95,7 +88,7 @@ def test_huge_fleet_era_throughput(benchmark, columnar):
             "fleet",
             vms,
             TrainedRttfPredictor(_Flat()),
-            VmcConfig(target_active=9_000, columnar=columnar),
+            VmcConfig(target_active=9_000),
         )
 
     def one_era(vmc):

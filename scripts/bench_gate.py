@@ -16,9 +16,11 @@ times, but the baseline and the fresh run execute under *different*
 machine weather, and on a loaded shared host the same workload has been
 observed to swing from 26k to 48k req/s.  The gate exists to catch
 order-of-magnitude mistakes (an accidentally quadratic queue scan, a
-closure allocated per request), not drift -- same-run A/B comparisons
-(the telemetry-overhead and huge-tier checks, which interleave their
-measurements) carry the tighter thresholds.  After an intentional,
+closure allocated per request), not drift -- the same-run A/B comparison
+(the telemetry-overhead check, which interleaves its measurements)
+carries the tighter threshold.  The 10 000-VM ``process_era`` figure is
+``pcam_fleet_10k`` ``work_per_s`` in the benchmark of record
+(``benchmarks/e2e/run.py``), not a tier of this gate.  After an intentional,
 measured improvement, refresh the baseline by re-running
 ``benchmarks/bench_hotpath.py`` without ``--check`` and committing the
 updated JSON.
@@ -35,7 +37,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Maximum allowed fractional drop in requests/sec per scale (cross-run
 #: comparison against the committed baseline: loose by design, see the
-#: module docstring; the interleaved same-run checks are the tight ones).
+#: module docstring; the interleaved same-run check is the tight one).
 DEFAULT_TOLERANCE = 0.40
 
 #: Maximum allowed cost of the *disabled* telemetry facade vs the plain
@@ -86,42 +88,6 @@ def _check_telemetry_overhead(
             f"disabled telemetry overhead: {disabled_rps:,.1f} req/s is "
             f"more than {tolerance:.0%} below the plain run's "
             f"{plain_rps:,.1f}"
-        ]
-    return []
-
-
-def _check_huge_speedup(payload: dict) -> list[str]:
-    """Gate the columnar speedup at the huge (10k-VM) tier.
-
-    The huge tier runs the same fleet-scale era workload on the columnar
-    :class:`~repro.pcam.state_table.VmStateTable` path and on the
-    per-VM-object reference path; the two are bit-identical, so the ratio
-    must stay at or above the floor the refactor bought
-    (``benchmarks/bench_hotpath.py::HUGE_MIN_SPEEDUP``).  The check is on
-    the *fresh* measurement -- the committed baseline records the tier
-    for the trajectory, and baselines predating the tier pass vacuously.
-    """
-    huge = payload.get("huge")
-    if not huge:
-        return []
-    try:
-        from bench_hotpath import HUGE_MIN_SPEEDUP
-    except ImportError:
-        HUGE_MIN_SPEEDUP = 4.5
-    speedup = float(huge["speedup"])
-    col = float(huge["columnar"]["events_per_s"])
-    obj = float(huge["objects"]["events_per_s"])
-    status = "OK  " if speedup >= HUGE_MIN_SPEEDUP else "FAIL"
-    print(
-        f"  {status}    huge: {col:>12,.1f} VM-eras/s  "
-        f"objects  {obj:>12,.1f}  ({speedup:.2f}x, "
-        f"floor {HUGE_MIN_SPEEDUP:.1f}x)"
-    )
-    if speedup < HUGE_MIN_SPEEDUP:
-        return [
-            f"huge tier: columnar speedup {speedup:.2f}x fell below the "
-            f"{HUGE_MIN_SPEEDUP:.1f}x floor ({col:,.1f} vs {obj:,.1f} "
-            "VM-eras/s)"
         ]
     return []
 
@@ -243,7 +209,6 @@ def check_against_baseline(
 
     failures = []
     failures.extend(_check_telemetry_overhead(payload))
-    failures.extend(_check_huge_speedup(payload))
     for scale, base in base_scales.items():
         current = payload["scales"].get(scale)
         if current is None:

@@ -16,9 +16,10 @@
 #   6. an online-lifecycle smoke: a short fig3 run with the model
 #      lifecycle enabled must export the drift metrics (ml_drift_mape,
 #      ml_lives_total) through the telemetry dump;
-#   7. a columnar-parity smoke: the scalar/columnar differential harness
-#      (era oracle + chaos/churn + DES loop pairing) must show the two
-#      VM-state representations bit-identical;
+#   7. a state-table parity smoke: the table-backed VMC must equal the
+#      tests-only one-VM reference controller bit for bit (era oracle +
+#      chaos/churn), and the DES region / DES loop must reproduce the
+#      digests recorded from the per-object path before it was deleted;
 #   8. a hierarchical-chaos smoke: the rack-blackout-during-flash-crowd
 #      campaign on the 2 AZ x 2 rack deployment must end recovered, and
 #      the fleet's `domains` axis must leave historical cell digests
@@ -329,10 +330,11 @@ assert len(after) == 2 * len(before)
 print(f"slo axis: {len(before)} slo-less cell(s) digest-stable")
 EOF
 
-echo "== columnar parity smoke =="
+echo "== state-table parity smoke =="
 python -m pytest -q \
     "tests/pcam/test_columnar_parity.py::test_vmc_era_parity_oracle" \
     "tests/pcam/test_columnar_parity.py::test_vmc_parity_under_chaos_and_churn" \
+    "tests/pcam/test_columnar_parity.py::test_des_region_parity" \
     "tests/pcam/test_columnar_parity.py::test_des_loop_parity"
 
 echo "== e2e benchmark smoke =="

@@ -92,8 +92,8 @@ class _RegionState:
     #: long-queued request could dump its (rejuvenation-spanning) response
     #: time into a just-reactivated VM and instantly SLA-fail it.
     life: np.ndarray
-    #: Columnar VM state (row index == slot); ``None`` in object mode.
-    table: VmStateTable | None = None
+    #: The pool's VM state, adopted in pool order (row index == slot).
+    table: VmStateTable
     #: Slots of ACTIVE VMs in ``vms`` order; rebuilt at era boundaries and
     #: maintained incrementally on mid-era failures.
     active_slots: list[int] = field(default_factory=list)
@@ -110,22 +110,9 @@ class _RegionState:
     def active(self) -> list[VirtualMachine]:
         return [vm for vm in self.vms if vm.state is VmState.ACTIVE]
 
-    def standby(self) -> list[VirtualMachine]:
-        return [vm for vm in self.vms if vm.state is VmState.STANDBY]
-
     def rebuild_active_slots(self) -> None:
-        if self.table is not None:
-            self.active_arr = np.flatnonzero(
-                self.table.state_code == CODE_ACTIVE
-            )
-            self.active_slots = self.active_arr.tolist()
-            return
-        self.active_slots = [
-            slot
-            for slot, vm in enumerate(self.vms)
-            if vm.state is VmState.ACTIVE
-        ]
-        self.active_arr = np.asarray(self.active_slots, dtype=np.intp)
+        self.active_arr = np.flatnonzero(self.table.state_code == CODE_ACTIVE)
+        self.active_slots = self.active_arr.tolist()
 
     def drop_active_slot(self, slot: int) -> None:
         """Remove a slot that failed mid-era (preserves ``vms`` order)."""
@@ -140,7 +127,11 @@ class DesControlLoop:
     ----------
     regions:
         name -> (vms, population, target_active).  VM pools should start
-        in STANDBY; the loop activates the targets.
+        in STANDBY; the loop activates the targets.  Each pool is adopted
+        into a :class:`~repro.pcam.state_table.VmStateTable` (row index ==
+        slot): the per-request path reads and writes its cells, the
+        era-boundary analytics are array passes, and the VM objects stay
+        valid views.
     policy:
         The ``POLICY()`` of Algorithm 2.
     predictor:
@@ -159,11 +150,6 @@ class DesControlLoop:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade.  Disabled
         (the default) it is a strict no-op and the loop stays bit-identical
         to an un-instrumented one.
-    columnar:
-        Keep each region's VM state in a
-        :class:`~repro.pcam.state_table.VmStateTable` (row index == slot)
-        and vectorise the era-boundary analytics.  Bit-identical to the
-        object mode (pinned by the golden-trace and parity tests).
     clock:
         Optional :class:`~repro.sim.clock.Clock` to drive the loop.  By
         default the loop builds its own simulator (virtual time, the
@@ -184,7 +170,6 @@ class DesControlLoop:
         overlay: OverlayNetwork | None = None,
         mean_demand: float = 1.5,
         telemetry: Telemetry | None = None,
-        columnar: bool = True,
         clock: "Simulator | None" = None,
     ) -> None:
         if not regions:
@@ -214,6 +199,11 @@ class DesControlLoop:
             vms, population, target = regions[name]
             if target < 1 or target > len(vms):
                 raise ValueError(f"{name}: bad target_active {target}")
+            table = VmStateTable(len(vms))
+            rows = table.adopt_all(vms)
+            # adoption in pool order makes row index == slot index,
+            # which the per-request path relies on
+            assert rows.size == 0 or int(rows[-1]) == len(vms) - 1
             state = _RegionState(
                 name=name,
                 vms=vms,
@@ -221,13 +211,8 @@ class DesControlLoop:
                 target_active=target,
                 in_flight=np.zeros(len(vms), dtype=np.int64),
                 life=np.zeros(len(vms), dtype=np.int64),
+                table=table,
             )
-            if columnar:
-                state.table = VmStateTable(len(vms))
-                rows = state.table.adopt_all(vms)
-                # adoption in pool order makes row index == slot index,
-                # which the per-request path relies on
-                assert rows.size == 0 or int(rows[-1]) == len(vms) - 1
             self._states[name] = state
             self._ensure_active(state)
             state.rebuild_active_slots()
@@ -272,18 +257,9 @@ class DesControlLoop:
         return counts / counts.sum()
 
     def _ensure_active(self, state: _RegionState) -> None:
-        if state.table is not None:
-            codes = state.table.state_code
-            need = state.target_active - int(
-                np.count_nonzero(codes == CODE_ACTIVE)
-            )
-            if need > 0:
-                standby = np.flatnonzero(codes == CODE_STANDBY)[:need]
-                if standby.size:
-                    state.table.activate(standby)
-            return
-        while len(state.active()) < state.target_active and state.standby():
-            state.standby()[0].activate()
+        state.table.activate_standby(
+            np.arange(len(state.vms)), state.target_active
+        )
 
     def _install_plan(self, plan: ForwardPlan) -> None:
         """Install a forward plan; precompute per-row routing CDFs.
@@ -382,11 +358,7 @@ class DesControlLoop:
             candidates = np.flatnonzero(loads == loads.min())
             pos = candidates[int(rng.integers(0, candidates.size))]
             slot = active[pos]
-        capacity = (
-            state.table.capacity_at(slot)
-            if state.table is not None
-            else state.vms[slot].effective_capacity
-        )
+        capacity = state.table.capacity_at(slot)
         share = in_flight[slot] = in_flight[slot] + 1
         t_start = self.sim.now
         extra = (
@@ -424,37 +396,16 @@ class DesControlLoop:
         # of this slot (queued before a rejuvenation, finishing after the
         # reactivation) -- see _RegionState.life
         table = state.table
-        if table is not None:
-            if (
-                table.state_code[slot] == CODE_ACTIVE
-                and state.life[slot] == life
-            ):
-                vm = state.vms[slot]
-                effect = vm.injector.inject(1)
-                table.leaked_mb[slot] += effect.leaked_mb
-                table.stuck_threads[slot] += effect.stuck_threads
-                table.total_requests[slot] += 1
-                table.last_response_time_s[slot] = rt
-                if table.failure_point_at(slot):
-                    table.state_code[slot] = CODE_FAILED
-                    table.failure_count[slot] += 1
-                    state.drop_active_slot(slot)
-                    self.total_failures += 1
-                    if self._obs_on:
-                        self._tel.event(
-                            "vm.failure", region=state.name, vm=vm.name
-                        )
-            self._schedule_next(i)
-            return
-        vm = state.vms[slot]
-        if vm.state is VmState.ACTIVE and state.life[slot] == life:
+        if table.state_code[slot] == CODE_ACTIVE and state.life[slot] == life:
+            vm = state.vms[slot]
             effect = vm.injector.inject(1)
-            vm.leaked_mb += effect.leaked_mb
-            vm.stuck_threads += effect.stuck_threads
-            vm.total_requests += 1
-            vm.last_response_time_s = rt
-            if vm.failure_point_reached():
-                vm.fail()
+            table.leaked_mb[slot] += effect.leaked_mb
+            table.stuck_threads[slot] += effect.stuck_threads
+            table.total_requests[slot] += 1
+            table.last_response_time_s[slot] = rt
+            if table.failure_point_at(slot):
+                table.state_code[slot] = CODE_FAILED
+                table.failure_count[slot] += 1
                 state.drop_active_slot(slot)
                 self.total_failures += 1
                 if self._obs_on:
@@ -539,14 +490,7 @@ class DesControlLoop:
                 / max(state.era_active_start, 1)
                 / self.era_s
             )
-            if state.table is not None:
-                mttf_values = self._region_pcam_columnar(
-                    state, name, rate_per_vm
-                )
-            else:
-                mttf_values = self._region_pcam_objects(
-                    state, name, rate_per_vm
-                )
+            mttf_values = self._region_pcam(state, name, rate_per_vm)
             self._ensure_active(state)
             state.rebuild_active_slots()
             state.era_active_start = len(state.active_slots)
@@ -567,76 +511,18 @@ class DesControlLoop:
             state.era_response_sum = 0.0
         return reports, lam
 
-    def _region_pcam_objects(
-        self, state: _RegionState, name: str, rate_per_vm: float
-    ) -> list[float]:
-        """Era accounting + PCAM swaps, one VM object at a time."""
-        for vm in state.vms:
-            if vm.state is VmState.ACTIVE:
-                vm.uptime_s += self.era_s
-                vm.last_request_rate = rate_per_vm
-            elif vm.state in (VmState.STANDBY, VmState.REJUVENATING):
-                vm.idle(self.era_s)
-        # PCAM: predict (one stacked call for the pool), swap at-risk
-        # VMs against standbys.  MTTF derives from the in-hand RTTF:
-        # calling predict_mttf would re-predict, double-appending to
-        # trend-predictor histories.
-        mttf_values: list[float] = []
-        at_risk: list[tuple[float, int, VirtualMachine]] = []
-        pool_slots = [
-            slot
-            for slot, vm in enumerate(state.vms)
-            if vm.state is VmState.ACTIVE
-        ]
-        pool = [state.vms[slot] for slot in pool_slots]
-        rttf_batch = self.predictor.predict_rttf_batch(pool)
-        for slot, vm, rttf in zip(pool_slots, pool, rttf_batch):
-            rttf = float(rttf)
-            mttf_values.append(vm.uptime_s + max(rttf, 0.0))
-            if rttf < self.rttf_threshold_s:
-                at_risk.append((rttf, slot, vm))
-        at_risk.sort(key=lambda p: p[0])
-        n_standby = len(state.standby())
-        for rttf, slot, vm in at_risk:
-            if n_standby > 0:
-                n_standby -= 1
-            elif rttf >= self.era_s:
-                continue
-            vm.start_rejuvenation()
-            state.life[slot] += 1
-            self.total_rejuvenations += 1
-            if self._obs_on:
-                self._tel.instant(
-                    f"rejuvenate {vm.name}",
-                    kind="rejuvenation",
-                    region=name,
-                    reason="at_risk",
-                    rttf_s=rttf,
-                )
-        for slot, vm in enumerate(state.vms):
-            if vm.state is VmState.FAILED:
-                vm.start_rejuvenation()
-                state.life[slot] += 1
-                self.total_rejuvenations += 1
-                if self._obs_on:
-                    self._tel.instant(
-                        f"rejuvenate {vm.name}",
-                        kind="rejuvenation",
-                        region=name,
-                        reason="failed",
-                    )
-        return mttf_values
-
-    def _region_pcam_columnar(
+    def _region_pcam(
         self, state: _RegionState, name: str, rate_per_vm: float
     ) -> np.ndarray:
         """Era accounting + PCAM swaps as array passes over the table.
 
-        Mirrors :meth:`_region_pcam_objects` op-for-op (bit-identical);
-        only the swap actuation itself walks the (few) affected VMs.
+        Predicts once per era from one stacked feature matrix (MTTF
+        derives from the in-hand RTTF: a second prediction would
+        double-append to trend-predictor histories) and swaps at-risk
+        VMs against standbys; only the swap actuation itself walks the
+        (few) affected VMs.
         """
         table = state.table
-        assert table is not None
         active_mask = table.state_code == CODE_ACTIVE
         table.uptime_s[active_mask] += self.era_s
         table.last_request_rate[active_mask] = rate_per_vm

@@ -107,8 +107,8 @@ class LocalBalancer:
     ) -> np.ndarray:
         """Assign ``n_requests`` proportionally to ``weights``, by position.
 
-        The weight-level core of :meth:`split`: the columnar VMC computes
-        the ACTIVE pool's weights straight from the state table
+        The weight-level core of :meth:`split`: the VMC computes the
+        ACTIVE pool's weights straight from the state table
         (bit-identical to :meth:`weights` over the same VMs) and calls
         this to skip the per-VM object walk and the name dict.
         """
@@ -130,9 +130,8 @@ class DomainAwareBalancer(LocalBalancer):
     it holds the only ACTIVE capacity -- the penalty shifts load, it never
     zeroes a VM out.
 
-    Being a ``LocalBalancer`` subclass, the columnar VMC automatically
-    takes the object-API path for it, so both era modes see identical
-    routing.
+    Being a ``LocalBalancer`` subclass, the VMC routes through its
+    :meth:`split` (the object API) rather than the weight-array shortcut.
 
     Parameters
     ----------

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.pcam.state_table import CODE_ACTIVE, CODE_FAILED, VmStateTable
-from repro.pcam.vm import VirtualMachine, VmState
+from repro.pcam.vm import VirtualMachine
 from repro.sim.engine import Simulator
 from repro.workload.browsers import BrowserPopulation
 from repro.workload.sessions import STATES, SessionChain, _INDEX
@@ -69,7 +69,11 @@ class DesRegion:
     sim:
         The discrete-event simulator to schedule on.
     vms:
-        The pool; only ACTIVE VMs receive requests.
+        The pool; only ACTIVE VMs receive requests.  Adopted into a
+        :class:`~repro.pcam.state_table.VmStateTable` in pool order (row
+        index == slot), so the JSQ scan and the per-completion
+        bookkeeping read and write columns; the VM objects stay valid
+        views.
     population:
         Closed-loop browser population driving the load.
     rng:
@@ -81,11 +85,6 @@ class DesRegion:
         chain, and every request's service demand is its interaction's
         catalog cost (heavy Buy Confirms, cheap Home hits) instead of a
         single mean -- the demand mix the real benchmark produces.
-    columnar:
-        Keep the pool's VM state in a
-        :class:`~repro.pcam.state_table.VmStateTable` (row index == slot)
-        so the JSQ scan and the per-completion bookkeeping read columns
-        instead of objects.  Bit-identical to the object mode.
     """
 
     def __init__(
@@ -96,7 +95,6 @@ class DesRegion:
         rng: np.random.Generator,
         mean_demand: float = 1.5,
         session_chain: SessionChain | None = None,
-        columnar: bool = True,
     ) -> None:
         if not vms:
             raise ValueError("need at least one VM")
@@ -111,18 +109,25 @@ class DesRegion:
         self.stats = DesStats()
         #: Outstanding requests per VM, indexed by slot (position in vms).
         self._in_flight = np.zeros(len(vms), dtype=np.int64)
-        self.table: VmStateTable | None = None
-        if columnar:
-            self.table = VmStateTable(len(vms))
-            self.table.adopt_all(vms)  # adoption order: row == slot
+        self.table = VmStateTable(len(vms))
+        self.table.adopt_all(vms)  # adoption order: row == slot
         # per-browser navigation state (index into the chain's STATES)
         self._browser_page: dict[int, int] = {}
         self.interaction_counts: dict[str, int] = {}
+        self._started = False
 
     # ------------------------------------------------------------------ #
 
     def start(self) -> None:
-        """Schedule the first request of every emulated browser."""
+        """Schedule the first request of every emulated browser (once).
+
+        The population is closed-loop: every browser always has exactly
+        one pending event (a think timer or a completion), so a second
+        call would add ``n_clients`` more browsers, not restart these.
+        """
+        if self._started:
+            return
+        self._started = True
         for browser in range(self.population.n_clients):
             if self.session_chain is not None:
                 self._browser_page[browser] = _INDEX[
@@ -162,17 +167,7 @@ class DesRegion:
         queue is empty, and deterministic tie-breaking would funnel the
         whole stream to the first VM in the list.
         """
-        if self.table is not None:
-            active = np.flatnonzero(self.table.state_code == CODE_ACTIVE)
-        else:
-            active = np.array(
-                [
-                    slot
-                    for slot, vm in enumerate(self.vms)
-                    if vm.state is VmState.ACTIVE
-                ],
-                dtype=np.intp,
-            )
+        active = np.flatnonzero(self.table.state_code == CODE_ACTIVE)
         if active.size == 0:
             return None
         loads = self._in_flight[active]
@@ -192,12 +187,7 @@ class DesRegion:
         # processor sharing approximation: service rate divided by the
         # number of requests now in flight at this VM
         share = max(int(self._in_flight[slot]), 1)
-        capacity = (
-            self.table.capacity_at(slot)
-            if self.table is not None
-            else self.vms[slot].effective_capacity
-        )
-        mu = capacity / demand / share
+        mu = self.table.capacity_at(slot) / demand / share
         service = float(self.rng.exponential(1.0 / mu)) if mu > 0 else 1.0
 
         def complete(slot=slot, t_start=t_start, browser=browser) -> None:
@@ -207,26 +197,15 @@ class DesRegion:
             self.stats.response_times.append(rt)
             # anomaly injection on completion (one request's worth)
             table = self.table
-            if table is not None:
-                if table.state_code[slot] == CODE_ACTIVE:
-                    effect = self.vms[slot].injector.inject(1)
-                    table.leaked_mb[slot] += effect.leaked_mb
-                    table.stuck_threads[slot] += effect.stuck_threads
-                    table.total_requests[slot] += 1
-                    table.last_response_time_s[slot] = rt
-                    if table.failure_point_at(slot):
-                        table.state_code[slot] = CODE_FAILED
-                        table.failure_count[slot] += 1
-            else:
-                vm = self.vms[slot]
-                if vm.state is VmState.ACTIVE:
-                    effect = vm.injector.inject(1)
-                    vm.leaked_mb += effect.leaked_mb
-                    vm.stuck_threads += effect.stuck_threads
-                    vm.total_requests += 1
-                    vm.last_response_time_s = rt
-                    if vm.failure_point_reached():
-                        vm.fail()
+            if table.state_code[slot] == CODE_ACTIVE:
+                effect = self.vms[slot].injector.inject(1)
+                table.leaked_mb[slot] += effect.leaked_mb
+                table.stuck_threads[slot] += effect.stuck_threads
+                table.total_requests[slot] += 1
+                table.last_response_time_s[slot] = rt
+                if table.failure_point_at(slot):
+                    table.state_code[slot] = CODE_FAILED
+                    table.failure_count[slot] += 1
             self._schedule_next_request(browser)
 
         self.sim.schedule_after(service, complete)
@@ -240,7 +219,11 @@ class DesRegion:
     # ------------------------------------------------------------------ #
 
     def run(self, duration_s: float) -> DesStats:
-        """Start the browsers and run for ``duration_s`` simulated seconds.
+        """Run for ``duration_s`` simulated seconds.
+
+        The first call starts the browsers (unless :meth:`start` already
+        did); later calls only advance the clock, so repeated runs keep
+        one browser population and cumulative ``stats``.
 
         VM uptime accounting is synchronised at the end so that feature
         samples taken afterwards see the right ``uptime_s``.
@@ -256,14 +239,9 @@ class DesRegion:
         # the rate downstream predictors see (same fix as the DES loop's
         # ``era_active_start``).
         completed_at_start = self.stats.completed
-        if self.table is not None:
-            n_active_start = int(
-                np.count_nonzero(self.table.state_code == CODE_ACTIVE)
-            )
-        else:
-            n_active_start = len(
-                [v for v in self.vms if v.state is VmState.ACTIVE]
-            )
+        n_active_start = int(
+            np.count_nonzero(self.table.state_code == CODE_ACTIVE)
+        )
         self.start()
         self.sim.run_until(t_end)
         rate = (
@@ -271,16 +249,10 @@ class DesRegion:
             / max(n_active_start, 1)
             / duration_s
         )
-        if self.table is not None:
-            active = self.table.state_code == CODE_ACTIVE
-            self.table.uptime_s[active] += duration_s
-            # refresh last_request_rate for downstream predictors
-            self.table.last_request_rate[active] = rate
-        else:
-            for vm in self.vms:
-                if vm.state is VmState.ACTIVE:
-                    vm.uptime_s += duration_s
-                    vm.last_request_rate = rate
+        active = self.table.state_code == CODE_ACTIVE
+        self.table.uptime_s[active] += duration_s
+        # refresh last_request_rate for downstream predictors
+        self.table.last_request_rate[active] = rate
         return self.stats
 
     def offered_rate_estimate(self) -> float:

@@ -71,7 +71,7 @@ class FeatureMonitor:
     def record(self, now: float, row: np.ndarray) -> MonitorSample:
         """Store a pre-computed feature row for this VM.
 
-        The columnar VMC builds the whole ACTIVE pool's feature matrix in
+        The VMC builds the whole ACTIVE pool's feature matrix in
         one pass (:meth:`repro.pcam.state_table.VmStateTable.feature_matrix`)
         and hands each monitor its row here, instead of re-deriving it
         per VM through :meth:`sample`.  The row must follow the
@@ -84,9 +84,9 @@ class FeatureMonitor:
     def push(self, now: float, row: np.ndarray) -> None:
         """Store a feature row without materialising a :class:`MonitorSample`.
 
-        Same contract as :meth:`record` minus the return value: the
-        columnar VMC uses this when nothing downstream consumes the
-        sample object this era, saving one allocation per ACTIVE VM.
+        Same contract as :meth:`record` minus the return value: the VMC
+        uses this when nothing downstream consumes the sample object
+        this era, saving one allocation per ACTIVE VM.
         The ring's accessors (:attr:`latest`, :meth:`window`) wrap the
         raw row on demand.
         """

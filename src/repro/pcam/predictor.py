@@ -62,8 +62,8 @@ class RttfPredictor(abc.ABC):
     ) -> np.ndarray:
         """Predict RTTF from pre-computed feature rows, in ``vms`` order.
 
-        ``rows`` is the ``(len(vms), len(FEATURE_NAMES))`` matrix the
-        columnar VMC builds with
+        ``rows`` is the ``(len(vms), len(FEATURE_NAMES))`` matrix the VMC
+        builds with
         :meth:`repro.pcam.state_table.VmStateTable.feature_matrix`; its
         values are bit-identical to each VM's
         ``sample_features().to_array()``.  The base implementation

@@ -1,32 +1,36 @@
-"""Columnar (struct-of-arrays) VM state for fleet-scale simulation.
+"""The VM-state store: one struct-of-arrays table per region pool.
 
-The per-VM object model in :mod:`repro.pcam.vm` is the *reference*
-implementation: every quantity lives as a Python attribute on a
-:class:`~repro.pcam.vm.VirtualMachine` and every era touches every VM from
-the interpreter.  That is exactly the right shape for the control plane
-and for tests, and exactly the wrong shape for 10k--100k-VM fleets, where
-anomaly decay, failure checks, rejuvenation-threshold scans and feature
-extraction must be array operations.
-
-:class:`VmStateTable` stores the mutable per-VM state of one region pool
+:class:`VmStateTable` holds the mutable per-VM state of one region pool
 as parallel NumPy columns (one row per VM) plus per-VM static columns
-derived from the instance type and failure policy at adoption time.  The
-table *adopts* existing ``VirtualMachine`` objects in place: their state
-is copied into a table row and the object itself is re-classed into
+derived from the instance type and failure policy at adoption time.
+Every controller -- :class:`~repro.pcam.vmc.VirtualMachineController`,
+:class:`~repro.pcam.des_region.DesRegion`,
+:class:`~repro.core.des_loop.DesControlLoop` -- builds one over its pool
+and does its era work (anomaly accumulation, failure checks,
+rejuvenation-threshold scans, feature extraction) as array passes over
+it; the per-request DES path reads and writes single cells.
+
+The table *adopts* ``VirtualMachine`` objects in place: their state is
+copied into a row and the object itself is re-classed into
 :class:`TableBackedVM`, a thin view whose attributes are properties over
 the row.  Every reference the control plane, the chaos engine, or a test
 already holds keeps working -- ``vm.fail()``, ``vm.leaked_mb``,
-``vm.state is VmState.ACTIVE`` all read and write the columns -- while
-the hot paths batch whole pools per NumPy call.
+``vm.state is VmState.ACTIVE`` all read and write the columns.
+
+A standalone :class:`~repro.pcam.vm.VirtualMachine` (scalar attributes,
+never adopted) stays what it always was: the definition of the one-VM
+semantics, used as-is by profiling, by predictor unit tests, and by the
+tests-only reference controller (``tests/pcam/reference_vmc.py``).
 
 Bit-parity contract
 -------------------
 Every vectorised kernel in this module replicates the scalar arithmetic
 of :class:`~repro.pcam.vm.VirtualMachine` expression-for-expression in
-float64, so a columnar era is *bit-identical* to the per-VM object era
-(pinned by ``tests/pcam/test_columnar_parity.py``).  Anything stochastic
-(anomaly injection) stays per-VM in the caller, consuming each VM's own
-RNG stream in the same order the scalar loop would.
+float64, so an era over the table is *bit-identical* to walking plain VM
+objects one at a time (pinned by ``tests/pcam/test_columnar_parity.py``
+against that reference controller).  Anything stochastic (anomaly
+injection) stays per-VM in the caller, consuming each VM's own RNG
+stream in the same order the scalar loop would.
 
 Slot lifecycle invariants
 -------------------------
@@ -459,6 +463,19 @@ class VmStateTable:
         """STANDBY -> ACTIVE for every row in ``idx`` (uptime resets)."""
         self.state_code[idx] = CODE_ACTIVE
         self.uptime_s[idx] = 0.0
+
+    def activate_standby(self, rows: np.ndarray, target_active: int) -> None:
+        """Top the pool ``rows`` up to ``target_active`` ACTIVE VMs.
+
+        Activates STANDBY rows in ``rows`` order (the ACTIVATE command)
+        until the target is met or no standby is left.
+        """
+        codes = self.state_code[rows]
+        need = target_active - int(np.count_nonzero(codes == CODE_ACTIVE))
+        if need > 0:
+            standby = np.flatnonzero(codes == CODE_STANDBY)[:need]
+            if standby.size:
+                self.activate(rows[standby])
 
     def fail(self, idx: np.ndarray) -> None:
         """-> FAILED for rows not already failed (counter increments)."""

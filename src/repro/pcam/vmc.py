@@ -40,6 +40,7 @@ from repro.pcam.rejuvenation import (
 from repro.pcam.state_table import (
     CODE_ACTIVE,
     CODE_FAILED,
+    CODE_REJUVENATING,
     CODE_STANDBY,
     VmStateTable,
 )
@@ -63,11 +64,10 @@ class VmcConfig:
     monitor_history:
         Feature-monitor ring size per VM.
     columnar:
-        Store per-VM state in a :class:`~repro.pcam.state_table.VmStateTable`
-        and process eras as array operations (the fleet-scale path).  The
-        per-VM objects remain valid views either way; ``False`` keeps the
-        original object-walking era loop (the reference implementation the
-        parity harness compares against).  Both paths are bit-identical.
+        Inert compatibility field, read nowhere: the controller always
+        keeps its pool in a :class:`~repro.pcam.state_table.VmStateTable`.
+        Only ``True`` is accepted; the next benchmark PR drops the field
+        together with its last caller.
     spread_k:
         Anti-affinity spread cap: never hold more than ``spread_k`` VMs
         of one rack in REJUVENATING concurrently on the *proactive* path
@@ -82,6 +82,7 @@ class VmcConfig:
     target_active: int = 2
     mean_demand: float = 1.5
     monitor_history: int = 64
+    # inert: benchmarks/e2e/sim_workloads.py:74 (frozen) still passes it
     columnar: bool = True
     spread_k: int = 0
 
@@ -94,6 +95,11 @@ class VmcConfig:
             raise ValueError("mean_demand must be positive")
         if self.spread_k < 0:
             raise ValueError("spread_k must be >= 0")
+        if not self.columnar:
+            raise ValueError(
+                "columnar=False was removed: the state table is the only "
+                "VM-state store"
+            )
 
 
 @dataclass(slots=True)
@@ -176,14 +182,11 @@ class VirtualMachineController:
             vm.name: FeatureMonitor(vm, self.config.monitor_history)
             for vm in self.vms
         }
-        # columnar state: adopt the pool into a struct-of-arrays table;
-        # `_rows` holds each VM's table row, aligned with `self.vms` order
-        # (list position != table row once VMs have been removed).
-        self.table: VmStateTable | None = None
-        self._rows = np.empty(0, dtype=np.intp)
-        if self.config.columnar:
-            self.table = VmStateTable(len(self.vms))
-            self._rows = self.table.adopt_all(self.vms)
+        # adopt the pool into the state table; `_rows` holds each VM's
+        # table row, aligned with `self.vms` order (list position != table
+        # row once VMs have been removed).
+        self.table = VmStateTable(len(self.vms))
+        self._rows = self.table.adopt_all(self.vms)
         self._target_active = self.config.target_active
         self.total_rejuvenations = 0
         self.total_failures = 0
@@ -227,50 +230,26 @@ class VirtualMachineController:
 
     def _ensure_active_pool(self) -> None:
         """Activate STANDBYs until the ACTIVE pool meets the target."""
-        if self.table is not None:
-            codes = self.table.state_code[self._rows]
-            need = self._target_active - int(
-                np.count_nonzero(codes == CODE_ACTIVE)
-            )
-            if need > 0:
-                standby = np.flatnonzero(codes == CODE_STANDBY)[:need]
-                if standby.size:
-                    self.table.activate(self._rows[standby])
-            return
-        active = self.vms_in(VmState.ACTIVE)
-        standby = self.vms_in(VmState.STANDBY)
-        while len(active) < self._target_active and standby:
-            vm = standby.pop(0)
-            vm.activate()
-            active.append(vm)
+        self.table.activate_standby(self._rows, self._target_active)
 
     def total_capacity(self) -> float:
         """Sum of effective capacities of ACTIVE VMs (demand-units/s)."""
-        if self.table is not None:
-            rows = self._active_rows()
-            if rows.size == 0:
-                return 0.0
-            # cumsum is sequential accumulation: bit-identical to the
-            # scalar path's running Python sum (arr.sum() is pairwise)
-            return float(self.table.effective_capacity_of(rows).cumsum()[-1])
-        return float(
-            sum(vm.effective_capacity for vm in self.vms_in(VmState.ACTIVE))
-        )
+        rows = self._active_rows()
+        if rows.size == 0:
+            return 0.0
+        # cumsum is sequential accumulation: bit-identical to a running
+        # Python sum over the VMs (arr.sum() is pairwise)
+        return float(self.table.effective_capacity_of(rows).cumsum()[-1])
 
     def healthy_capacity(self) -> float:
         """Nameplate capacity of the ACTIVE pool (no degradation)."""
-        if self.table is not None:
-            rows = self._active_rows()
-            if rows.size == 0:
-                return 0.0
-            return float(self.table.cpu_power[rows].cumsum()[-1])
-        return float(
-            sum(vm.itype.cpu_power for vm in self.vms_in(VmState.ACTIVE))
-        )
+        rows = self._active_rows()
+        if rows.size == 0:
+            return 0.0
+        return float(self.table.cpu_power[rows].cumsum()[-1])
 
     def _active_rows(self) -> np.ndarray:
-        """Table rows of ACTIVE pool VMs, in pool order (columnar only)."""
-        assert self.table is not None
+        """Table rows of ACTIVE pool VMs, in pool order."""
         return self._rows[
             self.table.state_code[self._rows] == CODE_ACTIVE
         ]
@@ -278,15 +257,16 @@ class VirtualMachineController:
     def _rack_rejuvenation_counts(self) -> dict[int, int]:
         """REJUVENATING VMs per rack id (spread-cap bookkeeping).
 
-        Only called when ``config.spread_k > 0``; reads through the VM
-        views, so it works identically in object and columnar mode.
+        Only called when ``config.spread_k > 0``.
         """
-        counts: dict[int, int] = {}
-        for vm in self.vms:
-            if vm.state is VmState.REJUVENATING:
-                rack = vm.rack_id
-                counts[rack] = counts.get(rack, 0) + 1
-        return counts
+        table = self.table
+        rejuvenating = self._rows[
+            table.state_code[self._rows] == CODE_REJUVENATING
+        ]
+        racks, counts = np.unique(
+            table.rack_id[rejuvenating], return_counts=True
+        )
+        return dict(zip(racks.tolist(), counts.tolist()))
 
     def _spread_defer(
         self, rack_busy: dict[int, int], vm: VirtualMachine
@@ -311,165 +291,20 @@ class VirtualMachineController:
         Returns the :class:`EraReport` the slave VMC sends to the leader
         (Algorithm 1: predict local RMTTF, actuate PCAM policies).
 
-        Dispatches to the columnar (array-at-a-time) or object-walking
-        implementation per ``config.columnar``; the two are bit-identical
-        (pinned by ``tests/pcam/test_columnar_parity.py``).
+        The era is array-at-a-time over the state table.  Only two loops
+        stay per-VM by necessity: anomaly injection (each VM owns its RNG
+        stream and must consume it in pool order) and the monitor-ring
+        appends; everything else -- load accounting, response times,
+        failure checks, feature extraction, threshold scans -- is one
+        NumPy pass over the ACTIVE rows, bit-identical to walking plain
+        ``VirtualMachine`` objects one at a time (pinned by
+        ``tests/pcam/test_columnar_parity.py``).
         """
         if n_requests < 0:
             raise ValueError("n_requests must be >= 0")
         if dt <= 0:
             raise ValueError("dt must be positive")
-        if self.table is not None:
-            return self._process_era_columnar(n_requests, dt, now)
-        return self._process_era_objects(n_requests, dt, now)
-
-    def _process_era_objects(
-        self, n_requests: int, dt: float, now: float
-    ) -> EraReport:
-        """Reference era implementation: one Python VM object at a time."""
-        self._ensure_active_pool()
-        active = self.vms_in(VmState.ACTIVE)
-        era_failures = 0
-        era_rejuvenations = 0
-
-        # 1. split the batch over ACTIVE VMs and apply the load
-        response_num = 0.0
-        served = 0
-        if active:
-            assignment = self.balancer.split(n_requests, active)
-            for vm in active:
-                n_vm = assignment.get(vm.name, 0)
-                rt = vm.apply_load(n_vm, dt, self.config.mean_demand)
-                response_num += rt * n_vm
-                served += n_vm
-                if vm.state is VmState.FAILED:
-                    era_failures += 1
-
-        # advance non-active VMs (rejuvenation progress)
-        for vm in self.vms:
-            if vm.state in (VmState.STANDBY, VmState.REJUVENATING):
-                vm.idle(dt)
-
-        # 2. monitor + predict + proactive rejuvenation (PCAM policy).
-        # The swap is *paired*: REJUVENATE goes out together with an
-        # ACTIVATE to a STANDBY VM.  Without a standby the swap is
-        # postponed (taking a VM down with no replacement would cut
-        # availability -- the exact thing PCAM exists to protect), unless
-        # the VM is about to hard-fail within the next era anyway.
-        per_vm_rttf: dict[str, float] = {}
-        mttf_values: list[float] = []
-        at_risk: list[tuple[float, float, VirtualMachine]] = []
-        monitored = self.vms_in(VmState.ACTIVE)
-        samples = [self.monitors[vm.name].sample(now) for vm in monitored]
-        # One stacked model.predict call for the whole ACTIVE pool; MTTF
-        # derives from the RTTF already in hand (a second predict_rttf
-        # per era would double-append to trend-predictor histories).
-        rttf_batch = self.predictor.predict_rttf_batch(monitored)
-        for vm, rttf in zip(monitored, rttf_batch):
-            rttf = float(rttf)
-            per_vm_rttf[vm.name] = rttf
-            mttf_values.append(vm.uptime_s + max(rttf, 0.0))
-            if self.discipline.should_rejuvenate(vm, rttf, dt):
-                at_risk.append(
-                    (self.discipline.urgency(vm, rttf), rttf, vm)
-                )
-        if self.lifecycle is not None:
-            self.lifecycle.observe_era(
-                self.region_name, now, monitored, samples, rttf_batch
-            )
-        at_risk.sort(key=lambda triple: triple[0])
-        n_standby = len(self.vms_in(VmState.STANDBY))
-        rack_busy = (
-            self._rack_rejuvenation_counts() if self.config.spread_k else None
-        )
-        for _, rttf, vm in at_risk:
-            if rack_busy is not None and self._spread_defer(rack_busy, vm):
-                continue
-            if n_standby > 0:
-                n_standby -= 1
-            elif rttf >= dt:
-                continue  # postpone: no replacement and not imminent
-            vm.start_rejuvenation()
-            if rack_busy is not None:
-                rack_busy[vm.rack_id] = rack_busy.get(vm.rack_id, 0) + 1
-            era_rejuvenations += 1
-            if self.lifecycle is not None:
-                self.lifecycle.observe_life_end(
-                    self.region_name, vm.name, now, "rejuvenation"
-                )
-            if self._obs is not None:
-                self._obs.instant(
-                    f"rejuvenate {vm.name}",
-                    kind="rejuvenation",
-                    region=self.region_name,
-                    reason="at_risk",
-                    rttf_s=rttf,
-                )
-                self._obs.counter(
-                    "rejuvenations_total", region=self.region_name
-                ).inc()
-
-        # 3. reactive path: failed VMs go to rejuvenation too
-        for vm in self.vms_in(VmState.FAILED):
-            vm.start_rejuvenation()
-            era_rejuvenations += 1
-            if self.lifecycle is not None:
-                self.lifecycle.observe_life_end(
-                    self.region_name, vm.name, now, "failure"
-                )
-            if self._obs is not None:
-                self._obs.instant(
-                    f"rejuvenate {vm.name}",
-                    kind="rejuvenation",
-                    region=self.region_name,
-                    reason="failed",
-                )
-                self._obs.counter(
-                    "rejuvenations_total", region=self.region_name
-                ).inc()
-                self._obs.event(
-                    "vm.failure", region=self.region_name, vm=vm.name
-                )
-                self._obs.counter(
-                    "vm_failures_total", region=self.region_name
-                ).inc()
-
-        # 4. backfill the ACTIVE pool from STANDBY (the ACTIVATE command)
-        self._ensure_active_pool()
-
-        self.total_rejuvenations += era_rejuvenations
-        self.total_failures += era_failures
-
-        mean_rt = response_num / served if served else 0.0
-        last_rmttf = float(np.mean(mttf_values)) if mttf_values else 0.0
-        return EraReport(
-            region=self.region_name,
-            time=now,
-            last_rmttf=last_rmttf,
-            response_time_s=mean_rt,
-            n_active=len(self.vms_in(VmState.ACTIVE)),
-            n_standby=len(self.vms_in(VmState.STANDBY)),
-            n_rejuvenating=len(self.vms_in(VmState.REJUVENATING)),
-            n_failed=len(self.vms_in(VmState.FAILED)),
-            requests_served=served,
-            rejuvenations_triggered=era_rejuvenations,
-            failures=era_failures,
-            per_vm_rttf=per_vm_rttf,
-        )
-
-    def _process_era_columnar(
-        self, n_requests: int, dt: float, now: float
-    ) -> EraReport:
-        """Array-at-a-time era: mirrors ``_process_era_objects`` op-for-op.
-
-        Only two loops stay per-VM by necessity: anomaly injection (each
-        VM owns its RNG stream and must consume it in pool order) and the
-        monitor-ring appends; everything else -- load accounting, response
-        times, failure checks, feature extraction, threshold scans -- is
-        one NumPy pass over the ACTIVE rows.
-        """
         table = self.table
-        assert table is not None
         rows = self._rows
         self._ensure_active_pool()
         active_pos = np.flatnonzero(
@@ -486,7 +321,7 @@ class VirtualMachineController:
             active_views = [self.vms[p] for p in active_pos.tolist()]
             counts = self._split_counts(n_requests, active_rows, active_views)
             # per-VM anomaly draws stay a loop: each VM consumes its own
-            # stream in pool order, exactly like the scalar apply_load walk
+            # stream in pool order, exactly like a scalar apply_load walk
             counts_list = counts.tolist()
             leaked_list: list[float] = []
             threads_list: list[int] = []
@@ -500,7 +335,7 @@ class VirtualMachineController:
                 active_rows, counts, dt, self.config.mean_demand,
                 leaked, threads,
             )
-            # sequential cumsum matches the scalar running float sum
+            # sequential cumsum matches a scalar running float sum
             products = rt * counts
             if products.size:
                 response_num = float(products.cumsum()[-1])
@@ -541,7 +376,7 @@ class VirtualMachineController:
             self.lifecycle.observe_era(
                 self.region_name, now, monitored, samples, rttf_arr
             )
-        at_risk_pos, urgency = self._at_risk_columnar(
+        at_risk_pos, urgency = self._at_risk(
             monitored, mon_rows, rttf_arr, dt
         )
         order = np.argsort(urgency, kind="stable")
@@ -634,8 +469,7 @@ class VirtualMachineController:
         active_rows: np.ndarray,
         active_views: list[VirtualMachine],
     ) -> np.ndarray:
-        """Per-VM request counts in pool order (columnar balancer path)."""
-        assert self.table is not None
+        """Per-VM request counts in pool order."""
         bal = self.balancer
         if type(bal) is LocalBalancer:
             if bal.discipline == "uniform":
@@ -650,7 +484,7 @@ class VirtualMachineController:
             dtype=np.int64,
         )
 
-    def _at_risk_columnar(
+    def _at_risk(
         self,
         monitored: list[VirtualMachine],
         mon_rows: np.ndarray,
@@ -660,9 +494,8 @@ class VirtualMachineController:
         """At-risk candidates (positions into ``monitored``) + urgencies.
 
         Vectorised for the built-in disciplines; an unknown subclass is
-        consulted per VM with the same call pattern as the scalar era.
+        consulted per VM, in pool order.
         """
-        assert self.table is not None
         disc = self.discipline
         if type(disc) is RttfThresholdRejuvenation:
             pos = np.flatnonzero(rttf_arr < disc.threshold_s)
@@ -688,13 +521,11 @@ class VirtualMachineController:
         return pos, urgency
 
     def compact_table(self) -> None:
-        """Repack the state table after heavy churn (columnar only).
+        """Repack the state table after heavy churn.
 
-        Safe no-op in object mode.  Live views are updated in place; the
-        controller's row map is remapped to the new rows.
+        Live views are updated in place; the controller's row map is
+        remapped to the new rows.
         """
-        if self.table is None:
-            return
         mapping = self.table.compact()
         self._rows = np.array(
             [mapping[int(r)] for r in self._rows], dtype=np.intp
@@ -710,10 +541,12 @@ class VirtualMachineController:
             raise ValueError(f"duplicate VM name {vm.name!r}")
         if vm.state is not VmState.STANDBY:
             raise ValueError("new VMs must join in STANDBY state")
+        # adopt first: it refuses a VM another table still owns, and the
+        # pool must be untouched when it does.  (May reuse a released
+        # slot; adopt() overwrites every column.)
+        row = self.table.adopt(vm)
         self.vms.append(vm)
-        if self.table is not None:
-            # may reuse a released slot; adopt() overwrites every column
-            self._rows = np.append(self._rows, self.table.adopt(vm))
+        self._rows = np.append(self._rows, row)
         self.monitors[vm.name] = FeatureMonitor(
             vm, self.config.monitor_history
         )
@@ -756,12 +589,11 @@ class VirtualMachineController:
                     )
                 del self.vms[i]
                 del self.monitors[name]
-                if self.table is not None:
-                    # scrubs + frees the row and hands the VM back its
-                    # scalar attributes, so the caller keeps a usable
-                    # (detached) VirtualMachine
-                    self.table.release(vm)  # type: ignore[arg-type]
-                    self._rows = np.delete(self._rows, i)
+                # scrubs + frees the row and hands the VM back its
+                # scalar attributes, so the caller keeps a usable
+                # (detached) VirtualMachine
+                self.table.release(vm)  # type: ignore[arg-type]
+                self._rows = np.delete(self._rows, i)
                 # Drop any per-VM predictor state (trend windows, stale
                 # caches): a future same-named VM must start clean.
                 self.predictor.evict(name)

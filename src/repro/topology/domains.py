@@ -2,7 +2,7 @@
 
 Every rack in the deployment gets a globally unique integer id (its
 *rack id*), assigned in region declaration order, then AZ order, then
-rack order.  The integer coding is deliberate: the columnar VM state
+rack order.  The integer coding is deliberate: the VM state
 table stores each VM's rack as one ``int64`` column, so domain-scoped
 fault selection and the anti-affinity rejuvenation cap stay array
 operations at fleet scale.

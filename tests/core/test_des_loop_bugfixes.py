@@ -214,9 +214,8 @@ class TestStaleCompletionLifeGate:
     counter now stamps every issued request and drops mismatches.
     """
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_stale_completion_does_not_mutate_fresh_vm(self, columnar):
-        loop = build_loop(columnar=columnar)
+    def test_stale_completion_does_not_mutate_fresh_vm(self):
+        loop = build_loop()
         state = loop._states["r1"]
         slot = state.active_slots[0]
         vm = state.vms[slot]
@@ -231,9 +230,8 @@ class TestStaleCompletionLifeGate:
         assert (vm.total_requests, vm.leaked_mb, vm.stuck_threads) == before
         assert loop.total_failures == 0
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_current_life_completion_still_counts(self, columnar):
-        loop = build_loop(columnar=columnar)
+    def test_current_life_completion_still_counts(self):
+        loop = build_loop()
         state = loop._states["r1"]
         slot = state.active_slots[0]
         vm = state.vms[slot]
@@ -243,12 +241,10 @@ class TestStaleCompletionLifeGate:
                        t_start=0.0, extra=0.0)
         assert vm.total_requests == before + 1
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_rejuvenation_bumps_slot_life(self, columnar):
+    def test_rejuvenation_bumps_slot_life(self):
         # end-to-end: every proactive/reactive swap at the era boundary
         # must advance the slot's incarnation counter
-        loop = build_loop(columnar=columnar, seed=9, clients=(160, 96),
-                          think_time_s=3.0)
+        loop = build_loop(seed=9, clients=(160, 96), think_time_s=3.0)
         for _ in range(20):
             loop.run_era()
         if loop.total_rejuvenations == 0:

@@ -1,0 +1,268 @@
+"""Tests-only reference VMC: one plain ``VirtualMachine`` at a time.
+
+Until PR 13 this era loop shipped in ``repro.pcam.vmc`` as
+``_process_era_objects`` behind ``VmcConfig(columnar=False)``.  The
+:class:`~repro.pcam.state_table.VmStateTable` is now the only store in
+production; the object walk lives on here, moved verbatim, as the
+comparator of ``tests/pcam/test_columnar_parity.py``: the same seeds
+through :class:`ReferenceVmc` and the real
+:class:`~repro.pcam.vmc.VirtualMachineController` must give ``==`` era
+reports, per-VM state, capacities and ``stats()``.
+
+The pool is never adopted into a table, so every quantity is a scalar
+attribute mutated by the public ``VirtualMachine`` methods
+(``apply_load``, ``idle``, ``activate``, ``start_rejuvenation``) -- the
+one-VM semantics the array kernels replicate.  Only the controller's
+observers (telemetry, online lifecycle) are left out: no parity test
+passes them and they never touch VM state.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.pcam.balancer import LocalBalancer
+from repro.pcam.monitor import FeatureMonitor
+from repro.pcam.predictor import RttfPredictor
+from repro.pcam.rejuvenation import (
+    RejuvenationDiscipline,
+    RttfThresholdRejuvenation,
+)
+from repro.pcam.vm import VirtualMachine, VmState
+from repro.pcam.vmc import EraReport, VmcConfig
+
+
+class ReferenceVmc:
+    """Object-walking twin of ``VirtualMachineController``.
+
+    Same constructor arguments (minus the observers) and the pool
+    operations the churn scenario scripts: ``set_target_active``,
+    ``add_vm``, ``remove_vm``, ``vms_in``, the two capacities and
+    ``stats``.
+    """
+
+    def __init__(
+        self,
+        region_name: str,
+        vms: list[VirtualMachine],
+        predictor: RttfPredictor,
+        config: VmcConfig | None = None,
+        balancer: LocalBalancer | None = None,
+        discipline: RejuvenationDiscipline | None = None,
+    ) -> None:
+        self.region_name = region_name
+        self.vms = list(vms)
+        self.predictor = predictor
+        self.config = config or VmcConfig()
+        self.balancer = balancer or LocalBalancer()
+        self.discipline = discipline or RttfThresholdRejuvenation(
+            self.config.rttf_threshold_s
+        )
+        self.monitors = {
+            vm.name: FeatureMonitor(vm, self.config.monitor_history)
+            for vm in self.vms
+        }
+        self._target_active = self.config.target_active
+        self.total_rejuvenations = 0
+        self.total_failures = 0
+        self.spread_deferrals = 0
+        self._ensure_active_pool()
+
+    # ------------------------------------------------------------------ #
+    # pool management
+    # ------------------------------------------------------------------ #
+
+    def vms_in(self, state: VmState) -> list[VirtualMachine]:
+        return [vm for vm in self.vms if vm.state is state]
+
+    @property
+    def target_active(self) -> int:
+        return self._target_active
+
+    def set_target_active(self, n: int) -> None:
+        self._target_active = n
+        active = self.vms_in(VmState.ACTIVE)
+        while len(active) > self._target_active:
+            # Retire the most-degraded VM first.
+            worst = max(active, key=lambda vm: vm.leaked_mb)
+            worst.start_rejuvenation()
+            active.remove(worst)
+        self._ensure_active_pool()
+
+    def _ensure_active_pool(self) -> None:
+        active = self.vms_in(VmState.ACTIVE)
+        standby = self.vms_in(VmState.STANDBY)
+        while len(active) < self._target_active and standby:
+            vm = standby.pop(0)
+            vm.activate()
+            active.append(vm)
+
+    def total_capacity(self) -> float:
+        return float(
+            sum(vm.effective_capacity for vm in self.vms_in(VmState.ACTIVE))
+        )
+
+    def healthy_capacity(self) -> float:
+        return float(
+            sum(vm.itype.cpu_power for vm in self.vms_in(VmState.ACTIVE))
+        )
+
+    def _rack_rejuvenation_counts(self) -> dict[int, int]:
+        counts: dict[int, int] = {}
+        for vm in self.vms:
+            if vm.state is VmState.REJUVENATING:
+                rack = vm.rack_id
+                counts[rack] = counts.get(rack, 0) + 1
+        return counts
+
+    def _spread_defer(
+        self, rack_busy: dict[int, int], vm: VirtualMachine
+    ) -> bool:
+        if rack_busy.get(vm.rack_id, 0) < self.config.spread_k:
+            return False
+        self.spread_deferrals += 1
+        return True
+
+    # ------------------------------------------------------------------ #
+    # era processing
+    # ------------------------------------------------------------------ #
+
+    def process_era(self, n_requests: int, dt: float, now: float) -> EraReport:
+        """Reference era implementation: one Python VM object at a time."""
+        self._ensure_active_pool()
+        active = self.vms_in(VmState.ACTIVE)
+        era_failures = 0
+        era_rejuvenations = 0
+
+        # 1. split the batch over ACTIVE VMs and apply the load
+        response_num = 0.0
+        served = 0
+        if active:
+            assignment = self.balancer.split(n_requests, active)
+            for vm in active:
+                n_vm = assignment.get(vm.name, 0)
+                rt = vm.apply_load(n_vm, dt, self.config.mean_demand)
+                response_num += rt * n_vm
+                served += n_vm
+                if vm.state is VmState.FAILED:
+                    era_failures += 1
+
+        # advance non-active VMs (rejuvenation progress)
+        for vm in self.vms:
+            if vm.state in (VmState.STANDBY, VmState.REJUVENATING):
+                vm.idle(dt)
+
+        # 2. monitor + predict + proactive rejuvenation (PCAM policy).
+        # The swap is *paired*: REJUVENATE goes out together with an
+        # ACTIVATE to a STANDBY VM.  Without a standby the swap is
+        # postponed (taking a VM down with no replacement would cut
+        # availability -- the exact thing PCAM exists to protect), unless
+        # the VM is about to hard-fail within the next era anyway.
+        per_vm_rttf: dict[str, float] = {}
+        mttf_values: list[float] = []
+        at_risk: list[tuple[float, float, VirtualMachine]] = []
+        monitored = self.vms_in(VmState.ACTIVE)
+        for vm in monitored:
+            self.monitors[vm.name].sample(now)
+        # One stacked model.predict call for the whole ACTIVE pool; MTTF
+        # derives from the RTTF already in hand (a second predict_rttf
+        # per era would double-append to trend-predictor histories).
+        rttf_batch = self.predictor.predict_rttf_batch(monitored)
+        for vm, rttf in zip(monitored, rttf_batch):
+            rttf = float(rttf)
+            per_vm_rttf[vm.name] = rttf
+            mttf_values.append(vm.uptime_s + max(rttf, 0.0))
+            if self.discipline.should_rejuvenate(vm, rttf, dt):
+                at_risk.append(
+                    (self.discipline.urgency(vm, rttf), rttf, vm)
+                )
+        at_risk.sort(key=lambda triple: triple[0])
+        n_standby = len(self.vms_in(VmState.STANDBY))
+        rack_busy = (
+            self._rack_rejuvenation_counts() if self.config.spread_k else None
+        )
+        for _, rttf, vm in at_risk:
+            if rack_busy is not None and self._spread_defer(rack_busy, vm):
+                continue
+            if n_standby > 0:
+                n_standby -= 1
+            elif rttf >= dt:
+                continue  # postpone: no replacement and not imminent
+            vm.start_rejuvenation()
+            if rack_busy is not None:
+                rack_busy[vm.rack_id] = rack_busy.get(vm.rack_id, 0) + 1
+            era_rejuvenations += 1
+
+        # 3. reactive path: failed VMs go to rejuvenation too
+        for vm in self.vms_in(VmState.FAILED):
+            vm.start_rejuvenation()
+            era_rejuvenations += 1
+
+        # 4. backfill the ACTIVE pool from STANDBY (the ACTIVATE command)
+        self._ensure_active_pool()
+
+        self.total_rejuvenations += era_rejuvenations
+        self.total_failures += era_failures
+
+        mean_rt = response_num / served if served else 0.0
+        last_rmttf = float(np.mean(mttf_values)) if mttf_values else 0.0
+        return EraReport(
+            region=self.region_name,
+            time=now,
+            last_rmttf=last_rmttf,
+            response_time_s=mean_rt,
+            n_active=len(self.vms_in(VmState.ACTIVE)),
+            n_standby=len(self.vms_in(VmState.STANDBY)),
+            n_rejuvenating=len(self.vms_in(VmState.REJUVENATING)),
+            n_failed=len(self.vms_in(VmState.FAILED)),
+            requests_served=served,
+            rejuvenations_triggered=era_rejuvenations,
+            failures=era_failures,
+            per_vm_rttf=per_vm_rttf,
+        )
+
+    # ------------------------------------------------------------------ #
+    # pool growth / shrink
+    # ------------------------------------------------------------------ #
+
+    def add_vm(self, vm: VirtualMachine) -> None:
+        self.vms.append(vm)
+        self.monitors[vm.name] = FeatureMonitor(
+            vm, self.config.monitor_history
+        )
+
+    def remove_vm(self, name: str) -> VirtualMachine:
+        for i, vm in enumerate(self.vms):
+            if vm.name == name:
+                del self.vms[i]
+                del self.monitors[name]
+                self.predictor.evict(name)
+                return vm
+        raise KeyError(name)
+
+    def stats(self) -> dict[str, float]:
+        active = self.vms_in(VmState.ACTIVE)
+        return {
+            "n_vms": float(len(self.vms)),
+            "n_active": float(len(active)),
+            "n_standby": float(len(self.vms_in(VmState.STANDBY))),
+            "n_rejuvenating": float(len(self.vms_in(VmState.REJUVENATING))),
+            "n_failed": float(len(self.vms_in(VmState.FAILED))),
+            "total_requests": float(
+                sum(vm.total_requests for vm in self.vms)
+            ),
+            "total_rejuvenations": float(self.total_rejuvenations),
+            "total_failures": float(self.total_failures),
+            "mean_active_uptime_s": (
+                float(np.mean([vm.uptime_s for vm in active]))
+                if active
+                else 0.0
+            ),
+            "mean_leak_mb": (
+                float(np.mean([vm.leaked_mb for vm in active]))
+                if active
+                else 0.0
+            ),
+            "effective_capacity": self.total_capacity(),
+            "healthy_capacity": self.healthy_capacity(),
+        }

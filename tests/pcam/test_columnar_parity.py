@@ -1,23 +1,42 @@
-"""Differential parity harness: scalar vs columnar VM state.
+"""Parity harness: the table-backed VMC vs the one-VM reference.
 
-The columnar :class:`~repro.pcam.state_table.VmStateTable` path was built
-against one contract: *same seed -> bit-identical behaviour* with the
-per-VM-object reference implementation.  This module is the harness that
-enforces it.  Every test builds two deployments from identically-seeded
-RNG registries -- one with ``columnar=False`` (the scalar reference), one
-with ``columnar=True`` -- drives both through the same scenario, and
-compares era reports, per-VM mutable state, capacities and traces
-**exactly** (``==`` on floats, no tolerance).
+:class:`~repro.pcam.state_table.VmStateTable` is the only VM-state store
+in production; its array kernels were built against one contract: *same
+seed -> bit-identical behaviour* with the scalar, one-object-at-a-time
+semantics of :class:`~repro.pcam.vm.VirtualMachine`.  This module keeps
+that contract checked two ways:
 
-A divergence here is a bookkeeping bug in one of the two paths, not noise:
-both paths consume the same RNG streams in the same order, so any drift
-means an operation was reordered, an accumulation changed its numeric
-association, or per-VM state leaked across slots.  The fuzz driver at the
-bottom sweeps randomized scenarios (pool mix, predictor, discipline,
-balancer, churn and crash storms) to flush out exactly that class of bug.
+* **VMC (fluid eras): live comparator.**  Every test builds two pools from
+  identically-seeded RNG registries -- one driven by the tests-only
+  :class:`~tests.pcam.reference_vmc.ReferenceVmc` (plain, never-adopted
+  ``VirtualMachine`` objects), one by the real
+  :class:`~repro.pcam.vmc.VirtualMachineController` -- runs both through
+  the same scenario, and compares era reports, per-VM mutable state,
+  monitor rings, capacities and ``stats()`` **exactly** (``==`` on
+  floats, no tolerance).
+* **DES region / DES loop (per-request events): snapshots.**  The
+  object-walking arms of ``DesRegion`` and ``DesControlLoop`` were deleted
+  in PR 13; before that, blake2b digests of their complete outcome were
+  recorded *from the object path* into ``snapshots/des_parity.json`` and
+  shown equal on the table path.  The tests below hold the table path to
+  those digests.  Regenerate only for an intended semantic change::
+
+      PYTHONPATH=src python -m tests.pcam.test_columnar_parity --regen
+
+A divergence here is a bookkeeping bug, not noise: both sides consume the
+same RNG streams in the same order, so any drift means an operation was
+reordered, an accumulation changed its numeric association, or per-VM
+state leaked across slots.  The fuzz driver sweeps randomized scenarios
+(pool mix, predictor, discipline, balancer, churn and crash storms) to
+flush out exactly that class of bug.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +58,11 @@ from repro.pcam import (
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
 from repro.workload import AnomalyInjector
 
-#: Per-VM fields that must stay bit-identical between the two paths.
+from .reference_vmc import ReferenceVmc
+
+SNAPSHOT_PATH = Path(__file__).parent / "snapshots" / "des_parity.json"
+
+#: Per-VM fields that must stay bit-identical between the two sides.
 MUTABLE_FIELDS = (
     "leaked_mb",
     "stuck_threads",
@@ -56,7 +79,7 @@ class _LinModel:
     """Deterministic stand-in for a trained F2PM model.
 
     A fixed linear read-out over the feature row -- enough to make the
-    predicted RTTF depend on the columnar feature extraction, so any
+    predicted RTTF depend on the table's feature extraction, so any
     feature-matrix divergence surfaces as a prediction divergence.
     """
 
@@ -87,28 +110,42 @@ def _snapshot(vm: VirtualMachine) -> dict:
 
 
 def _assert_pools_equal(
-    scalar: VirtualMachineController,
-    columnar: VirtualMachineController,
+    ref: ReferenceVmc,
+    vmc: VirtualMachineController,
     era: int,
 ) -> None:
-    assert [vm.name for vm in scalar.vms] == [vm.name for vm in columnar.vms]
-    for s_vm, c_vm in zip(scalar.vms, columnar.vms):
-        s_snap, c_snap = _snapshot(s_vm), _snapshot(c_vm)
-        assert s_snap == c_snap, (
-            f"era {era}: VM {s_vm.name} diverged: {s_snap} != {c_snap}"
+    assert [vm.name for vm in ref.vms] == [vm.name for vm in vmc.vms]
+    for r_vm, t_vm in zip(ref.vms, vmc.vms):
+        r_snap, t_snap = _snapshot(r_vm), _snapshot(t_vm)
+        assert r_snap == t_snap, (
+            f"era {era}: VM {r_vm.name} diverged: {r_snap} != {t_snap}"
         )
-    assert scalar.total_capacity() == columnar.total_capacity()
-    assert scalar.healthy_capacity() == columnar.healthy_capacity()
-    assert scalar.stats() == columnar.stats()
+        # the monitor ring: per-VM sample_features() on one side, a row
+        # of the pool's feature_matrix() on the other
+        r_mon, t_mon = ref.monitors[r_vm.name], vmc.monitors[t_vm.name]
+        assert len(r_mon) == len(t_mon)
+        if len(r_mon):
+            assert r_mon.latest.time == t_mon.latest.time
+            assert (
+                r_mon.latest.features.tolist()
+                == t_mon.latest.features.tolist()
+            ), f"era {era}: VM {r_vm.name} monitor row diverged"
+    assert ref.total_capacity() == vmc.total_capacity()
+    assert ref.healthy_capacity() == vmc.healthy_capacity()
+    assert ref.stats() == vmc.stats()
+    assert ref.spread_deferrals == vmc.spread_deferrals
 
 
-def _make_pair(seed: int, n_vms: int, build):
-    """Build (scalar, columnar) VMCs from identically-seeded registries."""
+def _make_pair(seed: int, n_vms: int, build, **vm_kw):
+    """Build (reference, real) VMCs from identically-seeded registries.
+
+    ``build(cls, rngs, vms)`` constructs ``cls`` over the given pool.
+    """
     out = []
-    for columnar in (False, True):
+    for cls in (ReferenceVmc, VirtualMachineController):
         rngs = RngRegistry(seed=seed)
-        vms = _pool(rngs, n_vms, lambda i: i % 2 == 0)
-        out.append(build(rngs, vms, columnar))
+        vms = _pool(rngs, n_vms, lambda i: i % 2 == 0, **vm_kw)
+        out.append(build(cls, rngs, vms))
     return out[0], out[1]
 
 
@@ -120,23 +157,23 @@ def _make_pair(seed: int, n_vms: int, build):
 def test_vmc_era_parity_oracle():
     """60 high-load eras with failures + rejuvenations stay bit-identical."""
 
-    def build(rngs, vms, columnar):
-        return VirtualMachineController(
+    def build(cls, rngs, vms):
+        return cls(
             "r1",
             vms,
             OracleRttfPredictor(),
-            VmcConfig(target_active=4, columnar=columnar),
+            VmcConfig(target_active=4),
         )
 
-    scalar, columnar = _make_pair(7, 8, build)
+    ref, vmc = _make_pair(7, 8, build)
     for era in range(60):
-        rep_s = scalar.process_era(4000, 30.0, era * 30.0)
-        rep_c = columnar.process_era(4000, 30.0, era * 30.0)
-        assert rep_s == rep_c, f"era {era}: {rep_s} != {rep_c}"
-        _assert_pools_equal(scalar, columnar, era)
+        rep_r = ref.process_era(4000, 30.0, era * 30.0)
+        rep_t = vmc.process_era(4000, 30.0, era * 30.0)
+        assert rep_r == rep_t, f"era {era}: {rep_r} != {rep_t}"
+        _assert_pools_equal(ref, vmc, era)
     # the scenario must actually exercise the lifecycle machinery
-    assert scalar.total_rejuvenations > 0
-    assert scalar.total_failures > 0
+    assert ref.total_rejuvenations > 0
+    assert ref.total_failures > 0
 
 
 @pytest.mark.parametrize(
@@ -159,22 +196,20 @@ def test_vmc_era_parity_predictor_variants(predictor_kind):
         mode = "stale" if predictor_kind.endswith("stale") else "off"
         return CorruptiblePredictor(inner, mode=mode)
 
-    def build(rngs, vms, columnar):
-        return VirtualMachineController(
+    def build(cls, rngs, vms):
+        return cls(
             "r1",
             vms,
             make_predictor(),
-            VmcConfig(
-                target_active=3, rttf_threshold_s=400.0, columnar=columnar
-            ),
+            VmcConfig(target_active=3, rttf_threshold_s=400.0),
         )
 
-    scalar, columnar = _make_pair(11, 6, build)
+    ref, vmc = _make_pair(11, 6, build)
     for era in range(40):
-        rep_s = scalar.process_era(3000, 30.0, era * 30.0)
-        rep_c = columnar.process_era(3000, 30.0, era * 30.0)
-        assert rep_s == rep_c, f"era {era}: {predictor_kind} diverged"
-        _assert_pools_equal(scalar, columnar, era)
+        rep_r = ref.process_era(3000, 30.0, era * 30.0)
+        rep_t = vmc.process_era(3000, 30.0, era * 30.0)
+        assert rep_r == rep_t, f"era {era}: {predictor_kind} diverged"
+        _assert_pools_equal(ref, vmc, era)
 
 
 @pytest.mark.parametrize("kind", ["periodic", "none"])
@@ -186,21 +221,21 @@ def test_vmc_era_parity_disciplines(kind):
         else NoRejuvenation()
     )
 
-    def build(rngs, vms, columnar):
-        return VirtualMachineController(
+    def build(cls, rngs, vms):
+        return cls(
             "r1",
             vms,
             OracleRttfPredictor(),
-            VmcConfig(target_active=3, columnar=columnar),
+            VmcConfig(target_active=3),
             discipline=disc,
         )
 
-    scalar, columnar = _make_pair(13, 6, build)
+    ref, vmc = _make_pair(13, 6, build)
     for era in range(40):
-        rep_s = scalar.process_era(2500, 30.0, era * 30.0)
-        rep_c = columnar.process_era(2500, 30.0, era * 30.0)
-        assert rep_s == rep_c
-        _assert_pools_equal(scalar, columnar, era)
+        rep_r = ref.process_era(2500, 30.0, era * 30.0)
+        rep_t = vmc.process_era(2500, 30.0, era * 30.0)
+        assert rep_r == rep_t
+        _assert_pools_equal(ref, vmc, era)
 
 
 @pytest.mark.parametrize("discipline", ["uniform", "capacity"])
@@ -208,22 +243,47 @@ def test_vmc_era_parity_disciplines(kind):
 def test_vmc_era_parity_balancers(discipline, stochastic):
     """Both balancer disciplines, deterministic and multinomial splits."""
 
-    def build(rngs, vms, columnar):
+    def build(cls, rngs, vms):
         rng = rngs.child("bal").stream("split") if stochastic else None
-        return VirtualMachineController(
+        return cls(
             "r1",
             vms,
             OracleRttfPredictor(),
-            VmcConfig(target_active=3, columnar=columnar),
+            VmcConfig(target_active=3),
             balancer=LocalBalancer(discipline, rng=rng),
         )
 
-    scalar, columnar = _make_pair(17, 6, build)
+    ref, vmc = _make_pair(17, 6, build)
     for era in range(30):
-        rep_s = scalar.process_era(2000, 30.0, era * 30.0)
-        rep_c = columnar.process_era(2000, 30.0, era * 30.0)
-        assert rep_s == rep_c
-        _assert_pools_equal(scalar, columnar, era)
+        rep_r = ref.process_era(2000, 30.0, era * 30.0)
+        rep_t = vmc.process_era(2000, 30.0, era * 30.0)
+        assert rep_r == rep_t
+        _assert_pools_equal(ref, vmc, era)
+
+
+def test_vmc_era_parity_spread_cap():
+    """The per-rack REJUVENATING count (one ``np.unique`` over the table)
+    defers exactly the swaps the per-VM walk defers."""
+
+    def build(cls, rngs, vms):
+        for i, vm in enumerate(vms):
+            vm.rack_id = i % 3
+        return cls(
+            "r1",
+            vms,
+            OracleRttfPredictor(),
+            VmcConfig(target_active=6, rttf_threshold_s=400.0, spread_k=1),
+        )
+
+    ref, vmc = _make_pair(29, 9, build, rejuvenation_time_s=90.0)
+    for era in range(60):
+        rep_r = ref.process_era(2000, 30.0, era * 30.0)
+        rep_t = vmc.process_era(2000, 30.0, era * 30.0)
+        assert rep_r == rep_t, f"era {era}: {rep_r} != {rep_t}"
+        _assert_pools_equal(ref, vmc, era)
+    # deferred swaps, proactive swaps and reactive (failed-VM) swaps all ran
+    assert ref.spread_deferrals > 0
+    assert ref.total_rejuvenations > ref.total_failures > 0
 
 
 # --------------------------------------------------------------------- #
@@ -241,25 +301,25 @@ def test_vmc_parity_under_chaos_and_churn():
     """Crash storms, autoscaling and add/remove churn stay in lockstep.
 
     The scripted events mirror what a chaos campaign does, applied
-    symmetrically to both pools; the columnar side also compacts its
+    symmetrically to both pools; the real controller also compacts its
     table mid-run, which must be invisible to behaviour.
     """
 
-    def build(rngs, vms, columnar):
-        return VirtualMachineController(
+    def build(cls, rngs, vms):
+        return cls(
             "r1",
             vms,
             OracleRttfPredictor(),
-            VmcConfig(target_active=4, columnar=columnar),
+            VmcConfig(target_active=4),
         )
 
-    scalar, columnar = _make_pair(23, 8, build)
+    ref, vmc = _make_pair(23, 8, build)
     storm_rng = np.random.default_rng(23)
     added = 0
     for era in range(50):
         if era % 9 == 4:  # crash storm: fail ~half the ACTIVE pool
             active = sorted(
-                vm.name for vm in scalar.vms_in(VmState.ACTIVE)
+                vm.name for vm in ref.vms_in(VmState.ACTIVE)
             )
             if active:
                 k = max(1, len(active) // 2)
@@ -267,19 +327,19 @@ def test_vmc_parity_under_chaos_and_churn():
                     len(active), size=k, replace=False
                 )
                 victims = [active[i] for i in sorted(int(i) for i in picks)]
-                _fail_by_name(scalar, victims)
-                _fail_by_name(columnar, victims)
+                _fail_by_name(ref, victims)
+                _fail_by_name(vmc, victims)
         if era % 11 == 7:  # autoscale up/down
-            target = 3 if scalar.target_active == 4 else 4
-            scalar.set_target_active(target)
-            columnar.set_target_active(target)
+            target = 3 if ref.target_active == 4 else 4
+            ref.set_target_active(target)
+            vmc.set_target_active(target)
         if era % 13 == 6:  # provision a fresh standby into both pools
             added += 1
-            for vmc, seed_tag in ((scalar, "s"), (columnar, "c")):
+            for side in (ref, vmc):
                 # per-pool registry children would diverge; give the pair
                 # identically-seeded injectors instead
                 rng = np.random.default_rng(1000 + added)
-                vmc.add_vm(
+                side.add_vm(
                     VirtualMachine(
                         f"new{added:02d}",
                         PRIVATE_SMALL,
@@ -289,20 +349,20 @@ def test_vmc_parity_under_chaos_and_churn():
         if era % 17 == 15:  # decommission a non-ACTIVE VM, if any
             removable = [
                 vm.name
-                for vm in scalar.vms
+                for vm in ref.vms
                 if vm.state is not VmState.ACTIVE
             ]
             if removable:
-                scalar.remove_vm(removable[0])
-                columnar.remove_vm(removable[0])
+                ref.remove_vm(removable[0])
+                vmc.remove_vm(removable[0])
         if era % 19 == 10:
-            columnar.compact_table()
+            vmc.compact_table()
 
-        rep_s = scalar.process_era(4000, 30.0, era * 30.0)
-        rep_c = columnar.process_era(4000, 30.0, era * 30.0)
-        assert rep_s == rep_c, f"era {era}: {rep_s} != {rep_c}"
-        _assert_pools_equal(scalar, columnar, era)
-    assert added > 0 and scalar.total_failures > 0
+        rep_r = ref.process_era(4000, 30.0, era * 30.0)
+        rep_t = vmc.process_era(4000, 30.0, era * 30.0)
+        assert rep_r == rep_t, f"era {era}: {rep_r} != {rep_t}"
+        _assert_pools_equal(ref, vmc, era)
+    assert added > 0 and ref.total_failures > 0
 
 
 # --------------------------------------------------------------------- #
@@ -328,7 +388,7 @@ def test_vmc_parity_fuzz(seed):
     )
     storm_rng = np.random.default_rng(seed + 7919)
 
-    def build(rngs, vms, columnar):
+    def build(cls, rngs, vms):
         if predictor_kind == "trained":
             predictor = TrainedRttfPredictor(_LinModel(), floor_s=1.0)
         elif predictor_kind == "trend":
@@ -340,20 +400,16 @@ def test_vmc_parity_fuzz(seed):
             disc = PeriodicRejuvenation(period_s=200.0)
         elif discipline == "none":
             disc = NoRejuvenation()
-        return VirtualMachineController(
+        return cls(
             "fuzz",
             vms,
             predictor,
-            VmcConfig(
-                rttf_threshold_s=threshold_s,
-                target_active=target,
-                columnar=columnar,
-            ),
+            VmcConfig(rttf_threshold_s=threshold_s, target_active=target),
             balancer=LocalBalancer(balancer_kind),
             discipline=disc,
         )
 
-    def make(columnar):
+    def make(cls):
         rngs = RngRegistry(seed=seed * 31 + 5)
         vms = _pool(
             rngs,
@@ -361,76 +417,128 @@ def test_vmc_parity_fuzz(seed):
             lambda i: i % 3 != 0,
             rejuvenation_time_s=rejuvenation_time_s,
         )
-        return build(rngs, vms, columnar)
+        return build(cls, rngs, vms)
 
-    scalar, columnar = make(False), make(True)
+    ref, vmc = make(ReferenceVmc), make(VirtualMachineController)
     for era in range(n_eras):
         if era in storm_eras:
             active = sorted(
-                vm.name for vm in scalar.vms_in(VmState.ACTIVE)
+                vm.name for vm in ref.vms_in(VmState.ACTIVE)
             )
             if active:
                 k = int(storm_rng.integers(1, len(active) + 1))
                 picks = storm_rng.choice(len(active), size=k, replace=False)
                 victims = [active[i] for i in sorted(int(i) for i in picks)]
-                _fail_by_name(scalar, victims)
-                _fail_by_name(columnar, victims)
-        rep_s = scalar.process_era(int(loads[era]), 30.0, era * 30.0)
-        rep_c = columnar.process_era(int(loads[era]), 30.0, era * 30.0)
-        assert rep_s == rep_c, (
+                _fail_by_name(ref, victims)
+                _fail_by_name(vmc, victims)
+        rep_r = ref.process_era(int(loads[era]), 30.0, era * 30.0)
+        rep_t = vmc.process_era(int(loads[era]), 30.0, era * 30.0)
+        assert rep_r == rep_t, (
             f"seed {seed} era {era}: scenario "
             f"(n={n_vms} t={target} {predictor_kind}/{discipline}/"
             f"{balancer_kind}) diverged"
         )
-        _assert_pools_equal(scalar, columnar, era)
+        _assert_pools_equal(ref, vmc, era)
 
 
 # --------------------------------------------------------------------- #
-# request-granular layers: DES region and DES control loop
+# request-granular layers: DES region and DES control loop (snapshots)
 # --------------------------------------------------------------------- #
 
+#: DES-region cases: the steady pool never fails; the failing one leaks on
+#: 90 % of requests, so its VMs fail one by one mid-run and the last run
+#: is a full outage (every request dropped).
+DES_REGION_CASES = {
+    "steady": {"seed": 3, "clients": 60, "run_s": 60.0, "injector": {}},
+    "failing": {
+        "seed": 4,
+        "clients": 40,
+        "run_s": 200.0,
+        "injector": {"leak_probability": 0.9, "thread_probability": 0.3},
+    },
+}
+DES_REGION_RUNS = 3
 
-def _build_des_region(seed: int, columnar: bool):
+#: DES-loop cases: 8 quiet eras, and 20 eras under enough load that the
+#: era boundary swaps at-risk VMs and mid-era failures drop active slots.
+DES_LOOP_CASES = {
+    "steady": {"seed": 9, "clients": (120, 72), "think_time_s": 7.0,
+               "eras": 8},
+    "swaps": {"seed": 9, "clients": (160, 96), "think_time_s": 3.0,
+              "eras": 20},
+}
+
+
+def _digest(obj) -> str:
+    """blake2b over sorted JSON (``repr`` round-trips doubles exactly)."""
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
+
+
+def _vm_state(vm: VirtualMachine) -> dict:
+    """Per-VM mutable state as plain JSON scalars."""
+    return {
+        k: (v.value if isinstance(v, VmState)
+            else int(v) if isinstance(v, (int, np.integer))
+            else float(v))
+        for k, v in _snapshot(vm).items()
+    }
+
+
+def _build_des_region(case: str):
     from repro.pcam import DesRegion
     from repro.sim.engine import Simulator
     from repro.workload import BrowserPopulation
 
-    rngs = RngRegistry(seed=seed)
-    vms = _pool(rngs, 5, lambda i: i % 2 == 0)
+    cfg = DES_REGION_CASES[case]
+    rngs = RngRegistry(seed=cfg["seed"])
+    vms = [
+        VirtualMachine(
+            f"vm{i:03d}",
+            M3_MEDIUM if i % 2 == 0 else PRIVATE_SMALL,
+            AnomalyInjector(
+                rngs.child(f"vm{i:03d}").stream("a"), **cfg["injector"]
+            ),
+        )
+        for i in range(5)
+    ]
     for vm in vms[:3]:
         vm.activate()
-    sim = Simulator()
-    region = DesRegion(
-        sim,
+    return DesRegion(
+        Simulator(),
         vms,
-        BrowserPopulation(n_clients=60),
+        BrowserPopulation(n_clients=cfg["clients"]),
         rngs.child("des").stream("events"),
-        columnar=columnar,
     )
-    return region
 
 
-def test_des_region_parity():
-    """Request-granular DES: JSQ picks, completions and failures match."""
-    scalar = _build_des_region(3, columnar=False)
-    columnar = _build_des_region(3, columnar=True)
-    for _ in range(3):  # repeated run() calls share cumulative stats
-        stats_s = scalar.run(60.0)
-        stats_c = columnar.run(60.0)
-        assert stats_s.completed == stats_c.completed
-        assert stats_s.dropped == stats_c.dropped
-        assert stats_s.response_times == stats_c.response_times
-        for s_vm, c_vm in zip(scalar.vms, columnar.vms):
-            assert _snapshot(s_vm) == _snapshot(c_vm)
-    assert scalar.stats.completed > 0
+def _collect_des_region(case: str) -> dict:
+    """One record per ``run()`` call (stats are cumulative across calls)."""
+    region = _build_des_region(case)
+    out = {}
+    for run in range(DES_REGION_RUNS):
+        stats = region.run(DES_REGION_CASES[case]["run_s"])
+        out[f"run{run}"] = {
+            "completed": int(stats.completed),
+            "dropped": int(stats.dropped),
+            "failed_vms": sum(
+                vm.state is VmState.FAILED for vm in region.vms
+            ),
+            "response_times": _digest(
+                [float(rt) for rt in stats.response_times]
+            ),
+            "vms": _digest([_vm_state(vm) for vm in region.vms]),
+        }
+    return out
 
 
-def _build_des_loop(seed: int, columnar: bool):
+def _build_des_loop(case: str):
     from repro.core import get_policy
     from repro.core.des_loop import DesControlLoop
     from repro.workload import BrowserPopulation
 
-    rngs = RngRegistry(seed=seed)
+    cfg = DES_LOOP_CASES[case]
+    rngs = RngRegistry(seed=cfg["seed"])
 
     def pool(region, itype, n):
         return [
@@ -442,37 +550,120 @@ def _build_des_loop(seed: int, columnar: bool):
             for i in range(n)
         ]
 
+    def browsers(n):
+        return BrowserPopulation(
+            n_clients=n, think_time_s=cfg["think_time_s"]
+        )
+
     regions = {
-        "r1": (pool("r1", M3_MEDIUM, 6), BrowserPopulation(n_clients=120), 4),
-        "r3": (pool("r3", PRIVATE_SMALL, 4), BrowserPopulation(n_clients=72), 3),
+        "r1": (pool("r1", M3_MEDIUM, 6), browsers(cfg["clients"][0]), 4),
+        "r3": (pool("r3", PRIVATE_SMALL, 4), browsers(cfg["clients"][1]), 3),
     }
     return DesControlLoop(
         regions,
         get_policy("available-resources"),
         OracleRttfPredictor(),
         rngs,
-        columnar=columnar,
     )
+
+
+def _collect_des_loop(case: str) -> dict:
+    loop = _build_des_loop(case)
+    loop.run(DES_LOOP_CASES[case]["eras"])
+    series = loop.traces.matching("")
+    out = {
+        "total_rejuvenations": int(loop.total_rejuvenations),
+        "total_failures": int(loop.total_failures),
+        "series_names": sorted(series),
+        "traces": _digest(
+            {
+                name: [
+                    [float(t) for t in ts.times],
+                    [float(v) for v in ts.values],
+                ]
+                for name, ts in series.items()
+            }
+        ),
+    }
+    for region in loop.region_names:
+        state = loop._states[region]
+        out[f"life/{region}"] = [int(n) for n in state.life]
+        out[f"active_slots/{region}"] = [int(n) for n in state.active_slots]
+        out[f"vms/{region}"] = _digest([_vm_state(vm) for vm in state.vms])
+    return out
+
+
+#: snapshot section -> (its cases, the per-case collector)
+_SECTIONS = {
+    "des_region": (DES_REGION_CASES, _collect_des_region),
+    "des_loop": (DES_LOOP_CASES, _collect_des_loop),
+}
+
+
+def _collect(section: str) -> dict:
+    cases, collect_case = _SECTIONS[section]
+    return {case: collect_case(case) for case in cases}
+
+
+def _collect_and_check(section: str) -> dict:
+    """Collect ``section`` on the live code; assert it equals the snapshot."""
+    assert SNAPSHOT_PATH.exists(), (
+        f"missing snapshot {SNAPSHOT_PATH}; see this module's docstring"
+    )
+    expected = json.loads(SNAPSHOT_PATH.read_text())[section]
+    actual = _collect(section)
+    assert sorted(actual) == sorted(expected)
+    for case, exp_case in expected.items():
+        assert sorted(actual[case]) == sorted(exp_case)
+        for key, exp in exp_case.items():
+            assert actual[case][key] == exp, (
+                f"{section}/{case}/{key}: {actual[case][key]!r} != snapshot "
+                f"{exp!r} (recorded from the deleted object path; bit-exact "
+                "parity broken)"
+            )
+    return actual
+
+
+def test_des_region_parity():
+    """Request-granular DES: JSQ picks, completions and failures match."""
+    actual = _collect_and_check("des_region")
+    # the cases must exercise what they claim to
+    last = f"run{DES_REGION_RUNS - 1}"
+    assert actual["steady"][last]["completed"] > 0
+    assert actual["failing"]["run1"]["failed_vms"] > 0
+    assert actual["failing"][last]["dropped"] > 0
 
 
 def test_des_loop_parity():
     """Full request-level MAPE loop: every trace series stays identical."""
-    scalar = _build_des_loop(9, columnar=False)
-    columnar = _build_des_loop(9, columnar=True)
-    scalar.run(8)
-    columnar.run(8)
-    s_series = scalar.traces.matching("")
-    c_series = columnar.traces.matching("")
-    assert sorted(s_series) == sorted(c_series)
-    for name in s_series:
-        assert list(s_series[name].times) == list(c_series[name].times), name
-        assert list(s_series[name].values) == list(c_series[name].values), name
-    assert scalar.total_rejuvenations == columnar.total_rejuvenations
-    assert scalar.total_failures == columnar.total_failures
-    for region in scalar.region_names:
-        s_state = scalar._states[region]
-        c_state = columnar._states[region]
-        assert list(s_state.life) == list(c_state.life)
-        assert s_state.active_slots == c_state.active_slots
-        for s_vm, c_vm in zip(s_state.vms, c_state.vms):
-            assert _snapshot(s_vm) == _snapshot(c_vm)
+    actual = _collect_and_check("des_loop")
+    assert actual["swaps"]["total_rejuvenations"] > 0
+    assert actual["swaps"]["total_failures"] > 0
+
+
+def test_columnar_option_is_gone():
+    """One store: no caller can select another."""
+    import inspect
+
+    from repro.core.des_loop import DesControlLoop
+    from repro.pcam import DesRegion
+
+    with pytest.raises(ValueError, match="columnar"):
+        VmcConfig(columnar=False)
+    for cls in (DesRegion, DesControlLoop):
+        assert "columnar" not in inspect.signature(cls).parameters
+
+
+def main() -> int:
+    if "--regen" not in sys.argv:
+        print(__doc__)
+        return 2
+    SNAPSHOT_PATH.parent.mkdir(exist_ok=True)
+    snapshot = {section: _collect(section) for section in _SECTIONS}
+    SNAPSHOT_PATH.write_text(json.dumps(snapshot, indent=1) + "\n")
+    print(f"wrote {SNAPSHOT_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

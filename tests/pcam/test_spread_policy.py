@@ -40,7 +40,6 @@ def make_vmc(
     target=4,
     spread_k=0,
     rack_ids=None,
-    columnar=True,
     telemetry=None,
     rttf_s=5.0,
 ):
@@ -61,7 +60,6 @@ def make_vmc(
             target_active=target,
             rttf_threshold_s=240.0,
             spread_k=spread_k,
-            columnar=columnar,
         ),
         telemetry=telemetry,
     )
@@ -70,18 +68,16 @@ def make_vmc(
 class TestSpreadCap:
     """One rack, every ACTIVE VM at-risk, no standby replacements."""
 
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_flat_policy_rejuvenates_the_whole_rack(self, columnar):
-        vmc = make_vmc(spread_k=0, columnar=columnar)
+    def test_flat_policy_rejuvenates_the_whole_rack(self):
+        vmc = make_vmc(spread_k=0)
         report = vmc.process_era(40, 30.0, 0.0)
         # imminent failure (rttf 5s < era 30s): all 4 swap at once
         assert report.rejuvenations_triggered == 4
         assert report.n_active == 0
         assert vmc.spread_deferrals == 0
 
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_spread_cap_keeps_the_rack_serving(self, columnar):
-        vmc = make_vmc(spread_k=1, columnar=columnar)
+    def test_spread_cap_keeps_the_rack_serving(self):
+        vmc = make_vmc(spread_k=1)
         report = vmc.process_era(40, 30.0, 0.0)
         # the cap lets exactly one swap through; 3 stay ACTIVE
         assert report.rejuvenations_triggered == 1

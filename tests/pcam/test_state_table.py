@@ -216,7 +216,7 @@ class TestSlotReuse:
         ]
         vmc = VirtualMachineController(
             "r1", vms, predictor,
-            VmcConfig(target_active=3, columnar=True),
+            VmcConfig(target_active=3),
         )
         for cycle in range(30):
             vmc.process_era(2000, 30.0, cycle * 30.0)
@@ -245,9 +245,48 @@ class TestSlotReuse:
                 assert vm.row == vmc._rows[i]
 
 
+class TestAddVmRefusedAdoption:
+    def test_foreign_table_vm_leaves_the_pool_untouched(self):
+        """``add_vm`` of a VM another controller still owns must raise
+        *before* the pool is mutated.
+
+        It used to append to ``vms`` first: the ``ValueError`` from
+        ``adopt`` then left ``len(vms) == 5`` against 4 rows, and
+        ``stats()``/``vms_in()`` counted the foreign region's VM.
+        """
+
+        def make(region):
+            rngs = RngRegistry(seed=5)
+            vms = [
+                VirtualMachine(
+                    f"{region}/vm{i}",
+                    PRIVATE_SMALL,
+                    AnomalyInjector(rngs.child(f"vm{i}").stream("a")),
+                )
+                for i in range(4)
+            ]
+            return VirtualMachineController(
+                region, vms, OracleRttfPredictor(),
+                VmcConfig(target_active=2),
+            )
+
+        vmc, twin, other = make("r1"), make("r1"), make("r2")
+        foreign = other.vms_in(VmState.STANDBY)[0]
+        with pytest.raises(ValueError, match="already table-backed"):
+            vmc.add_vm(foreign)
+        assert len(vmc.vms) == len(vmc._rows) == len(vmc.monitors) == 4
+        assert foreign not in vmc.vms
+        assert vmc.stats() == twin.stats()
+        assert vmc.process_era(2000, 30.0, 0.0) == twin.process_era(
+            2000, 30.0, 0.0
+        )
+        # the foreign VM still belongs, intact, to its own controller
+        assert foreign.table is other.table
+
+
 class TestCrashStormMidEra:
     def test_chaos_storm_shrinks_pool_and_eras_continue(self):
-        """A chaos crash-storm against columnar views mid-campaign."""
+        """A chaos crash-storm against table-backed views mid-campaign."""
         rngs = RngRegistry(seed=8)
         vms = [
             VirtualMachine(
@@ -259,7 +298,7 @@ class TestCrashStormMidEra:
         ]
         vmc = VirtualMachineController(
             "r1", vms, OracleRttfPredictor(),
-            VmcConfig(target_active=5, columnar=True),
+            VmcConfig(target_active=5),
         )
         sim = Simulator()
         engine = ChaosEngine(
@@ -281,7 +320,7 @@ class TestCrashStormMidEra:
 
 class TestFleetScaleSmoke:
     def test_10k_vm_era_smoke(self):
-        """10k-VM region: one era end-to-end on the columnar path."""
+        """10k-VM region: one era end-to-end."""
         n = 10_000
         rng = np.random.default_rng(0)
         vms = [
@@ -303,7 +342,7 @@ class TestFleetScaleSmoke:
 
         vmc = VirtualMachineController(
             "fleet", vms, TrainedRttfPredictor(_Flat()),
-            VmcConfig(target_active=9000, columnar=True),
+            VmcConfig(target_active=9000),
         )
         report = vmc.process_era(500_000, 30.0, 0.0)
         assert report.n_active + report.n_standby + report.n_rejuvenating == n
