@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: the four checks every change must pass, cheapest signal last.
+# CI gate: the thirteen checks every change must pass.
 #
 #   1. the full tier-1 test suite (unit / property / integration);
 #   2. the hot-path performance gate against the committed baseline
@@ -42,8 +42,15 @@
 #  12. an end-to-end benchmark smoke: the harness's self-tests, then
 #      `benchmarks/e2e/run.py --smoke` on `sweep_grid` and
 #      `des_two_region` (the oracle-driven workloads whose digests an
-#      oracle change must not move); each must end on a JSON line with
-#      `"correct": true` and `"failed": 0`.
+#      oracle change must not move) and on `serve_fault_slo` (the
+#      failover draw, the degradation ladder and the Plan phase over
+#      HTTP); each must end on a JSON line with `"correct": true` and
+#      `"failed": 0`;
+#  13. a one-spelling check: the row -> CDF construction lives in
+#      `core/forward_plan.py` only (no `cumsum` in the DES loop or the
+#      serve runtime), and the leader step lives in
+#      `core/control_loop.py` only (`degradation.observe(` and
+#      `election.elect(` are called from nowhere else in `src/repro`).
 #
 # Usage:  scripts/ci_check.sh   (from the repository root or anywhere)
 
@@ -339,7 +346,7 @@ python -m pytest -q \
 
 echo "== e2e benchmark smoke =="
 python3 -m pytest benchmarks/e2e/tests -q
-for workload in sweep_grid des_two_region; do
+for workload in sweep_grid des_two_region serve_fault_slo; do
     E2E_OUT="$(python3 benchmarks/e2e/run.py --smoke --workload "$workload")"
     echo "$E2E_OUT"
     tail -n 1 <<<"$E2E_OUT" | python3 -c '
@@ -347,6 +354,18 @@ import json, sys
 doc = json.loads(sys.stdin.readline())
 sys.exit(0 if doc["correct"] is True and doc["failed"] == 0 else 1)
 ' || { echo "e2e smoke: $workload not correct or has failed operations" >&2; exit 1; }
+done
+
+echo "== one-spelling check =="
+if grep -n "cumsum" src/repro/core/des_loop.py src/repro/serve/service.py; then
+    echo "a plan-row CDF is built outside core/forward_plan.py" >&2; exit 1
+fi
+for call in "degradation.observe(" "election.elect("; do
+    if grep -rnF "$call" src/repro --include='*.py' \
+            | grep -v "^src/repro/core/control_loop.py:"; then
+        echo "leader step: $call called outside core/control_loop.py" >&2
+        exit 1
+    fi
 done
 
 echo "ci_check: all gates passed"

@@ -35,7 +35,7 @@ from repro.core.distributed import (
     ReliableTransport,
 )
 from repro.core.exploration import ExplorationPolicy
-from repro.core.forward_plan import ForwardPlan, build_forward_plan
+from repro.core.forward_plan import ForwardPlan, PlanTable, build_forward_plan
 from repro.core.manager import AcmManager, RegionSpec
 from repro.core.metrics import PolicyAssessment, assess_policy_run
 from repro.core.planner import PoolPlan, plan_deployment, recommend_pool
@@ -57,6 +57,7 @@ __all__ = [
     "UniformPolicy",
     "StaticWeightsPolicy",
     "ForwardPlan",
+    "PlanTable",
     "build_forward_plan",
     "Autoscaler",
     "AutoscaleConfig",

@@ -38,7 +38,7 @@ from repro.core.degradation import (
     DegradationConfig,
     DegradationTracker,
 )
-from repro.core.forward_plan import ForwardPlan, build_forward_plan
+from repro.core.forward_plan import build_forward_plan
 from repro.core.policy import Policy, compute_fractions
 from repro.core.rmttf import RmttfAggregator
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -151,12 +151,6 @@ class AcmControlLoop:
         and ``self.policy`` remains the hold/fallback/guard-engaged
         base.  ``None`` (the default) takes the exact static code path
         every golden trace pins.
-    clock:
-        Optional :class:`~repro.sim.clock.Clock`.  ``None`` (the
-        default) keeps the fluid loop's era arithmetic
-        (``now == era_index * era_s`` -- what every existing trace
-        pins); when set, ``now`` reads the clock so wall-clock hosts
-        (``repro serve``) can drive eras off real elapsed time.
     slo:
         Optional :class:`~repro.slo.SloController`.  When set, the
         Monitor phase feeds each era's per-region response time to the
@@ -184,7 +178,6 @@ class AcmControlLoop:
         transport=None,
         telemetry: Telemetry | None = None,
         lifecycle=None,
-        clock=None,
         policy_head=None,
         slo=None,
         cost=None,
@@ -216,7 +209,6 @@ class AcmControlLoop:
         )
         self.transport = transport
         self.lifecycle = lifecycle
-        self.clock = clock
         self.head_runtime = policy_head
         self.slo = slo
         self.cost = cost
@@ -255,9 +247,7 @@ class AcmControlLoop:
 
     @property
     def now(self) -> float:
-        """Current time: era arithmetic, or the injected clock if any."""
-        if self.clock is not None:
-            return self.clock.now
+        """Current time by era arithmetic (what every trace pins)."""
         return self.era_index * self.config.era_s
 
     def current_leader(self) -> str:
@@ -363,57 +353,12 @@ class AcmControlLoop:
                 }
             else:
                 received = self.transport.gather_reports(leader, raw_reports)
-            # A corrupted predictor can emit NaN; a non-finite report is as
-            # useless as a missing one, and must never reach Eq. (1) or the
-            # policy simplex projection.
-            received = {
-                region: value
-                for region, value in received.items()
-                if np.isfinite(value)
-            }
-            self.aggregator.update_all(received)
-            rmttf_vec = np.array(
-                [
-                    self.aggregator.current(r)
-                    if r in self.aggregator.snapshot()
-                    else (
-                        raw_reports[r] if np.isfinite(raw_reports[r]) else 0.0
-                    )
-                    for r in self.regions
-                ]
-            )
 
         with tel.span("plan", kind="mape", era=self.era_index):
             # ---- Plan (Algorithm 2, leader only) ------------------------ #
-            mode = self.degradation.observe(self.era_index, received)
-            if (
-                self.head_runtime is not None
-                and mode == "normal"
-                and not self.head_runtime.fallback_engaged
-            ):
-                planned = self.head_runtime.plan(
-                    era=self.era_index,
-                    prev_fractions=self.fractions,
-                    rmttf=rmttf_vec,
-                    global_rate=lam,
-                    reports=reports,
-                    per_region_rt=per_region_rt,
-                )
-            else:
-                planned = compute_fractions(
-                    self.policy,
-                    self.fractions,
-                    rmttf_vec,
-                    lam,
-                    mode=mode,
-                    capacities=self._healthy_capacities()
-                    if mode == "fallback"
-                    else None,
-                )
-            if self.slo is not None:
-                # degradation signal: starve regions whose ladder is
-                # degraded (the fluid analogue of serve's 429 shedding)
-                planned = self.slo.shape(planned)
+            planned, mode, rmttf_vec = self.plan(
+                self.era_index, received, lam, reports, per_region_rt
+            )
 
         with tel.span("execute", kind="mape", era=self.era_index):
             # ---- Execute (Algorithm 3) ---------------------------------- #
@@ -484,6 +429,70 @@ class AcmControlLoop:
         self.summaries.append(summary)
         self.era_index += 1
         return summary
+
+    def plan(
+        self,
+        era: int,
+        received: dict[str, float],
+        lam: float,
+        reports: dict[str, EraReport] | None = None,
+        per_region_rt: dict[str, float] | None = None,
+    ) -> tuple[np.ndarray, str, np.ndarray]:
+        """The leader's step: ``(planned, mode, rmttf_vec)`` from the
+        reports that reached it.
+
+        Folds ``received`` through Eq. (1), walks the degradation ladder
+        and runs ``POLICY()`` (or the policy head) from
+        ``self.fractions``.  Installs nothing: Execute belongs to the
+        host -- ``run_era`` here, ``AcmService`` on the wall clock.
+        ``reports`` / ``per_region_rt`` are the era context a policy head
+        observes; a region the leader has never heard from is planned at
+        its own ``reports[r].last_rmttf`` (0 without ``reports``).
+        """
+        # A corrupted predictor can emit NaN; a non-finite report is as
+        # useless as a missing one, and must never reach Eq. (1) or the
+        # policy simplex projection.
+        received = {
+            region: value
+            for region, value in received.items()
+            if np.isfinite(value)
+        }
+        self.aggregator.update_all(received)
+        known = self.aggregator.snapshot()
+        for r, rep in (reports or {}).items():
+            if r not in known and np.isfinite(rep.last_rmttf):
+                known[r] = rep.last_rmttf
+        rmttf_vec = np.array([known.get(r, 0.0) for r in self.regions])
+        mode = self.degradation.observe(era, received)
+        if (
+            self.head_runtime is not None
+            and mode == "normal"
+            and not self.head_runtime.fallback_engaged
+        ):
+            planned = self.head_runtime.plan(
+                era=era,
+                prev_fractions=self.fractions,
+                rmttf=rmttf_vec,
+                global_rate=lam,
+                reports=reports,
+                per_region_rt=per_region_rt,
+            )
+        else:
+            planned = compute_fractions(
+                self.policy,
+                self.fractions,
+                rmttf_vec,
+                lam,
+                mode=mode,
+                capacities=self._healthy_capacities()
+                if mode == "fallback"
+                else None,
+            )
+        if self.slo is not None:
+            # degradation signal: starve regions whose ladder is
+            # degraded (the fluid analogue of serve's 429 shedding)
+            planned = self.slo.shape(planned)
+        return planned, mode, rmttf_vec
 
     def _healthy_capacities(self) -> np.ndarray:
         """Per-region healthy capacity, the fallback ladder's static prior.

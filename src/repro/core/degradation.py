@@ -126,12 +126,3 @@ class DegradationTracker:
                     fresh=fresh,
                 )
         return self.mode
-
-    def fresh_regions(self, era: int) -> list[str]:
-        """Regions whose last report is within the staleness horizon."""
-        horizon = era - self.config.stale_after_eras
-        return [
-            region
-            for region in self.regions
-            if self._last_report_era.get(region, -1) >= horizon
-        ]

@@ -16,7 +16,11 @@ per-request discrete events, the way the paper's actual testbed operated:
 It is intentionally oracle-predictor-only and lighter than the fluid loop
 (no autoscaling, no partitions): its job is to confirm that the policy
 conclusions do not depend on the fluid approximation.  The DES-FIG3 bench
-runs both loops on the same deployment and compares verdicts.
+runs both loops on the same deployment and compares verdicts.  With no
+report loss and no election, its leader step is the bare ``update_all``
+-> ``compute_fractions`` -> ``build_forward_plan``, not
+``AcmControlLoop.plan``; what it shares with the serve runtime is the
+installed plan, a ``PlanTable``.
 
 Hot-path layout
 ---------------
@@ -28,10 +32,11 @@ per-request reference semantics (pinned by the golden-trace test):
 * browser start-up think times are drawn in one vectorised block per
   region (``Generator.exponential(scale, size=n)`` consumes the stream
   exactly like ``n`` scalar draws);
-* forward-plan routing uses a per-row CDF precomputed at plan install
-  plus one uniform draw -- the same stream consumption as
+* forward-plan routing is one uniform draw through the installed
+  :class:`~repro.core.forward_plan.PlanTable` (per-row CDFs built once
+  at plan install) -- the same stream consumption and result as
   ``Generator.choice(n, p=row/row.sum())``, without its per-call
-  validation and cumsum;
+  validation and CDF construction;
 * join-shortest-queue reads a per-region ``in_flight`` int array indexed
   by VM slot, and breaks ties with ``Generator.integers(0, k)`` -- the
   draw ``Generator.choice(candidates)`` performs internally;
@@ -47,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.forward_plan import ForwardPlan, build_forward_plan
+from repro.core.forward_plan import PlanTable, build_forward_plan
 from repro.core.policy import Policy, compute_fractions
 from repro.core.rmttf import RmttfAggregator
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -189,9 +194,6 @@ class DesControlLoop:
         self.traces = TraceRecorder()
         self.fractions = policy.initial_fractions(len(self.region_names))
         self._states: dict[str, _RegionState] = {}
-        self._region_index = {
-            name: i for i, name in enumerate(self.region_names)
-        }
         self._rngs = {
             name: rngs.child(name).stream("des") for name in self.region_names
         }
@@ -232,13 +234,7 @@ class DesControlLoop:
         )
         self.overlay = overlay
         self._router = Router(overlay) if overlay is not None else None
-        self._install_plan(
-            build_forward_plan(
-                self.region_names,
-                self._arrival_fractions(),
-                self.fractions,
-            )
-        )
+        self._install_plan()
         self.era_index = 0
         self.total_rejuvenations = 0
         self.total_failures = 0
@@ -261,29 +257,16 @@ class DesControlLoop:
             np.arange(len(state.vms)), state.target_active
         )
 
-    def _install_plan(self, plan: ForwardPlan) -> None:
-        """Install a forward plan; precompute per-row routing CDFs.
-
-        Routing samples from an immutable CDF snapshot, so a plan can
-        never be observed mid-update.  A row whose mass is zero (or
-        non-finite) is degenerate -- requests arriving there are served
-        locally instead of sampling NaN probabilities.
-        """
-        self._plan = plan
-        cdfs: list[np.ndarray | None] = []
-        for i in range(len(self.region_names)):
-            row = plan.matrix[i]
-            total = row.sum()
-            if not total > 0.0:
-                cdfs.append(None)
-                continue
-            # exactly Generator.choice's cdf construction, for bit-equal
-            # sampling: normalise, cumsum, renormalise the last bin to 1
-            p = row / total
-            cdf = p.cumsum()
-            cdf /= cdf[-1]
-            cdfs.append(cdf)
-        self._route_cdfs = cdfs
+    def _install_plan(self) -> None:
+        """Execute: install the forward plan realising ``self.fractions``
+        (routing reads the table's CDF snapshot, never a half-built plan)."""
+        self._plan = PlanTable(
+            build_forward_plan(
+                self.region_names,
+                self._arrival_fractions(),
+                self.fractions,
+            ).matrix
+        )
 
     def _forward_latency_s(self, src: str, dst: str) -> float:
         if src == dst or self._router is None:
@@ -316,23 +299,9 @@ class DesControlLoop:
             for delay in delays.tolist():
                 schedule(delay, self._issue, args)
 
-    def _route_region(self, arrival: str) -> str:
-        """Sample the processing region from the plan row of ``arrival``."""
-        i = self._region_index[arrival]
-        return self.region_names[self._route_idx(i)]
-
-    def _route_idx(self, i: int) -> int:
-        cdf = self._route_cdfs[i]
-        if cdf is None:
-            # degenerate (zero-mass) plan row: serve locally
-            return i
-        return int(
-            cdf.searchsorted(self._rng_by_idx[i].random(), side="right")
-        )
-
     def _issue(self, i: int) -> None:
         rng = self._rng_by_idx[i]
-        j = self._route_idx(i)
+        j = self._plan.route(i, rng.random())
         state = self._state_by_idx[j]
         active = state.active_slots
         if not active:
@@ -460,13 +429,7 @@ class DesControlLoop:
                 )
         with tel.span("execute", kind="mape", era=self.era_index):
             if lam > 0.0:
-                self._install_plan(
-                    build_forward_plan(
-                        self.region_names,
-                        self._arrival_fractions(),
-                        self.fractions,
-                    )
-                )
+                self._install_plan()
             for j, name in enumerate(self.region_names):
                 self.traces.record(f"rmttf/{name}", now, float(rmttf_vec[j]))
                 self.traces.record(

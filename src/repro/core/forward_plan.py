@@ -116,6 +116,65 @@ class ForwardPlan:
         return out
 
 
+def _row_cdf(row: np.ndarray) -> np.ndarray | None:
+    """Sampling CDF of one plan row; ``None`` if its mass is zero or
+    non-finite.
+
+    Exactly ``Generator.choice``'s construction -- normalise, cumsum,
+    renormalise the last bin to 1 -- so ``searchsorted(u, side="right")``
+    on one uniform draw is bit-equal to ``choice(n, p=row / row.sum())``
+    and can never index past the last region.
+    """
+    total = row.sum()
+    if not 0.0 < total < np.inf:
+        return None
+    cdf = (row / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+class PlanTable:
+    """The installed forward plan as a per-request data path reads it.
+
+    A private copy of the forwarding matrix plus one CDF per row
+    (:func:`_row_cdf`); draws change only through the constructor or
+    :meth:`install_row`, so a plan is never observed mid-update.  The
+    DES loop installs whole plans, the serve runtime one row per
+    plan-row message.  (The fluid loop's :meth:`ForwardPlan.route_counts`
+    is a batch multinomial, a different operation.)
+    """
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = np.array(matrix, dtype=float)
+        self._cdfs = [_row_cdf(row) for row in self.matrix]
+
+    def install_row(self, i: int, row: np.ndarray) -> None:
+        """Replace arrival region ``i``'s row (and its CDF)."""
+        self.matrix[i] = row
+        self._cdfs[i] = _row_cdf(self.matrix[i])
+
+    def route(self, i: int, u: float) -> int:
+        """Processing region for a request arriving at ``i``, given one
+        uniform draw ``u`` on [0, 1); a degenerate row serves locally
+        instead of sampling NaN probabilities."""
+        cdf = self._cdfs[i]
+        if cdf is None:
+            return i
+        return int(cdf.searchsorted(u, side="right"))
+
+    def route_live(self, i: int, u: float, alive) -> int | None:
+        """Draw from row ``i`` restricted to ``alive`` (a bool per region):
+        ``None`` if nothing is alive, uniform over the live set if the
+        row's mass sits entirely on dead regions."""
+        live = np.flatnonzero(alive)
+        if live.size == 0:
+            return None
+        cdf = _row_cdf(self.matrix[i, live])
+        if cdf is None:
+            cdf = _row_cdf(np.ones(live.size))
+        return int(live[cdf.searchsorted(u, side="right")])
+
+
 def build_forward_plan(
     regions: list[str],
     arrival_fractions: np.ndarray,

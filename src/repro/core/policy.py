@@ -70,11 +70,14 @@ def compute_fractions(
     mode: str = "normal",
     capacities: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The single Plan-phase entry point shared by every control loop.
+    """The Plan-phase ladder: one mode in, one fraction vector out.
 
-    The fluid loop, the DES loop, and the wall-clock serve path all run
-    the same three-rung ladder at the Plan step; this function is that
-    ladder, so a policy head (or a new loop) wraps exactly one seam:
+    Called by :meth:`AcmControlLoop.plan
+    <repro.core.control_loop.AcmControlLoop.plan>` (the leader step of
+    the fluid loop and, through it, of the wall-clock serve runtime), by
+    ``DesControlLoop`` (always ``"normal"``: it has no report loss to
+    degrade under) and by the policy heads for their anchor plan, so a
+    head or a new host wraps exactly one seam:
 
     * ``"normal"`` -- ``POLICY(f^{t-1}, RMTTF_1..RMTTF_n)`` (Algorithm 2);
     * ``"hold"``   -- quorum lost: keep the last-known-good fractions;

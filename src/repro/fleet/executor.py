@@ -83,9 +83,6 @@ class FleetOutcome:
     def ok(self) -> bool:
         return not self.failures
 
-    def by_digest(self) -> dict[str, dict | None]:
-        return {j.digest: p for j, p in zip(self.jobs, self.payloads)}
-
 
 class FleetExecutor:
     """Run a job list with bounded parallelism, retries, and resume.

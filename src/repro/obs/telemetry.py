@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from repro.obs.exporters import (
-    to_chrome_trace,
     to_prometheus_text,
     write_jsonl,
 )
@@ -219,12 +218,6 @@ class Telemetry:
             raise RuntimeError("cannot export from a disabled Telemetry")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(to_prometheus_text(self.registry.snapshot(), self.manifest))
-
-    def export_chrome_trace(self, path: str) -> None:
-        if not self.enabled:
-            raise RuntimeError("cannot export from a disabled Telemetry")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(to_chrome_trace(self.tracer.snapshot(), self.manifest), fh, indent=1)
 
 
 #: Shared disabled facade -- the default ``telemetry or NULL_TELEMETRY``

@@ -254,11 +254,3 @@ class DesRegion:
         # refresh last_request_rate for downstream predictors
         self.table.last_request_rate[active] = rate
         return self.stats
-
-    def offered_rate_estimate(self) -> float:
-        """Closed-loop rate implied by the measured response times."""
-        return self.population.offered_rate(
-            self.stats.mean_response_time()
-            if self.stats.response_times
-            else 0.0
-        )

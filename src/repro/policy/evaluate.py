@@ -16,7 +16,6 @@ the per-round regret curve from ``train-history.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -249,10 +248,3 @@ def regret_report(history: dict) -> str:
             f"| {best:.4f} | {row['regret']:+.4f} |"
         )
     return "\n".join(lines)
-
-
-def load_train_history(out_dir: str | Path) -> dict:
-    """Convenience re-export (see :func:`repro.policy.train.load_history`)."""
-    from repro.policy.train import load_history
-
-    return load_history(out_dir)

@@ -37,9 +37,18 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.service import AcmService
 
-#: Pragmatic caps: a request line or header block beyond this is junk.
+#: Pragmatic caps: a request line, header line or body beyond this is junk.
 MAX_LINE = 8192
 MAX_HEADERS = 64
+
+
+class _BadRequest(Exception):
+    """The bytes on the wire are not a request this server will frame.
+
+    After one, the position of the next request in the stream is
+    unknown, so the connection answers ``400`` and closes: nothing past
+    the bad bytes is ever parsed (no smuggled second request).
+    """
 
 _STATUS_TEXT = {
     200: "OK",
@@ -87,7 +96,13 @@ class HttpIngress:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as exc:
+                    bad = self._json(400, {"error": str(exc)})
+                    writer.write(self._render(*bad[:3], keep_alive=False))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers = request
@@ -113,26 +128,31 @@ class HttpIngress:
             except ConnectionError:
                 pass
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            line = await reader.readline()
+        except ValueError:  # asyncio's own stream limit overran
+            raise _BadRequest("line too long") from None
+        if len(line) > MAX_LINE:
+            raise _BadRequest("line too long")
+        return line
+
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict] | None:
-        """Parse one request; None on clean EOF or garbage."""
-        try:
-            line = await reader.readline()
-        except (ConnectionError, ValueError):
-            return None
+        """Parse one request; ``None`` on EOF, :class:`_BadRequest` on junk."""
+        line = await self._read_line(reader)
         if not line:
-            return None
-        if len(line) > MAX_LINE:
             return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3:
-            return None
+            raise _BadRequest("malformed request line")
         method, target, _version = parts
         headers: dict[str, str] = {}
         for _ in range(MAX_HEADERS):
-            line = await reader.readline()
-            if not line or len(line) > MAX_LINE:
+            line = await self._read_line(reader)
+            if not line:
                 return None
             text = line.decode("latin-1").strip()
             if not text:
@@ -140,10 +160,19 @@ class HttpIngress:
             name, sep, value = text.partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > 0:
-            # bodies are accepted and discarded; the API is query-driven
-            await reader.readexactly(min(length, MAX_LINE))
+        else:
+            raise _BadRequest("too many headers")
+        raw = headers.get("content-length", "0")
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_LINE:
+            raise _BadRequest(f"bad Content-Length {raw[:32]!r}")
+        if length:
+            # bodies are accepted whole and discarded; the API is
+            # query-driven
+            await reader.readexactly(length)
         return method, target, headers
 
     def _render(

@@ -1,12 +1,13 @@
 """ACM-as-a-service: the wall-clock MAPE runtime behind the HTTP ingress.
 
-:class:`AcmService` reuses the exact control-plane components every
-simulated deployment is built from -- the per-region VMCs, the policy,
-the EWMA RMTTF aggregator (Eq. 1), the degradation ladder, leader
-election over the overlay, and the :class:`ReliableChannel` for control
-traffic -- but drives them from a :class:`~repro.serve.clock.WallClock`
-instead of ``AcmControlLoop.run_era``'s batch step.  Differences from
-the simulated loop, both forced by real time:
+:class:`AcmService` hosts the control plane of a simulated deployment on
+a :class:`~repro.serve.clock.WallClock`.  The leader is the
+:class:`~repro.core.control_loop.AcmControlLoop` its ``AcmManager``
+built: the Eq. (1) aggregator, the degradation ladder, the election and
+the installed fractions live on ``self.loop``, the Plan phase is the
+``loop.plan(...)`` that ``run_era`` calls, and the installed forward
+plan is the :class:`~repro.core.forward_plan.PlanTable` the DES loop
+routes through.  This module adds only what real time forces:
 
 * **Load is measured, not synthesized.**  The simulator draws arrivals
   from browser populations; the service counts the real requests the
@@ -15,8 +16,12 @@ the simulated loop, both forced by real time:
 * **The Analyze window is an event, not a blocking drain.**
   ``ReliableTransport.gather_reports`` fast-forwards the simulator
   through its window; on a wall clock nothing can be fast-forwarded,
-  so the era tick sends the reports and schedules the Plan phase
-  ``window_s`` later, with whatever reports arrived by then.
+  so the era tick sends the reports over the ``ReliableChannel`` and
+  schedules the Plan phase ``window_s`` later, with whatever arrived.
+* **Execute is per row and liveness-aware.**  Regions dark when the Plan
+  phase fires are zeroed (``renormalize_live``), each live region
+  installs its row when its plan message lands, and the first row that
+  routes around a dead region stamps that region's failover MTTR.
 
 The ingress data path (admission + per-row forwarding per the installed
 plan) lives here too; :mod:`repro.serve.ingress` is only the HTTP skin.
@@ -36,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chaos.engine import ChaosEngine
-from repro.core.forward_plan import build_forward_plan
+from repro.core.forward_plan import PlanTable, build_forward_plan
 from repro.core.manager import AcmManager
-from repro.core.policy import compute_fractions, renormalize_live
+from repro.core.policy import renormalize_live
 from repro.experiments.scenarios import Scenario
 from repro.obs.exporters import to_prometheus_text
 from repro.obs.manifest import RunManifest
@@ -112,16 +117,13 @@ class AcmService:
             overlay=scenario.build_overlay(),
             telemetry=tel,
         )
-        loop = self.manager.loop
+        # the leader: aggregator, ladder, election, installed fractions
+        loop = self.loop = self.manager.loop
         self.regions: list[str] = list(loop.regions)
         self._index = {r: i for i, r in enumerate(self.regions)}
         self.vmcs = loop.vmcs
         self.overlay = loop.overlay
         self.router = loop.router
-        self.election = loop.election
-        self.policy_impl = loop.policy
-        self.aggregator = loop.aggregator
-        self.degradation = loop.degradation
         # AcmManager pointed the metric clock at the fluid loop's era
         # arithmetic (frozen at 0 here); re-point it at the wall clock.
         tel.set_clock(lambda: self.clock.now)
@@ -167,13 +169,12 @@ class AcmService:
         )
 
         n = len(self.regions)
-        self.fractions = self.policy_impl.initial_fractions(n)
         self._arrival_fracs = np.full(n, 1.0 / n)
-        plan = build_forward_plan(
-            self.regions, self._arrival_fracs, self.fractions
+        self.plan_table = PlanTable(
+            build_forward_plan(
+                self.regions, self._arrival_fracs, loop.fractions
+            ).matrix
         )
-        self._matrix = plan.matrix.copy()
-        self._cdfs = [np.cumsum(row) for row in self._matrix]
         self._route_rng = self.manager.rngs.stream("serve/routing")
 
         # per-era measured load: arrivals by arrival region, served by target
@@ -182,7 +183,6 @@ class AcmService:
         self._lam = 1.0  # measured offered rate (req per clock second)
         self._era_index = 0
         self._plan_era = -1
-        self._mode = "normal"
         self._leader_name: str | None = None
         self._cycle_reports: dict[str, float] = {}
         self._cycle_stamp = 0.0
@@ -270,7 +270,7 @@ class AcmService:
             for r in self.regions:
                 self._m_slo_level[r].set(0.0)
         for r in self.regions:
-            self._m_fraction[r].set(float(self.fractions[self._index[r]]))
+            self._m_fraction[r].set(float(loop.fractions[self._index[r]]))
             self._m_alive[r].set(1.0)
 
     # ------------------------------------------------------------------ #
@@ -338,15 +338,16 @@ class AcmService:
                 "retry_after_s": self._retry_after(region),
             }
         i = self._index[region]
-        draw = self._route_rng.random()
-        j = int(np.searchsorted(self._cdfs[i], draw, side="right"))
-        j = min(j, len(self.regions) - 1)
-        target = self.regions[j]
+        target = self.regions[
+            self.plan_table.route(i, self._route_rng.random())
+        ]
         forwarded_over = None
         if not self.overlay.is_alive(target):
             self._note_down(target)
             self._m_failover[target].inc()
-            picked = self._failover_target(i)
+            picked = self.plan_table.route_live(
+                i, self._route_rng.random(), self._alive()
+            )
             if picked is None:
                 self._m_errors.inc()
                 if self._slo_gates is not None:
@@ -355,7 +356,7 @@ class AcmService:
                     )
                 return 503, {"error": "no live region", "region": region}
             forwarded_over = target
-            target = picked
+            target = self.regions[picked]
         self._served[target] += 1
         self._m_served[target].inc()
         elapsed = time.perf_counter() - t0
@@ -455,26 +456,6 @@ class AcmService:
                 0.0 if math.isnan(status.p95_s) else status.p95_s
             )
 
-    def _failover_target(self, row_idx: int) -> str | None:
-        """Re-sample the row restricted to live regions (None if dark)."""
-        row = self._matrix[row_idx]
-        alive = [
-            k
-            for k, r in enumerate(self.regions)
-            if self.overlay.is_alive(r)
-        ]
-        if not alive:
-            return None
-        weights = row[alive]
-        total = weights.sum()
-        if total <= 0:
-            weights = np.full(len(alive), 1.0 / len(alive))
-        else:
-            weights = weights / total
-        cdf = np.cumsum(weights)
-        k = int(np.searchsorted(cdf, self._route_rng.random(), side="right"))
-        return self.regions[alive[min(k, len(alive) - 1)]]
-
     # ------------------------------------------------------------------ #
     # MAPE on the wall clock
     # ------------------------------------------------------------------ #
@@ -511,10 +492,10 @@ class AcmService:
             self._rmttf_latest[r] = rep.last_rmttf
             self._m_rmttf[r].set(rep.last_rmttf)
 
-        leader = self._elect_leader()
-        self._leader_name = leader
-        if leader is None:
+        if not any(self._alive()):
+            self._leader_name = None
             return  # whole deployment dark; monitor keeps watching
+        leader = self._leader_name = self.loop.current_leader()
         self._cycle_reports = {}
         self._cycle_stamp = now
         for r, value in reports.items():
@@ -534,41 +515,17 @@ class AcmService:
         )
 
     def _plan_phase(self, leader: str, era: int) -> None:
-        """Plan + Execute: Algorithm 2 on whatever reports arrived."""
-        received = {
-            r: v for r, v in self._cycle_reports.items() if np.isfinite(v)
-        }
-        self.aggregator.update_all(received)
-        known = self.aggregator.snapshot()
-        rmttf_vec = np.array(
-            [
-                known[r] if r in known else 0.0
-                for r in self.regions
-            ]
-        )
-        self._mode = self.degradation.observe(era, received)
-        planned = compute_fractions(
-            self.policy_impl,
-            self.fractions,
-            rmttf_vec,
-            self._lam,
-            mode=self._mode,
-            capacities=np.array(
-                [self.vmcs[r].healthy_capacity() for r in self.regions]
-            )
-            if self._mode == "fallback"
-            else None,
-        )
+        """Plan + Execute: the shared leader step on whatever reports
+        arrived, then what real time adds -- zero the regions that are
+        dark *now* and push one plan row per live region."""
+        planned, _, _ = self.loop.plan(era, self._cycle_reports, self._lam)
         # A dead region must not be planned traffic, whatever the policy
         # said: zero it and renormalise over the live ones (the same
         # helper the sim-side policy heads use, so the paths can't drift).
-        alive = np.array(
-            [self.overlay.is_alive(r) for r in self.regions], dtype=bool
-        )
-        planned = renormalize_live(planned, alive)
+        planned = renormalize_live(planned, self._alive())
         if planned is None:
             return
-        self.fractions = planned
+        self.loop.fractions = planned
         payload = {
             "fractions": [float(x) for x in planned],
             "stamp": self._cycle_stamp,
@@ -589,8 +546,7 @@ class AcmService:
             self.regions, self._arrival_fracs, fractions
         )
         i = self._index[region]
-        self._matrix[i] = plan.matrix[i]
-        self._cdfs[i] = np.cumsum(plan.matrix[i])
+        self.plan_table.install_row(i, plan.matrix[i])
         self._plan_era = int(payload["era"])
         self._m_fraction[region].set(float(fractions[i]))
         lag = self.clock.now - float(payload["stamp"])
@@ -638,17 +594,14 @@ class AcmService:
                 self.mttr_s.pop(r, None)
                 self.telemetry.event("serve.region_healed", region=r)
 
+    def _alive(self) -> list[bool]:
+        return [self.overlay.is_alive(r) for r in self.regions]
+
     def _note_down(self, region: str) -> None:
         if region not in self._down_at:
             self._down_at[region] = self.clock.now
             self._m_alive[region].set(0.0)
             self.telemetry.event("serve.region_down", region=region)
-
-    def _elect_leader(self) -> str | None:
-        for r in self.regions:
-            if self.overlay.is_alive(r):
-                return self.election.elect(r, now=self.clock.now)
-        return None
 
     # ------------------------------------------------------------------ #
     # admin surface (consumed by the HTTP layer)
@@ -658,12 +611,12 @@ class AcmService:
         """The live forward plan as the admin ``/plan`` JSON."""
         return {
             "regions": list(self.regions),
-            "fractions": [float(x) for x in self.fractions],
-            "matrix": [[float(x) for x in row] for row in self._matrix],
+            "fractions": [float(x) for x in self.loop.fractions],
+            "matrix": self.plan_table.matrix.tolist(),
             "arrival_fractions": [float(x) for x in self._arrival_fracs],
             "era": self._era_index,
             "plan_era": self._plan_era,
-            "degradation": self._mode,
+            "degradation": self.loop.degradation.mode,
             "leader": self._leader_name,
         }
 
@@ -677,7 +630,7 @@ class AcmService:
                 "alive": self.overlay.is_alive(r),
                 "active_vms": len(vmc.vms_in(VmState.ACTIVE)),
                 "rmttf_s": rmttf if np.isfinite(rmttf) else None,
-                "fraction": float(self.fractions[self._index[r]]),
+                "fraction": float(self.loop.fractions[self._index[r]]),
                 "down_at": self._down_at.get(r),
                 "mttr_s": self.mttr_s.get(r),
             }

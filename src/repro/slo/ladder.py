@@ -73,10 +73,6 @@ class PriorityLadder:
             raise ValueError(f"unknown level {level!r} (expected {known})")
         self.manual_level = level
 
-    @property
-    def adaptive_level(self) -> str:
-        return self._adaptive
-
     def update(self, now: float, status: SloStatus) -> Decision:
         """Advance the adaptive rung on ``status``, then decide.
 

@@ -87,10 +87,6 @@ class DomainHealthTracker:
             self._obs.event("fd.heal", domain=domain)
         return True
 
-    def degraded_domains(self) -> tuple[str, ...]:
-        """Currently marked domains, sorted for determinism."""
-        return tuple(sorted(self._degraded))
-
     def degraded_racks(self) -> set[int]:
         """Rack ids covered by any currently degraded domain."""
         racks: set[int] = set()

@@ -6,8 +6,9 @@ vectorisation:
 * ``_forward_latency_s`` swallowed *every* exception (now only
   :class:`~repro.overlay.routing.NoRouteError`) and hid partitions (now
   traced as ``forward_fallback/<region>``);
-* ``_route_region`` crashed on a forward-plan row driven to zero
-  (NaN probabilities in ``rng.choice``);
+* routing crashed on a forward-plan row driven to zero (NaN
+  probabilities in ``rng.choice``; the draw now lives in
+  :class:`~repro.core.forward_plan.PlanTable`);
 * per-era accounting divided the per-VM request rate by the
   *end-of-era* active count, excluding VMs that failed mid-era;
 * an idle era fed a fabricated load ``max(lam, 1e-9)`` into
@@ -106,15 +107,17 @@ class TestZeroSumPlanRow:
     def test_zero_row_routes_locally(self):
         loop = build_loop(seed=7)
         i = loop.region_names.index("r1")
-        loop._plan.matrix[i, :] = 0.0  # plan caught mid-update
-        loop._install_plan(loop._plan)
-        assert loop._route_region("r1") == "r1"
+        n = len(loop.region_names)
+        loop._plan.install_row(i, np.zeros(n))  # plan caught mid-update
+        for u in (0.0, 0.3, 0.999):
+            assert loop._plan.route(i, u) == i
 
     def test_zero_row_loop_keeps_serving(self):
         loop = build_loop(seed=7)
         loop.run(1)
-        loop._plan.matrix[:, :] = 0.0
-        loop._install_plan(loop._plan)
+        n = len(loop.region_names)
+        for i in range(n):
+            loop._plan.install_row(i, np.zeros(n))
         fired_before = loop.sim.fired_count
         loop.run(2)  # must not crash sampling NaN probabilities
         assert loop.era_index == 3
@@ -125,12 +128,16 @@ class TestZeroSumPlanRow:
         routing samples an immutable CDF snapshot, so a plan can never
         be observed half-updated."""
         loop = build_loop(seed=7)
-        before = [None if c is None else c.copy()
-                  for c in loop._route_cdfs]
+        n = len(loop.region_names)
+        draws = np.linspace(0.0, 1.0, 64, endpoint=False)
+
+        def routes():
+            return [loop._plan.route(i, u) for i in range(n) for u in draws]
+
+        before = routes()
+        assert len(set(before)) > 1  # the plan really forwards
         loop._plan.matrix[:, :] = 0.0
-        after = loop._route_cdfs
-        for b, a in zip(before, after):
-            assert (b is None and a is None) or (b == a).all()
+        assert routes() == before
 
 
 class TestMidEraFailureAccounting:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_forward_plan
+from repro.core import PlanTable, build_forward_plan
 
 
 @st.composite
@@ -79,3 +79,115 @@ def test_identity_plan_when_targets_equal_arrivals(pair):
     regions, a, _ = pair
     plan = build_forward_plan(regions, a, a)
     assert plan.forwarded_fraction() == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------- #
+# PlanTable: the installed plan's per-request draw
+# ---------------------------------------------------------------------- #
+
+#: exact zeros (dead columns) or ordinary magnitudes; subnormal weights
+#: would only probe ``Generator.choice``'s own ``sum(p) == 1`` tolerance
+_weights = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+
+
+@st.composite
+def weight_matrices(draw):
+    """Square non-negative matrices (2..6 regions), rows not normalised."""
+    n = draw(st.integers(2, 6))
+    rows = draw(
+        st.lists(
+            st.lists(_weights, min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return np.asarray(rows, dtype=float)
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrix=weight_matrices(), seed=st.integers(0, 2**32 - 1))
+def test_route_is_generator_choice_bit_for_bit(matrix, seed):
+    """One uniform through the table == ``Generator.choice`` from an
+    equal generator state: the identity the DES golden traces rely on."""
+    n = len(matrix)
+    table = PlanTable(matrix)
+    ours = np.random.default_rng(seed)
+    ref = np.random.default_rng(seed)
+    for _ in range(8):
+        for i in range(n):
+            row = matrix[i]
+            if not row.sum() > 0.0:
+                continue  # degenerate rows: see the test below
+            assert table.route(i, ours.random()) == ref.choice(
+                n, p=row / row.sum()
+            )
+    assert ours.random() == ref.random()  # equal stream consumption
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    bad=st.sampled_from([0.0, np.nan, np.inf]),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_row_without_usable_mass_serves_locally(n, bad, u):
+    matrix = np.eye(n)
+    table = PlanTable(matrix)
+    for i in range(n):
+        row = np.zeros(n)
+        row[(i + 1) % n] = bad
+        table.install_row(i, row)
+        assert table.route(i, u) == i
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    matrix=weight_matrices(),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+    data=st.data(),
+)
+def test_route_live_never_picks_a_dead_region(matrix, u, data):
+    n = len(matrix)
+    alive = np.asarray(
+        data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    )
+    table = PlanTable(matrix)
+    for i in range(n):
+        j = table.route_live(i, u, alive)
+        if not alive.any():
+            assert j is None
+        else:
+            assert j is not None and alive[j]
+            if matrix[i, alive].sum() > 0.0:
+                assert matrix[i, j] > 0.0  # follows the row's live mass
+
+
+def test_route_live_uniform_when_row_mass_is_dead():
+    table = PlanTable(np.array([[0.0, 0.0, 0.0, 1.0]] * 4))
+    alive = np.array([True, True, True, False])
+    draws = np.random.default_rng(3).random(6000)
+    picks = np.bincount(
+        [table.route_live(0, u, alive) for u in draws], minlength=4
+    )
+    assert picks[3] == 0
+    assert np.all(np.abs(picks[:3] / draws.size - 1 / 3) < 0.03)
+    # the thirds are exact, not just close
+    assert [table.route_live(0, u, alive) for u in (0.0, 0.34, 0.67)] == [
+        0,
+        1,
+        2,
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=fraction_pairs(), seed=st.integers(0, 999))
+def test_mutating_source_matrix_after_install_changes_no_draw(pair, seed):
+    regions, a, f = pair
+    plan = build_forward_plan(regions, a, f)
+    table = PlanTable(plan.matrix)
+    draws = np.random.default_rng(seed).random(32)
+    n = len(regions)
+    before = [table.route(i, u) for i in range(n) for u in draws]
+    plan.matrix[:, :] = 0.0  # the plan the table was built from
+    table.matrix[:, :] = 0.0  # and the table's own snapshot
+    assert [table.route(i, u) for i in range(n) for u in draws] == before

@@ -1,12 +1,15 @@
 """Units for the serve data path and the HTTP dispatch table.
 
 ``AcmService.handle_request`` and ``HttpIngress._dispatch`` are both
-synchronous, so everything here runs without a socket or a running
-clock: build the service, poke the handlers, read the JSON.
+synchronous, so most of this runs without a socket or a running clock:
+build the service, poke the handlers, read the JSON.  Request *framing*
+(``TestHostileFraming``) is a property of the byte stream, so those
+tests talk to a real listening socket.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 
 from repro.experiments.scenarios import two_region_scenario
 from repro.serve.clock import WallClock
-from repro.serve.ingress import HttpIngress
+from repro.serve.ingress import MAX_LINE, HttpIngress
 from repro.serve.service import AcmService, ServeConfig
 
 
@@ -213,5 +216,110 @@ class TestServiceConfig:
 
     def test_initial_plan_rows_are_distributions(self):
         service = make_service()
-        for row in service._matrix:
+        for row in service.plan_table.matrix:
             assert pytest.approx(np.sum(row)) == 1.0
+
+
+class TestHostileFraming:
+    """Bytes that do not frame as a request: 400 + close, or a closed
+    socket -- never a second dispatch, never an unhandled task exception."""
+
+    def _exchange(
+        self, payload: bytes, service: AcmService | None = None
+    ) -> tuple[bytes, list]:
+        """Send ``payload`` to a live ingress; returns (reply, whatever
+        reached the event loop's exception handler)."""
+        service = service or make_service()
+        loop_errors: list = []
+
+        async def scenario() -> bytes:
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: loop_errors.append(context)
+            )
+            ingress = HttpIngress(service, port=0)
+            await ingress.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", ingress.port
+                )
+                writer.write(payload)
+                try:
+                    await writer.drain()
+                    reply = await asyncio.wait_for(reader.read(), timeout=5.0)
+                except ConnectionError:
+                    reply = b""  # closed under us: an allowed outcome
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except ConnectionError:
+                    pass
+                await asyncio.sleep(0.05)  # let the server task finish
+            finally:
+                await ingress.stop()
+            return reply
+
+        return asyncio.run(scenario()), loop_errors
+
+    def _assert_refused(self, reply: bytes, loop_errors: list) -> None:
+        assert loop_errors == []
+        assert reply.count(b"HTTP/1.1 ") <= 1  # at most one response
+        if reply:
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert b"Connection: close" in reply
+
+    @pytest.mark.parametrize(
+        "value",
+        [b"abc", b"-5", b"", b"9" * 5000],
+        ids=["text", "negative", "empty", "huge"],
+    )
+    def test_malformed_content_length_is_400_and_close(self, value):
+        reply, loop_errors = self._exchange(
+            b"POST / HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n"
+        )
+        self._assert_refused(reply, loop_errors)
+        assert reply.startswith(b"HTTP/1.1 400 ")  # nothing left unread
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"NOT-HTTP\r\n\r\n",
+            b"GET / HTTP/1.1\r\n" + b"X-H: v\r\n" * 100 + b"\r\n",
+        ],
+        ids=["request-line", "header-count"],
+    )
+    def test_unframeable_head_is_400_and_close(self, payload):
+        reply, loop_errors = self._exchange(payload)
+        self._assert_refused(reply, loop_errors)
+
+    def test_header_line_over_stream_limit_is_400_and_close(self):
+        # past asyncio's own 64 KiB readline limit, not just MAX_LINE
+        reply, loop_errors = self._exchange(
+            b"GET / HTTP/1.1\r\nX-Junk: " + b"a" * (70 * 1024) + b"\r\n\r\n"
+        )
+        self._assert_refused(reply, loop_errors)
+
+    def test_oversized_body_tail_is_not_a_second_request(self):
+        smuggled = b"POST /chaos/blackout?region=%s HTTP/1.1\r\n\r\n"
+        service = make_service()
+        victim = service.regions[0]
+        tail = smuggled % victim.encode()
+        body = b"x" * (MAX_LINE + 48 - len(tail)) + tail
+        assert len(body) > MAX_LINE
+        reply, loop_errors = self._exchange(
+            b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+            + body,
+            service,
+        )
+        self._assert_refused(reply, loop_errors)
+        assert all(service.overlay.is_alive(r) for r in service.regions)
+
+    def test_body_within_limit_is_consumed_whole(self):
+        """The allowed case still frames: body skipped, next request served."""
+        body = b"x" * MAX_LINE
+        reply, loop_errors = self._exchange(
+            b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+            + body
+            + b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        assert loop_errors == []
+        assert reply.count(b"HTTP/1.1 200 ") == 2
