@@ -50,7 +50,10 @@
 #      `core/forward_plan.py` only (no `cumsum` in the DES loop or the
 #      serve runtime), and the leader step lives in
 #      `core/control_loop.py` only (`degradation.observe(` and
-#      `election.elect(` are called from nowhere else in `src/repro`).
+#      `election.elect(` are called from nowhere else in `src/repro`);
+#      the event heap lives in `sim/engine.py` only (nothing else
+#      imports `heapq`), and neither the Event pool nor the NumPy JSQ
+#      branch it replaced has come back under another spelling.
 #
 # Usage:  scripts/ci_check.sh   (from the repository root or anywhere)
 
@@ -367,5 +370,12 @@ for call in "degradation.observe(" "election.elect("; do
         exit 1
     fi
 done
+if grep -rnE "POOL_MAX|_recycle|poolable|JSQ_SCAN_MAX|active_arr" src/; then
+    echo "the Event pool / the thresholded NumPy JSQ branch is back" >&2; exit 1
+fi
+if grep -rnE "^\s*(import heapq|from heapq)" src/repro --include='*.py' \
+        | grep -v "^src/repro/sim/engine.py:"; then
+    echo "an event heap is kept outside sim/engine.py" >&2; exit 1
+fi
 
 echo "ci_check: all gates passed"

@@ -37,13 +37,16 @@ per-request reference semantics (pinned by the golden-trace test):
   at plan install) -- the same stream consumption and result as
   ``Generator.choice(n, p=row/row.sum())``, without its per-call
   validation and CDF construction;
-* join-shortest-queue reads a per-region ``in_flight`` int array indexed
-  by VM slot, and breaks ties with ``Generator.integers(0, k)`` -- the
-  draw ``Generator.choice(candidates)`` performs internally;
+* join-shortest-queue is one Python scan, at every pool size, over a
+  per-region ``in_flight`` ``list[int]`` indexed by VM slot (loop-private
+  and only ever read one cell at a time, so a list, not an array), and
+  breaks ties with ``Generator.integers(0, k)`` -- the draw
+  ``Generator.choice(candidates)`` performs internally;
 * request completion and next-click events go through the engine's
-  pooled, argument-binding fast path
-  (:meth:`repro.sim.engine.Simulator.schedule_pooled`) instead of
-  allocating two lambda closures and two ``Event`` records per click.
+  fire-and-forget, argument-binding path
+  (:meth:`repro.sim.engine.Simulator.schedule_pooled`): one heap tuple
+  each, instead of two lambda closures and two ``Event`` records per
+  click.
 """
 
 from __future__ import annotations
@@ -75,11 +78,6 @@ from repro.workload.browsers import BrowserPopulation
 #: overlay is partitioned (no live path between the two controllers).
 FORWARD_FALLBACK_PENALTY_S = 0.5
 
-#: Active-pool size above which join-shortest-queue switches from a plain
-#: Python scan to the vectorised NumPy path (fancy-index + flatnonzero).
-#: Below it, interpreter-loop latency beats NumPy call overhead.
-JSQ_SCAN_MAX = 16
-
 
 @dataclass
 class _RegionState:
@@ -90,22 +88,18 @@ class _RegionState:
     population: BrowserPopulation
     target_active: int
     #: Outstanding requests per VM, indexed by slot (position in ``vms``).
-    in_flight: np.ndarray
+    in_flight: list[int]
     #: Life (incarnation) number per slot, incremented every time the VM
     #: is sent to rejuvenation.  A completion whose request was issued in
     #: a previous life must not mutate the fresh VM: without this gate a
     #: long-queued request could dump its (rejuvenation-spanning) response
     #: time into a just-reactivated VM and instantly SLA-fail it.
-    life: np.ndarray
+    life: list[int]
     #: The pool's VM state, adopted in pool order (row index == slot).
     table: VmStateTable
     #: Slots of ACTIVE VMs in ``vms`` order; rebuilt at era boundaries and
     #: maintained incrementally on mid-era failures.
     active_slots: list[int] = field(default_factory=list)
-    #: ``active_slots`` as an index array (the vectorised JSQ path).
-    active_arr: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.intp)
-    )
     era_completed: int = 0
     era_response_sum: float = 0.0
     #: Active VM count at the start of the current era -- the divisor for
@@ -116,13 +110,9 @@ class _RegionState:
         return [vm for vm in self.vms if vm.state is VmState.ACTIVE]
 
     def rebuild_active_slots(self) -> None:
-        self.active_arr = np.flatnonzero(self.table.state_code == CODE_ACTIVE)
-        self.active_slots = self.active_arr.tolist()
-
-    def drop_active_slot(self, slot: int) -> None:
-        """Remove a slot that failed mid-era (preserves ``vms`` order)."""
-        self.active_slots.remove(slot)
-        self.active_arr = np.asarray(self.active_slots, dtype=np.intp)
+        self.active_slots = np.flatnonzero(
+            self.table.state_code == CODE_ACTIVE
+        ).tolist()
 
 
 class DesControlLoop:
@@ -211,8 +201,8 @@ class DesControlLoop:
                 vms=vms,
                 population=population,
                 target_active=target,
-                in_flight=np.zeros(len(vms), dtype=np.int64),
-                life=np.zeros(len(vms), dtype=np.int64),
+                in_flight=[0] * len(vms),
+                life=[0] * len(vms),
                 table=table,
             )
             self._states[name] = state
@@ -311,22 +301,16 @@ class DesControlLoop:
         # join-shortest-queue over the slot-indexed in-flight counts;
         # tie-break with the same integers draw Generator.choice performs
         in_flight = state.in_flight
-        if len(active) <= JSQ_SCAN_MAX:
-            best = in_flight[active[0]]
-            candidates = [active[0]]
-            for slot in active[1:]:
-                load = in_flight[slot]
-                if load < best:
-                    best = load
-                    candidates = [slot]
-                elif load == best:
-                    candidates.append(slot)
-            slot = candidates[int(rng.integers(0, len(candidates)))]
-        else:
-            loads = in_flight[state.active_arr]
-            candidates = np.flatnonzero(loads == loads.min())
-            pos = candidates[int(rng.integers(0, candidates.size))]
-            slot = active[pos]
+        best = in_flight[active[0]]
+        candidates = [active[0]]
+        for slot in active[1:]:
+            load = in_flight[slot]
+            if load < best:
+                best = load
+                candidates = [slot]
+            elif load == best:
+                candidates.append(slot)
+        slot = candidates[int(rng.integers(0, len(candidates)))]
         capacity = state.table.capacity_at(slot)
         share = in_flight[slot] = in_flight[slot] + 1
         t_start = self.sim.now
@@ -375,7 +359,8 @@ class DesControlLoop:
             if table.failure_point_at(slot):
                 table.state_code[slot] = CODE_FAILED
                 table.failure_count[slot] += 1
-                state.drop_active_slot(slot)
+                # mid-era failure: out of JSQ now, ``vms`` order kept
+                state.active_slots.remove(slot)
                 self.total_failures += 1
                 if self._obs_on:
                     self._tel.event(

@@ -1,12 +1,12 @@
 """Wall-clock implementation of the :class:`~repro.sim.clock.Clock` protocol.
 
 :class:`WallClock` keeps the :class:`~repro.sim.engine.Simulator` event
-heap -- same ``(time, priority, seq)`` ordering, same pooled fast path,
-same periodic re-arming -- but dispatches it against *real elapsed time*
-from inside an asyncio event loop.  Where the simulator jumps its clock
-to the next event, the wall clock ``await``-sleeps until that event's
-time arrives (or a new, earlier event is scheduled, which wakes the
-dispatch loop).
+heap -- same ``(time, priority, seq)`` ordering, same fire-and-forget fast
+path, same periodic re-arming -- but dispatches it against *real elapsed
+time* from inside an asyncio event loop.  Where the simulator jumps its
+clock to the next event, the wall clock ``await``-sleeps until that
+event's time arrives (or a new, earlier event is scheduled, which wakes
+the dispatch loop).
 
 Time is measured in *clock seconds*: ``speed`` clock seconds elapse per
 wall second (default 1.0).  Tests run compressed deployments -- e.g.
@@ -21,12 +21,10 @@ anywhere in the control plane (mirroring the simulator's run loop).
 from __future__ import annotations
 
 import asyncio
-import heapq
 import time
 from typing import TYPE_CHECKING, Callable
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventState
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -131,18 +129,6 @@ class WallClock(Simulator):
     # dispatch
     # ------------------------------------------------------------------ #
 
-    def _peek(self) -> Event | None:
-        """Next non-cancelled event, discarding lazy-cancelled heads."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head.state is EventState.CANCELLED:
-                heapq.heappop(heap)
-                self._cancelled_in_heap -= 1
-                continue
-            return head
-        return None
-
     async def run_for(self, duration_s: float | None = None) -> int:
         """Dispatch events against real time for ``duration_s`` clock
         seconds (forever when ``None``); returns events dispatched.
@@ -159,21 +145,21 @@ class WallClock(Simulator):
         dispatched = 0
         while not self._stopped:
             self._sync()
-            head = self._peek()
+            due = self._peek()
             while (
-                head is not None
-                and head.time <= self._now
-                and (end is None or head.time <= end)
+                due is not None
+                and due <= self._now
+                and (end is None or due <= end)
             ):
                 self.step()
                 dispatched += 1
                 if self._stopped:
                     return dispatched
-                head = self._peek()
+                due = self._peek()
             if end is not None and self.elapsed() >= end:
                 self._now = max(self._now, end)
                 return dispatched
-            target = head.time if head is not None else None
+            target = due
             if end is not None and (target is None or target > end):
                 target = end
             self._waiter.clear()

@@ -8,7 +8,8 @@ schedules against the same five-method surface:
 * ``now`` -- the current time in *clock seconds*;
 * ``schedule_at`` / ``schedule_after`` -- one-shot events (cancellable
   handle);
-* ``schedule_pooled`` -- the fire-and-forget hot path;
+* ``schedule_pooled`` -- the fire-and-forget hot path (no handle: the
+  heap entry is the whole event);
 * ``schedule_periodic`` -- re-armed recurrences (era ticks, monitors).
 
 :class:`Clock` names that surface as a structural protocol.  Two
@@ -19,7 +20,8 @@ implementations exist:
   back-to-back, bit-identical replays).  ``SimClock`` *is* ``Simulator``:
   the alias guarantees that threading the abstraction through the engine
   cannot perturb a single golden trace.
-* :class:`~repro.serve.clock.WallClock` -- the same event heap driven by
+* :class:`~repro.serve.clock.WallClock` -- the same event heap (through
+  the inherited ``step`` and ``_peek``, never its entries) driven by
   ``asyncio`` against real elapsed time (optionally speed-scaled), used
   by the ``repro serve`` wall-clock runtime.
 

@@ -2,17 +2,20 @@
 
 A minimal, deterministic, callback-based DES core:
 
-* a binary heap of :class:`~repro.sim.events.Event` ordered by
-  ``(time, priority, seq)``;
+* a binary heap of plain tuples ``(time, priority, seq, action, args,
+  event_or_None)``: ``seq`` is unique, so ordering is a C tuple compare
+  that is decided within the ``(time, priority, seq)`` prefix and never
+  reaches ``action``;
 * a simulation clock that only moves forward;
 * lazy cancellation (cancelled events are dropped when popped), with O(1)
-  pending-event accounting;
-* an object pool for fire-and-forget events (:meth:`Simulator.schedule_pooled`)
-  so that request-granularity workloads do not allocate one ``Event`` per
-  click;
+  pending-event accounting -- only entries that carry an
+  :class:`~repro.sim.events.Event` handle (last field) can be cancelled;
+* a fire-and-forget path (:meth:`Simulator.schedule_pooled`) whose heap
+  entry *is* the whole event -- no handle, nothing allocated besides the
+  tuple -- so request-granularity workloads create no ``Event`` per click;
 * periodic-event helpers used by the control loop (eras) and the feature
   monitors (sampling intervals); the recurrence re-arms a single ``Event``
-  record instead of allocating one per occurrence.
+  handle instead of allocating one per occurrence.
 
 The engine deliberately avoids threads, wall-clock time, and global state so
 that every run is exactly reproducible from its seed (see
@@ -25,17 +28,12 @@ callbacks.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from repro.sim.events import Event, EventState
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
-
-#: Upper bound on the recycled-event free list.  The pool only needs to
-#: cover the steady-state number of in-flight fire-and-forget events; past
-#: that, extra events are left to the garbage collector.
-POOL_MAX = 4096
 
 
 class SimulationError(RuntimeError):
@@ -62,13 +60,13 @@ class Simulator:
         telemetry: "Telemetry | None" = None,
     ) -> None:
         self._now = float(start_time)
-        self._heap: list[Event] = []
+        #: ``(time, priority, seq, action, args, event_or_None)`` entries
+        self._heap: list[tuple] = []
         self._seq = 0
         self._fired_count = 0
         self._running = False
         self._stopped = False
         self._cancelled_in_heap = 0
-        self._free: list[Event] = []
         # Telemetry attaches by handle so the per-event cost when disabled
         # is a single is-None check (the dispatch loop is the hottest loop
         # in the repo -- see benchmarks/bench_hotpath.py).
@@ -117,9 +115,10 @@ class Simulator:
         Raises
         ------
         SimulationError
-            If ``time`` precedes the current clock.
+            If ``time`` precedes the current clock (or is NaN, which
+            orders against nothing and would corrupt the heap).
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self._now}"
             )
@@ -131,8 +130,10 @@ class Simulator:
             label=label,
             owner=self,
         )
+        heapq.heappush(
+            self._heap, (event.time, priority, self._seq, action, (), event)
+        )
         self._seq += 1
-        heapq.heappush(self._heap, event)
         return event
 
     def schedule_after(
@@ -144,7 +145,7 @@ class Simulator:
         label: str = "",
     ) -> Event:
         """Schedule ``action`` after a relative ``delay`` (must be >= 0)."""
-        if delay < 0:
+        if not delay >= 0.0:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(
             self._now + delay, action, priority=priority, label=label
@@ -159,34 +160,18 @@ class Simulator:
         """Fire-and-forget fast path: ``action(*args)`` after ``delay``.
 
         Unlike :meth:`schedule_after`, no :class:`Event` handle is
-        returned and the event cannot be cancelled; in exchange the engine
-        recycles the ``Event`` record through an object pool, so a
-        million-request DES run allocates a bounded number of them.  This
-        is the scheduling call of the per-request hot path
+        returned and the event cannot be cancelled; in exchange the heap
+        entry is the whole event, so a million-request DES run allocates
+        no ``Event`` at all.  This is the scheduling call of the
+        per-request hot path
         (:class:`repro.core.des_loop.DesControlLoop`).
         """
-        if delay < 0:
+        if not delay >= 0.0:
             raise SimulationError(f"negative delay {delay}")
-        time = self._now + delay
-        if self._free:
-            event = self._free.pop()
-            event.time = time
-            event.seq = self._seq
-            event.action = action
-            event.args = args
-            event.state = EventState.PENDING
-        else:
-            event = Event(
-                time=time,
-                priority=0,
-                seq=self._seq,
-                action=action,
-                args=args,
-                poolable=True,
-                owner=self,
-            )
+        heapq.heappush(
+            self._heap, (self._now + delay, 0, self._seq, action, args, None)
+        )
         self._seq += 1
-        heapq.heappush(self._heap, event)
 
     def schedule_periodic(
         self,
@@ -203,7 +188,7 @@ class Simulator:
         Returns a zero-argument *stop* function: calling it cancels the next
         pending occurrence and stops the recurrence.
 
-        The recurrence is a pool-of-one: the same ``Event`` record is
+        The recurrence is a pool-of-one: the same ``Event`` handle is
         re-armed for every occurrence (homogeneous periodic events --
         monitors, era ticks -- dominate long runs, and re-arming avoids
         allocating one event per period).
@@ -222,9 +207,12 @@ class Simulator:
                 event = slot["event"]
                 event.time = self._now + period
                 event.seq = self._seq
-                self._seq += 1
                 event.state = EventState.PENDING
-                heapq.heappush(self._heap, event)
+                heapq.heappush(
+                    self._heap,
+                    (event.time, priority, self._seq, fire, (), event),
+                )
+                self._seq += 1
 
         first = self._now + period if start is None else start
         slot["event"] = self.schedule_at(
@@ -245,36 +233,37 @@ class Simulator:
         """Bookkeeping hook called by :meth:`Event.cancel`."""
         self._cancelled_in_heap += 1
 
-    def _recycle(self, event: Event) -> None:
-        if len(self._free) < POOL_MAX:
-            event.action = _noop
-            event.args = ()
-            self._free.append(event)
-
-    def step(self) -> Event | None:
-        """Dispatch the single next pending event.
-
-        Returns the fired event, or ``None`` if the heap is empty (cancelled
-        events are silently discarded).
-        """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.state is EventState.CANCELLED:
+    def _peek(self) -> float | None:
+        """Time of the next event to fire (``None`` on an empty heap),
+        discarding lazily-cancelled heads on the way."""
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            event = head[5]
+            if event is not None and event.state is EventState.CANCELLED:
+                heapq.heappop(heap)
                 self._cancelled_in_heap -= 1
                 continue
-            self._now = event.time
-            event.state = EventState.FIRED
-            self._fired_count += 1
-            if self._obs_dispatched is not None:
-                self._obs_dispatched.inc()
-            if event.args:
-                event.action(*event.args)
-            else:
-                event.action()
-            if event.poolable:
-                self._recycle(event)
-            return event
+            return head[0]
         return None
+
+    def step(self) -> bool:
+        """Dispatch the single next pending event.
+
+        Returns whether an event fired; ``False`` means the heap is empty
+        (cancelled events are silently discarded).
+        """
+        if self._peek() is None:
+            return False
+        time, _, _, action, args, event = heapq.heappop(self._heap)
+        if event is not None:
+            event.state = EventState.FIRED
+        self._now = time
+        self._fired_count += 1
+        if self._obs_dispatched is not None:
+            self._obs_dispatched.inc()
+        action(*args)
+        return True
 
     def run(self, *, max_events: int | None = None) -> int:
         """Run until the event heap drains (or ``max_events`` dispatched).
@@ -286,7 +275,7 @@ class Simulator:
         while not self._stopped:
             if max_events is not None and dispatched >= max_events:
                 break
-            if self.step() is None:
+            if not self.step():
                 break
             dispatched += 1
         return dispatched
@@ -298,22 +287,31 @@ class Simulator:
         ``end_time`` even if the last event fired earlier, so subsequent
         relative scheduling behaves intuitively.
         """
-        if end_time < self._now:
+        if not end_time >= self._now:
             raise SimulationError(
                 f"run_until({end_time}) precedes current time {self._now}"
             )
         dispatched = 0
         self._stopped = False
         heap = self._heap
+        # the per-request loop of every DES run: step()'s body inline, so
+        # an event costs one heappop and no method call besides its action
         while heap and not self._stopped:
-            head = heap[0]
-            if head.state is EventState.CANCELLED:
+            time, _, _, action, args, event = heap[0]
+            if event is not None and event.state is EventState.CANCELLED:
                 heapq.heappop(heap)
                 self._cancelled_in_heap -= 1
                 continue
-            if head.time > end_time:
+            if time > end_time:
                 break
-            self.step()
+            heapq.heappop(heap)
+            if event is not None:
+                event.state = EventState.FIRED
+            self._now = time
+            self._fired_count += 1
+            if self._obs_dispatched is not None:
+                self._obs_dispatched.inc()
+            action(*args)
             dispatched += 1
         self._now = max(self._now, end_time)
         return dispatched
@@ -330,10 +328,12 @@ class Simulator:
     # introspection
     # ------------------------------------------------------------------ #
 
-    def pending_events(self) -> Iterable[Event]:
-        """Snapshot of pending events, in firing order (for tests/debugging)."""
-        return sorted((e for e in self._heap if e.pending), key=Event.sort_key)
-
-
-def _noop() -> None:
-    """Placeholder action held by recycled pool events."""
+    def pending_events(self) -> list[Event]:
+        """Snapshot of pending handle events, in firing order (for
+        tests/debugging; fire-and-forget entries have no handle)."""
+        # seq is unique, so sorting the entries never compares past it
+        return [
+            entry[5]
+            for entry in sorted(self._heap)
+            if entry[5] is not None and entry[5].pending
+        ]

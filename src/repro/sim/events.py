@@ -1,20 +1,19 @@
 """Event records for the discrete-event simulator.
 
 Events carry an absolute firing time, a tie-breaking priority, a monotonically
-increasing sequence number, and a callback (optionally with bound positional
-arguments).  The triple ``(time, priority, seq)`` gives a *total* order, which
-makes simulation runs bit-reproducible: two events scheduled for the same
-instant always fire in the order they were scheduled (or by explicit
-priority).
+increasing sequence number, and a callback.  The triple
+``(time, priority, seq)`` gives a *total* order, which makes simulation runs
+bit-reproducible: two events scheduled for the same instant always fire in
+the order they were scheduled (or by explicit priority).
 
-Two hot-path affordances keep the per-event cost low at request granularity
-(millions of events per run):
-
-* ``args`` lets schedulers bind a method plus an argument tuple instead of
-  allocating a fresh closure per event;
-* ``poolable`` marks fire-and-forget events owned by the simulator's object
-  pool: they are recycled after firing instead of garbage-collected (see
-  :meth:`repro.sim.engine.Simulator.schedule_pooled`).
+An :class:`Event` is the *handle* a caller gets back from
+``schedule_at`` / ``schedule_after``: something to cancel and to inspect.
+It is not what the heap orders -- the simulator's heap holds plain tuples
+keyed by that triple (see :mod:`repro.sim.engine`), with the handle riding
+along as the last field.  Fire-and-forget events
+(:meth:`repro.sim.engine.Simulator.schedule_pooled`, the per-request path)
+have no handle at all: the action and its bound arguments live in the heap
+entry.
 """
 
 from __future__ import annotations
@@ -48,15 +47,9 @@ class Event:
         Scheduling sequence number, assigned by the simulator.  Final
         tie-breaker; guarantees FIFO order among equal (time, priority).
     action:
-        Callable invoked when the event fires, with ``*args``.
+        Callable invoked (without arguments) when the event fires.
     label:
         Optional human-readable tag, kept for tracing/debugging.
-    args:
-        Positional arguments bound to ``action`` (the closure-free fast
-        path used by the per-request DES loop).
-    poolable:
-        Owned by the simulator's event pool; recycled after firing.  Never
-        set on events handed back to callers.
     owner:
         The scheduling simulator, notified on cancellation so that its
         pending-event count stays O(1).
@@ -65,25 +58,10 @@ class Event:
     time: float
     priority: int
     seq: int
-    action: Callable[..., None]
+    action: Callable[[], None]
     label: str = ""
     state: EventState = field(default=EventState.PENDING, compare=False)
-    args: tuple = field(default=(), compare=False)
-    poolable: bool = field(default=False, compare=False)
     owner: Any = field(default=None, compare=False, repr=False)
-
-    def sort_key(self) -> tuple[float, int, int]:
-        """Total-order key used by the event heap."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        # field-wise comparison: called O(log n) times per heap operation,
-        # so avoid allocating the sort_key tuples
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
     @property
     def pending(self) -> bool:

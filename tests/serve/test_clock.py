@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.serve.clock import AsyncClock, WallClock
-from repro.sim import SimClock
+from repro.sim import SimClock, SimulationError
 from repro.sim.events import EventState
 
 #: A schedule that exercises ordering: interleaved times, a priority
@@ -78,6 +78,11 @@ def test_schedule_in_past_clamps_and_fires():
     assert event.time >= 0.0
     asyncio.run(wall.run_for(0.5))
     assert fired == ["x"]
+    # the clamp is for real deadlines; NaN is still a programming error
+    with pytest.raises(SimulationError):
+        wall.schedule_at(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        wall.schedule_pooled(float("nan"), lambda: None)
 
 
 def test_now_is_monotonic_across_dispatch():

@@ -1,13 +1,17 @@
 """Tests for the engine's hot-path affordances.
 
-Added with the DES-loop vectorisation: the pooled fire-and-forget
-scheduling path, O(1) pending-event accounting, and the re-armed (pool of
-one) periodic recurrence.
+The fire-and-forget scheduling path (``schedule_pooled``: the heap entry
+is the whole event, no ``Event`` is allocated), O(1) pending-event
+accounting, and the re-armed (pool of one) periodic recurrence.
 """
+
+import math
+import weakref
 
 import pytest
 
-from repro.sim.engine import POOL_MAX, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.events import Event
 
 
 class TestSchedulePooled:
@@ -34,7 +38,16 @@ class TestSchedulePooled:
         with pytest.raises(SimulationError):
             sim.schedule_pooled(-0.1, lambda: None)
 
-    def test_events_are_recycled(self):
+    def test_events_are_recycled(self, monkeypatch):
+        # there is nothing to recycle: a pooled chain allocates no Event
+        allocated = []
+        real_init = Event.__init__
+
+        def spy(self, *args, **kwargs):
+            allocated.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", spy)
         sim = Simulator()
         fired = {"n": 0}
 
@@ -46,25 +59,60 @@ class TestSchedulePooled:
         sim.schedule_pooled(1.0, tick)
         sim.run()
         assert fired["n"] == 100
-        # recycling happens after dispatch, so a self-rescheduling chain
-        # ping-pongs between two pooled events -- never 100
-        assert len(sim._free) == 2
-
-    def test_pool_is_bounded(self):
-        sim = Simulator()
-        for _ in range(POOL_MAX + 50):
-            sim.schedule_pooled(1.0, lambda: None)
-        sim.run()
-        assert len(sim._free) == POOL_MAX
+        assert allocated == []
+        # the spy itself works: the handle path does allocate
+        sim.schedule_after(1.0, lambda: None)
+        assert len(allocated) == 1
 
     def test_recycled_event_drops_references(self):
+        # after firing, the simulator keeps neither the action nor its args
+
+        class Payload:
+            def hit(self, arg):
+                self.arg = arg
+
+        class Arg:
+            pass
+
         sim = Simulator()
-        payload = []
-        sim.schedule_pooled(1.0, payload.append, ("gone",))
-        sim.run()
-        event = sim._free[0]
-        assert event.args == ()
-        assert event.action is not payload.append
+        payload, arg = Payload(), Arg()
+        dead_payload, dead_arg = weakref.ref(payload), weakref.ref(arg)
+        sim.schedule_pooled(1.0, payload.hit, (arg,))
+        sim.schedule_pooled(2.0, lambda: None)
+        sim.run_until(1.5)
+        assert payload.arg is arg
+        del payload, arg
+        assert dead_payload() is None
+        assert dead_arg() is None
+
+    def test_nan_schedules_rejected(self):
+        # NaN compares False against everything: `delay < 0` let it into
+        # the heap, where it orders against nothing
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_pooled(math.nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_after(math.nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(math.nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run_until(math.nan)
+        assert sim.pending_count == 0
+
+    def test_step_reports_fired_not_a_dead_event(self):
+        # step() used to hand back the pooled Event it had just recycled
+        # (action == _noop, args == ()); it now says whether one fired
+        sim = Simulator()
+        seen = []
+        sim.schedule_pooled(1.0, seen.append, ("a",))
+        cancelled = sim.schedule_at(2.0, lambda: seen.append("never"))
+        sim.schedule_at(3.0, lambda: seen.append("b"))
+        cancelled.cancel()
+        assert sim.step() is True
+        assert sim.step() is True  # skips the cancelled head
+        assert sim.step() is False
+        assert seen == ["a", "b"]
+        assert sim.now == 3.0
 
 
 class TestPendingCountO1:
@@ -97,7 +145,7 @@ class TestPendingCountO1:
         ]
         for e in events[::3]:
             e.cancel()
-        scan = sum(1 for e in sim._heap if e.pending)
+        scan = sum(1 for entry in sim._heap if entry[5].pending)
         assert sim.pending_count == scan
 
     def test_run_until_drops_cancelled_heads(self):
