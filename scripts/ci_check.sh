@@ -44,8 +44,11 @@
 #      `des_two_region` (the oracle-driven workloads whose digests an
 #      oracle change must not move) and on `serve_fault_slo` (the
 #      failover draw, the degradation ladder and the Plan phase over
-#      HTTP); each must end on a JSON line with `"correct": true` and
-#      `"failed": 0`;
+#      HTTP) and on `pcam_fleet_10k` (the fleet era); each must end on a
+#      JSON line with `"correct": true` and `"failed": 0`, and the fleet
+#      era's `era_report_digest` at seed 5 must be the recorded one (the
+#      smoke runs the full 20-era repeat, so this is bit-identity of the
+#      10 000-VM `process_era` across commits);
 #  13. a one-spelling check: the row -> CDF construction lives in
 #      `core/forward_plan.py` only (no `cumsum` in the DES loop or the
 #      serve runtime), and the leader step lives in
@@ -53,7 +56,10 @@
 #      `election.elect(` are called from nowhere else in `src/repro`);
 #      the event heap lives in `sim/engine.py` only (nothing else
 #      imports `heapq`), and neither the Event pool nor the NumPy JSQ
-#      branch it replaced has come back under another spelling.
+#      branch it replaced has come back under another spelling; the VMC
+#      builds no per-VM `FeatureMonitor(` (its pool shares one
+#      `MonitorRing`), and the anomaly sampling body exists once (one
+#      `_lognormal(` call under `src/repro`).
 #
 # Usage:  scripts/ci_check.sh   (from the repository root or anywhere)
 
@@ -349,14 +355,20 @@ python -m pytest -q \
 
 echo "== e2e benchmark smoke =="
 python3 -m pytest benchmarks/e2e/tests -q
-for workload in sweep_grid des_two_region serve_fault_slo; do
-    E2E_OUT="$(python3 benchmarks/e2e/run.py --smoke --workload "$workload")"
+for workload in sweep_grid des_two_region serve_fault_slo pcam_fleet_10k; do
+    E2E_OUT="$(python3 benchmarks/e2e/run.py --smoke --seed 5 --workload "$workload")"
     echo "$E2E_OUT"
     tail -n 1 <<<"$E2E_OUT" | python3 -c '
 import json, sys
 doc = json.loads(sys.stdin.readline())
 sys.exit(0 if doc["correct"] is True and doc["failed"] == 0 else 1)
 ' || { echo "e2e smoke: $workload not correct or has failed operations" >&2; exit 1; }
+    # same seed, same 20 eras => the same era reports on every commit
+    if [ "$workload" = pcam_fleet_10k ]; then
+        grep -q '"era_report_digest": "0a8c68814499b22f24924c358ec99391"' \
+            <<<"$E2E_OUT" \
+            || { echo "e2e smoke: pcam_fleet_10k era_report_digest moved" >&2; exit 1; }
+    fi
 done
 
 echo "== one-spelling check =="
@@ -376,6 +388,12 @@ fi
 if grep -rnE "^\s*(import heapq|from heapq)" src/repro --include='*.py' \
         | grep -v "^src/repro/sim/engine.py:"; then
     echo "an event heap is kept outside sim/engine.py" >&2; exit 1
+fi
+if grep -n "FeatureMonitor(" src/repro/pcam/vmc.py; then
+    echo "the VMC builds per-VM FeatureMonitors again" >&2; exit 1
+fi
+if [ "$(grep -rF "_lognormal(" src/repro --include='*.py' | wc -l)" -ne 1 ]; then
+    echo "the anomaly sampling body is spelled more than once" >&2; exit 1
 fi
 
 echo "ci_check: all gates passed"

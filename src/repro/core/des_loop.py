@@ -351,9 +351,9 @@ class DesControlLoop:
         table = state.table
         if table.state_code[slot] == CODE_ACTIVE and state.life[slot] == life:
             vm = state.vms[slot]
-            effect = vm.injector.inject(1)
-            table.leaked_mb[slot] += effect.leaked_mb
-            table.stuck_threads[slot] += effect.stuck_threads
+            leaked_mb, stuck_threads = vm.injector.draw(1)
+            table.leaked_mb[slot] += leaked_mb
+            table.stuck_threads[slot] += stuck_threads
             table.total_requests[slot] += 1
             table.last_response_time_s[slot] = rt
             if table.failure_point_at(slot):

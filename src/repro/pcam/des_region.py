@@ -198,9 +198,9 @@ class DesRegion:
             # anomaly injection on completion (one request's worth)
             table = self.table
             if table.state_code[slot] == CODE_ACTIVE:
-                effect = self.vms[slot].injector.inject(1)
-                table.leaked_mb[slot] += effect.leaked_mb
-                table.stuck_threads[slot] += effect.stuck_threads
+                leaked_mb, stuck_threads = self.vms[slot].injector.draw(1)
+                table.leaked_mb[slot] += leaked_mb
+                table.stuck_threads[slot] += stuck_threads
                 table.total_requests[slot] += 1
                 table.last_response_time_s[slot] = rt
                 if table.failure_point_at(slot):

@@ -45,6 +45,8 @@ Slot lifecycle invariants
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.ml.features import FEATURE_NAMES
@@ -113,6 +115,19 @@ STATIC_COLUMNS: tuple[tuple[str, type], ...] = (
 )
 
 _ALL_COLUMNS = (("state_code", np.int8),) + MUTABLE_COLUMNS + STATIC_COLUMNS
+
+
+class Pressures(NamedTuple):
+    """What :meth:`VmStateTable.pressures_of` derives, one entry per row."""
+
+    swap_used_mb: np.ndarray
+    swap_pressure: np.ndarray
+    thread_pressure: np.ndarray
+    capacity: np.ndarray
+
+    def take(self, keep: np.ndarray) -> Pressures:
+        """The entries selected by the mask or index array ``keep``."""
+        return Pressures(*(column[keep] for column in self))
 
 
 class VmStateTable:
@@ -334,36 +349,40 @@ class VmStateTable:
     # vectorised kernels (bit-identical to the scalar VirtualMachine)
     # ------------------------------------------------------------------ #
 
-    def swap_used_mb_of(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorised :attr:`VirtualMachine.swap_used_mb`."""
-        spilled = self.leaked_mb[idx] - self.usable_memory_mb[idx]
-        return np.clip(spilled, 0.0, self.swap_mb[idx])
+    def pressures_of(self, idx: np.ndarray) -> Pressures:
+        """Swap use, both pressures and effective capacity of ``idx``.
 
-    def swap_pressure_of(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorised :attr:`VirtualMachine.swap_pressure`."""
+        Vectorised :attr:`VirtualMachine.swap_used_mb`,
+        :attr:`~VirtualMachine.swap_pressure`,
+        :attr:`~VirtualMachine.thread_pressure` and
+        :attr:`~VirtualMachine.effective_capacity`, each derived once
+        from the current ``leaked_mb`` / ``stuck_threads`` cells: every
+        quantity an era reads off a load state (response time, failure
+        point, feature rows) is a function of these four.
+        """
+        leaked = self.leaked_mb[idx]
+        usable = self.usable_memory_mb[idx]
         swap = self.swap_mb[idx]
+        swap_used = np.clip(leaked - usable, 0.0, swap)
         zero = swap == 0.0
-        out = np.empty(len(idx), dtype=np.float64)
-        np.divide(self.swap_used_mb_of(idx), swap, out=out, where=~zero)
+        swap_pressure = np.empty(len(idx), dtype=np.float64)
+        np.divide(swap_used, swap, out=swap_pressure, where=~zero)
         if zero.any():
-            out[zero] = np.where(
-                self.leaked_mb[idx][zero] >= self.usable_memory_mb[idx][zero],
-                1.0,
-                0.0,
+            swap_pressure[zero] = np.where(
+                leaked[zero] >= usable[zero], 1.0, 0.0
             )
-        return out
-
-    def thread_pressure_of(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorised :attr:`VirtualMachine.thread_pressure`."""
-        ratio = self.stuck_threads[idx] / self.thread_free_slots[idx]
-        return np.minimum(ratio, 1.0)
+        thread_pressure = np.minimum(
+            self.stuck_threads[idx] / self.thread_free_slots[idx], 1.0
+        )
+        factor = (1.0 - SWAP_CAPACITY_PENALTY * swap_pressure) * (
+            1.0 - thread_pressure
+        )
+        capacity = self.cpu_power[idx] * np.maximum(factor, 0.02)
+        return Pressures(swap_used, swap_pressure, thread_pressure, capacity)
 
     def effective_capacity_of(self, idx: np.ndarray) -> np.ndarray:
         """Vectorised :attr:`VirtualMachine.effective_capacity`."""
-        factor = (
-            1.0 - SWAP_CAPACITY_PENALTY * self.swap_pressure_of(idx)
-        ) * (1.0 - self.thread_pressure_of(idx))
-        return self.cpu_power[idx] * np.maximum(factor, 0.02)
+        return self.pressures_of(idx).capacity
 
     def capacity_at(self, row: int) -> float:
         """Scalar effective capacity of one row (the per-request path).
@@ -381,26 +400,19 @@ class VmStateTable:
             int(self.thread_free_slots[row]),
         )
 
-    def response_time_of(
-        self, idx: np.ndarray, request_rate: np.ndarray, mean_demand: float
+    def failure_point_of(
+        self, idx: np.ndarray, thread_pressure: np.ndarray
     ) -> np.ndarray:
-        """Vectorised :meth:`VirtualMachine.response_time_s`."""
-        mu = self.effective_capacity_of(idx) / mean_demand
-        service_time = 1.0 / mu
-        rho = np.minimum(request_rate / mu, 0.99)
-        return service_time / (1.0 - rho)
+        """Vectorised :meth:`VirtualMachine.failure_point_reached`.
 
-    def failure_point_of(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`VirtualMachine.failure_point_reached`."""
+        ``thread_pressure`` is :meth:`pressures_of`'s, aligned with ``idx``.
+        """
         return (
             (
                 self.swap_exhaustion[idx]
                 & (self.leaked_mb[idx] >= self.anomaly_budget_mb[idx])
             )
-            | (
-                self.thread_exhaustion[idx]
-                & (self.thread_pressure_of(idx) >= 1.0)
-            )
+            | (self.thread_exhaustion[idx] & (thread_pressure >= 1.0))
             | (self.last_response_time_s[idx] > self.sla_response_time_s[idx])
         )
 
@@ -420,27 +432,34 @@ class VmStateTable:
             self.sla_response_time_s[row]
         )
 
-    def feature_matrix(self, idx: np.ndarray) -> np.ndarray:
+    def feature_matrix(
+        self, idx: np.ndarray, pressures: Pressures | None = None
+    ) -> np.ndarray:
         """One F2PM monitoring row per VM in ``idx`` order, as a matrix.
 
         Bit-identical to stacking
         ``vm.sample_features().to_array()`` per VM, without constructing
-        a single :class:`~repro.ml.features.FeatureVector`.
+        a single :class:`~repro.ml.features.FeatureVector`.  A caller
+        that already holds :meth:`pressures_of` for exactly these rows
+        in their current state passes it in; otherwise it is derived
+        here.
         """
+        if pressures is None:
+            pressures = self.pressures_of(idx)
+        swap_used, swap_pressure, _, capacity = pressures
         n = len(idx)
         out = np.empty((n, len(FEATURE_NAMES)), dtype=np.float64)
-        leaked = self.leaked_mb[idx]
-        usable = self.usable_memory_mb[idx]
-        swap_pressure = self.swap_pressure_of(idx)
         rate = self.last_request_rate[idx]
-        mem_used = BASELINE_MEMORY_MB + np.minimum(leaked, usable)
-        mu = self.effective_capacity_of(idx) / 1.5
+        mem_used = BASELINE_MEMORY_MB + np.minimum(
+            self.leaked_mb[idx], self.usable_memory_mb[idx]
+        )
+        mu = capacity / 1.5
         rho = np.where(mu > 0, np.minimum(rate / mu, 0.99), 0.99)
         cpu_user = 70.0 * rho
         cpu_system = 10.0 * rho + 20.0 * swap_pressure
         out[:, 0] = mem_used
         out[:, 1] = np.maximum(self.memory_mb[idx] - mem_used, 0.0)
-        out[:, 2] = self.swap_used_mb_of(idx)
+        out[:, 2] = swap_used
         out[:, 3] = cpu_user
         out[:, 4] = cpu_system
         out[:, 5] = np.maximum(100.0 - cpu_user - cpu_system, 0.0)
@@ -524,13 +543,15 @@ class VmStateTable:
         mean_demand: float,
         leaked_delta: np.ndarray,
         threads_delta: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, Pressures]:
         """The deterministic tail of :meth:`VirtualMachine.apply_load`.
 
         The caller has already drawn each VM's anomaly effect from its
         own stream (in ``idx`` order); this applies the accumulation,
         uptime, telemetry, response-time and failure-point arithmetic in
-        one vectorised pass.  Returns ``(response_times, failed_mask)``.
+        one vectorised pass.  Returns ``(response_times, failed_mask,
+        pressures)``; the pressures are those of the post-load state, the
+        ones :meth:`feature_matrix` needs for the rows that did not fail.
         """
         self.leaked_mb[idx] += leaked_delta
         self.stuck_threads[idx] += threads_delta
@@ -538,12 +559,17 @@ class VmStateTable:
         self.total_requests[idx] += n_requests
         rate = n_requests / dt
         self.last_request_rate[idx] = rate
-        rt = self.response_time_of(idx, rate, mean_demand)
+        pressures = self.pressures_of(idx)
+        # vectorised mm1_response_time_s
+        mu = pressures.capacity / mean_demand
+        service_time = 1.0 / mu
+        rho = np.minimum(rate / mu, 0.99)
+        rt = service_time / (1.0 - rho)
         self.last_response_time_s[idx] = rt
-        failed = self.failure_point_of(idx)
+        failed = self.failure_point_of(idx, pressures.thread_pressure)
         if failed.any():
             self.fail(idx[failed])
-        return rt, failed
+        return rt, failed, pressures
 
     def counts_by_state(self, idx: np.ndarray) -> tuple[int, int, int, int]:
         """(n_active, n_standby, n_rejuvenating, n_failed) over ``idx``."""

@@ -87,8 +87,8 @@ BASELINE_THREADS = 24
 # One spelling of the physics over plain Python numbers.  The
 # ``VirtualMachine`` properties, ``VmStateTable.capacity_at`` (the DES
 # request path) and the mean-field oracle kernel below all call these, so
-# they agree bit-for-bit by construction.  (The ``*_of`` NumPy kernels in
-# :mod:`repro.pcam.state_table` are the array form, pinned against these
+# they agree bit-for-bit by construction.  (``VmStateTable.pressures_of``
+# in :mod:`repro.pcam.state_table` is the array form, pinned against these
 # by ``tests/pcam/test_columnar_parity.py``.)
 
 
@@ -424,9 +424,9 @@ class VirtualMachine:
             raise ValueError("dt must be positive")
         if n_requests < 0:
             raise ValueError("n_requests must be >= 0")
-        effect = self.injector.inject(n_requests)
-        self.leaked_mb += effect.leaked_mb
-        self.stuck_threads += effect.stuck_threads
+        leaked_mb, stuck_threads = self.injector.draw(n_requests)
+        self.leaked_mb += leaked_mb
+        self.stuck_threads += stuck_threads
         self.uptime_s += dt
         self.total_requests += n_requests
         self.last_request_rate = n_requests / dt

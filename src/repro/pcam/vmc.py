@@ -29,7 +29,7 @@ from repro.pcam.balancer import LocalBalancer
 if TYPE_CHECKING:
     from repro.ml.online.lifecycle import OnlineLifecycle
     from repro.obs.telemetry import Telemetry
-from repro.pcam.monitor import FeatureMonitor
+from repro.pcam.monitor import MonitorRing, MonitorSample, PoolMonitors
 from repro.pcam.predictor import RttfPredictor
 from repro.pcam.rejuvenation import (
     NoRejuvenation,
@@ -45,6 +45,7 @@ from repro.pcam.state_table import (
     VmStateTable,
 )
 from repro.pcam.vm import VirtualMachine, VmState
+from repro.workload.anomalies import draw_pool
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +63,7 @@ class VmcConfig:
     mean_demand:
         Average demand-units per request of the workload mix.
     monitor_history:
-        Feature-monitor ring size per VM.
+        Feature-monitor ring size per VM (>= 1).
     columnar:
         Inert compatibility field, read nowhere: the controller always
         keeps its pool in a :class:`~repro.pcam.state_table.VmStateTable`.
@@ -93,6 +94,8 @@ class VmcConfig:
             raise ValueError("target_active must be >= 1")
         if self.mean_demand <= 0:
             raise ValueError("mean_demand must be positive")
+        if self.monitor_history < 1:
+            raise ValueError("monitor_history must be >= 1")
         if self.spread_k < 0:
             raise ValueError("spread_k must be >= 0")
         if not self.columnar:
@@ -167,26 +170,28 @@ class VirtualMachineController:
     ) -> None:
         if not vms:
             raise ValueError(f"region {region_name!r}: empty VM pool")
-        names = [vm.name for vm in vms]
-        if len(set(names)) != len(names):
+        self.vms = list(vms)
+        self._by_name = {vm.name: vm for vm in self.vms}
+        if len(self._by_name) != len(self.vms):
             raise ValueError(f"region {region_name!r}: duplicate VM names")
         self.region_name = region_name
-        self.vms = list(vms)
         self.predictor = predictor
         self.config = config or VmcConfig()
         self.balancer = balancer or LocalBalancer()
         self.discipline = discipline or RttfThresholdRejuvenation(
             self.config.rttf_threshold_s
         )
-        self.monitors = {
-            vm.name: FeatureMonitor(vm, self.config.monitor_history)
-            for vm in self.vms
-        }
         # adopt the pool into the state table; `_rows` holds each VM's
         # table row, aligned with `self.vms` order (list position != table
         # row once VMs have been removed).
         self.table = VmStateTable(len(self.vms))
         self._rows = self.table.adopt_all(self.vms)
+        # the monitor agent's database: one ring over the table's rows
+        self._ring = MonitorRing(
+            self.config.monitor_history, self.table.capacity
+        )
+        #: Read-only ``VM name -> monitor`` (``len``, ``latest``, ``window``).
+        self.monitors = PoolMonitors(self._ring, self._by_name)
         self._target_active = self.config.target_active
         self.total_rejuvenations = 0
         self.total_failures = 0
@@ -220,12 +225,15 @@ class VirtualMachineController:
         if n < 1:
             raise ValueError("target_active must be >= 1")
         self._target_active = n
-        active = self.vms_in(VmState.ACTIVE)
-        while len(active) > self._target_active:
-            # Retire the most-degraded VM first.
-            worst = max(active, key=lambda vm: vm.leaked_mb)
-            worst.start_rejuvenation()
-            active.remove(worst)
+        active = self._active_rows()
+        excess = len(active) - n
+        if excess > 0:
+            # Retire the most-degraded VMs first; the stable sort breaks
+            # leak ties in pool order.
+            worst_first = np.argsort(
+                -self.table.leaked_mb[active], kind="stable"
+            )
+            self.table.start_rejuvenation(active[worst_first[:excess]])
         self._ensure_active_pool()
 
     def _ensure_active_pool(self) -> None:
@@ -291,11 +299,11 @@ class VirtualMachineController:
         Returns the :class:`EraReport` the slave VMC sends to the leader
         (Algorithm 1: predict local RMTTF, actuate PCAM policies).
 
-        The era is array-at-a-time over the state table.  Only two loops
-        stay per-VM by necessity: anomaly injection (each VM owns its RNG
-        stream and must consume it in pool order) and the monitor-ring
-        appends; everything else -- load accounting, response times,
-        failure checks, feature extraction, threshold scans -- is one
+        The era is array-at-a-time over the state table.  One loop stays
+        per-VM by necessity: the anomaly draws (each VM owns its RNG
+        stream and must consume it in pool order).  Everything else --
+        load accounting, response times, failure checks, feature
+        extraction, the monitor-ring write, threshold scans -- is one
         NumPy pass over the ACTIVE rows, bit-identical to walking plain
         ``VirtualMachine`` objects one at a time (pinned by
         ``tests/pcam/test_columnar_parity.py``).
@@ -312,6 +320,7 @@ class VirtualMachineController:
         )
         era_failures = 0
         era_rejuvenations = 0
+        pressures = None
 
         # 1. split the batch over ACTIVE VMs and apply the load
         response_num = 0.0
@@ -320,21 +329,19 @@ class VirtualMachineController:
             active_rows = rows[active_pos]
             active_views = [self.vms[p] for p in active_pos.tolist()]
             counts = self._split_counts(n_requests, active_rows, active_views)
-            # per-VM anomaly draws stay a loop: each VM consumes its own
-            # stream in pool order, exactly like a scalar apply_load walk
-            counts_list = counts.tolist()
-            leaked_list: list[float] = []
-            threads_list: list[int] = []
-            for k, vm in enumerate(active_views):
-                effect = vm.injector.inject(counts_list[k])
-                leaked_list.append(effect.leaked_mb)
-                threads_list.append(effect.stuck_threads)
-            leaked = np.array(leaked_list, dtype=np.float64)
-            threads = np.array(threads_list, dtype=np.int64)
-            rt, failed = table.era_load_update(
+            # each VM consumes its own stream in pool order, exactly like
+            # a scalar apply_load walk
+            leaked, threads = draw_pool(
+                [vm.injector for vm in active_views], counts.tolist()
+            )
+            rt, failed, pressures = table.era_load_update(
                 active_rows, counts, dt, self.config.mean_demand,
                 leaked, threads,
             )
+            # what is still ACTIVE below is `active_rows` minus the rows
+            # that just failed, in the same order
+            if failed.any():
+                pressures = pressures.take(~failed)
             # sequential cumsum matches a scalar running float sum
             products = rt * counts
             if products.size:
@@ -351,19 +358,8 @@ class VirtualMachineController:
         mon_pos = np.flatnonzero(codes == CODE_ACTIVE)
         mon_rows = rows[mon_pos]
         monitored = [self.vms[p] for p in mon_pos.tolist()]
-        features = table.feature_matrix(mon_rows)
-        monitors = self.monitors
-        if self.lifecycle is None:
-            # nothing consumes the sample objects this era: push the raw
-            # rows into the rings (one allocation per VM saved at scale)
-            samples: list = []
-            for k, vm in enumerate(monitored):
-                monitors[vm.name].push(now, features[k])
-        else:
-            samples = [
-                monitors[vm.name].record(now, features[k])
-                for k, vm in enumerate(monitored)
-            ]
+        features = table.feature_matrix(mon_rows, pressures)
+        self._ring.record(mon_rows, now, features)
         rttf_arr = np.asarray(
             self.predictor.predict_rttf_rows(features, monitored),
             dtype=np.float64,
@@ -373,6 +369,10 @@ class VirtualMachineController:
         )
         mttf = table.uptime_s[mon_rows] + np.maximum(rttf_arr, 0.0)
         if self.lifecycle is not None:
+            samples = [
+                MonitorSample(time=float(now), features=row)
+                for row in features
+            ]
             self.lifecycle.observe_era(
                 self.region_name, now, monitored, samples, rttf_arr
             )
@@ -530,6 +530,7 @@ class VirtualMachineController:
         self._rows = np.array(
             [mapping[int(r)] for r in self._rows], dtype=np.intp
         )
+        self._ring.remap(mapping)
 
     # ------------------------------------------------------------------ #
     # pool growth (used by ACM autoscaling, Sec. V ADDVMS)
@@ -537,7 +538,7 @@ class VirtualMachineController:
 
     def add_vm(self, vm: VirtualMachine) -> None:
         """Add a freshly provisioned VM (in STANDBY) to the pool."""
-        if vm.name in self.monitors:
+        if vm.name in self._by_name:
             raise ValueError(f"duplicate VM name {vm.name!r}")
         if vm.state is not VmState.STANDBY:
             raise ValueError("new VMs must join in STANDBY state")
@@ -546,34 +547,32 @@ class VirtualMachineController:
         # slot; adopt() overwrites every column.)
         row = self.table.adopt(vm)
         self.vms.append(vm)
+        self._by_name[vm.name] = vm
         self._rows = np.append(self._rows, row)
-        self.monitors[vm.name] = FeatureMonitor(
-            vm, self.config.monitor_history
-        )
+        if self.table.capacity > self._ring.capacity:
+            self._ring.grow(self.table.capacity)
 
     def stats(self) -> dict[str, float]:
         """Aggregate pool statistics for reporting and dashboards."""
-        active = self.vms_in(VmState.ACTIVE)
+        table = self.table
+        n_active, n_standby, n_rejuvenating, n_failed = (
+            table.counts_by_state(self._rows)
+        )
+        active = self._active_rows()
         return {
             "n_vms": float(len(self.vms)),
-            "n_active": float(len(active)),
-            "n_standby": float(len(self.vms_in(VmState.STANDBY))),
-            "n_rejuvenating": float(len(self.vms_in(VmState.REJUVENATING))),
-            "n_failed": float(len(self.vms_in(VmState.FAILED))),
-            "total_requests": float(
-                sum(vm.total_requests for vm in self.vms)
-            ),
+            "n_active": float(n_active),
+            "n_standby": float(n_standby),
+            "n_rejuvenating": float(n_rejuvenating),
+            "n_failed": float(n_failed),
+            "total_requests": float(table.total_requests[self._rows].sum()),
             "total_rejuvenations": float(self.total_rejuvenations),
             "total_failures": float(self.total_failures),
             "mean_active_uptime_s": (
-                float(np.mean([vm.uptime_s for vm in active]))
-                if active
-                else 0.0
+                float(np.mean(table.uptime_s[active])) if n_active else 0.0
             ),
             "mean_leak_mb": (
-                float(np.mean([vm.leaked_mb for vm in active]))
-                if active
-                else 0.0
+                float(np.mean(table.leaked_mb[active])) if n_active else 0.0
             ),
             "effective_capacity": self.total_capacity(),
             "healthy_capacity": self.healthy_capacity(),
@@ -588,7 +587,9 @@ class VirtualMachineController:
                         f"cannot remove ACTIVE VM {name!r}; deactivate first"
                     )
                 del self.vms[i]
-                del self.monitors[name]
+                del self._by_name[name]
+                # a newcomer reusing the row must start with no history
+                self._ring.clear(vm.row)
                 # scrubs + frees the row and hands the VM back its
                 # scalar attributes, so the caller keeps a usable
                 # (detached) VirtualMachine

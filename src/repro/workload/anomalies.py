@@ -10,6 +10,13 @@ generate a memory leak, 5% of requests generate an unterminated thread."
 drawn from a log-normal (leaks in real applications are bursty: many small
 allocations, occasional large ones); each unterminated thread permanently
 occupies one thread slot and a small resident-set overhead.
+
+The sampling body is written once, in :meth:`AnomalyInjector.draw`, and
+returns a plain ``(leaked_mb, stuck_threads)`` pair: the simulator's hot
+callers (one draw per ACTIVE VM per era through :func:`draw_pool`, one per
+completed request in the DES) only ever add the two numbers to a VM's
+state.  :meth:`AnomalyInjector.inject` is the same draw wrapped into an
+:class:`AnomalyEffect` for callers that want the named, addable record.
 """
 
 from __future__ import annotations
@@ -25,10 +32,6 @@ DEFAULT_THREAD_PROBABILITY = 0.05
 
 class AnomalyEffect(NamedTuple):
     """Aggregate anomaly damage from a batch of requests.
-
-    A named tuple rather than a dataclass: one effect is constructed per
-    VM per era (and per request in the DES), and tuple construction is
-    roughly half the cost of a frozen dataclass on that hot path.
 
     Attributes
     ----------
@@ -107,17 +110,18 @@ class AnomalyInjector:
 
     # ------------------------------------------------------------------ #
 
-    def inject(self, n_requests: int) -> AnomalyEffect:
-        """Sample the anomaly damage done by ``n_requests`` requests.
+    def draw(self, n_requests: int) -> tuple[float, int]:
+        """Sample ``(leaked_mb, stuck_threads)`` done by ``n_requests`` requests.
 
         Vectorised: counts are binomial, leak sizes a single log-normal
         batch.  Suitable both for per-request DES (``n_requests=1``) and for
-        the fluid per-era model (``n_requests`` in the thousands).
+        the fluid per-era model (``n_requests`` in the thousands).  A batch
+        of zero requests consumes nothing from the stream.
         """
         if n_requests < 0:
             raise ValueError("n_requests must be >= 0")
         if n_requests == 0:
-            return ZERO_EFFECT
+            return 0.0, 0
         n_leaks = int(self._binomial(n_requests, self.leak_probability))
         n_threads = int(
             self._binomial(n_requests, self.thread_probability)
@@ -137,8 +141,14 @@ class AnomalyInjector:
                 leaked = float(sizes.sum())
         else:
             leaked = 0.0
-        leaked += n_threads * self.thread_overhead_mb
-        return AnomalyEffect(leaked, n_threads, n_requests)
+        return leaked + n_threads * self.thread_overhead_mb, n_threads
+
+    def inject(self, n_requests: int) -> AnomalyEffect:
+        """:meth:`draw` as an :class:`AnomalyEffect` record."""
+        if n_requests == 0:
+            return ZERO_EFFECT
+        leaked_mb, stuck_threads = self.draw(n_requests)
+        return AnomalyEffect(leaked_mb, stuck_threads, n_requests)
 
     def expected_leak_rate_mb(self, request_rate: float) -> float:
         """Mean MB leaked per second at the given request rate.
@@ -159,3 +169,24 @@ class AnomalyInjector:
         if request_rate < 0:
             raise ValueError("request_rate must be >= 0")
         return request_rate * self.thread_probability
+
+
+def draw_pool(
+    injectors: list[AnomalyInjector], counts: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One :meth:`AnomalyInjector.draw` per injector, as two delta arrays.
+
+    Each injector consumes its own stream, in list order, exactly as a
+    walk of ``inject(count)`` calls would; the result is the per-VM
+    ``(leaked_mb, stuck_threads)`` columns an era adds to the pool state.
+    """
+    leaked: list[float] = []
+    threads: list[int] = []
+    for injector, n_requests in zip(injectors, counts, strict=True):
+        leaked_mb, stuck_threads = injector.draw(n_requests)
+        leaked.append(leaked_mb)
+        threads.append(stuck_threads)
+    return (
+        np.array(leaked, dtype=np.float64),
+        np.array(threads, dtype=np.int64),
+    )

@@ -112,7 +112,7 @@ class TestGrowthAndCompaction:
         empty = np.empty(0, dtype=np.intp)
         assert table.feature_matrix(empty).shape == (0, 15)
         assert table.counts_by_state(empty) == (0, 0, 0, 0)
-        rt, failed = table.era_load_update(
+        rt, failed, _ = table.era_load_update(
             empty, np.empty(0, dtype=np.int64), 30.0, 1.5,
             np.empty(0), np.empty(0, dtype=np.int64),
         )

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workload import AnomalyEffect, AnomalyInjector
 from repro.workload.anomalies import (
     DEFAULT_LEAK_PROBABILITY,
     DEFAULT_THREAD_PROBABILITY,
     ZERO_EFFECT,
+    draw_pool,
 )
 
 
@@ -107,3 +110,83 @@ def test_zero_probability_injector_never_injects():
 def test_parameter_validation(kw):
     with pytest.raises(ValueError):
         make_injector(**kw)
+
+
+# --------------------------------------------------------------------- #
+# the lean pool-level draw vs. a walk of inject() calls
+# --------------------------------------------------------------------- #
+
+#: 0 and 1 (the DES batch), per-era batches, and batches large enough to
+#: draw >= 8 leaks and leave the sequential-sum branch
+COUNTS = st.one_of(
+    st.integers(0, 1), st.integers(2, 60), st.integers(150, 5_000)
+)
+
+
+def _reference_effect(rng, inj, n):
+    """The Sec. VI-A draw spelled on the bare generator: the stream contract.
+
+    Two binomials, then one log-normal batch iff a leak was drawn; always
+    ``ndarray.sum``, which the injector's small-batch Python sum must equal.
+    """
+    if n == 0:
+        return 0.0, 0, 0
+    n_leaks = int(rng.binomial(n, inj.leak_probability))
+    n_threads = int(rng.binomial(n, inj.thread_probability))
+    leaked = 0.0
+    if n_leaks:
+        sizes = rng.lognormal(inj._leak_mu, inj.leak_sigma, size=n_leaks)
+        leaked = float(sizes.sum())
+    return leaked + n_threads * inj.thread_overhead_mb, n_threads, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.lists(
+        st.lists(COUNTS, min_size=1, max_size=8), min_size=1, max_size=4
+    ),
+)
+def test_draw_pool_is_a_walk_of_inject_calls(seed, rounds):
+    """Same values, same types, and every stream left in the same state."""
+    width = max(map(len, rounds))
+    bare = [np.random.default_rng([seed, i]) for i in range(width)]
+    walked = [make_injector([seed, i]) for i in range(width)]
+    pooled = [make_injector([seed, i]) for i in range(width)]
+    for counts in rounds:
+        expected = [
+            _reference_effect(rng, inj, c)
+            for rng, inj, c in zip(bare, walked, counts)
+        ]
+        effects = [inj.inject(c) for inj, c in zip(walked, counts)]
+        assert effects == expected
+        leaked, threads = draw_pool(pooled[: len(counts)], counts)
+        assert leaked.dtype == np.float64 and threads.dtype == np.int64
+        assert leaked.tolist() == [e.leaked_mb for e in effects]
+        assert threads.tolist() == [e.stuck_threads for e in effects]
+        for rng, a, b in zip(bare, walked, pooled):
+            state = rng.bit_generator.state
+            assert a._rng.bit_generator.state == state
+            assert b._rng.bit_generator.state == state
+
+
+def test_draw_matches_inject_and_validates():
+    assert make_injector().draw(0) == (0.0, 0)
+    pair = make_injector(seed=11).draw(300)
+    effect = make_injector(seed=11).inject(300)
+    assert pair == (effect.leaked_mb, effect.stuck_threads)
+    assert type(pair[0]) is float and type(pair[1]) is int
+    with pytest.raises(ValueError):
+        make_injector().draw(-1)
+    with pytest.raises(ValueError):
+        draw_pool([make_injector(), make_injector()], [3, -1])
+    with pytest.raises(ValueError):
+        draw_pool([make_injector()], [3, 4])
+
+
+def test_anomaly_effect_record_unchanged():
+    assert AnomalyEffect._fields == ("leaked_mb", "stuck_threads", "n_requests")
+    assert ZERO_EFFECT == (0.0, 0, 0)
+    effect = make_injector(seed=4).inject(50)
+    assert type(effect) is AnomalyEffect and effect.n_requests == 50
+    assert effect + ZERO_EFFECT == effect
