@@ -45,20 +45,22 @@ def add_seed_option(
     )
 
 
-def _write_obs_dump(scenario, args: argparse.Namespace) -> None:
-    """Run one instrumented policy run of ``scenario``; dump telemetry."""
+def _write_obs_dump(scenario, run, path, policy="available-resources") -> None:
+    """Run one instrumented policy run of ``scenario``; dump telemetry.
+    ``run`` carries eras / seed / predictor / online_retrain: the parsed
+    flags, or the sweep job whose cell is instrumented."""
     from repro.experiments.runner import run_instrumented_experiment
 
     _, telemetry = run_instrumented_experiment(
         scenario,
-        "available-resources",
-        eras=args.eras,
-        seed=args.seed,
-        predictor=args.predictor,
-        online_retrain=getattr(args, "online_retrain", 0),
+        policy,
+        eras=run.eras,
+        seed=run.seed,
+        predictor=run.predictor,
+        online_retrain=run.online_retrain,
     )
-    telemetry.dump_json(args.obs_dump)
-    print(f"wrote telemetry dump: {args.obs_dump}")
+    telemetry.dump_json(path)
+    print(f"wrote telemetry dump: {path}")
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
@@ -77,7 +79,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
         )
     )
     if args.obs_dump:
-        _write_obs_dump(two_region_scenario(), args)
+        _write_obs_dump(two_region_scenario(), args, args.obs_dump)
     return 0
 
 
@@ -97,7 +99,7 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
         )
     )
     if args.obs_dump:
-        _write_obs_dump(three_region_scenario(), args)
+        _write_obs_dump(three_region_scenario(), args, args.obs_dump)
     return 0
 
 
@@ -302,27 +304,19 @@ def _split_csv(text: str) -> tuple[str, ...]:
     return tuple(part for part in (p.strip() for p in text.split(",")) if part)
 
 
-def _split_heads(text: str) -> tuple[str, ...]:
-    """Spec CSV for an optional sweep axis (policy heads, SLO): ``none``
-    means "axis off" (the historical path), so default sweeps keep
-    their digests."""
-    heads = tuple(
-        "" if part == "none" else part for part in _split_csv(text)
-    )
-    return heads or ("",)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.fleet import (
         FleetExecutor,
         ResultStore,
         SweepSpec,
         aggregate,
+        build_scenario,
         frontier_report,
         listing,
         markdown_report,
         write_cells_csv,
     )
+    from repro.fleet.axes import AXES, job_values, label_parts
 
     try:
         spec = SweepSpec(
@@ -333,11 +327,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             root_seed=args.seed,
             eras=args.eras,
             predictor=args.predictor,
-            retrain=tuple(int(x) for x in _split_csv(args.retrain)),
-            domains=_split_csv(args.domains),
-            policy_heads=_split_heads(args.policy_heads),
-            slo=_split_heads(args.slo),
             campaigns=_split_csv(args.campaigns),
+            **{
+                axis.spec_field: tuple(
+                    map(axis.parse, _split_csv(getattr(args, axis.spec_field)))
+                )
+                for axis in AXES
+            },
         )
     except ValueError as exc:
         print(f"invalid sweep spec: {exc}", file=sys.stderr)
@@ -397,18 +393,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "--obs-dump: no policy cells in this sweep", file=sys.stderr
             )
         else:
-            from repro.experiments.runner import run_instrumented_experiment
-            from repro.fleet import build_scenario
-
-            _, telemetry = run_instrumented_experiment(
-                build_scenario(first_policy.scenario, first_policy.load),
-                first_policy.policy,
-                eras=first_policy.eras,
-                seed=first_policy.seed,
-                predictor=first_policy.predictor,
+            # the two of the cell's axes the instrumented run takes
+            taken = ("online_retrain", "domains")
+            dropped = label_parts(
+                axis.off if axis.job_field in taken else value
+                for axis, value in zip(AXES, job_values(first_policy))
             )
-            telemetry.dump_json(args.obs_dump)
-            print(f"wrote telemetry dump: {args.obs_dump}")
+            if dropped:
+                print(
+                    f"--obs-dump: the instrumented run of {first_policy.label}"
+                    f" is made without {', '.join(dropped)}",
+                    file=sys.stderr,
+                )
+            scenario = build_scenario(
+                first_policy.scenario,
+                first_policy.load,
+                domains=first_policy.domains,
+            )
+            _write_obs_dump(
+                scenario, first_policy, args.obs_dump, first_policy.policy
+            )
     return 0 if outcome.ok else 1
 
 
@@ -841,41 +845,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="oracle",
         help="'oracle' or an F2PM model name ('rep-tree', 'm5p', ...)",
     )
-    ps.add_argument(
-        "--retrain",
-        default="0",
-        help=(
-            "comma list of online-retrain intervals in eras (one grid "
-            "axis; 0 = lifecycle off)"
-        ),
-    )
-    ps.add_argument(
-        "--domains",
-        default="flat",
-        help=(
-            "comma list of failure-domain shapes ('flat' or 'NxM', one "
-            "grid axis; the default keeps historical cell digests)"
-        ),
-    )
-    ps.add_argument(
-        "--policy-heads",
-        default="none",
-        help=(
-            "comma list of policy-head specs (one grid axis): 'none' = "
-            "no head, 'static:<policy>', 'frozen:<ckpt>', or a "
-            "checkpoint path; the default keeps historical cell digests"
-        ),
-    )
-    ps.add_argument(
-        "--slo",
-        default="none",
-        help=(
-            "comma list of SLO specs (one grid axis): 'none' = no SLO, "
-            "else 'p95:<s>' optionally extended with '+'-joined "
-            "key:value pairs (exit, queue, budget, window, dwell, "
-            "shed); the default keeps historical cell digests"
-        ),
-    )
+    from repro.fleet.axes import AXES
+
+    for axis in AXES:
+        flag = "--" + axis.spec_field.replace("_", "-")
+        ps.add_argument(flag, default=axis.off_token, help=axis.help)
     ps.add_argument(
         "--campaigns",
         default="",

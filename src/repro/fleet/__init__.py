@@ -6,6 +6,7 @@ at scale instead of one-by-one in-process:
 
 * :mod:`repro.fleet.spec` -- declarative :class:`SweepSpec` grids with
   per-job seeds derived from a single root seed;
+* :mod:`repro.fleet.axes` -- the one table of the grid's optional axes;
 * :mod:`repro.fleet.jobs` -- content-addressed :class:`JobSpec` units
   and their worker-side physics;
 * :mod:`repro.fleet.executor` -- the process-per-job

@@ -17,10 +17,12 @@ CSV form.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 
-from repro.fleet.jobs import JobSpec, head_label
+from repro.fleet.axes import ALL_OFF, JOB_FIELDS, job_values, label_parts
+from repro.fleet.jobs import JobSpec
 from repro.obs.manifest import RunManifest
 
 #: Headline metrics, in preferred column order; a report shows the ones
@@ -43,20 +45,12 @@ PREFERRED_METRICS = (
 _Z95 = 1.96
 
 
-def cell_key(
-    job: JobSpec,
-) -> tuple[str, str, str, float, int, str, str, str]:
-    """The grid cell a job belongs to (replicate index erased)."""
-    return (
-        job.kind,
-        job.scenario,
-        job.policy,
-        float(job.load),
-        int(job.online_retrain),
-        job.domains,
-        job.policy_head,
-        job.slo,
-    )
+def cell_key(job: JobSpec) -> tuple:
+    """The grid cell a job belongs to (replicate index erased): kind,
+    scenario, policy, load, then one value per optional axis in table
+    order."""
+    fixed = (job.kind, job.scenario, job.policy, float(job.load))
+    return fixed + job_values(job)
 
 
 @dataclass(frozen=True)
@@ -79,10 +73,8 @@ class CellStats:
     load: float
     n: int
     metrics: dict[str, MetricStats] = field(default_factory=dict)
-    retrain: int = 0
-    domains: str = "flat"
-    policy_head: str = ""
-    slo: str = ""
+    #: the cell's value on every optional axis, in table order
+    axes: tuple = ALL_OFF
 
     @property
     def label(self) -> str:
@@ -90,15 +82,7 @@ class CellStats:
         if self.policy:
             parts.append(self.policy)
         parts.append(f"load{self.load:g}")
-        # axis values appear only when non-default, matching JobSpec.label
-        if self.retrain:
-            parts.append(f"retrain{self.retrain}")
-        if self.domains != "flat":
-            parts.append(f"domains{self.domains}")
-        if self.policy_head:
-            parts.append(f"head:{head_label(self.policy_head)}")
-        if self.slo:
-            parts.append(f"slo:{self.slo}")
+        parts.extend(label_parts(self.axes))  # as in JobSpec.label
         return "/".join(parts)
 
 
@@ -129,38 +113,22 @@ def aggregate(
         raise ValueError(
             f"jobs ({len(jobs)}) and payloads ({len(payloads)}) differ"
         )
-    order: list[tuple] = []
-    grouped: dict[tuple, list[dict]] = {}
+    grouped: dict[tuple, list[dict]] = {}  # keeps first-seen order
     for job, payload in zip(jobs, payloads):
-        if payload is None:
-            continue
-        key = cell_key(job)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(payload)
+        if payload is not None:
+            grouped.setdefault(cell_key(job), []).append(payload)
 
     cells: list[CellStats] = []
-    for key in order:
-        kind, scenario, policy, load, retrain, domains, head, slo = key
-        rows = grouped[key]
+    for key, rows in grouped.items():
         numeric: dict[str, list[float]] = {}
         for row in rows:
             for name, value in row.items():
-                if isinstance(value, bool):
-                    numeric.setdefault(name, []).append(float(value))
-                elif isinstance(value, (int, float)):
+                if isinstance(value, (int, float)):  # bools are rates
                     numeric.setdefault(name, []).append(float(value))
         cell = CellStats(
-            kind=kind,
-            scenario=scenario,
-            policy=policy,
-            load=load,
+            *key[:4],  # kind, scenario, policy, load
             n=len(rows),
-            retrain=retrain,
-            domains=domains,
-            policy_head=head,
-            slo=slo,
+            axes=key[4:],
             metrics={
                 name: _stats(values)
                 for name, values in sorted(numeric.items())
@@ -288,19 +256,24 @@ def write_cells_csv(
 ) -> None:
     """Long-format CSV: one row per (cell, metric).
 
-    A leading ``# manifest:`` comment embeds the sweep provenance;
+    The cell key is ``kind, scenario, policy, load`` plus one column per
+    optional axis (always present, off values included), quoted by
+    :mod:`csv` since head specs are paths.  A leading ``# manifest:``
+    comment embeds the sweep provenance;
     :func:`repro.sim.tracing.read_csv_manifest` reads it back.
     """
     if not cells:
         raise ValueError("no cells to export")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         if manifest is not None:
             fh.write(f"# manifest: {manifest.to_json()}\n")
-        fh.write("kind,scenario,policy,load,n,metric,mean,std,ci95\n")
+        out = csv.writer(fh, lineterminator="\n")  # floats as repr()
+        out.writerow(
+            ["kind", "scenario", "policy", "load", *JOB_FIELDS]
+            + ["n", "metric", "mean", "std", "ci95"]
+        )
         for cell in cells:
+            key = [cell.kind, cell.scenario, cell.policy, cell.load]
+            key += [*cell.axes, cell.n]
             for name, stat in cell.metrics.items():
-                fh.write(
-                    f"{cell.kind},{cell.scenario},{cell.policy},"
-                    f"{cell.load!r},{cell.n},{name},"
-                    f"{stat.mean!r},{stat.std!r},{stat.ci95!r}\n"
-                )
+                out.writerow([*key, name, stat.mean, stat.std, stat.ci95])

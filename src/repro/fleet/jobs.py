@@ -36,6 +36,11 @@ Job kinds
     executor tests and the scheduling benchmark; they exercise the
     fleet machinery without simulating anything.
 
+``online_retrain``, ``domains``, ``policy_head`` and ``slo`` are the
+optional sweep axes: declared on :class:`JobSpec`, handed to the run by
+``_execute_policy``; what they add to a job's config, digest and label
+(nothing, when off) is the one table in :mod:`repro.fleet.axes`.
+
 Payloads are plain dicts of JSON-able scalars so that a store round-trip
 (`json.dumps` -> `json.loads`) is the identity: the determinism
 acceptance test compares payloads from serial and 4-worker runs with
@@ -52,6 +57,7 @@ import os
 import time
 from dataclasses import dataclass
 
+from repro.fleet.axes import AXES, job_values, label_parts, switched_on
 from repro.obs.manifest import RunManifest, config_digest
 
 #: Job kinds understood by :func:`execute_job`.
@@ -85,19 +91,16 @@ class JobSpec:
     eras: int
     era_s: float = 30.0
     predictor: str = "oracle"
-    #: online-lifecycle retrain interval in eras; 0 = lifecycle off
-    #: (only meaningful for ``policy`` jobs)
+    # one field per row of ``repro.fleet.axes.AXES``, defaulting to off:
+    #: online-lifecycle retrain interval in eras (``policy`` jobs only)
     online_retrain: int = 0
-    #: failure-domain shape descriptor ("flat" or "NxM"); applied to
-    #: every region of a ``policy`` job's scenario
+    #: failure-domain shape ("flat" or "NxM") of every scenario region
     domains: str = "flat"
     #: policy-head spec ("static:<policy>", "frozen:<path>", or a
-    #: checkpoint path; see :func:`repro.policy.checkpoint.load_head`).
-    #: Empty = no head (the historical static Plan path).  ``policy``
-    #: jobs resolve it frozen; ``rollout`` jobs keep it trainable.
+    #: checkpoint path; see :func:`repro.policy.checkpoint.load_head`);
+    #: ``policy`` jobs resolve it frozen, ``rollout`` jobs trainable
     policy_head: str = ""
-    #: SLO spec (``parse_slo_spec`` grammar, e.g. "p95:0.5+dwell:120").
-    #: Empty = no SLO controller (the historical loop, bit-identical).
+    #: SLO spec (``parse_slo_spec`` grammar, e.g. "p95:0.5+dwell:120")
     slo: str = ""
 
     def __post_init__(self) -> None:
@@ -105,16 +108,8 @@ class JobSpec:
             raise ValueError(
                 f"unknown job kind {self.kind!r}; expected one of {JOB_KINDS}"
             )
-        if self.online_retrain < 0:
-            raise ValueError("online_retrain must be >= 0")
-        if self.domains != "flat":
-            from repro.topology.domains import parse_domain_shape
-
-            parse_domain_shape(self.domains)  # ValueError on garbage
-        if self.slo:
-            from repro.slo.evaluator import parse_slo_spec
-
-            parse_slo_spec(self.slo)  # ValueError on garbage
+        for axis, value in zip(AXES, job_values(self)):
+            axis.check(value)  # ValueError on garbage
 
     def config(self) -> dict:
         """The effective configuration this job is a pure function of."""
@@ -129,19 +124,8 @@ class JobSpec:
             "era_s": float(self.era_s),
             "predictor": self.predictor,
         }
-        if self.online_retrain:
-            # keyed only when on, so pre-lifecycle job digests (and the
-            # store entries they address) are unchanged
-            config["online_retrain"] = int(self.online_retrain)
-        if self.domains != "flat":
-            # same digest-stability rule for the failure-domain shape
-            config["domains"] = self.domains
-        if self.policy_head:
-            # same digest-stability rule for the learned-head axis
-            config["policy_head"] = self.policy_head
-        if self.slo:
-            # same digest-stability rule for the SLO axis
-            config["slo"] = self.slo
+        for axis, value in switched_on(job_values(self)):
+            config[axis.job_field] = axis.cast(value)
         return config
 
     @property
@@ -156,14 +140,7 @@ class JobSpec:
         if self.policy:
             parts.append(self.policy)
         parts.append(f"load{self.load:g}")
-        if self.online_retrain:
-            parts.append(f"retrain{self.online_retrain}")
-        if self.domains != "flat":
-            parts.append(f"domains{self.domains}")
-        if self.policy_head:
-            parts.append(f"head:{head_label(self.policy_head)}")
-        if self.slo:
-            parts.append(f"slo:{self.slo}")
+        parts.extend(label_parts(job_values(self)))
         parts.append(f"rep{self.replicate}")
         return "/".join(parts)
 
@@ -178,31 +155,10 @@ class JobSpec:
 
     @classmethod
     def from_config(cls, config: dict) -> "JobSpec":
-        """Rebuild a spec from its :meth:`config` dict (store entries)."""
-        return cls(
-            kind=str(config["kind"]),
-            scenario=str(config["scenario"]),
-            policy=str(config["policy"]),
-            load=float(config["load"]),
-            seed=int(config["seed"]),
-            replicate=int(config["replicate"]),
-            eras=int(config["eras"]),
-            era_s=float(config["era_s"]),
-            predictor=str(config["predictor"]),
-            online_retrain=int(config.get("online_retrain", 0)),
-            domains=str(config.get("domains", "flat")),
-            policy_head=str(config.get("policy_head", "")),
-            slo=str(config.get("slo", "")),
-        )
-
-
-def head_label(spec: str) -> str:
-    """Short display form of a head spec (checkpoint paths -> basename)."""
-    if spec.startswith("static:"):
-        return spec
-    if spec.startswith("frozen:"):
-        return "frozen:" + os.path.basename(spec.split(":", 1)[1])
-    return os.path.basename(spec) if spec else spec
+        """Rebuild a spec from its :meth:`config` dict (store entries):
+        its keys are field names, and an axis it does not key is off,
+        which is that field's default."""
+        return cls(**config)
 
 
 # ------------------------------------------------------------------ #

@@ -1,9 +1,10 @@
 """Declarative sweep specifications.
 
 A :class:`SweepSpec` names the grid the paper's evaluation implies --
-(scenario x policy x load x seed replicate), optionally extended with
-chaos campaigns -- and :meth:`~SweepSpec.expand` turns it into the
-deterministic, cartesian job list the fleet executor runs.
+(scenario x policy x load x seed replicate), optionally widened by the
+axes of :mod:`repro.fleet.axes` and extended with chaos campaigns -- and
+:meth:`~SweepSpec.expand` turns it into the deterministic, cartesian job
+list the fleet executor runs.
 
 Seeds derive from one root: each job's seed is
 ``derive_seed(root_seed, cell-name/repN)`` (see
@@ -11,28 +12,26 @@ Seeds derive from one root: each job's seed is
 
 * the whole sweep is reproducible from ``(spec, root_seed)``;
 * replicates of a cell are statistically independent;
-* adding a policy or load level never perturbs the seeds of existing
-  cells (each cell's name, not its grid position, feeds the hash).
+* adding a policy, a load level or an optional axis never perturbs the
+  seeds of existing cells (each cell's name, not its grid position,
+  feeds the hash, and an axis at its off value is not in the name).
 
-Expansion order is fixed -- scenario-major, then policy, then load,
-then replicate, chaos cells last -- so a job list, its digests, and
-every downstream aggregate are identical across processes and machines.
+Expansion order is fixed -- scenario-major, then policy, then load, then
+the optional axes in table order, then replicate, chaos cells last -- so
+a job list, its digests, and every downstream aggregate are identical
+across processes and machines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
 
-from repro.fleet.jobs import (
-    POLICY_SCENARIOS,
-    JobSpec,
-    head_label,
-    parse_scenario_key,
-)
+from repro.fleet.axes import AXES, JOB_FIELDS, name_suffix
+from repro.fleet.jobs import POLICY_SCENARIOS, JobSpec, parse_scenario_key
 from repro.obs.manifest import RunManifest
 from repro.sim.rng import derive_seed
-from repro.slo.evaluator import parse_slo_spec
-from repro.topology.domains import parse_domain_shape
 
 #: Documented default root seed, shared with the CLI (`--seed`).
 DEFAULT_ROOT_SEED = 7
@@ -56,20 +55,15 @@ class SweepSpec:
     eras: int = 60
     era_s: float = 30.0
     predictor: str = "oracle"
-    #: online-lifecycle retrain intervals (eras; 0 = lifecycle off), an
-    #: on/off (or interval-comparison) grid axis over the policy cells
+    # the optional axes over the policy cells: one field per row of
+    # ``repro.fleet.axes.AXES``, defaulting to ``(off,)``
+    #: online-lifecycle retrain intervals in eras
     retrain: tuple[int, ...] = (0,)
-    #: failure-domain shapes ("flat" or "NxM", see
-    #: :func:`repro.topology.domains.parse_domain_shape`), a grid axis
-    #: over the policy cells; the default keeps historical digests
+    #: failure-domain shapes ("flat" or "NxM")
     domains: tuple[str, ...] = ("flat",)
-    #: policy-head specs ("" = static Plan path, "static:<policy>",
-    #: "frozen:<path>", or a checkpoint path), a grid axis over the
-    #: policy cells; the default keeps historical digests
+    #: policy-head specs ("static:<policy>", "frozen:<path>", a path)
     policy_heads: tuple[str, ...] = ("",)
-    #: SLO specs ("" = no SLO, else ``parse_slo_spec`` grammar, e.g.
-    #: "p95:0.5+dwell:120"), a grid axis over the policy cells; the
-    #: default keeps historical digests
+    #: SLO specs (``parse_slo_spec`` grammar, e.g. "p95:0.5+dwell:120")
     slo: tuple[str, ...] = ("",)
     #: chaos campaigns appended as extra cells (policy axis not applied)
     campaigns: tuple[str, ...] = ()
@@ -89,39 +83,34 @@ class SweepSpec:
             raise ValueError("replicates must be >= 1")
         if any(load <= 0 for load in self.loads):
             raise ValueError(f"loads must be positive, got {self.loads}")
-        if not self.retrain or any(r < 0 for r in self.retrain):
-            raise ValueError(
-                f"retrain intervals must be >= 0, got {self.retrain}"
-            )
-        if not self.domains:
-            raise ValueError("domains axis must name at least one shape")
-        for shape in self.domains:
-            parse_domain_shape(shape)  # raises ValueError on garbage
-        if not self.policy_heads:
-            raise ValueError(
-                "policy_heads axis must name at least one spec "
-                '("" = no head)'
-            )
-        if not self.slo:
-            raise ValueError(
-                'slo axis must name at least one spec ("" = no SLO)'
-            )
-        for spec in self.slo:
-            if spec:
-                parse_slo_spec(spec)  # raises ValueError on garbage
+        grid = self._grid()
+        for axis in AXES:
+            if not grid[axis.spec_field]:
+                raise ValueError(
+                    f"{axis.spec_field} axis must name at least one value"
+                )
+            for value in grid[axis.spec_field]:
+                axis.check(value)  # raises ValueError on garbage
+        for name, values in {**grid, "campaigns": self.campaigns}.items():
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {tuple(values)}")
         if self.eras < 10:
             raise ValueError("eras must be >= 10 (assessment minimum)")
         if self.cell_count == 0:
             raise ValueError("spec expands to zero jobs")
 
+    def _grid(self) -> dict:
+        """The policy cells' axes, field name -> values, in expansion
+        order: scenarios, policies, loads, the optional axes in table order."""
+        names = ["scenarios", "policies", "loads"]
+        names += [axis.spec_field for axis in AXES]
+        return {name: getattr(self, name) for name in names}
+
     @property
     def cell_count(self) -> int:
         """Grid cells (each cell holds ``replicates`` jobs)."""
-        return len(self.scenarios) * len(self.policies) * len(
-            self.loads
-        ) * len(self.retrain) * len(self.domains) * len(
-            self.policy_heads
-        ) * len(self.slo) + len(self.campaigns)
+        cells = math.prod(map(len, self._grid().values()))
+        return cells + len(self.campaigns)
 
     @property
     def job_count(self) -> int:
@@ -130,56 +119,25 @@ class SweepSpec:
     def expand(self) -> list[JobSpec]:
         """The full job list, in the fixed deterministic order."""
         jobs: list[JobSpec] = []
-        for scenario in self.scenarios:
-            for policy in self.policies:
-                for load in self.loads:
-                    for retrain in self.retrain:
-                        # the retrain-off / flat-domain cells keep the
-                        # historical cell names, so adding either axis
-                        # never perturbs the seeds (or store digests)
-                        # of existing cells
-                        suffix = f"/retrain{retrain}" if retrain else ""
-                        for domains in self.domains:
-                            dsuffix = (
-                                f"/domains{domains}"
-                                if domains != "flat"
-                                else ""
-                            )
-                            for head in self.policy_heads:
-                                # the head-less cells keep the
-                                # historical names (same rule as the
-                                # retrain/domains axes)
-                                hsuffix = f"/head:{head}" if head else ""
-                                for slo in self.slo:
-                                    # the SLO-less cells keep the
-                                    # historical names too
-                                    ssuffix = f"/slo:{slo}" if slo else ""
-                                    for rep in range(self.replicates):
-                                        cell = (
-                                            f"{scenario}/{policy}"
-                                            f"/load{load:g}"
-                                            f"{suffix}{dsuffix}{hsuffix}"
-                                            f"{ssuffix}/rep{rep}"
-                                        )
-                                        jobs.append(
-                                            JobSpec(
-                                                kind="policy",
-                                                scenario=scenario,
-                                                policy=policy,
-                                                load=float(load),
-                                                seed=derive_seed(
-                                                    self.root_seed, cell
-                                                ),
-                                                replicate=rep,
-                                                eras=self.eras,
-                                                era_s=self.era_s,
-                                                predictor=self.predictor,
-                                                online_retrain=retrain,
-                                                domains=domains,
-                                                policy_head=head,
-                                                slo=slo,
-                                            )
-                                        )
+        for scenario, policy, load, *values in itertools.product(
+            *self._grid().values()
+        ):
+            cell = f"{scenario}/{policy}/load{load:g}{name_suffix(values)}"
+            for rep in range(self.replicates):
+                jobs.append(
+                    JobSpec(
+                        kind="policy",
+                        scenario=scenario,
+                        policy=policy,
+                        load=float(load),
+                        seed=derive_seed(self.root_seed, f"{cell}/rep{rep}"),
+                        replicate=rep,
+                        eras=self.eras,
+                        era_s=self.era_s,
+                        predictor=self.predictor,
+                        **dict(zip(JOB_FIELDS, values)),
+                    )
+                )
         for campaign in self.campaigns:
             for rep in range(self.replicates):
                 cell = f"chaos/{campaign}/rep{rep}"
@@ -212,19 +170,10 @@ class SweepSpec:
             "campaigns": list(self.campaigns),
             "campaign_eras": self.campaign_eras,
         }
-        if self.retrain != (0,):
-            # keyed only when the axis is used: pre-lifecycle sweep
-            # manifests keep their digests
-            config["retrain"] = [int(r) for r in self.retrain]
-        if self.domains != ("flat",):
-            # same digest-stability rule for the failure-domain axis
-            config["domains"] = list(self.domains)
-        if self.policy_heads != ("",):
-            # same digest-stability rule for the learned-head axis
-            config["policy_heads"] = list(self.policy_heads)
-        if self.slo != ("",):
-            # same digest-stability rule for the SLO axis
-            config["slo"] = list(self.slo)
+        for axis in AXES:
+            values = getattr(self, axis.spec_field)
+            if axis.used(values):
+                config[axis.spec_field] = [axis.cast(v) for v in values]
         return config
 
     def manifest(self) -> RunManifest:

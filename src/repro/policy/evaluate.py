@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.fleet.axes import head_label
 from repro.fleet.executor import FleetExecutor
-from repro.fleet.jobs import JobSpec, head_label, parse_scenario_key
+from repro.fleet.jobs import JobSpec, parse_scenario_key
 from repro.fleet.store import ResultStore
 from repro.obs.manifest import RunManifest
 from repro.sim.rng import derive_seed

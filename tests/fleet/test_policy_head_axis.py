@@ -8,8 +8,9 @@ one is set.
 
 import pytest
 
-from repro.fleet.aggregate import CellStats, cell_key
-from repro.fleet.jobs import JobSpec, head_label, parse_scenario_key
+from repro.fleet.aggregate import cell_key
+from repro.fleet.axes import head_label
+from repro.fleet.jobs import JobSpec, parse_scenario_key
 from repro.fleet.spec import SweepSpec
 
 
@@ -87,25 +88,6 @@ class TestAggregation:
         assert cell_key(plain) != cell_key(headed)
         assert cell_key(headed)[-2] == "static:uniform"
         assert len(cell_key(plain)) == 8
-
-    def test_cell_stats_label(self):
-        plain = CellStats(
-            kind="policy",
-            scenario="two-region",
-            policy="uniform",
-            load=1.0,
-            n=1,
-        )
-        headed = CellStats(
-            kind="policy",
-            scenario="two-region",
-            policy="uniform",
-            load=1.0,
-            n=1,
-            policy_head="static:uniform",
-        )
-        assert "head:" not in plain.label
-        assert "head:static:uniform" in headed.label
 
 
 class TestHeadLabel:

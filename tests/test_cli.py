@@ -97,6 +97,82 @@ class TestSweepCommand:
         assert rc == 2
         assert "invalid sweep spec" in capsys.readouterr().err
 
+    def test_repeated_axis_value_exits_2(self, capsys):
+        rc = main(
+            ["sweep", "--scenarios", "two-region", "--policies", "uniform",
+             "--slo", "none,none", "--dry-run"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid sweep spec" in err and "slo repeats" in err
+
+    def test_axis_flags_default_to_their_off_token(self):
+        args = build_parser().parse_args(["sweep"])
+        assert (args.retrain, args.domains) == ("0", "flat")
+        assert (args.policy_heads, args.slo) == ("none", "none")
+
+    def test_dry_run_with_every_axis_flag_is_the_spec_listing(self, capsys):
+        from repro.fleet.spec import SweepSpec, listing
+
+        rc = main(
+            ["sweep", "--scenarios", "two-region", "--policies", "uniform",
+             "--loads", "0.5,1", "--replicates", "2", "--eras", "12",
+             "--retrain", "0,8", "--domains", "flat,2x2",
+             "--policy-heads", "none,static:uniform,frozen:/tmp/a/ckpt.json",
+             "--slo", "none,p95:0.5+dwell:120", "--dry-run"]
+        )
+        assert rc == 0
+        spec = SweepSpec(
+            scenarios=("two-region",),
+            policies=("uniform",),
+            loads=(0.5, 1.0),
+            replicates=2,
+            eras=12,
+            retrain=(0, 8),
+            domains=("flat", "2x2"),
+            policy_heads=("", "static:uniform", "frozen:/tmp/a/ckpt.json"),
+            slo=("", "p95:0.5+dwell:120"),
+        )
+        head, _, table = capsys.readouterr().out.partition("\n")
+        assert head == "sweep: 48 cells x 2 replicates = 96 jobs (root seed 7)"
+        assert table == listing(spec.expand()) + "\n"
+
+    def test_obs_dump_instruments_the_cell_it_names(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The dump's run gets the first cell's domain shape and retrain
+        interval, and says which axes it cannot carry."""
+        from repro.experiments import runner
+
+        seen = {}
+
+        class _Telemetry:
+            def dump_json(self, path):
+                seen["path"] = path
+
+        def fake(scenario, policy, **kw):
+            seen.update(kw, scenario=scenario, policy=policy)
+            return None, _Telemetry()
+
+        monkeypatch.setattr(runner, "run_instrumented_experiment", fake)
+        dump = str(tmp_path / "dump.json")
+        rc = main(
+            ["sweep", "--scenarios", "two-region", "--policies", "uniform",
+             "--loads", "0.25", "--replicates", "1", "--eras", "12",
+             "--retrain", "8", "--domains", "2x2", "--slo", "p95:0.5",
+             "--store", str(tmp_path / "store"), "--obs-dump", dump]
+        )
+        assert rc == 0
+        assert seen["path"] == dump
+        assert seen["online_retrain"] == 8
+        assert {
+            (r.n_azs, r.racks_per_az) for r in seen["scenario"].regions
+        } == {(2, 2)}
+        err = capsys.readouterr().err
+        assert "--obs-dump" in err and "slo:p95:0.5" in err
+        assert "retrain8" in err  # names the cell; only slo is dropped
+        assert "without slo:p95:0.5\n" in err
+
     def test_run_resume_and_gc(self, capsys, tmp_path):
         store = str(tmp_path / "store")
         base = [
