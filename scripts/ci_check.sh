@@ -61,7 +61,13 @@
 #      `_lognormal(` call under `src/repro`); the optional sweep axes are
 #      spelled in `fleet/axes.py` only (no axis name fragment such as
 #      `f"/retrain{` and no comparison against an off value such as
-#      `!= "flat"` or `!= ("",)` anywhere else under `src/repro`).
+#      `!= "flat"` or `!= ("",)` anywhere else under `src/repro`); the
+#      per-region control step lives in `pcam/vmc.py` only (nothing under
+#      `core/` or `serve/` calls `predict_rttf_rows(` or
+#      `start_rejuvenation(`, and the DES loop's `_region_pcam` copy is
+#      gone), and the SLO plane lives in `slo/controller.py` only (no
+#      `PriorityLadder(` / `SloEvaluator(` built anywhere else, and
+#      serve's `_slo_note` / `_slo_refresh` / `_slo_gates` are gone).
 #
 # Usage:  scripts/ci_check.sh   (from the repository root or anywhere)
 
@@ -348,6 +354,19 @@ fi
 if grep -rnE 'f"/?(retrain|domains|head:|slo:)\{|!= \(?"flat"|!= \("",\)|!= \(0,\)' \
         src/repro --include='*.py' | grep -v "^src/repro/fleet/axes.py:"; then
     echo "a sweep axis is hand-gated outside fleet/axes.py" >&2; exit 1
+fi
+if grep -rnE "predict_rttf_rows\(|start_rejuvenation\(" \
+        src/repro/core src/repro/serve --include='*.py'; then
+    echo "a host re-implements the VMC's predict -> swap step" >&2; exit 1
+fi
+if grep -rnE "(PriorityLadder|SloEvaluator)\(" src/repro --include='*.py' \
+        | grep -v "^src/repro/slo/controller.py:"; then
+    echo "an SLO plane is built outside slo/controller.py" >&2; exit 1
+fi
+if grep -rnE "_region_pcam|_slo_note|_slo_refresh|_slo_gates" src/ \
+        --include='*.py'; then
+    echo "the DES loop's PCAM copy / serve's private SLO plane is back" >&2
+    exit 1
 fi
 
 echo "ci_check: all gates passed"

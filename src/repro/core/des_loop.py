@@ -9,18 +9,21 @@ per-request discrete events, the way the paper's actual testbed operated:
   processing pays the overlay round trip);
 * requests queue at individual VMs (join-shortest-queue within a region)
   and inject anomalies on completion;
-* at every era boundary the per-VM RTTF is predicted, at-risk VMs are
-  swapped against standbys (the PCAM pairing rule), the leader folds the
-  region reports through Eq. (1) and runs ``POLICY()``.
+* at every era boundary each region's
+  :class:`~repro.pcam.vmc.VirtualMachineController` closes the era
+  (``close_era``: predict per-VM RTTF, swap at-risk VMs against standbys,
+  report ``lastRMTTF``), the leader folds the region reports through
+  Eq. (1) and runs ``POLICY()``.
 
-It is intentionally oracle-predictor-only and lighter than the fluid loop
-(no autoscaling, no partitions): its job is to confirm that the policy
-conclusions do not depend on the fluid approximation.  The DES-FIG3 bench
-runs both loops on the same deployment and compares verdicts.  With no
-report loss and no election, its leader step is the bare ``update_all``
--> ``compute_fractions`` -> ``build_forward_plan``, not
-``AcmControlLoop.plan``; what it shares with the serve runtime is the
-installed plan, a ``PlanTable``.
+Its job is to confirm that the policy conclusions do not depend on the
+fluid approximation (the DES-FIG3 bench runs both loops on the same
+deployment and compares verdicts), so its regions run the VMC the fluid
+loop runs and only the load reaches the state table differently: one
+completion at a time instead of one batch an era.  The leader stays
+lighter (no autoscaling, no partitions): with no report loss and no
+election, its step is the bare ``update_all`` -> ``compute_fractions``
+-> ``build_forward_plan``, not ``AcmControlLoop.plan``; what it shares
+with the serve runtime is the installed plan, a ``PlanTable``.
 
 Hot-path layout
 ---------------
@@ -62,13 +65,9 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.routing import NoRouteError, Router
 from repro.pcam.predictor import RttfPredictor
-from repro.pcam.state_table import (
-    CODE_ACTIVE,
-    CODE_FAILED,
-    CODE_STANDBY,
-    VmStateTable,
-)
-from repro.pcam.vm import VirtualMachine, VmState
+from repro.pcam.state_table import CODE_ACTIVE, CODE_FAILED, VmStateTable
+from repro.pcam.vm import VirtualMachine
+from repro.pcam.vmc import VirtualMachineController, VmcConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import TraceRecorder
@@ -81,38 +80,43 @@ FORWARD_FALLBACK_PENALTY_S = 0.5
 
 @dataclass
 class _RegionState:
-    """Mutable per-region bookkeeping of the DES loop."""
+    """What the per-request path keeps per region, beside its VMC."""
 
-    name: str
     vms: list[VirtualMachine]
     population: BrowserPopulation
-    target_active: int
     #: Outstanding requests per VM, indexed by slot (position in ``vms``).
     in_flight: list[int]
-    #: Life (incarnation) number per slot, incremented every time the VM
-    #: is sent to rejuvenation.  A completion whose request was issued in
-    #: a previous life must not mutate the fresh VM: without this gate a
-    #: long-queued request could dump its (rejuvenation-spanning) response
-    #: time into a just-reactivated VM and instantly SLA-fail it.
-    life: list[int]
-    #: The pool's VM state, adopted in pool order (row index == slot).
+    #: The VMC's state table; it adopts in pool order, so row == slot.
     table: VmStateTable
+    #: Life (incarnation) number per slot: the table's
+    #: ``rejuvenation_count`` column as of the last era boundary.  A
+    #: completion whose request was issued in a previous life must not
+    #: mutate the fresh VM: without this gate a long-queued request could
+    #: dump its (rejuvenation-spanning) response time into a
+    #: just-reactivated VM and instantly SLA-fail it.
+    life: list[int] = field(default_factory=list)
     #: Slots of ACTIVE VMs in ``vms`` order; rebuilt at era boundaries and
     #: maintained incrementally on mid-era failures.
     active_slots: list[int] = field(default_factory=list)
     era_completed: int = 0
     era_response_sum: float = 0.0
+    #: VMs that hit their failure point under this era's requests.
+    era_failures: int = 0
     #: Active VM count at the start of the current era -- the divisor for
     #: the per-VM request rate (VMs that fail mid-era still served it).
     era_active_start: int = 0
 
-    def active(self) -> list[VirtualMachine]:
-        return [vm for vm in self.vms if vm.state is VmState.ACTIVE]
-
     def rebuild_active_slots(self) -> None:
+        """Re-read what the request path caches off the table, and open
+        the next era's accounting."""
         self.active_slots = np.flatnonzero(
             self.table.state_code == CODE_ACTIVE
         ).tolist()
+        self.life = self.table.rejuvenation_count.tolist()
+        self.era_active_start = len(self.active_slots)
+        self.era_completed = 0
+        self.era_response_sum = 0.0
+        self.era_failures = 0
 
 
 class DesControlLoop:
@@ -122,11 +126,11 @@ class DesControlLoop:
     ----------
     regions:
         name -> (vms, population, target_active).  VM pools should start
-        in STANDBY; the loop activates the targets.  Each pool is adopted
-        into a :class:`~repro.pcam.state_table.VmStateTable` (row index ==
-        slot): the per-request path reads and writes its cells, the
-        era-boundary analytics are array passes, and the VM objects stay
-        valid views.
+        in STANDBY; each region's VMC (``loop.vmcs``) adopts its pool into
+        a :class:`~repro.pcam.state_table.VmStateTable` (row index ==
+        slot) and activates the target: the per-request path reads and
+        writes the table's cells, the VMC closes each era over it, and
+        the VM objects stay valid views.
     policy:
         The ``POLICY()`` of Algorithm 2.
     predictor:
@@ -172,17 +176,15 @@ class DesControlLoop:
         if era_s <= 0:
             raise ValueError("era_s must be positive")
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._obs_on = self._tel.enabled
         self.sim = clock if clock is not None else Simulator(telemetry=telemetry)
         self.policy = policy
-        self.predictor = predictor
         self.era_s = float(era_s)
-        self.rttf_threshold_s = float(rttf_threshold_s)
         self.mean_demand = float(mean_demand)
         self.region_names = sorted(regions)
         self.aggregator = RmttfAggregator(beta)
         self.traces = TraceRecorder()
         self.fractions = policy.initial_fractions(len(self.region_names))
+        self.vmcs: dict[str, VirtualMachineController] = {}
         self._states: dict[str, _RegionState] = {}
         self._rngs = {
             name: rngs.child(name).stream("des") for name in self.region_names
@@ -191,24 +193,24 @@ class DesControlLoop:
             vms, population, target = regions[name]
             if target < 1 or target > len(vms):
                 raise ValueError(f"{name}: bad target_active {target}")
-            table = VmStateTable(len(vms))
-            rows = table.adopt_all(vms)
-            # adoption in pool order makes row index == slot index,
-            # which the per-request path relies on
-            assert rows.size == 0 or int(rows[-1]) == len(vms) - 1
-            state = _RegionState(
-                name=name,
+            vmc = self.vmcs[name] = VirtualMachineController(
+                name,
+                vms,
+                predictor,
+                VmcConfig(
+                    rttf_threshold_s=rttf_threshold_s,
+                    target_active=target,
+                    mean_demand=mean_demand,
+                ),
+                telemetry=telemetry,
+            )
+            state = self._states[name] = _RegionState(
                 vms=vms,
                 population=population,
-                target_active=target,
                 in_flight=[0] * len(vms),
-                life=[0] * len(vms),
-                table=table,
+                table=vmc.table,
             )
-            self._states[name] = state
-            self._ensure_active(state)
             state.rebuild_active_slots()
-            state.era_active_start = len(state.active_slots)
         # index-aligned views of the per-name maps (hot-path access)
         self._state_by_idx = [self._states[r] for r in self.region_names]
         self._rng_by_idx = [self._rngs[r] for r in self.region_names]
@@ -219,13 +221,14 @@ class DesControlLoop:
                 self._tel.histogram("request_response_time_s", region=r)
                 for r in self.region_names
             ]
-            if self._obs_on
+            if self._tel.enabled
             else None
         )
         self.overlay = overlay
         self._router = Router(overlay) if overlay is not None else None
         self._install_plan()
         self.era_index = 0
+        #: Swaps and VM failures over all regions, as of the last boundary.
         self.total_rejuvenations = 0
         self.total_failures = 0
         self.total_forward_fallbacks = 0
@@ -241,11 +244,6 @@ class DesControlLoop:
             dtype=float,
         )
         return counts / counts.sum()
-
-    def _ensure_active(self, state: _RegionState) -> None:
-        state.table.activate_standby(
-            np.arange(len(state.vms)), state.target_active
-        )
 
     def _install_plan(self) -> None:
         """Execute: install the forward plan realising ``self.fractions``
@@ -359,13 +357,10 @@ class DesControlLoop:
             if table.failure_point_at(slot):
                 table.state_code[slot] = CODE_FAILED
                 table.failure_count[slot] += 1
-                # mid-era failure: out of JSQ now, ``vms`` order kept
+                # mid-era failure: out of JSQ now, ``vms`` order kept; the
+                # VMC reports it (event, counter) when it closes the era
                 state.active_slots.remove(slot)
-                self.total_failures += 1
-                if self._obs_on:
-                    self._tel.event(
-                        "vm.failure", region=state.name, vm=vm.name
-                    )
+                state.era_failures += 1
         self._schedule_next(i)
 
     def _schedule_next(self, i: int) -> None:
@@ -424,102 +419,35 @@ class DesControlLoop:
         return current
 
     def _analyze_regions(self, now: float) -> tuple[dict[str, float], float]:
-        """Per-region era accounting, prediction, and PCAM swaps."""
+        """Per-region era accounting, then the VMC's close-out."""
         reports: dict[str, float] = {}
         lam = 0.0
         for name in self.region_names:
             state = self._states[name]
-            # uptime bookkeeping for this era.  The per-VM rate divides by
-            # the active count that *started* the era: VMs that failed
-            # mid-era served part of it, and excluding them would inflate
-            # the rate the ML features see.
-            rate_per_vm = (
-                state.era_completed
-                / max(state.era_active_start, 1)
-                / self.era_s
+            table = state.table
+            completed = state.era_completed
+            # what a batch era stamps while applying its load.  The per-VM
+            # rate divides by the active count that *started* the era: VMs
+            # that failed mid-era served part of it, and excluding them
+            # would inflate the rate the ML features see.
+            active = table.state_code == CODE_ACTIVE
+            table.uptime_s[active] += self.era_s
+            table.last_request_rate[active] = (
+                completed / max(state.era_active_start, 1) / self.era_s
             )
-            mttf_values = self._region_pcam(state, name, rate_per_vm)
-            self._ensure_active(state)
+            mean_rt = state.era_response_sum / completed if completed else 0.0
+            report = self.vmcs[name].close_era(
+                self.era_s, now, completed, mean_rt, state.era_failures
+            )
             state.rebuild_active_slots()
-            state.era_active_start = len(state.active_slots)
+            self.total_rejuvenations += report.rejuvenations_triggered
+            self.total_failures += report.failures
 
-            reports[name] = (
-                float(np.mean(mttf_values)) if len(mttf_values) else 0.0
-            )
-            rate = state.era_completed / self.era_s
-            lam += rate
-            mean_rt = (
-                state.era_response_sum / state.era_completed
-                if state.era_completed
-                else 0.0
-            )
-            self.traces.record(f"completed/{name}", now, state.era_completed)
+            reports[name] = report.last_rmttf
+            lam += completed / self.era_s
+            self.traces.record(f"completed/{name}", now, completed)
             self.traces.record(f"response_time/{name}", now, mean_rt)
-            state.era_completed = 0
-            state.era_response_sum = 0.0
         return reports, lam
-
-    def _region_pcam(
-        self, state: _RegionState, name: str, rate_per_vm: float
-    ) -> np.ndarray:
-        """Era accounting + PCAM swaps as array passes over the table.
-
-        Predicts once per era from one stacked feature matrix (MTTF
-        derives from the in-hand RTTF: a second prediction would
-        double-append to trend-predictor histories) and swaps at-risk
-        VMs against standbys; only the swap actuation itself walks the
-        (few) affected VMs.
-        """
-        table = state.table
-        active_mask = table.state_code == CODE_ACTIVE
-        table.uptime_s[active_mask] += self.era_s
-        table.last_request_rate[active_mask] = rate_per_vm
-        table.idle_tick(np.arange(len(state.vms)), self.era_s)
-        slots = np.flatnonzero(active_mask)
-        pool = [state.vms[s] for s in slots.tolist()]
-        features = table.feature_matrix(slots)
-        rttf_arr = np.asarray(
-            self.predictor.predict_rttf_rows(features, pool),
-            dtype=np.float64,
-        )
-        mttf_values = table.uptime_s[slots] + np.maximum(rttf_arr, 0.0)
-        at_pos = np.flatnonzero(rttf_arr < self.rttf_threshold_s)
-        order = np.argsort(rttf_arr[at_pos], kind="stable")
-        n_standby = int(np.count_nonzero(table.state_code == CODE_STANDBY))
-        for p in at_pos[order].tolist():
-            rttf = float(rttf_arr[p])
-            if n_standby > 0:
-                n_standby -= 1
-            elif rttf >= self.era_s:
-                continue
-            slot = int(slots[p])
-            vm = state.vms[slot]
-            vm.start_rejuvenation()
-            state.life[slot] += 1
-            self.total_rejuvenations += 1
-            if self._obs_on:
-                self._tel.instant(
-                    f"rejuvenate {vm.name}",
-                    kind="rejuvenation",
-                    region=name,
-                    reason="at_risk",
-                    rttf_s=rttf,
-                )
-        for slot in np.flatnonzero(
-            table.state_code == CODE_FAILED
-        ).tolist():
-            vm = state.vms[slot]
-            vm.start_rejuvenation()
-            state.life[slot] += 1
-            self.total_rejuvenations += 1
-            if self._obs_on:
-                self._tel.instant(
-                    f"rejuvenate {vm.name}",
-                    kind="rejuvenation",
-                    region=name,
-                    reason="failed",
-                )
-        return mttf_values
 
     def run(self, n_eras: int) -> dict[str, float]:
         """Run several eras; returns the final RMTTF snapshot."""

@@ -3,12 +3,12 @@
 :class:`VmStateTable` holds the mutable per-VM state of one region pool
 as parallel NumPy columns (one row per VM) plus per-VM static columns
 derived from the instance type and failure policy at adoption time.
-Every controller -- :class:`~repro.pcam.vmc.VirtualMachineController`,
-:class:`~repro.pcam.des_region.DesRegion`,
-:class:`~repro.core.des_loop.DesControlLoop` -- builds one over its pool
-and does its era work (anomaly accumulation, failure checks,
+:class:`~repro.pcam.vmc.VirtualMachineController` and
+:class:`~repro.pcam.des_region.DesRegion` each build one over their pool
+and do their era work (anomaly accumulation, failure checks,
 rejuvenation-threshold scans, feature extraction) as array passes over
-it; the per-request DES path reads and writes single cells.
+it; :class:`~repro.core.des_loop.DesControlLoop` builds a VMC per region
+and its per-request path reads and writes single cells of that table.
 
 The table *adopts* ``VirtualMachine`` objects in place: their state is
 copied into a row and the object itself is re-classed into

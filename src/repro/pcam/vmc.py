@@ -14,7 +14,8 @@ batch over ACTIVE VMs, (3) applies the load (anomalies accumulate),
 (4) samples features, predicts RTTF, and swaps out any VM whose predicted
 RTTF dropped below the threshold, and (5) reports the region's lastRMTTF
 (mean predicted MTTF over ACTIVE VMs) and mean response time for the
-global control loop.
+global control loop.  (4)-(5) are ``close_era``, which a host that applies
+the load itself (the request-level DES loop) calls directly.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.pcam.state_table import (
     CODE_FAILED,
     CODE_REJUVENATING,
     CODE_STANDBY,
+    Pressures,
     VmStateTable,
 )
 from repro.pcam.vm import VirtualMachine, VmState
@@ -319,7 +321,6 @@ class VirtualMachineController:
             table.state_code[rows] == CODE_ACTIVE
         )
         era_failures = 0
-        era_rejuvenations = 0
         pressures = None
 
         # 1. split the batch over ACTIVE VMs and apply the load
@@ -348,6 +349,38 @@ class VirtualMachineController:
                 response_num = float(products.cumsum()[-1])
             served = int(counts.sum())
             era_failures = int(np.count_nonzero(failed))
+
+        mean_rt = response_num / served if served else 0.0
+        return self.close_era(
+            dt, now, served, mean_rt, era_failures, pressures
+        )
+
+    def close_era(
+        self,
+        dt: float,
+        now: float,
+        served: int,
+        response_time_s: float,
+        failures: int,
+        pressures: Pressures | None = None,
+    ) -> EraReport:
+        """Close an era whose load is already on the table (Algorithm 1).
+
+        The per-region control step every host shares: advance the
+        rejuvenation clocks, monitor, predict RTTF, swap at-risk VMs
+        against STANDBYs, rejuvenate the failed ones, backfill, report.
+        How the load got there is the host's business: :meth:`process_era`
+        applies a batch and ends here; the request-level
+        :class:`~repro.core.des_loop.DesControlLoop` accumulates it one
+        completion at a time and calls this at the boundary with the
+        era's request count, mean response time and load-induced VM
+        failures as it measured them.  ``pressures`` is
+        :meth:`VmStateTable.pressures_of` of the rows still ACTIVE, when
+        the host has it in hand.
+        """
+        table = self.table
+        rows = self._rows
+        era_rejuvenations = 0
 
         # advance rejuvenation clocks (STANDBY rows need no bookkeeping)
         table.idle_tick(rows, dt)
@@ -443,23 +476,22 @@ class VirtualMachineController:
         self._ensure_active_pool()
 
         self.total_rejuvenations += era_rejuvenations
-        self.total_failures += era_failures
+        self.total_failures += failures
 
-        mean_rt = response_num / served if served else 0.0
         last_rmttf = float(np.mean(mttf)) if mttf.size else 0.0
         n_active, n_stby, n_rejuv, n_failed = table.counts_by_state(rows)
         return EraReport(
             region=self.region_name,
             time=now,
             last_rmttf=last_rmttf,
-            response_time_s=mean_rt,
+            response_time_s=response_time_s,
             n_active=n_active,
             n_standby=n_stby,
             n_rejuvenating=n_rejuv,
             n_failed=n_failed,
             requests_served=served,
             rejuvenations_triggered=era_rejuvenations,
-            failures=era_failures,
+            failures=failures,
             per_vm_rttf=per_vm_rttf,
         )
 

@@ -52,13 +52,7 @@ from repro.overlay.messaging import Message, MessageBus
 from repro.overlay.reliable import ReliableChannel
 from repro.pcam.vm import VmState
 from repro.serve.clock import WallClock
-from repro.slo import (
-    LEVEL_CODES,
-    LEVEL_DEGRADED,
-    PriorityLadder,
-    SloConfig,
-    SloEvaluator,
-)
+from repro.slo import LEVEL_DEGRADED, SloConfig, SloController
 
 #: Control-channel message kinds (application layer, over rc-data).
 REPORT_KIND = "rmttf-report"
@@ -189,24 +183,18 @@ class AcmService:
         self._rr = 0
 
         # admission token buckets (real time)
-        cap = cfg.admission_rps * cfg.admission_burst_s
-        self._tokens = {r: cap for r in self.regions}
+        self._bucket_cap = cfg.admission_rps * cfg.admission_burst_s
+        self._tokens = {r: self._bucket_cap for r in self.regions}
         self._token_ts = {r: time.monotonic() for r in self.regions}
 
-        # SLO gate: per-region evaluator + priority ladder on real time.
+        # SLO gate: an SLO plane of the service's own, on real time (serve
+        # sheds with 429s; it does not shape the manager's fractions).
         # _mono is an attribute so tests can inject a fake monotonic
         # clock and exercise dwell/recovery deterministically.
         self._mono = time.monotonic
-        self._slo_gates: dict[str, tuple[SloEvaluator, PriorityLadder]] | None
+        self.slo: SloController | None = None
         if cfg.slo is not None:
-            now_mono = self._mono()
-            self._slo_gates = {
-                r: (SloEvaluator(cfg.slo), PriorityLadder(cfg.slo, now_mono))
-                for r in self.regions
-            }
-            self._slo_levels = {r: "normal" for r in self.regions}
-        else:
-            self._slo_gates = None
+            self.slo = SloController(self.regions, cfg.slo, tel, self._mono())
 
         # failure bookkeeping: region -> clock time first seen dead, and
         # region -> last measured failover MTTR (dead -> routed-around)
@@ -253,22 +241,10 @@ class AcmService:
             r: t.gauge("acm_failover_mttr_seconds", region=r)
             for r in self.regions
         }
-        if self._slo_gates is not None:
-            self._m_slo_level = {
-                r: t.gauge("slo_level", region=r) for r in self.regions
-            }
-            self._m_slo_p95 = {
-                r: t.gauge("slo_p95_seconds", region=r) for r in self.regions
-            }
+        if self.slo is not None:
             self._m_slo_shed = {
                 r: t.counter("slo_shed_total", region=r) for r in self.regions
             }
-            self._m_slo_trans = {
-                r: t.counter("slo_transitions_total", region=r)
-                for r in self.regions
-            }
-            for r in self.regions:
-                self._m_slo_level[r].set(0.0)
         for r in self.regions:
             self._m_fraction[r].set(float(loop.fractions[self._index[r]]))
             self._m_alive[r].set(1.0)
@@ -316,10 +292,13 @@ class AcmService:
             self._rr += 1
         self._m_requests[region].inc()
         self._arrivals[region] += 1
+        # one bucket refill a request: the SLO gate reads the deficit,
+        # admission spends a token
+        tokens = self._refill(region)
         # SLO ladder first (outer policy rung), token bucket second
         # (the default rate guard): kill-switch > override > adaptive.
-        if self._slo_gates is not None:
-            retry_after = self._slo_check(region)
+        if self.slo is not None:
+            retry_after = self._slo_check(region, tokens)
             if retry_after is not None:
                 self._m_shed[region].inc()
                 self._m_slo_shed[region].inc()
@@ -328,15 +307,18 @@ class AcmService:
                     "region": region,
                     "retry_after_s": retry_after,
                 }
-        if not self._admit(region):
+        if tokens < 1.0:
             self._m_shed[region].inc()
             return 429, {
                 "error": "shed",
                 "region": region,
                 # honest backoff hint: seconds until the bucket refills
                 # one token at the configured admission rate
-                "retry_after_s": self._retry_after(region),
+                "retry_after_s": max(
+                    1, math.ceil((1.0 - tokens) / self.config.admission_rps)
+                ),
             }
+        self._tokens[region] = tokens - 1.0
         i = self._index[region]
         target = self.regions[
             self.plan_table.route(i, self._route_rng.random())
@@ -350,8 +332,8 @@ class AcmService:
             )
             if picked is None:
                 self._m_errors.inc()
-                if self._slo_gates is not None:
-                    self._slo_gates[region][0].observe_outcome(
+                if self.slo is not None:
+                    self.slo.evaluators[region].observe_outcome(
                         self._mono(), False
                     )
                 return 503, {"error": "no live region", "region": region}
@@ -361,8 +343,8 @@ class AcmService:
         self._m_served[target].inc()
         elapsed = time.perf_counter() - t0
         self._m_latency.observe(elapsed)
-        if self._slo_gates is not None:
-            evaluator = self._slo_gates[region][0]
+        if self.slo is not None:
+            evaluator = self.slo.evaluators[region]
             now_mono = self._mono()
             evaluator.observe_latency(now_mono, elapsed)
             evaluator.observe_outcome(now_mono, True)
@@ -376,85 +358,36 @@ class AcmService:
             body["failover_from"] = forwarded_over
         return 200, body
 
-    def _admit(self, region: str) -> bool:
-        cfg = self.config
+    def _refill(self, region: str) -> float:
+        """The region's bucket level as of now; nothing consumed."""
         now = time.monotonic()
-        cap = cfg.admission_rps * cfg.admission_burst_s
-        tokens = min(
-            cap,
+        tokens = self._tokens[region] = min(
+            self._bucket_cap,
             self._tokens[region]
-            + (now - self._token_ts[region]) * cfg.admission_rps,
+            + (now - self._token_ts[region]) * self.config.admission_rps,
         )
         self._token_ts[region] = now
-        if tokens >= 1.0:
-            self._tokens[region] = tokens - 1.0
-            return True
-        self._tokens[region] = tokens
-        return False
+        return tokens
 
-    def _retry_after(self, region: str) -> int:
-        """Integer seconds until the region's bucket refills one token.
-
-        ``_admit`` just refreshed the bucket, so the deficit divided by
-        the refill rate is the exact wait; HTTP wants integer seconds,
-        floor 1.
-        """
-        deficit = max(0.0, 1.0 - self._tokens[region])
-        return max(1, math.ceil(deficit / self.config.admission_rps))
-
-    def _slo_check(self, region: str) -> int | None:
+    def _slo_check(self, region: str, tokens: float) -> int | None:
         """Advance the region's ladder; Retry-After seconds if degraded.
 
         The queue-depth signal is proxied by the admission bucket's
         token deficit (how far behind the refill rate this region is
-        running); latency and outcome samples arrive from the serving
-        path itself.
+        running), read off the just-refilled level ``tokens``: a shed
+        request spends no token, and a deficit that only admission
+        refreshed would hold a degraded region degraded forever.
+        Latency and outcome samples arrive from the serving path itself.
         """
-        evaluator, ladder = self._slo_gates[region]
-        now = self._mono()
-        cap = self.config.admission_rps * self.config.admission_burst_s
-        evaluator.set_queue_depth(cap - self._tokens[region])
-        decision = ladder.update(now, evaluator.status(now))
-        self._slo_note(region, decision)
+        slo = self.slo
+        slo.evaluators[region].set_queue_depth(self._bucket_cap - tokens)
+        decision = slo.advance(region, self._mono())
         if decision.level != LEVEL_DEGRADED:
             return None
         # adaptive rung: honest dwell remainder; kill-switch/override:
         # no scheduled recovery, so advertise the dwell as the backoff
         hint = decision.dwell_remaining_s or self.config.slo.min_dwell_s
         return max(1, math.ceil(hint))
-
-    def _slo_note(self, region: str, decision) -> None:
-        """Record a ladder decision: gauges, transition counter, event."""
-        previous = self._slo_levels[region]
-        if decision.level != previous:
-            self._slo_levels[region] = decision.level
-            self._m_slo_trans[region].inc()
-            self._m_slo_level[region].set(LEVEL_CODES[decision.level])
-            self.telemetry.event(
-                "slo.transition",
-                region=region,
-                frm=previous,
-                to=decision.level,
-                source=decision.source,
-            )
-
-    def _slo_refresh(self) -> None:
-        """Era-boundary sweep: update SLO gauges, let idle regions recover.
-
-        Without this, a fully-shed region would only re-evaluate its
-        ladder when a request arrives; the sweep advances the ladder on
-        the era tick so recovery after the dwell does not depend on
-        probe traffic.
-        """
-        now = self._mono()
-        for region in self.regions:
-            evaluator, ladder = self._slo_gates[region]
-            status = evaluator.status(now)
-            decision = ladder.update(now, status)
-            self._slo_note(region, decision)
-            self._m_slo_p95[region].set(
-                0.0 if math.isnan(status.p95_s) else status.p95_s
-            )
 
     # ------------------------------------------------------------------ #
     # MAPE on the wall clock
@@ -467,8 +400,14 @@ class AcmService:
         era = self._era_index
         self._era_index += 1
         self._m_eras.inc()
-        if self._slo_gates is not None:
-            self._slo_refresh()
+        if self.slo is not None:
+            # the era sweep: recovery after the dwell must not wait for
+            # probe traffic, nor the queue-depth proxy for a request
+            for r in self.regions:
+                self.slo.evaluators[r].set_queue_depth(
+                    self._bucket_cap - self._refill(r)
+                )
+            self.slo.observe(self._mono(), {})
         served = dict(self._served)
         arrivals = dict(self._arrivals)
         for r in self.regions:
@@ -643,44 +582,15 @@ class AcmService:
 
     def slo_snapshot(self) -> dict:
         """SLO gate state as the admin ``/slo`` JSON."""
-        if self._slo_gates is None:
+        if self.slo is None:
             return {"enabled": False}
-        now = self._mono()
-        out = {}
-        for r in self.regions:
-            evaluator, ladder = self._slo_gates[r]
-            status = evaluator.status(now)
-            decision = ladder.decision(now)
-            out[r] = {
-                "level": decision.level,
-                "source": decision.source,
-                "dwell_remaining_s": decision.dwell_remaining_s,
-                "p95_s": None if math.isnan(status.p95_s) else status.p95_s,
-                "samples": status.samples,
-                "queue_depth": status.queue_depth,
-                "error_rate": status.error_rate,
-                "transitions": ladder.transitions,
-            }
-        cfg = self.config.slo
-        return {
-            "enabled": True,
-            "config": cfg.spec(),
-            "kill_switch": any(
-                ladder.kill_switch for _, ladder in self._slo_gates.values()
-            ),
-            "regions": out,
-        }
+        return self.slo.snapshot(self._mono())
 
     def slo_kill(self, on: bool) -> bool:
         """Flip the deployment-wide kill switch; False if SLO disabled."""
-        if self._slo_gates is None:
+        if self.slo is None:
             return False
-        for region in self.regions:
-            self._slo_gates[region][1].set_kill_switch(on)
-            self._slo_note(
-                region, self._slo_gates[region][1].decision(self._mono())
-            )
-        self.telemetry.event("slo.kill_switch", on=bool(on))
+        self.slo.set_kill_switch(on, self._mono())
         return True
 
     def slo_override(self, level: str | None) -> bool:
@@ -689,14 +599,9 @@ class AcmService:
         Raises ``ValueError`` on an unknown level (the ingress maps it
         to a 400).
         """
-        if self._slo_gates is None:
+        if self.slo is None:
             return False
-        for region in self.regions:
-            self._slo_gates[region][1].set_override(level)
-            self._slo_note(
-                region, self._slo_gates[region][1].decision(self._mono())
-            )
-        self.telemetry.event("slo.override", level=level or "cleared")
+        self.slo.set_override(level, self._mono())
         return True
 
     def metrics_text(self) -> str:

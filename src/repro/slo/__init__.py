@@ -7,13 +7,15 @@ manual override > adaptive > default -- with hysteresis bands (separate
 enter/exit thresholds) and a minimum dwell time so the control signal
 cannot oscillate era to era.
 
-Two consumers share the machinery:
+One plane, :class:`SloController`, turns windows into levels for two
+hosts that differ in clock and actuator:
 
-- the serve ingress (``repro.serve.service``) sheds with HTTP 429 +
-  ``Retry-After`` while a region's ladder sits at ``degraded``;
-- the sim-side MAPE loop (``repro.core.control_loop``) shapes the
-  planned forward fractions away from degraded regions via
-  :class:`SloController`.
+- the serve ingress (``repro.serve.service``) advances it per request on
+  ``time.monotonic()`` and sheds with HTTP 429 + ``Retry-After`` while a
+  region's ladder sits at ``degraded``;
+- the sim-side MAPE loop (``repro.core.control_loop``) sweeps it once an
+  era on virtual time and shapes the planned forward fractions away from
+  degraded regions.
 
 Everything here is pure stdlib + numpy and imports nothing from the
 core/serve layers, so either side can depend on it freely.

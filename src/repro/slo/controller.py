@@ -1,34 +1,51 @@
-"""Sim-side SLO controller: evaluators + ladders feeding the Plan phase.
+"""The SLO plane: per-region evaluators + ladders, on either clock.
 
 One :class:`SloController` owns a per-region
 :class:`~repro.slo.evaluator.SloEvaluator` and
-:class:`~repro.slo.ladder.PriorityLadder`.  The MAPE loop calls
-:meth:`observe` in its Monitor phase (era response times are the
-latency samples) and :meth:`shape` in its Plan phase, which multiplies
-degraded regions' forward fractions by ``shed_factor`` and
-renormalizes -- the fluid-model analogue of the serve path's 429
-backpressure.
+:class:`~repro.slo.ladder.PriorityLadder` and is the only place a signal
+window becomes a level.  Its two hosts differ in clock and actuator only:
+
+* the sim MAPE loop calls :meth:`observe` in its Monitor phase (virtual
+  time; era response times are the latency samples) and :meth:`shape`
+  in its Plan phase, which multiplies degraded regions' forward
+  fractions by ``shed_factor`` and renormalizes;
+* the serve runtime feeds the evaluators from its request path, calls
+  :meth:`advance` per request (``time.monotonic()``) and answers a
+  degraded region with 429 + ``Retry-After``; its era tick runs the same
+  :meth:`observe` sweep so an idle region recovers without probe traffic.
 
 Telemetry follows the repo's bit-invisibility idiom: the facade is kept
-only when enabled, and every gauge/counter/event is guarded on it.
+only when enabled, and every gauge/counter/event is guarded on it.  Both
+hosts emit one vocabulary: ``slo_level``, ``slo_p95_seconds``,
+``slo_transitions_total`` (label ``region``) and the ``slo.transition``
+event (``region``, ``frm``, ``to``, ``source``, ``p95_s``).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.slo.evaluator import SloConfig, SloEvaluator
-from repro.slo.ladder import LEVEL_CODES, LEVEL_NORMAL, PriorityLadder
+from repro.slo.ladder import (
+    LEVEL_CODES,
+    LEVEL_NORMAL,
+    Decision,
+    PriorityLadder,
+)
 
 
 class SloController:
-    """Per-region SLO evaluation + ladder for the sim MAPE loop."""
+    """Per-region SLO evaluation + ladder; ``now`` starts the ladders."""
 
-    def __init__(self, regions, config: SloConfig, telemetry=None) -> None:
+    def __init__(
+        self, regions, config: SloConfig, telemetry=None, now: float = 0.0
+    ) -> None:
         self.regions = list(regions)
         self.config = config
         self.evaluators = {r: SloEvaluator(config) for r in self.regions}
-        self.ladders = {r: PriorityLadder(config) for r in self.regions}
+        self.ladders = {r: PriorityLadder(config, now) for r in self.regions}
         self._levels = {r: LEVEL_NORMAL for r in self.regions}
         self.eras = 0
         self.degraded_eras = 0
@@ -49,41 +66,97 @@ class SloController:
                 for r in self.regions
             }
 
+    def advance(self, region: str, now: float) -> Decision:
+        """Evaluate ``region``'s window at ``now`` and step its ladder.
+
+        The one evaluator -> ladder -> bookkeeping body.  Bookkeeping
+        (level gauge, transition counter, ``slo.transition`` event)
+        happens only when the level changed, so the per-request caller
+        pays for the status and the ladder step and nothing else.
+        """
+        status = self.evaluators[region].status(now)
+        decision = self.ladders[region].update(now, status)
+        previous = self._levels[region]
+        if decision.level != previous:
+            self._levels[region] = decision.level
+            if self._tel is not None:
+                self._m_trans[region].inc()
+                self._m_level[region].set(LEVEL_CODES[decision.level])
+                self._tel.event(
+                    "slo.transition",
+                    region=region,
+                    frm=previous,
+                    to=decision.level,
+                    source=decision.source,
+                    p95_s=status.p95_s,
+                )
+        return decision
+
     def observe(self, now: float, per_region_rt: dict) -> dict:
-        """Monitor phase: ingest era response times, advance the ladders.
+        """The era sweep: ingest era response times, advance every ladder.
 
         Returns the resulting ``{region: level}`` map (also kept on the
-        controller for :meth:`shape` / :meth:`level_codes`).
+        controller for :meth:`shape` / :meth:`level_codes`).  A host that
+        feeds its evaluators itself passes ``{}``.
         """
-        levels: dict[str, str] = {}
         for region in self.regions:
-            evaluator = self.evaluators[region]
             rt = per_region_rt.get(region)
             if rt is not None and np.isfinite(rt):
-                evaluator.observe_latency(now, float(rt))
-            status = evaluator.status(now)
-            decision = self.ladders[region].update(now, status)
-            levels[region] = decision.level
+                self.evaluators[region].observe_latency(now, float(rt))
+            self.advance(region, now)
             if self._tel is not None:
-                self._m_p95[region].set(
-                    0.0 if np.isnan(status.p95_s) else status.p95_s
-                )
-                if decision.level != self._levels[region]:
-                    self._m_trans[region].inc()
-                    self._tel.event(
-                        "slo.transition",
-                        region=region,
-                        frm=self._levels[region],
-                        to=decision.level,
-                        source=decision.source,
-                        p95_s=status.p95_s,
-                    )
-                self._m_level[region].set(LEVEL_CODES[decision.level])
-        self._levels = levels
+                # same `now` as advance(): the same window, the same p95
+                p95 = self.evaluators[region].status(now).p95_s
+                self._m_p95[region].set(0.0 if math.isnan(p95) else p95)
         self.eras += 1
-        if any(lv != LEVEL_NORMAL for lv in levels.values()):
+        if any(lv != LEVEL_NORMAL for lv in self._levels.values()):
             self.degraded_eras += 1
-        return levels
+        return dict(self._levels)
+
+    def set_kill_switch(self, on: bool, now: float) -> None:
+        """Flip every region's kill switch (the operator's top rung)."""
+        for region in self.regions:
+            self.ladders[region].set_kill_switch(on)
+            self.advance(region, now)
+        if self._tel is not None:
+            self._tel.event("slo.kill_switch", on=bool(on))
+
+    def set_override(self, level: str | None, now: float) -> None:
+        """Pin every region's level (``None`` clears).
+
+        Raises ``ValueError`` on an unknown level, before any ladder moved.
+        """
+        for region in self.regions:
+            self.ladders[region].set_override(level)
+            self.advance(region, now)
+        if self._tel is not None:
+            self._tel.event("slo.override", level=level or "cleared")
+
+    def snapshot(self, now: float) -> dict:
+        """Plane state as the admin ``/slo`` JSON."""
+        out = {}
+        for region in self.regions:
+            status = self.evaluators[region].status(now)
+            ladder = self.ladders[region]
+            decision = ladder.decision(now)
+            out[region] = {
+                "level": decision.level,
+                "source": decision.source,
+                "dwell_remaining_s": decision.dwell_remaining_s,
+                "p95_s": None if math.isnan(status.p95_s) else status.p95_s,
+                "samples": status.samples,
+                "queue_depth": status.queue_depth,
+                "error_rate": status.error_rate,
+                "transitions": ladder.transitions,
+            }
+        return {
+            "enabled": True,
+            "config": self.config.spec(),
+            "kill_switch": any(
+                ladder.kill_switch for ladder in self.ladders.values()
+            ),
+            "regions": out,
+        }
 
     def shape(self, fractions: np.ndarray) -> np.ndarray:
         """Plan phase: scale degraded regions down by ``shed_factor``.

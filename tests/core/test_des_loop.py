@@ -62,8 +62,8 @@ class TestMechanics:
     def test_active_pools_maintained(self):
         loop = build_loop()
         loop.run(30)
-        assert len(loop._states["r1"].active()) == 4
-        assert len(loop._states["r3"].active()) == 3
+        assert len(loop._states["r1"].active_slots) == 4
+        assert len(loop._states["r3"].active_slots) == 3
 
     def test_rejuvenations_happen(self):
         loop = build_loop(clients=(120, 72))

@@ -144,7 +144,7 @@ class TestMidEraFailureAccounting:
     def test_rate_divisor_counts_failed_vm(self):
         loop = build_loop(seed=11, clients=(120, 72))
         state = loop._states["r1"]
-        victim = state.active()[0]
+        victim = state.vms[state.active_slots[0]]
         # poison the victim so that its next completion trips the
         # failure point mid-era (swap exhaustion)
         victim.leaked_mb = victim.anomaly_budget_mb - 0.5
@@ -168,8 +168,8 @@ class TestMidEraFailureAccounting:
     def test_divisor_resets_each_era(self):
         loop = build_loop(seed=11)
         loop.run(3)
-        for state in loop._states.values():
-            assert state.era_active_start == state.target_active
+        for name, state in loop._states.items():
+            assert state.era_active_start == loop.vmcs[name].target_active
 
 
 class _SpyPolicy:
@@ -235,7 +235,7 @@ class TestStaleCompletionLifeGate:
         before = (vm.total_requests, vm.leaked_mb, vm.stuck_threads)
         loop._complete(0, 0, slot, issued_life, t_start=0.0, extra=0.0)
         assert (vm.total_requests, vm.leaked_mb, vm.stuck_threads) == before
-        assert loop.total_failures == 0
+        assert state.era_failures == 0
 
     def test_current_life_completion_still_counts(self):
         loop = build_loop()
@@ -260,3 +260,61 @@ class TestStaleCompletionLifeGate:
             [loop._states[r].life for r in loop.region_names]
         )
         assert int(lifes.sum()) == loop.total_rejuvenations
+
+
+class TestRegionsRunTheVmc:
+    """The era boundary is ``VirtualMachineController.close_era``: the DES
+    loop keeps no PCAM copy, so its counters, events and life gate are
+    the VMC's and the state table's."""
+
+    def test_counters_events_and_totals_agree(self):
+        from repro.obs.telemetry import Telemetry
+
+        tel = Telemetry(enabled=True)
+        loop = build_loop(
+            seed=9, clients=(160, 96), think_time_s=3.0, telemetry=tel
+        )
+        loop.run(20)
+        assert loop.total_rejuvenations > loop.total_failures > 0
+        snap = tel.snapshot()
+
+        def counted(name):
+            return sum(
+                c["value"]
+                for c in snap["metrics"]["counters"]
+                if c["name"] == name
+            )
+
+        assert counted("rejuvenations_total") == loop.total_rejuvenations
+        assert counted("vm_failures_total") == loop.total_failures
+        # one emitter: a failure is reported once, when its era closes
+        failures = [
+            e for e in snap["events"]["events"] if e["kind"] == "vm.failure"
+        ]
+        assert len(failures) == loop.total_failures
+        swaps = tel.tracer.by_kind("rejuvenation")
+        assert len(swaps) == loop.total_rejuvenations
+        for span in swaps:
+            assert span.name.startswith("rejuvenate ")
+            assert span.args["region"] in loop.vmcs
+            assert span.args["reason"] in {"at_risk", "failed"}
+
+    def test_out_of_band_rejuvenation_invalidates_older_completions(self):
+        # a rejuvenation the loop did not order (chaos, an operator)
+        # between two eras is a new life all the same: the gate is the
+        # table's rejuvenation_count, not a counter the loop bumps itself
+        loop = build_loop()
+        loop.run(1)
+        state = loop._states["r1"]
+        slot = state.active_slots[0]
+        vm = state.vms[slot]
+        state.in_flight[slot] += 1
+        issued_life = state.life[slot]
+        vm.rejuvenation_time_s = 0.0  # back in STANDBY at once
+        vm.start_rejuvenation()
+        loop.run(1)  # the boundary backfills the slot: same VM, new life
+        assert vm.state is VmState.ACTIVE
+        assert state.life[slot] == issued_life + 1
+        before = (vm.total_requests, vm.leaked_mb, vm.stuck_threads)
+        loop._complete(0, 0, slot, issued_life, t_start=0.0, extra=0.0)
+        assert (vm.total_requests, vm.leaked_mb, vm.stuck_threads) == before

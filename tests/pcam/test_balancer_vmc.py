@@ -174,6 +174,26 @@ class TestVmcEraProcessing:
         )
         assert min_active >= 3  # transient dip of at most one VM
 
+    def test_close_era_takes_the_load_as_the_host_measured_it(self, make_vm):
+        """A host that put the load on the table itself (the DES loop)
+        closes the era directly: same swaps, its own counts reported."""
+        vmc = make_vmc(make_vm)
+        active = vmc.vms_in(VmState.ACTIVE)
+        victim, doomed = active[:2]
+        victim.fail()  # hit its failure point under the host's requests
+        doomed.leaked_mb = doomed.anomaly_budget_mb * 0.999  # at risk
+        rep = vmc.close_era(30.0, 0.0, served=90, response_time_s=0.25,
+                            failures=1)
+        assert (rep.requests_served, rep.response_time_s) == (90, 0.25)
+        assert rep.failures == vmc.total_failures == 1
+        assert rep.rejuvenations_triggered == vmc.total_rejuvenations == 2
+        assert victim.state is doomed.state is VmState.REJUVENATING
+        assert rep.n_active == 4  # both backfilled from STANDBY
+        # monitored: what was still ACTIVE when the era closed
+        assert set(rep.per_vm_rttf) == {vm.name for vm in active[1:]}
+        assert len(vmc.monitors[doomed.name]) == 1
+        assert len(vmc.monitors[victim.name]) == 0
+
     def test_era_validation(self, make_vm):
         vmc = make_vmc(make_vm)
         with pytest.raises(ValueError):

@@ -50,8 +50,15 @@ def test_sim_wall_dispatch_order_parity():
     sim.run()
 
     wall_fired: list[str] = []
-    wall = WallClock(speed=500.0)
+    # the deadlines are absolute and 100 us of wall time apart: hold the
+    # clock at its origin until all six are on the heap, or a stall in
+    # between clamps a late-scheduled early deadline ("a") behind "e"
+    held = [time.monotonic()]
+    wall = WallClock(
+        speed=500.0, time_fn=lambda: held[0] if held else time.monotonic()
+    )
     _schedule_all(wall, wall_fired)
+    held.clear()
     asyncio.run(wall.run_for(0.1))
 
     assert sim_fired == wall_fired

@@ -1,20 +1,23 @@
 """The serve-side SLO gate: 429 + Retry-After, ladder dwell, admin ops.
 
 The service's ``_mono`` attribute is an injectable monotonic clock, so
-dwell timing runs on a fake clock -- no sleeps, fully deterministic.
+dwell timing runs on a fake clock -- deterministic, and no sleeps but
+the one that lets the real admission bucket refill.
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.experiments.scenarios import two_region_scenario
+from repro.obs.telemetry import Telemetry
 from repro.serve.clock import WallClock
 from repro.serve.ingress import HttpIngress
 from repro.serve.service import AcmService, ServeConfig
-from repro.slo import SloConfig
+from repro.slo import SloConfig, SloController
 
 
 class FakeMono:
@@ -51,7 +54,7 @@ def slo_service(**slo_kw):
 class TestSloGate:
     def test_no_slo_config_means_no_gate(self):
         service = make_service()
-        assert service._slo_gates is None
+        assert service.slo is None
         status, _ = service.handle_request(service.regions[0])
         assert status == 200
 
@@ -100,8 +103,8 @@ class TestSloGate:
         mono.advance(0.1)
         assert service.handle_request(region)[0] == 429
         mono.advance(20.0)
-        service._slo_refresh()  # era tick, no probe traffic needed
-        assert service._slo_levels[region] == "normal"
+        service.slo.observe(mono(), {})  # era tick, no probe traffic needed
+        assert service.slo.level_codes()[region] == 0
 
     def test_slo_shed_metric_counts(self):
         service, mono = slo_service()
@@ -115,6 +118,101 @@ class TestSloGate:
             for c in counters
         }
         assert by_name[("slo_shed_total", region)] == 1
+
+
+class TestQueueDepthSignal:
+    def test_shed_region_recovers_once_the_bucket_refills(self):
+        # regression: the deficit was only refreshed by admission, which
+        # an SLO-shed request never reaches -- a region degraded by the
+        # queue-depth signal stayed shed forever.  Fake _mono (the dwell),
+        # real bucket (time.monotonic).
+        service = make_service(
+            slo=SloConfig(
+                p95_target_s=10.0,
+                queue_depth_max=5.0,
+                min_dwell_s=0.2,
+                window_s=1.0,
+            ),
+            admission_rps=20.0,
+            admission_burst_s=1.0,
+        )
+        mono = service._mono = FakeMono()
+        by_request, by_sweep = service.regions
+        for region in service.regions:
+            replies = [service.handle_request(region) for _ in range(15)]
+            assert replies[0][0] == 200
+            assert replies[-1][0] == 429 and replies[-1][1]["error"] == "slo"
+        mono.advance(2.0)  # the dwell is long over
+        time.sleep(0.25)  # 5 tokens back: deficit ~1, exit threshold 4
+        assert service.handle_request(by_request)[0] == 200
+        service._era_tick()  # no traffic at all: the era sweep refills
+        snap = service.slo_snapshot()["regions"][by_sweep]
+        assert snap["level"] == "normal"
+        assert snap["queue_depth"] <= 4.0
+
+
+class TestOneVocabulary:
+    """Sim and serve drive one SLO plane: same metrics, same event."""
+
+    @staticmethod
+    def _vocabulary(tel):
+        snap = tel.snapshot()
+        metrics = {
+            (m["name"], tuple(sorted(m["labels"])))
+            for kind in ("counters", "gauges")
+            for m in snap["metrics"][kind]
+            if m["name"].startswith("slo_")
+        }
+        transitions = [
+            e["data"]
+            for e in snap["events"]["events"]
+            if e["kind"] == "slo.transition"
+        ]
+        return metrics, transitions
+
+    def test_breach_dwell_recover_reads_the_same_on_both_clocks(self):
+        # sim: the era sweep on virtual time
+        sim_tel = Telemetry(enabled=True)
+        sim = SloController(
+            ["r1", "r2"],
+            SloConfig(p95_target_s=1.0, window_s=5.0, min_dwell_s=10.0),
+            telemetry=sim_tel,
+        )
+        sim.observe(0.0, {"r1": 5.0, "r2": 0.1})  # r1 breaches
+        sim.observe(6.0, {"r2": 0.1})  # window drained, still dwelling
+        assert sim.level_codes()["r1"] == 1
+        sim.observe(12.0, {"r2": 0.1})  # dwell over: recovered
+        assert sim.level_codes()["r1"] == 0
+
+        # serve: per-request advance on (fake) monotonic time
+        service, mono = slo_service(min_dwell_s=10.0, window_s=5.0)
+        region = service.regions[0]
+        assert service.handle_request(region)[0] == 200  # breach sample
+        mono.advance(0.1)
+        assert service.handle_request(region)[0] == 429
+        mono.advance(6.0)
+        assert service.handle_request(region)[0] == 429  # still dwelling
+        mono.advance(6.0)
+        assert service.handle_request(region)[0] == 200
+
+        sim_metrics, sim_events = self._vocabulary(sim_tel)
+        serve_metrics, serve_events = self._vocabulary(service.telemetry)
+        # the 429 counter is the serve actuator's, not the plane's
+        assert serve_metrics - {("slo_shed_total", ("region",))} == sim_metrics
+        assert sim_metrics == {
+            ("slo_level", ("region",)),
+            ("slo_p95_seconds", ("region",)),
+            ("slo_transitions_total", ("region",)),
+        }
+        assert [(e["frm"], e["to"]) for e in sim_events] == [
+            ("normal", "degraded"),
+            ("degraded", "normal"),
+        ]
+        assert [(e["frm"], e["to"]) for e in serve_events] == [
+            (e["frm"], e["to"]) for e in sim_events
+        ]
+        for event in sim_events + serve_events:
+            assert set(event) == {"region", "frm", "to", "source", "p95_s"}
 
 
 class TestTokenBucketRetryAfter:
