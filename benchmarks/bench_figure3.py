@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core import AcmManager, RegionSpec
 from repro.core.metrics import rmttf_spread
-from repro.experiments.figure3 import report_figure3
+from repro.experiments import report_figure
 from repro.experiments.reporting import render_series
 
 from .conftest import assert_simplex, series_tail_means
@@ -126,8 +126,8 @@ def test_fig3_response_time(benchmark, figure3_results):
 
 def test_fig3_full_report(benchmark, figure3_results):
     """The complete Figure 3 text report renders (and is printed once)."""
-    text = report_figure3(figure3_results)
+    text = report_figure("fig3", figure3_results)
     assert "paper-shape checks" in text
     assert "FAIL" not in text.splitlines()[-1], text.splitlines()[-1]
     print("\n" + text)
-    benchmark(lambda: report_figure3(figure3_results))
+    benchmark(lambda: report_figure("fig3", figure3_results))

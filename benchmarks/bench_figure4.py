@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core import AcmManager, RegionSpec
 from repro.core.metrics import convergence_time, mean_oscillation
-from repro.experiments.figure4 import report_figure4
+from repro.experiments import report_figure
 from repro.experiments.reporting import render_series
 
 from .conftest import assert_simplex
@@ -118,7 +118,7 @@ def test_fig4_response_time_sla(benchmark, figure4_results):
 
 def test_fig4_full_report(benchmark, figure4_results):
     """The complete Figure 4 text report renders with all checks passing."""
-    text = report_figure4(figure4_results)
+    text = report_figure("fig4", figure4_results)
     assert "FAIL" not in text.splitlines()[-1], text.splitlines()[-1]
     print("\n" + text)
-    benchmark(lambda: report_figure4(figure4_results))
+    benchmark(lambda: report_figure("fig4", figure4_results))

@@ -6,7 +6,7 @@ seeds and requires every qualitative claim to hold at each of them
 (shortened horizon per seed to keep the bench bounded).
 """
 
-from repro.experiments import run_figure3
+from repro.experiments import run_figure
 from repro.experiments.runner import paper_shape_holds
 
 SEEDS = (7, 11, 23, 42, 101)
@@ -15,7 +15,7 @@ SEEDS = (7, 11, 23, 42, 101)
 def test_paper_shape_across_seeds(benchmark):
     outcomes = {}
     for seed in SEEDS:
-        results = run_figure3(eras=160, seed=seed)
+        results = run_figure("fig3", eras=160, seed=seed)
         outcomes[seed] = paper_shape_holds(results)
     print("\npaper-shape checks per seed (Figure 3, 160 eras):")
     check_names = list(next(iter(outcomes.values())))
@@ -37,4 +37,4 @@ def test_paper_shape_across_seeds(benchmark):
         passed = sum(1 for c in outcomes.values() if c[soft])
         assert passed >= len(SEEDS) - 1, (soft, passed)
 
-    benchmark(lambda: run_figure3(eras=20, seed=7))
+    benchmark(lambda: run_figure("fig3", eras=20, seed=7))

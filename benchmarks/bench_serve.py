@@ -37,11 +37,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.experiments.scenarios import two_region_scenario  # noqa: E402
 from repro.serve import (  # noqa: E402
     AcmService,
-    HttpIngress,
     LoadConfig,
     ServeConfig,
     WallClock,
     run_load,
+    serving,
 )
 from repro.slo import SloConfig  # noqa: E402
 
@@ -66,11 +66,7 @@ async def _measure_one(config: ServeConfig, connections: int) -> dict:
     """Boot a deployment with ``config``, run one load leg, tear down."""
     clock = WallClock(speed=SPEED)
     service = AcmService(two_region_scenario(), clock, config)
-    ingress = HttpIngress(service, port=0)
-    await ingress.start()
-    service.start()
-    runner = asyncio.ensure_future(clock.run_for(None))
-    try:
+    async with serving(service) as ingress:
         report = await run_load(
             LoadConfig(
                 url=f"http://127.0.0.1:{ingress.port}",
@@ -80,10 +76,6 @@ async def _measure_one(config: ServeConfig, connections: int) -> dict:
                 seed=BENCH_SEED + connections,
             )
         )
-    finally:
-        service.shutdown()
-        await runner
-        await ingress.stop()
     d = report.as_dict()
     return {
         "requests_per_s": d["achieved_rps"],

@@ -11,7 +11,7 @@ fast while the assertions cover the full-length runs.
 import numpy as np
 import pytest
 
-from repro.experiments import run_figure3, run_figure4
+from repro.experiments import run_figure
 from repro.experiments.runner import make_trained_predictor
 from repro.ml.features import FEATURE_NAMES
 from repro.pcam.monitor import ProfilingHarness
@@ -28,13 +28,13 @@ FIGURE_SEED = 7
 @pytest.fixture(scope="session")
 def figure3_results():
     """All three policies on the 2-region deployment (Fig. 3)."""
-    return run_figure3(eras=FIGURE_ERAS, seed=FIGURE_SEED)
+    return run_figure("fig3", eras=FIGURE_ERAS, seed=FIGURE_SEED)
 
 
 @pytest.fixture(scope="session")
 def figure4_results():
     """All three policies on the 3-region deployment (Fig. 4)."""
-    return run_figure4(eras=FIGURE_ERAS, seed=FIGURE_SEED)
+    return run_figure("fig4", eras=FIGURE_ERAS, seed=FIGURE_SEED)
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,7 @@ Run with::
 
 import argparse
 
-from repro.experiments import run_figure3, run_figure4
-from repro.experiments.figure3 import report_figure3
-from repro.experiments.figure4 import report_figure4
+from repro.experiments import report_figure, run_figure
 
 
 def main() -> None:
@@ -32,9 +30,10 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    print(report_figure3(run_figure3(args.eras, args.seed, args.predictor)))
+    run = dict(eras=args.eras, seed=args.seed, predictor=args.predictor)
+    print(report_figure("fig3", run_figure("fig3", **run)))
     print()
-    print(report_figure4(run_figure4(args.eras, args.seed, args.predictor)))
+    print(report_figure("fig4", run_figure("fig4", **run)))
 
 
 if __name__ == "__main__":

@@ -67,7 +67,10 @@
 #      `start_rejuvenation(`, and the DES loop's `_region_pcam` copy is
 #      gone), and the SLO plane lives in `slo/controller.py` only (no
 #      `PriorityLadder(` / `SloEvaluator(` built anywhere else, and
-#      serve's `_slo_note` / `_slo_refresh` / `_slo_gates` are gone).
+#      serve's `_slo_note` / `_slo_refresh` / `_slo_gates` are gone); and
+#      each driver-layer name (scenario builders, argparse, the per-figure
+#      functions and copied name tuples, the serve boot gates 9 and 11 go
+#      through) keeps the one home the table ending this script gives it.
 #
 # Usage:  scripts/ci_check.sh   (from the repository root or anywhere)
 
@@ -128,11 +131,11 @@ import asyncio
 from repro.experiments.scenarios import two_region_scenario
 from repro.serve import (
     AcmService,
-    HttpIngress,
     LoadConfig,
     ServeConfig,
     WallClock,
     run_load,
+    serving,
 )
 
 
@@ -152,15 +155,10 @@ async def _get(host, port, path):
 
 
 async def smoke():
-    clock = WallClock(speed=30.0)
     service = AcmService(
-        two_region_scenario(), clock, ServeConfig(seed=7)
+        two_region_scenario(), WallClock(speed=30.0), ServeConfig(seed=7)
     )
-    ingress = HttpIngress(service, port=0)
-    await ingress.start()
-    service.start()
-    runner = asyncio.ensure_future(clock.run_for(None))
-    try:
+    async with serving(service) as ingress:
         url = f"http://127.0.0.1:{ingress.port}"
         report = await run_load(
             LoadConfig(url=url, rate=200.0, duration_s=1.0, seed=7)
@@ -177,10 +175,6 @@ async def smoke():
             if ln.startswith("acm_") and not ln.startswith("#")
         ]
         assert acm_lines, "no acm_* samples in /metrics"
-    finally:
-        service.shutdown()
-        await runner
-        await ingress.stop()
     print(
         f"serve smoke: {d['completed']} reqs "
         f"p95 {d['latency_p95_s'] * 1000:.1f} ms, "
@@ -223,7 +217,7 @@ python - <<'EOF'
 import asyncio
 
 from repro.experiments.scenarios import two_region_scenario
-from repro.serve import AcmService, HttpIngress, ServeConfig, WallClock
+from repro.serve import AcmService, ServeConfig, WallClock, serving
 from repro.slo import SloConfig
 
 
@@ -256,11 +250,7 @@ async def smoke():
     service = AcmService(
         two_region_scenario(), clock, ServeConfig(seed=7, slo=slo)
     )
-    ingress = HttpIngress(service, port=0)
-    await ingress.start()
-    service.start()
-    runner = asyncio.ensure_future(clock.run_for(None))
-    try:
+    async with serving(service) as ingress:
         host, port = "127.0.0.1", ingress.port
         shed = 0
         for _ in range(40):
@@ -289,10 +279,6 @@ async def smoke():
         assert status == 200 and '"degraded"' not in body, (
             f"/slo still degraded after dwell: {body}"
         )
-    finally:
-        service.shutdown()
-        await runner
-        await ingress.stop()
     print(
         f"slo smoke: {shed}/40 burst requests shed with Retry-After, "
         f"{len(slo_lines)} slo_* samples, recovered after dwell"
@@ -368,5 +354,17 @@ if grep -rnE "_region_pcam|_slo_note|_slo_refresh|_slo_gates" src/ \
     echo "the DES loop's PCAM copy / serve's private SLO plane is back" >&2
     exit 1
 fi
+# pattern @ the only place under src/repro that may spell it ("!": none)
+while IFS='@' read -r pattern home; do
+    if grep -rnE "$pattern" src/repro --include='*.py' \
+            | grep -vE "^src/repro/($home)"; then
+        echo "driver layer: /$pattern/ outside src/repro/($home)" >&2; exit 1
+    fi
+done <<'TABLE'
+two_region_scenario|three_region_scenario@experiments/(scenarios|__init__)\.py:
+import argparse@cli\.py:
+run_figure[34]|report_figure[34]|CHAOS_CAMPAIGNS|POLICY_SCENARIOS@!
+ingress\.start\(\)@serve/
+TABLE
 
 echo "ci_check: all gates passed"

@@ -13,11 +13,16 @@ Usage::
 ``fig3``, ``fig4``, ``chaos`` and ``sweep`` accept ``--obs-dump PATH``
 to write a telemetry dump (metrics, spans, flight events, run manifest)
 that ``repro obs`` summarises.
+
+Parsers, dispatch and printing only: figure, scenario and campaign names
+and a config-built command's defaults are read from the tables and
+dataclasses that own them (DESIGN.md, "The driver layer").
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -29,77 +34,97 @@ import numpy as np
 DEFAULT_SEED = 7
 
 
-def add_seed_option(
-    parser: argparse.ArgumentParser, default: int = DEFAULT_SEED
-) -> None:
+def add_seed_option(parser: argparse.ArgumentParser) -> None:
     """The one shared ``--seed`` definition (identical help + default
     across fig3/fig4/compare/chaos/sweep/models/...)."""
     parser.add_argument(
         "--seed",
         type=int,
-        default=default,
+        default=DEFAULT_SEED,
         help=(
-            f"root RNG seed (default {default}); every stochastic "
+            f"root RNG seed (default {DEFAULT_SEED}); every stochastic "
             "stream of the run derives from it"
         ),
     )
 
 
-def _write_obs_dump(scenario, run, path, policy="available-resources") -> None:
-    """Run one instrumented policy run of ``scenario``; dump telemetry.
-    ``run`` carries eras / seed / predictor / online_retrain: the parsed
-    flags, or the sweep job whose cell is instrumented."""
+def _split_csv(text: str) -> tuple[str, ...]:
+    """The elements of a comma-list flag, as typed: an empty or
+    space-padded element is an error, not a guess."""
+    parts = tuple(text.split(",")) if text else ()
+    for part in parts:
+        if not part or part != part.strip():
+            raise ValueError(
+                f"empty or padded element {part!r} in comma list {text!r}"
+            )
+    return parts
+
+
+def _arg(parse, item=None):
+    """An argparse ``type=`` from ``parse`` (for a comma list:
+    ``_split_csv``, and ``item`` for what each element goes through).
+    The ValueError or KeyError a bad value raises is a one-line exit 2
+    carrying its message, so a bad name never reaches a command body."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            return value if item is None else tuple(map(item, value))
+        except (ValueError, KeyError) as exc:
+            raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+    return convert
+
+
+def _scenario_name(name: str) -> str:
+    from repro.experiments.scenarios import resolve_scenario
+
+    resolve_scenario(name)  # ValueError naming the registered ones
+    return name
+
+
+def _policy_name(name: str) -> str:
+    from repro.core.policy import get_policy
+
+    get_policy(name)  # KeyError naming the registered ones
+    return name
+
+
+def _typed(args: argparse.Namespace, config_cls, prefix: str = "") -> dict:
+    """The fields of ``config_cls`` a parser built with
+    ``argument_default=SUPPRESS`` saw typed (dest = ``prefix`` + field
+    name); every other field keeps the dataclass's own default."""
+    names = (f.name for f in dataclasses.fields(config_cls))
+    typed = vars(args)
+    return {n: typed[prefix + n] for n in names if prefix + n in typed}
+
+
+def _run_flags(args: argparse.Namespace) -> dict:
+    """The ``common()`` flags, as ``run_policy_experiment`` keywords."""
+    return dict(eras=args.eras, seed=args.seed, predictor=args.predictor)
+
+
+def _write_obs_dump(
+    path: str, scenario, policy: str = "available-resources", **run
+) -> None:
+    """Make the instrumented twin of the policy run ``run`` names
+    (``run_policy_experiment`` keywords) and dump its telemetry."""
     from repro.experiments.runner import run_instrumented_experiment
 
-    _, telemetry = run_instrumented_experiment(
-        scenario,
-        policy,
-        eras=run.eras,
-        seed=run.seed,
-        predictor=run.predictor,
-        online_retrain=run.online_retrain,
-    )
+    _, telemetry = run_instrumented_experiment(scenario, policy, **run)
     telemetry.dump_json(path)
     print(f"wrote telemetry dump: {path}")
 
 
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    from repro.experiments import run_figure3
-    from repro.experiments.figure3 import report_figure3
-    from repro.experiments.scenarios import two_region_scenario
+def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import FIGURES, report_figure, run_figure
+    from repro.experiments.scenarios import resolve_scenario
 
-    print(
-        report_figure3(
-            run_figure3(
-                args.eras,
-                args.seed,
-                args.predictor,
-                online_retrain=args.online_retrain,
-            )
-        )
-    )
+    run = dict(_run_flags(args), online_retrain=args.online_retrain)
+    print(report_figure(args.command, run_figure(args.command, **run)))
     if args.obs_dump:
-        _write_obs_dump(two_region_scenario(), args, args.obs_dump)
-    return 0
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    from repro.experiments import run_figure4
-    from repro.experiments.figure4 import report_figure4
-    from repro.experiments.scenarios import three_region_scenario
-
-    print(
-        report_figure4(
-            run_figure4(
-                args.eras,
-                args.seed,
-                args.predictor,
-                online_retrain=args.online_retrain,
-            )
-        )
-    )
-    if args.obs_dump:
-        _write_obs_dump(three_region_scenario(), args, args.obs_dump)
+        scenario = resolve_scenario(FIGURES[args.command].scenario)
+        _write_obs_dump(args.obs_dump, scenario, **run)
     return 0
 
 
@@ -127,23 +152,17 @@ def _cmd_online(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        compare_policies,
-        three_region_scenario,
-        two_region_scenario,
-    )
+    from repro.experiments import compare_policies
     from repro.experiments.reporting import assessment_table
+    from repro.experiments.scenarios import SCENARIOS, resolve_scenario
 
-    scenario = (
-        two_region_scenario() if args.regions == 2 else three_region_scenario()
+    scenario = next(
+        s
+        for s in map(resolve_scenario, SCENARIOS)
+        if len(s.regions) == args.regions
     )
-    policies = tuple(args.policies.split(","))
     results = compare_policies(
-        scenario,
-        policies=policies,
-        eras=args.eras,
-        seed=args.seed,
-        predictor=args.predictor,
+        scenario, policies=args.policies, **_run_flags(args)
     )
     print(f"scenario: {scenario.name}")
     print(assessment_table([r.assessment for r in results.values()]))
@@ -183,23 +202,20 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.experiments import run_figure3, run_figure4
+    from repro.experiments.figures import run_figure
+    from repro.experiments.report_bundle import write_csvs
 
-    runner = run_figure3 if args.figure == "fig3" else run_figure4
-    results = runner(args.eras, args.seed, args.predictor)
-    for policy, result in results.items():
-        path = f"{args.prefix}_{args.figure}_{policy}.csv"
-        result.traces.to_csv(path, manifest=result.manifest)
+    results = run_figure(args.figure, **_run_flags(args))
+    for path in write_csvs(results, f"{args.prefix}_{args.figure}"):
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    from repro.experiments import run_figure3, run_figure4
+    from repro.experiments.figures import run_figure
     from repro.experiments.svgplot import render_figure
 
-    runner = run_figure3 if args.figure == "fig3" else run_figure4
-    results = runner(args.eras, args.seed, args.predictor)
+    results = run_figure(args.figure, **_run_flags(args))
     written = render_figure(results, args.figure, args.prefix)
     for path in written:
         print(f"wrote {path}")
@@ -209,9 +225,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.experiments.report_bundle import reproduce_all
 
-    manifest = reproduce_all(
-        args.out, eras=args.eras, seed=args.seed, predictor=args.predictor
-    )
+    manifest = reproduce_all(args.out, **_run_flags(args))
     print(f"report : {manifest.report_path}")
     print(f"CSVs   : {len(manifest.csv_files)}")
     print(f"SVGs   : {len(manifest.svg_files)}")
@@ -247,19 +261,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         f"{plan.expected_utilisation:.0%} utilisation"
     )
     return 0
-
-
-#: Campaign names accepted by ``repro chaos`` (kept in sync with the
-#: registry in :mod:`repro.experiments.resilience`; a test asserts parity).
-CHAOS_CAMPAIGNS = (
-    "rolling-link-flaps",
-    "message-loss",
-    "leader-kill",
-    "blackout-heal",
-    "rack-blackout-flashcrowd",
-    "az-partition",
-    "smoke",
-)
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -300,23 +301,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if result.recovered else 1
 
 
-def _split_csv(text: str) -> tuple[str, ...]:
-    return tuple(part for part in (p.strip() for p in text.split(",")) if part)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.fleet import (
         FleetExecutor,
         ResultStore,
         SweepSpec,
         aggregate,
-        build_scenario,
         frontier_report,
         listing,
         markdown_report,
         write_cells_csv,
     )
-    from repro.fleet.axes import AXES, job_values, label_parts
+    from repro.fleet.axes import AXES
+    from repro.fleet.jobs import policy_run_args
 
     try:
         spec = SweepSpec(
@@ -393,25 +390,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "--obs-dump: no policy cells in this sweep", file=sys.stderr
             )
         else:
-            # the two of the cell's axes the instrumented run takes
-            taken = ("online_retrain", "domains")
-            dropped = label_parts(
-                axis.off if axis.job_field in taken else value
-                for axis, value in zip(AXES, job_values(first_policy))
-            )
-            if dropped:
-                print(
-                    f"--obs-dump: the instrumented run of {first_policy.label}"
-                    f" is made without {', '.join(dropped)}",
-                    file=sys.stderr,
-                )
-            scenario = build_scenario(
-                first_policy.scenario,
-                first_policy.load,
-                domains=first_policy.domains,
-            )
+            scenario, run = policy_run_args(first_policy)
             _write_obs_dump(
-                scenario, first_policy, args.obs_dump, first_policy.policy
+                args.obs_dump, scenario, first_policy.policy, **run
             )
     return 0 if outcome.ok else 1
 
@@ -420,18 +401,7 @@ def _cmd_policy_train(args: argparse.Namespace) -> int:
     from repro.policy.train import TrainConfig, train_policy_head
 
     try:
-        cfg = TrainConfig(
-            head_kind=args.head,
-            scenario=args.scenario,
-            fallback_policy=args.fallback_policy,
-            rounds=args.rounds,
-            episodes_per_round=args.episodes,
-            eras=args.eras,
-            load=args.load,
-            seed=args.seed,
-            workers=args.workers,
-            out_dir=args.out,
-        )
+        cfg = TrainConfig(**_typed(args, TrainConfig))
     except ValueError as exc:
         print(f"invalid training config: {exc}", file=sys.stderr)
         return 2
@@ -453,18 +423,7 @@ def _cmd_policy_eval(args: argparse.Namespace) -> int:
     )
 
     try:
-        cfg = EvalConfig(
-            heads=_split_csv(args.heads),
-            scenarios=_split_csv(args.scenarios),
-            fallback_policy=args.fallback_policy,
-            domains=args.domains,
-            replicates=args.replicates,
-            eras=args.eras,
-            load=args.load,
-            seed=args.seed,
-            workers=args.workers,
-            store_dir=args.store,
-        )
+        cfg = EvalConfig(**_typed(args, EvalConfig))
     except ValueError as exc:
         print(f"invalid eval config: {exc}", file=sys.stderr)
         return 2
@@ -517,15 +476,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
-    from repro.experiments import run_figure3, run_figure4
+    from repro.experiments.figures import run_figure
     from repro.experiments.runner import paper_shape_holds
 
-    runner = run_figure3 if args.figure == "fig3" else run_figure4
-    seeds = [int(s) for s in args.seeds.split(",")]
     all_pass = True
-    for seed in seeds:
+    for seed in args.seeds:
         checks = paper_shape_holds(
-            runner(args.eras, seed, args.predictor)
+            run_figure(args.figure, **dict(_run_flags(args), seed=seed))
         )
         verdicts = " ".join(
             f"{k}={'PASS' if v else 'FAIL'}" for k, v in checks.items()
@@ -539,58 +496,42 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.experiments.serve_campaign import resolve_scenario
+    from repro.experiments.scenarios import resolve_scenario
     from repro.serve import (
         AcmService,
-        HttpIngress,
         ServeConfig,
+        SloConfig,
         WallClock,
+        serving,
     )
 
     scenario = resolve_scenario(args.scenario)
-    clock = WallClock(speed=args.speed)
-    slo = None
-    if args.slo_p95 is not None:
-        from repro.slo import SloConfig
-
-        slo = SloConfig(
-            p95_target_s=args.slo_p95,
-            window_s=args.slo_window,
-            min_dwell_s=args.slo_dwell,
-        )
-    service = AcmService(
-        scenario,
-        clock,
-        ServeConfig(
-            era_s=args.era_s,
-            window_s=args.window_s,
-            policy=args.policy,
-            seed=args.seed,
-            admission_rps=args.admission_rps,
-            slo=slo,
-        ),
+    slo = _typed(args, SloConfig, prefix="slo.")
+    config = ServeConfig(
+        **_typed(args, ServeConfig),
+        # the gate is armed by --slo-p95; the other two only tune it
+        slo=SloConfig(**slo) if "p95_target_s" in slo else None,
     )
+    service = AcmService(scenario, WallClock(speed=args.speed), config)
 
     async def run() -> None:
-        ingress = HttpIngress(service, host=args.host, port=args.port)
-        await ingress.start()
-        service.start()
-        print(
-            f"serving {scenario.name} ({len(service.regions)} regions, "
-            f"policy {args.policy}, era {args.era_s:g}s, "
-            f"speed {args.speed:g}x) on "
-            f"http://{args.host}:{ingress.port}",
-            flush=True,
-        )
-        print(
-            "endpoints: /  /healthz  /metrics  /plan  /regions  /slo  "
-            "/chaos/{blackout,heal}?region=NAME",
-            flush=True,
-        )
-        try:
-            await clock.run_for(args.duration)
-        finally:
-            await ingress.stop()
+        async with serving(service, args.host, args.port) as ingress:
+            print(
+                f"serving {scenario.name} ({len(service.regions)} regions, "
+                f"policy {config.policy}, era {config.era_s:g}s, "
+                f"speed {args.speed:g}x) on "
+                f"http://{args.host}:{ingress.port}",
+                flush=True,
+            )
+            print(
+                "endpoints: /  /healthz  /metrics  /plan  /regions  /slo  "
+                "/chaos/{blackout,heal}?region=NAME",
+                flush=True,
+            )
+            if args.duration is None:
+                await asyncio.Event().wait()  # until ^C
+            else:
+                await asyncio.sleep(args.duration / args.speed)
 
     try:
         asyncio.run(run())
@@ -664,9 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="ACM Framework reproduction experiment runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the tables the subcommands take their names and choices from
+    from repro.experiments.figures import FIGURES
+    from repro.experiments.resilience import CAMPAIGNS
+    from repro.fleet.axes import AXES
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--eras", type=int, default=240)
+    def common(p: argparse.ArgumentParser, eras: int = 240) -> None:
+        p.add_argument("--eras", type=int, default=eras)
         add_seed_option(p)
         p.add_argument(
             "--predictor",
@@ -682,8 +627,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="write a telemetry dump (summarise it with 'repro obs')",
         )
 
-    def online_retrain_opt(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
+    for name, figure in FIGURES.items():
+        pf = sub.add_parser(
+            name, help=f"reproduce {figure.label} ({figure.deployment})"
+        )
+        common(pf)
+        obs_dump_opt(pf)
+        pf.add_argument(
             "--online-retrain",
             type=int,
             default=0,
@@ -694,18 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "with it)"
             ),
         )
-
-    p3 = sub.add_parser("fig3", help="reproduce Figure 3 (two regions)")
-    common(p3)
-    obs_dump_opt(p3)
-    online_retrain_opt(p3)
-    p3.set_defaults(func=_cmd_fig3)
-
-    p4 = sub.add_parser("fig4", help="reproduce Figure 4 (three regions)")
-    common(p4)
-    obs_dump_opt(p4)
-    online_retrain_opt(p4)
-    p4.set_defaults(func=_cmd_fig4)
+        pf.set_defaults(func=_cmd_figure)
 
     pon = sub.add_parser(
         "online",
@@ -733,6 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--regions", type=int, choices=(2, 3), default=3)
     pc.add_argument(
         "--policies",
+        type=_arg(_split_csv, _policy_name),
         default="sensible-routing,available-resources,exploration,uniform",
     )
     pc.set_defaults(func=_cmd_compare)
@@ -741,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="dump a figure's series to CSV for external plotting"
     )
     common(pe)
-    pe.add_argument("figure", choices=("fig3", "fig4"))
+    pe.add_argument("figure", choices=tuple(FIGURES))
     pe.add_argument("--prefix", default="acm_traces")
     pe.set_defaults(func=_cmd_export)
 
@@ -749,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plot", help="render a figure's series as standalone SVG charts"
     )
     common(pp)
-    pp.add_argument("figure", choices=("fig3", "fig4"))
+    pp.add_argument("figure", choices=tuple(FIGURES))
     pp.add_argument("--prefix", default="acm_figure")
     pp.set_defaults(func=_cmd_plot)
 
@@ -778,15 +718,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the paper-shape checks across several seeds",
     )
     common(pr)
-    pr.add_argument("figure", choices=("fig3", "fig4"))
-    pr.add_argument("--seeds", default="7,11,23")
+    pr.add_argument("figure", choices=tuple(FIGURES))
+    pr.add_argument("--seeds", type=_arg(_split_csv, int), default="7,11,23")
     pr.set_defaults(func=_cmd_robustness)
 
     pk = sub.add_parser(
         "chaos",
         help="run a seeded resilience campaign under fault injection",
     )
-    pk.add_argument("campaign", choices=(*CHAOS_CAMPAIGNS, "all", "list"))
+    pk.add_argument("campaign", choices=(*CAMPAIGNS, "all", "list"))
     pk.add_argument("--eras", type=int, default=None,
                     help="override the campaign's default era count")
     add_seed_option(pk)
@@ -838,15 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="seed replicates per cell (seeds derive from --seed)",
     )
-    ps.add_argument("--eras", type=int, default=60)
-    add_seed_option(ps)
-    ps.add_argument(
-        "--predictor",
-        default="oracle",
-        help="'oracle' or an F2PM model name ('rep-tree', 'm5p', ...)",
-    )
-    from repro.fleet.axes import AXES
-
+    common(ps, eras=60)
     for axis in AXES:
         flag = "--" + axis.spec_field.replace("_", "-")
         ps.add_argument(flag, default=axis.off_token, help=axis.help)
@@ -901,47 +833,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     ppo = sub.add_parser(
         "policy",
-        help="learned policy heads: train on the DES fleet, evaluate "
-        "head-to-head against the static policies",
+        help="learned policy heads: train on fluid-model rollouts run by "
+        "the fleet executor, evaluate head-to-head against the static "
+        "policies",
     )
     posub = ppo.add_subparsers(dest="policy_command", required=True)
 
+    # Built with argument_default=SUPPRESS and dest = the field name: the
+    # namespace holds only what was typed, and every default lives on the
+    # config dataclass the command builds (TrainConfig, EvalConfig).
     pt = posub.add_parser(
         "train",
+        argument_default=argparse.SUPPRESS,
         help="round-synchronous training (parallel rollouts, resumable, "
         "content-addressed checkpoints)",
     )
     pt.add_argument(
         "--head",
-        default="bandit",
+        dest="head_kind",
         choices=("bandit", "reinforce"),
         help="learned head kind",
     )
     pt.add_argument(
         "--scenario",
-        default="three-region+drift6",
         help="scenario key, optionally drifted ('three-region+drift6')",
     )
     pt.add_argument(
         "--fallback-policy",
-        default="sensible-routing",
         help="static policy for hold/fallback modes and the head anchor",
     )
-    pt.add_argument("--rounds", type=int, default=6)
+    pt.add_argument("--rounds", type=int)
     pt.add_argument(
         "--episodes",
+        dest="episodes_per_round",
         type=int,
-        default=4,
         metavar="N",
         help="episodes per round (parallel rollouts)",
     )
-    pt.add_argument("--eras", type=int, default=30,
-                    help="eras per episode")
-    pt.add_argument("--load", type=float, default=1.0)
-    pt.add_argument("--workers", type=int, default=1)
+    pt.add_argument("--eras", type=int, help="eras per episode")
+    pt.add_argument("--load", type=float)
+    pt.add_argument("--workers", type=int)
     pt.add_argument(
         "--out",
-        default="results/policy",
+        dest="out_dir",
         metavar="DIR",
         help="output directory (checkpoints, result store, history)",
     )
@@ -950,15 +884,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = posub.add_parser(
         "eval",
+        argument_default=argparse.SUPPRESS,
         help="head-to-head frontier: availability / RMTTF / cost per "
         "(scenario, head), paired seeds",
     )
     pv.add_argument(
         "--heads",
-        default=(
-            "static:sensible-routing,static:available-resources,"
-            "static:exploration"
-        ),
+        type=_arg(_split_csv),
         help=(
             "comma list of head specs: 'static:<policy>' or a trained "
             "checkpoint path (loaded frozen)"
@@ -966,26 +898,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pv.add_argument(
         "--scenarios",
-        default="three-region,three-region+drift6",
+        type=_arg(_split_csv),
         help="comma list of scenario keys (optionally '+drift<factor>')",
     )
     pv.add_argument(
         "--fallback-policy",
-        default="sensible-routing",
         help="static policy for hold/fallback modes inside every run",
     )
     pv.add_argument(
         "--domains",
-        default="flat",
         help="failure-domain shape for every scenario ('flat' or 'NxM')",
     )
-    pv.add_argument("--replicates", type=int, default=3)
-    pv.add_argument("--eras", type=int, default=30)
-    pv.add_argument("--load", type=float, default=1.0)
-    pv.add_argument("--workers", type=int, default=1)
+    pv.add_argument("--replicates", type=int)
+    pv.add_argument("--eras", type=int)
+    pv.add_argument("--load", type=float)
+    pv.add_argument("--workers", type=int)
     pv.add_argument(
         "--store",
-        default=None,
+        dest="store_dir",
         metavar="DIR",
         help="optional result store (makes campaigns resumable)",
     )
@@ -1003,12 +933,16 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--instance-type", default="m3.medium")
     pm.set_defaults(func=_cmd_models)
 
+    # SUPPRESS-built too (ServeConfig; SloConfig under an "slo." dest
+    # prefix); the flags that keep a default here are not config fields.
     psv = sub.add_parser(
         "serve",
+        argument_default=argparse.SUPPRESS,
         help="serve a deployment on the wall clock (HTTP ingress + MAPE)",
     )
     psv.add_argument(
         "--scenario",
+        type=_arg(_scenario_name),
         default="two-region",
         help="'two-region' or 'three-region'",
     )
@@ -1017,17 +951,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="listen port (0 = ephemeral)"
     )
     psv.add_argument(
-        "--policy",
-        default="available-resources",
-        help="forward-fraction policy run at the leader",
+        "--policy", help="forward-fraction policy run at the leader"
     )
     psv.add_argument(
-        "--era-s", type=float, default=30.0, help="MAPE period, clock seconds"
+        "--era-s", type=float, help="MAPE period, clock seconds"
     )
     psv.add_argument(
         "--window-s",
         type=float,
-        default=3.0,
         help="Analyze report-gather window, clock seconds",
     )
     psv.add_argument(
@@ -1045,13 +976,12 @@ def build_parser() -> argparse.ArgumentParser:
     psv.add_argument(
         "--admission-rps",
         type=float,
-        default=5000.0,
         help="per-region token-bucket admission rate (real req/s)",
     )
     psv.add_argument(
         "--slo-p95",
+        dest="slo.p95_target_s",
         type=float,
-        default=None,
         metavar="S",
         help=(
             "enable the SLO ladder with this p95 latency target in "
@@ -1060,15 +990,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     psv.add_argument(
         "--slo-window",
+        dest="slo.window_s",
         type=float,
-        default=60.0,
         metavar="S",
         help="SLO rolling-window length, clock seconds",
     )
     psv.add_argument(
         "--slo-dwell",
+        dest="slo.min_dwell_s",
         type=float,
-        default=60.0,
         metavar="S",
         help="minimum dwell before a degraded region may recover",
     )
@@ -1089,7 +1019,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="target an external 'repro serve' (skips the chaos phases)",
     )
     plt.add_argument(
-        "--scenario", default="two-region", help="in-process deployment"
+        "--scenario",
+        type=_arg(_scenario_name),
+        default="two-region",
+        help="in-process deployment",
     )
     plt.add_argument(
         "--victim",
@@ -1135,6 +1068,3 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     return args.func(args)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,17 +6,15 @@
 * :mod:`repro.experiments.runner` -- generic policy x scenario driver,
   including the ML-in-the-loop configuration (profile, train REP-Tree,
   deploy);
-* :mod:`repro.experiments.figure3` -- the two-region experiment of Fig. 3;
-* :mod:`repro.experiments.figure4` -- the three-region experiment of
-  Fig. 4;
+* :mod:`repro.experiments.figures` -- the ``FIGURES`` table: the
+  two-region experiment of Fig. 3 and the three-region one of Fig. 4;
 * :mod:`repro.experiments.reporting` -- ascii series tables and policy
   verdicts printed by the benchmarks;
 * :mod:`repro.experiments.resilience` -- seeded chaos campaigns against
   the hardened distributed control plane (``repro chaos``).
 """
 
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.figure4 import run_figure4
+from repro.experiments.figures import FIGURES, report_figure, run_figure
 from repro.experiments.load_sweep import (
     run_load_sweep,
     sweep_manifest,
@@ -58,8 +56,9 @@ __all__ = [
     "compare_policies",
     "make_trained_predictor",
     "ExperimentResult",
-    "run_figure3",
-    "run_figure4",
+    "FIGURES",
+    "run_figure",
+    "report_figure",
     "run_load_sweep",
     "sweep_table",
     "sweep_manifest",

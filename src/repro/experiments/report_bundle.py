@@ -21,8 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.figure4 import run_figure4
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.reporting import assessment_table, manifest_line
 from repro.experiments.runner import ExperimentResult, paper_shape_holds
 from repro.experiments.svgplot import render_figure
@@ -40,12 +39,12 @@ class BundleManifest:
     manifest_path: str | None = None
 
 
-def _write_csvs(
-    results: dict[str, ExperimentResult], figure: str, out_dir: str
-) -> list[str]:
+def write_csvs(results: dict[str, ExperimentResult], stem: str) -> list[str]:
+    """Write ``<stem>_<policy>.csv`` per policy, each stamped with its
+    run manifest; returns the paths."""
     written = []
     for policy, result in results.items():
-        path = os.path.join(out_dir, f"{figure}_{policy}.csv")
+        path = f"{stem}_{policy}.csv"
         result.traces.to_csv(path, manifest=result.manifest)
         written.append(path)
     return written
@@ -89,9 +88,9 @@ def reproduce_all(
     sections: list[str] = []
     run_manifests: dict[str, dict] = {}
     overall = True
-    for figure, runner in (("fig3", run_figure3), ("fig4", run_figure4)):
-        results = runner(eras, seed, predictor)
-        csvs.extend(_write_csvs(results, figure, out_dir))
+    for figure in FIGURES:
+        results = run_figure(figure, eras=eras, seed=seed, predictor=predictor)
+        csvs.extend(write_csvs(results, os.path.join(out_dir, figure)))
         svgs.extend(
             render_figure(results, figure, os.path.join(out_dir, "acm"))
         )

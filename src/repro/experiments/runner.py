@@ -207,7 +207,8 @@ def _experiment_manifest(
     )
 
 
-def run_policy_experiment(
+def _policy_run(
+    drive,
     scenario: Scenario,
     policy: str,
     eras: int = 240,
@@ -222,32 +223,11 @@ def run_policy_experiment(
     policy_head: str | object | None = None,
     slo: str | object | None = None,
 ) -> ExperimentResult:
-    """Run one policy on one scenario and assess it.
+    """Deploy -> drive -> assess: the one body of a policy run.
 
-    Returns the traces (the series Figures 3-4 plot) plus the quantified
-    policy verdict.  An enabled ``telemetry`` facade gets threaded through
-    the whole deployment (loop, VMCs) and stamped with the run manifest;
-    disabled or absent telemetry leaves the run bit-identical.
-
-    ``online`` (a full :class:`OnlineLifecycleConfig`) or
-    ``online_retrain`` (a bare retrain interval in eras; 0 = off)
-    enables the online model lifecycle.
-
-    ``policy_head`` plugs a learned head into the Plan phase: a head
-    spec string (``"static:<policy>"``, ``"frozen:<path>"``, or a
-    checkpoint path -- resolved *frozen*, eval semantics), or an already
-    built :class:`~repro.policy.heads.PolicyHead` /
-    :class:`~repro.policy.runtime.PolicyHeadRuntime`.  ``policy`` stays
-    the hold/fallback/guard-engaged base.  The run-level head summary is
-    exposed as ``result.head_stats``.
-
-    ``slo`` (a spec string like ``"p95:0.5+dwell:120"``, or an
-    :class:`~repro.slo.SloConfig`) arms the sim-side SLO controller:
-    per-region ladders fed by era response times, shaping the Plan
-    phase away from degraded regions.  ``None`` (the default) takes no
-    SLO code path and keeps golden traces bit-identical.  The run-level
-    SLO summary is exposed as ``result.slo_stats``; the deployment bill
-    (always accounted) as ``result.cost_stats``.
+    ``drive(manager, eras)`` steps the deployed loop; the keywords (and
+    their defaults) are those of :func:`run_policy_experiment` and
+    :func:`run_instrumented_experiment`, which differ in nothing else.
     """
     if eras < 10:
         raise ValueError("eras must be >= 10 for a meaningful assessment")
@@ -290,7 +270,7 @@ def run_policy_experiment(
         slo=slo,
         egress_usd_per_req=scenario.egress_usd_per_req,
     )
-    manager.run(eras)
+    drive(manager, eras)
     cost = manager.cost
     return ExperimentResult(
         scenario=scenario.name,
@@ -329,83 +309,77 @@ def run_policy_experiment(
     )
 
 
+def run_policy_experiment(
+    scenario: Scenario, policy: str, **run
+) -> ExperimentResult:
+    """Run one policy on one scenario and assess it.
+
+    ``run`` is any keyword of :func:`_policy_run` after ``policy``
+    (``eras``, ``seed``, ``era_s``, ``beta``, ``predictor``,
+    ``autoscale``, ...); its signature holds their defaults.
+
+    Returns the traces (the series Figures 3-4 plot) plus the quantified
+    policy verdict.  An enabled ``telemetry`` facade gets threaded through
+    the whole deployment (loop, VMCs) and stamped with the run manifest;
+    disabled or absent telemetry leaves the run bit-identical.
+
+    ``online`` (a full :class:`OnlineLifecycleConfig`) or
+    ``online_retrain`` (a bare retrain interval in eras; 0 = off)
+    enables the online model lifecycle.
+
+    ``policy_head`` plugs a learned head into the Plan phase: a head
+    spec string (``"static:<policy>"``, ``"frozen:<path>"``, or a
+    checkpoint path -- resolved *frozen*, eval semantics), or an already
+    built :class:`~repro.policy.heads.PolicyHead` /
+    :class:`~repro.policy.runtime.PolicyHeadRuntime`.  ``policy`` stays
+    the hold/fallback/guard-engaged base.  The run-level head summary is
+    exposed as ``result.head_stats``.
+
+    ``slo`` (a spec string like ``"p95:0.5+dwell:120"``, or an
+    :class:`~repro.slo.SloConfig`) arms the sim-side SLO controller:
+    per-region ladders fed by era response times, shaping the Plan
+    phase away from degraded regions.  ``None`` (the default) takes no
+    SLO code path and keeps golden traces bit-identical.  The run-level
+    SLO summary is exposed as ``result.slo_stats``; the deployment bill
+    (always accounted) as ``result.cost_stats``.
+    """
+    return _policy_run(AcmManager.run, scenario, policy, **run)
+
+
 def run_instrumented_experiment(
-    scenario: Scenario,
-    policy: str,
-    eras: int = 240,
-    seed: int = 7,
-    era_s: float = 30.0,
-    beta: float = 0.5,
-    predictor: str | RttfPredictor = "oracle",
-    autoscale: bool = False,
-    flight_capacity: int = 512,
-    online: OnlineLifecycleConfig | None = None,
-    online_retrain: int = 0,
+    scenario: Scenario, policy: str, **run
 ) -> tuple[ExperimentResult, Telemetry]:
     """A fully observable policy run: telemetry on, control traffic real.
 
-    Builds an enabled :class:`Telemetry`, threads it through the
-    deployment, and puts the loop's report/fraction exchange on a
-    :class:`~repro.overlay.reliable.ReliableChannel` via a
-    :class:`~repro.core.distributed.DistributedControlPlane` -- so the
-    resulting dump carries channel-send spans and plane events alongside
-    the MAPE/era/rejuvenation spans.  Returns the experiment result and
-    the telemetry facade (snapshot/export it for the ``repro obs`` CLI).
+    The run :func:`run_policy_experiment` makes of the same arguments
+    (``run``: any of its keywords but ``telemetry``), except that the
+    :class:`Telemetry` threaded through the deployment is built here,
+    enabled, and that the loop is stepped by a
+    :class:`~repro.core.distributed.DistributedControlPlane` whose
+    report/fraction exchange rides a
+    :class:`~repro.overlay.reliable.ReliableChannel` -- so the resulting
+    dump carries channel-send spans and plane events alongside the
+    MAPE/era/rejuvenation spans.  Returns the experiment result and the
+    telemetry facade (snapshot/export it for the ``repro obs`` CLI).
     """
-    if eras < 10:
-        raise ValueError("eras must be >= 10 for a meaningful assessment")
-    telemetry = Telemetry(enabled=True, flight_capacity=flight_capacity)
-    online_cfg = _resolve_online(online, online_retrain)
-    manifest = _experiment_manifest(
-        scenario, policy, eras, seed, era_s, beta, predictor, autoscale,
-        online=online_cfg,
-    )
-    telemetry.set_manifest(manifest)
-    manager = AcmManager(
-        regions=list(scenario.regions),
-        policy=policy,
-        seed=seed,
-        era_s=era_s,
-        beta=beta,
-        predictor=_resolve_predictor(predictor, scenario, seed),
-        overlay=scenario.build_overlay(),
-        autoscale=autoscale,
-        telemetry=telemetry,
-        online=online_cfg,
-    )
-    plane = DistributedControlPlane(
-        manager.loop, reliable_control=True, telemetry=telemetry
-    )
-    plane.run(eras)
-    result = ExperimentResult(
-        scenario=scenario.name,
-        policy=policy,
-        traces=manager.traces,
-        assessment=assess_policy_run(policy, manager.traces),
-        eras=eras,
-        era_s=era_s,
-        manifest=manifest,
-        online_stats=(
-            manager.online_lifecycle.stats()
-            if manager.online_lifecycle is not None
-            else None
-        ),
-    )
+    telemetry = Telemetry(enabled=True)
+
+    def drive(manager: AcmManager, eras: int) -> None:
+        DistributedControlPlane(
+            manager.loop, reliable_control=True, telemetry=telemetry
+        ).run(eras)
+
+    result = _policy_run(drive, scenario, policy, telemetry=telemetry, **run)
     return result, telemetry
 
 
 def compare_policies(
-    scenario: Scenario,
-    policies: tuple[str, ...] = PAPER_POLICIES,
-    eras: int = 240,
-    seed: int = 7,
-    **kwargs,
+    scenario: Scenario, policies: tuple[str, ...] = PAPER_POLICIES, **run
 ) -> dict[str, ExperimentResult]:
-    """Run several policies on the same scenario (same seed -> same load)."""
+    """Run several policies on the same scenario (same seed -> same load);
+    ``run`` as for :func:`run_policy_experiment`."""
     return {
-        policy: run_policy_experiment(
-            scenario, policy, eras=eras, seed=seed, **kwargs
-        )
+        policy: run_policy_experiment(scenario, policy, **run)
         for policy in policies
     }
 

@@ -174,3 +174,21 @@ def three_region_scenario() -> Scenario:
         regions=(REGION_1, REGION_2, REGION_3),
         latencies_ms=dict(_LATENCIES),
     )
+
+
+#: The one name -> deployment table: every scenario flag, sweep key,
+#: figure and served deployment resolves through it.
+SCENARIOS = {
+    "two-region": two_region_scenario,
+    "three-region": three_region_scenario,
+}
+
+
+def resolve_scenario(name: str) -> Scenario:
+    """Build the scenario registered as ``name`` (fresh each call)."""
+    try:
+        return SCENARIOS[name]()
+    except KeyError:
+        raise ValueError(
+            f"unknown scenario {name!r}; expected one of {tuple(SCENARIOS)}"
+        ) from None

@@ -14,41 +14,20 @@ for:
   installed forward-plan row that routes around it, plus the
   plan-propagation lag histogram (RMTTF report -> row install).
 
-The campaign runs fully in-process on an ephemeral port, with the clock
-speed compressed so a multi-era run fits in CI seconds.  Everything is
-seeded; the HTTP/TCP layer introduces scheduling jitter, so latency
-numbers vary run to run while routing decisions and control-plane
-behaviour replay.
+The campaign (``repro loadtest`` without ``--url``) runs fully in-process
+on an ephemeral port, with the clock speed compressed so a multi-era run
+fits in CI seconds.  Everything is seeded; the HTTP/TCP layer introduces
+scheduling jitter, so latency numbers vary run to run while routing
+decisions and control-plane behaviour replay.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
-
-from repro.experiments.scenarios import (
-    Scenario,
-    three_region_scenario,
-    two_region_scenario,
-)
+from repro.experiments.scenarios import resolve_scenario
 from repro.serve.clock import WallClock
-from repro.serve.ingress import HttpIngress
+from repro.serve.ingress import serving
 from repro.serve.loadgen import LoadConfig, run_load
 from repro.serve.service import AcmService, ServeConfig
-
-SCENARIOS = {
-    "two-region": two_region_scenario,
-    "three-region": three_region_scenario,
-}
-
-
-def resolve_scenario(name: str) -> Scenario:
-    try:
-        return SCENARIOS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; pick from {sorted(SCENARIOS)}"
-        ) from None
 
 
 async def run_blackout_campaign(
@@ -85,23 +64,18 @@ async def run_blackout_campaign(
         raise ValueError(
             f"unknown victim region {victim!r}; have {service.regions}"
         )
-    ingress = HttpIngress(service, port=0)
-    await ingress.start()
-    service.start()
-    runner = asyncio.ensure_future(clock.run_for(None))
-    url = f"http://127.0.0.1:{ingress.port}"
+    async with serving(service) as ingress:
 
-    def load_cfg(phase_seed: int) -> LoadConfig:
-        return LoadConfig(
-            url=url,
-            rate=rate,
-            duration_s=phase_s,
-            schedule=schedule,
-            connections=connections,
-            seed=phase_seed,
-        )
+        def load_cfg(phase_seed: int) -> LoadConfig:
+            return LoadConfig(
+                url=f"http://127.0.0.1:{ingress.port}",
+                rate=rate,
+                duration_s=phase_s,
+                schedule=schedule,
+                connections=connections,
+                seed=phase_seed,
+            )
 
-    try:
         baseline = await run_load(load_cfg(seed))
         service.chaos.region_blackout(victim)
         blackout = await run_load(load_cfg(seed + 1))
@@ -112,10 +86,6 @@ async def run_blackout_campaign(
         recovery = await run_load(load_cfg(seed + 2))
         plan = service.plan_snapshot()
         regions = service.regions_snapshot()
-    finally:
-        service.shutdown()
-        await runner
-        await ingress.stop()
 
     lag = _histogram_summary(service, "acm_plan_propagation_seconds")
     return {
@@ -163,39 +133,3 @@ def _histogram_summary(service: AcmService, name: str) -> dict | None:
                 else None,
             }
     return None
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone entry: ``python -m repro.experiments.serve_campaign``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="serve -> blackout -> measure campaign"
-    )
-    parser.add_argument("--scenario", default="two-region")
-    parser.add_argument("--victim", default=None)
-    parser.add_argument("--rate", type=float, default=300.0)
-    parser.add_argument("--phase-s", type=float, default=2.0)
-    parser.add_argument("--speed", type=float, default=60.0)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--connections", type=int, default=4)
-    parser.add_argument("--schedule", default="poisson")
-    args = parser.parse_args(argv)
-    report = asyncio.run(
-        run_blackout_campaign(
-            scenario_name=args.scenario,
-            victim=args.victim,
-            rate=args.rate,
-            phase_s=args.phase_s,
-            speed=args.speed,
-            seed=args.seed,
-            connections=args.connections,
-            schedule=args.schedule,
-        )
-    )
-    print(json.dumps(report, indent=2, default=str))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -44,6 +44,13 @@ def _check_retrain(interval: int) -> None:
         raise ValueError(f"retrain interval must be >= 0, got {interval}")
 
 
+def _check_domains(shape: str) -> None:
+    if parse_domain_shape(shape) == (1, 1):
+        raise ValueError(
+            f"domain shape {shape!r} is the flat deployment; spell it 'flat'"
+        )
+
+
 @dataclass(frozen=True)
 class Axis:
     """One optional grid axis over the policy cells."""
@@ -94,7 +101,7 @@ AXES: tuple[Axis, ...] = (
         "domains", "domains", "flat", "domains",
         "comma list of failure-domain shapes ('flat' or 'NxM', one grid "
         "axis)",
-        validate=parse_domain_shape,
+        validate=_check_domains,
     ),
     Axis(
         "policy_heads", "policy_head", "", "head:",

@@ -63,10 +63,6 @@ from repro.obs.manifest import RunManifest, config_digest
 #: Job kinds understood by :func:`execute_job`.
 JOB_KINDS = ("policy", "load", "chaos", "synthetic", "rollout")
 
-#: Scenario keys accepted by ``policy`` jobs -> builder in
-#: :mod:`repro.experiments.scenarios` (resolved lazily).
-POLICY_SCENARIOS = ("two-region", "three-region")
-
 #: The paper's client interval; ``policy`` job load multipliers clamp
 #: scaled per-region counts into it (mirrors the load_sweep validation).
 _CLIENT_LO, _CLIENT_HI = 16, 512
@@ -206,24 +202,12 @@ def build_scenario(key: str, load: float, domains: str = "flat"):
     """
     from dataclasses import replace
 
-    from repro.experiments.scenarios import (
-        three_region_scenario,
-        two_region_scenario,
-    )
+    from repro.experiments.scenarios import resolve_scenario
 
-    builders = {
-        "two-region": two_region_scenario,
-        "three-region": three_region_scenario,
-    }
     key, drift = parse_scenario_key(key)
-    if key not in builders:
-        raise ValueError(
-            f"unknown policy-job scenario {key!r}; "
-            f"expected one of {POLICY_SCENARIOS}"
-        )
     if load <= 0:
         raise ValueError(f"load multiplier must be positive, got {load}")
-    base = builders[key]().with_drift(drift)
+    base = resolve_scenario(key).with_drift(drift)
     regions = tuple(
         replace(
             spec,
@@ -273,14 +257,12 @@ def _availability(traces, scenario) -> float:
     return float(np.mean(np.stack(per_region)))
 
 
-def _execute_policy(job: JobSpec) -> dict:
-    from repro.experiments.runner import run_policy_experiment
-    from repro.slo.evaluator import nearest_rank_quantile
-
+def policy_run_args(job: JobSpec) -> tuple:
+    """The ``(scenario, run_policy_experiment keywords)`` a ``policy``
+    job names -- what its executor runs and what ``repro sweep
+    --obs-dump`` instruments."""
     scenario = build_scenario(job.scenario, job.load, domains=job.domains)
-    result = run_policy_experiment(
-        scenario,
-        job.policy,
+    return scenario, dict(
         eras=job.eras,
         seed=job.seed,
         era_s=job.era_s,
@@ -289,6 +271,14 @@ def _execute_policy(job: JobSpec) -> dict:
         policy_head=job.policy_head or None,
         slo=job.slo or None,
     )
+
+
+def _execute_policy(job: JobSpec) -> dict:
+    from repro.experiments.runner import run_policy_experiment
+    from repro.slo.evaluator import nearest_rank_quantile
+
+    scenario, run = policy_run_args(job)
+    result = run_policy_experiment(scenario, job.policy, **run)
     a = result.assessment
     payload = {
         "scenario": result.scenario,

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from repro.fleet.axes import AXES, JOB_FIELDS, name_suffix
-from repro.fleet.jobs import POLICY_SCENARIOS, JobSpec, parse_scenario_key
+from repro.fleet.jobs import JobSpec, parse_scenario_key
 from repro.obs.manifest import RunManifest
 from repro.sim.rng import derive_seed
 
@@ -71,14 +71,11 @@ class SweepSpec:
     campaign_eras: int = 0
 
     def __post_init__(self) -> None:
+        # lazily: repro.experiments imports this package
+        from repro.experiments.scenarios import resolve_scenario
+
         for scenario in self.scenarios:
-            base, _ = parse_scenario_key(scenario)
-            if base not in POLICY_SCENARIOS:
-                raise ValueError(
-                    f"unknown scenario {scenario!r}; "
-                    f"expected one of {POLICY_SCENARIOS} "
-                    "(optionally with a '+drift<factor>' suffix)"
-                )
+            resolve_scenario(parse_scenario_key(scenario)[0])
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if any(load <= 0 for load in self.loads):

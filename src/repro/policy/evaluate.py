@@ -56,14 +56,14 @@ class EvalConfig:
     )
     scenarios: tuple[str, ...] = (
         "three-region",
-        "three-region+drift2.5",
+        "three-region+drift6",
     )
     #: static policy used for hold/fallback modes inside every run
     fallback_policy: str = "sensible-routing"
     #: failure-domain shape applied to every scenario ("flat" or "NxM")
     domains: str = "flat"
-    replicates: int = 2
-    eras: int = 40
+    replicates: int = 3
+    eras: int = 30
     era_s: float = 30.0
     load: float = 1.0
     seed: int = 7

@@ -1,4 +1,4 @@
-"""Round-synchronous policy-head training on the DES fleet.
+"""Round-synchronous policy-head training on the fleet executor.
 
 The trainer alternates two steps until the round budget is spent:
 
@@ -73,8 +73,10 @@ def run_rollout_episode(
     load: float = 1.0,
     reward: RewardConfig | None = None,
 ) -> dict:
-    """One training/eval episode: drive the DES with a head, return the
-    per-era rewards and the transition log the trainer replays.
+    """One training/eval episode: drive the fluid era model
+    (:func:`~repro.experiments.runner.run_policy_experiment`) with a
+    head, return the per-era rewards and the transition log the trainer
+    replays.
 
     This is the body of ``rollout`` fleet jobs
     (:func:`repro.fleet.jobs._execute_rollout`).  The head resolves
@@ -128,9 +130,9 @@ class TrainConfig:
     """Everything one training campaign is a pure function of."""
 
     head_kind: str = "bandit"
-    #: scenario key, optionally drifted ("three-region+drift2.5" is the
-    #: regime the learned heads are meant to win on)
-    scenario: str = "three-region+drift2.5"
+    #: scenario key, optionally drifted (the drifted regime is the one
+    #: the learned heads are meant to win on)
+    scenario: str = "three-region+drift6"
     #: the static policy used for hold/fallback modes inside episodes
     fallback_policy: str = "sensible-routing"
     #: static heads run on the same seeds each round for paired regret
@@ -138,14 +140,14 @@ class TrainConfig:
         "static:sensible-routing",
         "static:available-resources",
     )
-    rounds: int = 3
+    rounds: int = 6
     episodes_per_round: int = 4
-    eras: int = 40
+    eras: int = 30
     era_s: float = 30.0
     load: float = 1.0
     seed: int = 7
     workers: int = 1
-    out_dir: str = "out/policy"
+    out_dir: str = "results/policy"
 
     def __post_init__(self) -> None:
         if self.head_kind not in LEARNED_KINDS:

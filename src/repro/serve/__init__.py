@@ -22,7 +22,7 @@ simulated and served control planes share one code path.
 """
 
 from repro.serve.clock import AsyncClock, WallClock
-from repro.serve.ingress import HttpIngress, serve_forever
+from repro.serve.ingress import HttpIngress, serving
 from repro.serve.loadgen import (
     LoadConfig,
     LoadReport,
@@ -45,5 +45,5 @@ __all__ = [
     "WallClock",
     "build_schedule",
     "run_load",
-    "serve_forever",
+    "serving",
 ]

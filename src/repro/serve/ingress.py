@@ -32,6 +32,7 @@ deployment over the same wire they load it on -- the in-process
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 from urllib.parse import parse_qs, urlsplit
 
@@ -294,27 +295,24 @@ class HttpIngress:
         )
 
 
-async def serve_forever(
-    service: AcmService,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    duration_s: float | None = None,
-    on_ready=None,
-) -> HttpIngress:
-    """Boot ingress + control loop; run until the clock stops.
+@contextlib.asynccontextmanager
+async def serving(service: AcmService, host: str = "127.0.0.1", port: int = 0):
+    """The one boot and teardown of a served deployment.
 
-    ``duration_s`` bounds the run in clock seconds (None = until
-    ``service.shutdown()`` or an outside ``clock.stop()``).  ``on_ready``
-    (if given) is called with the bound :class:`HttpIngress` once the
-    port is listening -- used by tests and the CLI to print the URL.
+    Entering binds the ingress (``port`` 0 = ephemeral; read the bound
+    one off the yielded :class:`HttpIngress`), arms the service's
+    periodic control events and starts the clock dispatching in the
+    background; leaving cancels the events, stops the clock, waits for
+    its dispatcher and closes the listener -- also on an exception or a
+    cancellation (``^C``) inside the block.
     """
     ingress = HttpIngress(service, host, port)
     await ingress.start()
     service.start()
-    if on_ready is not None:
-        on_ready(ingress)
+    dispatcher = asyncio.ensure_future(service.clock.run_for(None))
     try:
-        await service.clock.run_for(duration_s)
+        yield ingress
     finally:
+        service.shutdown()
+        await dispatcher
         await ingress.stop()
-    return ingress

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import PolicyAssessment
-from repro.experiments import render_series, run_figure3, run_figure4, sparkline
-from repro.experiments.figure3 import report_figure3
-from repro.experiments.figure4 import report_figure4
+from repro.experiments import (
+    render_series,
+    report_figure,
+    run_figure,
+    sparkline,
+)
 from repro.experiments.reporting import assessment_table
 from repro.sim import TraceRecorder
 
@@ -94,15 +97,15 @@ class TestFigureRunners:
     benchmarks/)."""
 
     def test_figure3_report_renders(self):
-        results = run_figure3(eras=30, seed=2)
-        text = report_figure3(results)
+        results = run_figure("fig3", eras=30, seed=2)
+        text = report_figure("fig3", results)
         assert "Figure 3" in text
         assert "row 1: RMTTF" in text
         assert "row 3: client response time" in text
         assert "paper-shape checks" in text
 
     def test_figure4_report_renders(self):
-        results = run_figure4(eras=30, seed=2)
-        text = report_figure4(results)
+        results = run_figure("fig4", eras=30, seed=2)
+        text = report_figure("fig4", results)
         assert "Figure 4" in text
         assert "region2-frankfurt" in text

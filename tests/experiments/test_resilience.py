@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.cli import CHAOS_CAMPAIGNS, main
+from repro.cli import main
 from repro.experiments.resilience import (
     CAMPAIGNS,
     recovery_bound_eras,
@@ -24,9 +24,6 @@ class TestRegistry:
             "az-partition",
             "smoke",
         }
-
-    def test_cli_choices_match_registry(self):
-        assert set(CHAOS_CAMPAIGNS) == set(CAMPAIGNS)
 
     def test_unknown_campaign_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign"):

@@ -191,6 +191,15 @@ class TestEachAxis:
             assert axis.parse(str(value)) == value
 
 
+def test_the_flat_deployment_has_one_spelling():
+    """``with_domains("1x1")`` is the scenario unchanged; as an axis value
+    it was a second cell name, seed and digest for the ``flat`` cell."""
+    with pytest.raises(ValueError, match="'flat'"):
+        _spec(domains=("flat", "1x1"))
+    with pytest.raises(ValueError, match="'flat'"):
+        _job(domains="1x1")
+
+
 def test_cell_names_carry_the_raw_value_and_labels_the_display_form():
     """Only the head axis tells the two apart: the seed hashes the whole
     checkpoint path, listings show its basename."""

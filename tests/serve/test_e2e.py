@@ -20,11 +20,11 @@ from repro.experiments.serve_campaign import run_blackout_campaign
 from repro.experiments.scenarios import two_region_scenario
 from repro.serve import (
     AcmService,
-    HttpIngress,
     LoadConfig,
     ServeConfig,
     WallClock,
     run_load,
+    serving,
 )
 
 #: Clock compression for the tests: a 6 s era ticks every 50 ms wall.
@@ -41,32 +41,23 @@ def test_boot_load_blackout_failover_mttr():
         )
         service = AcmService(two_region_scenario(), clock, cfg)
         victim = service.regions[1]
-        ingress = HttpIngress(service, port=0)
-        await ingress.start()
-        service.start()
-        runner = asyncio.ensure_future(clock.run_for(None))
-        url = f"http://127.0.0.1:{ingress.port}"
+        async with serving(service) as ingress:
 
-        def load(seed: int, duration: float) -> LoadConfig:
-            return LoadConfig(
-                url=url,
-                rate=250.0,
-                duration_s=duration,
-                connections=4,
-                seed=seed,
-            )
+            def load(seed: int, duration: float) -> LoadConfig:
+                return LoadConfig(
+                    url=f"http://127.0.0.1:{ingress.port}",
+                    rate=250.0,
+                    duration_s=duration,
+                    connections=4,
+                    seed=seed,
+                )
 
-        try:
             healthy = await run_load(load(7, 0.7))
             service.chaos.region_blackout(victim)
             dark = await run_load(load(8, 0.9))
             mttr = service.mttr_s.get(victim)
             plan = service.plan_snapshot()
             regions = service.regions_snapshot()
-        finally:
-            service.shutdown()
-            await runner
-            await ingress.stop()
         return {
             "victim": victim,
             "healthy": healthy,

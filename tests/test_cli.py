@@ -1,9 +1,13 @@
 """Tests for the command-line interface and the top-level package API."""
 
+import argparse
+import dataclasses
+import re
+
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import DEFAULT_SEED, _typed, build_parser, main
 
 
 class TestPackageApi:
@@ -35,6 +39,200 @@ class TestParser:
     def test_invalid_regions(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--regions", "5"])
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["serve", "--scenario", "mars"], "mars"),
+        (["loadtest", "--scenario", "mars"], "mars"),
+        (
+            ["compare", "--policies", "uniform, available-resources"],
+            "' available-resources'",
+        ),
+        (["robustness", "fig3", "--seeds", "7,"], "'7,'"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else "",
+)
+def test_bad_names_are_a_one_line_exit_2(argv, named, capsys):
+    """Scenario, policy and seed lists are resolved where they are parsed,
+    so a bad one never reaches a command body (a traceback, before)."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro {argv[0]}: error:" in err and named in err
+    assert "Traceback" not in err
+
+
+def _leaves(parser, path=()):
+    """Every runnable subcommand of ``parser``, as a tuple of names."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, (*path, name))
+            return
+    yield path
+
+
+def _leaf_parser(*path):
+    parser = build_parser()
+    for name in path:
+        (subs,) = (
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        parser = subs.choices[name]
+    return parser
+
+
+class TestEverySubcommandRuns:
+    """One invocation of each subcommand through ``main([...])``, at its
+    smallest legal size, found by walking the parser -- a new subcommand
+    without a row here fails the walk."""
+
+    SWEEP = ["--scenarios", "two-region", "--policies", "uniform",
+             "--loads", "0.25", "--replicates", "1", "--eras", "12"]
+    #: subcommand -> (argv tail with {tmp}, documented exit codes)
+    SMALLEST = {
+        "fig3": (["--eras", "10", "--obs-dump", "{tmp}/dump.json"], {0}),
+        "fig4": (["--eras", "10"], {0}),
+        "online": (["--eras", "30"], {0, 1}),
+        "compare": (
+            ["--regions", "2", "--eras", "10", "--policies", "uniform"], {0}
+        ),
+        "export": (["fig3", "--eras", "10", "--prefix", "{tmp}/tr"], {0}),
+        "plot": (["fig4", "--eras", "10", "--prefix", "{tmp}/fig"], {0}),
+        "reproduce": (["--eras", "12", "--out", "{tmp}/bundle"], {0, 1}),
+        "plan": (["--rate", "30", "--target", "600"], {0}),
+        "robustness": (["fig3", "--eras", "10", "--seeds", "7"], {0, 1}),
+        "chaos": (["list"], {0}),
+        "obs": (["{tmp}/dump.json"], {0}),
+        "sweep": ([*SWEEP, "--store", "{tmp}/store"], {0}),
+        "policy train": (
+            ["--scenario", "two-region", "--rounds", "1", "--episodes", "1",
+             "--eras", "10", "--out", "{tmp}/policy"],
+            {0},
+        ),
+        "policy eval": (
+            ["--heads", "static:uniform,{tmp}/policy/policy-head-final.json",
+             "--scenarios", "two-region", "--replicates", "1",
+             "--eras", "10", "--train-dir", "{tmp}/policy"],
+            {0},
+        ),
+        "models": (["--seed", "3", "--instance-type", "m3.small"], {0}),
+        "serve": (["--port", "0", "--duration", "2", "--speed", "60"], {0}),
+        "loadtest": (["--duration", "1.5"], {0, 1}),
+    }
+    #: whose output files a subcommand reads
+    NEEDS = {"obs": "fig3", "policy eval": "policy train"}
+
+    @pytest.fixture(scope="class")
+    def ran(self, tmp_path_factory):
+        """Run a subcommand once per class: name -> (exit code, stdout)."""
+        tmp = str(tmp_path_factory.mktemp("cli"))
+        done = {}
+
+        def run(name, capsys):
+            if name in self.NEEDS:
+                run(self.NEEDS[name], capsys)
+            if name not in done:
+                tail, _ = self.SMALLEST[name]
+                argv = name.split() + [a.format(tmp=tmp) for a in tail]
+                done[name] = (main(argv), capsys.readouterr().out)
+            return done[name]
+
+        return run
+
+    @pytest.mark.parametrize(
+        "name", [" ".join(path) for path in _leaves(build_parser())]
+    )
+    def test_runs(self, name, ran, capsys, monkeypatch):
+        from repro.serve import AcmService
+
+        assert name in self.SMALLEST, f"no smallest invocation of {name!r}"
+        shut_down = []
+        shutdown = AcmService.shutdown
+        monkeypatch.setattr(
+            AcmService,
+            "shutdown",
+            lambda self: (shutdown(self), shut_down.append(self)),
+        )
+        code, out = ran(name, capsys)
+        assert code in self.SMALLEST[name][1]
+        assert out
+        if name == "serve":
+            # the frozen harness reads the port off the first line ...
+            ready = out.splitlines()[0]
+            assert re.search(r" on http://127\.0\.0\.1:[1-9]\d*$", ready)
+            # ... and the teardown cancelled the periodic control events
+            (service,) = shut_down
+            assert not [
+                event for event in service.clock.pending_events()
+                if event.label.startswith("serve-")
+            ]
+
+
+class TestDefaultsLiveOnTheConfig:
+    """The three parsers built with ``argument_default=SUPPRESS``: the
+    config dataclass is the only place a default is written down."""
+
+    #: flags that keep a parser default because they are not config fields
+    NOT_CONFIG = {"host", "port", "speed", "duration", "scenario", "train_dir"}
+
+    @staticmethod
+    def _cases():
+        from repro.policy.evaluate import EvalConfig
+        from repro.policy.train import TrainConfig
+        from repro.serve import ServeConfig, SloConfig
+
+        return [
+            (("policy", "train"), {"": TrainConfig}),
+            (("policy", "eval"), {"": EvalConfig}),
+            (("serve",), {"": ServeConfig, "slo.": SloConfig}),
+        ]
+
+    def test_every_dest_is_a_field_of_the_config_it_feeds(self):
+        for path, configs in self._cases():
+            for action in _leaf_parser(*path)._actions:
+                dest = action.dest
+                if dest == "help" or dest in self.NOT_CONFIG:
+                    continue
+                prefix = "slo." if dest.startswith("slo.") else ""
+                fields = {
+                    f.name for f in dataclasses.fields(configs[prefix])
+                }
+                assert dest[len(prefix):] in fields, (path, dest)
+                # only the shared --seed carries a default of its own
+                assert action.default is argparse.SUPPRESS or (
+                    dest == "seed" and action.default == DEFAULT_SEED
+                ), (path, dest)
+
+    def test_the_bare_command_builds_the_default_config(self):
+        for path, configs in self._cases():
+            args = build_parser().parse_args(list(path))
+            for prefix, config_cls in configs.items():
+                typed = _typed(args, config_cls, prefix)
+                assert config_cls(**typed) == config_cls(), path
+            assert set(vars(args)) - {"command", "policy_command", "func"} <= (
+                self.NOT_CONFIG | {"seed"}
+            ), path
+
+    def test_a_typed_flag_reaches_its_field(self):
+        from repro.policy.train import TrainConfig
+        from repro.serve import SloConfig
+
+        args = build_parser().parse_args(
+            ["policy", "train", "--head", "reinforce", "--episodes", "2"]
+        )
+        cfg = TrainConfig(**_typed(args, TrainConfig))
+        assert (cfg.head_kind, cfg.episodes_per_round) == ("reinforce", 2)
+        args = build_parser().parse_args(
+            ["serve", "--slo-p95", ".2", "--slo-dwell", "5", "--window-s", "1"]
+        )
+        slo = SloConfig(**_typed(args, SloConfig, "slo."))
+        assert (slo.p95_target_s, slo.min_dwell_s) == (0.2, 5.0)
+        assert slo.window_s == SloConfig().window_s  # not --window-s
 
 
 class TestUnifiedSeedOption:
@@ -140,8 +338,9 @@ class TestSweepCommand:
     def test_obs_dump_instruments_the_cell_it_names(
         self, capsys, tmp_path, monkeypatch
     ):
-        """The dump's run gets the first cell's domain shape and retrain
-        interval, and says which axes it cannot carry."""
+        """The dump's run is the first cell's: domain shape, retrain
+        interval, head, SLO and era length all reach it, so there is no
+        axis it has to say it dropped."""
         from repro.experiments import runner
 
         seen = {}
@@ -160,6 +359,7 @@ class TestSweepCommand:
             ["sweep", "--scenarios", "two-region", "--policies", "uniform",
              "--loads", "0.25", "--replicates", "1", "--eras", "12",
              "--retrain", "8", "--domains", "2x2", "--slo", "p95:0.5",
+             "--policy-heads", "static:uniform",
              "--store", str(tmp_path / "store"), "--obs-dump", dump]
         )
         assert rc == 0
@@ -168,10 +368,10 @@ class TestSweepCommand:
         assert {
             (r.n_azs, r.racks_per_az) for r in seen["scenario"].regions
         } == {(2, 2)}
-        err = capsys.readouterr().err
-        assert "--obs-dump" in err and "slo:p95:0.5" in err
-        assert "retrain8" in err  # names the cell; only slo is dropped
-        assert "without slo:p95:0.5\n" in err
+        assert seen["policy_head"] == "static:uniform"
+        assert seen["slo"] == "p95:0.5"
+        assert seen["era_s"] == 30.0
+        assert "--obs-dump" not in capsys.readouterr().err
 
     def test_run_resume_and_gc(self, capsys, tmp_path):
         store = str(tmp_path / "store")
