@@ -41,13 +41,15 @@
 #  12. an end-to-end benchmark smoke: the harness's self-tests, then
 #      `benchmarks/e2e/run.py --smoke` on `sweep_grid` and
 #      `des_two_region` (the oracle-driven workloads whose digests an
-#      oracle change must not move) and on `serve_fault_slo` (the
-#      failover draw, the degradation ladder and the Plan phase over
-#      HTTP) and on `pcam_fleet_10k` (the fleet era); each must end on a
-#      JSON line with `"correct": true` and `"failed": 0`, and the fleet
-#      era's `era_report_digest` at seed 5 must be the recorded one (the
-#      smoke runs the full 20-era repeat, so this is bit-identity of the
-#      10 000-VM `process_era` across commits);
+#      oracle change must not move) and on `serve_steady` and
+#      `serve_fault_slo` (the ingress's framing under closed- and
+#      open-loop load; the failover draw, the degradation ladder and the
+#      Plan phase over HTTP) and on `pcam_fleet_10k` (the fleet era);
+#      each must end on a JSON line with `"correct": true` and
+#      `"failed": 0`, and the fleet era's `era_report_digest` at seed 5
+#      must be the recorded one (the smoke runs the full 20-era repeat,
+#      so this is bit-identity of the 10 000-VM `process_era` across
+#      commits);
 #  13. a one-spelling check: the row -> CDF construction lives in
 #      `core/forward_plan.py` only (no `cumsum` in the DES loop or the
 #      serve runtime), and the leader step lives in
@@ -67,10 +69,14 @@
 #      `start_rejuvenation(`, and the DES loop's `_region_pcam` copy is
 #      gone), and the SLO plane lives in `slo/controller.py` only (no
 #      `PriorityLadder(` / `SloEvaluator(` built anywhere else, and
-#      serve's `_slo_note` / `_slo_refresh` / `_slo_gates` are gone); and
-#      each driver-layer name (scenario builders, argparse, the per-figure
-#      functions and copied name tuples, the serve boot gates 9 and 11 go
-#      through) keeps the one home the table ending this script gives it.
+#      serve's `_slo_note` / `_slo_refresh` / `_slo_gates` are gone); the
+#      ingress frames requests in its one `asyncio.Protocol` only (no
+#      `start_server`, `StreamReader` or `readline(` in
+#      `serve/ingress.py`: the per-line stream loop is not kept beside
+#      it); and each driver-layer name (scenario builders, argparse, the
+#      per-figure functions and copied name tuples, the serve boot gates
+#      9 and 11 go through) keeps the one home the table ending this
+#      script gives it.
 #
 # Usage:  scripts/ci_check.sh   (from the repository root or anywhere)
 
@@ -297,7 +303,8 @@ python -m pytest -q \
 
 echo "== e2e benchmark smoke =="
 python3 -m pytest benchmarks/e2e/tests -q
-for workload in sweep_grid des_two_region serve_fault_slo pcam_fleet_10k; do
+for workload in sweep_grid des_two_region serve_steady serve_fault_slo \
+        pcam_fleet_10k; do
     E2E_OUT="$(python3 benchmarks/e2e/run.py --smoke --seed 5 --workload "$workload")"
     echo "$E2E_OUT"
     tail -n 1 <<<"$E2E_OUT" | python3 -c '
@@ -353,6 +360,9 @@ if grep -rnE "_region_pcam|_slo_note|_slo_refresh|_slo_gates" src/ \
         --include='*.py'; then
     echo "the DES loop's PCAM copy / serve's private SLO plane is back" >&2
     exit 1
+fi
+if grep -nE "start_server|StreamReader|readline\(" src/repro/serve/ingress.py; then
+    echo "the ingress's per-line stream loop is back" >&2; exit 1
 fi
 # pattern @ the only place under src/repro that may spell it ("!": none)
 while IFS='@' read -r pattern home; do

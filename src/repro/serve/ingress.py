@@ -1,9 +1,10 @@
 """Hand-rolled asyncio HTTP/1.1 ingress in front of an :class:`AcmService`.
 
-Stdlib-only (the container bakes no aiohttp): a minimal HTTP/1.1 server
-on :func:`asyncio.start_server` with keep-alive, request-line + header
-parsing, and ``Content-Length`` bodies.  It implements exactly the
-surface the load generator and a Prometheus scraper need:
+Stdlib-only (the container bakes no aiohttp): a minimal HTTP/1.1 server,
+one :class:`asyncio.Protocol` per connection, with keep-alive,
+pipelining, request-line + header parsing, and ``Content-Length`` bodies.
+It implements exactly the surface the load generator and a Prometheus
+scraper need:
 
 ========================  ==========================================
 ``GET /``                 data path: admit + forward one request
@@ -27,6 +28,51 @@ token-bucket and SLO sheds do) is rendered with the matching
 The chaos endpoints exist so load tests (and CI) can fault a *live*
 deployment over the same wire they load it on -- the in-process
 :class:`~repro.chaos.engine.ChaosEngine` does the actual damage.
+
+Framing
+-------
+``data_received`` appends each read to the connection's ``bytearray``
+and frames as many whole requests as it now holds, strictly in byte
+order, one ``\n``-terminated line at a time (a bare LF ends a line as
+CRLF does): request line -> header lines -> blank line -> ``Content-
+Length`` body bytes skipped -> dispatch.  What has been framed of a
+request that is not whole yet is kept on the connection, so the same
+bytes frame the same way whole, split anywhere, or a byte at a time.
+The replies to one read leave in request order as **one**
+``transport.write`` (one ``send`` a read, however deep the client
+pipelines), and no task, future or timer is created per request.
+
+Refusals, each made at the first byte that decides it:
+
+=========================================  ===========================
+a line longer than ``MAX_LINE`` (whether   400 "line too long", close
+or not its newline has arrived)
+request line not three tokens              400, close
+version not ``HTTP/1.0`` / ``HTTP/1.1``    400, close
+the ``MAX_HEADERS``-th header line         400 "too many headers",
+non-blank                                  close
+any ``Transfer-Encoding`` header           400, close
+two ``Content-Length`` values that differ  400, close
+``Content-Length`` not ``1*DIGIT`` or      400, close (decided when
+outside ``0..MAX_LINE``                    the head ends)
+EOF inside a head or a body                close, no reply
+``Connection: close``, or HTTP/1.0         reply, then close
+without ``Connection: keep-alive``
+no request completed in                    close, no reply
+``IDLE_TIMEOUT_S``
+=========================================  ===========================
+
+After a 400 or a closing reply nothing further in the buffer is ever
+parsed: the position of the next request is unknown (or unwanted), and
+bytes behind a bad frame are where a smuggled second request would sit.
+
+Memory a connection can hold: unframed input of at most one transport
+read on top of one partial line (< ``MAX_LINE``; a body is counted
+down, never buffered), and unsent output below two of the transport's
+high-water marks plus one reply.  Replies are handed over as soon as
+they reach the high-water mark; a client that does not read then makes
+the transport call ``pause_writing``, which stops both the framing and
+the reading until ``resume_writing`` re-pumps the buffer.
 """
 
 from __future__ import annotations
@@ -41,6 +87,9 @@ from repro.serve.service import AcmService
 #: Pragmatic caps: a request line, header line or body beyond this is junk.
 MAX_LINE = 8192
 MAX_HEADERS = 64
+#: Wall seconds a connection may go without completing a request (idle
+#: keep-alive, or a head dribbled a byte at a time) before it is closed.
+IDLE_TIMEOUT_S = 60.0
 
 
 class _BadRequest(Exception):
@@ -72,11 +121,12 @@ class HttpIngress:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
+        self._connections: set[_Connection] = set()
 
     async def start(self) -> None:
         """Bind and start accepting connections (port 0 = ephemeral)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         # resolve the ephemeral port for callers that asked for 0
         sock = self._server.sockets[0]
@@ -85,96 +135,13 @@ class HttpIngress:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            # abort, not close: a client that never reads its replies must
+            # not hold the shutdown waiting for its buffer to flush
+            for connection in list(self._connections):
+                connection.transport.abort()
             await self._server.wait_closed()
+            await asyncio.sleep(0)  # the aborts' connection_lost run here
             self._server = None
-
-    # ------------------------------------------------------------------ #
-    # connection loop
-    # ------------------------------------------------------------------ #
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except _BadRequest as exc:
-                    bad = self._json(400, {"error": str(exc)})
-                    writer.write(self._render(*bad[:3], keep_alive=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                method, target, headers = request
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower()
-                    != "close"
-                )
-                status, content_type, body, extra = self._dispatch(
-                    method, target
-                )
-                writer.write(
-                    self._render(status, content_type, body, keep_alive, extra)
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
-
-    @staticmethod
-    async def _read_line(reader: asyncio.StreamReader) -> bytes:
-        try:
-            line = await reader.readline()
-        except ValueError:  # asyncio's own stream limit overran
-            raise _BadRequest("line too long") from None
-        if len(line) > MAX_LINE:
-            raise _BadRequest("line too long")
-        return line
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict] | None:
-        """Parse one request; ``None`` on EOF, :class:`_BadRequest` on junk."""
-        line = await self._read_line(reader)
-        if not line:
-            return None
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise _BadRequest("malformed request line")
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        for _ in range(MAX_HEADERS):
-            line = await self._read_line(reader)
-            if not line:
-                return None
-            text = line.decode("latin-1").strip()
-            if not text:
-                break
-            name, sep, value = text.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        else:
-            raise _BadRequest("too many headers")
-        raw = headers.get("content-length", "0")
-        try:
-            length = int(raw)
-        except ValueError:
-            length = -1
-        if not 0 <= length <= MAX_LINE:
-            raise _BadRequest(f"bad Content-Length {raw[:32]!r}")
-        if length:
-            # bodies are accepted whole and discarded; the API is
-            # query-driven
-            await reader.readexactly(length)
-        return method, target, headers
 
     def _render(
         self,
@@ -295,6 +262,178 @@ class HttpIngress:
         )
 
 
+class _Connection(asyncio.Protocol):
+    """One client connection: the framing state machine of the module
+    docstring.  Everything between two reads lives in ``_buf`` (bytes not
+    yet framed) and the fields of the request being framed."""
+
+    def __init__(self, ingress: HttpIngress) -> None:
+        self.ingress = ingress
+        self.transport: asyncio.Transport | None = None
+        self._buf = bytearray()
+        self._write_paused = False
+        self._served = 0  # requests answered; the idle timer's progress mark
+        self._begin_request()
+
+    def _begin_request(self) -> None:
+        self._request: tuple[str, str] | None = None  # method, target
+        self._header_lines = 0
+        self._content_length: str | None = None
+        self._keep_alive = True
+        self._body_left = 0
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._flush_at = transport.get_write_buffer_limits()[1]
+        self.ingress._connections.add(self)
+        self._arm_idle_timer()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._idle.cancel()
+        self.ingress._connections.discard(self)
+
+    def _arm_idle_timer(self) -> None:
+        # re-armed only when it fires: nothing is scheduled per request
+        self._idle = asyncio.get_running_loop().call_later(
+            IDLE_TIMEOUT_S, self._close_if_idle, self._served
+        )
+
+    def _close_if_idle(self, served_then: int) -> None:
+        if self._served == served_then:
+            # nothing to say to it, and what it was sent may never drain
+            self.transport.abort()
+        else:
+            self._arm_idle_timer()
+
+    def data_received(self, data: bytes) -> None:
+        self._buf += data
+        self._pump()
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self.transport.resume_reading()
+        self._pump()
+
+    def _pump(self) -> None:
+        """Answer every whole request in the buffer with one write."""
+        transport = self.transport
+        if transport.is_closing():
+            return  # replied-and-closed: the rest is never parsed
+        ingress = self.ingress
+        buf = self._buf
+        pos = 0
+        out: list[bytes] = []
+        unsent = 0
+        closing = False
+        try:
+            while not self._write_paused:
+                if self._body_left:
+                    # bodies are accepted whole and discarded; the API is
+                    # query-driven
+                    skipped = min(self._body_left, len(buf) - pos)
+                    pos += skipped
+                    self._body_left -= skipped
+                    if self._body_left:
+                        break
+                else:
+                    end = buf.find(b"\n", pos, pos + MAX_LINE)
+                    if end < 0:
+                        if len(buf) - pos >= MAX_LINE:
+                            raise _BadRequest("line too long")
+                        break
+                    text = buf[pos:end].decode("latin-1").strip()
+                    pos = end + 1
+                    if self._request is None:
+                        self._read_request_line(text)
+                        continue
+                    if text:
+                        self._read_header(text)
+                        continue
+                    self._body_left = self._body_length()
+                    if self._body_left:
+                        continue
+                method, target = self._request
+                keep_alive = self._keep_alive
+                status, content_type, body, extra = ingress._dispatch(
+                    method, target
+                )
+                reply = ingress._render(
+                    status, content_type, body, keep_alive, extra
+                )
+                out.append(reply)
+                self._served += 1
+                if not keep_alive:
+                    closing = True
+                    break
+                self._begin_request()
+                unsent += len(reply)
+                if unsent >= self._flush_at:
+                    # enough to fill the transport: hand it over now, so
+                    # that a client not reading pauses the framing here
+                    transport.write(b"".join(out))
+                    out.clear()
+                    unsent = 0
+        except _BadRequest as exc:
+            bad = ingress._json(400, {"error": str(exc)})
+            out.append(ingress._render(*bad[:3], keep_alive=False))
+            closing = True
+        if out:
+            transport.write(b"".join(out))
+        del buf[:pos]
+        if closing:
+            transport.close()  # what the buffer still holds is never parsed
+
+    def _read_request_line(self, text: str) -> None:
+        parts = text.split()
+        if len(parts) != 3:
+            raise _BadRequest("malformed request line")
+        method, target, version = parts
+        if version == "HTTP/1.0":
+            self._keep_alive = False
+        elif version != "HTTP/1.1":
+            raise _BadRequest(f"unsupported version {version[:32]!r}")
+        self._request = method, target
+
+    def _read_header(self, text: str) -> None:
+        self._header_lines += 1
+        if self._header_lines == MAX_HEADERS:
+            raise _BadRequest("too many headers")
+        name, sep, value = text.partition(":")
+        if not sep:
+            return
+        name = name.strip().lower()
+        value = value.strip()
+        if name == "connection":
+            value = value.lower()
+            if value == "close":
+                self._keep_alive = False
+            elif value == "keep-alive":
+                self._keep_alive = True
+        elif name == "content-length":
+            if self._content_length not in (None, value):
+                raise _BadRequest("conflicting Content-Length")
+            self._content_length = value
+        elif name == "transfer-encoding":
+            raise _BadRequest("Transfer-Encoding is not supported")
+
+    def _body_length(self) -> int:
+        raw = self._content_length
+        if raw is None:
+            return 0
+        try:
+            # 1*DIGIT: int() alone would also take "+5" and "1_0"
+            length = int(raw) if raw.isascii() and raw.isdigit() else -1
+        except ValueError:  # more digits than int() converts
+            length = -1
+        if not 0 <= length <= MAX_LINE:
+            raise _BadRequest(f"bad Content-Length {raw[:32]!r}")
+        return length
+
+
 @contextlib.asynccontextmanager
 async def serving(service: AcmService, host: str = "127.0.0.1", port: int = 0):
     """The one boot and teardown of a served deployment.
@@ -303,8 +442,9 @@ async def serving(service: AcmService, host: str = "127.0.0.1", port: int = 0):
     one off the yielded :class:`HttpIngress`), arms the service's
     periodic control events and starts the clock dispatching in the
     background; leaving cancels the events, stops the clock, waits for
-    its dispatcher and closes the listener -- also on an exception or a
-    cancellation (``^C``) inside the block.
+    its dispatcher and closes the listener and every connection still
+    open -- also on an exception or a cancellation (``^C``) inside the
+    block.
     """
     ingress = HttpIngress(service, host, port)
     await ingress.start()

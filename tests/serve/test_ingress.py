@@ -323,3 +323,137 @@ class TestHostileFraming:
         )
         assert loop_errors == []
         assert reply.count(b"HTTP/1.1 200 ") == 2
+
+
+class TestFramingRules:
+    """The framing rules beyond size limits: ``Content-Length`` is
+    ``1*DIGIT`` and said once, no ``Transfer-Encoding``, a known version
+    token, HTTP/1.0's default close."""
+
+    _exchange = TestHostileFraming._exchange
+    _assert_refused = TestHostileFraming._assert_refused
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\n01234",
+            b"POST / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+            b"POST / HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n01",
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\n"
+            b"Content-Length: 0\r\n\r\n",
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+            b"GET / JUNK/9\r\n\r\n",
+            b"GET / http/1.1\r\n\r\n",
+        ],
+        ids=[
+            "signed-length",
+            "underscore-length",
+            "non-ascii-digit-length",
+            "conflicting-lengths",
+            "transfer-encoding",
+            "junk-version",
+            "lowercase-version",
+        ],
+    )
+    def test_refused_with_400_and_what_follows_is_never_parsed(self, head):
+        service = make_service()
+        victim = service.regions[0]
+        follow = b"POST /chaos/blackout?region=%s HTTP/1.1\r\n\r\n"
+        reply, loop_errors = self._exchange(
+            head + follow % victim.encode(), service
+        )
+        self._assert_refused(reply, loop_errors)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert service.overlay.is_alive(victim)
+
+    def test_content_length_repeated_with_one_value_is_accepted(self):
+        reply, loop_errors = self._exchange(
+            b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n"
+            b"\r\nxxGET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        assert loop_errors == []
+        assert reply.count(b"HTTP/1.1 200 ") == 2
+
+    def test_http_1_0_is_answered_and_closed(self):
+        # _exchange reads to EOF: a connection held open would time out
+        reply, loop_errors = self._exchange(b"GET / HTTP/1.0\r\n\r\n")
+        assert loop_errors == []
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert b"Connection: close" in reply
+
+    def test_http_1_0_keep_alive_is_honoured(self):
+        reply, loop_errors = self._exchange(
+            b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+            b"GET /healthz HTTP/1.0\r\n\r\n"
+        )
+        assert loop_errors == []
+        assert reply.count(b"HTTP/1.1 200 ") == 2
+        assert reply.count(b"Connection: keep-alive") == 1
+
+
+class TestConnectionLifetime:
+    """Connections the client will not end: open at ``stop()``, or idle."""
+
+    @staticmethod
+    def _run(scenario) -> list:
+        """Run ``scenario(ingress)``; returns the loop's exception log."""
+        loop_errors: list = []
+
+        async def main() -> None:
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: loop_errors.append(context)
+            )
+            ingress = HttpIngress(make_service(), port=0)
+            await ingress.start()
+            try:
+                await scenario(ingress)
+            finally:
+                await ingress.stop()
+
+        asyncio.run(main())
+        return loop_errors
+
+    def test_stop_closes_keep_alive_and_half_sent_connections(self):
+        async def scenario(ingress: HttpIngress) -> None:
+            idle = await asyncio.open_connection("127.0.0.1", ingress.port)
+            idle[1].write(b"GET / HTTP/1.1\r\n\r\n")
+            half = await asyncio.open_connection("127.0.0.1", ingress.port)
+            half[1].write(b"GET / HTTP/1.1\r\n")
+            await asyncio.sleep(0.05)
+            assert len(ingress._connections) == 2
+            await ingress.stop()
+            assert not ingress._connections
+            for reader, writer in (idle, half):
+                rest = await asyncio.wait_for(reader.read(), timeout=5.0)
+                assert rest.count(b"HTTP/1.1 ") == (reader is idle[0])
+                writer.close()
+
+        assert self._run(scenario) == []
+
+    def test_a_connection_completing_no_request_is_closed(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.ingress.IDLE_TIMEOUT_S", 0.2)
+
+        async def scenario(ingress: HttpIngress) -> None:
+            idle = await asyncio.open_connection("127.0.0.1", ingress.port)
+            slow = await asyncio.open_connection("127.0.0.1", ingress.port)
+            busy = await asyncio.open_connection("127.0.0.1", ingress.port)
+            idle[1].write(b"GET /healthz HTTP/1.1\r\n\r\n")
+            # 0.8 s: four timeouts.  ``slow`` dribbles a head that never
+            # ends, ``busy`` completes a request every 80 ms.
+            for byte in b"GET / HTTP":
+                if not slow[0].at_eof():
+                    slow[1].write(bytes([byte]))
+                busy[1].write(b"GET /healthz HTTP/1.1\r\n\r\n")
+                await asyncio.sleep(0.08)
+            assert slow[0].at_eof()  # closed under the dribble, unanswered
+            busy[1].write(
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+            )
+            replies = await asyncio.wait_for(busy[0].read(), timeout=5.0)
+            assert replies.count(b"HTTP/1.1 200 ") == 11
+            got = await asyncio.wait_for(idle[0].read(), timeout=5.0)
+            assert got.count(b"HTTP/1.1 ") == 1
+            for _reader, writer in (idle, slow, busy):
+                writer.close()
+
+        assert self._run(scenario) == []
