@@ -60,7 +60,6 @@ def test_distributed_leader_failover_latency(benchmark):
     mgr, plane = build_plane(heartbeat_period_s=5.0, detector_timeout_s=15.0)
     plane.run(8)
     mgr.loop.overlay.fail_node("region1")
-    mgr.loop.router.invalidate()
     plane.detectors["region1"].stop()
     reports = plane.run(2)
     last = reports[-1]

@@ -57,7 +57,6 @@ def main() -> None:
 
     print("\nphase 2: the leader's controller crashes")
     manager.loop.overlay.fail_node("region1")
-    manager.loop.router.invalidate()
     plane.detectors["region1"].stop()
     for r in plane.run(4):
         show(r, regions)
@@ -70,7 +69,6 @@ def main() -> None:
 
     print("\nphase 3: region1 recovers and reclaims leadership")
     manager.loop.overlay.restore_node("region1")
-    manager.loop.router.invalidate()
     plane.detectors["region1"].start()
     for r in plane.run(4):
         show(r, regions)

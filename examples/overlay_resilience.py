@@ -47,7 +47,6 @@ def main() -> None:
 
     print("\nphase 2: Ireland-Frankfurt link fails (reroute via Munich)")
     net.fail_link(r1, r2)
-    loop.router.invalidate()
     path, latency = loop.router.route(r1, r2)
     print(f"  new route {r1} -> {r2}: {' -> '.join(path)} ({latency:.0f} ms)")
     for _ in range(20):
@@ -57,7 +56,6 @@ def main() -> None:
 
     print("\nphase 3: leader region's controller crashes")
     net.fail_node(r1)
-    loop.router.invalidate()
     for _ in range(20):
         s = loop.run_era()
         if s.era % 10 == 0:
@@ -67,7 +65,6 @@ def main() -> None:
     print("\nphase 4: Ireland recovers")
     net.restore_node(r1)
     net.restore_link(r1, r2)
-    loop.router.invalidate()
     for _ in range(20):
         s = loop.run_era()
         if s.era % 10 == 0:

@@ -312,12 +312,17 @@ import json, sys
 doc = json.loads(sys.stdin.readline())
 sys.exit(0 if doc["correct"] is True and doc["failed"] == 0 else 1)
 ' || { echo "e2e smoke: $workload not correct or has failed operations" >&2; exit 1; }
-    # same seed, same 20 eras => the same era reports on every commit
-    if [ "$workload" = pcam_fleet_10k ]; then
-        grep -q '"era_report_digest": "0a8c68814499b22f24924c358ec99391"' \
-            <<<"$E2E_OUT" \
-            || { echo "e2e smoke: pcam_fleet_10k era_report_digest moved" >&2; exit 1; }
-    fi
+    # same seed, same smoke => the same bytes on every commit: the fleet
+    # era's reports, and the two oracle-driven workloads whose digests an
+    # oracle / overlay / plan change must not move (recorded at fde7fb3)
+    case "$workload" in
+        pcam_fleet_10k) pin='"era_report_digest": "0a8c68814499b22f24924c358ec99391"' ;;
+        sweep_grid)     pin='"payload_digest": "bc78e9455d8b2c05f2226c606a48ec2c"' ;;
+        des_two_region) pin='"trace_digest": "e7e79e1d5f42c490de4a6db0e27f1e31"' ;;
+        *)              pin="" ;;
+    esac
+    [ -z "$pin" ] || grep -qF "$pin" <<<"$E2E_OUT" \
+        || { echo "e2e smoke: $workload moved off $pin" >&2; exit 1; }
 done
 
 echo "== one-spelling check =="
@@ -363,6 +368,18 @@ if grep -rnE "_region_pcam|_slo_note|_slo_refresh|_slo_gates" src/ \
 fi
 if grep -nE "start_server|StreamReader|readline\(" src/repro/serve/ingress.py; then
     echo "the ingress's per-line stream loop is back" >&2; exit 1
+fi
+if grep -rnE "def invalidate|_reroute\(" src/repro/overlay src/repro/chaos \
+        --include='*.py'; then
+    echo "a topology cache waits to be told again (key it on overlay.version)" >&2
+    exit 1
+fi
+if grep -rnF "live_graph(" src/repro/core --include='*.py'; then
+    echo "core rebuilds the live graph (ask the overlay: it caches per version)" >&2
+    exit 1
+fi
+if grep -n "def violates" src/repro/pcam/vm.py; then
+    echo "the oracle kernel's probe is a closure of calls again" >&2; exit 1
 fi
 # pattern @ the only place under src/repro that may spell it ("!": none)
 while IFS='@' read -r pattern home; do

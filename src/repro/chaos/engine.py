@@ -36,7 +36,6 @@ if TYPE_CHECKING:
     from repro.topology.health import DomainHealthTracker
     from repro.workload.browsers import BrowserPopulation
 from repro.overlay.network import OverlayNetwork
-from repro.overlay.routing import Router
 from repro.pcam.vm import VirtualMachine, VmState
 from repro.pcam.vmc import VirtualMachineController
 from repro.topology.domains import FailureDomainTree
@@ -68,9 +67,9 @@ class ChaosEngine:
         Seeded stream for the engine's own decisions (victim choice,
         Poisson gaps) -- use a dedicated registry stream such as
         ``rngs.stream("chaos")``.
-    overlay / router:
-        The controller overlay and its router (invalidated after every
-        topology mutation, which is what triggers rerouting).
+    overlay:
+        The controller overlay.  Routers over it reroute by themselves:
+        their caches are keyed on the overlay's mutation count.
     vmcs:
         Per-region :class:`VirtualMachineController` map for VM-level
         faults.
@@ -105,7 +104,6 @@ class ChaosEngine:
         sim,
         rng: np.random.Generator,
         overlay: OverlayNetwork | None = None,
-        router: Router | None = None,
         vmcs: dict[str, VirtualMachineController] | None = None,
         bus=None,
         predictors: dict[str, CorruptiblePredictor] | None = None,
@@ -117,7 +115,6 @@ class ChaosEngine:
         self.sim = sim
         self.rng = rng
         self.overlay = overlay
-        self.router = router
         self.vmcs = vmcs or {}
         self.bus = bus
         self.predictors = predictors or {}
@@ -153,10 +150,6 @@ class ChaosEngine:
             self._obs.event(
                 f"chaos.{kind}", target=target, detail=list(detail)
             )
-
-    def _reroute(self) -> None:
-        if self.router is not None:
-            self.router.invalidate()
 
     def _require_overlay(self) -> OverlayNetwork:
         if self.overlay is None:
@@ -216,19 +209,16 @@ class ChaosEngine:
     def fail_link(self, a: str, b: str) -> None:
         """Take an overlay link down."""
         self._require_overlay().fail_link(a, b)
-        self._reroute()
         self._record("fail_link", f"{a}--{b}")
 
     def restore_link(self, a: str, b: str) -> None:
         """Bring an overlay link back up."""
         self._require_overlay().restore_link(a, b)
-        self._reroute()
         self._record("restore_link", f"{a}--{b}")
 
     def crash_node(self, name: str) -> None:
         """Crash a controller node (e.g. kill the leader)."""
         self._require_overlay().fail_node(name)
-        self._reroute()
         self._record("crash_node", name)
 
     def restore_node(self, name: str) -> None:
@@ -242,7 +232,6 @@ class ChaosEngine:
         if net.is_alive(name):
             return
         net.restore_node(name)
-        self._reroute()
         self._record("restore_node", name)
 
     def partition(self, group: Iterable[str]) -> list[tuple[str, str]]:
@@ -260,7 +249,6 @@ class ChaosEngine:
         ]
         for a, b in cut:
             net.fail_link(a, b)
-        self._reroute()
         self._record("partition", ",".join(sorted(inside)), tuple(cut))
         return cut
 
@@ -269,7 +257,6 @@ class ChaosEngine:
         net = self._require_overlay()
         for a, b in cut:
             net.restore_link(a, b)
-        self._reroute()
         self._record("heal_partition", "*", tuple(cut))
 
     # ------------------------------------------------------------------ #
@@ -347,7 +334,6 @@ class ChaosEngine:
         if whole_region:
             if self.overlay is not None and region in self.overlay.nodes():
                 self.overlay.fail_node(region)
-                self._reroute()
             self._dark.add(region)
         self._mark_fault(target, "region_blackout")
         self._record("region_blackout", target, tuple(crashed))
@@ -369,7 +355,6 @@ class ChaosEngine:
             return
         if node_dead:
             self.overlay.restore_node(region)
-            self._reroute()
         self._dark.discard(region)
         self._clear_fault(region)
         self._record("region_heal", region)
@@ -428,7 +413,6 @@ class ChaosEngine:
             ]
             for a, b in cut:
                 net.fail_link(a, b)
-            self._reroute()
         self._mark_fault(az, "az_partition")
         self._record(
             "az_partition",
@@ -451,7 +435,6 @@ class ChaosEngine:
         if self.overlay is not None and cut:
             for a, b in cut:
                 self.overlay.restore_link(a, b)
-            self._reroute()
             healed = True
         if self.health is not None:
             healed = self.health.clear_fault(az) or healed

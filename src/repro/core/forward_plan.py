@@ -52,10 +52,13 @@ class ForwardPlan:
                 f"matrix shape {self.matrix.shape} does not match "
                 f"{n} regions"
             )
-        if np.any(self.matrix < -1e-9):
+        if (self.matrix < -1e-9).any():
             raise ValueError("plan has negative entries")
-        if not np.allclose(self.matrix.sum(axis=1), 1.0, atol=1e-6):
-            raise ValueError("plan rows must sum to 1")
+        # np.allclose(row sums, 1.0, atol=1e-6) at its default rtol, as
+        # floats (a NaN or inf sum fails the compare and is refused)
+        for row_sum in self.matrix.sum(axis=1).tolist():
+            if not abs(row_sum - 1.0) <= 1e-6 + 1e-5:
+                raise ValueError("plan rows must sum to 1")
 
     def processed_fractions(self) -> np.ndarray:
         """The ``f_j`` this plan realises: ``a @ P``."""

@@ -178,7 +178,6 @@ def _build_deployment(
         plane.sim,
         manager.rngs.stream("chaos"),
         overlay=loop.overlay,
-        router=loop.router,
         vmcs=loop.vmcs,
         bus=plane.bus,
         predictors=predictors,

@@ -13,7 +13,9 @@ implement the same guarantees in its essential bully-over-components form:
 * **determinism** -- the elected node is the smallest identifier in the
   component, so repeated elections agree without extra rounds.
 
-Election history is recorded for the experiments that count takeovers.
+Election history is recorded for the experiments that count takeovers:
+one record per *change* of ``(component, leader)``, so a control plane that
+re-elects every era on a quiet topology records the outcome once.
 """
 
 from __future__ import annotations
@@ -60,15 +62,7 @@ class LeaderElection:
         component = self.network.component_of(caller)
         if not component:
             raise RuntimeError(f"node {caller!r} is down; cannot elect")
-        leader = min(component)
-        self.history.append(
-            ElectionRecord(
-                time=float(now),
-                component=frozenset(component),
-                leader=leader,
-            )
-        )
-        return leader
+        return self._record(component, now)
 
     def leaders(self, now: float = 0.0) -> dict[str, str]:
         """Elect in every live component; returns node -> its leader.
@@ -82,7 +76,21 @@ class LeaderElection:
             if node in seen:
                 continue
             component = self.network.component_of(node)
-            leader = min(component)
+            leader = self._record(component, now)
+            for member in component:
+                out[member] = leader
+            seen |= component
+        return out
+
+    def _record(self, component: set[str], now: float) -> str:
+        """The component's leader; appended to history if it is news."""
+        leader = min(component)
+        last = self.history[-1] if self.history else None
+        if (
+            last is None
+            or last.leader != leader
+            or last.component != component
+        ):
             self.history.append(
                 ElectionRecord(
                     time=float(now),
@@ -90,10 +98,7 @@ class LeaderElection:
                     leader=leader,
                 )
             )
-            for member in component:
-                out[member] = leader
-            seen |= component
-        return out
+        return leader
 
     def takeover_count(self) -> int:
         """Number of leader *changes* across the recorded history."""

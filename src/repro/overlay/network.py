@@ -4,6 +4,11 @@ Nodes are VMC identifiers; edges carry one-way latency in milliseconds.
 Links and nodes can fail and recover at runtime; the live topology (the
 subgraph induced by alive nodes and up links) is what routing and election
 operate on.
+
+Every mutator bumps :attr:`OverlayNetwork.version`, and anything derived
+from the topology -- the live graph and its components here, the path
+cache of :class:`~repro.overlay.routing.Router` -- is keyed on that
+integer.  Nobody is told to invalidate anything.
 """
 
 from __future__ import annotations
@@ -21,10 +26,25 @@ class OverlayNetwork:
     >>> net.add_link("r1", "r2", latency_ms=25.0)
     >>> net.alive_nodes()
     ['r1', 'r2']
+
+    Attributes
+    ----------
+    version:
+        Mutation count: bumped by every call that can change the topology
+        (``add_node`` when it adds, ``add_link``, ``fail_*``,
+        ``restore_*``).  Equal versions mean an identical topology, so a
+        derived value cached under one version is valid for exactly as
+        long as the version stands.
     """
 
     def __init__(self) -> None:
         self._graph = nx.Graph()
+        self.version = 0
+        # (version, frozen live graph, node -> its connected component):
+        # what _live() built last
+        self._live_cache: (
+            tuple[int, nx.Graph, dict[str, frozenset[str]]] | None
+        ) = None
 
     # ------------------------------------------------------------------ #
     # topology construction
@@ -42,6 +62,7 @@ class OverlayNetwork:
         if name in self._graph:
             return
         self._graph.add_node(name, alive=True)
+        self.version += 1
 
     def add_link(self, a: str, b: str, latency_ms: float) -> None:
         """Connect two registered nodes with a symmetric link."""
@@ -53,6 +74,7 @@ class OverlayNetwork:
             if n not in self._graph:
                 raise KeyError(f"unknown node {n!r}; add_node first")
         self._graph.add_edge(a, b, latency_ms=float(latency_ms), up=True)
+        self.version += 1
 
     @classmethod
     def full_mesh(
@@ -78,21 +100,25 @@ class OverlayNetwork:
         """Take a link down (routing must reroute around it)."""
         self._require_edge(a, b)
         self._graph.edges[a, b]["up"] = False
+        self.version += 1
 
     def restore_link(self, a: str, b: str) -> None:
         """Bring a failed link back up."""
         self._require_edge(a, b)
         self._graph.edges[a, b]["up"] = True
+        self.version += 1
 
     def fail_node(self, name: str) -> None:
         """Crash a controller node (all its links become unusable)."""
         self._require_node(name)
         self._graph.nodes[name]["alive"] = False
+        self.version += 1
 
     def restore_node(self, name: str) -> None:
         """Recover a crashed node."""
         self._require_node(name)
         self._graph.nodes[name]["alive"] = True
+        self.version += 1
 
     # ------------------------------------------------------------------ #
     # queries
@@ -135,29 +161,47 @@ class OverlayNetwork:
             and self.is_alive(b)
         )
 
+    def live_view(self) -> nx.Graph:
+        """The subgraph of alive nodes and up links, shared and frozen.
+
+        Built at most once per :attr:`version`; what routing and
+        election read.  Use :meth:`live_graph` for a graph to mutate.
+        """
+        return self._live()[0]
+
     def live_graph(self) -> nx.Graph:
         """The subgraph of alive nodes and up links (a copy)."""
-        g = nx.Graph()
-        for n in self.alive_nodes():
-            g.add_node(n)
-        for a, b, data in self._graph.edges(data=True):
-            if data["up"] and self.is_alive(a) and self.is_alive(b):
-                g.add_edge(a, b, latency_ms=data["latency_ms"])
-        return g
+        return self.live_view().copy()
 
     def component_of(self, name: str) -> set[str]:
         """Alive nodes reachable from ``name`` (including itself)."""
         self._require_node(name)
-        if not self.is_alive(name):
-            return set()
-        return set(nx.node_connected_component(self.live_graph(), name))
+        return set(self._live()[1].get(name, ()))
 
     def is_partitioned(self) -> bool:
         """True when alive nodes split into more than one component."""
-        live = self.live_graph()
-        if live.number_of_nodes() <= 1:
-            return False
-        return nx.number_connected_components(live) > 1
+        components = self._live()[1]  # one entry per alive node
+        return any(len(c) < len(components) for c in components.values())
+
+    # ------------------------------------------------------------------ #
+
+    def _live(self) -> tuple[nx.Graph, dict[str, frozenset[str]]]:
+        """The live graph and node -> component map of this version."""
+        cache = self._live_cache
+        if cache is None or cache[0] != self.version:
+            g = nx.Graph()
+            for n in self.alive_nodes():
+                g.add_node(n)
+            for a, b, data in self._graph.edges(data=True):
+                if data["up"] and self.is_alive(a) and self.is_alive(b):
+                    g.add_edge(a, b, latency_ms=data["latency_ms"])
+            components = {
+                n: component
+                for component in map(frozenset, nx.connected_components(g))
+                for n in component
+            }
+            cache = self._live_cache = (self.version, nx.freeze(g), components)
+        return cache[1], cache[2]
 
     # ------------------------------------------------------------------ #
 

@@ -3,9 +3,10 @@
 The overlay "selects the path with the smallest latency among two given
 controllers, and is able to reroute connections in case of a network link
 failure" (Sec. III).  :class:`Router` computes Dijkstra shortest paths on
-the live topology and caches them; any topology mutation (fail/restore)
-must be followed by :meth:`Router.invalidate`, after which paths are
-recomputed -- that recomputation *is* the rerouting.
+the live topology and caches them under the network's
+:attr:`~repro.overlay.network.OverlayNetwork.version`; after any topology
+mutation (fail/restore) the version has moved and paths are recomputed --
+that recomputation *is* the rerouting.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ class Router:
 
     def __init__(self, network: OverlayNetwork) -> None:
         self.network = network
+        # paths on the topology of ``_cache_version``
         self._cache: dict[tuple[str, str], tuple[list[str], float]] = {}
-
-    def invalidate(self) -> None:
-        """Drop cached paths (call after any topology change)."""
-        self._cache.clear()
+        self._cache_version = network.version
 
     def route(self, src: str, dst: str) -> tuple[list[str], float]:
         """Smallest-latency path and its total latency in ms.
@@ -50,11 +49,14 @@ class Router:
             if not self.network.is_alive(src):
                 raise NoRouteError(f"node {src!r} is down")
             return [src], 0.0
+        if self._cache_version != self.network.version:
+            self._cache.clear()
+            self._cache_version = self.network.version
         key = (src, dst)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        live = self.network.live_graph()
+        live = self.network.live_view()
         if src not in live or dst not in live:
             raise NoRouteError(
                 f"endpoint down: {src!r} or {dst!r} not in live topology"

@@ -84,10 +84,17 @@ BASELINE_THREADS = 24
 # ---------------------------------------------------------------------- #
 # the scalar capacity / response-time model
 # ---------------------------------------------------------------------- #
-# One spelling of the physics over plain Python numbers.  The
-# ``VirtualMachine`` properties, ``VmStateTable.capacity_at`` (the DES
-# request path) and the mean-field oracle kernel below all call these, so
-# they agree bit-for-bit by construction.  (``VmStateTable.pressures_of``
+# The physics over plain Python numbers.  The ``VirtualMachine``
+# properties and ``VmStateTable.capacity_at`` (the DES request path) call
+# these functions, so they agree bit-for-bit by construction.  The
+# mean-field oracle kernel below does *not*: its SLA search probes the
+# model ~50 times a prediction, and five calls a probe were 1.5 M of a
+# 12-cell sweep's 3.0 M Python calls, so its probe spells
+# ``effective_capacity`` and ``mm1_response_time_s`` a second time on
+# local floats, operation for operation.  What holds the two spellings
+# together is ``tests/pcam/test_oracle_kernel.py``: exact equality of the
+# kernel against a reference that drives the VM properties.  Change the
+# model here and there in the same commit.  (``VmStateTable.pressures_of``
 # in :mod:`repro.pcam.state_table` is the array form, pinned against these
 # by ``tests/pcam/test_columnar_parity.py``.)
 
@@ -192,20 +199,6 @@ def mean_field_ttf_s(
     else:
         t_threads = math.inf
 
-    def violates(t: float) -> bool:
-        capacity = effective_capacity(
-            cpu_power,
-            leaked_mb + leak_rate * t,
-            usable_mb,
-            swap_mb,
-            int(stuck_threads + thread_rate * t),
-            free_slots,
-        )
-        return (
-            mm1_response_time_s(capacity, request_rate, mean_demand)
-            > sla_response_time_s
-        )
-
     # The state stops changing once swap and thread slots have both
     # saturated, so an SLA crossing lies before that.  With swap
     # exhaustion on (the default) the scan need not pass ``t_crash``.
@@ -216,21 +209,55 @@ def mean_field_ttf_s(
     # Scan the trajectory coarsely, then bisect inside the crossing
     # interval (the coarse step alone would quantise the answer by
     # horizon/400, which breaks monotonicity between VMs whose crash
-    # horizons differ).
+    # horizons differ).  One loop, so the probe is written once: ``t``
+    # takes the scan steps, then exactly 30 midpoints; ``halvings`` is
+    # None while the scan is still looking for the crossing interval.
     t_sla = math.inf
-    t, dt = 0.0, max(horizon / 400.0, 1.0)
-    while t < horizon:
-        t += dt
-        if violates(t):
-            lo, hi = max(t - dt, 0.0), t
-            for _ in range(30):
-                mid = 0.5 * (lo + hi)
-                if violates(mid):
-                    hi = mid
-                else:
-                    lo = mid
+    scan_t, dt = 0.0, max(horizon / 400.0, 1.0)
+    lo = hi = 0.0
+    halvings = None
+    while True:
+        if halvings is None:
+            if not scan_t < horizon:
+                break
+            scan_t += dt
+            t = scan_t
+        elif halvings:
+            t = 0.5 * (lo + hi)
+        else:
             t_sla = hi
             break
+        # The probe: is the SLA violated at ``t``?  The second spelling
+        # of effective_capacity() and mm1_response_time_s() -- same
+        # operations, same order, or every sweep digest moves.
+        leaked = leaked_mb + leak_rate * t
+        if swap_mb == 0:
+            swap_p = 1.0 if leaked >= usable_mb else 0.0
+        else:
+            spilled = leaked - usable_mb
+            if spilled <= 0.0:
+                spilled = 0.0
+            elif spilled >= swap_mb:
+                spilled = swap_mb
+            swap_p = spilled / swap_mb
+        thread_p = int(stuck_threads + thread_rate * t) / free_slots
+        if thread_p >= 1.0:
+            thread_p = 1.0
+        factor = (1.0 - SWAP_CAPACITY_PENALTY * swap_p) * (1.0 - thread_p)
+        mu = cpu_power * (0.02 if factor < 0.02 else factor) / mean_demand
+        rho = request_rate / mu
+        if rho > 0.99:
+            rho = 0.99
+        violated = (1.0 / mu) / (1.0 - rho) > sla_response_time_s
+        if halvings is None:
+            if violated:
+                lo, hi, halvings = max(t - dt, 0.0), t, 30
+        else:
+            halvings -= 1
+            if violated:
+                hi = t
+            else:
+                lo = t
     return min(
         t_crash if swap_exhaustion else math.inf,
         t_sla,

@@ -156,7 +156,6 @@ class AcmService:
             sim=clock,
             rng=self.manager.rngs.stream("serve/chaos"),
             overlay=self.overlay,
-            router=self.router,
             vmcs=self.vmcs,
             bus=self.bus,
             telemetry=tel,

@@ -51,7 +51,7 @@ class TestOverlayPrimitives:
     def test_link_fault_reroutes_and_logs(self):
         net = mesh()
         router = Router(net)
-        sim, engine = make_engine(overlay=net, router=router)
+        sim, engine = make_engine(overlay=net)
         assert router.latency("r1", "r3") == 20.0  # via r2
         engine.fail_link("r1", "r2")
         assert router.latency("r1", "r3") == 30.0  # direct, rerouted
@@ -62,7 +62,7 @@ class TestOverlayPrimitives:
 
     def test_partition_and_heal(self):
         net = mesh()
-        sim, engine = make_engine(overlay=net, router=Router(net))
+        sim, engine = make_engine(overlay=net)
         cut = engine.partition({"r3"})
         assert sorted(cut) == [("r1", "r3"), ("r2", "r3")]
         assert net.is_partitioned()
@@ -71,7 +71,7 @@ class TestOverlayPrimitives:
 
     def test_crash_and_restore_node(self):
         net = mesh()
-        sim, engine = make_engine(overlay=net, router=Router(net))
+        sim, engine = make_engine(overlay=net)
         engine.crash_node("r1")
         assert not net.is_alive("r1")
         engine.restore_node("r1")
@@ -112,7 +112,7 @@ class TestPcamPrimitives:
         rngs = RngRegistry(seed=9)
         vmc = make_vmc(rngs)
         sim, engine = make_engine(
-            overlay=net, router=Router(net), vmcs={"r1": vmc}
+            overlay=net, vmcs={"r1": vmc}
         )
         engine.region_blackout("r1")
         assert not net.is_alive("r1")
@@ -163,7 +163,7 @@ class TestHealIdempotency:
         rngs = RngRegistry(seed=9)
         vmc = make_vmc(rngs)
         sim, engine = make_engine(
-            overlay=net, router=Router(net), vmcs={"r1": vmc}
+            overlay=net, vmcs={"r1": vmc}
         )
         engine.region_heal("r1")  # never blacked out
         assert engine.log == []
@@ -190,7 +190,7 @@ class TestHealIdempotency:
 
     def test_restore_node_of_alive_node_is_noop(self):
         net = mesh()
-        sim, engine = make_engine(overlay=net, router=Router(net))
+        sim, engine = make_engine(overlay=net)
         engine.restore_node("r2")  # alive: no-op, no log entry
         assert engine.log == []
         engine.crash_node("r2")
@@ -200,7 +200,7 @@ class TestHealIdempotency:
 
     def test_restore_node_still_rejects_unknown_nodes(self):
         net = mesh()
-        sim, engine = make_engine(overlay=net, router=Router(net))
+        sim, engine = make_engine(overlay=net)
         with pytest.raises(KeyError):
             engine.restore_node("nope")
 
@@ -252,7 +252,6 @@ class TestDomainPrimitives:
         health = DomainHealthTracker(tree)
         sim, engine = make_engine(
             overlay=net,
-            router=Router(net),
             vmcs={"r1": vmc},
             domains=tree,
             health=health,
@@ -277,7 +276,7 @@ class TestDomainPrimitives:
         tree = hierarchy()
         vmc = make_vmc(RngRegistry(seed=9), tree=tree)
         sim, engine = make_engine(
-            overlay=net, router=Router(net), vmcs={"r1": vmc}, domains=tree
+            overlay=net, vmcs={"r1": vmc}, domains=tree
         )
         cut = engine.az_partition("r1/az1")
         assert cut == []
@@ -354,7 +353,7 @@ class TestDomainPrimitives:
         tree = hierarchy()
         vmc = make_vmc(RngRegistry(seed=9), tree=tree)
         sim, engine = make_engine(
-            overlay=net, router=Router(net), vmcs={"r1": vmc}, domains=tree
+            overlay=net, vmcs={"r1": vmc}, domains=tree
         )
         engine.region_blackout("r1", domain="r1/az0/rack0")
         assert net.is_alive("r1")  # controller untouched
@@ -439,7 +438,7 @@ class TestTransportAndPredictorPrimitives:
 class TestScheduling:
     def test_at_applies_on_the_sim_clock(self):
         net = mesh()
-        sim, engine = make_engine(overlay=net, router=Router(net))
+        sim, engine = make_engine(overlay=net)
         engine.at(120.0, engine.fail_link, "r1", "r2")
         engine.at(240.0, engine.restore_link, "r1", "r2")
         sim.run_until(120.0)
@@ -453,7 +452,7 @@ class TestScheduling:
 
     def test_link_flap_every(self):
         net = mesh()
-        sim, engine = make_engine(overlay=net, router=Router(net))
+        sim, engine = make_engine(overlay=net)
         engine.link_flap_every(
             "r1", "r2", period_s=100.0, down_s=30.0, until_s=350.0
         )
@@ -467,7 +466,7 @@ class TestScheduling:
     def test_poisson_flaps_are_seed_deterministic(self):
         def schedule(seed):
             net = mesh()
-            sim, engine = make_engine(seed=seed, overlay=net, router=Router(net))
+            sim, engine = make_engine(seed=seed, overlay=net)
             n = engine.poisson_link_flaps(
                 [("r1", "r2"), ("r2", "r3")],
                 rate_hz=1 / 200.0,
@@ -497,7 +496,6 @@ class TestFaultLogReplay:
                 sim,
                 rngs.stream("chaos"),
                 overlay=net,
-                router=Router(net),
                 vmcs={"r1": vmc},
             )
             engine.at(60.0, engine.vm_crash_storm, "r1", 0.5)

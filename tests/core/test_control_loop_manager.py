@@ -178,7 +178,6 @@ class TestOverlayIntegration:
         (s1,) = mgr.run(1)
         assert s1.leader == "region1"
         net.fail_node("region1")
-        mgr.loop.router.invalidate()
         (s2,) = mgr.run(1)
         assert s2.leader == "region3"
 
@@ -190,7 +189,6 @@ class TestOverlayIntegration:
         mgr = two_region_manager(overlay=net)
         mgr.run(5)
         net.fail_link("region1", "region3")
-        mgr.loop.router.invalidate()
         summaries = mgr.run(5)
         # both regions still process load under partition
         assert all(

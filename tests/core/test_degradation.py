@@ -101,7 +101,6 @@ class TestLoopDegradation:
         loop = make_manager().loop
         loop.run(10)
         loop.overlay.fail_link("region1", "region3")
-        loop.router.invalidate()
         modes = [s.degradation for s in loop.run(12)]
         cfg = loop.degradation.config
         # grace eras first (stale reports still fresh), then hold, then
@@ -117,7 +116,6 @@ class TestLoopDegradation:
         loop = make_manager().loop
         loop.run(10)
         loop.overlay.fail_link("region1", "region3")
-        loop.router.invalidate()
         summaries = loop.run(8)
         held = [s for s in summaries if s.degradation == "hold"]
         assert len(held) >= 2
@@ -128,7 +126,6 @@ class TestLoopDegradation:
         loop = make_manager().loop
         loop.run(10)
         loop.overlay.fail_link("region1", "region3")
-        loop.router.invalidate()
         summaries = loop.run(12)
         last = summaries[-1]
         assert last.degradation == "fallback"
@@ -140,10 +137,8 @@ class TestLoopDegradation:
         loop = make_manager().loop
         loop.run(10)
         loop.overlay.fail_link("region1", "region3")
-        loop.router.invalidate()
         loop.run(12)
         loop.overlay.restore_link("region1", "region3")
-        loop.router.invalidate()
         summaries = loop.run(3)
         assert all(s.degradation == "normal" for s in summaries)
 
@@ -173,7 +168,6 @@ class TestLoopDegradation:
         loop = make_manager().loop
         loop.run(5)
         loop.overlay.fail_link("region1", "region3")
-        loop.router.invalidate()
         loop.run(12)
         values = loop.traces.series("degradation").values
         assert 0.0 in values and 1.0 in values and 2.0 in values
@@ -234,7 +228,6 @@ class TestReliableTransport:
         # cut region3 off from both other regions
         loop.overlay.fail_link("region1", "region3")
         loop.overlay.fail_link("region2", "region3")
-        loop.router.invalidate()
         reports = plane.run(10)
         # 2 of 3 regions still report: quorum holds, the loop stays normal
         assert all(r.summary.degradation == "normal" for r in reports)
@@ -251,7 +244,6 @@ class TestReliableTransport:
         )
         assert acked == {"region2", "region3"}
         mgr.loop.overlay.fail_node("region3")
-        mgr.loop.router.invalidate()
         acked = transport.push_fractions(
             "region1", {"region1": 0.5, "region2": 0.3, "region3": 0.2}
         )

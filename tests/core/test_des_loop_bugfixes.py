@@ -73,7 +73,6 @@ class TestForwardLatencyFallback:
         loop.run(3)
         assert loop.total_forward_fallbacks == 0
         overlay.fail_link("r1", "r3")
-        loop._router.invalidate()
         loop.run(3)
         # partitioned forwards absorbed the penalty *and* left a trace
         assert loop.total_forward_fallbacks > 0
@@ -81,6 +80,23 @@ class TestForwardLatencyFallback:
         assert fallbacks, "partition left no forward_fallback trace"
         n_traced = sum(len(s) for s in fallbacks.values())
         assert n_traced == loop.total_forward_fallbacks
+
+    def test_fallbacks_start_at_the_cut_and_stop_at_the_heal(self):
+        """The overlay is mutated directly, mid-run; the loop's router is
+        the loop's own business and nobody tells it anything."""
+        overlay = two_region_overlay()
+        loop = build_loop("uniform", seed=22, clients=(120, 72),
+                          overlay=overlay)
+        loop.run(3)
+        overlay.fail_link("r1", "r3")
+        loop.run(3)
+        cut_s, heal_s = 3 * loop.era_s, loop.sim.now
+        overlay.restore_link("r1", "r3")
+        loop.run(3)
+        fallbacks = loop.traces.matching("forward_fallback/")
+        assert fallbacks, "the cut left no forward_fallback/<region> trace"
+        for series in fallbacks.values():
+            assert all(cut_s <= t <= heal_s for t in series.times)
 
     def test_partition_penalty_value(self):
         overlay = two_region_overlay()

@@ -60,7 +60,6 @@ class TestPlaneUnderFailures:
         plane.run(10)
         loop = mgr.loop
         loop.overlay.fail_node("region1")
-        loop.router.invalidate()
         plane.detectors["region1"].stop()
         # a 30 s era exceeds the 15 s timeout: by the next era every
         # survivor's detector has switched to region2
@@ -75,7 +74,6 @@ class TestPlaneUnderFailures:
         plane.run(10)
         loop = mgr.loop
         loop.overlay.fail_node("region3")
-        loop.router.invalidate()
         era_at_failure = plane.reports[-1].summary.era
         plane.run(6)
         # survivors still gossip each other's fresh state
@@ -89,11 +87,9 @@ class TestPlaneUnderFailures:
         plane.run(10)
         loop = mgr.loop
         loop.overlay.fail_node("region1")
-        loop.router.invalidate()
         plane.detectors["region1"].stop()
         plane.run(3)
         loop.overlay.restore_node("region1")
-        loop.router.invalidate()
         plane.detectors["region1"].start()
         reports = plane.run(3)
         assert reports[-1].detector_leaders["region2"] == "region1"

@@ -92,13 +92,11 @@ class TestControllerPartitionDuringRun:
         loop.run(10)
         assert loop.summaries[-1].leader == "region1"
         loop.overlay.fail_node("region1")
-        loop.router.invalidate()
         summaries = loop.run(10)
         assert summaries[-1].leader == "region3"
         assert all(s.total_requests > 0 for s in summaries)
         # recovery restores the original leader
         loop.overlay.restore_node("region1")
-        loop.router.invalidate()
         (s,) = loop.run(1)
         assert s.leader == "region1"
 
@@ -108,7 +106,6 @@ class TestControllerPartitionDuringRun:
         loop = mgr.loop
         loop.run(30)
         loop.overlay.fail_link("region1", "region3")
-        loop.router.invalidate()
         f_at_cut = loop.summaries[-1].fractions
         summaries = loop.run(10)
         # the leader plans with stale RMTTF for region3; fractions stay

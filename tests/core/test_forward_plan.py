@@ -83,6 +83,37 @@ class TestForwardPlanObject:
         with pytest.raises(ValueError, match="match"):
             ForwardPlan(("a", "b"), np.eye(3), np.array([0.5, 0.5]))
 
+    #: name -> (matrix, the refusal's message or None if accepted); the
+    #: accept/refuse set of ``np.any(m < -1e-9)`` then ``np.allclose(row
+    #: sums, 1.0, atol=1e-6)``, however ``__post_init__`` spells it
+    EDGES = {
+        "wrong-shape": (np.eye(3), "matrix shape (3, 3) does not match 2 regions"),
+        "not-square": (np.full((2, 3), 1 / 3), "matrix shape (2, 3) does not match 2 regions"),
+        "entry-at-minus-2e-9": ([[1.0 + 2e-9, -2e-9], [0.0, 1.0]], "plan has negative entries"),
+        "entry-at-minus-5e-10": ([[1.0 + 5e-10, -5e-10], [0.0, 1.0]], None),
+        "row-sum-off-by-2e-5": ([[0.5, 0.5 + 2e-5], [0.0, 1.0]], "plan rows must sum to 1"),
+        "row-sum-off-by-minus-2e-5": ([[1.0, 0.0], [0.5 - 2e-5, 0.5]], "plan rows must sum to 1"),
+        "row-sum-off-by-5e-6": ([[0.5, 0.5 + 5e-6], [0.5 - 5e-6, 0.5]], None),
+        "nan-row": ([[float("nan"), 0.5], [0.0, 1.0]], "plan rows must sum to 1"),
+        "inf-entry": ([[float("inf"), 0.0], [0.0, 1.0]], "plan rows must sum to 1"),
+        "minus-inf-entry": ([[-float("inf"), 1.0], [0.0, 1.0]], "plan has negative entries"),
+        "nan-beside-a-negative": ([[float("nan"), -0.5], [0.0, 1.0]], "plan has negative entries"),
+        "second-row-only": ([[1.0, 0.0], [0.7, 0.2]], "plan rows must sum to 1"),
+        "identity": (np.eye(2), None),
+    }
+
+    @pytest.mark.parametrize("name", EDGES)
+    def test_validation_edges(self, name):
+        matrix, message = self.EDGES[name]
+        matrix = np.array(matrix, dtype=float)
+        arrivals = np.array([0.5, 0.5])
+        if message is None:
+            assert ForwardPlan(("a", "b"), matrix, arrivals).matrix is matrix
+        else:
+            with pytest.raises(ValueError) as refusal:
+                ForwardPlan(("a", "b"), matrix, arrivals)
+            assert str(refusal.value) == message
+
 
 class TestRouteCounts:
     def test_deterministic_routing_conserves_totals(self):

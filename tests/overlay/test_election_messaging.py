@@ -61,6 +61,33 @@ class TestLeaderElection:
         assert election.elect("r2") == "r1"
         assert election.takeover_count() == 2
 
+    def test_history_records_changes_not_elections(self):
+        """An era tick re-elects once a second for the life of a server:
+        quiet elections must not grow the history."""
+        net = mesh(3)
+        election = LeaderElection(net)
+        for era in range(10_000):
+            assert election.elect("r3", now=float(era)) == "r1"
+        assert len(election.history) == 1
+        assert election.history[0].time == 0.0
+        assert election.takeover_count() == 0
+        # a flapping leader: every flap is two changes, quiet eras none
+        for flap in range(5):
+            net.fail_node("r1")
+            for _ in range(100):
+                assert election.elect("r3") == "r2"
+            net.restore_node("r1")
+            for _ in range(100):
+                assert election.elect("r3") == "r1"
+        assert election.takeover_count() == 10
+        assert len(election.history) == 11
+        # a membership change under an unchanged leader is still news
+        net.fail_node("r2")
+        election.elect("r3")
+        assert len(election.history) == 12
+        assert election.history[-1].component == {"r1", "r3"}
+        assert election.takeover_count() == 10
+
     @settings(max_examples=30, deadline=None)
     @given(
         dead=st.sets(st.sampled_from(["r1", "r2", "r3", "r4", "r5"]), max_size=4)

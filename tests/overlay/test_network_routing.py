@@ -104,7 +104,6 @@ class TestRouter:
         router = Router(triangle)
         assert router.route("r1", "r3")[0] == ["r1", "r2", "r3"]
         triangle.fail_link("r1", "r2")
-        router.invalidate()
         path, latency = router.route("r1", "r3")
         assert path == ["r1", "r3"]
         assert latency == 50.0
@@ -112,14 +111,12 @@ class TestRouter:
     def test_reroutes_around_failed_node(self, triangle):
         router = Router(triangle)
         triangle.fail_node("r2")
-        router.invalidate()
         assert router.route("r1", "r3")[0] == ["r1", "r3"]
 
     def test_partition_raises(self, triangle):
         router = Router(triangle)
         triangle.fail_link("r1", "r2")
         triangle.fail_link("r1", "r3")
-        router.invalidate()
         with pytest.raises(NoRouteError, match="partition"):
             router.route("r1", "r3")
 
@@ -134,7 +131,6 @@ class TestRouter:
     def test_dead_endpoint_raises(self, triangle):
         router = Router(triangle)
         triangle.fail_node("r3")
-        router.invalidate()
         with pytest.raises(NoRouteError, match="endpoint"):
             router.route("r1", "r3")
 
@@ -142,17 +138,27 @@ class TestRouter:
         router = Router(triangle)
         assert router.reachable("r1", "r3")
         triangle.fail_node("r3")
-        router.invalidate()
         assert not router.reachable("r1", "r3")
 
     def test_latency_shortcut(self, triangle):
         assert Router(triangle).latency("r1", "r2") == 10.0
 
-    def test_cache_returns_same_until_invalidated(self, triangle):
+    def test_cache_follows_the_topology(self, triangle):
         router = Router(triangle)
         first = router.route("r1", "r3")
+        assert router.route("r1", "r3")[0] is first[0]  # cached while unchanged
         triangle.fail_link("r2", "r3")
-        # stale without invalidate (documented behaviour)
+        # nobody told the router: the next route avoids the dead link
+        assert router.route("r1", "r3") == (["r1", "r3"], 50.0)
+        triangle.restore_link("r2", "r3")
         assert router.route("r1", "r3") == first
-        router.invalidate()
-        assert router.route("r1", "r3")[0] == ["r1", "r3"]
+
+    @pytest.mark.parametrize(
+        "fault", [lambda net: net.fail_link("r1", "r2"), lambda net: net.fail_node("r2")]
+    )
+    def test_cached_route_over_a_dead_hop_is_not_served(self, fault):
+        net = OverlayNetwork.full_mesh({("r1", "r2"): 10.0})
+        router = Router(net)
+        assert router.reachable("r1", "r2")
+        fault(net)
+        assert not router.reachable("r1", "r2")

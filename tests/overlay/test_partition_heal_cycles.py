@@ -89,13 +89,11 @@ class Mesh:
         ]
         for a, b in cut:
             self.net.fail_link(a, b)
-        self.router.invalidate()
         return cut
 
     def heal(self, cut: list[tuple[str, str]]) -> None:
         for a, b in cut:
             self.net.restore_link(a, b)
-        self.router.invalidate()
 
     def settle(self, span_s: float) -> None:
         self.sim.run_until(self.sim.now + span_s)

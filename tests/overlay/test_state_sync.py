@@ -76,7 +76,6 @@ class TestGossipConvergence:
         # cut r4 off entirely
         for peer in ("r1", "r2", "r3"):
             net.fail_link(peer, "r4")
-        sync.bus.router.invalidate()
         stores["r1"].update_local("during-partition")
         sim.run_until(400.0)
         assert stores["r4"].get("r1").payload == "initial"  # stale
@@ -84,7 +83,6 @@ class TestGossipConvergence:
         # heal and reconcile
         for peer in ("r1", "r2", "r3"):
             net.restore_link(peer, "r4")
-        sync.bus.router.invalidate()
         sim.run_until(700.0)
         assert stores["r4"].get("r1").payload == "during-partition"
         assert sync.converged()
@@ -92,7 +90,6 @@ class TestGossipConvergence:
     def test_dead_node_does_not_gossip(self):
         names, net, sim, stores, sync = make_cluster()
         net.fail_node("r1")
-        sync.bus.router.invalidate()
         stores["r1"].update_local("ghost-update")
         sim.run_until(200.0)
         assert stores["r2"].get("r1") is None

@@ -165,6 +165,141 @@ def test_kernel_equals_reference_exactly(
     )
 
 
+def reference_policy_ttf(vm, request_rate, mean_demand=1.5):
+    """``reference_ttf`` under any :class:`FailurePolicy`.
+
+    The kernel's clause logic (scan horizon, final ``min`` over enabled
+    clauses) around the same property-driven probe.  Also returns the
+    probe times, so a case can show which regime it exercised.
+    """
+    leak_rate = vm.injector.expected_leak_rate_mb(request_rate)
+    thread_rate = vm.injector.expected_thread_rate(request_rate)
+    assert request_rate > 0 and leak_rate > 0
+    policy = vm.failure_policy
+    t_crash = max(vm.anomaly_budget_mb - vm.leaked_mb, 0.0) / leak_rate
+    t_threads = (
+        max(vm.thread_free_slots - vm.stuck_threads, 0) / thread_rate
+        if thread_rate > 0
+        else float("inf")
+    )
+    horizon = t_crash
+    if not policy.swap_exhaustion and math.isfinite(t_threads):
+        horizon = max(t_crash, t_threads)
+
+    saved = (vm.leaked_mb, vm.stuck_threads)
+    probes = []
+
+    def violates(t):
+        probes.append(t)
+        vm.leaked_mb = saved[0] + leak_rate * t
+        vm.stuck_threads = int(saved[1] + thread_rate * t)
+        return (
+            vm.response_time_s(request_rate, mean_demand)
+            > policy.sla_response_time_s
+        )
+
+    t_sla = float("inf")
+    try:
+        t, dt = 0.0, max(horizon / 400.0, 1.0)
+        while t < horizon:
+            t += dt
+            if violates(t):
+                lo, hi = max(t - dt, 0.0), t
+                for _ in range(30):
+                    mid = 0.5 * (lo + hi)
+                    if violates(mid):
+                        hi = mid
+                    else:
+                        lo = mid
+                t_sla = hi
+                break
+    finally:
+        vm.leaked_mb, vm.stuck_threads = saved
+    ttf = min(
+        t_crash if policy.swap_exhaustion else float("inf"),
+        t_sla,
+        t_threads if policy.thread_exhaustion else float("inf"),
+    )
+    return ttf, probes, horizon
+
+
+SWAPLESS = SHAPES[-1]
+NO_CLAUSES = dict(swap_exhaustion=False, thread_exhaustion=False)
+
+#: The regimes no sweep cell visits (there every prediction is an SLA
+#: crossing found after ~20 scan steps).  name -> (VM kwargs, policy
+#: kwargs, fraction of the RAM+swap budget already leaked, rate, and what
+#: the reference's probe record must show for the case to be the regime
+#: it is named for).
+REGIMES = {
+    "swapless-step-before-and-after": (
+        dict(itype=SWAPLESS), {}, 0.5, 12.0,
+        lambda ttf, probes, horizon: len(probes) > 31,
+    ),
+    "swapless-sla-out-of-reach": (
+        dict(itype=SWAPLESS),
+        dict(sla_response_time_s=1e6, thread_exhaustion=False), 0.0, 12.0,
+        lambda ttf, probes, horizon: ttf == horizon and len(probes) >= 400,
+    ),
+    "no-thread-rate": (
+        dict(thread_probability=0.0), {}, 0.2, 9.0,
+        lambda ttf, probes, horizon: len(probes) > 31,
+    ),
+    "no-thread-rate-clauses-off": (
+        dict(thread_probability=0.0), dict(**NO_CLAUSES), 0.2, 9.0,
+        lambda ttf, probes, horizon: math.isfinite(horizon),
+    ),
+    "clauses-off-horizon-is-threads": (
+        dict(leak_probability=0.5, thread_probability=0.005),
+        dict(**NO_CLAUSES), 0.0, 5.0,
+        lambda ttf, probes, horizon: ttf < horizon and len(probes) > 31,
+    ),
+    "clauses-off-never-violates": (
+        {}, dict(sla_response_time_s=1e6, **NO_CLAUSES), 0.0, 20.0,
+        lambda ttf, probes, horizon: ttf == float("inf") and len(probes) >= 400,
+    ),
+    "past-the-budget": (
+        {}, {}, 1.25, 8.0,
+        lambda ttf, probes, horizon: horizon == 0.0 and not probes and ttf == 0.0,
+    ),
+    "past-the-budget-swap-clause-off": (
+        {}, dict(swap_exhaustion=False), 1.25, 8.0,
+        lambda ttf, probes, horizon: horizon > 0.0 and len(probes) == 31,
+    ),
+    "horizon-under-one-second": (
+        {}, dict(sla_response_time_s=1e6), 0.9999, 20.0,
+        lambda ttf, probes, horizon: 0.0 < horizon < 1.0 and probes == [1.0],
+    ),
+    "horizon-under-one-second-crossing": (
+        {}, {}, 0.9999, 20.0,
+        lambda ttf, probes, horizon: 0.0 < ttf < horizon < 1.0
+        and probes[0] == 1.0 and len(probes) == 31,
+    ),
+    "violating-at-the-first-step": (
+        {}, dict(sla_response_time_s=0.02), 0.0, 30.0,
+        lambda ttf, probes, horizon: len(probes) == 31 and 0.0 < ttf < 1e-6,
+    ),
+    "never-violating-before-the-crash": (
+        {}, dict(sla_response_time_s=1e6, thread_exhaustion=False), 0.3, 6.0,
+        lambda ttf, probes, horizon: ttf == horizon and len(probes) >= 400,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REGIMES)
+@pytest.mark.parametrize("table", [False, True], ids=["object", "table-row"])
+def test_kernel_regimes_equal_reference_exactly(name, table):
+    vm_kw, policy_kw, leak_fraction, rate, is_the_regime = REGIMES[name]
+    vm = make_vm(policy=FailurePolicy(**policy_kw), **vm_kw)
+    vm.leaked_mb = leak_fraction * vm.anomaly_budget_mb
+    vm.stuck_threads = 7
+    if table:
+        VmStateTable().adopt(vm)
+    expected, probes, horizon = reference_policy_ttf(vm, rate)
+    assert is_the_regime(expected, probes, horizon), (expected, len(probes), horizon)
+    assert vm.true_time_to_failure_s(rate) == expected
+
+
 def reference_predict_rttf(vm, mean_demand, noise_std, rng):
     """The pre-kernel ``OracleRttfPredictor.predict_rttf``."""
     rate = vm.last_request_rate
