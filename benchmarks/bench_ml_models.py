@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.ml import (
-    BaggedRegressor,
     F2PMToolchain,
     LassoRegression,
     LeastSquaresSVM,
@@ -29,8 +28,6 @@ MODELS = {
     "m5p": M5PModelTree,
     "svr": lambda: LinearSVR(seed=1, n_epochs=30),
     "ls-svm": lambda: LeastSquaresSVM(gamma=50.0),
-    # extension: bagged REP-Trees (variance-reduced tree ensemble)
-    "bagged-rep-tree": lambda: BaggedRegressor(n_estimators=10, seed=1),
 }
 
 

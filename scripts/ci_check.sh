@@ -21,8 +21,8 @@
 #      ml_lives_total) through the telemetry dump;
 #   7. a state-table parity smoke: the table-backed VMC must equal the
 #      tests-only one-VM reference controller bit for bit (era oracle +
-#      chaos/churn), and the DES region / DES loop must reproduce the
-#      digests recorded from the per-object path before it was deleted;
+#      chaos/churn), and the DES loop must reproduce the digests recorded
+#      from the per-object path before it was deleted;
 #   8. a hierarchical-chaos smoke: the rack-blackout-during-flash-crowd
 #      campaign on the 2 AZ x 2 rack deployment must end recovered, then
 #      a tiny flat+2x2 sweep must run end to end;
@@ -76,7 +76,15 @@
 #      it); and each driver-layer name (scenario builders, argparse, the
 #      per-figure functions and copied name tuples, the serve boot gates
 #      9 and 11 go through) keeps the one home the table ending this
-#      script gives it.
+#      script gives it.  It is also a one-path check: `DesControlLoop` is
+#      the only request-level simulator (the retired region-level DES and
+#      its TPC-W session chain are named nowhere under `src/`, `tests/`,
+#      `examples/` or `benchmarks/`), and no code under `src/repro` is
+#      reachable only from a test: every top-level function, class or
+#      method of 8 or more lines is named somewhere else under
+#      `src/repro` (an `__all__` list is not a caller) or sits on the
+#      allowlist inside this script with the reason it stays, and every
+#      allowlisted name still exists and still has no caller.
 #
 # Usage:  scripts/ci_check.sh   (from the repository root or anywhere)
 
@@ -298,7 +306,6 @@ echo "== state-table parity smoke =="
 python -m pytest -q \
     "tests/pcam/test_columnar_parity.py::test_vmc_era_parity_oracle" \
     "tests/pcam/test_columnar_parity.py::test_vmc_parity_under_chaos_and_churn" \
-    "tests/pcam/test_columnar_parity.py::test_des_region_parity" \
     "tests/pcam/test_columnar_parity.py::test_des_loop_parity"
 
 echo "== e2e benchmark smoke =="
@@ -381,6 +388,81 @@ fi
 if grep -n "def violates" src/repro/pcam/vm.py; then
     echo "the oracle kernel's probe is a closure of calls again" >&2; exit 1
 fi
+# (bracketed so that this line does not match itself)
+if grep -rnE "des_regio[n]|DesRegio[n]|SessionChai[n]|repro\.workload\.session[s]" \
+        src tests examples benchmarks --exclude-dir=__pycache__; then
+    echo "a second request path is back (DesControlLoop is the one)" >&2; exit 1
+fi
+python - <<'EOF'
+"""Fail on code under src/repro that only a test can reach."""
+import ast
+import re
+import sys
+from pathlib import Path
+
+MIN_LINES = 8
+#: name -> why it stays although nothing under src/repro names it
+ALLOWED = {
+    "DomainAwareBalancer": "README's domain-aware control; an AXES row installs it next",
+    "DomainHealthTracker.reporting_regions": "README's reporting set; the same row feeds it to the quorum",
+    "Autoscaler.attach_rt_prediction": "the Sec. V RT predictor's one route in; the autoscale row wires it",
+    "recommend_cost_optimal": "public API README documents",
+    "Telemetry.export_jsonl": "the JSONL exporter README documents",
+    "VirtualMachineController.add_vm": "pool growth DESIGN documents",
+    "VirtualMachineController.compact_table": "table compaction DESIGN documents",
+    "LeaderElection.takeover_count": "DESIGN's election history; an example prints it",
+    "OverlayNetwork.full_mesh": "the benchmark harness builds its overlay with it",
+    "TraceRecorder.from_csv": "reads back what `repro export` writes",
+    "Simulator.pending_events": "how tests observe the event heap",
+    "OverlayNetwork.link_is_up": "how tests observe overlay link state",
+}
+
+texts, defs = [], []
+for path in sorted(Path("src/repro").rglob("*.py")):
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            for i in range(node.lineno - 1, node.end_lineno):
+                lines[i] = ""
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [
+                    (f"{node.name}.{m.name}", m)
+                    for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+            for qualname, member in members:
+                size = member.end_lineno - member.lineno + 1
+                defs.append((qualname, f"{path}:{member.lineno}", size))
+    texts.append("\n".join(lines))
+text = "\n".join(texts)
+
+uncalled = {}
+for qualname, where, size in defs:
+    name = qualname.rsplit(".", 1)[-1]
+    if size < MIN_LINES or (name.startswith("__") and name.endswith("__")):
+        continue
+    # the definition itself is the one occurrence
+    if len(re.findall(rf"\b{re.escape(name)}\b", text)) == 1:
+        uncalled[qualname] = (where, size)
+
+failed = False
+for qualname, (where, size) in sorted(uncalled.items()):
+    if qualname not in ALLOWED:
+        print(f"{where}: {qualname} ({size} lines) is named nowhere else in src/repro")
+        failed = True
+for qualname in sorted(set(ALLOWED) - set(uncalled)):
+    print(f"allowlisted {qualname} is gone, under {MIN_LINES} lines, or has a caller")
+    failed = True
+if failed:
+    sys.exit("code only a test reaches: call it from src/repro, delete it, "
+             "or allowlist it here with a reason")
+EOF
 # pattern @ the only place under src/repro that may spell it ("!": none)
 while IFS='@' read -r pattern home; do
     if grep -rnE "$pattern" src/repro --include='*.py' \

@@ -537,21 +537,6 @@ class AcmControlLoop:
             raise ValueError("n_eras must be >= 1")
         return [self.run_era() for _ in range(n_eras)]
 
-    def set_policy(self, policy: Policy) -> None:
-        """Switch the leader's ``POLICY()`` at runtime.
-
-        The paper fixes the policy at configuration time; switching
-        mid-run is a natural extension ("modify the deploy at runtime in
-        case the workload conditions change", Sec. II).  The installed
-        fractions carry over, so the new policy starts from the current
-        operating point rather than from uniform.
-        """
-        if policy.initial_fractions(len(self.regions)).shape != (
-            len(self.regions),
-        ):
-            raise ValueError("policy incompatible with region count")
-        self.policy = policy
-
     # ------------------------------------------------------------------ #
 
     def _record(self, s: EraSummary) -> None:

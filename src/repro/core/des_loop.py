@@ -399,10 +399,19 @@ class DesControlLoop:
         # leader: Eq. (1), POLICY(), new plan.  An idle era (zero
         # completed requests) holds the previous fractions rather than
         # feeding the policy a fabricated load, matching the fluid loop
-        # which never plans against a zero-demand era.
+        # which never plans against a zero-demand era.  Likewise the fluid
+        # leader's report rule: a non-finite report (a corrupted
+        # predictor's NaN, the oracle's inf for a VM that never degrades)
+        # is as useless as a missing one, and a region never heard from
+        # is planned at 0.
         with tel.span("plan", kind="mape", era=self.era_index):
-            current = self.aggregator.update_all(reports)
-            rmttf_vec = np.array([current[r] for r in self.region_names])
+            self.aggregator.update_all(
+                {r: v for r, v in reports.items() if np.isfinite(v)}
+            )
+            current = self.aggregator.snapshot()
+            rmttf_vec = np.array(
+                [current.get(r, 0.0) for r in self.region_names]
+            )
             if lam > 0.0:
                 self.fractions = compute_fractions(
                     self.policy, self.fractions, rmttf_vec, lam

@@ -24,7 +24,6 @@ paper's references.
 
 from repro.ml.base import FittedError, Regressor
 from repro.ml.dataset import Dataset, train_test_split
-from repro.ml.ensemble import BaggedRegressor
 from repro.ml.features import FEATURE_NAMES, FeatureVector, feature_index
 from repro.ml.lasso import LassoRegression, lasso_path, select_features
 from repro.ml.linear import LinearRegression, RidgeRegression
@@ -61,7 +60,6 @@ __all__ = [
     "select_features",
     "RegressionTree",
     "REPTree",
-    "BaggedRegressor",
     "M5PModelTree",
     "LinearSVR",
     "LeastSquaresSVM",

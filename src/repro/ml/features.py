@@ -83,16 +83,6 @@ class FeatureVector:
             [getattr(self, name) for name in FEATURE_NAMES], dtype=float
         )
 
-    @classmethod
-    def from_array(cls, row: np.ndarray) -> "FeatureVector":
-        """Inverse of :meth:`to_array`."""
-        row = np.asarray(row, dtype=float).ravel()
-        if row.size != len(FEATURE_NAMES):
-            raise ValueError(
-                f"expected {len(FEATURE_NAMES)} values, got {row.size}"
-            )
-        return cls(**{name: float(v) for name, v in zip(FEATURE_NAMES, row)})
-
 
 # Consistency guard: dataclass fields must match the schema exactly.
 assert tuple(f.name for f in fields(FeatureVector)) == FEATURE_NAMES

@@ -135,22 +135,6 @@ class SpanTracer:
             )
         )
 
-    def wrap(self, kind: str = "span") -> Callable:
-        """Decorator form: trace every call of the wrapped function."""
-
-        def decorate(fn: Callable) -> Callable:
-            name = fn.__name__
-
-            def wrapper(*a, **kw):
-                with self.span(name, kind=kind):
-                    return fn(*a, **kw)
-
-            wrapper.__name__ = name
-            wrapper.__doc__ = fn.__doc__
-            return wrapper
-
-        return decorate
-
     # -------------------------------------------------------------- #
     # asynchronous spans (slot-leased tracks)
     # -------------------------------------------------------------- #

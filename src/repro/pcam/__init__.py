@@ -19,7 +19,6 @@ Applications in the Cloud", NCCA 2015) that ACM builds on:
 """
 
 from repro.pcam.balancer import LocalBalancer
-from repro.pcam.des_region import DesRegion, DesStats
 from repro.pcam.monitor import FeatureMonitor, ProfilingHarness
 from repro.pcam.predictor import (
     ConservativeRttfPredictor,
@@ -39,8 +38,6 @@ from repro.pcam.vm import FailurePolicy, VirtualMachine, VmState
 from repro.pcam.vmc import VirtualMachineController, VmcConfig
 
 __all__ = [
-    "DesRegion",
-    "DesStats",
     "VirtualMachine",
     "VmState",
     "FailurePolicy",

@@ -3,9 +3,8 @@
 :class:`VmStateTable` holds the mutable per-VM state of one region pool
 as parallel NumPy columns (one row per VM) plus per-VM static columns
 derived from the instance type and failure policy at adoption time.
-:class:`~repro.pcam.vmc.VirtualMachineController` and
-:class:`~repro.pcam.des_region.DesRegion` each build one over their pool
-and do their era work (anomaly accumulation, failure checks,
+:class:`~repro.pcam.vmc.VirtualMachineController` builds one over its
+pool and does its era work (anomaly accumulation, failure checks,
 rejuvenation-threshold scans, feature extraction) as array passes over
 it; :class:`~repro.core.des_loop.DesControlLoop` builds a VMC per region
 and its per-request path reads and writes single cells of that table.

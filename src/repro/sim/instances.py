@@ -131,16 +131,3 @@ def get_instance_type(name: str) -> InstanceType:
     except KeyError:
         known = ", ".join(sorted(INSTANCE_CATALOG))
         raise KeyError(f"unknown instance type {name!r}; known: {known}") from None
-
-
-def register_instance_type(itype: InstanceType, *, overwrite: bool = False) -> None:
-    """Add a custom shape to the catalog (used by ablation scenarios).
-
-    Raises
-    ------
-    ValueError
-        If the name exists and ``overwrite`` is False.
-    """
-    if itype.name in INSTANCE_CATALOG and not overwrite:
-        raise ValueError(f"instance type {itype.name!r} already registered")
-    INSTANCE_CATALOG[itype.name] = itype

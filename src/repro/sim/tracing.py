@@ -14,7 +14,7 @@ guidance: keep the hot recording path allocation-free, batch the numerics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -209,18 +209,6 @@ class TraceRecorder:
                 s = self.series(name)
                 for t, v in zip(s.times, s.values):
                     fh.write(f"{name},{float(t)!r},{float(v)!r}\n")
-
-    def to_dict(self, names: list[str] | None = None) -> dict:
-        """JSON-ready mapping ``{series: {"times": [...], "values": [...]}}``."""
-        selected = names if names is not None else self.names()
-        out = {}
-        for name in selected:
-            s = self.series(name)
-            out[name] = {
-                "times": s.times.tolist(),
-                "values": s.values.tolist(),
-            }
-        return out
 
     @classmethod
     def from_csv(cls, path: str) -> "TraceRecorder":

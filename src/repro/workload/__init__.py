@@ -20,7 +20,6 @@ from repro.workload.anomalies import AnomalyEffect, AnomalyInjector
 from repro.workload.arrivals import PoissonArrivals, BatchArrivals, MmppArrivals
 from repro.workload.browsers import BrowserPopulation, closed_loop_rate
 from repro.workload.profiles import DiurnalProfile
-from repro.workload.sessions import SessionChain
 from repro.workload.tpcw import (
     MIX_BROWSING,
     MIX_ORDERING,
@@ -38,7 +37,6 @@ __all__ = [
     "MmppArrivals",
     "BrowserPopulation",
     "closed_loop_rate",
-    "SessionChain",
     "DiurnalProfile",
     "RequestType",
     "RequestMix",

@@ -93,37 +93,3 @@ class BrowserPopulation:
             name=self.name,
         )
 
-
-def heterogeneous_populations(
-    counts: dict[str, int],
-    mix: RequestMix = MIX_SHOPPING,
-    think_time_s: float = DEFAULT_THINK_TIME_S,
-) -> dict[str, BrowserPopulation]:
-    """Build one population per region from a count mapping.
-
-    Validates that counts honour the paper's [16, 512] interval and that at
-    least two regions differ (the paper requires "significantly different"
-    per-region client counts -- enforced loosely as *not all equal* when
-    more than one region is given).
-    """
-    lo, hi = CLIENT_RANGE
-    for region, n in counts.items():
-        if not lo <= n <= hi:
-            raise ValueError(
-                f"region {region!r}: {n} clients outside paper range "
-                f"[{lo}, {hi}]"
-            )
-    if len(counts) > 1 and len(set(counts.values())) == 1:
-        raise ValueError(
-            "paper scenario requires significantly different per-region "
-            "client counts; got identical counts"
-        )
-    return {
-        region: BrowserPopulation(
-            n_clients=n,
-            mix=mix,
-            think_time_s=think_time_s,
-            name=f"clients@{region}",
-        )
-        for region, n in counts.items()
-    }

@@ -167,16 +167,6 @@ class RequestMix:
         idx = rng.choice(len(types), size=size, p=self.probabilities())
         return [types[i] for i in idx]
 
-    def sample_demands(
-        self, rng: np.random.Generator, size: int
-    ) -> np.ndarray:
-        """Draw ``size`` relative service demands (vectorised fast path)."""
-        if size < 0:
-            raise ValueError("size must be >= 0")
-        demands = np.array([TPCW_INTERACTIONS[rt] for rt in self.types])
-        idx = rng.choice(len(demands), size=size, p=self.probabilities())
-        return demands[idx]
-
 
 #: The three standard TPC-W mixes.
 MIX_BROWSING = RequestMix("browsing", _mix_weights(0.95))

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from repro.ml import (
-    BaggedRegressor,
     Dataset,
     F2PMToolchain,
     LinearRegression,
+    RegressionTree,
     RidgeRegression,
 )
 from repro.ml.features import FEATURE_NAMES
@@ -39,14 +39,14 @@ class TestCustomSuite:
         tc = F2PMToolchain(
             suite={
                 "ols": LinearRegression,
-                "bagged": lambda: BaggedRegressor(n_estimators=5, seed=1),
+                "tree": lambda: RegressionTree(max_depth=4),
             },
             cv_folds=3,
         )
         tm = tc.train_best(
-            dataset, np.random.default_rng(0), model_name="bagged"
+            dataset, np.random.default_rng(0), model_name="tree"
         )
-        assert tm.name == "bagged"
+        assert tm.name == "tree"
         assert np.isfinite(tm.predict_one(dataset.X[0]))
 
 

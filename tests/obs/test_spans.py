@@ -68,17 +68,6 @@ class TestSyncSpans:
         assert instant.t0 == instant.t1 == 12.0
         assert instant.depth == 1
 
-    def test_wrap_decorator_traces_calls(self, clocked):
-        _, tracer = clocked
-
-        @tracer.wrap(kind="mape")
-        def analyze():
-            return 42
-
-        assert analyze() == 42
-        assert tracer.spans[0].name == "analyze"
-        assert tracer.spans[0].kind == "mape"
-
 
 class TestAsyncSpans:
     def test_concurrent_spans_get_distinct_slot_tracks(self, clocked):

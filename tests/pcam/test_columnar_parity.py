@@ -14,12 +14,12 @@ that contract checked two ways:
   the same scenario, and compares era reports, per-VM mutable state,
   monitor rings, capacities and ``stats()`` **exactly** (``==`` on
   floats, no tolerance).
-* **DES region / DES loop (per-request events): snapshots.**  The
-  object-walking arms of ``DesRegion`` and ``DesControlLoop`` were deleted
-  in PR 13; before that, blake2b digests of their complete outcome were
-  recorded *from the object path* into ``snapshots/des_parity.json`` and
-  shown equal on the table path.  The tests below hold the table path to
-  those digests.  Regenerate only for an intended semantic change::
+* **DES loop (per-request events): snapshot.**  The object-walking arm
+  of ``DesControlLoop`` was deleted; before that, blake2b digests of its
+  complete outcome were recorded *from the object path* into
+  ``snapshots/des_parity.json`` and shown equal on the table path.  The
+  test below holds the table path to those digests.  Regenerate only for
+  an intended semantic change::
 
       PYTHONPATH=src python -m tests.pcam.test_columnar_parity --regen
 
@@ -442,22 +442,11 @@ def test_vmc_parity_fuzz(seed):
 
 
 # --------------------------------------------------------------------- #
-# request-granular layers: DES region and DES control loop (snapshots)
+# request-granular layer: the DES control loop (snapshot)
 # --------------------------------------------------------------------- #
 
-#: DES-region cases: the steady pool never fails; the failing one leaks on
-#: 90 % of requests, so its VMs fail one by one mid-run and the last run
-#: is a full outage (every request dropped).
-DES_REGION_CASES = {
-    "steady": {"seed": 3, "clients": 60, "run_s": 60.0, "injector": {}},
-    "failing": {
-        "seed": 4,
-        "clients": 40,
-        "run_s": 200.0,
-        "injector": {"leak_probability": 0.9, "thread_probability": 0.3},
-    },
-}
-DES_REGION_RUNS = 3
+#: The snapshot file's one section.
+SECTION = "des_loop"
 
 #: DES-loop cases: 8 quiet eras, and 20 eras under enough load that the
 #: era boundary swaps at-risk VMs and mid-era failures drop active slots.
@@ -483,53 +472,6 @@ def _vm_state(vm: VirtualMachine) -> dict:
             else float(v))
         for k, v in _snapshot(vm).items()
     }
-
-
-def _build_des_region(case: str):
-    from repro.pcam import DesRegion
-    from repro.sim.engine import Simulator
-    from repro.workload import BrowserPopulation
-
-    cfg = DES_REGION_CASES[case]
-    rngs = RngRegistry(seed=cfg["seed"])
-    vms = [
-        VirtualMachine(
-            f"vm{i:03d}",
-            M3_MEDIUM if i % 2 == 0 else PRIVATE_SMALL,
-            AnomalyInjector(
-                rngs.child(f"vm{i:03d}").stream("a"), **cfg["injector"]
-            ),
-        )
-        for i in range(5)
-    ]
-    for vm in vms[:3]:
-        vm.activate()
-    return DesRegion(
-        Simulator(),
-        vms,
-        BrowserPopulation(n_clients=cfg["clients"]),
-        rngs.child("des").stream("events"),
-    )
-
-
-def _collect_des_region(case: str) -> dict:
-    """One record per ``run()`` call (stats are cumulative across calls)."""
-    region = _build_des_region(case)
-    out = {}
-    for run in range(DES_REGION_RUNS):
-        stats = region.run(DES_REGION_CASES[case]["run_s"])
-        out[f"run{run}"] = {
-            "completed": int(stats.completed),
-            "dropped": int(stats.dropped),
-            "failed_vms": sum(
-                vm.state is VmState.FAILED for vm in region.vms
-            ),
-            "response_times": _digest(
-                [float(rt) for rt in stats.response_times]
-            ),
-            "vms": _digest([_vm_state(vm) for vm in region.vms]),
-        }
-    return out
 
 
 def _build_des_loop(case: str):
@@ -593,50 +535,26 @@ def _collect_des_loop(case: str) -> dict:
     return out
 
 
-#: snapshot section -> (its cases, the per-case collector)
-_SECTIONS = {
-    "des_region": (DES_REGION_CASES, _collect_des_region),
-    "des_loop": (DES_LOOP_CASES, _collect_des_loop),
-}
+def _collect() -> dict:
+    return {case: _collect_des_loop(case) for case in DES_LOOP_CASES}
 
 
-def _collect(section: str) -> dict:
-    cases, collect_case = _SECTIONS[section]
-    return {case: collect_case(case) for case in cases}
-
-
-def _collect_and_check(section: str) -> dict:
-    """Collect ``section`` on the live code; assert it equals the snapshot."""
+def test_des_loop_parity():
+    """Full request-level MAPE loop: every trace series stays identical."""
     assert SNAPSHOT_PATH.exists(), (
         f"missing snapshot {SNAPSHOT_PATH}; see this module's docstring"
     )
-    expected = json.loads(SNAPSHOT_PATH.read_text())[section]
-    actual = _collect(section)
+    expected = json.loads(SNAPSHOT_PATH.read_text())[SECTION]
+    actual = _collect()
     assert sorted(actual) == sorted(expected)
     for case, exp_case in expected.items():
         assert sorted(actual[case]) == sorted(exp_case)
         for key, exp in exp_case.items():
             assert actual[case][key] == exp, (
-                f"{section}/{case}/{key}: {actual[case][key]!r} != snapshot "
+                f"{SECTION}/{case}/{key}: {actual[case][key]!r} != snapshot "
                 f"{exp!r} (recorded from the deleted object path; bit-exact "
                 "parity broken)"
             )
-    return actual
-
-
-def test_des_region_parity():
-    """Request-granular DES: JSQ picks, completions and failures match."""
-    actual = _collect_and_check("des_region")
-    # the cases must exercise what they claim to
-    last = f"run{DES_REGION_RUNS - 1}"
-    assert actual["steady"][last]["completed"] > 0
-    assert actual["failing"]["run1"]["failed_vms"] > 0
-    assert actual["failing"][last]["dropped"] > 0
-
-
-def test_des_loop_parity():
-    """Full request-level MAPE loop: every trace series stays identical."""
-    actual = _collect_and_check("des_loop")
     assert actual["swaps"]["total_rejuvenations"] > 0
     assert actual["swaps"]["total_failures"] > 0
 
@@ -646,12 +564,10 @@ def test_columnar_option_is_gone():
     import inspect
 
     from repro.core.des_loop import DesControlLoop
-    from repro.pcam import DesRegion
 
     with pytest.raises(ValueError, match="columnar"):
         VmcConfig(columnar=False)
-    for cls in (DesRegion, DesControlLoop):
-        assert "columnar" not in inspect.signature(cls).parameters
+    assert "columnar" not in inspect.signature(DesControlLoop).parameters
 
 
 def main() -> int:
@@ -659,7 +575,7 @@ def main() -> int:
         print(__doc__)
         return 2
     SNAPSHOT_PATH.parent.mkdir(exist_ok=True)
-    snapshot = {section: _collect(section) for section in _SECTIONS}
+    snapshot = {SECTION: _collect()}
     SNAPSHOT_PATH.write_text(json.dumps(snapshot, indent=1) + "\n")
     print(f"wrote {SNAPSHOT_PATH}")
     return 0

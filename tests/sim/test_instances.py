@@ -10,8 +10,6 @@ from repro.sim import (
     InstanceType,
     get_instance_type,
 )
-from repro.sim.instances import register_instance_type
-
 
 def test_catalog_contains_papers_three_shapes():
     assert {"m3.medium", "m3.small", "private.small"} <= set(INSTANCE_CATALOG)
@@ -64,22 +62,3 @@ def test_invalid_shapes_rejected(kwargs):
     with pytest.raises(ValueError):
         InstanceType(**base)
 
-
-def test_register_custom_type_and_overwrite_guard():
-    custom = InstanceType(
-        name="test.custom",
-        cpu_power=10.0,
-        memory_mb=512.0,
-        swap_mb=0.0,
-        thread_slots=32,
-        disk_gb=1.0,
-        hourly_cost=0.01,
-    )
-    try:
-        register_instance_type(custom)
-        assert get_instance_type("test.custom") is custom
-        with pytest.raises(ValueError):
-            register_instance_type(custom)
-        register_instance_type(custom, overwrite=True)
-    finally:
-        INSTANCE_CATALOG.pop("test.custom", None)

@@ -56,17 +56,3 @@ class TestCsvRoundTrip:
         back = TraceRecorder.from_csv(path)
         assert back.names() == ["weird,name"]
         assert back.series("weird,name").values[0] == 2.0
-
-
-class TestDictExport:
-    def test_json_ready(self, recorder):
-        import json
-
-        d = recorder.to_dict()
-        text = json.dumps(d)  # must not raise
-        assert "rmttf/a" in text
-        assert d["rmttf/a"]["values"] == [100.0, 101.0, 102.0, 103.0, 104.0]
-
-    def test_subset(self, recorder):
-        d = recorder.to_dict(names=["fraction/a"])
-        assert list(d) == ["fraction/a"]

@@ -9,7 +9,6 @@ from repro.workload import (
     PoissonArrivals,
     closed_loop_rate,
 )
-from repro.workload.browsers import CLIENT_RANGE, heterogeneous_populations
 
 
 class TestClosedLoopRate:
@@ -58,28 +57,6 @@ class TestBrowserPopulation:
             BrowserPopulation(n_clients=-1)
         with pytest.raises(ValueError):
             BrowserPopulation(n_clients=1, think_time_s=0.0)
-
-
-class TestHeterogeneousPopulations:
-    def test_builds_per_region(self):
-        pops = heterogeneous_populations({"r1": 128, "r3": 48})
-        assert pops["r1"].n_clients == 128
-        assert pops["r3"].name == "clients@r3"
-
-    def test_paper_range_enforced(self):
-        lo, hi = CLIENT_RANGE
-        with pytest.raises(ValueError, match="paper range"):
-            heterogeneous_populations({"r1": lo - 1})
-        with pytest.raises(ValueError, match="paper range"):
-            heterogeneous_populations({"r1": hi + 1})
-
-    def test_identical_counts_rejected_for_multiregion(self):
-        with pytest.raises(ValueError, match="different"):
-            heterogeneous_populations({"r1": 64, "r2": 64})
-
-    def test_single_region_any_valid_count_ok(self):
-        pops = heterogeneous_populations({"solo": 64})
-        assert len(pops) == 1
 
 
 class TestPoissonArrivals:

@@ -47,17 +47,9 @@ def test_sample_respects_distribution():
     assert browse / 20_000 == pytest.approx(0.50, abs=0.02)
 
 
-def test_sample_demands_vectorised_matches_catalog():
-    rng = np.random.default_rng(1)
-    demands = MIX_SHOPPING.sample_demands(rng, 1000)
-    valid = set(TPCW_INTERACTIONS.values())
-    assert set(np.unique(demands)) <= valid
-
-
 def test_sample_size_zero():
     rng = np.random.default_rng(0)
     assert MIX_SHOPPING.sample(rng, 0) == []
-    assert MIX_SHOPPING.sample_demands(rng, 0).size == 0
 
 
 def test_sample_negative_size_rejected():
