@@ -44,12 +44,15 @@
 #      oracle change must not move) and on `serve_steady` and
 #      `serve_fault_slo` (the ingress's framing under closed- and
 #      open-loop load; the failover draw, the degradation ladder and the
-#      Plan phase over HTTP) and on `pcam_fleet_10k` (the fleet era);
+#      Plan phase over HTTP) and on `pcam_fleet_10k` (the fleet era) and
+#      `fig4_fluid` (the one workload that trains the paper's REP-Tree);
 #      each must end on a JSON line with `"correct": true` and
 #      `"failed": 0`, and the fleet era's `era_report_digest` at seed 5
 #      must be the recorded one (the smoke runs the full 20-era repeat,
 #      so this is bit-identity of the 10 000-VM `process_era` across
-#      commits);
+#      commits), as must `fig4_fluid`'s `trace_digest`: a change to F2PM
+#      training (profiling, Lasso selection, CV, the tree's split search)
+#      must not move that pin;
 #  13. a one-spelling check: the row -> CDF construction lives in
 #      `core/forward_plan.py` only (no `cumsum` in the DES loop or the
 #      serve runtime), and the leader step lives in
@@ -311,7 +314,7 @@ python -m pytest -q \
 echo "== e2e benchmark smoke =="
 python3 -m pytest benchmarks/e2e/tests -q
 for workload in sweep_grid des_two_region serve_steady serve_fault_slo \
-        pcam_fleet_10k; do
+        pcam_fleet_10k fig4_fluid; do
     E2E_OUT="$(python3 benchmarks/e2e/run.py --smoke --seed 5 --workload "$workload")"
     echo "$E2E_OUT"
     tail -n 1 <<<"$E2E_OUT" | python3 -c '
@@ -320,12 +323,15 @@ doc = json.loads(sys.stdin.readline())
 sys.exit(0 if doc["correct"] is True and doc["failed"] == 0 else 1)
 ' || { echo "e2e smoke: $workload not correct or has failed operations" >&2; exit 1; }
     # same seed, same smoke => the same bytes on every commit: the fleet
-    # era's reports, and the two oracle-driven workloads whose digests an
-    # oracle / overlay / plan change must not move (recorded at fde7fb3)
+    # era's reports, the two oracle-driven workloads whose digests an
+    # oracle / overlay / plan change must not move (recorded at fde7fb3),
+    # and the REP-Tree-driven figure whose trace an F2PM training change
+    # must not move
     case "$workload" in
         pcam_fleet_10k) pin='"era_report_digest": "0a8c68814499b22f24924c358ec99391"' ;;
         sweep_grid)     pin='"payload_digest": "bc78e9455d8b2c05f2226c606a48ec2c"' ;;
         des_two_region) pin='"trace_digest": "e7e79e1d5f42c490de4a6db0e27f1e31"' ;;
+        fig4_fluid)     pin='"trace_digest": "dc9bff136244e13b7c738017e6e85083"' ;;
         *)              pin="" ;;
     esac
     [ -z "$pin" ] || grep -qF "$pin" <<<"$E2E_OUT" \

@@ -19,6 +19,8 @@ internally so ``alpha`` has a consistent meaning across features.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.ml.base import Regressor, as_1d_float, as_2d_float, check_consistent
@@ -162,6 +164,23 @@ def lasso_path(
         ``(n_alphas, n_features)`` standardised-space coefficients along the
         path (row ``k`` solves at ``alphas[k]``).
     """
+    alphas, rows = _lazy_path(X, y, n_alphas, alpha_min_ratio, max_iter, tol)
+    return alphas, np.stack(list(rows))
+
+
+def _lazy_path(
+    X: np.ndarray,
+    y: np.ndarray,
+    n_alphas: int,
+    alpha_min_ratio: float,
+    max_iter: int,
+    tol: float,
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """:func:`lasso_path`'s grid, with its rows solved only as pulled.
+
+    Each warm-started row depends only on the rows before it, so a
+    consumer that stops early gets exactly the prefix of the full path.
+    """
     X = as_2d_float(X)
     y = as_1d_float(y)
     check_consistent(X, y)
@@ -171,12 +190,16 @@ def lasso_path(
     alphas = np.geomspace(a_max, a_max * alpha_min_ratio, n_alphas)
     Xs = StandardScaler().fit_transform(X)
     yc = y - y.mean()
-    coefs = np.zeros((n_alphas, X.shape[1]))
-    w = np.zeros(X.shape[1])
-    for k, alpha in enumerate(alphas):
-        w, _ = _coordinate_descent(Xs, yc, float(alpha), max_iter, tol, w0=w)
-        coefs[k] = w
-    return alphas, coefs
+
+    def rows() -> Iterator[np.ndarray]:
+        w = np.zeros(X.shape[1])
+        for alpha in alphas:
+            w, _ = _coordinate_descent(
+                Xs, yc, float(alpha), max_iter, tol, w0=w
+            )
+            yield w
+
+    return alphas, rows()
 
 
 def select_features(
@@ -194,7 +217,12 @@ def select_features(
     at ``max_features`` (default: all features that ever enter).
 
     Returns the selected names ordered by entry (most important first).
+    The path is solved only until ``max_features`` names have entered.
     """
+    if max_features is not None and max_features < 1:
+        raise ValueError(
+            f"max_features must be >= 1 or None, got {max_features}"
+        )
     X = as_2d_float(X)
     names = list(feature_names)
     if X.shape[1] != len(names):
@@ -207,10 +235,12 @@ def select_features(
         order = np.argsort(-np.abs(model.coef_))
         return [names[j] for j in order if model.coef_[j] != 0.0]
 
-    _, coefs = lasso_path(X, y, n_alphas=50)
+    _, rows = _lazy_path(
+        X, y, n_alphas=50, alpha_min_ratio=1e-3, max_iter=1000, tol=1e-6
+    )
     limit = max_features if max_features is not None else len(names)
     selected: list[str] = []
-    for row in coefs:
+    for row in rows:
         for j in np.flatnonzero(row != 0.0):
             if names[j] not in selected:
                 selected.append(names[j])

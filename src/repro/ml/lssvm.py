@@ -13,7 +13,9 @@ the support values and ``b`` the bias.  Prediction is
 
 Every training point is a support vector, so prediction is O(n_train) per
 query -- fine at F2PM's dataset sizes (thousands of samples); the solve uses
-SciPy's LAPACK bindings.
+SciPy's LAPACK bindings.  SciPy is imported on the first fit, not with this
+module: only an LS-SVM fit needs it, and a process that deploys another
+model (REP-Tree, as the paper does) never pays its import time or memory.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from typing import Literal
 
 import numpy as np
-import scipy.linalg
 
 from repro.ml.base import Regressor
 from repro.ml.preprocessing import StandardScaler
@@ -97,6 +98,8 @@ class LeastSquaresSVM(Regressor):
         self._gamma_k_eff: float = 1.0
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        import scipy.linalg
+
         self._scaler = StandardScaler()
         Xs = self._scaler.fit_transform(X)
         self._y_mean = float(y.mean())

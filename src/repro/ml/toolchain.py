@@ -10,12 +10,13 @@ select which is the most effective ML model."
 :class:`F2PMToolchain` reproduces exactly that pipeline:
 
 1. optional Lasso feature selection;
-2. train the full model suite (Linear Regression, Lasso, REP-Tree, M5P,
-   SVR, LS-SVM) on the reduced dataset;
-3. cross-validate each and rank by a chosen metric;
-4. return a :class:`ModelComparison` from which the best
-   :class:`TrainedModel` (feature projection + fitted model) can be taken
-   for online deployment in the VMC.
+2. cross-validate the full model suite (Linear Regression, Lasso,
+   REP-Tree, M5P, SVR, LS-SVM) on the reduced dataset and rank it by a
+   chosen metric (:meth:`F2PMToolchain.compare`);
+3. fit the winner -- or a forced member, which is then the only one
+   cross-validated -- as a :class:`TrainedModel` (feature projection +
+   fitted model) for online deployment in the VMC
+   (:meth:`F2PMToolchain.train_best`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.ml.svr import LinearSVR
 from repro.ml.validation import (
     ValidationReport,
     cross_validate,
+    k_fold_indices,
     summarize_cv,
 )
 
@@ -141,8 +143,8 @@ class F2PMToolchain:
         Mapping of model name to zero-argument factory; defaults to the
         paper's six models.
     max_features:
-        Upper bound on Lasso-selected features; ``None`` disables selection
-        and trains on the full schema.
+        Upper bound (>= 1) on Lasso-selected features; ``None`` disables
+        selection and trains on the full schema.
     cv_folds:
         Cross-validation folds used for ranking.
     ranking_metric:
@@ -163,11 +165,29 @@ class F2PMToolchain:
             raise ValueError("cv_folds must be >= 2")
         if not self.suite:
             raise ValueError("empty model suite")
+        if self.max_features is not None and self.max_features < 1:
+            raise ValueError(
+                f"max_features must be >= 1 or None, got {self.max_features}"
+            )
 
     def compare(
         self, dataset: Dataset, rng: np.random.Generator
     ) -> ModelComparison:
         """Feature-select, cross-validate the suite, and rank the models."""
+        return self._evaluate(dataset, rng)
+
+    def _evaluate(
+        self,
+        dataset: Dataset,
+        rng: np.random.Generator,
+        only: str | None = None,
+    ) -> ModelComparison:
+        """Select features once, then cross-validate the suite in order.
+
+        Every member draws its fold split from ``rng`` in suite order, so
+        ``only`` (score one member, skip the others' fits) sees exactly
+        the folds :meth:`compare` would have given it.
+        """
         if self.max_features is not None:
             selected = select_features(
                 dataset.X,
@@ -182,8 +202,11 @@ class F2PMToolchain:
             reduced = dataset
         reports: dict[str, ValidationReport] = {}
         for name, factory in self.suite.items():
-            folds = cross_validate(factory, reduced, self.cv_folds, rng)
-            reports[name] = summarize_cv(folds)
+            if only is None or name == only:
+                folds = cross_validate(factory, reduced, self.cv_folds, rng)
+                reports[name] = summarize_cv(folds)
+            else:
+                k_fold_indices(len(reduced), self.cv_folds, rng)
         return ModelComparison(
             reports=reports,
             ranking_metric=self.ranking_metric,
@@ -196,17 +219,20 @@ class F2PMToolchain:
         rng: np.random.Generator,
         model_name: str | None = None,
     ) -> TrainedModel:
-        """Run :meth:`compare`, then fit the winner on the full dataset.
+        """Fit the chosen suite member on the full (reduced) dataset.
 
         ``model_name`` forces a specific suite member (the paper forces
-        REP-Tree based on earlier results); otherwise the CV winner is used.
+        REP-Tree based on earlier results), and only that member is
+        cross-validated; otherwise :meth:`compare` ranks the suite and the
+        CV winner is used.  Either way the forced member's report equals
+        its entry in :meth:`compare`.
         """
-        comparison = self.compare(dataset, rng)
-        name = model_name if model_name is not None else comparison.best_name
-        if name not in self.suite:
+        if model_name is not None and model_name not in self.suite:
             raise KeyError(
-                f"model {name!r} not in suite {sorted(self.suite)}"
+                f"model {model_name!r} not in suite {sorted(self.suite)}"
             )
+        comparison = self._evaluate(dataset, rng, only=model_name)
+        name = model_name if model_name is not None else comparison.best_name
         reduced = dataset.select_features(list(comparison.selected_features))
         model = self.suite[name]()
         model.fit(reduced.X, reduced.y)

@@ -5,10 +5,11 @@ Shared machinery for the two tree models in F2PM's suite: REP-Tree
 and the M5P model tree (:mod:`repro.ml.m5p`) reuses the split search with
 linear models in the leaves.
 
-Split search is vectorised per the HPC guides: for every feature we sort
-once and evaluate *all* candidate thresholds with prefix sums, so the cost
-per node is ``O(n_features * n log n)`` with no Python-level loop over
-samples.
+Split search is vectorised per the HPC guides: every feature is sorted
+once and *all* candidate thresholds of all features are evaluated with
+prefix sums in one pass, so the cost per node is
+``O(n_features * n log n)`` with no Python-level loop over samples or
+features.
 """
 
 from __future__ import annotations
@@ -84,8 +85,10 @@ def best_split(
     The SSE of a group with sum ``s`` and count ``m`` is
     ``sum(y^2) - s^2/m``; since ``sum(y^2)`` is common to any partition of
     the node, minimising children SSE equals maximising
-    ``s_l^2/m_l + s_r^2/m_r``, which we evaluate for every prefix of the
-    per-feature sort order with cumulative sums.
+    ``s_l^2/m_l + s_r^2/m_r``, which we evaluate for every prefix of
+    every feature's sort order at once, as one ``(n - 1, n_features)``
+    matrix of cumulative sums.  Ties go to the first feature, then to
+    the first split position within it.
     """
     n = y.size
     if n < 2 * min_samples_leaf:
@@ -94,35 +97,27 @@ def best_split(
     total_sq = float((y**2).sum())
     parent_sse = total_sq - total_sum**2 / n
 
-    best: tuple[int, float, float] | None = None
-    best_children_sse = np.inf
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        ys = y[order]
-        # Candidate split after position i (1-based prefix length i+1..):
-        # valid where both sides respect min_samples_leaf and xs strictly
-        # increases across the boundary.
-        csum = np.cumsum(ys)
-        k = np.arange(1, n)  # left-group sizes
-        left_sum = csum[:-1]
-        right_sum = total_sum - left_sum
-        children_sse = total_sq - left_sum**2 / k - right_sum**2 / (n - k)
-        valid = (
-            (k >= min_samples_leaf)
-            & (k <= n - min_samples_leaf)
-            & (xs[1:] > xs[:-1])
-        )
-        if not valid.any():
-            continue
-        children_sse = np.where(valid, children_sse, np.inf)
-        i = int(np.argmin(children_sse))
-        if children_sse[i] < best_children_sse:
-            best_children_sse = float(children_sse[i])
-            threshold = 0.5 * (xs[i] + xs[i + 1])
-            best = (j, float(threshold), parent_sse - float(children_sse[i]))
-    return best
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    # Candidate split after row i of a column's sort order: valid where
+    # both sides respect min_samples_leaf and xs strictly increases
+    # across the boundary.
+    left_sum = np.cumsum(y[order], axis=0)[:-1]
+    k = np.arange(1, n)[:, None]  # left-group sizes
+    right_sum = total_sum - left_sum
+    children_sse = total_sq - left_sum**2 / k - right_sum**2 / (n - k)
+    valid = (
+        (k >= min_samples_leaf)
+        & (k <= n - min_samples_leaf)
+        & (xs[1:] > xs[:-1])
+    )
+    children_sse = np.where(valid, children_sse, np.inf)
+    j = int(np.argmin(children_sse.min(axis=0)))
+    i = int(np.argmin(children_sse[:, j]))
+    if children_sse[i, j] == np.inf:
+        return None
+    threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
+    return (j, float(threshold), parent_sse - float(children_sse[i, j]))
 
 
 def build_tree(

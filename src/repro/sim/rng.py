@@ -19,6 +19,10 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# NumPy 2 loads ``numpy.random`` lazily.  Import it here, once, so a
+# forking parent (the fleet executor) has it loaded before the fork and
+# every sweep job does not import it again.
+import numpy.random
 
 
 def _stable_name_words(name: str) -> list[int]:
