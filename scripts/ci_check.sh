@@ -50,9 +50,10 @@
 #      `"failed": 0`, and the fleet era's `era_report_digest` at seed 5
 #      must be the recorded one (the smoke runs the full 20-era repeat,
 #      so this is bit-identity of the 10 000-VM `process_era` across
-#      commits), as must `fig4_fluid`'s `trace_digest`: a change to F2PM
-#      training (profiling, Lasso selection, CV, the tree's split search)
-#      must not move that pin;
+#      commits), as must `fig4_fluid`'s `trace_digest` at seeds 5 and 6:
+#      a change to F2PM training (profiling, Lasso selection, CV, the
+#      tree's split search), to inference (the tree's row and masked
+#      walks) or to the region-era kernels must move neither pin;
 #  13. a one-spelling check: the row -> CDF construction lives in
 #      `core/forward_plan.py` only (no `cumsum` in the DES loop or the
 #      serve runtime), and the leader step lives in
@@ -73,6 +74,9 @@
 #      gone), and the SLO plane lives in `slo/controller.py` only (no
 #      `PriorityLadder(` / `SloEvaluator(` built anywhere else, and
 #      serve's `_slo_note` / `_slo_refresh` / `_slo_gates` are gone); the
+#      region era calls ndarray methods and ufuncs, not NumPy's Python
+#      wrappers (no `np.flatnonzero(`, `np.mean(` or `np.clip(` in
+#      `pcam/vmc.py` or `pcam/state_table.py`); the
 #      ingress frames requests in its one `asyncio.Protocol` only (no
 #      `start_server`, `StreamReader` or `readline(` in
 #      `serve/ingress.py`: the per-line stream loop is not kept beside
@@ -325,8 +329,8 @@ sys.exit(0 if doc["correct"] is True and doc["failed"] == 0 else 1)
     # same seed, same smoke => the same bytes on every commit: the fleet
     # era's reports, the two oracle-driven workloads whose digests an
     # oracle / overlay / plan change must not move (recorded at fde7fb3),
-    # and the REP-Tree-driven figure whose trace an F2PM training change
-    # must not move
+    # and the REP-Tree-driven figure whose trace an F2PM training,
+    # inference or era-kernel change must not move
     case "$workload" in
         pcam_fleet_10k) pin='"era_report_digest": "0a8c68814499b22f24924c358ec99391"' ;;
         sweep_grid)     pin='"payload_digest": "bc78e9455d8b2c05f2226c606a48ec2c"' ;;
@@ -337,6 +341,11 @@ sys.exit(0 if doc["correct"] is True and doc["failed"] == 0 else 1)
     [ -z "$pin" ] || grep -qF "$pin" <<<"$E2E_OUT" \
         || { echo "e2e smoke: $workload moved off $pin" >&2; exit 1; }
 done
+# a second seed of the REP-Tree-driven figure: other pools, other trees
+E2E_OUT="$(python3 benchmarks/e2e/run.py --smoke --seed 6 --workload fig4_fluid)"
+echo "$E2E_OUT"
+grep -qF '"trace_digest": "2a3b1d700a82aba2d5e605fdbd222349"' <<<"$E2E_OUT" \
+    || { echo "e2e smoke: fig4_fluid moved off its seed-6 trace_digest" >&2; exit 1; }
 
 echo "== one-spelling check =="
 if grep -n "cumsum" src/repro/core/des_loop.py src/repro/serve/service.py; then
@@ -393,6 +402,11 @@ if grep -rnF "live_graph(" src/repro/core --include='*.py'; then
 fi
 if grep -n "def violates" src/repro/pcam/vm.py; then
     echo "the oracle kernel's probe is a closure of calls again" >&2; exit 1
+fi
+if grep -nE "np\.(flatnonzero|mean|clip)\(" src/repro/pcam/vmc.py \
+        src/repro/pcam/state_table.py; then
+    echo "the region era calls a NumPy Python wrapper (call the ndarray method or ufunc)" >&2
+    exit 1
 fi
 # (bracketed so that this line does not match itself)
 if grep -rnE "des_regio[n]|DesRegio[n]|SessionChai[n]|repro\.workload\.session[s]" \

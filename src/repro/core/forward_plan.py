@@ -98,7 +98,7 @@ class ForwardPlan:
         n = len(self.regions)
         if arrivals.shape != (n,):
             raise ValueError(f"expected {n} arrival counts")
-        if np.any(arrivals < 0):
+        if (arrivals < 0).any():
             raise ValueError("arrival counts must be >= 0")
         out = np.zeros((n, n), dtype=int)
         for i in range(n):
@@ -113,7 +113,7 @@ class ForwardPlan:
                 base = np.floor(exact).astype(int)
                 leftover = total - int(base.sum())
                 if leftover > 0:
-                    order = np.argsort(-(exact - base), kind="stable")
+                    order = (base - exact).argsort(kind="stable")
                     base[order[:leftover]] += 1
                 out[i] = base
         return out
@@ -208,7 +208,7 @@ def build_forward_plan(
             f"need {n}-vectors; got arrivals {a.shape}, targets {f.shape}"
         )
     for name, v in (("arrival", a), ("target", f)):
-        if np.any(v < -1e-12):
+        if (v < -1e-12).any():
             raise ValueError(f"{name} fractions must be non-negative")
         # np.isclose(x, 1.0, atol=1e-6) at its default rtol, as floats
         if not abs(float(v.sum()) - 1.0) <= 1e-6 + 1e-5:

@@ -37,7 +37,7 @@ def normalize_fractions(
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise ValueError("fractions must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(raw)):
+    if not np.isfinite(raw).all():
         raise ValueError("fractions contain non-finite values")
     if min_fraction < 0 or min_fraction * raw.size >= 1.0:
         raise ValueError(
@@ -173,7 +173,7 @@ class Policy(abc.ABC):
             )
         if prev_fractions.ndim != 1 or prev_fractions.size == 0:
             raise ValueError("need a non-empty 1-D region vector")
-        if np.any(rmttf < 0):
+        if (rmttf < 0).any():
             raise ValueError("rmttf values must be >= 0")
         if global_rate < 0:
             raise ValueError("global_rate must be >= 0")

@@ -18,7 +18,7 @@ def as_2d_float(X: np.ndarray, name: str = "X") -> np.ndarray:
         X = X.reshape(-1, 1)
     if X.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError(f"{name} contains non-finite values")
     return X
 
@@ -26,7 +26,7 @@ def as_2d_float(X: np.ndarray, name: str = "X") -> np.ndarray:
 def as_1d_float(y: np.ndarray, name: str = "y") -> np.ndarray:
     """Validate and coerce a target vector to a 1-D float64 array."""
     y = np.asarray(y, dtype=float).ravel()
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError(f"{name} contains non-finite values")
     return y
 

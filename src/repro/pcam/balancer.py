@@ -31,23 +31,30 @@ def largest_remainder_split(total: int, weights: np.ndarray) -> np.ndarray:
     """Deterministically apportion ``total`` items proportionally to weights.
 
     Hamilton's method: floor the exact shares, then hand the leftover items
-    to the largest fractional remainders.  Conserves the total exactly.
+    to the largest fractional remainders (the lowest index wins a tie).
+    Conserves the total exactly.
+
+    Raises
+    ------
+    ValueError
+        On a negative or NaN weight, or a sum that is zero or infinite
+        (either would floor NaN shares into ``INT64_MIN`` counts).
     """
     weights = np.asarray(weights, dtype=float)
     if total < 0:
         raise ValueError("total must be >= 0")
     if weights.ndim != 1 or weights.size == 0:
         raise ValueError("weights must be a non-empty 1-D array")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
+    if not (weights >= 0).all():
+        raise ValueError("weights must be non-negative numbers")
     s = weights.sum()
-    if s <= 0:
-        raise ValueError("weights must sum > 0")
+    if not 0 < s < np.inf:
+        raise ValueError(f"weights must have a positive finite sum, got {s}")
     exact = total * weights / s
     base = np.floor(exact).astype(int)
     leftover = total - int(base.sum())
     if leftover > 0:
-        order = np.argsort(-(exact - base), kind="stable")
+        order = (base - exact).argsort(kind="stable")
         base[order[:leftover]] += 1
     return base
 

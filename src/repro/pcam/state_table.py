@@ -169,7 +169,7 @@ class VmStateTable:
 
     def live_rows(self) -> np.ndarray:
         """Indices of live rows, ascending."""
-        return np.flatnonzero(self.state_code[: self._n_rows] != FREED)
+        return (self.state_code[: self._n_rows] != FREED).nonzero()[0]
 
     def _grow(self, minimum: int) -> None:
         new_cap = max(self._capacity * 2, minimum, 4)
@@ -362,7 +362,7 @@ class VmStateTable:
         leaked = self.leaked_mb[idx]
         usable = self.usable_memory_mb[idx]
         swap = self.swap_mb[idx]
-        swap_used = np.clip(leaked - usable, 0.0, swap)
+        swap_used = np.minimum(np.maximum(leaked - usable, 0.0), swap)
         zero = swap == 0.0
         swap_pressure = np.empty(len(idx), dtype=np.float64)
         np.divide(swap_used, swap, out=swap_pressure, where=~zero)
@@ -491,7 +491,7 @@ class VmStateTable:
         codes = self.state_code[rows]
         need = target_active - int(np.count_nonzero(codes == CODE_ACTIVE))
         if need > 0:
-            standby = np.flatnonzero(codes == CODE_STANDBY)[:need]
+            standby = (codes == CODE_STANDBY).nonzero()[0][:need]
             if standby.size:
                 self.activate(rows[standby])
 

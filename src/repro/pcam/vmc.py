@@ -317,9 +317,7 @@ class VirtualMachineController:
         table = self.table
         rows = self._rows
         self._ensure_active_pool()
-        active_pos = np.flatnonzero(
-            table.state_code[rows] == CODE_ACTIVE
-        )
+        active_pos = (table.state_code[rows] == CODE_ACTIVE).nonzero()[0]
         era_failures = 0
         pressures = None
 
@@ -388,7 +386,7 @@ class VirtualMachineController:
         # 2. monitor + predict + proactive rejuvenation (PCAM policy);
         # the snapshot excludes VMs that failed under this era's load
         codes = table.state_code[rows]
-        mon_pos = np.flatnonzero(codes == CODE_ACTIVE)
+        mon_pos = (codes == CODE_ACTIVE).nonzero()[0]
         mon_rows = rows[mon_pos]
         monitored = [self.vms[p] for p in mon_pos.tolist()]
         features = table.feature_matrix(mon_rows, pressures)
@@ -412,7 +410,7 @@ class VirtualMachineController:
         at_risk_pos, urgency = self._at_risk(
             monitored, mon_rows, rttf_arr, dt
         )
-        order = np.argsort(urgency, kind="stable")
+        order = urgency.argsort(kind="stable")
         n_standby = int(np.count_nonzero(codes == CODE_STANDBY))
         rack_busy = (
             self._rack_rejuvenation_counts() if self.config.spread_k else None
@@ -447,7 +445,7 @@ class VirtualMachineController:
                 ).inc()
 
         # 3. reactive path: failed VMs go to rejuvenation too
-        for p in np.flatnonzero(codes == CODE_FAILED).tolist():
+        for p in (codes == CODE_FAILED).nonzero()[0].tolist():
             vm = self.vms[p]
             vm.start_rejuvenation()
             era_rejuvenations += 1
@@ -478,7 +476,7 @@ class VirtualMachineController:
         self.total_rejuvenations += era_rejuvenations
         self.total_failures += failures
 
-        last_rmttf = float(np.mean(mttf)) if mttf.size else 0.0
+        last_rmttf = float(mttf.sum() / mttf.size) if mttf.size else 0.0
         n_active, n_stby, n_rejuv, n_failed = table.counts_by_state(rows)
         return EraReport(
             region=self.region_name,
@@ -530,11 +528,11 @@ class VirtualMachineController:
         """
         disc = self.discipline
         if type(disc) is RttfThresholdRejuvenation:
-            pos = np.flatnonzero(rttf_arr < disc.threshold_s)
+            pos = (rttf_arr < disc.threshold_s).nonzero()[0]
             return pos, rttf_arr[pos]
         if type(disc) is PeriodicRejuvenation:
             uptime = self.table.uptime_s[mon_rows]
-            pos = np.flatnonzero(uptime >= disc.period_s)
+            pos = (uptime >= disc.period_s).nonzero()[0]
             return pos, -uptime[pos]
         if type(disc) is NoRejuvenation:
             return np.empty(0, dtype=np.intp), np.empty(0)
@@ -542,7 +540,7 @@ class VirtualMachineController:
             disc.should_rejuvenate(vm, float(rttf), dt)
             for vm, rttf in zip(monitored, rttf_arr.tolist())
         ]
-        pos = np.flatnonzero(flags)
+        pos = np.asarray(flags).nonzero()[0]
         urgency = np.array(
             [
                 disc.urgency(monitored[p], float(rttf_arr[p]))
@@ -601,10 +599,14 @@ class VirtualMachineController:
             "total_rejuvenations": float(self.total_rejuvenations),
             "total_failures": float(self.total_failures),
             "mean_active_uptime_s": (
-                float(np.mean(table.uptime_s[active])) if n_active else 0.0
+                float(table.uptime_s[active].sum() / n_active)
+                if n_active
+                else 0.0
             ),
             "mean_leak_mb": (
-                float(np.mean(table.leaked_mb[active])) if n_active else 0.0
+                float(table.leaked_mb[active].sum() / n_active)
+                if n_active
+                else 0.0
             ),
             "effective_capacity": self.total_capacity(),
             "healthy_capacity": self.healthy_capacity(),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.ml.tree as tree_module
 from repro.experiments import (
     PAPER_POLICIES,
     compare_policies,
@@ -171,3 +172,43 @@ class TestTrainedPredictorPath:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_trained_predictor([])
+
+
+class TestTreeWalksEndToEnd:
+    """Fig. 4 traces are the same bytes whichever walk the REP-Tree takes.
+
+    The tier-1 twin of the CI pins on ``fig4_fluid``'s ``trace_digest``:
+    as shipped, every region's 4-12 ACTIVE VMs take the row walk; with
+    ``ROW_WALK_MAX_ROWS`` at 0 every batch takes the masked walk.
+    """
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_trace_csv_bytes_equal(self, tmp_path, monkeypatch, seed):
+        scenario = three_region_scenario()
+        assert (
+            max(r.n_vms for r in scenario.regions)
+            < tree_module.ROW_WALK_MAX_ROWS
+        )
+        predictor = make_trained_predictor(
+            scenario.instance_types(), seed=seed
+        )
+        assert predictor.model.name == "rep-tree"
+
+        def trace_bytes(tag):
+            out = []
+            for policy in PAPER_POLICIES:
+                result = run_policy_experiment(
+                    three_region_scenario(),
+                    policy,
+                    eras=30,
+                    seed=seed,
+                    predictor=predictor,
+                )
+                path = tmp_path / f"{tag}-{policy}.csv"
+                result.traces.to_csv(str(path))
+                out.append(path.read_bytes())
+            return out
+
+        shipped = trace_bytes("shipped")
+        monkeypatch.setattr(tree_module, "ROW_WALK_MAX_ROWS", 0)
+        assert trace_bytes("masked") == shipped

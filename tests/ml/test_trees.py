@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.ml.tree as tree_module
 from repro.ml import M5PModelTree, REPTree, RegressionTree
-from repro.ml.tree import best_split, build_tree, tree_predict
+from repro.ml.tree import ROW_WALK_MAX_ROWS, best_split, build_tree, tree_predict
 
 
 class TestBestSplit:
@@ -105,6 +106,112 @@ class TestRegressionTree:
         pred = tree_predict(root, X[:25])
         manual = np.array([walk(root, r) for r in X[:25]])
         assert np.array_equal(pred, manual)
+
+
+def _internal_nodes(root):
+    stack, out = [root], []
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            out.append(node)
+            stack += [node.left, node.right]
+    return out
+
+
+def _walk_corpus():
+    """Training data whose root splits feature 0 at exactly 0.0."""
+    rng = np.random.default_rng(30)
+    X = rng.integers(-4, 5, size=(300, 4)).astype(float)
+    X[:, 0] = rng.choice([-1.0, 1.0], size=300)
+    y = 10.0 * (X[:, 0] > 0) + X[:, 1] - 0.5 * X[:, 2] + rng.normal(0, 0.3, 300)
+    return X, y
+
+
+def _query_rows(root, n, seed):
+    """``n`` rows: one on every split threshold, then +-0.0 on feature 0,
+    then uniform draws."""
+    rng = np.random.default_rng(seed)
+    special = []
+    for node in _internal_nodes(root):
+        row = rng.uniform(-5, 5, size=4)
+        row[node.feature] = node.threshold
+        special.append(row)
+    row = rng.uniform(-5, 5, size=4)
+    for zero in (0.0, -0.0):
+        special.append(np.concatenate([[zero], row[1:]]))
+    fill = rng.uniform(-5, 5, size=(max(n - len(special), 0), 4))
+    return np.vstack([np.array(special), fill])[:n]
+
+
+def _both_walks(monkeypatch, predict, X):
+    """``predict(X)`` on the row walk and on the masked walk."""
+    with monkeypatch.context() as m:
+        m.setattr(tree_module, "ROW_WALK_MAX_ROWS", X.shape[0] + 1)
+        walked = predict(X)
+        m.setattr(tree_module, "ROW_WALK_MAX_ROWS", 0)
+        masked = predict(X)
+    return walked, masked
+
+
+def _assert_same(walked, masked):
+    assert walked.dtype == masked.dtype == np.float64
+    assert np.array_equal(walked, masked)
+    assert walked.tobytes() == masked.tobytes()
+
+
+class TestRowWalk:
+    """The small-batch row walk and the masked walk agree bit for bit."""
+
+    MODELS = {
+        "regression-tree": lambda: RegressionTree(
+            max_depth=10, min_samples_split=2, min_samples_leaf=1
+        ),
+        "rep-tree": lambda: REPTree(seed=3),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(MODELS))
+    def model(self, request):
+        X, y = _walk_corpus()
+        return self.MODELS[request.param]().fit(X, y)
+
+    def test_corpus_splits_at_signed_zero(self, model):
+        assert any(
+            n.feature == 0 and n.threshold == 0.0
+            for n in _internal_nodes(model.root_)
+        )
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, ROW_WALK_MAX_ROWS, ROW_WALK_MAX_ROWS + 1, 10_000]
+    )
+    def test_batch_sizes(self, monkeypatch, model, n):
+        X = _query_rows(model.root_, n, seed=n)
+        assert X.shape == (n, 4)
+        walked, masked = _both_walks(monkeypatch, model.predict, X)
+        assert walked.shape == (n,)
+        _assert_same(walked, masked)
+
+    def test_threshold_and_signed_zero_rows(self, monkeypatch, model):
+        root = model.root_
+        X = _query_rows(root, len(_internal_nodes(root)) + 2, seed=1)
+        walked, masked = _both_walks(
+            monkeypatch, lambda rows: tree_predict(root, rows), X
+        )
+        _assert_same(walked, masked)
+        # the last two rows differ only in the sign of feature 0's zero,
+        # and both go left of the 0.0 split
+        assert np.signbit(X[-2:, 0]).tolist() == [False, True]
+        assert walked[-2] == walked[-1]
+
+    @pytest.mark.parametrize("max_depth", [0, 1])
+    def test_stump(self, monkeypatch, max_depth):
+        X, y = _walk_corpus()
+        m = RegressionTree(max_depth=max_depth).fit(X, y)
+        assert m.depth() == max_depth
+        walked, masked = _both_walks(
+            monkeypatch, m.predict, _query_rows(m.root_, 40, seed=2)
+        )
+        _assert_same(walked, masked)
+        assert np.unique(walked).size == 2**max_depth
 
 
 class TestREPTree:

@@ -1,5 +1,7 @@
 """Tests for the local balancer and the Virtual Machine Controller."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,54 @@ class TestLargestRemainder:
             largest_remainder_split(1, np.array([-1.0, 1.0]))
         with pytest.raises(ValueError):
             largest_remainder_split(1, np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, np.nan], [np.nan, 1.0], [1.0, np.inf], [np.inf, np.inf],
+         [1e308, 1e308]],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_weights_refused(self, weights):
+        # these once floored NaN shares into INT64_MIN counts
+        with pytest.raises(ValueError):
+            largest_remainder_split(10, np.array(weights))
+        with pytest.raises(ValueError):
+            LocalBalancer().split_counts(10, np.array(weights))
+
+    def test_ties_go_to_the_lowest_index(self):
+        assert list(largest_remainder_split(1, np.ones(3))) == [1, 0, 0]
+        assert list(largest_remainder_split(2, np.ones(3))) == [1, 1, 0]
+        assert list(
+            largest_remainder_split(2, np.array([1.0, 0.0, 1.0, 1.0]))
+        ) == [1, 0, 1, 0]
+
+    def test_matches_pure_python_hamilton(self):
+        rng = np.random.default_rng(17)
+        for _ in range(400):
+            n = int(rng.integers(1, 13))
+            # small integers: many ties and zeros, and exact float sums
+            weights = rng.integers(0, 4, size=n).astype(float)
+            if weights.sum() == 0:
+                weights[int(rng.integers(n))] = 1.0
+            total = int(rng.integers(0, 200))
+            counts, exact = _hamilton(total, weights.tolist())
+            out = largest_remainder_split(total, weights)
+            assert out.tolist() == counts
+            assert sum(counts) == total
+            assert all(abs(c - e) < 1 for c, e in zip(counts, exact))
+
+
+def _hamilton(total, weights):
+    """Hamilton's method on Python floats; a tie goes to the lower index."""
+    s = sum(weights)
+    exact = [total * w / s for w in weights]
+    counts = [math.floor(e) for e in exact]
+    by_remainder = sorted(
+        range(len(weights)), key=lambda i: (counts[i] - exact[i], i)
+    )
+    for i in by_remainder[: total - sum(counts)]:
+        counts[i] += 1
+    return counts, exact
 
 
 class TestLocalBalancer:
