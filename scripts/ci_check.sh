@@ -53,7 +53,10 @@
 #      commits), as must `fig4_fluid`'s `trace_digest` at seeds 5 and 6:
 #      a change to F2PM training (profiling, Lasso selection, CV, the
 #      tree's split search), to inference (the tree's row and masked
-#      walks) or to the region-era kernels must move neither pin;
+#      walks) or to the region-era kernels must move neither pin; and
+#      `des_two_region`'s `trace_digest` at seeds 5 and 6: a change to
+#      the state table (its derived columns, the per-request cell reads
+#      and writes) or to plan routing must move neither DES pin;
 #  13. a one-spelling check: the row -> CDF construction lives in
 #      `core/forward_plan.py` only (no `cumsum` in the DES loop or the
 #      serve runtime), and the leader step lives in
@@ -76,7 +79,10 @@
 #      serve's `_slo_note` / `_slo_refresh` / `_slo_gates` are gone); the
 #      region era calls ndarray methods and ufuncs, not NumPy's Python
 #      wrappers (no `np.flatnonzero(`, `np.mean(` or `np.clip(` in
-#      `pcam/vmc.py` or `pcam/state_table.py`); the
+#      `pcam/vmc.py` or `pcam/state_table.py`); the load-state cells
+#      are written in `pcam/state_table.py` only (no assignment to
+#      `leaked_mb[` or `stuck_threads[` anywhere else under `src/repro`,
+#      so no writer can skip the refresh of the derived columns); the
 #      ingress frames requests in its one `asyncio.Protocol` only (no
 #      `start_server`, `StreamReader` or `readline(` in
 #      `serve/ingress.py`: the per-line stream loop is not kept beside
@@ -346,6 +352,11 @@ E2E_OUT="$(python3 benchmarks/e2e/run.py --smoke --seed 6 --workload fig4_fluid)
 echo "$E2E_OUT"
 grep -qF '"trace_digest": "2a3b1d700a82aba2d5e605fdbd222349"' <<<"$E2E_OUT" \
     || { echo "e2e smoke: fig4_fluid moved off its seed-6 trace_digest" >&2; exit 1; }
+# and of the DES: other routing draws, other completions
+E2E_OUT="$(python3 benchmarks/e2e/run.py --smoke --seed 6 --workload des_two_region)"
+echo "$E2E_OUT"
+grep -qF '"trace_digest": "a1871f494201c32269851c7d9b82f323"' <<<"$E2E_OUT" \
+    || { echo "e2e smoke: des_two_region moved off its seed-6 trace_digest" >&2; exit 1; }
 
 echo "== one-spelling check =="
 if grep -n "cumsum" src/repro/core/des_loop.py src/repro/serve/service.py; then
@@ -406,6 +417,11 @@ fi
 if grep -nE "np\.(flatnonzero|mean|clip)\(" src/repro/pcam/vmc.py \
         src/repro/pcam/state_table.py; then
     echo "the region era calls a NumPy Python wrapper (call the ndarray method or ufunc)" >&2
+    exit 1
+fi
+if grep -rnE "(leaked_mb|stuck_threads)\[[^]]*\][[:space:]]*[-+*/]?=([^=]|$)" \
+        src/repro --include='*.py' | grep -v "^src/repro/pcam/state_table.py:"; then
+    echo "a load-state cell is written outside pcam/state_table.py (its derived columns go stale)" >&2
     exit 1
 fi
 # (bracketed so that this line does not match itself)

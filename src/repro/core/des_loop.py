@@ -27,19 +27,25 @@ with the serve runtime is the installed plan, a ``PlanTable``.
 
 Hot-path layout
 ---------------
-This loop is the throughput ceiling of the whole reproduction (see
-``benchmarks/bench_hotpath.py``), so the per-request machinery is
-index-based and closure-free, while remaining *bit-identical* to the
-per-request reference semantics (pinned by the golden-trace test):
+This loop is the throughput ceiling of the whole reproduction (the
+``des_two_region`` workload of ``benchmarks/e2e/run.py``), so the
+per-request machinery is index-based and closure-free, while remaining
+*bit-identical* to the per-request reference semantics (pinned by the
+golden-trace test):
 
 * browser start-up think times are drawn in one vectorised block per
   region (``Generator.exponential(scale, size=n)`` consumes the stream
   exactly like ``n`` scalar draws);
 * forward-plan routing is one uniform draw through the installed
-  :class:`~repro.core.forward_plan.PlanTable` (per-row CDFs built once
-  at plan install) -- the same stream consumption and result as
-  ``Generator.choice(n, p=row/row.sum())``, without its per-call
-  validation and CDF construction;
+  :class:`~repro.core.forward_plan.PlanTable`: ``bisect_right`` over a
+  per-row CDF list built once at plan install -- the same stream
+  consumption and result as ``Generator.choice(n, p=row/row.sum())``,
+  without its per-call validation and CDF construction;
+* a VM's service capacity and its hard-failure flag are cell reads: the
+  state table keeps both as derived columns, refreshed when the VM's
+  load state changes (:meth:`VmStateTable.complete_request` refreshes
+  only on a non-zero anomaly draw), so neither is recomputed per
+  request;
 * join-shortest-queue is one Python scan, at every pool size, over a
   per-region ``in_flight`` ``list[int]`` indexed by VM slot (loop-private
   and only ever read one cell at a time, so a list, not an array), and
@@ -54,6 +60,7 @@ per-request reference semantics (pinned by the golden-trace test):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,8 +180,8 @@ class DesControlLoop:
     ) -> None:
         if not regions:
             raise ValueError("need at least one region")
-        if era_s <= 0:
-            raise ValueError("era_s must be positive")
+        if not 0 < era_s < math.inf:
+            raise ValueError("era_s must be positive and finite")
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self.sim = clock if clock is not None else Simulator(telemetry=telemetry)
         self.policy = policy
@@ -348,13 +355,8 @@ class DesControlLoop:
         # reactivation) -- see _RegionState.life
         table = state.table
         if table.state_code[slot] == CODE_ACTIVE and state.life[slot] == life:
-            vm = state.vms[slot]
-            leaked_mb, stuck_threads = vm.injector.draw(1)
-            table.leaked_mb[slot] += leaked_mb
-            table.stuck_threads[slot] += stuck_threads
-            table.total_requests[slot] += 1
-            table.last_response_time_s[slot] = rt
-            if table.failure_point_at(slot):
+            leaked_mb, stuck_threads = state.vms[slot].injector.draw(1)
+            if table.complete_request(slot, rt, leaked_mb, stuck_threads):
                 table.state_code[slot] = CODE_FAILED
                 table.failure_count[slot] += 1
                 # mid-era failure: out of JSQ now, ``vms`` order kept; the

@@ -21,6 +21,7 @@ minimises the inter-region redirection overhead the paper worries about.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,34 +137,48 @@ def _row_cdf(row: np.ndarray) -> np.ndarray | None:
     return cdf
 
 
+def _row_cdf_list(row: np.ndarray) -> list[float] | None:
+    """:func:`_row_cdf` as a Python list, the form :meth:`PlanTable.route`
+    bisects."""
+    cdf = _row_cdf(row)
+    return None if cdf is None else cdf.tolist()
+
+
 class PlanTable:
     """The installed forward plan as a per-request data path reads it.
 
     A private copy of the forwarding matrix plus one CDF per row
-    (:func:`_row_cdf`); draws change only through the constructor or
-    :meth:`install_row`, so a plan is never observed mid-update.  The
-    DES loop installs whole plans, the serve runtime one row per
-    plan-row message.  (The fluid loop's :meth:`ForwardPlan.route_counts`
-    is a batch multinomial, a different operation.)
+    (:func:`_row_cdf`, kept as a list); draws change only through the
+    constructor or :meth:`install_row`, so a plan is never observed
+    mid-update.  The DES loop installs whole plans, the serve runtime one
+    row per plan-row message.  (The fluid loop's
+    :meth:`ForwardPlan.route_counts` is a batch multinomial, a different
+    operation.)
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = np.array(matrix, dtype=float)
-        self._cdfs = [_row_cdf(row) for row in self.matrix]
+        self._cdfs = [_row_cdf_list(row) for row in self.matrix]
 
     def install_row(self, i: int, row: np.ndarray) -> None:
         """Replace arrival region ``i``'s row (and its CDF)."""
         self.matrix[i] = row
-        self._cdfs[i] = _row_cdf(self.matrix[i])
+        self._cdfs[i] = _row_cdf_list(self.matrix[i])
 
     def route(self, i: int, u: float) -> int:
         """Processing region for a request arriving at ``i``, given one
         uniform draw ``u`` on [0, 1); a degenerate row serves locally
-        instead of sampling NaN probabilities."""
+        instead of sampling NaN probabilities.
+
+        ``bisect_right`` on the list runs the binary search NumPy's
+        single-key ``searchsorted(side="right")`` runs (same midpoints,
+        same comparison), so the index is the same even on a row whose
+        CDF dips by the -1e-9 :class:`ForwardPlan` tolerates.
+        """
         cdf = self._cdfs[i]
         if cdf is None:
             return i
-        return int(cdf.searchsorted(u, side="right"))
+        return bisect_right(cdf, u)
 
     def route_live(self, i: int, u: float, alive) -> int | None:
         """Draw from row ``i`` restricted to ``alive`` (a bool per region):

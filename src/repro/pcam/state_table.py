@@ -31,6 +31,18 @@ against that reference controller).  Anything stochastic (anomaly
 injection) stays per-VM in the caller, consuming each VM's own RNG
 stream in the same order the scalar loop would.
 
+Derived columns
+---------------
+``service_capacity`` and ``exhausted`` (:data:`DERIVED_COLUMNS`) are
+functions of a row's load state and static columns, kept beside them so
+the DES request path and the balancer read a cell instead of
+recomputing the physics.  They are refreshed wherever an input is
+written, all in this module: adoption, the ``itype`` /
+``failure_policy`` setters, :meth:`VmStateTable.era_load_update`, the
+end of a rejuvenation, the view's ``leaked_mb`` / ``stuck_threads``
+setters and :meth:`VmStateTable.complete_request`.  Nothing outside
+this module writes a ``leaked_mb`` / ``stuck_threads`` cell (CI gate 13).
+
 Slot lifecycle invariants
 -------------------------
 * a freed row is scrubbed to poison values (``state_code == FREED``) so a
@@ -113,7 +125,24 @@ STATIC_COLUMNS: tuple[tuple[str, type], ...] = (
     ("thread_exhaustion", np.bool_),
 )
 
-_ALL_COLUMNS = (("state_code", np.int8),) + MUTABLE_COLUMNS + STATIC_COLUMNS
+#: Columns derived from a row's load state (``leaked_mb``,
+#: ``stuck_threads``) and its static columns: ``service_capacity`` is
+#: :func:`~repro.pcam.vm.effective_capacity`, ``exhausted`` the
+#: swap-exhaustion or thread-exhaustion clause of the failure point.
+#: Every writer of an input refreshes them (:meth:`VmStateTable._refresh`
+#: for one row, :meth:`VmStateTable._refresh_rows` for many), so readers
+#: gather a cell instead of recomputing the physics.
+DERIVED_COLUMNS: tuple[tuple[str, type], ...] = (
+    ("service_capacity", np.float64),
+    ("exhausted", np.bool_),
+)
+
+_ALL_COLUMNS = (
+    (("state_code", np.int8),)
+    + MUTABLE_COLUMNS
+    + STATIC_COLUMNS
+    + DERIVED_COLUMNS
+)
 
 
 class Pressures(NamedTuple):
@@ -204,6 +233,12 @@ class VmStateTable:
         index.  A reused (previously released) slot is overwritten in
         **every** column, so no state of the previous tenant survives.
         """
+        row = self._adopt_row(vm)
+        self._refresh(row)
+        return row
+
+    def _adopt_row(self, vm: VirtualMachine) -> int:
+        """:meth:`adopt` up to, not including, the derived columns."""
         if isinstance(vm, TableBackedVM):
             raise ValueError(f"{vm.name!r} is already table-backed")
         row = self._alloc_row()
@@ -244,7 +279,8 @@ class VmStateTable:
         policy: FailurePolicy,
         rejuvenation_time_s: float | None = None,
     ) -> None:
-        """Freeze the derived static columns for ``row``."""
+        """Freeze ``row``'s static columns (the caller refreshes the
+        derived ones)."""
         self.cpu_power[row] = itype.cpu_power
         self.memory_mb[row] = itype.memory_mb
         self.swap_mb[row] = itype.swap_mb
@@ -258,9 +294,56 @@ class VmStateTable:
         self.swap_exhaustion[row] = policy.swap_exhaustion
         self.thread_exhaustion[row] = policy.thread_exhaustion
 
+    def _refresh(self, row: int) -> None:
+        """Re-derive ``row``'s :data:`DERIVED_COLUMNS` from its cells.
+
+        :func:`~repro.pcam.vm.effective_capacity` on pure-Python floats
+        (bit-equal to :meth:`pressures_of`, pinned by
+        ``tests/pcam/test_columnar_parity.py``), and
+        :meth:`VirtualMachine.failure_point_reached`'s two hard clauses.
+        """
+        leaked = float(self.leaked_mb[row])
+        stuck = int(self.stuck_threads[row])
+        free_slots = int(self.thread_free_slots[row])
+        self.service_capacity[row] = effective_capacity(
+            float(self.cpu_power[row]),
+            leaked,
+            float(self.usable_memory_mb[row]),
+            float(self.swap_mb[row]),
+            stuck,
+            free_slots,
+        )
+        self.exhausted[row] = (
+            bool(self.swap_exhaustion[row])
+            and leaked >= float(self.anomaly_budget_mb[row])
+        ) or (bool(self.thread_exhaustion[row]) and stuck / free_slots >= 1.0)
+
+    def _refresh_rows(
+        self, idx: np.ndarray, pressures: Pressures | None = None
+    ) -> np.ndarray:
+        """Vectorised :meth:`_refresh`; returns the new ``exhausted`` cells.
+
+        ``pressures`` is :meth:`pressures_of` of ``idx`` in its current
+        state, when the caller already holds it.
+        """
+        if pressures is None:
+            pressures = self.pressures_of(idx)
+        self.service_capacity[idx] = pressures.capacity
+        exhausted = (
+            self.swap_exhaustion[idx]
+            & (self.leaked_mb[idx] >= self.anomaly_budget_mb[idx])
+        ) | (self.thread_exhaustion[idx] & (pressures.thread_pressure >= 1.0))
+        self.exhausted[idx] = exhausted
+        return exhausted
+
     def adopt_all(self, vms: list[VirtualMachine]) -> np.ndarray:
-        """Adopt a whole pool; returns the row indices in ``vms`` order."""
-        return np.array([self.adopt(vm) for vm in vms], dtype=np.intp)
+        """Adopt a whole pool; returns the row indices in ``vms`` order.
+
+        The derived columns are refreshed in one vectorised pass.
+        """
+        rows = np.array([self._adopt_row(vm) for vm in vms], dtype=np.intp)
+        self._refresh_rows(rows)
+        return rows
 
     def release(self, vm: "TableBackedVM") -> None:
         """Detach a view: state moves back to scalar attributes.
@@ -297,9 +380,9 @@ class VmStateTable:
         self._free.append(row)
 
     def _scrub(self, row: int) -> None:
-        self.state_code[row] = FREED
-        for name, dtype in MUTABLE_COLUMNS + STATIC_COLUMNS:
+        for name, _ in _ALL_COLUMNS:
             getattr(self, name)[row] = 0
+        self.state_code[row] = FREED
 
     def compact(self) -> dict[int, int]:
         """Repack live rows to the front; returns {old_row: new_row}.
@@ -381,53 +464,34 @@ class VmStateTable:
 
     def effective_capacity_of(self, idx: np.ndarray) -> np.ndarray:
         """Vectorised :attr:`VirtualMachine.effective_capacity`."""
-        return self.pressures_of(idx).capacity
+        return self.service_capacity[idx]
 
     def capacity_at(self, row: int) -> float:
-        """Scalar effective capacity of one row (the per-request path).
+        """Scalar effective capacity of one row (the DES request path)."""
+        return float(self.service_capacity[row])
 
-        :func:`repro.pcam.vm.effective_capacity` on the row's cells:
-        pure-Python floats, so a single lookup stays cheap inside the DES
-        request loop (no NumPy call overhead).
+    def complete_request(
+        self,
+        row: int,
+        response_time_s: float,
+        leaked_mb: float,
+        stuck_threads: int,
+    ) -> bool:
+        """One served request's writes to ``row`` (the DES completion).
+
+        Adds the request's anomaly draw, counts the request, stamps its
+        response time, and returns whether the row reached its failure
+        point (:meth:`VirtualMachine.failure_point_reached`).  Most draws
+        are zero and leave the load state as it was, so the derived
+        columns are refreshed only when the draw was non-zero.
         """
-        return effective_capacity(
-            float(self.cpu_power[row]),
-            float(self.leaked_mb[row]),
-            float(self.usable_memory_mb[row]),
-            float(self.swap_mb[row]),
-            int(self.stuck_threads[row]),
-            int(self.thread_free_slots[row]),
-        )
-
-    def failure_point_of(
-        self, idx: np.ndarray, thread_pressure: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised :meth:`VirtualMachine.failure_point_reached`.
-
-        ``thread_pressure`` is :meth:`pressures_of`'s, aligned with ``idx``.
-        """
-        return (
-            (
-                self.swap_exhaustion[idx]
-                & (self.leaked_mb[idx] >= self.anomaly_budget_mb[idx])
-            )
-            | (self.thread_exhaustion[idx] & (thread_pressure >= 1.0))
-            | (self.last_response_time_s[idx] > self.sla_response_time_s[idx])
-        )
-
-    def failure_point_at(self, row: int) -> bool:
-        """Scalar failure predicate for one row (DES request path)."""
-        if bool(self.swap_exhaustion[row]) and float(
-            self.leaked_mb[row]
-        ) >= float(self.anomaly_budget_mb[row]):
-            return True
-        if bool(self.thread_exhaustion[row]):
-            ratio = int(self.stuck_threads[row]) / int(
-                self.thread_free_slots[row]
-            )
-            if ratio >= 1.0:
-                return True
-        return float(self.last_response_time_s[row]) > float(
+        self.total_requests[row] += 1
+        self.last_response_time_s[row] = response_time_s
+        if leaked_mb or stuck_threads:
+            self.leaked_mb[row] += leaked_mb
+            self.stuck_threads[row] += stuck_threads
+            self._refresh(row)
+        return bool(self.exhausted[row]) or response_time_s > float(
             self.sla_response_time_s[row]
         )
 
@@ -519,6 +583,7 @@ class VmStateTable:
         self.last_response_time_s[idx] = 0.0
         self.last_request_rate[idx] = 0.0
         self.rejuvenation_remaining_s[idx] = 0.0
+        self._refresh_rows(idx)
 
     def idle_tick(self, idx: np.ndarray, dt: float) -> None:
         """Advance rejuvenation clocks; finish the ones that ran out.
@@ -559,13 +624,14 @@ class VmStateTable:
         rate = n_requests / dt
         self.last_request_rate[idx] = rate
         pressures = self.pressures_of(idx)
+        exhausted = self._refresh_rows(idx, pressures)
         # vectorised mm1_response_time_s
         mu = pressures.capacity / mean_demand
         service_time = 1.0 / mu
         rho = np.minimum(rate / mu, 0.99)
         rt = service_time / (1.0 - rho)
         self.last_response_time_s[idx] = rt
-        failed = self.failure_point_of(idx, pressures.thread_pressure)
+        failed = exhausted | (rt > self.sla_response_time_s[idx])
         if failed.any():
             self.fail(idx[failed])
         return rt, failed, pressures
@@ -587,14 +653,21 @@ class VmStateTable:
 # ---------------------------------------------------------------------- #
 
 
-def _column_property(col: str, cast) -> property:
+def _column_property(col: str, cast, derives: bool = False) -> property:
+    """A view attribute over one column; ``derives`` marks an input of
+    :data:`DERIVED_COLUMNS`, whose writes refresh the row."""
+
     def _get(self):
         return cast(getattr(self._table, col)[self._row])
 
     def _set(self, value):
         getattr(self._table, col)[self._row] = value
 
-    return property(_get, _set)
+    def _set_and_refresh(self, value):
+        getattr(self._table, col)[self._row] = value
+        self._table._refresh(self._row)
+
+    return property(_get, _set_and_refresh if derives else _set)
 
 
 class TableBackedVM(VirtualMachine):
@@ -608,9 +681,9 @@ class TableBackedVM(VirtualMachine):
     source of truth for one-VM semantics.
     """
 
-    leaked_mb = _column_property("leaked_mb", float)
+    leaked_mb = _column_property("leaked_mb", float, derives=True)
     uptime_s = _column_property("uptime_s", float)
-    stuck_threads = _column_property("stuck_threads", int)
+    stuck_threads = _column_property("stuck_threads", int, derives=True)
     _rejuvenation_remaining_s = _column_property(
         "rejuvenation_remaining_s", float
     )
@@ -646,8 +719,7 @@ class TableBackedVM(VirtualMachine):
 
     @itype.setter
     def itype(self, value: InstanceType) -> None:
-        self.__dict__["_itype"] = value
-        self._table._sync_static(self._row, value, self._failure_policy)
+        self._resync(value, self._failure_policy)
 
     @property
     def failure_policy(self) -> FailurePolicy:
@@ -655,8 +727,14 @@ class TableBackedVM(VirtualMachine):
 
     @failure_policy.setter
     def failure_policy(self, value: FailurePolicy) -> None:
-        self.__dict__["_failure_policy"] = value
-        self._table._sync_static(self._row, self._itype, value)
+        self._resync(self._itype, value)
+
+    def _resync(self, itype: InstanceType, policy: FailurePolicy) -> None:
+        """Adopt a new ``itype`` / ``failure_policy`` into the row."""
+        self.__dict__["_itype"] = itype
+        self.__dict__["_failure_policy"] = policy
+        self._table._sync_static(self._row, itype, policy)
+        self._table._refresh(self._row)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

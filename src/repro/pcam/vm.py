@@ -85,8 +85,9 @@ BASELINE_THREADS = 24
 # the scalar capacity / response-time model
 # ---------------------------------------------------------------------- #
 # The physics over plain Python numbers.  The ``VirtualMachine``
-# properties and ``VmStateTable.capacity_at`` (the DES request path) call
-# these functions, so they agree bit-for-bit by construction.  The
+# properties and ``VmStateTable._refresh`` (one row's derived capacity,
+# which the DES request path reads) call these functions, so they agree
+# bit-for-bit by construction.  The
 # mean-field oracle kernel below does *not*: its SLA search probes the
 # model ~50 times a prediction, and five calls a probe were 1.5 M of a
 # 12-cell sweep's 3.0 M Python calls, so its probe spells

@@ -20,6 +20,7 @@ the load itself (the request-level DES loop) calls directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -90,12 +91,15 @@ class VmcConfig:
     spread_k: int = 0
 
     def __post_init__(self) -> None:
-        if self.rttf_threshold_s < 0:
+        # written so that NaN fails: a NaN threshold never triggers a
+        # swap, and a NaN or infinite demand makes every service rate
+        # NaN or 0
+        if not self.rttf_threshold_s >= 0:
             raise ValueError("rttf_threshold_s must be >= 0")
         if self.target_active < 1:
             raise ValueError("target_active must be >= 1")
-        if self.mean_demand <= 0:
-            raise ValueError("mean_demand must be positive")
+        if not 0 < self.mean_demand < math.inf:
+            raise ValueError("mean_demand must be positive and finite")
         if self.monitor_history < 1:
             raise ValueError("monitor_history must be >= 1")
         if self.spread_k < 0:

@@ -1,5 +1,7 @@
 """Tests for the request-level multi-region control loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,22 @@ class TestMechanics:
         loop = build_loop()
         with pytest.raises(ValueError):
             loop.run(0)
+
+    @pytest.mark.parametrize("era_s", [math.nan, math.inf])
+    def test_non_finite_era_rejected_at_construction(self, era_s):
+        # a NaN era used to pass `era_s <= 0` and fail inside run_until
+        with pytest.raises(ValueError, match="era_s"):
+            build_loop(era_s=era_s)
+
+    @pytest.mark.parametrize("mean_demand", [math.nan, math.inf])
+    def test_non_finite_mean_demand_rejected(self, mean_demand):
+        # it used to run, every request taking exactly the 1.0 s fallback
+        with pytest.raises(ValueError, match="mean_demand"):
+            build_loop(mean_demand=mean_demand)
+
+    def test_nan_rttf_threshold_rejected(self):
+        with pytest.raises(ValueError, match="rttf_threshold_s"):
+            build_loop(rttf_threshold_s=math.nan)
 
 
 class TestPolicyDynamicsAtRequestLevel:

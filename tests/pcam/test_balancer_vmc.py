@@ -165,6 +165,21 @@ class TestVmcConstruction:
         with pytest.raises(ValueError):
             VmcConfig(mean_demand=0.0)
 
+    @pytest.mark.parametrize("demand", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_demand_rejected(self, demand):
+        # NaN or inf made every service rate NaN or 0: each DES request
+        # then fell back to a flat 1.0 s service time without a word
+        with pytest.raises(ValueError, match="mean_demand"):
+            VmcConfig(mean_demand=demand)
+
+    def test_nan_rttf_threshold_rejected(self):
+        # `rttf < nan` never holds: proactive rejuvenation was silently off
+        with pytest.raises(ValueError, match="rttf_threshold_s"):
+            VmcConfig(rttf_threshold_s=math.nan)
+
+    def test_infinite_rttf_threshold_accepted(self):
+        assert VmcConfig(rttf_threshold_s=math.inf).rttf_threshold_s == math.inf
+
 
 class TestVmcEraProcessing:
     def test_report_fields_consistent(self, make_vm):

@@ -17,11 +17,14 @@ rely on:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.chaos.engine import ChaosEngine
 from repro.pcam import (
+    FailurePolicy,
     OracleRttfPredictor,
     TrainedRttfPredictor,
     TrendAwareRttfPredictor,
@@ -316,6 +319,187 @@ class TestCrashStormMidEra:
             assert report.n_failed == 0
         assert vmc.total_failures >= 1
         assert vmc.total_rejuvenations >= 8  # storms forced swaps
+
+
+#: the catalog's two pool shapes and one with no swap (the other branch
+#: of the swap-pressure clause)
+_NO_SWAP = dataclasses.replace(PRIVATE_SMALL, name="noswap", swap_mb=0.0)
+_ITYPES = (M3_MEDIUM, PRIVATE_SMALL, _NO_SWAP)
+
+
+def _assert_derived_coherent(table: VmStateTable) -> None:
+    """Every live row's derived columns equal a fresh derivation."""
+    live = table.live_rows()
+    pressures = table.pressures_of(live)
+    assert np.array_equal(table.service_capacity[live], pressures.capacity)
+    hard = (
+        table.swap_exhaustion[live]
+        & (table.leaked_mb[live] >= table.anomaly_budget_mb[live])
+    ) | (table.thread_exhaustion[live] & (pressures.thread_pressure >= 1.0))
+    assert np.array_equal(table.exhausted[live], hard)
+
+
+class TestDerivedColumns:
+    """``service_capacity`` / ``exhausted`` follow every writer of their
+    inputs: a seeded random walk over every operation that writes the
+    load state or the static columns, checked after each step."""
+
+    def test_random_operation_sequence_keeps_columns_coherent(self):
+        rng = np.random.default_rng(31)
+        table = VmStateTable(2)
+        views: list[TableBackedVM] = []
+        detached: list[VirtualMachine] = []
+        made = iter(range(10**6))
+
+        def loaded_vm():
+            itype = _ITYPES[rng.integers(len(_ITYPES))]
+            vm = _vm(
+                f"v{next(made)}",
+                itype,
+                seed=int(rng.integers(1 << 30)),
+                rejuvenation_time_s=float(rng.choice([0.0, 60.0])),
+            )
+            vm.leaked_mb = float(rng.uniform(0.0, 1.3 * vm.anomaly_budget_mb))
+            vm.stuck_threads = int(rng.integers(0, vm.thread_free_slots + 8))
+            if rng.random() < 0.5:
+                vm.activate()
+            return vm
+
+        def pick(codes=None):
+            pool = [
+                vm for vm in views
+                if codes is None or table.state_code[vm.row] in codes
+            ]
+            return pool[rng.integers(len(pool))] if pool else None
+
+        def rows_of(vms):
+            return np.array([vm.row for vm in vms], dtype=np.intp)
+
+        def adopt():
+            vm = loaded_vm()
+            table.adopt(vm)
+            views.append(vm)
+
+        def adopt_all():
+            vms = [loaded_vm() for _ in range(rng.integers(1, 4))]
+            table.adopt_all(vms)
+            views.extend(vms)
+
+        def set_load():
+            vm = pick()
+            if vm is None:
+                return
+            if rng.random() < 0.5:
+                vm.leaked_mb = float(rng.uniform(0.0, 1.3 * vm.anomaly_budget_mb))
+            else:
+                vm.stuck_threads = int(rng.integers(0, vm.thread_free_slots + 8))
+
+        def apply_load():
+            vm = pick((CODE_ACTIVE,))
+            if vm is not None:
+                vm.apply_load(int(rng.integers(0, 5000)), 30.0)
+
+        def set_itype():
+            vm = pick()
+            if vm is not None:
+                vm.itype = _ITYPES[rng.integers(len(_ITYPES))]
+
+        def set_policy():
+            vm = pick()
+            if vm is not None:
+                vm.failure_policy = FailurePolicy(
+                    sla_response_time_s=float(rng.uniform(0.2, 2.0)),
+                    swap_exhaustion=bool(rng.random() < 0.5),
+                    thread_exhaustion=bool(rng.random() < 0.5),
+                )
+
+        def era():
+            idx = rows_of(v for v in views if v.state is VmState.ACTIVE)
+            table.era_load_update(
+                idx,
+                rng.integers(0, 3000, size=idx.size),
+                30.0,
+                1.5,
+                rng.uniform(0.0, 400.0, size=idx.size),
+                rng.integers(0, 20, size=idx.size),
+            )
+
+        def rejuvenate():
+            vm = pick((CODE_ACTIVE, CODE_FAILED))
+            if vm is not None:
+                table.start_rejuvenation(rows_of([vm]))
+            table.idle_tick(rows_of(views), float(rng.choice([30.0, 90.0])))
+
+        def fail():
+            vm = pick()
+            if vm is not None:
+                table.fail(rows_of([vm]))
+
+        def activate():
+            table.activate_standby(rows_of(views), int(rng.integers(1, 6)))
+
+        def release():
+            vm = pick()
+            if vm is not None:
+                views.remove(vm)
+                table.release(vm)
+                detached.append(vm)
+
+        def readopt():
+            # into the row the last release freed (adopt reuses it first)
+            if detached:
+                vm = detached.pop()
+                table.adopt(vm)
+                views.append(vm)
+
+        def compact():
+            table.compact()
+
+        def grow():
+            # each call doubles the allocation: a few are enough
+            if table.capacity < 256:
+                table._grow(table.capacity + 1)
+
+        def complete():
+            vm = pick((CODE_ACTIVE,))
+            if vm is None:
+                return
+            zero = rng.random() < 0.5
+            table.complete_request(
+                vm.row,
+                float(rng.uniform(0.0, 2.0)),
+                0.0 if zero else float(rng.uniform(0.0, 300.0)),
+                0 if zero else int(rng.integers(0, 10)),
+            )
+
+        ops = [
+            adopt, adopt_all, set_load, apply_load, set_itype, set_policy,
+            era, rejuvenate, fail, activate, release, readopt, compact,
+            grow, complete,
+        ]
+        for _ in range(6):
+            adopt()
+        _assert_derived_coherent(table)
+        for _ in range(1500):
+            ops[rng.integers(len(ops))]()
+            _assert_derived_coherent(table)
+        # the walk reached both values of the flag on live rows
+        live = table.live_rows()
+        assert table.exhausted[live].any() and not table.exhausted[live].all()
+
+    def test_complete_request_returns_the_failure_point(self):
+        table = VmStateTable()
+        vm = _vm("solo", PRIVATE_SMALL)
+        vm.activate()
+        row = table.adopt(vm)
+        assert not table.complete_request(row, 0.5, 0.0, 0)
+        assert vm.total_requests == 1 and vm.last_response_time_s == 0.5
+        # the SLA clause reads the request's own response time
+        assert table.complete_request(row, 1.5, 0.0, 0)
+        # a hard clause: the draw exhausts RAM + swap
+        assert table.complete_request(row, 0.1, vm.anomaly_budget_mb, 0)
+        assert vm.failure_point_reached()
+        assert vm.total_requests == 3
 
 
 class TestFleetScaleSmoke:
