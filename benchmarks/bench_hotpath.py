@@ -73,9 +73,6 @@ class _ConstantPredictor(RttfPredictor):
     def predict_rttf(self, vm: VirtualMachine) -> float:
         return 1e9
 
-    def predict_mttf(self, vm: VirtualMachine) -> float:
-        return 1e9
-
 
 def build_loop(
     scale: str, seed: int = BENCH_SEED, telemetry=None

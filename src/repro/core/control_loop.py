@@ -38,7 +38,10 @@ from repro.core.degradation import (
     DegradationConfig,
     DegradationTracker,
 )
-from repro.core.forward_plan import build_forward_plan
+from repro.core.forward_plan import (
+    FORWARD_FALLBACK_PENALTY_S,
+    build_forward_plan,
+)
 from repro.core.policy import Policy, compute_fractions
 from repro.core.rmttf import RmttfAggregator
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -322,7 +325,7 @@ class AcmControlLoop:
                                 2.0 * self.router.latency(region, target) / 1000.0
                             )
                         except NoRouteError:
-                            extra = 0.5  # timeout-and-retry penalty
+                            extra = FORWARD_FALLBACK_PENALTY_S
                     rt += share * (reports[target].response_time_s + extra)
                 per_region_rt[region] = rt
                 self._client_rt[region] = rt

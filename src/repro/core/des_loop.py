@@ -65,7 +65,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.forward_plan import PlanTable, build_forward_plan
+from repro.core.forward_plan import (
+    FORWARD_FALLBACK_PENALTY_S,
+    PlanTable,
+    build_forward_plan,
+)
 from repro.core.policy import Policy, compute_fractions
 from repro.core.rmttf import RmttfAggregator
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -79,10 +83,6 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import TraceRecorder
 from repro.workload.browsers import BrowserPopulation
-
-#: Timeout-and-retry penalty absorbed by a forwarded request when the
-#: overlay is partitioned (no live path between the two controllers).
-FORWARD_FALLBACK_PENALTY_S = 0.5
 
 
 @dataclass
@@ -269,7 +269,7 @@ class DesControlLoop:
         try:
             return 2.0 * self._router.latency(src, dst) / 1000.0
         except NoRouteError:
-            # Overlay partition: the request absorbs a timeout-and-retry
+            # Overlay partition: the request absorbs the fallback
             # penalty.  Leave a trace so partitions are observable rather
             # than silently folded into the response time.
             self.total_forward_fallbacks += 1

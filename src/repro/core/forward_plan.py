@@ -26,6 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Timeout-and-retry penalty absorbed by a forwarded request when the
+#: overlay is partitioned (no live path between the two controllers).
+FORWARD_FALLBACK_PENALTY_S = 0.5
+
 
 @dataclass(frozen=True)
 class ForwardPlan:

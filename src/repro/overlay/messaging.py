@@ -42,49 +42,6 @@ class Message:
     sent_at: float
 
 
-class BroadcastReceipt(int):
-    """Outcome of a :meth:`MessageBus.broadcast`.
-
-    Compares as the number of sends *accepted* at call time (so existing
-    ``receipt == n`` checks keep working), while :attr:`delivered` and
-    :attr:`died_in_flight` resolve as the simulator runs the delivery
-    events -- a send that is accepted but whose destination dies in
-    flight is **not** counted as delivered.
-    """
-
-    def __new__(cls, accepted: int) -> "BroadcastReceipt":
-        obj = super().__new__(cls, accepted)
-        obj._outcomes = {"delivered": 0, "dead_dst": 0, "chaos_loss": 0}
-        return obj
-
-    def _resolve(self, outcome: str) -> None:
-        if outcome in self._outcomes:
-            self._outcomes[outcome] += 1
-
-    @property
-    def accepted(self) -> int:
-        """Sends accepted at call time (the integer value)."""
-        return int(self)
-
-    @property
-    def delivered(self) -> int:
-        """Sends actually handed to their destination handler so far."""
-        return self._outcomes["delivered"]
-
-    @property
-    def died_in_flight(self) -> int:
-        """Accepted sends whose destination died (or whose message was
-        lost by chaos injection) before delivery."""
-        return self._outcomes["dead_dst"] + self._outcomes["chaos_loss"]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BroadcastReceipt(accepted={int(self)}, "
-            f"delivered={self.delivered}, "
-            f"died_in_flight={self.died_in_flight})"
-        )
-
-
 @dataclass
 class MessageBus:
     """Delivers messages over the overlay with path latency.
@@ -172,40 +129,6 @@ class MessageBus:
 
         self.sim.schedule_after(latency_ms / 1000.0, deliver, label=f"msg:{kind}")
         return True
-
-    def broadcast(
-        self, src: str, kind: str, payload: Any
-    ) -> BroadcastReceipt:
-        """Send to every other registered node.
-
-        Returns a :class:`BroadcastReceipt`: it *is* the accepted count
-        (an ``int``), and additionally tracks how many accepted sends were
-        actually delivered vs died in flight once the simulator has run
-        the delivery events.
-        """
-        # Outcomes can resolve synchronously (no_route/no_handler) before
-        # the receipt exists, or later when delivery events fire; buffer
-        # the early ones and route the late ones straight to the receipt.
-        early: list[str] = []
-        box: dict[str, BroadcastReceipt | None] = {"receipt": None}
-
-        def on_outcome(_msg: Message, outcome: str) -> None:
-            receipt = box["receipt"]
-            if receipt is None:
-                early.append(outcome)
-            else:
-                receipt._resolve(outcome)
-
-        accepted = 0
-        for node in sorted(self._handlers):
-            if node != src:
-                if self.send(src, node, kind, payload, on_outcome=on_outcome):
-                    accepted += 1
-        receipt = BroadcastReceipt(accepted)
-        box["receipt"] = receipt
-        for outcome in early:
-            receipt._resolve(outcome)
-        return receipt
 
     def _drop(
         self,

@@ -74,22 +74,6 @@ class RttfPredictor(abc.ABC):
         """
         return self.predict_rttf_batch(vms)
 
-    def predict_mttf(self, vm: VirtualMachine) -> float:
-        """Estimated total MTTF of the VM: elapsed uptime + remaining time.
-
-        This is the per-VM quantity the VMC averages into the region's
-        lastRMTTF (Sec. IV).
-
-        .. warning::
-           This calls :meth:`predict_rttf` internally.  A caller that
-           already holds the VM's RTTF for this era must compute
-           ``vm.uptime_s + max(rttf, 0.0)`` instead of calling both
-           methods: a second prediction per era double-appends to
-           stateful predictors' history windows (see
-           :class:`TrendAwareRttfPredictor`).
-        """
-        return vm.uptime_s + max(self.predict_rttf(vm), 0.0)
-
     def evict(self, vm_name: str) -> None:
         """Forget any per-VM state held for ``vm_name``.
 
@@ -178,7 +162,7 @@ class TrendAwareRttfPredictor(RttfPredictor):
         """Update ``vm``'s history window and build its derived row.
 
         Exactly one history append per call -- callers must sample each
-        VM once per era (see :meth:`RttfPredictor.predict_mttf`).
+        VM once per era (a second prediction double-appends).
         """
         return self._derived_from(vm, vm.sample_features().to_array())
 

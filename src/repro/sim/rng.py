@@ -111,16 +111,6 @@ class RngRegistry:
         sub = RngRegistry(seed=child_seed)
         return sub
 
-    def spawn(self, name: str) -> "RngRegistry":
-        """Derive a sub-registry via :func:`derive_seed` (hash spawning).
-
-        The preferred derivation for new code (fleet jobs, replicate
-        sweeps): collision-resistant across the whole 63-bit seed space.
-        :meth:`child` keeps the historical affine derivation so existing
-        golden traces stay bit-identical.
-        """
-        return RngRegistry(seed=derive_seed(self._seed, name))
-
     def names(self) -> list[str]:
         """Names of streams created so far (sorted, for reproducible logs)."""
         return sorted(self._streams)

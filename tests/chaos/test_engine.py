@@ -423,7 +423,6 @@ class TestTransportAndPredictorPrimitives:
         sim, engine = make_engine(predictors={"r1": corruptible})
         engine.corrupt_predictor("nan")
         assert math.isnan(corruptible.predict_rttf(vm))
-        assert math.isnan(corruptible.predict_mttf(vm))
         engine.corrupt_predictor("zero")
         assert corruptible.predict_rttf(vm) == 0.0
         engine.corrupt_predictor("stale")

@@ -97,22 +97,6 @@ class TestConservativePredictor:
             0.5 * oracle.predict_rttf(vm)
         )
 
-    def test_mttf_still_adds_uptime(self):
-        from repro.sim import PRIVATE_SMALL, RngRegistry
-        from repro.pcam import VirtualMachine
-        from repro.workload import AnomalyInjector
-
-        rngs = RngRegistry(seed=6)
-        vm = VirtualMachine(
-            "c/vm1", PRIVATE_SMALL, AnomalyInjector(rngs.stream("a"))
-        )
-        vm.activate()
-        vm.apply_load(300, 30.0)
-        p = ConservativeRttfPredictor(OracleRttfPredictor(), margin=0.8)
-        assert p.predict_mttf(vm) == pytest.approx(
-            vm.uptime_s + p.predict_rttf(vm)
-        )
-
     def test_margin_validated(self):
         with pytest.raises(ValueError):
             ConservativeRttfPredictor(OracleRttfPredictor(), margin=0.0)

@@ -1,9 +1,11 @@
 """Tests for the one-command reproduction bundle."""
 
 import os
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.report_bundle import reproduce_all
 from repro.sim import TraceRecorder
 
@@ -52,3 +54,16 @@ class TestReproduceAll:
         manifest = reproduce_all(nested, eras=30, seed=2)
         assert os.path.isdir(nested)
         assert manifest.out_dir == nested
+
+
+def test_the_committed_bundle_is_what_reproduce_writes(tmp_path):
+    """``results/`` is ``repro reproduce --out results/`` at its defaults,
+    byte for byte: regenerate it after a change that moves a figure."""
+    committed = Path(__file__).resolve().parents[2] / "results"
+    assert main(["reproduce", "--out", str(tmp_path)]) == 0
+    names = sorted(p.name for p in committed.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (
+            committed / name
+        ).read_bytes(), name

@@ -115,13 +115,6 @@ class TestOraclePredictor:
         truth = active_vm.true_time_to_failure_s(active_vm.last_request_rate)
         assert rttf == pytest.approx(truth)
 
-    def test_mttf_adds_uptime(self, active_vm):
-        active_vm.apply_load(600, 30.0)
-        oracle = OracleRttfPredictor()
-        assert oracle.predict_mttf(active_vm) == pytest.approx(
-            active_vm.uptime_s + oracle.predict_rttf(active_vm)
-        )
-
     def test_noise_requires_rng(self):
         with pytest.raises(ValueError):
             OracleRttfPredictor(noise_std=0.1)

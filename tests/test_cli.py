@@ -95,7 +95,11 @@ class TestEverySubcommandRuns:
              "--loads", "0.25", "--replicates", "1", "--eras", "12"]
     #: subcommand -> (argv tail with {tmp}, documented exit codes)
     SMALLEST = {
-        "fig3": (["--eras", "10", "--obs-dump", "{tmp}/dump.json"], {0}),
+        "fig3": (
+            ["--eras", "16", "--online-retrain", "8",
+             "--obs-dump", "{tmp}/dump.json"],
+            {0},
+        ),
         "fig4": (["--eras", "10"], {0}),
         "online": (["--eras", "30"], {0, 1}),
         "compare": (
@@ -108,7 +112,9 @@ class TestEverySubcommandRuns:
         "robustness": (["fig3", "--eras", "10", "--seeds", "7"], {0, 1}),
         "chaos": (["list"], {0}),
         "obs": (["{tmp}/dump.json"], {0}),
-        "sweep": ([*SWEEP, "--store", "{tmp}/store"], {0}),
+        "sweep": (
+            [*SWEEP, "--domains", "flat,2x2", "--store", "{tmp}/store"], {0}
+        ),
         "policy train": (
             ["--scenario", "two-region", "--rounds", "1", "--episodes", "1",
              "--eras", "10", "--out", "{tmp}/policy"],
@@ -128,9 +134,12 @@ class TestEverySubcommandRuns:
     NEEDS = {"obs": "fig3", "policy eval": "policy train"}
 
     @pytest.fixture(scope="class")
-    def ran(self, tmp_path_factory):
+    def tmp(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cli")
+
+    @pytest.fixture(scope="class")
+    def ran(self, tmp):
         """Run a subcommand once per class: name -> (exit code, stdout)."""
-        tmp = str(tmp_path_factory.mktemp("cli"))
         done = {}
 
         def run(name, capsys):
@@ -147,7 +156,9 @@ class TestEverySubcommandRuns:
     @pytest.mark.parametrize(
         "name", [" ".join(path) for path in _leaves(build_parser())]
     )
-    def test_runs(self, name, ran, capsys, monkeypatch):
+    def test_runs(self, name, ran, tmp, capsys, monkeypatch):
+        from repro.policy.checkpoint import load_checkpoint, save_head
+        from repro.policy.train import FINAL_CHECKPOINT
         from repro.serve import AcmService
 
         assert name in self.SMALLEST, f"no smallest invocation of {name!r}"
@@ -161,6 +172,17 @@ class TestEverySubcommandRuns:
         code, out = ran(name, capsys)
         assert code in self.SMALLEST[name][1]
         assert out
+        if name == "fig3":
+            # the model lifecycle's drift metrics reach the telemetry dump
+            dump = (tmp / "dump.json").read_text()
+            assert "ml_drift_mape" in dump and "ml_lives_total" in dump
+        if name == "sweep":
+            assert "| two-region/uniform/load0.25/domains2x2 |" in out
+        if name == "policy train":
+            # the trained checkpoint survives a load/save round-trip
+            ckpt = tmp / "policy" / FINAL_CHECKPOINT
+            copy = save_head(load_checkpoint(ckpt), tmp / "roundtrip.json")
+            assert copy.read_bytes() == ckpt.read_bytes()
         if name == "serve":
             # the frozen harness reads the port off the first line ...
             ready = out.splitlines()[0]
