@@ -261,6 +261,8 @@ class OracleRttfPredictor(RttfPredictor):
         noise_std: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> None:
+        if not 0 < mean_demand < math.inf:
+            raise ValueError("mean_demand must be positive and finite")
         if noise_std < 0:
             raise ValueError("noise_std must be >= 0")
         if noise_std > 0 and rng is None:

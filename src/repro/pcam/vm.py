@@ -59,7 +59,8 @@ class FailurePolicy:
 
     * leaked memory exhausts RAM+swap (hard crash);
     * stuck threads exhaust the thread slots (hard crash);
-    * mean response time exceeds ``sla_response_time_s`` (SLA violation).
+    * mean response time exceeds ``sla_response_time_s`` (SLA violation;
+      ``inf`` turns the clause off).
     """
 
     sla_response_time_s: float = 1.0
@@ -67,7 +68,9 @@ class FailurePolicy:
     thread_exhaustion: bool = True
 
     def __post_init__(self) -> None:
-        if self.sla_response_time_s <= 0:
+        # ``not > 0`` also refuses NaN, which would silently disable the
+        # SLA clause (every comparison with it is False)
+        if not self.sla_response_time_s > 0:
             raise ValueError("sla_response_time_s must be positive")
 
 
@@ -80,6 +83,12 @@ SWAP_CAPACITY_PENALTY = 0.7
 #: Baseline thread count of a healthy server replica.
 BASELINE_THREADS = 24
 
+#: Relative half-width of the bracket :func:`mean_field_ttf_s` probes
+#: around :func:`sla_crossing_estimate_s`: the estimate is a few roundings
+#: off the probe's crossing, and every scan step or midpoint that falls
+#: inside the bracket costs a probe.
+ESTIMATE_BRACKET = 1e-13
+
 
 # ---------------------------------------------------------------------- #
 # the scalar capacity / response-time model
@@ -87,17 +96,22 @@ BASELINE_THREADS = 24
 # The physics over plain Python numbers.  The ``VirtualMachine``
 # properties and ``VmStateTable._refresh`` (one row's derived capacity,
 # which the DES request path reads) call these functions, so they agree
-# bit-for-bit by construction.  The
-# mean-field oracle kernel below does *not*: its SLA search probes the
-# model ~50 times a prediction, and five calls a probe were 1.5 M of a
-# 12-cell sweep's 3.0 M Python calls, so its probe spells
-# ``effective_capacity`` and ``mm1_response_time_s`` a second time on
-# local floats, operation for operation.  What holds the two spellings
-# together is ``tests/pcam/test_oracle_kernel.py``: exact equality of the
-# kernel against a reference that drives the VM properties.  Change the
-# model here and there in the same commit.  (``VmStateTable.pressures_of``
-# in :mod:`repro.pcam.state_table` is the array form, pinned against these
-# by ``tests/pcam/test_columnar_parity.py``.)
+# bit-for-bit by construction.  The mean-field oracle kernel below does
+# *not*: its SLA search visits ~50 scan steps and midpoints a prediction,
+# and five calls a probe were 1.5 M of a 12-cell sweep's 3.0 M Python
+# calls, so its probe spells ``effective_capacity`` and
+# ``mm1_response_time_s`` a second time on local floats, operation for
+# operation.  (Most of those points are decided by comparison against
+# two probes around a closed-form estimate, ``sla_crossing_estimate_s``:
+# about two probes a prediction.)  What holds the two spellings together
+# is ``tests/pcam/test_oracle_kernel.py``: exact equality of the kernel
+# against a reference that drives the VM properties.  Change the model
+# here and there in the same commit, and the estimate's threshold
+# algebra with it (the same file's bracket hit-rate test says when it
+# stops bracketing; a stale estimate costs probes, never bits).
+# (``VmStateTable.pressures_of`` in :mod:`repro.pcam.state_table` is the
+# array form, pinned against these by
+# ``tests/pcam/test_columnar_parity.py``.)
 
 
 def usable_memory_mb(memory_mb: float) -> float:
@@ -168,6 +182,73 @@ def mm1_response_time_s(
     return service_time / (1.0 - rho)
 
 
+def sla_crossing_estimate_s(
+    leaked_mb: float,
+    stuck_threads: int,
+    request_rate: float,
+    mean_demand: float,
+    cpu_power: float,
+    usable_mb: float,
+    swap_mb: float,
+    free_slots: int,
+    sla_response_time_s: float,
+    leak_rate: float,
+    thread_rate: float,
+) -> float:
+    """Closed-form estimate of the first ``t`` at which the SLA probe trips.
+
+    The response time falls as ``mu`` rises, so the SLA is a threshold on
+    ``mu`` and, through ``mu = cpu_power * max(factor, 0.02) /
+    mean_demand``, a threshold ``f_star`` on ``factor``.  On thread step
+    ``n`` the thread term is the constant ``1 - n / free_slots`` and the
+    swap term falls linearly in ``t``, so each step's crossing is one
+    division; the first step that holds a crossing is found by bisecting
+    over ``n`` (the crossing times fall with ``n``, the step starts
+    rise).  Returns ``inf`` when the SLA is never violated and ``0`` when
+    it already is.  Only an estimate: :func:`mean_field_ttf_s` probes
+    around it and trusts nothing it has not confirmed.
+    """
+    if 99.0 / request_rate <= sla_response_time_s:
+        mu_star = 100.0 / sla_response_time_s  # crossing with rho capped
+    else:
+        mu_star = request_rate + 1.0 / sla_response_time_s
+    f_star = mu_star * mean_demand / cpu_power
+    if f_star <= 0.02:
+        return math.inf
+    if f_star > 1.0 or stuck_threads >= free_slots:
+        return 0.0
+    # Bisect for the first thread step n that holds a crossing: the swap
+    # occupancy that violates there (``need``; < 0: any, >= 1: none) is
+    # reached, in thread counts, before step n + 1 starts.  With no thread
+    # growth there is one step, and it never ends.
+    threads_per_mb = thread_rate / leak_rate
+    lo = stuck_threads
+    hi = free_slots if thread_rate > 0 else stuck_threads + 1
+    while lo < hi:
+        n = (lo + hi) >> 1
+        need = (1.0 - f_star / (1.0 - n / free_slots)) / SWAP_CAPACITY_PENALTY
+        if need < 0.0 or need < 1.0 and (
+            (usable_mb + need * swap_mb - leaked_mb) * threads_per_mb
+            < n + 1 - stuck_threads
+        ):
+            hi = n
+        else:
+            lo = n + 1
+    n = lo
+    if n == stuck_threads:
+        step_t = 0.0
+    elif thread_rate > 0:
+        step_t = (n - stuck_threads) / thread_rate
+    else:
+        return math.inf
+    if n >= free_slots:  # the thread slots run out first
+        return step_t
+    need = (1.0 - f_star / (1.0 - n / free_slots)) / SWAP_CAPACITY_PENALTY
+    if need < 0.0:
+        return step_t
+    return max(step_t, (usable_mb + need * swap_mb - leaked_mb) / leak_rate)
+
+
 def mean_field_ttf_s(
     leaked_mb: float,
     stuck_threads: int,
@@ -191,6 +272,17 @@ def mean_field_ttf_s(
     crossing is found on that deterministic trajectory by a coarse scan
     followed by bisection.  Returns the earliest clause the policy
     enables.  Pure: reads nothing but its arguments and writes nothing.
+
+    The probe is monotone in ``t`` (every step from ``t`` to the SLA
+    test -- the leak, the swap clamp, ``int(stuck + rate * t)``, the 0.02
+    floor, the 0.99 ``rho`` cap -- is a correctly rounded monotone
+    operation), so one probe answers for every point on its side: a clear
+    ``t`` clears every earlier point, a violated one violates every later
+    point.  Two probes just below and above
+    :func:`sla_crossing_estimate_s` usually pin the crossing between
+    them, and then the scan steps and midpoints are decided by
+    comparison.  The points visited and the value returned are the
+    plain scan-and-bisect's, whatever the estimate says.
     """
     if request_rate <= 0 or leak_rate <= 0:
         return math.inf
@@ -211,23 +303,60 @@ def mean_field_ttf_s(
     # interval (the coarse step alone would quantise the answer by
     # horizon/400, which breaks monotonicity between VMs whose crash
     # horizons differ).  One loop, so the probe is written once: ``t``
-    # takes the scan steps, then exactly 30 midpoints; ``halvings`` is
-    # None while the scan is still looking for the crossing interval.
+    # takes the two bracket points, then the scan steps, then exactly 30
+    # midpoints; ``halvings`` is None while the scan is still looking for
+    # the crossing interval.  ``clear_t`` and ``violated_t`` are the
+    # largest point probed clear and the smallest probed violated: a
+    # point at or below the one is clear, at or above the other violated,
+    # and only a point strictly between them is probed.
     t_sla = math.inf
     scan_t, dt = 0.0, max(horizon / 400.0, 1.0)
+    t_hat = sla_crossing_estimate_s(
+        leaked_mb, stuck_threads, request_rate, mean_demand, cpu_power,
+        usable_mb, swap_mb, free_slots, sla_response_time_s, leak_rate,
+        thread_rate,
+    )
+    if not 0.0 <= t_hat < horizon + dt:
+        # no crossing before the last scan step (or a NaN or negative
+        # estimate): a probe past it clears the whole scan
+        t_hat = horizon + 2.0 * dt
+    width = t_hat * ESTIMATE_BRACKET
+    bracket = [t_hat + width, t_hat - width]  # popped: the lower one first
+    clear_t, violated_t = -1.0, math.inf
     lo = hi = 0.0
     halvings = None
     while True:
-        if halvings is None:
-            if not scan_t < horizon:
-                break
-            scan_t += dt
+        if bracket:
+            t = bracket.pop()
+            if not clear_t < t < violated_t:
+                continue
+        elif halvings is None:
+            if scan_t <= clear_t or not scan_t:
+                # not started, or this step is clear: step on past every
+                # step already known clear
+                if not scan_t < horizon:
+                    break
+                scan_t += dt
+                while scan_t <= clear_t and scan_t < horizon:
+                    scan_t += dt
+                continue
+            if scan_t >= violated_t:
+                lo, hi, halvings = max(scan_t - dt, 0.0), scan_t, 30
+                continue
             t = scan_t
-        elif halvings:
-            t = 0.5 * (lo + hi)
         else:
-            t_sla = hi
-            break
+            while halvings:
+                t = 0.5 * (lo + hi)
+                if t <= clear_t:
+                    lo = t
+                elif t >= violated_t:
+                    hi = t
+                else:
+                    break
+                halvings -= 1
+            else:
+                t_sla = hi
+                break
         # The probe: is the SLA violated at ``t``?  The second spelling
         # of effective_capacity() and mm1_response_time_s() -- same
         # operations, same order, or every sweep digest moves.
@@ -249,16 +378,10 @@ def mean_field_ttf_s(
         rho = request_rate / mu
         if rho > 0.99:
             rho = 0.99
-        violated = (1.0 / mu) / (1.0 - rho) > sla_response_time_s
-        if halvings is None:
-            if violated:
-                lo, hi, halvings = max(t - dt, 0.0), t, 30
+        if (1.0 / mu) / (1.0 - rho) > sla_response_time_s:
+            violated_t = t
         else:
-            halvings -= 1
-            if violated:
-                hi = t
-            else:
-                lo = t
+            clear_t = t
     return min(
         t_crash if swap_exhaustion else math.inf,
         t_sla,

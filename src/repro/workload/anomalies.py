@@ -21,6 +21,7 @@ state.  :meth:`AnomalyInjector.inject` is the same draw wrapped into an
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -90,12 +91,13 @@ class AnomalyInjector:
             raise ValueError("leak_probability must be in [0, 1]")
         if not 0.0 <= thread_probability <= 1.0:
             raise ValueError("thread_probability must be in [0, 1]")
-        if leak_mean_mb <= 0:
-            raise ValueError("leak_mean_mb must be positive")
-        if leak_sigma < 0:
-            raise ValueError("leak_sigma must be non-negative")
-        if thread_overhead_mb < 0:
-            raise ValueError("thread_overhead_mb must be non-negative")
+        # written as ``not <range>`` so that NaN fails too
+        if not 0.0 < leak_mean_mb < math.inf:
+            raise ValueError("leak_mean_mb must be positive and finite")
+        if not 0.0 <= leak_sigma < math.inf:
+            raise ValueError("leak_sigma must be non-negative and finite")
+        if not 0.0 <= thread_overhead_mb < math.inf:
+            raise ValueError("thread_overhead_mb must be non-negative and finite")
         self._rng = rng
         self.leak_probability = float(leak_probability)
         self.thread_probability = float(thread_probability)

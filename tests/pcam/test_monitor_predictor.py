@@ -132,6 +132,13 @@ class TestOraclePredictor:
         with pytest.raises(ValueError):
             OracleRttfPredictor(noise_std=-0.1)
 
+    @pytest.mark.parametrize("mean_demand", [0.0, -1.0, float("nan"), float("inf")])
+    def test_mean_demand_must_be_positive_and_finite(self, mean_demand):
+        # 0 divides by zero at the first prediction, a negative value gives
+        # negative service rates, NaN switches the SLA clause off
+        with pytest.raises(ValueError, match="mean_demand"):
+            OracleRttfPredictor(mean_demand=mean_demand)
+
 
 class TestTrainedPredictor:
     @pytest.fixture(scope="class")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.chaos.predictor import CorruptiblePredictor
 from repro.pcam.predictor import ConservativeRttfPredictor, OracleRttfPredictor
+from repro.pcam import vm as vm_module
 from repro.pcam.state_table import MUTABLE_COLUMNS, TableBackedVM, VmStateTable
 from repro.pcam.vm import FailurePolicy, VirtualMachine, VmState
 from repro.sim import INSTANCE_CATALOG, M3_MEDIUM, PRIVATE_SMALL
@@ -225,6 +226,8 @@ def reference_policy_ttf(vm, request_rate, mean_demand=1.5):
 
 SWAPLESS = SHAPES[-1]
 NO_CLAUSES = dict(swap_exhaustion=False, thread_exhaustion=False)
+#: 6 free thread slots: the regimes below start with 7 stuck threads
+FEW_SLOTS = dataclasses.replace(PRIVATE_SMALL, name="few-slots", thread_slots=30)
 
 #: The regimes no sweep cell visits (there every prediction is an SLA
 #: crossing found after ~20 scan steps).  name -> (VM kwargs, policy
@@ -283,6 +286,49 @@ REGIMES = {
         {}, dict(sla_response_time_s=1e6, thread_exhaustion=False), 0.3, 6.0,
         lambda ttf, probes, horizon: ttf == horizon and len(probes) >= 400,
     ),
+    # the edges of sla_crossing_estimate_s: private.small has 136 free
+    # slots and 40 units of CPU, so at the default SLA of 1 s the factor
+    # threshold is (rate + 1) * 1.5 / 40
+    "crossing-on-a-thread-step": (
+        # no swap for 4 000 s, 0.6 threads/s: 1 - n/136 < 0.4875 from
+        # n = 70, reached at (70 - 7) / 0.6 = 105 s exactly
+        dict(leak_probability=0.0), {}, 0.0, 12.0,
+        lambda ttf, probes, horizon: ttf == 105.0 and len(probes) > 31,
+    ),
+    "crossing-with-rho-capped": (
+        # 99 / 12 <= 10: the crossing is where 100 / mu passes the SLA
+        {}, dict(sla_response_time_s=10.0), 0.0, 12.0,
+        lambda ttf, probes, horizon: 0.0 < ttf < horizon and len(probes) > 31,
+    ),
+    "threshold-above-one": (
+        # (26 + 1) * 1.5 / 40 > 1: violated before any anomaly accrues
+        {}, {}, 0.0, 26.0,
+        lambda ttf, probes, horizon: len(probes) == 31 and 0.0 < ttf < 1e-6,
+    ),
+    "threshold-at-the-floor": (
+        # 100 / 187.5 * 1.5 / 40 == 0.02: the floored capacity never
+        # violates, even with every thread slot stuck
+        {}, dict(sla_response_time_s=187.5, thread_exhaustion=False), 0.0, 20.0,
+        lambda ttf, probes, horizon: ttf == horizon and len(probes) >= 400,
+    ),
+    "threshold-just-above-the-floor": (
+        # ... while at 187 s it does, at the thread step where the factor
+        # first drops under 0.02 (n = 134, t = 127 s)
+        {}, dict(sla_response_time_s=187.0, thread_exhaustion=False), 0.0, 20.0,
+        lambda ttf, probes, horizon: abs(ttf - 127.0) < 1e-6,
+    ),
+    "swapless-swap-step-with-threads": (
+        # the step to swap_p = 1 at (640 - 192) / 0.99 s trips the SLA
+        # between two thread steps
+        dict(itype=SWAPLESS, thread_probability=0.01),
+        dict(swap_exhaustion=False), 0.3, 12.0,
+        lambda ttf, probes, horizon: abs(ttf - 448.0 / 0.99) < 1e-6
+        and len(probes) > 31,
+    ),
+    "stuck-past-the-slots": (
+        dict(itype=FEW_SLOTS), dict(thread_exhaustion=False), 0.0, 12.0,
+        lambda ttf, probes, horizon: len(probes) == 31 and 0.0 < ttf < 1e-6,
+    ),
 }
 
 
@@ -298,6 +344,101 @@ def test_kernel_regimes_equal_reference_exactly(name, table):
     expected, probes, horizon = reference_policy_ttf(vm, rate)
     assert is_the_regime(expected, probes, horizon), (expected, len(probes), horizon)
     assert vm.true_time_to_failure_s(rate) == expected
+
+
+# ---------------------------------------------------------------------- #
+# the closed-form estimate: checked, never trusted
+# ---------------------------------------------------------------------- #
+
+#: A wrong estimate: name -> (estimate, thread rate) -> what the helper
+#: returns instead.
+WRONG_ESTIMATES = {
+    "zero": lambda est, thread_rate: 0.0,
+    "inf": lambda est, thread_rate: math.inf,
+    "nan": lambda est, thread_rate: math.nan,
+    "negative": lambda est, thread_rate: -1.0,
+    "double": lambda est, thread_rate: 2.0 * est,
+    "one-thread-step-early": lambda est, thread_rate: (
+        est - 1.0 / thread_rate if thread_rate > 0 else 0.5 * est
+    ),
+    "one-thread-step-late": lambda est, thread_rate: (
+        est + 1.0 / thread_rate if thread_rate > 0 else 1.5 * est
+    ),
+}
+
+
+def regime_vms():
+    """One VM per ``REGIMES`` row, at that row's state, with its rate."""
+    for vm_kw, policy_kw, leak_fraction, rate, _ in REGIMES.values():
+        vm = make_vm(policy=FailurePolicy(**policy_kw), **vm_kw)
+        vm.leaked_mb = leak_fraction * vm.anomaly_budget_mb
+        vm.stuck_threads = 7
+        yield vm, rate
+
+
+@pytest.mark.parametrize("wrong", WRONG_ESTIMATES)
+def test_kernel_exact_whatever_the_estimate(monkeypatch, wrong):
+    """The bracket is probed before it is used: a wrong one costs probes."""
+    cases = list(regime_vms())
+    cases += [(vm, max(vm.last_request_rate, 1.0)) for vm in aged_pool()]
+    want = [reference_policy_ttf(vm, rate)[0] for vm, rate in cases]
+
+    estimate = vm_module.sla_crossing_estimate_s
+    calls = []
+
+    def wrong_estimate(*args):
+        calls.append(args)
+        return WRONG_ESTIMATES[wrong](estimate(*args), args[10])
+
+    monkeypatch.setattr(vm_module, "sla_crossing_estimate_s", wrong_estimate)
+    assert [vm.true_time_to_failure_s(rate) for vm, rate in cases] == want
+    assert len(calls) == len(cases)
+
+
+def violates_at(vm, request_rate, t, mean_demand=1.5):
+    """``reference_policy_ttf``'s probe, on its own: violated at ``t``?"""
+    leak_rate = vm.injector.expected_leak_rate_mb(request_rate)
+    thread_rate = vm.injector.expected_thread_rate(request_rate)
+    saved = (vm.leaked_mb, vm.stuck_threads)
+    try:
+        vm.leaked_mb = saved[0] + leak_rate * t
+        vm.stuck_threads = int(saved[1] + thread_rate * t)
+        return (
+            vm.response_time_s(request_rate, mean_demand)
+            > vm.failure_policy.sla_response_time_s
+        )
+    finally:
+        vm.leaked_mb, vm.stuck_threads = saved
+
+
+def test_estimate_brackets_the_crossing():
+    """A seeded corpus of aged VMs x rates: the estimate's bracket holds.
+
+    The kernel is exact whatever the estimate says, so only this test
+    notices an estimate gone wrong (each miss costs the ~50 probes the
+    bracket saves).
+    """
+    rng = np.random.default_rng(11)
+    hits = crossings = 0
+    for vm in aged_pool(n=16):
+        for rate in np.exp(rng.uniform(np.log(0.5), np.log(60.0), 40)).tolist():
+            policy = vm.failure_policy
+            est = vm_module.sla_crossing_estimate_s(
+                vm.leaked_mb, vm.stuck_threads, rate, 1.5,
+                vm.itype.cpu_power, vm.usable_memory_mb, vm.itype.swap_mb,
+                vm.thread_free_slots, policy.sla_response_time_s,
+                vm.injector.expected_leak_rate_mb(rate),
+                vm.injector.expected_thread_rate(rate),
+            )
+            if not 0.0 < est < math.inf:
+                continue
+            crossings += 1
+            width = est * vm_module.ESTIMATE_BRACKET
+            hits += not violates_at(vm, rate, est - width) and violates_at(
+                vm, rate, est + width
+            )
+    assert crossings >= 200
+    assert hits >= 0.95 * crossings, (hits, crossings)
 
 
 def reference_predict_rttf(vm, mean_demand, noise_std, rng):

@@ -142,6 +142,20 @@ class TestFailurePoint:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             FailurePolicy(sla_response_time_s=0.0)
+        # NaN compares False with every response time: it would switch the
+        # SLA clause off without saying so
+        with pytest.raises(ValueError):
+            FailurePolicy(sla_response_time_s=float("nan"))
+
+    def test_infinite_sla_turns_the_clause_off(self, active_vm):
+        active_vm.failure_policy = FailurePolicy(
+            sla_response_time_s=float("inf"), thread_exhaustion=False
+        )
+        budget = active_vm.anomaly_budget_mb
+        leak_rate = active_vm.injector.expected_leak_rate_mb(5.0)
+        assert active_vm.true_time_to_failure_s(5.0) == budget / leak_rate
+        active_vm.last_response_time_s = 1e300
+        assert not active_vm.failure_point_reached()
 
     def test_apply_load_fails_vm_at_failure_point(self, active_vm):
         active_vm.leaked_mb = active_vm.anomaly_budget_mb - 0.1

@@ -112,6 +112,17 @@ def test_parameter_validation(kw):
         make_injector(**kw)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "name", ["leak_mean_mb", "leak_sigma", "thread_overhead_mb"]
+)
+def test_non_finite_parameters_refused(name, value):
+    # a NaN or infinite size would become a NaN leak in ``leaked_mb`` and a
+    # NaN ``expected_leak_rate_mb`` in the oracle
+    with pytest.raises(ValueError, match=name):
+        make_injector(**{name: value})
+
+
 # --------------------------------------------------------------------- #
 # the lean pool-level draw vs. a walk of inject() calls
 # --------------------------------------------------------------------- #
