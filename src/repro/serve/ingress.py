@@ -23,7 +23,19 @@ scraper need:
 
 A 429 shed response whose body carries ``retry_after_s`` (both the
 token-bucket and SLO sheds do) is rendered with the matching
-``Retry-After`` header, per the standard backpressure contract.
+``Retry-After`` header, per the standard backpressure contract.  A
+``GET`` route answers any other method with 405.
+
+Nothing on the data route is parsed or encoded twice.  A request
+target is split into path and query (``urlsplit`` + ``parse_qs``: the
+first non-blank value of a name wins, percent- and ``+``-decoded,
+absolute-form accepted) once per distinct target string, and a
+decision -- status, every body field with its type, keep-alive -- is
+rendered to reply bytes once per distinct decision; both memos are
+LRUs of ``TARGET_MEMO`` and ``REPLY_MEMO`` entries.  The data route's
+body carries the era, so a tick starts new entries rather than serving
+old ones.  Replies that read live state (``/healthz``, ``/metrics``,
+``/plan``, ``/regions``, ``/slo``) are rendered on every request.
 
 The chaos endpoints exist so load tests (and CI) can fault a *live*
 deployment over the same wire they load it on -- the in-process
@@ -80,6 +92,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+from functools import lru_cache
+from types import MappingProxyType
 from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.service import AcmService
@@ -90,6 +104,12 @@ MAX_HEADERS = 64
 #: Wall seconds a connection may go without completing a request (idle
 #: keep-alive, or a head dribbled a byte at a time) before it is closed.
 IDLE_TIMEOUT_S = 60.0
+#: Distinct request targets whose parse, and distinct replies whose bytes,
+#: are kept.  A target is shorter than ``MAX_LINE``, so hostile unique
+#: targets evict entries but never grow either memo: ≈ 9 MiB together at
+#: most, for targets built to be escaped as long as possible.
+TARGET_MEMO = 128
+REPLY_MEMO = 128
 
 
 class _BadRequest(Exception):
@@ -143,123 +163,150 @@ class HttpIngress:
             await asyncio.sleep(0)  # the aborts' connection_lost run here
             self._server = None
 
-    def _render(
-        self,
-        status: int,
-        content_type: str,
-        body: bytes,
-        keep_alive: bool,
-        extra_headers: dict | None = None,
-    ) -> bytes:
-        reason = _STATUS_TEXT.get(status, "Unknown")
-        connection = "keep-alive" if keep_alive else "close"
-        extra = "".join(
-            f"{name}: {value}\r\n"
-            for name, value in (extra_headers or {}).items()
-        )
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            f"Connection: {connection}\r\n"
-            "\r\n"
-        )
-        return head.encode("latin-1") + body
-
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
 
-    def _dispatch(
-        self, method: str, target: str
-    ) -> tuple[int, str, bytes, dict | None]:
-        url = urlsplit(target)
-        path = url.path
-        query = parse_qs(url.query)
+    def _dispatch(self, method: str, target: str, keep_alive: bool) -> bytes:
+        """The reply to one framed request, as the bytes to write."""
+        service = self.service
         try:
+            path, query = _split_target(target)
             if path == "/" or path == "/route":
                 if method not in ("GET", "POST"):
-                    return self._json(405, {"error": "method"})
-                region = query.get("region", [None])[0]
-                status, body = self.service.handle_request(region)
-                headers = None
-                if status == 429 and "retry_after_s" in body:
-                    headers = {"Retry-After": str(int(body["retry_after_s"]))}
-                return self._json(status, body, headers)
-            if path == "/healthz":
-                return self._json(
-                    200,
-                    {
+                    return _reply(405, {"error": "method"}, keep_alive)
+                status, body = service.handle_request(query.get("region"))
+                return _reply(status, body, keep_alive)
+            if path in _SNAPSHOTS:
+                if method != "GET":
+                    return _reply(405, {"error": "method"}, keep_alive)
+                if path == "/metrics":
+                    text = service.metrics_text()
+                    return _render(
+                        200, _METRICS_TYPE, text.encode("utf-8"), keep_alive
+                    )
+                if path == "/healthz":
+                    snapshot = {
                         "status": "ok",
-                        "era": self.service.plan_snapshot()["era"],
-                        "clock_now": self.service.clock.now,
-                    },
-                )
-            if path == "/metrics":
-                text = self.service.metrics_text()
-                return (
-                    200,
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    text.encode("utf-8"),
-                    None,
-                )
-            if path == "/plan":
-                return self._json(200, self.service.plan_snapshot())
-            if path == "/regions":
-                return self._json(200, self.service.regions_snapshot())
+                        "era": service.plan_snapshot()["era"],
+                        "clock_now": service.clock.now,
+                    }
+                elif path == "/plan":
+                    snapshot = service.plan_snapshot()
+                elif path == "/regions":
+                    snapshot = service.regions_snapshot()
+                else:
+                    snapshot = service.slo_snapshot()
+                return _render_json(200, snapshot, keep_alive)
             if path == "/chaos/blackout" or path == "/chaos/heal":
                 if method != "POST":
-                    return self._json(405, {"error": "POST required"})
-                region = query.get("region", [None])[0]
-                if region is None or region not in self.service.regions:
-                    return self._json(
-                        400, {"error": f"unknown region {region!r}"}
-                    )
+                    return _reply(405, {"error": "POST required"}, keep_alive)
+                region = query.get("region")
+                if region is None or region not in service.regions:
+                    error = f"unknown region {region!r}"
+                    return _reply(400, {"error": error}, keep_alive)
                 if path.endswith("blackout"):
-                    self.service.chaos.region_blackout(region)
+                    service.chaos.region_blackout(region)
                 else:
-                    self.service.chaos.region_heal(region)
-                return self._json(200, {"ok": True, "region": region})
-            if path == "/slo":
-                if method != "GET":
-                    return self._json(405, {"error": "method"})
-                return self._json(200, self.service.slo_snapshot())
+                    service.chaos.region_heal(region)
+                return _reply(200, {"ok": True, "region": region}, keep_alive)
             if path == "/slo/kill" or path == "/slo/override":
                 if method != "POST":
-                    return self._json(405, {"error": "POST required"})
+                    return _reply(405, {"error": "POST required"}, keep_alive)
                 if path.endswith("kill"):
-                    raw = query.get("on", ["1"])[0]
+                    raw = query.get("on", "1")
                     if raw not in ("0", "1"):
-                        return self._json(
-                            400, {"error": f"bad on={raw!r} (want 0|1)"}
+                        return _reply(
+                            400,
+                            {"error": f"bad on={raw!r} (want 0|1)"},
+                            keep_alive,
                         )
-                    ok = self.service.slo_kill(raw == "1")
+                    ok = service.slo_kill(raw == "1")
                 else:
-                    level = query.get("level", [None])[0]
+                    level = query.get("level")
                     if level in (None, "none"):
                         level = None
                     try:
-                        ok = self.service.slo_override(level)
+                        ok = service.slo_override(level)
                     except ValueError as exc:
-                        return self._json(400, {"error": str(exc)})
+                        return _reply(400, {"error": str(exc)}, keep_alive)
                 if not ok:
-                    return self._json(400, {"error": "slo disabled"})
-                return self._json(200, {"ok": True})
-            return self._json(404, {"error": f"no route {path}"})
+                    return _reply(400, {"error": "slo disabled"}, keep_alive)
+                return _reply(200, {"ok": True}, keep_alive)
+            return _reply(404, {"error": f"no route {path}"}, keep_alive)
         except Exception as exc:  # noqa: BLE001 - one request, not the server
-            return self._json(500, {"error": f"{type(exc).__name__}: {exc}"})
+            return _reply(
+                500, {"error": f"{type(exc).__name__}: {exc}"}, keep_alive
+            )
 
-    @staticmethod
-    def _json(
-        status: int, payload: dict, headers: dict | None = None
-    ) -> tuple[int, str, bytes, dict | None]:
-        return (
-            status,
-            "application/json",
-            json.dumps(payload).encode("utf-8"),
-            headers,
-        )
+
+#: GET-only routes whose reply reads live state, rendered on every request
+_SNAPSHOTS = frozenset({"/healthz", "/metrics", "/plan", "/regions", "/slo"})
+_METRICS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+@lru_cache(maxsize=TARGET_MEMO)
+def _split_target(target: str) -> tuple[str, MappingProxyType]:
+    """``(path, query)`` of a request target, parsed once per distinct
+    target string.  ``query`` maps each name to its first non-blank
+    value, percent- and ``+``-decoded; it is shared by every request
+    with this target, hence read-only."""
+    url = urlsplit(target)
+    query = {name: values[0] for name, values in parse_qs(url.query).items()}
+    return url.path, MappingProxyType(query)
+
+
+def _render(
+    status: int,
+    content_type: str,
+    body: bytes,
+    keep_alive: bool,
+    extra_headers: dict | None = None,
+) -> bytes:
+    reason = _STATUS_TEXT.get(status, "Unknown")
+    connection = "keep-alive" if keep_alive else "close"
+    extra = "".join(
+        f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()
+    )
+    head = (
+        f"HTTP/1.1 {status} {reason}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"{extra}"
+        f"Connection: {connection}\r\n"
+        "\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+def _render_json(status: int, payload: dict, keep_alive: bool) -> bytes:
+    """A JSON reply; a 429 whose body carries ``retry_after_s`` gets the
+    matching ``Retry-After`` header."""
+    headers = None
+    if status == 429 and "retry_after_s" in payload:
+        headers = {"Retry-After": str(int(payload["retry_after_s"]))}
+    body = json.dumps(payload).encode("utf-8")
+    return _render(status, "application/json", body, keep_alive, headers)
+
+
+@lru_cache(maxsize=REPLY_MEMO, typed=True)
+def _memo_reply(status: int, keep_alive: bool, names: tuple, *values) -> bytes:
+    return _render_json(status, dict(zip(names, values)), keep_alive)
+
+
+def _reply(status: int, payload: dict, keep_alive: bool) -> bytes:
+    """:func:`_render_json` of a decision, rendered once per distinct
+    ``(status, payload, keep_alive)``.
+
+    The key holds every value with its type, so ``True``, ``1`` and
+    ``1.0`` never share an entry.  A decision's values are ``str``,
+    ``int``, ``bool`` or ``None``; a snapshot goes to
+    :func:`_render_json` instead, since its containers are unhashable
+    and two equal floats may print differently (``0.0``, ``-0.0``).
+    The data route's body carries the era, so an era tick changes the
+    key and never serves the last era's bytes.
+    """
+    return _memo_reply(status, keep_alive, tuple(payload), *payload.values())
 
 
 class _Connection(asyncio.Protocol):
@@ -358,12 +405,7 @@ class _Connection(asyncio.Protocol):
                         continue
                 method, target = self._request
                 keep_alive = self._keep_alive
-                status, content_type, body, extra = ingress._dispatch(
-                    method, target
-                )
-                reply = ingress._render(
-                    status, content_type, body, keep_alive, extra
-                )
+                reply = ingress._dispatch(method, target, keep_alive)
                 out.append(reply)
                 self._served += 1
                 if not keep_alive:
@@ -378,8 +420,7 @@ class _Connection(asyncio.Protocol):
                     out.clear()
                     unsent = 0
         except _BadRequest as exc:
-            bad = ingress._json(400, {"error": str(exc)})
-            out.append(ingress._render(*bad[:3], keep_alive=False))
+            out.append(_reply(400, {"error": str(exc)}, keep_alive=False))
             closing = True
         if out:
             transport.write(b"".join(out))

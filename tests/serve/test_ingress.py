@@ -116,40 +116,54 @@ class TestMttrAccounting:
         assert r2 not in service._down_at
 
 
+def split_reply(reply: bytes) -> tuple[int, dict[str, str], bytes]:
+    """(status, headers, body) of one whole reply."""
+    head, sep, body = reply.partition(b"\r\n\r\n")
+    assert sep
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    assert int(headers["Content-Length"]) == len(body)
+    return int(status_line.split(" ", 2)[1]), headers, body
+
+
 class TestHttpDispatch:
-    def _body(self, result) -> dict:
-        status, content_type, raw, _headers = result
-        assert content_type == "application/json"
+    @staticmethod
+    def _body(ingress: HttpIngress, method: str, target: str):
+        """(status, decoded JSON body) of one dispatched request."""
+        status, headers, raw = split_reply(
+            ingress._dispatch(method, target, True)
+        )
+        assert headers["Content-Type"] == "application/json"
         return status, json.loads(raw)
 
     def test_healthz(self):
         ingress = HttpIngress(make_service())
-        status, body = self._body(ingress._dispatch("GET", "/healthz"))
+        status, body = self._body(ingress, "GET", "/healthz")
         assert status == 200
         assert body["status"] == "ok"
 
     def test_route_and_root_are_the_data_path(self):
         ingress = HttpIngress(make_service())
         for path in ("/", "/route"):
-            status, body = self._body(ingress._dispatch("GET", path))
+            status, body = self._body(ingress, "GET", path)
             assert status == 200
             assert body["target"] in ingress.service.regions
 
     def test_route_honours_region_query(self):
         ingress = HttpIngress(make_service())
         region = ingress.service.regions[1]
-        status, body = self._body(
-            ingress._dispatch("GET", f"/route?region={region}")
-        )
+        status, body = self._body(ingress, "GET", f"/route?region={region}")
         assert status == 200
         assert body["arrival"] == region
 
     def test_metrics_is_prometheus_text_with_acm_prefix(self):
         ingress = HttpIngress(make_service())
         ingress.service.handle_request()
-        status, content_type, raw, _ = ingress._dispatch("GET", "/metrics")
+        status, headers, raw = split_reply(
+            ingress._dispatch("GET", "/metrics", True)
+        )
         assert status == 200
-        assert content_type.startswith("text/plain")
+        assert headers["Content-Type"].startswith("text/plain")
         text = raw.decode("utf-8")
         assert any(
             line.startswith("acm_ingress_requests_total")
@@ -158,48 +172,60 @@ class TestHttpDispatch:
 
     def test_plan_and_regions_admin_json(self):
         ingress = HttpIngress(make_service())
-        status, plan = self._body(ingress._dispatch("GET", "/plan"))
+        status, plan = self._body(ingress, "GET", "/plan")
         assert status == 200
         assert plan["regions"] == ingress.service.regions
         assert pytest.approx(sum(plan["fractions"])) == 1.0
-        status, regions = self._body(ingress._dispatch("GET", "/regions"))
+        status, regions = self._body(ingress, "GET", "/regions")
         assert status == 200
         for r in ingress.service.regions:
             assert regions["regions"][r]["alive"] is True
             assert regions["regions"][r]["active_vms"] > 0
 
+    @pytest.mark.parametrize(
+        "path", ["/healthz", "/metrics", "/plan", "/regions", "/slo"]
+    )
+    @pytest.mark.parametrize("method", ["POST", "PUT", "DELETE", "HEAD"])
+    def test_read_only_routes_refuse_other_methods(self, path, method):
+        ingress = HttpIngress(make_service())
+        before = ingress.service.metrics_text()
+        assert self._body(ingress, method, path) == (405, {"error": "method"})
+        assert ingress.service.metrics_text() == before
+
     def test_chaos_endpoints_require_post_and_known_region(self):
         ingress = HttpIngress(make_service())
         service = ingress.service
-        status, _ = self._body(ingress._dispatch("GET", "/chaos/blackout"))
+        status, _ = self._body(ingress, "GET", "/chaos/blackout")
         assert status == 405
-        status, _ = self._body(
-            ingress._dispatch("POST", "/chaos/blackout?region=nope")
-        )
+        status, _ = self._body(ingress, "POST", "/chaos/blackout?region=nope")
         assert status == 400
         victim = service.regions[1]
         status, body = self._body(
-            ingress._dispatch("POST", f"/chaos/blackout?region={victim}")
+            ingress, "POST", f"/chaos/blackout?region={victim}"
         )
         assert status == 200
         assert not service.overlay.is_alive(victim)
-        status, _ = self._body(
-            ingress._dispatch("POST", f"/chaos/heal?region={victim}")
-        )
+        status, _ = self._body(ingress, "POST", f"/chaos/heal?region={victim}")
         assert status == 200
         assert service.overlay.is_alive(victim)
 
     def test_unknown_path_404(self):
         ingress = HttpIngress(make_service())
-        status, body = self._body(ingress._dispatch("GET", "/nope"))
+        status, body = self._body(ingress, "GET", "/nope")
         assert status == 404
 
     def test_handler_exception_is_a_500_not_a_crash(self):
         ingress = HttpIngress(make_service())
         ingress.service.handle_request = None  # force a TypeError inside
-        status, body = self._body(ingress._dispatch("GET", "/"))
+        status, body = self._body(ingress, "GET", "/")
         assert status == 500
         assert "TypeError" in body["error"]
+
+    def test_an_unparseable_target_is_a_500_not_a_crash(self):
+        ingress = HttpIngress(make_service())
+        status, body = self._body(ingress, "GET", "//[bad/")
+        assert status == 500
+        assert "ValueError" in body["error"]
 
 
 class TestServiceConfig:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import asyncio
 import random
 import socket
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, quote, urlsplit
 
 import pytest
 
@@ -29,7 +29,9 @@ from repro.serve.ingress import (
     HttpIngress,
     _Connection,
 )
+from repro.slo import LEVEL_CODES, SloConfig
 from tests.serve.test_ingress import make_service
+from tests.serve.test_ingress_replies import json_reference
 
 REGIONS = make_service().regions
 SENTINEL = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
@@ -305,6 +307,30 @@ class Client(asyncio.Protocol):
         self.closed.set_result(None)
 
 
+class Transport:
+    """What a :class:`_Connection` needs of a transport; keeps the writes."""
+
+    def __init__(self) -> None:
+        self.closing = False
+        self.written: list = []
+
+    def get_write_buffer_limits(self) -> tuple[int, int]:
+        return 16384, 65536
+
+    def write(self, data: bytes) -> None:
+        self.written.append(data)
+
+    def close(self) -> None:
+        self.closing = True
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def pause_reading(self) -> None: ...
+
+    def resume_reading(self) -> None: ...
+
+
 class Harness:
     """One event loop; a fresh service and ingress for every delivery."""
 
@@ -324,10 +350,11 @@ class Harness:
         log: list = []
         dispatch = ingress._dispatch
 
-        def logged_dispatch(method: str, target: str):
-            result = dispatch(method, target)
-            log.append(((method, target), result[0], result[2]))
-            return result
+        def logged_dispatch(method: str, target: str, keep_alive: bool):
+            reply = dispatch(method, target, keep_alive)
+            ((status, _, body),) = parse_replies(reply)
+            log.append(((method, target), status, body))
+            return reply
 
         ingress._dispatch = logged_dispatch
         await ingress.start()
@@ -497,8 +524,7 @@ def test_a_client_that_never_reads_is_not_buffered_for():
             (connection,) = ingress._connections
             transport = connection.transport
             high_water = transport.get_write_buffer_limits()[1]
-            metrics = ingress._dispatch("GET", "/metrics")
-            one_reply = len(ingress._render(*metrics[:3], keep_alive=True))
+            one_reply = len(ingress._dispatch("GET", "/metrics", True))
             assert connection._write_paused
             assert not transport.is_reading()
             assert connection._served < len(want)
@@ -533,27 +559,6 @@ def test_a_resume_after_a_closing_reply_frames_nothing():
     ``resume_writing`` re-pumps, what lay behind the bad bytes stays
     unparsed."""
 
-    class Transport:
-        def __init__(self) -> None:
-            self.closing = False
-            self.written: list = []
-
-        def get_write_buffer_limits(self) -> tuple[int, int]:
-            return 16384, 65536
-
-        def write(self, data: bytes) -> None:
-            self.written.append(data)
-
-        def close(self) -> None:
-            self.closing = True
-
-        def is_closing(self) -> bool:
-            return self.closing
-
-        def pause_reading(self) -> None: ...
-
-        def resume_reading(self) -> None: ...
-
     service = make_service()
     victim = service.regions[0]
     transport = Transport()
@@ -574,3 +579,144 @@ def test_a_resume_after_a_closing_reply_frames_nothing():
     assert len(transport.written) == 1
     assert transport.written[0].startswith(b"HTTP/1.1 400 ")
     assert service.overlay.is_alive(victim)
+
+
+# --------------------------------------------------------------------- #
+# the admin surface's query strings
+# --------------------------------------------------------------------- #
+
+#: admin route -> the query name it reads
+ADMIN = {
+    "/chaos/blackout": "region",
+    "/chaos/heal": "region",
+    "/slo/kill": "on",
+    "/slo/override": "level",
+}
+#: decoded values each name is given, good and bad
+VALUES = {
+    "region": list(REGIONS) + ["atlantis", REGIONS[0] + " ", ""],
+    "on": ["0", "1", "maybe", " 1", "01", ""],
+    "level": ["normal", "degraded", "none", "panic", "de graded", ""],
+}
+#: what fits of a target on a ``POST <target> HTTP/1.1\r\n`` line
+TARGET_ROOM = MAX_LINE - len("POST  HTTP/1.1\r\n")
+
+
+def spell(value: str, rng: random.Random) -> str:
+    """``value`` written one of the ways that decode to it."""
+    way = rng.choice(["plain", "plus", "percent", "mixed"])
+    if way == "plain":
+        return quote(value, safe="")
+    if way == "plus":
+        return quote(value, safe="").replace("%20", "+")
+    if way == "percent":
+        return "".join(f"%{byte:02X}" for byte in value.encode())
+    return "".join(
+        f"%{ord(c):02x}" if rng.random() < 0.5 else quote(c, safe="")
+        for c in value
+    )
+
+
+def gen_admin_request(rng: random.Random) -> tuple[str, str]:
+    """(method, target): repeated, blank, encoded and ``+``-bearing values
+    of the route's own query name among the others', sometimes padded to
+    within a few bytes of ``MAX_LINE``."""
+    path, name = rng.choice(list(ADMIN.items()))
+    params = [
+        f"{name}={spell(rng.choice(VALUES[name]), rng)}"
+        for _ in range(rng.choice([0, 1, 1, 1, 2, 3]))
+    ]
+    params += [
+        rng.choice([f"{name}=", name, f"{name}=+", "x=%zz", "+=1"])
+        for _ in range(rng.choice([0, 0, 1, 2]))
+    ]
+    params += [
+        f"{other}={spell(rng.choice(VALUES[other]), rng)}"
+        for other in rng.sample(sorted(VALUES), rng.choice([0, 1]))
+    ]
+    rng.shuffle(params)
+    target = path + ("?" + "&".join(params) if params else "")
+    if rng.random() < 0.15:
+        room = TARGET_ROOM - len(target) - len(name) - 2 - rng.randrange(4)
+        pad = rng.choice(["a" * room, "%41" * (room // 3), "+" * room])
+        filler = f"{name}={pad}"
+        target += ("&" if params else "?") + filler
+        if rng.random() < 0.5:  # the long value first, so it wins
+            target = path + "?" + "&".join([filler] + params)
+    assert len(target) <= TARGET_ROOM
+    return rng.choice(["POST"] * 9 + ["GET"]), target
+
+
+class AdminOracle:
+    """The admin surface stated with plain ``urlsplit`` + ``parse_qs``:
+    the reply and the state each request leaves behind."""
+
+    def __init__(self) -> None:
+        self.alive = dict.fromkeys(REGIONS, True)
+        self.kill = False
+        self.override: str | None = None
+
+    def answer(self, method: str, target: str) -> tuple[int, dict]:
+        url = urlsplit(target)
+        query = parse_qs(url.query)
+        name = ADMIN[url.path]
+        value = query.get(name, [None])[0]
+        if method != "POST":
+            return 405, {"error": "POST required"}
+        if name == "region":
+            if value not in self.alive:
+                return 400, {"error": f"unknown region {value!r}"}
+            self.alive[value] = url.path == "/chaos/heal"
+            return 200, {"ok": True, "region": value}
+        if name == "on":
+            value = "1" if value is None else value
+            if value not in ("0", "1"):
+                return 400, {"error": f"bad on={value!r} (want 0|1)"}
+            self.kill = value == "1"
+            return 200, {"ok": True}
+        if value not in (None, "none", *LEVEL_CODES):
+            known = ", ".join(sorted(LEVEL_CODES))
+            error = f"unknown level {value!r} (expected {known})"
+            return 400, {"error": error}
+        self.override = None if value in (None, "none") else value
+        return 200, {"ok": True}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_admin_query_strings_match_a_plain_parse(seed):
+    rng = random.Random(seed)
+    service = make_service(slo=SloConfig(p95_target_s=10.0))
+    ingress = HttpIngress(service)
+    oracle = AdminOracle()
+    statuses, states = set(), set()
+
+    async def main() -> None:
+        for _ in range(400):
+            method, target = gen_admin_request(rng)
+            keep_alive = rng.random() < 0.7
+            request = f"{method} {target} HTTP/1.1\r\n" + (
+                "" if keep_alive else "Connection: close\r\n"
+            )
+            transport = Transport()
+            connection = _Connection(ingress)
+            connection.connection_made(transport)
+            connection.data_received(request.encode("latin-1") + b"\r\n")
+            connection.connection_lost(None)
+            status, payload = oracle.answer(method, target)
+            statuses.add(status)
+            assert transport.written == [
+                json_reference(status, payload, keep_alive)
+            ], target[:200]
+            assert transport.closing is not keep_alive
+            ladders = service.slo.ladders.values()
+            assert {ladder.kill_switch for ladder in ladders} == {oracle.kill}
+            assert {ladder.manual_level for ladder in ladders} == {
+                oracle.override
+            }
+            alive = {r: service.overlay.is_alive(r) for r in REGIONS}
+            assert alive == oracle.alive
+            states.add((oracle.kill, oracle.override, *alive.values()))
+
+    asyncio.run(main())
+    assert statuses == {200, 400, 405}
+    assert len(states) >= 8  # the requests moved every piece of state

@@ -18,6 +18,7 @@ from repro.serve.clock import WallClock
 from repro.serve.ingress import HttpIngress
 from repro.serve.service import AcmService, ServeConfig
 from repro.slo import SloConfig, SloController
+from tests.serve.test_ingress import split_reply
 
 
 class FakeMono:
@@ -271,9 +272,9 @@ class TestAdminOps:
 
 
 class TestHttpSloEndpoints:
-    def _body(self, result):
-        status, content_type, raw, headers = result
-        assert content_type == "application/json"
+    def _body(self, reply: bytes):
+        status, headers, raw = split_reply(reply)
+        assert headers["Content-Type"] == "application/json"
         return status, json.loads(raw), headers
 
     def test_shed_maps_retry_after_header(self):
@@ -283,16 +284,15 @@ class TestHttpSloEndpoints:
         service.handle_request(region)
         mono.advance(0.1)
         status, body, headers = self._body(
-            ingress._dispatch("GET", f"/route?region={region}")
+            ingress._dispatch("GET", f"/route?region={region}", True)
         )
         assert status == 429
-        assert headers is not None
         assert headers["Retry-After"] == str(body["retry_after_s"])
 
     def test_slo_endpoint(self):
         service, _ = slo_service(p95_target_s=10.0)
         ingress = HttpIngress(service)
-        status, body, _ = self._body(ingress._dispatch("GET", "/slo"))
+        status, body, _ = self._body(ingress._dispatch("GET", "/slo", True))
         assert status == 200
         assert body["enabled"] is True
 
@@ -300,23 +300,23 @@ class TestHttpSloEndpoints:
         service, _ = slo_service(p95_target_s=10.0)
         ingress = HttpIngress(service)
         status, body, _ = self._body(
-            ingress._dispatch("POST", "/slo/kill?on=1")
+            ingress._dispatch("POST", "/slo/kill?on=1", True)
         )
         assert status == 200
         assert service.slo_snapshot()["kill_switch"] is True
         status, _, _ = self._body(
-            ingress._dispatch("POST", "/slo/override?level=degraded")
+            ingress._dispatch("POST", "/slo/override?level=degraded", True)
         )
         assert status == 200
         status, _, _ = self._body(
-            ingress._dispatch("POST", "/slo/override?level=panic")
+            ingress._dispatch("POST", "/slo/override?level=panic", True)
         )
         assert status == 400
 
     def test_endpoints_400_when_slo_disabled(self):
         ingress = HttpIngress(make_service())
         status, body, _ = self._body(
-            ingress._dispatch("POST", "/slo/kill?on=1")
+            ingress._dispatch("POST", "/slo/kill?on=1", True)
         )
         assert status == 400
         assert "disabled" in body["error"]

@@ -161,6 +161,10 @@ RULES = (
          (SRC + "core/forward_plan.py",),
          "the fluid and the DES loop charge one partition penalty",
          "after 7cdf0a2"),
+    Rule("ingress-per-request-parse", r"urlsplit\(|parse_qs\(|json\.dumps\(",
+         (SRC + "serve/ingress.py",), (),
+         "the ingress parses a target and encodes a reply only in the "
+         "helpers its memos call", "after 23c748d", max_count=3),
 )
 
 #: row id -> lines that each violate it: (file, line appended to it)
@@ -193,6 +197,9 @@ INJECT = {
     ],
     "partition-penalty": [
         (SRC + "core/control_loop.py", "extra = 0.5  # timeout-and-retry penalty")
+    ],
+    "ingress-per-request-parse": [
+        (SRC + "serve/ingress.py", "query = parse_qs(urlsplit(target).query)")
     ],
 }
 
