@@ -71,8 +71,8 @@ class LoadReport:
         Delegates to the SLO evaluator's estimator so client-side and
         server-side percentiles agree -- including the float-epsilon
         guard (a bare ``ceil(q * n)`` overshoots when the product lands
-        just above an integer, e.g. ``0.95 * 20 == 19.000...004``,
-        which silently reported the sample maximum as the p95).
+        just above an integer, e.g. ``0.07 * 100 == 7.000...001``,
+        and would report the next order statistic).
         """
         return nearest_rank_quantile(self.latencies_s, q)
 

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from repro.slo.evaluator import SloConfig, SloEvaluator
+from repro.slo.evaluator import SloConfig, SloEvaluator, SloStatus, Verdict
 from repro.slo.ladder import (
     LEVEL_CODES,
     LEVEL_NORMAL,
@@ -69,17 +69,29 @@ class SloController:
     def advance(self, region: str, now: float) -> Decision:
         """Evaluate ``region``'s window at ``now`` and step its ladder.
 
-        The one evaluator -> ladder -> bookkeeping body.  Bookkeeping
-        (level gauge, transition counter, ``slo.transition`` event)
-        happens only when the level changed, so the per-request caller
-        pays for the status and the ladder step and nothing else.
+        The one evaluator -> ladder -> bookkeeping body.  The ladder
+        steps on the evaluator's verdict alone; bookkeeping (level gauge,
+        transition counter, ``slo.transition`` event with the window's
+        p95) happens only when the level changed, so the per-request
+        caller pays for two threshold counts and the ladder step.
         """
-        status = self.evaluators[region].status(now)
-        decision = self.ladders[region].update(now, status)
+        return self._step(region, now, self.evaluators[region].verdict(now))
+
+    def _step(
+        self,
+        region: str,
+        now: float,
+        verdict: Verdict | SloStatus,
+        p95_s: float | None = None,
+    ) -> Decision:
+        """:meth:`advance` on a verdict in hand; ``p95_s`` if already read."""
+        decision = self.ladders[region].update(now, verdict)
         previous = self._levels[region]
         if decision.level != previous:
             self._levels[region] = decision.level
             if self._tel is not None:
+                if p95_s is None:
+                    p95_s = self.evaluators[region].p95(now)
                 self._m_trans[region].inc()
                 self._m_level[region].set(LEVEL_CODES[decision.level])
                 self._tel.event(
@@ -88,7 +100,7 @@ class SloController:
                     frm=previous,
                     to=decision.level,
                     source=decision.source,
-                    p95_s=status.p95_s,
+                    p95_s=p95_s,
                 )
         return decision
 
@@ -97,16 +109,21 @@ class SloController:
 
         Returns the resulting ``{region: level}`` map (also kept on the
         controller for :meth:`shape` / :meth:`level_codes`).  A host that
-        feeds its evaluators itself passes ``{}``.
+        feeds its evaluators itself passes ``{}``.  Each window is read
+        once: the verdict alone, or with telemetry on the full status,
+        whose p95 feeds the gauge and any transition event.
         """
         for region in self.regions:
+            evaluator = self.evaluators[region]
             rt = per_region_rt.get(region)
             if rt is not None and np.isfinite(rt):
-                self.evaluators[region].observe_latency(now, float(rt))
-            self.advance(region, now)
-            if self._tel is not None:
-                # same `now` as advance(): the same window, the same p95
-                p95 = self.evaluators[region].status(now).p95_s
+                evaluator.observe_latency(now, float(rt))
+            if self._tel is None:
+                self.advance(region, now)
+            else:
+                status = evaluator.status(now)
+                p95 = status.p95_s
+                self._step(region, now, status, p95)
                 self._m_p95[region].set(0.0 if math.isnan(p95) else p95)
         self.eras += 1
         if any(lv != LEVEL_NORMAL for lv in self._levels.values()):

@@ -2,47 +2,63 @@
 
 The evaluator ingests raw signals -- request latencies, request
 outcomes, and an instantaneous queue depth -- and reduces them to a
-:class:`SloStatus` verdict with *hysteresis*: the thresholds that enter
-a breach are stricter than the ones that exit it (``exit_ratio``), so a
-region hovering exactly at its target cannot flap the ladder.
+verdict with *hysteresis*: the thresholds that enter a breach are
+stricter than the ones that exit it (``exit_ratio``), so a region
+hovering exactly at its target cannot flap the ladder.
 
-The p95 reduction uses the nearest-rank estimator shared with the load
-generator's report (:func:`nearest_rank_quantile`), so the client-side
-and server-side percentiles agree on small samples.
+The p95 is the nearest-rank estimator shared with the load generator's
+report (:func:`nearest_rank_quantile`), so the client-side and
+server-side percentiles agree on small samples.  Deciding against it
+needs no order statistic: with ``n`` samples and ``r`` the p95's rank,
+``p95 > x`` exactly when more than ``n - r`` samples exceed ``x``, ties
+included.  The window therefore keeps two threshold counts, and a
+request's verdict costs the same at any window size; the p95 value
+itself is computed only when something reads it.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Sequence
+from array import array
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+#: The quantile the latency signal watches.
+P95 = 0.95
+
+#: Expired slots a window column may carry before it compacts: trimming
+#: moves a head index, and the expired prefix is dropped in one memmove
+#: once it is at least this long and longer than the live part.
+COMPACT_SLACK = 4096
 
 
-def nearest_rank_quantile(
-    values: Sequence[float], q: float, *, presorted: bool = False
-) -> float:
+def nearest_rank(n: int, q: float) -> int:
+    """1-based rank of the nearest-rank ``q``-quantile of ``n >= 1`` values.
+
+    For ``0 <= q <= 1`` the rank is at most ``n``; it is below 1 only
+    when ``q * n`` is within the epsilon of 0, and then it is 1.
+
+    The rank product is computed with a small epsilon because ``q * n``
+    is not exact in binary floating point -- ``0.07 * 100`` evaluates to
+    ``7.000000000000001``, and a bare ``ceil`` would skip from the 7th
+    order statistic to the 8th.
+    """
+    return math.ceil(q * n - 1e-9) or 1
+
+
+def nearest_rank_quantile(values: Sequence[float], q: float) -> float:
     """Nearest-rank quantile: the ``ceil(q * n)``-th smallest value.
 
-    Returns NaN for an empty sample.  The rank product is computed with
-    a small epsilon because ``q * n`` is not exact in binary floating
-    point -- ``0.95 * 20`` evaluates to ``19.000000000000004``, and a
-    bare ``ceil`` would skip from the 19th order statistic to the 20th,
-    silently reporting the sample maximum as the p95.
-
-    ``presorted`` skips the sort for callers that maintain their sample
-    in order (the evaluator's rolling window does, so its per-request
-    ``status`` stays O(log n) instead of O(n log n)).
+    Returns NaN for an empty sample; :func:`nearest_rank` has the rank.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
     n = len(values)
     if n == 0:
         return float("nan")
-    data = values if presorted else sorted(values)
-    rank = math.ceil(q * n - 1e-9)
-    return float(data[min(n - 1, max(0, rank - 1))])
+    return float(sorted(values)[nearest_rank(n, q) - 1])
 
 
 @dataclass(frozen=True)
@@ -170,81 +186,176 @@ class SloStatus:
     recovered: bool
 
 
-@dataclass
+class Verdict(NamedTuple):
+    """The two bits the ladder steps on; never both True."""
+
+    breach: bool
+    recovered: bool
+
+
+_BREACH = Verdict(breach=True, recovered=False)
+_HOLD = Verdict(breach=False, recovered=False)
+_RECOVERED = Verdict(breach=False, recovered=True)
+
+
+def _trimmed(stamps: array, head: int, horizon: float) -> int:
+    """Move ``head`` past the stamps before ``horizon``; the new head.
+
+    The expired prefix is dropped (one memmove) once it is at least
+    :data:`COMPACT_SLACK` long and longer than the live part.
+    """
+    end = len(stamps)
+    while head < end and stamps[head] < horizon:
+        head += 1
+    if head >= COMPACT_SLACK and head > end - head:
+        del stamps[:head]
+        return 0
+    return head
+
+
 class SloEvaluator:
     """Rolling-window signal store + threshold evaluation for one region.
 
-    The window is maintained incrementally -- a bisect-sorted mirror of
-    the latency deque for the p95 and a running error counter for the
-    budget -- so ``status`` is O(log n) per call, not O(n log n).  The
-    serve ingress calls it on every request.
+    The window is flat float columns -- latency stamps and values,
+    outcome stamps, error stamps -- with no object per sample.  Trimming
+    moves each column's head past the expired stamps (the same prefix a
+    deque would pop) and compaction is amortised (:data:`COMPACT_SLACK`),
+    so storage stays within twice the live samples plus the slack.  The
+    latency column carries two counts, samples above ``p95_target_s`` and
+    above ``exit_ratio * p95_target_s``, which decide :meth:`verdict` in
+    O(1) amortised per request; the serve ingress calls it on every
+    request.  :meth:`p95` partitions the live values when read -- the era
+    sweep's gauge, ``/slo`` and the ``slo.transition`` event.
+
+    Errors keep a stamp column of their own; with non-decreasing stamps
+    (both hosts' clocks are) every column expires exactly what one
+    deque of outcomes would.  Non-finite samples are refused.
     """
 
-    config: SloConfig
-    _latencies: deque = field(default_factory=deque, repr=False)
-    _sorted: list = field(default_factory=list, repr=False)
-    _outcomes: deque = field(default_factory=deque, repr=False)
-    _errors: int = 0
-    _queue_depth: float = 0.0
+    def __init__(self, config: SloConfig) -> None:
+        self.config = config
+        self._window_s = config.window_s
+        self._target_s = config.p95_target_s
+        # each exit threshold is the float product a p95 comparison
+        # used, so the counts decide bit for bit alike
+        self._exit_s = config.exit_ratio * config.p95_target_s
+        self._queue_on = config.queue_depth_max > 0
+        self._queue_exit = config.exit_ratio * config.queue_depth_max
+        self._budget_on = config.error_budget < 1.0
+        self._budget_exit = config.exit_ratio * config.error_budget
+        self._lat_t = array("d")
+        self._lat_v = array("d")
+        self._lat_head = 0
+        self._over_target = 0
+        self._over_exit = 0
+        self._out_t = array("d")
+        self._out_head = 0
+        self._err_t = array("d")
+        self._err_head = 0
+        self._queue_depth = 0.0
 
     def observe_latency(self, now: float, latency_s: float) -> None:
         value = float(latency_s)
-        self._latencies.append((now, value))
-        bisect.insort(self._sorted, value)
+        if not math.isfinite(value):
+            raise ValueError(f"latency must be finite, got {value}")
+        self._lat_t.append(now)
+        self._lat_v.append(value)
+        # exit_ratio <= 1, so above the target is above the exit too
+        if value > self._exit_s:
+            self._over_exit += 1
+            if value > self._target_s:
+                self._over_target += 1
 
     def observe_outcome(self, now: float, ok: bool) -> None:
-        ok = bool(ok)
-        self._outcomes.append((now, ok))
+        self._out_t.append(now)
         if not ok:
-            self._errors += 1
+            self._err_t.append(now)
 
     def set_queue_depth(self, depth: float) -> None:
-        self._queue_depth = max(0.0, float(depth))
+        value = float(depth)
+        if not math.isfinite(value):
+            raise ValueError(f"queue depth must be finite, got {value}")
+        self._queue_depth = value if value > 0.0 else 0.0
 
     def _trim(self, now: float) -> None:
-        horizon = now - self.config.window_s
-        while self._latencies and self._latencies[0][0] < horizon:
-            _, value = self._latencies.popleft()
-            del self._sorted[bisect.bisect_left(self._sorted, value)]
-        while self._outcomes and self._outcomes[0][0] < horizon:
-            _, ok = self._outcomes.popleft()
-            if not ok:
-                self._errors -= 1
+        horizon = now - self._window_s
+        stamps = self._lat_t
+        head = self._lat_head
+        end = len(stamps)
+        if head < end and stamps[head] < horizon:
+            values = self._lat_v
+            exit_s, target_s = self._exit_s, self._target_s
+            while head < end and stamps[head] < horizon:
+                value = values[head]
+                if value > exit_s:
+                    self._over_exit -= 1
+                    if value > target_s:
+                        self._over_target -= 1
+                head += 1
+            if head >= COMPACT_SLACK and head > end - head:  # as _trimmed
+                del stamps[:head]
+                del values[:head]
+                head = 0
+            self._lat_head = head
+        stamps = self._out_t
+        if self._out_head < len(stamps):
+            self._out_head = _trimmed(stamps, self._out_head, horizon)
+        stamps = self._err_t
+        if self._err_head < len(stamps):
+            self._err_head = _trimmed(stamps, self._err_head, horizon)
 
-    def status(self, now: float) -> SloStatus:
-        """Evaluate the window ending at ``now``.
+    def _error_rate(self) -> float:
+        total = len(self._out_t) - self._out_head
+        if not total:
+            return 0.0
+        return (len(self._err_t) - self._err_head) / total
+
+    def verdict(self, now: float) -> Verdict:
+        """Breach / recovery of the window ending at ``now``.
 
         An empty latency window is treated as healthy (nothing to
         breach on) -- this is what lets a fully-shed region drain and
         recover once its dwell time elapses.
         """
-        cfg = self.config
         self._trim(now)
-        lats = self._sorted
-        p95 = nearest_rank_quantile(lats, 0.95, presorted=True)
-        total = len(self._outcomes)
-        error_rate = self._errors / total if total else 0.0
+        recovered = True
+        n = len(self._lat_t) - self._lat_head
+        if n:
+            # p95 > x  <=>  more than n - rank samples exceed x
+            allowed = n - nearest_rank(n, P95)
+            if self._over_target > allowed:
+                return _BREACH
+            recovered = self._over_exit <= allowed
+        if self._queue_on:
+            if self._queue_depth > self.config.queue_depth_max:
+                return _BREACH
+            recovered = recovered and self._queue_depth <= self._queue_exit
+        if self._budget_on:
+            error_rate = self._error_rate()
+            if error_rate > self.config.error_budget:
+                return _BREACH
+            recovered = recovered and error_rate <= self._budget_exit
+        return _RECOVERED if recovered else _HOLD
 
-        latency_breach = bool(lats) and p95 > cfg.p95_target_s
-        queue_on = cfg.queue_depth_max > 0
-        queue_breach = queue_on and self._queue_depth > cfg.queue_depth_max
-        budget_on = cfg.error_budget < 1.0
-        budget_breach = budget_on and error_rate > cfg.error_budget
+    def p95(self, now: float) -> float:
+        """Nearest-rank p95 of the window ending at ``now`` (NaN if empty)."""
+        self._trim(now)
+        head = self._lat_head
+        n = len(self._lat_v) - head
+        if not n:
+            return float("nan")
+        k = nearest_rank(n, P95) - 1
+        live = np.frombuffer(self._lat_v, dtype=np.float64)[head:]
+        return float(np.partition(live, k)[k])
 
-        latency_ok = not lats or p95 <= cfg.exit_ratio * cfg.p95_target_s
-        queue_ok = (
-            not queue_on
-            or self._queue_depth <= cfg.exit_ratio * cfg.queue_depth_max
-        )
-        budget_ok = (
-            not budget_on or error_rate <= cfg.exit_ratio * cfg.error_budget
-        )
-
+    def status(self, now: float) -> SloStatus:
+        """The verdict at ``now`` with the signals behind it."""
+        verdict = self.verdict(now)
         return SloStatus(
-            p95_s=p95,
-            samples=len(lats),
+            p95_s=self.p95(now),
+            samples=len(self._lat_t) - self._lat_head,
             queue_depth=self._queue_depth,
-            error_rate=error_rate,
-            breach=latency_breach or queue_breach or budget_breach,
-            recovered=latency_ok and queue_ok and budget_ok,
+            error_rate=self._error_rate(),
+            breach=verdict.breach,
+            recovered=verdict.recovered,
         )

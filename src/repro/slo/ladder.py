@@ -15,14 +15,16 @@ Four rungs decide a region's serving level, strictly in this order
 
 The ladder is pure state + arithmetic: no clocks, no I/O.  Callers feed
 it ``now`` so the sim side can drive it on virtual time and the serve
-side on ``time.monotonic()``.
+side on ``time.monotonic()``.  At a steady level it hands back the
+:class:`Decision` it already holds, so a per-request caller allocates
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.slo.evaluator import SloConfig, SloStatus
+from repro.slo.evaluator import SloConfig, SloStatus, Verdict
 
 LEVEL_NORMAL = "normal"
 LEVEL_DEGRADED = "degraded"
@@ -62,6 +64,12 @@ class PriorityLadder:
         self.transitions = 0
         self._adaptive = LEVEL_NORMAL
         self._since = now
+        self._last = Decision(
+            level=LEVEL_NORMAL,
+            source=SOURCE_DEFAULT,
+            since=now,
+            dwell_remaining_s=0.0,
+        )
 
     def set_kill_switch(self, on: bool) -> None:
         self.kill_switch = bool(on)
@@ -73,8 +81,11 @@ class PriorityLadder:
             raise ValueError(f"unknown level {level!r} (expected {known})")
         self.manual_level = level
 
-    def update(self, now: float, status: SloStatus) -> Decision:
+    def update(self, now: float, status: Verdict | SloStatus) -> Decision:
         """Advance the adaptive rung on ``status``, then decide.
+
+        Only ``status.breach`` and ``status.recovered`` are read, so an
+        evaluator's bare :class:`~repro.slo.evaluator.Verdict` will do.
 
         The adaptive state machine runs even while a higher rung is
         active, so lifting a kill-switch lands on the level the signals
@@ -94,34 +105,34 @@ class PriorityLadder:
         return self.decision(now)
 
     def decision(self, now: float) -> Decision:
-        """Resolve the rungs in priority order without advancing state."""
+        """Resolve the rungs in priority order without advancing state.
+
+        Returns the last decision again when nothing in it changed.
+        """
         if self.kill_switch:
-            return Decision(
-                level=LEVEL_DEGRADED,
-                source=SOURCE_KILL_SWITCH,
-                since=self._since,
-                dwell_remaining_s=0.0,
-            )
-        if self.manual_level is not None:
-            return Decision(
-                level=self.manual_level,
-                source=SOURCE_MANUAL,
-                since=self._since,
-                dwell_remaining_s=0.0,
-            )
-        if self._adaptive != LEVEL_NORMAL:
+            level, source, remaining = LEVEL_DEGRADED, SOURCE_KILL_SWITCH, 0.0
+        elif self.manual_level is not None:
+            level, source, remaining = self.manual_level, SOURCE_MANUAL, 0.0
+        elif self._adaptive != LEVEL_NORMAL:
+            level, source = self._adaptive, SOURCE_ADAPTIVE
             remaining = max(
                 0.0, self.config.min_dwell_s - (now - self._since)
             )
-            return Decision(
-                level=self._adaptive,
-                source=SOURCE_ADAPTIVE,
-                since=self._since,
-                dwell_remaining_s=remaining,
-            )
-        return Decision(
-            level=LEVEL_NORMAL,
-            source=SOURCE_DEFAULT,
+        else:
+            level, source, remaining = LEVEL_NORMAL, SOURCE_DEFAULT, 0.0
+        last = self._last
+        # `since` by identity: every transition stores a fresh `now`
+        if (
+            last.since is self._since
+            and last.dwell_remaining_s == remaining
+            and last.source == source
+            and last.level == level
+        ):
+            return last
+        last = self._last = Decision(
+            level=level,
+            source=source,
             since=self._since,
-            dwell_remaining_s=0.0,
+            dwell_remaining_s=remaining,
         )
+        return last

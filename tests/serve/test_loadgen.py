@@ -105,9 +105,7 @@ class TestReport:
 
     def test_known_answer_quantiles_n20(self):
         # nearest rank on 1..20 (in ms): p50 = 10th, p95 = 19th, p99 =
-        # 20th order statistic.  The p95 case is the float-epsilon
-        # regression: 0.95 * 20 == 19.000000000000004, and a bare ceil
-        # silently reported the max (20) as the p95.
+        # 20th order statistic.
         report = LoadReport(latencies_s=[0.001 * v for v in range(1, 21)])
         assert report.quantile(0.50) == pytest.approx(0.010)
         assert report.quantile(0.95) == pytest.approx(0.019)

@@ -17,7 +17,7 @@ from repro.obs.telemetry import Telemetry
 from repro.serve.clock import WallClock
 from repro.serve.ingress import HttpIngress
 from repro.serve.service import AcmService, ServeConfig
-from repro.slo import SloConfig, SloController
+from repro.slo import SloConfig, SloController, SloEvaluator, nearest_rank_quantile
 from tests.serve.test_ingress import split_reply
 
 
@@ -119,6 +119,51 @@ class TestSloGate:
             for c in counters
         }
         assert by_name[("slo_shed_total", region)] == 1
+
+
+class TestPerRequestPath:
+    """A request's gate decides on threshold counts; the p95 is read only
+    by ``/slo``, the era sweep and a transition event."""
+
+    def test_no_p95_on_the_request_path(self, monkeypatch):
+        service, mono = slo_service(p95_target_s=10.0)
+        recorded = {id(service.slo.evaluators[r]): [] for r in service.regions}
+        observe_latency = SloEvaluator.observe_latency
+
+        def recording(self, now, latency_s):
+            recorded[id(self)].append(latency_s)
+            observe_latency(self, now, latency_s)
+
+        def no_p95(self, now):
+            raise AssertionError("p95 computed on the request path")
+
+        monkeypatch.setattr(SloEvaluator, "observe_latency", recording)
+        with monkeypatch.context() as patched:
+            patched.setattr(SloEvaluator, "p95", no_p95)
+            for k in range(1000):
+                mono.advance(0.001)
+                region = service.regions[k % len(service.regions)]
+                assert service.handle_request(region)[0] == 200
+        assert all(
+            ladder.transitions == 0 for ladder in service.slo.ladders.values()
+        )
+        want = {
+            r: nearest_rank_quantile(recorded[id(service.slo.evaluators[r])], 0.95)
+            for r in service.regions
+        }
+        assert all(len(v) == 500 for v in recorded.values())
+        _, _, raw = split_reply(
+            HttpIngress(service)._dispatch("GET", "/slo", True)
+        )
+        regions = json.loads(raw)["regions"]
+        assert {r: regions[r]["p95_s"] for r in service.regions} == want
+        service.slo.observe(mono(), {})
+        gauges = {
+            g["labels"]["region"]: g["value"]
+            for g in service.telemetry.snapshot()["metrics"]["gauges"]
+            if g["name"] == "slo_p95_seconds"
+        }
+        assert gauges == want
 
 
 class TestQueueDepthSignal:
