@@ -6,14 +6,19 @@ subgraph induced by alive nodes and up links) is what routing and election
 operate on.
 
 Every mutator bumps :attr:`OverlayNetwork.version`, and anything derived
-from the topology -- the live graph and its components here, the path
+from the topology -- the live adjacency and its components here, the path
 cache of :class:`~repro.overlay.routing.Router` -- is keyed on that
 integer.  Nobody is told to invalidate anything.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+import math
+from collections.abc import Mapping
+from types import MappingProxyType
+
+#: node -> neighbour -> latency (ms)
+Adjacency = Mapping[str, Mapping[str, float]]
 
 
 class OverlayNetwork:
@@ -38,12 +43,16 @@ class OverlayNetwork:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        # node -> alive, in registration order
+        self._alive: dict[str, bool] = {}
+        # node -> neighbour -> the link's [latency_ms, up], one record
+        # shared by both ends, in link-registration order
+        self._links: dict[str, dict[str, list]] = {}
         self.version = 0
-        # (version, frozen live graph, node -> its connected component):
-        # what _live() built last
+        # (version, read-only live adjacency, node -> its connected
+        # component): what _live() built last
         self._live_cache: (
-            tuple[int, nx.Graph, dict[str, frozenset[str]]] | None
+            tuple[int, Adjacency, dict[str, frozenset[str]]] | None
         ) = None
 
     # ------------------------------------------------------------------ #
@@ -59,21 +68,28 @@ class OverlayNetwork:
         code (which re-declares topology idempotently) can never mask a
         failure that chaos injection or a real outage produced.
         """
-        if name in self._graph:
+        if name in self._alive:
             return
-        self._graph.add_node(name, alive=True)
+        self._alive[name] = True
+        self._links[name] = {}
         self.version += 1
 
     def add_link(self, a: str, b: str, latency_ms: float) -> None:
-        """Connect two registered nodes with a symmetric link."""
-        if latency_ms <= 0:
-            raise ValueError(f"latency must be positive, got {latency_ms}")
+        """Connect two registered nodes with a symmetric link.
+
+        Re-adding a registered link sets its latency and brings it up; it
+        keeps its place in each end's neighbour order.
+        """
+        if not 0 < latency_ms < math.inf:
+            raise ValueError(
+                f"latency must be positive and finite, got {latency_ms}"
+            )
         if a == b:
             raise ValueError("self-links are not allowed")
         for n in (a, b):
-            if n not in self._graph:
+            if n not in self._alive:
                 raise KeyError(f"unknown node {n!r}; add_node first")
-        self._graph.add_edge(a, b, latency_ms=float(latency_ms), up=True)
+        self._links[a][b] = self._links[b][a] = [float(latency_ms), True]
         self.version += 1
 
     @classmethod
@@ -99,25 +115,25 @@ class OverlayNetwork:
     def fail_link(self, a: str, b: str) -> None:
         """Take a link down (routing must reroute around it)."""
         self._require_edge(a, b)
-        self._graph.edges[a, b]["up"] = False
+        self._links[a][b][1] = False
         self.version += 1
 
     def restore_link(self, a: str, b: str) -> None:
         """Bring a failed link back up."""
         self._require_edge(a, b)
-        self._graph.edges[a, b]["up"] = True
+        self._links[a][b][1] = True
         self.version += 1
 
     def fail_node(self, name: str) -> None:
         """Crash a controller node (all its links become unusable)."""
         self._require_node(name)
-        self._graph.nodes[name]["alive"] = False
+        self._alive[name] = False
         self.version += 1
 
     def restore_node(self, name: str) -> None:
         """Recover a crashed node."""
         self._require_node(name)
-        self._graph.nodes[name]["alive"] = True
+        self._alive[name] = True
         self.version += 1
 
     # ------------------------------------------------------------------ #
@@ -126,52 +142,40 @@ class OverlayNetwork:
 
     def nodes(self) -> list[str]:
         """All registered nodes, sorted."""
-        return sorted(self._graph.nodes)
+        return sorted(self._alive)
 
     def alive_nodes(self) -> list[str]:
         """Nodes currently alive, sorted."""
-        return sorted(
-            n for n, d in self._graph.nodes(data=True) if d["alive"]
-        )
+        return sorted(n for n, alive in self._alive.items() if alive)
 
     def is_alive(self, name: str) -> bool:
         """Whether the node is registered and alive."""
-        return name in self._graph and self._graph.nodes[name]["alive"]
+        return self._alive.get(name, False)
 
     def has_link(self, a: str, b: str) -> bool:
         """Whether a direct link is registered (regardless of up/down)."""
-        return self._graph.has_edge(a, b)
+        return b in self._links.get(a, ())
 
     def links(self) -> list[tuple[str, str]]:
         """All registered links as sorted node pairs, sorted."""
-        return sorted(tuple(sorted(edge)) for edge in self._graph.edges)
+        return sorted(
+            (a, b) for a, nbrs in self._links.items() for b in nbrs if a < b
+        )
 
     def link_latency(self, a: str, b: str) -> float:
         """Latency of the direct link (must exist, may be down)."""
         self._require_edge(a, b)
-        return float(self._graph.edges[a, b]["latency_ms"])
+        return self._links[a][b][0]
 
-    def link_is_up(self, a: str, b: str) -> bool:
-        """Whether the direct link exists, is up, and both ends are alive."""
-        if not self._graph.has_edge(a, b):
-            return False
-        return (
-            self._graph.edges[a, b]["up"]
-            and self.is_alive(a)
-            and self.is_alive(b)
-        )
+    def live_view(self) -> Adjacency:
+        """Alive nodes and up links: node -> neighbour -> latency (ms).
 
-    def live_view(self) -> nx.Graph:
-        """The subgraph of alive nodes and up links, shared and frozen.
-
-        Built at most once per :attr:`version`; what routing and
-        election read.  Use :meth:`live_graph` for a graph to mutate.
+        Built at most once per :attr:`version` and shared, so it is
+        read-only, as is each neighbour map.  Nodes are in sorted order;
+        each neighbour map is in the order its links were registered,
+        which is the order in which routing breaks latency ties.
         """
         return self._live()[0]
-
-    def live_graph(self) -> nx.Graph:
-        """The subgraph of alive nodes and up links (a copy)."""
-        return self.live_view().copy()
 
     def component_of(self, name: str) -> set[str]:
         """Alive nodes reachable from ``name`` (including itself)."""
@@ -185,30 +189,45 @@ class OverlayNetwork:
 
     # ------------------------------------------------------------------ #
 
-    def _live(self) -> tuple[nx.Graph, dict[str, frozenset[str]]]:
-        """The live graph and node -> component map of this version."""
+    def _live(self) -> tuple[Adjacency, dict[str, frozenset[str]]]:
+        """The live adjacency and node -> component map of this version."""
         cache = self._live_cache
         if cache is None or cache[0] != self.version:
-            g = nx.Graph()
-            for n in self.alive_nodes():
-                g.add_node(n)
-            for a, b, data in self._graph.edges(data=True):
-                if data["up"] and self.is_alive(a) and self.is_alive(b):
-                    g.add_edge(a, b, latency_ms=data["latency_ms"])
-            components = {
-                n: component
-                for component in map(frozenset, nx.connected_components(g))
-                for n in component
+            alive = self._alive
+            adj: dict[str, dict[str, float]] = {
+                n: {} for n in self.alive_nodes()
             }
-            cache = self._live_cache = (self.version, nx.freeze(g), components)
+            # each link once, at the first of its ends to be registered
+            done: set[str] = set()
+            for a, nbrs in self._links.items():
+                for b, (latency, up) in nbrs.items():
+                    if b not in done and up and alive[a] and alive[b]:
+                        adj[a][b] = adj[b][a] = latency
+                done.add(a)
+            components: dict[str, frozenset[str]] = {}
+            for start in adj:
+                if start in components:
+                    continue
+                reached, frontier = {start}, [start]
+                while frontier:
+                    for n in adj[frontier.pop()]:
+                        if n not in reached:
+                            reached.add(n)
+                            frontier.append(n)
+                component = frozenset(reached)
+                components.update(dict.fromkeys(component, component))
+            frozen = MappingProxyType(
+                {n: MappingProxyType(nbrs) for n, nbrs in adj.items()}
+            )
+            cache = self._live_cache = (self.version, frozen, components)
         return cache[1], cache[2]
 
     # ------------------------------------------------------------------ #
 
     def _require_node(self, name: str) -> None:
-        if name not in self._graph:
+        if name not in self._alive:
             raise KeyError(f"unknown node {name!r}")
 
     def _require_edge(self, a: str, b: str) -> None:
-        if not self._graph.has_edge(a, b):
+        if not self.has_link(a, b):
             raise KeyError(f"no link between {a!r} and {b!r}")

@@ -2,22 +2,57 @@
 
 The overlay "selects the path with the smallest latency among two given
 controllers, and is able to reroute connections in case of a network link
-failure" (Sec. III).  :class:`Router` computes Dijkstra shortest paths on
-the live topology and caches them under the network's
-:attr:`~repro.overlay.network.OverlayNetwork.version`; after any topology
-mutation (fail/restore) the version has moved and paths are recomputed --
-that recomputation *is* the rerouting.
+failure" (Sec. III).  :class:`Router` computes Dijkstra shortest paths
+(:func:`shortest_path`) on the live topology and caches them under the
+network's :attr:`~repro.overlay.network.OverlayNetwork.version`; after any
+topology mutation (fail/restore) the version has moved and paths are
+recomputed -- that recomputation *is* the rerouting.
 """
 
 from __future__ import annotations
 
-import networkx as nx
-
-from repro.overlay.network import OverlayNetwork
+from repro.overlay.network import Adjacency, OverlayNetwork
 
 
 class NoRouteError(RuntimeError):
     """No live path exists between two controllers (network partition)."""
+
+
+def shortest_path(
+    adj: Adjacency, src: str, dst: str
+) -> tuple[list[str], float] | None:
+    """Dijkstra from ``src`` to ``dst``: the path and its latency, or
+    ``None`` when unreachable.
+
+    Ties between equal-latency paths are decided by the search order:
+    nodes leave the fringe by (distance, order of discovery), neighbours
+    are scanned in adjacency order, and a node's path is replaced only by
+    a strictly shorter one.  The latency is the path's left-to-right sum.
+    The fringe is a list and the next node its minimum: an overlay has a
+    handful of nodes.
+    """
+    done: dict[str, float] = {}
+    best = {src: 0.0}
+    paths = {src: [src]}
+    fringe = [(0.0, 0, src)]
+    discovered = 1
+    while fringe:
+        entry = min(fringe)
+        fringe.remove(entry)
+        d, _, v = entry
+        if v in done:
+            continue
+        done[v] = d
+        if v == dst:
+            return paths[v], d
+        for u, latency in adj[v].items():
+            du = d + latency
+            if u not in done and (u not in best or du < best[u]):
+                best[u] = du
+                fringe.append((du, discovered, u))
+                discovered += 1
+                paths[u] = paths[v] + [u]
+    return None
 
 
 class Router:
@@ -61,17 +96,13 @@ class Router:
             raise NoRouteError(
                 f"endpoint down: {src!r} or {dst!r} not in live topology"
             )
-        try:
-            path = nx.dijkstra_path(live, src, dst, weight="latency_ms")
-        except nx.NetworkXNoPath:
+        found = shortest_path(live, src, dst)
+        if found is None:
             raise NoRouteError(
                 f"no live path between {src!r} and {dst!r} (partition)"
-            ) from None
-        latency = float(
-            nx.path_weight(live, path, weight="latency_ms")
-        )
-        self._cache[key] = (path, latency)
-        return path, latency
+            )
+        self._cache[key] = found
+        return found
 
     def latency(self, src: str, dst: str) -> float:
         """Total latency of the best live path (ms)."""

@@ -1,7 +1,7 @@
 """Hand-rolled asyncio HTTP/1.1 ingress in front of an :class:`AcmService`.
 
 Stdlib-only (the container bakes no aiohttp): a minimal HTTP/1.1 server,
-one :class:`asyncio.Protocol` per connection, with keep-alive,
+one :class:`asyncio.BufferedProtocol` per connection, with keep-alive,
 pipelining, request-line + header parsing, and ``Content-Length`` bodies.
 It implements exactly the surface the load generator and a Prometheus
 scraper need:
@@ -43,7 +43,9 @@ deployment over the same wire they load it on -- the in-process
 
 Framing
 -------
-``data_received`` appends each read to the connection's ``bytearray``
+The transport reads into one ``RECV_BUFFER``-byte buffer the connection
+owns (``get_buffer``), so a read is at most that many bytes;
+``buffer_updated`` appends each read to the connection's ``bytearray``
 and frames as many whole requests as it now holds, strictly in byte
 order, one ``\n``-terminated line at a time (a bare LF ends a line as
 CRLF does): request line -> header lines -> blank line -> ``Content-
@@ -78,13 +80,14 @@ After a 400 or a closing reply nothing further in the buffer is ever
 parsed: the position of the next request is unknown (or unwanted), and
 bytes behind a bad frame are where a smuggled second request would sit.
 
-Memory a connection can hold: unframed input of at most one transport
-read on top of one partial line (< ``MAX_LINE``; a body is counted
-down, never buffered), and unsent output below two of the transport's
-high-water marks plus one reply.  Replies are handed over as soon as
-they reach the high-water mark; a client that does not read then makes
-the transport call ``pause_writing``, which stops both the framing and
-the reading until ``resume_writing`` re-pumps the buffer.
+Memory a connection can hold: its receive buffer, unframed input of at
+most one read (≤ ``RECV_BUFFER``) on top of one partial line
+(< ``MAX_LINE``; a body is counted down, never buffered), and unsent
+output below two of the transport's high-water marks plus one reply.
+Replies are handed over as soon as they reach the high-water mark; a
+client that does not read then makes the transport call
+``pause_writing``, which stops both the framing and the reading until
+``resume_writing`` re-pumps the buffer.
 """
 
 from __future__ import annotations
@@ -101,6 +104,10 @@ from repro.serve.service import AcmService
 #: Pragmatic caps: a request line, header line or body beyond this is junk.
 MAX_LINE = 8192
 MAX_HEADERS = 64
+#: Bytes one read can bring in: the size of a connection's receive buffer.
+#: A read never allocates (a fresh read buffer above the allocator's mmap
+#: threshold costs page faults on every read).
+RECV_BUFFER = 16384
 #: Wall seconds a connection may go without completing a request (idle
 #: keep-alive, or a head dribbled a byte at a time) before it is closed.
 IDLE_TIMEOUT_S = 60.0
@@ -309,7 +316,7 @@ def _reply(status: int, payload: dict, keep_alive: bool) -> bytes:
     return _memo_reply(status, keep_alive, tuple(payload), *payload.values())
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One client connection: the framing state machine of the module
     docstring.  Everything between two reads lives in ``_buf`` (bytes not
     yet framed) and the fields of the request being framed."""
@@ -317,6 +324,7 @@ class _Connection(asyncio.Protocol):
     def __init__(self, ingress: HttpIngress) -> None:
         self.ingress = ingress
         self.transport: asyncio.Transport | None = None
+        self._recv = memoryview(bytearray(RECV_BUFFER))
         self._buf = bytearray()
         self._write_paused = False
         self._served = 0  # requests answered; the idle timer's progress mark
@@ -352,8 +360,11 @@ class _Connection(asyncio.Protocol):
         else:
             self._arm_idle_timer()
 
-    def data_received(self, data: bytes) -> None:
-        self._buf += data
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._recv
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._buf += self._recv[:nbytes]
         self._pump()
 
     def pause_writing(self) -> None:

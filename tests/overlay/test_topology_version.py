@@ -1,7 +1,7 @@
 """The topology version is complete: no mutator forgets to bump it.
 
-Everything derived from an :class:`OverlayNetwork` -- its live graph and
-components, a :class:`Router`'s path cache -- is cached under
+Everything derived from an :class:`OverlayNetwork` -- its live adjacency
+and components, a :class:`Router`'s path cache -- is cached under
 ``OverlayNetwork.version``.  A mutator that changed the topology without
 moving the version would leave all of them serving the old topology, so
 this drives random mutation sequences (repeats and no-ops included)
@@ -28,14 +28,16 @@ def replay(log):
 
 def answers(net, router):
     """Every topology-derived answer the overlay layer gives."""
-    nodes, live = net.nodes(), net.live_graph()
+    nodes, live = net.nodes(), net.live_view()
     out = {
         "partitioned": net.is_partitioned(),
         "components": {n: net.component_of(n) for n in nodes},
-        "live_nodes": sorted(live.nodes),
+        "live_nodes": list(live),
         "live_edges": sorted(
-            (*sorted(edge), latency)
-            for *edge, latency in live.edges(data="latency_ms")
+            (a, b, latency)
+            for a, nbrs in live.items()
+            for b, latency in nbrs.items()
+            if a < b
         ),
     }
     for src in nodes:
@@ -106,12 +108,19 @@ def test_version_moves_only_on_mutators():
         v = net.version
 
 
-def test_live_graph_is_a_private_copy():
+def test_live_view_refuses_mutation_and_components_are_fresh_sets():
     net = OverlayNetwork.full_mesh({("a", "b"): 5.0})
-    copy = net.live_graph()
-    copy.remove_node("b")
-    assert net.component_of("a") == {"a", "b"}
-    assert sorted(net.live_graph().nodes) == ["a", "b"]
+    live = net.live_view()
+    with pytest.raises(TypeError):
+        del live["b"]
+    with pytest.raises(TypeError):
+        live["a"]["b"] = 1.0
+    with pytest.raises(TypeError):
+        del live["a"]["b"]
+    assert {n: dict(nbrs) for n, nbrs in net.live_view().items()} == {
+        "a": {"b": 5.0},
+        "b": {"a": 5.0},
+    }
     component = net.component_of("a")
     component.clear()
     assert net.component_of("a") == {"a", "b"}

@@ -26,6 +26,7 @@ import pytest
 from repro.serve.ingress import (
     MAX_HEADERS,
     MAX_LINE,
+    RECV_BUFFER,
     HttpIngress,
     _Connection,
 )
@@ -331,6 +332,23 @@ class Transport:
     def resume_reading(self) -> None: ...
 
 
+def feed(connection: _Connection, data: bytes) -> int:
+    """Deliver ``data`` as the selector transport does: ask for the
+    connection's buffer, copy at most its length in, report the count, in
+    as many reads as it takes; no read once the connection is closing.
+    Returns the number of reads."""
+    reads = 0
+    view = memoryview(data)
+    while view and not connection.transport.is_closing():
+        buf = connection.get_buffer(-1)
+        n = min(len(buf), len(view))
+        buf[:n] = view[:n]
+        connection.buffer_updated(n)
+        view = view[n:]
+        reads += 1
+    return reads
+
+
 class Harness:
     """One event loop; a fresh service and ingress for every delivery."""
 
@@ -528,7 +546,7 @@ def test_a_client_that_never_reads_is_not_buffered_for():
             assert connection._write_paused
             assert not transport.is_reading()
             assert connection._served < len(want)
-            assert len(connection._buf) <= MAX_LINE + transport.max_size
+            assert len(connection._buf) <= MAX_LINE + RECV_BUFFER
             assert transport.get_write_buffer_size() <= (
                 2 * high_water + 2 * one_reply
             )
@@ -566,7 +584,8 @@ def test_a_resume_after_a_closing_reply_frames_nothing():
     async def main() -> None:
         connection = _Connection(HttpIngress(service))
         connection.connection_made(transport)
-        connection.data_received(
+        feed(
+            connection,
             b"NOT-HTTP\r\nPOST /chaos/blackout?region=%s HTTP/1.1\r\n\r\n"
             % victim.encode()
         )
@@ -579,6 +598,111 @@ def test_a_resume_after_a_closing_reply_frames_nothing():
     assert len(transport.written) == 1
     assert transport.written[0].startswith(b"HTTP/1.1 400 ")
     assert service.overlay.is_alive(victim)
+
+
+# --------------------------------------------------------------------- #
+# the receive buffer
+# --------------------------------------------------------------------- #
+
+
+def padded(target: str, size: int) -> bytes:
+    """A keep-alive ``GET target`` of exactly ``size`` bytes, padded with
+    header lines of at most 4 000 bytes."""
+    head = b"GET %s HTTP/1.1\r\n" % target.encode()
+    room = size - len(head) - 2  # the blank line that ends the head
+    pads = []
+    while room > 4000:
+        pads.append(b"X: " + b"p" * 1995 + b"\r\n")
+        room -= 2000
+    pads.append(b"X: " + b"p" * (room - 5) + b"\r\n")
+    request = head + b"".join(pads) + b"\r\n"
+    assert len(request) == size
+    return request
+
+
+def read_through(chunks: list[bytes]) -> tuple[list, list, Transport, int]:
+    """Each chunk arrives as one ``feed`` on a fresh connection: the
+    requests dispatched, the replies, the transport and the reads taken."""
+    ingress = HttpIngress(make_service())
+    dispatched = []
+    dispatch = ingress._dispatch
+
+    def logged_dispatch(method: str, target: str, keep_alive: bool):
+        dispatched.append((method, target))
+        return dispatch(method, target, keep_alive)
+
+    ingress._dispatch = logged_dispatch
+    transport = Transport()
+
+    async def main() -> int:
+        connection = _Connection(ingress)
+        connection.connection_made(transport)
+        reads = sum(feed(connection, chunk) for chunk in chunks)
+        connection.connection_lost(None)
+        return reads
+
+    reads = asyncio.run(main())
+    replies = parse_replies(b"".join(transport.written))
+    return dispatched, replies, transport, reads
+
+
+def test_a_read_that_exactly_fills_the_buffer():
+    data = b"".join(padded(f"/seq/{k}", RECV_BUFFER // 4) for k in range(4))
+    assert len(data) == RECV_BUFFER
+    dispatched, replies, transport, reads = read_through([data])
+    assert reads == 1
+    assert (dispatched, "eof") == reference_frames(data)
+    assert [reply[:2] for reply in replies] == [(404, True)] * 4
+    assert not transport.closing
+
+
+def test_a_request_line_split_across_two_full_buffers():
+    first = padded("/healthz", RECV_BUFFER - 10)
+    data = first + padded("/seq/straddle", RECV_BUFFER + 10)
+    assert data[RECV_BUFFER - 10:RECV_BUFFER + 10].startswith(b"GET /seq/")
+    for chunks in ([data], [data[:RECV_BUFFER], data[RECV_BUFFER:]]):
+        dispatched, replies, _, reads = read_through(chunks)
+        assert reads == 2
+        assert dispatched == [("GET", "/healthz"), ("GET", "/seq/straddle")]
+        assert [reply[:2] for reply in replies] == [(200, True), (404, True)]
+
+
+@pytest.mark.parametrize("arrival", [1000, 3 * RECV_BUFFER])
+def test_a_line_overrun_spread_over_reads_is_refused_once(arrival):
+    """A request, then a line that starts 100 bytes before a read ends and
+    never ends: 400 and close at the read that takes it to ``MAX_LINE``,
+    and no read after it."""
+    head = padded("/healthz", RECV_BUFFER - 100)
+    data = head + b"G" * (2 * RECV_BUFFER)
+    chunks = [data[i:i + arrival] for i in range(0, len(data), arrival)]
+    dispatched, replies, transport, reads = read_through(chunks)
+    assert (dispatched, "bad") == reference_frames(data)
+    assert dispatched == [("GET", "/healthz")]
+    assert [reply[:2] for reply in replies] == [(200, True), (400, False)]
+    assert replies[1][2] == b'{"error": "line too long"}'
+    assert transport.closing
+    read_size = min(arrival, RECV_BUFFER)
+    assert reads == -(-(len(head) + MAX_LINE) // read_size) > 1
+
+
+def test_every_read_lands_in_the_same_buffer():
+    transport = Transport()
+
+    async def main() -> None:
+        connection = _Connection(HttpIngress(make_service()))
+        connection.connection_made(transport)
+        buf = connection.get_buffer(-1)
+        assert len(buf) == RECV_BUFFER
+        for sizehint in (-1, 1, RECV_BUFFER, 4 * RECV_BUFFER):
+            request = b"GET /healthz HTTP/1.1\r\n\r\n"
+            assert connection.get_buffer(sizehint) is buf
+            buf[:len(request)] = request
+            connection.buffer_updated(len(request))
+        connection.connection_lost(None)
+
+    asyncio.run(main())
+    replies = parse_replies(b"".join(transport.written))
+    assert [reply[:2] for reply in replies] == [(200, True)] * 4
 
 
 # --------------------------------------------------------------------- #
@@ -700,7 +824,7 @@ def test_admin_query_strings_match_a_plain_parse(seed):
             transport = Transport()
             connection = _Connection(ingress)
             connection.connection_made(transport)
-            connection.data_received(request.encode("latin-1") + b"\r\n")
+            feed(connection, request.encode("latin-1") + b"\r\n")
             connection.connection_lost(None)
             status, payload = oracle.answer(method, target)
             statuses.add(status)

@@ -287,7 +287,6 @@ ALLOWED = {
     "ChaosEngine.link_flap_every": "the periodic flap schedule the engine's docstring documents",
     "ChaosEngine.poisson_link_flaps": "the seeded flap schedule the engine's docstring documents",
     "Simulator.pending_events": "how tests observe the event heap",
-    "OverlayNetwork.link_is_up": "how tests observe overlay link state",
     "VmStateTable.view": "how tests map a table row back to its VM",
     "VirtualMachine.idle": "the per-object reference VMC in tests ages a VM with it",
     "FeatureMonitor.latest": "part of the monitor view VirtualMachineController.monitors documents",
