@@ -11,6 +11,8 @@ benches quantify what the policy study leaves implicit:
   population, not just the smooth closed-loop load.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core import AcmManager, CostTracker, RegionSpec, assess_policy_run
@@ -91,8 +93,8 @@ def test_burst_robustness(benchmark):
     for _ in range(200):
         # modulate region1's population by the burst state
         extra = int(mmpp.advance(loop.config.era_s) / loop.config.era_s / 8)
-        loop.populations["region1"] = base_pop.scaled(
-            min(base_pop.n_clients + extra * 56, 512)
+        loop.populations["region1"] = replace(
+            base_pop, n_clients=min(base_pop.n_clients + extra * 56, 512)
         )
         loop.run_era()
     a = assess_policy_run("available-resources+burst", mgr.traces)

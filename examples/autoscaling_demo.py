@@ -15,6 +15,8 @@ Run with::
     python examples/autoscaling_demo.py
 """
 
+from dataclasses import replace
+
 from repro.core import AcmManager, AutoscaleConfig, RegionSpec
 
 
@@ -60,7 +62,7 @@ def main() -> None:
             report(s)
 
     print("\nphase 2: workload surge to 240 clients")
-    loop.populations["elastic"] = pop.scaled(240)
+    loop.populations["elastic"] = replace(pop, n_clients=240)
     pop = loop.populations["elastic"]
     for _ in range(60):
         s = loop.run_era()

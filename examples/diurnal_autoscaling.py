@@ -11,6 +11,8 @@ Run with::
     python examples/diurnal_autoscaling.py
 """
 
+from dataclasses import replace
+
 from repro.core import AcmManager, AutoscaleConfig, RegionSpec
 from repro.workload.profiles import DiurnalProfile
 
@@ -47,8 +49,8 @@ def main() -> None:
 
     print(f"{'era':>4} {'clients':>8} {'active':>7} {'RMTTF':>9} {'resp':>9}")
     for era in range(240):
-        loop.populations["daily"] = base_pop.scaled(
-            profile.clients_at(loop.now)
+        loop.populations["daily"] = replace(
+            base_pop, n_clients=profile.clients_at(loop.now)
         )
         s = loop.run_era()
         if era % 20 == 0:

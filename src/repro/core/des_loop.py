@@ -34,8 +34,16 @@ per-request machinery is index-based and closure-free, while remaining
 golden-trace test):
 
 * browser start-up think times are drawn in one vectorised block per
-  region (``Generator.exponential(scale, size=n)`` consumes the stream
-  exactly like ``n`` scalar draws);
+  region (``BrowserPopulation.sample_think_times``:
+  ``Generator.exponential(scale, size=n)`` consumes the stream exactly
+  like ``n`` scalar draws);
+* the routing and tie-break draws come straight from the region stream's
+  bit generator through :class:`~repro.sim.rng.ExactDraws`, which
+  consumes it exactly as ``Generator.random()`` and
+  ``Generator.integers(0, k)`` do, without NumPy's ~1-2.5 us of
+  per-call scalar overhead; service and think times stay
+  ``Generator.exponential`` calls (a ziggurat draw has no public
+  bit-generator equivalent);
 * forward-plan routing is one uniform draw through the installed
   :class:`~repro.core.forward_plan.PlanTable`: ``bisect_right`` over a
   per-row CDF list built once at plan install -- the same stream
@@ -49,8 +57,8 @@ golden-trace test):
 * join-shortest-queue is one Python scan, at every pool size, over a
   per-region ``in_flight`` ``list[int]`` indexed by VM slot (loop-private
   and only ever read one cell at a time, so a list, not an array), and
-  breaks ties with ``Generator.integers(0, k)`` -- the draw
-  ``Generator.choice(candidates)`` performs internally;
+  breaks ties with ``ExactDraws.integers(k)``: the ``integers(0, k)``
+  draw ``Generator.choice(candidates)`` performs internally;
 * request completion and next-click events go through the engine's
   fire-and-forget, argument-binding path
   (:meth:`repro.sim.engine.Simulator.schedule_pooled`): one heap tuple
@@ -80,7 +88,7 @@ from repro.pcam.state_table import CODE_ACTIVE, CODE_FAILED, VmStateTable
 from repro.pcam.vm import VirtualMachine
 from repro.pcam.vmc import VirtualMachineController, VmcConfig
 from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import ExactDraws, RngRegistry
 from repro.sim.tracing import TraceRecorder
 from repro.workload.browsers import BrowserPopulation
 
@@ -221,6 +229,7 @@ class DesControlLoop:
         # index-aligned views of the per-name maps (hot-path access)
         self._state_by_idx = [self._states[r] for r in self.region_names]
         self._rng_by_idx = [self._rngs[r] for r in self.region_names]
+        self._draws_by_idx = [ExactDraws(rng) for rng in self._rng_by_idx]
         # telemetry handles are pre-fetched per region; the per-request
         # path pays one is-None check when telemetry is off
         self._obs_resp = (
@@ -287,8 +296,8 @@ class DesControlLoop:
                 continue
             # one vectorised block per region: consumes the stream exactly
             # like n sequential scalar exponential draws
-            delays = self._rng_by_idx[i].exponential(
-                state.population.think_time_s, size=n
+            delays = state.population.sample_think_times(
+                self._rng_by_idx[i], n
             )
             args = (i,)
             for delay in delays.tolist():
@@ -296,7 +305,8 @@ class DesControlLoop:
 
     def _issue(self, i: int) -> None:
         rng = self._rng_by_idx[i]
-        j = self._plan.route(i, rng.random())
+        draws = self._draws_by_idx[i]
+        j = self._plan.route(i, draws.random())
         state = self._state_by_idx[j]
         active = state.active_slots
         if not active:
@@ -304,7 +314,7 @@ class DesControlLoop:
             self._schedule_next(i)
             return
         # join-shortest-queue over the slot-indexed in-flight counts;
-        # tie-break with the same integers draw Generator.choice performs
+        # tie-break with the integers(0, k) draw Generator.choice performs
         in_flight = state.in_flight
         best = in_flight[active[0]]
         candidates = [active[0]]
@@ -315,7 +325,7 @@ class DesControlLoop:
                 candidates = [slot]
             elif load == best:
                 candidates.append(slot)
-        slot = candidates[int(rng.integers(0, len(candidates)))]
+        slot = candidates[draws.integers(len(candidates))]
         capacity = state.table.capacity_at(slot)
         share = in_flight[slot] = in_flight[slot] + 1
         t_start = self.sim.now

@@ -17,14 +17,18 @@ callers (one draw per ACTIVE VM per era through :func:`draw_pool`, one per
 completed request in the DES) only ever add the two numbers to a VM's
 state.  :meth:`AnomalyInjector.inject` is the same draw wrapped into an
 :class:`AnomalyEffect` for callers that want the named, addable record.
+A one-request draw takes its two counts from
+:class:`~repro.sim.rng.ExactDraws`, bound on the first such draw.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+from repro.sim.rng import ExactDraws
 
 #: Paper's injection probabilities (Sec. VI-A).
 DEFAULT_LEAK_PROBABILITY = 0.10
@@ -87,10 +91,9 @@ class AnomalyInjector:
         leak_sigma: float = 0.5,
         thread_overhead_mb: float = 0.25,
     ) -> None:
-        if not 0.0 <= leak_probability <= 1.0:
-            raise ValueError("leak_probability must be in [0, 1]")
-        if not 0.0 <= thread_probability <= 1.0:
-            raise ValueError("thread_probability must be in [0, 1]")
+        # the setters validate both probabilities
+        self.leak_probability = leak_probability
+        self.thread_probability = thread_probability
         # written as ``not <range>`` so that NaN fails too
         if not 0.0 < leak_mean_mb < math.inf:
             raise ValueError("leak_mean_mb must be positive and finite")
@@ -99,8 +102,6 @@ class AnomalyInjector:
         if not 0.0 <= thread_overhead_mb < math.inf:
             raise ValueError("thread_overhead_mb must be non-negative and finite")
         self._rng = rng
-        self.leak_probability = float(leak_probability)
-        self.thread_probability = float(thread_probability)
         self.leak_mean_mb = float(leak_mean_mb)
         self.leak_sigma = float(leak_sigma)
         self.thread_overhead_mb = float(thread_overhead_mb)
@@ -109,6 +110,34 @@ class AnomalyInjector:
         # bound methods skip the per-call attribute chase on the hot path
         self._binomial = rng.binomial
         self._lognormal = rng.lognormal
+
+    #: the one-request count draws, ``(leaks, threads)``: built on the
+    #: first ``draw(1)``, dropped when a probability changes
+    _one_request: tuple[Callable[[], int], Callable[[], int]] | None = None
+
+    @property
+    def leak_probability(self) -> float:
+        """Probability a request leaks memory."""
+        return self._p_leak
+
+    @leak_probability.setter
+    def leak_probability(self, p: float) -> None:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("leak_probability must be in [0, 1]")
+        self._p_leak = float(p)
+        self._one_request = None
+
+    @property
+    def thread_probability(self) -> float:
+        """Probability a request leaves an unterminated thread."""
+        return self._p_thread
+
+    @thread_probability.setter
+    def thread_probability(self, p: float) -> None:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("thread_probability must be in [0, 1]")
+        self._p_thread = float(p)
+        self._one_request = None
 
     # ------------------------------------------------------------------ #
 
@@ -124,10 +153,23 @@ class AnomalyInjector:
             raise ValueError("n_requests must be >= 0")
         if n_requests == 0:
             return 0.0, 0
-        n_leaks = int(self._binomial(n_requests, self.leak_probability))
-        n_threads = int(
-            self._binomial(n_requests, self.thread_probability)
-        )
+        if n_requests == 1:
+            counts = self._one_request
+            if counts is None:
+                # bound here, not in __init__: binding costs ~50 us and
+                # ~2 KB a stream, which a fleet of batch-drawing VMs
+                # must not pay
+                exact = ExactDraws(self._rng)
+                counts = self._one_request = (
+                    exact.binomial_one(self._p_leak),
+                    exact.binomial_one(self._p_thread),
+                )
+            leaks, threads = counts
+            n_leaks = leaks()
+            n_threads = threads()
+        else:
+            n_leaks = int(self._binomial(n_requests, self._p_leak))
+            n_threads = int(self._binomial(n_requests, self._p_thread))
         if n_leaks:
             sizes = self._lognormal(
                 self._leak_mu, self.leak_sigma, size=n_leaks
@@ -161,8 +203,8 @@ class AnomalyInjector:
         if request_rate < 0:
             raise ValueError("request_rate must be >= 0")
         per_request = (
-            self.leak_probability * self.leak_mean_mb
-            + self.thread_probability * self.thread_overhead_mb
+            self._p_leak * self.leak_mean_mb
+            + self._p_thread * self.thread_overhead_mb
         )
         return request_rate * per_request
 
@@ -170,7 +212,7 @@ class AnomalyInjector:
         """Mean unterminated threads created per second."""
         if request_rate < 0:
             raise ValueError("request_rate must be >= 0")
-        return request_rate * self.thread_probability
+        return request_rate * self._p_thread
 
 
 def draw_pool(

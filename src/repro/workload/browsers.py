@@ -14,6 +14,7 @@ cloud region ... were significantly different in number" (Sec. VI-A).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,9 @@ def closed_loop_rate(
     """
     if n_clients < 0:
         raise ValueError("n_clients must be >= 0")
-    if think_time_s <= 0:
-        raise ValueError("think_time_s must be positive")
+    # written as ``not <range>`` so that NaN fails too
+    if not 0 < think_time_s < math.inf:
+        raise ValueError("think_time_s must be positive and finite")
     if response_time_s < 0:
         raise ValueError("response_time_s must be >= 0")
     return n_clients / (think_time_s + response_time_s)
@@ -67,8 +69,8 @@ class BrowserPopulation:
     def __post_init__(self) -> None:
         if self.n_clients < 0:
             raise ValueError("n_clients must be >= 0")
-        if self.think_time_s <= 0:
-            raise ValueError("think_time_s must be positive")
+        if not 0 < self.think_time_s < math.inf:
+            raise ValueError("think_time_s must be positive and finite")
 
     def offered_rate(self, response_time_s: float = 0.0) -> float:
         """Closed-loop request rate given the current mean response time."""
@@ -83,13 +85,4 @@ class BrowserPopulation:
         if size < 0:
             raise ValueError("size must be >= 0")
         return rng.exponential(self.think_time_s, size=size)
-
-    def scaled(self, n_clients: int) -> "BrowserPopulation":
-        """Copy with a different client count (workload ramps)."""
-        return BrowserPopulation(
-            n_clients=n_clients,
-            mix=self.mix,
-            think_time_s=self.think_time_s,
-            name=self.name,
-        )
 

@@ -165,6 +165,11 @@ RULES = (
          (SRC + "serve/ingress.py",), (),
          "the ingress parses a target and encodes a reply only in the "
          "helpers its memos call", "after 23c748d", max_count=3),
+    # bracketed so that this line does not match itself
+    Rule("bit-generator-ctypes", r"bit_generator\.ctype[s]",
+         ("src/", "tests/", "examples/", "benchmarks/"), (SRC + "sim/rng.py",),
+         "a stream's bit generator is drawn from directly only through "
+         "sim/rng.py::ExactDraws", "after 72c5750"),
 )
 
 #: row id -> lines that each violate it: (file, line appended to it)
@@ -200,6 +205,9 @@ INJECT = {
     ],
     "ingress-per-request-parse": [
         (SRC + "serve/ingress.py", "query = parse_qs(urlsplit(target).query)")
+    ],
+    "bit-generator-ctypes": [
+        (SRC + "core/des_loop.py", "iface = rng.bit_generator.ctype" "s")
     ],
 }
 
@@ -278,7 +286,6 @@ ALLOWED = {
     "VirtualMachineController.compact_table": "table compaction DESIGN documents",
     "LeaderElection.takeover_count": "DESIGN's election history; an example prints it",
     "OverlayNetwork.full_mesh": "the benchmark harness builds its overlay with it",
-    "BrowserPopulation.scaled": "the autoscaling examples resize a population with it",
     "TraceRecorder.from_csv": "reads back what `repro export` writes",
     "read_csv_manifest": "reads back the `# manifest:` line EXPERIMENTS documents",
     "TraceSeries.resample": "puts an exported trace on another time grid",
@@ -409,3 +416,42 @@ def test_the_smoke_runs_every_workload_and_the_pins_live_in_one_file():
     script = (REPO / "scripts/ci_check.sh").read_text()
     assert "scripts/e2e_pins.txt" in script
     assert not re.search(r"[0-9a-f]{32}", script)
+
+
+# ------------------------------------------------------------------ #
+# a batch-drawing fleet binds no bit-generator handle
+# ------------------------------------------------------------------ #
+
+
+def test_a_fleet_era_binds_no_one_request_draw():
+    """``AnomalyInjector`` binds :class:`repro.sim.rng.ExactDraws` on its
+    first one-request draw, never before: binding costs ~50 us and
+    ~1.7 KB a stream, which a 10 000-VM pool drawing batches must not
+    pay at set-up or per era."""
+    import numpy as np
+
+    from repro.pcam.predictor import RttfPredictor
+    from repro.pcam.vm import VirtualMachine
+    from repro.pcam.vmc import VirtualMachineController, VmcConfig
+    from repro.sim.instances import get_instance_type
+    from repro.workload.anomalies import AnomalyInjector
+
+    class Steady(RttfPredictor):
+        def predict_rttf(self, vm):
+            return 1e9
+
+    n_vms = 10_000
+    itype = get_instance_type("m3.medium")
+    vms = [
+        VirtualMachine(
+            f"vm{i:05d}", itype, AnomalyInjector(np.random.default_rng([5, i]))
+        )
+        for i in range(n_vms)
+    ]
+    vmc = VirtualMachineController(
+        "fleet", vms, Steady(), VmcConfig(target_active=n_vms)
+    )
+    vmc.process_era(4 * n_vms, 30.0, 0.0)
+    assert vmc.table.total_requests.min() >= 2
+    bound = [vm.name for vm in vms if vm.injector._one_request is not None]
+    assert not bound, f"{len(bound)} injectors bound a handle: {bound[:3]}"

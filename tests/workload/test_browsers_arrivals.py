@@ -1,5 +1,8 @@
 """Tests for browser populations and arrival processes."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,12 @@ class TestClosedLoopRate:
         with pytest.raises(ValueError):
             closed_loop_rate(1, 7.0, -1.0)
 
+    @pytest.mark.parametrize("think_time_s", [math.nan, math.inf])
+    def test_non_finite_think_time_is_refused(self, think_time_s):
+        # nan would return a NaN rate, inf a silent 0.0
+        with pytest.raises(ValueError, match="finite"):
+            closed_loop_rate(10, think_time_s, 0.0)
+
 
 class TestBrowserPopulation:
     def test_offered_rate_uses_closed_loop_law(self):
@@ -47,7 +56,7 @@ class TestBrowserPopulation:
 
     def test_scaled_copy(self):
         pop = BrowserPopulation(n_clients=16, name="r1")
-        big = pop.scaled(512)
+        big = replace(pop, n_clients=512)
         assert big.n_clients == 512
         assert big.name == "r1"
         assert pop.n_clients == 16  # original untouched
@@ -57,6 +66,16 @@ class TestBrowserPopulation:
             BrowserPopulation(n_clients=-1)
         with pytest.raises(ValueError):
             BrowserPopulation(n_clients=1, think_time_s=0.0)
+
+    @pytest.mark.parametrize("think_time_s", [math.nan, math.inf])
+    def test_non_finite_think_time_is_refused(self, think_time_s):
+        # nan made offered_rate() NaN; inf left every DES browser's first
+        # click at t = inf, so it never clicked
+        with pytest.raises(ValueError, match="finite"):
+            BrowserPopulation(n_clients=16, think_time_s=think_time_s)
+        pop = BrowserPopulation(n_clients=16)
+        with pytest.raises(ValueError, match="finite"):
+            replace(pop, think_time_s=think_time_s)
 
 
 class TestPoissonArrivals:
