@@ -35,6 +35,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_hotpath.json"
 
@@ -70,8 +72,10 @@ REPEATS = 3
 class _ConstantPredictor(RttfPredictor):
     """RTTF far above the swap threshold: no rejuvenation churn."""
 
-    def predict_rttf(self, vm: VirtualMachine) -> float:
-        return 1e9
+    def predict_rttf_rows(
+        self, rows: np.ndarray, vms: list[VirtualMachine]
+    ) -> np.ndarray:
+        return np.full(len(vms), 1e9)
 
 
 def build_loop(

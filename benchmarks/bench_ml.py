@@ -3,14 +3,14 @@
 Measures the wall time of one analysis pass over a pool of ACTIVE VMs
 with a trained F2PM predictor, comparing
 
-* the pre-lifecycle shape -- ``predict_rttf(vm)`` called once per VM in
-  a Python loop (one model invocation per VM), against
-* the batched shape -- a single ``predict_rttf_batch(pool)`` call that
-  stacks every VM's feature row and invokes the model once
-  (what ``vmc.process_era`` and ``des_loop`` now do),
+* the pre-lifecycle shape -- one one-row ``predict_rttf_rows`` call per
+  VM in a Python loop (one model invocation per VM), against
+* the batched shape -- a single ``predict_rttf_rows`` call over every
+  VM's feature row stacked, invoking the model once (what
+  ``vmc.process_era`` does for every host, the DES loop included),
 
 at three pool sizes, for both the plain :class:`TrainedRttfPredictor`
-and the stateful :class:`TrendAwareRttfPredictor` (whose batch path
+and the stateful :class:`TrendAwareRttfPredictor` (whose row path
 still updates each VM's slope window).  Results go to ``BENCH_ml.json``
 at the repository root.
 
@@ -31,6 +31,8 @@ import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_ml.json"
@@ -89,10 +91,12 @@ def bench_predictor(predictor, pool) -> dict:
 
     def per_vm():
         for vm in pool:
-            predictor.predict_rttf(vm)
+            row = vm.sample_features().to_array()
+            predictor.predict_rttf_rows(row[np.newaxis, :], [vm])
 
     def batched():
-        predictor.predict_rttf_batch(pool)
+        rows = np.vstack([vm.sample_features().to_array() for vm in pool])
+        predictor.predict_rttf_rows(rows, pool)
 
     # warm up: fills any per-VM history windows and the allocator caches
     per_vm()

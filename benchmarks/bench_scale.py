@@ -68,9 +68,6 @@ def test_huge_fleet_era_throughput(benchmark):
             rows = np.atleast_2d(np.asarray(rows, dtype=float))
             return np.full(rows.shape[0], 1e9)
 
-        def predict_one(self, row):
-            return 1e9
-
     n_vms = 10_000
     m3 = get_instance_type("m3.medium")
     ps = get_instance_type("private.small")

@@ -73,7 +73,8 @@ def main() -> None:
         if vm.state is not VmState.ACTIVE:
             break
         if int(t / dt) % 3 == 0:
-            predicted = predictor.predict_rttf(vm)
+            row = vm.sample_features().to_array()
+            predicted = predictor.predict_rttf_rows(row[np.newaxis, :], [vm])[0]
             truth = vm.true_time_to_failure_s(8.0)
             print(f"  {t:6.0f} {predicted:14.0f}s {truth:9.0f}s")
         t += dt

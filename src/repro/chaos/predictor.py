@@ -23,6 +23,8 @@ switch it between corruption modes at runtime:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.pcam.predictor import RttfPredictor
 from repro.pcam.vm import VirtualMachine
 
@@ -44,40 +46,27 @@ class CorruptiblePredictor(RttfPredictor):
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.mode = mode
 
-    def predict_rttf(self, vm: VirtualMachine) -> float:
+    def predict_rttf_rows(
+        self, rows: np.ndarray, vms: list[VirtualMachine]
+    ) -> np.ndarray:
         if self.mode == "nan":
-            return float("nan")
+            return np.full(len(vms), np.nan)
         if self.mode == "zero":
-            return 0.0
-        if self.mode == "stale":
-            # Serve the last healthy answer; fall through to the inner
-            # predictor only if this VM was never predicted while healthy.
-            if vm.name in self._last:
-                return self._last[vm.name]
-        value = self.inner.predict_rttf(vm)
-        if self.mode == "off":
-            self._last[vm.name] = value
-        return value
-
-    def predict_rttf_batch(self, vms: list[VirtualMachine]):
-        if self.mode == "off":
-            values = self.inner.predict_rttf_batch(vms)
-            for vm, value in zip(vms, values):
-                self._last[vm.name] = float(value)
-            return values
-        # Corruption modes keep the scalar path so per-VM staleness
-        # bookkeeping stays exact.
-        return super().predict_rttf_batch(vms)
-
-    def predict_rttf_rows(self, rows, vms: list[VirtualMachine]):
+            return np.zeros(len(vms))
         if self.mode == "off":
             values = self.inner.predict_rttf_rows(rows, vms)
-            for vm, value in zip(vms, values):
-                self._last[vm.name] = float(value)
+            self._last.update(zip((vm.name for vm in vms), values.tolist()))
             return values
-        # Corruption modes keep the scalar path so per-VM staleness
-        # bookkeeping stays exact.
-        return super().predict_rttf_batch(vms)
+        # stale: serve the last healthy answer; ask the inner predictor,
+        # in pool order, only about the VMs never predicted while healthy
+        last = self._last
+        values = np.array([last.get(vm.name, np.nan) for vm in vms])
+        fresh = [k for k, vm in enumerate(vms) if vm.name not in last]
+        if fresh:
+            values[fresh] = self.inner.predict_rttf_rows(
+                rows[fresh], [vms[k] for k in fresh]
+            )
+        return values
 
     def evict(self, vm_name: str) -> None:
         self._last.pop(vm_name, None)

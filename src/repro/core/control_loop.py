@@ -28,6 +28,7 @@ overhead -- the effect the paper attributes to Policy 1's oscillations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,8 @@ class ControlLoopConfig:
     autoscale: bool = False
 
     def __post_init__(self) -> None:
-        if self.era_s <= 0:
-            raise ValueError("era_s must be positive")
+        if not 0 < self.era_s < math.inf:
+            raise ValueError("era_s must be positive and finite")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
 

@@ -84,10 +84,6 @@ class TrainedModel:
             )
         return self.model.predict(X_full[:, self._columns])
 
-    def predict_one(self, row: np.ndarray) -> float:
-        """Scalar convenience wrapper over :meth:`predict`."""
-        return float(self.predict(np.asarray(row).reshape(1, -1))[0])
-
 
 @dataclass
 class ModelComparison:

@@ -22,7 +22,7 @@ from typing import Literal
 
 import numpy as np
 
-from repro.pcam.vm import VirtualMachine, VmState
+from repro.pcam.state_table import VmStateTable
 
 Discipline = Literal["capacity", "uniform"]
 
@@ -81,43 +81,20 @@ class LocalBalancer:
         self.discipline: Discipline = discipline
         self._rng = rng
 
-    def weights(self, vms: list[VirtualMachine]) -> np.ndarray:
-        """Routing weights over the given (ACTIVE) VMs."""
+    def weights_of(
+        self, table: VmStateTable, rows: np.ndarray
+    ) -> np.ndarray:
+        """Routing weights over the given (ACTIVE) table rows, in order."""
         if self.discipline == "uniform":
-            return np.ones(len(vms))
-        return np.array([vm.effective_capacity for vm in vms])
-
-    def split(
-        self, n_requests: int, vms: list[VirtualMachine]
-    ) -> dict[str, int]:
-        """Assign ``n_requests`` to ACTIVE VMs; returns name -> count.
-
-        Raises
-        ------
-        RuntimeError
-            If the region has no ACTIVE VM to serve a positive batch
-            (availability loss -- callers surface this as an outage).
-        """
-        active = [vm for vm in vms if vm.state is VmState.ACTIVE]
-        if not active:
-            if n_requests == 0:
-                return {}
-            raise RuntimeError(
-                "no ACTIVE VM available to serve "
-                f"{n_requests} requests (region outage)"
-            )
-        counts = self.split_counts(n_requests, self.weights(active))
-        return {vm.name: int(c) for vm, c in zip(active, counts)}
+            return np.ones(len(rows))
+        return table.effective_capacity_of(rows)
 
     def split_counts(
         self, n_requests: int, weights: np.ndarray
     ) -> np.ndarray:
         """Assign ``n_requests`` proportionally to ``weights``, by position.
 
-        The weight-level core of :meth:`split`: the VMC computes the
-        ACTIVE pool's weights straight from the state table
-        (bit-identical to :meth:`weights` over the same VMs) and calls
-        this to skip the per-VM object walk and the name dict.
+        The VMC passes it the :meth:`weights_of` its ACTIVE rows.
         """
         w = weights
         if w.sum() <= 0:
@@ -136,9 +113,6 @@ class DomainAwareBalancer(LocalBalancer):
     traffic *prefers* healthy racks but still reaches a degraded one when
     it holds the only ACTIVE capacity -- the penalty shifts load, it never
     zeroes a VM out.
-
-    Being a ``LocalBalancer`` subclass, the VMC routes through its
-    :meth:`split` (the object API) rather than the weight-array shortcut.
 
     Parameters
     ----------
@@ -163,15 +137,12 @@ class DomainAwareBalancer(LocalBalancer):
         self.health = health
         self.degraded_penalty = float(degraded_penalty)
 
-    def weights(self, vms: list[VirtualMachine]) -> np.ndarray:
-        w = super().weights(vms)
+    def weights_of(
+        self, table: VmStateTable, rows: np.ndarray
+    ) -> np.ndarray:
+        w = super().weights_of(table, rows)
         degraded = self.health.degraded_racks()
         if degraded:
-            penalty = np.array(
-                [
-                    self.degraded_penalty if vm.rack_id in degraded else 1.0
-                    for vm in vms
-                ]
-            )
-            w = w * penalty
+            in_degraded = np.isin(table.rack_id[rows], list(degraded))
+            w = w * np.where(in_degraded, self.degraded_penalty, 1.0)
         return w

@@ -14,8 +14,12 @@ Implementations share the :class:`RttfPredictor` interface:
   model both the latest sample and its finite-difference trends;
 * :class:`ConservativeRttfPredictor` -- asymmetric-loss safety margin
   around any other predictor;
-* :class:`OracleRttfPredictor` -- the mean-field ground truth, used by
-  tests and by ablation benches to separate policy dynamics from ML error.
+* :class:`OracleRttfPredictor` -- the mean-field ground truth: every
+  figure's default predictor, and (with noise) the ablation benches'
+  way to add prediction error in controlled amounts.
+
+Each answers one question, :meth:`RttfPredictor.predict_rttf_rows`: the
+RTTF of a pool's VMs from their feature rows, one call per era.
 """
 
 from __future__ import annotations
@@ -37,42 +41,24 @@ from repro.pcam.vm import (
 
 
 class RttfPredictor(abc.ABC):
-    """Interface: predict the Remaining Time To Failure of a VM."""
+    """Interface: predict the Remaining Time To Failure of a pool's VMs."""
 
     @abc.abstractmethod
-    def predict_rttf(self, vm: VirtualMachine) -> float:
-        """Predicted seconds until the VM reaches its failure point."""
-
-    def predict_rttf_batch(
-        self, vms: "list[VirtualMachine]"
-    ) -> np.ndarray:
-        """Predicted RTTF for several VMs at once, in ``vms`` order.
-
-        The base implementation loops :meth:`predict_rttf` (preserving
-        any per-VM side effects such as RNG draws or history updates, in
-        the same order a caller's own loop would).  Model-backed
-        predictors override this to stack every VM's feature row into a
-        single ``model.predict`` call -- the per-era inference hot path
-        of the VMC and the DES loop.
-        """
-        return np.array([self.predict_rttf(vm) for vm in vms], dtype=float)
-
     def predict_rttf_rows(
         self, rows: np.ndarray, vms: "list[VirtualMachine]"
     ) -> np.ndarray:
-        """Predict RTTF from pre-computed feature rows, in ``vms`` order.
+        """Predicted seconds until each VM fails, in ``vms`` order.
 
         ``rows`` is the ``(len(vms), len(FEATURE_NAMES))`` matrix the VMC
         builds with
         :meth:`repro.pcam.state_table.VmStateTable.feature_matrix`; its
         values are bit-identical to each VM's
-        ``sample_features().to_array()``.  The base implementation
-        ignores the rows and defers to :meth:`predict_rttf_batch`, so
-        oracle and wrapper predictors keep their exact semantics;
-        model-backed predictors override it to feed the matrix straight
-        into ``model.predict`` with no per-VM feature construction.
+        ``sample_features().to_array()``.  Model-backed predictors feed
+        it straight into ``model.predict``; the oracle reads the VMs'
+        anomaly state instead.  A predictor with per-VM side effects (RNG
+        draws, history windows) applies them once per VM, in ``vms``
+        order, so a pooled call equals one one-row call per VM.
         """
-        return self.predict_rttf_batch(vms)
 
     def evict(self, vm_name: str) -> None:
         """Forget any per-VM state held for ``vm_name``.
@@ -98,22 +84,8 @@ class TrainedRttfPredictor(RttfPredictor):
     """
 
     def __init__(self, model: TrainedModel, floor_s: float = 0.0) -> None:
-        if floor_s < 0:
-            raise ValueError("floor_s must be >= 0")
         self.model = model
-        self.floor_s = float(floor_s)
-
-    def predict_rttf(self, vm: VirtualMachine) -> float:
-        row = vm.sample_features().to_array()
-        return max(float(self.model.predict_one(row)), self.floor_s)
-
-    def predict_rttf_batch(
-        self, vms: list[VirtualMachine]
-    ) -> np.ndarray:
-        if not vms:
-            return np.empty(0, dtype=float)
-        rows = np.vstack([vm.sample_features().to_array() for vm in vms])
-        return self.predict_rttf_rows(rows, vms)
+        self.floor_s = _finite_floor(floor_s)
 
     def predict_rttf_rows(
         self, rows: np.ndarray, vms: list[VirtualMachine]
@@ -151,57 +123,36 @@ class TrendAwareRttfPredictor(RttfPredictor):
     ) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
-        if floor_s < 0:
-            raise ValueError("floor_s must be >= 0")
         self.model = model
         self.window = int(window)
-        self.floor_s = float(floor_s)
+        self.floor_s = _finite_floor(floor_s)
         self._history: dict[str, deque[tuple[float, np.ndarray]]] = {}
-
-    def _derived_row(self, vm: VirtualMachine) -> np.ndarray:
-        """Update ``vm``'s history window and build its derived row.
-
-        Exactly one history append per call -- callers must sample each
-        VM once per era (a second prediction double-appends).
-        """
-        return self._derived_from(vm, vm.sample_features().to_array())
-
-    def _derived_from(self, vm: VirtualMachine, row: np.ndarray) -> np.ndarray:
-        """Like :meth:`_derived_row` but from an already-sampled row."""
-        hist = self._history.get(vm.name)
-        if hist is None:
-            hist = deque(maxlen=self.window + 1)
-            self._history[vm.name] = hist
-        # a rejuvenated VM restarts its life: drop the stale window
-        if hist and vm.uptime_s < hist[-1][0]:
-            hist.clear()
-        hist.append((vm.uptime_s, row))
-        times = np.array([t for t, _ in hist])
-        feats = np.vstack([f for _, f in hist])
-        slopes = slope_features(times, feats, window=self.window)
-        return np.concatenate([row, slopes[-1]])
-
-    def predict_rttf(self, vm: VirtualMachine) -> float:
-        derived_row = self._derived_row(vm)
-        return max(float(self.model.predict_one(derived_row)), self.floor_s)
-
-    def predict_rttf_batch(
-        self, vms: list[VirtualMachine]
-    ) -> np.ndarray:
-        if not vms:
-            return np.empty(0, dtype=float)
-        rows = np.vstack([self._derived_row(vm) for vm in vms])
-        return np.maximum(self.model.predict(rows), self.floor_s)
 
     def predict_rttf_rows(
         self, rows: np.ndarray, vms: list[VirtualMachine]
     ) -> np.ndarray:
+        """Append each VM's ``(uptime, row)`` to its window, then predict
+        from the rows with their trailing slopes appended.
+
+        Exactly one history append per VM a call -- callers must predict
+        each VM once per era (a second prediction double-appends).
+        """
         if not vms:
             return np.empty(0, dtype=float)
-        derived = np.vstack(
-            [self._derived_from(vm, rows[k]) for k, vm in enumerate(vms)]
-        )
-        return np.maximum(self.model.predict(derived), self.floor_s)
+        derived = []
+        for vm, row in zip(vms, rows):
+            hist = self._history.get(vm.name)
+            if hist is None:
+                hist = self._history[vm.name] = deque(maxlen=self.window + 1)
+            # a rejuvenated VM restarts its life: drop the stale window
+            if hist and vm.uptime_s < hist[-1][0]:
+                hist.clear()
+            hist.append((vm.uptime_s, row))
+            times = np.array([t for t, _ in hist])
+            feats = np.vstack([f for _, f in hist])
+            slopes = slope_features(times, feats, window=self.window)
+            derived.append(np.concatenate([row, slopes[-1]]))
+        return np.maximum(self.model.predict(np.vstack(derived)), self.floor_s)
 
     def evict(self, vm_name: str) -> None:
         self._history.pop(vm_name, None)
@@ -231,14 +182,6 @@ class ConservativeRttfPredictor(RttfPredictor):
         self.inner = inner
         self.margin = float(margin)
 
-    def predict_rttf(self, vm: VirtualMachine) -> float:
-        return self.margin * self.inner.predict_rttf(vm)
-
-    def predict_rttf_batch(
-        self, vms: list[VirtualMachine]
-    ) -> np.ndarray:
-        return self.margin * self.inner.predict_rttf_batch(vms)
-
     def predict_rttf_rows(
         self, rows: np.ndarray, vms: list[VirtualMachine]
     ) -> np.ndarray:
@@ -263,26 +206,24 @@ class OracleRttfPredictor(RttfPredictor):
     ) -> None:
         if not 0 < mean_demand < math.inf:
             raise ValueError("mean_demand must be positive and finite")
-        if noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0 <= noise_std < math.inf:
+            raise ValueError("noise_std must be >= 0 and finite")
         if noise_std > 0 and rng is None:
             raise ValueError("rng required when noise_std > 0")
         self.mean_demand = float(mean_demand)
         self.noise_std = float(noise_std)
         self._rng = rng
 
-    def predict_rttf(self, vm: VirtualMachine) -> float:
-        return float(self.predict_rttf_batch([vm])[0])
-
-    def predict_rttf_batch(
-        self, vms: list[VirtualMachine]
+    def predict_rttf_rows(
+        self, rows: np.ndarray, vms: list[VirtualMachine]
     ) -> np.ndarray:
         """One :func:`~repro.pcam.vm.mean_field_ttf_s` call per VM.
 
-        Reads each VM's anomaly level and last rate (one column gather
-        when the pool shares a :class:`VmStateTable`), derives the
-        instance-shape constants once per type, and writes nothing back;
-        noise draws happen per finite value in ``vms`` order.
+        Ignores ``rows``: reads each VM's anomaly level and last rate
+        (one column gather when the pool shares a :class:`VmStateTable`),
+        derives the instance-shape constants once per type, and writes
+        nothing back; noise draws happen per finite value in ``vms``
+        order.
         """
         out = np.empty(len(vms), dtype=float)
         if not vms:
@@ -325,6 +266,13 @@ class OracleRttfPredictor(RttfPredictor):
                 ttf *= max(1.0 + self._rng.normal(0.0, self.noise_std), 0.05)
             out[k] = ttf
         return out
+
+
+def _finite_floor(floor_s: float) -> float:
+    """``floor_s`` as a float; NaN would make every prediction NaN."""
+    if not 0 <= floor_s < math.inf:
+        raise ValueError("floor_s must be >= 0 and finite")
+    return float(floor_s)
 
 
 def _anomaly_state(

@@ -13,40 +13,41 @@ bench quantify the gap the paper takes as motivation:
 * :class:`NoRejuvenation` -- the do-nothing control: VMs run to failure
   and recover reactively.
 
-All disciplines answer one question per ACTIVE VM per era:
-"should this VM be swapped out now?".  The VMC still pairs every swap with
-a standby ACTIVATE and prioritises the most urgent VMs.
+All disciplines answer one question per era over the ACTIVE pool: "which
+of these VMs should be swapped out now, most urgent first?".  The VMC
+still pairs every swap with a standby ACTIVATE.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 
-from repro.pcam.vm import VirtualMachine
+import numpy as np
 
 
 class RejuvenationDiscipline(abc.ABC):
-    """Decides, per era, whether a VM should be proactively rejuvenated."""
+    """Decides, per era, which ACTIVE VMs to rejuvenate proactively."""
 
     @abc.abstractmethod
-    def should_rejuvenate(
-        self, vm: VirtualMachine, predicted_rttf: float, dt: float
-    ) -> bool:
-        """Whether to swap ``vm`` out this era.
+    def at_risk(
+        self, rttf: np.ndarray, uptime: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The VMs to swap out this era and how urgently.
 
         Parameters
         ----------
-        vm:
-            The ACTIVE VM under consideration.
-        predicted_rttf:
-            The ML-predicted remaining time to failure (seconds).
-        dt:
-            Era length (how long until the next decision opportunity).
-        """
+        rttf:
+            Predicted remaining time to failure (seconds) of each ACTIVE
+            VM, in pool order.
+        uptime:
+            Each VM's uptime (seconds), aligned with ``rttf``.
 
-    def urgency(self, vm: VirtualMachine, predicted_rttf: float) -> float:
-        """Ordering key among candidates (lower = more urgent)."""
-        return predicted_rttf
+        Returns
+        -------
+        ``(positions, urgency)``: the candidates as increasing positions
+        into ``rttf``, and one ordering key each (lower = more urgent).
+        """
 
 
 class RttfThresholdRejuvenation(RejuvenationDiscipline):
@@ -62,14 +63,16 @@ class RttfThresholdRejuvenation(RejuvenationDiscipline):
     """
 
     def __init__(self, threshold_s: float = 240.0) -> None:
-        if threshold_s < 0:
+        # written so that NaN fails: `rttf < nan` never triggers a swap
+        if not threshold_s >= 0:
             raise ValueError("threshold_s must be >= 0")
         self.threshold_s = float(threshold_s)
 
-    def should_rejuvenate(
-        self, vm: VirtualMachine, predicted_rttf: float, dt: float
-    ) -> bool:
-        return predicted_rttf < self.threshold_s
+    def at_risk(
+        self, rttf: np.ndarray, uptime: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        pos = (rttf < self.threshold_s).nonzero()[0]
+        return pos, rttf[pos]
 
 
 class PeriodicRejuvenation(RejuvenationDiscipline):
@@ -82,18 +85,16 @@ class PeriodicRejuvenation(RejuvenationDiscipline):
     """
 
     def __init__(self, period_s: float) -> None:
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
+        if not 0 < period_s < math.inf:
+            raise ValueError("period_s must be positive and finite")
         self.period_s = float(period_s)
 
-    def should_rejuvenate(
-        self, vm: VirtualMachine, predicted_rttf: float, dt: float
-    ) -> bool:
-        return vm.uptime_s >= self.period_s
-
-    def urgency(self, vm: VirtualMachine, predicted_rttf: float) -> float:
+    def at_risk(
+        self, rttf: np.ndarray, uptime: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        pos = (uptime >= self.period_s).nonzero()[0]
         # the longest-running VM goes first
-        return -vm.uptime_s
+        return pos, -uptime[pos]
 
 
 class NoRejuvenation(RejuvenationDiscipline):
@@ -104,7 +105,7 @@ class NoRejuvenation(RejuvenationDiscipline):
     availability loss the paper's whole mechanism exists to avoid.
     """
 
-    def should_rejuvenate(
-        self, vm: VirtualMachine, predicted_rttf: float, dt: float
-    ) -> bool:
-        return False
+    def at_risk(
+        self, rttf: np.ndarray, uptime: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return np.empty(0, dtype=np.intp), np.empty(0)

@@ -588,18 +588,6 @@ class VirtualMachine:
             self.fail()
         return self.last_response_time_s
 
-    def idle(self, dt: float) -> None:
-        """Advance time without load (STANDBY/idle ACTIVE bookkeeping)."""
-        if dt < 0:
-            raise ValueError("dt must be >= 0")
-        if self.state is VmState.ACTIVE:
-            self.uptime_s += dt
-            self.last_request_rate = 0.0
-        elif self.state is VmState.REJUVENATING:
-            self._rejuvenation_remaining_s -= dt
-            if self._rejuvenation_remaining_s <= 0:
-                self._finish_rejuvenation()
-
     # ------------------------------------------------------------------ #
     # lifecycle transitions
     # ------------------------------------------------------------------ #

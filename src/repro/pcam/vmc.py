@@ -34,8 +34,6 @@ if TYPE_CHECKING:
 from repro.pcam.monitor import MonitorRing, MonitorSample, PoolMonitors
 from repro.pcam.predictor import RttfPredictor
 from repro.pcam.rejuvenation import (
-    NoRejuvenation,
-    PeriodicRejuvenation,
     RejuvenationDiscipline,
     RttfThresholdRejuvenation,
 )
@@ -330,12 +328,15 @@ class VirtualMachineController:
         served = 0
         if active_pos.size:
             active_rows = rows[active_pos]
-            active_views = [self.vms[p] for p in active_pos.tolist()]
-            counts = self._split_counts(n_requests, active_rows, active_views)
+            bal = self.balancer
+            counts = bal.split_counts(
+                n_requests, bal.weights_of(table, active_rows)
+            )
             # each VM consumes its own stream in pool order, exactly like
             # a scalar apply_load walk
             leaked, threads = draw_pool(
-                [vm.injector for vm in active_views], counts.tolist()
+                [self.vms[p].injector for p in active_pos.tolist()],
+                counts.tolist(),
             )
             rt, failed, pressures = table.era_load_update(
                 active_rows, counts, dt, self.config.mean_demand,
@@ -402,7 +403,8 @@ class VirtualMachineController:
         per_vm_rttf = dict(
             zip((vm.name for vm in monitored), rttf_arr.tolist())
         )
-        mttf = table.uptime_s[mon_rows] + np.maximum(rttf_arr, 0.0)
+        uptime = table.uptime_s[mon_rows]
+        mttf = uptime + np.maximum(rttf_arr, 0.0)
         if self.lifecycle is not None:
             samples = [
                 MonitorSample(time=float(now), features=row)
@@ -411,9 +413,7 @@ class VirtualMachineController:
             self.lifecycle.observe_era(
                 self.region_name, now, monitored, samples, rttf_arr
             )
-        at_risk_pos, urgency = self._at_risk(
-            monitored, mon_rows, rttf_arr, dt
-        )
+        at_risk_pos, urgency = self.discipline.at_risk(rttf_arr, uptime)
         order = urgency.argsort(kind="stable")
         n_standby = int(np.count_nonzero(codes == CODE_STANDBY))
         rack_busy = (
@@ -496,63 +496,6 @@ class VirtualMachineController:
             failures=failures,
             per_vm_rttf=per_vm_rttf,
         )
-
-    def _split_counts(
-        self,
-        n_requests: int,
-        active_rows: np.ndarray,
-        active_views: list[VirtualMachine],
-    ) -> np.ndarray:
-        """Per-VM request counts in pool order."""
-        bal = self.balancer
-        if type(bal) is LocalBalancer:
-            if bal.discipline == "uniform":
-                w = np.ones(len(active_rows))
-            else:
-                w = self.table.effective_capacity_of(active_rows)
-            return np.asarray(bal.split_counts(n_requests, w))
-        # unknown balancer subclass: go through the object API
-        assignment = bal.split(n_requests, active_views)
-        return np.array(
-            [assignment.get(vm.name, 0) for vm in active_views],
-            dtype=np.int64,
-        )
-
-    def _at_risk(
-        self,
-        monitored: list[VirtualMachine],
-        mon_rows: np.ndarray,
-        rttf_arr: np.ndarray,
-        dt: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """At-risk candidates (positions into ``monitored``) + urgencies.
-
-        Vectorised for the built-in disciplines; an unknown subclass is
-        consulted per VM, in pool order.
-        """
-        disc = self.discipline
-        if type(disc) is RttfThresholdRejuvenation:
-            pos = (rttf_arr < disc.threshold_s).nonzero()[0]
-            return pos, rttf_arr[pos]
-        if type(disc) is PeriodicRejuvenation:
-            uptime = self.table.uptime_s[mon_rows]
-            pos = (uptime >= disc.period_s).nonzero()[0]
-            return pos, -uptime[pos]
-        if type(disc) is NoRejuvenation:
-            return np.empty(0, dtype=np.intp), np.empty(0)
-        flags = [
-            disc.should_rejuvenate(vm, float(rttf), dt)
-            for vm, rttf in zip(monitored, rttf_arr.tolist())
-        ]
-        pos = np.asarray(flags).nonzero()[0]
-        urgency = np.array(
-            [
-                disc.urgency(monitored[p], float(rttf_arr[p]))
-                for p in pos.tolist()
-            ],
-            dtype=np.float64,
-        )
-        return pos, urgency
 
     def compact_table(self) -> None:
         """Repack the state table after heavy churn.

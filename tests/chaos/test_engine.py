@@ -19,6 +19,7 @@ from repro.workload.browsers import BrowserPopulation
 from repro.workload.tpcw import MIX_SHOPPING
 
 from ..pcam.conftest import build_vm
+from ..pcam.reference_vmc import predict_one
 
 
 def mesh():
@@ -417,19 +418,19 @@ class TestTransportAndPredictorPrimitives:
         vm = vmc.vms_in(VmState.ACTIVE)[0]
         vm.last_request_rate = 2.0
 
-        healthy = corruptible.predict_rttf(vm)
+        healthy = predict_one(corruptible, vm)
         assert math.isfinite(healthy) and healthy > 0
 
         sim, engine = make_engine(predictors={"r1": corruptible})
         engine.corrupt_predictor("nan")
-        assert math.isnan(corruptible.predict_rttf(vm))
+        assert math.isnan(predict_one(corruptible, vm))
         engine.corrupt_predictor("zero")
-        assert corruptible.predict_rttf(vm) == 0.0
+        assert predict_one(corruptible, vm) == 0.0
         engine.corrupt_predictor("stale")
         vm.leaked_mb += 500.0  # state changed, prediction must not
-        assert corruptible.predict_rttf(vm) == healthy
+        assert predict_one(corruptible, vm) == healthy
         engine.corrupt_predictor("off")
-        assert corruptible.predict_rttf(vm) != healthy
+        assert predict_one(corruptible, vm) != healthy
         with pytest.raises(ValueError):
             engine.corrupt_predictor("bogus")
 

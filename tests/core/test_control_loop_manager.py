@@ -1,5 +1,7 @@
 """Integration tests: the full MAPE loop and the AcmManager façade."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,12 @@ class TestControlLoopMechanics:
             ControlLoopConfig(era_s=0.0)
         with pytest.raises(ValueError):
             ControlLoopConfig(beta=1.5)
+
+    @pytest.mark.parametrize("era_s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_era_rejected(self, era_s):
+        # `nan <= 0` is False: a NaN era once passed the check
+        with pytest.raises(ValueError, match="era_s"):
+            ControlLoopConfig(era_s=era_s)
 
 
 class TestPaperDynamics:

@@ -7,6 +7,8 @@ import pytest
 from repro.core import AcmManager, RegionSpec, SensibleRoutingPolicy, get_policy
 from repro.pcam import ConservativeRttfPredictor, OracleRttfPredictor
 
+from ..pcam.reference_vmc import predict_one
+
 
 class TestGammaSensibleRouting:
     def test_gamma_one_is_paper_equation_two(self):
@@ -93,8 +95,8 @@ class TestConservativePredictor:
         vm.apply_load(300, 30.0)
         oracle = OracleRttfPredictor()
         conservative = ConservativeRttfPredictor(oracle, margin=0.5)
-        assert conservative.predict_rttf(vm) == pytest.approx(
-            0.5 * oracle.predict_rttf(vm)
+        assert predict_one(conservative, vm) == pytest.approx(
+            0.5 * predict_one(oracle, vm)
         )
 
     def test_margin_validated(self):

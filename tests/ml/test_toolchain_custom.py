@@ -47,7 +47,7 @@ class TestCustomSuite:
             dataset, np.random.default_rng(0), model_name="tree"
         )
         assert tm.name == "tree"
-        assert np.isfinite(tm.predict_one(dataset.X[0]))
+        assert np.isfinite(tm.predict(dataset.X[0])[0])
 
 
 class TestNoFeatureSelection:

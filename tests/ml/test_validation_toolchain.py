@@ -177,7 +177,7 @@ class TestToolchain:
         )
         assert tm.name == "rep-tree"
         # full-schema row prediction works through the projection
-        pred = tm.predict_one(linear_dataset.X[0])
+        pred = tm.predict(linear_dataset.X[0])[0]
         assert np.isfinite(pred)
 
     def test_train_best_unknown_model(self, linear_dataset):

@@ -11,25 +11,90 @@ reports, per-VM state, capacities and ``stats()``.
 
 The pool is never adopted into a table, so every quantity is a scalar
 attribute mutated by the public ``VirtualMachine`` methods
-(``apply_load``, ``idle``, ``activate``, ``start_rejuvenation``) -- the
-one-VM semantics the array kernels replicate.  Only the controller's
-observers (telemetry, online lifecycle) are left out: no parity test
-passes them and they never touch VM state.
+(``apply_load``, ``activate``, ``start_rejuvenation``) and :func:`idle`
+-- the one-VM semantics the array kernels replicate.  The plug points
+keep their per-object rules here too: :func:`weights` is the balancer's
+weight per VM, :func:`rejuvenation_rule` the discipline's verdict and
+urgency per VM, and the predictor sees rows built by each VM's
+``sample_features()`` (:func:`feature_rows`).  None of them calls the
+row methods (``weights_of``, ``at_risk``) the real VMC calls.  Only the
+controller's observers (telemetry, online lifecycle) are left out: no
+parity test passes them and they never touch VM state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.pcam.balancer import LocalBalancer
+from repro.ml.features import FEATURE_NAMES
+from repro.pcam.balancer import DomainAwareBalancer, LocalBalancer
 from repro.pcam.monitor import FeatureMonitor
 from repro.pcam.predictor import RttfPredictor
 from repro.pcam.rejuvenation import (
+    NoRejuvenation,
+    PeriodicRejuvenation,
     RejuvenationDiscipline,
     RttfThresholdRejuvenation,
 )
 from repro.pcam.vm import VirtualMachine, VmState
 from repro.pcam.vmc import EraReport, VmcConfig
+
+
+def idle(vm: VirtualMachine, dt: float) -> None:
+    """Advance a plain VM's time without load: an ACTIVE VM ages idle, a
+    REJUVENATING one progresses (and returns to STANDBY when done)."""
+    if dt < 0:
+        raise ValueError("dt must be >= 0")
+    if vm.state is VmState.ACTIVE:
+        vm.uptime_s += dt
+        vm.last_request_rate = 0.0
+    elif vm.state is VmState.REJUVENATING:
+        vm._rejuvenation_remaining_s -= dt
+        if vm._rejuvenation_remaining_s <= 0:
+            vm._finish_rejuvenation()
+
+
+def feature_rows(vms: list[VirtualMachine]) -> np.ndarray:
+    """Each VM's ``sample_features()`` row, stacked in pool order."""
+    rows = [vm.sample_features().to_array() for vm in vms]
+    return np.array(rows, dtype=np.float64).reshape(len(vms), len(FEATURE_NAMES))
+
+
+def predict_one(predictor: RttfPredictor, vm: VirtualMachine) -> float:
+    """One one-row call: ``vm``'s predicted RTTF."""
+    return float(predictor.predict_rttf_rows(feature_rows([vm]), [vm])[0])
+
+
+def weights(balancer: LocalBalancer, vms: list[VirtualMachine]) -> np.ndarray:
+    """The balancer's routing weight of each VM, one object at a time."""
+    if balancer.discipline == "uniform":
+        w = np.ones(len(vms))
+    else:
+        w = np.array([vm.effective_capacity for vm in vms])
+    if isinstance(balancer, DomainAwareBalancer):
+        degraded = balancer.health.degraded_racks()
+        if degraded:
+            w = w * np.array(
+                [
+                    balancer.degraded_penalty if vm.rack_id in degraded else 1.0
+                    for vm in vms
+                ]
+            )
+    return w
+
+
+def rejuvenation_rule(
+    discipline: RejuvenationDiscipline, vm: VirtualMachine, rttf: float
+) -> float | None:
+    """``vm``'s urgency (lower = sooner) if ``discipline`` swaps it out
+    this era, else ``None``."""
+    if type(discipline) is RttfThresholdRejuvenation:
+        return rttf if rttf < discipline.threshold_s else None
+    if type(discipline) is PeriodicRejuvenation:
+        # the longest-running VM goes first
+        return -vm.uptime_s if vm.uptime_s >= discipline.period_s else None
+    assert type(discipline) is NoRejuvenation, discipline
+    return None
 
 
 class ReferenceVmc:
@@ -138,9 +203,10 @@ class ReferenceVmc:
         response_num = 0.0
         served = 0
         if active:
-            assignment = self.balancer.split(n_requests, active)
-            for vm in active:
-                n_vm = assignment.get(vm.name, 0)
+            counts = self.balancer.split_counts(
+                n_requests, weights(self.balancer, active)
+            )
+            for vm, n_vm in zip(active, counts.tolist()):
                 rt = vm.apply_load(n_vm, dt, self.config.mean_demand)
                 response_num += rt * n_vm
                 served += n_vm
@@ -150,7 +216,7 @@ class ReferenceVmc:
         # advance non-active VMs (rejuvenation progress)
         for vm in self.vms:
             if vm.state in (VmState.STANDBY, VmState.REJUVENATING):
-                vm.idle(dt)
+                idle(vm, dt)
 
         # 2. monitor + predict + proactive rejuvenation (PCAM policy).
         # The swap is *paired*: REJUVENATE goes out together with an
@@ -164,18 +230,19 @@ class ReferenceVmc:
         monitored = self.vms_in(VmState.ACTIVE)
         for vm in monitored:
             self.monitors[vm.name].sample(now)
-        # One stacked model.predict call for the whole ACTIVE pool; MTTF
-        # derives from the RTTF already in hand (a second predict_rttf
-        # per era would double-append to trend-predictor histories).
-        rttf_batch = self.predictor.predict_rttf_batch(monitored)
+        # One prediction call for the whole ACTIVE pool; MTTF derives
+        # from the RTTF already in hand (a second prediction per era
+        # would double-append to trend-predictor histories).
+        rttf_batch = self.predictor.predict_rttf_rows(
+            feature_rows(monitored), monitored
+        )
         for vm, rttf in zip(monitored, rttf_batch):
             rttf = float(rttf)
             per_vm_rttf[vm.name] = rttf
             mttf_values.append(vm.uptime_s + max(rttf, 0.0))
-            if self.discipline.should_rejuvenate(vm, rttf, dt):
-                at_risk.append(
-                    (self.discipline.urgency(vm, rttf), rttf, vm)
-                )
+            urgency = rejuvenation_rule(self.discipline, vm, rttf)
+            if urgency is not None:
+                at_risk.append((urgency, rttf, vm))
         at_risk.sort(key=lambda triple: triple[0])
         n_standby = len(self.vms_in(VmState.STANDBY))
         rack_busy = (

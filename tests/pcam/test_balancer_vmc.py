@@ -13,6 +13,7 @@ from repro.pcam import (
     VmState,
 )
 from repro.pcam.balancer import largest_remainder_split
+from repro.pcam.state_table import VmStateTable
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL
 
 
@@ -88,6 +89,15 @@ def _hamilton(total, weights):
     return counts, exact
 
 
+def split(balancer, n_requests, vms):
+    """``balancer``'s name -> count split of ``n_requests`` over ``vms``,
+    read from a state table the way the VMC reads it."""
+    table = VmStateTable(len(vms))
+    rows = table.adopt_all(vms)
+    counts = balancer.split_counts(n_requests, balancer.weights_of(table, rows))
+    return dict(zip((vm.name for vm in vms), counts.tolist()))
+
+
 class TestLocalBalancer:
     def test_capacity_weights_favour_healthy_vm(self, make_vm):
         healthy = make_vm()
@@ -97,37 +107,41 @@ class TestLocalBalancer:
         degraded.leaked_mb = (
             degraded.usable_memory_mb + degraded.itype.swap_mb * 0.9
         )
-        counts = LocalBalancer("capacity").split(1000, [healthy, degraded])
+        counts = split(LocalBalancer("capacity"), 1000, [healthy, degraded])
         assert counts[healthy.name] > counts[degraded.name]
 
     def test_uniform_splits_evenly(self, make_vm):
         vms = [make_vm() for _ in range(4)]
         for vm in vms:
             vm.activate()
-        counts = LocalBalancer("uniform").split(1000, vms)
+        counts = split(LocalBalancer("uniform"), 1000, vms)
         assert all(c == 250 for c in counts.values())
 
     def test_only_active_vms_receive_load(self, make_vm):
-        active, standby = make_vm(), make_vm()
-        active.activate()
-        counts = LocalBalancer().split(100, [active, standby])
-        assert standby.name not in counts
-        assert counts[active.name] == 100
+        vmc = make_vmc(make_vm, n_vms=2, target=1)
+        active, standby = vmc.vms
+        assert standby.state is VmState.STANDBY
+        assert vmc.process_era(100, 30.0, now=0.0).requests_served == 100
+        assert (active.total_requests, standby.total_requests) == (100, 0)
 
-    def test_no_active_vm_raises_outage(self, make_vm):
-        standby = make_vm()
-        with pytest.raises(RuntimeError, match="outage"):
-            LocalBalancer().split(10, [standby])
+    def test_no_active_vm_serves_nothing(self, make_vm):
+        vmc = make_vmc(make_vm, n_vms=1, target=1)
+        vmc.vms[0].fail()
+        report = vmc.process_era(10, 30.0, now=0.0)
+        assert report.requests_served == 0
+        assert vmc.vms[0].total_requests == 0
 
     def test_no_active_zero_requests_ok(self, make_vm):
-        assert LocalBalancer().split(0, [make_vm()]) == {}
+        vmc = make_vmc(make_vm, n_vms=1, target=1)
+        vmc.vms[0].fail()
+        assert vmc.process_era(0, 30.0, now=0.0).n_active == 0
 
     def test_multinomial_mode_conserves_total(self, make_vm):
         vms = [make_vm() for _ in range(3)]
         for vm in vms:
             vm.activate()
         bal = LocalBalancer("capacity", rng=np.random.default_rng(0))
-        counts = bal.split(500, vms)
+        counts = split(bal, 500, vms)
         assert sum(counts.values()) == 500
 
     def test_unknown_discipline(self):

@@ -55,7 +55,9 @@ from repro.pcam import (
     VmcConfig,
     VmState,
 )
+from repro.pcam.balancer import DomainAwareBalancer
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
+from repro.topology import DomainHealthTracker, FailureDomainTree
 from repro.workload import AnomalyInjector
 
 from .reference_vmc import ReferenceVmc
@@ -86,9 +88,6 @@ class _LinModel:
     def predict(self, rows):
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         return 900.0 - 0.5 * rows[:, 1] - 4.0 * rows[:, 6] - 0.2 * rows[:, 0]
-
-    def predict_one(self, row):
-        return float(self.predict(row)[0])
 
 
 def _pool(rngs: RngRegistry, n: int, mixer, **vm_kw) -> list[VirtualMachine]:
@@ -238,19 +237,29 @@ def test_vmc_era_parity_disciplines(kind):
         _assert_pools_equal(ref, vmc, era)
 
 
-@pytest.mark.parametrize("discipline", ["uniform", "capacity"])
+@pytest.mark.parametrize("discipline", ["uniform", "capacity", "domain-aware"])
 @pytest.mark.parametrize("stochastic", [False, True])
 def test_vmc_era_parity_balancers(discipline, stochastic):
-    """Both balancer disciplines, deterministic and multinomial splits."""
+    """Both balancer disciplines, deterministic and multinomial splits,
+    and the domain-aware balancer with one of two racks degraded."""
 
     def build(cls, rngs, vms):
         rng = rngs.child("bal").stream("split") if stochastic else None
+        if discipline != "domain-aware":
+            balancer = LocalBalancer(discipline, rng=rng)
+        else:
+            for i, vm in enumerate(vms):
+                vm.rack_id = i % 2
+            health = DomainHealthTracker(FailureDomainTree({"r1": (2, 1)}))
+            health.record_fault("r1/az1", "rack_power_loss")
+            assert health.degraded_racks() == {1}
+            balancer = DomainAwareBalancer(health, rng=rng)
         return cls(
             "r1",
             vms,
             OracleRttfPredictor(),
             VmcConfig(target_active=3),
-            balancer=LocalBalancer(discipline, rng=rng),
+            balancer=balancer,
         )
 
     ref, vmc = _make_pair(17, 6, build)

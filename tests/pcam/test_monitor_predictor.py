@@ -15,6 +15,7 @@ from repro.pcam import (
 from repro.sim import PRIVATE_SMALL
 
 from .conftest import build_vm
+from .reference_vmc import predict_one
 
 
 class TestFeatureMonitor:
@@ -111,7 +112,7 @@ class TestOraclePredictor:
     def test_predicts_true_ttf(self, active_vm):
         active_vm.apply_load(600, 30.0)  # establishes last_request_rate
         oracle = OracleRttfPredictor()
-        rttf = oracle.predict_rttf(active_vm)
+        rttf = predict_one(oracle, active_vm)
         truth = active_vm.true_time_to_failure_s(active_vm.last_request_rate)
         assert rttf == pytest.approx(truth)
 
@@ -124,7 +125,7 @@ class TestOraclePredictor:
         noisy = OracleRttfPredictor(
             noise_std=0.5, rng=np.random.default_rng(0)
         )
-        vals = [noisy.predict_rttf(active_vm) for _ in range(50)]
+        vals = [predict_one(noisy, active_vm) for _ in range(50)]
         assert all(v > 0 for v in vals)
         assert np.std(vals) > 0
 
@@ -173,7 +174,7 @@ class TestTrainedPredictor:
         vm.activate()
         predictor = TrainedRttfPredictor(trained_model)
         vm.apply_load(300, 30.0)  # 10 req/s
-        pred = predictor.predict_rttf(vm)
+        pred = predict_one(predictor, vm)
         truth = vm.true_time_to_failure_s(10.0)
         # learned model should land within a factor ~2 of the mean field
         assert truth * 0.3 < pred < truth * 3.0
@@ -187,14 +188,14 @@ class TestTrainedPredictor:
             vm.apply_load(300, 30.0)
             if vm.state is not VmState.ACTIVE:
                 break
-            preds.append(predictor.predict_rttf(vm))
+            preds.append(predict_one(predictor, vm))
         assert preds[-1] < preds[0]
 
     def test_floor_clamps(self, trained_model, rngs):
         vm = build_vm(rngs, name="floored")
         vm.activate()
         predictor = TrainedRttfPredictor(trained_model, floor_s=100.0)
-        assert predictor.predict_rttf(vm) >= 100.0
+        assert predict_one(predictor, vm) >= 100.0
 
     def test_floor_validation(self, trained_model):
         with pytest.raises(ValueError):

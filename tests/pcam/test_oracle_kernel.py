@@ -23,6 +23,8 @@ from repro.pcam.vm import FailurePolicy, VirtualMachine, VmState
 from repro.sim import INSTANCE_CATALOG, M3_MEDIUM, PRIVATE_SMALL
 from repro.workload import AnomalyInjector
 
+from .reference_vmc import feature_rows, predict_one
+
 SHAPES = [
     *INSTANCE_CATALOG.values(),
     dataclasses.replace(PRIVATE_SMALL, name="swapless", swap_mb=0.0),
@@ -441,8 +443,13 @@ def test_estimate_brackets_the_crossing():
     assert hits >= 0.95 * crossings, (hits, crossings)
 
 
+def pooled(predictor, vms):
+    """One pooled call over ``vms``."""
+    return predictor.predict_rttf_rows(feature_rows(vms), vms)
+
+
 def reference_predict_rttf(vm, mean_demand, noise_std, rng):
-    """The pre-kernel ``OracleRttfPredictor.predict_rttf``."""
+    """The pre-kernel oracle, one VM at a time."""
     rate = vm.last_request_rate
     if rate <= 0:
         rate = 1.0
@@ -455,7 +462,8 @@ def reference_predict_rttf(vm, mean_demand, noise_std, rng):
 @pytest.mark.parametrize("table", [False, True])
 @pytest.mark.parametrize("noise_std", [0.0, 0.3])
 def test_batch_equals_per_vm_loop(table, noise_std):
-    """Default policy: batch == scalar == the old per-VM loop, same draws."""
+    """Default policy: a pooled call == one-row calls == the old per-VM
+    loop, same draws."""
     vms = aged_pool(table=table)
     rngs = [np.random.default_rng(7) for _ in range(3)]
     batch = OracleRttfPredictor(1.4, noise_std=noise_std, rng=rngs[0])
@@ -463,8 +471,8 @@ def test_batch_equals_per_vm_loop(table, noise_std):
 
     want = [reference_predict_rttf(vm, 1.4, noise_std, rngs[2]) for vm in vms]
 
-    assert batch.predict_rttf_batch(vms).tolist() == want
-    assert [scalar.predict_rttf(vm) for vm in vms] == want
+    assert pooled(batch, vms).tolist() == want
+    assert [predict_one(scalar, vm) for vm in vms] == want
     states = [rng.bit_generator.state for rng in rngs]
     assert states[0] == states[1] == states[2]
     # an idle VM is reported at the nominal 1 req/s, not as immortal
@@ -472,17 +480,17 @@ def test_batch_equals_per_vm_loop(table, noise_std):
 
 
 def test_scalar_and_table_pools_agree():
-    scalar = OracleRttfPredictor().predict_rttf_batch(aged_pool())
-    table = OracleRttfPredictor().predict_rttf_batch(aged_pool(table=True))
+    scalar = pooled(OracleRttfPredictor(), aged_pool())
+    table = pooled(OracleRttfPredictor(), aged_pool(table=True))
     assert scalar.tolist() == table.tolist()
 
 
 def test_mixed_pool_falls_back_to_attribute_reads():
     vms = aged_pool()
-    want = OracleRttfPredictor().predict_rttf_batch(vms).tolist()
+    want = pooled(OracleRttfPredictor(), vms).tolist()
     VmStateTable().adopt_all(vms[:3])
     VmStateTable().adopt_all(vms[5:])
-    assert OracleRttfPredictor().predict_rttf_batch(vms).tolist() == want
+    assert pooled(OracleRttfPredictor(), vms).tolist() == want
 
 
 @pytest.mark.parametrize(
@@ -502,11 +510,8 @@ def test_wrappers_batch_equals_loop(wrap):
     loop = wrap(OracleRttfPredictor(noise_std=0.2, rng=loop_rng))
     rows = vms[0].table.feature_matrix(np.array([vm.row for vm in vms]))
 
-    assert batch.predict_rttf_batch(vms).tolist() == [
-        loop.predict_rttf(vm) for vm in vms
-    ]
     assert batch.predict_rttf_rows(rows, vms).tolist() == [
-        loop.predict_rttf(vm) for vm in vms
+        predict_one(loop, vm) for vm in vms
     ]
     assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
 
@@ -536,11 +541,12 @@ def test_batch_writes_no_table_cell(monkeypatch):
     assert writes == ["leaked_mb"]
     writes.clear()
     # ... and direct column stores would raise
+    rows = feature_rows(vms)
     columns = [getattr(table, name) for name, _ in MUTABLE_COLUMNS]
     for column in columns:
         column.flags.writeable = False
     try:
-        OracleRttfPredictor().predict_rttf_batch(vms)
+        OracleRttfPredictor().predict_rttf_rows(rows, vms)
         vms[1].true_time_to_failure_s(9.0)
     finally:
         for column in columns:
@@ -560,8 +566,9 @@ def test_batch_writes_no_vm_attribute(monkeypatch):
     vms[0].leaked_mb = vms[0].leaked_mb
     assert writes == ["leaked_mb"]
     writes.clear()
+    rows = feature_rows(vms)
     before = [copy.copy(vm.__dict__) for vm in vms]
-    OracleRttfPredictor().predict_rttf_batch(vms)
+    OracleRttfPredictor().predict_rttf_rows(rows, vms)
     vms[1].true_time_to_failure_s(9.0)
     assert writes == []
     assert [vm.__dict__ for vm in vms] == before

@@ -2,7 +2,7 @@
 
 Guards two bugs:
 
-* the VMC (and the DES loop) used to call ``predict_rttf`` and then
+* the VMC (and the DES loop) used to predict each VM's RTTF and then
   ``predict_mttf`` -- which re-predicts internally -- so stateful
   predictors saw *two* history appends per era, corrupting the trend
   windows of :class:`TrendAwareRttfPredictor`;
@@ -23,6 +23,7 @@ from repro.pcam.predictor import (
 from repro.sim import RngRegistry
 
 from .conftest import build_vm
+from .reference_vmc import feature_rows, predict_one
 
 
 @pytest.fixture(scope="module")
@@ -106,13 +107,14 @@ class TestBatchScalarEquivalence:
             for _ in range(1 + i):
                 vm.apply_load(80, 30.0)
             vms.append(vm)
-        batch = trained_predictor.predict_rttf_batch(vms)
-        scalar = np.array([trained_predictor.predict_rttf(vm) for vm in vms])
+        batch = trained_predictor.predict_rttf_rows(feature_rows(vms), vms)
+        scalar = np.array([predict_one(trained_predictor, vm) for vm in vms])
         np.testing.assert_allclose(batch, scalar)
 
     def test_empty_batch(self, trained_predictor, trend_predictor):
-        assert trained_predictor.predict_rttf_batch([]).shape == (0,)
-        assert trend_predictor.predict_rttf_batch([]).shape == (0,)
+        rows = feature_rows([])
+        assert trained_predictor.predict_rttf_rows(rows, []).shape == (0,)
+        assert trend_predictor.predict_rttf_rows(rows, []).shape == (0,)
 
     def test_conservative_scales_the_batch(self, trained_predictor):
         rngs = RngRegistry(seed=22)
@@ -121,8 +123,7 @@ class TestBatchScalarEquivalence:
         vm.apply_load(80, 30.0)
         wrapped = ConservativeRttfPredictor(trained_predictor, margin=0.5)
         np.testing.assert_allclose(
-            wrapped.predict_rttf_batch([vm]),
-            0.5 * trained_predictor.predict_rttf_batch([vm]),
+            predict_one(wrapped, vm), 0.5 * predict_one(trained_predictor, vm)
         )
 
 

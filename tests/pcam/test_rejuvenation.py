@@ -8,6 +8,8 @@ from repro.pcam import (
     OracleRttfPredictor,
     PeriodicRejuvenation,
     RttfThresholdRejuvenation,
+    TrainedRttfPredictor,
+    TrendAwareRttfPredictor,
     VirtualMachineController,
     VmcConfig,
     VmState,
@@ -33,17 +35,23 @@ def make_vmc(rngs, discipline=None, n_vms=6, target=4):
     )
 
 
-class TestThresholdDiscipline:
-    def test_triggers_below_threshold(self, rngs):
-        d = RttfThresholdRejuvenation(threshold_s=100.0)
-        vm = build_vm(rngs)
-        assert d.should_rejuvenate(vm, 99.0, 30.0)
-        assert not d.should_rejuvenate(vm, 101.0, 30.0)
+def at_risk(discipline, rttf, uptime):
+    """``discipline.at_risk`` over plain lists, as lists."""
+    pos, urgency = discipline.at_risk(
+        np.array(rttf, dtype=float), np.array(uptime, dtype=float)
+    )
+    assert len(pos) == len(urgency)
+    return pos.tolist(), urgency.tolist()
 
-    def test_urgency_orders_by_rttf(self, rngs):
+
+class TestThresholdDiscipline:
+    def test_triggers_below_threshold(self):
+        d = RttfThresholdRejuvenation(threshold_s=100.0)
+        assert at_risk(d, [99.0, 101.0, 100.0], [0.0] * 3)[0] == [0]
+
+    def test_urgency_orders_by_rttf(self):
         d = RttfThresholdRejuvenation()
-        vm = build_vm(rngs)
-        assert d.urgency(vm, 10.0) < d.urgency(vm, 100.0)
+        assert at_risk(d, [100.0, 10.0], [5.0, 900.0]) == ([0, 1], [100.0, 10.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,26 +64,19 @@ class TestThresholdDiscipline:
 
 
 class TestPeriodicDiscipline:
-    def test_triggers_on_uptime(self, rngs):
+    def test_triggers_on_uptime(self):
         d = PeriodicRejuvenation(period_s=600.0)
-        vm = build_vm(rngs)
-        vm.activate()
-        vm.uptime_s = 599.0
-        assert not d.should_rejuvenate(vm, 1e9, 30.0)
-        vm.uptime_s = 600.0
-        assert d.should_rejuvenate(vm, 1e9, 30.0)
+        assert at_risk(d, [1e9, 1e9], [599.0, 600.0])[0] == [1]
 
-    def test_ignores_prediction(self, rngs):
+    def test_ignores_prediction(self):
         d = PeriodicRejuvenation(period_s=600.0)
-        vm = build_vm(rngs)
-        vm.uptime_s = 10.0
-        assert not d.should_rejuvenate(vm, 0.001, 30.0)
+        assert at_risk(d, [0.001], [10.0]) == ([], [])
 
-    def test_urgency_prefers_oldest(self, rngs):
+    def test_urgency_prefers_oldest(self):
         d = PeriodicRejuvenation(period_s=600.0)
-        old, young = build_vm(rngs, name="old"), build_vm(rngs, name="young")
-        old.uptime_s, young.uptime_s = 900.0, 650.0
-        assert d.urgency(old, 0.0) < d.urgency(young, 0.0)
+        pos, urgency = at_risk(d, [0.0, 0.0], [650.0, 900.0])
+        assert pos == [0, 1]
+        assert urgency[1] < urgency[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,10 +84,8 @@ class TestPeriodicDiscipline:
 
 
 class TestNoRejuvenation:
-    def test_never_triggers(self, rngs):
-        d = NoRejuvenation()
-        vm = build_vm(rngs)
-        assert not d.should_rejuvenate(vm, 0.0, 30.0)
+    def test_never_triggers(self):
+        assert at_risk(NoRejuvenation(), [0.0, -1.0], [1e9, 0.0]) == ([], [])
 
 
 class TestDisciplineComparison:
@@ -147,3 +146,48 @@ class TestDisciplineComparison:
         # predictive: a meaningful share of swaps happen before the crash
         proactive = predictive.total_rejuvenations - predictive.total_failures
         assert proactive > 0.2 * predictive.total_rejuvenations
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RttfThresholdRejuvenation(NAN),
+        lambda: RttfThresholdRejuvenation(-INF),
+        lambda: PeriodicRejuvenation(NAN),
+        lambda: PeriodicRejuvenation(INF),
+        lambda: PeriodicRejuvenation(-INF),
+        lambda: TrainedRttfPredictor(object(), floor_s=NAN),
+        lambda: TrainedRttfPredictor(object(), floor_s=INF),
+        lambda: TrainedRttfPredictor(object(), floor_s=-INF),
+        lambda: TrendAwareRttfPredictor(object(), floor_s=NAN),
+        lambda: TrendAwareRttfPredictor(object(), floor_s=INF),
+        lambda: TrendAwareRttfPredictor(object(), floor_s=-INF),
+        lambda: OracleRttfPredictor(noise_std=NAN),
+        lambda: OracleRttfPredictor(
+            noise_std=INF, rng=np.random.default_rng(0)
+        ),
+        lambda: OracleRttfPredictor(noise_std=-INF),
+    ],
+    ids=[
+        "threshold-nan", "threshold-neg-inf",
+        "period-nan", "period-inf", "period-neg-inf",
+        "trained-floor-nan", "trained-floor-inf", "trained-floor-neg-inf",
+        "trend-floor-nan", "trend-floor-inf", "trend-floor-neg-inf",
+        "noise-nan", "noise-inf", "noise-neg-inf",
+    ],
+)
+def test_non_finite_knob_refused(build):
+    """A NaN knob would switch its plug point off silently: a NaN threshold
+    or period never fires, a NaN floor makes every prediction NaN, a NaN
+    noise level draws no noise.  An infinite period, floor or noise level
+    is no setting either."""
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_infinite_threshold_rejuvenates_every_vm():
+    d = RttfThresholdRejuvenation(INF)
+    assert at_risk(d, [1e12, 0.0], [0.0, 0.0])[0] == [0, 1]

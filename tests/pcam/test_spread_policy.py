@@ -30,8 +30,8 @@ class FixedRttf(RttfPredictor):
     def __init__(self, rttf_s: float) -> None:
         self.rttf_s = rttf_s
 
-    def predict_rttf(self, vm) -> float:
-        return self.rttf_s
+    def predict_rttf_rows(self, rows, vms) -> np.ndarray:
+        return np.full(len(vms), self.rttf_s)
 
 
 def make_vmc(
@@ -169,15 +169,21 @@ class TestDomainAwareBalancer:
     def test_routes_away_from_degraded_racks(self):
         tree = FailureDomainTree({"r": (2, 1)})
         health = DomainHealthTracker(tree)
-        vms = self._vms([0, 1])
-        plain = LocalBalancer().split(100, vms)
+        table = VmStateTable(2)
+        rows = table.adopt_all(self._vms([0, 1]))
+
+        def split(balancer):
+            weights = balancer.weights_of(table, rows)
+            return balancer.split_counts(100, weights).tolist()
+
+        plain = split(LocalBalancer())
         bal = DomainAwareBalancer(health, degraded_penalty=0.25)
-        assert bal.split(100, vms) == plain  # nothing degraded yet
+        assert split(bal) == plain  # nothing degraded yet
         health.record_fault("r/az1", "rack_power_loss")
-        shifted = bal.split(100, vms)
-        assert shifted["b/vm0"] > plain["b/vm0"]
-        assert shifted["b/vm1"] < plain["b/vm1"]
-        assert sum(shifted.values()) == 100
+        shifted = split(bal)
+        assert shifted[0] > plain[0]
+        assert shifted[1] < plain[1]
+        assert sum(shifted) == 100
 
     def test_penalty_validation(self):
         tree = FailureDomainTree({"r": (1, 1)})

@@ -7,6 +7,7 @@ from repro.experiments import make_trained_predictor
 from repro.pcam import TrendAwareRttfPredictor, VmState
 
 from .conftest import build_vm
+from .reference_vmc import idle, predict_one
 from repro.sim import RngRegistry
 
 
@@ -45,7 +46,7 @@ class TestTrendAwarePredictor:
             vm.apply_load(int(rng.poisson(8.0 * 30.0)), 30.0)
             if vm.state is not VmState.ACTIVE:
                 break
-            preds.append(trend_predictor.predict_rttf(vm))
+            preds.append(predict_one(trend_predictor, vm))
         truth = vm.true_time_to_failure_s(8.0)
         assert preds[-1] == pytest.approx(truth, rel=1.5)
         # predictions trend downward as the VM degrades
@@ -56,13 +57,13 @@ class TestTrendAwarePredictor:
         vm.activate()
         for _ in range(4):
             vm.apply_load(200, 30.0)
-            trend_predictor.predict_rttf(vm)
-        degraded = trend_predictor.predict_rttf(vm)
+            predict_one(trend_predictor, vm)
+        degraded = predict_one(trend_predictor, vm)
         vm.start_rejuvenation()
-        vm.idle(vm.rejuvenation_time_s)
+        idle(vm, vm.rejuvenation_time_s)
         vm.activate()
         vm.apply_load(200, 30.0)
-        fresh = trend_predictor.predict_rttf(vm)
+        fresh = predict_one(trend_predictor, vm)
         # the fresh VM must not inherit the degraded window
         assert fresh > degraded
         hist = trend_predictor._history[vm.name]
@@ -75,8 +76,8 @@ class TestTrendAwarePredictor:
         b.activate()
         a.apply_load(600, 30.0)
         b.apply_load(100, 30.0)
-        trend_predictor.predict_rttf(a)
-        trend_predictor.predict_rttf(b)
+        predict_one(trend_predictor, a)
+        predict_one(trend_predictor, b)
         assert len(trend_predictor._history["trend/a"]) == 1
         assert len(trend_predictor._history["trend/b"]) == 1
 

@@ -8,6 +8,7 @@ from repro.pcam.vm import BASELINE_MEMORY_MB, BASELINE_THREADS
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL
 
 from .conftest import build_vm
+from .reference_vmc import idle
 
 
 class TestLifecycle:
@@ -25,7 +26,7 @@ class TestLifecycle:
         active_vm.stuck_threads = 5
         active_vm.start_rejuvenation()
         assert active_vm.state is VmState.REJUVENATING
-        active_vm.idle(active_vm.rejuvenation_time_s)
+        idle(active_vm, active_vm.rejuvenation_time_s)
         assert active_vm.state is VmState.STANDBY
         assert active_vm.leaked_mb == 0.0
         assert active_vm.stuck_threads == 0
@@ -33,9 +34,9 @@ class TestLifecycle:
 
     def test_rejuvenation_partial_progress(self, active_vm):
         active_vm.start_rejuvenation()
-        active_vm.idle(active_vm.rejuvenation_time_s / 2)
+        idle(active_vm, active_vm.rejuvenation_time_s / 2)
         assert active_vm.state is VmState.REJUVENATING
-        active_vm.idle(active_vm.rejuvenation_time_s)
+        idle(active_vm, active_vm.rejuvenation_time_s)
         assert active_vm.state is VmState.STANDBY
 
     def test_instant_rejuvenation(self, rngs):
@@ -226,7 +227,7 @@ class TestLoadApplication:
 
     def test_idle_validation(self, active_vm):
         with pytest.raises(ValueError):
-            active_vm.idle(-1.0)
+            idle(active_vm, -1.0)
 
 
 class TestFeatureSampling:

@@ -170,6 +170,11 @@ RULES = (
          ("src/", "tests/", "examples/", "benchmarks/"), (SRC + "sim/rng.py",),
          "a stream's bit generator is drawn from directly only through "
          "sim/rng.py::ExactDraws", "after 72c5750"),
+    Rule("plug-point-rows",
+         r"def (predict_rttf|predict_rttf_batch|should_rejuvenate)\(",
+         ("src/",), (),
+         "a VMC plug point is one method over table rows: no per-VM "
+         "predictor or discipline entry beside it", "after 07e1807"),
 )
 
 #: row id -> lines that each violate it: (file, line appended to it)
@@ -208,6 +213,11 @@ INJECT = {
     ],
     "bit-generator-ctypes": [
         (SRC + "core/des_loop.py", "iface = rng.bit_generator.ctype" "s")
+    ],
+    "plug-point-rows": [
+        (SRC + "pcam/predictor.py", "def predict_rttf(vm): ..."),
+        (SRC + "chaos/predictor.py", "def predict_rttf_batch(vms): ..."),
+        (SRC + "pcam/rejuvenation.py", "def should_rejuvenate(vm, rttf): ..."),
     ],
 }
 
@@ -295,7 +305,6 @@ ALLOWED = {
     "ChaosEngine.poisson_link_flaps": "the seeded flap schedule the engine's docstring documents",
     "Simulator.pending_events": "how tests observe the event heap",
     "VmStateTable.view": "how tests map a table row back to its VM",
-    "VirtualMachine.idle": "the per-object reference VMC in tests ages a VM with it",
     "FeatureMonitor.latest": "part of the monitor view VirtualMachineController.monitors documents",
     "RingMonitor.latest": "part of the monitor view VirtualMachineController.monitors documents",
 }
@@ -437,8 +446,8 @@ def test_a_fleet_era_binds_no_one_request_draw():
     from repro.workload.anomalies import AnomalyInjector
 
     class Steady(RttfPredictor):
-        def predict_rttf(self, vm):
-            return 1e9
+        def predict_rttf_rows(self, rows, vms):
+            return np.full(len(vms), 1e9)
 
     n_vms = 10_000
     itype = get_instance_type("m3.medium")
