@@ -451,7 +451,8 @@ class AcmControlLoop:
         host -- ``run_era`` here, ``AcmService`` on the wall clock.
         ``reports`` / ``per_region_rt`` are the era context a policy head
         observes; a region the leader has never heard from is planned at
-        its own ``reports[r].last_rmttf`` (0 without ``reports``).
+        its own ``reports[r].last_rmttf`` (0 without ``reports``).  An
+        idle era (``lam <= 0``, DES only) holds ``self.fractions``.
         """
         # A corrupted predictor can emit NaN; a non-finite report is as
         # useless as a missing one, and must never reach Eq. (1) or the
@@ -468,6 +469,8 @@ class AcmControlLoop:
                 known[r] = rep.last_rmttf
         rmttf_vec = np.array([known.get(r, 0.0) for r in self.regions])
         mode = self.degradation.observe(era, received)
+        if lam <= 0.0:
+            return self.fractions, mode, rmttf_vec
         if (
             self.head_runtime is not None
             and mode == "normal"

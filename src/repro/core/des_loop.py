@@ -12,18 +12,16 @@ per-request discrete events, the way the paper's actual testbed operated:
 * at every era boundary each region's
   :class:`~repro.pcam.vmc.VirtualMachineController` closes the era
   (``close_era``: predict per-VM RTTF, swap at-risk VMs against standbys,
-  report ``lastRMTTF``), the leader folds the region reports through
-  Eq. (1) and runs ``POLICY()``.
+  report ``lastRMTTF``), and the leader folds the region reports through
+  Eq. (1), walks the degradation ladder and runs ``POLICY()``.
 
 Its job is to confirm that the policy conclusions do not depend on the
 fluid approximation (the DES-FIG3 bench runs both loops on the same
 deployment and compares verdicts), so its regions run the VMC the fluid
-loop runs and only the load reaches the state table differently: one
-completion at a time instead of one batch an era.  The leader stays
-lighter (no autoscaling, no partitions): with no report loss and no
-election, its step is the bare ``update_all`` -> ``compute_fractions``
--> ``build_forward_plan``, not ``AcmControlLoop.plan``; what it shares
-with the serve runtime is the installed plan, a ``PlanTable``.
+loop runs, and its leader (``loop.leader``) is an ``AcmControlLoop`` over
+those VMCs whose ``plan`` it calls as the serve runtime does.  Only the
+load reaches the state table differently: one completion at a time
+instead of one batch an era.
 
 Hot-path layout
 ---------------
@@ -68,21 +66,21 @@ golden-trace test):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.control_loop import AcmControlLoop, ControlLoopConfig
 from repro.core.forward_plan import (
     FORWARD_FALLBACK_PENALTY_S,
     PlanTable,
     build_forward_plan,
 )
-from repro.core.policy import Policy, compute_fractions
-from repro.core.rmttf import RmttfAggregator
+# compute_fractions is not called here: the e2e harness wraps it by name
+from repro.core.policy import Policy, compute_fractions  # noqa: F401
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.overlay.network import OverlayNetwork
-from repro.overlay.routing import NoRouteError, Router
+from repro.overlay.routing import NoRouteError
 from repro.pcam.predictor import RttfPredictor
 from repro.pcam.state_table import CODE_ACTIVE, CODE_FAILED, VmStateTable
 from repro.pcam.vm import VirtualMachine
@@ -188,17 +186,13 @@ class DesControlLoop:
     ) -> None:
         if not regions:
             raise ValueError("need at least one region")
-        if not 0 < era_s < math.inf:
-            raise ValueError("era_s must be positive and finite")
+        config = ControlLoopConfig(era_s=era_s, beta=beta)
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self.sim = clock if clock is not None else Simulator(telemetry=telemetry)
-        self.policy = policy
         self.era_s = float(era_s)
         self.mean_demand = float(mean_demand)
         self.region_names = sorted(regions)
-        self.aggregator = RmttfAggregator(beta)
         self.traces = TraceRecorder()
-        self.fractions = policy.initial_fractions(len(self.region_names))
         self.vmcs: dict[str, VirtualMachineController] = {}
         self._states: dict[str, _RegionState] = {}
         self._rngs = {
@@ -240,8 +234,14 @@ class DesControlLoop:
             if self._tel.enabled
             else None
         )
+        #: The leader step over this loop's VMCs; its ``fractions`` route.
+        self.leader = AcmControlLoop(
+            self.vmcs, {r: regions[r][1] for r in self.region_names},
+            policy, rngs, overlay=overlay, config=config, telemetry=telemetry,
+        )
+        # the leader points the telemetry clock at its own era arithmetic
+        self._tel.set_clock(lambda: self.sim.now)
         self.overlay = overlay
-        self._router = Router(overlay) if overlay is not None else None
         self._install_plan()
         self.era_index = 0
         #: Swaps and VM failures over all regions, as of the last boundary.
@@ -262,21 +262,21 @@ class DesControlLoop:
         return counts / counts.sum()
 
     def _install_plan(self) -> None:
-        """Execute: install the forward plan realising ``self.fractions``
+        """Execute: install the forward plan realising ``leader.fractions``
         (routing reads the table's CDF snapshot, never a half-built plan)."""
         self._plan = PlanTable(
             build_forward_plan(
                 self.region_names,
                 self._arrival_fractions(),
-                self.fractions,
+                self.leader.fractions,
             ).matrix
         )
 
     def _forward_latency_s(self, src: str, dst: str) -> float:
-        if src == dst or self._router is None:
+        if src == dst or self.overlay is None:
             return 0.0
         try:
-            return 2.0 * self._router.latency(src, dst) / 1000.0
+            return 2.0 * self.leader.router.latency(src, dst) / 1000.0
         except NoRouteError:
             # Overlay partition: the request absorbs the fallback
             # penalty.  Leave a trace so partitions are observable rather
@@ -408,36 +408,20 @@ class DesControlLoop:
         with tel.span("analyze", kind="mape", era=self.era_index):
             reports, lam = self._analyze_regions(now)
 
-        # leader: Eq. (1), POLICY(), new plan.  An idle era (zero
-        # completed requests) holds the previous fractions rather than
-        # feeding the policy a fabricated load, matching the fluid loop
-        # which never plans against a zero-demand era.  Likewise the fluid
-        # leader's report rule: a non-finite report (a corrupted
-        # predictor's NaN, the oracle's inf for a VM that never degrades)
-        # is as useless as a missing one, and a region never heard from
-        # is planned at 0.
+        # the leader step every host runs (an idle era, lam == 0, holds
+        # the installed fractions)
+        leader = self.leader
         with tel.span("plan", kind="mape", era=self.era_index):
-            self.aggregator.update_all(
-                {r: v for r, v in reports.items() if np.isfinite(v)}
-            )
-            current = self.aggregator.snapshot()
-            rmttf_vec = np.array(
-                [current.get(r, 0.0) for r in self.region_names]
-            )
-            if lam > 0.0:
-                self.fractions = compute_fractions(
-                    self.policy, self.fractions, rmttf_vec, lam
-                )
+            planned, _, rmttf_vec = leader.plan(self.era_index, reports, lam)
+            leader.fractions = planned
         with tel.span("execute", kind="mape", era=self.era_index):
             if lam > 0.0:
                 self._install_plan()
             for j, name in enumerate(self.region_names):
                 self.traces.record(f"rmttf/{name}", now, float(rmttf_vec[j]))
-                self.traces.record(
-                    f"fraction/{name}", now, float(self.fractions[j])
-                )
+                self.traces.record(f"fraction/{name}", now, float(planned[j]))
         self.era_index += 1
-        return current
+        return leader.aggregator.snapshot()
 
     def _analyze_regions(self, now: float) -> tuple[dict[str, float], float]:
         """Per-region era accounting, then the VMC's close-out."""

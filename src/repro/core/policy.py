@@ -74,10 +74,9 @@ def compute_fractions(
 
     Called by :meth:`AcmControlLoop.plan
     <repro.core.control_loop.AcmControlLoop.plan>` (the leader step of
-    the fluid loop and, through it, of the wall-clock serve runtime), by
-    ``DesControlLoop`` (always ``"normal"``: it has no report loss to
-    degrade under) and by the policy heads for their anchor plan, so a
-    head or a new host wraps exactly one seam:
+    the fluid loop and, through it, of the request-level DES and the
+    wall-clock serve runtime) and by the policy heads for their anchor
+    plan, so a head or a new host wraps exactly one seam:
 
     * ``"normal"`` -- ``POLICY(f^{t-1}, RMTTF_1..RMTTF_n)`` (Algorithm 2);
     * ``"hold"``   -- quorum lost: keep the last-known-good fractions;

@@ -44,10 +44,12 @@ class DiurnalProfile:
             raise ValueError("trough_clients must be >= 1")
         if peak_clients < trough_clients:
             raise ValueError("peak_clients must be >= trough_clients")
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0 < period_s < np.inf:
+            raise ValueError("period_s must be positive and finite")
+        if not np.isfinite(phase_s):
+            raise ValueError("phase_s must be finite")
+        if not 0 <= noise_std < np.inf:
+            raise ValueError("noise_std must be finite and >= 0")
         if noise_std > 0 and rng is None:
             raise ValueError("rng required when noise_std > 0")
         self.trough = int(trough_clients)

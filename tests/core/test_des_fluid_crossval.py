@@ -152,8 +152,8 @@ class TestNonFiniteReports:
     def test_never_heard_region_is_planned_at_zero(self, predictor):
         loop = self._quiet_loop(predictor)
         assert loop.run(2) == {}
-        assert np.isfinite(loop.fractions).all()
-        assert loop.fractions.sum() == pytest.approx(1.0)
+        assert np.isfinite(loop.leader.fractions).all()
+        assert loop.leader.fractions.sum() == pytest.approx(1.0)
         rmttf = loop.traces.series("rmttf/r").values
         assert rmttf.tolist() == [0.0, 0.0]
 
@@ -162,10 +162,10 @@ class TestNonFiniteReports:
         loop, _ = make_loop(n_vms=6, clients=60, predictor=predictor,
                             policy="available-resources")
         loop.run(2)
-        held = loop.aggregator.current("r")
+        held = loop.leader.aggregator.current("r")
         assert np.isfinite(held) and held > 0
         predictor.set_mode("nan")
         loop.run(2)
-        assert loop.aggregator.current("r") == held
+        assert loop.leader.aggregator.current("r") == held
         assert loop.traces.series("rmttf/r").values[-1] == held
-        assert np.isfinite(loop.fractions).all()
+        assert np.isfinite(loop.leader.fractions).all()

@@ -114,7 +114,7 @@ class TestForwardLatencyFallback:
         def boom(src, dst):
             raise ValueError("router invariant broken")
 
-        loop._router.latency = boom
+        loop.leader.router.latency = boom
         with pytest.raises(ValueError, match="router invariant broken"):
             loop.run(3)
 
@@ -210,10 +210,10 @@ class TestIdleEraHoldsFractions:
         spy = _SpyPolicy(get_policy("available-resources"))
         # think times around 1e9 s: no request completes within 30 s eras
         loop = build_loop(spy, seed=3, think_time_s=1e9)
-        initial = loop.fractions.copy()
+        initial = loop.leader.fractions.copy()
         loop.run(3)
         assert spy.calls == 0
-        assert np.array_equal(loop.fractions, initial)
+        assert np.array_equal(loop.leader.fractions, initial)
         # fractions are still traced (held) every era
         assert len(loop.traces.series("fraction/r1")) == 3
 

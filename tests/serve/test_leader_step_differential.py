@@ -1,4 +1,4 @@
-"""Sim-vs-serve differential for the leader step.
+"""Differential for the leader step across its three hosts.
 
 One scripted ``lastRMTTF`` sequence -- all reports present, one ``NaN``,
 quorum lost long enough to walk ``normal -> hold -> fallback``, a
@@ -13,20 +13,32 @@ Both must walk the same ladder and, before serve zeroes dead regions,
 produce the same fractions bit for bit.  The wall clock is frozen
 (``time_fn`` pinned to 0) and its heap stepped with ``run_until``, so
 nothing sleeps and nothing depends on the host's speed.
+
+The report-only head of the script (no region goes dark) also drives a
+request-level :class:`DesControlLoop`, whose VMCs report the scripted
+values at each era boundary: its installed fractions must equal those of
+an :meth:`AcmControlLoop.plan` fed the same reports and the DES's own
+measured load, era by era, through the same ladder.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core.control_loop import AcmControlLoop
+from repro.core.des_loop import DesControlLoop
 from repro.core.manager import AcmManager
-from repro.core.policy import renormalize_live
+from repro.core.policy import get_policy, renormalize_live
 from repro.experiments.scenarios import three_region_scenario
+from repro.pcam import OracleRttfPredictor, VirtualMachine
 from repro.serve.clock import WallClock
 from repro.serve.service import AcmService, ServeConfig
+from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
+from repro.workload import AnomalyInjector, BrowserPopulation
 
 NAN = float("nan")
 POLICY = "sensible-routing"
@@ -52,6 +64,9 @@ SCRIPT: list[tuple[tuple[float, float, float], tuple[int, ...]]] = (
 EXPECTED_MODES = (
     ["normal"] * 6 + ["hold"] * 5 + ["fallback"] * 2 + ["normal"] * 6
 )
+#: the script's eras in which every region is up
+REPORT_ONLY_ERAS = 14
+assert all(not dark for _, dark in SCRIPT[:REPORT_ONLY_ERAS])
 
 
 def test_fluid_plan_and_serve_plan_phase_agree(monkeypatch):
@@ -150,3 +165,69 @@ def test_fluid_plan_and_serve_plan_phase_agree(monkeypatch):
     # the script really moved the plan: not a comparison of constants
     assert len({tuple(p) for p, _ in serve_planned}) > 10
     service.shutdown()
+
+
+def test_des_leader_walks_the_fluid_ladder(monkeypatch):
+    rngs = RngRegistry(seed=SEED)
+    regions = {}
+    for name, itype, n_vms in (
+        ("r1", M3_MEDIUM, 6), ("r2", PRIVATE_SMALL, 4), ("r3", M3_MEDIUM, 4)
+    ):
+        pool = [
+            VirtualMachine(
+                f"{name}/vm{i}",
+                itype,
+                AnomalyInjector(rngs.child(f"{name}{i}").stream("a")),
+            )
+            for i in range(n_vms)
+        ]
+        regions[name] = (pool, BrowserPopulation(n_clients=40), n_vms - 1)
+    des = DesControlLoop(
+        regions, get_policy(POLICY), OracleRttfPredictor(), rngs, era_s=ERA_S
+    )
+    names = des.region_names
+    assert len(names) == 3
+
+    # the real close-out runs; only its lastRMTTF is the scripted value
+    current: dict[str, float] = {}
+    for r in names:
+        close_era = des.vmcs[r].close_era
+
+        def scripted(*args, r=r, close_era=close_era):
+            return dataclasses.replace(close_era(*args), last_rmttf=current[r])
+
+        monkeypatch.setattr(des.vmcs[r], "close_era", scripted)
+
+    # the fluid leader step over the same VMCs, for the fallback's
+    # healthy capacities at the same instant
+    fluid = AcmControlLoop(
+        des.vmcs,
+        {r: regions[r][1] for r in names},
+        get_policy(POLICY),
+        RngRegistry(seed=SEED),
+    )
+    modes = []
+    for era, (values, _) in enumerate(SCRIPT[:REPORT_ONLY_ERAS]):
+        current.update(zip(names, values))
+        des.run_era()
+        # the load the DES measured, summed in its own order
+        lam = 0.0
+        for r in names:
+            lam += des.traces.series(f"completed/{r}").values[-1] / ERA_S
+        assert lam > 0.0
+        planned, mode, _ = fluid.plan(era, dict(current), lam)
+        fluid.fractions = planned
+        modes.append(mode)
+        installed = np.array(
+            [des.traces.series(f"fraction/{r}").values[-1] for r in names]
+        )
+        assert np.array_equal(installed, planned), f"era {era} ({mode})"
+        assert des.leader.degradation.mode == mode
+
+    assert modes == EXPECTED_MODES[:REPORT_ONLY_ERAS]
+    # the script really moved the plan: not a comparison of constants
+    traced = {
+        tuple(des.traces.series(f"fraction/{r}").values[k] for r in names)
+        for k in range(REPORT_ONLY_ERAS)
+    }
+    assert len(traced) > 5

@@ -88,6 +88,13 @@ RULES = (
     Rule("leader-step", r"degradation\.observe\(|election\.elect\(",
          (SRC,), (SRC + "core/control_loop.py",),
          "the leader step lives in core/control_loop.py only", "3869928"),
+    Rule("plan-step", r"RmttfAggregator\(|\.update_all\(|compute_fractions\(",
+         (SRC,),
+         (SRC + "core/control_loop.py", SRC + "core/policy.py",
+          SRC + "policy/heads.py"),
+         "Eq. (1) and POLICY() run in the one leader step, "
+         "AcmControlLoop.plan; a policy head plans its anchor beside it",
+         "after 859774b"),
     Rule("event-pool", r"POOL_MAX|_recycle|poolable|JSQ_SCAN_MAX|active_arr",
          ("src/",), (),
          "the Event pool and the thresholded NumPy JSQ branch stay gone",
@@ -181,6 +188,9 @@ RULES = (
 INJECT = {
     "plan-cdf": [(SRC + "core/des_loop.py", "cdf = np.cumsum(row)")],
     "leader-step": [(SRC + "serve/service.py", "election.elect(region)")],
+    "plan-step": [
+        (SRC + "core/des_loop.py", "f = compute_fractions(p, f, rmttf, lam)")
+    ],
     "event-pool": [(SRC + "sim/engine.py", "POOL_MAX = 4096")],
     "event-heap": [(SRC + "core/des_loop.py", "import heapq")],
     "per-vm-monitor": [(SRC + "pcam/vmc.py", "m = FeatureMonitor(window)")],

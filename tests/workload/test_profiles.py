@@ -1,5 +1,7 @@
 """Tests for the diurnal workload profile."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,15 @@ def test_noise_requires_rng():
         dict(trough_clients=20, peak_clients=10),
         dict(trough_clients=10, peak_clients=20, period_s=0.0),
         dict(trough_clients=10, peak_clients=20, noise_std=-1.0),
+        # non-finite: a NaN noise was dropped silently, an infinite period
+        # flattened the curve to its midpoint, a NaN phase failed later
+        dict(trough_clients=10, peak_clients=20, noise_std=math.nan),
+        dict(trough_clients=10, peak_clients=20, noise_std=math.inf,
+             rng=np.random.default_rng(0)),
+        dict(trough_clients=10, peak_clients=20, period_s=math.inf),
+        dict(trough_clients=10, peak_clients=20, period_s=math.nan),
+        dict(trough_clients=10, peak_clients=20, phase_s=math.nan),
+        dict(trough_clients=10, peak_clients=20, phase_s=-math.inf),
     ],
 )
 def test_validation(kw):
