@@ -15,12 +15,6 @@
 """
 
 from repro.experiments.figures import FIGURES, report_figure, run_figure
-from repro.experiments.load_sweep import (
-    run_load_sweep,
-    sweep_manifest,
-    sweep_table,
-    write_sweep_csv,
-)
 from repro.experiments.resilience import (
     CAMPAIGNS,
     CampaignResult,
@@ -59,10 +53,6 @@ __all__ = [
     "FIGURES",
     "run_figure",
     "report_figure",
-    "run_load_sweep",
-    "sweep_table",
-    "sweep_manifest",
-    "write_sweep_csv",
     "assessment_table",
     "render_series",
     "sparkline",

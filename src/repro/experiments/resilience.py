@@ -505,6 +505,9 @@ class CampaignSpec:
     spread_k: int = 0
 
 
+#: The fewest eras a campaign runs (``run_campaign`` refuses fewer).
+MIN_CAMPAIGN_ERAS = 4
+
 #: The canned campaign registry, in documentation order.
 CAMPAIGNS: dict[str, CampaignSpec] = {
     spec.name: spec
@@ -579,8 +582,10 @@ def run_campaign(
             f"unknown campaign {name!r}; pick one of {sorted(CAMPAIGNS)}"
         )
     n_eras = spec.default_eras if eras is None else int(eras)
-    if n_eras < 4:
-        raise ValueError("campaigns need at least 4 eras")
+    if n_eras < MIN_CAMPAIGN_ERAS:
+        raise ValueError(
+            f"campaigns need at least {MIN_CAMPAIGN_ERAS} eras"
+        )
     if telemetry is not None and telemetry.enabled:
         config = {
             "campaign": spec.name,
@@ -617,50 +622,6 @@ def run_campaign(
 # --------------------------------------------------------------------- #
 
 
-def campaign_suite_jobs(
-    names: tuple[str, ...] | None = None,
-    seed: int = 7,
-    replicates: int = 1,
-    eras: int | None = None,
-) -> "list[JobSpec]":
-    """Fleet jobs covering several campaigns (x seed replicates).
-
-    Replicate 0 runs at the root seed itself, so a suite cell
-    reproduces ``repro chaos <name> --seed S`` bit-for-bit; additional
-    replicates get independent seeds derived from the root
-    (:func:`repro.sim.rng.derive_seed`).
-    """
-    from repro.fleet.jobs import JobSpec
-    from repro.sim.rng import derive_seed
-
-    selected = tuple(names) if names is not None else tuple(CAMPAIGNS)
-    unknown = [n for n in selected if n not in CAMPAIGNS]
-    if unknown:
-        raise ValueError(
-            f"unknown campaigns {unknown}; pick from {sorted(CAMPAIGNS)}"
-        )
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    jobs = []
-    for name in selected:
-        for rep in range(replicates):
-            rep_seed = (
-                seed if rep == 0 else derive_seed(seed, f"{name}/rep{rep}")
-            )
-            jobs.append(
-                JobSpec(
-                    kind="chaos",
-                    scenario=name,
-                    policy="",
-                    load=1.0,
-                    seed=rep_seed,
-                    replicate=rep,
-                    eras=0 if eras is None else int(eras),
-                )
-            )
-    return jobs
-
-
 def run_campaign_suite(
     names: tuple[str, ...] | None = None,
     seed: int = 7,
@@ -669,23 +630,29 @@ def run_campaign_suite(
     workers: int = 1,
     store=None,
 ) -> "FleetOutcome":
-    """Run several campaigns on the fleet executor.
+    """Run several campaigns (all by default) on the fleet executor.
 
-    The historical driver executed campaigns one-by-one in-process;
-    this one gains parallel workers, per-campaign crash containment,
-    and store-backed resume for free.  Returns the raw
+    The suite is the chaos cells of a :class:`~repro.fleet.spec.SweepSpec`
+    rooted at ``seed``, so each cell's seed derives from it as a sweep
+    cell's does; the report prints it, and ``repro chaos <name> --seed
+    <printed seed>`` replays that cell.  Returns the raw
     :class:`~repro.fleet.executor.FleetOutcome` (payloads in job
     order); render it with :func:`report_campaign_suite`.
     """
     from repro.fleet.executor import FleetExecutor
+    from repro.fleet.spec import SweepSpec
     from repro.fleet.store import ResultStore
 
-    jobs = campaign_suite_jobs(
-        names, seed=seed, replicates=replicates, eras=eras
+    spec = SweepSpec(
+        scenarios=(),
+        campaigns=tuple(names or CAMPAIGNS),
+        replicates=replicates,
+        root_seed=seed,
+        campaign_eras=eras or 0,
     )
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
-    return FleetExecutor(workers=workers, store=store).run(jobs)
+    return FleetExecutor(workers=workers, store=store).run(spec.expand())
 
 
 def report_campaign_suite(outcome: "FleetOutcome") -> str:

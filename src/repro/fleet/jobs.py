@@ -17,10 +17,6 @@ Job kinds
     :func:`repro.experiments.runner.run_policy_experiment`.  ``load`` is
     a client multiplier applied to every region of the named scenario
     (clamped to the paper's [16, 512] interval).
-``load``
-    One cell of the Sec. VI-A client-count sweep (the historical
-    ``run_load_sweep`` deployment, preserved bit-for-bit); ``load`` is
-    the region-1 client count.
 ``chaos``
     One seeded resilience campaign from
     :mod:`repro.experiments.resilience`; ``scenario`` names the
@@ -61,11 +57,7 @@ from repro.fleet.axes import AXES, job_values, label_parts, switched_on
 from repro.obs.manifest import RunManifest, config_digest
 
 #: Job kinds understood by :func:`execute_job`.
-JOB_KINDS = ("policy", "load", "chaos", "synthetic", "rollout")
-
-#: The paper's client interval; ``policy`` job load multipliers clamp
-#: scaled per-region counts into it (mirrors the load_sweep validation).
-_CLIENT_LO, _CLIENT_HI = 16, 512
+JOB_KINDS = ("policy", "chaos", "synthetic", "rollout")
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,9 +69,8 @@ class JobSpec:
     scenario: str
     #: routing policy; empty for kinds that have none (chaos, synthetic)
     policy: str
-    #: kind-dependent scalar: client multiplier (policy), region-1
-    #: client count (load), unused (chaos), duration in seconds
-    #: (synthetic sleep/hang)
+    #: kind-dependent scalar: client multiplier (policy, rollout),
+    #: unused (chaos), duration in seconds (synthetic sleep/hang)
     load: float
     seed: int
     #: replicate index within the sweep cell (0-based)
@@ -203,7 +194,9 @@ def build_scenario(key: str, load: float, domains: str = "flat"):
     from dataclasses import replace
 
     from repro.experiments.scenarios import resolve_scenario
+    from repro.workload.browsers import CLIENT_RANGE
 
+    lo, hi = CLIENT_RANGE
     key, drift = parse_scenario_key(key)
     if load <= 0:
         raise ValueError(f"load multiplier must be positive, got {load}")
@@ -211,9 +204,7 @@ def build_scenario(key: str, load: float, domains: str = "flat"):
     regions = tuple(
         replace(
             spec,
-            clients=max(
-                _CLIENT_LO, min(_CLIENT_HI, int(round(spec.clients * load)))
-            ),
+            clients=max(lo, min(hi, int(round(spec.clients * load)))),
         )
         for spec in base.regions
     )
@@ -226,8 +217,8 @@ def build_scenario(key: str, load: float, domains: str = "flat"):
 
 
 def _tail_mean_rmttf(traces) -> float:
-    """Steady-state RMTTF: mean over the last 30% of every region series
-    (the statistic the historical load sweep reported)."""
+    """Steady-state RMTTF: mean over the last 30% of every region
+    series."""
     import numpy as np
 
     tails = [
@@ -335,40 +326,6 @@ def _execute_policy(job: JobSpec) -> dict:
     return payload
 
 
-def _execute_load(job: JobSpec) -> dict:
-    """One cell of the Sec. VI-A client sweep.
-
-    This is the historical ``run_load_sweep`` body verbatim (same
-    deployment shape, same region-3 scaling rule, same statistics) so
-    the migration onto the fleet executor is bit-identical.
-    """
-    from repro.core.manager import AcmManager, RegionSpec
-    from repro.core.metrics import assess_policy_run
-
-    n1 = int(job.load)
-    n3 = max(_CLIENT_LO, int(n1 * 0.6))
-    mgr = AcmManager(
-        regions=[
-            RegionSpec("region1", "m3.medium", 8, 6, n1),
-            RegionSpec("region3", "private.small", 6, 4, n3),
-        ],
-        policy=job.policy,
-        seed=job.seed,
-        era_s=job.era_s,
-    )
-    mgr.run(job.eras)
-    a = assess_policy_run(job.policy, mgr.traces)
-    return {
-        "clients_region1": n1,
-        "clients_region3": n3,
-        "mean_rmttf_s": _tail_mean_rmttf(mgr.traces),
-        "rmttf_spread": a.rmttf_spread,
-        "mean_response_s": a.mean_response_time_s,
-        "sla_met": a.sla_met,
-        "rejuvenations": a.total_rejuvenations,
-    }
-
-
 def _execute_chaos(job: JobSpec) -> dict:
     from repro.experiments.resilience import run_campaign
 
@@ -461,7 +418,6 @@ def _execute_rollout(job: JobSpec) -> dict:
 
 _EXECUTORS = {
     "policy": _execute_policy,
-    "load": _execute_load,
     "chaos": _execute_chaos,
     "synthetic": _execute_synthetic,
     "rollout": _execute_rollout,

@@ -78,8 +78,36 @@ class SweepSpec:
             resolve_scenario(parse_scenario_key(scenario)[0])
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if any(load <= 0 for load in self.loads):
-            raise ValueError(f"loads must be positive, got {self.loads}")
+        if not all(0 < load < math.inf for load in self.loads):
+            raise ValueError(
+                f"loads must be positive and finite, got {self.loads}"
+            )
+        if not 0 < self.era_s < math.inf:
+            raise ValueError(
+                f"era_s must be positive and finite, got {self.era_s}"
+            )
+        if self.campaign_eras < 0:
+            raise ValueError(
+                f"campaign_eras must be >= 0, got {self.campaign_eras}"
+            )
+        if self.campaigns:
+            # lazily, as above, and only for specs that name campaigns
+            from repro.experiments.resilience import (
+                CAMPAIGNS,
+                MIN_CAMPAIGN_ERAS,
+            )
+
+            unknown = [c for c in self.campaigns if c not in CAMPAIGNS]
+            if unknown:
+                raise ValueError(
+                    f"unknown campaigns {unknown}; "
+                    f"pick from {sorted(CAMPAIGNS)}"
+                )
+            if 0 < self.campaign_eras < MIN_CAMPAIGN_ERAS:
+                raise ValueError(
+                    f"campaign_eras must be 0 (each campaign's default) "
+                    f"or >= {MIN_CAMPAIGN_ERAS}, got {self.campaign_eras}"
+                )
         grid = self._grid()
         for axis in AXES:
             if not grid[axis.spec_field]:

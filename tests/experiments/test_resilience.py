@@ -10,7 +10,9 @@ from repro.experiments.resilience import (
     recovery_bound_eras,
     report_campaign,
     run_campaign,
+    run_campaign_suite,
 )
+from repro.sim.rng import derive_seed
 
 
 class TestRegistry:
@@ -70,6 +72,20 @@ class TestReplay:
         ]
         # ... but the stochastic loss pattern is not
         assert a.message_stats != b.message_stats
+
+
+class TestSuite:
+    def test_suite_cell_replays_as_one_campaign(self):
+        """A suite cell's seed derives from the root as a sweep cell's
+        does, and ``run_campaign`` at that seed replays the cell."""
+        outcome = run_campaign_suite(("smoke",), seed=7)
+        (job,), (payload,) = outcome.jobs, outcome.payloads
+        assert job.seed == derive_seed(7, "chaos/smoke/rep0")
+        result = run_campaign("smoke", seed=job.seed)
+        assert payload["availability"] == result.availability
+        assert payload["final_fractions"] == {
+            k: float(v) for k, v in sorted(result.final_fractions.items())
+        }
 
 
 class TestCampaignBehaviour:

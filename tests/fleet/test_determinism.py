@@ -45,6 +45,10 @@ class TestSerialParallelBitIdentity:
             aggregate(jobs, parallel.payloads), manifest
         )
         assert table_serial == table_parallel
+        # the table leads with its provenance line
+        assert table_serial.splitlines()[0] == (
+            f"# manifest: {manifest.to_json()}"
+        )
 
     def test_csv_export_identical(self, tmp_path):
         jobs = reference_grid().expand()

@@ -1,8 +1,10 @@
 """SweepSpec expansion: grid shape, ordering, derived seeds, digests."""
 
+import math
+
 import pytest
 
-from repro.fleet.jobs import JobSpec
+from repro.fleet.jobs import JobSpec, execute_job
 from repro.fleet.spec import SweepSpec, listing
 from repro.sim.rng import derive_seed
 
@@ -133,6 +135,30 @@ class TestValidation:
         with pytest.raises(ValueError, match="eras"):
             small_spec(eras=5)
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(campaigns=("bogus",)), "unknown campaigns"),
+            (dict(loads=(math.nan,)), "loads"),
+            (dict(loads=(math.inf,)), "loads"),
+            (dict(era_s=math.nan), "era_s"),
+            (dict(era_s=0.0), "era_s"),
+            (dict(campaigns=("smoke",), campaign_eras=1), "campaign_eras"),
+            (dict(campaigns=("smoke",), campaign_eras=3), "campaign_eras"),
+            (dict(campaign_eras=-1), "campaign_eras"),
+        ],
+        ids=[
+            "unknown-campaign", "nan-load", "inf-load", "nan-era",
+            "zero-era", "one-campaign-era", "three-campaign-eras",
+            "negative-campaign-eras",
+        ],
+    )
+    def test_bad_input_refused_when_built(self, overrides, match):
+        """Each of these once expanded and failed only inside a worker,
+        after a spawn and a retry."""
+        with pytest.raises(ValueError, match=match):
+            small_spec(**overrides)
+
     def test_unknown_job_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown job kind"):
             JobSpec(
@@ -166,3 +192,19 @@ class TestManifestAndListing:
     def test_from_config_round_trip(self):
         job = small_spec().expand()[3]
         assert JobSpec.from_config(job.config()) == job
+
+
+class TestClientSweep:
+    def test_rmttf_falls_with_load(self):
+        """Sec. VI-A's client sweep is the load axis on the Figure 3
+        deployment: region 1's 160 clients at 0.2x and 0.8x are 32 and
+        128 clients, and more clients age the VMs faster."""
+        spec = SweepSpec(
+            scenarios=("two-region",),
+            policies=("available-resources",),
+            loads=(0.2, 0.8),
+            root_seed=3,
+            eras=40,
+        )
+        low, high = (execute_job(job) for job in spec.expand())
+        assert low["mean_rmttf_s"] > high["mean_rmttf_s"]
