@@ -345,20 +345,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
 
     store = ResultStore(args.store)
+    try:
+        executor = FleetExecutor(
+            workers=args.workers,
+            store=store,
+            resume=args.resume,
+            job_timeout_s=args.timeout,
+            max_retries=args.retries,
+            progress=lambda line: print(f"  {line}"),
+        )
+    except ValueError as exc:
+        print(f"invalid sweep options: {exc}", file=sys.stderr)
+        return 2
     if args.gc:
         pruned = store.gc(keep=[job.digest for job in jobs])
         print(
             f"gc: pruned {len(pruned)} stale store entries "
             f"({len(store)} kept) in {store.root}"
         )
-    executor = FleetExecutor(
-        workers=args.workers,
-        store=store,
-        resume=args.resume,
-        job_timeout_s=args.timeout,
-        max_retries=args.retries,
-        progress=lambda line: print(f"  {line}"),
-    )
     outcome = executor.run(jobs)
     print(
         f"done: {outcome.executed} executed, {outcome.store_hits} store "

@@ -9,8 +9,8 @@ at scale instead of one-by-one in-process:
 * :mod:`repro.fleet.axes` -- the one table of the grid's optional axes;
 * :mod:`repro.fleet.jobs` -- content-addressed :class:`JobSpec` units
   and their worker-side physics;
-* :mod:`repro.fleet.executor` -- the process-per-job
-  :class:`FleetExecutor`: bounded parallelism, per-job timeouts,
+* :mod:`repro.fleet.executor` -- the :class:`FleetExecutor` and its
+  kept worker processes: bounded parallelism, per-job timeouts,
   bounded retries for crashed/hung workers, deterministic ordering
   (serial and parallel runs are bit-identical);
 * :mod:`repro.fleet.store` -- the crash-safe on-disk

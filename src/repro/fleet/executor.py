@@ -3,21 +3,31 @@
 Scheduling model
 ----------------
 
-Every job runs in its own worker process (forked where the platform
-allows), with at most ``workers`` alive at once.  Process-per-job is
-deliberate -- it is what makes the three hard guarantees cheap:
+Up to ``workers`` long-lived worker processes (forked where the platform
+allows) each run job after job: the parent hands the next queued job to
+a worker that has just answered ``ok``.  A worker is retired after any
+attempt that is not ``ok`` -- an ``error`` reply, a dead pipe, or a
+timeout kill -- and a fresh one takes its place while work remains.
+Keeping a worker pays a job's cold start (copy-on-write page faults,
+lazy imports) once per worker instead of once per job.  The three hard
+guarantees rest on:
 
 * **Determinism.**  :func:`~repro.fleet.jobs.execute_job` is a pure
-  function of the spec, and worker isolation means no job can observe
-  another's interpreter state.  Results are keyed by config digest and
-  re-ordered into spec order at the end, so ``--workers 1`` and
-  ``--workers 8`` return bit-identical payload lists.
-* **Timeouts that actually kill.**  A hung job is a process the parent
-  can ``terminate()``; pool-based executors can only abandon it.
+  function of the spec: it reads and writes no interpreter state, so
+  the jobs a worker ran before cannot change the next one's payload
+  (``tests/fleet/test_determinism.py`` runs one job list forward and
+  reversed at one and three workers).  Results are keyed by config
+  digest and re-ordered into spec order at the end, so ``--workers 1``
+  and ``--workers 8`` return bit-identical payload lists.
+* **Timeouts that actually kill.**  A hung job's worker is a process
+  the parent can ``terminate()`` and replace; pool-based executors can
+  only abandon it.
 * **Crash containment.**  A worker dying mid-job (segfault, OOM kill,
-  ``os._exit``) surfaces as a closed pipe, not a poisoned pool; the
-  job is retried up to ``max_retries`` times and the rest of the sweep
-  is unaffected.
+  ``os._exit``) surfaces as a closed pipe, not a poisoned pool; it is
+  replaced, the job is retried up to ``max_retries`` times, and the
+  rest of the sweep is unaffected.  Because a worker retires after any
+  failed attempt, a failed job never shares a process with a later
+  job, and a retry never runs in the process that failed it.
 
 Completed payloads are written to the
 :class:`~repro.fleet.store.ResultStore` *as they arrive*, so a sweep
@@ -26,6 +36,7 @@ killed at any instant resumes from its last finished job.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import time
 from collections import Counter, deque
@@ -38,29 +49,38 @@ from repro.fleet.jobs import JobSpec, execute_job
 from repro.fleet.store import ResultStore
 
 
-def _job_worker(job: JobSpec, conn: Connection) -> None:
-    """Worker-process entry point: run one job, ship one message back."""
-    try:
-        payload = execute_job(job)
-    except BaseException as exc:  # noqa: BLE001 - report, don't crash silently
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        finally:
-            conn.close()
-        return
-    conn.send(("ok", payload))
-    conn.close()
+def _job_worker(conn: Connection) -> None:
+    """Worker-process entry point: run jobs until a ``None`` or EOF.
+
+    Each job is answered ``("ok", payload)`` or ``("error", message)``;
+    after an error the worker exits, so no later job runs beside the
+    state a failed one left.
+    """
+    with conn:
+        while True:
+            try:
+                job = conn.recv()
+            except EOFError:
+                return
+            if job is None:
+                return
+            try:
+                payload = execute_job(job)
+            except BaseException as exc:  # noqa: BLE001 - report it
+                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+                return
+            conn.send(("ok", payload))
 
 
 @dataclass
-class _Running:
-    """Bookkeeping for one in-flight worker."""
+class _Worker:
+    """One worker process and the attempt it is running."""
 
-    job: JobSpec
-    attempt: int
     proc: mp.process.BaseProcess
     conn: Connection
-    deadline: float | None
+    job: JobSpec | None = None
+    attempt: int = 0
+    deadline: float | None = None
 
 
 @dataclass
@@ -99,8 +119,9 @@ class FleetExecutor:
         Whether existing store entries satisfy jobs (the ``--resume``
         flag).  Ignored when ``store`` is None.
     job_timeout_s:
-        Wall-clock budget per attempt; a worker exceeding it is killed
-        and the attempt counts as failed.  None disables timeouts.
+        Wall-clock budget per attempt, finite and positive; a worker
+        exceeding it is killed and the attempt counts as failed.  None
+        disables timeouts.
     max_retries:
         Extra attempts allowed per job after its first failure.
     progress:
@@ -121,8 +142,10 @@ class FleetExecutor:
             raise ValueError("workers must be >= 1")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if job_timeout_s is not None and job_timeout_s <= 0:
-            raise ValueError("job_timeout_s must be positive")
+        if job_timeout_s is not None and not 0 < job_timeout_s < math.inf:
+            raise ValueError(
+                f"job_timeout_s must be finite and positive, got {job_timeout_s}"
+            )
         self.workers = workers
         self.store = store
         self.resume = resume
@@ -149,36 +172,43 @@ class FleetExecutor:
                 },
             )
 
-    def _spawn(self, job: JobSpec, attempt: int) -> _Running:
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
+    def _spawn(self) -> _Worker:
+        conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_job_worker, args=(job, send_conn), daemon=True
+            target=_job_worker, args=(child_conn,), daemon=True
         )
         proc.start()
-        # the worker owns the send end; closing our copy turns a dead
-        # worker into an EOF on the receive end
-        send_conn.close()
-        deadline = (
+        # the worker owns its end; closing our copy turns a dead worker
+        # into an EOF on ours
+        child_conn.close()
+        return _Worker(proc, conn)
+
+    def _assign(self, worker: _Worker, job: JobSpec, attempt: int) -> None:
+        worker.job, worker.attempt = job, attempt
+        worker.deadline = (
             time.monotonic() + self.job_timeout_s
             if self.job_timeout_s is not None
             else None
         )
         self._say(f"run  {job.label} (attempt {attempt + 1})")
-        return _Running(job, attempt, proc, recv_conn, deadline)
+        try:
+            worker.conn.send(job)
+        except OSError:
+            pass  # the worker is gone: its pipe reads as EOF next round
 
     @staticmethod
-    def _reap(item: _Running) -> None:
+    def _reap(worker: _Worker) -> None:
         """Make sure a finished/killed worker is fully gone."""
-        item.proc.join(timeout=5.0)
-        if item.proc.is_alive():
-            item.proc.kill()
-            item.proc.join(timeout=5.0)
-        item.conn.close()
+        worker.proc.join(timeout=5.0)
+        if worker.proc.is_alive():
+            worker.proc.kill()
+            worker.proc.join(timeout=5.0)
+        worker.conn.close()
 
-    def _kill(self, item: _Running) -> None:
-        if item.proc.is_alive():
-            item.proc.terminate()
-        self._reap(item)
+    def _kill(self, worker: _Worker) -> None:
+        if worker.proc.is_alive():
+            worker.proc.terminate()
+        self._reap(worker)
 
     # -------------------------------------------------------------- #
 
@@ -208,71 +238,75 @@ class FleetExecutor:
             for job, digest in zip(jobs, digests)
             if digest not in results
         )
-        running: dict[str, _Running] = {}
+        busy: list[_Worker] = []
+        idle: list[_Worker] = []
 
-        def settle(item: _Running, verdict: str, value) -> None:
+        def settle(worker: _Worker, verdict: str, value) -> None:
             """Fold one finished attempt back into the schedule."""
-            digest = item.job.digest
-            del running[digest]
-            self._reap(item)
+            job = worker.job
+            busy.remove(worker)
             if verdict == "ok":
-                results[digest] = value
+                idle.append(worker)
+                results[job.digest] = value
                 outcome.executed += 1
-                self._record(item.job, value)
-                self._say(f"ok   {item.job.label}")
-            elif item.attempt < self.max_retries:
+                self._record(job, value)
+                self._say(f"ok   {job.label}")
+                return
+            self._kill(worker)
+            if worker.attempt < self.max_retries:
                 outcome.retried += 1
-                queue.append((item.job, item.attempt + 1))
-                self._say(f"retry {item.job.label}: {value}")
+                queue.append((job, worker.attempt + 1))
+                self._say(f"retry {job.label}: {value}")
             else:
-                outcome.failures[digest] = str(value)
-                self._say(f"FAIL {item.job.label}: {value}")
+                outcome.failures[job.digest] = str(value)
+                self._say(f"FAIL {job.label}: {value}")
 
         try:
-            while queue or running:
-                while queue and len(running) < self.workers:
-                    job, attempt = queue.popleft()
-                    running[job.digest] = self._spawn(job, attempt)
+            while queue or busy:
+                while queue and len(busy) < self.workers:
+                    worker = idle.pop() if idle else self._spawn()
+                    busy.append(worker)
+                    self._assign(worker, *queue.popleft())
 
                 deadlines = [
-                    r.deadline
-                    for r in running.values()
-                    if r.deadline is not None
+                    w.deadline for w in busy if w.deadline is not None
                 ]
                 wait_s = (
                     max(0.0, min(deadlines) - time.monotonic())
                     if deadlines
                     else None
                 )
-                ready = set(
-                    _conn_wait(
-                        [r.conn for r in running.values()], timeout=wait_s
-                    )
-                )
+                ready = set(_conn_wait([w.conn for w in busy], timeout=wait_s))
 
                 now = time.monotonic()
-                for item in list(running.values()):
-                    if item.conn in ready:
+                for worker in list(busy):
+                    if worker.conn in ready:
                         try:
-                            verdict, value = item.conn.recv()
+                            verdict, value = worker.conn.recv()
                         except (EOFError, OSError):
-                            item.proc.join(timeout=5.0)
+                            worker.proc.join(timeout=5.0)
                             verdict, value = (
                                 "error",
                                 "worker died without reporting "
-                                f"(exit code {item.proc.exitcode})",
+                                f"(exit code {worker.proc.exitcode})",
                             )
-                        settle(item, verdict, value)
-                    elif item.deadline is not None and now >= item.deadline:
-                        self._kill(item)
+                        settle(worker, verdict, value)
+                    elif worker.deadline is not None and now >= worker.deadline:
                         settle(
-                            item,
+                            worker,
                             "error",
                             f"timeout after {self.job_timeout_s:g}s",
                         )
         finally:
-            for item in list(running.values()):
-                self._kill(item)
+            for worker in idle:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass  # already gone; the reap below collects it
+            for worker in idle:
+                self._reap(worker)
+            for worker in busy:
+                self._kill(worker)
 
         outcome.payloads = [results.get(digest) for digest in digests]
         return outcome

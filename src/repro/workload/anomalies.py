@@ -175,12 +175,15 @@ class AnomalyInjector:
                 self._leak_mu, self.leak_sigma, size=n_leaks
             )
             if n_leaks < 8:
-                # sequential Python sum: bit-identical to ndarray.sum at
+                # a left-to-right loop: bit-identical to ndarray.sum at
                 # these sizes (numpy's pairwise kernel degenerates to the
-                # same left-to-right loop below 8 elements) and ~3x
-                # cheaper -- this branch covers the DES (n=1) and every
-                # realistic per-era batch
-                leaked = float(sum(sizes.tolist()))
+                # same loop below 8 elements) and ~3x cheaper -- this
+                # branch covers the DES (n=1) and every realistic per-era
+                # batch.  Spelled out, not builtin sum(), which adds
+                # floats with compensation from Python 3.12 on.
+                leaked = 0.0
+                for size in sizes.tolist():
+                    leaked += size
             else:
                 leaked = float(sizes.sum())
         else:

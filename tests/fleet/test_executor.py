@@ -1,10 +1,13 @@
-"""FleetExecutor scheduling: retries, crashes, hangs, failure isolation.
+"""FleetExecutor scheduling: retries, crashes, hangs, failure isolation,
+and the worker lifecycle.
 
 Synthetic jobs (sleep / crash / exit / hang / flaky) exercise every
 failure mode across real process boundaries without simulating anything,
 so these tests stay fast.
 """
 
+import math
+import multiprocessing as mp
 import time
 
 import pytest
@@ -120,6 +123,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             FleetExecutor(job_timeout_s=0.0)
 
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan, -math.inf])
+    def test_non_finite_timeout_refused(self, timeout):
+        """inf would overflow ``connection.wait`` once a worker runs; nan
+        would disable the timeout and spin the parent loop."""
+        with pytest.raises(ValueError, match="finite and positive"):
+            FleetExecutor(job_timeout_s=timeout)
+
     def test_bad_retries(self):
         with pytest.raises(ValueError):
             FleetExecutor(max_retries=-1)
@@ -142,3 +152,74 @@ class TestStoreIntegration:
             [synthetic("crash", 0)]
         )
         assert len(store) == 0
+
+
+@pytest.fixture
+def spawns(monkeypatch):
+    """The processes each ``FleetExecutor.run`` starts, in start order."""
+    started = []
+    spawn = FleetExecutor._spawn
+
+    def counting(self):
+        worker = spawn(self)
+        started.append(worker.proc)
+        return worker
+
+    monkeypatch.setattr(FleetExecutor, "_spawn", counting)
+    return started
+
+
+class TestWorkerLifecycle:
+    def test_workers_run_job_after_job(self, spawns):
+        jobs = [synthetic("sleep", n) for n in range(12)]
+        outcome = FleetExecutor(workers=2).run(jobs)
+        assert outcome.ok and outcome.executed == 12
+        assert len(spawns) == 2
+
+    def test_no_more_workers_than_queued_jobs(self, spawns):
+        outcome = FleetExecutor(workers=4).run([synthetic("sleep", 0)])
+        assert outcome.ok
+        assert len(spawns) == 1
+
+    @pytest.mark.parametrize("op", ["crash", "exit", "hang"])
+    def test_a_failed_attempt_retires_its_worker(self, op, spawns):
+        jobs = [synthetic(op, 0, load=30.0)] + [
+            synthetic("sleep", n) for n in range(1, 4)
+        ]
+        outcome = FleetExecutor(
+            workers=1, job_timeout_s=1.0, max_retries=0
+        ).run(jobs)
+        assert list(outcome.failures) == [jobs[0].digest]
+        assert all(p is not None for p in outcome.payloads[1:])
+        assert len(spawns) == 2
+
+    def test_a_retry_runs_in_a_fresh_process(self, tmp_path, spawns):
+        marker = tmp_path / "attempted"
+        outcome = FleetExecutor(workers=1, max_retries=1).run(
+            [synthetic(f"flaky:{marker}", 0)]
+        )
+        assert outcome.ok and outcome.retried == 1
+        assert len(spawns) == 2
+        assert spawns[0].pid != spawns[1].pid
+
+    def test_no_worker_outlives_a_run(self):
+        jobs = [synthetic("sleep", n, load=0.01) for n in range(6)]
+        assert FleetExecutor(workers=3).run(jobs).ok
+        assert mp.active_children() == []
+
+    def test_no_worker_outlives_a_run_that_raises(self):
+        """A raising progress callback aborts the run while one worker is
+        idle and another busy: both are gone when the error surfaces."""
+
+        def progress(line):
+            if line.startswith("ok"):
+                raise KeyboardInterrupt
+
+        jobs = [synthetic("sleep", 0)] + [
+            synthetic("hang", n, load=30.0) for n in range(1, 3)
+        ]
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            FleetExecutor(workers=2, progress=progress).run(jobs)
+        assert mp.active_children() == []
+        assert time.monotonic() - start < 10.0

@@ -326,6 +326,25 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "invalid sweep spec" in err and "slo repeats" in err
 
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0"])
+    def test_bad_timeout_exits_2_before_any_job(
+        self, timeout, capsys, tmp_path, monkeypatch
+    ):
+        from repro.fleet.executor import FleetExecutor
+
+        def run(self, jobs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(FleetExecutor, "run", run)
+        rc = main(
+            ["sweep", "--scenarios", "two-region", "--policies", "uniform",
+             "--loads", "0.25", "--replicates", "1", "--eras", "12",
+             "--store", str(tmp_path / "store"), "--timeout", timeout]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid sweep options" in err and "job_timeout_s" in err
+
     def test_axis_flags_default_to_their_off_token(self):
         args = build_parser().parse_args(["sweep"])
         assert (args.retrain, args.domains) == ("0", "flat")

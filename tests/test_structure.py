@@ -182,6 +182,10 @@ RULES = (
          ("src/",), (),
          "a VMC plug point is one method over table rows: no per-VM "
          "predictor or discipline entry beside it", "after 07e1807"),
+    Rule("worker-process", r"\.Process\(|ProcessPool|multiprocessing\.Pool",
+         ("src/",), (SRC + "fleet/executor.py",),
+         "one place starts worker processes: the fleet executor's kept "
+         "workers", "after fc9defd"),
 )
 
 #: row id -> lines that each violate it: (file, line appended to it)
@@ -228,6 +232,10 @@ INJECT = {
         (SRC + "pcam/predictor.py", "def predict_rttf(vm): ..."),
         (SRC + "chaos/predictor.py", "def predict_rttf_batch(vms): ..."),
         (SRC + "pcam/rejuvenation.py", "def should_rejuvenate(vm, rttf): ..."),
+    ],
+    "worker-process": [
+        (SRC + "fleet/jobs.py", "proc = ctx.Process(target=execute_job)"),
+        (SRC + "experiments/resilience.py", "pool = multiprocessing.Pool(2)"),
     ],
 }
 

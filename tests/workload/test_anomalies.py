@@ -181,6 +181,20 @@ def test_draw_pool_is_a_walk_of_inject_calls(seed, rounds):
             assert b._rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_small_batch_sum_is_ndarray_sum(k):
+    """Below 8 leaks the injector adds the sizes in a Python loop; the
+    total must equal ``ndarray.sum`` bit for bit on every Python version
+    (builtin ``sum`` compensates float rounding from 3.12 on)."""
+    for seed in range(400):
+        inj = make_injector(seed, leak_probability=1.0, thread_probability=0.0)
+        leaked, threads, _ = _reference_effect(
+            np.random.default_rng(seed), inj, k
+        )
+        assert threads == 0
+        assert inj.draw(k) == (leaked, 0)
+
+
 def test_draw_matches_inject_and_validates():
     assert make_injector().draw(0) == (0.0, 0)
     pair = make_injector(seed=11).draw(300)
