@@ -66,16 +66,12 @@ class ControlLoopConfig:
         seconds.
     beta:
         EWMA weight of Eq. (1).
-    stochastic_arrivals:
-        Poisson arrival counts and multinomial routing when True;
-        deterministic mean-field counts when False (used by tests).
     autoscale:
         Enable the Sec. V reactive pool resizing.
     """
 
     era_s: float = 30.0
     beta: float = 0.5
-    stochastic_arrivals: bool = True
     autoscale: bool = False
 
     def __post_init__(self) -> None:
@@ -295,12 +291,8 @@ class AcmControlLoop:
                 self.regions, arrival_fractions, self.fractions
             )
 
-            if cfg.stochastic_arrivals:
-                arrivals = self._arrival_rng.poisson(rates * dt).astype(int)
-                routed = plan.route_counts(arrivals, rng=self._routing_rng)
-            else:
-                arrivals = np.round(rates * dt).astype(int)
-                routed = plan.route_counts(arrivals)
+            arrivals = self._arrival_rng.poisson(rates * dt).astype(int)
+            routed = plan.route_counts(arrivals, self._routing_rng)
             processed = routed.sum(axis=0)
 
             # ---- Monitor/Analyze: serve the era, predict local RMTTF --- #

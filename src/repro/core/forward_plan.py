@@ -85,7 +85,7 @@ class ForwardPlan:
         return 1.0 - self.local_fraction()
 
     def route_counts(
-        self, arrivals: np.ndarray, rng: np.random.Generator | None = None
+        self, arrivals: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Forward per-region arrival counts through the plan.
 
@@ -94,8 +94,7 @@ class ForwardPlan:
         arrivals:
             Integer requests arriving at each region's LB this era.
         rng:
-            If given, requests are routed multinomially (stochastic); if
-            ``None``, deterministic largest-remainder apportionment.
+            Stream of the multinomial draw that splits each row.
 
         Returns the integer matrix ``C[i, j]`` of requests moved i -> j.
         """
@@ -111,16 +110,7 @@ class ForwardPlan:
             if total == 0:
                 continue
             row = self.matrix[i]
-            if rng is not None:
-                out[i] = rng.multinomial(total, row / row.sum())
-            else:
-                exact = total * row / row.sum()
-                base = np.floor(exact).astype(int)
-                leftover = total - int(base.sum())
-                if leftover > 0:
-                    order = (base - exact).argsort(kind="stable")
-                    base[order[:leftover]] += 1
-                out[i] = base
+            out[i] = rng.multinomial(total, row / row.sum())
         return out
 
 

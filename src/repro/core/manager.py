@@ -166,7 +166,6 @@ class AcmManager:
     autoscale_config: AutoscaleConfig | None = None
     overlay: OverlayNetwork | None = None
     overlay_latency_ms: float = 20.0
-    stochastic_arrivals: bool = True
     sla_response_time_s: float = 1.0
     telemetry: Telemetry | None = None
     online: "OnlineLifecycleConfig | None" = None
@@ -304,7 +303,6 @@ class AcmManager:
             config=ControlLoopConfig(
                 era_s=self.era_s,
                 beta=self.beta,
-                stochastic_arrivals=self.stochastic_arrivals,
                 autoscale=self.autoscale,
             ),
             autoscaler=(

@@ -7,8 +7,8 @@ Applications in the Cloud", NCCA 2015) that ACM builds on:
 * :mod:`repro.pcam.vm` -- the VM resource/lifecycle model: anomaly
   accumulation (memory leaks, unterminated threads), performance
   degradation, failure points, rejuvenation;
-* :mod:`repro.pcam.monitor` -- the feature-monitor agent sampling the
-  F2PM system-feature schema from a VM;
+* :mod:`repro.pcam.monitor` -- the feature-monitor agent's sample and
+  F2PM's offline profiling harness;
 * :mod:`repro.pcam.predictor` -- binding of a trained F2PM model to VMs
   for online RTTF prediction;
 * :mod:`repro.pcam.balancer` -- the intra-region load balancer hosted by
@@ -19,7 +19,7 @@ Applications in the Cloud", NCCA 2015) that ACM builds on:
 """
 
 from repro.pcam.balancer import LocalBalancer
-from repro.pcam.monitor import FeatureMonitor, ProfilingHarness
+from repro.pcam.monitor import ProfilingHarness
 from repro.pcam.predictor import (
     ConservativeRttfPredictor,
     OracleRttfPredictor,
@@ -41,7 +41,6 @@ __all__ = [
     "VirtualMachine",
     "VmState",
     "FailurePolicy",
-    "FeatureMonitor",
     "ProfilingHarness",
     "RttfPredictor",
     "TrainedRttfPredictor",

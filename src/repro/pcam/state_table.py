@@ -414,19 +414,6 @@ class VmStateTable:
         self._free = []
         return mapping
 
-    def view(self, row: int) -> "TableBackedVM":
-        """The adopted VM object at ``row``.
-
-        Raises
-        ------
-        LookupError
-            If the row was never adopted or has been released.
-        """
-        vm = self._vms[row] if 0 <= row < self._capacity else None
-        if vm is None:
-            raise LookupError(f"row {row} holds no live VM")
-        return vm
-
     # ------------------------------------------------------------------ #
     # vectorised kernels (bit-identical to the scalar VirtualMachine)
     # ------------------------------------------------------------------ #

@@ -21,7 +21,7 @@ the load itself (the request-level DES loop) calls directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,7 +31,7 @@ from repro.pcam.balancer import LocalBalancer
 if TYPE_CHECKING:
     from repro.ml.online.lifecycle import OnlineLifecycle
     from repro.obs.telemetry import Telemetry
-from repro.pcam.monitor import MonitorRing, MonitorSample, PoolMonitors
+from repro.pcam.monitor import MonitorSample
 from repro.pcam.predictor import RttfPredictor
 from repro.pcam.rejuvenation import (
     RejuvenationDiscipline,
@@ -63,8 +63,6 @@ class VmcConfig:
         size; autoscaling may change it at runtime).
     mean_demand:
         Average demand-units per request of the workload mix.
-    monitor_history:
-        Feature-monitor ring size per VM (>= 1).
     columnar:
         Inert compatibility field, read nowhere: the controller always
         keeps its pool in a :class:`~repro.pcam.state_table.VmStateTable`.
@@ -83,7 +81,6 @@ class VmcConfig:
     rttf_threshold_s: float = 240.0
     target_active: int = 2
     mean_demand: float = 1.5
-    monitor_history: int = 64
     # inert: benchmarks/e2e/sim_workloads.py:74 (frozen) still passes it
     columnar: bool = True
     spread_k: int = 0
@@ -98,8 +95,6 @@ class VmcConfig:
             raise ValueError("target_active must be >= 1")
         if not 0 < self.mean_demand < math.inf:
             raise ValueError("mean_demand must be positive and finite")
-        if self.monitor_history < 1:
-            raise ValueError("monitor_history must be >= 1")
         if self.spread_k < 0:
             raise ValueError("spread_k must be >= 0")
         if not self.columnar:
@@ -124,11 +119,10 @@ class EraReport:
     requests_served: int
     rejuvenations_triggered: int
     failures: int
-    per_vm_rttf: dict[str, float] = field(default_factory=dict)
 
 
 class VirtualMachineController:
-    """Per-region manager of VMs, balancer, monitors, and predictor.
+    """Per-region manager of VMs, balancer, monitoring, and predictor.
 
     Parameters
     ----------
@@ -175,8 +169,8 @@ class VirtualMachineController:
         if not vms:
             raise ValueError(f"region {region_name!r}: empty VM pool")
         self.vms = list(vms)
-        self._by_name = {vm.name: vm for vm in self.vms}
-        if len(self._by_name) != len(self.vms):
+        self._names = {vm.name for vm in self.vms}
+        if len(self._names) != len(self.vms):
             raise ValueError(f"region {region_name!r}: duplicate VM names")
         self.region_name = region_name
         self.predictor = predictor
@@ -190,12 +184,6 @@ class VirtualMachineController:
         # row once VMs have been removed).
         self.table = VmStateTable(len(self.vms))
         self._rows = self.table.adopt_all(self.vms)
-        # the monitor agent's database: one ring over the table's rows
-        self._ring = MonitorRing(
-            self.config.monitor_history, self.table.capacity
-        )
-        #: Read-only ``VM name -> monitor`` (``len``, ``latest``, ``window``).
-        self.monitors = PoolMonitors(self._ring, self._by_name)
         self._target_active = self.config.target_active
         self.total_rejuvenations = 0
         self.total_failures = 0
@@ -307,10 +295,9 @@ class VirtualMachineController:
         per-VM by necessity: the anomaly draws (each VM owns its RNG
         stream and must consume it in pool order).  Everything else --
         load accounting, response times, failure checks, feature
-        extraction, the monitor-ring write, threshold scans -- is one
-        NumPy pass over the ACTIVE rows, bit-identical to walking plain
-        ``VirtualMachine`` objects one at a time (pinned by
-        ``tests/pcam/test_columnar_parity.py``).
+        extraction, threshold scans -- is one NumPy pass over the ACTIVE
+        rows, bit-identical to walking plain ``VirtualMachine`` objects
+        one at a time (pinned by ``tests/pcam/test_columnar_parity.py``).
         """
         if n_requests < 0:
             raise ValueError("n_requests must be >= 0")
@@ -395,13 +382,9 @@ class VirtualMachineController:
         mon_rows = rows[mon_pos]
         monitored = [self.vms[p] for p in mon_pos.tolist()]
         features = table.feature_matrix(mon_rows, pressures)
-        self._ring.record(mon_rows, now, features)
         rttf_arr = np.asarray(
             self.predictor.predict_rttf_rows(features, monitored),
             dtype=np.float64,
-        )
-        per_vm_rttf = dict(
-            zip((vm.name for vm in monitored), rttf_arr.tolist())
         )
         uptime = table.uptime_s[mon_rows]
         mttf = uptime + np.maximum(rttf_arr, 0.0)
@@ -494,7 +477,6 @@ class VirtualMachineController:
             requests_served=served,
             rejuvenations_triggered=era_rejuvenations,
             failures=failures,
-            per_vm_rttf=per_vm_rttf,
         )
 
     def compact_table(self) -> None:
@@ -507,7 +489,6 @@ class VirtualMachineController:
         self._rows = np.array(
             [mapping[int(r)] for r in self._rows], dtype=np.intp
         )
-        self._ring.remap(mapping)
 
     # ------------------------------------------------------------------ #
     # pool growth (used by ACM autoscaling, Sec. V ADDVMS)
@@ -515,7 +496,7 @@ class VirtualMachineController:
 
     def add_vm(self, vm: VirtualMachine) -> None:
         """Add a freshly provisioned VM (in STANDBY) to the pool."""
-        if vm.name in self._by_name:
+        if vm.name in self._names:
             raise ValueError(f"duplicate VM name {vm.name!r}")
         if vm.state is not VmState.STANDBY:
             raise ValueError("new VMs must join in STANDBY state")
@@ -524,10 +505,8 @@ class VirtualMachineController:
         # slot; adopt() overwrites every column.)
         row = self.table.adopt(vm)
         self.vms.append(vm)
-        self._by_name[vm.name] = vm
+        self._names.add(vm.name)
         self._rows = np.append(self._rows, row)
-        if self.table.capacity > self._ring.capacity:
-            self._ring.grow(self.table.capacity)
 
     def stats(self) -> dict[str, float]:
         """Aggregate pool statistics for reporting and dashboards."""
@@ -568,9 +547,7 @@ class VirtualMachineController:
                         f"cannot remove ACTIVE VM {name!r}; deactivate first"
                     )
                 del self.vms[i]
-                del self._by_name[name]
-                # a newcomer reusing the row must start with no history
-                self._ring.clear(vm.row)
+                self._names.remove(name)
                 # scrubs + frees the row and hands the VM back its
                 # scalar attributes, so the caller keeps a usable
                 # (detached) VirtualMachine

@@ -107,11 +107,6 @@ class TestControlLoopMechanics:
             b.traces.series("rmttf/region1").values,
         )
 
-    def test_deterministic_mode(self):
-        mgr = two_region_manager(stochastic_arrivals=False)
-        s = mgr.run(3)
-        assert all(x.total_requests > 0 for x in s)
-
     def test_control_loop_config_validation(self):
         with pytest.raises(ValueError):
             ControlLoopConfig(era_s=0.0)

@@ -13,6 +13,15 @@ def rngs():
     return RngRegistry(seed=42)
 
 
+def vm_at(table, row):
+    """The adopted VM object at a table ``row``; ``LookupError`` if the
+    row was never adopted or has been released."""
+    vm = table._vms[row] if 0 <= row < table.capacity else None
+    if vm is None:
+        raise LookupError(f"row {row} holds no live VM")
+    return vm
+
+
 def build_vm(rngs, name="vm0", itype=PRIVATE_SMALL, state=VmState.STANDBY, **kw):
     return VirtualMachine(
         name,

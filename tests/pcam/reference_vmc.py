@@ -7,7 +7,9 @@ production; the object walk lives on here, moved verbatim, as the
 comparator of ``tests/pcam/test_columnar_parity.py``: the same seeds
 through :class:`ReferenceVmc` and the real
 :class:`~repro.pcam.vmc.VirtualMachineController` must give ``==`` era
-reports, per-VM state, capacities and ``stats()``.
+reports, per-VM state, capacities and ``stats()``, and
+:class:`RecordingPredictor` wrapped around each side's predictor must
+record the same feature rows, VM names and RTTFs, call by call.
 
 The pool is never adopted into a table, so every quantity is a scalar
 attribute mutated by the public ``VirtualMachine`` methods
@@ -24,11 +26,12 @@ parity test passes them and they never touch VM state.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.ml.features import FEATURE_NAMES
 from repro.pcam.balancer import DomainAwareBalancer, LocalBalancer
-from repro.pcam.monitor import FeatureMonitor
 from repro.pcam.predictor import RttfPredictor
 from repro.pcam.rejuvenation import (
     NoRejuvenation,
@@ -63,6 +66,49 @@ def feature_rows(vms: list[VirtualMachine]) -> np.ndarray:
 def predict_one(predictor: RttfPredictor, vm: VirtualMachine) -> float:
     """One one-row call: ``vm``'s predicted RTTF."""
     return float(predictor.predict_rttf_rows(feature_rows([vm]), [vm])[0])
+
+
+class PredictCall(NamedTuple):
+    """One ``predict_rttf_rows`` call, as plain lists."""
+
+    rows: list[list[float]]
+    names: list[str]
+    rttf: list[float]
+
+
+class RecordingPredictor(RttfPredictor):
+    """Wraps a predictor and keeps every ``predict_rttf_rows`` call.
+
+    What a controller monitored and predicted each era -- the feature
+    rows it built, the VMs it asked about and the RTTFs it got back --
+    is read from :attr:`calls` (oldest first) instead of from the
+    controller.
+    """
+
+    def __init__(self, inner: RttfPredictor) -> None:
+        self.inner = inner
+        self.calls: list[PredictCall] = []
+
+    def predict_rttf_rows(
+        self, rows: np.ndarray, vms: list[VirtualMachine]
+    ) -> np.ndarray:
+        rttf = self.inner.predict_rttf_rows(rows, vms)
+        self.calls.append(
+            PredictCall(
+                np.asarray(rows).tolist(),
+                [vm.name for vm in vms],
+                np.asarray(rttf, dtype=np.float64).tolist(),
+            )
+        )
+        return rttf
+
+    def evict(self, vm_name: str) -> None:
+        self.inner.evict(vm_name)
+
+    def rttf_by_name(self) -> dict[str, float]:
+        """The last call's ``VM name -> RTTF``."""
+        call = self.calls[-1]
+        return dict(zip(call.names, call.rttf))
 
 
 def weights(balancer: LocalBalancer, vms: list[VirtualMachine]) -> np.ndarray:
@@ -123,10 +169,6 @@ class ReferenceVmc:
         self.discipline = discipline or RttfThresholdRejuvenation(
             self.config.rttf_threshold_s
         )
-        self.monitors = {
-            vm.name: FeatureMonitor(vm, self.config.monitor_history)
-            for vm in self.vms
-        }
         self._target_active = self.config.target_active
         self.total_rejuvenations = 0
         self.total_failures = 0
@@ -224,12 +266,9 @@ class ReferenceVmc:
         # postponed (taking a VM down with no replacement would cut
         # availability -- the exact thing PCAM exists to protect), unless
         # the VM is about to hard-fail within the next era anyway.
-        per_vm_rttf: dict[str, float] = {}
         mttf_values: list[float] = []
         at_risk: list[tuple[float, float, VirtualMachine]] = []
         monitored = self.vms_in(VmState.ACTIVE)
-        for vm in monitored:
-            self.monitors[vm.name].sample(now)
         # One prediction call for the whole ACTIVE pool; MTTF derives
         # from the RTTF already in hand (a second prediction per era
         # would double-append to trend-predictor histories).
@@ -238,7 +277,6 @@ class ReferenceVmc:
         )
         for vm, rttf in zip(monitored, rttf_batch):
             rttf = float(rttf)
-            per_vm_rttf[vm.name] = rttf
             mttf_values.append(vm.uptime_s + max(rttf, 0.0))
             urgency = rejuvenation_rule(self.discipline, vm, rttf)
             if urgency is not None:
@@ -285,7 +323,6 @@ class ReferenceVmc:
             requests_served=served,
             rejuvenations_triggered=era_rejuvenations,
             failures=era_failures,
-            per_vm_rttf=per_vm_rttf,
         )
 
     # ------------------------------------------------------------------ #
@@ -294,15 +331,11 @@ class ReferenceVmc:
 
     def add_vm(self, vm: VirtualMachine) -> None:
         self.vms.append(vm)
-        self.monitors[vm.name] = FeatureMonitor(
-            vm, self.config.monitor_history
-        )
 
     def remove_vm(self, name: str) -> VirtualMachine:
         for i, vm in enumerate(self.vms):
             if vm.name == name:
                 del self.vms[i]
-                del self.monitors[name]
                 self.predictor.evict(name)
                 return vm
         raise KeyError(name)

@@ -16,6 +16,8 @@ from repro.pcam.balancer import largest_remainder_split
 from repro.pcam.state_table import VmStateTable
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL
 
+from .reference_vmc import RecordingPredictor
+
 
 class TestLargestRemainder:
     def test_conserves_total(self):
@@ -152,7 +154,8 @@ class TestLocalBalancer:
 def make_vmc(make_vm, n_vms=6, target=4, itype=PRIVATE_SMALL, **cfg_kw):
     vms = [make_vm(itype=itype) for _ in range(n_vms)]
     cfg = VmcConfig(target_active=target, **cfg_kw)
-    return VirtualMachineController("r", vms, OracleRttfPredictor(), cfg)
+    predictor = RecordingPredictor(OracleRttfPredictor())
+    return VirtualMachineController("r", vms, predictor, cfg)
 
 
 class TestVmcConstruction:
@@ -204,7 +207,7 @@ class TestVmcEraProcessing:
         assert rep.n_active == 4
         assert rep.last_rmttf > 0
         assert rep.response_time_s > 0
-        assert set(rep.per_vm_rttf) == {
+        assert set(vmc.predictor.rttf_by_name()) == {
             vm.name for vm in vmc.vms_in(VmState.ACTIVE)
         }
 
@@ -268,10 +271,9 @@ class TestVmcEraProcessing:
         assert rep.rejuvenations_triggered == vmc.total_rejuvenations == 2
         assert victim.state is doomed.state is VmState.REJUVENATING
         assert rep.n_active == 4  # both backfilled from STANDBY
-        # monitored: what was still ACTIVE when the era closed
-        assert set(rep.per_vm_rttf) == {vm.name for vm in active[1:]}
-        assert len(vmc.monitors[doomed.name]) == 1
-        assert len(vmc.monitors[victim.name]) == 0
+        # monitored once: what was still ACTIVE when the era closed
+        assert len(vmc.predictor.calls) == 1
+        assert vmc.predictor.calls[0].names == [vm.name for vm in active[1:]]
 
     def test_era_validation(self, make_vm):
         vmc = make_vmc(make_vm)
@@ -303,8 +305,8 @@ class TestVmcPoolOps:
         vmc = make_vmc(make_vm)
         new = make_vm(name="extra")
         vmc.add_vm(new)
-        assert "extra" in vmc.monitors
         assert new in vmc.vms
+        assert new.table is vmc.table
 
     def test_add_vm_rejects_duplicates_and_active(self, make_vm):
         vmc = make_vmc(make_vm)
@@ -321,7 +323,7 @@ class TestVmcPoolOps:
         standby_name = vmc.vms_in(VmState.STANDBY)[0].name
         removed = vmc.remove_vm(standby_name)
         assert removed.name == standby_name
-        assert standby_name not in vmc.monitors
+        assert standby_name not in [vm.name for vm in vmc.vms]
 
     def test_remove_active_rejected(self, make_vm):
         vmc = make_vmc(make_vm)

@@ -12,8 +12,11 @@ that contract checked two ways:
   ``VirtualMachine`` objects), one by the real
   :class:`~repro.pcam.vmc.VirtualMachineController` -- runs both through
   the same scenario, and compares era reports, per-VM mutable state,
-  monitor rings, capacities and ``stats()`` **exactly** (``==`` on
-  floats, no tolerance).
+  capacities and ``stats()`` **exactly** (``==`` on floats, no
+  tolerance).  A :class:`~tests.pcam.reference_vmc.RecordingPredictor`
+  around each side's predictor holds what the era monitored: the feature
+  rows, VM names and RTTFs of its one ``predict_rttf_rows`` call must be
+  equal too.
 * **DES loop (per-request events): snapshot.**  The object-walking arm
   of ``DesControlLoop`` was deleted; before that, blake2b digests of its
   complete outcome were recorded *from the object path* into
@@ -60,7 +63,7 @@ from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
 from repro.topology import DomainHealthTracker, FailureDomainTree
 from repro.workload import AnomalyInjector
 
-from .reference_vmc import ReferenceVmc
+from .reference_vmc import RecordingPredictor, ReferenceVmc
 
 SNAPSHOT_PATH = Path(__file__).parent / "snapshots" / "des_parity.json"
 
@@ -112,27 +115,34 @@ def _assert_pools_equal(
     ref: ReferenceVmc,
     vmc: VirtualMachineController,
     era: int,
-) -> None:
+) -> int:
+    """Assert the two sides equal after ``era``; returns how many VMs the
+    era monitored."""
     assert [vm.name for vm in ref.vms] == [vm.name for vm in vmc.vms]
     for r_vm, t_vm in zip(ref.vms, vmc.vms):
         r_snap, t_snap = _snapshot(r_vm), _snapshot(t_vm)
         assert r_snap == t_snap, (
             f"era {era}: VM {r_vm.name} diverged: {r_snap} != {t_snap}"
         )
-        # the monitor ring: per-VM sample_features() on one side, a row
-        # of the pool's feature_matrix() on the other
-        r_mon, t_mon = ref.monitors[r_vm.name], vmc.monitors[t_vm.name]
-        assert len(r_mon) == len(t_mon)
-        if len(r_mon):
-            assert r_mon.latest.time == t_mon.latest.time
-            assert (
-                r_mon.latest.features.tolist()
-                == t_mon.latest.features.tolist()
-            ), f"era {era}: VM {r_vm.name} monitor row diverged"
     assert ref.total_capacity() == vmc.total_capacity()
     assert ref.healthy_capacity() == vmc.healthy_capacity()
     assert ref.stats() == vmc.stats()
     assert ref.spread_deferrals == vmc.spread_deferrals
+    # the era's one prediction: each VM's sample_features() on one side,
+    # a row of the pool's feature_matrix() on the other
+    (r_call,), (t_call,) = ref.predictor.calls, vmc.predictor.calls
+    assert r_call.names == t_call.names, f"era {era}: monitored VMs diverged"
+    assert r_call.rows == t_call.rows, f"era {era}: feature rows diverged"
+    assert r_call.rttf == t_call.rttf, f"era {era}: predictions diverged"
+    ref.predictor.calls.clear()
+    vmc.predictor.calls.clear()
+    return len(t_call.names)
+
+
+def _recorded(side):
+    """``side`` with its predictor wrapped in a :class:`RecordingPredictor`."""
+    side.predictor = RecordingPredictor(side.predictor)
+    return side
 
 
 def _make_pair(seed: int, n_vms: int, build, **vm_kw):
@@ -144,8 +154,18 @@ def _make_pair(seed: int, n_vms: int, build, **vm_kw):
     for cls in (ReferenceVmc, VirtualMachineController):
         rngs = RngRegistry(seed=seed)
         vms = _pool(rngs, n_vms, lambda i: i % 2 == 0, **vm_kw)
-        out.append(build(cls, rngs, vms))
+        out.append(_recorded(build(cls, rngs, vms)))
     return out[0], out[1]
+
+
+def _load(era: int, peak: int) -> int:
+    """A quarter of ``peak``, and ``peak`` itself every eighth era.
+
+    At these scenarios' peaks every ACTIVE VM fails within the era, so a
+    constant peak leaves nothing to monitor, predict or swap
+    proactively; the quiet eras let VMs age into the at-risk band.
+    """
+    return peak if era % 8 == 7 else peak // 4
 
 
 # --------------------------------------------------------------------- #
@@ -165,14 +185,16 @@ def test_vmc_era_parity_oracle():
         )
 
     ref, vmc = _make_pair(7, 8, build)
+    monitored = 0
     for era in range(60):
-        rep_r = ref.process_era(4000, 30.0, era * 30.0)
-        rep_t = vmc.process_era(4000, 30.0, era * 30.0)
+        rep_r = ref.process_era(_load(era, 4000), 30.0, era * 30.0)
+        rep_t = vmc.process_era(_load(era, 4000), 30.0, era * 30.0)
         assert rep_r == rep_t, f"era {era}: {rep_r} != {rep_t}"
-        _assert_pools_equal(ref, vmc, era)
-    # the scenario must actually exercise the lifecycle machinery
-    assert ref.total_rejuvenations > 0
-    assert ref.total_failures > 0
+        monitored += _assert_pools_equal(ref, vmc, era)
+    # the scenario must actually exercise the lifecycle machinery:
+    # predictions, proactive swaps and failures
+    assert monitored > 0
+    assert ref.total_rejuvenations > ref.total_failures > 0
 
 
 @pytest.mark.parametrize(
@@ -204,11 +226,13 @@ def test_vmc_era_parity_predictor_variants(predictor_kind):
         )
 
     ref, vmc = _make_pair(11, 6, build)
+    monitored = 0
     for era in range(40):
-        rep_r = ref.process_era(3000, 30.0, era * 30.0)
-        rep_t = vmc.process_era(3000, 30.0, era * 30.0)
+        rep_r = ref.process_era(_load(era, 3000), 30.0, era * 30.0)
+        rep_t = vmc.process_era(_load(era, 3000), 30.0, era * 30.0)
         assert rep_r == rep_t, f"era {era}: {predictor_kind} diverged"
-        _assert_pools_equal(ref, vmc, era)
+        monitored += _assert_pools_equal(ref, vmc, era)
+    assert monitored > 0
 
 
 @pytest.mark.parametrize("kind", ["periodic", "none"])
@@ -230,11 +254,15 @@ def test_vmc_era_parity_disciplines(kind):
         )
 
     ref, vmc = _make_pair(13, 6, build)
+    monitored = 0
     for era in range(40):
-        rep_r = ref.process_era(2500, 30.0, era * 30.0)
-        rep_t = vmc.process_era(2500, 30.0, era * 30.0)
+        rep_r = ref.process_era(_load(era, 2500), 30.0, era * 30.0)
+        rep_t = vmc.process_era(_load(era, 2500), 30.0, era * 30.0)
         assert rep_r == rep_t
-        _assert_pools_equal(ref, vmc, era)
+        monitored += _assert_pools_equal(ref, vmc, era)
+    assert monitored > 0
+    if kind == "periodic":  # the discipline swapped, not only failures
+        assert ref.total_rejuvenations > ref.total_failures
 
 
 @pytest.mark.parametrize("discipline", ["uniform", "capacity", "domain-aware"])
@@ -324,7 +352,7 @@ def test_vmc_parity_under_chaos_and_churn():
 
     ref, vmc = _make_pair(23, 8, build)
     storm_rng = np.random.default_rng(23)
-    added = 0
+    added = monitored = 0
     for era in range(50):
         if era % 9 == 4:  # crash storm: fail ~half the ACTIVE pool
             active = sorted(
@@ -367,11 +395,11 @@ def test_vmc_parity_under_chaos_and_churn():
         if era % 19 == 10:
             vmc.compact_table()
 
-        rep_r = ref.process_era(4000, 30.0, era * 30.0)
-        rep_t = vmc.process_era(4000, 30.0, era * 30.0)
+        rep_r = ref.process_era(_load(era, 4000), 30.0, era * 30.0)
+        rep_t = vmc.process_era(_load(era, 4000), 30.0, era * 30.0)
         assert rep_r == rep_t, f"era {era}: {rep_r} != {rep_t}"
-        _assert_pools_equal(ref, vmc, era)
-    assert added > 0 and ref.total_failures > 0
+        monitored += _assert_pools_equal(ref, vmc, era)
+    assert added > 0 and ref.total_failures > 0 and monitored > 0
 
 
 # --------------------------------------------------------------------- #
@@ -426,7 +454,7 @@ def test_vmc_parity_fuzz(seed):
             lambda i: i % 3 != 0,
             rejuvenation_time_s=rejuvenation_time_s,
         )
-        return build(cls, rngs, vms)
+        return _recorded(build(cls, rngs, vms))
 
     ref, vmc = make(ReferenceVmc), make(VirtualMachineController)
     for era in range(n_eras):

@@ -1,4 +1,4 @@
-"""Tests for the feature monitor, profiling harness, and RTTF predictors."""
+"""Tests for the profiling harness and the RTTF predictors."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.ml import F2PMToolchain
 from repro.ml.features import FEATURE_NAMES
 from repro.pcam import (
-    FeatureMonitor,
     OracleRttfPredictor,
     ProfilingHarness,
     TrainedRttfPredictor,
@@ -16,41 +15,6 @@ from repro.sim import PRIVATE_SMALL
 
 from .conftest import build_vm
 from .reference_vmc import predict_one
-
-
-class TestFeatureMonitor:
-    def test_sample_and_latest(self, active_vm):
-        mon = FeatureMonitor(active_vm)
-        s = mon.sample(now=10.0)
-        assert mon.latest is s
-        assert s.time == 10.0
-        assert s.features.shape == (len(FEATURE_NAMES),)
-
-    def test_latest_empty_raises(self, active_vm):
-        with pytest.raises(LookupError):
-            FeatureMonitor(active_vm).latest
-
-    def test_ring_buffer_caps_history(self, active_vm):
-        mon = FeatureMonitor(active_vm, history=3)
-        for t in range(10):
-            mon.sample(float(t))
-        assert len(mon) == 3
-        assert mon.latest.time == 9.0
-
-    def test_window(self, active_vm):
-        mon = FeatureMonitor(active_vm, history=10)
-        for t in range(5):
-            mon.sample(float(t))
-        w = mon.window(2)
-        assert [s.time for s in w] == [3.0, 4.0]
-        assert mon.window(0) == []
-
-    def test_validation(self, active_vm):
-        with pytest.raises(ValueError):
-            FeatureMonitor(active_vm, history=0)
-        mon = FeatureMonitor(active_vm)
-        with pytest.raises(ValueError):
-            mon.window(-1)
 
 
 class TestProfilingHarness:

@@ -23,7 +23,7 @@ from repro.pcam.predictor import (
 from repro.sim import RngRegistry
 
 from .conftest import build_vm
-from .reference_vmc import feature_rows, predict_one
+from .reference_vmc import RecordingPredictor, feature_rows, predict_one
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +77,14 @@ class TestOneAppendPerEra:
 
     def test_rmttf_derives_from_the_reported_rttf(self, trend_predictor):
         trend_predictor._history.clear()
-        vmc = build_vmc(trend_predictor)
+        recorder = RecordingPredictor(trend_predictor)
+        vmc = build_vmc(recorder)
         report = vmc.process_era(n_requests=120, dt=30.0, now=30.0)
         by_name = {vm.name: vm for vm in vmc.vms}
         expected = np.mean(
             [
                 by_name[name].uptime_s + max(rttf, 0.0)
-                for name, rttf in report.per_vm_rttf.items()
+                for name, rttf in recorder.rttf_by_name().items()
             ]
         )
         assert report.last_rmttf == pytest.approx(expected)
@@ -139,7 +140,7 @@ class TestEviction:
         active.start_rejuvenation()
         vmc.remove_vm(active.name)
         assert active.name not in trend_predictor._history
-        assert active.name not in vmc.monitors
+        assert active not in vmc.vms
 
     def test_evict_passes_through_wrappers(self, trend_predictor):
         trend_predictor._history["wrapped/vm0"] = object()

@@ -43,6 +43,8 @@ from repro.pcam.state_table import (
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry, Simulator
 from repro.workload import AnomalyInjector
 
+from .conftest import vm_at
+
 
 def _vm(name, itype=PRIVATE_SMALL, seed=0, **kw):
     return VirtualMachine(
@@ -104,7 +106,7 @@ class TestAdoptRelease:
         row = table.adopt(vm)
         table.release(vm)
         with pytest.raises(LookupError):
-            table.view(row)
+            vm_at(table, row)
 
 
 class TestGrowthAndCompaction:
@@ -163,7 +165,7 @@ class TestGrowthAndCompaction:
         assert len(table) == len(survivors)
         for i, vm in enumerate(survivors):
             assert vm.leaked_mb == 10.0 * (2 * i)  # reads the moved row
-            assert table.view(vm.row) is vm
+            assert vm_at(table, vm.row) is vm
         # the tail beyond the live rows is scrubbed
         assert np.all(table.state_code[len(survivors):] == FREED)
 
@@ -244,7 +246,7 @@ class TestSlotReuse:
                 vmc.compact_table()
             # row-map alignment invariant
             for i, vm in enumerate(vmc.vms):
-                assert vmc.table.view(vmc._rows[i]) is vm
+                assert vm_at(vmc.table, vmc._rows[i]) is vm
                 assert vm.row == vmc._rows[i]
 
 
@@ -277,7 +279,7 @@ class TestAddVmRefusedAdoption:
         foreign = other.vms_in(VmState.STANDBY)[0]
         with pytest.raises(ValueError, match="already table-backed"):
             vmc.add_vm(foreign)
-        assert len(vmc.vms) == len(vmc._rows) == len(vmc.monitors) == 4
+        assert len(vmc.vms) == len(vmc._rows) == len(vmc._names) == 4
         assert foreign not in vmc.vms
         assert vmc.stats() == twin.stats()
         assert vmc.process_era(2000, 30.0, 0.0) == twin.process_era(
@@ -536,4 +538,4 @@ class TestFleetScaleSmoke:
         idx = rng.integers(0, n, size=50)
         for i in idx:
             vm = vmc.vms[int(i)]
-            assert vmc.table.view(vm.row) is vm
+            assert vm_at(vmc.table, vm.row) is vm

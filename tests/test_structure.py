@@ -102,9 +102,10 @@ RULES = (
     Rule("event-heap", r"^[ \t]*(import heapq|from heapq)", (SRC,),
          (SRC + "sim/engine.py",),
          "the event heap lives in sim/engine.py only", "38fac2c"),
-    Rule("per-vm-monitor", r"FeatureMonitor\(", (SRC + "pcam/vmc.py",), (),
-         "the VMC's pool shares one MonitorRing, not a FeatureMonitor a VM",
-         "8760176"),
+    Rule("per-vm-monitor", r"MonitorRing\(|FeatureMonitor\(|per_vm_rttf",
+         ("src/",), (),
+         "the VMC keeps one copy of VM state, its table: no monitor ring, "
+         "per-VM monitor or name -> RTTF dict beside it", "after 66ab09f"),
     Rule("anomaly-body", r"_lognormal\(", (SRC,), (),
          "the anomaly sampling body is spelled once", "8760176", max_count=1),
     Rule("sweep-axes",
@@ -197,7 +198,10 @@ INJECT = {
     ],
     "event-pool": [(SRC + "sim/engine.py", "POOL_MAX = 4096")],
     "event-heap": [(SRC + "core/des_loop.py", "import heapq")],
-    "per-vm-monitor": [(SRC + "pcam/vmc.py", "m = FeatureMonitor(window)")],
+    "per-vm-monitor": [
+        (SRC + "pcam/vmc.py", "m = FeatureMonitor(window)"),
+        (SRC + "core/des_loop.py", "rttf = report.per_vm_rttf[vm.name]"),
+    ],
     "anomaly-body": [(SRC + "pcam/vm.py", "s = self._lognormal(1.0, 0.5)")],
     "sweep-axes": [(SRC + "fleet/spec.py", 'tag = f"/retrain{n}"')],
     "vmc-step": [(SRC + "serve/service.py", "vmc.start_rejuvenation(vm)")],
@@ -322,9 +326,6 @@ ALLOWED = {
     "ChaosEngine.link_flap_every": "the periodic flap schedule the engine's docstring documents",
     "ChaosEngine.poisson_link_flaps": "the seeded flap schedule the engine's docstring documents",
     "Simulator.pending_events": "how tests observe the event heap",
-    "VmStateTable.view": "how tests map a table row back to its VM",
-    "FeatureMonitor.latest": "part of the monitor view VirtualMachineController.monitors documents",
-    "RingMonitor.latest": "part of the monitor view VirtualMachineController.monitors documents",
 }
 
 
