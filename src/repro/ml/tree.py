@@ -116,7 +116,13 @@ def best_split(
     i = int(np.argmin(children_sse[:, j]))
     if children_sse[i, j] == np.inf:
         return None
-    threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
+    lo, hi = xs[i, j], xs[i + 1, j]
+    threshold = 0.5 * (lo + hi)
+    if not threshold < hi:
+        # the midpoint of adjacent doubles can round up onto ``hi`` (or
+        # overflow): ``x <= threshold`` would then send the upper rows
+        # left, applying a split other than the one scored
+        threshold = lo
     return (j, float(threshold), parent_sse - float(children_sse[i, j]))
 
 

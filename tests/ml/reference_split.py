@@ -3,9 +3,11 @@
 Until the split search was vectorised, ``repro.ml.tree.best_split`` ran
 this loop: per feature, sort, prefix-sum, mask and ``argmin``, keeping a
 feature only when its best children SSE is strictly below every earlier
-feature's.  It lives on here, moved verbatim, as the comparator of
+feature's.  It lives on here as the comparator of
 ``tests/ml/test_forced_training.py``: the production search must return
 the same ``(feature, threshold, sse_decrease)`` floats, bit for bit.
+Both fall back to the lower value when the midpoint threshold rounds onto
+the upper one, so ``x <= threshold`` applies the partition that was scored.
 """
 
 from __future__ import annotations
@@ -50,5 +52,7 @@ def reference_best_split(
         if children_sse[i] < best_children_sse:
             best_children_sse = float(children_sse[i])
             threshold = 0.5 * (xs[i] + xs[i + 1])
+            if not threshold < xs[i + 1]:  # midpoint rounded onto xs[i + 1]
+                threshold = xs[i]
             best = (j, float(threshold), parent_sse - float(children_sse[i]))
     return best

@@ -261,9 +261,9 @@ def _fingerprint(predictor) -> str:
 #: ``make_trained_predictor`` REP-Tree fingerprints, recorded from the
 #: six-model compare-then-fit pipeline: (three-region types, two types).
 PINNED = {
-    5: ("6d1297ff2296a4ed", "dd7bf054c1b9ec46"),
-    6: ("fd26eeecf4ed19f0", "9405df390a2c1973"),
-    7: ("e3a077c0149b096e", "8c9fe85a7d52deb6"),
+    5: ("da429481e394b04f", "dd7bf054c1b9ec46"),
+    6: ("5d8ba6b7e2d510e5", "9405df390a2c1973"),
+    7: ("e3a077c0149b096e", "31a795973e7ebb63"),
 }
 
 

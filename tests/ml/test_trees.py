@@ -44,6 +44,40 @@ class TestBestSplit:
         feature, _, _ = best_split(X, y, min_samples_leaf=1)
         assert feature == 1
 
+    def test_threshold_separates_adjacent_doubles(self):
+        # the midpoint of these two adjacent doubles rounds up onto the
+        # upper one; ``x <= threshold`` must still split them as scored
+        lo, hi = 17.849999999999998, 17.85
+        assert lo < hi and 0.5 * (lo + hi) == hi
+        X = np.array([[lo], [lo], [hi], [hi]])
+        y = np.array([0.0, 0.0, 10.0, 10.0])
+        feature, threshold, _ = best_split(X, y, min_samples_leaf=1)
+        assert feature == 0
+        assert lo <= threshold < hi
+        root = build_tree(
+            X, y, max_depth=3, min_samples_split=2,
+            min_samples_leaf=1, min_sse_decrease=0.0,
+        )
+        assert (root.left.n_samples, root.right.n_samples) == (2, 2)
+        assert np.array_equal(tree_predict(root, X), y)
+
+    def test_fig4_seed18_model_has_no_nan_leaf(self):
+        from repro.experiments.runner import make_trained_predictor
+        from repro.experiments.scenarios import three_region_scenario
+
+        predictor = make_trained_predictor(
+            three_region_scenario().instance_types(), seed=18
+        )
+        leaves, stack = [], [predictor.model.model.root_]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                leaves.append(node)
+            else:
+                stack += [node.left, node.right]
+        assert all(node.n_samples > 0 for node in leaves)
+        assert not np.isnan([node.value for node in leaves]).any()
+
 
 class TestRegressionTree:
     def test_fits_piecewise_function(self, piecewise_data):
