@@ -120,35 +120,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.figures import FIGURES, report_figure, run_figure
     from repro.experiments.scenarios import resolve_scenario
 
-    run = dict(_run_flags(args), online_retrain=args.online_retrain)
+    run = _run_flags(args)
     print(report_figure(args.command, run_figure(args.command, **run)))
     if args.obs_dump:
         scenario = resolve_scenario(FIGURES[args.command].scenario)
         _write_obs_dump(args.obs_dump, scenario, **run)
     return 0
-
-
-def _cmd_online(args: argparse.Namespace) -> int:
-    from repro.experiments.online import run_retrain_vs_frozen
-
-    comparison = run_retrain_vs_frozen(
-        eras=args.eras,
-        seed=args.seed,
-        drift_factor=args.drift_factor,
-        retrain_interval_eras=args.retrain_interval,
-    )
-    print(
-        f"drifted workload (leak probability x{comparison.drift_factor:g}, "
-        f"{comparison.eras} eras):"
-    )
-    print(comparison.table())
-    print(
-        "verdict:",
-        "retraining reduced model MAPE on the realized labels"
-        if comparison.improved
-        else "NO IMPROVEMENT from retraining",
-    )
-    return 0 if comparison.improved else 1
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -637,39 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         common(pf)
         obs_dump_opt(pf)
-        pf.add_argument(
-            "--online-retrain",
-            type=int,
-            default=0,
-            metavar="N",
-            help=(
-                "enable the online model lifecycle, retraining every N "
-                "eras (0 = off; streaming labels + drift tracking come "
-                "with it)"
-            ),
-        )
         pf.set_defaults(func=_cmd_figure)
-
-    pon = sub.add_parser(
-        "online",
-        help="retrain-vs-frozen comparison on a drifted workload",
-    )
-    pon.add_argument("--eras", type=int, default=90)
-    add_seed_option(pon)
-    pon.add_argument(
-        "--drift-factor",
-        type=float,
-        default=2.0,
-        help="deployed leak-probability multiplier vs the profiled rate",
-    )
-    pon.add_argument(
-        "--retrain-interval",
-        type=int,
-        default=15,
-        metavar="N",
-        help="eras between online retrains",
-    )
-    pon.set_defaults(func=_cmd_online)
 
     pc = sub.add_parser("compare", help="compare policies on a scenario")
     common(pc)

@@ -66,13 +66,10 @@ class ControlLoopConfig:
         seconds.
     beta:
         EWMA weight of Eq. (1).
-    autoscale:
-        Enable the Sec. V reactive pool resizing.
     """
 
     era_s: float = 30.0
     beta: float = 0.5
-    autoscale: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.era_s < math.inf:
@@ -122,7 +119,9 @@ class AcmControlLoop:
     config:
         Loop tuning.
     autoscaler:
-        Optional custom autoscaler (implies ``config.autoscale``).
+        Optional :class:`~repro.core.autoscale.Autoscaler` running the
+        Sec. V reactive pool resizing; ``None`` (the default) keeps every
+        pool at its configured size.
     degradation:
         Tuning of the graceful-degradation ladder run at the Plan step
         (see :mod:`repro.core.degradation`); defaults apply when omitted.
@@ -137,11 +136,6 @@ class AcmControlLoop:
         MAPE phase spans, per-era latency histograms, and leader-change /
         degradation flight events.  Disabled (the default) it is a strict
         no-op.
-    lifecycle:
-        Optional :class:`~repro.ml.online.lifecycle.OnlineLifecycle`
-        whose era clock (retrain schedule) the loop drives; the same
-        instance must be wired into the VMCs for sample collection.
-        ``None`` (the default) takes no lifecycle code path at all.
     policy_head:
         Optional :class:`~repro.policy.runtime.PolicyHeadRuntime` (or a
         bare :class:`~repro.policy.heads.PolicyHead`, which the runtime
@@ -177,7 +171,6 @@ class AcmControlLoop:
         degradation: DegradationConfig | None = None,
         transport=None,
         telemetry: Telemetry | None = None,
-        lifecycle=None,
         policy_head=None,
         slo=None,
         cost=None,
@@ -199,16 +192,13 @@ class AcmControlLoop:
         self.router = Router(self.overlay)
         self.election = LeaderElection(self.overlay)
         self.aggregator = RmttfAggregator(self.config.beta)
-        self.autoscaler = autoscaler or (
-            Autoscaler() if self.config.autoscale else None
-        )
+        self.autoscaler = autoscaler
         self.degradation = DegradationTracker(
             self.regions,
             degradation or DegradationConfig(),
             telemetry=telemetry,
         )
         self.transport = transport
-        self.lifecycle = lifecycle
         self.head_runtime = policy_head
         self.slo = slo
         self.cost = cost
@@ -418,10 +408,6 @@ class AcmControlLoop:
             tel.histogram("era_response_time_s").observe(global_rt)
             for region, rt in per_region_rt.items():
                 tel.histogram("era_response_time_s", region=region).observe(rt)
-        if self.lifecycle is not None:
-            # era boundary: advance the online-model clock (may retrain
-            # and hot-swap the deployed model for the *next* era)
-            self.lifecycle.end_era(now + dt)
         self.summaries.append(summary)
         self.era_index += 1
         return summary

@@ -30,7 +30,6 @@ from repro.core.control_loop import AcmControlLoop, ControlLoopConfig, EraSummar
 from repro.core.cost import CostTracker, cost_model_for, effective_usd_per_req
 from repro.core.costaware import CostAwarePolicy
 from repro.core.policy import Policy, get_policy
-from repro.ml.online.lifecycle import OnlineLifecycle, OnlineLifecycleConfig
 from repro.obs.telemetry import Telemetry
 from repro.overlay.network import OverlayNetwork
 from repro.pcam.predictor import OracleRttfPredictor, RttfPredictor
@@ -127,22 +126,15 @@ class AcmManager:
         Anomaly-injection probabilities (paper: 0.10 / 0.05).
     autoscale:
         Enable Sec. V pool resizing.
-    overlay_latency_ms:
-        Uniform full-mesh latency between region controllers; pass an
-        :class:`~repro.overlay.network.OverlayNetwork` via ``overlay`` for
-        a custom topology.
+    overlay:
+        Controller overlay; ``None`` (the default) is the loop's uniform
+        20 ms full mesh.  Pass an
+        :class:`~repro.overlay.network.OverlayNetwork` for a custom
+        topology.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade threaded
         through the loop and every VMC.  Disabled (the default) the whole
         deployment runs bit-identically to an un-instrumented one.
-    online:
-        Optional :class:`~repro.ml.online.lifecycle.OnlineLifecycleConfig`
-        enabling the online model lifecycle: streaming label collection,
-        drift tracking with the conservative-margin fallback, and (when
-        ``retrain_interval_eras > 0``) periodic retraining that hot-swaps
-        the deployed model.  ``None`` (the default) leaves every control
-        path untouched.  The built lifecycle is exposed as
-        ``manager.online_lifecycle``.
     spread_k:
         Anti-affinity rejuvenation cap threaded into every VMC (see
         ``VmcConfig.spread_k``); 0 (the default) disables it.
@@ -165,10 +157,8 @@ class AcmManager:
     autoscale: bool = False
     autoscale_config: AutoscaleConfig | None = None
     overlay: OverlayNetwork | None = None
-    overlay_latency_ms: float = 20.0
     sla_response_time_s: float = 1.0
     telemetry: Telemetry | None = None
-    online: "OnlineLifecycleConfig | None" = None
     spread_k: int = 0
     #: Optional learned policy head driven at the Plan phase: a
     #: :class:`~repro.policy.runtime.PolicyHeadRuntime`, or a bare
@@ -193,9 +183,6 @@ class AcmManager:
     cost: "CostTracker" = field(init=False)
     #: The built SLO controller (``None`` without an ``slo`` config).
     slo_controller: object | None = field(init=False, default=None)
-    online_lifecycle: "OnlineLifecycle | None" = field(
-        init=False, default=None
-    )
     #: The built head runtime (``None`` without a ``policy_head``).
     policy_runtime: object | None = field(init=False, default=None)
 
@@ -229,11 +216,6 @@ class AcmManager:
         predictor = self.predictor or OracleRttfPredictor(
             mean_demand=self.mix.mean_service_demand()
         )
-        if self.online is not None:
-            self.online_lifecycle = OnlineLifecycle(
-                self.online, seed=self.seed, telemetry=self.telemetry
-            )
-            self.online_lifecycle.bind(predictor)
 
         vmcs: dict[str, VirtualMachineController] = {}
         populations: dict[str, BrowserPopulation] = {}
@@ -293,23 +275,17 @@ class AcmManager:
             )
         )
 
-        overlay = self.overlay or self._build_overlay(names)
         self.loop = AcmControlLoop(
             vmcs=vmcs,
             populations=populations,
             policy=policy,
             rngs=self.rngs,
-            overlay=overlay,
-            config=ControlLoopConfig(
-                era_s=self.era_s,
-                beta=self.beta,
-                autoscale=self.autoscale,
-            ),
+            overlay=self.overlay,
+            config=ControlLoopConfig(era_s=self.era_s, beta=self.beta),
             autoscaler=(
                 Autoscaler(self.autoscale_config) if self.autoscale else None
             ),
             telemetry=self.telemetry,
-            lifecycle=self.online_lifecycle,
             policy_head=head_runtime,
             slo=self.slo_controller,
             cost=self.cost,
@@ -351,17 +327,7 @@ class AcmManager:
                 spread_k=self.spread_k,
             ),
             telemetry=self.telemetry,
-            lifecycle=self.online_lifecycle,
         )
-
-    def _build_overlay(self, names: list[str]) -> OverlayNetwork:
-        net = OverlayNetwork()
-        for n in names:
-            net.add_node(n)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                net.add_link(a, b, self.overlay_latency_ms)
-        return net
 
     # ------------------------------------------------------------------ #
 

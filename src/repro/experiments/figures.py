@@ -79,7 +79,7 @@ def run_figure(name: str, **run) -> dict[str, ExperimentResult]:
     rows the figure plots (``rmttf/*``, ``fraction/*``,
     ``response_time``).  ``run`` is what every run shares, as
     :func:`~repro.experiments.runner.run_policy_experiment` keywords
-    (``eras``, ``seed``, ``predictor``, ``online_retrain``, ...).
+    (``eras``, ``seed``, ``predictor``, ...).
     """
     return compare_policies(resolve_scenario(FIGURES[name].scenario), **run)
 

@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.distributed import DistributedControlPlane
 from repro.core.manager import AcmManager
 from repro.core.metrics import PolicyAssessment, assess_policy_run
-from repro.ml.online.lifecycle import OnlineLifecycleConfig
 from repro.experiments.scenarios import PAPER_POLICIES, Scenario
 from repro.obs.manifest import RunManifest
 from repro.obs.telemetry import Telemetry
@@ -59,9 +58,6 @@ class ExperimentResult:
     era_s: float
     #: how to regenerate this result (seed, config digest, code version)
     manifest: RunManifest | None = None
-    #: online-lifecycle summary (retrains, drift, margins); ``None``
-    #: when the run had no lifecycle
-    online_stats: dict | None = None
     #: policy-head summary (mean reward, availability, cost, fallback);
     #: ``None`` when the run had no learned head
     head_stats: dict | None = None
@@ -149,17 +145,6 @@ def _resolve_predictor(
     )
 
 
-def _resolve_online(
-    online: OnlineLifecycleConfig | None, online_retrain: int
-) -> OnlineLifecycleConfig | None:
-    """``online`` config wins; a bare interval builds the default config."""
-    if online is not None:
-        return online
-    if online_retrain > 0:
-        return OnlineLifecycleConfig(retrain_interval_eras=online_retrain)
-    return None
-
-
 def _experiment_manifest(
     scenario: Scenario,
     policy: str,
@@ -169,7 +154,6 @@ def _experiment_manifest(
     beta: float,
     predictor: str | RttfPredictor,
     autoscale: bool,
-    online: OnlineLifecycleConfig | None = None,
     policy_head: str | None = None,
     slo: str | None = None,
 ) -> RunManifest:
@@ -186,12 +170,9 @@ def _experiment_manifest(
         ),
         "autoscale": autoscale,
     }
-    if online is not None:
-        # only stamped when the lifecycle is on, so pre-lifecycle
-        # manifest digests are unchanged
-        config["online_retrain_eras"] = online.retrain_interval_eras
     if policy_head:
-        # same only-when-set rule for the learned-head identity
+        # only stamped when a head is set, so head-less manifest digests
+        # are unchanged
         config["policy_head"] = policy_head
     if slo:
         # only-when-set: SLO-less manifests keep their historical digest
@@ -218,8 +199,6 @@ def _policy_run(
     predictor: str | RttfPredictor = "oracle",
     autoscale: bool = False,
     telemetry: Telemetry | None = None,
-    online: OnlineLifecycleConfig | None = None,
-    online_retrain: int = 0,
     policy_head: str | object | None = None,
     slo: str | object | None = None,
 ) -> ExperimentResult:
@@ -231,7 +210,6 @@ def _policy_run(
     """
     if eras < 10:
         raise ValueError("eras must be >= 10 for a meaningful assessment")
-    online_cfg = _resolve_online(online, online_retrain)
     head = policy_head
     head_label = None
     if isinstance(policy_head, str):
@@ -248,7 +226,7 @@ def _policy_run(
     )
     manifest = _experiment_manifest(
         scenario, policy, eras, seed, era_s, beta, predictor, autoscale,
-        online=online_cfg, policy_head=head_label, slo=slo_label,
+        policy_head=head_label, slo=slo_label,
     )
     if telemetry is not None and telemetry.enabled:
         telemetry.set_manifest(manifest)
@@ -262,7 +240,6 @@ def _policy_run(
         overlay=scenario.build_overlay(),
         autoscale=autoscale,
         telemetry=telemetry,
-        online=online_cfg,
         leak_probability=(
             DEFAULT_LEAK_PROBABILITY * scenario.leak_multiplier
         ),
@@ -280,11 +257,6 @@ def _policy_run(
         eras=eras,
         era_s=era_s,
         manifest=manifest,
-        online_stats=(
-            manager.online_lifecycle.stats()
-            if manager.online_lifecycle is not None
-            else None
-        ),
         head_stats=(
             manager.policy_runtime.stats()
             if manager.policy_runtime is not None
@@ -322,10 +294,6 @@ def run_policy_experiment(
     policy verdict.  An enabled ``telemetry`` facade gets threaded through
     the whole deployment (loop, VMCs) and stamped with the run manifest;
     disabled or absent telemetry leaves the run bit-identical.
-
-    ``online`` (a full :class:`OnlineLifecycleConfig`) or
-    ``online_retrain`` (a bare retrain interval in eras; 0 = off)
-    enables the online model lifecycle.
 
     ``policy_head`` plugs a learned head into the Plan phase: a head
     spec string (``"static:<policy>"``, ``"frozen:<path>"``, or a

@@ -41,9 +41,9 @@ class Scenario:
     latencies_ms: dict[tuple[str, str], float] = field(default_factory=dict)
     #: Anomaly-rate drift: multiplies the deployment's memory-leak
     #: probability (1.0 = the paper's stationary regime).  The drifted
-    #: scenarios the online lifecycle and the learned policy heads are
-    #: evaluated on raise this (e.g. 2.5x), aging VMs faster than the
-    #: static policies and thresholds were tuned for.
+    #: scenarios the learned policy heads are evaluated on raise this
+    #: (e.g. 6x), aging VMs faster than the static policies and
+    #: thresholds were tuned for.
     leak_multiplier: float = 1.0
     #: Inter-region egress price ($/forwarded request): cloud providers
     #: bill cross-region transfer, local traffic is free.  The default

@@ -39,11 +39,6 @@ def head_label(spec: str) -> str:
     return os.path.basename(spec) if spec else spec
 
 
-def _check_retrain(interval: int) -> None:
-    if interval < 0:
-        raise ValueError(f"retrain interval must be >= 0, got {interval}")
-
-
 def _check_domains(shape: str) -> None:
     if parse_domain_shape(shape) == (1, 1):
         raise ValueError(
@@ -59,8 +54,8 @@ class Axis:
     spec_field: str
     #: ``JobSpec`` field, job-config key and ``--csv`` column
     job_field: str
-    #: the "not in this run" value; values are cast to its type
-    off: int | str
+    #: the "not in this run" value
+    off: str
     #: prefix of an on value's cell-name and label fragments
     tag: str
     help: str
@@ -73,13 +68,10 @@ class Axis:
     def off_token(self) -> str:
         """The off value as typed in the flag's comma list, and the flag's
         default (an empty string cannot be typed, so it reads ``none``)."""
-        return str(self.off) or "none"
+        return self.off or "none"
 
-    def parse(self, token: str) -> int | str:
-        return self.off if token == self.off_token else self.cast(token)
-
-    def cast(self, value: object) -> int | str:
-        return type(self.off)(value)
+    def parse(self, token: str) -> str:
+        return self.off if token == self.off_token else token
 
     def check(self, value: object) -> None:
         if value != self.off:
@@ -91,12 +83,6 @@ class Axis:
 
 
 AXES: tuple[Axis, ...] = (
-    Axis(
-        "retrain", "online_retrain", 0, "retrain",
-        "comma list of online-retrain intervals in eras (one grid axis; "
-        "0 = lifecycle off)",
-        validate=_check_retrain,
-    ),
     Axis(
         "domains", "domains", "flat", "domains",
         "comma list of failure-domain shapes ('flat' or 'NxM', one grid "

@@ -32,7 +32,7 @@ Job kinds
     executor tests and the scheduling benchmark; they exercise the
     fleet machinery without simulating anything.
 
-``online_retrain``, ``domains``, ``policy_head`` and ``slo`` are the
+``domains``, ``policy_head`` and ``slo`` are the
 optional sweep axes: declared on :class:`JobSpec`, handed to the run by
 ``_execute_policy``; what they add to a job's config, digest and label
 (nothing, when off) is the one table in :mod:`repro.fleet.axes`.
@@ -79,8 +79,6 @@ class JobSpec:
     era_s: float = 30.0
     predictor: str = "oracle"
     # one field per row of ``repro.fleet.axes.AXES``, defaulting to off:
-    #: online-lifecycle retrain interval in eras (``policy`` jobs only)
-    online_retrain: int = 0
     #: failure-domain shape ("flat" or "NxM") of every scenario region
     domains: str = "flat"
     #: policy-head spec ("static:<policy>", "frozen:<path>", or a
@@ -112,7 +110,7 @@ class JobSpec:
             "predictor": self.predictor,
         }
         for axis, value in switched_on(job_values(self)):
-            config[axis.job_field] = axis.cast(value)
+            config[axis.job_field] = value
         return config
 
     @property
@@ -258,7 +256,6 @@ def policy_run_args(job: JobSpec) -> tuple:
         seed=job.seed,
         era_s=job.era_s,
         predictor=job.predictor,
-        online_retrain=job.online_retrain,
         policy_head=job.policy_head or None,
         slo=job.slo or None,
     )
@@ -313,15 +310,6 @@ def _execute_policy(job: JobSpec) -> dict:
                 "mean_threshold_delta_s"
             ],
             "fallback_engaged": result.head_stats["fallback_engaged"],
-        }
-    if result.online_stats is not None:
-        stats = result.online_stats
-        payload["online"] = {
-            "retrains": stats["retrains"],
-            "lives_total": stats["lives_total"],
-            "labelled_samples_total": stats["labelled_samples_total"],
-            "rolling_drift_mape": stats["rolling_drift_mape"],
-            "fallbacks": stats["fallbacks"],
         }
     return payload
 

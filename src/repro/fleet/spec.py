@@ -57,8 +57,6 @@ class SweepSpec:
     predictor: str = "oracle"
     # the optional axes over the policy cells: one field per row of
     # ``repro.fleet.axes.AXES``, defaulting to ``(off,)``
-    #: online-lifecycle retrain intervals in eras
-    retrain: tuple[int, ...] = (0,)
     #: failure-domain shapes ("flat" or "NxM")
     domains: tuple[str, ...] = ("flat",)
     #: policy-head specs ("static:<policy>", "frozen:<path>", a path)
@@ -198,7 +196,7 @@ class SweepSpec:
         for axis in AXES:
             values = getattr(self, axis.spec_field)
             if axis.used(values):
-                config[axis.spec_field] = [axis.cast(v) for v in values]
+                config[axis.spec_field] = list(values)
         return config
 
     def manifest(self) -> RunManifest:

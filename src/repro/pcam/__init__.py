@@ -7,8 +7,7 @@ Applications in the Cloud", NCCA 2015) that ACM builds on:
 * :mod:`repro.pcam.vm` -- the VM resource/lifecycle model: anomaly
   accumulation (memory leaks, unterminated threads), performance
   degradation, failure points, rejuvenation;
-* :mod:`repro.pcam.monitor` -- the feature-monitor agent's sample and
-  F2PM's offline profiling harness;
+* :mod:`repro.pcam.monitor` -- F2PM's offline profiling harness;
 * :mod:`repro.pcam.predictor` -- binding of a trained F2PM model to VMs
   for online RTTF prediction;
 * :mod:`repro.pcam.balancer` -- the intra-region load balancer hosted by
@@ -21,7 +20,6 @@ Applications in the Cloud", NCCA 2015) that ACM builds on:
 from repro.pcam.balancer import LocalBalancer
 from repro.pcam.monitor import ProfilingHarness
 from repro.pcam.predictor import (
-    ConservativeRttfPredictor,
     OracleRttfPredictor,
     RttfPredictor,
     TrainedRttfPredictor,
@@ -45,7 +43,6 @@ __all__ = [
     "RttfPredictor",
     "TrainedRttfPredictor",
     "OracleRttfPredictor",
-    "ConservativeRttfPredictor",
     "TrendAwareRttfPredictor",
     "RejuvenationDiscipline",
     "RttfThresholdRejuvenation",

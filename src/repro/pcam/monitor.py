@@ -1,36 +1,24 @@
-"""The feature-monitor agent's sample and the F2PM profiling harness.
+"""The F2PM profiling harness.
 
 Sec. III: "the system under monitoring ... runs the application and a thin
 software client which measures a large set of system features ...  This
 information is transferred to a feature monitor agent.  This agent builds a
 database of system features, for later usage by the ML algorithms."
 
-That database has one store per phase.  Offline, :class:`ProfilingHarness`
-drives fresh VMs to their failure point and
-:meth:`ProfilingHarness.collect` turns the run-to-failure traces into the
-RTTF-labelled training set.  Online, a VMC with a lifecycle hands it one
-:class:`MonitorSample` per monitored VM each era, which the lifecycle's
-:class:`~repro.ml.online.collector.StreamingLabelCollector` buffers until
-the VM's life ends and its labels are known.
+That database is built offline, once: :class:`ProfilingHarness` drives
+fresh VMs to their failure point and :meth:`ProfilingHarness.collect`
+turns the run-to-failure traces into the RTTF-labelled training set.
+The model trained on it is deployed frozen (Sec. VI-A); online, the VMC
+monitors its VMs only to predict their RTTF.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ml.dataset import Dataset
 from repro.ml.features import FEATURE_NAMES
 from repro.pcam.vm import VmState
-
-
-@dataclass(frozen=True, slots=True)
-class MonitorSample:
-    """One timestamped feature row."""
-
-    time: float
-    features: np.ndarray  # schema-ordered row
 
 
 class ProfilingHarness:

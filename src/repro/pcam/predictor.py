@@ -12,8 +12,6 @@ Implementations share the :class:`RttfPredictor` interface:
 * :class:`TrendAwareRttfPredictor` -- a trained model over the *derived*
   schema (levels + slopes): it keeps a short per-VM history and feeds the
   model both the latest sample and its finite-difference trends;
-* :class:`ConservativeRttfPredictor` -- asymmetric-loss safety margin
-  around any other predictor;
 * :class:`OracleRttfPredictor` -- the mean-field ground truth: every
   figure's default predictor, and (with noise) the ablation benches'
   way to add prediction error in controlled amounts.
@@ -156,39 +154,6 @@ class TrendAwareRttfPredictor(RttfPredictor):
 
     def evict(self, vm_name: str) -> None:
         self._history.pop(vm_name, None)
-
-
-class ConservativeRttfPredictor(RttfPredictor):
-    """Safety-margin wrapper around any RTTF predictor.
-
-    Real prediction errors are two-sided, but the two directions cost
-    differently: over-estimating RTTF risks a crash (missed rejuvenation),
-    under-estimating only costs an early restart.  Scaling predictions by
-    ``margin < 1`` biases PCAM toward the cheap error -- the standard
-    asymmetric-loss trick for deployment.
-
-    Parameters
-    ----------
-    inner:
-        The wrapped predictor (trained model or oracle).
-    margin:
-        Multiplier in (0, 1]; e.g. 0.8 plans as if failures arrive 20 %
-        earlier than predicted.
-    """
-
-    def __init__(self, inner: RttfPredictor, margin: float = 0.8) -> None:
-        if not 0.0 < margin <= 1.0:
-            raise ValueError(f"margin must be in (0, 1], got {margin}")
-        self.inner = inner
-        self.margin = float(margin)
-
-    def predict_rttf_rows(
-        self, rows: np.ndarray, vms: list[VirtualMachine]
-    ) -> np.ndarray:
-        return self.margin * self.inner.predict_rttf_rows(rows, vms)
-
-    def evict(self, vm_name: str) -> None:
-        self.inner.evict(vm_name)
 
 
 class OracleRttfPredictor(RttfPredictor):

@@ -575,8 +575,11 @@ class VmStateTable:
     def idle_tick(self, idx: np.ndarray, dt: float) -> None:
         """Advance rejuvenation clocks; finish the ones that ran out.
 
-        Mirrors per-VM ``idle(dt)`` on REJUVENATING rows.  (STANDBY rows
-        need no work, exactly like the scalar method.)
+        Each REJUVENATING row in ``idx`` loses ``dt`` of its remaining
+        rejuvenation time; a row at or below zero returns to STANDBY
+        refreshed (the VM's ``_finish_rejuvenation``).  Rows in any other
+        state are untouched: the VMC calls this before the era's
+        monitoring, after the load has aged its ACTIVE rows.
         """
         rejuv = idx[self.state_code[idx] == CODE_REJUVENATING]
         if not rejuv.size:

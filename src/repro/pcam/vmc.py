@@ -29,9 +29,7 @@ import numpy as np
 from repro.pcam.balancer import LocalBalancer
 
 if TYPE_CHECKING:
-    from repro.ml.online.lifecycle import OnlineLifecycle
     from repro.obs.telemetry import Telemetry
-from repro.pcam.monitor import MonitorSample
 from repro.pcam.predictor import RttfPredictor
 from repro.pcam.rejuvenation import (
     RejuvenationDiscipline,
@@ -146,13 +144,6 @@ class VirtualMachineController:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade recording
         a ``rejuvenation`` instant span per swap decision, per-region
         rejuvenation/failure counters, and ``vm.failure`` flight events.
-    lifecycle:
-        Optional :class:`~repro.ml.online.lifecycle.OnlineLifecycle`
-        observer.  When set, the VMC feeds it each era's monitoring
-        samples + predictions (``observe_era``) and every completed VM
-        life (``observe_life_end``), closing the loop from live
-        monitoring back into training.  ``None`` (the default) leaves
-        the per-era control path untouched.
     """
 
     def __init__(
@@ -164,7 +155,6 @@ class VirtualMachineController:
         balancer: LocalBalancer | None = None,
         discipline: RejuvenationDiscipline | None = None,
         telemetry: "Telemetry | None" = None,
-        lifecycle: "OnlineLifecycle | None" = None,
     ) -> None:
         if not vms:
             raise ValueError(f"region {region_name!r}: empty VM pool")
@@ -192,7 +182,6 @@ class VirtualMachineController:
         self._obs = (
             telemetry if telemetry is not None and telemetry.enabled else None
         )
-        self.lifecycle = lifecycle
         self._ensure_active_pool()
 
     # ------------------------------------------------------------------ #
@@ -388,14 +377,6 @@ class VirtualMachineController:
         )
         uptime = table.uptime_s[mon_rows]
         mttf = uptime + np.maximum(rttf_arr, 0.0)
-        if self.lifecycle is not None:
-            samples = [
-                MonitorSample(time=float(now), features=row)
-                for row in features
-            ]
-            self.lifecycle.observe_era(
-                self.region_name, now, monitored, samples, rttf_arr
-            )
         at_risk_pos, urgency = self.discipline.at_risk(rttf_arr, uptime)
         order = urgency.argsort(kind="stable")
         n_standby = int(np.count_nonzero(codes == CODE_STANDBY))
@@ -415,10 +396,6 @@ class VirtualMachineController:
             if rack_busy is not None:
                 rack_busy[vm.rack_id] = rack_busy.get(vm.rack_id, 0) + 1
             era_rejuvenations += 1
-            if self.lifecycle is not None:
-                self.lifecycle.observe_life_end(
-                    self.region_name, vm.name, now, "rejuvenation"
-                )
             if self._obs is not None:
                 self._obs.instant(
                     f"rejuvenate {vm.name}",
@@ -436,10 +413,6 @@ class VirtualMachineController:
             vm = self.vms[p]
             vm.start_rejuvenation()
             era_rejuvenations += 1
-            if self.lifecycle is not None:
-                self.lifecycle.observe_life_end(
-                    self.region_name, vm.name, now, "failure"
-                )
             if self._obs is not None:
                 self._obs.instant(
                     f"rejuvenate {vm.name}",
@@ -556,7 +529,5 @@ class VirtualMachineController:
                 # Drop any per-VM predictor state (trend windows, stale
                 # caches): a future same-named VM must start clean.
                 self.predictor.evict(name)
-                if self.lifecycle is not None:
-                    self.lifecycle.discard_vm(self.region_name, name)
                 return vm
         raise KeyError(f"no VM named {name!r} in region {self.region_name!r}")

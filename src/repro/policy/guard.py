@@ -1,10 +1,7 @@
-"""Reward-collapse guard: the drift-fallback idea applied to the head.
+"""Reward-collapse guard: a circuit breaker for a learned policy head.
 
-The online ML lifecycle watches a rolling drift MAPE and falls back to a
-conservative margin when the deployed model stops matching reality
-(:mod:`repro.ml.online.drift`).  :class:`RewardGuard` is the same shape
-for a learned policy head: a rolling window of per-era rewards against a
-baseline formed during warm-up.  When the rolling mean collapses below
+:class:`RewardGuard` keeps a rolling window of per-era rewards and
+compares it against a baseline formed during warm-up.  When the rolling mean collapses below
 ``collapse_factor x baseline``, the guard engages -- *sticky*, like a
 circuit breaker -- and the control loop reverts to its configured static
 policy (Policy 1 by default in the eval harness) for the rest of the

@@ -1,13 +1,9 @@
-"""Tests for the extension features: gamma routing and conservative
-predictions."""
+"""Tests for the gamma-routing extension of Eq. (2)."""
 
 import numpy as np
 import pytest
 
-from repro.core import AcmManager, RegionSpec, SensibleRoutingPolicy, get_policy
-from repro.pcam import ConservativeRttfPredictor, OracleRttfPredictor
-
-from ..pcam.reference_vmc import predict_one
+from repro.core import SensibleRoutingPolicy, get_policy
 
 
 class TestGammaSensibleRouting:
@@ -79,44 +75,3 @@ class TestGammaSensibleRouting:
             2 * (ratio_predicted - 1.0) / (ratio_predicted + 1.0)
         )
         assert s_one == pytest.approx(spread_predicted, rel=0.1)
-
-
-class TestConservativePredictor:
-    def test_scales_prediction(self, ):
-        from repro.sim import PRIVATE_SMALL, RngRegistry
-        from repro.pcam import VirtualMachine
-        from repro.workload import AnomalyInjector
-
-        rngs = RngRegistry(seed=5)
-        vm = VirtualMachine(
-            "c/vm0", PRIVATE_SMALL, AnomalyInjector(rngs.stream("a"))
-        )
-        vm.activate()
-        vm.apply_load(300, 30.0)
-        oracle = OracleRttfPredictor()
-        conservative = ConservativeRttfPredictor(oracle, margin=0.5)
-        assert predict_one(conservative, vm) == pytest.approx(
-            0.5 * predict_one(oracle, vm)
-        )
-
-    def test_margin_validated(self):
-        with pytest.raises(ValueError):
-            ConservativeRttfPredictor(OracleRttfPredictor(), margin=0.0)
-        with pytest.raises(ValueError):
-            ConservativeRttfPredictor(OracleRttfPredictor(), margin=1.5)
-
-    def test_system_still_healthy_with_margin(self):
-        mgr = AcmManager(
-            regions=[
-                RegionSpec("a", "m3.medium", 6, 4, 128),
-                RegionSpec("b", "private.small", 4, 3, 64),
-            ],
-            policy="available-resources",
-            seed=8,
-            predictor=ConservativeRttfPredictor(
-                OracleRttfPredictor(), margin=0.7
-            ),
-        )
-        mgr.run(80)
-        assert mgr.traces.series("failures").values.sum() == 0
-

@@ -29,7 +29,6 @@ from repro.sim.tracing import read_csv_manifest
 #: spec_field -> (on values, a value the validator rejects or None,
 #: the label fragment of the first on value)
 SAMPLES = {
-    "retrain": ((8, 4), -1, "retrain8"),
     "domains": (("2x2", "3x1"), "2x", "domains2x2"),
     "policy_heads": (
         ("static:uniform", "frozen:/tmp/a/ckpt,v2.json"),
@@ -83,7 +82,7 @@ def _identity(jobs):
 def test_every_axis_has_samples():
     assert set(SAMPLES) == {axis.spec_field for axis in AXES}
     assert [a.spec_field for a in AXES] == [
-        "retrain", "domains", "policy_heads", "slo"
+        "domains", "policy_heads", "slo"
     ]  # order contract: append, never reorder
 
 
@@ -311,7 +310,6 @@ def test_digest_rule_over_any_subset_of_axes(base, axes):
 # ------------------------------------------------------------------ #
 
 _ALL_AXES_SPEC = dict(
-    retrain=(0, 8),
     domains=("flat", "2x2"),
     policy_heads=("", "frozen:/tmp/a/ckpt.json"),
     slo=("", "p95:0.5"),
@@ -329,20 +327,12 @@ _RECORDED_CELLS = [
     f"{_P}/domains2x2/slo:p95:0.5",
     f"{_P}/domains2x2/{_H}",
     f"{_P}/domains2x2/{_H}/slo:p95:0.5",
-    f"{_P}/retrain8",
-    f"{_P}/retrain8/slo:p95:0.5",
-    f"{_P}/retrain8/{_H}",
-    f"{_P}/retrain8/{_H}/slo:p95:0.5",
-    f"{_P}/retrain8/domains2x2",
-    f"{_P}/retrain8/domains2x2/slo:p95:0.5",
-    f"{_P}/retrain8/domains2x2/{_H}",
-    f"{_P}/retrain8/domains2x2/{_H}/slo:p95:0.5",
     "chaos/smoke/load1",
 ]
 
 
 def test_expansion_order_is_the_recorded_one():
-    """Scenario -> policy -> load -> retrain -> domains -> head -> slo ->
+    """Scenario -> policy -> load -> domains -> head -> slo ->
     replicate, chaos last: labels as the five-deep loop produced them,
     and the whole ``--dry-run`` table (seeds and digests) by hash."""
     spec = _spec(**_ALL_AXES_SPEC)
@@ -351,10 +341,12 @@ def test_expansion_order_is_the_recorded_one():
         f"{cell}/rep{rep}" for cell in _RECORDED_CELLS for rep in (0, 1)
     ]
     assert hashlib.sha256(listing(jobs).encode()).hexdigest() == (
-        "978c4b43f6c8ad9863d7e60f61c311088cd69cb5c263dfa46dd45cedd8f95951"
+        # the listing of the cells that had the retired retrain axis off,
+        # as the grid that still carried it expanded them
+        "88a77c6def793e38b2d7cd3ff7740feb3800ac31a32558d285650cc6996ba20f"
     )
-    assert spec.cell_count == 17
-    assert spec.manifest().config_digest == "5f8ec173261b08f0"
+    assert spec.cell_count == 9
+    assert spec.manifest().config_digest == "cc05dc2b3185a8e9"
 
 
 # ------------------------------------------------------------------ #
@@ -365,7 +357,7 @@ def test_expansion_order_is_the_recorded_one():
 def test_csv_key_columns_separate_cells_that_differ_on_an_axis(tmp_path):
     spec = _spec(
         replicates=1,
-        retrain=(0, 8),
+        domains=("flat", "2x2"),
         policy_heads=("", SAMPLES["policy_heads"][0][1]),  # has a comma
     )
     jobs = spec.expand()
@@ -386,5 +378,5 @@ def test_csv_key_columns_separate_cells_that_differ_on_an_axis(tmp_path):
     keys = {tuple(row[c] for c in header[: 4 + len(AXES)]) for row in rows}
     assert len(keys) == len(rows) == 4
     assert {row["policy_head"] for row in rows} == set(spec.policy_heads)
-    assert {row["online_retrain"] for row in rows} == {"0", "8"}
+    assert {row["domains"] for row in rows} == set(spec.domains)
     assert [float(row["mean"]) for row in rows] == [0.0, 1.0, 2.0, 3.0]

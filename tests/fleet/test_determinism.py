@@ -52,8 +52,7 @@ def mixed_grid():
         loads=(0.25,),
         root_seed=11,
         eras=12,
-        retrain=(0, 4),
-        domains=("2x2",),
+        domains=("flat", "2x2"),
         policy_heads=("static:uniform",),
         slo=("", "p95:0.5"),
         campaigns=("message-loss", "leader-kill", "blackout-heal"),

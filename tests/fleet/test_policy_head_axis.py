@@ -1,6 +1,6 @@
 """The ``policy_head`` sweep axis: digest stability and aggregation.
 
-The contract mirrors the retrain/domains axes: adding the axis to a
+The contract mirrors the domains axis: adding the axis to a
 spec must never perturb the names, seeds, or store digests of the
 head-less cells, and a job's config carries ``policy_head`` only when
 one is set.
@@ -87,7 +87,7 @@ class TestAggregation:
         headed = _job(seed=2, policy_head="static:uniform")
         assert cell_key(plain) != cell_key(headed)
         assert cell_key(headed)[-2] == "static:uniform"
-        assert len(cell_key(plain)) == 8
+        assert len(cell_key(plain)) == 7
 
 
 class TestHeadLabel:

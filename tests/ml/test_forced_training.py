@@ -27,10 +27,8 @@ from repro.ml import Dataset, LinearRegression
 from repro.ml import toolchain as toolchain_module
 from repro.ml.features import FEATURE_NAMES
 from repro.ml.lasso import lasso_path, select_features
-from repro.ml.online import OnlineLifecycle, OnlineLifecycleConfig
 from repro.ml.toolchain import DEFAULT_SUITE, F2PMToolchain
 from repro.ml.tree import best_split
-from repro.pcam.predictor import TrainedRttfPredictor
 
 from .reference_split import reference_best_split
 
@@ -174,18 +172,6 @@ class TestMaxFeaturesRefused:
             dataset, np.random.default_rng(0), model_name="linear-regression"
         )
         assert trained.feature_names == FEATURE_NAMES
-
-    def test_lifecycle_passes_refusal_through(self, dataset, toolchain):
-        predictor = TrainedRttfPredictor(
-            toolchain.train_best(
-                dataset, np.random.default_rng(0), model_name="rep-tree"
-            )
-        )
-        lc = OnlineLifecycle(
-            OnlineLifecycleConfig(retrain_interval_eras=5, max_features=0)
-        )
-        with pytest.raises(ValueError, match="max_features"):
-            lc.bind(predictor)
 
 
 def _split_corpus():

@@ -46,7 +46,6 @@ import pytest
 
 from repro.chaos.predictor import CorruptiblePredictor
 from repro.pcam import (
-    ConservativeRttfPredictor,
     LocalBalancer,
     NoRejuvenation,
     OracleRttfPredictor,
@@ -199,7 +198,7 @@ def test_vmc_era_parity_oracle():
 
 @pytest.mark.parametrize(
     "predictor_kind",
-    ["trained", "trend", "conservative", "corruptible", "corruptible-stale"],
+    ["trained", "trend", "corruptible", "corruptible-stale"],
 )
 def test_vmc_era_parity_predictor_variants(predictor_kind):
     """Every predictor stack sees identical features on both paths."""
@@ -209,10 +208,6 @@ def test_vmc_era_parity_predictor_variants(predictor_kind):
             return TrainedRttfPredictor(_LinModel(), floor_s=5.0)
         if predictor_kind == "trend":
             return TrendAwareRttfPredictor(_LinModel(), window=3)
-        if predictor_kind == "conservative":
-            return ConservativeRttfPredictor(
-                TrainedRttfPredictor(_LinModel()), margin=0.7
-            )
         inner = TrainedRttfPredictor(_LinModel(), floor_s=5.0)
         mode = "stale" if predictor_kind.endswith("stale") else "off"
         return CorruptiblePredictor(inner, mode=mode)

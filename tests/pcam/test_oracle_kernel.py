@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.predictor import CorruptiblePredictor
-from repro.pcam.predictor import ConservativeRttfPredictor, OracleRttfPredictor
+from repro.pcam.predictor import OracleRttfPredictor
 from repro.pcam import vm as vm_module
 from repro.pcam.state_table import MUTABLE_COLUMNS, TableBackedVM, VmStateTable
 from repro.pcam.vm import FailurePolicy, VirtualMachine, VmState
@@ -496,10 +496,10 @@ def test_mixed_pool_falls_back_to_attribute_reads():
 @pytest.mark.parametrize(
     "wrap",
     [
-        lambda inner: ConservativeRttfPredictor(inner, margin=0.8),
+        lambda inner: CorruptiblePredictor(inner, mode="stale"),
         CorruptiblePredictor,
         lambda inner: CorruptiblePredictor(
-            ConservativeRttfPredictor(inner, margin=0.9)
+            CorruptiblePredictor(inner), mode="stale"
         ),
     ],
 )

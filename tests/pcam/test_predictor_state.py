@@ -14,12 +14,10 @@ Guards two bugs:
 import numpy as np
 import pytest
 
+from repro.chaos.predictor import CorruptiblePredictor
 from repro.experiments import make_trained_predictor
 from repro.pcam import VirtualMachineController, VmcConfig, VmState
-from repro.pcam.predictor import (
-    ConservativeRttfPredictor,
-    TrendAwareRttfPredictor,
-)
+from repro.pcam.predictor import TrendAwareRttfPredictor
 from repro.sim import RngRegistry
 
 from .conftest import build_vm
@@ -117,16 +115,6 @@ class TestBatchScalarEquivalence:
         assert trained_predictor.predict_rttf_rows(rows, []).shape == (0,)
         assert trend_predictor.predict_rttf_rows(rows, []).shape == (0,)
 
-    def test_conservative_scales_the_batch(self, trained_predictor):
-        rngs = RngRegistry(seed=22)
-        vm = build_vm(rngs, name="cons/vm0")
-        vm.activate()
-        vm.apply_load(80, 30.0)
-        wrapped = ConservativeRttfPredictor(trained_predictor, margin=0.5)
-        np.testing.assert_allclose(
-            predict_one(wrapped, vm), 0.5 * predict_one(trained_predictor, vm)
-        )
-
 
 class TestEviction:
     def test_remove_vm_evicts_trend_history(self, trend_predictor):
@@ -144,7 +132,7 @@ class TestEviction:
 
     def test_evict_passes_through_wrappers(self, trend_predictor):
         trend_predictor._history["wrapped/vm0"] = object()
-        wrapped = ConservativeRttfPredictor(trend_predictor, margin=0.8)
+        wrapped = CorruptiblePredictor(trend_predictor, mode="stale")
         wrapped.evict("wrapped/vm0")
         assert "wrapped/vm0" not in trend_predictor._history
 

@@ -96,12 +96,10 @@ class TestEverySubcommandRuns:
     #: subcommand -> (argv tail with {tmp}, documented exit codes)
     SMALLEST = {
         "fig3": (
-            ["--eras", "16", "--online-retrain", "8",
-             "--obs-dump", "{tmp}/dump.json"],
+            ["--eras", "16", "--obs-dump", "{tmp}/dump.json"],
             {0},
         ),
         "fig4": (["--eras", "10"], {0}),
-        "online": (["--eras", "30"], {0, 1}),
         "compare": (
             ["--regions", "2", "--eras", "10", "--policies", "uniform"], {0}
         ),
@@ -173,9 +171,9 @@ class TestEverySubcommandRuns:
         assert code in self.SMALLEST[name][1]
         assert out
         if name == "fig3":
-            # the model lifecycle's drift metrics reach the telemetry dump
+            # the dump carries the run's manifest and VMC counters
             dump = (tmp / "dump.json").read_text()
-            assert "ml_drift_mape" in dump and "ml_lives_total" in dump
+            assert "fig3-two-regions" in dump and "rejuvenations_total" in dump
         if name == "sweep":
             assert "| two-region/uniform/load0.25/domains2x2 |" in out
         if name == "policy train":
@@ -347,7 +345,7 @@ class TestSweepCommand:
 
     def test_axis_flags_default_to_their_off_token(self):
         args = build_parser().parse_args(["sweep"])
-        assert (args.retrain, args.domains) == ("0", "flat")
+        assert args.domains == "flat"
         assert (args.policy_heads, args.slo) == ("none", "none")
 
     def test_dry_run_with_every_axis_flag_is_the_spec_listing(self, capsys):
@@ -356,7 +354,7 @@ class TestSweepCommand:
         rc = main(
             ["sweep", "--scenarios", "two-region", "--policies", "uniform",
              "--loads", "0.5,1", "--replicates", "2", "--eras", "12",
-             "--retrain", "0,8", "--domains", "flat,2x2",
+             "--domains", "flat,2x2",
              "--policy-heads", "none,static:uniform,frozen:/tmp/a/ckpt.json",
              "--slo", "none,p95:0.5+dwell:120", "--dry-run"]
         )
@@ -367,21 +365,20 @@ class TestSweepCommand:
             loads=(0.5, 1.0),
             replicates=2,
             eras=12,
-            retrain=(0, 8),
             domains=("flat", "2x2"),
             policy_heads=("", "static:uniform", "frozen:/tmp/a/ckpt.json"),
             slo=("", "p95:0.5+dwell:120"),
         )
         head, _, table = capsys.readouterr().out.partition("\n")
-        assert head == "sweep: 48 cells x 2 replicates = 96 jobs (root seed 7)"
+        assert head == "sweep: 24 cells x 2 replicates = 48 jobs (root seed 7)"
         assert table == listing(spec.expand()) + "\n"
 
     def test_obs_dump_instruments_the_cell_it_names(
         self, capsys, tmp_path, monkeypatch
     ):
-        """The dump's run is the first cell's: domain shape, retrain
-        interval, head, SLO and era length all reach it, so there is no
-        axis it has to say it dropped."""
+        """The dump's run is the first cell's: domain shape, head, SLO
+        and era length all reach it, so there is no axis it has to say it
+        dropped."""
         from repro.experiments import runner
 
         seen = {}
@@ -399,13 +396,12 @@ class TestSweepCommand:
         rc = main(
             ["sweep", "--scenarios", "two-region", "--policies", "uniform",
              "--loads", "0.25", "--replicates", "1", "--eras", "12",
-             "--retrain", "8", "--domains", "2x2", "--slo", "p95:0.5",
+             "--domains", "2x2", "--slo", "p95:0.5",
              "--policy-heads", "static:uniform",
              "--store", str(tmp_path / "store"), "--obs-dump", dump]
         )
         assert rc == 0
         assert seen["path"] == dump
-        assert seen["online_retrain"] == 8
         assert {
             (r.n_azs, r.racks_per_az) for r in seen["scenario"].regions
         } == {(2, 2)}

@@ -109,7 +109,7 @@ RULES = (
     Rule("anomaly-body", r"_lognormal\(", (SRC,), (),
          "the anomaly sampling body is spelled once", "8760176", max_count=1),
     Rule("sweep-axes",
-         r'f"/?(retrain|domains|head:|slo:)\{|!= \(?"flat"|!= \("",\)|!= \(0,\)',
+         r'f"/?(domains|head:|slo:)\{|!= \(?"flat"|!= \("",\)',
          (SRC,), (SRC + "fleet/axes.py",),
          "an optional sweep axis is spelled in fleet/axes.py only", "62e1254"),
     Rule("vmc-step", r"predict_rttf_rows\(|start_rejuvenation\(",
@@ -187,6 +187,12 @@ RULES = (
          ("src/",), (SRC + "fleet/executor.py",),
          "one place starts worker processes: the fleet executor's kept "
          "workers", "after fc9defd"),
+    Rule("online-lifecycle",
+         r"ml\.online|OnlineLifecycle|online_retrain|MonitorSample\(",
+         ("src/",), (),
+         "the deployed F2PM model stays frozen: no in-sim retraining "
+         "lifecycle, retrain axis or streamed monitor samples",
+         "after 05bcc6a"),
 )
 
 #: row id -> lines that each violate it: (file, line appended to it)
@@ -203,7 +209,7 @@ INJECT = {
         (SRC + "core/des_loop.py", "rttf = report.per_vm_rttf[vm.name]"),
     ],
     "anomaly-body": [(SRC + "pcam/vm.py", "s = self._lognormal(1.0, 0.5)")],
-    "sweep-axes": [(SRC + "fleet/spec.py", 'tag = f"/retrain{n}"')],
+    "sweep-axes": [(SRC + "fleet/spec.py", 'tag = f"/domains{shape}"')],
     "vmc-step": [(SRC + "serve/service.py", "vmc.start_rejuvenation(vm)")],
     "slo-plane": [(SRC + "core/control_loop.py", "ladder = PriorityLadder(c)")],
     "private-copies": [(SRC + "serve/service.py", "def _slo_note(self): ...")],
@@ -240,6 +246,10 @@ INJECT = {
     "worker-process": [
         (SRC + "fleet/jobs.py", "proc = ctx.Process(target=execute_job)"),
         (SRC + "experiments/resilience.py", "pool = multiprocessing.Pool(2)"),
+    ],
+    "online-lifecycle": [
+        (SRC + "core/manager.py", "from repro.ml.online import OnlineLifecycle"),
+        (SRC + "fleet/jobs.py", "online_retrain: int = 0"),
     ],
 }
 
@@ -326,6 +336,8 @@ ALLOWED = {
     "ChaosEngine.link_flap_every": "the periodic flap schedule the engine's docstring documents",
     "ChaosEngine.poisson_link_flaps": "the seeded flap schedule the engine's docstring documents",
     "Simulator.pending_events": "how tests observe the event heap",
+    "RequestMix.sample": "draws a TPC-W interaction sequence from a mix; "
+    "the workload tests check each mix's class shares with it",
 }
 
 
