@@ -1,21 +1,14 @@
-"""COST/BURST -- economic and burst-robustness extensions.
+"""COST -- the economic extension.
 
 Sec. I motivates heterogeneous multi-cloud deployments by price: "different
-cloud providers offer various types of VMs at different costs".  These
-benches quantify what the policy study leaves implicit:
-
-* COST: dollars per million served requests under each policy -- Policy 2's
-  capacity-proportional routing also minimises rejuvenation churn, so it
-  should not cost more than the diverging Policy 1;
-* BURST: the policy conclusions survive a bursty (MMPP-modulated) client
-  population, not just the smooth closed-loop load.
+cloud providers offer various types of VMs at different costs".  This
+bench quantifies what the policy study leaves implicit: dollars per
+million served requests under each policy -- Policy 2's
+capacity-proportional routing also minimises rejuvenation churn, so it
+should not cost more than the diverging Policy 1.
 """
 
-from dataclasses import replace
-
-import numpy as np
-
-from repro.core import AcmManager, CostTracker, RegionSpec, assess_policy_run
+from repro.core import AcmManager, CostTracker, RegionSpec
 from repro.experiments.scenarios import PAPER_POLICIES
 
 
@@ -65,43 +58,6 @@ def test_cost_per_policy(benchmark):
     cpm2 = rows["available-resources"][0]
     assert cpm2 <= cpm1 * 1.1
     benchmark(lambda: _run_with_cost("available-resources", eras=20))
-
-
-def test_burst_robustness(benchmark):
-    """BURST: Policy 2 still converges when regional client populations
-    surge in bursts (MMPP-modulated load)."""
-    from repro.workload import MmppArrivals
-
-    mgr = AcmManager(
-        regions=[
-            RegionSpec("region1", "m3.medium", 8, 4, 160),
-            RegionSpec("region3", "private.small", 6, 3, 96),
-        ],
-        policy="available-resources",
-        seed=23,
-    )
-    loop = mgr.loop
-    rng = mgr.rngs.stream("burst")
-    mmpp = MmppArrivals(
-        rng,
-        rate_low=0.0,
-        rate_high=120.0,  # extra clients' worth of request rate in bursts
-        mean_sojourn_low_s=600.0,
-        mean_sojourn_high_s=120.0,
-    )
-    base_pop = loop.populations["region1"]
-    for _ in range(200):
-        # modulate region1's population by the burst state
-        extra = int(mmpp.advance(loop.config.era_s) / loop.config.era_s / 8)
-        loop.populations["region1"] = replace(
-            base_pop, n_clients=min(base_pop.n_clients + extra * 56, 512)
-        )
-        loop.run_era()
-    a = assess_policy_run("available-resources+burst", mgr.traces)
-    print(f"\nburst robustness: {a.row()}")
-    assert a.sla_met
-    assert a.rmttf_spread < 0.2, f"spread {a.rmttf_spread}"
-    benchmark(lambda: _run_with_cost("available-resources", eras=15))
 
 
 def test_cost_tracker_microbench(benchmark):

@@ -11,7 +11,7 @@ Run with::
     python examples/capacity_planning.py
 """
 
-from repro.core import AcmManager, RegionSpec, plan_deployment
+from repro.core import AcmManager, RegionSpec, recommend_pool
 from repro.core.planner import mean_field_ttf
 from repro.sim import INSTANCE_CATALOG
 
@@ -35,7 +35,10 @@ def main() -> None:
         )
         print(f"  {shape:<14} {row}")
 
-    plans = plan_deployment(shapes, loads, target_rmttf_s=target)
+    plans = {
+        region: recommend_pool(shapes[region], loads[region], target)
+        for region in sorted(shapes)
+    }
     print(f"\n{'region':<12} {'shape':<14} {'load':>7} {'active':>7} "
           f"{'standby':>8} {'RMTTF':>8} {'util':>6} {'$/h':>7}")
     total_cost = 0.0

@@ -14,7 +14,10 @@ The pieces map one-to-one onto the paper's sections:
 * :mod:`repro.core.baselines` -- non-paper reference policies (uniform,
   capacity-weighted static);
 * :mod:`repro.core.forward_plan` -- the global forward plan (Sec. V);
-* :mod:`repro.core.autoscale` -- reactive VM-pool resizing (Sec. V);
+* :mod:`repro.core.autoscale` -- reactive VM-pool resizing on measured
+  response time and RMTTF (Sec. V);
+* :mod:`repro.core.planner` -- capacity planning: the smallest pool of a
+  shape that meets an RMTTF target;
 * :mod:`repro.core.control_loop` -- the Monitor/Analyze/Plan/Execute loop,
   Algorithms 1-3 and Fig. 2;
 * :mod:`repro.core.manager` -- :class:`AcmManager`, the top-level façade
@@ -38,11 +41,10 @@ from repro.core.exploration import ExplorationPolicy
 from repro.core.forward_plan import ForwardPlan, PlanTable, build_forward_plan
 from repro.core.manager import AcmManager, RegionSpec
 from repro.core.metrics import PolicyAssessment, assess_policy_run
-from repro.core.planner import PoolPlan, plan_deployment, recommend_pool
+from repro.core.planner import PoolPlan, recommend_pool
 from repro.core.policy import Policy, get_policy, normalize_fractions, POLICY_REGISTRY
 from repro.core.resources import AvailableResourcesPolicy
 from repro.core.rmttf import RmttfAggregator
-from repro.core.rt_predictor import ResponseTimePredictor
 from repro.core.sensible import SensibleRoutingPolicy
 
 __all__ = [
@@ -62,10 +64,8 @@ __all__ = [
     "Autoscaler",
     "AutoscaleConfig",
     "CostTracker",
-    "ResponseTimePredictor",
     "PoolPlan",
     "recommend_pool",
-    "plan_deployment",
     "AcmControlLoop",
     "ControlLoopConfig",
     "DistributedControlPlane",

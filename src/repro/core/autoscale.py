@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.rt_predictor import ResponseTimePredictor
 from repro.pcam.vmc import EraReport, VirtualMachineController
 
 
@@ -31,8 +30,8 @@ class AutoscaleConfig:
     Parameters
     ----------
     response_time_threshold_s:
-        ADDVMS trigger: grow when predicted client response time exceeds
-        this (the paper's "pre-defined threshold").
+        ADDVMS trigger: grow when the era's measured client response time
+        exceeds this (the paper's "pre-defined threshold").
     rmttf_low_s:
         Grow when the region RMTTF falls below this.
     rmttf_high_s:
@@ -41,18 +40,12 @@ class AutoscaleConfig:
     cooldown_eras:
         Minimum eras between consecutive scaling actions per region
         (prevents thrash on noisy signals).
-    headroom_factor:
-        Load multiplier for the *predicted* response-time trigger
-        (Sec. V): grow when the forecast at ``headroom_factor x`` the
-        current rate would violate the threshold, i.e. before the
-        measured response time actually crosses it.
     """
 
     response_time_threshold_s: float = 0.8
     rmttf_low_s: float = 300.0
     rmttf_high_s: float = 3000.0
     cooldown_eras: int = 5
-    headroom_factor: float = 1.25
 
     def __post_init__(self) -> None:
         if self.response_time_threshold_s <= 0:
@@ -63,8 +56,6 @@ class AutoscaleConfig:
             )
         if self.cooldown_eras < 0:
             raise ValueError("cooldown_eras must be >= 0")
-        if self.headroom_factor < 1.0:
-            raise ValueError("headroom_factor must be >= 1")
 
 
 class Autoscaler:
@@ -80,32 +71,6 @@ class Autoscaler:
         self._cooldown: dict[str, int] = {}
         self.scale_up_count = 0
         self.scale_down_count = 0
-        self._rt_predictors: dict[str, ResponseTimePredictor] = {}
-        self._era_s: float = 30.0
-
-    def attach_rt_prediction(
-        self,
-        regions: dict[str, float],
-        era_s: float,
-        forgetting: float = 0.98,
-    ) -> None:
-        """Enable the Sec. V *predicted* response-time trigger.
-
-        Parameters
-        ----------
-        regions:
-            region name -> nominal per-VM capacity (requests/second); one
-            online :class:`ResponseTimePredictor` is created per region.
-        era_s:
-            Control-era length, to turn served counts into rates.
-        """
-        if era_s <= 0:
-            raise ValueError("era_s must be positive")
-        self._era_s = float(era_s)
-        self._rt_predictors = {
-            region: ResponseTimePredictor(capacity, forgetting=forgetting)
-            for region, capacity in regions.items()
-        }
 
     def expected_rmttf_after(
         self, current_rmttf: float, n_active: int, delta: int
@@ -133,19 +98,6 @@ class Autoscaler:
         cfg = self.config
         region = vmc.region_name
 
-        # feed the online response-time model even during cooldown, so it
-        # keeps learning the load curve
-        predicted_violation = False
-        predictor = self._rt_predictors.get(region)
-        if predictor is not None and report.n_active >= 1:
-            rate = report.requests_served / self._era_s
-            predictor.observe(rate, report.n_active, report.response_time_s)
-            predicted_violation = predictor.would_violate(
-                rate * cfg.headroom_factor,
-                report.n_active,
-                cfg.response_time_threshold_s,
-            )
-
         remaining = self._cooldown.get(region, 0)
         if remaining > 0:
             self._cooldown[region] = remaining - 1
@@ -155,7 +107,6 @@ class Autoscaler:
         can_grow = report.n_standby > 0
         wants_grow = (
             report.response_time_s > cfg.response_time_threshold_s
-            or predicted_violation
             or rmttf < cfg.rmttf_low_s
         )
         if wants_grow and can_grow:

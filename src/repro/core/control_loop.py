@@ -15,7 +15,7 @@ One era of the loop walks the four states:
   sends each slave its fraction.
 * **Execute** (Algorithm 3) -- the new fractions are installed in the load
   balancers (a fresh forward plan); if the autoscaler is enabled, regions
-  whose predicted response time exceeds the threshold ADDVMS.
+  whose measured response time exceeds the threshold ADDVMS.
 
 Partitions are handled the way a real deployment degrades: a slave that
 cannot reach the leader keeps serving with its last installed fraction, and

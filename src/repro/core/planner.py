@@ -154,68 +154,3 @@ def recommend_pool(
         f"no pool of <= {max_vms} x {instance_type} reaches "
         f"RMTTF {target_rmttf_s}s at {request_rate} req/s"
     )
-
-
-def recommend_cost_optimal(
-    instance_types: list[str] | tuple[str, ...],
-    request_rate: float,
-    target_rmttf_s: float,
-    **kwargs,
-) -> PoolPlan:
-    """Cheapest shape that meets the RMTTF target: min $/M requests.
-
-    Availability-per-dollar planning for one region: size a pool for
-    every candidate shape (skipping shapes that cannot reach the target
-    within ``max_vms``) and keep the one with the lowest
-    ``usd_per_mreq``.  Ties break toward the earlier candidate, so the
-    caller's ordering expresses preference.
-
-    Raises
-    ------
-    ValueError
-        If no candidate shape reaches the target.
-    """
-    if not instance_types:
-        raise ValueError("need at least one candidate instance type")
-    best: PoolPlan | None = None
-    for name in instance_types:
-        try:
-            plan = recommend_pool(name, request_rate, target_rmttf_s, **kwargs)
-        except ValueError:
-            continue
-        if best is None or plan.usd_per_mreq < best.usd_per_mreq:
-            best = plan
-    if best is None:
-        raise ValueError(
-            f"no candidate shape in {list(instance_types)} reaches "
-            f"RMTTF {target_rmttf_s}s at {request_rate} req/s"
-        )
-    return best
-
-
-def plan_deployment(
-    shapes: dict[str, str],
-    loads: dict[str, float],
-    target_rmttf_s: float,
-    **kwargs,
-) -> dict[str, PoolPlan]:
-    """Size every region of a deployment for a common RMTTF target.
-
-    Parameters
-    ----------
-    shapes:
-        region -> instance-type name.
-    loads:
-        region -> expected request rate (requests/second).
-    target_rmttf_s:
-        The common RMTTF all regions should sustain -- the balanced state
-        the paper's policies drive toward.
-    """
-    if set(shapes) != set(loads):
-        raise ValueError("shapes and loads must cover the same regions")
-    return {
-        region: recommend_pool(
-            shapes[region], loads[region], target_rmttf_s, **kwargs
-        )
-        for region in sorted(shapes)
-    }

@@ -25,14 +25,13 @@ paper's references.
 from repro.ml.base import FittedError, Regressor
 from repro.ml.dataset import Dataset, train_test_split
 from repro.ml.features import FEATURE_NAMES, FeatureVector, feature_index
-from repro.ml.lasso import LassoRegression, lasso_path, select_features
-from repro.ml.linear import LinearRegression, RidgeRegression
+from repro.ml.lasso import LassoRegression, select_features
+from repro.ml.linear import LinearRegression
 from repro.ml.lssvm import LeastSquaresSVM
 from repro.ml.m5p import M5PModelTree
 from repro.ml.preprocessing import StandardScaler
 from repro.ml.reptree import REPTree
 from repro.ml.svr import LinearSVR
-from repro.ml.tree import RegressionTree
 from repro.ml.validation import (
     ValidationReport,
     k_fold_indices,
@@ -54,11 +53,8 @@ __all__ = [
     "feature_index",
     "StandardScaler",
     "LinearRegression",
-    "RidgeRegression",
     "LassoRegression",
-    "lasso_path",
     "select_features",
-    "RegressionTree",
     "REPTree",
     "M5PModelTree",
     "LinearSVR",

@@ -145,29 +145,6 @@ def max_alpha(X: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(Xs.T @ yc)) / X.shape[0])
 
 
-def lasso_path(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_alphas: int = 20,
-    alpha_min_ratio: float = 1e-3,
-    max_iter: int = 1000,
-    tol: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Regularisation path on a log-spaced alpha grid, with warm starts.
-
-    Returns
-    -------
-    alphas:
-        ``(n_alphas,)`` descending penalty values, from ``alpha_max`` down to
-        ``alpha_max * alpha_min_ratio``.
-    coefs:
-        ``(n_alphas, n_features)`` standardised-space coefficients along the
-        path (row ``k`` solves at ``alphas[k]``).
-    """
-    alphas, rows = _lazy_path(X, y, n_alphas, alpha_min_ratio, max_iter, tol)
-    return alphas, np.stack(list(rows))
-
-
 def _lazy_path(
     X: np.ndarray,
     y: np.ndarray,
@@ -176,10 +153,14 @@ def _lazy_path(
     max_iter: int,
     tol: float,
 ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """:func:`lasso_path`'s grid, with its rows solved only as pulled.
+    """The Lasso regularisation path, with its rows solved only as pulled.
 
-    Each warm-started row depends only on the rows before it, so a
-    consumer that stops early gets exactly the prefix of the full path.
+    Returns ``alphas``, ``n_alphas`` descending penalties from
+    ``alpha_max`` down to ``alpha_max * alpha_min_ratio`` on a log grid,
+    and an iterator over the standardised-space coefficients at each
+    (row ``k`` solves at ``alphas[k]``, warm-started from row ``k - 1``).
+    Each row depends only on the rows before it, so a consumer that stops
+    early gets exactly the prefix of the full path.
     """
     X = as_2d_float(X)
     y = as_1d_float(y)

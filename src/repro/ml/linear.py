@@ -1,9 +1,7 @@
-"""Ordinary least squares and ridge regression.
+"""Ordinary least-squares regression.
 
 "Linear regression" is the first model in F2PM's suite (paper ref. [28]).
-OLS is solved with :func:`numpy.linalg.lstsq` (SVD-based, rank-robust);
-ridge with the regularised normal equations, which are well-conditioned for
-``alpha > 0``.
+OLS is solved with :func:`numpy.linalg.lstsq` (SVD-based, rank-robust).
 """
 
 from __future__ import annotations
@@ -34,43 +32,6 @@ class LinearRegression(Regressor):
         x_mean = X.mean(axis=0)
         y_mean = y.mean()
         coef, *_ = np.linalg.lstsq(X - x_mean, y - y_mean, rcond=None)
-        self.coef_ = coef
-        self.intercept_ = float(y_mean - x_mean @ coef)
-
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        assert self.coef_ is not None
-        return X @ self.coef_ + self.intercept_
-
-
-class RidgeRegression(Regressor):
-    """L2-regularised linear regression (Tikhonov).
-
-    Parameters
-    ----------
-    alpha:
-        Regularisation strength; ``alpha = 0`` reduces to OLS on
-        well-conditioned problems.  The intercept is not penalised.
-    """
-
-    def __init__(self, alpha: float = 1.0) -> None:
-        super().__init__()
-        if alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {alpha}")
-        self.alpha = float(alpha)
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
-
-    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        x_mean = X.mean(axis=0)
-        y_mean = y.mean()
-        Xc = X - x_mean
-        yc = y - y_mean
-        n_features = X.shape[1]
-        gram = Xc.T @ Xc + self.alpha * np.eye(n_features)
-        try:
-            coef = np.linalg.solve(gram, Xc.T @ yc)
-        except np.linalg.LinAlgError:
-            coef, *_ = np.linalg.lstsq(gram, Xc.T @ yc, rcond=None)
         self.coef_ = coef
         self.intercept_ = float(y_mean - x_mean @ coef)
 

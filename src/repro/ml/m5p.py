@@ -104,6 +104,8 @@ class M5PModelTree(Regressor):
         self.smoothing = float(smoothing)
         self.prune = bool(prune)
         self.root_: TreeNode | None = None
+        #: node models by heap index (root 1, children 2i and 2i + 1): a
+        #: key that survives a copy or pickle of the tree, as ``id`` would not
         self._models: dict[int, _NodeModel] = {}
 
     # ------------------------------------------------------------------ #
@@ -119,34 +121,36 @@ class M5PModelTree(Regressor):
             keep_sample_idx=True,
         )
         self._models = {}
-        self._fit_models(self.root_, X, y)
+        self._fit_models(self.root_, 1, X, y)
         if self.prune:
-            self._prune_node(self.root_, X, y)
+            self._prune_node(self.root_, 1, X, y)
 
-    def _fit_models(self, node: TreeNode, X: np.ndarray, y: np.ndarray) -> None:
+    def _fit_models(
+        self, node: TreeNode, index: int, X: np.ndarray, y: np.ndarray
+    ) -> None:
         assert node.sample_idx is not None
         rows = node.sample_idx
-        self._models[id(node)] = _fit_node_model(X[rows], y[rows], self.ridge)
+        self._models[index] = _fit_node_model(X[rows], y[rows], self.ridge)
         if not node.is_leaf:
             assert node.left is not None and node.right is not None
-            self._fit_models(node.left, X, y)
-            self._fit_models(node.right, X, y)
+            self._fit_models(node.left, 2 * index, X, y)
+            self._fit_models(node.right, 2 * index + 1, X, y)
 
     def _prune_node(
-        self, node: TreeNode, X: np.ndarray, y: np.ndarray
+        self, node: TreeNode, index: int, X: np.ndarray, y: np.ndarray
     ) -> float:
         """Bottom-up prune; returns the corrected error of the kept subtree."""
         assert node.sample_idx is not None
         rows = node.sample_idx
-        model = self._models[id(node)]
+        model = self._models[index]
         node_residuals = y[rows] - model.predict(X[rows])
         n_params = int(np.count_nonzero(model.coef)) + 1
         node_err = _corrected_mae(node_residuals, n_params)
         if node.is_leaf:
             return node_err
         assert node.left is not None and node.right is not None
-        left_err = self._prune_node(node.left, X, y)
-        right_err = self._prune_node(node.right, X, y)
+        left_err = self._prune_node(node.left, 2 * index, X, y)
+        right_err = self._prune_node(node.right, 2 * index + 1, X, y)
         nl = node.left.n_samples
         nr = node.right.n_samples
         subtree_err = (nl * left_err + nr * right_err) / max(nl + nr, 1)
@@ -160,12 +164,13 @@ class M5PModelTree(Regressor):
     def _predict(self, X: np.ndarray) -> np.ndarray:
         assert self.root_ is not None
         out = np.empty(X.shape[0], dtype=float)
-        self._predict_into(self.root_, X, np.arange(X.shape[0]), out, None)
+        self._predict_into(self.root_, 1, X, np.arange(X.shape[0]), out, None)
         return out
 
     def _predict_into(
         self,
         node: TreeNode,
+        index: int,
         X: np.ndarray,
         rows: np.ndarray,
         out: np.ndarray,
@@ -173,7 +178,7 @@ class M5PModelTree(Regressor):
     ) -> None:
         if rows.size == 0:
             return
-        pred = self._models[id(node)].predict(X[rows])
+        pred = self._models[index].predict(X[rows])
         # M5 smoothing: blend with the prediction inherited from the parent.
         if parent_pred is not None and self.smoothing > 0:
             n = node.n_samples
@@ -185,8 +190,12 @@ class M5PModelTree(Regressor):
             return
         assert node.left is not None and node.right is not None
         mask = X[rows, node.feature] <= node.threshold
-        self._predict_into(node.left, X, rows[mask], out, pred[mask])
-        self._predict_into(node.right, X, rows[~mask], out, pred[~mask])
+        self._predict_into(
+            node.left, 2 * index, X, rows[mask], out, pred[mask]
+        )
+        self._predict_into(
+            node.right, 2 * index + 1, X, rows[~mask], out, pred[~mask]
+        )
 
     # ------------------------------------------------------------------ #
 

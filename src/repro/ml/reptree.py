@@ -46,8 +46,14 @@ class REPTree(Regressor):
 
     Parameters
     ----------
-    max_depth, min_samples_split, min_samples_leaf, min_sse_decrease:
-        Growth controls, as in :class:`repro.ml.tree.RegressionTree`.
+    max_depth:
+        Maximum tree depth (root = depth 0).
+    min_samples_split:
+        Minimum samples a node needs to be considered for splitting.
+    min_samples_leaf:
+        Minimum samples each child must retain.
+    min_sse_decrease:
+        Minimum absolute SSE reduction required to accept a split.
     prune_fraction:
         Fraction of the training data held out for pruning (Weka default
         uses one of three folds; 1/3 here).  Set to 0 to disable pruning.
@@ -65,6 +71,12 @@ class REPTree(Regressor):
         seed: int = 0,
     ) -> None:
         super().__init__()
+        if max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
+        if min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
+        if min_samples_split < 2:
+            raise ValueError("min_samples_split must be >= 2")
         if not 0.0 <= prune_fraction < 1.0:
             raise ValueError(
                 f"prune_fraction must be in [0, 1), got {prune_fraction}"

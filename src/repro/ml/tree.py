@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.base import Regressor
-
 
 @dataclass(slots=True)
 class TreeNode:
@@ -227,65 +225,3 @@ def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
         stack.append((node.left, rows[mask]))
         stack.append((node.right, rows[~mask]))
     return out
-
-
-class RegressionTree(Regressor):
-    """Plain CART regression tree (no pruning).
-
-    Parameters
-    ----------
-    max_depth:
-        Maximum tree depth (root = depth 0).
-    min_samples_split:
-        Minimum samples a node needs to be considered for splitting.
-    min_samples_leaf:
-        Minimum samples each child must retain.
-    min_sse_decrease:
-        Minimum absolute SSE reduction required to accept a split.
-    """
-
-    def __init__(
-        self,
-        max_depth: int = 12,
-        min_samples_split: int = 4,
-        min_samples_leaf: int = 2,
-        min_sse_decrease: float = 0.0,
-    ) -> None:
-        super().__init__()
-        if max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        self.max_depth = int(max_depth)
-        self.min_samples_split = int(min_samples_split)
-        self.min_samples_leaf = int(min_samples_leaf)
-        self.min_sse_decrease = float(min_sse_decrease)
-        self.root_: TreeNode | None = None
-
-    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        self.root_ = build_tree(
-            X,
-            y,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            min_sse_decrease=self.min_sse_decrease,
-        )
-
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        assert self.root_ is not None
-        return tree_predict(self.root_, X)
-
-    def depth(self) -> int:
-        """Fitted tree depth."""
-        if self.root_ is None:
-            raise RuntimeError("tree not fitted")
-        return self.root_.depth()
-
-    def n_leaves(self) -> int:
-        """Number of leaves of the fitted tree."""
-        if self.root_ is None:
-            raise RuntimeError("tree not fitted")
-        return self.root_.count_leaves()

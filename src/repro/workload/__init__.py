@@ -10,14 +10,14 @@ replace it with this synthetic equivalent:
   shopping, ordering);
 * :mod:`repro.workload.browsers` -- closed-loop emulated-browser
   populations with exponential think times;
-* :mod:`repro.workload.arrivals` -- open arrival processes (Poisson and
-  batched) for rate-driven experiments;
+* :mod:`repro.workload.arrivals` -- the open Poisson arrival process for
+  rate-driven experiments;
 * :mod:`repro.workload.anomalies` -- the per-request anomaly injection
   model: 10 % of requests leak memory, 5 % spawn an unterminated thread.
 """
 
 from repro.workload.anomalies import AnomalyEffect, AnomalyInjector
-from repro.workload.arrivals import PoissonArrivals, BatchArrivals, MmppArrivals
+from repro.workload.arrivals import PoissonArrivals
 from repro.workload.browsers import BrowserPopulation, closed_loop_rate
 from repro.workload.profiles import DiurnalProfile
 from repro.workload.tpcw import (
@@ -33,8 +33,6 @@ __all__ = [
     "AnomalyEffect",
     "AnomalyInjector",
     "PoissonArrivals",
-    "BatchArrivals",
-    "MmppArrivals",
     "BrowserPopulation",
     "closed_loop_rate",
     "DiurnalProfile",

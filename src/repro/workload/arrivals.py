@@ -1,14 +1,9 @@
 """Open arrival processes.
 
 Complementing the closed-loop browsers, the experiment harness sometimes
-needs *open* request streams (e.g. for stressing a single VM during F2PM
-profiling, or for the autoscaling demo where the global rate ramps).  Two
-processes are provided:
-
-* :class:`PoissonArrivals` -- homogeneous Poisson with optional rate ramps;
-* :class:`BatchArrivals` -- deterministic era-batched arrivals used by the
-  fluid control-loop simulation (how many requests fall in an era of length
-  ``dt`` at rate ``lambda``, with Poisson-distributed counts).
+needs an *open* request stream (e.g. for stressing a single VM during F2PM
+profiling, or for the autoscaling demo where the global rate ramps):
+:class:`PoissonArrivals` -- homogeneous Poisson with optional rate ramps.
 """
 
 from __future__ import annotations
@@ -82,145 +77,3 @@ class PoissonArrivals:
                 break
             out.append(t)
         return np.asarray(out, dtype=float)
-
-
-class MmppArrivals:
-    """Two-state Markov-modulated Poisson process (bursty workloads).
-
-    The process alternates between a *base* state (rate ``rate_low``) and a
-    *burst* state (rate ``rate_high``); sojourn times in each state are
-    exponential.  Used by the burst-robustness ablation: ACM's policies
-    must keep converging when the offered load is not smooth.
-
-    Parameters
-    ----------
-    rng:
-        Dedicated random stream.
-    rate_low, rate_high:
-        Arrival rates of the two states (``rate_high >= rate_low >= 0``).
-    mean_sojourn_low_s, mean_sojourn_high_s:
-        Expected time spent in each state per visit.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        rate_low: float,
-        rate_high: float,
-        mean_sojourn_low_s: float = 300.0,
-        mean_sojourn_high_s: float = 60.0,
-    ) -> None:
-        if rate_low < 0 or rate_high < rate_low:
-            raise ValueError("need 0 <= rate_low <= rate_high")
-        if mean_sojourn_low_s <= 0 or mean_sojourn_high_s <= 0:
-            raise ValueError("sojourn times must be positive")
-        self._rng = rng
-        self.rate_low = float(rate_low)
-        self.rate_high = float(rate_high)
-        self.mean_sojourn_low_s = float(mean_sojourn_low_s)
-        self.mean_sojourn_high_s = float(mean_sojourn_high_s)
-        self._in_burst = False
-        self._state_until = float(
-            rng.exponential(self.mean_sojourn_low_s)
-        )
-        self._now = 0.0
-
-    @property
-    def in_burst(self) -> bool:
-        """Whether the process is currently in the burst state."""
-        return self._in_burst
-
-    def current_rate(self) -> float:
-        """Arrival rate of the current state."""
-        return self.rate_high if self._in_burst else self.rate_low
-
-    def mean_rate(self) -> float:
-        """Long-run average rate (stationary mixture of the two states)."""
-        p_high = self.mean_sojourn_high_s / (
-            self.mean_sojourn_low_s + self.mean_sojourn_high_s
-        )
-        return p_high * self.rate_high + (1 - p_high) * self.rate_low
-
-    def advance(self, dt: float) -> float:
-        """Advance the modulating chain by ``dt`` and return the *expected*
-        arrival count over the interval (integrating across state flips).
-
-        Suitable for the fluid control loop: feed the returned mean into a
-        Poisson draw (see :meth:`count`).
-        """
-        if dt < 0:
-            raise ValueError("dt must be >= 0")
-        remaining = dt
-        expected = 0.0
-        while remaining > 0:
-            in_state = min(remaining, self._state_until - self._now)
-            expected += in_state * self.current_rate()
-            self._now += in_state
-            remaining -= in_state
-            if self._now >= self._state_until:
-                self._in_burst = not self._in_burst
-                sojourn = (
-                    self.mean_sojourn_high_s
-                    if self._in_burst
-                    else self.mean_sojourn_low_s
-                )
-                self._state_until = self._now + float(
-                    self._rng.exponential(sojourn)
-                )
-        return expected
-
-    def count(self, dt: float) -> int:
-        """Poisson arrival count for the next ``dt`` seconds."""
-        mean = self.advance(dt)
-        if mean <= 0:
-            return 0
-        return int(self._rng.poisson(mean))
-
-
-class BatchArrivals:
-    """Era-batched arrival counts for the fluid simulation.
-
-    At each control era of length ``dt`` the fluid model needs "how many
-    requests arrived at region i" rather than individual instants; counts
-    are Poisson(rate * dt), which preserves the stochastic variability the
-    policies must cope with while avoiding per-request events.
-    """
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-
-    def count(self, rate: float, dt: float) -> int:
-        """Poisson-distributed request count for an era."""
-        if rate < 0:
-            raise ValueError("rate must be >= 0")
-        if dt < 0:
-            raise ValueError("dt must be >= 0")
-        mean = rate * dt
-        if mean == 0.0:
-            return 0
-        # Normal approximation above 1e6 keeps the sampler O(1) and avoids
-        # numpy's slow path for huge Poisson means.
-        if mean > 1e6:
-            return max(0, int(round(self._rng.normal(mean, np.sqrt(mean)))))
-        return int(self._rng.poisson(mean))
-
-    def split(
-        self, total: int, fractions: np.ndarray
-    ) -> np.ndarray:
-        """Multinomially split ``total`` requests by the forward plan.
-
-        The global forward plan sends fraction ``f_i`` of requests to
-        region ``i``; individual requests are routed independently, hence
-        multinomial counts.
-        """
-        fractions = np.asarray(fractions, dtype=float)
-        if total < 0:
-            raise ValueError("total must be >= 0")
-        if fractions.ndim != 1 or fractions.size == 0:
-            raise ValueError("fractions must be a non-empty 1-D array")
-        if np.any(fractions < -1e-12):
-            raise ValueError("fractions must be non-negative")
-        s = fractions.sum()
-        if s <= 0:
-            raise ValueError("fractions must sum > 0")
-        return self._rng.multinomial(total, np.maximum(fractions, 0.0) / s)

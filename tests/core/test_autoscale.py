@@ -132,50 +132,3 @@ class TestDecisions:
         assert delta == +1
         assert vmc.target_active == 3
         assert len(vmc.vms_in(VmState.ACTIVE)) == 3
-
-
-class TestPredictedResponseTimeTrigger:
-    """The Sec. V 'predicted response time over threshold' path."""
-
-    def test_attach_validation(self, rngs):
-        a = Autoscaler()
-        with pytest.raises(ValueError):
-            a.attach_rt_prediction({"as": 25.0}, era_s=0.0)
-
-    def test_predicted_violation_triggers_growth(self, rngs):
-        vmc = make_vmc(rngs)
-        a = Autoscaler(
-            AutoscaleConfig(
-                response_time_threshold_s=0.5,
-                rmttf_low_s=1.0,  # disable the RMTTF trigger
-                cooldown_eras=0,
-            )
-        )
-        a.attach_rt_prediction({"as": 25.0}, era_s=30.0)
-        # warm the model with eras whose measured rt stays *below* the
-        # threshold but climbs steeply with load
-        for rate in (10.0, 20.0, 30.0, 40.0, 45.0, 48.0) * 3:
-            rt = 0.01 * (1.0 + (rate / 50.0) ** 2 * 40.0)  # convex growth
-            rep = report(n_active=2, response_time_s=min(rt, 0.45))
-            rep = EraReport(
-                region="as", time=0.0, last_rmttf=500.0,
-                response_time_s=min(rt, 0.45), n_active=2, n_standby=3,
-                n_rejuvenating=0, n_failed=0,
-                requests_served=int(rate * 30.0),
-                rejuvenations_triggered=0, failures=0,
-            )
-            delta = a.decide(vmc, rep, rmttf=5000.0)
-        # by the last (near-saturation) era the *forecast* crosses the
-        # threshold even though every measurement stayed below it
-        assert a.scale_up_count >= 1
-
-    def test_without_attachment_behaviour_unchanged(self, rngs):
-        vmc = make_vmc(rngs)
-        a = Autoscaler(AutoscaleConfig(rmttf_low_s=1.0, cooldown_eras=0))
-        for _ in range(20):
-            delta = a.decide(vmc, report(response_time_s=0.1), rmttf=1000.0)
-            assert delta == 0
-
-    def test_headroom_factor_validated(self):
-        with pytest.raises(ValueError):
-            AutoscaleConfig(headroom_factor=0.9)

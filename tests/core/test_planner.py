@@ -1,14 +1,9 @@
 """Tests for the mean-field capacity planner."""
 
-import numpy as np
 import pytest
 
 from repro.core import AcmManager, RegionSpec
-from repro.core.planner import (
-    mean_field_ttf,
-    plan_deployment,
-    recommend_pool,
-)
+from repro.core.planner import mean_field_ttf, recommend_pool
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL
 
 
@@ -68,20 +63,6 @@ class TestRecommendPool:
 
 
 class TestPlanDeployment:
-    def test_sizes_every_region(self):
-        plans = plan_deployment(
-            shapes={"eu": "m3.medium", "priv": "private.small"},
-            loads={"eu": 40.0, "priv": 15.0},
-            target_rmttf_s=500.0,
-        )
-        assert set(plans) == {"eu", "priv"}
-        for plan in plans.values():
-            assert plan.expected_rmttf_s >= 500.0
-
-    def test_region_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="same regions"):
-            plan_deployment({"a": "m3.medium"}, {"b": 1.0}, 100.0)
-
     def test_plan_validates_in_simulation(self):
         """Deploy the planner's recommendation and confirm the loop
         actually sustains the target RMTTF -- planner/simulator closure."""
@@ -126,25 +107,3 @@ class TestPlanCost:
             plan.hourly_usd / (40.0 * 3600.0) + M3_MEDIUM.cost_per_req
         ) * 1e6
         assert plan.usd_per_mreq == pytest.approx(expected)
-
-    def test_cost_optimal_picks_cheapest_feasible_shape(self):
-        from repro.core.planner import recommend_cost_optimal
-
-        candidates = ("m3.medium", "m3.small", "private.small")
-        best = recommend_cost_optimal(candidates, 30.0, target_rmttf_s=600.0)
-        for name in candidates:
-            try:
-                plan = recommend_pool(name, 30.0, target_rmttf_s=600.0)
-            except ValueError:
-                continue
-            assert best.usd_per_mreq <= plan.usd_per_mreq
-
-    def test_cost_optimal_no_feasible_shape_raises(self):
-        from repro.core.planner import recommend_cost_optimal
-
-        with pytest.raises(ValueError, match="no candidate"):
-            recommend_cost_optimal(
-                ("private.small",), 50.0, target_rmttf_s=1e9, max_vms=8
-            )
-        with pytest.raises(ValueError, match="at least one"):
-            recommend_cost_optimal((), 10.0, 100.0)

@@ -26,7 +26,7 @@ from repro.experiments.scenarios import three_region_scenario
 from repro.ml import Dataset, LinearRegression
 from repro.ml import toolchain as toolchain_module
 from repro.ml.features import FEATURE_NAMES
-from repro.ml.lasso import lasso_path, select_features
+from repro.ml.lasso import _lazy_path, select_features
 from repro.ml.toolchain import DEFAULT_SUITE, F2PMToolchain
 from repro.ml.tree import best_split
 
@@ -144,7 +144,10 @@ class TestLazyLassoPath:
         X[:, 4] = X[:, 1] + rng.normal(0, 0.05, n)  # a correlated pair
         y = X @ (rng.normal(size=d) * np.arange(d)) + rng.normal(0, 0.5, n)
         names = [f"f{j}" for j in range(d)]
-        _, coefs = lasso_path(X, y, n_alphas=50)
+        _, rows = _lazy_path(
+            X, y, n_alphas=50, alpha_min_ratio=1e-3, max_iter=1000, tol=1e-6
+        )
+        coefs = np.stack(list(rows))
         for max_features in (1, 4, 8, None):
             limit = max_features if max_features is not None else d
             assert select_features(

@@ -1,10 +1,18 @@
-"""Tests for OLS, ridge, and Lasso regression."""
+"""Tests for OLS and Lasso regression."""
 
 import numpy as np
 import pytest
 
-from repro.ml import LassoRegression, LinearRegression, RidgeRegression
-from repro.ml.lasso import lasso_path, max_alpha, select_features, soft_threshold
+from repro.ml import LassoRegression, LinearRegression
+from repro.ml.lasso import _lazy_path, max_alpha, select_features, soft_threshold
+
+
+def lasso_path(X, y, n_alphas):
+    """The whole regularisation path, every row solved."""
+    alphas, rows = _lazy_path(
+        X, y, n_alphas, alpha_min_ratio=1e-3, max_iter=1000, tol=1e-6
+    )
+    return alphas, np.stack(list(rows))
 
 
 class TestLinearRegression:
@@ -34,26 +42,6 @@ class TestLinearRegression:
         X = np.random.default_rng(0).normal(size=(20, 3))
         m = LinearRegression().fit(X, np.full(20, 5.0))
         assert np.allclose(m.predict(X), 5.0, atol=1e-10)
-
-
-class TestRidgeRegression:
-    def test_alpha_zero_matches_ols(self, linear_data):
-        X, y = linear_data
-        ols = LinearRegression().fit(X, y)
-        ridge = RidgeRegression(alpha=0.0).fit(X, y)
-        assert np.allclose(ols.coef_, ridge.coef_, atol=1e-8)
-
-    def test_shrinkage_monotone(self, linear_data):
-        X, y = linear_data
-        norms = [
-            np.linalg.norm(RidgeRegression(alpha=a).fit(X, y).coef_)
-            for a in (0.0, 10.0, 1000.0)
-        ]
-        assert norms[0] > norms[1] > norms[2]
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            RidgeRegression(alpha=-1.0)
 
 
 class TestSoftThreshold:

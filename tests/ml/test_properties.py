@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.ml import LinearRegression, RegressionTree
+from repro.ml import LinearRegression, REPTree
 from repro.ml.lasso import soft_threshold
 from repro.ml.validation import r2_score, root_mean_squared_error
 
@@ -56,7 +56,7 @@ def test_tree_predictions_within_target_range(n, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 3))
     y = rng.uniform(-10, 10, size=n)
-    m = RegressionTree(max_depth=6).fit(X, y)
+    m = REPTree(max_depth=6, prune_fraction=0.0).fit(X, y)
     pred = m.predict(rng.normal(size=(50, 3)))
     assert pred.min() >= y.min() - 1e-9
     assert pred.max() <= y.max() + 1e-9

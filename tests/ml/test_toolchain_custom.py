@@ -4,14 +4,9 @@ alternate ranking metrics."""
 import numpy as np
 import pytest
 
-from repro.ml import (
-    Dataset,
-    F2PMToolchain,
-    LinearRegression,
-    RegressionTree,
-    RidgeRegression,
-)
+from repro.ml import Dataset, F2PMToolchain, LinearRegression
 from repro.ml.features import FEATURE_NAMES
+from repro.ml.toolchain import DEFAULT_SUITE
 
 
 @pytest.fixture
@@ -28,18 +23,18 @@ class TestCustomSuite:
         tc = F2PMToolchain(
             suite={
                 "ols": LinearRegression,
-                "ridge": lambda: RidgeRegression(alpha=1.0),
+                "lasso": DEFAULT_SUITE["lasso"],
             },
             cv_folds=3,
         )
         comp = tc.compare(dataset, np.random.default_rng(0))
-        assert set(comp.reports) == {"ols", "ridge"}
+        assert set(comp.reports) == {"ols", "lasso"}
 
     def test_extension_model_in_suite(self, dataset):
         tc = F2PMToolchain(
             suite={
                 "ols": LinearRegression,
-                "tree": lambda: RegressionTree(max_depth=4),
+                "tree": DEFAULT_SUITE["rep-tree"],
             },
             cv_folds=3,
         )
@@ -63,7 +58,7 @@ class TestRankingMetrics:
         tc = F2PMToolchain(
             suite={
                 "ols": LinearRegression,
-                "ridge": lambda: RidgeRegression(alpha=100.0),
+                "lasso": DEFAULT_SUITE["lasso"],
             },
             cv_folds=3,
             ranking_metric=metric,

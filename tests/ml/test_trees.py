@@ -1,10 +1,16 @@
-"""Tests for the regression tree, REP-Tree, and M5P model tree."""
+"""Tests for the regression tree, REP-Tree, and M5P model tree.
+
+The plain CART regression tree is ``build_tree`` + ``tree_predict``; an
+unpruned :class:`REPTree` (``prune_fraction=0``) grows exactly that tree
+on its whole training set, so it stands in wherever a test needs one
+behind the ``Regressor`` interface.
+"""
 
 import numpy as np
 import pytest
 
 import repro.ml.tree as tree_module
-from repro.ml import M5PModelTree, REPTree, RegressionTree
+from repro.ml import M5PModelTree, REPTree
 from repro.ml.tree import ROW_WALK_MAX_ROWS, best_split, build_tree, tree_predict
 
 
@@ -79,51 +85,55 @@ class TestBestSplit:
         assert not np.isnan([node.value for node in leaves]).any()
 
 
+def cart(**growth):
+    """A plain (unpruned) CART regression tree behind ``Regressor``."""
+    return REPTree(prune_fraction=0.0, **growth)
+
+
 class TestRegressionTree:
     def test_fits_piecewise_function(self, piecewise_data):
         X, y = piecewise_data
-        m = RegressionTree(max_depth=6).fit(X, y)
+        m = cart(max_depth=6).fit(X, y)
         resid = y - m.predict(X)
         assert np.std(resid) < 0.5
 
     def test_max_depth_zero_predicts_mean(self, piecewise_data):
         X, y = piecewise_data
-        m = RegressionTree(max_depth=0).fit(X, y)
+        m = cart(max_depth=0).fit(X, y)
         assert np.allclose(m.predict(X), y.mean())
         assert m.depth() == 0
         assert m.n_leaves() == 1
 
     def test_depth_bounded(self, piecewise_data):
         X, y = piecewise_data
-        m = RegressionTree(max_depth=3).fit(X, y)
+        m = cart(max_depth=3).fit(X, y)
         assert m.depth() <= 3
 
     def test_min_sse_decrease_stops_splitting_noise(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(200, 3))
         y = rng.normal(size=200)  # pure noise
-        big_gate = RegressionTree(min_sse_decrease=1e9).fit(X, y)
+        big_gate = cart(min_sse_decrease=1e9).fit(X, y)
         assert big_gate.n_leaves() == 1
 
     def test_interpolates_training_data_when_unconstrained(self):
         X = np.arange(8.0).reshape(-1, 1)
         y = np.array([1.0, 5.0, 2.0, 8.0, 3.0, 9.0, 0.0, 4.0])
-        m = RegressionTree(
-            max_depth=10, min_samples_split=2, min_samples_leaf=1
-        ).fit(X, y)
+        m = cart(max_depth=10, min_samples_split=2, min_samples_leaf=1)
+        m.fit(X, y)
         assert np.allclose(m.predict(X), y)
 
     def test_introspection_before_fit(self):
         with pytest.raises(RuntimeError):
-            RegressionTree().depth()
+            cart().depth()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            RegressionTree(max_depth=-1)
+            cart(max_depth=-1)
         with pytest.raises(ValueError):
-            RegressionTree(min_samples_leaf=0)
+            cart(min_samples_leaf=0)
         with pytest.raises(ValueError):
-            RegressionTree(min_samples_split=1)
+            cart(min_samples_split=1)
 
     def test_vectorised_predict_matches_manual_walk(self, piecewise_data):
         X, y = piecewise_data
@@ -197,7 +207,7 @@ class TestRowWalk:
     """The small-batch row walk and the masked walk agree bit for bit."""
 
     MODELS = {
-        "regression-tree": lambda: RegressionTree(
+        "regression-tree": lambda: cart(
             max_depth=10, min_samples_split=2, min_samples_leaf=1
         ),
         "rep-tree": lambda: REPTree(seed=3),
@@ -239,7 +249,7 @@ class TestRowWalk:
     @pytest.mark.parametrize("max_depth", [0, 1])
     def test_stump(self, monkeypatch, max_depth):
         X, y = _walk_corpus()
-        m = RegressionTree(max_depth=max_depth).fit(X, y)
+        m = cart(max_depth=max_depth).fit(X, y)
         assert m.depth() == max_depth
         walked, masked = _both_walks(
             monkeypatch, m.predict, _query_rows(m.root_, 40, seed=2)
@@ -303,9 +313,9 @@ class TestM5P:
         X_test = rng.uniform(-2, 2, size=(200, 2))
         y_test = np.where(X_test[:, 0] > 0, 3.0 * X_test[:, 1] + 5.0, -2.0 * X_test[:, 1])
         m5 = M5PModelTree(max_depth=4).fit(X, y)
-        cart = RegressionTree(max_depth=4).fit(X, y)
+        tree = cart(max_depth=4).fit(X, y)
         err_m5 = np.mean((y_test - m5.predict(X_test)) ** 2)
-        err_cart = np.mean((y_test - cart.predict(X_test)) ** 2)
+        err_cart = np.mean((y_test - tree.predict(X_test)) ** 2)
         assert err_m5 < err_cart
 
     def test_reduces_to_linear_model_on_linear_data(self, linear_data):

@@ -1,5 +1,8 @@
 """Tests for validation metrics, CV, preprocessing, and the F2PM toolchain."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.ml import (
     r2_score,
     root_mean_squared_error,
 )
+from repro.ml.toolchain import DEFAULT_SUITE
 from repro.ml.validation import summarize_cv
 
 
@@ -206,3 +210,14 @@ class TestToolchain:
         comp = tc.compare(linear_dataset, np.random.default_rng(0))
         ranked = [name for name, _ in comp.ranked()]
         assert ranked.index("linear-regression") < ranked.index("rep-tree")
+
+
+@pytest.mark.parametrize("name", list(DEFAULT_SUITE))
+def test_a_fitted_model_survives_copy_and_pickle(name, piecewise_data):
+    """A trained model is a value: a deep copy and a pickle round-trip
+    predict exactly as the original (nothing keyed by object identity)."""
+    X, y = piecewise_data
+    model = DEFAULT_SUITE[name]().fit(X, y)
+    expected = model.predict(X)
+    assert np.array_equal(copy.deepcopy(model).predict(X), expected)
+    assert np.array_equal(pickle.loads(pickle.dumps(model)).predict(X), expected)

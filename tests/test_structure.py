@@ -9,8 +9,11 @@ over the ``*.py`` files under its roots;
 :data:`INJECT` to an in-memory copy of the tree and expects that row,
 and no other, to fire, so a row that can no longer fail fails here.
 
-The unreached-code scan below the table holds the other half: no code
-under ``src/repro`` is reachable only from a test.
+The reach gate below the table holds the other half: every function
+under ``src/repro`` runs in some ``repro`` invocation, or has a
+``REACH_EXEMPT`` row that says why not.  It records what the runs of
+:func:`repro_runs` enter in a fresh interpreter (``python
+tests/test_structure.py OUT.json`` does the recording alone).
 
 Run alone: ``PYTHONPATH=src python -m pytest tests/test_structure.py``.
 """
@@ -312,112 +315,387 @@ def test_an_injected_violation_fires_its_row_only(rule_id, path, line, tree):
 
 
 # ------------------------------------------------------------------ #
-# no code under src/repro that only a test reaches
+# no code under src/repro that no `repro` invocation runs
 # ------------------------------------------------------------------ #
 
 MIN_LINES = 8
-#: name -> why it stays although no code under src/repro names it
-ALLOWED = {
-    "DomainAwareBalancer": "README's domain-aware control; an AXES row installs it next",
-    "DomainHealthTracker.reporting_regions": "README's reporting set; the same row feeds it to the quorum",
-    "Autoscaler.attach_rt_prediction": "the Sec. V RT predictor's one route in; the autoscale row wires it",
-    "recommend_cost_optimal": "public API README documents",
-    "Telemetry.export_jsonl": "the JSONL exporter README documents",
-    "VirtualMachineController.add_vm": "pool growth DESIGN documents",
-    "VirtualMachineController.remove_vm": "pool shrinking DESIGN documents",
-    "VirtualMachineController.compact_table": "table compaction DESIGN documents",
-    "LeaderElection.takeover_count": "DESIGN's election history; an example prints it",
-    "OverlayNetwork.full_mesh": "the benchmark harness builds its overlay with it",
-    "TraceRecorder.from_csv": "reads back what `repro export` writes",
-    "read_csv_manifest": "reads back the `# manifest:` line EXPERIMENTS documents",
-    "TraceSeries.resample": "puts an exported trace on another time grid",
-    "TraceSeries.ewma": "smooths an exported trace",
-    "Dataset.concat": "stacks two profiling datasets of one schema for offline training",
-    "ChaosEngine.link_flap_every": "the periodic flap schedule the engine's docstring documents",
-    "ChaosEngine.poisson_link_flaps": "the seeded flap schedule the engine's docstring documents",
-    "Simulator.pending_events": "how tests observe the event heap",
-    "RequestMix.sample": "draws a TPC-W interaction sequence from a mix; "
-    "the workload tests check each mix's class shares with it",
+#: an on value per ``fleet/axes.py::AXES`` row, for the sweep that names
+#: every axis
+AXIS_ON = {"domains": "2x2", "policy_heads": "static:uniform", "slo": "p95:1"}
+_DES = "the request-level DES: ROADMAP 9 runs it from the CLI or moves it under tests/"
+_RESIZE = "pool resizing: ROADMAP 9(c)'s `autoscale` sweep axis wires it"
+_DOMAIN = (
+    "fault-domain-aware control: ROADMAP 9(c)'s `domain_aware` "
+    "sweep axis wires it"
+)
+_CHAOS = (
+    "a fault primitive no registered campaign schedules: ROADMAP "
+    "1(b) wires it as one"
+)
+_TREND = "the trend-aware predictor: ROADMAP 4(b)'s `<model>+trend` spec wires it"
+_STATIC = "static-weights cannot run by name until ROADMAP 5 gives it default weights"
+_HARNESS = "the frozen benchmark harness (benchmarks/e2e) calls it"
+_GATED_SERVE = (
+    "serve's SLO gate under traffic: the frozen harness's serve_fault_slo "
+    "drives `serve --slo-p95`; no repro run sends requests to a gated serve"
+)
+#: ``path::qualname`` (path under ``src/repro``) -> why it stays although
+#: no run of :func:`repro_runs` enters it: the open ROADMAP item that will
+#: wire it, the frozen benchmark harness that calls it, or why it is
+#: public API
+REACH_EXEMPT: dict[str, str] = {
+    "chaos/engine.py::ChaosEngine.cooling_failure": _CHAOS,
+    "chaos/engine.py::ChaosEngine.cooling_restore": _CHAOS,
+    "chaos/engine.py::ChaosEngine.corrupt_predictor": _CHAOS,
+    "chaos/engine.py::ChaosEngine.eviction_storm": _CHAOS,
+    "chaos/engine.py::ChaosEngine.link_flap_every": _CHAOS,
+    "chaos/engine.py::ChaosEngine.partition": _CHAOS,
+    "chaos/engine.py::ChaosEngine.poisson_link_flaps": _CHAOS,
+    "chaos/engine.py::ChaosEngine.vm_crash_storm": _CHAOS,
+    "core/autoscale.py::AutoscaleConfig.__post_init__": _RESIZE,
+    "core/autoscale.py::Autoscaler.apply": _RESIZE,
+    "core/autoscale.py::Autoscaler.decide": _RESIZE,
+    "core/autoscale.py::Autoscaler.expected_rmttf_after": _RESIZE,
+    "core/baselines.py::StaticWeightsPolicy.__init__": _STATIC,
+    "core/baselines.py::StaticWeightsPolicy._compute": _STATIC,
+    "core/control_loop.py::AcmControlLoop._healthy_capacities":
+        "the degradation ladder's fallback rung: no registered campaign keeps "
+        "RMTTF reports missing that long; ROADMAP 1(b)'s partition campaign will",
+    "core/cost.py::CostTracker.summary": "public API: a run's bill as one line",
+    "core/des_loop.py::DesControlLoop.__init__": _DES,
+    "core/des_loop.py::DesControlLoop._analyze_regions": _DES,
+    "core/des_loop.py::DesControlLoop._complete": _DES,
+    "core/des_loop.py::DesControlLoop._forward_latency_s": _DES,
+    "core/des_loop.py::DesControlLoop._install_plan": _DES,
+    "core/des_loop.py::DesControlLoop._issue": _DES,
+    "core/des_loop.py::DesControlLoop._run_era_body": _DES,
+    "core/des_loop.py::DesControlLoop._start_browsers": _DES,
+    "core/des_loop.py::DesControlLoop.run": _DES,
+    "core/des_loop.py::_RegionState.rebuild_active_slots": _DES,
+    "core/metrics.py::PolicyAssessment.row":
+        "public API: the table row benchmarks/bench_ablations.py prints",
+    "core/rmttf.py::RmttfAggregator.current":
+        "public API: one region's Eq. (1) state",
+    "experiments/resilience.py::recovery_bound_eras":
+        "public API: the re-convergence bound a leader-kill campaign is held to",
+    "fleet/jobs.py::_execute_synthetic":
+        _HARNESS + " (its fleet workloads run `synthetic` jobs)",
+    "ml/dataset.py::Dataset.concat":
+        "public API: stacks two profiling datasets of one schema for offline training",
+    "ml/dataset.py::train_test_split":
+        "public API: a hold-out split for offline model study",
+    "ml/derived.py::augment_runs_with_slopes": _TREND,
+    "ml/derived.py::slope_features": _TREND,
+    "ml/features.py::feature_index": "public API: a feature's column in the schema",
+    "obs/exporters.py::_prom_labels": _HARNESS + " (it scrapes serve's /metrics)",
+    "obs/exporters.py::to_prometheus_text": _HARNESS + " (it scrapes serve's /metrics)",
+    "obs/exporters.py::to_jsonl_lines":
+        "public API: the JSONL exporter README documents",
+    "obs/exporters.py::write_jsonl": "public API: the JSONL exporter README documents",
+    "obs/telemetry.py::Telemetry.export_jsonl":
+        "public API: the JSONL exporter README documents",
+    "obs/metrics.py::Histogram.quantile":
+        "public API: a histogram's bucket-resolution quantile",
+    "obs/metrics.py::log_buckets": "public API: the bounds of a custom histogram",
+    "overlay/election.py::LeaderElection.leaders":
+        "public API: each partition side's leader",
+    "overlay/election.py::LeaderElection.takeover_count":
+        "public API: DESIGN's election history; an example prints it",
+    "overlay/network.py::OverlayNetwork.full_mesh":
+        _HARNESS + " (it builds its overlay with it)",
+    "pcam/balancer.py::DomainAwareBalancer.__init__": _DOMAIN,
+    "pcam/balancer.py::DomainAwareBalancer.weights_of": _DOMAIN,
+    "pcam/predictor.py::TrendAwareRttfPredictor.__init__": _TREND,
+    "pcam/predictor.py::TrendAwareRttfPredictor.predict_rttf_rows": _TREND,
+    "pcam/state_table.py::VmStateTable._grow": _RESIZE,
+    "pcam/state_table.py::VmStateTable._refresh":
+        _RESIZE + "; so does ROADMAP 9 (the DES)",
+    "pcam/state_table.py::VmStateTable.adopt": _RESIZE,
+    "pcam/state_table.py::VmStateTable.compact": _RESIZE,
+    "pcam/state_table.py::VmStateTable.complete_request": _DES,
+    "pcam/state_table.py::VmStateTable.release": _RESIZE,
+    "pcam/state_table.py::VmStateTable.start_rejuvenation": _RESIZE,
+    "pcam/vm.py::VirtualMachine._finish_rejuvenation":
+        "public API: a standalone VM's instant rejuvenation; a pooled VM's row does it",
+    "pcam/vmc.py::VirtualMachineController.add_vm": _RESIZE,
+    "pcam/vmc.py::VirtualMachineController.compact_table": _RESIZE,
+    "pcam/vmc.py::VirtualMachineController.remove_vm": _RESIZE,
+    "pcam/vmc.py::VirtualMachineController.set_target_active": _RESIZE,
+    "pcam/vmc.py::VirtualMachineController.stats": _HARNESS + " (its pool totals)",
+    "serve/service.py::AcmService._slo_check": _GATED_SERVE,
+    "serve/service.py::AcmService.slo_override":
+        "public API: README's /slo/override admin endpoint",
+    "sim/engine.py::Simulator.pending_events":
+        "public API: the pending events, how a caller checks a teardown",
+    "sim/engine.py::Simulator.run": _DES,
+    "sim/engine.py::Simulator.schedule_pooled": _DES + "; the frozen harness probes it",
+    "sim/rng.py::ExactDraws.integers": _DES,
+    "sim/rng.py::RngRegistry.fresh":
+        "public API: replays a named stream from its start",
+    "sim/tracing.py::TraceRecorder.from_csv":
+        "public API: reads back what `repro export` writes",
+    "sim/tracing.py::TraceSeries.ewma": "public API: smooths an exported trace",
+    "sim/tracing.py::TraceSeries.resample":
+        "public API: puts an exported trace on another time grid",
+    "sim/tracing.py::read_csv_manifest":
+        "public API: reads back the `# manifest:` line EXPERIMENTS documents",
+    "slo/controller.py::SloController.set_override":
+        "public API: README's /slo/override admin endpoint",
+    "slo/controller.py::SloController.snapshot":
+        "public API: README's /slo admin endpoint",
+    "slo/evaluator.py::SloConfig.spec": _GATED_SERVE,
+    "slo/evaluator.py::SloEvaluator.p95": _GATED_SERVE,
+    "slo/evaluator.py::SloEvaluator.status": _GATED_SERVE,
+    "slo/evaluator.py::_trimmed": _GATED_SERVE,
+    "topology/health.py::DomainHealthTracker.reporting_regions": _DOMAIN,
+    "workload/tpcw.py::RequestMix.sample":
+        "public API: draws a TPC-W interaction sequence from a mix",
 }
 
 
-@lru_cache(maxsize=None)
-def _scan(text: str) -> tuple[frozenset[str], tuple[tuple[str, int, int], ...]]:
-    """What a module's code names (names, attributes, imported names and
-    string constants outside ``__all__``), and its top-level functions,
-    classes and methods as ``(qualname, line, size)``."""
-    tree = ast.parse(text)
-    exports = {
-        id(n)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-        for n in ast.walk(node)
-    }
-    names = set()
-    for node in ast.walk(tree):
-        if id(node) in exports:
-            continue
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.update(node.name.split("."))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    defs = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            members = [(node.name, node)]
-            if isinstance(node, ast.ClassDef):
-                members += [
-                    (f"{node.name}.{m.name}", m)
-                    for m in node.body
-                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-                ]
-            defs += [(q, m.lineno, m.end_lineno - m.lineno + 1) for q, m in members]
-    return frozenset(names), tuple(defs)
+def repro_runs() -> list[tuple[list[str], set[int]]]:
+    """The ``repro`` invocations the reach gate runs, in order, as
+    ``(argv with {tmp}, documented exit codes)``: every subcommand at its
+    smallest (``TestEverySubcommandRuns.SMALLEST``), then one run per
+    documented flag value that those leave at its default."""
+    from repro.core.policy import POLICY_REGISTRY
+    from repro.experiments.resilience import CAMPAIGNS
+    from repro.fleet.axes import AXES
+    from repro.ml.toolchain import DEFAULT_SUITE
+    from tests.test_cli import TestEverySubcommandRuns as every
 
-
-def unreached(files: dict[str, str]) -> dict[str, str]:
-    """qualname -> ``file:line`` of each definition of ``MIN_LINES`` or
-    more lines under ``src/repro`` that no code there names."""
-    names, defs = set(), []
-    for path, text in files.items():
-        if path.startswith(SRC):
-            module_names, module_defs = _scan(text)
-            names |= module_names
-            defs += [(q, f"{path}:{line}", size) for q, line, size in module_defs]
-    return {
-        qualname: where
-        for qualname, where, size in defs
-        if size >= MIN_LINES
-        and (name := qualname.rsplit(".", 1)[-1]) not in names
-        and not (name.startswith("__") and name.endswith("__"))
-    }
-
-
-def test_no_code_only_a_test_reaches(tree):
-    orphans = [
-        f"{where}: {q}" for q, where in unreached(tree).items() if q not in ALLOWED
+    assert set(AXIS_ON) == {axis.spec_field for axis in AXES}
+    compare = ["compare", "--regions", "2", "--eras", "10", "--policies"]
+    axes = [
+        arg
+        for axis in AXES
+        for arg in (
+            "--" + axis.spec_field.replace("_", "-"),
+            f"{axis.off_token},{AXIS_ON[axis.spec_field]}",
+        )
     ]
-    assert not orphans, (
-        "named by no code in src/repro: call it from there, delete it, "
-        "or allowlist it with a reason:\n" + "\n".join(orphans)
+    runs = [
+        (name.split() + tail, codes)
+        for name, (tail, codes) in every.SMALLEST.items()
+    ]
+    runs += [
+        ([*compare, "uniform", "--predictor", model], {0})
+        for model in DEFAULT_SUITE
+    ]
+    # at 10 req/s some VM serves exactly one request in an era, so the
+    # one-request anomaly draw runs in every recording, not by timing
+    runs += [
+        (["loadtest", "--duration", "1.5", "--rate", "10",
+          "--schedule", schedule], {0, 1})
+        for schedule in ("diurnal", "flash")
+    ]
+    runs += [
+        # static-weights cannot run by name (ROADMAP 5)
+        ([*compare, ",".join(p for p in POLICY_REGISTRY if p != "static-weights")],
+         {0}),
+        (["policy", "train", "--head", "reinforce", "--scenario",
+          "two-region", "--rounds", "1", "--episodes", "1", "--eras", "10",
+          "--out", "{tmp}/reinforce"], {0}),
+        (["chaos", "all"], {0}),
+        (["chaos", next(iter(CAMPAIGNS))], {0}),
+        (["obs", "{tmp}/dump.json", "--chrome", "{tmp}/trace.json"], {0}),
+        (["sweep", *every.SWEEP, "--dry-run"], {0}),
+        (["sweep", *every.SWEEP, *axes, "--workers", "2",
+          "--store", "{tmp}/axes-store", "--csv", "{tmp}/axes.csv", "--gc",
+          "--obs-dump", "{tmp}/axes-dump.json"], {0}),
+    ]
+    return runs
+
+
+def record_reach(out: str) -> None:
+    """Run :func:`repro_runs` in this process; write to ``out`` (JSON) the
+    exit code of each and ``[file, first line]`` of every code object under
+    ``src/repro`` that any of them entered, forked fleet workers included.
+    The runs write their files beside ``out``.
+
+    The profile hook goes in before ``repro`` is imported, so what runs at
+    import time (policy registration, the catalog's ``__post_init__``)
+    counts. ``threading.setprofile`` carries it into threads; a wrapper of
+    ``fleet.executor._job_worker`` has each forked worker write its own
+    set to a file as it exits.
+    """
+    import contextlib
+    import io
+    import os
+    import sys
+    import threading
+
+    seen: dict[int, object] = {}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen[id(frame.f_code)] = frame.f_code
+
+    def entered() -> list[tuple[str, int]]:
+        return sorted(
+            {
+                (path.relative_to(REPO).as_posix(), code.co_firstlineno)
+                for code in list(seen.values())
+                if (path := Path(code.co_filename)).is_relative_to(REPO / SRC)
+            }
+        )
+
+    sys.setprofile(hook)
+    threading.setprofile(hook)
+    import repro.fleet.executor as executor
+    from repro.cli import main
+
+    tmp = Path(out).resolve().parent
+    job_worker = executor._job_worker
+
+    def traced_worker(conn) -> None:
+        try:
+            job_worker(conn)
+        finally:
+            sys.setprofile(None)
+            (tmp / f"worker-{os.getpid()}.json").write_text(
+                json.dumps(entered())
+            )
+
+    executor._job_worker = traced_worker
+    codes = []
+    for argv, _ in repro_runs():
+        argv = [arg.format(tmp=tmp) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                codes.append(main(argv))
+            except SystemExit as exit_:
+                codes.append(exit_.code)
+    sys.setprofile(None)
+    threading.setprofile(None)
+    found = set(map(tuple, entered()))
+    for worker in tmp.glob("worker-*.json"):
+        found |= set(map(tuple, json.loads(worker.read_text())))
+    Path(out).write_text(json.dumps({"codes": codes, "entered": sorted(found)}))
+
+
+def _is_stub(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """A body of a docstring, ``...`` or ``pass`` and nothing else."""
+    return all(
+        isinstance(stmt, ast.Pass)
+        or isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+        for stmt in node.body
     )
 
 
-def test_the_allowlist_is_current(tree):
-    stale = sorted(set(ALLOWED) - set(unreached(tree)))
-    assert not stale, f"gone, under {MIN_LINES} lines, or has a caller: {stale}"
+@lru_cache(maxsize=None)
+def _defs(text: str) -> tuple[tuple[str, int, int], ...]:
+    """A module's functions and methods with code, as ``(qualname, first
+    line, size)``. The first line is the one its code object starts on
+    (the first decorator's, if any); the size counts from the ``def``
+    line."""
+    defs = []
+
+    def visit(body: list[ast.stmt], prefix: str) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if _is_stub(node):
+                    continue
+                lines = [node.lineno] + [d.lineno for d in node.decorator_list]
+                size = node.end_lineno - node.lineno + 1
+                defs.append((prefix + node.name, min(lines), size))
+
+    visit(ast.parse(text).body, "")
+    return tuple(defs)
+
+
+def unentered(
+    files: dict[str, str], entered: set[tuple[str, int]]
+) -> dict[str, tuple[str, int]]:
+    """``path::qualname`` -> ``(file, size)`` of each function or method
+    of ``MIN_LINES`` or more lines under ``src/repro`` whose code object
+    (``(file, first line)``) is not in ``entered``.
+
+    A class is checked through its methods: its body runs at import, so
+    entering it says nothing. A class with no method of ``MIN_LINES``
+    lines (a dataclass of fields, an enum, an exception) holds no code of
+    its own and is not checked; nor is a protocol or abstract method
+    whose body is only its docstring.
+    """
+    return {
+        f"{path[len(SRC):]}::{qualname}": (path, size)
+        for path, text in files.items()
+        if path.startswith(SRC)
+        for qualname, first, size in _defs(text)
+        if size >= MIN_LINES and (path, first) not in entered
+    }
+
+
+def work_list(found: dict[str, tuple[str, int]]) -> str:
+    """``found`` grouped by file, with line counts."""
+    by_file: dict[str, list[str]] = {}
+    sizes: dict[str, int] = {}
+    for key, (path, size) in sorted(found.items()):
+        by_file.setdefault(path, []).append(
+            f"  {size:4d}  {key.split('::')[1]}"
+        )
+        sizes[path] = sizes.get(path, 0) + size
+    return "\n".join(
+        f"{path} ({sizes[path]} lines)\n" + "\n".join(rows)
+        for path, rows in by_file.items()
+    )
+
+
+@pytest.fixture(scope="module")
+def reach(tmp_path_factory) -> dict:
+    """One recording of :func:`record_reach`, in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    tmp = tmp_path_factory.mktemp("reach")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), str(REPO), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, __file__, str(tmp / "reach.json")],
+        cwd=tmp, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+    recorded = json.loads((tmp / "reach.json").read_text())
+    recorded["entered"] = set(map(tuple, recorded["entered"]))
+    return recorded
+
+
+def test_every_reach_run_exits_as_documented(reach):
+    wrong = [
+        f"repro {' '.join(argv)}: exit {code}, documented {sorted(codes)}"
+        for (argv, codes), code in zip(repro_runs(), reach["codes"])
+        if code not in codes
+    ]
+    assert len(reach["codes"]) == len(repro_runs()) and not wrong, wrong
+
+
+def test_no_code_only_a_test_reaches(tree, reach):
+    found = {
+        key: where
+        for key, where in unentered(tree, reach["entered"]).items()
+        if key not in REACH_EXEMPT
+    }
+    assert not found, (
+        "no `repro` run enters these: run them from the CLI, delete them, "
+        "or add a REACH_EXEMPT row with its reason:\n" + work_list(found)
+    )
+
+
+def test_the_allowlist_is_current(tree, reach):
+    stale = sorted(set(REACH_EXEMPT) - set(unentered(tree, reach["entered"])))
+    assert not stale, f"gone, under {MIN_LINES} lines, or entered: {stale}"
 
 
 ORPHAN = "def orphan_probe(x):\n" + "    x += 1\n" * 7 + "    return x\n"
 
 
 @pytest.mark.parametrize(
-    "mention, reached",
+    "mention, entered",
     [
         ("", False),
         ('# orphan_probe in a comment\n"""orphan_probe in a docstring."""\n', False),
@@ -425,11 +703,16 @@ ORPHAN = "def orphan_probe(x):\n" + "    x += 1\n" * 7 + "    return x\n"
     ],
     ids=["alone", "in-prose", "called"],
 )
-def test_an_injected_orphan_is_found_unless_code_names_it(tree, mention, reached):
+def test_an_injected_orphan_is_found_unless_it_runs(tree, mention, entered):
     files = dict(tree)
     files[SRC + "sim/rng.py"] += "\n" + ORPHAN
     files[SRC + "sim/engine.py"] += "\n" + mention
-    assert ("orphan_probe" not in unreached(files)) is reached
+    (line,) = [
+        first for name, first, _ in _defs(files[SRC + "sim/rng.py"])
+        if name == "orphan_probe"
+    ]
+    ran = {(SRC + "sim/rng.py", line)} if entered else set()
+    assert ("sim/rng.py::orphan_probe" not in unentered(files, ran)) is entered
 
 
 # ------------------------------------------------------------------ #
@@ -495,3 +778,9 @@ def test_a_fleet_era_binds_no_one_request_draw():
     assert vmc.table.total_requests.min() >= 2
     bound = [vm.name for vm in vms if vm.injector._one_request is not None]
     assert not bound, f"{len(bound)} injectors bound a handle: {bound[:3]}"
+
+
+if __name__ == "__main__":
+    import sys
+
+    record_reach(sys.argv[1])

@@ -6,12 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.workload import (
-    BatchArrivals,
-    BrowserPopulation,
-    PoissonArrivals,
-    closed_loop_rate,
-)
+from repro.workload import BrowserPopulation, PoissonArrivals, closed_loop_rate
 
 
 class TestClosedLoopRate:
@@ -118,54 +113,3 @@ class TestPoissonArrivals:
         p = PoissonArrivals(np.random.default_rng(0), rate=1.0)
         with pytest.raises(ValueError):
             p.sample_window(5.0, 1.0)
-
-
-class TestBatchArrivals:
-    def test_count_mean(self):
-        b = BatchArrivals(np.random.default_rng(0))
-        counts = [b.count(100.0, 1.0) for _ in range(5000)]
-        assert np.mean(counts) == pytest.approx(100.0, rel=0.05)
-
-    def test_zero_rate_or_dt(self):
-        b = BatchArrivals(np.random.default_rng(0))
-        assert b.count(0.0, 10.0) == 0
-        assert b.count(10.0, 0.0) == 0
-
-    def test_huge_mean_uses_normal_approx(self):
-        b = BatchArrivals(np.random.default_rng(0))
-        c = b.count(1e7, 1.0)
-        assert abs(c - 1e7) < 5e4  # within ~15 sigma
-
-    def test_validation(self):
-        b = BatchArrivals(np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            b.count(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            b.count(1.0, -1.0)
-
-    def test_split_conserves_total(self):
-        b = BatchArrivals(np.random.default_rng(0))
-        out = b.split(1000, np.array([0.5, 0.3, 0.2]))
-        assert out.sum() == 1000
-        assert out.shape == (3,)
-
-    def test_split_proportions(self):
-        b = BatchArrivals(np.random.default_rng(1))
-        out = b.split(100_000, np.array([0.7, 0.3]))
-        assert out[0] / 100_000 == pytest.approx(0.7, abs=0.01)
-
-    def test_split_renormalises_unnormalised_fractions(self):
-        b = BatchArrivals(np.random.default_rng(2))
-        out = b.split(1000, np.array([2.0, 2.0]))
-        assert out.sum() == 1000
-
-    def test_split_validation(self):
-        b = BatchArrivals(np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            b.split(-1, np.array([1.0]))
-        with pytest.raises(ValueError):
-            b.split(10, np.array([]))
-        with pytest.raises(ValueError):
-            b.split(10, np.array([-1.0, 2.0]))
-        with pytest.raises(ValueError):
-            b.split(10, np.array([0.0, 0.0]))
