@@ -147,36 +147,6 @@ def report_serve_datapoint(path: Path | None = None) -> None:
         )
 
 
-def report_policy_datapoint(path: Path | None = None) -> None:
-    """Print the committed ``BENCH_policy.json`` datapoint (info-only).
-
-    The policy-head bench (``benchmarks/bench_policy.py``) records the
-    per-era decision latency of each head shape plus the end-to-end era
-    loop overhead of running behind a frozen static head.  Nothing is
-    gated -- microsecond decisions jitter on shared machines, and the
-    golden-trace tests already pin the no-head bit-identity -- the line
-    exists so a decision-latency cliff is visible next to the hot-path
-    gate.
-    """
-    path = path or REPO_ROOT / "BENCH_policy.json"
-    try:
-        payload = json.loads(Path(path).read_text())
-        heads = payload["heads"]
-    except (FileNotFoundError, json.JSONDecodeError, KeyError):
-        return
-    for name, row in heads.items():
-        print(
-            f"  info policy {name:<18} "
-            f"{float(row['act_us']):8.2f} us/decision  (not gated)"
-        )
-    era_loop = payload.get("era_loop")
-    if era_loop:
-        print(
-            f"  info policy era-loop overhead "
-            f"{float(era_loop['overhead_frac']):+.1%}  (not gated)"
-        )
-
-
 def check_against_baseline(
     payload: dict,
     baseline_path: Path,
@@ -281,7 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     report_ml_datapoint()
     report_serve_datapoint()
-    report_policy_datapoint()
     return code
 
 

@@ -90,6 +90,18 @@ def _policy_name(name: str) -> str:
     return name
 
 
+def _eras(text: str) -> int:
+    from repro.core.metrics import MIN_ASSESS_ERAS
+
+    eras = int(text)
+    if eras < MIN_ASSESS_ERAS:
+        raise ValueError(
+            f"eras must be >= {MIN_ASSESS_ERAS} for a meaningful "
+            f"assessment, got {eras}"
+        )
+    return eras
+
+
 def _typed(args: argparse.Namespace, config_cls, prefix: str = "") -> dict:
     """The fields of ``config_cls`` a parser built with
     ``argument_default=SUPPRESS`` saw typed (dest = ``prefix`` + field
@@ -378,50 +390,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if outcome.ok else 1
 
 
-def _cmd_policy_train(args: argparse.Namespace) -> int:
-    from repro.policy.train import TrainConfig, train_policy_head
-
-    try:
-        cfg = TrainConfig(**_typed(args, TrainConfig))
-    except ValueError as exc:
-        print(f"invalid training config: {exc}", file=sys.stderr)
-        return 2
-    result = train_policy_head(cfg, progress=print)
-    print(
-        f"done: {result.executed} episodes executed, "
-        f"{result.store_hits} store hits"
-    )
-    print(f"checkpoint: {result.checkpoint} [{result.digest}]")
-    return 0
-
-
-def _cmd_policy_eval(args: argparse.Namespace) -> int:
-    from repro.policy.evaluate import (
-        EvalConfig,
-        evaluate_heads,
-        frontier_table,
-        regret_report,
-    )
-
-    try:
-        cfg = EvalConfig(**_typed(args, EvalConfig))
-    except ValueError as exc:
-        print(f"invalid eval config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = evaluate_heads(cfg)
-    except (RuntimeError, OSError) as exc:
-        print(f"evaluation failed: {exc}", file=sys.stderr)
-        return 1
-    print(frontier_table(result))
-    if args.train_dir:
-        from repro.policy.train import load_history
-
-        print()
-        print(regret_report(load_history(args.train_dir)))
-    return 0
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     import json
 
@@ -592,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.fleet.axes import AXES
 
     def common(p: argparse.ArgumentParser, eras: int = 240) -> None:
-        p.add_argument("--eras", type=int, default=eras)
+        p.add_argument("--eras", type=_arg(_eras), default=eras)
         add_seed_option(p)
         p.add_argument(
             "--predictor",
@@ -780,110 +748,16 @@ def build_parser() -> argparse.ArgumentParser:
     obs_dump_opt(ps)
     ps.set_defaults(func=_cmd_sweep)
 
-    ppo = sub.add_parser(
-        "policy",
-        help="learned policy heads: train on fluid-model rollouts run by "
-        "the fleet executor, evaluate head-to-head against the static "
-        "policies",
-    )
-    posub = ppo.add_subparsers(dest="policy_command", required=True)
-
-    # Built with argument_default=SUPPRESS and dest = the field name: the
-    # namespace holds only what was typed, and every default lives on the
-    # config dataclass the command builds (TrainConfig, EvalConfig).
-    pt = posub.add_parser(
-        "train",
-        argument_default=argparse.SUPPRESS,
-        help="round-synchronous training (parallel rollouts, resumable, "
-        "content-addressed checkpoints)",
-    )
-    pt.add_argument(
-        "--head",
-        dest="head_kind",
-        choices=("bandit", "reinforce"),
-        help="learned head kind",
-    )
-    pt.add_argument(
-        "--scenario",
-        help="scenario key, optionally drifted ('three-region+drift6')",
-    )
-    pt.add_argument(
-        "--fallback-policy",
-        help="static policy for hold/fallback modes and the head anchor",
-    )
-    pt.add_argument("--rounds", type=int)
-    pt.add_argument(
-        "--episodes",
-        dest="episodes_per_round",
-        type=int,
-        metavar="N",
-        help="episodes per round (parallel rollouts)",
-    )
-    pt.add_argument("--eras", type=int, help="eras per episode")
-    pt.add_argument("--load", type=float)
-    pt.add_argument("--workers", type=int)
-    pt.add_argument(
-        "--out",
-        dest="out_dir",
-        metavar="DIR",
-        help="output directory (checkpoints, result store, history)",
-    )
-    add_seed_option(pt)
-    pt.set_defaults(func=_cmd_policy_train)
-
-    pv = posub.add_parser(
-        "eval",
-        argument_default=argparse.SUPPRESS,
-        help="head-to-head frontier: availability / RMTTF / cost per "
-        "(scenario, head), paired seeds",
-    )
-    pv.add_argument(
-        "--heads",
-        type=_arg(_split_csv),
-        help=(
-            "comma list of head specs: 'static:<policy>' or a trained "
-            "checkpoint path (loaded frozen)"
-        ),
-    )
-    pv.add_argument(
-        "--scenarios",
-        type=_arg(_split_csv),
-        help="comma list of scenario keys (optionally '+drift<factor>')",
-    )
-    pv.add_argument(
-        "--fallback-policy",
-        help="static policy for hold/fallback modes inside every run",
-    )
-    pv.add_argument(
-        "--domains",
-        help="failure-domain shape for every scenario ('flat' or 'NxM')",
-    )
-    pv.add_argument("--replicates", type=int)
-    pv.add_argument("--eras", type=int)
-    pv.add_argument("--load", type=float)
-    pv.add_argument("--workers", type=int)
-    pv.add_argument(
-        "--store",
-        dest="store_dir",
-        metavar="DIR",
-        help="optional result store (makes campaigns resumable)",
-    )
-    pv.add_argument(
-        "--train-dir",
-        default=None,
-        metavar="DIR",
-        help="append the regret curve from this training directory",
-    )
-    add_seed_option(pv)
-    pv.set_defaults(func=_cmd_policy_eval)
-
     pm = sub.add_parser("models", help="F2PM model-selection table")
     add_seed_option(pm)
     pm.add_argument("--instance-type", default="m3.medium")
     pm.set_defaults(func=_cmd_models)
 
-    # SUPPRESS-built too (ServeConfig; SloConfig under an "slo." dest
-    # prefix); the flags that keep a default here are not config fields.
+    # Built with argument_default=SUPPRESS and dest = the field name: the
+    # namespace holds only what was typed, and every default lives on the
+    # config dataclass the command builds (ServeConfig; SloConfig under an
+    # "slo." dest prefix).  The flags that keep a default here are not
+    # config fields.
     psv = sub.add_parser(
         "serve",
         argument_default=argparse.SUPPRESS,

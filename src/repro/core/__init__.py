@@ -13,6 +13,8 @@ The pieces map one-to-one onto the paper's sections:
   Eqs. (5)-(9);
 * :mod:`repro.core.baselines` -- non-paper reference policies (uniform,
   capacity-weighted static);
+* :mod:`repro.core.costaware` -- Policy 2 weighted by 1 / relative
+  price (non-paper);
 * :mod:`repro.core.forward_plan` -- the global forward plan (Sec. V);
 * :mod:`repro.core.autoscale` -- reactive VM-pool resizing on measured
   response time and RMTTF (Sec. V);
@@ -30,6 +32,7 @@ from repro.core.autoscale import Autoscaler, AutoscaleConfig
 from repro.core.cost import CostTracker
 from repro.core.baselines import StaticWeightsPolicy, UniformPolicy
 from repro.core.control_loop import AcmControlLoop, ControlLoopConfig
+from repro.core.costaware import CostAwarePolicy
 from repro.core.degradation import DegradationConfig, DegradationTracker
 from repro.core.des_loop import DesControlLoop
 from repro.core.distributed import (
@@ -58,6 +61,7 @@ __all__ = [
     "ExplorationPolicy",
     "UniformPolicy",
     "StaticWeightsPolicy",
+    "CostAwarePolicy",
     "ForwardPlan",
     "PlanTable",
     "build_forward_plan",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.policy import Policy, register_policy
+from repro.sim.instances import get_instance_type
 
 
 @register_policy
@@ -32,22 +33,38 @@ class UniformPolicy(Policy):
 class StaticWeightsPolicy(Policy):
     """Fixed fractions proportional to configured weights.
 
-    Instantiate with the regions' nameplate capacities to get the oracle
-    static split: ``StaticWeightsPolicy(weights=[330, 312, 160])``.
+    Without explicit ``weights`` it binds the regions' nameplate split:
+    each region's full-health capacity, ``target_active`` VMs at their
+    shape's ``cpu_power`` (the oracle static split).  Explicit weights,
+    ``StaticWeightsPolicy(weights=[330, 312, 160])``, are kept.
     """
 
     name = "static-weights"
 
     def __init__(
-        self, weights: list[float] | np.ndarray, min_fraction: float = 1e-3
+        self,
+        weights: list[float] | np.ndarray | None = None,
+        min_fraction: float = 1e-3,
     ) -> None:
         super().__init__(min_fraction=min_fraction)
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a non-empty 1-D vector")
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be non-negative and sum > 0")
-        self.weights = w
+        self.weights: np.ndarray | None = None
+        if weights is not None:
+            w = np.asarray(weights, dtype=float)
+            if w.ndim != 1 or w.size == 0:
+                raise ValueError("weights must be a non-empty 1-D vector")
+            if np.any(w < 0) or w.sum() <= 0:
+                raise ValueError("weights must be non-negative and sum > 0")
+            self.weights = w
+
+    def bind(self, regions) -> None:
+        if self.weights is None:
+            self.weights = np.array(
+                [
+                    spec.target_active
+                    * get_instance_type(spec.instance_type).cpu_power
+                    for spec in regions
+                ]
+            )
 
     def _compute(
         self,
@@ -55,6 +72,11 @@ class StaticWeightsPolicy(Policy):
         rmttf: np.ndarray,
         global_rate: float,
     ) -> np.ndarray:
+        if self.weights is None:
+            raise ValueError(
+                "static-weights has no weights: pass them or bind() the "
+                "deployment's regions"
+            )
         if self.weights.size != prev_fractions.size:
             raise ValueError(
                 f"policy configured for {self.weights.size} regions, "

@@ -136,15 +136,6 @@ class AcmControlLoop:
         MAPE phase spans, per-era latency histograms, and leader-change /
         degradation flight events.  Disabled (the default) it is a strict
         no-op.
-    policy_head:
-        Optional :class:`~repro.policy.runtime.PolicyHeadRuntime` (or a
-        bare :class:`~repro.policy.heads.PolicyHead`, which the runtime
-        wraps upstream in :class:`~repro.core.manager.AcmManager`).
-        When set, the Plan phase in ``normal`` mode delegates to the
-        head -- observation build, action, threshold deltas, reward --
-        and ``self.policy`` remains the hold/fallback/guard-engaged
-        base.  ``None`` (the default) takes the exact static code path
-        every golden trace pins.
     slo:
         Optional :class:`~repro.slo.SloController`.  When set, the
         Monitor phase feeds each era's per-region response time to the
@@ -171,7 +162,6 @@ class AcmControlLoop:
         degradation: DegradationConfig | None = None,
         transport=None,
         telemetry: Telemetry | None = None,
-        policy_head=None,
         slo=None,
         cost=None,
     ) -> None:
@@ -199,7 +189,6 @@ class AcmControlLoop:
             telemetry=telemetry,
         )
         self.transport = transport
-        self.head_runtime = policy_head
         self.slo = slo
         self.cost = cost
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -217,9 +206,6 @@ class AcmControlLoop:
         self._client_rt: dict[str, float] = {r: 0.0 for r in self.regions}
         self._arrival_rng = rngs.stream("arrivals")
         self._routing_rng = rngs.stream("routing")
-        if self.head_runtime is not None:
-            # last: the runtime reads telemetry and VMC state set above
-            self.head_runtime.bind(self)
 
     def _default_overlay(self) -> OverlayNetwork:
         pairs = {}
@@ -343,7 +329,7 @@ class AcmControlLoop:
         with tel.span("plan", kind="mape", era=self.era_index):
             # ---- Plan (Algorithm 2, leader only) ------------------------ #
             planned, mode, rmttf_vec = self.plan(
-                self.era_index, received, lam, reports, per_region_rt
+                self.era_index, received, lam, reports
             )
 
         with tel.span("execute", kind="mape", era=self.era_index):
@@ -399,11 +385,6 @@ class AcmControlLoop:
             self.cost.charge_egress(
                 int(routed.sum() - np.trace(routed))
             )
-        if self.head_runtime is not None:
-            # reward bookkeeping: charge the era's cost, fold in the SLO
-            # and availability terms, feed the head (train mode) and the
-            # reward guard (fallback on collapse)
-            self.head_runtime.settle(summary, reports, dt)
         if self._obs_on:
             tel.histogram("era_response_time_s").observe(global_rt)
             for region, rt in per_region_rt.items():
@@ -418,19 +399,17 @@ class AcmControlLoop:
         received: dict[str, float],
         lam: float,
         reports: dict[str, EraReport] | None = None,
-        per_region_rt: dict[str, float] | None = None,
     ) -> tuple[np.ndarray, str, np.ndarray]:
         """The leader's step: ``(planned, mode, rmttf_vec)`` from the
         reports that reached it.
 
         Folds ``received`` through Eq. (1), walks the degradation ladder
-        and runs ``POLICY()`` (or the policy head) from
-        ``self.fractions``.  Installs nothing: Execute belongs to the
-        host -- ``run_era`` here, ``AcmService`` on the wall clock.
-        ``reports`` / ``per_region_rt`` are the era context a policy head
-        observes; a region the leader has never heard from is planned at
-        its own ``reports[r].last_rmttf`` (0 without ``reports``).  An
-        idle era (``lam <= 0``, DES only) holds ``self.fractions``.
+        and runs ``POLICY()`` from ``self.fractions``.  Installs nothing:
+        Execute belongs to the host -- ``run_era`` here, ``AcmService``
+        on the wall clock.  A region the leader has never heard from is
+        planned at its own ``reports[r].last_rmttf`` (0 without
+        ``reports``).  An idle era (``lam <= 0``, DES only) holds
+        ``self.fractions``.
         """
         # A corrupted predictor can emit NaN; a non-finite report is as
         # useless as a missing one, and must never reach Eq. (1) or the
@@ -449,30 +428,16 @@ class AcmControlLoop:
         mode = self.degradation.observe(era, received)
         if lam <= 0.0:
             return self.fractions, mode, rmttf_vec
-        if (
-            self.head_runtime is not None
-            and mode == "normal"
-            and not self.head_runtime.fallback_engaged
-        ):
-            planned = self.head_runtime.plan(
-                era=era,
-                prev_fractions=self.fractions,
-                rmttf=rmttf_vec,
-                global_rate=lam,
-                reports=reports,
-                per_region_rt=per_region_rt,
-            )
-        else:
-            planned = compute_fractions(
-                self.policy,
-                self.fractions,
-                rmttf_vec,
-                lam,
-                mode=mode,
-                capacities=self._healthy_capacities()
-                if mode == "fallback"
-                else None,
-            )
+        planned = compute_fractions(
+            self.policy,
+            self.fractions,
+            rmttf_vec,
+            lam,
+            mode=mode,
+            capacities=self._healthy_capacities()
+            if mode == "fallback"
+            else None,
+        )
         if self.slo is not None:
             # degradation signal: starve regions whose ladder is
             # degraded (the fluid analogue of serve's 429 shedding)

@@ -10,8 +10,7 @@ region's weight by its *relative* price, so traffic prefers regions
 that buy the most expected-served-requests per dollar.
 
 With no price vector configured (or an all-zero one) the divisor is
-uniform and the policy is numerically identical to Policy 2, which
-keeps it safe as a drop-in anchor for policy heads.  Prices are
+uniform and the policy is numerically identical to Policy 2.  Prices are
 normalised by their mean before weighting, so the policy responds to
 price *ratios*, not absolute magnitudes -- doubling every region's
 price changes nothing, exactly as availability-per-dollar should
@@ -22,7 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.cost import effective_usd_per_req
 from repro.core.policy import DEFAULT_MIN_FRACTION, Policy, register_policy
+from repro.sim.instances import get_instance_type
 
 
 @register_policy
@@ -34,10 +35,9 @@ class CostAwarePolicy(Policy):
     usd_per_req:
         Per-region price vector (any non-negative per-request figure;
         :func:`repro.core.cost.effective_usd_per_req` folds hourly and
-        marginal cost into one).  May also be injected later via
-        :meth:`configure_costs` -- :class:`repro.core.manager.AcmManager`
-        does exactly that from the deployment's instance catalog, so
-        sim, serve, and policy-head paths all see the same $ signal.
+        marginal cost into one).  Without one, :meth:`bind` takes the
+        deployment's prices from the instance catalog, so the sim and
+        serve paths see the same $ signal.
     cost_weight:
         Strength of the price signal (gamma).  0 reduces to Policy 2;
         1 (default) halves a mean-priced region's weight relative to a
@@ -79,6 +79,17 @@ class CostAwarePolicy(Policy):
             raise ValueError("usd_per_req entries must be finite and >= 0")
         mean = costs.mean()
         self._rel_costs = costs / mean if mean > 0 else None
+
+    def bind(self, regions) -> None:
+        """Price the deployment's regions unless a usable price vector
+        was configured."""
+        if self.needs_costs:
+            self.configure_costs(
+                [
+                    effective_usd_per_req(get_instance_type(s.instance_type))
+                    for s in regions
+                ]
+            )
 
     def _compute(
         self,

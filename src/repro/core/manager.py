@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.autoscale import Autoscaler, AutoscaleConfig
 from repro.core.control_loop import AcmControlLoop, ControlLoopConfig, EraSummary
-from repro.core.cost import CostTracker, cost_model_for, effective_usd_per_req
-from repro.core.costaware import CostAwarePolicy
+from repro.core.cost import CostTracker, cost_model_for
 from repro.core.policy import Policy, get_policy
 from repro.obs.telemetry import Telemetry
 from repro.overlay.network import OverlayNetwork
@@ -160,12 +159,6 @@ class AcmManager:
     sla_response_time_s: float = 1.0
     telemetry: Telemetry | None = None
     spread_k: int = 0
-    #: Optional learned policy head driven at the Plan phase: a
-    #: :class:`~repro.policy.runtime.PolicyHeadRuntime`, or a bare
-    #: :class:`~repro.policy.heads.PolicyHead` (wrapped in a runtime
-    #: with the default reward weights and a reward guard).  ``None``
-    #: (the default) takes the exact static code path.
-    policy_head: object | None = None
     #: Optional SLO configuration: an :class:`~repro.slo.SloConfig`, or a
     #: compact spec string (``"p95:0.5+dwell:120"``, see
     #: :func:`~repro.slo.parse_slo_spec`).  Builds a
@@ -183,8 +176,6 @@ class AcmManager:
     cost: "CostTracker" = field(init=False)
     #: The built SLO controller (``None`` without an ``slo`` config).
     slo_controller: object | None = field(init=False, default=None)
-    #: The built head runtime (``None`` without a ``policy_head``).
-    policy_runtime: object | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.regions:
@@ -201,18 +192,8 @@ class AcmManager:
             if isinstance(self.policy, Policy)
             else get_policy(self.policy)
         )
-        if isinstance(policy, CostAwarePolicy) and policy.needs_costs:
-            # the cost-aware policy weighs regions by the deployment's
-            # effective $/req; configuring it here (the one place every
-            # path builds its deployment) means sim, serve, and policy
-            # heads all see the same price signal
-            policy.configure_costs(
-                [
-                    effective_usd_per_req(get_instance_type(s.instance_type))
-                    # the loop orders regions by sorted name; match it
-                    for s in sorted(self.regions, key=lambda s: s.name)
-                ]
-            )
+        # the loop orders regions by sorted name; bind in that order
+        policy.bind(sorted(self.regions, key=lambda s: s.name))
         predictor = self.predictor or OracleRttfPredictor(
             mean_demand=self.mix.mean_service_demand()
         )
@@ -226,29 +207,6 @@ class AcmManager:
                 mix=self.mix,
                 name=f"clients@{spec.name}",
             )
-
-        head_runtime = None
-        if self.policy_head is not None:
-            # imported lazily: repro.policy depends on repro.core, so a
-            # top-level import here would be circular
-            from repro.policy.guard import RewardGuard
-            from repro.policy.heads import PolicyHead
-            from repro.policy.runtime import PolicyHeadRuntime, RewardConfig
-
-            if isinstance(self.policy_head, PolicyHead):
-                head_runtime = PolicyHeadRuntime(
-                    self.policy_head,
-                    reward=RewardConfig(sla_s=self.sla_response_time_s),
-                    guard=RewardGuard(),
-                )
-            elif isinstance(self.policy_head, PolicyHeadRuntime):
-                head_runtime = self.policy_head
-            else:
-                raise TypeError(
-                    "policy_head must be a PolicyHead or PolicyHeadRuntime, "
-                    f"got {type(self.policy_head).__name__}"
-                )
-        self.policy_runtime = head_runtime
 
         if self.slo is not None:
             # imported lazily to keep the manager importable before the
@@ -286,7 +244,6 @@ class AcmManager:
                 Autoscaler(self.autoscale_config) if self.autoscale else None
             ),
             telemetry=self.telemetry,
-            policy_head=head_runtime,
             slo=self.slo_controller,
             cost=self.cost,
         )

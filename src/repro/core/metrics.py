@@ -20,6 +20,9 @@ import numpy as np
 
 from repro.sim.tracing import TraceRecorder, TraceSeries
 
+#: Fewest eras a policy run may have: the assessment reads its tail.
+MIN_ASSESS_ERAS = 10
+
 
 def rmttf_spread(series: dict[str, TraceSeries], tail: float = 0.3) -> float:
     """Relative spread of steady-state RMTTF levels across regions.

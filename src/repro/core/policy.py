@@ -75,8 +75,7 @@ def compute_fractions(
     Called by :meth:`AcmControlLoop.plan
     <repro.core.control_loop.AcmControlLoop.plan>` (the leader step of
     the fluid loop and, through it, of the request-level DES and the
-    wall-clock serve runtime) and by the policy heads for their anchor
-    plan, so a head or a new host wraps exactly one seam:
+    wall-clock serve runtime), so a new host wraps exactly one seam:
 
     * ``"normal"`` -- ``POLICY(f^{t-1}, RMTTF_1..RMTTF_n)`` (Algorithm 2);
     * ``"hold"``   -- quorum lost: keep the last-known-good fractions;
@@ -102,12 +101,11 @@ def renormalize_live(
 ) -> np.ndarray | None:
     """Zero dead regions out of a plan and renormalise over the live ones.
 
-    The serve path has always done this (a dead region must not be
-    planned traffic, whatever the policy said); policy heads must do it
-    identically, so both call this one helper:
+    The serve path does this to every plan (a dead region must not be
+    planned traffic, whatever the policy said):
 
     * every region alive -> the plan is returned unchanged (a simplex
-      point stays one, preserving frozen-head bit-identity);
+      point stays one);
     * no region alive -> ``None`` (there is nothing to install);
     * otherwise dead coordinates are zeroed and the survivors
       renormalised -- uniform over the live set if the policy had put
@@ -192,6 +190,15 @@ class Policy(abc.ABC):
         global_rate: float,
     ) -> np.ndarray:
         """Policy-specific raw scores (validated and normalised by base)."""
+
+    def bind(self, regions) -> None:
+        """Learn the deployment before the first ``compute``.
+
+        ``regions`` are the deployment's region specs in name-sorted
+        order, the order of every vector the loop passes.
+        :class:`~repro.core.manager.AcmManager` calls this once; the
+        default ignores it.
+        """
 
     def initial_fractions(self, n_regions: int) -> np.ndarray:
         """Starting point ``f^0``: uniform, as nothing is known yet."""

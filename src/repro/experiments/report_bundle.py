@@ -21,6 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from repro.core.metrics import MIN_ASSESS_ERAS
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.reporting import assessment_table, manifest_line
 from repro.experiments.runner import ExperimentResult, paper_shape_holds
@@ -80,8 +81,8 @@ def reproduce_all(
 
     Returns the manifest; ``all_checks_pass`` is the headline verdict.
     """
-    if eras < 10:
-        raise ValueError("eras must be >= 10")
+    if eras < MIN_ASSESS_ERAS:
+        raise ValueError(f"eras must be >= {MIN_ASSESS_ERAS}")
     os.makedirs(out_dir, exist_ok=True)
     csvs: list[str] = []
     svgs: list[str] = []

@@ -20,7 +20,11 @@ import numpy as np
 
 from repro.core.distributed import DistributedControlPlane
 from repro.core.manager import AcmManager
-from repro.core.metrics import PolicyAssessment, assess_policy_run
+from repro.core.metrics import (
+    MIN_ASSESS_ERAS,
+    PolicyAssessment,
+    assess_policy_run,
+)
 from repro.experiments.scenarios import PAPER_POLICIES, Scenario
 from repro.obs.manifest import RunManifest
 from repro.obs.telemetry import Telemetry
@@ -58,9 +62,6 @@ class ExperimentResult:
     era_s: float
     #: how to regenerate this result (seed, config digest, code version)
     manifest: RunManifest | None = None
-    #: policy-head summary (mean reward, availability, cost, fallback);
-    #: ``None`` when the run had no learned head
-    head_stats: dict | None = None
     #: deployment bill (total/egress $, $/M requests) -- always present
     #: for :func:`run_policy_experiment` runs (pure accounting)
     cost_stats: dict | None = None
@@ -154,7 +155,6 @@ def _experiment_manifest(
     beta: float,
     predictor: str | RttfPredictor,
     autoscale: bool,
-    policy_head: str | None = None,
     slo: str | None = None,
 ) -> RunManifest:
     config = {
@@ -170,10 +170,6 @@ def _experiment_manifest(
         ),
         "autoscale": autoscale,
     }
-    if policy_head:
-        # only stamped when a head is set, so head-less manifest digests
-        # are unchanged
-        config["policy_head"] = policy_head
     if slo:
         # only-when-set: SLO-less manifests keep their historical digest
         config["slo"] = slo
@@ -199,7 +195,6 @@ def _policy_run(
     predictor: str | RttfPredictor = "oracle",
     autoscale: bool = False,
     telemetry: Telemetry | None = None,
-    policy_head: str | object | None = None,
     slo: str | object | None = None,
 ) -> ExperimentResult:
     """Deploy -> drive -> assess: the one body of a policy run.
@@ -208,25 +203,16 @@ def _policy_run(
     their defaults) are those of :func:`run_policy_experiment` and
     :func:`run_instrumented_experiment`, which differ in nothing else.
     """
-    if eras < 10:
-        raise ValueError("eras must be >= 10 for a meaningful assessment")
-    head = policy_head
-    head_label = None
-    if isinstance(policy_head, str):
-        from repro.policy.checkpoint import load_head
-
-        head = load_head(policy_head, frozen=True)
-        head_label = policy_head
-    elif policy_head is not None:
-        head_label = getattr(
-            getattr(policy_head, "head", policy_head), "name", "head"
+    if eras < MIN_ASSESS_ERAS:
+        raise ValueError(
+            f"eras must be >= {MIN_ASSESS_ERAS} for a meaningful assessment"
         )
     slo_label = (
         slo if isinstance(slo, str) else ("custom" if slo is not None else None)
     )
     manifest = _experiment_manifest(
         scenario, policy, eras, seed, era_s, beta, predictor, autoscale,
-        policy_head=head_label, slo=slo_label,
+        slo=slo_label,
     )
     if telemetry is not None and telemetry.enabled:
         telemetry.set_manifest(manifest)
@@ -243,7 +229,6 @@ def _policy_run(
         leak_probability=(
             DEFAULT_LEAK_PROBABILITY * scenario.leak_multiplier
         ),
-        policy_head=head,
         slo=slo,
         egress_usd_per_req=scenario.egress_usd_per_req,
     )
@@ -257,11 +242,6 @@ def _policy_run(
         eras=eras,
         era_s=era_s,
         manifest=manifest,
-        head_stats=(
-            manager.policy_runtime.stats()
-            if manager.policy_runtime is not None
-            else None
-        ),
         cost_stats={
             "total_usd": cost.total_usd,
             "egress_usd": cost.egress_usd,
@@ -294,14 +274,6 @@ def run_policy_experiment(
     policy verdict.  An enabled ``telemetry`` facade gets threaded through
     the whole deployment (loop, VMCs) and stamped with the run manifest;
     disabled or absent telemetry leaves the run bit-identical.
-
-    ``policy_head`` plugs a learned head into the Plan phase: a head
-    spec string (``"static:<policy>"``, ``"frozen:<path>"``, or a
-    checkpoint path -- resolved *frozen*, eval semantics), or an already
-    built :class:`~repro.policy.heads.PolicyHead` /
-    :class:`~repro.policy.runtime.PolicyHeadRuntime`.  ``policy`` stays
-    the hold/fallback/guard-engaged base.  The run-level head summary is
-    exposed as ``result.head_stats``.
 
     ``slo`` (a spec string like ``"p95:0.5+dwell:120"``, or an
     :class:`~repro.slo.SloConfig`) arms the sim-side SLO controller:

@@ -40,10 +40,9 @@ class Scenario:
     regions: tuple[RegionSpec, ...]
     latencies_ms: dict[tuple[str, str], float] = field(default_factory=dict)
     #: Anomaly-rate drift: multiplies the deployment's memory-leak
-    #: probability (1.0 = the paper's stationary regime).  The drifted
-    #: scenarios the learned policy heads are evaluated on raise this
-    #: (e.g. 6x), aging VMs faster than the static policies and
-    #: thresholds were tuned for.
+    #: probability (1.0 = the paper's stationary regime).  A drifted
+    #: scenario key (``"three-region+drift6"``) raises it, aging VMs
+    #: faster than the static policies and thresholds were tuned for.
     leak_multiplier: float = 1.0
     #: Inter-region egress price ($/forwarded request): cloud providers
     #: bill cross-region transfer, local traffic is free.  The default

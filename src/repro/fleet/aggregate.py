@@ -258,7 +258,7 @@ def write_cells_csv(
 
     The cell key is ``kind, scenario, policy, load`` plus one column per
     optional axis (always present, off values included), quoted by
-    :mod:`csv` since head specs are paths.  A leading ``# manifest:``
+    :mod:`csv`.  A leading ``# manifest:``
     comment embeds the sweep provenance;
     :func:`repro.sim.tracing.read_csv_manifest` reads it back.
     """

@@ -21,22 +21,12 @@ fragment order in names and labels, the trailing entries of ``cell_key``
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 # stdlib + numpy leaves: neither imports back into ``repro.fleet``
 from repro.slo.evaluator import parse_slo_spec
 from repro.topology.domains import parse_domain_shape
-
-
-def head_label(spec: str) -> str:
-    """Short display form of a head spec (checkpoint paths -> basename)."""
-    if spec.startswith("static:"):
-        return spec
-    if spec.startswith("frozen:"):
-        return "frozen:" + os.path.basename(spec.split(":", 1)[1])
-    return os.path.basename(spec) if spec else spec
 
 
 def _check_domains(shape: str) -> None:
@@ -61,8 +51,6 @@ class Axis:
     help: str
     #: raises ``ValueError`` on an ill-formed on value
     validate: Callable[[object], object] = lambda value: None
-    #: label form of an on value (cell names carry the raw value)
-    display: Callable[[object], str] = str
 
     @property
     def off_token(self) -> str:
@@ -88,12 +76,6 @@ AXES: tuple[Axis, ...] = (
         "comma list of failure-domain shapes ('flat' or 'NxM', one grid "
         "axis)",
         validate=_check_domains,
-    ),
-    Axis(
-        "policy_heads", "policy_head", "", "head:",
-        "comma list of policy-head specs (one grid axis): 'none' = no "
-        "head, 'static:<policy>', 'frozen:<ckpt>', or a checkpoint path",
-        display=head_label,
     ),
     Axis(
         "slo", "slo", "", "slo:",
@@ -127,4 +109,4 @@ def name_suffix(values: Iterable) -> str:
 
 def label_parts(values: Iterable) -> list[str]:
     """What a cell's axis values add to a job or cell label."""
-    return [a.tag + a.display(v) for a, v in switched_on(values)]
+    return [f"{a.tag}{v}" for a, v in switched_on(values)]

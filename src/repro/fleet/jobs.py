@@ -21,21 +21,15 @@ Job kinds
     One seeded resilience campaign from
     :mod:`repro.experiments.resilience`; ``scenario`` names the
     campaign, ``eras == 0`` means the campaign's default length.
-``rollout``
-    One policy-head episode for the learned-policy trainer
-    (:mod:`repro.policy.train`): drives the deployment with the head
-    named by ``policy_head`` (a checkpoint path or ``static:<policy>``
-    spec) and returns per-era rewards plus the transition log the
-    round-synchronous trainer replays.
 ``synthetic``
     Harness-calibration jobs (sleep / crash / hang / flaky) used by the
     executor tests and the scheduling benchmark; they exercise the
     fleet machinery without simulating anything.
 
-``domains``, ``policy_head`` and ``slo`` are the
-optional sweep axes: declared on :class:`JobSpec`, handed to the run by
-``_execute_policy``; what they add to a job's config, digest and label
-(nothing, when off) is the one table in :mod:`repro.fleet.axes`.
+``domains`` and ``slo`` are the optional sweep axes: declared on
+:class:`JobSpec`, handed to the run by ``_execute_policy``; what they
+add to a job's config, digest and label (nothing, when off) is the one
+table in :mod:`repro.fleet.axes`.
 
 Payloads are plain dicts of JSON-able scalars so that a store round-trip
 (`json.dumps` -> `json.loads`) is the identity: the determinism
@@ -57,7 +51,7 @@ from repro.fleet.axes import AXES, job_values, label_parts, switched_on
 from repro.obs.manifest import RunManifest, config_digest
 
 #: Job kinds understood by :func:`execute_job`.
-JOB_KINDS = ("policy", "chaos", "synthetic", "rollout")
+JOB_KINDS = ("policy", "chaos", "synthetic")
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +63,7 @@ class JobSpec:
     scenario: str
     #: routing policy; empty for kinds that have none (chaos, synthetic)
     policy: str
-    #: kind-dependent scalar: client multiplier (policy, rollout),
+    #: kind-dependent scalar: client multiplier (policy),
     #: unused (chaos), duration in seconds (synthetic sleep/hang)
     load: float
     seed: int
@@ -81,10 +75,6 @@ class JobSpec:
     # one field per row of ``repro.fleet.axes.AXES``, defaulting to off:
     #: failure-domain shape ("flat" or "NxM") of every scenario region
     domains: str = "flat"
-    #: policy-head spec ("static:<policy>", "frozen:<path>", or a
-    #: checkpoint path; see :func:`repro.policy.checkpoint.load_head`);
-    #: ``policy`` jobs resolve it frozen, ``rollout`` jobs trainable
-    policy_head: str = ""
     #: SLO spec (``parse_slo_spec`` grammar, e.g. "p95:0.5+dwell:120")
     slo: str = ""
 
@@ -155,8 +145,8 @@ def parse_scenario_key(key: str) -> tuple[str, float]:
     """Split ``"three-region+drift2.5"`` into (base key, drift factor).
 
     A bare key means no drift (factor 1.0).  The drift factor multiplies
-    the scenario's anomaly (memory-leak) rate -- the non-stationary
-    regime the learned heads train on.
+    the scenario's anomaly (memory-leak) rate -- a non-stationary
+    regime the static policies were not tuned for.
     """
     base, sep, suffix = key.partition("+")
     if not sep:
@@ -228,8 +218,7 @@ def _tail_mean_rmttf(traces) -> float:
 
 def _availability(traces, scenario) -> float:
     """Mean served-capacity availability: ``min(active/target, 1)`` per
-    region per era, averaged (the frontier metric of the policy-head
-    evaluation)."""
+    region per era, averaged."""
     import numpy as np
 
     targets = {s.name: max(s.target_active, 1) for s in scenario.regions}
@@ -256,7 +245,6 @@ def policy_run_args(job: JobSpec) -> tuple:
         seed=job.seed,
         era_s=job.era_s,
         predictor=job.predictor,
-        policy_head=job.policy_head or None,
         slo=job.slo or None,
     )
 
@@ -298,19 +286,6 @@ def _execute_policy(job: JobSpec) -> dict:
         payload["slo"] = job.slo
         payload["slo_degraded_eras"] = result.slo_stats["degraded_eras"]
         payload["slo_violation_rate"] = result.slo_stats["violation_rate"]
-    if result.head_stats is not None:
-        # only stamped when a head ran, so historical payloads (and
-        # their store round-trips) are unchanged in shape
-        payload["policy_head"] = job.policy_head
-        payload["head"] = {
-            "name": result.head_stats["head"],
-            "mean_reward": result.head_stats["mean_reward"],
-            "cost_per_mreq": result.head_stats["cost_per_mreq"],
-            "mean_threshold_delta_s": result.head_stats[
-                "mean_threshold_delta_s"
-            ],
-            "fallback_engaged": result.head_stats["fallback_engaged"],
-        }
     return payload
 
 
@@ -386,29 +361,10 @@ def _execute_synthetic(job: JobSpec) -> dict:
     }
 
 
-def _execute_rollout(job: JobSpec) -> dict:
-    """One learned-policy training/eval episode (see
-    :func:`repro.policy.train.run_rollout_episode`)."""
-    from repro.policy.train import run_rollout_episode
-
-    if not job.policy_head:
-        raise ValueError("rollout jobs require a policy_head spec")
-    return run_rollout_episode(
-        scenario=job.scenario,
-        head_spec=job.policy_head,
-        fallback_policy=job.policy or "sensible-routing",
-        eras=job.eras,
-        seed=job.seed,
-        era_s=job.era_s,
-        load=job.load,
-    )
-
-
 _EXECUTORS = {
     "policy": _execute_policy,
     "chaos": _execute_chaos,
     "synthetic": _execute_synthetic,
-    "rollout": _execute_rollout,
 }
 
 

@@ -59,8 +59,6 @@ class SweepSpec:
     # ``repro.fleet.axes.AXES``, defaulting to ``(off,)``
     #: failure-domain shapes ("flat" or "NxM")
     domains: tuple[str, ...] = ("flat",)
-    #: policy-head specs ("static:<policy>", "frozen:<path>", a path)
-    policy_heads: tuple[str, ...] = ("",)
     #: SLO specs (``parse_slo_spec`` grammar, e.g. "p95:0.5+dwell:120")
     slo: tuple[str, ...] = ("",)
     #: chaos campaigns appended as extra cells (policy axis not applied)
@@ -70,6 +68,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         # lazily: repro.experiments imports this package
+        from repro.core.metrics import MIN_ASSESS_ERAS
         from repro.experiments.scenarios import resolve_scenario
 
         for scenario in self.scenarios:
@@ -117,8 +116,10 @@ class SweepSpec:
         for name, values in {**grid, "campaigns": self.campaigns}.items():
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {tuple(values)}")
-        if self.eras < 10:
-            raise ValueError("eras must be >= 10 (assessment minimum)")
+        if self.eras < MIN_ASSESS_ERAS:
+            raise ValueError(
+                f"eras must be >= {MIN_ASSESS_ERAS} (assessment minimum)"
+            )
         if self.cell_count == 0:
             raise ValueError("spec expands to zero jobs")
 

@@ -221,15 +221,6 @@ class VirtualMachineController:
         """Activate STANDBYs until the ACTIVE pool meets the target."""
         self.table.activate_standby(self._rows, self._target_active)
 
-    def total_capacity(self) -> float:
-        """Sum of effective capacities of ACTIVE VMs (demand-units/s)."""
-        rows = self._active_rows()
-        if rows.size == 0:
-            return 0.0
-        # cumsum is sequential accumulation: bit-identical to a running
-        # Python sum over the VMs (arr.sum() is pairwise)
-        return float(self.table.effective_capacity_of(rows).cumsum()[-1])
-
     def healthy_capacity(self) -> float:
         """Nameplate capacity of the ACTIVE pool (no degradation)."""
         rows = self._active_rows()
@@ -507,7 +498,13 @@ class VirtualMachineController:
                 if n_active
                 else 0.0
             ),
-            "effective_capacity": self.total_capacity(),
+            # cumsum is sequential accumulation: bit-identical to a
+            # running Python sum over the VMs (arr.sum() is pairwise)
+            "effective_capacity": (
+                float(table.effective_capacity_of(active).cumsum()[-1])
+                if active.size
+                else 0.0
+            ),
             "healthy_capacity": self.healthy_capacity(),
         }
 

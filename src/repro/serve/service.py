@@ -458,8 +458,7 @@ class AcmService:
         dark *now* and push one plan row per live region."""
         planned, _, _ = self.loop.plan(era, self._cycle_reports, self._lam)
         # A dead region must not be planned traffic, whatever the policy
-        # said: zero it and renormalise over the live ones (the same
-        # helper the sim-side policy heads use, so the paths can't drift).
+        # said: zero it and renormalise over the live ones.
         planned = renormalize_live(planned, self._alive())
         if planned is None:
             return

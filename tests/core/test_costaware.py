@@ -55,6 +55,34 @@ class TestCostWeighting:
         with pytest.raises(ValueError):
             policy.compute(np.array([0.5, 0.5]), np.array([1.0, 1.0]), 1.0)
 
+    def test_bind_prices_the_deployment_unless_configured(self):
+        from repro.core.cost import effective_usd_per_req
+        from repro.core.manager import RegionSpec
+        from repro.sim.instances import get_instance_type
+
+        regions = [
+            RegionSpec("a", "m3.medium", n_vms=2, target_active=1, clients=64),
+            RegionSpec("b", "private.small", n_vms=2, target_active=1, clients=64),
+        ]
+        bound = CostAwarePolicy()
+        bound.bind(regions)
+        assert not bound.needs_costs
+        priced = CostAwarePolicy(
+            usd_per_req=[
+                effective_usd_per_req(get_instance_type(s.instance_type))
+                for s in regions
+            ]
+        )
+        prev, rmttf = np.array([0.5, 0.5]), np.array([600.0, 600.0])
+        assert np.array_equal(
+            bound.compute(prev, rmttf, 100.0),
+            priced.compute(prev, rmttf, 100.0),
+        )
+        explicit = CostAwarePolicy(usd_per_req=[1e-6, 1e-7])
+        before = explicit.compute(prev, rmttf, 100.0)
+        explicit.bind(regions)
+        assert np.array_equal(explicit.compute(prev, rmttf, 100.0), before)
+
     def test_configure_validation(self):
         policy = CostAwarePolicy()
         with pytest.raises(ValueError):

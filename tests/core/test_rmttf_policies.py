@@ -263,6 +263,27 @@ class TestBaselines:
         with pytest.raises(ValueError):
             StaticWeightsPolicy(weights=[-1.0, 1.0])
 
+    def test_static_weights_bind_the_nameplate_split(self):
+        from repro.core.manager import RegionSpec
+
+        regions = [
+            RegionSpec("a", "m3.medium", n_vms=6, target_active=4, clients=64),
+            RegionSpec("b", "m3.small", n_vms=3, target_active=2, clients=64),
+        ]
+        p = StaticWeightsPolicy(min_fraction=0.0)
+        with pytest.raises(ValueError, match="bind"):
+            p.compute(np.array([0.5, 0.5]), np.array([1.0, 1.0]), 10.0)
+        p.bind(regions)
+        f = p.compute(np.array([0.5, 0.5]), np.array([1.0, 1.0]), 10.0)
+        from repro.sim.instances import get_instance_type
+
+        w = np.array([4 * get_instance_type("m3.medium").cpu_power,
+                      2 * get_instance_type("m3.small").cpu_power])
+        assert np.allclose(f, w / w.sum())
+        explicit = StaticWeightsPolicy(weights=[1.0, 1.0], min_fraction=0.0)
+        explicit.bind(regions)
+        assert np.allclose(explicit.weights, [1.0, 1.0])
+
 
 class TestRegistry:
     def test_all_five_policies_registered(self):

@@ -30,11 +30,6 @@ from repro.sim.tracing import read_csv_manifest
 #: the label fragment of the first on value)
 SAMPLES = {
     "domains": (("2x2", "3x1"), "2x", "domains2x2"),
-    "policy_heads": (
-        ("static:uniform", "frozen:/tmp/a/ckpt,v2.json"),
-        None,
-        "head:static:uniform",
-    ),
     "slo": (("p95:0.5", "p95:0.5+dwell:120"), "p95:abc", "slo:p95:0.5"),
 }
 
@@ -82,7 +77,7 @@ def _identity(jobs):
 def test_every_axis_has_samples():
     assert set(SAMPLES) == {axis.spec_field for axis in AXES}
     assert [a.spec_field for a in AXES] == [
-        "domains", "policy_heads", "slo"
+        "domains", "slo"
     ]  # order contract: append, never reorder
 
 
@@ -150,8 +145,6 @@ class TestEachAxis:
 
     def test_garbage_value_rejected(self, axis):
         garbage = SAMPLES[axis.spec_field][1]
-        if garbage is None:
-            pytest.skip("axis takes any string (checkpoint paths)")
         with pytest.raises(ValueError):
             _spec(**{axis.spec_field: (garbage,)})
         with pytest.raises(ValueError):
@@ -200,13 +193,13 @@ def test_the_flat_deployment_has_one_spelling():
 
 
 def test_cell_names_carry_the_raw_value_and_labels_the_display_form():
-    """Only the head axis tells the two apart: the seed hashes the whole
-    checkpoint path, listings show its basename."""
-    raw = "frozen:/tmp/a/ckpt.json"
-    (job,) = _spec(replicates=1, policy_heads=(raw,)).expand()
-    assert job.label.endswith("/head:frozen:ckpt.json/rep0")
+    """The seed hashes the cell name, which carries the value as typed;
+    no axis shortens it for display, so the label shows the same."""
+    raw = "p95:0.5+dwell:120"
+    (job,) = _spec(replicates=1, slo=(raw,)).expand()
+    assert job.label.endswith("/slo:p95:0.5+dwell:120/rep0")
     assert job.seed == derive_seed(
-        7, "two-region/uniform/load1/head:frozen:/tmp/a/ckpt.json/rep0"
+        7, "two-region/uniform/load1/slo:p95:0.5+dwell:120/rep0"
     )
 
 
@@ -311,42 +304,37 @@ def test_digest_rule_over_any_subset_of_axes(base, axes):
 
 _ALL_AXES_SPEC = dict(
     domains=("flat", "2x2"),
-    policy_heads=("", "frozen:/tmp/a/ckpt.json"),
     slo=("", "p95:0.5"),
     campaigns=("smoke",),
 )
 
 _P = "policy/two-region/uniform/load1"
-_H = "head:frozen:ckpt.json"
 _RECORDED_CELLS = [
     f"{_P}",
     f"{_P}/slo:p95:0.5",
-    f"{_P}/{_H}",
-    f"{_P}/{_H}/slo:p95:0.5",
     f"{_P}/domains2x2",
     f"{_P}/domains2x2/slo:p95:0.5",
-    f"{_P}/domains2x2/{_H}",
-    f"{_P}/domains2x2/{_H}/slo:p95:0.5",
     "chaos/smoke/load1",
 ]
 
 
 def test_expansion_order_is_the_recorded_one():
-    """Scenario -> policy -> load -> domains -> head -> slo ->
-    replicate, chaos last: labels as the five-deep loop produced them,
-    and the whole ``--dry-run`` table (seeds and digests) by hash."""
+    """Scenario -> policy -> load -> domains -> slo -> replicate, chaos
+    last: labels as the five-deep loop produced them, and the whole
+    ``--dry-run`` table (seeds and digests) by hash."""
     spec = _spec(**_ALL_AXES_SPEC)
     jobs = spec.expand()
     assert [j.label for j in jobs] == [
         f"{cell}/rep{rep}" for cell in _RECORDED_CELLS for rep in (0, 1)
     ]
     assert hashlib.sha256(listing(jobs).encode()).hexdigest() == (
-        # the listing of the cells that had the retired retrain axis off,
-        # as the grid that still carried it expanded them
-        "88a77c6def793e38b2d7cd3ff7740feb3800ac31a32558d285650cc6996ba20f"
+        # the listing of the cells that had the retired retrain and
+        # policy-head axes off, as the grids that still carried them
+        # expanded them
+        "37b6fa2887b7f21235e46dad63abab4f52dcba284f75c99417c7126c3a1d29dd"
     )
-    assert spec.cell_count == 9
-    assert spec.manifest().config_digest == "cc05dc2b3185a8e9"
+    assert spec.cell_count == 5
+    assert spec.manifest().config_digest == "e3d778ec2c7b5379"
 
 
 # ------------------------------------------------------------------ #
@@ -358,7 +346,7 @@ def test_csv_key_columns_separate_cells_that_differ_on_an_axis(tmp_path):
     spec = _spec(
         replicates=1,
         domains=("flat", "2x2"),
-        policy_heads=("", SAMPLES["policy_heads"][0][1]),  # has a comma
+        slo=("", "p95:0.5+dwell:120"),
     )
     jobs = spec.expand()
     cells = aggregate(jobs, [{"mean_rmttf_s": float(i)} for i in range(4)])
@@ -377,6 +365,6 @@ def test_csv_key_columns_separate_cells_that_differ_on_an_axis(tmp_path):
     )
     keys = {tuple(row[c] for c in header[: 4 + len(AXES)]) for row in rows}
     assert len(keys) == len(rows) == 4
-    assert {row["policy_head"] for row in rows} == set(spec.policy_heads)
+    assert {row["slo"] for row in rows} == set(spec.slo)
     assert {row["domains"] for row in rows} == set(spec.domains)
     assert [float(row["mean"]) for row in rows] == [0.0, 1.0, 2.0, 3.0]

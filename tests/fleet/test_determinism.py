@@ -53,7 +53,6 @@ def mixed_grid():
         root_seed=11,
         eras=12,
         domains=("flat", "2x2"),
-        policy_heads=("static:uniform",),
         slo=("", "p95:0.5"),
         campaigns=("message-loss", "leader-kill", "blackout-heal"),
         campaign_eras=8,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.fleet.jobs import JobSpec, execute_job
+from repro.fleet.jobs import JobSpec, execute_job, parse_scenario_key
 from repro.fleet.spec import SweepSpec, listing
 from repro.sim.rng import derive_seed
 
@@ -112,6 +112,24 @@ class TestDomainsAxis:
             small_spec(domains=("2x",))
         with pytest.raises(ValueError):
             small_spec(domains=())
+
+
+class TestScenarioKey:
+    """A scenario key may carry a ``+drift<factor>`` leak-rate suffix."""
+
+    def test_bare_and_drifted(self):
+        assert parse_scenario_key("three-region") == ("three-region", 1.0)
+        assert parse_scenario_key("three-region+drift2.5") == (
+            "three-region",
+            2.5,
+        )
+
+    @pytest.mark.parametrize(
+        "key", ["x+chaos", "x+drift", "x+driftzero", "x+drift0", "x+drift-1"]
+    )
+    def test_garbage_rejected(self, key):
+        with pytest.raises(ValueError):
+            parse_scenario_key(key)
 
 
 class TestValidation:

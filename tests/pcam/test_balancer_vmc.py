@@ -340,7 +340,10 @@ class TestVmcPoolOps:
         assert vmc.healthy_capacity() == pytest.approx(
             4 * PRIVATE_SMALL.cpu_power
         )
-        assert vmc.total_capacity() <= vmc.healthy_capacity() + 1e-9
+        assert (
+            vmc.stats()["effective_capacity"]
+            <= vmc.healthy_capacity() + 1e-9
+        )
 
 
 class TestVmcStats:

@@ -51,12 +51,14 @@ class TestParser:
             "' available-resources'",
         ),
         (["robustness", "fig3", "--seeds", "7,"], "'7,'"),
+        (["fig3", "--eras", "2"], ">= 10 for a meaningful assessment, got 2"),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else "",
 )
 def test_bad_names_are_a_one_line_exit_2(argv, named, capsys):
-    """Scenario, policy and seed lists are resolved where they are parsed,
-    so a bad one never reaches a command body (a traceback, before)."""
+    """Scenario, policy and seed lists and era counts are checked where
+    they are parsed, so a bad one never reaches a command body (a
+    traceback, before)."""
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 2
@@ -113,23 +115,12 @@ class TestEverySubcommandRuns:
         "sweep": (
             [*SWEEP, "--domains", "flat,2x2", "--store", "{tmp}/store"], {0}
         ),
-        "policy train": (
-            ["--scenario", "two-region", "--rounds", "1", "--episodes", "1",
-             "--eras", "10", "--out", "{tmp}/policy"],
-            {0},
-        ),
-        "policy eval": (
-            ["--heads", "static:uniform,{tmp}/policy/policy-head-final.json",
-             "--scenarios", "two-region", "--replicates", "1",
-             "--eras", "10", "--train-dir", "{tmp}/policy"],
-            {0},
-        ),
         "models": (["--seed", "3", "--instance-type", "m3.small"], {0}),
         "serve": (["--port", "0", "--duration", "2", "--speed", "60"], {0}),
         "loadtest": (["--duration", "1.5"], {0, 1}),
     }
     #: whose output files a subcommand reads
-    NEEDS = {"obs": "fig3", "policy eval": "policy train"}
+    NEEDS = {"obs": "fig3"}
 
     @pytest.fixture(scope="class")
     def tmp(self, tmp_path_factory):
@@ -155,8 +146,6 @@ class TestEverySubcommandRuns:
         "name", [" ".join(path) for path in _leaves(build_parser())]
     )
     def test_runs(self, name, ran, tmp, capsys, monkeypatch):
-        from repro.policy.checkpoint import load_checkpoint, save_head
-        from repro.policy.train import FINAL_CHECKPOINT
         from repro.serve import AcmService
 
         assert name in self.SMALLEST, f"no smallest invocation of {name!r}"
@@ -176,11 +165,6 @@ class TestEverySubcommandRuns:
             assert "fig3-two-regions" in dump and "rejuvenations_total" in dump
         if name == "sweep":
             assert "| two-region/uniform/load0.25/domains2x2 |" in out
-        if name == "policy train":
-            # the trained checkpoint survives a load/save round-trip
-            ckpt = tmp / "policy" / FINAL_CHECKPOINT
-            copy = save_head(load_checkpoint(ckpt), tmp / "roundtrip.json")
-            assert copy.read_bytes() == ckpt.read_bytes()
         if name == "serve":
             # the frozen harness reads the port off the first line ...
             ready = out.splitlines()[0]
@@ -194,23 +178,17 @@ class TestEverySubcommandRuns:
 
 
 class TestDefaultsLiveOnTheConfig:
-    """The three parsers built with ``argument_default=SUPPRESS``: the
-    config dataclass is the only place a default is written down."""
+    """The parser built with ``argument_default=SUPPRESS``: the config
+    dataclass is the only place a default is written down."""
 
     #: flags that keep a parser default because they are not config fields
-    NOT_CONFIG = {"host", "port", "speed", "duration", "scenario", "train_dir"}
+    NOT_CONFIG = {"host", "port", "speed", "duration", "scenario"}
 
     @staticmethod
     def _cases():
-        from repro.policy.evaluate import EvalConfig
-        from repro.policy.train import TrainConfig
         from repro.serve import ServeConfig, SloConfig
 
-        return [
-            (("policy", "train"), {"": TrainConfig}),
-            (("policy", "eval"), {"": EvalConfig}),
-            (("serve",), {"": ServeConfig, "slo.": SloConfig}),
-        ]
+        return [(("serve",), {"": ServeConfig, "slo.": SloConfig})]
 
     def test_every_dest_is_a_field_of_the_config_it_feeds(self):
         for path, configs in self._cases():
@@ -234,19 +212,13 @@ class TestDefaultsLiveOnTheConfig:
             for prefix, config_cls in configs.items():
                 typed = _typed(args, config_cls, prefix)
                 assert config_cls(**typed) == config_cls(), path
-            assert set(vars(args)) - {"command", "policy_command", "func"} <= (
+            assert set(vars(args)) - {"command", "func"} <= (
                 self.NOT_CONFIG | {"seed"}
             ), path
 
     def test_a_typed_flag_reaches_its_field(self):
-        from repro.policy.train import TrainConfig
         from repro.serve import SloConfig
 
-        args = build_parser().parse_args(
-            ["policy", "train", "--head", "reinforce", "--episodes", "2"]
-        )
-        cfg = TrainConfig(**_typed(args, TrainConfig))
-        assert (cfg.head_kind, cfg.episodes_per_round) == ("reinforce", 2)
         args = build_parser().parse_args(
             ["serve", "--slo-p95", ".2", "--slo-dwell", "5", "--window-s", "1"]
         )
@@ -270,8 +242,6 @@ class TestUnifiedSeedOption:
         ["chaos", "smoke"],
         ["sweep"],
         ["models"],
-        ["policy", "train"],
-        ["policy", "eval"],
     ]
 
     def test_documented_default_everywhere(self):
@@ -346,7 +316,7 @@ class TestSweepCommand:
     def test_axis_flags_default_to_their_off_token(self):
         args = build_parser().parse_args(["sweep"])
         assert args.domains == "flat"
-        assert (args.policy_heads, args.slo) == ("none", "none")
+        assert args.slo == "none"
 
     def test_dry_run_with_every_axis_flag_is_the_spec_listing(self, capsys):
         from repro.fleet.spec import SweepSpec, listing
@@ -355,7 +325,6 @@ class TestSweepCommand:
             ["sweep", "--scenarios", "two-region", "--policies", "uniform",
              "--loads", "0.5,1", "--replicates", "2", "--eras", "12",
              "--domains", "flat,2x2",
-             "--policy-heads", "none,static:uniform,frozen:/tmp/a/ckpt.json",
              "--slo", "none,p95:0.5+dwell:120", "--dry-run"]
         )
         assert rc == 0
@@ -366,18 +335,17 @@ class TestSweepCommand:
             replicates=2,
             eras=12,
             domains=("flat", "2x2"),
-            policy_heads=("", "static:uniform", "frozen:/tmp/a/ckpt.json"),
             slo=("", "p95:0.5+dwell:120"),
         )
         head, _, table = capsys.readouterr().out.partition("\n")
-        assert head == "sweep: 24 cells x 2 replicates = 48 jobs (root seed 7)"
+        assert head == "sweep: 8 cells x 2 replicates = 16 jobs (root seed 7)"
         assert table == listing(spec.expand()) + "\n"
 
     def test_obs_dump_instruments_the_cell_it_names(
         self, capsys, tmp_path, monkeypatch
     ):
-        """The dump's run is the first cell's: domain shape, head, SLO
-        and era length all reach it, so there is no axis it has to say it
+        """The dump's run is the first cell's: domain shape, SLO and era
+        length all reach it, so there is no axis it has to say it
         dropped."""
         from repro.experiments import runner
 
@@ -397,7 +365,6 @@ class TestSweepCommand:
             ["sweep", "--scenarios", "two-region", "--policies", "uniform",
              "--loads", "0.25", "--replicates", "1", "--eras", "12",
              "--domains", "2x2", "--slo", "p95:0.5",
-             "--policy-heads", "static:uniform",
              "--store", str(tmp_path / "store"), "--obs-dump", dump]
         )
         assert rc == 0
@@ -405,7 +372,6 @@ class TestSweepCommand:
         assert {
             (r.n_azs, r.racks_per_az) for r in seen["scenario"].regions
         } == {(2, 2)}
-        assert seen["policy_head"] == "static:uniform"
         assert seen["slo"] == "p95:0.5"
         assert seen["era_s"] == 30.0
         assert "--obs-dump" not in capsys.readouterr().err
@@ -480,6 +446,21 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "fig3-two-regions" in out
         assert "uniform" in out
+
+    def test_every_registered_policy_runs_by_name(self, capsys):
+        """A registered policy is one `--policies` name can run: one
+        that needs constructor arguments takes them from ``bind``."""
+        from repro.core.policy import POLICY_REGISTRY
+
+        names = sorted(POLICY_REGISTRY)
+        rc = main(
+            ["compare", "--regions", "2", "--eras", "10",
+             "--policies", ",".join(names)]
+        )
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()
+        for name in names:
+            assert any(row.startswith(name + " ") for row in rows), name
 
     @pytest.mark.slow
     def test_models_runs(self, capsys):

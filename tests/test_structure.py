@@ -93,10 +93,9 @@ RULES = (
          "the leader step lives in core/control_loop.py only", "3869928"),
     Rule("plan-step", r"RmttfAggregator\(|\.update_all\(|compute_fractions\(",
          (SRC,),
-         (SRC + "core/control_loop.py", SRC + "core/policy.py",
-          SRC + "policy/heads.py"),
+         (SRC + "core/control_loop.py", SRC + "core/policy.py"),
          "Eq. (1) and POLICY() run in the one leader step, "
-         "AcmControlLoop.plan; a policy head plans its anchor beside it",
+         "AcmControlLoop.plan",
          "after 859774b"),
     Rule("event-pool", r"POOL_MAX|_recycle|poolable|JSQ_SCAN_MAX|active_arr",
          ("src/",), (),
@@ -112,7 +111,7 @@ RULES = (
     Rule("anomaly-body", r"_lognormal\(", (SRC,), (),
          "the anomaly sampling body is spelled once", "8760176", max_count=1),
     Rule("sweep-axes",
-         r'f"/?(domains|head:|slo:)\{|!= \(?"flat"|!= \("",\)',
+         r'f"/?(domains|slo:)\{|!= \(?"flat"|!= \("",\)',
          (SRC,), (SRC + "fleet/axes.py",),
          "an optional sweep axis is spelled in fleet/axes.py only", "62e1254"),
     Rule("vmc-step", r"predict_rttf_rows\(|start_rejuvenation\(",
@@ -196,6 +195,12 @@ RULES = (
          "the deployed F2PM model stays frozen: no in-sim retraining "
          "lifecycle, retrain axis or streamed monitor samples",
          "after 05bcc6a"),
+    Rule("policy-heads",
+         r"repro\.policy|PolicyHead|policy_head|head_runtime",
+         ("src/",), (),
+         "the Plan phase runs the static policies: no learned head, its "
+         "sweep axis or its job field",
+         "after 4be6234"),
 )
 
 #: row id -> lines that each violate it: (file, line appended to it)
@@ -253,6 +258,11 @@ INJECT = {
     "online-lifecycle": [
         (SRC + "core/manager.py", "from repro.ml.online import OnlineLifecycle"),
         (SRC + "fleet/jobs.py", "online_retrain: int = 0"),
+    ],
+    "policy-heads": [
+        (SRC + "core/manager.py", "from repro.policy.heads import PolicyHead"),
+        (SRC + "fleet/jobs.py", 'policy_head: str = ""'),
+        (SRC + "core/control_loop.py", "self.head_runtime = None"),
     ],
 }
 
@@ -321,7 +331,7 @@ def test_an_injected_violation_fires_its_row_only(rule_id, path, line, tree):
 MIN_LINES = 8
 #: an on value per ``fleet/axes.py::AXES`` row, for the sweep that names
 #: every axis
-AXIS_ON = {"domains": "2x2", "policy_heads": "static:uniform", "slo": "p95:1"}
+AXIS_ON = {"domains": "2x2", "slo": "p95:1"}
 _DES = "the request-level DES: ROADMAP 9 runs it from the CLI or moves it under tests/"
 _RESIZE = "pool resizing: ROADMAP 9(c)'s `autoscale` sweep axis wires it"
 _DOMAIN = (
@@ -333,7 +343,6 @@ _CHAOS = (
     "1(b) wires it as one"
 )
 _TREND = "the trend-aware predictor: ROADMAP 4(b)'s `<model>+trend` spec wires it"
-_STATIC = "static-weights cannot run by name until ROADMAP 5 gives it default weights"
 _HARNESS = "the frozen benchmark harness (benchmarks/e2e) calls it"
 _GATED_SERVE = (
     "serve's SLO gate under traffic: the frozen harness's serve_fault_slo "
@@ -356,8 +365,6 @@ REACH_EXEMPT: dict[str, str] = {
     "core/autoscale.py::Autoscaler.apply": _RESIZE,
     "core/autoscale.py::Autoscaler.decide": _RESIZE,
     "core/autoscale.py::Autoscaler.expected_rmttf_after": _RESIZE,
-    "core/baselines.py::StaticWeightsPolicy.__init__": _STATIC,
-    "core/baselines.py::StaticWeightsPolicy._compute": _STATIC,
     "core/control_loop.py::AcmControlLoop._healthy_capacities":
         "the degradation ladder's fallback rung: no registered campaign keeps "
         "RMTTF reports missing that long; ROADMAP 1(b)'s partition campaign will",
@@ -490,19 +497,14 @@ def repro_runs() -> list[tuple[list[str], set[int]]]:
         for schedule in ("diurnal", "flash")
     ]
     runs += [
-        # static-weights cannot run by name (ROADMAP 5)
-        ([*compare, ",".join(p for p in POLICY_REGISTRY if p != "static-weights")],
-         {0}),
-        (["policy", "train", "--head", "reinforce", "--scenario",
-          "two-region", "--rounds", "1", "--episodes", "1", "--eras", "10",
-          "--out", "{tmp}/reinforce"], {0}),
+        ([*compare, ",".join(POLICY_REGISTRY)], {0}),
         (["chaos", "all"], {0}),
         (["chaos", next(iter(CAMPAIGNS))], {0}),
         (["obs", "{tmp}/dump.json", "--chrome", "{tmp}/trace.json"], {0}),
         (["sweep", *every.SWEEP, "--dry-run"], {0}),
         (["sweep", *every.SWEEP, *axes, "--workers", "2",
           "--store", "{tmp}/axes-store", "--csv", "{tmp}/axes.csv", "--gc",
-          "--obs-dump", "{tmp}/axes-dump.json"], {0}),
+          "--resume", "--obs-dump", "{tmp}/axes-dump.json"], {0}),
     ]
     return runs
 
