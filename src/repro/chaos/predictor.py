@@ -67,7 +67,3 @@ class CorruptiblePredictor(RttfPredictor):
                 rows[fresh], [vms[k] for k in fresh]
             )
         return values
-
-    def evict(self, vm_name: str) -> None:
-        self._last.pop(vm_name, None)
-        self.inner.evict(vm_name)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -100,6 +101,24 @@ def _eras(text: str) -> int:
             f"assessment, got {eras}"
         )
     return eras
+
+
+def _campaign_eras(text: str) -> int:
+    from repro.experiments.resilience import MIN_CAMPAIGN_ERAS
+
+    eras = int(text)
+    if eras < MIN_CAMPAIGN_ERAS:
+        raise ValueError(
+            f"campaigns need at least {MIN_CAMPAIGN_ERAS} eras, got {eras}"
+        )
+    return eras
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be positive and finite, got {text}")
+    return value
 
 
 def _typed(args: argparse.Namespace, config_cls, prefix: str = "") -> dict:
@@ -622,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plan", help="capacity planning: size a pool for a target RMTTF"
     )
     pl.add_argument("--instance-type", default="m3.medium")
-    pl.add_argument("--rate", type=float, required=True,
+    pl.add_argument("--rate", type=_arg(_positive), required=True,
                     help="expected request rate (req/s)")
     pl.add_argument("--target", type=float, required=True,
                     help="target RMTTF in seconds")
@@ -644,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a seeded resilience campaign under fault injection",
     )
     pk.add_argument("campaign", choices=(*CAMPAIGNS, "all", "list"))
-    pk.add_argument("--eras", type=int, default=None,
+    pk.add_argument("--eras", type=_arg(_campaign_eras), default=None,
                     help="override the campaign's default era count")
     add_seed_option(pk)
     pk.add_argument(
@@ -777,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", help="forward-fraction policy run at the leader"
     )
     psv.add_argument(
-        "--era-s", type=float, help="MAPE period, clock seconds"
+        "--era-s", type=_arg(_positive), help="MAPE period, clock seconds"
     )
     psv.add_argument(
         "--window-s",

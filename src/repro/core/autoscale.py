@@ -9,11 +9,14 @@ threshold, then the local controller can activate new VMs (deactivate some
 active VMs) by using MTTF prediction models to evaluate the expected RMTTF
 as a result of the VM activation (deactivation)."
 
-:class:`Autoscaler` implements both triggers.  The expected-RMTTF model it
-uses for sizing is the mean-field relation the whole reproduction is built
-on: per-VM load scales as ``1/n_active``, so RMTTF scales roughly as
-``n_active`` -- adding a VM multiplies the expected RMTTF by
-``(n+1)/n``.
+:class:`Autoscaler` implements both triggers over a pool provisioned once:
+ADDVMS activates pre-provisioned STANDBY capacity and a shrink rejuvenates
+the excess ACTIVE VMs back to STANDBY, both through
+:meth:`~repro.pcam.vmc.VirtualMachineController.set_target_active`.  The
+expected-RMTTF model it uses for sizing is the mean-field relation the whole
+reproduction is built on: per-VM load scales as ``1/n_active``, so RMTTF
+scales roughly as ``n_active`` -- adding a VM multiplies the expected RMTTF
+by ``(n+1)/n``.
 """
 
 from __future__ import annotations

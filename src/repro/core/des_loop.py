@@ -99,7 +99,7 @@ class _RegionState:
     population: BrowserPopulation
     #: Outstanding requests per VM, indexed by slot (position in ``vms``).
     in_flight: list[int]
-    #: The VMC's state table; it adopts in pool order, so row == slot.
+    #: The VMC's state table; its fixed-pool contract makes row == slot.
     table: VmStateTable
     #: Life (incarnation) number per slot: the table's
     #: ``rejuvenation_count`` column as of the last era boundary.  A

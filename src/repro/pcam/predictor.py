@@ -58,15 +58,6 @@ class RttfPredictor(abc.ABC):
         order, so a pooled call equals one one-row call per VM.
         """
 
-    def evict(self, vm_name: str) -> None:
-        """Forget any per-VM state held for ``vm_name``.
-
-        Called by the VMC when a VM leaves the pool.  Stateless
-        predictors need not override; stateful ones (trend windows,
-        stale-value caches) must drop the entry so a future VM reusing
-        the name starts clean.
-        """
-
 
 class TrainedRttfPredictor(RttfPredictor):
     """RTTF prediction through a trained F2PM model.
@@ -151,9 +142,6 @@ class TrendAwareRttfPredictor(RttfPredictor):
             slopes = slope_features(times, feats, window=self.window)
             derived.append(np.concatenate([row, slopes[-1]]))
         return np.maximum(self.model.predict(np.vstack(derived)), self.floor_s)
-
-    def evict(self, vm_name: str) -> None:
-        self._history.pop(vm_name, None)
 
 
 class OracleRttfPredictor(RttfPredictor):

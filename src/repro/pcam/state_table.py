@@ -43,15 +43,12 @@ end of a rejuvenation, the view's ``leaked_mb`` / ``stuck_threads``
 setters and :meth:`VmStateTable.complete_request`.  Nothing outside
 this module writes a ``leaked_mb`` / ``stuck_threads`` cell (CI gate 13).
 
-Slot lifecycle invariants
--------------------------
-* a freed row is scrubbed to poison values (``state_code == FREED``) so a
-  stale index read fails loudly instead of resurrecting the dead VM;
-* :meth:`VmStateTable.adopt` overwrites **every** column of a reused
-  slot -- the new tenant can never observe its predecessor's anomaly
-  level, counters, or rejuvenation clock;
-* :meth:`VmStateTable.compact` repacks live rows (updating each view's
-  row index) so a churn-heavy pool does not fragment forever.
+Fixed pool
+----------
+Row ``i`` is ``vms[i]`` for the pool's lifetime: :class:`VmStateTable`
+adopts its whole pool at construction and never adds, drops or moves a
+row, so a host indexes it by pool position (the VMC, the DES request
+path).  Resizing (Sec. V) only moves rows between STANDBY and ACTIVE.
 """
 
 from __future__ import annotations
@@ -74,12 +71,11 @@ from repro.pcam.vm import (
 )
 from repro.sim.instances import InstanceType
 
-#: Row state codes.  ``FREED`` poisons released slots.
+#: Row state codes.
 CODE_ACTIVE = 0
 CODE_STANDBY = 1
 CODE_REJUVENATING = 2
 CODE_FAILED = 3
-FREED = -1
 
 #: Code -> enum member (index by code).
 CODE_TO_STATE: tuple[VmState, ...] = (
@@ -163,85 +159,28 @@ class VmStateTable:
 
     Parameters
     ----------
-    capacity:
-        Initial row capacity (grows by doubling; 0 is fine).
+    vms:
+        The pool, adopted in order and for good: row ``i`` is ``vms[i]``
+        for the table's lifetime (module docstring, "Fixed pool").
     """
 
-    def __init__(self, capacity: int = 0) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self._capacity = int(capacity)
-        self._n_rows = 0  # high-water mark (rows ever allocated)
-        self._free: list[int] = []  # released rows available for reuse
-        self._vms: list[TableBackedVM | None] = [None] * self._capacity
+    def __init__(self, vms: list[VirtualMachine]) -> None:
+        for vm in vms:
+            if isinstance(vm, TableBackedVM):
+                raise ValueError(f"{vm.name!r} is already table-backed")
         for name, dtype in _ALL_COLUMNS:
-            setattr(self, name, np.zeros(self._capacity, dtype=dtype))
-        self.state_code[:] = FREED
-
-    # ------------------------------------------------------------------ #
-    # capacity management
-    # ------------------------------------------------------------------ #
+            setattr(self, name, np.zeros(len(vms), dtype=dtype))
+        for row, vm in enumerate(vms):
+            self._adopt(row, vm)
+        self._refresh_rows(np.arange(len(vms), dtype=np.intp))
 
     def __len__(self) -> int:
-        """Number of live (adopted, not released) rows."""
-        return self._n_rows - len(self._free)
+        """Number of rows: the pool's size."""
+        return len(self.state_code)
 
-    @property
-    def capacity(self) -> int:
-        """Allocated row capacity (live rows + free + never-used)."""
-        return self._capacity
-
-    @property
-    def n_free(self) -> int:
-        """Released rows awaiting reuse (fragmentation measure)."""
-        return len(self._free)
-
-    def live_rows(self) -> np.ndarray:
-        """Indices of live rows, ascending."""
-        return (self.state_code[: self._n_rows] != FREED).nonzero()[0]
-
-    def _grow(self, minimum: int) -> None:
-        new_cap = max(self._capacity * 2, minimum, 4)
-        for name, dtype in _ALL_COLUMNS:
-            old = getattr(self, name)
-            fresh = np.zeros(new_cap, dtype=dtype)
-            fresh[: self._capacity] = old
-            if name == "state_code":
-                fresh[self._capacity :] = FREED
-            setattr(self, name, fresh)
-        self._vms.extend([None] * (new_cap - self._capacity))
-        self._capacity = new_cap
-
-    def _alloc_row(self) -> int:
-        if self._free:
-            return self._free.pop()
-        if self._n_rows >= self._capacity:
-            self._grow(self._n_rows + 1)
-        row = self._n_rows
-        self._n_rows += 1
-        return row
-
-    # ------------------------------------------------------------------ #
-    # adoption / release / compaction
-    # ------------------------------------------------------------------ #
-
-    def adopt(self, vm: VirtualMachine) -> int:
-        """Move ``vm``'s state into the table; re-class it as a view.
-
-        The object identity is preserved: every existing reference to
-        ``vm`` now reads and writes the table row.  Returns the row
-        index.  A reused (previously released) slot is overwritten in
-        **every** column, so no state of the previous tenant survives.
-        """
-        row = self._adopt_row(vm)
-        self._refresh(row)
-        return row
-
-    def _adopt_row(self, vm: VirtualMachine) -> int:
-        """:meth:`adopt` up to, not including, the derived columns."""
-        if isinstance(vm, TableBackedVM):
-            raise ValueError(f"{vm.name!r} is already table-backed")
-        row = self._alloc_row()
+    def _adopt(self, row: int, vm: VirtualMachine) -> None:
+        """Move ``vm``'s state into ``row`` and re-class it as a view
+        (the caller refreshes the derived columns)."""
         # mutable state, straight from the scalar attributes
         self.state_code[row] = STATE_TO_CODE[vm.state]
         self.leaked_mb[row] = vm.leaked_mb
@@ -266,11 +205,9 @@ class VmStateTable:
         d["_table"] = self
         d["_row"] = row
         vm.__class__ = TableBackedVM
-        self._vms[row] = vm
         self._sync_static(
             row, vm._itype, vm._failure_policy, rejuvenation_time_s
         )
-        return row
 
     def _sync_static(
         self,
@@ -335,84 +272,6 @@ class VmStateTable:
         ) | (self.thread_exhaustion[idx] & (pressures.thread_pressure >= 1.0))
         self.exhausted[idx] = exhausted
         return exhausted
-
-    def adopt_all(self, vms: list[VirtualMachine]) -> np.ndarray:
-        """Adopt a whole pool; returns the row indices in ``vms`` order.
-
-        The derived columns are refreshed in one vectorised pass.
-        """
-        rows = np.array([self._adopt_row(vm) for vm in vms], dtype=np.intp)
-        self._refresh_rows(rows)
-        return rows
-
-    def release(self, vm: "TableBackedVM") -> None:
-        """Detach a view: state moves back to scalar attributes.
-
-        The freed row is scrubbed to poison values and queued for reuse;
-        the object reverts to a plain :class:`VirtualMachine` carrying
-        its final state (callers of ``remove_vm`` may still inspect it).
-        """
-        if not isinstance(vm, TableBackedVM) or vm._table is not self:
-            raise ValueError(f"{vm.name!r} is not backed by this table")
-        row = vm._row
-        d = vm.__dict__
-        # materialise the final state back into the instance dict
-        state = vm.state
-        snapshot = {
-            name: getattr(self, name)[row].item()
-            for name, _ in MUTABLE_COLUMNS
-        }
-        d["itype"] = d.pop("_itype")
-        d["failure_policy"] = d.pop("_failure_policy")
-        d["rejuvenation_time_s"] = float(self.rejuvenation_time_s[row])
-        d.pop("_table", None)
-        d.pop("_row", None)
-        vm.__class__ = VirtualMachine
-        vm.state = state
-        vm._rejuvenation_remaining_s = snapshot.pop(
-            "rejuvenation_remaining_s"
-        )
-        for name, value in snapshot.items():
-            setattr(vm, name, value)
-        # scrub the row so stale indices cannot resurrect this VM
-        self._scrub(row)
-        self._vms[row] = None
-        self._free.append(row)
-
-    def _scrub(self, row: int) -> None:
-        for name, _ in _ALL_COLUMNS:
-            getattr(self, name)[row] = 0
-        self.state_code[row] = FREED
-
-    def compact(self) -> dict[int, int]:
-        """Repack live rows to the front; returns {old_row: new_row}.
-
-        Views are updated in place, so holders of ``TableBackedVM``
-        objects are unaffected.  Callers holding *raw row indices*
-        (e.g. a controller's row map) must remap them with the returned
-        mapping.
-        """
-        live = self.live_rows()
-        mapping: dict[int, int] = {}
-        for new, old in enumerate(live.tolist()):
-            mapping[old] = new
-            if new == old:
-                continue
-            for name, _ in _ALL_COLUMNS:
-                col = getattr(self, name)
-                col[new] = col[old]
-            vm = self._vms[old]
-            assert vm is not None
-            vm.__dict__["_row"] = new
-            self._vms[new] = vm
-            self._vms[old] = None
-        n_live = int(live.size)
-        for row in range(n_live, self._n_rows):
-            self._scrub(row)
-            self._vms[row] = None
-        self._n_rows = n_live
-        self._free = []
-        return mapping
 
     # ------------------------------------------------------------------ #
     # vectorised kernels (bit-identical to the scalar VirtualMachine)
@@ -533,18 +392,18 @@ class VmStateTable:
         self.state_code[idx] = CODE_ACTIVE
         self.uptime_s[idx] = 0.0
 
-    def activate_standby(self, rows: np.ndarray, target_active: int) -> None:
-        """Top the pool ``rows`` up to ``target_active`` ACTIVE VMs.
+    def activate_standby(self, target_active: int) -> None:
+        """Top the pool up to ``target_active`` ACTIVE VMs.
 
-        Activates STANDBY rows in ``rows`` order (the ACTIVATE command)
+        Activates STANDBY rows in pool order (the ACTIVATE command)
         until the target is met or no standby is left.
         """
-        codes = self.state_code[rows]
+        codes = self.state_code
         need = target_active - int(np.count_nonzero(codes == CODE_ACTIVE))
         if need > 0:
             standby = (codes == CODE_STANDBY).nonzero()[0][:need]
             if standby.size:
-                self.activate(rows[standby])
+                self.activate(standby)
 
     def fail(self, idx: np.ndarray) -> None:
         """-> FAILED for rows not already failed (counter increments)."""
@@ -572,16 +431,16 @@ class VmStateTable:
         self.rejuvenation_remaining_s[idx] = 0.0
         self._refresh_rows(idx)
 
-    def idle_tick(self, idx: np.ndarray, dt: float) -> None:
+    def idle_tick(self, dt: float) -> None:
         """Advance rejuvenation clocks; finish the ones that ran out.
 
-        Each REJUVENATING row in ``idx`` loses ``dt`` of its remaining
-        rejuvenation time; a row at or below zero returns to STANDBY
-        refreshed (the VM's ``_finish_rejuvenation``).  Rows in any other
-        state are untouched: the VMC calls this before the era's
-        monitoring, after the load has aged its ACTIVE rows.
+        Each REJUVENATING row loses ``dt`` of its remaining rejuvenation
+        time; a row at or below zero returns to STANDBY refreshed (the
+        VM's ``_finish_rejuvenation``).  Rows in any other state are
+        untouched: the VMC calls this before the era's monitoring, after
+        the load has aged its ACTIVE rows.
         """
-        rejuv = idx[self.state_code[idx] == CODE_REJUVENATING]
+        rejuv = (self.state_code == CODE_REJUVENATING).nonzero()[0]
         if not rejuv.size:
             return
         self.rejuvenation_remaining_s[rejuv] -= dt
@@ -626,16 +485,10 @@ class VmStateTable:
             self.fail(idx[failed])
         return rt, failed, pressures
 
-    def counts_by_state(self, idx: np.ndarray) -> tuple[int, int, int, int]:
-        """(n_active, n_standby, n_rejuvenating, n_failed) over ``idx``."""
-        codes = self.state_code[idx]
-        counts = np.bincount(codes[codes >= 0], minlength=4)
-        return (
-            int(counts[CODE_ACTIVE]),
-            int(counts[CODE_STANDBY]),
-            int(counts[CODE_REJUVENATING]),
-            int(counts[CODE_FAILED]),
-        )
+    def counts_by_state(self) -> tuple[int, int, int, int]:
+        """(n_active, n_standby, n_rejuvenating, n_failed) of the pool:
+        one count per state code, in code order."""
+        return tuple(np.bincount(self.state_code, minlength=4).tolist())
 
 
 # ---------------------------------------------------------------------- #
@@ -663,12 +516,11 @@ def _column_property(col: str, cast, derives: bool = False) -> property:
 class TableBackedVM(VirtualMachine):
     """A :class:`VirtualMachine` whose state lives in a `VmStateTable` row.
 
-    Never constructed directly -- :meth:`VmStateTable.adopt` re-classes an
-    existing ``VirtualMachine`` into this type in place (and
-    :meth:`VmStateTable.release` reverses it).  All behaviour is
-    inherited; only attribute storage is redirected, so the scalar
-    methods (``apply_load``, ``idle``, ``activate`` ...) stay the single
-    source of truth for one-VM semantics.
+    Never constructed directly -- :class:`VmStateTable` re-classes each
+    ``VirtualMachine`` of its pool into this type in place, for good.  All
+    behaviour is inherited; only attribute storage is redirected, so the
+    scalar methods (``apply_load``, ``idle``, ``activate`` ...) stay the
+    single source of truth for one-VM semantics.
     """
 
     leaked_mb = _column_property("leaked_mb", float, derives=True)
@@ -692,7 +544,7 @@ class TableBackedVM(VirtualMachine):
 
     @property
     def row(self) -> int:
-        """This VM's current row index (changes under compaction)."""
+        """This VM's row index: its position in the pool."""
         return self._row
 
     @property

@@ -159,8 +159,7 @@ class VirtualMachineController:
         if not vms:
             raise ValueError(f"region {region_name!r}: empty VM pool")
         self.vms = list(vms)
-        self._names = {vm.name for vm in self.vms}
-        if len(self._names) != len(self.vms):
+        if len({vm.name for vm in self.vms}) != len(self.vms):
             raise ValueError(f"region {region_name!r}: duplicate VM names")
         self.region_name = region_name
         self.predictor = predictor
@@ -169,11 +168,8 @@ class VirtualMachineController:
         self.discipline = discipline or RttfThresholdRejuvenation(
             self.config.rttf_threshold_s
         )
-        # adopt the pool into the state table; `_rows` holds each VM's
-        # table row, aligned with `self.vms` order (list position != table
-        # row once VMs have been removed).
-        self.table = VmStateTable(len(self.vms))
-        self._rows = self.table.adopt_all(self.vms)
+        # the table adopts the pool in order: `self.vms[i]` is row `i`
+        self.table = VmStateTable(self.vms)
         self._target_active = self.config.target_active
         self.total_rejuvenations = 0
         self.total_failures = 0
@@ -219,7 +215,7 @@ class VirtualMachineController:
 
     def _ensure_active_pool(self) -> None:
         """Activate STANDBYs until the ACTIVE pool meets the target."""
-        self.table.activate_standby(self._rows, self._target_active)
+        self.table.activate_standby(self._target_active)
 
     def healthy_capacity(self) -> float:
         """Nameplate capacity of the ACTIVE pool (no degradation)."""
@@ -230,9 +226,7 @@ class VirtualMachineController:
 
     def _active_rows(self) -> np.ndarray:
         """Table rows of ACTIVE pool VMs, in pool order."""
-        return self._rows[
-            self.table.state_code[self._rows] == CODE_ACTIVE
-        ]
+        return (self.table.state_code == CODE_ACTIVE).nonzero()[0]
 
     def _rack_rejuvenation_counts(self) -> dict[int, int]:
         """REJUVENATING VMs per rack id (spread-cap bookkeeping).
@@ -240,11 +234,9 @@ class VirtualMachineController:
         Only called when ``config.spread_k > 0``.
         """
         table = self.table
-        rejuvenating = self._rows[
-            table.state_code[self._rows] == CODE_REJUVENATING
-        ]
         racks, counts = np.unique(
-            table.rack_id[rejuvenating], return_counts=True
+            table.rack_id[table.state_code == CODE_REJUVENATING],
+            return_counts=True,
         )
         return dict(zip(racks.tolist(), counts.tolist()))
 
@@ -284,17 +276,15 @@ class VirtualMachineController:
         if dt <= 0:
             raise ValueError("dt must be positive")
         table = self.table
-        rows = self._rows
         self._ensure_active_pool()
-        active_pos = (table.state_code[rows] == CODE_ACTIVE).nonzero()[0]
+        active_rows = self._active_rows()
         era_failures = 0
         pressures = None
 
         # 1. split the batch over ACTIVE VMs and apply the load
         response_num = 0.0
         served = 0
-        if active_pos.size:
-            active_rows = rows[active_pos]
+        if active_rows.size:
             bal = self.balancer
             counts = bal.split_counts(
                 n_requests, bal.weights_of(table, active_rows)
@@ -302,7 +292,7 @@ class VirtualMachineController:
             # each VM consumes its own stream in pool order, exactly like
             # a scalar apply_load walk
             leaked, threads = draw_pool(
-                [self.vms[p].injector for p in active_pos.tolist()],
+                [self.vms[r].injector for r in active_rows.tolist()],
                 counts.tolist(),
             )
             rt, failed, pressures = table.era_load_update(
@@ -349,18 +339,16 @@ class VirtualMachineController:
         the host has it in hand.
         """
         table = self.table
-        rows = self._rows
         era_rejuvenations = 0
 
         # advance rejuvenation clocks (STANDBY rows need no bookkeeping)
-        table.idle_tick(rows, dt)
+        table.idle_tick(dt)
 
         # 2. monitor + predict + proactive rejuvenation (PCAM policy);
         # the snapshot excludes VMs that failed under this era's load
-        codes = table.state_code[rows]
-        mon_pos = (codes == CODE_ACTIVE).nonzero()[0]
-        mon_rows = rows[mon_pos]
-        monitored = [self.vms[p] for p in mon_pos.tolist()]
+        codes = table.state_code.copy()
+        mon_rows = (codes == CODE_ACTIVE).nonzero()[0]
+        monitored = [self.vms[r] for r in mon_rows.tolist()]
         features = table.feature_matrix(mon_rows, pressures)
         rttf_arr = np.asarray(
             self.predictor.predict_rttf_rows(features, monitored),
@@ -400,8 +388,8 @@ class VirtualMachineController:
                 ).inc()
 
         # 3. reactive path: failed VMs go to rejuvenation too
-        for p in (codes == CODE_FAILED).nonzero()[0].tolist():
-            vm = self.vms[p]
+        for r in (codes == CODE_FAILED).nonzero()[0].tolist():
+            vm = self.vms[r]
             vm.start_rejuvenation()
             era_rejuvenations += 1
             if self._obs is not None:
@@ -428,7 +416,7 @@ class VirtualMachineController:
         self.total_failures += failures
 
         last_rmttf = float(mttf.sum() / mttf.size) if mttf.size else 0.0
-        n_active, n_stby, n_rejuv, n_failed = table.counts_by_state(rows)
+        n_active, n_stby, n_rejuv, n_failed = table.counts_by_state()
         return EraReport(
             region=self.region_name,
             time=now,
@@ -443,40 +431,11 @@ class VirtualMachineController:
             failures=failures,
         )
 
-    def compact_table(self) -> None:
-        """Repack the state table after heavy churn.
-
-        Live views are updated in place; the controller's row map is
-        remapped to the new rows.
-        """
-        mapping = self.table.compact()
-        self._rows = np.array(
-            [mapping[int(r)] for r in self._rows], dtype=np.intp
-        )
-
-    # ------------------------------------------------------------------ #
-    # pool growth (used by ACM autoscaling, Sec. V ADDVMS)
-    # ------------------------------------------------------------------ #
-
-    def add_vm(self, vm: VirtualMachine) -> None:
-        """Add a freshly provisioned VM (in STANDBY) to the pool."""
-        if vm.name in self._names:
-            raise ValueError(f"duplicate VM name {vm.name!r}")
-        if vm.state is not VmState.STANDBY:
-            raise ValueError("new VMs must join in STANDBY state")
-        # adopt first: it refuses a VM another table still owns, and the
-        # pool must be untouched when it does.  (May reuse a released
-        # slot; adopt() overwrites every column.)
-        row = self.table.adopt(vm)
-        self.vms.append(vm)
-        self._names.add(vm.name)
-        self._rows = np.append(self._rows, row)
-
     def stats(self) -> dict[str, float]:
         """Aggregate pool statistics for reporting and dashboards."""
         table = self.table
         n_active, n_standby, n_rejuvenating, n_failed = (
-            table.counts_by_state(self._rows)
+            table.counts_by_state()
         )
         active = self._active_rows()
         return {
@@ -485,7 +444,7 @@ class VirtualMachineController:
             "n_standby": float(n_standby),
             "n_rejuvenating": float(n_rejuvenating),
             "n_failed": float(n_failed),
-            "total_requests": float(table.total_requests[self._rows].sum()),
+            "total_requests": float(table.total_requests.sum()),
             "total_rejuvenations": float(self.total_rejuvenations),
             "total_failures": float(self.total_failures),
             "mean_active_uptime_s": (
@@ -507,24 +466,3 @@ class VirtualMachineController:
             ),
             "healthy_capacity": self.healthy_capacity(),
         }
-
-    def remove_vm(self, name: str) -> VirtualMachine:
-        """Remove a VM from the pool (must not be ACTIVE)."""
-        for i, vm in enumerate(self.vms):
-            if vm.name == name:
-                if vm.state is VmState.ACTIVE:
-                    raise RuntimeError(
-                        f"cannot remove ACTIVE VM {name!r}; deactivate first"
-                    )
-                del self.vms[i]
-                self._names.remove(name)
-                # scrubs + frees the row and hands the VM back its
-                # scalar attributes, so the caller keeps a usable
-                # (detached) VirtualMachine
-                self.table.release(vm)  # type: ignore[arg-type]
-                self._rows = np.delete(self._rows, i)
-                # Drop any per-VM predictor state (trend windows, stale
-                # caches): a future same-named VM must start clean.
-                self.predictor.evict(name)
-                return vm
-        raise KeyError(f"no VM named {name!r} in region {self.region_name!r}")

@@ -1,4 +1,4 @@
-"""Row-path and eviction behaviour of the corruptible predictor."""
+"""Row-path behaviour of the corruptible predictor."""
 
 import numpy as np
 import pytest
@@ -52,18 +52,6 @@ class TestCorruptibleBatch:
         np.testing.assert_array_equal(
             pred.predict_rttf_rows(rows, vms), np.zeros(len(vms))
         )
-
-    def test_evict_clears_stale_cache_and_delegates(self):
-        vms = make_vms()
-        pred = CorruptiblePredictor(OracleRttfPredictor())
-        pred.predict_rttf_rows(feature_rows(vms), vms)
-        assert vms[0].name in pred._last
-        pred.evict(vms[0].name)
-        assert vms[0].name not in pred._last
-        # a never-cached VM in stale mode falls through to the inner oracle
-        pred.set_mode("stale")
-        value = predict_one(pred, vms[0])
-        assert np.isfinite(value)
 
 
 @pytest.fixture(scope="module")

@@ -13,12 +13,13 @@ def rngs():
     return RngRegistry(seed=42)
 
 
-def vm_at(table, row):
-    """The adopted VM object at a table ``row``; ``LookupError`` if the
-    row was never adopted or has been released."""
-    vm = table._vms[row] if 0 <= row < table.capacity else None
-    if vm is None:
-        raise LookupError(f"row {row} holds no live VM")
+def vm_at(vmc, row):
+    """The VM at table ``row`` of ``vmc``'s pool: the table adopts the
+    pool in order, so it is ``vmc.vms[row]``.  ``LookupError`` if there
+    is no such row or that VM's view reads another row or table."""
+    vm = vmc.vms[row] if 0 <= row < len(vmc.table) else None
+    if vm is None or vm.table is not vmc.table or vm.row != row:
+        raise LookupError(f"row {row} holds no VM of this pool")
     return vm
 
 

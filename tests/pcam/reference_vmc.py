@@ -102,9 +102,6 @@ class RecordingPredictor(RttfPredictor):
         )
         return rttf
 
-    def evict(self, vm_name: str) -> None:
-        self.inner.evict(vm_name)
-
     def rttf_by_name(self) -> dict[str, float]:
         """The last call's ``VM name -> RTTF``."""
         call = self.calls[-1]
@@ -147,9 +144,8 @@ class ReferenceVmc:
     """Object-walking twin of ``VirtualMachineController``.
 
     Same constructor arguments (minus the observers) and the pool
-    operations the churn scenario scripts: ``set_target_active``,
-    ``add_vm``, ``remove_vm``, ``vms_in``, the two capacities and
-    ``stats``.
+    operations the scripted scenarios use: ``set_target_active``,
+    ``vms_in``, the two capacities and ``stats``.
     """
 
     def __init__(
@@ -324,21 +320,6 @@ class ReferenceVmc:
             rejuvenations_triggered=era_rejuvenations,
             failures=era_failures,
         )
-
-    # ------------------------------------------------------------------ #
-    # pool growth / shrink
-    # ------------------------------------------------------------------ #
-
-    def add_vm(self, vm: VirtualMachine) -> None:
-        self.vms.append(vm)
-
-    def remove_vm(self, name: str) -> VirtualMachine:
-        for i, vm in enumerate(self.vms):
-            if vm.name == name:
-                del self.vms[i]
-                self.predictor.evict(name)
-                return vm
-        raise KeyError(name)
 
     def stats(self) -> dict[str, float]:
         active = self.vms_in(VmState.ACTIVE)

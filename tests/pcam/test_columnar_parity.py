@@ -29,7 +29,7 @@ that contract checked two ways:
 A divergence here is a bookkeeping bug, not noise: both sides consume the
 same RNG streams in the same order, so any drift means an operation was
 reordered, an accumulation changed its numeric association, or per-VM
-state leaked across slots.  The fuzz driver sweeps randomized scenarios
+state leaked across rows.  The fuzz driver sweeps randomized scenarios
 (pool mix, predictor, discipline, balancer, churn and crash storms) to
 flush out exactly that class of bug.
 """
@@ -330,11 +330,10 @@ def _fail_by_name(vmc: VirtualMachineController, names: list[str]) -> None:
 
 
 def test_vmc_parity_under_chaos_and_churn():
-    """Crash storms, autoscaling and add/remove churn stay in lockstep.
+    """Crash storms and autoscaling target churn stay in lockstep.
 
     The scripted events mirror what a chaos campaign does, applied
-    symmetrically to both pools; the real controller also compacts its
-    table mid-run, which must be invisible to behaviour.
+    symmetrically to both pools.
     """
 
     def build(cls, rngs, vms):
@@ -347,7 +346,7 @@ def test_vmc_parity_under_chaos_and_churn():
 
     ref, vmc = _make_pair(23, 8, build)
     storm_rng = np.random.default_rng(23)
-    added = monitored = 0
+    monitored = 0
     for era in range(50):
         if era % 9 == 4:  # crash storm: fail ~half the ACTIVE pool
             active = sorted(
@@ -365,36 +364,12 @@ def test_vmc_parity_under_chaos_and_churn():
             target = 3 if ref.target_active == 4 else 4
             ref.set_target_active(target)
             vmc.set_target_active(target)
-        if era % 13 == 6:  # provision a fresh standby into both pools
-            added += 1
-            for side in (ref, vmc):
-                # per-pool registry children would diverge; give the pair
-                # identically-seeded injectors instead
-                rng = np.random.default_rng(1000 + added)
-                side.add_vm(
-                    VirtualMachine(
-                        f"new{added:02d}",
-                        PRIVATE_SMALL,
-                        AnomalyInjector(rng),
-                    )
-                )
-        if era % 17 == 15:  # decommission a non-ACTIVE VM, if any
-            removable = [
-                vm.name
-                for vm in ref.vms
-                if vm.state is not VmState.ACTIVE
-            ]
-            if removable:
-                ref.remove_vm(removable[0])
-                vmc.remove_vm(removable[0])
-        if era % 19 == 10:
-            vmc.compact_table()
 
         rep_r = ref.process_era(_load(era, 4000), 30.0, era * 30.0)
         rep_t = vmc.process_era(_load(era, 4000), 30.0, era * 30.0)
         assert rep_r == rep_t, f"era {era}: {rep_r} != {rep_t}"
         monitored += _assert_pools_equal(ref, vmc, era)
-    assert added > 0 and ref.total_failures > 0 and monitored > 0
+    assert ref.total_failures > 0 and monitored > 0
 
 
 # --------------------------------------------------------------------- #

@@ -6,14 +6,12 @@ one monitoring row per ACTIVE VM with
 table rows, and hands that matrix straight to the predictor.  The one-VM
 semantics those rows must keep are those of
 :meth:`~repro.pcam.vm.VirtualMachine.sample_features`: this module drives
-a VMC through random eras and pool operations (growth, shrinkage, row
-reuse, table compaction) and requires
+a VMC through random eras and target changes and requires
 
 * every prediction call to receive exactly the ACTIVE VMs, in pool
   order, each with its own ``sample_features()`` row;
 * every VM's table row to read as its ``sample_features()`` after every
-  step, so a VM moved to another row by compaction or reuse keeps
-  reading its own state.
+  step.
 """
 
 import numpy as np
@@ -51,9 +49,16 @@ class _Checked:
 
     def __init__(self, n_vms: int, target: int) -> None:
         self.rngs = RngRegistry(seed=99)
-        self.n_made = 0
         self.now = 0.0
-        vms = [self._new_vm() for _ in range(n_vms)]
+        vms = [
+            VirtualMachine(
+                f"vm{i}",
+                PRIVATE_SMALL,
+                AnomalyInjector(self.rngs.child(f"vm{i}").stream("a")),
+                rejuvenation_time_s=2 * ERA_S,
+            )
+            for i in range(1, n_vms + 1)
+        ]
         # a threshold no VM ever clears: every era swaps as many ACTIVE
         # VMs as there are standbys, so VMs keep skipping eras
         self.vmc = VirtualMachineController(
@@ -64,16 +69,6 @@ class _Checked:
         )
         self.vmc.predictor.vmc = self.vmc
         self.expected_calls = 0
-
-    def _new_vm(self) -> VirtualMachine:
-        self.n_made += 1
-        name = f"vm{self.n_made}"
-        return VirtualMachine(
-            name,
-            PRIVATE_SMALL,
-            AnomalyInjector(self.rngs.child(name).stream("a")),
-            rejuvenation_time_s=2 * ERA_S,
-        )
 
     # ---------------- operations ---------------- #
 
@@ -86,37 +81,12 @@ class _Checked:
     def retarget(self, n: int) -> None:
         self.vmc.set_target_active(min(n, len(self.vmc.vms)))
 
-    def add(self) -> None:
-        self.vmc.add_vm(self._new_vm())
-
-    def remove(self) -> None:
-        idle = [
-            vm for vm in self.vmc.vms if vm.state is not VmState.ACTIVE
-        ]
-        if idle and len(self.vmc.vms) > 1:
-            self.vmc.remove_vm(idle[-1].name)
-
-    def replace(self) -> None:
-        """Remove, then add: the newcomer takes over the freed row."""
-        free_before = self.vmc.table.n_free
-        self.remove()
-        reuses = self.vmc.table.n_free > free_before
-        self.add()
-        if reuses:
-            assert self.vmc.table.n_free == free_before
-            newcomer = self.vmc.vms[-1]
-            assert newcomer.uptime_s == 0.0
-            assert newcomer.total_requests == 0
-
-    def compact(self) -> None:
-        self.vmc.compact_table()
-
     # ---------------- the comparison ---------------- #
 
     def check(self) -> None:
         vms = self.vmc.vms
-        rows = np.array([vm.row for vm in vms], dtype=np.intp)
-        assert len(set(rows.tolist())) == len(vms)
+        assert [vm.row for vm in vms] == list(range(len(vms)))
+        rows = np.arange(len(vms))
         assert (
             self.vmc.table.feature_matrix(rows).tolist()
             == feature_rows(vms).tolist()
@@ -126,10 +96,6 @@ class _Checked:
 OPS = st.one_of(
     st.tuples(st.just("era"), st.integers(0, 1500)),
     st.tuples(st.just("retarget"), st.integers(1, 6)),
-    st.tuples(st.just("add")),
-    st.tuples(st.just("remove")),
-    st.tuples(st.just("replace")),
-    st.tuples(st.just("compact")),
 )
 
 
@@ -146,27 +112,3 @@ def test_ring_reads_like_per_vm_feature_monitors(n_vms, target, ops):
         getattr(pool, name)(*args)
         pool.check()
 
-
-def test_reader_follows_its_vm_across_compaction():
-    pool = _Checked(n_vms=4, target=4)
-    pool.era(500)
-    pool.vmc.set_target_active(1)
-    last = pool.vmc.vms[-1]
-    pool.vmc.remove_vm(
-        next(
-            vm.name
-            for vm in pool.vmc.vms[:-1]
-            if vm.state is not VmState.ACTIVE
-        )
-    )
-    row = last.row
-    before = last.sample_features().to_array().tolist()
-    pool.compact()
-    assert last.row < row
-    assert last.sample_features().to_array().tolist() == before
-    assert pool.vmc.table.feature_matrix(
-        np.array([last.row], dtype=np.intp)
-    ).tolist() == [before]
-    pool.check()
-    pool.era(500)
-    pool.check()

@@ -109,7 +109,7 @@ def aged_pool(n=8, table=False):
             )
         )
     if table:
-        VmStateTable().adopt_all(vms)
+        VmStateTable(vms)
     return vms
 
 
@@ -161,7 +161,7 @@ def test_kernel_equals_reference_exactly(
     )
 
     # same value from a table row
-    VmStateTable().adopt(vm)
+    VmStateTable([vm])
     assert isinstance(vm, TableBackedVM)
     assert vm.true_time_to_failure_s(rate, mean_demand) == min(
         expected, t_threads
@@ -342,7 +342,7 @@ def test_kernel_regimes_equal_reference_exactly(name, table):
     vm.leaked_mb = leak_fraction * vm.anomaly_budget_mb
     vm.stuck_threads = 7
     if table:
-        VmStateTable().adopt(vm)
+        VmStateTable([vm])
     expected, probes, horizon = reference_policy_ttf(vm, rate)
     assert is_the_regime(expected, probes, horizon), (expected, len(probes), horizon)
     assert vm.true_time_to_failure_s(rate) == expected
@@ -488,8 +488,8 @@ def test_scalar_and_table_pools_agree():
 def test_mixed_pool_falls_back_to_attribute_reads():
     vms = aged_pool()
     want = pooled(OracleRttfPredictor(), vms).tolist()
-    VmStateTable().adopt_all(vms[:3])
-    VmStateTable().adopt_all(vms[5:])
+    VmStateTable(vms[:3])
+    VmStateTable(vms[5:])
     assert pooled(OracleRttfPredictor(), vms).tolist() == want
 
 

@@ -1,23 +1,17 @@
 """Regression tests for per-VM predictor state through the VMC era path.
 
-Guards two bugs:
-
-* the VMC (and the DES loop) used to predict each VM's RTTF and then
-  ``predict_mttf`` -- which re-predicts internally -- so stateful
-  predictors saw *two* history appends per era, corrupting the trend
-  windows of :class:`TrendAwareRttfPredictor`;
-* :class:`TrendAwareRttfPredictor` kept history entries for VMs that had
-  left the pool forever (an unbounded leak under autoscaling);
-  ``VirtualMachineController.remove_vm`` now evicts them.
+Guards one bug: the VMC (and the DES loop) used to predict each VM's RTTF
+and then ``predict_mttf`` -- which re-predicts internally -- so stateful
+predictors saw *two* history appends per era, corrupting the trend
+windows of :class:`TrendAwareRttfPredictor`.  A pool is fixed when it is
+built, so the windows are keyed by a fixed set of names.
 """
 
 import numpy as np
 import pytest
 
-from repro.chaos.predictor import CorruptiblePredictor
 from repro.experiments import make_trained_predictor
 from repro.pcam import VirtualMachineController, VmcConfig, VmState
-from repro.pcam.predictor import TrendAwareRttfPredictor
 from repro.sim import RngRegistry
 
 from .conftest import build_vm
@@ -115,26 +109,3 @@ class TestBatchScalarEquivalence:
         assert trained_predictor.predict_rttf_rows(rows, []).shape == (0,)
         assert trend_predictor.predict_rttf_rows(rows, []).shape == (0,)
 
-
-class TestEviction:
-    def test_remove_vm_evicts_trend_history(self, trend_predictor):
-        trend_predictor._history.clear()
-        vmc = build_vmc(trend_predictor, n_vms=3, target_active=1)
-        vmc.process_era(n_requests=60, dt=30.0, now=30.0)
-        active = vmc.vms_in(VmState.ACTIVE)[0]
-        assert active.name in trend_predictor._history
-        # retire it: shrink the pool so it rejuvenates, then remove it
-        vmc.set_target_active(1)
-        active.start_rejuvenation()
-        vmc.remove_vm(active.name)
-        assert active.name not in trend_predictor._history
-        assert active not in vmc.vms
-
-    def test_evict_passes_through_wrappers(self, trend_predictor):
-        trend_predictor._history["wrapped/vm0"] = object()
-        wrapped = CorruptiblePredictor(trend_predictor, mode="stale")
-        wrapped.evict("wrapped/vm0")
-        assert "wrapped/vm0" not in trend_predictor._history
-
-    def test_evict_unknown_name_is_noop(self, trend_predictor):
-        trend_predictor.evict("never-seen")

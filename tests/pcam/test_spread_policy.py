@@ -136,24 +136,14 @@ class TestSpreadCap:
 
 
 class TestRackIdColumnarRoundTrip:
-    def test_adopt_view_release_preserves_rack_id(self):
+    def test_adopt_view_preserves_rack_id(self):
         rngs = RngRegistry(seed=5)
         vm = build_vm(rngs, name="rt/vm0", rack_id=7)
-        table = VmStateTable(2)
-        row = table.adopt(vm)
-        assert table.rack_id[row] == 7
+        table = VmStateTable([vm])
+        assert table.rack_id[vm.row] == 7
         assert vm.rack_id == 7  # view reads through the column
-        table.release(vm)
-        assert vm.rack_id == 7  # plain attribute again after release
-        assert vm.__class__.__name__ == "VirtualMachine"
-
-    def test_rack_id_column_scrubbed_after_release(self):
-        rngs = RngRegistry(seed=5)
-        vm = build_vm(rngs, name="rt/vm1", rack_id=3)
-        table = VmStateTable(1)
-        row = table.adopt(vm)
-        table.release(vm)
-        assert table.rack_id[row] == 0
+        vm.rack_id = 3
+        assert table.rack_id[vm.row] == 3  # and writes through it
 
 
 class TestDomainAwareBalancer:
@@ -169,8 +159,8 @@ class TestDomainAwareBalancer:
     def test_routes_away_from_degraded_racks(self):
         tree = FailureDomainTree({"r": (2, 1)})
         health = DomainHealthTracker(tree)
-        table = VmStateTable(2)
-        rows = table.adopt_all(self._vms([0, 1]))
+        table = VmStateTable(self._vms([0, 1]))
+        rows = np.arange(2)
 
         def split(balancer):
             weights = balancer.weights_of(table, rows)

@@ -2,16 +2,13 @@
 
 The columnar table owns all mutable per-VM state while the adopted
 :class:`~repro.pcam.state_table.TableBackedVM` views keep the object API
-alive.  These tests pin the slot-lifecycle invariants the controllers
-rely on:
+alive.  These tests pin what the controllers rely on:
 
-* adopt/release round-trips every field exactly and detaches cleanly;
-* growth preserves existing rows and never invalidates live views;
-* released slots are scrubbed, so slot reuse cannot resurrect a dead
-  VM's anomaly level, counters, or predictor history (the classic
-  stale-index bug the parity fuzzer guards against);
-* ``compact()`` repacks live rows and remaps views in place;
-* the kernels behave on the degenerate shapes (empty index, single VM)
+* adoption copies every field exactly, once: a VM another table owns is
+  refused before any VM of the new pool is touched;
+* row ``i`` is ``vms[i]`` (the fixed-pool contract);
+* the derived columns follow every writer of their inputs;
+* the kernels behave on the degenerate shapes (empty pool, single VM)
   and at fleet scale (10k-VM smoke).
 """
 
@@ -27,7 +24,6 @@ from repro.pcam import (
     FailurePolicy,
     OracleRttfPredictor,
     TrainedRttfPredictor,
-    TrendAwareRttfPredictor,
     VirtualMachine,
     VirtualMachineController,
     VmcConfig,
@@ -36,7 +32,6 @@ from repro.pcam import (
 from repro.pcam.state_table import (
     CODE_ACTIVE,
     CODE_FAILED,
-    FREED,
     TableBackedVM,
     VmStateTable,
 )
@@ -56,67 +51,52 @@ def _vm(name, itype=PRIVATE_SMALL, seed=0, **kw):
 
 
 class TestAdoptRelease:
+    """Adoption is one-way: a view never reverts to a plain VM."""
+
     def test_adopt_swaps_class_and_preserves_fields(self):
         vm = _vm("a", M3_MEDIUM, rejuvenation_time_s=60.0)
         vm.activate()
         vm.leaked_mb = 12.5
         vm.stuck_threads = 3
         vm.total_requests = 41
-        table = VmStateTable()
-        row = table.adopt(vm)
+        table = VmStateTable([vm])
         assert isinstance(vm, TableBackedVM)
-        assert vm.row == row and vm.table is table
+        assert vm.row == 0 and vm.table is table
         assert vm.state is VmState.ACTIVE
         assert vm.leaked_mb == 12.5
         assert vm.stuck_threads == 3
         assert vm.total_requests == 41
         assert vm.rejuvenation_time_s == 60.0
         assert vm.effective_capacity == pytest.approx(
-            table.effective_capacity_of(np.array([row]))[0]
+            table.effective_capacity_of(np.array([0]))[0]
         )
 
     def test_double_adopt_rejected(self):
         vm = _vm("a")
-        table = VmStateTable()
-        table.adopt(vm)
-        with pytest.raises(ValueError):
-            VmStateTable().adopt(vm)
+        VmStateTable([vm])
+        fresh = _vm("b")
+        with pytest.raises(ValueError, match="already table-backed"):
+            VmStateTable([fresh, vm])
+        # refused before any VM of the new pool was re-classed
+        assert type(fresh) is VirtualMachine
 
-    def test_release_roundtrip_restores_plain_vm(self):
-        vm = _vm("a", rejuvenation_time_s=30.0)
-        vm.activate()
-        table = VmStateTable()
-        table.adopt(vm)
-        vm.leaked_mb = 99.0
-        vm.start_rejuvenation()
-        remaining = vm._rejuvenation_remaining_s
-        table.release(vm)
-        assert type(vm) is VirtualMachine
-        assert vm.state is VmState.REJUVENATING
-        assert vm._rejuvenation_remaining_s == remaining
-        assert vm.rejuvenation_count == 1
-        assert vm.rejuvenation_time_s == 30.0
-        # the freed row is scrubbed: nothing of the VM survives in it
-        assert len(table) == 0
-        assert table.n_free == 1
-
-    def test_view_raises_on_dead_row(self):
-        vm = _vm("a")
-        table = VmStateTable()
-        row = table.adopt(vm)
-        table.release(vm)
-        with pytest.raises(LookupError):
-            vm_at(table, row)
+    def test_row_is_the_pool_position(self):
+        vms = [_vm(f"p{i}", seed=i) for i in range(5)]
+        for i, vm in enumerate(vms):
+            vm.leaked_mb = 10.0 * i
+        table = VmStateTable(vms)
+        assert len(table) == 5
+        assert [vm.row for vm in vms] == list(range(5))
+        assert table.leaked_mb.tolist() == [10.0 * i for i in range(5)]
 
 
-class TestGrowthAndCompaction:
+class TestDegenerateShapes:
     def test_empty_table(self):
-        table = VmStateTable()
+        table = VmStateTable([])
         assert len(table) == 0
-        assert table.compact() == {}
         empty = np.empty(0, dtype=np.intp)
         assert table.feature_matrix(empty).shape == (0, 15)
-        assert table.counts_by_state(empty) == (0, 0, 0, 0)
+        assert table.counts_by_state() == (0, 0, 0, 0)
         rt, failed, _ = table.era_load_update(
             empty, np.empty(0, dtype=np.int64), 30.0, 1.5,
             np.empty(0), np.empty(0, dtype=np.int64),
@@ -125,168 +105,16 @@ class TestGrowthAndCompaction:
 
     def test_single_vm_pool(self):
         vm = _vm("solo")
-        table = VmStateTable(1)
-        row = table.adopt(vm)
-        table.activate(np.array([row]))
+        table = VmStateTable([vm])
+        table.activate(np.array([0]))
         assert vm.state is VmState.ACTIVE
-        table.fail(np.array([row]))
+        table.fail(np.array([0]))
         assert vm.state is VmState.FAILED
         assert vm.failure_count == 1
-        table.start_rejuvenation(np.array([row]))
-        table.idle_tick(np.array([row]), vm.rejuvenation_time_s)
+        table.start_rejuvenation(np.array([0]))
+        table.idle_tick(vm.rejuvenation_time_s)
         assert vm.state is VmState.STANDBY
         assert vm.leaked_mb == 0.0
-
-    def test_growth_preserves_rows_and_views(self):
-        table = VmStateTable(2)
-        vms = []
-        for i in range(40):  # forces several doublings
-            vm = _vm(f"g{i}", seed=i)
-            vm.leaked_mb = float(i)
-            table.adopt(vm)
-            vms.append(vm)
-            # every earlier view must still read its own row
-            for j, earlier in enumerate(vms):
-                assert earlier.leaked_mb == float(j)
-        assert len(table) == 40
-        assert table.capacity >= 40
-
-    def test_compact_remaps_views_in_place(self):
-        table = VmStateTable()
-        vms = [_vm(f"c{i}", seed=i) for i in range(8)]
-        for i, vm in enumerate(vms):
-            table.adopt(vm)
-            vm.leaked_mb = 10.0 * i
-        for vm in vms[1::2]:  # free every other row
-            table.release(vm)
-        survivors = vms[0::2]
-        mapping = table.compact()
-        assert sorted(mapping.values()) == list(range(len(survivors)))
-        assert len(table) == len(survivors)
-        for i, vm in enumerate(survivors):
-            assert vm.leaked_mb == 10.0 * (2 * i)  # reads the moved row
-            assert vm_at(table, vm.row) is vm
-        # the tail beyond the live rows is scrubbed
-        assert np.all(table.state_code[len(survivors):] == FREED)
-
-
-class TestSlotReuse:
-    """Slot reuse must never resurrect dead VM state (stale-index audit)."""
-
-    def test_released_slot_is_scrubbed_before_reuse(self):
-        table = VmStateTable(1)
-        doomed = _vm("doomed")
-        row = table.adopt(doomed)
-        doomed.activate()
-        doomed.leaked_mb = 500.0
-        doomed.stuck_threads = 9
-        doomed.total_requests = 1234
-        doomed.failure_count = 3
-        table.release(doomed)
-        fresh = _vm("fresh", M3_MEDIUM, seed=1)
-        assert table.adopt(fresh) == row  # same slot reused
-        assert fresh.leaked_mb == 0.0
-        assert fresh.stuck_threads == 0
-        assert fresh.total_requests == 0
-        assert fresh.failure_count == 0
-        assert fresh.state is VmState.STANDBY
-        # static columns were re-synced for the new instance type
-        assert fresh.effective_capacity == M3_MEDIUM.cpu_power
-
-    def test_vmc_churn_keeps_rows_aligned_and_history_clean(self):
-        """Heavy add/remove churn through the controller API.
-
-        After every operation, each pool VM's view must resolve to its own
-        table row, and a VM added into a reused slot must start with a
-        clean predictor history (``remove_vm`` evicts it).
-        """
-        rngs = RngRegistry(seed=5)
-
-        class _Model:
-            def predict(self, rows):
-                rows = np.atleast_2d(np.asarray(rows, dtype=float))
-                return np.full(rows.shape[0], 300.0)
-
-            def predict_one(self, row):
-                return 300.0
-
-        predictor = TrendAwareRttfPredictor(_Model(), window=4)
-        vms = [
-            VirtualMachine(
-                f"vm{i}",
-                PRIVATE_SMALL,
-                AnomalyInjector(rngs.child(f"vm{i}").stream("a")),
-            )
-            for i in range(6)
-        ]
-        vmc = VirtualMachineController(
-            "r1", vms, predictor,
-            VmcConfig(target_active=3),
-        )
-        for cycle in range(30):
-            vmc.process_era(2000, 30.0, cycle * 30.0)
-            victim = next(
-                (vm for vm in vmc.vms if vm.state is not VmState.ACTIVE),
-                None,
-            )
-            if victim is not None:
-                name = victim.name
-                vmc.remove_vm(name)
-                assert name not in predictor._history
-                replacement = VirtualMachine(
-                    name,  # same name, same (now reused) slot
-                    PRIVATE_SMALL,
-                    AnomalyInjector(np.random.default_rng(cycle)),
-                )
-                vmc.add_vm(replacement)
-                # whatever the victim had leaked must be gone from the slot
-                assert replacement.leaked_mb == 0.0
-                assert replacement.uptime_s == 0.0
-            if cycle % 7 == 3:
-                vmc.compact_table()
-            # row-map alignment invariant
-            for i, vm in enumerate(vmc.vms):
-                assert vm_at(vmc.table, vmc._rows[i]) is vm
-                assert vm.row == vmc._rows[i]
-
-
-class TestAddVmRefusedAdoption:
-    def test_foreign_table_vm_leaves_the_pool_untouched(self):
-        """``add_vm`` of a VM another controller still owns must raise
-        *before* the pool is mutated.
-
-        It used to append to ``vms`` first: the ``ValueError`` from
-        ``adopt`` then left ``len(vms) == 5`` against 4 rows, and
-        ``stats()``/``vms_in()`` counted the foreign region's VM.
-        """
-
-        def make(region):
-            rngs = RngRegistry(seed=5)
-            vms = [
-                VirtualMachine(
-                    f"{region}/vm{i}",
-                    PRIVATE_SMALL,
-                    AnomalyInjector(rngs.child(f"vm{i}").stream("a")),
-                )
-                for i in range(4)
-            ]
-            return VirtualMachineController(
-                region, vms, OracleRttfPredictor(),
-                VmcConfig(target_active=2),
-            )
-
-        vmc, twin, other = make("r1"), make("r1"), make("r2")
-        foreign = other.vms_in(VmState.STANDBY)[0]
-        with pytest.raises(ValueError, match="already table-backed"):
-            vmc.add_vm(foreign)
-        assert len(vmc.vms) == len(vmc._rows) == len(vmc._names) == 4
-        assert foreign not in vmc.vms
-        assert vmc.stats() == twin.stats()
-        assert vmc.process_era(2000, 30.0, 0.0) == twin.process_era(
-            2000, 30.0, 0.0
-        )
-        # the foreign VM still belongs, intact, to its own controller
-        assert foreign.table is other.table
 
 
 class TestCrashStormMidEra:
@@ -330,15 +158,14 @@ _ITYPES = (M3_MEDIUM, PRIVATE_SMALL, _NO_SWAP)
 
 
 def _assert_derived_coherent(table: VmStateTable) -> None:
-    """Every live row's derived columns equal a fresh derivation."""
-    live = table.live_rows()
-    pressures = table.pressures_of(live)
-    assert np.array_equal(table.service_capacity[live], pressures.capacity)
+    """Every row's derived columns equal a fresh derivation."""
+    rows = np.arange(len(table))
+    pressures = table.pressures_of(rows)
+    assert np.array_equal(table.service_capacity, pressures.capacity)
     hard = (
-        table.swap_exhaustion[live]
-        & (table.leaked_mb[live] >= table.anomaly_budget_mb[live])
-    ) | (table.thread_exhaustion[live] & (pressures.thread_pressure >= 1.0))
-    assert np.array_equal(table.exhausted[live], hard)
+        table.swap_exhaustion & (table.leaked_mb >= table.anomaly_budget_mb)
+    ) | (table.thread_exhaustion & (pressures.thread_pressure >= 1.0))
+    assert np.array_equal(table.exhausted, hard)
 
 
 class TestDerivedColumns:
@@ -348,15 +175,11 @@ class TestDerivedColumns:
 
     def test_random_operation_sequence_keeps_columns_coherent(self):
         rng = np.random.default_rng(31)
-        table = VmStateTable(2)
-        views: list[TableBackedVM] = []
-        detached: list[VirtualMachine] = []
-        made = iter(range(10**6))
 
-        def loaded_vm():
+        def loaded_vm(i):
             itype = _ITYPES[rng.integers(len(_ITYPES))]
             vm = _vm(
-                f"v{next(made)}",
+                f"v{i}",
                 itype,
                 seed=int(rng.integers(1 << 30)),
                 rejuvenation_time_s=float(rng.choice([0.0, 60.0])),
@@ -367,6 +190,9 @@ class TestDerivedColumns:
                 vm.activate()
             return vm
 
+        views = [loaded_vm(i) for i in range(12)]
+        table = VmStateTable(views)
+
         def pick(codes=None):
             pool = [
                 vm for vm in views
@@ -376,16 +202,6 @@ class TestDerivedColumns:
 
         def rows_of(vms):
             return np.array([vm.row for vm in vms], dtype=np.intp)
-
-        def adopt():
-            vm = loaded_vm()
-            table.adopt(vm)
-            views.append(vm)
-
-        def adopt_all():
-            vms = [loaded_vm() for _ in range(rng.integers(1, 4))]
-            table.adopt_all(vms)
-            views.extend(vms)
 
         def set_load():
             vm = pick()
@@ -430,7 +246,7 @@ class TestDerivedColumns:
             vm = pick((CODE_ACTIVE, CODE_FAILED))
             if vm is not None:
                 table.start_rejuvenation(rows_of([vm]))
-            table.idle_tick(rows_of(views), float(rng.choice([30.0, 90.0])))
+            table.idle_tick(float(rng.choice([30.0, 90.0])))
 
         def fail():
             vm = pick()
@@ -438,29 +254,7 @@ class TestDerivedColumns:
                 table.fail(rows_of([vm]))
 
         def activate():
-            table.activate_standby(rows_of(views), int(rng.integers(1, 6)))
-
-        def release():
-            vm = pick()
-            if vm is not None:
-                views.remove(vm)
-                table.release(vm)
-                detached.append(vm)
-
-        def readopt():
-            # into the row the last release freed (adopt reuses it first)
-            if detached:
-                vm = detached.pop()
-                table.adopt(vm)
-                views.append(vm)
-
-        def compact():
-            table.compact()
-
-        def grow():
-            # each call doubles the allocation: a few are enough
-            if table.capacity < 256:
-                table._grow(table.capacity + 1)
+            table.activate_standby(int(rng.integers(1, 6)))
 
         def complete():
             vm = pick((CODE_ACTIVE,))
@@ -475,25 +269,23 @@ class TestDerivedColumns:
             )
 
         ops = [
-            adopt, adopt_all, set_load, apply_load, set_itype, set_policy,
-            era, rejuvenate, fail, activate, release, readopt, compact,
-            grow, complete,
+            set_load, apply_load, set_itype, set_policy, era, rejuvenate,
+            fail, activate, complete,
         ]
-        for _ in range(6):
-            adopt()
         _assert_derived_coherent(table)
+        seen = set(table.exhausted.tolist())
         for _ in range(1500):
             ops[rng.integers(len(ops))]()
             _assert_derived_coherent(table)
-        # the walk reached both values of the flag on live rows
-        live = table.live_rows()
-        assert table.exhausted[live].any() and not table.exhausted[live].all()
+            seen.update(table.exhausted.tolist())
+        # the walk reached both values of the flag
+        assert seen == {False, True}
 
     def test_complete_request_returns_the_failure_point(self):
-        table = VmStateTable()
         vm = _vm("solo", PRIVATE_SMALL)
         vm.activate()
-        row = table.adopt(vm)
+        table = VmStateTable([vm])
+        row = vm.row
         assert not table.complete_request(row, 0.5, 0.0, 0)
         assert vm.total_requests == 1 and vm.last_response_time_s == 0.5
         # the SLA clause reads the request's own response time
@@ -533,9 +325,8 @@ class TestFleetScaleSmoke:
         report = vmc.process_era(500_000, 30.0, 0.0)
         assert report.n_active + report.n_standby + report.n_rejuvenating == n
         assert report.requests_served == 500_000
-        assert vmc.table.capacity >= n
+        assert len(vmc.table) == n
         # spot-check view/table coherence at scale
         idx = rng.integers(0, n, size=50)
         for i in idx:
-            vm = vmc.vms[int(i)]
-            assert vm_at(vmc.table, vm.row) is vm
+            assert vm_at(vmc, int(i)) is vmc.vms[int(i)]

@@ -4,9 +4,9 @@ A hypothesis rule-based machine drives a real
 :class:`~repro.pcam.vmc.VirtualMachineController` and the tests-only
 :class:`~tests.pcam.reference_vmc.ReferenceVmc` side by side, over pools
 built from identically-seeded streams, with a random interleaving of
-eras, target changes, pool growth and shrinkage, crashes (``vm.fail()``
-on an ACTIVE VM, as ``ChaosEngine`` does), operator rejuvenations and
-table compactions.  After every step the two must agree exactly:
+eras, target changes, crashes (``vm.fail()`` on an ACTIVE VM, as
+``ChaosEngine`` does) and operator rejuvenations.  After every step the
+two must agree exactly:
 
 * every per-VM field, VM by VM in pool order;
 * ``stats()``;
@@ -129,18 +129,6 @@ class VmcMachine(RuleBasedStateMachine):
         for side in (self.ref, self.vmc):
             side.set_target_active(min(tgt, len(side.vms)))
 
-    @rule()
-    def grow_pool(self):
-        for side, vm in zip((self.ref, self.vmc), self._new_pair()):
-            side.add_vm(vm)
-
-    @rule()
-    def shrink_pool(self):
-        standby = self.vmc.vms_in(VmState.STANDBY)
-        if len(standby) > 0 and len(self.vmc.vms) > 1:
-            for side in (self.ref, self.vmc):
-                side.remove_vm(standby[-1].name)
-
     @rule(pick=st.integers(0, 63))
     def crash(self, pick):
         active = self.vmc.vms_in(VmState.ACTIVE)
@@ -158,11 +146,6 @@ class VmcMachine(RuleBasedStateMachine):
         if running:
             for vm in self._both(running[pick % len(running)].name):
                 vm.start_rejuvenation()
-
-    @rule()
-    def compact_table(self):
-        # the reference holds no table: compaction must be invisible
-        self.vmc.compact_table()
 
     # ---------------- the comparison ---------------- #
 

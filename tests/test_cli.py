@@ -52,13 +52,28 @@ class TestParser:
         ),
         (["robustness", "fig3", "--seeds", "7,"], "'7,'"),
         (["fig3", "--eras", "2"], ">= 10 for a meaningful assessment, got 2"),
+        pytest.param(
+            ["chaos", "smoke", "--eras", "2"],
+            "campaigns need at least 4 eras, got 2",
+            id="chaos-eras",
+        ),
+        pytest.param(
+            ["plan", "--rate", "-5", "--target", "600"],
+            "--rate: must be positive and finite, got -5",
+            id="plan-rate",
+        ),
+        pytest.param(
+            ["serve", "--era-s", "0"],
+            "--era-s: must be positive and finite, got 0",
+            id="serve-era-s",
+        ),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else "",
 )
 def test_bad_names_are_a_one_line_exit_2(argv, named, capsys):
-    """Scenario, policy and seed lists and era counts are checked where
-    they are parsed, so a bad one never reaches a command body (a
-    traceback, before)."""
+    """Scenario, policy and seed lists, era counts, rates and era lengths
+    are checked where they are parsed, so a bad one never reaches a
+    command body (a traceback, before)."""
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 2
@@ -447,9 +462,10 @@ class TestExecution:
         assert "fig3-two-regions" in out
         assert "uniform" in out
 
-    def test_every_registered_policy_runs_by_name(self, capsys):
-        """A registered policy is one `--policies` name can run: one
-        that needs constructor arguments takes them from ``bind``."""
+    def test_every_registered_policy_runs_by_name(self, capsys, tmp_path):
+        """A registered policy is one `--policies` name can run, in
+        `compare` and in a sweep cell: one that needs constructor
+        arguments takes them from ``bind``."""
         from repro.core.policy import POLICY_REGISTRY
 
         names = sorted(POLICY_REGISTRY)
@@ -461,6 +477,16 @@ class TestExecution:
         rows = capsys.readouterr().out.splitlines()
         for name in names:
             assert any(row.startswith(name + " ") for row in rows), name
+        rc = main(
+            ["sweep", "--scenarios", "two-region", "--policies",
+             ",".join(names), "--replicates", "1", "--eras", "10",
+             "--workers", "1", "--store", str(tmp_path / "store")]
+        )
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()
+        for name in names:
+            cell = f"| two-region/{name}/load1 |"
+            assert any(row.startswith(cell) for row in rows), name
 
     @pytest.mark.slow
     def test_models_runs(self, capsys):

@@ -201,6 +201,12 @@ RULES = (
          "the Plan phase runs the static policies: no learned head, its "
          "sweep axis or its job field",
          "after 4be6234"),
+    Rule("fixed-pool",
+         r"add_vm\(|remove_vm\(|compact_table|\.release\(|_grow\(|FREED|\.evict\(",
+         ("src/",), (),
+         "a region's VM pool is fixed when its table is built: resizing "
+         "activates STANDBY rows; nothing provisions, frees, repacks or "
+         "evicts a VM", "after dc972de"),
 )
 
 #: row id -> lines that each violate it: (file, line appended to it)
@@ -263,6 +269,11 @@ INJECT = {
         (SRC + "core/manager.py", "from repro.policy.heads import PolicyHead"),
         (SRC + "fleet/jobs.py", 'policy_head: str = ""'),
         (SRC + "core/control_loop.py", "self.head_runtime = None"),
+    ],
+    "fixed-pool": [
+        (SRC + "core/autoscale.py", "vmc.add_vm(vm)"),
+        (SRC + "pcam/state_table.py", "FREED = -1"),
+        (SRC + "chaos/predictor.py", "self.inner.evict(vm_name)"),
     ],
 }
 
@@ -333,7 +344,10 @@ MIN_LINES = 8
 #: every axis
 AXIS_ON = {"domains": "2x2", "slo": "p95:1"}
 _DES = "the request-level DES: ROADMAP 9 runs it from the CLI or moves it under tests/"
-_RESIZE = "pool resizing: ROADMAP 9(c)'s `autoscale` sweep axis wires it"
+_RESIZE = (
+    "pool resizing over the fixed pool (Autoscaler -> set_target_active -> "
+    "start_rejuvenation): ROADMAP 9(c)'s `autoscale` sweep axis wires it"
+)
 _DOMAIN = (
     "fault-domain-aware control: ROADMAP 9(c)'s `domain_aware` "
     "sweep axis wires it"
@@ -414,19 +428,14 @@ REACH_EXEMPT: dict[str, str] = {
     "pcam/balancer.py::DomainAwareBalancer.weights_of": _DOMAIN,
     "pcam/predictor.py::TrendAwareRttfPredictor.__init__": _TREND,
     "pcam/predictor.py::TrendAwareRttfPredictor.predict_rttf_rows": _TREND,
-    "pcam/state_table.py::VmStateTable._grow": _RESIZE,
     "pcam/state_table.py::VmStateTable._refresh":
-        _RESIZE + "; so does ROADMAP 9 (the DES)",
-    "pcam/state_table.py::VmStateTable.adopt": _RESIZE,
-    "pcam/state_table.py::VmStateTable.compact": _RESIZE,
+        _DES + " (its complete_request); the view's leaked_mb, stuck_threads, "
+        "itype and failure_policy setters enter it too, and no CLI path writes "
+        "them on a pooled VM",
     "pcam/state_table.py::VmStateTable.complete_request": _DES,
-    "pcam/state_table.py::VmStateTable.release": _RESIZE,
     "pcam/state_table.py::VmStateTable.start_rejuvenation": _RESIZE,
     "pcam/vm.py::VirtualMachine._finish_rejuvenation":
         "public API: a standalone VM's instant rejuvenation; a pooled VM's row does it",
-    "pcam/vmc.py::VirtualMachineController.add_vm": _RESIZE,
-    "pcam/vmc.py::VirtualMachineController.compact_table": _RESIZE,
-    "pcam/vmc.py::VirtualMachineController.remove_vm": _RESIZE,
     "pcam/vmc.py::VirtualMachineController.set_target_active": _RESIZE,
     "pcam/vmc.py::VirtualMachineController.stats": _HARNESS + " (its pool totals)",
     "serve/service.py::AcmService._slo_check": _GATED_SERVE,
@@ -481,6 +490,7 @@ def repro_runs() -> list[tuple[list[str], set[int]]]:
             f"{axis.off_token},{AXIS_ON[axis.spec_field]}",
         )
     ]
+    campaign = next(iter(CAMPAIGNS))
     runs = [
         (name.split() + tail, codes)
         for name, (tail, codes) in every.SMALLEST.items()
@@ -499,7 +509,9 @@ def repro_runs() -> list[tuple[list[str], set[int]]]:
     runs += [
         ([*compare, ",".join(POLICY_REGISTRY)], {0}),
         (["chaos", "all"], {0}),
-        (["chaos", next(iter(CAMPAIGNS))], {0}),
+        # its own default, spelled out: the same run through `--eras`
+        (["chaos", campaign, "--eras", str(CAMPAIGNS[campaign].default_eras)],
+         {0}),
         (["obs", "{tmp}/dump.json", "--chrome", "{tmp}/trace.json"], {0}),
         (["sweep", *every.SWEEP, "--dry-run"], {0}),
         (["sweep", *every.SWEEP, *axes, "--workers", "2",
