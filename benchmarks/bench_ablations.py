@@ -10,10 +10,13 @@
   policy conclusions survive realistic prediction error.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import AcmManager, ExplorationPolicy, RegionSpec, assess_policy_run
+from repro.experiments.reporting import assessment_table
 from repro.pcam.predictor import OracleRttfPredictor
 from repro.sim.rng import RngRegistry
 
@@ -39,14 +42,18 @@ def _two_region(policy, seed=9, beta=0.5, predictor=None, hetero=True, eras=160)
     )
 
 
+def _table(rows: dict[str, object]) -> str:
+    """``assessment_table`` with each row's label in the policy column."""
+    return assessment_table([replace(a, policy=label) for label, a in rows.items()])
+
+
 def test_beta_sweep(benchmark):
     """ABL-BETA: larger beta reacts faster; all betas still converge P2."""
     rows = {}
     for beta in (0.1, 0.3, 0.5, 0.9):
         rows[beta] = _two_region("available-resources", beta=beta)
     print("\nbeta sweep (Policy 2):")
-    for beta, a in rows.items():
-        print(f"  beta={beta:.1f}  {a.row()}")
+    print(_table({f"beta={beta:.1f}": a for beta, a in rows.items()}))
     for beta, a in rows.items():
         assert a.converged, f"beta={beta} must still converge"
         assert a.sla_met
@@ -64,8 +71,7 @@ def test_k_sweep(benchmark):
     for k in (0.5, 0.8, 1.0):
         rows[k] = _two_region(ExplorationPolicy(k=k))
     print("\nk sweep (Policy 3):")
-    for k, a in rows.items():
-        print(f"  k={k:.1f}  {a.row()}")
+    print(_table({f"k={k:.1f}": a for k, a in rows.items()}))
     for k, a in rows.items():
         assert a.sla_met
     assert rows[1.0].converged
@@ -90,8 +96,7 @@ def test_era_length_sweep(benchmark):
         mgr.run(int(4800 / era_s))
         rows[era_s] = assess_policy_run("available-resources", mgr.traces)
     print("\nera-length sweep (Policy 2):")
-    for era_s, a in rows.items():
-        print(f"  era={era_s:5.0f}s  {a.row()}")
+    print(_table({f"era={era_s:.0f}s": a for era_s, a in rows.items()}))
     for era_s, a in rows.items():
         assert a.converged, f"era={era_s}"
         assert a.sla_met
@@ -111,8 +116,7 @@ def test_heterogeneity_sweep(benchmark):
     homo = _two_region("sensible-routing", hetero=False)
     hetero = _two_region("sensible-routing", hetero=True)
     print("\nheterogeneity sweep (Policy 1):")
-    print(f"  homogeneous   {homo.row()}")
-    print(f"  heterogeneous {hetero.row()}")
+    print(_table({"homogeneous": homo, "heterogeneous": hetero}))
     assert homo.rmttf_spread < 0.15, "P1 must balance equal regions"
     assert hetero.rmttf_spread > 0.25, "P1 must diverge on unequal regions"
     assert hetero.rmttf_spread > 2 * homo.rmttf_spread
@@ -131,8 +135,7 @@ def test_gamma_sweep(benchmark):
     for gamma in (0.5, 1.0, 2.0):
         rows[gamma] = _two_region(SensibleRoutingPolicy(gamma=gamma))
     print("\ngamma sweep (Policy 1 generalisation):")
-    for gamma, a in rows.items():
-        print(f"  gamma={gamma:.1f}  {a.row()}")
+    print(_table({f"gamma={gamma:.1f}": a for gamma, a in rows.items()}))
     assert rows[1.0].rmttf_spread > 0.2  # the paper's divergence
     # spread shrinks with gamma (RMTTF ~ C^(1/(1+gamma)))...
     assert (
@@ -224,7 +227,7 @@ def test_trend_feature_ablation(benchmark):
     rows = {}
     for tag, predictor in (("level", level), ("trend", trend)):
         rows[tag] = _two_region("available-resources", predictor=predictor)
-        print(f"  in-loop {tag:<6} {rows[tag].row()}")
+    print(_table({f"in-loop {tag}": a for tag, a in rows.items()}))
     for tag, a in rows.items():
         assert a.sla_met, tag
         assert a.rmttf_spread < 0.15, tag
@@ -256,8 +259,7 @@ def test_predictor_noise_ablation(benchmark, trained_reptree_predictor):
         ),
     }
     print("\npredictor ablation (Policy 2):")
-    for tag, a in rows.items():
-        print(f"  {tag:<18} {a.row()}")
+    print(_table(rows))
     for tag, a in rows.items():
         assert a.sla_met, tag
         assert a.rmttf_spread < 0.15, f"{tag}: spread {a.rmttf_spread}"

@@ -3,8 +3,9 @@
 Figure 1 of the paper shows three kinds of traffic on the controller
 overlay: application data, commands/features, and the replicated *global
 system state*.  This demo runs the composed distributed machinery --
-heartbeat failure detectors and anti-entropy state gossip -- underneath
-the MAPE loop, then crashes the leader and watches:
+heartbeat failure detectors, anti-entropy state gossip, and the loop's
+RMTTF reports and fraction pushes as acked messages -- underneath the
+MAPE loop, then crashes the leader and watches:
 
 1. every surviving controller's *local* detector view switch leaders
    within the detector timeout (no global oracle involved);
@@ -42,12 +43,7 @@ def main() -> None:
         policy="available-resources",
         seed=47,
     )
-    plane = DistributedControlPlane(
-        manager.loop,
-        heartbeat_period_s=5.0,
-        detector_timeout_s=15.0,
-        gossip_period_s=10.0,
-    )
+    plane = DistributedControlPlane(manager.loop)
     regions = manager.region_names()
 
     print("phase 1: healthy plane (detector views should match the oracle)")

@@ -60,7 +60,8 @@ def main() -> None:
         s = loop.run_era()
         if s.era % 10 == 0:
             show("leader down", s)
-    print(f"  takeovers so far: {loop.election.takeover_count()}")
+    leaders = [rec.leader for rec in loop.election.history]
+    print(f"  leaders so far: {' -> '.join(leaders)}")
 
     print("\nphase 4: Ireland recovers")
     net.restore_node(r1)

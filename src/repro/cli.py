@@ -643,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--instance-type", default="m3.medium")
     pl.add_argument("--rate", type=_arg(_positive), required=True,
                     help="expected request rate (req/s)")
-    pl.add_argument("--target", type=float, required=True,
+    pl.add_argument("--target", type=_arg(_positive), required=True,
                     help="target RMTTF in seconds")
     pl.add_argument("--rejuvenation-time", type=float, default=120.0)
     pl.add_argument("--threshold", type=float, default=240.0)
@@ -800,24 +800,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     psv.add_argument(
         "--window-s",
-        type=float,
+        type=_arg(_positive),
         help="Analyze report-gather window, clock seconds",
     )
     psv.add_argument(
         "--speed",
-        type=float,
+        type=_arg(_positive),
         default=1.0,
         help="clock seconds per wall second (compress eras for demos)",
     )
     psv.add_argument(
         "--duration",
-        type=float,
+        type=_arg(_positive),
         default=None,
         help="stop after this many clock seconds (default: run until ^C)",
     )
     psv.add_argument(
         "--admission-rps",
-        type=float,
+        type=_arg(_positive),
         help="per-region token-bucket admission rate (real req/s)",
     )
     psv.add_argument(
@@ -872,11 +872,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="region to black out mid-run (default: last region)",
     )
     plt.add_argument(
-        "--rate", type=float, default=300.0, help="mean arrival rate, req/s"
+        "--rate",
+        type=_arg(_positive),
+        default=300.0,
+        help="mean arrival rate, req/s",
     )
     plt.add_argument(
         "--duration",
-        type=float,
+        type=_arg(_positive),
         default=6.0,
         help="total wall seconds (in-process mode: 3 equal phases)",
     )
@@ -889,13 +892,13 @@ def build_parser() -> argparse.ArgumentParser:
     plt.add_argument("--connections", type=int, default=4)
     plt.add_argument(
         "--era-s",
-        type=float,
+        type=_arg(_positive),
         default=30.0,
         help="in-process mode: MAPE period, clock seconds",
     )
     plt.add_argument(
         "--speed",
-        type=float,
+        type=_arg(_positive),
         default=60.0,
         help="in-process mode: clock compression factor",
     )

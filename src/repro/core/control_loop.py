@@ -125,12 +125,6 @@ class AcmControlLoop:
     degradation:
         Tuning of the graceful-degradation ladder run at the Plan step
         (see :mod:`repro.core.degradation`); defaults apply when omitted.
-    transport:
-        Optional real message transport for the Analyze/Execute control
-        traffic (``gather_reports`` / ``push_fractions``, e.g.
-        :class:`repro.core.distributed.ReliableTransport`).  ``None``
-        keeps the overlay-oracle exchange: reachability decides which
-        reports arrive and fraction installs are instantaneous.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade recording
         MAPE phase spans, per-era latency histograms, and leader-change /
@@ -160,7 +154,6 @@ class AcmControlLoop:
         config: ControlLoopConfig | None = None,
         autoscaler: Autoscaler | None = None,
         degradation: DegradationConfig | None = None,
-        transport=None,
         telemetry: Telemetry | None = None,
         slo=None,
         cost=None,
@@ -188,7 +181,12 @@ class AcmControlLoop:
             degradation or DegradationConfig(),
             telemetry=telemetry,
         )
-        self.transport = transport
+        #: the Analyze/Execute message transport (``gather_reports`` /
+        #: ``push_fractions``) a :class:`repro.core.distributed.
+        #: DistributedControlPlane` installs; ``None`` keeps the
+        #: overlay-oracle exchange: reachability decides which reports
+        #: arrive and fraction installs are instantaneous.
+        self.transport = None
         self.slo = slo
         self.cost = cost
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY

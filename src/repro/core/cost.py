@@ -182,13 +182,3 @@ class CostTracker:
         if self.requests_served == 0:
             return float("inf")
         return self.total_usd / self.requests_served * 1e6
-
-    def summary(self) -> str:
-        """One-line human-readable bill."""
-        regions = ", ".join(
-            f"{r}=${v:.4f}" for r, v in sorted(self.per_region_usd.items())
-        )
-        return (
-            f"total=${self.total_usd:.4f} ({regions}); "
-            f"${self.cost_per_million_requests():.2f}/M requests"
-        )

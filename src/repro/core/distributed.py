@@ -11,8 +11,11 @@ composes the real distributed machinery underneath it, as Figure 1 draws:
   pool size) into a :class:`~repro.overlay.state_sync.StateStore`,
   disseminated by anti-entropy gossip -- so whichever controller takes
   over as leader holds warm state;
-* the message traffic (heartbeats + gossip) shares one bus per overlay,
-  with a per-node handler multiplexer.
+* the loop's RMTTF reports (Algorithm 1) and fraction pushes
+  (Algorithm 3) travel as acked, retried messages on a
+  :class:`~repro.overlay.reliable.ReliableChannel`;
+* the message traffic (heartbeats, gossip, control) shares one bus per
+  overlay, with a per-node handler multiplexer.
 
 :class:`DistributedControlPlane` advances the simulator between control
 eras so the background protocols run *in the same simulated time* as the
@@ -36,20 +39,30 @@ from repro.overlay.routing import Router
 from repro.overlay.state_sync import GossipSync, StateStore
 from repro.sim.engine import Simulator
 
+#: Heartbeat period and failure-detector timeout (simulated seconds); the
+#: timeout bounds how long a dead leader keeps being followed.
+HEARTBEAT_PERIOD_S = 5.0
+DETECTOR_TIMEOUT_S = 15.0
+#: Anti-entropy gossip round interval (simulated seconds).
+GOSSIP_PERIOD_S = 10.0
+#: Simulated seconds granted to each gather/push control exchange: a full
+#: retry ladder of the channel's defaults (0.25 + 0.5 + 1.0 s backoff plus
+#: jitter and path latencies).
+CONTROL_WINDOW_S = 3.0
+
 
 class ReliableTransport:
     """Carries the MAPE control traffic over a :class:`ReliableChannel`.
 
-    Plugged into :class:`~repro.core.control_loop.AcmControlLoop` via its
-    ``transport`` hook, this replaces the loop's oracle exchange with real
-    messages on the plane's bus: slave VMCs send their ``lastRMTTF`` to
-    the leader (Algorithm 1) and the leader pushes each slave its new
-    fraction (Algorithm 3), with acks, dedup, and bounded retries
-    underneath.  Each exchange opens a fixed window of simulated time
-    (``window_s``) during which the plane's simulator runs, so retries and
-    acks resolve *inside* the era that issued them; what has not arrived
-    when the window closes counts as missing for that era (and feeds the
-    loop's degradation ladder).
+    The plane sets it as the loop's ``transport``, replacing the loop's
+    oracle exchange with real messages on the plane's bus: slave VMCs
+    send their ``lastRMTTF`` to the leader (Algorithm 1) and the leader
+    pushes each slave its new fraction (Algorithm 3), with acks, dedup,
+    and bounded retries underneath.  Each exchange opens a window of
+    :data:`CONTROL_WINDOW_S` simulated seconds during which the plane's
+    simulator runs, so retries and acks resolve *inside* the era that
+    issued them; what has not arrived when the window closes counts as
+    missing for that era (and feeds the loop's degradation ladder).
 
     Parameters
     ----------
@@ -61,10 +74,6 @@ class ReliableTransport:
     overlay:
         Liveness source: a dead controller neither sends reports nor
         installs fractions.
-    window_s:
-        Simulated seconds granted to each gather/push exchange.  The
-        default covers a full retry ladder of the channel's defaults
-        (0.25 + 0.5 + 1.0 s backoff plus jitter and path latencies).
     """
 
     def __init__(
@@ -72,15 +81,11 @@ class ReliableTransport:
         channel: ReliableChannel,
         regions: list[str],
         overlay: OverlayNetwork,
-        window_s: float = 3.0,
     ) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
         self.channel = channel
         self.sim = channel.sim
         self.regions = list(regions)
         self.overlay = overlay
-        self.window_s = float(window_s)
         self._report_inbox: dict[str, float] = {}
         for node in self.regions:
             self.channel.register(node, self._make_app_handler(node))
@@ -118,7 +123,7 @@ class ReliableTransport:
                 "rmttf-report",
                 {"region": region, "rmttf": raw_reports[region]},
             )
-        self.sim.run_until(self.sim.now + self.window_s)
+        self.sim.run_until(self.sim.now + CONTROL_WINDOW_S)
         received = dict(self._report_inbox)
         received[leader] = raw_reports[leader]
         return received
@@ -141,7 +146,7 @@ class ReliableTransport:
                 "fractions",
                 {"region": region, "fraction": fractions[region]},
             )
-        self.sim.run_until(self.sim.now + self.window_s)
+        self.sim.run_until(self.sim.now + CONTROL_WINDOW_S)
         return {
             region
             for region, handle in handles.items()
@@ -171,27 +176,18 @@ class PlaneEraReport:
 class DistributedControlPlane:
     """Runs the overlay's distributed services alongside the control loop.
 
+    The loop's VMC->leader RMTTF reports and leader->VMC fraction pushes
+    move onto a :class:`ReliableChannel` over this plane's bus: the plane
+    installs a :class:`ReliableTransport` as the loop's ``transport``.
+
     Parameters
     ----------
     loop:
         The configured control loop (its overlay and router are reused).
-    heartbeat_period_s, detector_timeout_s:
-        Failure-detector tuning; the timeout bounds how long a dead
-        leader keeps being followed.
-    gossip_period_s:
-        Anti-entropy round interval.
     bus_factory:
         Optional ``(sim, router) -> MessageBus`` constructor; lets chaos
         campaigns put a :class:`repro.chaos.lossy.LossyBus` under *all*
         plane traffic (heartbeats, gossip, and control messages).
-    reliable_control:
-        When True, move the loop's VMC->leader RMTTF reports and
-        leader->VMC fraction pushes onto a :class:`ReliableChannel` over
-        this plane's bus (installs a :class:`ReliableTransport` as the
-        loop's transport).
-    control_window_s:
-        Exchange window of the reliable transport (see
-        :class:`ReliableTransport`).
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade.  The
         plane's simulator becomes the telemetry clock (it is the finest
@@ -203,12 +199,7 @@ class DistributedControlPlane:
     def __init__(
         self,
         loop: AcmControlLoop,
-        heartbeat_period_s: float = 5.0,
-        detector_timeout_s: float = 15.0,
-        gossip_period_s: float = 10.0,
         bus_factory: Callable[[Simulator, Router], MessageBus] | None = None,
-        reliable_control: bool = False,
-        control_window_s: float = 3.0,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.loop = loop
@@ -226,8 +217,8 @@ class DistributedControlPlane:
             nodes,
             self.sim,
             self.bus,
-            period_s=heartbeat_period_s,
-            timeout_s=detector_timeout_s,
+            period_s=HEARTBEAT_PERIOD_S,
+            timeout_s=DETECTOR_TIMEOUT_S,
             register=False,
             start=False,
         )
@@ -236,24 +227,14 @@ class DistributedControlPlane:
             self.stores,
             self.sim,
             self.bus,
-            period_s=gossip_period_s,
+            period_s=GOSSIP_PERIOD_S,
             register=False,
         )
-        self.channel: ReliableChannel | None = None
-        self.transport: ReliableTransport | None = None
-        if reliable_control:
-            self.channel = ReliableChannel(
-                self.bus,
-                loop.rngs.stream("reliable/jitter"),
-                telemetry=telemetry,
-            )
-            self.transport = ReliableTransport(
-                self.channel,
-                nodes,
-                loop.overlay,
-                window_s=control_window_s,
-            )
-            loop.transport = self.transport
+        self.channel = ReliableChannel(
+            self.bus, loop.rngs.stream("reliable/jitter"), telemetry=telemetry
+        )
+        self.transport = ReliableTransport(self.channel, nodes, loop.overlay)
+        loop.transport = self.transport
         # one bus registration per node, demultiplexing by message kind
         for node in nodes:
             self.bus.register(node, self._make_mux(node))
@@ -265,21 +246,14 @@ class DistributedControlPlane:
     def _make_mux(self, node: str):
         gossip_handler = self.gossip.make_handler(node)
         detector = self.detectors[node]
-        channel_handler = (
-            self.channel.make_bus_handler(node)
-            if self.channel is not None
-            else None
-        )
+        channel_handler = self.channel.make_bus_handler(node)
 
         def mux(msg: Message) -> None:
             if msg.kind == "heartbeat":
                 detector.on_message(msg)
             elif msg.kind == "state-gossip":
                 gossip_handler(msg)
-            elif channel_handler is not None and msg.kind in (
-                DATA_KIND,
-                ACK_KIND,
-            ):
+            elif msg.kind in (DATA_KIND, ACK_KIND):
                 channel_handler(msg)
 
         return mux

@@ -119,20 +119,6 @@ class PolicyAssessment:
         """Paper's Sec. VI-B check: response time below the 1 s threshold."""
         return self.mean_response_time_s < self.sla_threshold_s
 
-    def row(self) -> str:
-        """One formatted table row (benchmark reporting)."""
-        conv = (
-            f"{self.convergence_time_s:9.0f}s"
-            if self.converged
-            else "    never"
-        )
-        return (
-            f"{self.policy:<22} spread={self.rmttf_spread:6.3f} "
-            f"conv={conv} f-osc={self.fraction_oscillation:6.4f} "
-            f"rt={self.mean_response_time_s * 1000:6.1f}ms "
-            f"rejuv={self.total_rejuvenations:5.0f}"
-        )
-
 
 def assess_policy_run(
     policy_name: str,

@@ -11,8 +11,6 @@ weighted average:
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class RmttfAggregator:
     """Per-region exponentially weighted RMTTF state held by the leader.
@@ -51,29 +49,7 @@ class RmttfAggregator:
         """Apply Eq. (1) to a batch of region reports (one control era)."""
         return {r: self.update(r, v) for r, v in sorted(reports.items())}
 
-    def current(self, region: str) -> float:
-        """Current RMTTF of a region.
-
-        Raises
-        ------
-        KeyError
-            If the region never reported.
-        """
-        if region not in self._state:
-            raise KeyError(f"no RMTTF state for region {region!r}")
-        return self._state[region]
-
     def snapshot(self) -> dict[str, float]:
         """Copy of all current RMTTF values, sorted by region name."""
         return {r: self._state[r] for r in sorted(self._state)}
 
-    def vector(self, regions: list[str]) -> np.ndarray:
-        """RMTTF values in the given region order (for the policies)."""
-        return np.array([self.current(r) for r in regions])
-
-    def reset(self, region: str | None = None) -> None:
-        """Forget state for one region (or all)."""
-        if region is None:
-            self._state.clear()
-        else:
-            self._state.pop(region, None)

@@ -63,7 +63,12 @@ import numpy as np
 
 from repro.chaos import ChaosEngine, CorruptiblePredictor, FaultEvent, LossyBus
 from repro.core.degradation import DegradationConfig
-from repro.core.distributed import DistributedControlPlane, PlaneEraReport
+from repro.core.distributed import (
+    DETECTOR_TIMEOUT_S,
+    HEARTBEAT_PERIOD_S,
+    DistributedControlPlane,
+    PlaneEraReport,
+)
 from repro.core.manager import AcmManager, RegionSpec
 from repro.obs.manifest import RunManifest
 from repro.obs.telemetry import Telemetry
@@ -76,12 +81,7 @@ FaultAction = Callable[[ChaosEngine], None]
 FaultScript = dict[int, list[FaultAction]]
 
 
-def recovery_bound_eras(
-    era_s: float = 30.0,
-    detector_timeout_s: float = 15.0,
-    heartbeat_period_s: float = 5.0,
-    config: DegradationConfig | None = None,
-) -> int:
+def recovery_bound_eras(era_s: float = 30.0) -> int:
     """Eras within which the plane must re-converge after a leader death.
 
     The heartbeat detector suspects a crashed peer within
@@ -92,11 +92,8 @@ def recovery_bound_eras(
     forgives ``stale_after_eras`` of missing reports before judging, and
     the loop needs one further era to act on the converged view.
     """
-    cfg = config or DegradationConfig()
-    detect_eras = math.ceil(
-        (detector_timeout_s + heartbeat_period_s) / era_s
-    )
-    return detect_eras + cfg.stale_after_eras + 1
+    detect_eras = math.ceil((DETECTOR_TIMEOUT_S + HEARTBEAT_PERIOD_S) / era_s)
+    return detect_eras + DegradationConfig().stale_after_eras + 1
 
 
 # --------------------------------------------------------------------- #
@@ -161,7 +158,6 @@ def _build_deployment(
     plane = DistributedControlPlane(
         loop,
         bus_factory=bus_factory,
-        reliable_control=True,
         telemetry=telemetry,
     )
     predictors = {}

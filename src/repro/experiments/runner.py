@@ -305,9 +305,7 @@ def run_instrumented_experiment(
     telemetry = Telemetry(enabled=True)
 
     def drive(manager: AcmManager, eras: int) -> None:
-        DistributedControlPlane(
-            manager.loop, reliable_control=True, telemetry=telemetry
-        ).run(eras)
+        DistributedControlPlane(manager.loop, telemetry=telemetry).run(eras)
 
     result = _policy_run(drive, scenario, policy, telemetry=telemetry, **run)
     return result, telemetry

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.manager import RegionSpec
 from repro.overlay.network import OverlayNetwork
-from repro.topology.domains import FailureDomainTree, parse_domain_shape
+from repro.topology.domains import parse_domain_shape
 
 #: The three policies the paper compares, in paper order.
 PAPER_POLICIES: tuple[str, ...] = (
@@ -72,10 +72,6 @@ class Scenario:
             if spec.instance_type not in seen:
                 seen.append(spec.instance_type)
         return seen
-
-    def domain_tree(self) -> FailureDomainTree:
-        """The failure-domain hierarchy the region specs describe."""
-        return FailureDomainTree.from_specs(self.regions)
 
     def with_domains(self, descriptor: str) -> "Scenario":
         """Same deployment under a different failure-domain shape.

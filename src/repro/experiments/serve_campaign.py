@@ -31,23 +31,25 @@ from repro.serve.service import AcmService, ServeConfig
 
 
 async def run_blackout_campaign(
-    scenario_name: str = "two-region",
-    victim: str | None = None,
-    rate: float = 300.0,
-    phase_s: float = 2.0,
-    speed: float = 60.0,
-    era_s: float = 30.0,
-    window_s: float = 3.0,
-    connections: int = 4,
-    seed: int = 7,
-    schedule: str = "poisson",
-    heal: bool = True,
+    *,
+    scenario_name: str,
+    victim: str | None,
+    rate: float,
+    phase_s: float,
+    speed: float,
+    era_s: float,
+    connections: int,
+    seed: int,
+    schedule: str,
+    window_s: float = ServeConfig.window_s,
 ) -> dict:
-    """Boot, load, black out, (optionally) heal, measure; returns report.
+    """Boot, load, black out, heal, measure; returns the report.
 
     Three load phases of ``phase_s`` wall seconds each: baseline,
-    blackout (the victim region goes dark at the phase boundary), and
-    recovery (healed, or still dark when ``heal=False``).
+    blackout (the victim region goes dark at the phase boundary; the
+    last region when ``victim`` is ``None``), and recovery (healed).
+    ``repro loadtest``'s flags hold the defaults of every knob but
+    ``window_s``, which is :class:`ServeConfig`'s.
     """
     scenario = resolve_scenario(scenario_name)
     clock = WallClock(speed=speed)
@@ -81,8 +83,7 @@ async def run_blackout_campaign(
         blackout = await run_load(load_cfg(seed + 1))
         # the heal path clears the live MTTR entry; read it first
         mttr_s = service.mttr_s.get(victim)
-        if heal:
-            service.chaos.region_heal(victim)
+        service.chaos.region_heal(victim)
         recovery = await run_load(load_cfg(seed + 2))
         plan = service.plan_snapshot()
         regions = service.regions_snapshot()

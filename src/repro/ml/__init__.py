@@ -23,8 +23,8 @@ paper's references.
 """
 
 from repro.ml.base import FittedError, Regressor
-from repro.ml.dataset import Dataset, train_test_split
-from repro.ml.features import FEATURE_NAMES, FeatureVector, feature_index
+from repro.ml.dataset import Dataset
+from repro.ml.features import FEATURE_NAMES, FeatureVector
 from repro.ml.lasso import LassoRegression, select_features
 from repro.ml.linear import LinearRegression
 from repro.ml.lssvm import LeastSquaresSVM
@@ -47,10 +47,8 @@ __all__ = [
     "Regressor",
     "FittedError",
     "Dataset",
-    "train_test_split",
     "FEATURE_NAMES",
     "FeatureVector",
-    "feature_index",
     "StandardScaler",
     "LinearRegression",
     "LassoRegression",

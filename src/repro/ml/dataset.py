@@ -65,16 +65,6 @@ class Dataset:
         indices = np.asarray(indices, dtype=int)
         return Dataset(self.X[indices], self.y[indices], self.feature_names)
 
-    def concat(self, other: "Dataset") -> "Dataset":
-        """Stack two datasets with identical schemas."""
-        if self.feature_names != other.feature_names:
-            raise ValueError("cannot concat datasets with different schemas")
-        return Dataset(
-            np.vstack([self.X, other.X]),
-            np.concatenate([self.y, other.y]),
-            self.feature_names,
-        )
-
     @classmethod
     def from_run_traces(
         cls,
@@ -108,28 +98,3 @@ class Dataset:
         if X.shape[0] == 0:
             raise ValueError("all samples fell after the failure point")
         return cls(X, y, feature_names)
-
-
-def train_test_split(
-    dataset: Dataset,
-    test_fraction: float,
-    rng: np.random.Generator,
-) -> tuple[Dataset, Dataset]:
-    """Random split into train and test subsets.
-
-    Parameters
-    ----------
-    test_fraction:
-        Fraction of samples in the test set, strictly inside (0, 1).
-    rng:
-        Generator (a named stream from :class:`repro.sim.RngRegistry`).
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
-    n = len(dataset)
-    if n < 2:
-        raise ValueError("need at least 2 samples to split")
-    perm = rng.permutation(n)
-    n_test = max(1, int(round(n * test_fraction)))
-    n_test = min(n_test, n - 1)
-    return dataset.subset(perm[n_test:]), dataset.subset(perm[:n_test])

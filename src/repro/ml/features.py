@@ -35,24 +35,6 @@ FEATURE_NAMES: tuple[str, ...] = (
     "uptime_s",           # time since last (re)start / rejuvenation
 )
 
-_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
-
-
-def feature_index(name: str) -> int:
-    """Column index of feature ``name`` in the design matrix.
-
-    Raises
-    ------
-    KeyError
-        If the name is not part of the schema.
-    """
-    try:
-        return _INDEX[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown feature {name!r}; known: {', '.join(FEATURE_NAMES)}"
-        ) from None
-
 
 @dataclass(slots=True)
 class FeatureVector:

@@ -16,7 +16,7 @@ the surveyed elastic-management frameworks treat as a dedicated layer
 * :mod:`repro.obs.flight` -- a bounded ring buffer of recent structured
   events (drops, degradation transitions, chaos faults, elections) for
   post-mortems without re-running;
-* :mod:`repro.obs.exporters` -- JSONL and Prometheus text formats, plus
+* :mod:`repro.obs.exporters` -- Prometheus text and Chrome traces, plus
   the :class:`~repro.obs.manifest.RunManifest` (seed, config digest,
   package version) attached to every export.
 
@@ -34,7 +34,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    log_buckets,
 )
 from repro.obs.spans import Span, SpanTracer, validate_nesting
 from repro.obs.summary import summarize_dump
@@ -46,7 +45,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_S",
-    "log_buckets",
     "Span",
     "SpanTracer",
     "validate_nesting",

@@ -1,4 +1,4 @@
-"""Export formats: JSONL, Prometheus text, Chrome trace-event JSON.
+"""Export formats: Prometheus text, Chrome trace-event JSON.
 
 Every exporter takes the same snapshot structures the in-memory objects
 produce (``MetricsRegistry.snapshot()``, ``SpanTracer.snapshot()``,
@@ -9,45 +9,9 @@ saved dump without the original process.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Any
 
 from repro.obs.manifest import RunManifest
-
-# ------------------------------------------------------------------ #
-# JSONL
-# ------------------------------------------------------------------ #
-
-
-def to_jsonl_lines(
-    metrics: dict, spans: list[dict], events: dict, manifest: RunManifest | None
-) -> Iterable[str]:
-    """One JSON object per line, each tagged with a ``record`` type.
-
-    Line-oriented so dumps can be grepped / streamed without loading the
-    whole document; the manifest is always the first line.
-    """
-    if manifest is not None:
-        yield json.dumps({"record": "manifest", **manifest.as_dict()})
-    for section in ("counters", "gauges", "histograms"):
-        for m in metrics.get(section, []):
-            yield json.dumps({"record": section[:-1], **m})
-    for s in spans:
-        yield json.dumps({"record": "span", **s})
-    for e in events.get("events", []):
-        yield json.dumps({"record": "event", **e})
-
-
-def write_jsonl(
-    path: str,
-    metrics: dict,
-    spans: list[dict],
-    events: dict,
-    manifest: RunManifest | None = None,
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in to_jsonl_lines(metrics, spans, events, manifest):
-            fh.write(line + "\n")
-
 
 # ------------------------------------------------------------------ #
 # Prometheus text exposition

@@ -19,7 +19,6 @@ that contract.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from typing import Iterator
 
@@ -29,21 +28,6 @@ from typing import Iterator
 DEFAULT_LATENCY_BUCKETS_S: tuple[float, ...] = tuple(
     round(10.0 ** (exp / 3.0), 10) for exp in range(-12, 7)
 )
-
-
-def log_buckets(lo: float, hi: float, per_decade: int = 3) -> tuple[float, ...]:
-    """Log-spaced bucket upper bounds covering ``[lo, hi]``.
-
-    Returns ``per_decade`` boundaries per decade, inclusive of the first
-    boundary at or below ``lo`` and the first at or above ``hi``.
-    """
-    if lo <= 0 or hi <= lo:
-        raise ValueError(f"need 0 < lo < hi, got lo={lo} hi={hi}")
-    if per_decade < 1:
-        raise ValueError("per_decade must be >= 1")
-    start = math.floor(math.log10(lo) * per_decade)
-    stop = math.ceil(math.log10(hi) * per_decade)
-    return tuple(round(10.0 ** (k / per_decade), 12) for k in range(start, stop + 1))
 
 
 class Counter:
@@ -125,21 +109,6 @@ class Histogram:
 
     def mean(self) -> float:
         return self.sum / self.count if self.count else float("nan")
-
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper edge of the bucket
-        holding the ``q``-th sample; +Inf overflow reports the last edge)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        if self.count == 0:
-            return float("nan")
-        target = q * self.count
-        running = 0
-        for i, n in enumerate(self.counts):
-            running += n
-            if running >= target:
-                return self.bounds[min(i, len(self.bounds) - 1)]
-        return self.bounds[-1]
 
     def as_dict(self) -> dict:
         return {

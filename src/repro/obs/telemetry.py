@@ -16,10 +16,6 @@ import json
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
-from repro.obs.exporters import (
-    to_prometheus_text,
-    write_jsonl,
-)
 from repro.obs.flight import FlightRecorder
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import (
@@ -201,23 +197,6 @@ class Telemetry:
             self.dump_json(self.autodump_path)
             return self.autodump_path
         return None
-
-    def export_jsonl(self, path: str) -> None:
-        if not self.enabled:
-            raise RuntimeError("cannot export from a disabled Telemetry")
-        write_jsonl(
-            path,
-            self.registry.snapshot(),
-            self.tracer.snapshot(),
-            self.flight.snapshot(),
-            self.manifest,
-        )
-
-    def export_prometheus(self, path: str) -> None:
-        if not self.enabled:
-            raise RuntimeError("cannot export from a disabled Telemetry")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(to_prometheus_text(self.registry.snapshot(), self.manifest))
 
 
 #: Shared disabled facade -- the default ``telemetry or NULL_TELEMETRY``

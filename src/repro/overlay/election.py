@@ -64,24 +64,6 @@ class LeaderElection:
             raise RuntimeError(f"node {caller!r} is down; cannot elect")
         return self._record(component, now)
 
-    def leaders(self, now: float = 0.0) -> dict[str, str]:
-        """Elect in every live component; returns node -> its leader.
-
-        Useful for partition scenarios: each side of the partition gets its
-        own leader, and the mapping shows who follows whom.
-        """
-        out: dict[str, str] = {}
-        seen: set[str] = set()
-        for node in self.network.alive_nodes():
-            if node in seen:
-                continue
-            component = self.network.component_of(node)
-            leader = self._record(component, now)
-            for member in component:
-                out[member] = leader
-            seen |= component
-        return out
-
     def _record(self, component: set[str], now: float) -> str:
         """The component's leader; appended to history if it is news."""
         leader = min(component)
@@ -100,12 +82,3 @@ class LeaderElection:
             )
         return leader
 
-    def takeover_count(self) -> int:
-        """Number of leader *changes* across the recorded history."""
-        changes = 0
-        prev_leader: str | None = None
-        for rec in self.history:
-            if prev_leader is not None and rec.leader != prev_leader:
-                changes += 1
-            prev_leader = rec.leader
-        return changes

@@ -133,50 +133,55 @@ class WallClock(Simulator):
         """Dispatch events against real time for ``duration_s`` clock
         seconds (forever when ``None``); returns events dispatched.
 
-        Exits early when :meth:`stop` is called.  Between events the
-        coroutine sleeps, yielding the asyncio loop to HTTP handlers and
-        anything else sharing it; scheduling a new event wakes it.
+        Exits early when :meth:`stop` is called, also when the call came
+        before this coroutine first ran (a task created but not yet
+        scheduled): the run that returns consumes the stop.  Between
+        events the coroutine sleeps, yielding the asyncio loop to HTTP
+        handlers and anything else sharing it; scheduling a new event
+        wakes it.
         """
-        self._stopped = False
         if self._waiter is None:
             self._waiter = asyncio.Event()
         self._sync()
         end = None if duration_s is None else self._now + float(duration_s)
         dispatched = 0
-        while not self._stopped:
-            self._sync()
-            due = self._peek()
-            while (
-                due is not None
-                and due <= self._now
-                and (end is None or due <= end)
-            ):
-                self.step()
-                dispatched += 1
-                if self._stopped:
-                    return dispatched
+        try:
+            while not self._stopped:
+                self._sync()
                 due = self._peek()
-            if end is not None and self.elapsed() >= end:
-                self._now = max(self._now, end)
-                return dispatched
-            target = due
-            if end is not None and (target is None or target > end):
-                target = end
-            self._waiter.clear()
-            if target is None:
-                # idle: no pending events, no deadline -- sleep until a
-                # schedule or stop() wakes us
-                await self._waiter.wait()
-                continue
-            wait_wall = (target - self.elapsed()) / self.speed
-            if wait_wall > 0:
-                try:
-                    await asyncio.wait_for(
-                        self._waiter.wait(), timeout=wait_wall
-                    )
-                except asyncio.TimeoutError:
-                    pass
-        return dispatched
+                while (
+                    due is not None
+                    and due <= self._now
+                    and (end is None or due <= end)
+                ):
+                    self.step()
+                    dispatched += 1
+                    if self._stopped:
+                        return dispatched
+                    due = self._peek()
+                if end is not None and self.elapsed() >= end:
+                    self._now = max(self._now, end)
+                    return dispatched
+                target = due
+                if end is not None and (target is None or target > end):
+                    target = end
+                self._waiter.clear()
+                if target is None:
+                    # idle: no pending events, no deadline -- sleep until
+                    # a schedule or stop() wakes us
+                    await self._waiter.wait()
+                    continue
+                wait_wall = (target - self.elapsed()) / self.speed
+                if wait_wall > 0:
+                    try:
+                        await asyncio.wait_for(
+                            self._waiter.wait(), timeout=wait_wall
+                        )
+                    except asyncio.TimeoutError:
+                        pass
+            return dispatched
+        finally:
+            self._stopped = False
 
 
 #: Alias used in async-facing signatures; same class.

@@ -98,15 +98,6 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a *new* generator for ``name``, reset to stream start.
-
-        Unlike :meth:`stream` this does not cache; useful for tests that need
-        to replay a stream from the beginning.
-        """
-        entropy = [self._seed, *_stable_name_words(name)]
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
     def child(self, name: str) -> "RngRegistry":
         """Derive a sub-registry whose streams are namespaced under ``name``.
 

@@ -63,30 +63,6 @@ class TraceSeries:
         t0, t1 = float(self.times[0]), float(self.times[-1])
         return self.window(t1 - fraction * (t1 - t0), t1)
 
-    def resample(self, grid: np.ndarray) -> "TraceSeries":
-        """Piecewise-constant (zero-order-hold) resampling onto ``grid``.
-
-        Control-loop outputs are step functions (a fraction holds until the
-        next era), so interpolation must be ZOH, not linear.
-        """
-        grid = np.asarray(grid, dtype=float)
-        if len(self) == 0:
-            raise ValueError(f"cannot resample empty series {self.name!r}")
-        idx = np.searchsorted(self.times, grid, side="right") - 1
-        idx = np.clip(idx, 0, len(self) - 1)
-        return TraceSeries(self.name, grid, self.values[idx])
-
-    def ewma(self, alpha: float) -> "TraceSeries":
-        """Exponentially weighted moving average with weight ``alpha``."""
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        out = np.empty_like(self.values)
-        acc = 0.0
-        for i, v in enumerate(self.values):
-            acc = v if i == 0 else (1 - alpha) * acc + alpha * v
-            out[i] = acc
-        return TraceSeries(f"{self.name}:ewma", self.times.copy(), out)
-
     # -------------------------------------------------------------- #
     # statistics
     # -------------------------------------------------------------- #

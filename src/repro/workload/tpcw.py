@@ -157,16 +157,6 @@ class RequestMix:
             sum(w for rt, w in self.weights.items() if rt in BROWSE_CLASS)
         )
 
-    def sample(
-        self, rng: np.random.Generator, size: int
-    ) -> list[RequestType]:
-        """Draw ``size`` i.i.d. interaction types."""
-        if size < 0:
-            raise ValueError("size must be >= 0")
-        types = self.types
-        idx = rng.choice(len(types), size=size, p=self.probabilities())
-        return [types[i] for i in idx]
-
 
 #: The three standard TPC-W mixes.
 MIX_BROWSING = RequestMix("browsing", _mix_weights(0.95))

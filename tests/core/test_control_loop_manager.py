@@ -12,6 +12,7 @@ from repro.core import (
     assess_policy_run,
 )
 from repro.core.metrics import convergence_time, mean_oscillation, rmttf_spread
+from repro.experiments.reporting import assessment_table
 from repro.overlay import OverlayNetwork
 from repro.sim.tracing import TraceSeries
 
@@ -168,7 +169,7 @@ class TestPaperDynamics:
         )
         assert a.converged
         assert a.sla_met
-        assert "available-resources" in a.row()
+        assert "available-resources" in assessment_table([a])
 
 
 class TestOverlayIntegration:

@@ -174,7 +174,7 @@ class TestLoopDegradation:
 
 
 class TestReliableTransport:
-    def make_plane(self, seed=41, loss=0.0, **kw):
+    def make_plane(self, seed=41, loss=0.0):
         mgr = make_manager3(seed=seed)
         bus_factory = None
         if loss > 0.0:
@@ -188,13 +188,7 @@ class TestReliableTransport:
                     loss_probability=loss,
                 )
 
-        plane = DistributedControlPlane(
-            mgr.loop,
-            bus_factory=bus_factory,
-            reliable_control=True,
-            **kw,
-        )
-        return mgr, plane
+        return mgr, DistributedControlPlane(mgr.loop, bus_factory=bus_factory)
 
     def test_clean_network_matches_oracle_exchange(self):
         """Over a healthy overlay the reliable transport gathers every

@@ -162,10 +162,10 @@ class TestNonFiniteReports:
         loop, _ = make_loop(n_vms=6, clients=60, predictor=predictor,
                             policy="available-resources")
         loop.run(2)
-        held = loop.leader.aggregator.current("r")
+        held = loop.leader.aggregator.snapshot()["r"]
         assert np.isfinite(held) and held > 0
         predictor.set_mode("nan")
         loop.run(2)
-        assert loop.leader.aggregator.current("r") == held
+        assert loop.leader.aggregator.snapshot()["r"] == held
         assert loop.traces.series("rmttf/r").values[-1] == held
         assert np.isfinite(loop.leader.fractions).all()

@@ -6,7 +6,7 @@ from repro.core import AcmManager, RegionSpec
 from repro.core.distributed import DistributedControlPlane
 
 
-def make_plane(seed=41, **kw):
+def make_plane(seed=41):
     mgr = AcmManager(
         regions=[
             RegionSpec("region1", "m3.medium", 6, 4, 128),
@@ -16,7 +16,7 @@ def make_plane(seed=41, **kw):
         policy="available-resources",
         seed=seed,
     )
-    return mgr, DistributedControlPlane(mgr.loop, **kw)
+    return mgr, DistributedControlPlane(mgr.loop)
 
 
 class TestHealthyPlane:
@@ -54,9 +54,7 @@ class TestHealthyPlane:
 
 class TestPlaneUnderFailures:
     def test_leader_crash_detected_within_timeout(self):
-        mgr, plane = make_plane(
-            heartbeat_period_s=5.0, detector_timeout_s=15.0
-        )
+        mgr, plane = make_plane()
         plane.run(10)
         loop = mgr.loop
         loop.overlay.fail_node("region1")

@@ -53,27 +53,15 @@ class TestRmttfAggregator:
         agg = RmttfAggregator(beta=0.5)
         agg.update("r1", 100.0)
         agg.update("r2", 500.0)
-        assert agg.current("r1") == 100.0
-        assert agg.current("r2") == 500.0
+        assert agg.snapshot() == {"r1": 100.0, "r2": 500.0}
 
-    def test_unknown_region_raises(self):
-        with pytest.raises(KeyError):
-            RmttfAggregator().current("ghost")
+    def test_unknown_region_is_absent(self):
+        assert "ghost" not in RmttfAggregator().snapshot()
 
-    def test_vector_order(self):
+    def test_snapshot_sorted(self):
         agg = RmttfAggregator()
         agg.update_all({"b": 2.0, "a": 1.0})
-        assert list(agg.vector(["b", "a"])) == [2.0, 1.0]
-
-    def test_snapshot_sorted_and_reset(self):
-        agg = RmttfAggregator()
-        agg.update("b", 2.0)
-        agg.update("a", 1.0)
         assert list(agg.snapshot()) == ["a", "b"]
-        agg.reset("a")
-        assert "a" not in agg.snapshot()
-        agg.reset()
-        assert agg.snapshot() == {}
 
 
 class TestNormalizeFractions:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import FEATURE_NAMES, FeatureVector, feature_index
+from repro.ml import FEATURE_NAMES, FeatureVector
 from repro.ml.base import FittedError, Regressor, as_1d_float, as_2d_float
 
 
@@ -74,14 +74,6 @@ class TestValidators:
 
 
 class TestFeatureSchema:
-    def test_index_round_trip(self):
-        for i, name in enumerate(FEATURE_NAMES):
-            assert feature_index(name) == i
-
-    def test_unknown_feature_raises(self):
-        with pytest.raises(KeyError, match="mem_used_mb"):
-            feature_index("bogus")
-
     def test_vector_round_trip(self):
         fv = FeatureVector(mem_used_mb=100.0, num_threads=42.0, uptime_s=3.0)
         row = fv.to_array()

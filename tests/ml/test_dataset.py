@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import Dataset, train_test_split
+from repro.ml import Dataset
 from repro.ml.features import FEATURE_NAMES
 
 
@@ -38,17 +38,6 @@ class TestDataset:
         sub = ds.subset(np.array([0, 2]))
         assert len(sub) == 2
         assert sub.y[1] == 2.0
-
-    def test_concat(self):
-        ds = small_ds()
-        both = ds.concat(ds)
-        assert len(both) == 20
-
-    def test_concat_schema_mismatch(self):
-        ds = small_ds()
-        other = Dataset(np.zeros((1, 2)), np.zeros(1), ("x", "y"))
-        with pytest.raises(ValueError, match="schema"):
-            ds.concat(other)
 
 
 class TestFromRunTraces:
@@ -87,33 +76,3 @@ class TestFromRunTraces:
         feats = np.zeros((1, len(FEATURE_NAMES)))
         with pytest.raises(ValueError, match="failure point"):
             Dataset.from_run_traces([(np.array([5.0]), feats, 1.0)])
-
-
-class TestTrainTestSplit:
-    def test_sizes_and_disjointness(self):
-        ds = small_ds()
-        rng = np.random.default_rng(0)
-        train, test = train_test_split(ds, 0.3, rng)
-        assert len(train) == 7
-        assert len(test) == 3
-        # disjoint cover of the original rows (X rows unique here)
-        all_x = np.vstack([train.X, test.X])
-        assert np.array_equal(
-            np.sort(all_x[:, 0]), np.sort(ds.X[:, 0])
-        )
-
-    def test_deterministic_given_stream(self):
-        ds = small_ds()
-        t1, _ = train_test_split(ds, 0.3, np.random.default_rng(7))
-        t2, _ = train_test_split(ds, 0.3, np.random.default_rng(7))
-        assert np.array_equal(t1.X, t2.X)
-
-    @pytest.mark.parametrize("frac", [0.0, 1.0, -0.5, 1.5])
-    def test_bad_fraction(self, frac):
-        with pytest.raises(ValueError):
-            train_test_split(small_ds(), frac, np.random.default_rng(0))
-
-    def test_tiny_dataset_keeps_one_each(self):
-        ds = Dataset(np.zeros((2, 1)), np.zeros(2), ("a",))
-        train, test = train_test_split(ds, 0.9, np.random.default_rng(0))
-        assert len(train) == 1 and len(test) == 1

@@ -177,3 +177,21 @@ def test_cancelled_events_are_skipped():
     assert fired == ["keep"]
     assert keep.state is EventState.FIRED
     assert drop.state is EventState.CANCELLED
+
+
+def test_a_stop_before_the_dispatcher_first_runs_ends_it():
+    """``stop()`` between ``ensure_future(run_for(None))`` and the task's
+    first step is not lost: the run returns at once, and the next run
+    dispatches again."""
+    wall = WallClock(speed=500.0)
+    fired = []
+
+    async def run():
+        runner = asyncio.ensure_future(wall.run_for(None))
+        wall.stop()
+        assert await asyncio.wait_for(runner, timeout=5.0) == 0
+        wall.schedule_after(0.01, lambda: fired.append("after"))
+        await wall.run_for(0.1)
+
+    asyncio.run(run())
+    assert fired == ["after"]

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.experiments.serve_campaign import run_blackout_campaign
 from repro.experiments.scenarios import two_region_scenario
 from repro.serve import (
@@ -101,6 +103,8 @@ def test_campaign_report_shape_and_recovery():
     report = asyncio.run(
         run_blackout_campaign(
             scenario_name="two-region",
+            victim=None,
+            schedule="poisson",
             rate=150.0,
             phase_s=0.7,
             speed=SPEED,
@@ -120,3 +124,21 @@ def test_campaign_report_shape_and_recovery():
     assert lag is not None and lag["count"] >= 1
     # healed: the victim is back on the mesh by the end of the run
     assert report["final_regions"]["regions"][report["victim"]]["alive"]
+
+
+def test_an_exception_before_the_first_await_leaves_serving():
+    """A block that raises before it ever awaits stops the clock before
+    the dispatcher task first runs; the exception still reaches the
+    caller, and the teardown does not wait on a dispatcher that idles."""
+
+    async def scenario() -> None:
+        clock = WallClock(speed=SPEED)
+        service = AcmService(two_region_scenario(), clock, ServeConfig(seed=7))
+        async with serving(service):
+            raise ValueError("raised before the first await")
+
+    async def bounded() -> None:
+        await asyncio.wait_for(scenario(), timeout=5.0)
+
+    with pytest.raises(ValueError, match="before the first await"):
+        asyncio.run(bounded())

@@ -35,13 +35,6 @@ def test_stream_is_cached_and_stateful():
     assert first != second  # shared position advanced
 
 
-def test_fresh_restarts_stream():
-    r = RngRegistry(seed=0)
-    a = r.stream("x").random(4)
-    b = r.fresh("x").random(4)
-    assert np.array_equal(a, b)
-
-
 def test_adding_stream_does_not_perturb_existing():
     r1 = RngRegistry(seed=3)
     a_before = r1.stream("a").random(8)

@@ -47,7 +47,7 @@ def test_similar_names_give_distinct_streams():
     """Name hashing must separate near-identical names (vm1 vs vm10)."""
     r = RngRegistry(seed=3)
     draws = {
-        name: tuple(r.fresh(name).integers(0, 2**31, 8))
+        name: tuple(r.stream(name).integers(0, 2**31, 8))
         for name in ("vm1", "vm10", "vm11", "vm1 ", "Vm1")
     }
     values = list(draws.values())

@@ -41,35 +41,6 @@ class TestTraceSeries:
         s = make_series([], [])
         assert len(s.tail_fraction(0.5)) == 0
 
-    def test_resample_zero_order_hold(self):
-        s = make_series([0.0, 10.0], [1.0, 2.0])
-        r = s.resample(np.array([0.0, 5.0, 10.0, 15.0]))
-        # value holds at 1.0 until the 10.0 sample arrives
-        assert list(r.values) == [1.0, 1.0, 2.0, 2.0]
-
-    def test_resample_before_first_sample_clamps(self):
-        s = make_series([5.0], [3.0])
-        r = s.resample(np.array([0.0, 5.0]))
-        assert list(r.values) == [3.0, 3.0]
-
-    def test_resample_empty_raises(self):
-        with pytest.raises(ValueError):
-            make_series([], []).resample(np.array([0.0]))
-
-    def test_ewma_first_value_unsmoothed(self):
-        s = make_series([0, 1, 2], [10.0, 0.0, 0.0])
-        e = s.ewma(0.5)
-        assert e.values[0] == 10.0
-        assert e.values[1] == 5.0
-        assert e.values[2] == 2.5
-
-    def test_ewma_alpha_validated(self):
-        s = make_series([0], [1.0])
-        with pytest.raises(ValueError):
-            s.ewma(0.0)
-        with pytest.raises(ValueError):
-            s.ewma(1.5)
-
     def test_statistics(self):
         s = make_series([0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0])
         assert s.mean() == 2.5

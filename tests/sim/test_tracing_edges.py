@@ -19,28 +19,6 @@ from repro.sim.tracing import (
 )
 
 
-class TestResampleEdges:
-    def test_empty_series_resample_raises(self):
-        s = TraceSeries("x", np.array([]), np.array([]))
-        with pytest.raises(ValueError, match="empty series"):
-            s.resample(np.array([0.0, 1.0]))
-
-    def test_single_point_resamples_as_constant(self):
-        s = TraceSeries("x", np.array([5.0]), np.array([3.0]))
-        grid = np.array([0.0, 5.0, 10.0])
-        r = s.resample(grid)
-        # ZOH: the lone sample's value holds everywhere, even before it
-        assert r.values.tolist() == [3.0, 3.0, 3.0]
-        assert r.times.tolist() == grid.tolist()
-
-    def test_zoh_holds_until_next_sample(self):
-        s = TraceSeries(
-            "x", np.array([0.0, 10.0]), np.array([1.0, 2.0])
-        )
-        r = s.resample(np.array([0.0, 9.999, 10.0, 15.0]))
-        assert r.values.tolist() == [1.0, 1.0, 2.0, 2.0]
-
-
 class TestValidation:
     def test_non_monotonic_times_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):

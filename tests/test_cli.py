@@ -67,13 +67,58 @@ class TestParser:
             "--era-s: must be positive and finite, got 0",
             id="serve-era-s",
         ),
+        pytest.param(
+            ["plan", "--rate", "30", "--target", "-5"],
+            "--target: must be positive and finite, got -5",
+            id="plan-target",
+        ),
+        pytest.param(
+            ["loadtest", "--rate", "-5", "--duration", "1"],
+            "--rate: must be positive and finite, got -5",
+            id="loadtest-rate",
+        ),
+        pytest.param(
+            ["loadtest", "--duration", "0"],
+            "--duration: must be positive and finite, got 0",
+            id="loadtest-duration",
+        ),
+        pytest.param(
+            ["loadtest", "--era-s", "0", "--duration", "1"],
+            "--era-s: must be positive and finite, got 0",
+            id="loadtest-era-s",
+        ),
+        pytest.param(
+            ["loadtest", "--speed", "inf"],
+            "--speed: must be positive and finite, got inf",
+            id="loadtest-speed",
+        ),
+        pytest.param(
+            ["serve", "--speed", "0"],
+            "--speed: must be positive and finite, got 0",
+            id="serve-speed",
+        ),
+        pytest.param(
+            ["serve", "--window-s", "-1"],
+            "--window-s: must be positive and finite, got -1",
+            id="serve-window-s",
+        ),
+        pytest.param(
+            ["serve", "--duration", "nan"],
+            "--duration: must be positive and finite, got nan",
+            id="serve-duration",
+        ),
+        pytest.param(
+            ["serve", "--admission-rps", "0"],
+            "--admission-rps: must be positive and finite, got 0",
+            id="serve-admission-rps",
+        ),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else "",
 )
 def test_bad_names_are_a_one_line_exit_2(argv, named, capsys):
-    """Scenario, policy and seed lists, era counts, rates and era lengths
-    are checked where they are parsed, so a bad one never reaches a
-    command body (a traceback, before)."""
+    """Scenario, policy and seed lists, era counts, and every rate,
+    target, duration, speed and window are checked where they are parsed,
+    so a bad one never reaches a command body (a traceback, before)."""
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 2

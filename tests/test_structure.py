@@ -207,6 +207,11 @@ RULES = (
          "a region's VM pool is fixed when its table is built: resizing "
          "activates STANDBY rows; nothing provisions, frees, repacks or "
          "evicts a VM", "after dc972de"),
+    Rule("plane-one-mode", r"reliable_control|control_window_s",
+         ("src/",), (),
+         "the distributed plane always carries Algorithm 1 and 3 traffic on "
+         "its reliable channel: no oracle-exchange mode or window option",
+         "after 2683514"),
 )
 
 #: row id -> lines that each violate it: (file, line appended to it)
@@ -274,6 +279,11 @@ INJECT = {
         (SRC + "core/autoscale.py", "vmc.add_vm(vm)"),
         (SRC + "pcam/state_table.py", "FREED = -1"),
         (SRC + "chaos/predictor.py", "self.inner.evict(vm_name)"),
+    ],
+    "plane-one-mode": [
+        (SRC + "experiments/resilience.py",
+         "plane = DistributedControlPlane(loop, reliable_control=False)"),
+        (SRC + "core/distributed.py", "control_window_s: float = 3.0,"),
     ],
 }
 
@@ -382,7 +392,6 @@ REACH_EXEMPT: dict[str, str] = {
     "core/control_loop.py::AcmControlLoop._healthy_capacities":
         "the degradation ladder's fallback rung: no registered campaign keeps "
         "RMTTF reports missing that long; ROADMAP 1(b)'s partition campaign will",
-    "core/cost.py::CostTracker.summary": "public API: a run's bill as one line",
     "core/des_loop.py::DesControlLoop.__init__": _DES,
     "core/des_loop.py::DesControlLoop._analyze_regions": _DES,
     "core/des_loop.py::DesControlLoop._complete": _DES,
@@ -393,35 +402,15 @@ REACH_EXEMPT: dict[str, str] = {
     "core/des_loop.py::DesControlLoop._start_browsers": _DES,
     "core/des_loop.py::DesControlLoop.run": _DES,
     "core/des_loop.py::_RegionState.rebuild_active_slots": _DES,
-    "core/metrics.py::PolicyAssessment.row":
-        "public API: the table row benchmarks/bench_ablations.py prints",
-    "core/rmttf.py::RmttfAggregator.current":
-        "public API: one region's Eq. (1) state",
     "experiments/resilience.py::recovery_bound_eras":
-        "public API: the re-convergence bound a leader-kill campaign is held to",
+        "public API: the eras a leader-kill campaign must re-converge within, "
+        "from the plane's detector timeout and heartbeat period",
     "fleet/jobs.py::_execute_synthetic":
         _HARNESS + " (its fleet workloads run `synthetic` jobs)",
-    "ml/dataset.py::Dataset.concat":
-        "public API: stacks two profiling datasets of one schema for offline training",
-    "ml/dataset.py::train_test_split":
-        "public API: a hold-out split for offline model study",
     "ml/derived.py::augment_runs_with_slopes": _TREND,
     "ml/derived.py::slope_features": _TREND,
-    "ml/features.py::feature_index": "public API: a feature's column in the schema",
     "obs/exporters.py::_prom_labels": _HARNESS + " (it scrapes serve's /metrics)",
     "obs/exporters.py::to_prometheus_text": _HARNESS + " (it scrapes serve's /metrics)",
-    "obs/exporters.py::to_jsonl_lines":
-        "public API: the JSONL exporter README documents",
-    "obs/exporters.py::write_jsonl": "public API: the JSONL exporter README documents",
-    "obs/telemetry.py::Telemetry.export_jsonl":
-        "public API: the JSONL exporter README documents",
-    "obs/metrics.py::Histogram.quantile":
-        "public API: a histogram's bucket-resolution quantile",
-    "obs/metrics.py::log_buckets": "public API: the bounds of a custom histogram",
-    "overlay/election.py::LeaderElection.leaders":
-        "public API: each partition side's leader",
-    "overlay/election.py::LeaderElection.takeover_count":
-        "public API: DESIGN's election history; an example prints it",
     "overlay/network.py::OverlayNetwork.full_mesh":
         _HARNESS + " (it builds its overlay with it)",
     "pcam/balancer.py::DomainAwareBalancer.__init__": _DOMAIN,
@@ -435,37 +424,36 @@ REACH_EXEMPT: dict[str, str] = {
     "pcam/state_table.py::VmStateTable.complete_request": _DES,
     "pcam/state_table.py::VmStateTable.start_rejuvenation": _RESIZE,
     "pcam/vm.py::VirtualMachine._finish_rejuvenation":
-        "public API: a standalone VM's instant rejuvenation; a pooled VM's row does it",
+        "public API: the scalar VM's instant rejuvenation, for a VM outside a "
+        "pool; a pooled VM's table row does it",
     "pcam/vmc.py::VirtualMachineController.set_target_active": _RESIZE,
     "pcam/vmc.py::VirtualMachineController.stats": _HARNESS + " (its pool totals)",
     "serve/service.py::AcmService._slo_check": _GATED_SERVE,
     "serve/service.py::AcmService.slo_override":
-        "public API: README's /slo/override admin endpoint",
+        "public API: README's /slo/override admin endpoint; no repro run sends "
+        "an admin request",
     "sim/engine.py::Simulator.pending_events":
-        "public API: the pending events, how a caller checks a teardown",
+        "public API: the pending events; tests/test_cli.py's teardown check "
+        "filters them by label",
     "sim/engine.py::Simulator.run": _DES,
     "sim/engine.py::Simulator.schedule_pooled": _DES + "; the frozen harness probes it",
     "sim/rng.py::ExactDraws.integers": _DES,
-    "sim/rng.py::RngRegistry.fresh":
-        "public API: replays a named stream from its start",
     "sim/tracing.py::TraceRecorder.from_csv":
-        "public API: reads back what `repro export` writes",
-    "sim/tracing.py::TraceSeries.ewma": "public API: smooths an exported trace",
-    "sim/tracing.py::TraceSeries.resample":
-        "public API: puts an exported trace on another time grid",
+        "public API: reads back the trace CSV `repro export` writes",
     "sim/tracing.py::read_csv_manifest":
-        "public API: reads back the `# manifest:` line EXPERIMENTS documents",
+        "public API: reads back the `# manifest:` line `repro export` and "
+        "`sweep --csv` write",
     "slo/controller.py::SloController.set_override":
-        "public API: README's /slo/override admin endpoint",
+        "public API: README's /slo/override admin endpoint; no repro run sends "
+        "an admin request",
     "slo/controller.py::SloController.snapshot":
-        "public API: README's /slo admin endpoint",
+        "public API: README's /slo admin endpoint; no repro run sends an admin "
+        "request",
     "slo/evaluator.py::SloConfig.spec": _GATED_SERVE,
     "slo/evaluator.py::SloEvaluator.p95": _GATED_SERVE,
     "slo/evaluator.py::SloEvaluator.status": _GATED_SERVE,
     "slo/evaluator.py::_trimmed": _GATED_SERVE,
     "topology/health.py::DomainHealthTracker.reporting_regions": _DOMAIN,
-    "workload/tpcw.py::RequestMix.sample":
-        "public API: draws a TPC-W interaction sequence from a mix",
 }
 
 
@@ -660,18 +648,13 @@ def work_list(found: dict[str, tuple[str, int]]) -> str:
 @pytest.fixture(scope="module")
 def reach(tmp_path_factory) -> dict:
     """One recording of :func:`record_reach`, in a fresh interpreter."""
-    import os
     import subprocess
     import sys
 
     tmp = tmp_path_factory.mktemp("reach")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO / "src"), str(REPO), env.get("PYTHONPATH", "")]
-    )
     done = subprocess.run(
         [sys.executable, __file__, str(tmp / "reach.json")],
-        cwd=tmp, env=env, capture_output=True, text=True, timeout=600,
+        cwd=tmp, capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr[-4000:]
     recorded = json.loads((tmp / "reach.json").read_text())
@@ -797,4 +780,7 @@ def test_a_fleet_era_binds_no_one_request_draw():
 if __name__ == "__main__":
     import sys
 
+    # run as a script, the interpreter puts tests/ on the path, not the
+    # repo root that ``tests.test_cli`` and ``repro`` resolve from
+    sys.path[:0] = [str(REPO / "src"), str(REPO)]
     record_reach(sys.argv[1])

@@ -1,6 +1,5 @@
 """Tests for TPC-W interactions and mixes."""
 
-import numpy as np
 import pytest
 
 from repro.workload import (
@@ -11,7 +10,6 @@ from repro.workload import (
     RequestType,
     TPCW_INTERACTIONS,
 )
-from repro.workload.tpcw import BROWSE_CLASS
 
 
 def test_all_14_interactions_defined():
@@ -39,23 +37,6 @@ def test_order_heavy_mix_has_higher_service_demand():
         > MIX_BROWSING.mean_service_demand()
     )
 
-
-def test_sample_respects_distribution():
-    rng = np.random.default_rng(0)
-    samples = MIX_ORDERING.sample(rng, 20_000)
-    browse = sum(1 for s in samples if s in BROWSE_CLASS)
-    assert browse / 20_000 == pytest.approx(0.50, abs=0.02)
-
-
-def test_sample_size_zero():
-    rng = np.random.default_rng(0)
-    assert MIX_SHOPPING.sample(rng, 0) == []
-
-
-def test_sample_negative_size_rejected():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        MIX_SHOPPING.sample(rng, -1)
 
 
 def test_custom_mix_normalises():
