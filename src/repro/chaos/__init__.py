@@ -6,15 +6,17 @@ it.  Everything is seeded and driven off the simulator clock: a campaign
 is a pure function of ``(topology, workload, seed)`` and replays
 bit-identically.
 
-* :mod:`repro.chaos.engine` -- :class:`ChaosEngine`: schedule- and
-  rate-driven fault primitives with a replayable fault log;
+* :mod:`repro.chaos.engine` -- :class:`ChaosEngine`: the fault
+  primitives (``crash_vms`` crashes the VMs of any failure domain) with a
+  replayable fault log;
 * :mod:`repro.chaos.lossy` -- :class:`LossyBus`: probabilistic message
   loss and latency jitter on the controller bus;
 * :mod:`repro.chaos.predictor` -- :class:`CorruptiblePredictor`:
   NaN/stale/zero RTTF-prediction faults.
 
 The canned resilience campaigns built from these primitives live in
-:mod:`repro.experiments.resilience`.
+:mod:`repro.experiments.resilience`; they apply them at era boundaries,
+and each public primitive runs in at least one of them.
 """
 
 from repro.chaos.engine import ChaosEngine, FaultEvent

@@ -1,31 +1,32 @@
-"""Seeded, clock-driven fault injection for resilience campaigns.
+"""Seeded fault injection for resilience campaigns.
 
-:class:`ChaosEngine` composes campaigns out of fault *primitives* --
-link flaps and partitions (overlay), probabilistic message loss and
-latency jitter (:class:`~repro.chaos.lossy.LossyBus`), VM crash-storms
-and region blackouts (PCAM layer), predictor corruption
-(:class:`~repro.chaos.predictor.CorruptiblePredictor`), and correlated
-failure-domain faults -- rack power loss, AZ partitions, cooling
-failures, spot-eviction storms -- scoped by the deployment's
-:class:`~repro.topology.domains.FailureDomainTree`.  Primitives can
-fire immediately, at scheduled simulator times (:meth:`at`), on a fixed
-cadence (:meth:`link_flap_every`), or at seeded Poisson arrivals
-(:meth:`poisson_link_flaps`).
+:class:`ChaosEngine` holds the fault *primitives* a campaign composes --
+link faults, node crashes and partitions (overlay), message loss and
+latency jitter (:class:`~repro.chaos.lossy.LossyBus`), VM crashes scoped
+to any failure domain and whole-region blackouts (PCAM layer), cooling
+failures, flash crowds, and predictor corruption
+(:class:`~repro.chaos.predictor.CorruptiblePredictor`).  One primitive,
+:meth:`ChaosEngine.crash_vms`, crashes a region's, an AZ's or a rack's
+ACTIVE VMs, all of them or a seeded share: rack power loss, AZ cuts,
+crash storms and spot-eviction waves are all that one call.  The engine
+schedules nothing itself: a campaign applies primitives at era
+boundaries (:mod:`repro.experiments.resilience`), and serve applies
+blackouts when an operator asks.
 
 Two invariants make campaigns replayable:
 
-* every random decision (which VMs a storm kills, when a Poisson flap
-  arrives) is drawn from the engine's own named RNG stream, in an order
-  fixed by the campaign script -- never from wall-clock or global state;
+* every random decision (which VMs a storm kills) is drawn from the
+  engine's own named RNG stream, in an order fixed by the campaign
+  script -- never from wall-clock or global state;
 * every applied primitive appends a :class:`FaultEvent` to :attr:`log`
-  stamped with the simulator clock, so two same-seed runs can assert
+  stamped with the clock, so two same-seed runs can assert
   bit-identical fault schedules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -56,17 +57,16 @@ class ChaosEngine:
     """Fault injector bound to the failure surfaces of one deployment.
 
     Every surface is optional: an engine built with only ``overlay`` can
-    still flap links, one with only ``vmcs`` can still run crash-storms.
+    still flap links, one with only ``vmcs`` can still black out regions.
     Using a primitive whose surface is missing raises ``RuntimeError``.
 
     Parameters
     ----------
     sim:
-        The simulator whose clock drives scheduled faults.
+        The clock that stamps the fault log (anything with ``now``).
     rng:
-        Seeded stream for the engine's own decisions (victim choice,
-        Poisson gaps) -- use a dedicated registry stream such as
-        ``rngs.stream("chaos")``.
+        Seeded stream for the engine's own decisions (victim choice) --
+        use a dedicated registry stream such as ``rngs.stream("chaos")``.
     overlay:
         The controller overlay.  Routers over it reroute by themselves:
         their caches are keyed on the overlay's mutation count.
@@ -85,15 +85,15 @@ class ChaosEngine:
         a ``chaos_faults_total{kind=...}`` counter, in addition to the
         authoritative :attr:`log`.
     domains:
-        The deployment's :class:`~repro.topology.domains.FailureDomainTree`;
-        required by the domain-scoped primitives (``rack_power_loss``,
-        ``az_partition``, ``cooling_failure``, ``eviction_storm``, and
-        the ``domain=`` selectors).
+        The deployment's :class:`~repro.topology.domains.FailureDomainTree`
+        (``AcmManager.domains``; a flat region is a 1x1 tree); required
+        by the domain-scoped primitives (``crash_vms``,
+        ``cooling_failure``, ``domain_heal``).
     health:
         Optional :class:`~repro.topology.health.DomainHealthTracker`.
         When present, correlated primitives mark their domain degraded
         (and heals clear it), which drives the ``fd_*`` telemetry and
-        the domain-aware balancer/scheduler.
+        the campaign's per-domain report.
     populations:
         Per-region :class:`~repro.workload.browsers.BrowserPopulation`
         map for the ``flash_crowd`` workload primitive.
@@ -263,80 +263,48 @@ class ChaosEngine:
     # PCAM-layer primitives
     # ------------------------------------------------------------------ #
 
-    def vm_crash_storm(
-        self, region: str, fraction: float, domain: str | None = None
-    ) -> list[str]:
-        """Hard-crash a random ``fraction`` of the region's ACTIVE VMs.
+    def crash_vms(self, domain: str, fraction: float = 1.0) -> list[str]:
+        """Hard-crash the ACTIVE VMs of one failure domain.
 
-        Victims are chosen from the engine's RNG stream over the sorted
-        ACTIVE pool, so the storm is identical across same-seed replays.
-        ``fraction`` must lie in ``[0, 1]``; a zero fraction is a
-        recorded no-op that consumes no randomness.  ``domain``
-        optionally restricts the victim pool to one failure domain of
-        the region (an AZ or rack path).  Returns the crashed VM names.
+        ``domain`` is any path of the deployment's tree: a region, an AZ
+        (``region/azN``) or a rack (``region/azN/rackM``).  At
+        ``fraction`` 1.0 every ACTIVE VM in it crashes -- a rack's power
+        loss, an AZ cut off -- and no randomness is drawn.  A smaller
+        fraction crashes a seeded share -- a crash or spot-eviction
+        storm -- chosen from the engine's RNG over the name-sorted pool,
+        so same-seed replays pick the same victims; a zero fraction or an
+        empty pool crashes nobody and draws nothing.  The domain is marked
+        degraded until :meth:`domain_heal`; the VMs come back through the
+        VMC's reactive-rejuvenation path.  Returns the crashed names.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        vmc = self._require_vmc(region)
-        active = sorted(
-            vmc.vms_in(VmState.ACTIVE), key=lambda vm: vm.name
-        )
-        target = region
-        if domain is not None:
-            tree = self._require_domains()
-            if tree.region_of_domain(domain) != region:
-                raise ValueError(
-                    f"domain {domain!r} is not in region {region!r}"
-                )
-            racks = set(tree.racks_in(domain))
-            active = [vm for vm in active if vm.rack_id in racks]
-            target = domain
-        if fraction == 0.0 or not active:
-            self._record("vm_crash_storm", target, ())
-            return []
-        n = max(1, int(round(fraction * len(active))))
-        picks = self.rng.choice(len(active), size=n, replace=False)
-        victims = [active[i] for i in sorted(int(i) for i in picks)]
+        victims = self._domain_vms(domain, VmState.ACTIVE)
+        if fraction == 0.0:
+            victims = []
+        elif fraction < 1.0 and victims:
+            n = max(1, int(round(fraction * len(victims))))
+            picks = self.rng.choice(len(victims), size=n, replace=False)
+            victims = [victims[i] for i in sorted(int(i) for i in picks)]
         for vm in victims:
             vm.fail()
         names = tuple(vm.name for vm in victims)
-        self._record("vm_crash_storm", target, names)
+        self._mark_fault(domain, "crash_vms")
+        self._record("crash_vms", domain, names)
         return list(names)
 
-    def region_blackout(
-        self, region: str, domain: str | None = None
-    ) -> None:
-        """Take a whole region dark: controller down, ACTIVE VMs crashed.
-
-        With ``domain`` the blackout is scoped to one failure domain of
-        the region: only its ACTIVE VMs crash, and the region's
-        controller stays on the mesh (unless the domain *is* the whole
-        region).
-        """
+    def region_blackout(self, region: str) -> None:
+        """Take a whole region dark: controller down, ACTIVE VMs crashed."""
         vmc = self._require_vmc(region)
-        pool = vmc.vms_in(VmState.ACTIVE)
-        target = region
-        whole_region = True
-        if domain is not None:
-            tree = self._require_domains()
-            if tree.region_of_domain(domain) != region:
-                raise ValueError(
-                    f"domain {domain!r} is not in region {region!r}"
-                )
-            racks = set(tree.racks_in(domain))
-            pool = [vm for vm in pool if vm.rack_id in racks]
-            target = domain
-            whole_region = domain == region
         crashed = []
-        for vm in pool:
+        for vm in vmc.vms_in(VmState.ACTIVE):
             vm.fail()
             crashed.append(vm.name)
-        if whole_region:
-            if self.overlay is not None and region in self.overlay.nodes():
-                self.overlay.fail_node(region)
-            self._dark.add(region)
-        self._mark_fault(target, "region_blackout")
-        self._record("region_blackout", target, tuple(crashed))
+        if self.overlay is not None and region in self.overlay.nodes():
+            self.overlay.fail_node(region)
+        self._dark.add(region)
+        self._mark_fault(region, "region_blackout")
+        self._record("region_blackout", region, tuple(crashed))
 
     def region_heal(self, region: str) -> None:
         """Bring a blacked-out region back (controller up; its crashed
@@ -362,85 +330,6 @@ class ChaosEngine:
     # ------------------------------------------------------------------ #
     # correlated failure-domain primitives
     # ------------------------------------------------------------------ #
-
-    def rack_power_loss(self, rack: str) -> list[str]:
-        """Power-fail one rack: every ACTIVE VM on it crashes at once.
-
-        ``rack`` is a rack-level domain path (``region/azN/rackM``).  The
-        rack is marked degraded in the health tracker until
-        :meth:`domain_heal` clears it; the VMs themselves recover through
-        the VMC's reactive-rejuvenation path.  Returns the crashed names.
-        """
-        tree = self._require_domains()
-        if len(tree.racks_in(rack)) != 1:
-            raise ValueError(
-                f"rack_power_loss needs a rack-level path, got {rack!r}"
-            )
-        victims = self._domain_vms(rack, VmState.ACTIVE)
-        for vm in victims:
-            vm.fail()
-        names = tuple(vm.name for vm in victims)
-        self._mark_fault(rack, "rack_power_loss")
-        self._record("rack_power_loss", rack, names)
-        return list(names)
-
-    def az_partition(self, az: str) -> list[tuple[str, str]]:
-        """Partition one availability zone off the deployment.
-
-        Every ACTIVE VM in the AZ crashes (unreachable replicas serve
-        nothing; they rejoin via reactive rejuvenation).  When the AZ is
-        the region's *controller AZ* (``az0`` by convention), the
-        region's overlay node is additionally cut from the mesh exactly
-        like :meth:`partition` -- heal with :meth:`az_heal`, passing the
-        returned cut.
-        """
-        tree = self._require_domains()
-        region = tree.region_of_domain(az)
-        victims = self._domain_vms(az, VmState.ACTIVE)
-        for vm in victims:
-            vm.fail()
-        cut: list[tuple[str, str]] = []
-        if (
-            az == tree.controller_az(region)
-            and self.overlay is not None
-            and region in self.overlay.nodes()
-        ):
-            net = self.overlay
-            cut = [
-                (a, b)
-                for a, b in net.links()
-                if (a == region) != (b == region)
-            ]
-            for a, b in cut:
-                net.fail_link(a, b)
-        self._mark_fault(az, "az_partition")
-        self._record(
-            "az_partition",
-            az,
-            (tuple(vm.name for vm in victims), tuple(cut)),
-        )
-        return cut
-
-    def az_heal(
-        self, az: str, cut: Sequence[tuple[str, str]] = ()
-    ) -> None:
-        """Heal an AZ partition: restore the cut links, clear the mark.
-
-        Idempotent: with no links to restore and no degraded mark to
-        clear, nothing happens and nothing is logged.
-        """
-        tree = self._require_domains()
-        tree.racks_in(az)  # validate the path
-        healed = False
-        if self.overlay is not None and cut:
-            for a, b in cut:
-                self.overlay.restore_link(a, b)
-            healed = True
-        if self.health is not None:
-            healed = self.health.clear_fault(az) or healed
-        if not healed:
-            return
-        self._record("az_heal", az, tuple(cut))
 
     def domain_heal(self, domain: str) -> None:
         """Clear a domain's degraded mark (rack power restored, etc.).
@@ -498,30 +387,6 @@ class ChaosEngine:
             inj.thread_probability = thread
         self._clear_fault(domain)
         self._record("cooling_restore", domain)
-
-    def eviction_storm(self, domain: str, fraction: float) -> list[str]:
-        """Spot-instance eviction wave inside one failure domain.
-
-        A random ``fraction`` of the domain's ACTIVE VMs is reclaimed
-        (crashed), chosen from the engine's RNG over the name-sorted
-        pool -- same replay contract as :meth:`vm_crash_storm`.  A zero
-        fraction or empty pool is a recorded no-op consuming no
-        randomness.  Returns the evicted VM names.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        pool = self._domain_vms(domain, VmState.ACTIVE)
-        if fraction == 0.0 or not pool:
-            self._record("eviction_storm", domain, ())
-            return []
-        n = max(1, int(round(fraction * len(pool))))
-        picks = self.rng.choice(len(pool), size=n, replace=False)
-        victims = [pool[i] for i in sorted(int(i) for i in picks)]
-        for vm in victims:
-            vm.fail()
-        names = tuple(vm.name for vm in victims)
-        self._record("eviction_storm", domain, names)
-        return list(names)
 
     # ------------------------------------------------------------------ #
     # workload primitives
@@ -607,75 +472,3 @@ class ChaosEngine:
                 )
             pred.set_mode(mode)
         self._record("corrupt_predictor", ",".join(targets), (mode,))
-
-    # ------------------------------------------------------------------ #
-    # scheduling
-    # ------------------------------------------------------------------ #
-
-    def at(self, time: float, primitive: Callable, *args, **kwargs):
-        """Apply a primitive at absolute simulator time ``time``."""
-        return self.sim.schedule_at(
-            time,
-            lambda: primitive(*args, **kwargs),
-            label=f"chaos:{getattr(primitive, '__name__', 'fault')}",
-        )
-
-    def link_flap_every(
-        self,
-        a: str,
-        b: str,
-        period_s: float,
-        down_s: float,
-        start: float | None = None,
-        until_s: float | None = None,
-    ) -> Callable[[], None]:
-        """Flap a link on a fixed cadence: down for ``down_s`` out of
-        every ``period_s``.  Returns the stop function."""
-        if down_s <= 0 or down_s >= period_s:
-            raise ValueError("need 0 < down_s < period_s")
-
-        def flap() -> None:
-            self.fail_link(a, b)
-            self.sim.schedule_after(
-                down_s,
-                lambda: self.restore_link(a, b),
-                label="chaos:flap-heal",
-            )
-
-        stop = self.sim.schedule_periodic(
-            period_s, flap, start=start, label="chaos:flap"
-        )
-        if until_s is not None:
-            self.sim.schedule_at(until_s, stop, label="chaos:flap-stop")
-        return stop
-
-    def poisson_link_flaps(
-        self,
-        pairs: Sequence[tuple[str, str]],
-        rate_hz: float,
-        down_s: float,
-        until_s: float,
-    ) -> int:
-        """Schedule seeded Poisson-arrival flaps on each link in ``pairs``.
-
-        Each link independently flaps at exponential inter-arrival gaps of
-        mean ``1/rate_hz`` until ``until_s``; every flap keeps the link
-        down for ``down_s``.  The whole schedule is drawn up-front from
-        the engine RNG (fixed pair order, fixed draw order), so it is a
-        pure function of the seed.  Returns the number of flaps scheduled.
-        """
-        if rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
-        if down_s <= 0:
-            raise ValueError("down_s must be positive")
-        scheduled = 0
-        for a, b in pairs:
-            t = self.sim.now
-            while True:
-                t += float(self.rng.exponential(1.0 / rate_hz))
-                if t >= until_s:
-                    break
-                self.at(t, self.fail_link, a, b)
-                self.at(t + down_s, self.restore_link, a, b)
-                scheduled += 1
-        return scheduled

@@ -8,9 +8,9 @@ sender's ``send`` still returns True (the network accepted the packet; it
 just never arrives), which is exactly the failure mode
 :class:`~repro.overlay.reliable.ReliableChannel` exists to mask.
 
-Both knobs are plain mutable attributes so a
-:class:`~repro.chaos.engine.ChaosEngine` can schedule loss windows
-("30 % loss between t=180 s and t=780 s") on the simulator clock.  All
+Both knobs are plain mutable attributes, so a campaign can open and
+close a loss window ("30 % loss from era 5 to era 16") through
+:class:`~repro.chaos.engine.ChaosEngine` at era boundaries.  All
 randomness comes from one named stream, so a campaign replays
 bit-identically from its seed.
 """

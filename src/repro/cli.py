@@ -121,6 +121,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _non_negative(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise ValueError(f"must be non-negative and finite, got {text}")
+    return value
+
+
 def _typed(args: argparse.Namespace, config_cls, prefix: str = "") -> dict:
     """The fields of ``config_cls`` a parser built with
     ``argument_default=SUPPRESS`` saw typed (dest = ``prefix`` + field
@@ -645,8 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="expected request rate (req/s)")
     pl.add_argument("--target", type=_arg(_positive), required=True,
                     help="target RMTTF in seconds")
-    pl.add_argument("--rejuvenation-time", type=float, default=120.0)
-    pl.add_argument("--threshold", type=float, default=240.0)
+    pl.add_argument("--rejuvenation-time", type=_arg(_non_negative),
+                    default=120.0)
+    pl.add_argument("--threshold", type=_arg(_non_negative), default=240.0)
     pl.set_defaults(func=_cmd_plan)
 
     pr = sub.add_parser(
@@ -823,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     psv.add_argument(
         "--slo-p95",
         dest="slo.p95_target_s",
-        type=float,
+        type=_arg(_positive),
         metavar="S",
         help=(
             "enable the SLO ladder with this p95 latency target in "
@@ -833,14 +841,14 @@ def build_parser() -> argparse.ArgumentParser:
     psv.add_argument(
         "--slo-window",
         dest="slo.window_s",
-        type=float,
+        type=_arg(_positive),
         metavar="S",
         help="SLO rolling-window length, clock seconds",
     )
     psv.add_argument(
         "--slo-dwell",
         dest="slo.min_dwell_s",
-        type=float,
+        type=_arg(_non_negative),
         metavar="S",
         help="minimum dwell before a degraded region may recover",
     )

@@ -119,6 +119,14 @@ def recommend_pool(
         raise ValueError("target_rmttf_s must be positive")
     if not 0 < max_utilisation < 1:
         raise ValueError("max_utilisation must be in (0, 1)")
+    if not (
+        0 <= rejuvenation_time_s < math.inf
+        and 0 <= rttf_threshold_s < math.inf
+    ):
+        raise ValueError(
+            "rejuvenation_time_s and rttf_threshold_s must be non-negative "
+            "and finite"
+        )
     itype = get_instance_type(instance_type)
     service_rate = itype.cpu_power / mean_demand
     for n in range(1, max_vms + 1):

@@ -29,11 +29,25 @@ source of faults and failures is manifold"):
     recover.  Runs on the *hierarchical* deployment (2 AZs x 2 racks
     per region) and reports per-domain availability and MTTR.
 ``az-partition``
-    One availability zone of region2 is partitioned off (its ACTIVE
-    VMs crash; were it the controller AZ the region would also be cut
-    from the mesh) and later healed; hierarchical deployment, with the
+    One availability zone of region2 is cut off (its ACTIVE VMs crash)
+    and later healed; hierarchical deployment, with the
     :class:`~repro.topology.health.DomainHealthTracker` timeline in the
     report.
+``partition``
+    The leader's region is cut off the overlay mesh; the others stop
+    hearing its reports, and the plan walks the degradation ladder down
+    to its fallback rung until the cut heals.
+``crash-storm``
+    Crash storms of growing locality -- a seeded half of region2, a
+    seeded half of an AZ of region1, then a whole rack of region1 --
+    each healed in turn; hierarchical deployment.
+``cooling``
+    A cooling failure quadruples the anomaly hazard of every VM in one
+    AZ for ten eras; hierarchical deployment.
+``predictor-corruption``
+    Every region's RTTF predictor returns NaN long enough to reach the
+    fallback rung; then one region's predicts stale values and
+    another's zero.
 ``smoke``
     A fast mixed campaign (loss + one flap) for CI.
 
@@ -446,34 +460,79 @@ def _script_rack_blackout_flashcrowd(eras: int) -> FaultScript:
     heal = max(dark + 1, min(eras - 4, dark + 6))
     calm = max(heal + 1, eras - 2)
     _add(script, crowd, lambda e: e.flash_crowd("region1", 2.0))
-    _add(
-        script, dark, lambda e: e.rack_power_loss("region1/az0/rack0")
-    )
+    _add(script, dark, lambda e: e.crash_vms("region1/az0/rack0"))
     _add(script, heal, lambda e: e.domain_heal("region1/az0/rack0"))
     _add(script, calm, lambda e: e.flash_crowd_end("region1"))
     return script
 
 
 def _script_az_partition(eras: int) -> FaultScript:
-    """Partition region2's az1 off, heal it later.
+    """Cut region2's az1 off (its ACTIVE VMs crash), heal it later.
 
-    az1 is a non-controller AZ, so the fault is purely a correlated VM
-    crash (the region's overlay node stays in the mesh); the interesting
-    question is how fast the AZ's rack timelines recover.
+    az1 does not host the region's controller, so the region's overlay
+    node stays in the mesh; the question is how fast the AZ's rack
+    timelines recover.
     """
     script: FaultScript = {}
-    state: dict[str, list[tuple[str, str]]] = {}
     cut_at = min(5, max(1, eras // 4))
     heal_at = max(cut_at + 1, min(eras - 6, cut_at + 8))
+    _add(script, cut_at, lambda e: e.crash_vms("region2/az1"))
+    _add(script, heal_at, lambda e: e.domain_heal("region2/az1"))
+    return script
 
-    def _cut(e: ChaosEngine) -> None:
-        state["cut"] = e.az_partition("region2/az1")
 
-    def _heal(e: ChaosEngine) -> None:
-        e.az_heal("region2/az1", state.get("cut", ()))
+def _script_partition(eras: int) -> FaultScript:
+    """Cut the leader, region1, off the mesh; heal the cut later.
 
-    _add(script, cut_at, _cut)
-    _add(script, heal_at, _heal)
+    The other two regions stop hearing region1's RMTTF reports, so the
+    plan walks the degradation ladder down to its fallback rung before
+    the heal.
+    """
+    script: FaultScript = {}
+    cut: list[tuple[str, str]] = []
+    start = min(4, max(1, eras // 4))
+    heal = max(start + 1, eras - 12)
+    _add(script, start, lambda e: cut.extend(e.partition(["region1"])))
+    _add(script, heal, lambda e: e.heal_partition(cut))
+    return script
+
+
+def _script_crash_storm(eras: int) -> FaultScript:
+    """Three crash storms, each healed three eras on: half of region2,
+    half of region1's az1, then one whole rack of region1."""
+    script: FaultScript = {}
+    storms = (
+        ("region2", 0.5),
+        ("region1/az1", 0.5),
+        ("region1/az0/rack0", 1.0),
+    )
+    for k, (domain, fraction) in enumerate(storms):
+        era = 3 + 5 * k
+        _add(script, era, lambda e, d=domain, f=fraction: e.crash_vms(d, f))
+        _add(script, era + 3, lambda e, d=domain: e.domain_heal(d))
+    return script
+
+
+def _script_cooling(eras: int) -> FaultScript:
+    """Quadruple the anomaly hazard across region1's az0 for ten eras."""
+    script: FaultScript = {}
+    start = min(3, max(1, eras // 8))
+    stop = max(start + 1, min(eras - 4, start + 10))
+    _add(script, start, lambda e: e.cooling_failure("region1/az0", 4.0))
+    _add(script, stop, lambda e: e.cooling_restore("region1/az0"))
+    return script
+
+
+def _script_predictor_corruption(eras: int) -> FaultScript:
+    """Every region predicts NaN long enough to reach the fallback rung;
+    then region2 predicts stale values and region3 zero, one at a time."""
+    script: FaultScript = {}
+    _add(script, 4, lambda e: e.corrupt_predictor("nan"))
+    _add(script, 16, lambda e: e.corrupt_predictor("off"))
+    _add(script, 18, lambda e: e.corrupt_predictor("stale", "region2"))
+    _add(script, 22, lambda e: e.corrupt_predictor("off", "region2"))
+    _add(script, 24, lambda e: e.corrupt_predictor("zero", "region3"))
+    _add(script, 28, lambda e: e.corrupt_predictor("off", "region3"))
     return script
 
 
@@ -548,6 +607,32 @@ CAMPAIGNS: dict[str, CampaignSpec] = {
             hierarchical=True,
         ),
         CampaignSpec(
+            "partition",
+            "cut the leader (region1) off the mesh, heal it later",
+            30,
+            _script_partition,
+        ),
+        CampaignSpec(
+            "crash-storm",
+            "crash half of a region, half of an AZ, then a whole rack",
+            24,
+            _script_crash_storm,
+            hierarchical=True,
+        ),
+        CampaignSpec(
+            "cooling",
+            "quadruple the anomaly hazard across one AZ of region1",
+            24,
+            _script_cooling,
+            hierarchical=True,
+        ),
+        CampaignSpec(
+            "predictor-corruption",
+            "NaN predictions everywhere, then stale and zero in one region",
+            34,
+            _script_predictor_corruption,
+        ),
+        CampaignSpec(
             "smoke",
             "fast mixed campaign (loss + one flap) for CI",
             10,
@@ -583,20 +668,16 @@ def run_campaign(
             f"campaigns need at least {MIN_CAMPAIGN_ERAS} eras"
         )
     if telemetry is not None and telemetry.enabled:
-        config = {
-            "campaign": spec.name,
-            "eras": n_eras,
-            "era_s": era_s,
-        }
-        if spec.hierarchical:
-            # keyed only for hierarchical campaigns, so historical
-            # manifests (and their digests) are unchanged
-            config["hierarchical"] = True
-            config["spread_k"] = spec.spread_k
         telemetry.set_manifest(
             RunManifest.build(
                 seed=seed,
-                config=config,
+                config={
+                    "campaign": spec.name,
+                    "eras": n_eras,
+                    "era_s": era_s,
+                    "hierarchical": spec.hierarchical,
+                    "spread_k": spec.spread_k,
+                },
                 campaign=spec.name,
                 eras=n_eras,
             )

@@ -85,6 +85,9 @@ class SloConfig:
     shed_factor: float = 0.5
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.p95_target_s <= 0:
             raise ValueError(f"p95_target_s must be > 0, got {self.p95_target_s}")
         if not 0.0 < self.exit_ratio <= 1.0:

@@ -233,17 +233,6 @@ class FailureDomainTree:
             raise KeyError(f"unknown region {region!r}") from None
         return ids[vm_index % len(ids)]
 
-    def controller_az(self, region: str) -> str:
-        """AZ hosting the region's controller (by convention, ``az0``).
-
-        The VMC and its overlay endpoint live in the first AZ; partitioning
-        that AZ therefore cuts the whole region off the mesh, while
-        partitioning any other AZ only takes down its VMs.
-        """
-        if region not in self._shape:
-            raise KeyError(f"unknown region {region!r}")
-        return f"{region}/az0"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shape = ", ".join(
             f"{r}={a}x{k}" for r, (a, k) in self._shape.items()

@@ -12,17 +12,15 @@ We model each interaction with a *relative service demand* (CPU work at the
 server, expressed relative to the cheapest interaction = 1.0), calibrated to
 the common observation that order-path interactions (which hit the database
 hardest: Buy Confirm, Admin Confirm) cost several times a static page hit.
-The sampler below draws interaction types i.i.d. from the mix's stationary
-distribution -- the paper only relies on the aggregate request stream, not
-on per-session transition structure.
+A mix enters the model only through its mean service demand -- the paper
+relies on the aggregate request stream, not on per-session transition
+structure.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class RequestType(enum.Enum):
@@ -43,18 +41,6 @@ class RequestType(enum.Enum):
     ADMIN_REQUEST = "admin_request"
     ADMIN_CONFIRM = "admin_confirm"
 
-
-#: Browse-class interactions (the rest are order-class).
-BROWSE_CLASS = frozenset(
-    {
-        RequestType.HOME,
-        RequestType.NEW_PRODUCTS,
-        RequestType.BEST_SELLERS,
-        RequestType.PRODUCT_DETAIL,
-        RequestType.SEARCH_REQUEST,
-        RequestType.SEARCH_RESULTS,
-    }
-)
 
 #: Relative service demand per interaction (1.0 = cheapest static page).
 TPCW_INTERACTIONS: dict[RequestType, float] = {
@@ -141,20 +127,10 @@ class RequestMix:
         """Interaction types in deterministic (enum-definition) order."""
         return [rt for rt in RequestType if rt in self.weights]
 
-    def probabilities(self) -> np.ndarray:
-        """Probability vector aligned with :attr:`types`."""
-        return np.array([self.weights[rt] for rt in self.types])
-
     def mean_service_demand(self) -> float:
         """Expected relative service demand of one request under this mix."""
         return float(
             sum(self.weights[rt] * TPCW_INTERACTIONS[rt] for rt in self.types)
-        )
-
-    def browse_fraction(self) -> float:
-        """Probability mass on browse-class interactions."""
-        return float(
-            sum(w for rt, w in self.weights.items() if rt in BROWSE_CLASS)
         )
 
 

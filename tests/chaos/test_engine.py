@@ -1,10 +1,11 @@
-"""Tests for the chaos engine: primitives, scheduling, replayability."""
+"""Tests for the chaos engine: primitives and replayability."""
 
 import math
 
 import pytest
 
 from repro.chaos import ChaosEngine, CorruptiblePredictor, FaultEvent, LossyBus
+from repro.experiments.resilience import run_campaign
 from repro.overlay import OverlayNetwork, Router
 from repro.pcam import (
     OracleRttfPredictor,
@@ -48,6 +49,16 @@ def make_engine(seed=5, **surfaces):
     return sim, ChaosEngine(sim, rng, **surfaces)
 
 
+def make_flat_engine(vmc, seed=5, **surfaces):
+    """An engine over the one flat region r1 (a 1x1 tree: rack 0)."""
+    return make_engine(
+        seed=seed,
+        vmcs={"r1": vmc},
+        domains=FailureDomainTree.flat(["r1"]),
+        **surfaces,
+    )
+
+
 class TestOverlayPrimitives:
     def test_link_fault_reroutes_and_logs(self):
         net = mesh()
@@ -83,7 +94,7 @@ class TestOverlayPrimitives:
         with pytest.raises(RuntimeError, match="overlay"):
             engine.fail_link("r1", "r2")
         with pytest.raises(RuntimeError, match="VMC"):
-            engine.vm_crash_storm("r1", 0.5)
+            engine.region_blackout("r1")
         with pytest.raises(RuntimeError, match="LossyBus"):
             engine.set_message_loss(0.3)
         with pytest.raises(RuntimeError, match="predictor"):
@@ -94,19 +105,23 @@ class TestPcamPrimitives:
     def test_crash_storm_kills_fraction_of_active(self):
         rngs = RngRegistry(seed=9)
         vmc = make_vmc(rngs)
-        sim, engine = make_engine(vmcs={"r1": vmc})
-        victims = engine.vm_crash_storm("r1", 0.5)
+        sim, engine = make_flat_engine(vmc)
+        victims = engine.crash_vms("r1", 0.5)
         assert len(victims) == 2  # half of 4 ACTIVE
         assert len(vmc.vms_in(VmState.FAILED)) == 2
         assert engine.log[0].detail == tuple(victims)
 
     def test_crash_storm_is_seed_deterministic(self):
-        def storm(seed):
-            vmc = make_vmc(RngRegistry(seed=1))
-            sim, engine = make_engine(seed=seed, vmcs={"r1": vmc})
-            return engine.vm_crash_storm("r1", 0.5)
+        """Same seed, same victims; another seed, other victims."""
 
+        def storm(seed):
+            vmc = make_vmc(RngRegistry(seed=1), n_vms=24, target=20)
+            sim, engine = make_flat_engine(vmc, seed=seed)
+            return engine.crash_vms("r1", 0.5)
+
+        assert len(storm(5)) == 10
         assert storm(5) == storm(5)
+        assert storm(6) != storm(5)
 
     def test_blackout_and_heal(self):
         net = mesh()
@@ -127,35 +142,43 @@ class TestPcamPrimitives:
 
     def test_fraction_validation(self):
         rngs = RngRegistry(seed=9)
-        sim, engine = make_engine(vmcs={"r1": make_vmc(rngs)})
+        sim, engine = make_flat_engine(make_vmc(rngs))
         with pytest.raises(ValueError):
-            engine.vm_crash_storm("r1", -0.1)
+            engine.crash_vms("r1", -0.1)
         with pytest.raises(ValueError):
-            engine.vm_crash_storm("r1", 1.5)
+            engine.crash_vms("r1", 1.5)
         with pytest.raises(ValueError):
-            engine.vm_crash_storm("r1", float("nan"))
+            engine.crash_vms("r1", float("nan"))
 
     def test_zero_fraction_is_recorded_noop(self):
         """fraction=0 kills nobody, logs an empty storm, burns no RNG."""
         rngs = RngRegistry(seed=9)
         vmc = make_vmc(rngs)
-        sim, engine = make_engine(vmcs={"r1": vmc})
+        sim, engine = make_flat_engine(vmc)
         state_before = engine.rng.bit_generator.state
-        assert engine.vm_crash_storm("r1", 0.0) == []
+        assert engine.crash_vms("r1", 0.0) == []
         assert vmc.vms_in(VmState.FAILED) == []
-        assert engine.log[-1].kind == "vm_crash_storm"
+        assert engine.log[-1].kind == "crash_vms"
         assert engine.log[-1].detail == ()
         assert engine.rng.bit_generator.state == state_before
 
     def test_crash_storm_victims_are_pinned(self):
         """Regression pin: deterministic victim selection for a fixed seed.
 
-        If this breaks, the RNG consumption order of vm_crash_storm
+        If this breaks, the RNG consumption order of a partial crash_vms
         changed and every recorded campaign fault log is invalidated.
         """
         vmc = make_vmc(RngRegistry(seed=9))
-        sim, engine = make_engine(seed=5, vmcs={"r1": vmc})
-        assert engine.vm_crash_storm("r1", 0.5) == ["r1/vm1", "r1/vm3"]
+        sim, engine = make_flat_engine(vmc, seed=5)
+        assert engine.crash_vms("r1", 0.5) == ["r1/vm1", "r1/vm3"]
+
+    def test_full_crash_draws_no_randomness(self):
+        vmc = make_vmc(RngRegistry(seed=9))
+        sim, engine = make_flat_engine(vmc)
+        state_before = engine.rng.bit_generator.state
+        assert engine.crash_vms("r1") == [f"r1/vm{i}" for i in range(4)]
+        assert vmc.vms_in(VmState.ACTIVE) == []
+        assert engine.rng.bit_generator.state == state_before
 
 
 class TestHealIdempotency:
@@ -225,11 +248,11 @@ class TestDomainPrimitives:
     def test_rack_power_loss_kills_exactly_the_rack(self):
         sim, engine, vmc, tree, health = make_domain_engine()
         # 4 ACTIVE VMs (vm0..vm3) on racks 0..3: rack 1 holds only vm1
-        victims = engine.rack_power_loss("r1/az0/rack1")
+        victims = engine.crash_vms("r1/az0/rack1")
         assert victims == ["r1/vm1"]
         assert [vm.name for vm in vmc.vms_in(VmState.FAILED)] == ["r1/vm1"]
         assert engine.log[-1] == FaultEvent(
-            0.0, "rack_power_loss", "r1/az0/rack1", ("r1/vm1",)
+            0.0, "crash_vms", "r1/az0/rack1", ("r1/vm1",)
         )
         assert health.is_degraded("r1/az0/rack1")
         assert not health.is_degraded("r1/az0/rack0")
@@ -237,16 +260,14 @@ class TestDomainPrimitives:
         assert not health.is_degraded("r1/az0/rack1")
         engine.domain_heal("r1/az0/rack1")  # idempotent
         assert [e.kind for e in engine.log] == [
-            "rack_power_loss",
+            "crash_vms",
             "domain_heal",
         ]
 
-    def test_rack_power_loss_rejects_non_rack_paths(self):
-        sim, engine, *_ = make_domain_engine()
-        with pytest.raises(ValueError):
-            engine.rack_power_loss("r1/az0")
-
     def test_az_partition_cuts_controller_az_off_the_mesh(self):
+        """Partitioning the AZ that hosts the controller is two
+        primitives: crash the AZ's VMs and cut the region off the mesh;
+        each heals on its own."""
         net = mesh()
         tree = hierarchy()
         vmc = make_vmc(RngRegistry(seed=9), tree=tree)
@@ -257,20 +278,22 @@ class TestDomainPrimitives:
             domains=tree,
             health=health,
         )
-        cut = engine.az_partition("r1/az0")
         # az0 racks are 0 and 1 -> vm0 and vm1 crash; controller is cut
+        assert engine.crash_vms("r1/az0") == ["r1/vm0", "r1/vm1"]
+        cut = engine.partition(["r1"])
         assert sorted(cut) == [("r1", "r2"), ("r1", "r3")]
         assert net.is_partitioned()
-        assert {vm.name for vm in vmc.vms_in(VmState.FAILED)} == {
-            "r1/vm0",
-            "r1/vm1",
-        }
         assert health.is_degraded("r1/az0")
-        engine.az_heal("r1/az0", cut)
+        engine.heal_partition(cut)
+        engine.domain_heal("r1/az0")
         assert not net.is_partitioned()
         assert not health.is_degraded("r1/az0")
-        engine.az_heal("r1/az0")  # nothing left to heal: no log entry
-        assert [e.kind for e in engine.log] == ["az_partition", "az_heal"]
+        assert [e.kind for e in engine.log] == [
+            "crash_vms",
+            "partition",
+            "heal_partition",
+            "domain_heal",
+        ]
 
     def test_az_partition_of_secondary_az_keeps_controller_up(self):
         net = mesh()
@@ -279,14 +302,28 @@ class TestDomainPrimitives:
         sim, engine = make_engine(
             overlay=net, vmcs={"r1": vmc}, domains=tree
         )
-        cut = engine.az_partition("r1/az1")
-        assert cut == []
-        assert not net.is_partitioned()
         # az1 racks are 2 and 3 -> vm2 and vm3
+        assert engine.crash_vms("r1/az1") == ["r1/vm2", "r1/vm3"]
+        assert not net.is_partitioned()
         assert {vm.name for vm in vmc.vms_in(VmState.FAILED)} == {
             "r1/vm2",
             "r1/vm3",
         }
+
+    def test_crash_vms_never_touches_the_overlay(self):
+        """Crashing VMs, even the whole controller AZ's, leaves the
+        region's controller on the mesh: cutting it is ``partition``."""
+        net = mesh()
+        tree = hierarchy()
+        vmc = make_vmc(RngRegistry(seed=9), tree=tree)
+        sim, engine = make_engine(
+            overlay=net, vmcs={"r1": vmc}, domains=tree
+        )
+        assert engine.crash_vms("r1/az0/rack0") == ["r1/vm0"]
+        assert engine.crash_vms("r1/az0") == ["r1/vm1"]
+        assert net.is_alive("r1")
+        assert not net.is_partitioned()
+        assert engine.log[0].target == "r1/az0/rack0"
 
     def test_cooling_failure_scales_hazard_and_restores(self):
         sim, engine, vmc, tree, health = make_domain_engine()
@@ -324,50 +361,38 @@ class TestDomainPrimitives:
     def test_eviction_storm_is_domain_scoped_and_replayable(self):
         def run(seed):
             sim, engine, vmc, tree, _ = make_domain_engine(seed=seed)
-            victims = engine.eviction_storm("r1/az0", 1.0)
+            victims = engine.crash_vms("r1/az0", 0.5)
             return victims, engine.log
 
         victims, log = run(5)
         # az0 holds exactly the ACTIVE VMs vm0 (rack0) and vm1 (rack1)
-        assert victims == ["r1/vm0", "r1/vm1"]
+        assert len(victims) == 1 and victims[0] in ("r1/vm0", "r1/vm1")
         assert run(5) == (victims, log)
 
     def test_eviction_storm_zero_fraction_is_noop(self):
         sim, engine, vmc, *_ = make_domain_engine()
         state_before = engine.rng.bit_generator.state
-        assert engine.eviction_storm("r1/az1", 0.0) == []
+        assert engine.crash_vms("r1/az1", 0.0) == []
         assert vmc.vms_in(VmState.FAILED) == []
         assert engine.rng.bit_generator.state == state_before
         with pytest.raises(ValueError):
-            engine.eviction_storm("r1/az1", 1.2)
+            engine.crash_vms("r1/az1", 1.2)
 
     def test_crash_storm_domain_selector(self):
         sim, engine, vmc, tree, _ = make_domain_engine()
-        victims = engine.vm_crash_storm("r1", 1.0, domain="r1/az1")
+        victims = engine.crash_vms("r1/az1", 1.0)
         assert victims == ["r1/vm2", "r1/vm3"]
         assert engine.log[-1].target == "r1/az1"
         with pytest.raises(KeyError):
-            engine.vm_crash_storm("r1", 0.5, domain="r2/az0")
-
-    def test_region_blackout_domain_selector_keeps_controller(self):
-        net = mesh()
-        tree = hierarchy()
-        vmc = make_vmc(RngRegistry(seed=9), tree=tree)
-        sim, engine = make_engine(
-            overlay=net, vmcs={"r1": vmc}, domains=tree
-        )
-        engine.region_blackout("r1", domain="r1/az0/rack0")
-        assert net.is_alive("r1")  # controller untouched
-        assert [vm.name for vm in vmc.vms_in(VmState.FAILED)] == ["r1/vm0"]
-        assert engine.log[-1].target == "r1/az0/rack0"
+            engine.crash_vms("r2/az0", 0.5)
 
     def test_domain_primitives_need_a_tree(self):
         rngs = RngRegistry(seed=9)
         sim, engine = make_engine(vmcs={"r1": make_vmc(rngs)})
         with pytest.raises(RuntimeError, match="FailureDomainTree"):
-            engine.rack_power_loss("r1/az0/rack0")
+            engine.crash_vms("r1/az0/rack0")
         with pytest.raises(RuntimeError, match="FailureDomainTree"):
-            engine.eviction_storm("r1", 0.5)
+            engine.cooling_failure("r1")
 
 
 class TestWorkloadPrimitives:
@@ -435,80 +460,14 @@ class TestTransportAndPredictorPrimitives:
             engine.corrupt_predictor("bogus")
 
 
-class TestScheduling:
-    def test_at_applies_on_the_sim_clock(self):
-        net = mesh()
-        sim, engine = make_engine(overlay=net)
-        engine.at(120.0, engine.fail_link, "r1", "r2")
-        engine.at(240.0, engine.restore_link, "r1", "r2")
-        sim.run_until(120.0)
-        assert "r2" not in net.live_view()["r1"]
-        sim.run_until(240.0)
-        assert "r2" in net.live_view()["r1"]
-        assert [(e.time, e.kind) for e in engine.log] == [
-            (120.0, "fail_link"),
-            (240.0, "restore_link"),
-        ]
-
-    def test_link_flap_every(self):
-        net = mesh()
-        sim, engine = make_engine(overlay=net)
-        engine.link_flap_every(
-            "r1", "r2", period_s=100.0, down_s=30.0, until_s=350.0
-        )
-        sim.run_until(1000.0)
-        fails = [e.time for e in engine.log if e.kind == "fail_link"]
-        heals = [e.time for e in engine.log if e.kind == "restore_link"]
-        assert fails == [100.0, 200.0, 300.0]
-        assert heals == [130.0, 230.0, 330.0]
-        assert "r2" in net.live_view()["r1"]
-
-    def test_poisson_flaps_are_seed_deterministic(self):
-        def schedule(seed):
-            net = mesh()
-            sim, engine = make_engine(seed=seed, overlay=net)
-            n = engine.poisson_link_flaps(
-                [("r1", "r2"), ("r2", "r3")],
-                rate_hz=1 / 200.0,
-                down_s=20.0,
-                until_s=3600.0,
-            )
-            sim.run()
-            return n, [(e.time, e.kind, e.target) for e in engine.log]
-
-        n1, log1 = schedule(21)
-        n2, log2 = schedule(21)
-        assert n1 > 0
-        assert log1 == log2
-        assert schedule(22)[1] != log1
-
-
 class TestFaultLogReplay:
     def test_campaign_fault_log_is_bit_identical(self):
         """Same seed, same campaign script => byte-for-byte same log."""
-
-        def run(seed):
-            net = mesh()
-            rngs = RngRegistry(seed=seed)
-            vmc = make_vmc(rngs)
-            sim = Simulator()
-            engine = ChaosEngine(
-                sim,
-                rngs.stream("chaos"),
-                overlay=net,
-                vmcs={"r1": vmc},
-            )
-            engine.at(60.0, engine.vm_crash_storm, "r1", 0.5)
-            engine.at(120.0, engine.crash_node, "r2")
-            engine.poisson_link_flaps(
-                [("r1", "r3")], rate_hz=1 / 300.0, down_s=15.0, until_s=1800.0
-            )
-            engine.at(900.0, engine.restore_node, "r2")
-            sim.run()
-            return engine.log
-
-        log_a, log_b = run(33), run(33)
+        log_a, log_b = (
+            run_campaign("crash-storm", seed=33).fault_log for _ in range(2)
+        )
         assert log_a == log_b
         assert all(isinstance(e, FaultEvent) for e in log_a)
-        # the log is ordered by the simulator clock
+        # the log is ordered by the clock, and the seeded storms hit
         assert [e.time for e in log_a] == sorted(e.time for e in log_a)
+        assert any(e.kind == "crash_vms" and e.detail for e in log_a)

@@ -1,5 +1,7 @@
 """Tests for the mean-field capacity planner."""
 
+import math
+
 import pytest
 
 from repro.core import AcmManager, RegionSpec
@@ -56,6 +58,13 @@ class TestRecommendPool:
             recommend_pool("m3.medium", 1.0, 0.0)
         with pytest.raises(ValueError):
             recommend_pool("m3.medium", 1.0, 100.0, max_utilisation=1.5)
+        for bad in (-5.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                recommend_pool("m3.medium", 30.0, 600.0, rttf_threshold_s=bad)
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                recommend_pool(
+                    "m3.medium", 30.0, 600.0, rejuvenation_time_s=bad
+                )
 
     def test_total_vms(self):
         plan = recommend_pool("m3.medium", 40.0, target_rmttf_s=600.0)

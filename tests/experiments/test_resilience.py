@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.chaos import ChaosEngine
 from repro.cli import main
 from repro.experiments.resilience import (
     CAMPAIGNS,
@@ -24,6 +25,10 @@ class TestRegistry:
             "blackout-heal",
             "rack-blackout-flashcrowd",
             "az-partition",
+            "partition",
+            "crash-storm",
+            "cooling",
+            "predictor-corruption",
             "smoke",
         }
 
@@ -62,6 +67,17 @@ class TestReplay:
         assert a.healthy == b.healthy
         assert a.message_stats == b.message_stats
         assert a.final_fractions == b.final_fractions
+
+    def test_crash_storm_victims_follow_the_seed(self):
+        """The seeded storms pick the same victims at the same seed and
+        other victims at another."""
+
+        def victims(seed):
+            log = run_campaign("crash-storm", seed=seed).fault_log
+            return [e.detail for e in log if e.kind == "crash_vms"]
+
+        assert victims(11) == victims(11)
+        assert victims(12) != victims(11)
 
     def test_different_seeds_differ(self):
         a = run_campaign("message-loss", eras=12, seed=11)
@@ -145,13 +161,82 @@ class TestCampaignBehaviour:
         assert not result.healthy[dark_era]
 
 
+    def test_partition_reaches_the_fallback_rung(self):
+        """Cut off from the leader's reports, the plan holds, then falls
+        back to the static prior, and returns to normal after the heal."""
+        result = run_campaign("partition", seed=7)
+        (cut,) = [e for e, k in result.era_faults.items() if k == ("partition",)]
+        (heal,) = [
+            e for e, k in result.era_faults.items() if k == ("heal_partition",)
+        ]
+        during = result.degradation[cut:heal]
+        assert "hold" in during and "fallback" in during
+        assert during.index("hold") < during.index("fallback")
+        assert result.degradation[-1] == "normal"
+        assert result.recovered
+
+    def test_crash_storms_keep_every_region_serving(self):
+        result = run_campaign("crash-storm", seed=7)
+        assert result.availability == 1.0
+        assert result.domain_faults == {
+            "region2": 1,
+            "region1/az1": 1,
+            "region1/az0/rack0": 1,
+        }
+        assert result.recovered
+
+    def test_cooling_failure_is_marked_and_restored(self):
+        result = run_campaign("cooling", seed=7)
+        assert [e.kind for e in result.fault_log] == [
+            "cooling_failure",
+            "cooling_restore",
+        ]
+        assert result.domain_faults == {"region1/az0": 1}
+        assert result.recovered
+
+    def test_nan_predictions_walk_the_ladder_and_recover(self):
+        result = run_campaign("predictor-corruption", seed=7)
+        modes = [e.detail[0] for e in result.fault_log]
+        assert {"nan", "stale", "zero", "off"} <= set(modes)
+        assert "fallback" in result.degradation
+        assert result.recovered
+
+
+class TestEveryPrimitiveRuns:
+    def test_every_public_primitive_runs_from_a_campaign(self, monkeypatch):
+        """Each public ChaosEngine method is called by a registered
+        campaign at its default eras (the reach gate cannot list the ones
+        under its line floor), and every campaign recovers."""
+        public = {
+            name
+            for name, value in vars(ChaosEngine).items()
+            if callable(value) and not name.startswith("_")
+        }
+        called = set()
+
+        def recorded(name, method):
+            def call(self, *args, **kwargs):
+                called.add(name)
+                return method(self, *args, **kwargs)
+
+            return call
+
+        for name in public:
+            monkeypatch.setattr(
+                ChaosEngine, name, recorded(name, getattr(ChaosEngine, name))
+            )
+        for name in CAMPAIGNS:
+            assert run_campaign(name, seed=7).recovered, name
+        assert called == public, sorted(public - called)
+
+
 class TestHierarchicalCampaigns:
     def test_rack_blackout_flashcrowd_reports_domains(self):
         result = run_campaign("rack-blackout-flashcrowd", seed=7)
         assert result.recovered
         kinds = [e.kind for e in result.fault_log]
         assert "flash_crowd" in kinds
-        assert "rack_power_loss" in kinds
+        assert "crash_vms" in kinds
         assert "domain_heal" in kinds
         assert "flash_crowd_end" in kinds
         # per-domain availability covers the whole hierarchy
@@ -166,8 +251,8 @@ class TestHierarchicalCampaigns:
         result = run_campaign("az-partition", seed=7)
         assert result.recovered
         kinds = [e.kind for e in result.fault_log]
-        assert kinds.count("az_partition") == 1
-        assert kinds.count("az_heal") == 1
+        assert kinds.count("crash_vms") == 1
+        assert kinds.count("domain_heal") == 1
         assert result.domain_faults == {"region2/az1": 1}
         # region-level service never dropped: the other AZ kept serving
         assert result.domain_availability["region2"] == 1.0

@@ -36,6 +36,7 @@ from repro.pcam.state_table import (
     VmStateTable,
 )
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry, Simulator
+from repro.topology import FailureDomainTree
 from repro.workload import AnomalyInjector
 
 from .conftest import vm_at
@@ -135,11 +136,14 @@ class TestCrashStormMidEra:
         )
         sim = Simulator()
         engine = ChaosEngine(
-            sim, rngs.child("chaos").stream("c"), vmcs={"r1": vmc}
+            sim,
+            rngs.child("chaos").stream("c"),
+            vmcs={"r1": vmc},
+            domains=FailureDomainTree.flat(["r1"]),
         )
         for era in range(12):
             if era in (3, 7):
-                victims = engine.vm_crash_storm("r1", 0.5)
+                victims = engine.crash_vms("r1", 0.5)
                 assert victims
                 for name in victims:
                     vm = next(v for v in vmc.vms if v.name == name)

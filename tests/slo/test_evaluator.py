@@ -103,6 +103,18 @@ class TestSpecGrammar:
         with pytest.raises(ValueError):
             SloConfig(window_s=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["p95_target_s", "exit_ratio", "queue_depth_max", "error_budget",
+         "window_s", "min_dwell_s", "shed_factor"],
+    )
+    def test_config_refuses_non_finite(self, field, value):
+        """A NaN or infinite field would leave a gate that never fires
+        (or always does); every field refuses one."""
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SloConfig(**{field: value})
+
 
 class TestEvaluator:
     def make(self, **kw) -> SloEvaluator:

@@ -112,6 +112,37 @@ class TestParser:
             "--admission-rps: must be positive and finite, got 0",
             id="serve-admission-rps",
         ),
+        pytest.param(
+            ["serve", "--slo-p95", "-1"],
+            "--slo-p95: must be positive and finite, got -1",
+            id="serve-slo-p95",
+        ),
+        pytest.param(
+            ["serve", "--slo-p95", "1", "--slo-window", "-1"],
+            "--slo-window: must be positive and finite, got -1",
+            id="serve-slo-window",
+        ),
+        pytest.param(
+            ["serve", "--slo-p95", "1", "--slo-dwell", "-3"],
+            "--slo-dwell: must be non-negative and finite, got -3",
+            id="serve-slo-dwell",
+        ),
+        pytest.param(
+            ["plan", "--rate", "30", "--target", "600", "--threshold", "-5"],
+            "--threshold: must be non-negative and finite, got -5",
+            id="plan-threshold",
+        ),
+        pytest.param(
+            ["plan", "--rate", "30", "--target", "600", "--threshold", "nan"],
+            "--threshold: must be non-negative and finite, got nan",
+            id="plan-threshold-nan",
+        ),
+        pytest.param(
+            ["plan", "--rate", "30", "--target", "600",
+             "--rejuvenation-time", "-1"],
+            "--rejuvenation-time: must be non-negative and finite, got -1",
+            id="plan-rejuvenation-time",
+        ),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else "",
 )
@@ -353,6 +384,13 @@ class TestSweepCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "invalid sweep spec" in err and "slo repeats" in err
+
+    def test_nan_slo_target_exits_2(self, capsys):
+        """A NaN target would list a cell whose SLO gate never fires."""
+        rc = main(["sweep", "--slo", "p95:nan", "--dry-run"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid sweep spec: p95_target_s must be finite" in err
 
     @pytest.mark.parametrize("timeout", ["inf", "nan", "0"])
     def test_bad_timeout_exits_2_before_any_job(

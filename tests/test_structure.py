@@ -212,6 +212,11 @@ RULES = (
          "the distributed plane always carries Algorithm 1 and 3 traffic on "
          "its reliable channel: no oracle-exchange mode or window option",
          "after 2683514"),
+    Rule("chaos-one-scheduler", r"schedule_(at|after|periodic)\(",
+         (SRC + "chaos/engine.py",), (),
+         "campaigns apply fault primitives at era boundaries through their "
+         "FaultScript: the chaos engine schedules nothing on the clock",
+         "after b4d2a87"),
 )
 
 #: row id -> lines that each violate it: (file, line appended to it)
@@ -284,6 +289,10 @@ INJECT = {
         (SRC + "experiments/resilience.py",
          "plane = DistributedControlPlane(loop, reliable_control=False)"),
         (SRC + "core/distributed.py", "control_window_s: float = 3.0,"),
+    ],
+    "chaos-one-scheduler": [
+        (SRC + "chaos/engine.py",
+         "self.sim.schedule_at(t, lambda: self.fail_link(a, b))"),
     ],
 }
 
@@ -362,10 +371,6 @@ _DOMAIN = (
     "fault-domain-aware control: ROADMAP 9(c)'s `domain_aware` "
     "sweep axis wires it"
 )
-_CHAOS = (
-    "a fault primitive no registered campaign schedules: ROADMAP "
-    "1(b) wires it as one"
-)
 _TREND = "the trend-aware predictor: ROADMAP 4(b)'s `<model>+trend` spec wires it"
 _HARNESS = "the frozen benchmark harness (benchmarks/e2e) calls it"
 _GATED_SERVE = (
@@ -377,21 +382,10 @@ _GATED_SERVE = (
 #: wire it, the frozen benchmark harness that calls it, or why it is
 #: public API
 REACH_EXEMPT: dict[str, str] = {
-    "chaos/engine.py::ChaosEngine.cooling_failure": _CHAOS,
-    "chaos/engine.py::ChaosEngine.cooling_restore": _CHAOS,
-    "chaos/engine.py::ChaosEngine.corrupt_predictor": _CHAOS,
-    "chaos/engine.py::ChaosEngine.eviction_storm": _CHAOS,
-    "chaos/engine.py::ChaosEngine.link_flap_every": _CHAOS,
-    "chaos/engine.py::ChaosEngine.partition": _CHAOS,
-    "chaos/engine.py::ChaosEngine.poisson_link_flaps": _CHAOS,
-    "chaos/engine.py::ChaosEngine.vm_crash_storm": _CHAOS,
     "core/autoscale.py::AutoscaleConfig.__post_init__": _RESIZE,
     "core/autoscale.py::Autoscaler.apply": _RESIZE,
     "core/autoscale.py::Autoscaler.decide": _RESIZE,
     "core/autoscale.py::Autoscaler.expected_rmttf_after": _RESIZE,
-    "core/control_loop.py::AcmControlLoop._healthy_capacities":
-        "the degradation ladder's fallback rung: no registered campaign keeps "
-        "RMTTF reports missing that long; ROADMAP 1(b)'s partition campaign will",
     "core/des_loop.py::DesControlLoop.__init__": _DES,
     "core/des_loop.py::DesControlLoop._analyze_regions": _DES,
     "core/des_loop.py::DesControlLoop._complete": _DES,

@@ -92,10 +92,6 @@ class TestAssignment:
         with pytest.raises(ValueError):
             tree.assign("a", -1)
 
-    def test_controller_az(self):
-        tree = FailureDomainTree({"a": (2, 2)})
-        assert tree.controller_az("a") == "a/az0"
-
 
 class TestFromSpecs:
     def test_reads_shape_fields(self):
