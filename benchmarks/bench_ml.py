@@ -40,10 +40,11 @@ BASELINE_PATH = REPO_ROOT / "BENCH_ml.json"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments.runner import make_trained_predictor  # noqa: E402
-from repro.pcam.vm import VirtualMachine  # noqa: E402
+from repro.pcam.state_table import VmStateTable  # noqa: E402
+from repro.pcam.vm import VirtualMachine, VmState  # noqa: E402
 from repro.sim.instances import get_instance_type  # noqa: E402
 from repro.sim.rng import RngRegistry  # noqa: E402
-from repro.workload.anomalies import AnomalyInjector  # noqa: E402
+from repro.workload.anomalies import AnomalyInjector, draw_pool  # noqa: E402
 
 #: Pool sizes: a single region, a fleet cell, a large consolidation run.
 POOL_SIZES = (16, 64, 256)
@@ -58,20 +59,29 @@ INNER_ERAS = 20
 
 
 def build_pool(n: int, seed: int = BENCH_SEED) -> list[VirtualMachine]:
-    """``n`` ACTIVE VMs with diversified ages/feature values."""
+    """``n`` ACTIVE VMs in one state table, with diversified ages and
+    feature values."""
     rngs = RngRegistry(seed=seed)
     itype = get_instance_type("private.small")
-    pool = []
-    for i in range(n):
-        name = f"bench/vm{i}"
-        vm = VirtualMachine(
-            name, itype, AnomalyInjector(rngs.child(name).stream("anomalies"))
+    pool = [
+        VirtualMachine(
+            f"bench/vm{i}",
+            itype,
+            AnomalyInjector(rngs.child(f"bench/vm{i}").stream("anomalies")),
+            state=VmState.ACTIVE,
         )
-        vm.activate()
+        for i in range(n)
+    ]
+    table = VmStateTable(pool)
+    for i, vm in enumerate(pool):
         # stagger ages so the feature matrix is not one repeated row
+        n_requests = 40 + 3 * (i % 11)
         for _ in range(1 + i % 7):
-            vm.apply_load(40 + 3 * (i % 11), 30.0)
-        pool.append(vm)
+            leaked, threads = draw_pool([vm.injector], [n_requests])
+            table.era_load_update(
+                np.array([vm.row]), np.array([n_requests]), 30.0, 1.5,
+                leaked, threads,
+            )
     return pool
 
 

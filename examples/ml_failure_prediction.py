@@ -11,8 +11,9 @@ Follows the full F2PM pipeline of Sec. III on a simulated VM:
 4. *model suite* -- train and cross-validate all six models (Linear
    Regression, Lasso, REP-Tree, M5P, SVR, LS-SVM) and print the selection
    metrics;
-5. *online deployment* -- bind the winning model to a live VM and watch the
-   predicted RTTF count down toward the real failure.
+5. *online deployment* -- bind the winning model to a live VM (a row of a
+   state table) and watch the predicted RTTF count down toward the real
+   failure, beside the mean-field ground truth.
 
 Run with::
 
@@ -22,10 +23,17 @@ Run with::
 import numpy as np
 
 from repro.ml import F2PMToolchain
-from repro.pcam import ProfilingHarness, TrainedRttfPredictor, VmState
+from repro.pcam import (
+    OracleRttfPredictor,
+    ProfilingHarness,
+    TrainedRttfPredictor,
+    VmState,
+    VmStateTable,
+)
 from repro.pcam.vm import VirtualMachine
 from repro.sim import PRIVATE_SMALL, RngRegistry
 from repro.workload import AnomalyInjector
+from repro.workload.anomalies import draw_pool
 
 
 def main() -> None:
@@ -64,18 +72,24 @@ def main() -> None:
     predictor = TrainedRttfPredictor(trained)
     print(f"\nDeployed {trained.name}; watching a live VM degrade at 8 req/s:")
     vm = make_vm()
-    vm.activate()
+    table = VmStateTable([vm])  # the VM's state lives in this table row
+    row = np.array([vm.row])
+    table.activate(row)
+    oracle = OracleRttfPredictor()  # the mean-field ground truth
     rng = np.random.default_rng(7)
     t, dt = 0.0, 30.0
     print(f"  {'time':>6} {'predicted RTTF':>15} {'true RTTF':>10}")
     while vm.state is VmState.ACTIVE and t < 3600:
-        vm.apply_load(int(rng.poisson(8.0 * dt)), dt)
+        # one era of load: the VM's own anomaly draw, then the table kernel
+        n = int(rng.poisson(8.0 * dt))
+        leaked, threads = draw_pool([vm.injector], [n])
+        table.era_load_update(row, np.array([n]), dt, 1.5, leaked, threads)
         if vm.state is not VmState.ACTIVE:
             break
         if int(t / dt) % 3 == 0:
-            row = vm.sample_features().to_array()
-            predicted = predictor.predict_rttf_rows(row[np.newaxis, :], [vm])[0]
-            truth = vm.true_time_to_failure_s(8.0)
+            features = table.feature_matrix(row)
+            predicted = predictor.predict_rttf_rows(features, [vm])[0]
+            truth = oracle.predict_rttf_rows(features, [vm])[0]
             print(f"  {t:6.0f} {predicted:14.0f}s {truth:9.0f}s")
         t += dt
     print(f"  VM reached its failure point at t={t:.0f}s")

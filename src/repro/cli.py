@@ -40,7 +40,7 @@ def add_seed_option(parser: argparse.ArgumentParser) -> None:
     across fig3/fig4/compare/chaos/sweep/models/...)."""
     parser.add_argument(
         "--seed",
-        type=int,
+        type=_arg(_int_at_least(0)),
         default=DEFAULT_SEED,
         help=(
             f"root RNG seed (default {DEFAULT_SEED}); every stochastic "
@@ -114,6 +114,18 @@ def _campaign_eras(text: str) -> int:
     return eras
 
 
+def _int_at_least(minimum: int):
+    """A parser of integers ``>= minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {text}")
+        return value
+
+    return parse
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
@@ -185,25 +197,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import profiling_harness
     from repro.ml import F2PMToolchain
-    from repro.pcam.monitor import ProfilingHarness
-    from repro.pcam.vm import VirtualMachine
     from repro.sim.instances import get_instance_type
     from repro.sim.rng import RngRegistry
-    from repro.workload.anomalies import AnomalyInjector
 
     rngs = RngRegistry(seed=args.seed)
     itype = get_instance_type(args.instance_type)
-    counter = {"n": 0}
-
-    def factory():
-        counter["n"] += 1
-        name = f"cli-prof/{counter['n']}"
-        return VirtualMachine(
-            name, itype, AnomalyInjector(rngs.child(name).stream("a"))
-        )
-
-    harness = ProfilingHarness(factory, sample_period_s=10.0)
+    harness = profiling_harness(rngs, itype, "cli-prof", anomaly_stream="a")
     print(f"profiling {itype.name} to failure ...")
     ds = harness.collect(
         [4.0, 8.0, 14.0, 22.0], runs_per_rate=3, rng=rngs.stream("prof")
@@ -663,7 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(pr)
     pr.add_argument("figure", choices=tuple(FIGURES))
-    pr.add_argument("--seeds", type=_arg(_split_csv, int), default="7,11,23")
+    pr.add_argument(
+        "--seeds", type=_arg(_split_csv, _int_at_least(0)), default="7,11,23"
+    )
     pr.set_defaults(func=_cmd_robustness)
 
     pk = sub.add_parser(
@@ -676,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed_option(pk)
     pk.add_argument(
         "--workers",
-        type=int,
+        type=_arg(_int_at_least(1)),
         default=1,
         help="worker processes for 'chaos all' (fleet executor)",
     )
@@ -731,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma list of chaos campaigns appended as extra cells",
     )
-    ps.add_argument("--workers", type=int, default=1)
+    ps.add_argument("--workers", type=_arg(_int_at_least(1)), default=1)
     ps.add_argument(
         "--store",
         default="results/fleet-store",
@@ -762,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument(
         "--retries",
-        type=int,
+        type=_arg(_int_at_least(0)),
         default=1,
         help="retries per crashed/hung/failed job",
     )

@@ -82,8 +82,8 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.routing import NoRouteError
 from repro.pcam.predictor import RttfPredictor
-from repro.pcam.state_table import CODE_ACTIVE, CODE_FAILED, VmStateTable
-from repro.pcam.vm import VirtualMachine
+from repro.pcam.state_table import VmStateTable
+from repro.pcam.vm import CODE_ACTIVE, VirtualMachine
 from repro.pcam.vmc import VirtualMachineController, VmcConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import ExactDraws, RngRegistry
@@ -367,8 +367,7 @@ class DesControlLoop:
         if table.state_code[slot] == CODE_ACTIVE and state.life[slot] == life:
             leaked_mb, stuck_threads = state.vms[slot].injector.draw(1)
             if table.complete_request(slot, rt, leaked_mb, stuck_threads):
-                table.state_code[slot] = CODE_FAILED
-                table.failure_count[slot] += 1
+                table.fail(np.array([slot]))
                 # mid-era failure: out of JSQ now, ``vms`` order kept; the
                 # VMC reports it (event, counter) when it closes the era
                 state.active_slots.remove(slot)

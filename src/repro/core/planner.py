@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import math
 
+from repro.pcam.vm import FailurePolicy, fresh_ttf_s
 from repro.sim.instances import InstanceType, get_instance_type
 from repro.workload.anomalies import AnomalyInjector
 
@@ -71,20 +72,18 @@ def mean_field_ttf(
 ) -> float:
     """Expected time to the failure point at a steady per-VM rate.
 
-    Uses a fresh VM of the given shape; see
-    :meth:`repro.pcam.vm.VirtualMachine.true_time_to_failure_s`.
+    The mean-field life of a fresh VM of the given shape under the
+    default failure policy: :func:`repro.pcam.vm.fresh_ttf_s`.
     """
-    from repro.pcam.vm import VirtualMachine
-
     if per_vm_rate <= 0:
         return float("inf")
-    vm = VirtualMachine(
-        "planner/probe",
+    return fresh_ttf_s(
         itype,
+        FailurePolicy(),
         _probe_injector(leak_probability, thread_probability),
+        per_vm_rate,
+        mean_demand,
     )
-    vm.activate()
-    return vm.true_time_to_failure_s(per_vm_rate, mean_demand)
 
 
 def recommend_pool(

@@ -14,6 +14,7 @@ read:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from repro.pcam.predictor import (
     TrendAwareRttfPredictor,
 )
 from repro.pcam.vm import VirtualMachine
-from repro.sim.instances import get_instance_type
+from repro.sim.instances import InstanceType, get_instance_type
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import TraceRecorder
 from repro.workload.anomalies import (
@@ -70,6 +71,28 @@ class ExperimentResult:
     slo_stats: dict | None = None
 
 
+def profiling_harness(
+    rngs: RngRegistry,
+    itype: InstanceType,
+    name_prefix: str,
+    sample_period_s: float = 10.0,
+    anomaly_stream: str = "anomalies",
+) -> ProfilingHarness:
+    """F2PM's profiling harness for one instance shape.
+
+    Run ``n`` (from 1) drives a fresh VM named ``{name_prefix}/{n}``
+    whose injector draws from ``rngs.child(name).stream(anomaly_stream)``.
+    """
+    runs = itertools.count(1)
+
+    def fresh_vm() -> VirtualMachine:
+        name = f"{name_prefix}/{next(runs)}"
+        injector = AnomalyInjector(rngs.child(name).stream(anomaly_stream))
+        return VirtualMachine(name, itype, injector)
+
+    return ProfilingHarness(fresh_vm, sample_period_s=sample_period_s)
+
+
 def make_trained_predictor(
     instance_types: list[str],
     seed: int = 0,
@@ -83,10 +106,11 @@ def make_trained_predictor(
     """Run the F2PM profiling phase and train an online RTTF predictor.
 
     Each instance shape is driven to failure ``runs_per_rate`` times at each
-    profiling rate; the combined RTTF dataset trains the requested model
-    (REP-Tree by default, per Sec. VI-A).  One model serves all shapes --
-    the feature schema carries the capacity signals (free memory, thread
-    counts) that let a single tree specialise per shape.
+    profiling rate (:func:`profiling_harness`); the combined RTTF dataset
+    trains the requested model (REP-Tree by default, per Sec. VI-A).  One
+    model serves all shapes -- the feature schema carries the capacity
+    signals (free memory, thread counts) that let a single tree specialise
+    per shape.
 
     With ``use_trend_features`` the training runs are augmented with
     per-feature slopes (F2PM's derived features) and the returned
@@ -97,19 +121,12 @@ def make_trained_predictor(
     rngs = RngRegistry(seed=seed)
     all_runs: list[tuple] = []
     for type_name in instance_types:
-        itype = get_instance_type(type_name)
-        counter = {"n": 0}
-
-        def factory(itype=itype, counter=counter, type_name=type_name):
-            counter["n"] += 1
-            name = f"profile/{type_name}/{counter['n']}"
-            return VirtualMachine(
-                name,
-                itype,
-                AnomalyInjector(rngs.child(name).stream("anomalies")),
-            )
-
-        harness = ProfilingHarness(factory, sample_period_s=sample_period_s)
+        harness = profiling_harness(
+            rngs,
+            get_instance_type(type_name),
+            f"profile/{type_name}",
+            sample_period_s,
+        )
         all_runs.extend(
             harness.collect_runs(
                 list(profile_rates),

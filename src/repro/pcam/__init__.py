@@ -4,9 +4,12 @@ Reimplementation of the PCAM framework (Di Sanzo, Pellegrini, Avresky,
 "Machine Learning for Achieving Self-* Properties and Seamless Execution of
 Applications in the Cloud", NCCA 2015) that ACM builds on:
 
-* :mod:`repro.pcam.vm` -- the VM resource/lifecycle model: anomaly
-  accumulation (memory leaks, unterminated threads), performance
-  degradation, failure points, rejuvenation;
+* :mod:`repro.pcam.vm` -- the VM physics (performance degradation under
+  leaked memory and unterminated threads, failure points, the mean-field
+  time to failure) and the VM, a view of its state-table row;
+* :mod:`repro.pcam.state_table` -- every VM's state and lifecycle
+  transitions (anomaly accumulation, failure, rejuvenation), one table
+  per pool;
 * :mod:`repro.pcam.monitor` -- F2PM's offline profiling harness;
 * :mod:`repro.pcam.predictor` -- binding of a trained F2PM model to VMs
   for online RTTF prediction;
@@ -31,7 +34,7 @@ from repro.pcam.rejuvenation import (
     RejuvenationDiscipline,
     RttfThresholdRejuvenation,
 )
-from repro.pcam.state_table import TableBackedVM, VmStateTable
+from repro.pcam.state_table import VmStateTable
 from repro.pcam.vm import FailurePolicy, VirtualMachine, VmState
 from repro.pcam.vmc import VirtualMachineController, VmcConfig
 
@@ -49,7 +52,6 @@ __all__ = [
     "PeriodicRejuvenation",
     "NoRejuvenation",
     "LocalBalancer",
-    "TableBackedVM",
     "VirtualMachineController",
     "VmcConfig",
     "VmStateTable",

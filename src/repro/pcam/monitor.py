@@ -6,8 +6,9 @@ information is transferred to a feature monitor agent.  This agent builds a
 database of system features, for later usage by the ML algorithms."
 
 That database is built offline, once: :class:`ProfilingHarness` drives
-fresh VMs to their failure point and :meth:`ProfilingHarness.collect`
-turns the run-to-failure traces into the RTTF-labelled training set.
+fresh VMs to their failure point, stepping each on a state table, and
+:meth:`ProfilingHarness.collect` turns the run-to-failure traces into the
+RTTF-labelled training set.
 The model trained on it is deployed frozen (Sec. VI-A); online, the VMC
 monitors its VMs only to predict their RTTF.
 """
@@ -18,7 +19,12 @@ import numpy as np
 
 from repro.ml.dataset import Dataset
 from repro.ml.features import FEATURE_NAMES
-from repro.pcam.vm import VmState
+from repro.pcam.state_table import VmStateTable
+from repro.pcam.vm import fresh_ttf_s
+from repro.workload.anomalies import draw_pool
+
+#: Most steps a run takes per :meth:`VmStateTable.load_block` call.
+MAX_BLOCK_STEPS = 256
 
 
 class ProfilingHarness:
@@ -28,7 +34,8 @@ class ProfilingHarness:
     ----------
     make_vm:
         Zero-argument factory producing a *fresh* VM for each run (fresh
-        anomaly state and injector stream position).
+        injector stream position): a run may draw from the injector past
+        its failure step.
     sample_period_s:
         Feature-sampling interval during a run.
     mean_demand:
@@ -55,8 +62,19 @@ class ProfilingHarness:
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """Drive one fresh VM at ``request_rate`` until its failure point.
 
-        Returns ``(sample_times, feature_matrix, failure_time)`` in the
-        format :meth:`repro.ml.Dataset.from_run_traces` consumes.
+        Each step draws the step's request count from ``rng`` (Poisson),
+        samples the VM's features, then applies the load.  Returns
+        ``(sample_times, feature_matrix, failure_time)`` in the format
+        :meth:`repro.ml.Dataset.from_run_traces` consumes.
+
+        The steps run a block at a time on a :meth:`VmStateTable.block`
+        table, row ``k`` the VM after the block's load ``k``
+        (:meth:`VmStateTable.load_block`); a block is a tenth longer than
+        the VM's mean-field life (:func:`~repro.pcam.vm.fresh_ttf_s`),
+        so most runs take one.  A block draws all its counts from ``rng``
+        at once; the block the VM fails in rewinds ``rng`` and draws
+        again up to the failure step, so ``rng`` ends where a
+        step-by-step run leaves it.
 
         Raises
         ------
@@ -66,27 +84,53 @@ class ProfilingHarness:
         if request_rate <= 0:
             raise ValueError("request_rate must be positive")
         vm = self.make_vm()
-        if vm.state is VmState.STANDBY:
-            vm.activate()
-        times: list[float] = []
-        rows: list[np.ndarray] = []
-        t = 0.0
         dt = self.sample_period_s
-        while t < max_time_s:
-            n = int(rng.poisson(request_rate * dt))
-            times.append(t)
-            rows.append(vm.sample_features().to_array())
-            vm.apply_load(n, dt, self.mean_demand)
-            t += dt
-            if vm.state is VmState.FAILED:
-                return (
-                    np.asarray(times),
-                    np.vstack(rows),
-                    t,
-                )
-        raise RuntimeError(
-            f"VM survived past max_time_s={max_time_s} at rate {request_rate}"
+        life = fresh_ttf_s(
+            vm.itype, vm.failure_policy, vm.injector, request_rate,
+            self.mean_demand,
         )
+        steps = int(1.1 * min(life / dt, MAX_BLOCK_STEPS)) + 2
+        table = VmStateTable.block(vm, steps)
+        rows_k = np.arange(steps)
+        table.activate(rows_k)
+        injectors = [vm.injector] * steps
+        lam = request_rate * dt
+        times: list[np.ndarray] = []
+        samples = [table.feature_matrix(rows_k[:1])]
+        t = 0.0
+        while True:
+            # the time of each step, summed in order as a walk's ``t += dt``
+            step_t = np.full(steps, dt)
+            step_t[0] = t
+            step_t = step_t.cumsum()
+            running = step_t < max_time_s
+            rewind = rng.bit_generator.state
+            n = rng.poisson(lam, size=steps)
+            leaked, threads = draw_pool(injectors, n.tolist())
+            _, failed, pressures = table.load_block(
+                n, dt, self.mean_demand, leaked, threads
+            )
+            after = table.feature_matrix(rows_k, pressures)
+            hit = (failed & running).nonzero()[0]
+            if hit.size:
+                f = int(hit[0])
+                rng.bit_generator.state = rewind
+                rng.poisson(lam, size=f + 1)
+                times.append(step_t[: f + 1])
+                samples.append(after[:f])
+                return (
+                    np.concatenate(times),
+                    np.vstack(samples),
+                    float(step_t[f]) + dt,
+                )
+            if not running.all():
+                raise RuntimeError(
+                    f"VM survived past max_time_s={max_time_s} "
+                    f"at rate {request_rate}"
+                )
+            times.append(step_t)
+            samples.append(after)
+            t = float(step_t[-1]) + dt
 
     def collect_runs(
         self,

@@ -30,12 +30,7 @@ import numpy as np
 
 from repro.ml.derived import slope_features
 from repro.ml.toolchain import TrainedModel
-from repro.pcam.vm import (
-    VirtualMachine,
-    mean_field_ttf_s,
-    thread_free_slots,
-    usable_memory_mb,
-)
+from repro.pcam.vm import VirtualMachine, mean_field_ttf_s
 
 
 class RttfPredictor(abc.ABC):
@@ -53,7 +48,7 @@ class RttfPredictor(abc.ABC):
         values are bit-identical to each VM's
         ``sample_features().to_array()``.  Model-backed predictors feed
         it straight into ``model.predict``; the oracle reads the VMs'
-        anomaly state instead.  A predictor with per-VM side effects (RNG
+        table rows instead.  A predictor with per-VM side effects (RNG
         draws, history windows) applies them once per VM, in ``vms``
         order, so a pooled call equals one one-row call per VM.
         """
@@ -172,47 +167,59 @@ class OracleRttfPredictor(RttfPredictor):
     ) -> np.ndarray:
         """One :func:`~repro.pcam.vm.mean_field_ttf_s` call per VM.
 
-        Ignores ``rows``: reads each VM's anomaly level and last rate
-        (one column gather when the pool shares a :class:`VmStateTable`),
-        derives the instance-shape constants once per type, and writes
-        nothing back; noise draws happen per finite value in ``vms``
-        order.
+        Ignores ``rows``: gathers each VM's anomaly level, last rate and
+        shape constants from the pool's
+        :class:`~repro.pcam.state_table.VmStateTable` in one pass, and
+        writes nothing back; noise draws happen per finite value in
+        ``vms`` order.
         """
         out = np.empty(len(vms), dtype=float)
         if not vms:
             return out
-        leaked, stuck, rates = _anomaly_state(vms)
-        mean_demand = self.mean_demand
-        shapes: dict[int, tuple[float, float, float, int]] = {}
-        for k, vm in enumerate(vms):
-            itype = vm.itype
-            shape = shapes.get(id(itype))
-            if shape is None:
-                shape = shapes[id(itype)] = (
-                    itype.cpu_power,
-                    usable_memory_mb(itype.memory_mb),
-                    itype.swap_mb,
-                    thread_free_slots(itype.thread_slots),
+        table = vms[0].table
+        idx = np.array([vm.row for vm in vms])
+        columns = zip(
+            *(
+                getattr(table, name)[idx].tolist()
+                for name in (
+                    "leaked_mb",
+                    "stuck_threads",
+                    "last_request_rate",
+                    "cpu_power",
+                    "usable_memory_mb",
+                    "swap_mb",
+                    "thread_free_slots",
+                    "sla_response_time_s",
+                    "swap_exhaustion",
+                    "thread_exhaustion",
                 )
-            rate = rates[k]
+            )
+        )
+        mean_demand = self.mean_demand
+        for k, (
+            leaked, stuck, rate, cpu_power, usable, swap, free_slots, sla,
+            swap_exhaustion, thread_exhaustion,
+        ) in enumerate(columns):
             if rate <= 0:
                 # An idle ACTIVE VM accumulates nothing; report its
                 # remaining budget at a nominal 1 req/s to keep the
                 # value finite.
                 rate = 1.0
-            policy = vm.failure_policy
-            injector = vm.injector
+            injector = vms[k].injector
             ttf = mean_field_ttf_s(
-                leaked[k],
-                stuck[k],
+                leaked,
+                stuck,
                 rate,
                 mean_demand,
-                *shape,
-                policy.sla_response_time_s,
+                cpu_power,
+                usable,
+                swap,
+                free_slots,
+                sla,
                 injector.expected_leak_rate_mb(rate),
                 injector.expected_thread_rate(rate),
-                policy.swap_exhaustion,
-                policy.thread_exhaustion,
+                swap_exhaustion,
+                thread_exhaustion,
             )
             if self.noise_std > 0 and math.isfinite(ttf):
                 assert self._rng is not None
@@ -226,24 +233,3 @@ def _finite_floor(floor_s: float) -> float:
     if not 0 <= floor_s < math.inf:
         raise ValueError("floor_s must be >= 0 and finite")
     return float(floor_s)
-
-
-def _anomaly_state(
-    vms: list[VirtualMachine],
-) -> tuple[list[float], list[int], list[float]]:
-    """``(leaked_mb, stuck_threads, last_request_rate)`` lists in pool order."""
-    table = getattr(vms[0], "table", None)
-    if table is not None and all(
-        getattr(vm, "table", None) is table for vm in vms
-    ):
-        rows = [vm.row for vm in vms]
-        return (
-            table.leaked_mb[rows].tolist(),
-            table.stuck_threads[rows].tolist(),
-            table.last_request_rate[rows].tolist(),
-        )
-    return (
-        [vm.leaked_mb for vm in vms],
-        [vm.stuck_threads for vm in vms],
-        [vm.last_request_rate for vm in vms],
-    )

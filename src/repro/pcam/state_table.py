@@ -9,27 +9,23 @@ rejuvenation-threshold scans, feature extraction) as array passes over
 it; :class:`~repro.core.des_loop.DesControlLoop` builds a VMC per region
 and its per-request path reads and writes single cells of that table.
 
-The table *adopts* ``VirtualMachine`` objects in place: their state is
-copied into a row and the object itself is re-classed into
-:class:`TableBackedVM`, a thin view whose attributes are properties over
-the row.  Every reference the control plane, the chaos engine, or a test
-already holds keeps working -- ``vm.fail()``, ``vm.leaked_mb``,
-``vm.state is VmState.ACTIVE`` all read and write the columns.
-
-A standalone :class:`~repro.pcam.vm.VirtualMachine` (scalar attributes,
-never adopted) stays what it always was: the definition of the one-VM
-semantics, used as-is by profiling, by predictor unit tests, and by the
-tests-only reference controller (``tests/pcam/reference_vmc.py``).
+The table is the only place a VM's state lives.  It *adopts* its pool's
+:class:`~repro.pcam.vm.VirtualMachine` objects: each one's spec (shape,
+failure policy, rejuvenation time, rack, initial state) fills a row, and
+the object keeps its ``table`` and ``row``, through which ``vm.state``,
+``vm.leaked_mb`` or ``vm.fail()`` read and write that row.  The F2PM
+profiling harness steps one VM outside any pool on a table too
+(:meth:`VmStateTable.block`, :meth:`VmStateTable.load_block`).
 
 Bit-parity contract
 -------------------
-Every vectorised kernel in this module replicates the scalar arithmetic
-of :class:`~repro.pcam.vm.VirtualMachine` expression-for-expression in
-float64, so an era over the table is *bit-identical* to walking plain VM
-objects one at a time (pinned by ``tests/pcam/test_columnar_parity.py``
-against that reference controller).  Anything stochastic (anomaly
-injection) stays per-VM in the caller, consuming each VM's own RNG
-stream in the same order the scalar loop would.
+Every vectorised kernel in this module replicates the scalar one-VM
+semantics (kept as the tests-only ``ReferenceVm`` of
+``tests/pcam/reference_vmc.py``) expression-for-expression in float64, so
+an era over the table is *bit-identical* to walking scalar VM objects one
+at a time (pinned by ``tests/pcam/test_columnar_parity.py``).  Anything
+stochastic (anomaly injection) stays per-VM in the caller, consuming each
+VM's own RNG stream in the same order the scalar loop would.
 
 Derived columns
 ---------------
@@ -37,10 +33,9 @@ Derived columns
 functions of a row's load state and static columns, kept beside them so
 the DES request path and the balancer read a cell instead of
 recomputing the physics.  They are refreshed wherever an input is
-written, all in this module: adoption, the ``itype`` /
-``failure_policy`` setters, :meth:`VmStateTable.era_load_update`, the
-end of a rejuvenation, the view's ``leaked_mb`` / ``stuck_threads``
-setters and :meth:`VmStateTable.complete_request`.  Nothing outside
+written, all in this module: adoption, :meth:`VmStateTable.era_load_update`
+(and :meth:`VmStateTable.load_block` through it), the end of a
+rejuvenation and :meth:`VmStateTable.complete_request`.  Nothing outside
 this module writes a ``leaked_mb`` / ``stuck_threads`` cell (CI gate 13).
 
 Fixed pool
@@ -61,38 +56,20 @@ from repro.ml.features import FEATURE_NAMES
 from repro.pcam.vm import (
     BASELINE_MEMORY_MB,
     BASELINE_THREADS,
+    CODE_ACTIVE,
+    CODE_FAILED,
+    CODE_REJUVENATING,
+    CODE_STANDBY,
+    STATE_TO_CODE,
     SWAP_CAPACITY_PENALTY,
-    FailurePolicy,
     VirtualMachine,
-    VmState,
     effective_capacity,
     thread_free_slots,
     usable_memory_mb,
 )
-from repro.sim.instances import InstanceType
 
-#: Row state codes.
-CODE_ACTIVE = 0
-CODE_STANDBY = 1
-CODE_REJUVENATING = 2
-CODE_FAILED = 3
-
-#: Code -> enum member (index by code).
-CODE_TO_STATE: tuple[VmState, ...] = (
-    VmState.ACTIVE,
-    VmState.STANDBY,
-    VmState.REJUVENATING,
-    VmState.FAILED,
-)
-
-#: Enum member -> code.
-STATE_TO_CODE: dict[VmState, int] = {
-    state: code for code, state in enumerate(CODE_TO_STATE)
-}
-
-#: (column name, dtype) of every mutable column, in copy order.  Names
-#: match the ``VirtualMachine`` attribute they mirror (the rejuvenation
-#: clock drops the leading underscore).
+#: (column name, dtype) of every mutable column.  A fresh row starts at
+#: zero in each; the view reads the load state under the same names.
 MUTABLE_COLUMNS: tuple[tuple[str, type], ...] = (
     ("leaked_mb", np.float64),
     ("stuck_threads", np.int64),
@@ -103,12 +80,12 @@ MUTABLE_COLUMNS: tuple[tuple[str, type], ...] = (
     ("total_requests", np.int64),
     ("rejuvenation_count", np.int64),
     ("failure_count", np.int64),
-    ("rack_id", np.int64),
 )
 
-#: Static per-VM columns frozen from ``itype``/``failure_policy`` at
-#: adoption (re-synced if a view reassigns either object).
+#: Static per-VM columns frozen from the VM's spec (``itype``,
+#: ``failure_policy``, ``rejuvenation_time_s``, ``rack_id``) at adoption.
 STATIC_COLUMNS: tuple[tuple[str, type], ...] = (
+    ("rack_id", np.int64),
     ("cpu_power", np.float64),
     ("memory_mb", np.float64),
     ("swap_mb", np.float64),
@@ -166,78 +143,62 @@ class VmStateTable:
 
     def __init__(self, vms: list[VirtualMachine]) -> None:
         for vm in vms:
-            if isinstance(vm, TableBackedVM):
-                raise ValueError(f"{vm.name!r} is already table-backed")
-        for name, dtype in _ALL_COLUMNS:
-            setattr(self, name, np.zeros(len(vms), dtype=dtype))
+            if vm.table is not None:
+                raise ValueError(f"{vm.name!r} already has a table row")
+        self._fill(vms)
         for row, vm in enumerate(vms):
-            self._adopt(row, vm)
-        self._refresh_rows(np.arange(len(vms), dtype=np.intp))
+            vm.table = self
+            vm.row = row
+
+    @classmethod
+    def block(cls, vm: VirtualMachine, n: int) -> VmStateTable:
+        """``n`` rows of ``vm``'s spec, none adopted: one VM at ``n``
+        consecutive steps, the rows :meth:`load_block` steps."""
+        table = cls.__new__(cls)
+        table._fill([vm])
+        for name, _ in _ALL_COLUMNS:
+            setattr(table, name, getattr(table, name).repeat(n))
+        return table
+
+    def _fill(self, vms: list[VirtualMachine]) -> None:
+        """One fresh row per spec in ``vms``: zero load state, the VM's
+        initial lifecycle state, its static columns and derived ones."""
+        n = len(vms)
+        for name, dtype in _ALL_COLUMNS:
+            setattr(self, name, np.zeros(n, dtype=dtype))
+        self.state_code[:] = [STATE_TO_CODE[vm.initial_state] for vm in vms]
+        self.rack_id[:] = [vm.rack_id for vm in vms]
+        self.rejuvenation_time_s[:] = [vm.rejuvenation_time_s for vm in vms]
+        itypes = [vm.itype for vm in vms]
+        self.cpu_power[:] = [itype.cpu_power for itype in itypes]
+        self.memory_mb[:] = [itype.memory_mb for itype in itypes]
+        self.swap_mb[:] = [itype.swap_mb for itype in itypes]
+        self.usable_memory_mb[:] = [
+            usable_memory_mb(itype.memory_mb) for itype in itypes
+        ]
+        self.anomaly_budget_mb[:] = self.usable_memory_mb + self.swap_mb
+        self.thread_free_slots[:] = [
+            thread_free_slots(itype.thread_slots) for itype in itypes
+        ]
+        policies = [vm.failure_policy for vm in vms]
+        self.sla_response_time_s[:] = [
+            p.sla_response_time_s for p in policies
+        ]
+        self.swap_exhaustion[:] = [p.swap_exhaustion for p in policies]
+        self.thread_exhaustion[:] = [p.thread_exhaustion for p in policies]
+        self._refresh_rows(np.arange(n, dtype=np.intp))
 
     def __len__(self) -> int:
         """Number of rows: the pool's size."""
         return len(self.state_code)
-
-    def _adopt(self, row: int, vm: VirtualMachine) -> None:
-        """Move ``vm``'s state into ``row`` and re-class it as a view
-        (the caller refreshes the derived columns)."""
-        # mutable state, straight from the scalar attributes
-        self.state_code[row] = STATE_TO_CODE[vm.state]
-        self.leaked_mb[row] = vm.leaked_mb
-        self.stuck_threads[row] = vm.stuck_threads
-        self.uptime_s[row] = vm.uptime_s
-        self.rejuvenation_remaining_s[row] = vm._rejuvenation_remaining_s
-        self.last_request_rate[row] = vm.last_request_rate
-        self.last_response_time_s[row] = vm.last_response_time_s
-        self.total_requests[row] = vm.total_requests
-        self.rejuvenation_count[row] = vm.rejuvenation_count
-        self.failure_count[row] = vm.failure_count
-        self.rack_id[row] = vm.rack_id
-        # rebind: drop the scalar attribute storage, install the view
-        d = vm.__dict__
-        d["_itype"] = d.pop("itype")
-        d["_failure_policy"] = d.pop("failure_policy")
-        rejuvenation_time_s = float(d.pop("rejuvenation_time_s"))
-        for name, _ in MUTABLE_COLUMNS:
-            d.pop(name, None)
-        d.pop("state", None)
-        d.pop("_rejuvenation_remaining_s", None)
-        d["_table"] = self
-        d["_row"] = row
-        vm.__class__ = TableBackedVM
-        self._sync_static(
-            row, vm._itype, vm._failure_policy, rejuvenation_time_s
-        )
-
-    def _sync_static(
-        self,
-        row: int,
-        itype: InstanceType,
-        policy: FailurePolicy,
-        rejuvenation_time_s: float | None = None,
-    ) -> None:
-        """Freeze ``row``'s static columns (the caller refreshes the
-        derived ones)."""
-        self.cpu_power[row] = itype.cpu_power
-        self.memory_mb[row] = itype.memory_mb
-        self.swap_mb[row] = itype.swap_mb
-        usable = usable_memory_mb(itype.memory_mb)
-        self.usable_memory_mb[row] = usable
-        self.anomaly_budget_mb[row] = usable + itype.swap_mb
-        self.thread_free_slots[row] = thread_free_slots(itype.thread_slots)
-        if rejuvenation_time_s is not None:
-            self.rejuvenation_time_s[row] = rejuvenation_time_s
-        self.sla_response_time_s[row] = policy.sla_response_time_s
-        self.swap_exhaustion[row] = policy.swap_exhaustion
-        self.thread_exhaustion[row] = policy.thread_exhaustion
 
     def _refresh(self, row: int) -> None:
         """Re-derive ``row``'s :data:`DERIVED_COLUMNS` from its cells.
 
         :func:`~repro.pcam.vm.effective_capacity` on pure-Python floats
         (bit-equal to :meth:`pressures_of`, pinned by
-        ``tests/pcam/test_columnar_parity.py``), and
-        :meth:`VirtualMachine.failure_point_reached`'s two hard clauses.
+        ``tests/pcam/test_columnar_parity.py``), and the failure
+        point's two hard clauses.
         """
         leaked = float(self.leaked_mb[row])
         stuck = int(self.stuck_threads[row])
@@ -274,16 +235,16 @@ class VmStateTable:
         return exhausted
 
     # ------------------------------------------------------------------ #
-    # vectorised kernels (bit-identical to the scalar VirtualMachine)
+    # vectorised kernels (bit-identical to the scalar one-VM model)
     # ------------------------------------------------------------------ #
 
     def pressures_of(self, idx: np.ndarray) -> Pressures:
         """Swap use, both pressures and effective capacity of ``idx``.
 
-        Vectorised :attr:`VirtualMachine.swap_used_mb`,
-        :attr:`~VirtualMachine.swap_pressure`,
-        :attr:`~VirtualMachine.thread_pressure` and
-        :attr:`~VirtualMachine.effective_capacity`, each derived once
+        Vectorised :func:`~repro.pcam.vm.swap_used_mb`,
+        :func:`~repro.pcam.vm.swap_pressure`,
+        :func:`~repro.pcam.vm.thread_pressure` and
+        :func:`~repro.pcam.vm.effective_capacity`, each derived once
         from the current ``leaked_mb`` / ``stuck_threads`` cells: every
         quantity an era reads off a load state (response time, failure
         point, feature rows) is a function of these four.
@@ -309,7 +270,7 @@ class VmStateTable:
         return Pressures(swap_used, swap_pressure, thread_pressure, capacity)
 
     def effective_capacity_of(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorised :attr:`VirtualMachine.effective_capacity`."""
+        """Effective capacity of ``idx``: its ``service_capacity`` cells."""
         return self.service_capacity[idx]
 
     def capacity_at(self, row: int) -> float:
@@ -327,7 +288,7 @@ class VmStateTable:
 
         Adds the request's anomaly draw, counts the request, stamps its
         response time, and returns whether the row reached its failure
-        point (:meth:`VirtualMachine.failure_point_reached`).  Most draws
+        point (a hard clause, or the SLA on this response).  Most draws
         are zero and leave the load state as it was, so the derived
         columns are refreshed only when the draw was non-zero.
         """
@@ -435,8 +396,8 @@ class VmStateTable:
         """Advance rejuvenation clocks; finish the ones that ran out.
 
         Each REJUVENATING row loses ``dt`` of its remaining rejuvenation
-        time; a row at or below zero returns to STANDBY refreshed (the
-        VM's ``_finish_rejuvenation``).  Rows in any other state are
+        time; a row at or below zero returns to STANDBY refreshed (the end
+        of a rejuvenation).  Rows in any other state are
         untouched: the VMC calls this before the era's monitoring, after
         the load has aged its ACTIVE rows.
         """
@@ -457,7 +418,7 @@ class VmStateTable:
         leaked_delta: np.ndarray,
         threads_delta: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, Pressures]:
-        """The deterministic tail of :meth:`VirtualMachine.apply_load`.
+        """Apply one load to each row of ``idx``: a VM's era under load.
 
         The caller has already drawn each VM's anomaly effect from its
         own stream (in ``idx`` order); this applies the accumulation,
@@ -474,7 +435,7 @@ class VmStateTable:
         self.last_request_rate[idx] = rate
         pressures = self.pressures_of(idx)
         exhausted = self._refresh_rows(idx, pressures)
-        # vectorised mm1_response_time_s
+        # the M/M/1 response time, utilisation capped at 0.99
         mu = pressures.capacity / mean_demand
         service_time = 1.0 / mu
         rho = np.minimum(rate / mu, 0.99)
@@ -485,101 +446,44 @@ class VmStateTable:
             self.fail(idx[failed])
         return rt, failed, pressures
 
+    def load_block(
+        self,
+        n_requests: np.ndarray,
+        dt: float,
+        mean_demand: float,
+        leaked_delta: np.ndarray,
+        threads_delta: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, Pressures]:
+        """One VM through ``len(self)`` consecutive loads, a row a load.
+
+        Row ``k`` first becomes the VM before load ``k``: the state the
+        last row holds (where the previous block ended) plus loads
+        ``0 .. k-1``, summed in order by prefix sums, so each cell is the
+        running sum a step-by-step walk would hold.  Then
+        :meth:`era_load_update` applies load ``k`` to row ``k``, all rows
+        at once, and its result is returned: row ``k`` is the VM after
+        load ``k``.  Rows after the VM's failure step go on as if it had
+        not failed; the caller reads up to the first failed row.
+        """
+        k = len(self) - 1
+        self.leaked_mb[:] = np.concatenate(
+            (self.leaked_mb[k:], leaked_delta[:k])
+        ).cumsum()
+        self.stuck_threads[:] = np.concatenate(
+            (self.stuck_threads[k:], threads_delta[:k])
+        ).cumsum()
+        self.uptime_s[:] = np.concatenate(
+            (self.uptime_s[k:], np.full(k, dt))
+        ).cumsum()
+        self.total_requests[:] = np.concatenate(
+            (self.total_requests[k:], n_requests[:k])
+        ).cumsum()
+        return self.era_load_update(
+            np.arange(k + 1), n_requests, dt, mean_demand, leaked_delta,
+            threads_delta,
+        )
+
     def counts_by_state(self) -> tuple[int, int, int, int]:
         """(n_active, n_standby, n_rejuvenating, n_failed) of the pool:
         one count per state code, in code order."""
         return tuple(np.bincount(self.state_code, minlength=4).tolist())
-
-
-# ---------------------------------------------------------------------- #
-# the thin object view
-# ---------------------------------------------------------------------- #
-
-
-def _column_property(col: str, cast, derives: bool = False) -> property:
-    """A view attribute over one column; ``derives`` marks an input of
-    :data:`DERIVED_COLUMNS`, whose writes refresh the row."""
-
-    def _get(self):
-        return cast(getattr(self._table, col)[self._row])
-
-    def _set(self, value):
-        getattr(self._table, col)[self._row] = value
-
-    def _set_and_refresh(self, value):
-        getattr(self._table, col)[self._row] = value
-        self._table._refresh(self._row)
-
-    return property(_get, _set_and_refresh if derives else _set)
-
-
-class TableBackedVM(VirtualMachine):
-    """A :class:`VirtualMachine` whose state lives in a `VmStateTable` row.
-
-    Never constructed directly -- :class:`VmStateTable` re-classes each
-    ``VirtualMachine`` of its pool into this type in place, for good.  All
-    behaviour is inherited; only attribute storage is redirected, so the
-    scalar methods (``apply_load``, ``idle``, ``activate`` ...) stay the
-    single source of truth for one-VM semantics.
-    """
-
-    leaked_mb = _column_property("leaked_mb", float, derives=True)
-    uptime_s = _column_property("uptime_s", float)
-    stuck_threads = _column_property("stuck_threads", int, derives=True)
-    _rejuvenation_remaining_s = _column_property(
-        "rejuvenation_remaining_s", float
-    )
-    last_request_rate = _column_property("last_request_rate", float)
-    last_response_time_s = _column_property("last_response_time_s", float)
-    total_requests = _column_property("total_requests", int)
-    rejuvenation_count = _column_property("rejuvenation_count", int)
-    failure_count = _column_property("failure_count", int)
-    rack_id = _column_property("rack_id", int)
-    rejuvenation_time_s = _column_property("rejuvenation_time_s", float)
-
-    @property
-    def table(self) -> VmStateTable:
-        """The owning state table."""
-        return self._table
-
-    @property
-    def row(self) -> int:
-        """This VM's row index: its position in the pool."""
-        return self._row
-
-    @property
-    def state(self) -> VmState:
-        return CODE_TO_STATE[self._table.state_code[self._row]]
-
-    @state.setter
-    def state(self, value: VmState) -> None:
-        self._table.state_code[self._row] = STATE_TO_CODE[value]
-
-    @property
-    def itype(self) -> InstanceType:
-        return self._itype
-
-    @itype.setter
-    def itype(self, value: InstanceType) -> None:
-        self._resync(value, self._failure_policy)
-
-    @property
-    def failure_policy(self) -> FailurePolicy:
-        return self._failure_policy
-
-    @failure_policy.setter
-    def failure_policy(self, value: FailurePolicy) -> None:
-        self._resync(self._itype, value)
-
-    def _resync(self, itype: InstanceType, policy: FailurePolicy) -> None:
-        """Adopt a new ``itype`` / ``failure_policy`` into the row."""
-        self.__dict__["_itype"] = itype
-        self.__dict__["_failure_policy"] = policy
-        self._table._sync_static(self._row, itype, policy)
-        self._table._refresh(self._row)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TableBackedVM({self.name!r}, row={self._row}, "
-            f"{self.state.value}, leaked={self.leaked_mb:.0f}MB)"
-        )

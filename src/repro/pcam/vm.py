@@ -1,5 +1,11 @@
 """The virtual-machine resource and lifecycle model.
 
+The physics (capacity, failure point, the mean-field time to failure) as
+functions over plain numbers, the lifecycle states, and
+:class:`VirtualMachine`: a VM's identity and spec, and a view of the
+:class:`~repro.pcam.state_table.VmStateTable` row that holds its state and
+runs its transitions.
+
 Each VM hosts one server replica of the client-server application.  Under
 load, injected software anomalies accumulate (memory leaks, unterminated
 threads -- Sec. VI-A); the accumulation degrades performance and eventually
@@ -51,6 +57,26 @@ class VmState(enum.Enum):
     FAILED = "failed"
 
 
+#: Row state codes of a :class:`~repro.pcam.state_table.VmStateTable`.
+CODE_ACTIVE = 0
+CODE_STANDBY = 1
+CODE_REJUVENATING = 2
+CODE_FAILED = 3
+
+#: Code -> enum member (index by code).
+CODE_TO_STATE: tuple[VmState, ...] = (
+    VmState.ACTIVE,
+    VmState.STANDBY,
+    VmState.REJUVENATING,
+    VmState.FAILED,
+)
+
+#: Enum member -> code.
+STATE_TO_CODE: dict[VmState, int] = {
+    state: code for code, state in enumerate(CODE_TO_STATE)
+}
+
+
 @dataclass(frozen=True, slots=True)
 class FailurePolicy:
     """The F2PM configurable failure point.
@@ -93,25 +119,25 @@ ESTIMATE_BRACKET = 1e-13
 # ---------------------------------------------------------------------- #
 # the scalar capacity / response-time model
 # ---------------------------------------------------------------------- #
-# The physics over plain Python numbers.  The ``VirtualMachine``
-# properties and ``VmStateTable._refresh`` (one row's derived capacity,
-# which the DES request path reads) call these functions, so they agree
-# bit-for-bit by construction.  The mean-field oracle kernel below does
-# *not*: its SLA search visits ~50 scan steps and midpoints a prediction,
-# and five calls a probe were 1.5 M of a 12-cell sweep's 3.0 M Python
-# calls, so its probe spells ``effective_capacity`` and
-# ``mm1_response_time_s`` a second time on local floats, operation for
-# operation.  (Most of those points are decided by comparison against
-# two probes around a closed-form estimate, ``sla_crossing_estimate_s``:
-# about two probes a prediction.)  What holds the two spellings together
-# is ``tests/pcam/test_oracle_kernel.py``: exact equality of the kernel
-# against a reference that drives the VM properties.  Change the model
-# here and there in the same commit, and the estimate's threshold
-# algebra with it (the same file's bracket hit-rate test says when it
-# stops bracketing; a stale estimate costs probes, never bits).
-# (``VmStateTable.pressures_of`` in :mod:`repro.pcam.state_table` is the
-# array form, pinned against these by
-# ``tests/pcam/test_columnar_parity.py``.)
+# The physics over plain Python numbers.  ``VmStateTable._refresh`` (one
+# row's derived capacity, which the DES request path reads) calls these
+# functions; ``VmStateTable.pressures_of`` and ``era_load_update`` in
+# :mod:`repro.pcam.state_table` are the array form, pinned against the
+# scalar VM of ``tests/pcam/reference_vmc.py`` (which calls these too, and
+# spells the M/M/1 response time) by ``tests/pcam/test_columnar_parity.py``.
+# The mean-field oracle kernel below does *not* call them: its SLA search
+# visits ~50 scan steps and midpoints a prediction, and five calls a
+# probe were 1.5 M of a 12-cell sweep's 3.0 M Python calls, so its probe
+# spells ``effective_capacity`` and the M/M/1 response time a second time
+# on local floats, operation for operation.  (Most of those points are
+# decided by comparison against two probes around a closed-form estimate,
+# ``sla_crossing_estimate_s``: about two probes a prediction.)  What holds
+# the two spellings together is ``tests/pcam/test_oracle_kernel.py``:
+# exact equality of the kernel against a reference that drives the
+# reference VM's properties.  Change the model here and there in the same
+# commit, and the estimate's threshold algebra with it (the same file's
+# bracket hit-rate test says when it stops bracketing; a stale estimate
+# costs probes, never bits).
 
 
 def usable_memory_mb(memory_mb: float) -> float:
@@ -165,21 +191,6 @@ def effective_capacity(
         1.0 - SWAP_CAPACITY_PENALTY * swap_pressure(leaked_mb, usable_mb, swap_mb)
     ) * (1.0 - thread_pressure(stuck_threads, free_slots))
     return cpu_power * max(factor, 0.02)
-
-
-def mm1_response_time_s(
-    capacity: float, request_rate: float, mean_demand: float
-) -> float:
-    """M/M/1-style mean response time on ``capacity`` demand-units/second.
-
-    Utilisation is clamped at 0.99: past saturation the model reports a
-    steeply growing but finite response time, which is what a real
-    overloaded server (with queue limits) exhibits.
-    """
-    mu = capacity / mean_demand  # requests/second
-    service_time = 1.0 / mu
-    rho = min(request_rate / mu, 0.99)
-    return service_time / (1.0 - rho)
 
 
 def sla_crossing_estimate_s(
@@ -358,7 +369,7 @@ def mean_field_ttf_s(
                 t_sla = hi
                 break
         # The probe: is the SLA violated at ``t``?  The second spelling
-        # of effective_capacity() and mm1_response_time_s() -- same
+        # of effective_capacity() and the M/M/1 response time -- same
         # operations, same order, or every sweep digest moves.
         leaked = leaked_mb + leak_rate * t
         if swap_mb == 0:
@@ -389,8 +400,41 @@ def mean_field_ttf_s(
     )
 
 
+def fresh_ttf_s(
+    itype: InstanceType,
+    policy: FailurePolicy,
+    injector: AnomalyInjector,
+    request_rate: float,
+    mean_demand: float,
+) -> float:
+    """:func:`mean_field_ttf_s` of a fresh VM of this spec (no leak, no
+    stuck thread) at a steady ``request_rate``, with the injector's
+    expected leak and thread rates."""
+    return mean_field_ttf_s(
+        0.0,
+        0,
+        request_rate,
+        mean_demand,
+        itype.cpu_power,
+        usable_memory_mb(itype.memory_mb),
+        itype.swap_mb,
+        thread_free_slots(itype.thread_slots),
+        policy.sla_response_time_s,
+        injector.expected_leak_rate_mb(request_rate),
+        injector.expected_thread_rate(request_rate),
+        policy.swap_exhaustion,
+        policy.thread_exhaustion,
+    )
+
+
 class VirtualMachine:
-    """One simulated VM hosting a server replica.
+    """One simulated VM hosting a server replica: a view of a table row.
+
+    The VM holds its identity and the spec it was built with; its load
+    state and lifecycle live in one row of the
+    :class:`~repro.pcam.state_table.VmStateTable` that adopts it
+    (:attr:`table`, :attr:`row`), and every read below goes to that row.
+    Before adoption there is no state to read.
 
     Parameters
     ----------
@@ -405,7 +449,7 @@ class VirtualMachine:
     rejuvenation_time_s:
         How long a rejuvenation (process/system restart) takes.
     state:
-        Initial lifecycle state.
+        Initial lifecycle state (:attr:`initial_state`).
     rack_id:
         Global rack id in the deployment's
         :class:`~repro.topology.domains.FailureDomainTree` (0 -- the
@@ -413,6 +457,18 @@ class VirtualMachine:
         VM's lifetime: rejuvenation restarts the software, not the
         hardware placement.
     """
+
+    __slots__ = (
+        "name",
+        "itype",
+        "injector",
+        "failure_policy",
+        "rejuvenation_time_s",
+        "initial_state",
+        "rack_id",
+        "table",
+        "row",
+    )
 
     def __init__(
         self,
@@ -433,234 +489,63 @@ class VirtualMachine:
         self.injector = injector
         self.failure_policy = failure_policy or FailurePolicy()
         self.rejuvenation_time_s = float(rejuvenation_time_s)
-        self.state = state
+        self.initial_state = state
         self.rack_id = int(rack_id)
-        # anomaly accumulation
-        self.leaked_mb = 0.0
-        self.stuck_threads = 0
-        self.uptime_s = 0.0
-        # rejuvenation progress
-        self._rejuvenation_remaining_s = 0.0
-        # last-era telemetry
-        self.last_request_rate = 0.0
-        self.last_response_time_s = 0.0
-        self.total_requests = 0
-        self.rejuvenation_count = 0
-        self.failure_count = 0
+        #: the adopting :class:`~repro.pcam.state_table.VmStateTable`
+        self.table = None
+        #: this VM's row in :attr:`table`: its position in the pool
+        self.row = -1
 
-    # ------------------------------------------------------------------ #
-    # resource pressures and capacity
-    # ------------------------------------------------------------------ #
+    # the lifecycle state and load state: reads of this VM's row
 
     @property
-    def usable_memory_mb(self) -> float:
-        """RAM available to absorb leaks before spilling to swap."""
-        return usable_memory_mb(self.itype.memory_mb)
+    def state(self) -> VmState:
+        return CODE_TO_STATE[self.table.state_code[self.row]]
 
     @property
-    def anomaly_budget_mb(self) -> float:
-        """Total leak absorption before the hard-crash point (RAM + swap)."""
-        return self.usable_memory_mb + self.itype.swap_mb
+    def leaked_mb(self) -> float:
+        return float(self.table.leaked_mb[self.row])
 
     @property
-    def thread_free_slots(self) -> int:
-        """Scheduler slots stuck threads can occupy before exhaustion."""
-        return thread_free_slots(self.itype.thread_slots)
+    def stuck_threads(self) -> int:
+        return int(self.table.stuck_threads[self.row])
 
     @property
-    def swap_used_mb(self) -> float:
-        """Leaked memory that spilled past RAM into swap."""
-        return swap_used_mb(
-            self.leaked_mb, self.usable_memory_mb, self.itype.swap_mb
-        )
+    def uptime_s(self) -> float:
+        return float(self.table.uptime_s[self.row])
 
     @property
-    def swap_pressure(self) -> float:
-        """Swap occupancy in [0, 1]."""
-        return swap_pressure(
-            self.leaked_mb, self.usable_memory_mb, self.itype.swap_mb
-        )
+    def last_request_rate(self) -> float:
+        return float(self.table.last_request_rate[self.row])
 
     @property
-    def thread_pressure(self) -> float:
-        """Thread-slot occupancy by stuck threads, in [0, 1]."""
-        return thread_pressure(self.stuck_threads, self.thread_free_slots)
+    def last_response_time_s(self) -> float:
+        return float(self.table.last_response_time_s[self.row])
 
     @property
-    def effective_capacity(self) -> float:
-        """Current service capacity in demand-units/second."""
-        itype = self.itype
-        return effective_capacity(
-            itype.cpu_power,
-            self.leaked_mb,
-            self.usable_memory_mb,
-            itype.swap_mb,
-            self.stuck_threads,
-            self.thread_free_slots,
-        )
+    def total_requests(self) -> int:
+        return int(self.table.total_requests[self.row])
 
-    def response_time_s(self, request_rate: float, mean_demand: float = 1.5) -> float:
-        """M/M/1-style mean response time at ``request_rate`` req/s.
+    @property
+    def rejuvenation_count(self) -> int:
+        return int(self.table.rejuvenation_count[self.row])
 
-        ``mean_demand`` is the average demand-units per request (from the
-        TPC-W mix); see :func:`mm1_response_time_s`.
-        """
-        if request_rate < 0:
-            raise ValueError("request_rate must be >= 0")
-        return mm1_response_time_s(
-            self.effective_capacity, request_rate, mean_demand
-        )
-
-    # ------------------------------------------------------------------ #
-    # failure point
-    # ------------------------------------------------------------------ #
-
-    def failure_point_reached(self) -> bool:
-        """Evaluate the F2PM failure-point predicate on the current state."""
-        p = self.failure_policy
-        if p.swap_exhaustion and self.leaked_mb >= self.anomaly_budget_mb:
-            return True
-        if p.thread_exhaustion and self.thread_pressure >= 1.0:
-            return True
-        if self.last_response_time_s > p.sla_response_time_s:
-            return True
-        return False
-
-    def true_time_to_failure_s(
-        self, request_rate: float, mean_demand: float = 1.5
-    ) -> float:
-        """Mean-field (noise-free) time to this VM's failure point.
-
-        Used by tests, the planner and the oracle predictor:
-        :func:`mean_field_ttf_s` on the current anomaly level, with the
-        injector's expected leak and thread rates at ``request_rate``.
-        """
-        if request_rate <= 0:
-            return float("inf")
-        itype = self.itype
-        policy = self.failure_policy
-        return mean_field_ttf_s(
-            self.leaked_mb,
-            self.stuck_threads,
-            request_rate,
-            mean_demand,
-            itype.cpu_power,
-            self.usable_memory_mb,
-            itype.swap_mb,
-            self.thread_free_slots,
-            policy.sla_response_time_s,
-            self.injector.expected_leak_rate_mb(request_rate),
-            self.injector.expected_thread_rate(request_rate),
-            policy.swap_exhaustion,
-            policy.thread_exhaustion,
-        )
-
-    # ------------------------------------------------------------------ #
-    # era advancement
-    # ------------------------------------------------------------------ #
-
-    def apply_load(
-        self, n_requests: int, dt: float, mean_demand: float = 1.5
-    ) -> float:
-        """Serve ``n_requests`` over an era of ``dt`` seconds.
-
-        Injects anomalies, advances uptime, updates telemetry, and returns
-        the era's mean response time.  Only valid for ACTIVE VMs.
-        """
-        if self.state is not VmState.ACTIVE:
-            raise RuntimeError(
-                f"{self.name}: apply_load on {self.state.value} VM"
-            )
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if n_requests < 0:
-            raise ValueError("n_requests must be >= 0")
-        leaked_mb, stuck_threads = self.injector.draw(n_requests)
-        self.leaked_mb += leaked_mb
-        self.stuck_threads += stuck_threads
-        self.uptime_s += dt
-        self.total_requests += n_requests
-        self.last_request_rate = n_requests / dt
-        self.last_response_time_s = self.response_time_s(
-            self.last_request_rate, mean_demand
-        )
-        if self.failure_point_reached():
-            self.fail()
-        return self.last_response_time_s
-
-    # ------------------------------------------------------------------ #
-    # lifecycle transitions
-    # ------------------------------------------------------------------ #
-
-    def activate(self) -> None:
-        """STANDBY -> ACTIVE (the PCAM ACTIVATE command)."""
-        if self.state is not VmState.STANDBY:
-            raise RuntimeError(
-                f"{self.name}: cannot ACTIVATE from {self.state.value}"
-            )
-        self.state = VmState.ACTIVE
-        self.uptime_s = 0.0
-
-    def start_rejuvenation(self) -> None:
-        """ACTIVE/FAILED -> REJUVENATING (the PCAM REJUVENATE command)."""
-        if self.state not in (VmState.ACTIVE, VmState.FAILED):
-            raise RuntimeError(
-                f"{self.name}: cannot REJUVENATE from {self.state.value}"
-            )
-        self.state = VmState.REJUVENATING
-        self._rejuvenation_remaining_s = self.rejuvenation_time_s
-        self.rejuvenation_count += 1
-        if self.rejuvenation_time_s == 0:
-            self._finish_rejuvenation()
-
-    def _finish_rejuvenation(self) -> None:
-        self.state = VmState.STANDBY
-        self.leaked_mb = 0.0
-        self.stuck_threads = 0
-        self.uptime_s = 0.0
-        self.last_response_time_s = 0.0
-        self.last_request_rate = 0.0
-        self._rejuvenation_remaining_s = 0.0
+    @property
+    def failure_count(self) -> int:
+        return int(self.table.failure_count[self.row])
 
     def fail(self) -> None:
-        """Transition to FAILED (failure point reached before rejuvenation)."""
-        if self.state is VmState.FAILED:
-            return
-        self.state = VmState.FAILED
-        self.failure_count += 1
-
-    # ------------------------------------------------------------------ #
-    # monitoring
-    # ------------------------------------------------------------------ #
+        """-> FAILED (the failure point, or a crash), on this VM's row."""
+        self.table.fail(np.array([self.row]))
 
     def sample_features(self) -> FeatureVector:
-        """Produce one F2PM monitoring sample of the current state."""
-        mem_used = BASELINE_MEMORY_MB + min(self.leaked_mb, self.usable_memory_mb)
-        mu = self.effective_capacity / 1.5
-        rho = min(self.last_request_rate / mu, 0.99) if mu > 0 else 0.99
-        cpu_user = 70.0 * rho
-        cpu_system = 10.0 * rho + 20.0 * self.swap_pressure
-        return FeatureVector(
-            mem_used_mb=mem_used,
-            mem_free_mb=max(self.itype.memory_mb - mem_used, 0.0),
-            swap_used_mb=self.swap_used_mb,
-            cpu_user_pct=cpu_user,
-            cpu_system_pct=cpu_system,
-            cpu_idle_pct=max(100.0 - cpu_user - cpu_system, 0.0),
-            num_threads=BASELINE_THREADS + self.stuck_threads,
-            num_processes=60.0,
-            disk_read_mbps=0.5 + 4.0 * self.swap_pressure,
-            disk_write_mbps=0.3 + 6.0 * self.swap_pressure,
-            net_in_mbps=0.02 * self.last_request_rate,
-            net_out_mbps=0.12 * self.last_request_rate,
-            request_rate=self.last_request_rate,
-            response_time_ms=self.last_response_time_s * 1000.0,
-            uptime_s=self.uptime_s,
-        )
+        """One F2PM monitoring sample: this row of the table's
+        :meth:`~repro.pcam.state_table.VmStateTable.feature_matrix`."""
+        row = self.table.feature_matrix(np.array([self.row]))[0]
+        return FeatureVector(*row.tolist())
 
     def __repr__(self) -> str:
         return (
             f"VirtualMachine({self.name!r}, {self.itype.name}, "
-            f"{self.state.value}, leaked={self.leaked_mb:.0f}MB, "
-            f"threads+{self.stuck_threads})"
+            f"row={self.row})"
         )

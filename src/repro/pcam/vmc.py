@@ -35,15 +35,15 @@ from repro.pcam.rejuvenation import (
     RejuvenationDiscipline,
     RttfThresholdRejuvenation,
 )
-from repro.pcam.state_table import (
+from repro.pcam.state_table import Pressures, VmStateTable
+from repro.pcam.vm import (
     CODE_ACTIVE,
     CODE_FAILED,
     CODE_REJUVENATING,
     CODE_STANDBY,
-    Pressures,
-    VmStateTable,
+    VirtualMachine,
+    VmState,
 )
-from repro.pcam.vm import VirtualMachine, VmState
 from repro.workload.anomalies import draw_pool
 
 
@@ -268,8 +268,8 @@ class VirtualMachineController:
         stream and must consume it in pool order).  Everything else --
         load accounting, response times, failure checks, feature
         extraction, threshold scans -- is one NumPy pass over the ACTIVE
-        rows, bit-identical to walking plain ``VirtualMachine`` objects
-        one at a time (pinned by ``tests/pcam/test_columnar_parity.py``).
+        rows, bit-identical to walking scalar VM objects one at a time
+        (pinned by ``tests/pcam/test_columnar_parity.py``).
         """
         if n_requests < 0:
             raise ValueError("n_requests must be >= 0")
@@ -290,7 +290,7 @@ class VirtualMachineController:
                 n_requests, bal.weights_of(table, active_rows)
             )
             # each VM consumes its own stream in pool order, exactly like
-            # a scalar apply_load walk
+            # a walk of one VM at a time
             leaked, threads = draw_pool(
                 [self.vms[r].injector for r in active_rows.tolist()],
                 counts.tolist(),
@@ -362,6 +362,7 @@ class VirtualMachineController:
         rack_busy = (
             self._rack_rejuvenation_counts() if self.config.spread_k else None
         )
+        rejuvenate: list[int] = []
         for p in at_risk_pos[order].tolist():
             vm = monitored[p]
             rttf = float(rttf_arr[p])
@@ -371,7 +372,7 @@ class VirtualMachineController:
                 n_standby -= 1
             elif rttf >= dt:
                 continue  # postpone: no replacement and not imminent
-            vm.start_rejuvenation()
+            rejuvenate.append(vm.row)
             if rack_busy is not None:
                 rack_busy[vm.rack_id] = rack_busy.get(vm.rack_id, 0) + 1
             era_rejuvenations += 1
@@ -390,7 +391,7 @@ class VirtualMachineController:
         # 3. reactive path: failed VMs go to rejuvenation too
         for r in (codes == CODE_FAILED).nonzero()[0].tolist():
             vm = self.vms[r]
-            vm.start_rejuvenation()
+            rejuvenate.append(r)
             era_rejuvenations += 1
             if self._obs is not None:
                 self._obs.instant(
@@ -408,6 +409,10 @@ class VirtualMachineController:
                 self._obs.counter(
                     "vm_failures_total", region=self.region_name
                 ).inc()
+
+        # the REJUVENATE commands of both paths
+        if rejuvenate:
+            table.start_rejuvenation(np.array(rejuvenate))
 
         # 4. backfill the ACTIVE pool from STANDBY (the ACTIVATE command)
         self._ensure_active_pool()

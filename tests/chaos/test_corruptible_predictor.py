@@ -6,27 +6,30 @@ import pytest
 from repro.chaos.predictor import CorruptiblePredictor
 from repro.experiments import make_trained_predictor
 from repro.pcam.predictor import OracleRttfPredictor
-from repro.pcam.vm import VirtualMachine
+from repro.pcam.state_table import VmStateTable
+from repro.pcam.vm import VirtualMachine, VmState
 from repro.sim import PRIVATE_SMALL, RngRegistry
 from repro.workload import AnomalyInjector
 
+from ..pcam.conftest import apply_load
 from ..pcam.reference_vmc import feature_rows, predict_one
 
 
 def make_vms(n=3, seed=17):
     rngs = RngRegistry(seed=seed)
-    vms = []
-    for i in range(n):
-        name = f"vm{i}"
-        vm = VirtualMachine(
-            name,
+    vms = [
+        VirtualMachine(
+            f"vm{i}",
             PRIVATE_SMALL,
-            AnomalyInjector(rngs.child(name).stream("anomalies")),
+            AnomalyInjector(rngs.child(f"vm{i}").stream("anomalies")),
+            state=VmState.ACTIVE,
         )
-        vm.activate()
+        for i in range(n)
+    ]
+    VmStateTable(vms)
+    for i, vm in enumerate(vms):
         for _ in range(1 + i % 3):
-            vm.apply_load(60 + 20 * i, 30.0)
-        vms.append(vm)
+            apply_load(vm, 60 + 20 * i, 30.0)
     return vms
 
 
@@ -87,7 +90,7 @@ def test_stale_mode_equals_one_row_calls_in_pool_order(inner_kind, reptree):
 
     pred.set_mode("stale")
     for vm in vms:
-        vm.apply_load(90, 30.0)  # the state moves on; cached answers do not
+        apply_load(vm, 90, 30.0)  # the state moves on; cached answers do not
     last = dict(zip((vm.name for vm in cached), healthy.tolist()))
     want = [
         last[vm.name] if vm.name in last else predict_one(twin, vm)

@@ -19,7 +19,7 @@ from repro.topology import DomainHealthTracker, FailureDomainTree
 from repro.workload.browsers import BrowserPopulation
 from repro.workload.tpcw import MIX_SHOPPING
 
-from ..pcam.conftest import build_vm
+from ..pcam.conftest import build_vm, set_load
 from ..pcam.reference_vmc import predict_one
 
 
@@ -441,7 +441,7 @@ class TestTransportAndPredictorPrimitives:
         corruptible = CorruptiblePredictor(vmc.predictor)
         vmc.predictor = corruptible
         vm = vmc.vms_in(VmState.ACTIVE)[0]
-        vm.last_request_rate = 2.0
+        set_load(vm, last_request_rate=2.0)
 
         healthy = predict_one(corruptible, vm)
         assert math.isfinite(healthy) and healthy > 0
@@ -452,7 +452,8 @@ class TestTransportAndPredictorPrimitives:
         engine.corrupt_predictor("zero")
         assert predict_one(corruptible, vm) == 0.0
         engine.corrupt_predictor("stale")
-        vm.leaked_mb += 500.0  # state changed, prediction must not
+        # state changed, prediction must not
+        set_load(vm, leaked_mb=vm.leaked_mb + 500.0)
         assert predict_one(corruptible, vm) == healthy
         engine.corrupt_predictor("off")
         assert predict_one(corruptible, vm) != healthy

@@ -1,5 +1,6 @@
 """Tests for the deployment cost tracker and request-pricing model."""
 
+import numpy as np
 import pytest
 
 from repro.core import CostTracker
@@ -35,7 +36,8 @@ class TestCostTracker:
         assert charge == pytest.approx(expected)
 
     def test_rejuvenating_pays_full_rate(self, vmc):
-        vmc.vms_in(VmState.ACTIVE)[0].start_rejuvenation()
+        vm = vmc.vms_in(VmState.ACTIVE)[0]
+        vmc.table.start_rejuvenation(np.array([vm.row]))
         tracker = CostTracker(standby_multiplier=0.0)
         charge = tracker.charge_era(vmc, dt_s=3600.0)
         # 1 active + 1 rejuvenating at full rate
@@ -54,7 +56,7 @@ class TestCostTracker:
     def test_per_state_billing_matrix(self, vmc):
         active = vmc.vms_in(VmState.ACTIVE)
         active[0].fail()
-        active[1].start_rejuvenation()
+        vmc.table.start_rejuvenation(np.array([active[1].row]))
         tracker = CostTracker(standby_multiplier=0.25)
         charge = tracker.charge_era(vmc, dt_s=3600.0)
         # 1 failed + 1 rejuvenating at full rate, 2 standby at 25%

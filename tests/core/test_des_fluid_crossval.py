@@ -22,9 +22,12 @@ from repro.chaos.predictor import CorruptiblePredictor
 from repro.core import get_policy
 from repro.core.des_loop import DesControlLoop
 from repro.pcam import OracleRttfPredictor, VirtualMachine
+from repro.pcam.vm import fresh_ttf_s
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
 from repro.workload import AnomalyInjector, BrowserPopulation
 from repro.workload.browsers import closed_loop_rate
+
+from ..pcam.reference_vmc import mm1_response_time_s
 
 THINK_TIME_S = 7.0
 
@@ -94,7 +97,7 @@ class TestFluidCrossValidation:
         rt = 0.05
         for _ in range(50):
             rate = closed_loop_rate(clients, THINK_TIME_S, rt) / n_vms
-            rt = vms[0].response_time_s(rate)
+            rt = mm1_response_time_s(M3_MEDIUM.cpu_power, rate, 1.5)
         assert measured == pytest.approx(rt, rel=0.35)
 
     def test_stuck_thread_share_matches_injection_probability(self):
@@ -119,7 +122,10 @@ class TestFluidCrossValidation:
         loop, vms = make_loop(n_vms=2, clients=60, seed=13)
         # fluid TTF at the initial per-VM rate
         rate = closed_loop_rate(60, THINK_TIME_S, 0.1) / 2
-        predicted = vms[0].true_time_to_failure_s(rate)
+        vm = vms[0]
+        predicted = fresh_ttf_s(
+            vm.itype, vm.failure_policy, vm.injector, rate, 1.5
+        )
         run_for(loop, 3 * predicted)
         assert loop.total_failures > 0
 

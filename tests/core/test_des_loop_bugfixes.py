@@ -25,6 +25,8 @@ from repro.pcam import OracleRttfPredictor, VirtualMachine, VmState
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
 from repro.workload import AnomalyInjector, BrowserPopulation
 
+from ..pcam.conftest import set_load
+
 
 def build_loop(policy="available-resources", seed=5, clients=(80, 48),
                think_time_s=7.0, **kwargs):
@@ -163,7 +165,8 @@ class TestMidEraFailureAccounting:
         victim = state.vms[state.active_slots[0]]
         # poison the victim so that its next completion trips the
         # failure point mid-era (swap exhaustion)
-        victim.leaked_mb = victim.anomaly_budget_mb - 0.5
+        budget = victim.table.anomaly_budget_mb[victim.row]
+        set_load(victim, leaked_mb=budget - 0.5)
         assert state.era_active_start == 4
         loop.run(1)
         assert victim.failure_count == 1, "victim should fail mid-era"
@@ -326,8 +329,9 @@ class TestRegionsRunTheVmc:
         vm = state.vms[slot]
         state.in_flight[slot] += 1
         issued_life = state.life[slot]
-        vm.rejuvenation_time_s = 0.0  # back in STANDBY at once
-        vm.start_rejuvenation()
+        row = np.array([vm.row])
+        vm.table.rejuvenation_time_s[row] = 0.0  # back in STANDBY at once
+        vm.table.start_rejuvenation(row)
         loop.run(1)  # the boundary backfills the slot: same VM, new life
         assert vm.state is VmState.ACTIVE
         assert state.life[slot] == issued_life + 1

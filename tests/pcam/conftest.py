@@ -5,7 +5,10 @@ import pytest
 
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
 from repro.workload import AnomalyInjector
-from repro.pcam import VirtualMachine, VmState
+from repro.workload.anomalies import draw_pool
+from repro.pcam import VirtualMachine, VmState, VmStateTable
+
+from .reference_vmc import ReferenceVm
 
 
 @pytest.fixture
@@ -23,8 +26,42 @@ def vm_at(vmc, row):
     return vm
 
 
-def build_vm(rngs, name="vm0", itype=PRIVATE_SMALL, state=VmState.STANDBY, **kw):
-    return VirtualMachine(
+def set_load(vm, **cells):
+    """Write ``vm``'s load-state cells (``leaked_mb=...``) in its table
+    row and re-derive the row's derived columns, as a table writer does."""
+    for name, value in cells.items():
+        getattr(vm.table, name)[vm.row] = value
+    vm.table._refresh(vm.row)
+
+
+def apply_load(vm, n_requests, dt, mean_demand=1.5):
+    """One era of ``n_requests`` on a pooled ``vm``: its own anomaly draw,
+    then the table's era kernel on its row (a VMC era on one ACTIVE VM)."""
+    leaked, threads = draw_pool([vm.injector], [n_requests])
+    vm.table.era_load_update(
+        np.array([vm.row]), np.array([n_requests]), dt, mean_demand,
+        leaked, threads,
+    )
+
+
+def pooled_vm(rngs, name="vm0", **kw):
+    """An ACTIVE VM view, adopted into a one-row table of its own."""
+    vm = build_vm(rngs, name=name, state=VmState.ACTIVE, **kw)
+    VmStateTable([vm])
+    return vm
+
+
+def build_vm(
+    rngs,
+    name="vm0",
+    itype=PRIVATE_SMALL,
+    state=VmState.STANDBY,
+    cls=VirtualMachine,
+    **kw,
+):
+    """A ``cls`` VM (a table view, or a scalar ``ReferenceVm``) with its
+    own anomaly stream."""
+    return cls(
         name,
         itype,
         AnomalyInjector(rngs.child(name).stream("anomalies")),
@@ -35,12 +72,12 @@ def build_vm(rngs, name="vm0", itype=PRIVATE_SMALL, state=VmState.STANDBY, **kw)
 
 @pytest.fixture
 def standby_vm(rngs):
-    return build_vm(rngs)
+    return build_vm(rngs, cls=ReferenceVm)
 
 
 @pytest.fixture
 def active_vm(rngs):
-    vm = build_vm(rngs, name="active0", state=VmState.STANDBY)
+    vm = build_vm(rngs, name="active0", cls=ReferenceVm)
     vm.activate()
     return vm
 

@@ -16,6 +16,7 @@ from repro.pcam.balancer import largest_remainder_split
 from repro.pcam.state_table import VmStateTable
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL
 
+from .conftest import set_load
 from .reference_vmc import RecordingPredictor
 
 
@@ -92,30 +93,29 @@ def _hamilton(total, weights):
 
 
 def split(balancer, n_requests, vms):
-    """``balancer``'s name -> count split of ``n_requests`` over ``vms``,
-    read from a state table the way the VMC reads it."""
-    table = VmStateTable(vms)
-    rows = np.arange(len(vms))
+    """``balancer``'s name -> count split of ``n_requests`` over ``vms``
+    (adopted here unless a test's table already holds them), read from
+    their state table the way the VMC reads it."""
+    table = vms[0].table or VmStateTable(vms)
+    rows = np.array([vm.row for vm in vms])
     counts = balancer.split_counts(n_requests, balancer.weights_of(table, rows))
     return dict(zip((vm.name for vm in vms), counts.tolist()))
 
 
 class TestLocalBalancer:
     def test_capacity_weights_favour_healthy_vm(self, make_vm):
-        healthy = make_vm()
-        degraded = make_vm()
-        healthy.activate()
-        degraded.activate()
-        degraded.leaked_mb = (
-            degraded.usable_memory_mb + degraded.itype.swap_mb * 0.9
+        healthy = make_vm(state=VmState.ACTIVE)
+        degraded = make_vm(state=VmState.ACTIVE)
+        table = VmStateTable([healthy, degraded])
+        set_load(
+            degraded,
+            leaked_mb=table.usable_memory_mb[1] + table.swap_mb[1] * 0.9,
         )
         counts = split(LocalBalancer("capacity"), 1000, [healthy, degraded])
         assert counts[healthy.name] > counts[degraded.name]
 
     def test_uniform_splits_evenly(self, make_vm):
-        vms = [make_vm() for _ in range(4)]
-        for vm in vms:
-            vm.activate()
+        vms = [make_vm(state=VmState.ACTIVE) for _ in range(4)]
         counts = split(LocalBalancer("uniform"), 1000, vms)
         assert all(c == 250 for c in counts.values())
 
@@ -139,9 +139,7 @@ class TestLocalBalancer:
         assert vmc.process_era(0, 30.0, now=0.0).n_active == 0
 
     def test_multinomial_mode_conserves_total(self, make_vm):
-        vms = [make_vm() for _ in range(3)]
-        for vm in vms:
-            vm.activate()
+        vms = [make_vm(state=VmState.ACTIVE) for _ in range(3)]
         bal = LocalBalancer("capacity", rng=np.random.default_rng(0))
         counts = split(bal, 500, vms)
         assert sum(counts.values()) == 500
@@ -263,7 +261,8 @@ class TestVmcEraProcessing:
         active = vmc.vms_in(VmState.ACTIVE)
         victim, doomed = active[:2]
         victim.fail()  # hit its failure point under the host's requests
-        doomed.leaked_mb = doomed.anomaly_budget_mb * 0.999  # at risk
+        budget = vmc.table.anomaly_budget_mb[doomed.row]
+        set_load(doomed, leaked_mb=budget * 0.999)  # at risk
         rep = vmc.close_era(30.0, 0.0, served=90, response_time_s=0.25,
                             failures=1)
         assert (rep.requests_served, rep.response_time_s) == (90, 0.25)
@@ -292,7 +291,7 @@ class TestVmcPoolOps:
     def test_set_target_active_shrinks_most_degraded_first(self, make_vm):
         vmc = make_vmc(make_vm, n_vms=4, target=4)
         worst = vmc.vms_in(VmState.ACTIVE)[1]
-        worst.leaked_mb = 500.0
+        set_load(worst, leaked_mb=500.0)
         vmc.set_target_active(3)
         assert worst.state is VmState.REJUVENATING
         assert len(vmc.vms_in(VmState.ACTIVE)) == 3

@@ -3,13 +3,13 @@
 :class:`~repro.pcam.state_table.VmStateTable` is the only VM-state store
 in production; its array kernels were built against one contract: *same
 seed -> bit-identical behaviour* with the scalar, one-object-at-a-time
-semantics of :class:`~repro.pcam.vm.VirtualMachine`.  This module keeps
-that contract checked two ways:
+semantics of :class:`~tests.pcam.reference_vmc.ReferenceVm`.  This
+module keeps that contract checked two ways:
 
 * **VMC (fluid eras): live comparator.**  Every test builds two pools from
   identically-seeded RNG registries -- one driven by the tests-only
-  :class:`~tests.pcam.reference_vmc.ReferenceVmc` (plain, never-adopted
-  ``VirtualMachine`` objects), one by the real
+  :class:`~tests.pcam.reference_vmc.ReferenceVmc` (scalar
+  :class:`~tests.pcam.reference_vmc.ReferenceVm` objects), one by the real
   :class:`~repro.pcam.vmc.VirtualMachineController` -- runs both through
   the same scenario, and compares era reports, per-VM mutable state,
   capacities and ``stats()`` **exactly** (``==`` on floats, no
@@ -62,7 +62,7 @@ from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
 from repro.topology import DomainHealthTracker, FailureDomainTree
 from repro.workload import AnomalyInjector
 
-from .reference_vmc import RecordingPredictor, ReferenceVmc
+from .reference_vmc import RecordingPredictor, ReferenceVm, ReferenceVmc
 
 SNAPSHOT_PATH = Path(__file__).parent / "snapshots" / "des_parity.json"
 
@@ -92,9 +92,12 @@ class _LinModel:
         return 900.0 - 0.5 * rows[:, 1] - 4.0 * rows[:, 6] - 0.2 * rows[:, 0]
 
 
-def _pool(rngs: RngRegistry, n: int, mixer, **vm_kw) -> list[VirtualMachine]:
+def _pool(side, rngs: RngRegistry, n: int, mixer, **vm_kw) -> list:
+    """``n`` VMs for ``side``: scalar ones for the reference, views for
+    the real controller."""
+    vm_cls = ReferenceVm if side is ReferenceVmc else VirtualMachine
     return [
-        VirtualMachine(
+        vm_cls(
             f"vm{i:03d}",
             M3_MEDIUM if mixer(i) else PRIVATE_SMALL,
             AnomalyInjector(rngs.child(f"vm{i:03d}").stream("a")),
@@ -152,7 +155,7 @@ def _make_pair(seed: int, n_vms: int, build, **vm_kw):
     out = []
     for cls in (ReferenceVmc, VirtualMachineController):
         rngs = RngRegistry(seed=seed)
-        vms = _pool(rngs, n_vms, lambda i: i % 2 == 0, **vm_kw)
+        vms = _pool(cls, rngs, n_vms, lambda i: i % 2 == 0, **vm_kw)
         out.append(_recorded(build(cls, rngs, vms)))
     return out[0], out[1]
 
@@ -419,6 +422,7 @@ def test_vmc_parity_fuzz(seed):
     def make(cls):
         rngs = RngRegistry(seed=seed * 31 + 5)
         vms = _pool(
+            cls,
             rngs,
             n_vms,
             lambda i: i % 3 != 0,

@@ -11,13 +11,50 @@ from repro.pcam import (
     TrainedRttfPredictor,
     VmState,
 )
-from repro.sim import PRIVATE_SMALL
+from repro.sim import M3_MEDIUM, PRIVATE_SMALL
 
-from .conftest import build_vm
-from .reference_vmc import predict_one
+from .conftest import apply_load, build_vm, pooled_vm
+from .reference_vmc import ReferenceVm, predict_one
+
+
+def walk_to_failure(vm, request_rate, rng, dt, mean_demand=1.5):
+    """The harness's run, one step at a time on a scalar VM: draw the
+    step's requests, sample the features, apply the load."""
+    vm.activate()
+    times, rows = [], []
+    t = 0.0
+    while True:
+        n = int(rng.poisson(request_rate * dt))
+        times.append(t)
+        rows.append(vm.sample_features().to_array())
+        vm.apply_load(n, dt, mean_demand)
+        t += dt
+        if vm.state is VmState.FAILED:
+            return np.asarray(times), np.vstack(rows), t
 
 
 class TestProfilingHarness:
+    @pytest.mark.parametrize("itype", [PRIVATE_SMALL, M3_MEDIUM])
+    @pytest.mark.parametrize("rate", [1.0, 5.0, 26.0])
+    def test_runs_equal_a_step_by_step_walk(self, rngs, itype, rate):
+        """Runs stepped in blocks on a table are the walk's, bit for bit,
+        and leave the shared arrival stream where the walk leaves it."""
+        harness = ProfilingHarness(
+            lambda: build_vm(rngs, "p", itype), sample_period_s=10.0
+        )
+        block_rng, walk_rng = (np.random.default_rng(6) for _ in range(2))
+        for _ in range(3):
+            times, rows, t_fail = harness.run_to_failure(rate, block_rng)
+            want = walk_to_failure(
+                build_vm(rngs, "p", itype, cls=ReferenceVm), rate, walk_rng,
+                10.0,
+            )
+            assert times.tolist() == want[0].tolist()
+            assert rows.tolist() == want[1].tolist()
+            assert t_fail == want[2]
+            assert block_rng.bit_generator.state == walk_rng.bit_generator.state
+
+
     def _harness(self, rngs, **kw):
         counter = {"n": 0}
 
@@ -73,23 +110,26 @@ class TestProfilingHarness:
 
 
 class TestOraclePredictor:
-    def test_predicts_true_ttf(self, active_vm):
-        active_vm.apply_load(600, 30.0)  # establishes last_request_rate
-        oracle = OracleRttfPredictor()
-        rttf = predict_one(oracle, active_vm)
+    def test_predicts_true_ttf(self, rngs, active_vm):
+        # a pooled VM and a scalar one on the same anomaly stream
+        vm = pooled_vm(rngs, name=active_vm.name)
+        apply_load(vm, 600, 30.0)  # establishes last_request_rate
+        active_vm.apply_load(600, 30.0)
+        rttf = predict_one(OracleRttfPredictor(), vm)
         truth = active_vm.true_time_to_failure_s(active_vm.last_request_rate)
-        assert rttf == pytest.approx(truth)
+        assert rttf == truth
 
     def test_noise_requires_rng(self):
         with pytest.raises(ValueError):
             OracleRttfPredictor(noise_std=0.1)
 
-    def test_noise_perturbs_but_stays_positive(self, active_vm):
-        active_vm.apply_load(600, 30.0)
+    def test_noise_perturbs_but_stays_positive(self, rngs):
+        vm = pooled_vm(rngs)
+        apply_load(vm, 600, 30.0)
         noisy = OracleRttfPredictor(
             noise_std=0.5, rng=np.random.default_rng(0)
         )
-        vals = [predict_one(noisy, active_vm) for _ in range(50)]
+        vals = [predict_one(noisy, vm) for _ in range(50)]
         assert all(v > 0 for v in vals)
         assert np.std(vals) > 0
 
@@ -134,7 +174,7 @@ class TestTrainedPredictor:
         )
 
     def test_predicts_reasonable_rttf(self, trained_model, rngs):
-        vm = build_vm(rngs, name="online")
+        vm = build_vm(rngs, name="online", cls=ReferenceVm)
         vm.activate()
         predictor = TrainedRttfPredictor(trained_model)
         vm.apply_load(300, 30.0)  # 10 req/s
@@ -144,7 +184,7 @@ class TestTrainedPredictor:
         assert truth * 0.3 < pred < truth * 3.0
 
     def test_prediction_decreases_as_vm_degrades(self, trained_model, rngs):
-        vm = build_vm(rngs, name="degrading")
+        vm = build_vm(rngs, name="degrading", cls=ReferenceVm)
         vm.activate()
         predictor = TrainedRttfPredictor(trained_model)
         preds = []
@@ -156,7 +196,7 @@ class TestTrainedPredictor:
         assert preds[-1] < preds[0]
 
     def test_floor_clamps(self, trained_model, rngs):
-        vm = build_vm(rngs, name="floored")
+        vm = build_vm(rngs, name="floored", cls=ReferenceVm)
         vm.activate()
         predictor = TrainedRttfPredictor(trained_model, floor_s=100.0)
         assert predict_one(predictor, vm) >= 100.0

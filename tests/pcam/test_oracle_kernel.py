@@ -3,10 +3,13 @@
 ``reference_ttf`` is the algorithm the oracle ran before it became
 :func:`repro.pcam.vm.mean_field_ttf_s` -- kept verbatim, because it finds
 the SLA crossing by driving a VM's *public* properties, so equality with
-the kernel pins both the kernel's arithmetic and the property chain.
+the kernel pins both the kernel's arithmetic and the property chain.  The
+VMs it drives are the scalar :class:`~tests.pcam.reference_vmc.ReferenceVm`;
+the "table-row" cases ask the production oracle, which reads a
+:class:`~repro.pcam.state_table.VmStateTable`, about a twin row at the
+same state.
 """
 
-import copy
 import dataclasses
 import math
 
@@ -18,12 +21,18 @@ from hypothesis import strategies as st
 from repro.chaos.predictor import CorruptiblePredictor
 from repro.pcam.predictor import OracleRttfPredictor
 from repro.pcam import vm as vm_module
-from repro.pcam.state_table import MUTABLE_COLUMNS, TableBackedVM, VmStateTable
+from repro.pcam.state_table import VmStateTable
 from repro.pcam.vm import FailurePolicy, VirtualMachine, VmState
 from repro.sim import INSTANCE_CATALOG, M3_MEDIUM, PRIVATE_SMALL
 from repro.workload import AnomalyInjector
 
-from .reference_vmc import feature_rows, predict_one
+from .conftest import set_load
+from .reference_vmc import (
+    ReferenceOracle,
+    ReferenceVm,
+    feature_rows,
+    predict_one,
+)
 
 SHAPES = [
     *INSTANCE_CATALOG.values(),
@@ -81,7 +90,7 @@ def make_vm(
     name="oracle/vm",
     **injector_kw,
 ):
-    vm = VirtualMachine(
+    vm = ReferenceVm(
         name,
         itype,
         AnomalyInjector(np.random.default_rng(0), **injector_kw),
@@ -94,8 +103,37 @@ def make_vm(
     return vm
 
 
+def table_twins(refs, rate=None):
+    """Views of ``refs``' specs in one table, each row at its reference's
+    load state (at ``rate`` instead of its last rate, if given)."""
+    views = [
+        VirtualMachine(
+            ref.name, ref.itype, ref.injector, ref.failure_policy,
+            state=VmState.ACTIVE,
+        )
+        for ref in refs
+    ]
+    VmStateTable(views)
+    for ref, view in zip(refs, views):
+        set_load(
+            view,
+            leaked_mb=ref.leaked_mb,
+            stuck_threads=ref.stuck_threads,
+            last_request_rate=ref.last_request_rate if rate is None else rate,
+        )
+    return views
+
+
+def table_ttf(vm, rate, mean_demand=1.5):
+    """The production oracle's answer for a table twin of ``vm`` at
+    ``rate`` (> 0: the oracle reports an idle VM at 1 req/s)."""
+    (twin,) = table_twins([vm], rate)
+    return pooled(OracleRttfPredictor(mean_demand), [twin])[0]
+
+
 def aged_pool(n=8, table=False):
-    """ACTIVE VMs of mixed shapes at different anomaly levels and rates."""
+    """ACTIVE VMs of mixed shapes at different anomaly levels and rates:
+    scalar reference VMs, or (``table``) their table twins."""
     vms = []
     for i in range(n):
         itype = SHAPES[i % len(SHAPES)]
@@ -108,9 +146,7 @@ def aged_pool(n=8, table=False):
                 name=f"pool/vm{i}",
             )
         )
-    if table:
-        VmStateTable(vms)
-    return vms
+    return table_twins(vms) if table else vms
 
 
 # ---------------------------------------------------------------------- #
@@ -161,11 +197,8 @@ def test_kernel_equals_reference_exactly(
     )
 
     # same value from a table row
-    VmStateTable([vm])
-    assert isinstance(vm, TableBackedVM)
-    assert vm.true_time_to_failure_s(rate, mean_demand) == min(
-        expected, t_threads
-    )
+    if rate > 0:
+        assert table_ttf(vm, rate, mean_demand) == min(expected, t_threads)
 
 
 def reference_policy_ttf(vm, request_rate, mean_demand=1.5):
@@ -341,11 +374,12 @@ def test_kernel_regimes_equal_reference_exactly(name, table):
     vm = make_vm(policy=FailurePolicy(**policy_kw), **vm_kw)
     vm.leaked_mb = leak_fraction * vm.anomaly_budget_mb
     vm.stuck_threads = 7
-    if table:
-        VmStateTable([vm])
     expected, probes, horizon = reference_policy_ttf(vm, rate)
     assert is_the_regime(expected, probes, horizon), (expected, len(probes), horizon)
-    assert vm.true_time_to_failure_s(rate) == expected
+    if table:
+        assert table_ttf(vm, rate) == expected
+    else:
+        assert vm.true_time_to_failure_s(rate) == expected
 
 
 # ---------------------------------------------------------------------- #
@@ -463,13 +497,20 @@ def reference_predict_rttf(vm, mean_demand, noise_std, rng):
 @pytest.mark.parametrize("noise_std", [0.0, 0.3])
 def test_batch_equals_per_vm_loop(table, noise_std):
     """Default policy: a pooled call == one-row calls == the old per-VM
-    loop, same draws."""
+    loop, same draws; for the production oracle over table rows, and for
+    the reference VMC's oracle over scalar VMs."""
     vms = aged_pool(table=table)
     rngs = [np.random.default_rng(7) for _ in range(3)]
-    batch = OracleRttfPredictor(1.4, noise_std=noise_std, rng=rngs[0])
-    scalar = OracleRttfPredictor(1.4, noise_std=noise_std, rng=rngs[1])
 
-    want = [reference_predict_rttf(vm, 1.4, noise_std, rngs[2]) for vm in vms]
+    def oracle(rng):
+        predictor = OracleRttfPredictor(1.4, noise_std=noise_std, rng=rng)
+        return predictor if table else ReferenceOracle(predictor)
+
+    batch, scalar = oracle(rngs[0]), oracle(rngs[1])
+    want = [
+        reference_predict_rttf(vm, 1.4, noise_std, rngs[2])
+        for vm in aged_pool()
+    ]
 
     assert pooled(batch, vms).tolist() == want
     assert [predict_one(scalar, vm) for vm in vms] == want
@@ -480,17 +521,9 @@ def test_batch_equals_per_vm_loop(table, noise_std):
 
 
 def test_scalar_and_table_pools_agree():
-    scalar = pooled(OracleRttfPredictor(), aged_pool())
+    scalar = pooled(ReferenceOracle(OracleRttfPredictor()), aged_pool())
     table = pooled(OracleRttfPredictor(), aged_pool(table=True))
     assert scalar.tolist() == table.tolist()
-
-
-def test_mixed_pool_falls_back_to_attribute_reads():
-    vms = aged_pool()
-    want = pooled(OracleRttfPredictor(), vms).tolist()
-    VmStateTable(vms[:3])
-    VmStateTable(vms[5:])
-    assert pooled(OracleRttfPredictor(), vms).tolist() == want
 
 
 @pytest.mark.parametrize(
@@ -521,41 +554,22 @@ def test_wrappers_batch_equals_loop(wrap):
 # ---------------------------------------------------------------------- #
 
 
-def test_batch_writes_no_table_cell(monkeypatch):
+def test_batch_writes_no_table_cell():
     vms = aged_pool(table=True)
-    table = vms[0].table
-    writes = []
-    for name in dir(TableBackedVM):
-        prop = getattr(TableBackedVM, name)
-        if isinstance(prop, property) and prop.fset is not None:
-
-            def counting(self, value, _name=name, _fset=prop.fset):
-                writes.append(_name)
-                _fset(self, value)
-
-            monkeypatch.setattr(
-                TableBackedVM, name, property(prop.fget, counting)
-            )
-    # the setter hook is live ...
-    vms[0].leaked_mb = vms[0].leaked_mb
-    assert writes == ["leaked_mb"]
-    writes.clear()
-    # ... and direct column stores would raise
     rows = feature_rows(vms)
-    columns = [getattr(table, name) for name, _ in MUTABLE_COLUMNS]
+    # every column read-only: a store would raise
+    columns = list(vars(vms[0].table).values())
     for column in columns:
         column.flags.writeable = False
     try:
         OracleRttfPredictor().predict_rttf_rows(rows, vms)
-        vms[1].true_time_to_failure_s(9.0)
     finally:
         for column in columns:
             column.flags.writeable = True
-    assert writes == []
 
 
 def test_batch_writes_no_vm_attribute(monkeypatch):
-    vms = aged_pool()
+    vms = aged_pool(table=True)
     writes = []
 
     def counting(self, name, value):
@@ -563,15 +577,18 @@ def test_batch_writes_no_vm_attribute(monkeypatch):
         object.__setattr__(self, name, value)
 
     monkeypatch.setattr(VirtualMachine, "__setattr__", counting)
-    vms[0].leaked_mb = vms[0].leaked_mb
-    assert writes == ["leaked_mb"]
+    vms[0].rack_id = vms[0].rack_id
+    assert writes == ["rack_id"]
     writes.clear()
     rows = feature_rows(vms)
-    before = [copy.copy(vm.__dict__) for vm in vms]
+
+    def spec(vm):
+        return [getattr(vm, name) for name in VirtualMachine.__slots__]
+
+    before = [spec(vm) for vm in vms]
     OracleRttfPredictor().predict_rttf_rows(rows, vms)
-    vms[1].true_time_to_failure_s(9.0)
     assert writes == []
-    assert [vm.__dict__ for vm in vms] == before
+    assert [spec(vm) for vm in vms] == before
 
 
 # ---------------------------------------------------------------------- #

@@ -15,7 +15,12 @@ from repro.pcam import VirtualMachineController, VmcConfig, VmState
 from repro.sim import RngRegistry
 
 from .conftest import build_vm
-from .reference_vmc import RecordingPredictor, feature_rows, predict_one
+from .reference_vmc import (
+    RecordingPredictor,
+    ReferenceVm,
+    feature_rows,
+    predict_one,
+)
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +100,7 @@ class TestBatchScalarEquivalence:
         rngs = RngRegistry(seed=21)
         vms = []
         for i in range(5):
-            vm = build_vm(rngs, name=f"eq/vm{i}")
+            vm = build_vm(rngs, name=f"eq/vm{i}", cls=ReferenceVm)
             vm.activate()
             for _ in range(1 + i):
                 vm.apply_load(80, 30.0)

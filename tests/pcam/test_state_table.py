@@ -1,12 +1,14 @@
 """Unit and edge-case tests for :class:`repro.pcam.state_table.VmStateTable`.
 
-The columnar table owns all mutable per-VM state while the adopted
-:class:`~repro.pcam.state_table.TableBackedVM` views keep the object API
-alive.  These tests pin what the controllers rely on:
+The columnar table owns all mutable per-VM state; an adopted
+:class:`~repro.pcam.vm.VirtualMachine` is a view of its row.  These tests
+pin what the controllers rely on:
 
-* adoption copies every field exactly, once: a VM another table owns is
-  refused before any VM of the new pool is touched;
-* row ``i`` is ``vms[i]`` (the fixed-pool contract);
+* adoption copies every spec field exactly, once: a VM another table owns
+  is refused before any VM of the new pool is touched;
+* row ``i`` is ``vms[i]`` (the fixed-pool contract), and a view reads and
+  fails its own row;
+* a profiling block steps one VM as a step-by-step walk does;
 * the derived columns follow every writer of their inputs;
 * the kernels behave on the degenerate shapes (empty pool, single VM)
   and at fleet scale (10k-VM smoke).
@@ -29,17 +31,15 @@ from repro.pcam import (
     VmcConfig,
     VmState,
 )
-from repro.pcam.state_table import (
-    CODE_ACTIVE,
-    CODE_FAILED,
-    TableBackedVM,
-    VmStateTable,
-)
+from repro.pcam.state_table import MUTABLE_COLUMNS, VmStateTable
+from repro.pcam.vm import CODE_ACTIVE, CODE_FAILED
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry, Simulator
 from repro.topology import FailureDomainTree
 from repro.workload import AnomalyInjector
+from repro.workload.anomalies import draw_pool
 
 from .conftest import vm_at
+from .reference_vmc import ReferenceVm
 
 
 def _vm(name, itype=PRIVATE_SMALL, seed=0, **kw):
@@ -52,43 +52,116 @@ def _vm(name, itype=PRIVATE_SMALL, seed=0, **kw):
 
 
 class TestAdoptRelease:
-    """Adoption is one-way: a view never reverts to a plain VM."""
+    """Adoption is one-way: the table keeps the row for good."""
 
-    def test_adopt_swaps_class_and_preserves_fields(self):
-        vm = _vm("a", M3_MEDIUM, rejuvenation_time_s=60.0)
-        vm.activate()
-        vm.leaked_mb = 12.5
-        vm.stuck_threads = 3
-        vm.total_requests = 41
+    def test_adopt_copies_the_spec(self):
+        policy = FailurePolicy(sla_response_time_s=0.5, swap_exhaustion=False)
+        vm = _vm(
+            "a", M3_MEDIUM, rejuvenation_time_s=60.0, state=VmState.ACTIVE,
+            rack_id=2, failure_policy=policy,
+        )
         table = VmStateTable([vm])
-        assert isinstance(vm, TableBackedVM)
         assert vm.row == 0 and vm.table is table
         assert vm.state is VmState.ACTIVE
-        assert vm.leaked_mb == 12.5
-        assert vm.stuck_threads == 3
-        assert vm.total_requests == 41
-        assert vm.rejuvenation_time_s == 60.0
-        assert vm.effective_capacity == pytest.approx(
-            table.effective_capacity_of(np.array([0]))[0]
-        )
+        assert (vm.leaked_mb, vm.stuck_threads, vm.uptime_s) == (0.0, 0, 0.0)
+        assert table.rejuvenation_time_s[0] == 60.0
+        assert table.rack_id[0] == 2
+        assert table.cpu_power[0] == M3_MEDIUM.cpu_power
+        assert table.swap_mb[0] == M3_MEDIUM.swap_mb
+        assert table.sla_response_time_s[0] == 0.5
+        assert not table.swap_exhaustion[0] and table.thread_exhaustion[0]
+        assert table.service_capacity[0] == M3_MEDIUM.cpu_power
 
     def test_double_adopt_rejected(self):
         vm = _vm("a")
         VmStateTable([vm])
         fresh = _vm("b")
-        with pytest.raises(ValueError, match="already table-backed"):
+        with pytest.raises(ValueError, match="already has a table row"):
             VmStateTable([fresh, vm])
-        # refused before any VM of the new pool was re-classed
-        assert type(fresh) is VirtualMachine
+        # refused before any VM of the new pool was adopted
+        assert fresh.table is None
 
     def test_row_is_the_pool_position(self):
-        vms = [_vm(f"p{i}", seed=i) for i in range(5)]
-        for i, vm in enumerate(vms):
-            vm.leaked_mb = 10.0 * i
+        vms = [_vm(f"p{i}", seed=i, rack_id=i) for i in range(5)]
         table = VmStateTable(vms)
         assert len(table) == 5
         assert [vm.row for vm in vms] == list(range(5))
-        assert table.leaked_mb.tolist() == [10.0 * i for i in range(5)]
+        assert table.rack_id.tolist() == list(range(5))
+
+
+class TestView:
+    """A ``VirtualMachine`` keeps no state: it reads and fails its row."""
+
+    def test_holds_no_load_state(self):
+        load_state = {name for name, _ in MUTABLE_COLUMNS}
+        assert not load_state & set(VirtualMachine.__slots__)
+        vm = _vm("loose")
+        with pytest.raises(AttributeError):
+            vm.leaked_mb  # no table, no state
+
+    def test_reads_and_fails_its_row(self):
+        other, vm = _vm("z"), _vm("a", M3_MEDIUM, state=VmState.ACTIVE)
+        table = VmStateTable([other, vm])
+        row = np.array([1])
+        table.era_load_update(
+            row, np.array([600]), 30.0, 1.5, np.array([12.5]), np.array([3])
+        )
+        assert vm.leaked_mb == 12.5 and vm.stuck_threads == 3
+        assert vm.uptime_s == 30.0 and vm.total_requests == 600
+        assert vm.last_request_rate == 20.0
+        assert vm.last_response_time_s == table.last_response_time_s[1]
+        assert (
+            vm.sample_features().to_array().tolist()
+            == table.feature_matrix(row)[0].tolist()
+        )
+        vm.fail()
+        vm.fail()
+        assert vm.state is VmState.FAILED and vm.failure_count == 1
+        assert other.state is VmState.STANDBY and other.failure_count == 0
+
+
+class TestLoadBlock:
+    """A profiling block is one VM at consecutive steps: row ``k`` after
+    load ``k`` equals a scalar VM after its ``k``-th ``apply_load``."""
+
+    @pytest.mark.parametrize("itype", [M3_MEDIUM, PRIVATE_SMALL])
+    def test_rows_equal_a_step_by_step_walk(self, itype):
+        ref = ReferenceVm("walk", itype, AnomalyInjector(np.random.default_rng(3)))
+        ref.activate()
+        vm = _vm("block", itype, seed=3)
+        table = VmStateTable.block(vm, 16)
+        rows = np.arange(16)
+        table.activate(rows)
+        counts = np.random.default_rng(4)
+        injectors = [vm.injector] * 16
+        walked = failures = 0
+        for _ in range(4):  # blocks continue where the last one ended
+            n = counts.poisson(60.0 * 30.0 / 16, size=16)
+            leaked, threads = draw_pool(injectors, n.tolist())
+            rt, failed, pressures = table.load_block(
+                n, 30.0, 1.5, leaked, threads
+            )
+            after = table.feature_matrix(rows, pressures)
+            for k in range(16):
+                ref.state = VmState.ACTIVE  # step on past a failure
+                assert ref.apply_load(int(n[k]), 30.0) == rt[k]
+                failures += ref.state is VmState.FAILED
+                assert (ref.state is VmState.FAILED) == failed[k]
+                assert (
+                    ref.leaked_mb, ref.stuck_threads, ref.uptime_s,
+                    ref.total_requests, ref.last_request_rate,
+                ) == (
+                    table.leaked_mb[k], table.stuck_threads[k],
+                    table.uptime_s[k], table.total_requests[k],
+                    table.last_request_rate[k],
+                )
+                assert (
+                    ref.sample_features().to_array().tolist()
+                    == after[k].tolist()
+                )
+                walked += 1
+            _assert_derived_coherent(table)
+        assert walked == 64 and 0 < failures < 64
 
 
 class TestDegenerateShapes:
@@ -175,26 +248,27 @@ def _assert_derived_coherent(table: VmStateTable) -> None:
 class TestDerivedColumns:
     """``service_capacity`` / ``exhausted`` follow every writer of their
     inputs: a seeded random walk over every operation that writes the
-    load state or the static columns, checked after each step."""
+    load state, checked after each step (adoption and
+    :meth:`VmStateTable.load_block` are checked in their own tests)."""
 
     def test_random_operation_sequence_keeps_columns_coherent(self):
         rng = np.random.default_rng(31)
 
-        def loaded_vm(i):
-            itype = _ITYPES[rng.integers(len(_ITYPES))]
-            vm = _vm(
+        def fresh_vm(i):
+            return _vm(
                 f"v{i}",
-                itype,
+                _ITYPES[rng.integers(len(_ITYPES))],
                 seed=int(rng.integers(1 << 30)),
                 rejuvenation_time_s=float(rng.choice([0.0, 60.0])),
+                state=VmState.ACTIVE if rng.random() < 0.5 else VmState.STANDBY,
+                failure_policy=FailurePolicy(
+                    sla_response_time_s=float(rng.uniform(0.2, 2.0)),
+                    swap_exhaustion=bool(rng.random() < 0.5),
+                    thread_exhaustion=bool(rng.random() < 0.5),
+                ),
             )
-            vm.leaked_mb = float(rng.uniform(0.0, 1.3 * vm.anomaly_budget_mb))
-            vm.stuck_threads = int(rng.integers(0, vm.thread_free_slots + 8))
-            if rng.random() < 0.5:
-                vm.activate()
-            return vm
 
-        views = [loaded_vm(i) for i in range(12)]
+        views = [fresh_vm(i) for i in range(12)]
         table = VmStateTable(views)
 
         def pick(codes=None):
@@ -206,34 +280,6 @@ class TestDerivedColumns:
 
         def rows_of(vms):
             return np.array([vm.row for vm in vms], dtype=np.intp)
-
-        def set_load():
-            vm = pick()
-            if vm is None:
-                return
-            if rng.random() < 0.5:
-                vm.leaked_mb = float(rng.uniform(0.0, 1.3 * vm.anomaly_budget_mb))
-            else:
-                vm.stuck_threads = int(rng.integers(0, vm.thread_free_slots + 8))
-
-        def apply_load():
-            vm = pick((CODE_ACTIVE,))
-            if vm is not None:
-                vm.apply_load(int(rng.integers(0, 5000)), 30.0)
-
-        def set_itype():
-            vm = pick()
-            if vm is not None:
-                vm.itype = _ITYPES[rng.integers(len(_ITYPES))]
-
-        def set_policy():
-            vm = pick()
-            if vm is not None:
-                vm.failure_policy = FailurePolicy(
-                    sla_response_time_s=float(rng.uniform(0.2, 2.0)),
-                    swap_exhaustion=bool(rng.random() < 0.5),
-                    thread_exhaustion=bool(rng.random() < 0.5),
-                )
 
         def era():
             idx = rows_of(v for v in views if v.state is VmState.ACTIVE)
@@ -272,10 +318,7 @@ class TestDerivedColumns:
                 0 if zero else int(rng.integers(0, 10)),
             )
 
-        ops = [
-            set_load, apply_load, set_itype, set_policy, era, rejuvenate,
-            fail, activate, complete,
-        ]
+        ops = [era, rejuvenate, fail, activate, complete]
         _assert_derived_coherent(table)
         seen = set(table.exhausted.tolist())
         for _ in range(1500):
@@ -286,8 +329,7 @@ class TestDerivedColumns:
         assert seen == {False, True}
 
     def test_complete_request_returns_the_failure_point(self):
-        vm = _vm("solo", PRIVATE_SMALL)
-        vm.activate()
+        vm = _vm("solo", PRIVATE_SMALL, state=VmState.ACTIVE)
         table = VmStateTable([vm])
         row = vm.row
         assert not table.complete_request(row, 0.5, 0.0, 0)
@@ -295,8 +337,9 @@ class TestDerivedColumns:
         # the SLA clause reads the request's own response time
         assert table.complete_request(row, 1.5, 0.0, 0)
         # a hard clause: the draw exhausts RAM + swap
-        assert table.complete_request(row, 0.1, vm.anomaly_budget_mb, 0)
-        assert vm.failure_point_reached()
+        budget = float(table.anomaly_budget_mb[row])
+        assert table.complete_request(row, 0.1, budget, 0)
+        assert table.exhausted[row]
         assert vm.total_requests == 3
 
 

@@ -1,4 +1,9 @@
-"""Tests for the trend-aware RTTF predictor."""
+"""Tests for the trend-aware RTTF predictor.
+
+The predictor reads a VM's name and uptime beside its feature row, so
+these drive scalar :class:`~tests.pcam.reference_vmc.ReferenceVm` objects
+one era at a time.
+"""
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from repro.experiments import make_trained_predictor
 from repro.pcam import TrendAwareRttfPredictor, VmState
 
 from .conftest import build_vm
-from .reference_vmc import idle, predict_one
+from .reference_vmc import ReferenceVm, idle, predict_one
 from repro.sim import RngRegistry
 
 
@@ -38,7 +43,7 @@ class TestTrendAwarePredictor:
         assert trend_predictor.model.report.r2 > 0.5
 
     def test_online_prediction_reasonable(self, trend_predictor, rngs):
-        vm = build_vm(rngs, name="trend/vm0")
+        vm = build_vm(rngs, name="trend/vm0", cls=ReferenceVm)
         vm.activate()
         rng = np.random.default_rng(0)
         preds = []
@@ -53,7 +58,7 @@ class TestTrendAwarePredictor:
         assert preds[-1] < preds[0]
 
     def test_history_resets_after_rejuvenation(self, trend_predictor, rngs):
-        vm = build_vm(rngs, name="trend/vm1")
+        vm = build_vm(rngs, name="trend/vm1", cls=ReferenceVm)
         vm.activate()
         for _ in range(4):
             vm.apply_load(200, 30.0)
@@ -70,8 +75,8 @@ class TestTrendAwarePredictor:
         assert len(hist) == 1
 
     def test_per_vm_histories_independent(self, trend_predictor, rngs):
-        a = build_vm(rngs, name="trend/a")
-        b = build_vm(rngs, name="trend/b")
+        a = build_vm(rngs, name="trend/a", cls=ReferenceVm)
+        b = build_vm(rngs, name="trend/b", cls=ReferenceVm)
         a.activate()
         b.activate()
         a.apply_load(600, 30.0)

@@ -1,4 +1,9 @@
-"""Tests for the VM resource/lifecycle model."""
+"""Tests for the one-VM resource/lifecycle model.
+
+They drive the scalar :class:`~tests.pcam.reference_vmc.ReferenceVm`, the
+oracle the table kernels are held to (``test_columnar_parity.py``); the
+pooled VM view is tested in ``test_state_table.py``.
+"""
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from repro.pcam.vm import BASELINE_MEMORY_MB, BASELINE_THREADS
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL
 
 from .conftest import build_vm
-from .reference_vmc import idle
+from .reference_vmc import ReferenceVm, idle
 
 
 class TestLifecycle:
@@ -40,7 +45,7 @@ class TestLifecycle:
         assert active_vm.state is VmState.STANDBY
 
     def test_instant_rejuvenation(self, rngs):
-        vm = build_vm(rngs, rejuvenation_time_s=0.0)
+        vm = build_vm(rngs, rejuvenation_time_s=0.0, cls=ReferenceVm)
         vm.activate()
         vm.start_rejuvenation()
         assert vm.state is VmState.STANDBY
@@ -134,7 +139,7 @@ class TestFailurePoint:
             swap_exhaustion=False,
             thread_exhaustion=False,
         )
-        vm = build_vm(rngs, failure_policy=policy)
+        vm = build_vm(rngs, failure_policy=policy, cls=ReferenceVm)
         vm.activate()
         vm.leaked_mb = vm.anomaly_budget_mb + 1
         vm.stuck_threads = vm.itype.thread_slots
@@ -186,14 +191,14 @@ class TestTrueTimeToFailure:
         assert active_vm.true_time_to_failure_s(10.0) < fresh
 
     def test_bigger_instance_survives_longer(self, rngs):
-        small = build_vm(rngs, name="s", itype=PRIVATE_SMALL)
-        big = build_vm(rngs, name="b", itype=M3_MEDIUM)
+        small = build_vm(rngs, "s", PRIVATE_SMALL, cls=ReferenceVm)
+        big = build_vm(rngs, "b", M3_MEDIUM, cls=ReferenceVm)
         small.activate()
         big.activate()
         assert big.true_time_to_failure_s(5.0) > small.true_time_to_failure_s(5.0)
 
     def test_empirical_failure_near_mean_field_prediction(self, rngs):
-        vm = build_vm(rngs, name="emp")
+        vm = build_vm(rngs, name="emp", cls=ReferenceVm)
         vm.activate()
         rate, dt = 10.0, 10.0
         predicted = vm.true_time_to_failure_s(rate)

@@ -2,7 +2,9 @@
 
 The policy dynamics rest on a handful of monotonicity properties of the
 VM model; if any of these breaks, the reproduction's conclusions become
-artefacts.  Hypothesis sweeps the state space.
+artefacts.  Hypothesis sweeps the state space of the scalar
+:class:`~tests.pcam.reference_vmc.ReferenceVm`, which the table kernels
+equal bit for bit (``test_columnar_parity.py``).
 """
 
 import numpy as np
@@ -10,16 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pcam.vm import VirtualMachine
 from repro.sim import INSTANCE_CATALOG, RngRegistry
 from repro.workload import AnomalyInjector
+
+from .reference_vmc import ReferenceVm
 
 SHAPES = sorted(INSTANCE_CATALOG)
 
 
 def make_vm(shape, leaked=0.0, threads=0):
     rngs = RngRegistry(seed=1)
-    vm = VirtualMachine(
+    vm = ReferenceVm(
         "prop/vm",
         INSTANCE_CATALOG[shape],
         AnomalyInjector(rngs.stream("a")),

@@ -16,6 +16,8 @@ from repro.pcam.vm import VirtualMachine, VmState
 from repro.sim import PRIVATE_SMALL, RngRegistry
 from repro.workload import AnomalyInjector
 
+from .conftest import set_load
+
 
 def _old_shrink_order(vms: list[VirtualMachine], target: int) -> list[str]:
     active = [vm for vm in vms if vm.state is VmState.ACTIVE]
@@ -42,7 +44,7 @@ def _pool(leaks: list[float], n_standby: int) -> VirtualMachineController:
         "r", vms, OracleRttfPredictor(), VmcConfig(target_active=len(leaks))
     )
     for vm, leaked in zip(vmc.vms_in(VmState.ACTIVE), leaks):
-        vm.leaked_mb = leaked
+        set_load(vm, leaked_mb=leaked)
     return vmc
 
 

@@ -20,6 +20,7 @@ The pool invariants hold on the real side too:
 * counters only grow, and anomaly state never goes negative.
 """
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -39,7 +40,7 @@ from repro.pcam.vm import VirtualMachine
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
 from repro.workload import AnomalyInjector
 
-from .reference_vmc import RecordingPredictor, ReferenceVmc
+from .reference_vmc import RecordingPredictor, ReferenceVm, ReferenceVmc
 
 ERA_S = 30.0
 
@@ -62,8 +63,25 @@ VM_FIELDS = (
 )
 
 
-def _fields(vm: VirtualMachine) -> dict:
-    return {name: getattr(vm, name) for name in VM_FIELDS}
+#: field -> the table column a view reads it from, where the view has no
+#: attribute of that name
+VIEW_COLUMNS = {
+    "_rejuvenation_remaining_s": "rejuvenation_remaining_s",
+    "effective_capacity": "service_capacity",
+}
+
+
+def _fields(vm) -> dict:
+    if isinstance(vm, ReferenceVm):
+        return {name: getattr(vm, name) for name in VM_FIELDS}
+    return {
+        name: (
+            getattr(vm.table, VIEW_COLUMNS[name])[vm.row]
+            if name in VIEW_COLUMNS
+            else getattr(vm, name)
+        )
+        for name in VM_FIELDS
+    }
 
 
 class VmcMachine(RuleBasedStateMachine):
@@ -76,21 +94,21 @@ class VmcMachine(RuleBasedStateMachine):
         self.prev_rejuvenations = 0
         self.prev_failures = 0
 
-    def _new_pair(self) -> tuple[VirtualMachine, VirtualMachine]:
+    def _new_pair(self) -> tuple[ReferenceVm, VirtualMachine]:
         self.counter += 1
         name = f"sm/vm{self.counter}"
         itype = M3_MEDIUM if self.counter % 3 == 0 else PRIVATE_SMALL
         return tuple(
-            VirtualMachine(
+            cls(
                 name,
                 itype,
                 AnomalyInjector(rngs.child(name).stream("a")),
                 rejuvenation_time_s=60.0,
             )
-            for rngs in self.rngs
+            for cls, rngs in zip((ReferenceVm, VirtualMachine), self.rngs)
         )
 
-    def _both(self, name: str) -> tuple[VirtualMachine, VirtualMachine]:
+    def _both(self, name: str) -> tuple[ReferenceVm, VirtualMachine]:
         """The VM called ``name`` on each side."""
         return tuple(
             next(vm for vm in side.vms if vm.name == name)
@@ -144,8 +162,9 @@ class VmcMachine(RuleBasedStateMachine):
             if vm.state in (VmState.ACTIVE, VmState.FAILED)
         ]
         if running:
-            for vm in self._both(running[pick % len(running)].name):
-                vm.start_rejuvenation()
+            ref, view = self._both(running[pick % len(running)].name)
+            ref.start_rejuvenation()
+            view.table.start_rejuvenation(np.array([view.row]))
 
     # ---------------- the comparison ---------------- #
 

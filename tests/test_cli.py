@@ -143,12 +143,41 @@ class TestParser:
             "--rejuvenation-time: must be non-negative and finite, got -1",
             id="plan-rejuvenation-time",
         ),
+        *(
+            pytest.param(
+                [*argv, "--seed", "-1"],
+                "--seed: must be >= 0, got -1",
+                id=f"{argv[0]}-seed",
+            )
+            for argv in (["fig3"], ["compare"], ["chaos", "smoke"], ["models"])
+        ),
+        pytest.param(
+            ["robustness", "fig3", "--seeds", "7,-1"],
+            "--seeds: must be >= 0, got -1",
+            id="robustness-seeds",
+        ),
+        pytest.param(
+            ["sweep", "--workers", "0", "--dry-run"],
+            "--workers: must be >= 1, got 0",
+            id="sweep-workers-dry-run",
+        ),
+        pytest.param(
+            ["sweep", "--retries", "-1", "--dry-run"],
+            "--retries: must be >= 0, got -1",
+            id="sweep-retries-dry-run",
+        ),
+        pytest.param(
+            ["chaos", "all", "--workers", "-3"],
+            "--workers: must be >= 1, got -3",
+            id="chaos-workers",
+        ),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else "",
 )
 def test_bad_names_are_a_one_line_exit_2(argv, named, capsys):
-    """Scenario, policy and seed lists, era counts, and every rate,
-    target, duration, speed and window are checked where they are parsed,
+    """Scenario, policy and seed lists, seeds, worker and era counts, and
+    every rate, target, duration, speed and window are checked where they
+    are parsed,
     so a bad one never reaches a command body (a traceback, before)."""
     with pytest.raises(SystemExit) as exit_:
         main(argv)

@@ -212,6 +212,15 @@ RULES = (
          "the distributed plane always carries Algorithm 1 and 3 traffic on "
          "its reliable channel: no oracle-exchange mode or window option",
          "after 2683514"),
+    Rule("one-vm-state", r"TableBackedVM|_column_property|__class__ =",
+         (SRC,), (),
+         "a VM's state lives in its VmStateTable row: VirtualMachine is a "
+         "view, never re-classed, with no attribute routed to a column "
+         "beside it", "after e9865d5"),
+    Rule("vm-transitions", r"state_code\[[^\]\n]*\] *=[^=]",
+         (SRC,), (SRC + "pcam/state_table.py",),
+         "a VM's lifecycle transitions are VmStateTable methods: nothing "
+         "else writes a state code", "after e9865d5"),
     Rule("chaos-one-scheduler", r"schedule_(at|after|periodic)\(",
          (SRC + "chaos/engine.py",), (),
          "campaigns apply fault primitives at era boundaries through their "
@@ -289,6 +298,13 @@ INJECT = {
         (SRC + "experiments/resilience.py",
          "plane = DistributedControlPlane(loop, reliable_control=False)"),
         (SRC + "core/distributed.py", "control_window_s: float = 3.0,"),
+    ],
+    "one-vm-state": [
+        (SRC + "pcam/state_table.py", "vm.__class__ = TableBackedVM"),
+        (SRC + "pcam/vm.py", "leaked_mb = _column_property('leaked_mb')"),
+    ],
+    "vm-transitions": [
+        (SRC + "core/des_loop.py", "table.state_code[slot] = CODE_FAILED"),
     ],
     "chaos-one-scheduler": [
         (SRC + "chaos/engine.py",
@@ -372,6 +388,10 @@ _DOMAIN = (
     "sweep axis wires it"
 )
 _TREND = "the trend-aware predictor: ROADMAP 4(b)'s `<model>+trend` spec wires it"
+_DES_REFRESH = (
+    _DES + " (one row's scalar refresh, VmStateTable._refresh, from its "
+    "complete_request)"
+)
 _HARNESS = "the frozen benchmark harness (benchmarks/e2e) calls it"
 _GATED_SERVE = (
     "serve's SLO gate under traffic: the frozen harness's serve_fault_slo "
@@ -412,14 +432,10 @@ REACH_EXEMPT: dict[str, str] = {
     "pcam/predictor.py::TrendAwareRttfPredictor.__init__": _TREND,
     "pcam/predictor.py::TrendAwareRttfPredictor.predict_rttf_rows": _TREND,
     "pcam/state_table.py::VmStateTable._refresh":
-        _DES + " (its complete_request); the view's leaked_mb, stuck_threads, "
-        "itype and failure_policy setters enter it too, and no CLI path writes "
-        "them on a pooled VM",
+        _DES + " (its complete_request)",
     "pcam/state_table.py::VmStateTable.complete_request": _DES,
-    "pcam/state_table.py::VmStateTable.start_rejuvenation": _RESIZE,
-    "pcam/vm.py::VirtualMachine._finish_rejuvenation":
-        "public API: the scalar VM's instant rejuvenation, for a VM outside a "
-        "pool; a pooled VM's table row does it",
+    "pcam/vm.py::effective_capacity": _DES_REFRESH,
+    "pcam/vm.py::swap_used_mb": _DES_REFRESH,
     "pcam/vmc.py::VirtualMachineController.set_target_active": _RESIZE,
     "pcam/vmc.py::VirtualMachineController.stats": _HARNESS + " (its pool totals)",
     "serve/service.py::AcmService._slo_check": _GATED_SERVE,
