@@ -3,7 +3,7 @@
 Re-runs ``benchmarks/bench_hotpath.py`` and compares the measured
 requests/sec at every scale against the committed baseline
 (``BENCH_hotpath.json`` at the repository root).  Exits non-zero if any
-scale regresses by more than the tolerance (default 20%).
+scale regresses by more than the tolerance (default 40%).
 
 Usage::
 

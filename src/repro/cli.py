@@ -356,15 +356,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"sweep: {spec.cell_count} cells x {spec.replicates} replicates "
         f"= {len(jobs)} jobs (root seed {spec.root_seed})"
     )
-    if args.dry_run:
-        print(listing(jobs))
-        return 0
-
-    store = ResultStore(args.store)
     try:
         executor = FleetExecutor(
             workers=args.workers,
-            store=store,
             resume=args.resume,
             job_timeout_s=args.timeout,
             max_retries=args.retries,
@@ -373,6 +367,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid sweep options: {exc}", file=sys.stderr)
         return 2
+    if args.dry_run:
+        print(listing(jobs))
+        return 0
+
+    # made only now: a dry run creates no store directory
+    store = executor.store = ResultStore(args.store)
     if args.gc:
         pruned = store.gc(keep=[job.digest for job in jobs])
         print(
@@ -900,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["poisson", "diurnal", "flash"],
         help="arrival schedule shape",
     )
-    plt.add_argument("--connections", type=int, default=4)
+    plt.add_argument("--connections", type=_arg(_int_at_least(1)), default=4)
     plt.add_argument(
         "--era-s",
         type=_arg(_positive),

@@ -14,6 +14,7 @@ read:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -158,8 +159,20 @@ def _resolve_predictor(
         return OracleRttfPredictor(
             mean_demand=MIX_SHOPPING.mean_service_demand()
         )
+    return _trained_predictor(
+        tuple(scenario.instance_types()), seed, predictor
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _trained_predictor(
+    instance_types: tuple[str, ...], seed: int, model_name: str
+) -> RttfPredictor:
+    """The last model :func:`_resolve_predictor` trained, kept for the
+    next run that asks for the same one: the policies of a figure share
+    one training.  A :class:`TrainedRttfPredictor` holds no run state."""
     return make_trained_predictor(
-        scenario.instance_types(), seed=seed, model_name=predictor
+        list(instance_types), seed=seed, model_name=model_name
     )
 
 

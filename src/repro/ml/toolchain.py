@@ -13,15 +13,16 @@ select which is the most effective ML model."
 2. cross-validate the full model suite (Linear Regression, Lasso,
    REP-Tree, M5P, SVR, LS-SVM) on the reduced dataset and rank it by a
    chosen metric (:meth:`F2PMToolchain.compare`);
-3. fit the winner -- or a forced member, which is then the only one
-   cross-validated -- as a :class:`TrainedModel` (feature projection +
-   fitted model) for online deployment in the VMC
-   (:meth:`F2PMToolchain.train_best`).
+3. fit the winner -- or a forced member, which is then fitted once and
+   cross-validated only when its report is read -- as a
+   :class:`TrainedModel` (feature projection + fitted model) for online
+   deployment in the VMC (:meth:`F2PMToolchain.train_best`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -52,6 +53,15 @@ DEFAULT_SUITE: dict[str, Callable[[], Regressor]] = {
 }
 
 
+def _cv_report(
+    factory: Callable[[], Regressor],
+    reduced: Dataset,
+    folds: list[tuple[np.ndarray, np.ndarray]],
+) -> ValidationReport:
+    """One suite member's cross-validation report pooled over ``folds``."""
+    return summarize_cv(cross_validate(factory, reduced, folds))
+
+
 @dataclass
 class TrainedModel:
     """A deployable RTTF predictor: feature projection + fitted model.
@@ -59,18 +69,36 @@ class TrainedModel:
     The VMC feeds full :data:`~repro.ml.features.FEATURE_NAMES` rows to
     :meth:`predict`; the projection reduces them to the Lasso-selected
     subset the model was trained on.
+
+    ``validation`` is the model's cross-validation report, or the
+    zero-argument call that computes it; :attr:`report` makes that call
+    on its first read and keeps the result.
     """
 
     name: str
     model: Regressor
     feature_names: tuple[str, ...]
     source_names: tuple[str, ...]
-    report: ValidationReport
+    validation: ValidationReport | Callable[[], ValidationReport] = field(
+        repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._columns = np.array(
             [self.source_names.index(n) for n in self.feature_names], dtype=int
         )
+
+    @property
+    def report(self) -> ValidationReport:
+        """The model's cross-validation report (computed on first read)."""
+        if not isinstance(self.validation, ValidationReport):
+            self.validation = self.validation()
+        return self.validation
+
+    def __getstate__(self) -> dict:
+        # a pending call closes over a suite factory, which need not pickle
+        self.report
+        return self.__dict__
 
     def predict(self, X_full: np.ndarray) -> np.ndarray:
         """Predict RTTF from rows in the *full* source schema."""
@@ -170,41 +198,47 @@ class F2PMToolchain:
         self, dataset: Dataset, rng: np.random.Generator
     ) -> ModelComparison:
         """Feature-select, cross-validate the suite, and rank the models."""
-        return self._evaluate(dataset, rng)
+        reduced = self._reduce(dataset)
+        return self._rank(reduced, self._draw_folds(reduced, rng))
 
-    def _evaluate(
-        self,
-        dataset: Dataset,
-        rng: np.random.Generator,
-        only: str | None = None,
-    ) -> ModelComparison:
-        """Select features once, then cross-validate the suite in order.
+    def _reduce(self, dataset: Dataset) -> Dataset:
+        """``dataset`` on its Lasso-selected features."""
+        if self.max_features is None:
+            return dataset
+        selected = select_features(
+            dataset.X,
+            dataset.y,
+            dataset.feature_names,
+            max_features=self.max_features,
+        )
+        if not selected:  # degenerate target: keep full schema
+            selected = list(dataset.feature_names)
+        return dataset.select_features(selected)
 
-        Every member draws its fold split from ``rng`` in suite order, so
-        ``only`` (score one member, skip the others' fits) sees exactly
-        the folds :meth:`compare` would have given it.
+    def _draw_folds(
+        self, reduced: Dataset, rng: np.random.Generator
+    ) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
+        """Every member's fold split, drawn from ``rng`` in suite order.
+
+        Fitting draws nothing from ``rng``, so a member's folds do not
+        depend on which members are scored, and the stream ends in the
+        same state whatever is fitted.
         """
-        if self.max_features is not None:
-            selected = select_features(
-                dataset.X,
-                dataset.y,
-                dataset.feature_names,
-                max_features=self.max_features,
-            )
-            if not selected:  # degenerate target: keep full schema
-                selected = list(dataset.feature_names)
-            reduced = dataset.select_features(selected)
-        else:
-            reduced = dataset
-        reports: dict[str, ValidationReport] = {}
-        for name, factory in self.suite.items():
-            if only is None or name == only:
-                folds = cross_validate(factory, reduced, self.cv_folds, rng)
-                reports[name] = summarize_cv(folds)
-            else:
-                k_fold_indices(len(reduced), self.cv_folds, rng)
+        return {
+            name: k_fold_indices(len(reduced), self.cv_folds, rng)
+            for name in self.suite
+        }
+
+    def _rank(
+        self,
+        reduced: Dataset,
+        folds: dict[str, list[tuple[np.ndarray, np.ndarray]]],
+    ) -> ModelComparison:
         return ModelComparison(
-            reports=reports,
+            reports={
+                name: _cv_report(factory, reduced, folds[name])
+                for name, factory in self.suite.items()
+            },
             ranking_metric=self.ranking_metric,
             selected_features=reduced.feature_names,
         )
@@ -218,24 +252,34 @@ class F2PMToolchain:
         """Fit the chosen suite member on the full (reduced) dataset.
 
         ``model_name`` forces a specific suite member (the paper forces
-        REP-Tree based on earlier results), and only that member is
-        cross-validated; otherwise :meth:`compare` ranks the suite and the
-        CV winner is used.  Either way the forced member's report equals
-        its entry in :meth:`compare`.
+        REP-Tree based on earlier results): it is fitted once, and
+        cross-validated on its stored folds only when
+        :attr:`TrainedModel.report` is first read.  Otherwise
+        :meth:`compare` ranks the suite and the CV winner is used.  Either
+        way the member's report equals its entry in :meth:`compare`, and
+        ``rng`` ends where :meth:`compare` leaves it.
         """
         if model_name is not None and model_name not in self.suite:
             raise KeyError(
                 f"model {model_name!r} not in suite {sorted(self.suite)}"
             )
-        comparison = self._evaluate(dataset, rng, only=model_name)
-        name = model_name if model_name is not None else comparison.best_name
-        reduced = dataset.select_features(list(comparison.selected_features))
+        reduced = self._reduce(dataset)
+        folds = self._draw_folds(reduced, rng)
+        if model_name is None:
+            comparison = self._rank(reduced, folds)
+            name = comparison.best_name
+            validation = comparison.reports[name]
+        else:
+            name = model_name
+            validation = partial(
+                _cv_report, self.suite[name], reduced, folds[name]
+            )
         model = self.suite[name]()
         model.fit(reduced.X, reduced.y)
         return TrainedModel(
             name=name,
             model=model,
-            feature_names=comparison.selected_features,
+            feature_names=reduced.feature_names,
             source_names=dataset.feature_names,
-            report=comparison.reports[name],
+            validation=validation,
         )

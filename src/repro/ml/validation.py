@@ -118,10 +118,9 @@ def k_fold_indices(
 def cross_validate(
     make_model,
     dataset: Dataset,
-    k: int,
-    rng: np.random.Generator,
+    folds: list[tuple[np.ndarray, np.ndarray]],
 ) -> list[ValidationReport]:
-    """k-fold cross-validation.
+    """Cross-validation over the given folds.
 
     Parameters
     ----------
@@ -130,16 +129,14 @@ def cross_validate(
         :class:`~repro.ml.base.Regressor` (a fresh model per fold avoids
         state leakage).
     dataset:
-        The full dataset; folds are made over its rows.
-    k:
-        Number of folds.
-    rng:
-        Stream controlling the fold shuffle.
+        The full dataset; folds index its rows.
+    folds:
+        ``(train_idx, test_idx)`` pairs, as :func:`k_fold_indices` makes.
 
     Returns one :class:`ValidationReport` per fold.
     """
     reports = []
-    for train_idx, test_idx in k_fold_indices(len(dataset), k, rng):
+    for train_idx, test_idx in folds:
         model: Regressor = make_model()
         train, test = dataset.subset(train_idx), dataset.subset(test_idx)
         model.fit(train.X, train.y)

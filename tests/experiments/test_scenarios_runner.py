@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.ml.tree as tree_module
+from repro.experiments import runner
 from repro.experiments import (
     PAPER_POLICIES,
     compare_policies,
@@ -13,6 +14,7 @@ from repro.experiments import (
     two_region_scenario,
 )
 from repro.experiments.runner import paper_shape_holds
+from repro.ml.toolchain import F2PMToolchain
 from repro.sim import INSTANCE_CATALOG
 
 
@@ -170,6 +172,57 @@ class TestTrainedPredictorPath:
         with pytest.raises(ValueError):
             make_trained_predictor([])
 
+
+
+@pytest.fixture
+def training_spy(monkeypatch):
+    """Every ``make_trained_predictor`` call the runner makes, by its
+    arguments; the runner's one-entry training cache starts empty."""
+    calls: list[tuple] = []
+    real = runner.make_trained_predictor
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "make_trained_predictor", spy)
+    runner._trained_predictor.cache_clear()
+    yield calls
+    runner._trained_predictor.cache_clear()
+
+
+class TestOneTrainingPerFigure:
+    def test_compare_policies_trains_once(self, tmp_path, training_spy):
+        """The policies of a figure share one training, and run exactly
+        as three runs that each train their own model."""
+        scenario = three_region_scenario()
+        run = dict(eras=10, seed=5, predictor="rep-tree")
+        shared = compare_policies(scenario, **run)
+        assert len(training_spy) == 1
+        for policy in PAPER_POLICIES:
+            runner._trained_predictor.cache_clear()
+            alone = run_policy_experiment(scenario, policy, **run)
+            assert alone.manifest == shared[policy].manifest
+            for tag, result in (("alone", alone), ("shared", shared[policy])):
+                result.traces.to_csv(str(tmp_path / f"{tag}.csv"))
+            assert (tmp_path / "alone.csv").read_bytes() == (
+                tmp_path / "shared.csv"
+            ).read_bytes()
+        assert len(training_spy) == 1 + len(PAPER_POLICIES)
+
+    def test_every_call_of_make_trained_predictor_trains(self, monkeypatch):
+        trainings: list[str] = []
+        real = F2PMToolchain.train_best
+
+        def spy(self, *args, **kwargs):
+            trainings.append(kwargs["model_name"])
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(F2PMToolchain, "train_best", spy)
+        first = make_trained_predictor(["m3.medium"], seed=5)
+        second = make_trained_predictor(["m3.medium"], seed=5)
+        assert trainings == ["rep-tree", "rep-tree"]
+        assert first is not second
 
 class TestTreeWalksEndToEnd:
     """Fig. 4 traces are the same bytes whichever walk the REP-Tree takes.

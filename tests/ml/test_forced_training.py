@@ -1,18 +1,23 @@
 """Forced-model training does only the work its result depends on.
 
-``F2PMToolchain.train_best(model_name=X)`` cross-validates ``X`` alone on
-the folds :meth:`~repro.ml.toolchain.F2PMToolchain.compare` would have
-given it, ``select_features`` stops walking the Lasso path once enough
-names have entered, ``best_split`` scores every feature in one pass, and
-SciPy loads on the first LS-SVM fit.  Each test here binds one of those
-shortcuts to the result of the full computation, bit for bit.
+``F2PMToolchain.train_best(model_name=X)`` fits ``X`` once and
+cross-validates it, on the first read of its report, on the folds
+:meth:`~repro.ml.toolchain.F2PMToolchain.compare` would have given it.
+A figure's policy runs share one training, while every call of
+``make_trained_predictor`` trains.  ``select_features`` stops walking the
+Lasso path once enough names have entered, ``best_split`` scores every
+feature in one pass, and SciPy loads on the first LS-SVM fit.  Each test
+here binds one of those shortcuts to the result of the full computation,
+bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -103,7 +108,31 @@ class TestForcedMemberWork:
             dataset, np.random.default_rng(0), model_name="b"
         )
         assert trained.name == "b"
-        assert calls == ["b"] * 4  # three folds, then the full fit
+        assert calls == ["b"]  # the deployed fit, nothing else
+        trained.report
+        assert calls == ["b"] * 4  # then three folds, on the first read
+        trained.report
+        assert calls == ["b"] * 4
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_survives_copy_and_pickle(
+        self, dataset, toolchain, full_comparison, read_first
+    ):
+        """With its report pending or read, a forced model copies and
+        pickles to the same predictions and report."""
+        comparison, _ = full_comparison
+        trained = toolchain.train_best(
+            dataset, np.random.default_rng(0), model_name="rep-tree"
+        )
+        if read_first:
+            trained.report
+        expected = trained.predict(dataset.X)
+        for twin in (
+            copy.deepcopy(trained),
+            pickle.loads(pickle.dumps(trained)),
+        ):
+            assert np.array_equal(twin.predict(dataset.X), expected)
+            assert twin.report == comparison.reports["rep-tree"]
 
     def test_unknown_model_fails_before_any_work(self, dataset, monkeypatch):
         calls: list[str] = []

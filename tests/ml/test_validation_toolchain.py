@@ -94,9 +94,8 @@ class TestKFold:
 
 class TestCrossValidate:
     def test_returns_one_report_per_fold(self, linear_dataset):
-        reports = cross_validate(
-            LinearRegression, linear_dataset, 4, np.random.default_rng(0)
-        )
+        folds = k_fold_indices(len(linear_dataset), 4, np.random.default_rng(0))
+        reports = cross_validate(LinearRegression, linear_dataset, folds)
         assert len(reports) == 4
         assert all(r.r2 > 0.9 for r in reports)
 

@@ -171,6 +171,12 @@ class TestParser:
             "--workers: must be >= 1, got -3",
             id="chaos-workers",
         ),
+        pytest.param(
+            ["loadtest", "--connections", "0", "--duration", "1",
+             "--rate", "10"],
+            "--connections: must be >= 1, got 0",
+            id="loadtest-connections",
+        ),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else "",
 )
@@ -439,6 +445,28 @@ class TestSweepCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "invalid sweep options" in err and "job_timeout_s" in err
+
+    @pytest.mark.parametrize("timeout", ["-5", "0", "nan", "inf"])
+    def test_bad_timeout_dry_run_exits_as_the_run_does(
+        self, timeout, capsys, tmp_path, monkeypatch
+    ):
+        from repro.fleet.executor import FleetExecutor
+
+        def run(self, jobs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(FleetExecutor, "run", run)
+        argv = ["sweep", "--scenarios", "two-region", "--policies", "uniform",
+                "--loads", "0.25", "--replicates", "1", "--eras", "12",
+                "--store", str(tmp_path / "store"), "--timeout", timeout]
+        outcomes = []
+        for extra in ([], ["--dry-run"]):
+            rc = main(argv + extra)
+            outcomes.append((rc, capsys.readouterr().err))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[1][0] == 2
+        assert "invalid sweep options: job_timeout_s" in outcomes[1][1]
+        assert not (tmp_path / "store").exists()
 
     def test_axis_flags_default_to_their_off_token(self):
         args = build_parser().parse_args(["sweep"])
