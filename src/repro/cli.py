@@ -91,6 +91,12 @@ def _policy_name(name: str) -> str:
     return name
 
 
+def _predictor_name(name: str) -> str:
+    from repro.experiments.runner import check_predictor
+
+    return check_predictor(name)  # ValueError naming the choices
+
+
 def _eras(text: str) -> int:
     from repro.core.metrics import MIN_ASSESS_ERAS
 
@@ -124,6 +130,13 @@ def _int_at_least(minimum: int):
         return value
 
     return parse
+
+
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise ValueError(f"must be a port in 0-65535, got {text}")
+    return value
 
 
 def _positive(text: str) -> float:
@@ -591,6 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_seed_option(p)
         p.add_argument(
             "--predictor",
+            type=_arg(_predictor_name),
             default="oracle",
             help="'oracle' or an F2PM model name ('rep-tree', 'm5p', ...)",
         )
@@ -696,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also export the spans as a Chrome/Perfetto trace",
     )
-    po.add_argument("--top", type=int, default=5,
+    po.add_argument("--top", type=_arg(_int_at_least(1)), default=5,
                     help="rows per summary section")
     po.set_defaults(func=_cmd_obs)
 
@@ -801,7 +815,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     psv.add_argument("--host", default="127.0.0.1")
     psv.add_argument(
-        "--port", type=int, default=8080, help="listen port (0 = ephemeral)"
+        "--port",
+        type=_arg(_port),
+        default=8080,
+        help="listen port (0 = ephemeral)",
     )
     psv.add_argument(
         "--policy", help="forward-fraction policy run at the leader"

@@ -33,7 +33,7 @@ from repro.core.cost import CostTracker
 from repro.core.baselines import StaticWeightsPolicy, UniformPolicy
 from repro.core.control_loop import AcmControlLoop, ControlLoopConfig
 from repro.core.costaware import CostAwarePolicy
-from repro.core.degradation import DegradationConfig, DegradationTracker
+from repro.core.degradation import DegradationTracker
 from repro.core.des_loop import DesControlLoop
 from repro.core.distributed import (
     DistributedControlPlane,
@@ -75,7 +75,6 @@ __all__ = [
     "DistributedControlPlane",
     "PlaneEraReport",
     "ReliableTransport",
-    "DegradationConfig",
     "DegradationTracker",
     "DesControlLoop",
     "AcmManager",

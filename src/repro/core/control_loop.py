@@ -34,11 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.autoscale import Autoscaler
-from repro.core.degradation import (
-    MODE_CODES,
-    DegradationConfig,
-    DegradationTracker,
-)
+from repro.core.degradation import MODE_CODES, DegradationTracker
 from repro.core.forward_plan import (
     FORWARD_FALLBACK_PENALTY_S,
     build_forward_plan,
@@ -122,9 +118,6 @@ class AcmControlLoop:
         Optional :class:`~repro.core.autoscale.Autoscaler` running the
         Sec. V reactive pool resizing; ``None`` (the default) keeps every
         pool at its configured size.
-    degradation:
-        Tuning of the graceful-degradation ladder run at the Plan step
-        (see :mod:`repro.core.degradation`); defaults apply when omitted.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade recording
         MAPE phase spans, per-era latency histograms, and leader-change /
@@ -153,7 +146,6 @@ class AcmControlLoop:
         overlay: OverlayNetwork | None = None,
         config: ControlLoopConfig | None = None,
         autoscaler: Autoscaler | None = None,
-        degradation: DegradationConfig | None = None,
         telemetry: Telemetry | None = None,
         slo=None,
         cost=None,
@@ -177,9 +169,7 @@ class AcmControlLoop:
         self.aggregator = RmttfAggregator(self.config.beta)
         self.autoscaler = autoscaler
         self.degradation = DegradationTracker(
-            self.regions,
-            degradation or DegradationConfig(),
-            telemetry=telemetry,
+            self.regions, telemetry=telemetry
         )
         #: the Analyze/Execute message transport (``gather_reports`` /
         #: ``push_fractions``) a :class:`repro.core.distributed.

@@ -14,7 +14,7 @@ three-state ladder, decided once per era by :class:`DegradationTracker`:
     the whole fleet already agreed on).  A slave that is itself cut off
     behaves the same way -- this just lifts that local rule to the leader.
 ``fallback``
-    Quorum has been lost for ``fallback_after_eras`` consecutive eras:
+    Quorum has been lost for :data:`FALLBACK_AFTER_ERAS` consecutive eras:
     the held plan is now too old to trust either, so fall back to the
     static split proportional to each region's healthy capacity -- the
     information-free prior of the available-resources policy, computable
@@ -32,7 +32,6 @@ currently installed fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -42,34 +41,14 @@ if TYPE_CHECKING:
 MODE_CODES = {"normal": 0, "hold": 1, "fallback": 2}
 
 
-@dataclass(frozen=True, slots=True)
-class DegradationConfig:
-    """Tuning of the degradation ladder.
-
-    Parameters
-    ----------
-    quorum_fraction:
-        The leader needs *strictly more* than this fraction of all regions
-        reporting fresh to stay in ``normal`` (0.5 = majority).
-    stale_after_eras:
-        A region's last report stays "fresh" for this many eras; a brief
-        one-era hiccup therefore does not degrade the plane.
-    fallback_after_eras:
-        Consecutive degraded eras before ``hold`` escalates to
-        ``fallback``.
-    """
-
-    quorum_fraction: float = 0.5
-    stale_after_eras: int = 2
-    fallback_after_eras: int = 6
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.quorum_fraction < 1.0:
-            raise ValueError("quorum_fraction must be in [0, 1)")
-        if self.stale_after_eras < 0:
-            raise ValueError("stale_after_eras must be >= 0")
-        if self.fallback_after_eras < 1:
-            raise ValueError("fallback_after_eras must be >= 1")
+#: The leader needs *strictly more* than this fraction of all regions
+#: reporting fresh to stay in ``normal`` (a majority).
+QUORUM_FRACTION = 0.5
+#: A region's last report stays "fresh" for this many eras, so a brief
+#: one-era hiccup does not degrade the plane.
+STALE_AFTER_ERAS = 2
+#: Consecutive degraded eras before ``hold`` escalates to ``fallback``.
+FALLBACK_AFTER_ERAS = 6
 
 
 class DegradationTracker:
@@ -78,13 +57,11 @@ class DegradationTracker:
     def __init__(
         self,
         regions: list[str],
-        config: DegradationConfig | None = None,
         telemetry: "Telemetry | None" = None,
     ) -> None:
         if not regions:
             raise ValueError("need at least one region")
         self.regions = list(regions)
-        self.config = config or DegradationConfig()
         self.mode = "normal"
         self.consecutive_degraded = 0
         #: era index of each region's most recent (finite) report
@@ -95,21 +72,21 @@ class DegradationTracker:
         """Fold one era's received-report set; returns the new mode."""
         for region in reported:
             self._last_report_era[region] = era
-        horizon = era - self.config.stale_after_eras
+        horizon = era - STALE_AFTER_ERAS
         fresh = sum(
             1
             for region in self.regions
             if self._last_report_era.get(region, -1) >= horizon
         )
         previous = self.mode
-        if fresh > self.config.quorum_fraction * len(self.regions):
+        if fresh > QUORUM_FRACTION * len(self.regions):
             self.mode = "normal"
             self.consecutive_degraded = 0
         else:
             self.consecutive_degraded += 1
             self.mode = (
                 "fallback"
-                if self.consecutive_degraded >= self.config.fallback_after_eras
+                if self.consecutive_degraded >= FALLBACK_AFTER_ERAS
                 else "hold"
             )
         if self._tel is not None:

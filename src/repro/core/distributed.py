@@ -31,23 +31,27 @@ from typing import Callable
 
 from repro.core.control_loop import AcmControlLoop, EraSummary
 from repro.obs.telemetry import Telemetry
-from repro.overlay.heartbeat import HeartbeatDetector, build_detector_mesh
+# the plane's timings, re-exported for the campaigns that bound by them
+from repro.overlay.heartbeat import (  # noqa: F401
+    DETECTOR_TIMEOUT_S,
+    HEARTBEAT_PERIOD_S,
+    HeartbeatDetector,
+    build_detector_mesh,
+)
 from repro.overlay.messaging import Message, MessageBus
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.reliable import ACK_KIND, DATA_KIND, ReliableChannel
 from repro.overlay.routing import Router
-from repro.overlay.state_sync import GossipSync, StateStore
+from repro.overlay.state_sync import (  # noqa: F401
+    GOSSIP_PERIOD_S,
+    GossipSync,
+    StateStore,
+)
 from repro.sim.engine import Simulator
 
-#: Heartbeat period and failure-detector timeout (simulated seconds); the
-#: timeout bounds how long a dead leader keeps being followed.
-HEARTBEAT_PERIOD_S = 5.0
-DETECTOR_TIMEOUT_S = 15.0
-#: Anti-entropy gossip round interval (simulated seconds).
-GOSSIP_PERIOD_S = 10.0
-#: Simulated seconds granted to each gather/push control exchange: a full
-#: retry ladder of the channel's defaults (0.25 + 0.5 + 1.0 s backoff plus
-#: jitter and path latencies).
+#: Simulated seconds granted to each gather/push control exchange: long
+#: enough for the channel's retry ladder to resolve (a test holds it to
+#: the constants of :mod:`repro.overlay.reliable`).
 CONTROL_WINDOW_S = 3.0
 
 
@@ -214,22 +218,10 @@ class DistributedControlPlane:
         )
         nodes = list(loop.regions)
         self.detectors: dict[str, HeartbeatDetector] = build_detector_mesh(
-            nodes,
-            self.sim,
-            self.bus,
-            period_s=HEARTBEAT_PERIOD_S,
-            timeout_s=DETECTOR_TIMEOUT_S,
-            register=False,
-            start=False,
+            nodes, self.sim, self.bus
         )
         self.stores = {n: StateStore(n) for n in nodes}
-        self.gossip = GossipSync(
-            self.stores,
-            self.sim,
-            self.bus,
-            period_s=GOSSIP_PERIOD_S,
-            register=False,
-        )
+        self.gossip = GossipSync(self.stores, self.sim, self.bus)
         self.channel = ReliableChannel(
             self.bus, loop.rngs.stream("reliable/jitter"), telemetry=telemetry
         )

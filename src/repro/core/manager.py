@@ -38,13 +38,9 @@ from repro.sim.instances import get_instance_type
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import TraceRecorder
 from repro.topology.domains import FailureDomainTree
-from repro.workload.anomalies import (
-    DEFAULT_LEAK_PROBABILITY,
-    DEFAULT_THREAD_PROBABILITY,
-    AnomalyInjector,
-)
+from repro.workload.anomalies import DEFAULT_LEAK_PROBABILITY, AnomalyInjector
 from repro.workload.browsers import BrowserPopulation
-from repro.workload.tpcw import MIX_SHOPPING, RequestMix
+from repro.workload.tpcw import MIX_SHOPPING
 
 
 @dataclass(frozen=True)
@@ -117,12 +113,13 @@ class AcmManager:
         RTTF predictor shared by all VMCs; defaults to the mean-field
         oracle.  Pass a :class:`~repro.pcam.predictor.TrainedRttfPredictor`
         for the full ML-in-the-loop configuration.
-    mix:
-        TPC-W mix driving the request classes.
     era_s, beta:
         Control-loop period and Eq. (1) weight.
-    leak_probability, thread_probability:
-        Anomaly-injection probabilities (paper: 0.10 / 0.05).
+    leak_probability:
+        Memory-leak injection probability (paper: 0.10; a drifted
+        scenario raises it).  The deployment runs the TPC-W shopping
+        mix, the paper's 5 % thread-injection probability and its 1 s
+        response-time SLA.
     autoscale:
         Enable Sec. V pool resizing.
     overlay:
@@ -148,15 +145,12 @@ class AcmManager:
     policy: Policy | str = "available-resources"
     seed: int = 0
     predictor: RttfPredictor | None = None
-    mix: RequestMix = MIX_SHOPPING
     era_s: float = 30.0
     beta: float = 0.5
     leak_probability: float = DEFAULT_LEAK_PROBABILITY
-    thread_probability: float = DEFAULT_THREAD_PROBABILITY
     autoscale: bool = False
     autoscale_config: AutoscaleConfig | None = None
     overlay: OverlayNetwork | None = None
-    sla_response_time_s: float = 1.0
     telemetry: Telemetry | None = None
     spread_k: int = 0
     #: Optional SLO configuration: an :class:`~repro.slo.SloConfig`, or a
@@ -195,7 +189,7 @@ class AcmManager:
         # the loop orders regions by sorted name; bind in that order
         policy.bind(sorted(self.regions, key=lambda s: s.name))
         predictor = self.predictor or OracleRttfPredictor(
-            mean_demand=self.mix.mean_service_demand()
+            mean_demand=MIX_SHOPPING.mean_service_demand()
         )
 
         vmcs: dict[str, VirtualMachineController] = {}
@@ -203,9 +197,7 @@ class AcmManager:
         for spec in self.regions:
             vmcs[spec.name] = self._build_vmc(spec, predictor)
             populations[spec.name] = BrowserPopulation(
-                n_clients=spec.clients,
-                mix=self.mix,
-                name=f"clients@{spec.name}",
+                n_clients=spec.clients, name=f"clients@{spec.name}"
             )
 
         if self.slo is not None:
@@ -255,9 +247,7 @@ class AcmManager:
     ) -> VirtualMachineController:
         itype = get_instance_type(spec.instance_type)
         region_rngs = self.rngs.child(spec.name)
-        failure_policy = FailurePolicy(
-            sla_response_time_s=self.sla_response_time_s
-        )
+        failure_policy = FailurePolicy()
         vms = [
             VirtualMachine(
                 name=f"{spec.name}/vm{i}",
@@ -265,7 +255,6 @@ class AcmManager:
                 injector=AnomalyInjector(
                     region_rngs.stream(f"anomalies/vm{i}"),
                     leak_probability=self.leak_probability,
-                    thread_probability=self.thread_probability,
                 ),
                 failure_policy=failure_policy,
                 rejuvenation_time_s=spec.rejuvenation_time_s,
@@ -280,7 +269,7 @@ class AcmManager:
             config=VmcConfig(
                 rttf_threshold_s=spec.rttf_threshold_s,
                 target_active=spec.target_active,
-                mean_demand=self.mix.mean_service_demand(),
+                mean_demand=MIX_SHOPPING.mean_service_demand(),
                 spread_k=self.spread_k,
             ),
             telemetry=self.telemetry,

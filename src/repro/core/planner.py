@@ -23,6 +23,11 @@ from repro.workload.anomalies import AnomalyInjector
 
 import numpy as np
 
+#: The largest ACTIVE pool a plan considers.
+MAX_VMS = 256
+#: Per-VM utilisation ceiling of a plan (queueing headroom).
+MAX_UTILISATION = 0.7
+
 
 @dataclass(frozen=True, slots=True)
 class PoolPlan:
@@ -51,38 +56,22 @@ class PoolPlan:
         return self.active_vms + self.standby_vms
 
 
-def _probe_injector(
-    leak_probability: float, thread_probability: float
-) -> AnomalyInjector:
-    # mean-field computations only touch expected rates; the stream is
-    # never drawn from, so any generator works
-    return AnomalyInjector(
-        np.random.default_rng(0),
-        leak_probability=leak_probability,
-        thread_probability=thread_probability,
-    )
-
-
 def mean_field_ttf(
-    itype: InstanceType,
-    per_vm_rate: float,
-    leak_probability: float = 0.10,
-    thread_probability: float = 0.05,
-    mean_demand: float = 1.5,
+    itype: InstanceType, per_vm_rate: float, mean_demand: float = 1.5
 ) -> float:
     """Expected time to the failure point at a steady per-VM rate.
 
     The mean-field life of a fresh VM of the given shape under the
-    default failure policy: :func:`repro.pcam.vm.fresh_ttf_s`.
+    default failure policy and the paper's injection probabilities:
+    :func:`repro.pcam.vm.fresh_ttf_s`.
     """
     if per_vm_rate <= 0:
         return float("inf")
+    # mean-field computations only touch expected rates; the stream is
+    # never drawn from, so any generator works
+    injector = AnomalyInjector(np.random.default_rng(0))
     return fresh_ttf_s(
-        itype,
-        FailurePolicy(),
-        _probe_injector(leak_probability, thread_probability),
-        per_vm_rate,
-        mean_demand,
+        itype, FailurePolicy(), injector, per_vm_rate, mean_demand
     )
 
 
@@ -92,16 +81,13 @@ def recommend_pool(
     target_rmttf_s: float,
     rejuvenation_time_s: float = 120.0,
     rttf_threshold_s: float = 240.0,
-    max_vms: int = 256,
-    leak_probability: float = 0.10,
-    thread_probability: float = 0.05,
     mean_demand: float = 1.5,
-    max_utilisation: float = 0.7,
 ) -> PoolPlan:
     """Smallest ACTIVE pool meeting the RMTTF target (plus standbys).
 
     The ACTIVE count must satisfy both the RMTTF target (``TTF(R/n) >=
-    target``) and a utilisation ceiling (queueing headroom).  Standbys
+    target``) and the :data:`MAX_UTILISATION` ceiling (queueing
+    headroom), under the paper's injection probabilities.  Standbys
     cover the rejuvenation pipeline: with VM lifetime ``L = TTF -
     threshold`` and restart time ``T``, about ``n * T / L`` VMs are
     mid-restart at any instant (rounded up, minimum 1).
@@ -109,15 +95,13 @@ def recommend_pool(
     Raises
     ------
     ValueError
-        If no pool within ``max_vms`` meets the target (the target is
+        If no pool within :data:`MAX_VMS` meets the target (the target is
         unreachable at this load with this shape).
     """
     if request_rate <= 0:
         raise ValueError("request_rate must be positive")
     if target_rmttf_s <= 0:
         raise ValueError("target_rmttf_s must be positive")
-    if not 0 < max_utilisation < 1:
-        raise ValueError("max_utilisation must be in (0, 1)")
     if not (
         0 <= rejuvenation_time_s < math.inf
         and 0 <= rttf_threshold_s < math.inf
@@ -128,14 +112,12 @@ def recommend_pool(
         )
     itype = get_instance_type(instance_type)
     service_rate = itype.cpu_power / mean_demand
-    for n in range(1, max_vms + 1):
+    for n in range(1, MAX_VMS + 1):
         per_vm = request_rate / n
         utilisation = per_vm / service_rate
-        if utilisation > max_utilisation:
+        if utilisation > MAX_UTILISATION:
             continue
-        ttf = mean_field_ttf(
-            itype, per_vm, leak_probability, thread_probability, mean_demand
-        )
+        ttf = mean_field_ttf(itype, per_vm, mean_demand)
         if ttf < target_rmttf_s:
             continue
         # standby sizing from the rejuvenation pipeline
@@ -158,6 +140,6 @@ def recommend_pool(
             usd_per_mreq=float(usd_per_mreq),
         )
     raise ValueError(
-        f"no pool of <= {max_vms} x {instance_type} reaches "
+        f"no pool of <= {MAX_VMS} x {instance_type} reaches "
         f"RMTTF {target_rmttf_s}s at {request_rate} req/s"
     )

@@ -14,17 +14,20 @@ from repro.obs.manifest import RunManifest
 from repro.sim.tracing import TraceRecorder, TraceSeries
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
+#: Most characters a sparkline takes.
+SPARK_WIDTH = 60
+#: Sampled values printed under each sparkline.
+SERIES_POINTS = 8
 
 
-def sparkline(values: np.ndarray, width: int = 60) -> str:
-    """Render a series as a unicode sparkline of ``width`` characters."""
+def sparkline(values: np.ndarray) -> str:
+    """Render a series as a unicode sparkline of at most
+    :data:`SPARK_WIDTH` characters."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return ""
-    if width < 1:
-        raise ValueError("width must be >= 1")
     # downsample by bucket means
-    buckets = np.array_split(values, min(width, values.size))
+    buckets = np.array_split(values, min(SPARK_WIDTH, values.size))
     means = np.array([b.mean() for b in buckets])
     lo, hi = float(means.min()), float(means.max())
     if hi - lo < 1e-12:
@@ -37,27 +40,27 @@ def render_series(
     traces: TraceRecorder,
     prefix: str,
     label: str,
-    n_points: int = 8,
     scale: float = 1.0,
     unit: str = "",
 ) -> str:
-    """Render all series under ``prefix`` as sparkline + sampled values."""
+    """Render all series under ``prefix`` as sparkline + sampled values
+    (:data:`SERIES_POINTS` of them)."""
     series = traces.matching(prefix)
     if not series:
         raise KeyError(f"no series under prefix {prefix!r}")
     lines = [f"-- {label} --"]
     for name, s in sorted(series.items()):
-        samples = _downsample(s, n_points) * scale
+        samples = _downsample(s) * scale
         sampled = " ".join(f"{v:8.2f}" for v in samples)
         lines.append(f"{name:<28} {sparkline(s.values)}")
         lines.append(f"{'':<28} [{sampled}]{unit}")
     return "\n".join(lines)
 
 
-def _downsample(series: TraceSeries, n_points: int) -> np.ndarray:
-    if len(series) <= n_points:
+def _downsample(series: TraceSeries) -> np.ndarray:
+    if len(series) <= SERIES_POINTS:
         return series.values
-    buckets = np.array_split(series.values, n_points)
+    buckets = np.array_split(series.values, SERIES_POINTS)
     return np.array([b.mean() for b in buckets])
 
 

@@ -76,7 +76,7 @@ from typing import Callable
 import numpy as np
 
 from repro.chaos import ChaosEngine, CorruptiblePredictor, FaultEvent, LossyBus
-from repro.core.degradation import DegradationConfig
+from repro.core.degradation import STALE_AFTER_ERAS
 from repro.core.distributed import (
     DETECTOR_TIMEOUT_S,
     HEARTBEAT_PERIOD_S,
@@ -99,15 +99,15 @@ def recovery_bound_eras(era_s: float = 30.0) -> int:
     """Eras within which the plane must re-converge after a leader death.
 
     The heartbeat detector suspects a crashed peer within
-    ``timeout_s + max_path_latency`` of its last beat (see
+    ``DETECTOR_TIMEOUT_S + max_path_latency`` of its last beat (see
     :mod:`repro.overlay.heartbeat`); one period covers the beat that was
     already in flight, and path latencies are milliseconds against eras
     of seconds.  On top of the detection delay, the degradation tracker
-    forgives ``stale_after_eras`` of missing reports before judging, and
+    forgives ``STALE_AFTER_ERAS`` of missing reports before judging, and
     the loop needs one further era to act on the converged view.
     """
     detect_eras = math.ceil((DETECTOR_TIMEOUT_S + HEARTBEAT_PERIOD_S) / era_s)
-    return detect_eras + DegradationConfig().stale_after_eras + 1
+    return detect_eras + STALE_AFTER_ERAS + 1
 
 
 # --------------------------------------------------------------------- #
@@ -700,14 +700,9 @@ def run_campaign(
 
 
 def run_campaign_suite(
-    names: tuple[str, ...] | None = None,
-    seed: int = 7,
-    replicates: int = 1,
-    eras: int | None = None,
-    workers: int = 1,
-    store=None,
+    seed: int = 7, eras: int | None = None, workers: int = 1
 ) -> "FleetOutcome":
-    """Run several campaigns (all by default) on the fleet executor.
+    """Run every campaign once on the fleet executor.
 
     The suite is the chaos cells of a :class:`~repro.fleet.spec.SweepSpec`
     rooted at ``seed``, so each cell's seed derives from it as a sweep
@@ -718,18 +713,14 @@ def run_campaign_suite(
     """
     from repro.fleet.executor import FleetExecutor
     from repro.fleet.spec import SweepSpec
-    from repro.fleet.store import ResultStore
 
     spec = SweepSpec(
         scenarios=(),
-        campaigns=tuple(names or CAMPAIGNS),
-        replicates=replicates,
+        campaigns=tuple(CAMPAIGNS),
         root_seed=seed,
         campaign_eras=eras or 0,
     )
-    if store is not None and not isinstance(store, ResultStore):
-        store = ResultStore(store)
-    return FleetExecutor(workers=workers, store=store).run(spec.expand())
+    return FleetExecutor(workers=workers).run(spec.expand())
 
 
 def report_campaign_suite(outcome: "FleetOutcome") -> str:

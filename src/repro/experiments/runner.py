@@ -32,7 +32,7 @@ from repro.obs.manifest import RunManifest
 from repro.obs.telemetry import Telemetry
 from repro.ml.derived import augment_runs_with_slopes
 from repro.ml.features import FEATURE_NAMES
-from repro.ml.toolchain import F2PMToolchain
+from repro.ml.toolchain import DEFAULT_SUITE, F2PMToolchain
 from repro.ml.dataset import Dataset
 from repro.pcam.monitor import ProfilingHarness
 from repro.pcam.predictor import (
@@ -148,6 +148,17 @@ def make_trained_predictor(
     if use_trend_features:
         return TrendAwareRttfPredictor(trained, window=trend_window)
     return TrainedRttfPredictor(trained)
+
+
+def check_predictor(name: str) -> str:
+    """``name`` if a run can deploy it: ``"oracle"`` or a
+    :data:`~repro.ml.toolchain.DEFAULT_SUITE` model; else ValueError."""
+    if name != "oracle" and name not in DEFAULT_SUITE:
+        raise ValueError(
+            f"unknown predictor {name!r}; pick from "
+            f"{['oracle', *DEFAULT_SUITE]}"
+        )
+    return name
 
 
 def _resolve_predictor(

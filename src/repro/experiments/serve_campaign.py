@@ -113,7 +113,8 @@ def _detector_bound(service: AcmService) -> float:
     """Worst-case clock seconds from blackout to a routed-around plan.
 
     The Plan phase zeroes dead regions outright (no need to wait
-    ``stale_after_eras`` for the quorum ladder), so the bound is one
+    :data:`~repro.core.degradation.STALE_AFTER_ERAS` for the quorum
+    ladder), so the bound is one
     full era (the region can die right after a tick), the Analyze
     window, one monitor period of detection slack, and a second of
     channel-retry slop.

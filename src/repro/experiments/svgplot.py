@@ -26,13 +26,20 @@ PALETTE = (
     "#E69F00",  # orange
     "#56B4E9",  # sky
 )
+#: Chart size (pixels) and x-axis label: every chart plots a trace over
+#: simulated time.
+WIDTH = 720
+HEIGHT = 320
+X_LABEL = "time (s)"
+#: Ticks an axis aims for.
+N_TICKS = 5
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     """Round-ish tick positions covering [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
-    raw_step = (hi - lo) / max(n - 1, 1)
+    raw_step = (hi - lo) / (N_TICKS - 1)
     mag = 10.0 ** np.floor(np.log10(raw_step))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -51,9 +58,6 @@ def line_chart(
     series: dict[str, TraceSeries],
     title: str,
     path: str,
-    width: int = 720,
-    height: int = 320,
-    x_label: str = "time (s)",
     y_label: str = "",
     y_scale: float = 1.0,
 ) -> None:
@@ -73,11 +77,9 @@ def line_chart(
     """
     if not series:
         raise ValueError("no series to plot")
-    if width < 200 or height < 120:
-        raise ValueError("chart too small")
     ml, mr, mt, mb = 70, 160, 40, 50  # margins: left/right/top/bottom
-    plot_w = width - ml - mr
-    plot_h = height - mt - mb
+    plot_w = WIDTH - ml - mr
+    plot_h = HEIGHT - mt - mb
 
     xs_all = np.concatenate([s.times for s in series.values()])
     ys_all = np.concatenate([s.values for s in series.values()]) * y_scale
@@ -98,9 +100,9 @@ def line_chart(
         return mt + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{ml}" y="{mt - 16}" font-family="sans-serif" '
         f'font-size="15" font-weight="bold">{html.escape(title)}</text>',
         # axes
@@ -128,9 +130,9 @@ def line_chart(
             f'y2="{sy(ty):.1f}" stroke="#dddddd" stroke-width="0.5"/>'
         )
     parts.append(
-        f'<text x="{ml + plot_w / 2:.0f}" y="{height - 10}" '
+        f'<text x="{ml + plot_w / 2:.0f}" y="{HEIGHT - 10}" '
         'font-family="sans-serif" font-size="12" '
-        f'text-anchor="middle">{html.escape(x_label)}</text>'
+        f'text-anchor="middle">{html.escape(X_LABEL)}</text>'
     )
     if y_label:
         parts.append(

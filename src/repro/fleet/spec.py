@@ -69,10 +69,12 @@ class SweepSpec:
     def __post_init__(self) -> None:
         # lazily: repro.experiments imports this package
         from repro.core.metrics import MIN_ASSESS_ERAS
+        from repro.experiments.runner import check_predictor
         from repro.experiments.scenarios import resolve_scenario
 
         for scenario in self.scenarios:
             resolve_scenario(parse_scenario_key(scenario)[0])
+        check_predictor(self.predictor)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if not all(0 < load < math.inf for load in self.loads):

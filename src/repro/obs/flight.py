@@ -14,6 +14,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+#: Events a recorder retains; older ones are evicted.
+FLIGHT_CAPACITY = 512
+
 
 @dataclass(slots=True)
 class FlightEvent:
@@ -28,18 +31,16 @@ class FlightEvent:
 
 
 class FlightRecorder:
-    """Ring buffer of the most recent :class:`FlightEvent` records.
+    """Ring buffer of the :data:`FLIGHT_CAPACITY` most recent
+    :class:`FlightEvent` records.
 
     ``seen`` counts every event ever recorded, so a dump can state how
     many were evicted (``seen - len(recorder)``) -- a truncated timeline
     that looks complete is worse than no timeline.
     """
 
-    def __init__(self, capacity: int = 512) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._ring: deque[FlightEvent] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._ring: deque[FlightEvent] = deque(maxlen=FLIGHT_CAPACITY)
         self.seen = 0
 
     def record(self, time: float, kind: str, **data: Any) -> None:
@@ -59,7 +60,7 @@ class FlightRecorder:
     def snapshot(self) -> dict:
         """JSON-ready dump: retained events plus eviction accounting."""
         return {
-            "capacity": self.capacity,
+            "capacity": FLIGHT_CAPACITY,
             "seen": self.seen,
             "evicted": self.seen - len(self._ring),
             "events": [e.as_dict() for e in self._ring],

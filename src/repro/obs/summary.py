@@ -10,6 +10,9 @@ from collections import defaultdict
 
 from repro.obs.spans import validate_nesting
 
+#: Flight events the report's timeline shows (the most recent ones).
+TIMELINE_EVENTS = 15
+
 
 def _fmt_seconds(value: float) -> str:
     if value != value:  # NaN
@@ -40,7 +43,7 @@ def _histogram_stats(h: dict) -> tuple[float, float, float]:
     return mean, quantile(0.5), quantile(0.99)
 
 
-def summarize_dump(doc: dict, top: int = 5, timeline: int = 15) -> str:
+def summarize_dump(doc: dict, top: int = 5) -> str:
     """Render a dump document as a terminal-friendly report."""
     lines: list[str] = []
 
@@ -111,11 +114,11 @@ def summarize_dump(doc: dict, top: int = 5, timeline: int = 15) -> str:
     events = doc.get("events", {})
     recorded = events.get("events", [])
     lines.append("")
-    lines.append(f"== flight recorder (last {timeline} of {events.get('seen', 0)}) ==")
+    lines.append(f"== flight recorder (last {TIMELINE_EVENTS} of {events.get('seen', 0)}) ==")
     if recorded:
         if events.get("evicted"):
             lines.append(f"  ({events['evicted']} earlier events evicted)")
-        for e in recorded[-timeline:]:
+        for e in recorded[-TIMELINE_EVENTS:]:
             data_str = " ".join(
                 f"{k}={v}" for k, v in sorted(e.get("data", {}).items())
             )

@@ -77,19 +77,21 @@ class Telemetry:
 
     The three stores are public attributes (``registry``, ``tracer``,
     ``flight``) when enabled and ``None`` when disabled, so tests and
-    exporters can reach the underlying objects directly.
+    exporters can reach the underlying objects directly.  The flight
+    recorder keeps the last :data:`~repro.obs.flight.FLIGHT_CAPACITY`
+    events.
     """
 
     __slots__ = ("enabled", "registry", "tracer", "flight", "manifest", "autodump_path")
 
-    def __init__(self, enabled: bool = False, flight_capacity: int = 512) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = bool(enabled)
         self.manifest: RunManifest | None = None
         self.autodump_path: str | None = None
         if self.enabled:
             self.registry: MetricsRegistry | None = MetricsRegistry()
             self.tracer: SpanTracer | None = SpanTracer()
-            self.flight: FlightRecorder | None = FlightRecorder(flight_capacity)
+            self.flight: FlightRecorder | None = FlightRecorder()
         else:
             self.registry = None
             self.tracer = None

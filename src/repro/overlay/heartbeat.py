@@ -6,16 +6,18 @@ oracle -- each controller suspects a peer after missing enough heartbeats.
 :class:`HeartbeatDetector` implements the classic timeout detector on the
 simulator:
 
-* every ``period_s`` each node sends a heartbeat to every peer over the
-  overlay (paying path latency; partitioned peers receive nothing);
-* a peer not heard from for ``timeout_s`` becomes *suspected*;
+* every :data:`HEARTBEAT_PERIOD_S` each node sends a heartbeat to every
+  peer over the overlay (paying path latency; partitioned peers receive
+  nothing);
+* a peer not heard from for :data:`DETECTOR_TIMEOUT_S` becomes
+  *suspected*;
 * a heartbeat from a suspected peer immediately rehabilitates it.
 
 The detector is *eventually accurate* on this overlay: a crashed or
-partitioned peer is suspected within ``timeout_s + max_path_latency``, and
-a live reachable peer is never permanently suspected.  Those two
-properties are what the election needs, and they are what the tests
-assert.
+partitioned peer is suspected within ``DETECTOR_TIMEOUT_S +
+max_path_latency``, and a live reachable peer is never permanently
+suspected.  Those two properties are what the election needs, and they
+are what the tests assert.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ from dataclasses import dataclass, field
 
 from repro.overlay.messaging import Message, MessageBus
 from repro.sim.engine import Simulator
+
+#: Heartbeat period and failure-detector timeout (simulated seconds); the
+#: timeout bounds how long a dead leader keeps being followed, and
+#: exceeds the period, or every peer would flap.
+HEARTBEAT_PERIOD_S = 5.0
+DETECTOR_TIMEOUT_S = 15.0
 
 
 @dataclass
@@ -48,13 +56,8 @@ class HeartbeatDetector:
         Simulator to schedule heartbeats/checks on.
     bus:
         Message bus used both to send and to receive heartbeats; the
-        detector registers itself as the node's ``heartbeat`` handler
-        via :meth:`attach`.
-    period_s:
-        Heartbeat interval.
-    timeout_s:
-        Silence span after which a peer becomes suspected; must exceed
-        the period (or everything flaps).
+        owner of the node's bus registration chains :meth:`on_message`
+        into it.
     """
 
     def __init__(
@@ -63,20 +66,12 @@ class HeartbeatDetector:
         peers: list[str],
         sim: Simulator,
         bus: MessageBus,
-        period_s: float = 5.0,
-        timeout_s: float = 15.0,
     ) -> None:
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if timeout_s <= period_s:
-            raise ValueError("timeout_s must exceed period_s")
         if node in peers:
             raise ValueError("a node does not watch itself")
         self.node = node
         self.sim = sim
         self.bus = bus
-        self.period_s = float(period_s)
-        self.timeout_s = float(timeout_s)
         self.peers: dict[str, PeerState] = {p: PeerState() for p in peers}
         self._stop_beat = None
         self._stop_check = None
@@ -89,10 +84,14 @@ class HeartbeatDetector:
         for state in self.peers.values():
             state.last_heard = self.sim.now
         self._stop_beat = self.sim.schedule_periodic(
-            self.period_s, self._send_heartbeats, label=f"hb:{self.node}"
+            HEARTBEAT_PERIOD_S,
+            self._send_heartbeats,
+            label=f"hb:{self.node}",
         )
         self._stop_check = self.sim.schedule_periodic(
-            self.period_s, self._check_timeouts, label=f"hbchk:{self.node}"
+            HEARTBEAT_PERIOD_S,
+            self._check_timeouts,
+            label=f"hbchk:{self.node}",
         )
 
     def stop(self) -> None:
@@ -126,7 +125,7 @@ class HeartbeatDetector:
         for state in self.peers.values():
             if (
                 not state.suspected
-                and now - state.last_heard > self.timeout_s
+                and now - state.last_heard > DETECTOR_TIMEOUT_S
             ):
                 state.suspected = True
                 state.suspect_count += 1
@@ -156,35 +155,19 @@ class HeartbeatDetector:
 
 
 def build_detector_mesh(
-    nodes: list[str],
-    sim: Simulator,
-    bus: MessageBus,
-    period_s: float = 5.0,
-    timeout_s: float = 15.0,
-    register: bool = True,
-    start: bool = True,
+    nodes: list[str], sim: Simulator, bus: MessageBus
 ) -> dict[str, HeartbeatDetector]:
-    """One detector per node, optionally registered on the bus and started.
+    """One detector per node, not yet started.
 
-    Pass ``register=False`` when another component multiplexes the node's
-    bus registration (chain :meth:`HeartbeatDetector.on_message` there).
+    The owner of each node's bus registration chains
+    :meth:`HeartbeatDetector.on_message` into it, then starts the
+    detectors.
     """
     if len(set(nodes)) != len(nodes):
         raise ValueError("duplicate node names")
-    detectors = {}
-    for node in nodes:
-        det = HeartbeatDetector(
-            node,
-            [p for p in nodes if p != node],
-            sim,
-            bus,
-            period_s=period_s,
-            timeout_s=timeout_s,
+    return {
+        node: HeartbeatDetector(
+            node, [p for p in nodes if p != node], sim, bus
         )
-        if register:
-            bus.register(node, det.on_message)
-        detectors[node] = det
-    if start:
-        for det in detectors.values():
-            det.start()
-    return detectors
+        for node in nodes
+    }

@@ -14,10 +14,10 @@ top:
   sees each message **at most once** even when retries race an ack;
 * the sender retries on ack timeout with exponential backoff plus a
   deterministic jitter drawn from a dedicated RNG stream (replayable runs
-  stay bit-identical), up to ``max_retries`` retries;
-* exhausted sends resolve to ``failed`` and invoke ``on_give_up`` -- the
-  caller decides how to degrade (the control loop holds its last-known
-  good plan; see :mod:`repro.core.degradation`).
+  stay bit-identical), up to :data:`MAX_RETRIES` retries;
+* exhausted sends resolve to ``failed`` -- the caller decides how to
+  degrade (the control loop holds its last-known good plan; see
+  :mod:`repro.core.degradation`).
 
 Send outcomes are first-class: :meth:`send` returns a :class:`SendHandle`
 whose ``status`` resolves to ``"acked"`` or ``"failed"`` as the simulator
@@ -43,6 +43,15 @@ if TYPE_CHECKING:
 DATA_KIND = "rc-data"
 #: Bus message kind carrying an acknowledgement.
 ACK_KIND = "rc-ack"
+#: Retransmissions after the first attempt before a send gives up.
+MAX_RETRIES = 3
+#: Ack timeout of the first attempt (seconds); each retry multiplies it
+#: by :data:`BACKOFF_FACTOR`.
+BASE_TIMEOUT_S = 0.25
+BACKOFF_FACTOR = 2.0
+#: Upper bound of the uniform jitter added to every timeout (seconds):
+#: it decorrelates retry storms without breaking determinism.
+JITTER_S = 0.05
 
 
 @dataclass(slots=True)
@@ -134,17 +143,6 @@ class ReliableChannel:
         Jitter stream (use a dedicated
         :meth:`repro.sim.rng.RngRegistry.stream`, e.g.
         ``rngs.stream("reliable/jitter")``, so replays are bit-identical).
-    max_retries:
-        Retransmissions after the first attempt before giving up.
-    base_timeout_s:
-        Ack timeout of the first attempt; doubles each retry
-        (``backoff_factor``).
-    jitter_s:
-        Uniform jitter added to every timeout (decorrelates retry storms
-        without breaking determinism).
-    on_give_up:
-        Optional callback invoked with the :class:`SendHandle` of every
-        send that exhausts its retries.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade.  When
         enabled, :attr:`stats` mirrors into registry counters
@@ -163,32 +161,14 @@ class ReliableChannel:
         self,
         bus: MessageBus,
         rng: np.random.Generator,
-        max_retries: int = 3,
-        base_timeout_s: float = 0.25,
-        backoff_factor: float = 2.0,
-        jitter_s: float = 0.05,
-        on_give_up: Callable[[SendHandle], None] | None = None,
         telemetry: "Telemetry | None" = None,
         clock: "Clock | None" = None,
     ) -> None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if base_timeout_s <= 0:
-            raise ValueError("base_timeout_s must be positive")
-        if backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if jitter_s < 0:
-            raise ValueError("jitter_s must be >= 0")
         self.bus = bus
         self.clock: "Clock" = clock if clock is not None else bus.sim
         # Back-compat alias: existing callers and tests read `.sim`.
         self.sim = self.clock
         self.rng = rng
-        self.max_retries = int(max_retries)
-        self.base_timeout_s = float(base_timeout_s)
-        self.backoff_factor = float(backoff_factor)
-        self.jitter_s = float(jitter_s)
-        self.on_give_up = on_give_up
         self.stats = ChannelStats()
         self._obs = (
             telemetry if telemetry is not None and telemetry.enabled else None
@@ -272,11 +252,8 @@ class ReliableChannel:
         self.stats.bump("attempts")
         envelope = {"id": handle.msg_id, "kind": kind, "payload": payload}
         self.bus.send(handle.src, handle.dst, DATA_KIND, envelope)
-        timeout = self.base_timeout_s * (
-            self.backoff_factor ** (handle.attempts - 1)
-        )
-        if self.jitter_s > 0:
-            timeout += float(self.rng.uniform(0.0, self.jitter_s))
+        timeout = BASE_TIMEOUT_S * BACKOFF_FACTOR ** (handle.attempts - 1)
+        timeout += float(self.rng.uniform(0.0, JITTER_S))
         self._timers[handle.msg_id] = self.clock.schedule_after(
             timeout,
             lambda: self._on_timeout(handle),
@@ -288,7 +265,7 @@ class ReliableChannel:
         if entry is None or handle.resolved:
             return
         self._timers.pop(handle.msg_id, None)
-        if handle.attempts > self.max_retries:
+        if handle.attempts > MAX_RETRIES:
             handle.status = "failed"
             self.stats.bump("gave_up")
             del self._pending[handle.msg_id]
@@ -305,8 +282,6 @@ class ReliableChannel:
                     msg_kind=handle.kind,
                     attempts=handle.attempts,
                 )
-            if self.on_give_up is not None:
-                self.on_give_up(handle)
             return
         self.stats.bump("retries")
         self._attempt(handle, entry[1], entry[2])

@@ -28,6 +28,9 @@ from typing import Any
 from repro.overlay.messaging import Message, MessageBus
 from repro.sim.engine import Simulator
 
+#: Anti-entropy gossip round interval (simulated seconds).
+GOSSIP_PERIOD_S = 10.0
+
 
 @dataclass(frozen=True, slots=True)
 class StateEntry:
@@ -104,36 +107,27 @@ class GossipSync:
         rotation (deterministic: no RNG needed, full coverage each
         ``len(peers)`` rounds).
     sim, bus:
-        Scheduling and transport.
-    period_s:
-        Gossip round interval.
+        Scheduling and transport.  The owner of each node's bus
+        registration chains :meth:`make_handler` into it.
+
+    A round runs every :data:`GOSSIP_PERIOD_S` once :meth:`start` is
+    called.
     """
 
     def __init__(
-        self,
-        stores: dict[str, StateStore],
-        sim: Simulator,
-        bus: MessageBus,
-        period_s: float = 10.0,
-        register: bool = True,
+        self, stores: dict[str, StateStore], sim: Simulator, bus: MessageBus
     ) -> None:
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
         if not stores:
             raise ValueError("need at least one store")
         self.stores = stores
         self.sim = sim
         self.bus = bus
-        self.period_s = float(period_s)
         self._round = 0
         self._stops: list = []
-        if register:
-            for node in stores:
-                bus.register(node, self.make_handler(node))
 
     def make_handler(self, node: str):
-        """Bus handler for ``node``; exposed so callers multiplexing one
-        bus registration across services can chain it."""
+        """Bus handler for ``node``, to chain from the node's bus
+        registration."""
 
         def handle(msg: Message) -> None:
             if msg.kind != "state-gossip":
@@ -146,7 +140,7 @@ class GossipSync:
         """Begin periodic gossip rounds."""
         self._stops.append(
             self.sim.schedule_periodic(
-                self.period_s, self._gossip_round, label="gossip"
+                GOSSIP_PERIOD_S, self._gossip_round, label="gossip"
             )
         )
 

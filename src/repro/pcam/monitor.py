@@ -25,6 +25,8 @@ from repro.workload.anomalies import draw_pool
 
 #: Most steps a run takes per :meth:`VmStateTable.load_block` call.
 MAX_BLOCK_STEPS = 256
+#: Simulated seconds after which a run that has not failed is an error.
+MAX_RUN_TIME_S = 1e6
 
 
 class ProfilingHarness:
@@ -55,10 +57,7 @@ class ProfilingHarness:
         self.mean_demand = float(mean_demand)
 
     def run_to_failure(
-        self,
-        request_rate: float,
-        rng: np.random.Generator,
-        max_time_s: float = 1e6,
+        self, request_rate: float, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """Drive one fresh VM at ``request_rate`` until its failure point.
 
@@ -79,7 +78,8 @@ class ProfilingHarness:
         Raises
         ------
         RuntimeError
-            If the VM survives past ``max_time_s`` (mis-configured load).
+            If the VM survives past :data:`MAX_RUN_TIME_S`
+            (mis-configured load).
         """
         if request_rate <= 0:
             raise ValueError("request_rate must be positive")
@@ -103,7 +103,7 @@ class ProfilingHarness:
             step_t = np.full(steps, dt)
             step_t[0] = t
             step_t = step_t.cumsum()
-            running = step_t < max_time_s
+            running = step_t < MAX_RUN_TIME_S
             rewind = rng.bit_generator.state
             n = rng.poisson(lam, size=steps)
             leaked, threads = draw_pool(injectors, n.tolist())
@@ -125,7 +125,7 @@ class ProfilingHarness:
                 )
             if not running.all():
                 raise RuntimeError(
-                    f"VM survived past max_time_s={max_time_s} "
+                    f"VM survived past {MAX_RUN_TIME_S:g} s "
                     f"at rate {request_rate}"
                 )
             times.append(step_t)

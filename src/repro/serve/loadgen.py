@@ -32,6 +32,13 @@ from repro.workload.profiles import DiurnalProfile
 
 #: Supported arrival schedules.
 SCHEDULES = ("poisson", "diurnal", "flash")
+#: flash: the spike multiplies the rate by this factor from this fraction
+#: of the run to that one.
+FLASH_FACTOR = 4.0
+FLASH_START = 0.4
+FLASH_END = 0.7
+#: diurnal: peak/trough rate ratio.
+DIURNAL_RATIO = 3.0
 
 
 @dataclass(frozen=True)
@@ -44,10 +51,6 @@ class LoadConfig:
     schedule: str = "poisson"  #: one of :data:`SCHEDULES`
     connections: int = 4  #: concurrent keep-alive connections
     seed: int = 7
-    flash_factor: float = 4.0  #: flash: rate multiplier during the spike
-    flash_start: float = 0.4  #: flash: spike start, fraction of duration
-    flash_end: float = 0.7  #: flash: spike end, fraction of duration
-    diurnal_ratio: float = 3.0  #: diurnal: peak/trough rate ratio
 
 
 @dataclass
@@ -107,23 +110,18 @@ def build_schedule(cfg: LoadConfig) -> np.ndarray:
         proc = PoissonArrivals(rng, cfg.rate)
         return proc.sample_window(0.0, cfg.duration_s)
     if cfg.schedule == "flash":
-        lo, hi = (
-            cfg.flash_start * cfg.duration_s,
-            cfg.flash_end * cfg.duration_s,
-        )
+        lo, hi = FLASH_START * cfg.duration_s, FLASH_END * cfg.duration_s
 
         def flash_rate(t: float) -> float:
-            return (
-                cfg.rate * cfg.flash_factor if lo <= t < hi else cfg.rate
-            )
+            return cfg.rate * FLASH_FACTOR if lo <= t < hi else cfg.rate
 
         proc = PoissonArrivals(
-            rng, flash_rate, rate_max=cfg.rate * cfg.flash_factor
+            rng, flash_rate, rate_max=cfg.rate * FLASH_FACTOR
         )
         return proc.sample_window(0.0, cfg.duration_s)
     # diurnal: one full day compressed into the run, trough->peak->trough
-    trough = max(1.0, 2.0 * cfg.rate / (1.0 + cfg.diurnal_ratio))
-    peak = max(trough, trough * cfg.diurnal_ratio)
+    trough = max(1.0, 2.0 * cfg.rate / (1.0 + DIURNAL_RATIO))
+    peak = max(trough, trough * DIURNAL_RATIO)
     profile = DiurnalProfile(
         trough_clients=trough,
         peak_clients=peak,

@@ -57,6 +57,8 @@ from repro.slo import LEVEL_DEGRADED, SloConfig, SloController
 #: Control-channel message kinds (application layer, over rc-data).
 REPORT_KIND = "rmttf-report"
 PLAN_KIND = "plan-row"
+#: Admission token-bucket depth, in seconds of ``admission_rps``.
+ADMISSION_BURST_S = 0.25
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,10 @@ class ServeConfig:
 
     Times are in *clock seconds* (scaled by the wall clock's ``speed``),
     except ``admission_rps`` which is real requests per wall second --
-    admission protects the actual process, not the modeled one.
+    admission protects the actual process, not the modeled one.  The
+    token bucket holds :data:`ADMISSION_BURST_S` of that rate, and the
+    control channel runs :class:`~repro.overlay.reliable.ReliableChannel`'s
+    fixed retry ladder.
     """
 
     era_s: float = 30.0  #: MAPE period
@@ -74,8 +79,6 @@ class ServeConfig:
     policy: str = "available-resources"
     seed: int = 7
     admission_rps: float = 5000.0  #: per-region token-bucket rate
-    admission_burst_s: float = 0.25  #: bucket depth, seconds of rate
-    channel_timeout_s: float = 0.25  #: first-attempt ack timeout
     #: Optional per-region SLO gate (p95 target / queue depth / error
     #: budget on real time) driving the priority ladder and 429
     #: backpressure.  ``None`` (the default) takes no SLO code path.
@@ -145,7 +148,6 @@ class AcmService:
         self.channel = ReliableChannel(
             self.bus,
             self.manager.rngs.stream("serve/jitter"),
-            base_timeout_s=cfg.channel_timeout_s,
             telemetry=tel,
             clock=clock,
         )
@@ -182,7 +184,7 @@ class AcmService:
         self._rr = 0
 
         # admission token buckets (real time)
-        self._bucket_cap = cfg.admission_rps * cfg.admission_burst_s
+        self._bucket_cap = cfg.admission_rps * ADMISSION_BURST_S
         self._tokens = {r: self._bucket_cap for r in self.regions}
         self._token_ts = {r: time.monotonic() for r in self.regions}
 

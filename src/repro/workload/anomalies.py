@@ -68,32 +68,34 @@ class AnomalyInjector:
 
     Parameters
     ----------
+    rng:
+        Dedicated random stream (one per VM, from the VM's child registry).
     leak_probability:
-        Probability a request leaks memory (paper: 0.10).
-    thread_probability:
-        Probability a request leaves an unterminated thread (paper: 0.05).
+        Probability a request leaks memory (paper: 0.10; a drifted
+        scenario raises it).
     leak_mean_mb:
         Mean size of one leak in MB.
     leak_sigma:
         Log-normal shape parameter of the leak-size distribution.
     thread_overhead_mb:
         Resident memory pinned by each stuck thread (stack + locals).
-    rng:
-        Dedicated random stream (one per VM, from the VM's child registry).
+
+    A request leaves an unterminated thread with probability
+    :data:`DEFAULT_THREAD_PROBABILITY` (paper: 0.05); the
+    ``thread_probability`` attribute moves only under a chaos fault.
     """
 
     def __init__(
         self,
         rng: np.random.Generator,
         leak_probability: float = DEFAULT_LEAK_PROBABILITY,
-        thread_probability: float = DEFAULT_THREAD_PROBABILITY,
         leak_mean_mb: float = 0.8,
         leak_sigma: float = 0.5,
         thread_overhead_mb: float = 0.25,
     ) -> None:
         # the setters validate both probabilities
         self.leak_probability = leak_probability
-        self.thread_probability = thread_probability
+        self.thread_probability = DEFAULT_THREAD_PROBABILITY
         # written as ``not <range>`` so that NaN fails too
         if not 0.0 < leak_mean_mb < math.inf:
             raise ValueError("leak_mean_mb must be positive and finite")

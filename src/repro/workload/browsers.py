@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workload.tpcw import MIX_SHOPPING, RequestMix
-
 #: TPC-W specification mean think time (seconds).
 DEFAULT_THINK_TIME_S = 7.0
 
@@ -52,9 +50,8 @@ class BrowserPopulation:
     Parameters
     ----------
     n_clients:
-        Number of EBs; the paper uses values in [16, 512].
-    mix:
-        TPC-W interaction mix driving the request classes.
+        Number of EBs, each running the TPC-W shopping mix; the paper
+        uses values in [16, 512].
     think_time_s:
         Mean exponential think time.
     name:
@@ -62,7 +59,6 @@ class BrowserPopulation:
     """
 
     n_clients: int
-    mix: RequestMix = MIX_SHOPPING
     think_time_s: float = DEFAULT_THINK_TIME_S
     name: str = "clients"
 

@@ -17,7 +17,6 @@ from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
 from repro.topology import DomainHealthTracker, FailureDomainTree
 from repro.workload.browsers import BrowserPopulation
-from repro.workload.tpcw import MIX_SHOPPING
 
 from ..pcam.conftest import build_vm, set_load
 from ..pcam.reference_vmc import predict_one
@@ -397,7 +396,7 @@ class TestDomainPrimitives:
 
 class TestWorkloadPrimitives:
     def test_flash_crowd_scales_and_restores_from_base(self):
-        pop = BrowserPopulation(n_clients=100, mix=MIX_SHOPPING)
+        pop = BrowserPopulation(n_clients=100)
         sim, engine = make_engine(populations={"r1": pop})
         assert engine.flash_crowd("r1", 2.0) == 200
         assert pop.n_clients == 200

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import AcmManager, RegionSpec
-from repro.core.degradation import DegradationConfig, DegradationTracker
+from repro.core.degradation import (
+    FALLBACK_AFTER_ERAS,
+    STALE_AFTER_ERAS,
+    DegradationTracker,
+)
 from repro.core.distributed import DistributedControlPlane
 from repro.chaos import CorruptiblePredictor, LossyBus
 from repro.sim.rng import RngRegistry
@@ -43,9 +47,8 @@ class TestTracker:
             assert tracker.observe(era, {"a", "b", "c"}) == "normal"
 
     def test_brief_hiccup_is_forgiven(self):
-        tracker = DegradationTracker(
-            ["a", "b", "c"], DegradationConfig(stale_after_eras=2)
-        )
+        assert STALE_AFTER_ERAS == 2
+        tracker = DegradationTracker(["a", "b", "c"])
         tracker.observe(0, {"a", "b", "c"})
         # b and c go quiet; their last reports stay fresh for 2 eras
         assert tracker.observe(1, {"a"}) == "normal"
@@ -54,38 +57,32 @@ class TestTracker:
         assert tracker.consecutive_degraded == 0
 
     def test_quorum_loss_holds_then_falls_back(self):
-        tracker = DegradationTracker(
-            ["a", "b", "c"],
-            DegradationConfig(stale_after_eras=1, fallback_after_eras=3),
-        )
+        tracker = DegradationTracker(["a", "b", "c"])
         tracker.observe(0, {"a", "b", "c"})
-        assert tracker.observe(1, {"a"}) == "normal"  # b, c still fresh
-        assert tracker.observe(2, {"a"}) == "hold"
-        assert tracker.observe(3, {"a"}) == "hold"
-        assert tracker.observe(4, {"a"}) == "fallback"
-        assert tracker.observe(5, {"a"}) == "fallback"
+        # b and c stay fresh for STALE_AFTER_ERAS eras
+        for era in range(1, STALE_AFTER_ERAS + 1):
+            assert tracker.observe(era, {"a"}) == "normal"
+        first_hold = STALE_AFTER_ERAS + 1
+        for era in range(first_hold, first_hold + FALLBACK_AFTER_ERAS - 1):
+            assert tracker.observe(era, {"a"}) == "hold"
+        first_fallback = first_hold + FALLBACK_AFTER_ERAS - 1
+        assert tracker.observe(first_fallback, {"a"}) == "fallback"
+        assert tracker.observe(first_fallback + 1, {"a"}) == "fallback"
 
     def test_recovery_is_immediate(self):
-        tracker = DegradationTracker(
-            ["a", "b"],
-            DegradationConfig(stale_after_eras=0, fallback_after_eras=2),
-        )
-        tracker.observe(0, {"a"})
-        tracker.observe(1, {"a"})
+        tracker = DegradationTracker(["a", "b"])
+        # b never reports: stale after the grace eras, then the ladder
+        eras = STALE_AFTER_ERAS + FALLBACK_AFTER_ERAS
+        for era in range(eras):
+            tracker.observe(era, {"a"})
         assert tracker.mode == "fallback"
-        assert tracker.observe(2, {"a", "b"}) == "normal"
+        assert tracker.observe(eras, {"a", "b"}) == "normal"
 
     def test_leader_alone_is_majority_of_one(self):
         tracker = DegradationTracker(["a"])
         assert tracker.observe(0, {"a"}) == "normal"
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DegradationConfig(quorum_fraction=1.0)
-        with pytest.raises(ValueError):
-            DegradationConfig(stale_after_eras=-1)
-        with pytest.raises(ValueError):
-            DegradationConfig(fallback_after_eras=0)
         with pytest.raises(ValueError):
             DegradationTracker([])
 
@@ -102,13 +99,12 @@ class TestLoopDegradation:
         loop.run(10)
         loop.overlay.fail_link("region1", "region3")
         modes = [s.degradation for s in loop.run(12)]
-        cfg = loop.degradation.config
         # grace eras first (stale reports still fresh), then hold, then
-        # fallback after the configured number of degraded eras
-        assert modes[: cfg.stale_after_eras] == ["normal"] * cfg.stale_after_eras
-        first_hold = cfg.stale_after_eras
+        # fallback after FALLBACK_AFTER_ERAS degraded eras
+        assert modes[:STALE_AFTER_ERAS] == ["normal"] * STALE_AFTER_ERAS
+        first_hold = STALE_AFTER_ERAS
         assert modes[first_hold] == "hold"
-        first_fallback = first_hold + cfg.fallback_after_eras - 1
+        first_fallback = first_hold + FALLBACK_AFTER_ERAS - 1
         assert modes[first_fallback] == "fallback"
         assert modes[-1] == "fallback"
 

@@ -44,11 +44,12 @@ def make_loop(n_vms=4, clients=40, itype=PRIVATE_SMALL, seed=1,
             AnomalyInjector(
                 rngs.child(f"vm{i}").stream("a"),
                 leak_probability=leak_probability,
-                thread_probability=thread_probability,
             ),
         )
         for i in range(n_vms)
     ]
+    for vm in vms:
+        vm.injector.thread_probability = thread_probability
     population = BrowserPopulation(n_clients=clients,
                                    think_time_s=THINK_TIME_S)
     loop = DesControlLoop(

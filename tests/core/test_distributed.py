@@ -3,7 +3,14 @@
 import pytest
 
 from repro.core import AcmManager, RegionSpec
-from repro.core.distributed import DistributedControlPlane
+from repro.core.distributed import CONTROL_WINDOW_S, DistributedControlPlane
+from repro.experiments.scenarios import SCENARIOS
+from repro.overlay.reliable import (
+    BACKOFF_FACTOR,
+    BASE_TIMEOUT_S,
+    JITTER_S,
+    MAX_RETRIES,
+)
 
 
 def make_plane(seed=41):
@@ -17,6 +24,22 @@ def make_plane(seed=41):
         seed=seed,
     )
     return mgr, DistributedControlPlane(mgr.loop)
+
+
+def test_the_control_window_covers_the_retry_ladder():
+    """A report whose first MAX_RETRIES attempts are lost is still
+    acked inside one exchange window: the last retry goes out after the
+    first MAX_RETRIES timeouts (each at most JITTER_S late), and its data
+    and ack cross the slowest link of any scenario (default 20 ms)."""
+    last_retry_s = sum(
+        BASE_TIMEOUT_S * BACKOFF_FACTOR**k + JITTER_S
+        for k in range(MAX_RETRIES)
+    )
+    links_ms = [
+        ms for make in SCENARIOS.values() for ms in make().latencies_ms.values()
+    ]
+    slowest_link_s = max([20.0, *links_ms]) / 1000.0
+    assert last_retry_s + 2 * slowest_link_s <= CONTROL_WINDOW_S
 
 
 class TestHealthyPlane:

@@ -47,17 +47,13 @@ class TestRecommendPool:
 
     def test_unreachable_target_raises(self):
         with pytest.raises(ValueError, match="no pool"):
-            recommend_pool(
-                "private.small", 50.0, target_rmttf_s=1e9, max_vms=8
-            )
+            recommend_pool("private.small", 50.0, target_rmttf_s=1e9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             recommend_pool("m3.medium", 0.0, 100.0)
         with pytest.raises(ValueError):
             recommend_pool("m3.medium", 1.0, 0.0)
-        with pytest.raises(ValueError):
-            recommend_pool("m3.medium", 1.0, 100.0, max_utilisation=1.5)
         for bad in (-5.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="non-negative and finite"):
                 recommend_pool("m3.medium", 30.0, 600.0, rttf_threshold_s=bad)

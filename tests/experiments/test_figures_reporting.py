@@ -10,7 +10,7 @@ from repro.experiments import (
     run_figure,
     sparkline,
 )
-from repro.experiments.reporting import assessment_table
+from repro.experiments.reporting import SPARK_WIDTH, assessment_table
 from repro.sim import TraceRecorder
 
 
@@ -24,15 +24,11 @@ class TestSparkline:
         assert s[-1] == "█"
 
     def test_downsamples_to_width(self):
-        s = sparkline(np.arange(1000.0), width=40)
-        assert len(s) == 40
+        s = sparkline(np.arange(1000.0))
+        assert len(s) == SPARK_WIDTH
 
     def test_empty(self):
         assert sparkline(np.array([])) == ""
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            sparkline(np.arange(5.0), width=0)
 
 
 class TestRenderSeries:

@@ -8,6 +8,7 @@ from repro.chaos import ChaosEngine
 from repro.cli import main
 from repro.experiments.resilience import (
     CAMPAIGNS,
+    MIN_CAMPAIGN_ERAS,
     recovery_bound_eras,
     report_campaign,
     run_campaign,
@@ -94,10 +95,15 @@ class TestSuite:
     def test_suite_cell_replays_as_one_campaign(self):
         """A suite cell's seed derives from the root as a sweep cell's
         does, and ``run_campaign`` at that seed replays the cell."""
-        outcome = run_campaign_suite(("smoke",), seed=7)
-        (job,), (payload,) = outcome.jobs, outcome.payloads
+        outcome = run_campaign_suite(seed=7, eras=MIN_CAMPAIGN_ERAS)
+        assert [job.scenario for job in outcome.jobs] == list(CAMPAIGNS)
+        job, payload = next(
+            (job, payload)
+            for job, payload in zip(outcome.jobs, outcome.payloads)
+            if job.scenario == "smoke"
+        )
         assert job.seed == derive_seed(7, "chaos/smoke/rep0")
-        result = run_campaign("smoke", seed=job.seed)
+        result = run_campaign("smoke", eras=MIN_CAMPAIGN_ERAS, seed=job.seed)
         assert payload["availability"] == result.availability
         assert payload["final_fractions"] == {
             k: float(v) for k, v in sorted(result.final_fractions.items())

@@ -58,11 +58,6 @@ class TestLineChart:
         with pytest.raises(ValueError):
             line_chart({}, "t", str(tmp_path / "x.svg"))
 
-    def test_tiny_canvas_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            line_chart({"a": series()}, "t", str(tmp_path / "x.svg"),
-                       width=50, height=50)
-
     def test_constant_series_does_not_crash(self, tmp_path):
         flat = TraceSeries("f", np.arange(5.0), np.full(5, 3.0))
         path = str(tmp_path / "flat.svg")

@@ -164,11 +164,12 @@ class TestValidation:
             (dict(campaigns=("smoke",), campaign_eras=1), "campaign_eras"),
             (dict(campaigns=("smoke",), campaign_eras=3), "campaign_eras"),
             (dict(campaign_eras=-1), "campaign_eras"),
+            (dict(predictor="nosuch"), "unknown predictor"),
         ],
         ids=[
             "unknown-campaign", "nan-load", "inf-load", "nan-era",
             "zero-era", "one-campaign-era", "three-campaign-eras",
-            "negative-campaign-eras",
+            "negative-campaign-eras", "unknown-predictor",
         ],
     )
     def test_bad_input_refused_when_built(self, overrides, match):

@@ -1,12 +1,14 @@
 """Additional toolchain configurations: custom suites, no selection,
 alternate ranking metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.ml import Dataset, F2PMToolchain, LinearRegression
 from repro.ml.features import FEATURE_NAMES
-from repro.ml.toolchain import DEFAULT_SUITE
+from repro.ml.toolchain import DEFAULT_SUITE, RANKING_METRIC
 
 
 @pytest.fixture
@@ -55,16 +57,18 @@ class TestNoFeatureSelection:
 class TestRankingMetrics:
     @pytest.mark.parametrize("metric", ["mae", "rmse", "mape", "r2"])
     def test_each_metric_ranks(self, dataset, metric):
+        """The toolchain ranks by RANKING_METRIC; a comparison re-ranks
+        its reports by any metric."""
         tc = F2PMToolchain(
             suite={
                 "ols": LinearRegression,
                 "lasso": DEFAULT_SUITE["lasso"],
             },
             cv_folds=3,
-            ranking_metric=metric,
         )
         comp = tc.compare(dataset, np.random.default_rng(0))
-        ranked = comp.ranked()
+        assert comp.ranking_metric == RANKING_METRIC
+        ranked = replace(comp, ranking_metric=metric).ranked()
         assert len(ranked) == 2
         a, b = ranked[0][1], ranked[1][1]
         if metric == "r2":

@@ -7,11 +7,12 @@ import json
 import pytest
 
 from repro.obs import FlightRecorder, RunManifest, config_digest
+from repro.obs.flight import FLIGHT_CAPACITY
 
 
 class TestFlightRecorder:
     def test_records_in_order_with_data(self):
-        rec = FlightRecorder(capacity=8)
+        rec = FlightRecorder()
         rec.record(1.0, "bus.drop", reason="overflow")
         rec.record(2.0, "chaos.crash_node", target="region1")
         events = rec.events()
@@ -19,15 +20,17 @@ class TestFlightRecorder:
         assert events[0].data == {"reason": "overflow"}
 
     def test_ring_evicts_oldest_and_counts_seen(self):
-        rec = FlightRecorder(capacity=3)
-        for i in range(10):
+        rec = FlightRecorder()
+        total = FLIGHT_CAPACITY + 7
+        for i in range(total):
             rec.record(float(i), f"e{i}")
-        assert len(rec) == 3
-        assert rec.seen == 10
-        assert [e.kind for e in rec.events()] == ["e7", "e8", "e9"]
+        assert len(rec) == FLIGHT_CAPACITY
+        assert rec.seen == total
+        assert [e.kind for e in rec.events()][:2] == ["e7", "e8"]
+        assert rec.events()[-1].kind == f"e{total - 1}"
         snap = rec.snapshot()
         assert snap["evicted"] == 7
-        assert snap["capacity"] == 3
+        assert snap["capacity"] == FLIGHT_CAPACITY
 
     def test_kind_prefix_filter(self):
         rec = FlightRecorder()
@@ -38,10 +41,6 @@ class TestFlightRecorder:
             "chaos.crash_node",
             "chaos.message_loss",
         ]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
 
     def test_snapshot_is_json_ready(self):
         rec = FlightRecorder()

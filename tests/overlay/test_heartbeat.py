@@ -3,18 +3,26 @@
 import pytest
 
 from repro.overlay import MessageBus, OverlayNetwork, Router
-from repro.overlay.heartbeat import HeartbeatDetector, build_detector_mesh
+from repro.overlay.heartbeat import (
+    DETECTOR_TIMEOUT_S,
+    HEARTBEAT_PERIOD_S,
+    HeartbeatDetector,
+    build_detector_mesh,
+)
 from repro.sim import Simulator
 
 
-def make_mesh(n=3, period=5.0, timeout=15.0):
+def make_mesh(n=3):
     names = [f"r{i}" for i in range(1, n + 1)]
     net = OverlayNetwork.full_mesh(
         {(a, b): 10.0 for i, a in enumerate(names) for b in names[i + 1 :]}
     )
     sim = Simulator()
     bus = MessageBus(sim=sim, router=Router(net))
-    detectors = build_detector_mesh(names, sim, bus, period, timeout)
+    detectors = build_detector_mesh(names, sim, bus)
+    for name, det in detectors.items():
+        bus.register(name, det.on_message)
+        det.start()
     return names, net, sim, bus, detectors
 
 
@@ -40,12 +48,12 @@ class TestHealthyOperation:
 
 class TestCrashDetection:
     def test_crashed_node_gets_suspected_within_bound(self):
-        _, net, sim, _, detectors = make_mesh(period=5.0, timeout=15.0)
+        _, net, sim, _, detectors = make_mesh()
         sim.run_until(50.0)
         net.fail_node("r2")
         detectors["r2"].stop()
         # suspicion must land within timeout + a couple of periods
-        sim.run_until(50.0 + 15.0 + 2 * 5.0 + 1.0)
+        sim.run_until(50.0 + DETECTOR_TIMEOUT_S + 2 * HEARTBEAT_PERIOD_S + 1.0)
         assert "r2" in detectors["r1"].suspected_peers()
         assert "r2" in detectors["r3"].suspected_peers()
 
@@ -101,10 +109,7 @@ class TestValidation:
         sim = Simulator()
         net = OverlayNetwork.full_mesh({("a", "b"): 1.0})
         bus = MessageBus(sim=sim, router=Router(net))
-        with pytest.raises(ValueError):
-            HeartbeatDetector("a", ["b"], sim, bus, period_s=0.0)
-        with pytest.raises(ValueError):
-            HeartbeatDetector("a", ["b"], sim, bus, period_s=5.0, timeout_s=5.0)
+        assert DETECTOR_TIMEOUT_S > HEARTBEAT_PERIOD_S > 0
         with pytest.raises(ValueError):
             HeartbeatDetector("a", ["a", "b"], sim, bus)
 

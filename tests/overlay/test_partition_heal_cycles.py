@@ -17,17 +17,21 @@ that, within that bound after every topology change:
 from itertools import groupby
 
 from repro.overlay.election import LeaderElection
-from repro.overlay.heartbeat import build_detector_mesh
+from repro.overlay.heartbeat import (
+    DETECTOR_TIMEOUT_S,
+    HEARTBEAT_PERIOD_S,
+    build_detector_mesh,
+)
 from repro.overlay.messaging import MessageBus
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.routing import Router
-from repro.overlay.state_sync import GossipSync, StateStore
+from repro.overlay.state_sync import GOSSIP_PERIOD_S, GossipSync, StateStore
 from repro.sim.engine import Simulator
 
 NODES = ["n1", "n2", "n3", "n4", "n5"]
-PERIOD_S = 2.0
-TIMEOUT_S = 6.0
-GOSSIP_S = 3.0
+PERIOD_S = HEARTBEAT_PERIOD_S
+TIMEOUT_S = DETECTOR_TIMEOUT_S
+GOSSIP_S = GOSSIP_PERIOD_S
 #: detector convergence bound: silence timeout + one check period + the
 #: worst path latency (milliseconds here, rounded up generously)
 DETECT_BOUND_S = TIMEOUT_S + PERIOD_S + 0.5
@@ -48,24 +52,13 @@ class Mesh:
         self.sim = Simulator()
         self.router = Router(self.net)
         self.bus = MessageBus(sim=self.sim, router=self.router)
-        self.detectors = build_detector_mesh(
-            NODES,
-            self.sim,
-            self.bus,
-            period_s=PERIOD_S,
-            timeout_s=TIMEOUT_S,
-            register=False,
-        )
+        self.detectors = build_detector_mesh(NODES, self.sim, self.bus)
         self.stores = {n: StateStore(n) for n in NODES}
-        self.gossip = GossipSync(
-            self.stores,
-            self.sim,
-            self.bus,
-            period_s=GOSSIP_S,
-            register=False,
-        )
+        self.gossip = GossipSync(self.stores, self.sim, self.bus)
         for node in NODES:
             self.bus.register(node, self._mux(node))
+        for det in self.detectors.values():
+            det.start()
         self.gossip.start()
         self.election = LeaderElection(self.net)
 

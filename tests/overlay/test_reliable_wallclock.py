@@ -8,16 +8,17 @@ channel on a :class:`WallClock` resolves to the **same**
 acks, duplicates, give-ups, all of it.  Only the wall time at which the
 ladder runs differs.
 
-The wall runs are compressed (speed 10) with an ack timeout of 0.5 clock
-seconds, which is 50 ms of wall time.  An ack's round trip over the
-modeled 10 ms links is 0.02 clock seconds (2 ms wall), so the margin
-before a retry timer fires is 48 ms of wall time: dispatch-loop lag --
-real milliseconds between an event coming due and asyncio running it,
-a scheduler hiccup on a loaded host -- must exceed that to push an ack
-past its timer and break the parity the test is about.  (At speed 100
-the margin was under 5 ms, and one tier-1 run in six lost it.)  Sends are issued *while* the dispatch loop runs, as the
-serve runtime does; sending into a stopped clock and starting it later
-would let real time run ahead of every deadline.
+The wall runs are compressed (speed 5) and the channel's first ack
+timeout is 0.25 clock seconds, which is 50 ms of wall time.  An ack's
+round trip over the modeled 10 ms links is 0.02 clock seconds (4 ms
+wall), so the margin before a retry timer fires is 46 ms of wall time:
+dispatch-loop lag -- real milliseconds between an event coming due and
+asyncio running it, a scheduler hiccup on a loaded host -- must exceed
+that to push an ack past its timer and break the parity the test is
+about.  (At a 5 ms margin, one tier-1 run in six lost it.)  Sends are
+issued *while* the dispatch loop runs, as the serve runtime does;
+sending into a stopped clock and starting it later would let real time
+run ahead of every deadline.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from repro.serve.clock import WallClock
 from repro.sim import SimClock
 from repro.sim.rng import RngRegistry
 
-SPEED = 10.0
-#: Full 4-attempt give-up ladder: 0.5+1+2+4 = 7.5 clock-s (plus at most
-#: 4 x 0.02 s of jitter) = about 0.76 s wall, inside the 2 s poll deadline.
-CHANNEL_KW = dict(base_timeout_s=0.5, jitter_s=0.02, max_retries=3)
+SPEED = 5.0
+#: Full 4-attempt give-up ladder: 0.25+0.5+1+2 = 3.75 clock-s (plus at
+#: most 4 x 0.05 s of jitter) = about 0.79 s wall, inside the 2 s poll
+#: deadline.
 
 
 def mesh(latency=10.0):
@@ -72,7 +73,6 @@ def run_script(clock, drops, drop_kind="rc-data", n_messages=3, seed=3):
         bus,
         RngRegistry(seed=seed).stream("reliable/jitter"),
         clock=clock,
-        **CHANNEL_KW,
     )
     got = []
     channel.attach("r1", lambda m: None)
@@ -97,7 +97,7 @@ def run_wall(drops, **kw):
         runner = asyncio.ensure_future(clock.run_for(None))
         await asyncio.sleep(0)  # let the dispatch loop come up first
         channel, handles, got = run_script(clock, drops, **kw)
-        # poll until the ladder resolves; 2 s wall == 20 clock-s, well
+        # poll until the ladder resolves; 2 s wall == 10 clock-s, well
         # beyond the worst-case give-up time, so a hang here is a bug
         deadline = asyncio.get_event_loop().time() + 2.0
         while channel.pending_count() > 0:

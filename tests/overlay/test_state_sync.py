@@ -7,7 +7,7 @@ from repro.overlay.state_sync import GossipSync, StateEntry, StateStore
 from repro.sim import Simulator
 
 
-def make_cluster(n=4, period=10.0):
+def make_cluster(n=4):
     names = [f"r{i}" for i in range(1, n + 1)]
     net = OverlayNetwork.full_mesh(
         {(a, b): 5.0 for i, a in enumerate(names) for b in names[i + 1 :]}
@@ -15,7 +15,9 @@ def make_cluster(n=4, period=10.0):
     sim = Simulator()
     bus = MessageBus(sim=sim, router=Router(net))
     stores = {n_: StateStore(n_) for n_ in names}
-    sync = GossipSync(stores, sim, bus, period_s=period)
+    sync = GossipSync(stores, sim, bus)
+    for name in names:
+        bus.register(name, sync.make_handler(name))
     sync.start()
     return names, net, sim, stores, sync
 
@@ -107,5 +109,3 @@ class TestGossipConvergence:
         bus = MessageBus(sim=sim, router=Router(net))
         with pytest.raises(ValueError):
             GossipSync({}, sim, bus)
-        with pytest.raises(ValueError):
-            GossipSync({"a": StateStore("a")}, sim, bus, period_s=0.0)

@@ -84,7 +84,7 @@ class TestProfilingHarness:
     def test_max_time_guard(self, rngs):
         h = self._harness(rngs)
         with pytest.raises(RuntimeError, match="survived"):
-            h.run_to_failure(0.001, np.random.default_rng(0), max_time_s=100.0)
+            h.run_to_failure(0.001, np.random.default_rng(0))
 
     def test_collect_builds_rttf_dataset(self, rngs):
         h = self._harness(rngs, sample_period_s=30.0)

@@ -88,12 +88,16 @@ def make_vm(
     rate=0.0,
     policy=None,
     name="oracle/vm",
+    thread_probability=None,
     **injector_kw,
 ):
+    injector = AnomalyInjector(np.random.default_rng(0), **injector_kw)
+    if thread_probability is not None:
+        injector.thread_probability = thread_probability
     vm = ReferenceVm(
         name,
         itype,
-        AnomalyInjector(np.random.default_rng(0), **injector_kw),
+        injector,
         failure_policy=policy,
         state=VmState.ACTIVE,
     )

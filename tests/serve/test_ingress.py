@@ -64,7 +64,7 @@ class TestDataPath:
             assert body["forwarded"] is True
 
     def test_admission_sheds_with_429_when_bucket_empty(self):
-        service = make_service(admission_rps=1.0, admission_burst_s=2.0)
+        service = make_service(admission_rps=8.0)  # a bucket of 2 tokens
         region = service.regions[0]
         statuses = [service.handle_request(region)[0] for _ in range(40)]
         assert statuses.count(429) > 0

@@ -208,8 +208,7 @@ def corpus_targets(regions: list[str]) -> list[tuple[str, str]]:
 def test_replies_equal_the_reference_across_an_era_tick(twins, slo):
     make, now = twins
     service, reference = make(
-        admission_rps=20.0,
-        admission_burst_s=0.1,
+        admission_rps=8.0,  # a bucket of 2 tokens
         slo=SloConfig(p95_target_s=10.0) if slo else None,
     )
     ingress = HttpIngress(service)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.serve.loadgen import (
+    FLASH_END,
+    FLASH_FACTOR,
+    FLASH_START,
     SCHEDULES,
     LoadConfig,
     LoadReport,
@@ -55,17 +58,15 @@ class TestSchedules:
             rate=300.0,
             duration_s=4.0,
             schedule="flash",
-            flash_factor=5.0,
-            flash_start=0.25,
-            flash_end=0.5,
             seed=9,
         )
         arrivals = build_schedule(cfg)
-        lo, hi = 0.25 * 4.0, 0.5 * 4.0
+        lo, hi = FLASH_START * 4.0, FLASH_END * 4.0
         in_spike = np.sum((arrivals >= lo) & (arrivals < hi))
-        before = np.sum(arrivals < lo)
-        # spike window and pre-spike window have equal width; the spike
-        # runs at 5x the base rate
+        before = np.sum((arrivals >= lo - (hi - lo)) & (arrivals < lo))
+        # spike window and the window before it have equal width; the
+        # spike runs at FLASH_FACTOR (4x) the base rate
+        assert FLASH_FACTOR == 4.0
         assert in_spike > 2.5 * before
 
     def test_diurnal_low_rate_does_not_crash(self):

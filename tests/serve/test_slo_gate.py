@@ -179,8 +179,7 @@ class TestQueueDepthSignal:
                 min_dwell_s=0.2,
                 window_s=1.0,
             ),
-            admission_rps=20.0,
-            admission_burst_s=1.0,
+            admission_rps=80.0,  # a bucket of 20 tokens
         )
         mono = service._mono = FakeMono()
         by_request, by_sweep = service.regions
@@ -189,7 +188,7 @@ class TestQueueDepthSignal:
             assert replies[0][0] == 200
             assert replies[-1][0] == 429 and replies[-1][1]["error"] == "slo"
         mono.advance(2.0)  # the dwell is long over
-        time.sleep(0.25)  # 5 tokens back: deficit ~1, exit threshold 4
+        time.sleep(0.25)  # 20 tokens back: deficit 0, exit threshold 4
         assert service.handle_request(by_request)[0] == 200
         service._era_tick()  # no traffic at all: the era sweep refills
         snap = service.slo_snapshot()["regions"][by_sweep]
@@ -265,7 +264,7 @@ class TestTokenBucketRetryAfter:
     def test_shed_body_carries_refill_hint(self):
         # satellite regression: the token-bucket 429 must include a
         # Retry-After derived from the refill rate
-        service = make_service(admission_rps=1.0, admission_burst_s=2.0)
+        service = make_service(admission_rps=8.0)  # a bucket of 2 tokens
         region = service.regions[0]
         bodies = [service.handle_request(region) for _ in range(40)]
         shed = [b for s, b in bodies if s == 429]
@@ -273,7 +272,7 @@ class TestTokenBucketRetryAfter:
         for body in shed:
             assert body["error"] == "shed"
             assert body["retry_after_s"] >= 1
-            # deficit < 1 token at 1 rps -> at most ~1s, never huge
+            # deficit < 1 token at 8 rps -> at most ~1s, never huge
             assert body["retry_after_s"] <= 2
 
 

@@ -146,7 +146,8 @@ def test_one_request_draw_matches_the_generator_body(p_leak, p_thread):
     for seed in SEEDS:
         ref = np.random.default_rng([seed, 7])
         gen = np.random.default_rng([seed, 7])
-        injector = AnomalyInjector(gen, p_leak, p_thread)
+        injector = AnomalyInjector(gen, p_leak)
+        injector.thread_probability = p_thread
         args = reference_args(injector)
         for step in range(150):
             # mostly one-request draws, with a batch draw every tenth step

@@ -92,6 +92,32 @@ class TestParser:
             "--speed: must be positive and finite, got inf",
             id="loadtest-speed",
         ),
+        *(
+            pytest.param(
+                argv, "--predictor: unknown predictor 'nosuch'",
+                id=f"{argv[0]}-predictor",
+            )
+            for argv in (
+                ["fig3", "--predictor", "nosuch"],
+                ["sweep", "--predictor", "nosuch", "--dry-run"],
+            )
+        ),
+        *(
+            pytest.param(
+                ["serve", "--port", port],
+                f"--port: must be a port in 0-65535, got {port}",
+                id=f"serve-port{port}",
+            )
+            for port in ("-1", "70000")
+        ),
+        *(
+            pytest.param(
+                ["obs", "dump.json", "--top", top],
+                f"--top: must be >= 1, got {top}",
+                id=f"obs-top{top}",
+            )
+            for top in ("0", "-1")
+        ),
         pytest.param(
             ["serve", "--speed", "0"],
             "--speed: must be positive and finite, got 0",
@@ -181,9 +207,9 @@ class TestParser:
     ids=lambda v: v[0] if isinstance(v, list) else "",
 )
 def test_bad_names_are_a_one_line_exit_2(argv, named, capsys):
-    """Scenario, policy and seed lists, seeds, worker and era counts, and
-    every rate, target, duration, speed and window are checked where they
-    are parsed,
+    """Scenario, policy and predictor names, seed lists, seeds, worker and
+    era counts, ports, row counts, and every rate, target, duration, speed
+    and window are checked where they are parsed,
     so a bad one never reaches a command body (a traceback, before)."""
     with pytest.raises(SystemExit) as exit_:
         main(argv)

@@ -226,6 +226,14 @@ RULES = (
          "campaigns apply fault primitives at era boundaries through their "
          "FaultScript: the chaos engine schedules nothing on the clock",
          "after b4d2a87"),
+    Rule("plane-constants",
+         r"DegradationConfig|flight_capacity|channel_timeout_s|base_timeout_s"
+         r"|backoff_factor|jitter_s|on_give_up|\b(register|start)=(True|False)",
+         ("src/",), (),
+         "the channel's retry ladder, the detector and gossip wiring, the "
+         "degradation ladder and the flight ring's size are module "
+         "constants: no option sets them",
+         "after f07be4b"),
 )
 
 #: row id -> lines that each violate it: (file, line appended to it)
@@ -309,6 +317,15 @@ INJECT = {
     "chaos-one-scheduler": [
         (SRC + "chaos/engine.py",
          "self.sim.schedule_at(t, lambda: self.fail_link(a, b))"),
+    ],
+    "plane-constants": [
+        (SRC + "core/control_loop.py",
+         "degradation: DegradationConfig | None = None,"),
+        (SRC + "obs/telemetry.py", "flight_capacity: int = 512,"),
+        (SRC + "serve/service.py",
+         "channel = ReliableChannel(bus, rng, base_timeout_s=0.5)"),
+        (SRC + "core/distributed.py",
+         "mesh = build_detector_mesh(nodes, sim, bus, register=False)"),
     ],
 }
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.degradation import DegradationConfig, DegradationTracker
+from repro.core.degradation import STALE_AFTER_ERAS, DegradationTracker
 from repro.obs.telemetry import Telemetry
 from repro.topology import DomainHealthTracker, FailureDomainTree
 
@@ -72,16 +72,15 @@ class TestDegradationLadderFeed:
 
     def test_feeds_the_existing_ladder(self):
         health = DomainHealthTracker(tree())
-        ladder = DegradationTracker(
-            ["r1", "r2"],
-            DegradationConfig(stale_after_eras=1, fallback_after_eras=3),
-        )
+        ladder = DegradationTracker(["r1", "r2"])
         health.record_fault("r2", "region_blackout")
-        for era in range(2):
+        # r2 goes stale once the grace eras have passed
+        eras = STALE_AFTER_ERAS + 1
+        for era in range(eras):
             ladder.observe(era, health.reporting_regions({"r1", "r2"}))
         assert ladder.mode == "hold"
         health.clear_fault("r2")
-        ladder.observe(2, health.reporting_regions({"r1", "r2"}))
+        ladder.observe(eras, health.reporting_regions({"r1", "r2"}))
         assert ladder.mode == "normal"
 
 

@@ -14,8 +14,10 @@ from repro.workload.anomalies import (
 )
 
 
-def make_injector(seed=0, **kw):
-    return AnomalyInjector(np.random.default_rng(seed), **kw)
+def make_injector(seed=0, thread_probability=DEFAULT_THREAD_PROBABILITY, **kw):
+    inj = AnomalyInjector(np.random.default_rng(seed), **kw)
+    inj.thread_probability = thread_probability  # the setter validates it
+    return inj
 
 
 def test_paper_default_probabilities():
