@@ -17,7 +17,7 @@ bit-identically from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,10 +42,10 @@ class LossyBus(MessageBus):
     """
 
     rng: np.random.Generator | None = None
-    loss_probability: float = 0.0
-    jitter_ms: float = 0.0
-    chaos_dropped: int = 0
-    chaos_delayed: int = 0
+    loss_probability: float = field(default=0.0, init=False)
+    jitter_ms: float = field(default=0.0, init=False)
+    chaos_dropped: int = field(default=0, init=False)
+    chaos_delayed: int = field(default=0, init=False)
 
     def send(self, src, dst, kind, payload, on_outcome=None) -> bool:
         if self.loss_probability > 0.0 or self.jitter_ms > 0.0:

@@ -33,13 +33,13 @@ MODES = ("off", "nan", "stale", "zero")
 
 
 class CorruptiblePredictor(RttfPredictor):
-    """Wrap ``inner`` with switchable fault modes (see module docstring)."""
+    """Wrap ``inner`` with switchable fault modes (see module docstring);
+    it starts ``"off"``."""
 
-    def __init__(self, inner: RttfPredictor, mode: str = "off") -> None:
+    def __init__(self, inner: RttfPredictor) -> None:
         self.inner = inner
         self._last: dict[str, float] = {}
         self.mode = "off"
-        self.set_mode(mode)
 
     def set_mode(self, mode: str) -> None:
         if mode not in MODES:

@@ -448,8 +448,9 @@ class AcmControlLoop:
 
         Without a transport the install is an oracle: every region gets
         its fraction instantly.  With one, the leader pushes each slave
-        its fraction over the (reliable) channel; a region whose push is
-        not acknowledged keeps serving at its previous fraction, and the
+        its fraction over the (reliable) channel.  When every region
+        acknowledges, the plan is installed as it is.  A region whose push
+        is not acknowledged keeps serving at its previous fraction, and the
         effective global split is the renormalised mix of new and held
         values -- exactly what a fleet of LBs with stale configs does.
         """
@@ -458,6 +459,8 @@ class AcmControlLoop:
         new = {r: float(planned[j]) for j, r in enumerate(self.regions)}
         acked = set(self.transport.push_fractions(leader, new))
         acked.add(leader)  # the leader installs its own fraction locally
+        if acked.issuperset(self.regions):
+            return planned
         installed = np.array(
             [
                 new[r] if r in acked else float(self.fractions[j])

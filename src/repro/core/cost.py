@@ -27,6 +27,10 @@ from typing import Iterable, Mapping
 from repro.pcam.vm import VmState
 from repro.pcam.vmc import VirtualMachineController
 
+#: Fraction of the full hourly rate a STANDBY VM costs (EBS-backed
+#: stopped instances still pay for storage).
+STANDBY_MULTIPLIER = 0.25
+
 #: Hours of full utilisation an hourly charge is amortised over when
 #: folding provisioned cost into a per-request figure.
 _SECONDS_PER_HOUR = 3600.0
@@ -103,26 +107,18 @@ class CostTracker:
 
     Parameters
     ----------
-    standby_multiplier:
-        Fraction of the full hourly rate a STANDBY VM costs (EBS-backed
-        stopped instances still pay for storage; default 25 %).
     model:
         Optional :class:`CostModel` for marginal per-request and egress
         pricing; without one the tracker bills provisioned hours only
         (the pre-existing behaviour, bit-for-bit).
     """
 
-    standby_multiplier: float = 0.25
-    total_usd: float = 0.0
-    per_region_usd: dict[str, float] = field(default_factory=dict)
-    requests_served: int = 0
     model: CostModel | None = None
-    egress_usd: float = 0.0
-    egress_requests: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.standby_multiplier <= 1.0:
-            raise ValueError("standby_multiplier must be in [0, 1]")
+    total_usd: float = field(default=0.0, init=False)
+    per_region_usd: dict[str, float] = field(default_factory=dict, init=False)
+    requests_served: int = field(default=0, init=False)
+    egress_usd: float = field(default=0.0, init=False)
+    egress_requests: int = field(default=0, init=False)
 
     def charge_era(
         self,
@@ -134,7 +130,7 @@ class CostTracker:
 
         ACTIVE, REJUVENATING, and FAILED VMs bill at the full hourly
         rate -- a crashed-but-provisioned VM still costs money until it
-        is deprovisioned.  STANDBY bills at ``standby_multiplier``.
+        is deprovisioned.  STANDBY bills at :data:`STANDBY_MULTIPLIER`.
         With a :class:`CostModel`, the region's marginal $/req is added
         for every served request.
         """
@@ -149,7 +145,7 @@ class CostTracker:
             if vm.state in (VmState.ACTIVE, VmState.REJUVENATING, VmState.FAILED):
                 charge += rate * hours
             elif vm.state is VmState.STANDBY:
-                charge += rate * hours * self.standby_multiplier
+                charge += rate * hours * STANDBY_MULTIPLIER
         if self.model is not None and requests_served:
             charge += requests_served * self.model.usd_per_req.get(
                 vmc.region_name, 0.0

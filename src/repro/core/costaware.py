@@ -25,40 +25,26 @@ from repro.core.cost import effective_usd_per_req
 from repro.core.policy import DEFAULT_MIN_FRACTION, Policy, register_policy
 from repro.sim.instances import get_instance_type
 
+#: Strength of the price signal (gamma): 0 reduces to Policy 2; 1 halves a
+#: mean-priced region's weight relative to a free one.
+COST_WEIGHT = 1.0
+
 
 @register_policy
 class CostAwarePolicy(Policy):
-    """Policy 2's availability estimate weighted by 1 / relative cost.
+    """Policy 2's availability estimate weighted by 1 / relative cost,
+    at :data:`COST_WEIGHT`.
 
-    Parameters
-    ----------
-    usd_per_req:
-        Per-region price vector (any non-negative per-request figure;
-        :func:`repro.core.cost.effective_usd_per_req` folds hourly and
-        marginal cost into one).  Without one, :meth:`bind` takes the
-        deployment's prices from the instance catalog, so the sim and
-        serve paths see the same $ signal.
-    cost_weight:
-        Strength of the price signal (gamma).  0 reduces to Policy 2;
-        1 (default) halves a mean-priced region's weight relative to a
-        free one.
+    Until :meth:`configure_costs` installs a price vector, :meth:`bind`
+    takes the deployment's prices from the instance catalog, so the sim
+    and serve paths see the same $ signal.
     """
 
     name = "cost-aware"
 
-    def __init__(
-        self,
-        min_fraction: float = DEFAULT_MIN_FRACTION,
-        usd_per_req=None,
-        cost_weight: float = 1.0,
-    ) -> None:
+    def __init__(self, min_fraction: float = DEFAULT_MIN_FRACTION) -> None:
         super().__init__(min_fraction)
-        if cost_weight < 0:
-            raise ValueError(f"cost_weight must be >= 0, got {cost_weight}")
-        self.cost_weight = float(cost_weight)
         self._rel_costs: np.ndarray | None = None
-        if usd_per_req is not None:
-            self.configure_costs(usd_per_req)
 
     @property
     def needs_costs(self) -> bool:
@@ -66,7 +52,10 @@ class CostAwarePolicy(Policy):
         return self._rel_costs is None
 
     def configure_costs(self, usd_per_req) -> None:
-        """Install the per-region price vector (region order = policy order).
+        """Install the per-region price vector (region order = policy
+        order): any non-negative per-request figure;
+        :func:`repro.core.cost.effective_usd_per_req` folds hourly and
+        marginal cost into one.
 
         An all-zero vector carries no signal and clears the
         configuration (the policy stays Policy 2-equivalent) rather
@@ -106,4 +95,4 @@ class CostAwarePolicy(Policy):
                 f"price vector has {self._rel_costs.size} regions but the "
                 f"deployment has {prev_fractions.size}"
             )
-        return quality / (1.0 + self.cost_weight * self._rel_costs)
+        return quality / (1.0 + COST_WEIGHT * self._rel_costs)

@@ -88,6 +88,7 @@ from repro.pcam.vmc import VirtualMachineController, VmcConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import ExactDraws, RngRegistry
 from repro.sim.tracing import TraceRecorder
+from repro.workload import browsers
 from repro.workload.browsers import BrowserPopulation
 
 
@@ -375,11 +376,7 @@ class DesControlLoop:
         self._schedule_next(i)
 
     def _schedule_next(self, i: int) -> None:
-        think = float(
-            self._rng_by_idx[i].exponential(
-                self._state_by_idx[i].population.think_time_s
-            )
-        )
+        think = float(self._rng_by_idx[i].exponential(browsers.THINK_TIME_S))
         self.sim.schedule_pooled(think, self._issue, (i,))
 
     # ------------------------------------------------------------------ #

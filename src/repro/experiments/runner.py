@@ -72,14 +72,20 @@ class ExperimentResult:
     slo_stats: dict | None = None
 
 
+#: F2PM's monitoring period while profiling, in seconds
+SAMPLE_PERIOD_S = 10.0
+#: samples a trend-aware predictor's per-VM slope window holds
+TREND_WINDOW = 4
+
+
 def profiling_harness(
     rngs: RngRegistry,
     itype: InstanceType,
     name_prefix: str,
-    sample_period_s: float = 10.0,
     anomaly_stream: str = "anomalies",
 ) -> ProfilingHarness:
-    """F2PM's profiling harness for one instance shape.
+    """F2PM's profiling harness for one instance shape, sampling every
+    :data:`SAMPLE_PERIOD_S`.
 
     Run ``n`` (from 1) drives a fresh VM named ``{name_prefix}/{n}``
     whose injector draws from ``rngs.child(name).stream(anomaly_stream)``.
@@ -91,7 +97,7 @@ def profiling_harness(
         injector = AnomalyInjector(rngs.child(name).stream(anomaly_stream))
         return VirtualMachine(name, itype, injector)
 
-    return ProfilingHarness(fresh_vm, sample_period_s=sample_period_s)
+    return ProfilingHarness(fresh_vm, sample_period_s=SAMPLE_PERIOD_S)
 
 
 def make_trained_predictor(
@@ -100,9 +106,7 @@ def make_trained_predictor(
     model_name: str = "rep-tree",
     profile_rates: tuple[float, ...] = (3.0, 5.0, 8.0, 12.0, 18.0, 26.0),
     runs_per_rate: int = 3,
-    sample_period_s: float = 10.0,
     use_trend_features: bool = False,
-    trend_window: int = 4,
 ) -> RttfPredictor:
     """Run the F2PM profiling phase and train an online RTTF predictor.
 
@@ -115,7 +119,8 @@ def make_trained_predictor(
 
     With ``use_trend_features`` the training runs are augmented with
     per-feature slopes (F2PM's derived features) and the returned
-    predictor computes the same trends online from a per-VM window.
+    predictor computes the same trends online from a per-VM window of
+    :data:`TREND_WINDOW` samples.
     """
     if not instance_types:
         raise ValueError("need at least one instance type")
@@ -126,7 +131,6 @@ def make_trained_predictor(
             rngs,
             get_instance_type(type_name),
             f"profile/{type_name}",
-            sample_period_s,
         )
         all_runs.extend(
             harness.collect_runs(
@@ -137,7 +141,7 @@ def make_trained_predictor(
         )
     if use_trend_features:
         dataset = augment_runs_with_slopes(
-            all_runs, FEATURE_NAMES, window=trend_window
+            all_runs, FEATURE_NAMES, window=TREND_WINDOW
         )
     else:
         dataset = Dataset.from_run_traces(all_runs, FEATURE_NAMES)
@@ -146,7 +150,7 @@ def make_trained_predictor(
         dataset, rngs.stream("toolchain"), model_name=model_name
     )
     if use_trend_features:
-        return TrendAwareRttfPredictor(trained, window=trend_window)
+        return TrendAwareRttfPredictor(trained, window=TREND_WINDOW)
     return TrainedRttfPredictor(trained)
 
 

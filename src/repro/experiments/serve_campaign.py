@@ -30,6 +30,10 @@ from repro.serve.loadgen import LoadConfig, run_load
 from repro.serve.service import AcmService, ServeConfig
 
 
+#: the Analyze report-gather window: :class:`ServeConfig`'s
+WINDOW_S = ServeConfig.window_s
+
+
 async def run_blackout_campaign(
     *,
     scenario_name: str,
@@ -41,21 +45,20 @@ async def run_blackout_campaign(
     connections: int,
     seed: int,
     schedule: str,
-    window_s: float = ServeConfig.window_s,
 ) -> dict:
     """Boot, load, black out, heal, measure; returns the report.
 
     Three load phases of ``phase_s`` wall seconds each: baseline,
     blackout (the victim region goes dark at the phase boundary; the
     last region when ``victim`` is ``None``), and recovery (healed).
-    ``repro loadtest``'s flags hold the defaults of every knob but
-    ``window_s``, which is :class:`ServeConfig`'s.
+    ``repro loadtest``'s flags hold the defaults of every knob but the
+    Analyze window, :data:`WINDOW_S`.
     """
     scenario = resolve_scenario(scenario_name)
     clock = WallClock(speed=speed)
     cfg = ServeConfig(
         era_s=era_s,
-        window_s=window_s,
+        window_s=WINDOW_S,
         monitor_period_s=max(era_s / 6.0, 1.0),
         seed=seed,
     )

@@ -157,13 +157,12 @@ def _fmt(value: float) -> str:
 def markdown_report(
     cells: list[CellStats],
     manifest: RunManifest | None = None,
-    metrics: tuple[str, ...] | None = None,
 ) -> str:
-    """A GitHub-style table: one row per cell, ``mean +/- ci95`` entries."""
+    """A GitHub-style table: one row per cell, ``mean +/- ci95`` entries
+    of the first eight metrics."""
     if not cells:
         raise ValueError("no cells to report")
-    columns = list(metrics) if metrics is not None else _metric_order(cells)
-    columns = columns[:8]
+    columns = _metric_order(cells)[:8]
     lines: list[str] = []
     if manifest is not None:
         lines.append(f"# manifest: {manifest.to_json()}")

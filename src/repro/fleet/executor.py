@@ -78,9 +78,9 @@ class _Worker:
 
     proc: mp.process.BaseProcess
     conn: Connection
-    job: JobSpec | None = None
-    attempt: int = 0
-    deadline: float | None = None
+    job: JobSpec | None = field(default=None, init=False)
+    attempt: int = field(default=0, init=False)
+    deadline: float | None = field(default=None, init=False)
 
 
 @dataclass
@@ -91,13 +91,13 @@ class FleetOutcome:
     #: payload per job (spec order); None where the job ultimately failed
     payloads: list[dict | None]
     #: jobs satisfied from the result store without executing
-    store_hits: int = 0
+    store_hits: int = field(default=0, init=False)
     #: jobs actually executed (includes retried successes once)
-    executed: int = 0
+    executed: int = field(default=0, init=False)
     #: extra attempts spent on crashed / hung / failed jobs
-    retried: int = 0
+    retried: int = field(default=0, init=False)
     #: digest -> last error message, for jobs that exhausted retries
-    failures: dict[str, str] = field(default_factory=dict)
+    failures: dict[str, str] = field(default_factory=dict, init=False)
 
     @property
     def ok(self) -> bool:

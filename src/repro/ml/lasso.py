@@ -26,6 +26,10 @@ import numpy as np
 from repro.ml.base import Regressor, as_1d_float, as_2d_float, check_consistent
 from repro.ml.preprocessing import StandardScaler
 
+#: coordinate-descent sweeps at most, and the weight change that stops it
+MAX_ITER = 1000
+TOL = 1e-6
+
 
 def soft_threshold(value: float, threshold: float) -> float:
     """The Lasso proximal operator: sign(v) * max(|v| - t, 0)."""
@@ -40,11 +44,11 @@ def _coordinate_descent(
     X: np.ndarray,
     y: np.ndarray,
     alpha: float,
-    max_iter: int,
-    tol: float,
     w0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Cyclic coordinate descent on standardised data.
+    """Cyclic coordinate descent on standardised data, for at most
+    :data:`MAX_ITER` sweeps or until no weight moves by more than
+    :data:`TOL`.
 
     Returns ``(weights, n_iterations)``.  ``X`` must be standardised
     column-wise so that each column's mean square is ~1, which makes the
@@ -57,7 +61,7 @@ def _coordinate_descent(
     col_sq = (X**2).sum(axis=0) / n_samples
     col_sq[col_sq == 0.0] = 1.0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         max_delta = 0.0
         for j in range(n_features):
             w_j = w[j]
@@ -68,7 +72,7 @@ def _coordinate_descent(
                 r += X[:, j] * (w_j - w_new)
                 w[j] = w_new
                 max_delta = max(max_delta, abs(w_new - w_j))
-        if max_delta <= tol:
+        if max_delta <= TOL:
             break
     return w, it
 
@@ -81,8 +85,6 @@ class LassoRegression(Regressor):
     alpha:
         L1 penalty on the *standardised* problem.  Larger alpha produces
         sparser coefficient vectors.
-    max_iter, tol:
-        Coordinate-descent stopping controls.
 
     Attributes
     ----------
@@ -94,17 +96,11 @@ class LassoRegression(Regressor):
         Coordinate-descent sweeps actually performed.
     """
 
-    def __init__(
-        self, alpha: float = 0.1, max_iter: int = 1000, tol: float = 1e-6
-    ) -> None:
+    def __init__(self, alpha: float = 0.1) -> None:
         super().__init__()
         if alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {alpha}")
-        if max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
         self.alpha = float(alpha)
-        self.max_iter = int(max_iter)
-        self.tol = float(tol)
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
         self.n_iter_: int = 0
@@ -114,7 +110,7 @@ class LassoRegression(Regressor):
         Xs = scaler.fit_transform(X)
         y_mean = y.mean()
         w_std, self.n_iter_ = _coordinate_descent(
-            Xs, y - y_mean, self.alpha, self.max_iter, self.tol
+            Xs, y - y_mean, self.alpha
         )
         # Map standardised weights back to original units.
         assert scaler.scale_ is not None and scaler.mean_ is not None
@@ -150,8 +146,6 @@ def _lazy_path(
     y: np.ndarray,
     n_alphas: int,
     alpha_min_ratio: float,
-    max_iter: int,
-    tol: float,
 ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """The Lasso regularisation path, with its rows solved only as pulled.
 
@@ -175,9 +169,7 @@ def _lazy_path(
     def rows() -> Iterator[np.ndarray]:
         w = np.zeros(X.shape[1])
         for alpha in alphas:
-            w, _ = _coordinate_descent(
-                Xs, yc, float(alpha), max_iter, tol, w0=w
-            )
+            w, _ = _coordinate_descent(Xs, yc, float(alpha), w0=w)
             yield w
 
     return alphas, rows()
@@ -216,9 +208,7 @@ def select_features(
         order = np.argsort(-np.abs(model.coef_))
         return [names[j] for j in order if model.coef_[j] != 0.0]
 
-    _, rows = _lazy_path(
-        X, y, n_alphas=50, alpha_min_ratio=1e-3, max_iter=1000, tol=1e-6
-    )
+    _, rows = _lazy_path(X, y, n_alphas=50, alpha_min_ratio=1e-3)
     limit = max_features if max_features is not None else len(names)
     selected: list[str] = []
     for row in rows:

@@ -20,82 +20,43 @@ model (REP-Tree, as the paper does) never pays its import time or memory.
 
 from __future__ import annotations
 
-from typing import Literal
-
 import numpy as np
 
 from repro.ml.base import Regressor
 from repro.ml.preprocessing import StandardScaler
 
-KernelName = Literal["rbf", "linear", "poly"]
 
-
-def kernel_matrix(
-    A: np.ndarray,
-    B: np.ndarray,
-    kernel: KernelName,
-    gamma_k: float,
-    degree: int,
-) -> np.ndarray:
-    """Gram matrix ``K[i, j] = k(A[i], B[j])`` for the supported kernels.
-
-    ``rbf``: ``exp(-gamma_k * ||a - b||^2)`` (distances computed via the
-    expanded form, fully vectorised); ``linear``: ``a . b``;
-    ``poly``: ``(1 + a . b)^degree``.
-    """
-    if kernel == "linear":
-        return A @ B.T
-    if kernel == "poly":
-        return (1.0 + A @ B.T) ** degree
-    if kernel == "rbf":
-        sq_a = (A**2).sum(axis=1)[:, None]
-        sq_b = (B**2).sum(axis=1)[None, :]
-        d2 = np.maximum(sq_a + sq_b - 2.0 * (A @ B.T), 0.0)
-        return np.exp(-gamma_k * d2)
-    raise ValueError(f"unknown kernel {kernel!r}")
+def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma_k: float) -> np.ndarray:
+    """Gram matrix ``K[i, j] = exp(-gamma_k * ||A[i] - B[j]||^2)``, the
+    distances computed via the expanded form, fully vectorised."""
+    sq_a = (A**2).sum(axis=1)[:, None]
+    sq_b = (B**2).sum(axis=1)[None, :]
+    d2 = np.maximum(sq_a + sq_b - 2.0 * (A @ B.T), 0.0)
+    return np.exp(-gamma_k * d2)
 
 
 class LeastSquaresSVM(Regressor):
-    """Kernel LS-SVM regression.
+    """RBF-kernel LS-SVM regression. The kernel width is ``1/n_features``
+    on standardised inputs.
 
     Parameters
     ----------
     gamma:
         Regularisation weight; larger fits the training data harder.
-    kernel:
-        ``"rbf"`` (default), ``"linear"`` or ``"poly"``.
-    gamma_k:
-        RBF kernel width; ``None`` uses the ``1/n_features`` heuristic on
-        standardised inputs.
-    degree:
-        Polynomial kernel degree.
     """
 
-    def __init__(
-        self,
-        gamma: float = 10.0,
-        kernel: KernelName = "rbf",
-        gamma_k: float | None = None,
-        degree: int = 2,
-    ) -> None:
+    def __init__(self, gamma: float = 10.0) -> None:
         super().__init__()
         if gamma <= 0:
             raise ValueError("gamma must be positive")
-        if kernel not in ("rbf", "linear", "poly"):
-            raise ValueError(f"unknown kernel {kernel!r}")
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
         self.gamma = float(gamma)
-        self.kernel: KernelName = kernel
-        self.gamma_k = gamma_k
-        self.degree = int(degree)
         self.alpha_: np.ndarray | None = None
         self.bias_: float = 0.0
         self._X_train: np.ndarray | None = None
         self._scaler: StandardScaler | None = None
         self._y_mean: float = 0.0
         self._y_scale: float = 1.0
-        self._gamma_k_eff: float = 1.0
+        self._gamma_k: float = 1.0
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         import scipy.linalg
@@ -105,12 +66,10 @@ class LeastSquaresSVM(Regressor):
         self._y_mean = float(y.mean())
         self._y_scale = float(y.std()) or 1.0
         ys = (y - self._y_mean) / self._y_scale
-        self._gamma_k_eff = (
-            1.0 / X.shape[1] if self.gamma_k is None else float(self.gamma_k)
-        )
+        self._gamma_k = 1.0 / X.shape[1]
 
         n = Xs.shape[0]
-        K = kernel_matrix(Xs, Xs, self.kernel, self._gamma_k_eff, self.degree)
+        K = rbf_kernel(Xs, Xs, self._gamma_k)
         # Assemble the (n+1) x (n+1) KKT system.
         A = np.empty((n + 1, n + 1))
         A[0, 0] = 0.0
@@ -133,9 +92,7 @@ class LeastSquaresSVM(Regressor):
             and self._scaler is not None
         )
         Xs = self._scaler.transform(X)
-        K = kernel_matrix(
-            Xs, self._X_train, self.kernel, self._gamma_k_eff, self.degree
-        )
+        K = rbf_kernel(Xs, self._X_train, self._gamma_k)
         ys = K @ self.alpha_ + self.bias_
         return ys * self._y_scale + self._y_mean
 

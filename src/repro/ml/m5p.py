@@ -23,6 +23,15 @@ import numpy as np
 from repro.ml.base import Regressor
 from repro.ml.tree import TreeNode, build_tree
 
+#: growth controls of the shared split search
+MAX_DEPTH = 8
+MIN_SAMPLES_SPLIT = 8
+MIN_SAMPLES_LEAF = 4
+#: stabiliser of the per-node linear solves
+RIDGE = 1e-3
+#: M5's smoothing constant ``k``; 0 turns smoothing off
+SMOOTHING = 15.0
+
 
 @dataclass(slots=True)
 class _NodeModel:
@@ -35,7 +44,7 @@ class _NodeModel:
         return X @ self.coef + self.intercept
 
 
-def _fit_node_model(X: np.ndarray, y: np.ndarray, ridge: float) -> _NodeModel:
+def _fit_node_model(X: np.ndarray, y: np.ndarray) -> _NodeModel:
     """Fit a ridge model; degenerate nodes fall back to the mean."""
     n = y.size
     if n == 0:
@@ -45,7 +54,7 @@ def _fit_node_model(X: np.ndarray, y: np.ndarray, ridge: float) -> _NodeModel:
     x_mean = X.mean(axis=0)
     y_mean = float(y.mean())
     Xc = X - x_mean
-    gram = Xc.T @ Xc + ridge * np.eye(X.shape[1])
+    gram = Xc.T @ Xc + RIDGE * np.eye(X.shape[1])
     try:
         coef = np.linalg.solve(gram, Xc.T @ (y - y_mean))
     except np.linalg.LinAlgError:
@@ -71,38 +80,14 @@ def _corrected_mae(residuals: np.ndarray, n_params: int) -> float:
 class M5PModelTree(Regressor):
     """M5P model tree: linear models in the leaves, pruning, smoothing.
 
-    Parameters
-    ----------
-    max_depth, min_samples_split, min_samples_leaf:
-        Growth controls (shared split search).
-    ridge:
-        Stabiliser for the per-node linear solves.
-    smoothing:
-        The M5 smoothing constant ``k``; 0 disables smoothing.
-    prune:
-        Whether to run the complexity-corrected pruning pass.
+    It runs at the module's stock settings (:data:`MAX_DEPTH`,
+    :data:`MIN_SAMPLES_SPLIT`, :data:`MIN_SAMPLES_LEAF`, :data:`RIDGE`,
+    :data:`SMOOTHING`), read at fit and predict time, and always runs the
+    complexity-corrected pruning pass.
     """
 
-    def __init__(
-        self,
-        max_depth: int = 8,
-        min_samples_split: int = 8,
-        min_samples_leaf: int = 4,
-        ridge: float = 1e-3,
-        smoothing: float = 15.0,
-        prune: bool = True,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
-        if ridge < 0:
-            raise ValueError("ridge must be >= 0")
-        self.max_depth = int(max_depth)
-        self.min_samples_split = int(min_samples_split)
-        self.min_samples_leaf = int(min_samples_leaf)
-        self.ridge = float(ridge)
-        self.smoothing = float(smoothing)
-        self.prune = bool(prune)
         self.root_: TreeNode | None = None
         #: node models by heap index (root 1, children 2i and 2i + 1): a
         #: key that survives a copy or pickle of the tree, as ``id`` would not
@@ -111,26 +96,30 @@ class M5PModelTree(Regressor):
     # ------------------------------------------------------------------ #
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        # the constants are read here, so a patched value is checked here
+        if SMOOTHING < 0:
+            raise ValueError("SMOOTHING must be >= 0")
+        if RIDGE < 0:
+            raise ValueError("RIDGE must be >= 0")
         self.root_ = build_tree(
             X,
             y,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
+            max_depth=MAX_DEPTH,
+            min_samples_split=MIN_SAMPLES_SPLIT,
+            min_samples_leaf=MIN_SAMPLES_LEAF,
             min_sse_decrease=0.0,
             keep_sample_idx=True,
         )
         self._models = {}
         self._fit_models(self.root_, 1, X, y)
-        if self.prune:
-            self._prune_node(self.root_, 1, X, y)
+        self._prune_node(self.root_, 1, X, y)
 
     def _fit_models(
         self, node: TreeNode, index: int, X: np.ndarray, y: np.ndarray
     ) -> None:
         assert node.sample_idx is not None
         rows = node.sample_idx
-        self._models[index] = _fit_node_model(X[rows], y[rows], self.ridge)
+        self._models[index] = _fit_node_model(X[rows], y[rows])
         if not node.is_leaf:
             assert node.left is not None and node.right is not None
             self._fit_models(node.left, 2 * index, X, y)
@@ -180,11 +169,9 @@ class M5PModelTree(Regressor):
             return
         pred = self._models[index].predict(X[rows])
         # M5 smoothing: blend with the prediction inherited from the parent.
-        if parent_pred is not None and self.smoothing > 0:
+        if parent_pred is not None and SMOOTHING > 0:
             n = node.n_samples
-            pred = (n * pred + self.smoothing * parent_pred) / (
-                n + self.smoothing
-            )
+            pred = (n * pred + SMOOTHING * parent_pred) / (n + SMOOTHING)
         if node.is_leaf:
             out[rows] = pred
             return

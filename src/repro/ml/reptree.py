@@ -17,6 +17,18 @@ import numpy as np
 from repro.ml.base import Regressor
 from repro.ml.tree import TreeNode, build_tree, tree_predict
 
+#: maximum tree depth (root = depth 0)
+MAX_DEPTH = 18
+#: samples a node needs to be considered for splitting
+MIN_SAMPLES_SPLIT = 4
+#: samples each child must keep
+MIN_SAMPLES_LEAF = 2
+#: the absolute SSE reduction a split must make
+MIN_SSE_DECREASE = 0.0
+#: share of the training data held out for pruning (Weka holds out one
+#: fold of three); 0 grows a plain, unpruned CART tree
+PRUNE_FRACTION = 1.0 / 3.0
+
 
 def _prune(node: TreeNode, X: np.ndarray, y: np.ndarray) -> float:
     """Bottom-up reduced-error pruning.
@@ -44,56 +56,38 @@ def _prune(node: TreeNode, X: np.ndarray, y: np.ndarray) -> float:
 class REPTree(Regressor):
     """Reduced-Error-Pruning regression tree.
 
+    It grows at the module's stock settings (:data:`MAX_DEPTH`,
+    :data:`MIN_SAMPLES_SPLIT`, :data:`MIN_SAMPLES_LEAF`,
+    :data:`MIN_SSE_DECREASE`) and holds out :data:`PRUNE_FRACTION` of the
+    training data for pruning, each read at fit time.
+
     Parameters
     ----------
-    max_depth:
-        Maximum tree depth (root = depth 0).
-    min_samples_split:
-        Minimum samples a node needs to be considered for splitting.
-    min_samples_leaf:
-        Minimum samples each child must retain.
-    min_sse_decrease:
-        Minimum absolute SSE reduction required to accept a split.
-    prune_fraction:
-        Fraction of the training data held out for pruning (Weka default
-        uses one of three folds; 1/3 here).  Set to 0 to disable pruning.
     seed:
         Seed of the internal grow/prune shuffling, for reproducibility.
     """
 
-    def __init__(
-        self,
-        max_depth: int = 18,
-        min_samples_split: int = 4,
-        min_samples_leaf: int = 2,
-        min_sse_decrease: float = 0.0,
-        prune_fraction: float = 1.0 / 3.0,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         super().__init__()
-        if max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if not 0.0 <= prune_fraction < 1.0:
-            raise ValueError(
-                f"prune_fraction must be in [0, 1), got {prune_fraction}"
-            )
-        self.max_depth = int(max_depth)
-        self.min_samples_split = int(min_samples_split)
-        self.min_samples_leaf = int(min_samples_leaf)
-        self.min_sse_decrease = float(min_sse_decrease)
-        self.prune_fraction = float(prune_fraction)
         self.seed = int(seed)
         self.root_: TreeNode | None = None
         self.pruned_leaves_: int = 0
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        # the constants are read here, so a patched value is checked here
+        if MAX_DEPTH < 0:
+            raise ValueError("MAX_DEPTH must be >= 0")
+        if MIN_SAMPLES_LEAF < 1:
+            raise ValueError("MIN_SAMPLES_LEAF must be >= 1")
+        if MIN_SAMPLES_SPLIT < 2:
+            raise ValueError("MIN_SAMPLES_SPLIT must be >= 2")
+        if not 0.0 <= PRUNE_FRACTION < 1.0:
+            raise ValueError(
+                f"PRUNE_FRACTION must be in [0, 1), got {PRUNE_FRACTION}"
+            )
         n = y.size
-        n_prune = int(round(n * self.prune_fraction))
-        if n_prune == 0 or n - n_prune < 2 * self.min_samples_leaf:
+        n_prune = int(round(n * PRUNE_FRACTION))
+        if n_prune == 0 or n - n_prune < 2 * MIN_SAMPLES_LEAF:
             grow_X, grow_y = X, y
             prune_X = np.empty((0, X.shape[1]))
             prune_y = np.empty(0)
@@ -107,10 +101,10 @@ class REPTree(Regressor):
         self.root_ = build_tree(
             grow_X,
             grow_y,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            min_sse_decrease=self.min_sse_decrease,
+            max_depth=MAX_DEPTH,
+            min_samples_split=MIN_SAMPLES_SPLIT,
+            min_samples_leaf=MIN_SAMPLES_LEAF,
+            min_sse_decrease=MIN_SSE_DECREASE,
         )
         leaves_before = self.root_.count_leaves()
         if prune_y.size:

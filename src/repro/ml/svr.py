@@ -18,44 +18,30 @@ import numpy as np
 from repro.ml.base import Regressor
 from repro.ml.preprocessing import StandardScaler
 
+#: inverse regularisation (a larger C fits harder)
+C = 10.0
+#: half-width of the insensitive tube, in target units
+EPSILON = 0.01
+#: share of the final iterates averaged into the returned weights
+AVERAGE_LAST = 0.5
+
 
 class LinearSVR(Regressor):
-    """Linear SVR trained with averaged stochastic subgradient descent.
+    """Linear SVR trained with averaged stochastic subgradient descent, at
+    the module's :data:`C`, :data:`EPSILON` and :data:`AVERAGE_LAST`.
 
     Parameters
     ----------
-    C:
-        Inverse regularisation (larger C fits harder).
-    epsilon:
-        Half-width of the insensitive tube, in *target* units.
     n_epochs:
         Passes over the data.
     seed:
         Seed of the sample-shuffling stream (deterministic training).
-    average_last:
-        Fraction of final iterates to average into the returned weights.
     """
 
-    def __init__(
-        self,
-        C: float = 10.0,
-        epsilon: float = 0.01,
-        n_epochs: int = 60,
-        seed: int = 0,
-        average_last: float = 0.5,
-    ) -> None:
+    def __init__(self, n_epochs: int = 60, seed: int = 0) -> None:
         super().__init__()
-        if C <= 0:
-            raise ValueError("C must be positive")
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if not 0 < average_last <= 1:
-            raise ValueError("average_last must be in (0, 1]")
-        self.C = float(C)
-        self.epsilon = float(epsilon)
         self.n_epochs = int(n_epochs)
         self.seed = int(seed)
-        self.average_last = float(average_last)
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
         self._scaler: StandardScaler | None = None
@@ -63,6 +49,13 @@ class LinearSVR(Regressor):
         self._y_scale: float = 1.0
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        # the constants are read here, so a patched value is checked here
+        if C <= 0:
+            raise ValueError("C must be positive")
+        if EPSILON < 0:
+            raise ValueError("EPSILON must be non-negative")
+        if not 0 < AVERAGE_LAST <= 1:
+            raise ValueError("AVERAGE_LAST must be in (0, 1]")
         # Standardise both X and y: the epsilon tube and the step sizes then
         # operate on O(1) quantities regardless of the RTTF scale (seconds
         # vs hours).
@@ -71,10 +64,10 @@ class LinearSVR(Regressor):
         self._y_mean = float(y.mean())
         self._y_scale = float(y.std()) or 1.0
         ys = (y - self._y_mean) / self._y_scale
-        eps = self.epsilon / self._y_scale
+        eps = EPSILON / self._y_scale
 
         n, d = Xs.shape
-        lam = 1.0 / (self.C * n)
+        lam = 1.0 / (C * n)
         rng = np.random.Generator(np.random.PCG64(self.seed))
         w = np.zeros(d)
         b = 0.0
@@ -82,7 +75,7 @@ class LinearSVR(Regressor):
         b_acc = 0.0
         n_acc = 0
         total_steps = self.n_epochs * n
-        avg_from = int(total_steps * (1.0 - self.average_last))
+        avg_from = int(total_steps * (1.0 - AVERAGE_LAST))
         t = 0
         for _ in range(self.n_epochs):
             for i in rng.permutation(n):

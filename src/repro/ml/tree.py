@@ -32,10 +32,10 @@ class TreeNode:
     value: float
     n_samples: int
     sse: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    feature: int = field(default=-1, init=False)
+    threshold: float = field(default=0.0, init=False)
+    left: "TreeNode | None" = field(default=None, init=False)
+    right: "TreeNode | None" = field(default=None, init=False)
     # Populated by M5P: indices of training samples that reached this node.
     sample_idx: np.ndarray | None = field(default=None, repr=False)
 

@@ -15,6 +15,9 @@ import numpy as np
 from repro.ml.base import Regressor, as_1d_float
 from repro.ml.dataset import Dataset
 
+#: the smallest ``|y|`` a MAPE term divides by
+MAPE_FLOOR = 1e-9
+
 
 def _check_pair(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y_true = as_1d_float(y_true, "y_true")
@@ -40,12 +43,10 @@ def root_mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.sqrt(np.mean((y_true - y_pred) ** 2)))
 
 
-def mean_absolute_percentage_error(
-    y_true: np.ndarray, y_pred: np.ndarray, floor: float = 1e-9
-) -> float:
-    """MAPE = mean |y - yhat| / max(|y|, floor); the F2PM relative error."""
+def mean_absolute_percentage_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """MAPE = mean |y - yhat| / max(|y|, MAPE_FLOOR); the F2PM relative error."""
     y_true, y_pred = _check_pair(y_true, y_pred)
-    denom = np.maximum(np.abs(y_true), floor)
+    denom = np.maximum(np.abs(y_true), MAPE_FLOOR)
     return float(np.mean(np.abs(y_true - y_pred) / denom))
 
 

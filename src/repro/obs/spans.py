@@ -66,14 +66,15 @@ class AsyncSpanHandle:
     slot: int
     t0: float
     args: dict[str, Any]
-    closed: bool = False
+    closed: bool = field(default=False, init=False)
 
 
 class SpanTracer:
     """Records spans against a simulated clock (see module docstring)."""
 
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self._clock: Callable[[], float] = clock or (lambda: 0.0)
+    def __init__(self) -> None:
+        #: time 0 until :meth:`set_clock`
+        self._clock: Callable[[], float] = lambda: 0.0
         self.spans: list[Span] = []
         self._stack: list[tuple[str, str, float, dict]] = []
         #: per async kind: busy flags per slot index

@@ -45,7 +45,7 @@ class LeaderElection:
     """
 
     network: OverlayNetwork
-    history: list[ElectionRecord] = field(default_factory=list)
+    history: list[ElectionRecord] = field(default_factory=list, init=False)
 
     def elect(self, caller: str, now: float = 0.0) -> str:
         """Elect the leader of ``caller``'s component.

@@ -38,9 +38,9 @@ DETECTOR_TIMEOUT_S = 15.0
 class PeerState:
     """What one node believes about one peer."""
 
-    last_heard: float = float("-inf")
-    suspected: bool = False
-    suspect_count: int = 0
+    last_heard: float = field(default=float("-inf"), init=False)
+    suspected: bool = field(default=False, init=False)
+    suspect_count: int = field(default=0, init=False)
 
 
 class HeartbeatDetector:

@@ -64,13 +64,13 @@ class MessageBus:
 
     sim: Simulator
     router: Router
-    on_drop: Callable[[Message], None] | None = None
-    delivered_count: int = 0
-    dropped_count: int = 0
-    drop_counts: dict[str, int] = field(default_factory=dict)
+    on_drop: Callable[[Message], None] | None = field(default=None, init=False)
+    delivered_count: int = field(default=0, init=False)
+    dropped_count: int = field(default=0, init=False)
+    drop_counts: dict[str, int] = field(default_factory=dict, init=False)
     telemetry: "Telemetry | None" = None
     _handlers: dict[str, Callable[[Message], None]] = field(
-        default_factory=dict
+        default_factory=dict, init=False
     )
 
     def __post_init__(self) -> None:

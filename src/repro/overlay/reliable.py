@@ -62,9 +62,10 @@ class SendHandle:
     src: str
     dst: str
     kind: str
-    status: str = "pending"  #: ``pending`` | ``acked`` | ``failed``
-    attempts: int = 0
-    acked_at: float | None = None
+    #: ``pending`` | ``acked`` | ``failed``
+    status: str = field(default="pending", init=False)
+    attempts: int = field(default=0, init=False)
+    acked_at: float | None = field(default=None, init=False)
 
     @property
     def resolved(self) -> bool:
@@ -81,15 +82,22 @@ class ChannelStats:
     same numbers appear in `obs` exports without double bookkeeping.
     """
 
-    sent: int = 0  #: application messages submitted
-    attempts: int = 0  #: bus transmissions (first tries + retries)
-    retries: int = 0  #: retransmissions after an ack timeout
-    acked: int = 0  #: sends that resolved to ``acked``
-    gave_up: int = 0  #: sends that exhausted their retries
-    duplicates: int = 0  #: received data suppressed by dedup
-    acks_sent: int = 0  #: acknowledgements transmitted
+    #: application messages submitted
+    sent: int = field(default=0, init=False)
+    #: bus transmissions (first tries + retries)
+    attempts: int = field(default=0, init=False)
+    #: retransmissions after an ack timeout
+    retries: int = field(default=0, init=False)
+    #: sends that resolved to ``acked``
+    acked: int = field(default=0, init=False)
+    #: sends that exhausted their retries
+    gave_up: int = field(default=0, init=False)
+    #: received data suppressed by dedup
+    duplicates: int = field(default=0, init=False)
+    #: acknowledgements transmitted
+    acks_sent: int = field(default=0, init=False)
     _mirror: "dict[str, Counter] | None" = field(
-        default=None, repr=False, compare=False
+        default=None, repr=False, compare=False, init=False
     )
 
     FIELDS = (
@@ -106,12 +114,12 @@ class ChannelStats:
         """Mirror future bumps into the given registry counters."""
         self._mirror = counters
 
-    def bump(self, name: str, amount: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + amount)
+    def bump(self, name: str) -> None:
+        setattr(self, name, getattr(self, name) + 1)
         if self._mirror is not None:
             counter = self._mirror.get(name)
             if counter is not None:
-                counter.inc(amount)
+                counter.inc(1)
 
     def as_dict(self) -> dict[str, int]:
         return {

@@ -32,6 +32,10 @@ from repro.ml.derived import slope_features
 from repro.ml.toolchain import TrainedModel
 from repro.pcam.vm import VirtualMachine, mean_field_ttf_s
 
+#: The trained predictors' lower clamp, read at each prediction: regression
+#: models can output small negatives near the failure point.
+FLOOR_S = 0.0
+
 
 class RttfPredictor(abc.ABC):
     """Interface: predict the Remaining Time To Failure of a pool's VMs."""
@@ -62,21 +66,20 @@ class TrainedRttfPredictor(RttfPredictor):
     model:
         The deployed :class:`~repro.ml.toolchain.TrainedModel` (typically
         REP-Tree, per Sec. VI-A).
-    floor_s:
-        Predictions are clamped below at this value; regression models can
-        output small negatives near the failure point.
+
+    Predictions are clamped below at :data:`FLOOR_S`.
     """
 
-    def __init__(self, model: TrainedModel, floor_s: float = 0.0) -> None:
+    def __init__(self, model: TrainedModel) -> None:
+        _check_floor()
         self.model = model
-        self.floor_s = _finite_floor(floor_s)
 
     def predict_rttf_rows(
         self, rows: np.ndarray, vms: list[VirtualMachine]
     ) -> np.ndarray:
         if not vms:
             return np.empty(0, dtype=float)
-        return np.maximum(self.model.predict(rows), self.floor_s)
+        return np.maximum(self.model.predict(rows), FLOOR_S)
 
 
 class TrendAwareRttfPredictor(RttfPredictor):
@@ -98,18 +101,16 @@ class TrendAwareRttfPredictor(RttfPredictor):
     window:
         Trailing samples used for the slope (matches the training-side
         ``window``).
-    floor_s:
-        Lower clamp on predictions.
+
+    Predictions are clamped below at :data:`FLOOR_S`.
     """
 
-    def __init__(
-        self, model: TrainedModel, window: int = 4, floor_s: float = 0.0
-    ) -> None:
+    def __init__(self, model: TrainedModel, window: int = 4) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
+        _check_floor()
         self.model = model
         self.window = int(window)
-        self.floor_s = _finite_floor(floor_s)
         self._history: dict[str, deque[tuple[float, np.ndarray]]] = {}
 
     def predict_rttf_rows(
@@ -136,7 +137,7 @@ class TrendAwareRttfPredictor(RttfPredictor):
             feats = np.vstack([f for _, f in hist])
             slopes = slope_features(times, feats, window=self.window)
             derived.append(np.concatenate([row, slopes[-1]]))
-        return np.maximum(self.model.predict(np.vstack(derived)), self.floor_s)
+        return np.maximum(self.model.predict(np.vstack(derived)), FLOOR_S)
 
 
 class OracleRttfPredictor(RttfPredictor):
@@ -190,15 +191,12 @@ class OracleRttfPredictor(RttfPredictor):
                     "swap_mb",
                     "thread_free_slots",
                     "sla_response_time_s",
-                    "swap_exhaustion",
-                    "thread_exhaustion",
                 )
             )
         )
         mean_demand = self.mean_demand
         for k, (
             leaked, stuck, rate, cpu_power, usable, swap, free_slots, sla,
-            swap_exhaustion, thread_exhaustion,
         ) in enumerate(columns):
             if rate <= 0:
                 # An idle ACTIVE VM accumulates nothing; report its
@@ -218,8 +216,6 @@ class OracleRttfPredictor(RttfPredictor):
                 sla,
                 injector.expected_leak_rate_mb(rate),
                 injector.expected_thread_rate(rate),
-                swap_exhaustion,
-                thread_exhaustion,
             )
             if self.noise_std > 0 and math.isfinite(ttf):
                 assert self._rng is not None
@@ -228,8 +224,8 @@ class OracleRttfPredictor(RttfPredictor):
         return out
 
 
-def _finite_floor(floor_s: float) -> float:
-    """``floor_s`` as a float; NaN would make every prediction NaN."""
-    if not 0 <= floor_s < math.inf:
-        raise ValueError("floor_s must be >= 0 and finite")
-    return float(floor_s)
+def _check_floor() -> None:
+    """Refuse a :data:`FLOOR_S` that is negative or not finite (NaN would
+    make every prediction NaN); a predictor checks it when built."""
+    if not 0 <= FLOOR_S < math.inf:
+        raise ValueError("FLOOR_S must be >= 0 and finite")

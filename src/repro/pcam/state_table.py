@@ -94,8 +94,6 @@ STATIC_COLUMNS: tuple[tuple[str, type], ...] = (
     ("thread_free_slots", np.int64),
     ("rejuvenation_time_s", np.float64),
     ("sla_response_time_s", np.float64),
-    ("swap_exhaustion", np.bool_),
-    ("thread_exhaustion", np.bool_),
 )
 
 #: Columns derived from a row's load state (``leaked_mb``,
@@ -180,12 +178,9 @@ class VmStateTable:
         self.thread_free_slots[:] = [
             thread_free_slots(itype.thread_slots) for itype in itypes
         ]
-        policies = [vm.failure_policy for vm in vms]
         self.sla_response_time_s[:] = [
-            p.sla_response_time_s for p in policies
+            vm.failure_policy.sla_response_time_s for vm in vms
         ]
-        self.swap_exhaustion[:] = [p.swap_exhaustion for p in policies]
-        self.thread_exhaustion[:] = [p.thread_exhaustion for p in policies]
         self._refresh_rows(np.arange(n, dtype=np.intp))
 
     def __len__(self) -> int:
@@ -212,9 +207,9 @@ class VmStateTable:
             free_slots,
         )
         self.exhausted[row] = (
-            bool(self.swap_exhaustion[row])
-            and leaked >= float(self.anomaly_budget_mb[row])
-        ) or (bool(self.thread_exhaustion[row]) and stuck / free_slots >= 1.0)
+            leaked >= float(self.anomaly_budget_mb[row])
+            or stuck / free_slots >= 1.0
+        )
 
     def _refresh_rows(
         self, idx: np.ndarray, pressures: Pressures | None = None
@@ -227,10 +222,9 @@ class VmStateTable:
         if pressures is None:
             pressures = self.pressures_of(idx)
         self.service_capacity[idx] = pressures.capacity
-        exhausted = (
-            self.swap_exhaustion[idx]
-            & (self.leaked_mb[idx] >= self.anomaly_budget_mb[idx])
-        ) | (self.thread_exhaustion[idx] & (pressures.thread_pressure >= 1.0))
+        exhausted = (self.leaked_mb[idx] >= self.anomaly_budget_mb[idx]) | (
+            pressures.thread_pressure >= 1.0
+        )
         self.exhausted[idx] = exhausted
         return exhausted
 

@@ -90,8 +90,6 @@ class FailurePolicy:
     """
 
     sla_response_time_s: float = 1.0
-    swap_exhaustion: bool = True
-    thread_exhaustion: bool = True
 
     def __post_init__(self) -> None:
         # ``not > 0`` also refuses NaN, which would silently disable the
@@ -272,8 +270,6 @@ def mean_field_ttf_s(
     sla_response_time_s: float,
     leak_rate: float,
     thread_rate: float,
-    swap_exhaustion: bool,
-    thread_exhaustion: bool,
 ) -> float:
     """Mean-field (noise-free) time to the F2PM failure point.
 
@@ -281,8 +277,8 @@ def mean_field_ttf_s(
     and stuck threads at ``thread_rate``/s (the injector's expected
     rates), so each hard clause has a closed-form horizon; the SLA
     crossing is found on that deterministic trajectory by a coarse scan
-    followed by bisection.  Returns the earliest clause the policy
-    enables.  Pure: reads nothing but its arguments and writes nothing.
+    followed by bisection.  Returns the earliest of the three clauses.
+    Pure: reads nothing but its arguments and writes nothing.
 
     The probe is monotone in ``t`` (every step from ``t`` to the SLA
     test -- the leak, the swap clamp, ``int(stuck + rate * t)``, the 0.02
@@ -303,12 +299,9 @@ def mean_field_ttf_s(
     else:
         t_threads = math.inf
 
-    # The state stops changing once swap and thread slots have both
-    # saturated, so an SLA crossing lies before that.  With swap
-    # exhaustion on (the default) the scan need not pass ``t_crash``.
+    # The VM crashes when swap runs out, so the scan need not pass
+    # ``t_crash``.
     horizon = t_crash
-    if not swap_exhaustion and math.isfinite(t_threads):
-        horizon = max(t_crash, t_threads)
 
     # Scan the trajectory coarsely, then bisect inside the crossing
     # interval (the coarse step alone would quantise the answer by
@@ -393,11 +386,7 @@ def mean_field_ttf_s(
             violated_t = t
         else:
             clear_t = t
-    return min(
-        t_crash if swap_exhaustion else math.inf,
-        t_sla,
-        t_threads if thread_exhaustion else math.inf,
-    )
+    return min(t_crash, t_sla, t_threads)
 
 
 def fresh_ttf_s(
@@ -422,8 +411,6 @@ def fresh_ttf_s(
         policy.sla_response_time_s,
         injector.expected_leak_rate_mb(request_rate),
         injector.expected_thread_rate(request_rate),
-        policy.swap_exhaustion,
-        policy.thread_exhaustion,
     )
 
 

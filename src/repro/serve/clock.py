@@ -22,12 +22,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.sim.engine import Simulator
-
-if TYPE_CHECKING:
-    from repro.obs.telemetry import Telemetry
 
 
 class WallClock(Simulator):
@@ -39,9 +36,6 @@ class WallClock(Simulator):
         Clock seconds per wall second (> 0).  1.0 is real time; larger
         values compress -- timers, eras, and backoff ladders all scale
         together because every component reads the same clock.
-    telemetry:
-        Optional telemetry facade; the metric clock is pointed at
-        :attr:`now` so spans and events carry wall-derived stamps.
     time_fn:
         Monotonic wall-time source (injectable for tests); defaults to
         :func:`time.monotonic`.
@@ -50,20 +44,15 @@ class WallClock(Simulator):
     def __init__(
         self,
         speed: float = 1.0,
-        telemetry: "Telemetry | None" = None,
         time_fn: Callable[[], float] = time.monotonic,
     ) -> None:
         if speed <= 0:
             raise ValueError("speed must be positive")
-        super().__init__(start_time=0.0, telemetry=telemetry)
+        super().__init__()
         self.speed = float(speed)
         self._time_fn = time_fn
         self._origin = time_fn()
         self._waiter: asyncio.Event | None = None
-        if telemetry is not None and telemetry.enabled:
-            # the base class pinned the metric clock to the lagging heap
-            # time; re-point it at continuous wall-derived time
-            telemetry.set_clock(lambda: self.now)
 
     # ------------------------------------------------------------------ #
     # time

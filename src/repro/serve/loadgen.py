@@ -58,15 +58,21 @@ class LoadReport:
     """Client-side results of one run (JSON-ready via ``as_dict``)."""
 
     scheduled: int = 0  #: arrivals in the schedule
-    completed: int = 0  #: responses received (any status)
-    ok: int = 0  #: HTTP 200
-    shed: int = 0  #: HTTP 429 (admission)
-    errors: int = 0  #: HTTP 5xx or transport failure
-    forwarded: int = 0  #: 200s served by a non-arrival region
-    failover: int = 0  #: 200s that failed over past a dead region
-    duration_s: float = 0.0
-    latencies_s: list = field(default_factory=list, repr=False)
-    error_times_s: list = field(default_factory=list, repr=False)
+    #: responses received (any status)
+    completed: int = field(default=0, init=False)
+    #: HTTP 200
+    ok: int = field(default=0, init=False)
+    #: HTTP 429 (admission)
+    shed: int = field(default=0, init=False)
+    #: HTTP 5xx or transport failure
+    errors: int = field(default=0, init=False)
+    #: 200s served by a non-arrival region
+    forwarded: int = field(default=0, init=False)
+    #: 200s that failed over past a dead region
+    failover: int = field(default=0, init=False)
+    duration_s: float = field(default=0.0, init=False)
+    latencies_s: list = field(default_factory=list, repr=False, init=False)
+    error_times_s: list = field(default_factory=list, repr=False, init=False)
 
     def quantile(self, q: float) -> float:
         """Nearest-rank latency quantile (NaN on an empty sample).

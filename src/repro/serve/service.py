@@ -93,18 +93,14 @@ class AcmService:
         scenario: Scenario,
         clock: WallClock,
         config: ServeConfig | None = None,
-        telemetry: Telemetry | None = None,
     ) -> None:
         cfg = config or ServeConfig()
         self.scenario = scenario
         self.clock = clock
         self.config = cfg
         # Serving without observability is pointless: /metrics is the
-        # product.  Callers may pass a shared facade; else build one.
-        tel = telemetry if telemetry is not None else Telemetry(enabled=True)
-        if not tel.enabled:
-            raise ValueError("AcmService requires enabled telemetry")
-        self.telemetry = tel
+        # product.
+        tel = self.telemetry = Telemetry(enabled=True)
 
         self.manager = AcmManager(
             regions=list(scenario.regions),

@@ -69,7 +69,6 @@ class Clock(Protocol):
         delay: float,
         action: Callable[[], None],
         *,
-        priority: int = 0,
         label: str = "",
     ) -> Event:
         """Schedule ``action`` after ``delay`` clock seconds (>= 0)."""
@@ -90,7 +89,6 @@ class Clock(Protocol):
         action: Callable[[], None],
         *,
         start: float | None = None,
-        priority: int = 0,
         label: str = "",
     ) -> Callable[[], None]:
         """Fire ``action`` every ``period`` clock seconds; returns stop()."""

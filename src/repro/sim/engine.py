@@ -54,12 +54,8 @@ class Simulator:
     [2.0, 5.0]
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        telemetry: "Telemetry | None" = None,
-    ) -> None:
-        self._now = float(start_time)
+    def __init__(self, telemetry: "Telemetry | None" = None) -> None:
+        self._now = 0.0
         #: ``(time, priority, seq, action, args, event_or_None)`` entries
         self._heap: list[tuple] = []
         self._seq = 0
@@ -141,15 +137,13 @@ class Simulator:
         delay: float,
         action: Callable[[], None],
         *,
-        priority: int = 0,
         label: str = "",
     ) -> Event:
-        """Schedule ``action`` after a relative ``delay`` (must be >= 0)."""
+        """Schedule ``action`` after a relative ``delay`` (must be >= 0), at
+        priority 0."""
         if not delay >= 0.0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(
-            self._now + delay, action, priority=priority, label=label
-        )
+        return self.schedule_at(self._now + delay, action, label=label)
 
     def schedule_pooled(
         self,
@@ -179,10 +173,9 @@ class Simulator:
         action: Callable[[], None],
         *,
         start: float | None = None,
-        priority: int = 0,
         label: str = "",
     ) -> Callable[[], None]:
-        """Fire ``action`` every ``period`` simulated seconds.
+        """Fire ``action`` every ``period`` simulated seconds, at priority 0.
 
         The first firing happens at ``start`` (defaults to ``now + period``).
         Returns a zero-argument *stop* function: calling it cancels the next
@@ -210,14 +203,12 @@ class Simulator:
                 event.state = EventState.PENDING
                 heapq.heappush(
                     self._heap,
-                    (event.time, priority, self._seq, fire, (), event),
+                    (event.time, 0, self._seq, fire, (), event),
                 )
                 self._seq += 1
 
         first = self._now + period if start is None else start
-        slot["event"] = self.schedule_at(
-            first, fire, priority=priority, label=label
-        )
+        slot["event"] = self.schedule_at(first, fire, label=label)
 
         def stop() -> None:
             stopped["flag"] = True

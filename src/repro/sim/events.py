@@ -60,7 +60,9 @@ class Event:
     seq: int
     action: Callable[[], None]
     label: str = ""
-    state: EventState = field(default=EventState.PENDING, compare=False)
+    state: EventState = field(
+        default=EventState.PENDING, compare=False, init=False
+    )
     owner: Any = field(default=None, compare=False, repr=False)
 
     @property

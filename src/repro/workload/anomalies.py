@@ -34,6 +34,13 @@ from repro.sim.rng import ExactDraws
 DEFAULT_LEAK_PROBABILITY = 0.10
 DEFAULT_THREAD_PROBABILITY = 0.05
 
+#: Mean size of one leak in MB, and the log-normal shape of the leak-size
+#: distribution; read when an injector is built.
+LEAK_MEAN_MB = 0.8
+LEAK_SIGMA = 0.5
+#: Resident memory pinned by each stuck thread (stack + locals), in MB.
+THREAD_OVERHEAD_MB = 0.25
+
 
 class AnomalyEffect(NamedTuple):
     """Aggregate anomaly damage from a batch of requests.
@@ -72,13 +79,9 @@ class AnomalyInjector:
         Dedicated random stream (one per VM, from the VM's child registry).
     leak_probability:
         Probability a request leaks memory (paper: 0.10; a drifted
-        scenario raises it).
-    leak_mean_mb:
-        Mean size of one leak in MB.
-    leak_sigma:
-        Log-normal shape parameter of the leak-size distribution.
-    thread_overhead_mb:
-        Resident memory pinned by each stuck thread (stack + locals).
+        scenario raises it).  A leak's size is log-normal with mean
+        :data:`LEAK_MEAN_MB` and shape :data:`LEAK_SIGMA`; a stuck thread
+        pins :data:`THREAD_OVERHEAD_MB`.
 
     A request leaves an unterminated thread with probability
     :data:`DEFAULT_THREAD_PROBABILITY` (paper: 0.05); the
@@ -89,24 +92,22 @@ class AnomalyInjector:
         self,
         rng: np.random.Generator,
         leak_probability: float = DEFAULT_LEAK_PROBABILITY,
-        leak_mean_mb: float = 0.8,
-        leak_sigma: float = 0.5,
-        thread_overhead_mb: float = 0.25,
     ) -> None:
         # the setters validate both probabilities
         self.leak_probability = leak_probability
         self.thread_probability = DEFAULT_THREAD_PROBABILITY
-        # written as ``not <range>`` so that NaN fails too
-        if not 0.0 < leak_mean_mb < math.inf:
-            raise ValueError("leak_mean_mb must be positive and finite")
-        if not 0.0 <= leak_sigma < math.inf:
-            raise ValueError("leak_sigma must be non-negative and finite")
-        if not 0.0 <= thread_overhead_mb < math.inf:
-            raise ValueError("thread_overhead_mb must be non-negative and finite")
+        # read here, so a patched size is checked here; written as
+        # ``not <range>`` so that NaN fails too
+        if not 0.0 < LEAK_MEAN_MB < math.inf:
+            raise ValueError("LEAK_MEAN_MB must be positive and finite")
+        if not 0.0 <= LEAK_SIGMA < math.inf:
+            raise ValueError("LEAK_SIGMA must be non-negative and finite")
+        if not 0.0 <= THREAD_OVERHEAD_MB < math.inf:
+            raise ValueError("THREAD_OVERHEAD_MB must be non-negative and finite")
         self._rng = rng
-        self.leak_mean_mb = float(leak_mean_mb)
-        self.leak_sigma = float(leak_sigma)
-        self.thread_overhead_mb = float(thread_overhead_mb)
+        self.leak_mean_mb = LEAK_MEAN_MB
+        self.leak_sigma = LEAK_SIGMA
+        self.thread_overhead_mb = THREAD_OVERHEAD_MB
         # log-normal with the requested *mean*: mu = ln(mean) - sigma^2/2
         self._leak_mu = np.log(self.leak_mean_mb) - 0.5 * self.leak_sigma**2
         # bound methods skip the per-call attribute chase on the hot path

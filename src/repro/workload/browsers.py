@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: TPC-W specification mean think time (seconds).
-DEFAULT_THINK_TIME_S = 7.0
+#: TPC-W specification mean think time (seconds), read at each call.
+THINK_TIME_S = 7.0
 
 #: Paper's client-count interval per region.
 CLIENT_RANGE = (16, 512)
@@ -50,29 +50,23 @@ class BrowserPopulation:
     Parameters
     ----------
     n_clients:
-        Number of EBs, each running the TPC-W shopping mix; the paper
-        uses values in [16, 512].
-    think_time_s:
-        Mean exponential think time.
+        Number of EBs, each running the TPC-W shopping mix and thinking
+        :data:`THINK_TIME_S` on average; the paper uses values in
+        [16, 512].
     name:
         Label used in traces ("clients@region1").
     """
 
     n_clients: int
-    think_time_s: float = DEFAULT_THINK_TIME_S
     name: str = "clients"
 
     def __post_init__(self) -> None:
         if self.n_clients < 0:
             raise ValueError("n_clients must be >= 0")
-        if not 0 < self.think_time_s < math.inf:
-            raise ValueError("think_time_s must be positive and finite")
 
     def offered_rate(self, response_time_s: float = 0.0) -> float:
         """Closed-loop request rate given the current mean response time."""
-        return closed_loop_rate(
-            self.n_clients, self.think_time_s, response_time_s
-        )
+        return closed_loop_rate(self.n_clients, THINK_TIME_S, response_time_s)
 
     def sample_think_times(
         self, rng: np.random.Generator, size: int
@@ -80,5 +74,5 @@ class BrowserPopulation:
         """Draw ``size`` exponential think times (DES path)."""
         if size < 0:
             raise ValueError("size must be >= 0")
-        return rng.exponential(self.think_time_s, size=size)
+        return rng.exponential(THINK_TIME_S, size=size)
 

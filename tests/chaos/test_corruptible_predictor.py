@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.experiments.runner as runner_module
 from repro.chaos.predictor import CorruptiblePredictor
 from repro.experiments import make_trained_predictor
 from repro.pcam.predictor import OracleRttfPredictor
@@ -13,6 +14,14 @@ from repro.workload import AnomalyInjector
 
 from ..pcam.conftest import apply_load
 from ..pcam.reference_vmc import feature_rows, predict_one
+
+
+def profiled_every_15s(*args, **kwargs):
+    """:func:`make_trained_predictor` with its profiling runs sampled
+    every 15 s (``runner.SAMPLE_PERIOD_S`` patched for the call)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "SAMPLE_PERIOD_S", 15.0)
+        return make_trained_predictor(*args, **kwargs)
 
 
 def make_vms(n=3, seed=17):
@@ -49,7 +58,8 @@ class TestCorruptibleBatch:
     def test_nan_and_zero_modes_corrupt_the_batch(self):
         vms = make_vms()
         rows = feature_rows(vms)
-        pred = CorruptiblePredictor(OracleRttfPredictor(), mode="nan")
+        pred = CorruptiblePredictor(OracleRttfPredictor())
+        pred.set_mode("nan")
         assert np.isnan(pred.predict_rttf_rows(rows, vms)).all()
         pred.set_mode("zero")
         np.testing.assert_array_equal(
@@ -59,12 +69,11 @@ class TestCorruptibleBatch:
 
 @pytest.fixture(scope="module")
 def reptree():
-    return make_trained_predictor(
+    return profiled_every_15s(
         ["private.small"],
         seed=3,
         profile_rates=(4.0, 8.0, 16.0),
         runs_per_rate=2,
-        sample_period_s=15.0,
     )
 
 

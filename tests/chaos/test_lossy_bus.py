@@ -8,15 +8,18 @@ from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
 
 
-def make_bus(seed=7, **kw):
+def make_bus(seed=7, **chaos):
+    """A lossy bus with its chaos knobs (``loss_probability=0.3``, ...) set
+    as the chaos engine sets them."""
     net = OverlayNetwork.full_mesh({("r1", "r2"): 10.0, ("r2", "r3"): 10.0})
     sim = Simulator()
     bus = LossyBus(
         sim=sim,
         router=Router(net),
         rng=RngRegistry(seed=seed).stream("chaos/network"),
-        **kw,
     )
+    for name, value in chaos.items():
+        setattr(bus, name, value)
     return sim, net, bus
 
 
@@ -84,7 +87,8 @@ class TestJitter:
     def test_rng_required_once_enabled(self):
         net = OverlayNetwork.full_mesh({("r1", "r2"): 10.0})
         sim = Simulator()
-        bus = LossyBus(sim=sim, router=Router(net), loss_probability=0.5)
+        bus = LossyBus(sim=sim, router=Router(net))
+        bus.loss_probability = 0.5
         bus.register("r2", lambda m: None)
         with pytest.raises(RuntimeError, match="rng"):
             bus.send("r1", "r2", "x", 1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.cost as cost_module
 from repro.core import CostTracker
 from repro.core.cost import CostModel, cost_model_for, effective_usd_per_req
 from repro.pcam import OracleRttfPredictor, VirtualMachineController, VmcConfig, VmState
@@ -22,42 +23,55 @@ def vmc():
     )
 
 
+@pytest.fixture
+def standby_multiplier(monkeypatch):
+    """Sets :data:`cost_module.STANDBY_MULTIPLIER` for one test."""
+    return lambda value: monkeypatch.setattr(
+        cost_module, "STANDBY_MULTIPLIER", value
+    )
+
+
 class TestCostTracker:
-    def test_active_vms_pay_full_rate(self, vmc):
-        tracker = CostTracker(standby_multiplier=0.0)
+    def test_active_vms_pay_full_rate(self, vmc, standby_multiplier):
+        standby_multiplier(0.0)
+        tracker = CostTracker()
         charge = tracker.charge_era(vmc, dt_s=3600.0)
         # 2 active x 1 hour at the m3.medium rate; standbys free here
         assert charge == pytest.approx(2 * M3_MEDIUM.hourly_cost)
 
-    def test_standby_multiplier(self, vmc):
-        tracker = CostTracker(standby_multiplier=0.5)
+    def test_standby_multiplier(self, vmc, standby_multiplier):
+        standby_multiplier(0.5)
+        tracker = CostTracker()
         charge = tracker.charge_era(vmc, dt_s=3600.0)
         expected = (2 + 0.5 * 2) * M3_MEDIUM.hourly_cost
         assert charge == pytest.approx(expected)
 
-    def test_rejuvenating_pays_full_rate(self, vmc):
+    def test_rejuvenating_pays_full_rate(self, vmc, standby_multiplier):
         vm = vmc.vms_in(VmState.ACTIVE)[0]
         vmc.table.start_rejuvenation(np.array([vm.row]))
-        tracker = CostTracker(standby_multiplier=0.0)
+        standby_multiplier(0.0)
+        tracker = CostTracker()
         charge = tracker.charge_era(vmc, dt_s=3600.0)
         # 1 active + 1 rejuvenating at full rate
         assert charge == pytest.approx(2 * M3_MEDIUM.hourly_cost)
 
-    def test_failed_pays_full_rate(self, vmc):
+    def test_failed_pays_full_rate(self, vmc, standby_multiplier):
         # regression: a crashed-but-provisioned VM still costs money
         # until it is deprovisioned -- FAILED must bill like ACTIVE,
         # which is what the docstring now promises
         vmc.vms_in(VmState.ACTIVE)[0].fail()
-        tracker = CostTracker(standby_multiplier=0.0)
+        standby_multiplier(0.0)
+        tracker = CostTracker()
         charge = tracker.charge_era(vmc, dt_s=3600.0)
         # 1 active + 1 failed, both at the full rate
         assert charge == pytest.approx(2 * M3_MEDIUM.hourly_cost)
 
-    def test_per_state_billing_matrix(self, vmc):
+    def test_per_state_billing_matrix(self, vmc, standby_multiplier):
         active = vmc.vms_in(VmState.ACTIVE)
         active[0].fail()
         vmc.table.start_rejuvenation(np.array([active[1].row]))
-        tracker = CostTracker(standby_multiplier=0.25)
+        standby_multiplier(0.25)
+        tracker = CostTracker()
         charge = tracker.charge_era(vmc, dt_s=3600.0)
         # 1 failed + 1 rejuvenating at full rate, 2 standby at 25%
         expected = (2 + 0.25 * 2) * M3_MEDIUM.hourly_cost
@@ -72,8 +86,9 @@ class TestCostTracker:
         )
         assert tracker.requests_served == 1000
 
-    def test_cost_per_million(self, vmc):
-        tracker = CostTracker(standby_multiplier=0.0)
+    def test_cost_per_million(self, vmc, standby_multiplier):
+        standby_multiplier(0.0)
+        tracker = CostTracker()
         tracker.charge_era(vmc, dt_s=3600.0, requests_served=1_000_000)
         assert tracker.cost_per_million_requests() == pytest.approx(
             2 * M3_MEDIUM.hourly_cost
@@ -83,8 +98,6 @@ class TestCostTracker:
         assert CostTracker().cost_per_million_requests() == float("inf")
 
     def test_validation(self, vmc):
-        with pytest.raises(ValueError):
-            CostTracker(standby_multiplier=1.5)
         tracker = CostTracker()
         with pytest.raises(ValueError):
             tracker.charge_era(vmc, 0.0)
@@ -93,16 +106,18 @@ class TestCostTracker:
 
 
 class TestCostModel:
-    def test_marginal_request_pricing(self, vmc):
+    def test_marginal_request_pricing(self, vmc, standby_multiplier):
         model = CostModel(usd_per_req={"cost": 2e-6})
-        tracker = CostTracker(standby_multiplier=0.0, model=model)
+        standby_multiplier(0.0)
+        tracker = CostTracker(model=model)
         charge = tracker.charge_era(vmc, dt_s=3600.0, requests_served=1000)
         expected = 2 * M3_MEDIUM.hourly_cost + 1000 * 2e-6
         assert charge == pytest.approx(expected)
 
-    def test_unknown_region_prices_at_zero(self, vmc):
+    def test_unknown_region_prices_at_zero(self, vmc, standby_multiplier):
         model = CostModel(usd_per_req={"elsewhere": 1.0})
-        tracker = CostTracker(standby_multiplier=0.0, model=model)
+        standby_multiplier(0.0)
+        tracker = CostTracker(model=model)
         charge = tracker.charge_era(vmc, dt_s=3600.0, requests_served=1000)
         assert charge == pytest.approx(2 * M3_MEDIUM.hourly_cost)
 
@@ -160,9 +175,9 @@ class TestDegenerateCases:
         assert tracker.total_usd > 0
         assert tracker.cost_per_million_requests() == float("inf")
 
-    def test_single_region_no_egress(self, vmc):
+    def test_single_region_no_egress(self, vmc, standby_multiplier):
+        standby_multiplier(0.0)
         tracker = CostTracker(
-            standby_multiplier=0.0,
             model=CostModel(
                 usd_per_req={"cost": 1e-6}, egress_usd_per_req=1e-6
             ),

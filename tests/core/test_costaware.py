@@ -3,9 +3,23 @@
 import numpy as np
 import pytest
 
+import repro.core.costaware as costaware
 from repro.core.costaware import CostAwarePolicy
 from repro.core.policy import compute_fractions, get_policy
 from repro.core.resources import AvailableResourcesPolicy
+
+
+def priced(usd_per_req, **kwargs):
+    """A cost-aware policy with ``usd_per_req`` installed."""
+    policy = CostAwarePolicy(**kwargs)
+    policy.configure_costs(usd_per_req)
+    return policy
+
+
+@pytest.fixture
+def cost_weight(monkeypatch):
+    """Sets :data:`costaware.COST_WEIGHT` for one test."""
+    return lambda value: monkeypatch.setattr(costaware, "COST_WEIGHT", value)
 
 
 class TestRegistry:
@@ -22,36 +36,35 @@ class TestCostWeighting:
         assert costless == pytest.approx(plain)
 
     def test_all_zero_prices_clear_configuration(self):
-        policy = CostAwarePolicy(usd_per_req=[0.0, 0.0])
+        policy = priced([0.0, 0.0])
         assert policy.needs_costs
 
     def test_prices_shift_traffic_toward_cheap_regions(self):
         prev = np.array([0.5, 0.5])
         rmttf = np.array([600.0, 600.0])  # identical health...
-        policy = CostAwarePolicy(usd_per_req=[1e-6, 1e-7])
+        policy = priced([1e-6, 1e-7])
         f = policy.compute(prev, rmttf, 100.0)
         assert f[1] > f[0]  # ...so the cheap region wins
 
     def test_price_ratios_not_magnitudes(self):
         prev = np.array([0.4, 0.6])
         rmttf = np.array([500.0, 700.0])
-        lo = CostAwarePolicy(usd_per_req=[1e-7, 3e-7])
-        hi = CostAwarePolicy(usd_per_req=[1e-4, 3e-4])  # 1000x scale
+        lo = priced([1e-7, 3e-7])
+        hi = priced([1e-4, 3e-4])  # 1000x scale
         assert lo.compute(prev, rmttf, 50.0) == pytest.approx(
             hi.compute(prev, rmttf, 50.0)
         )
 
-    def test_cost_weight_zero_reduces_to_policy2(self):
+    def test_cost_weight_zero_reduces_to_policy2(self, cost_weight):
         prev = np.array([0.5, 0.5])
         rmttf = np.array([300.0, 900.0])
-        weighted = CostAwarePolicy(
-            usd_per_req=[1e-6, 1e-7], cost_weight=0.0
-        ).compute(prev, rmttf, 100.0)
+        cost_weight(0.0)
+        weighted = priced([1e-6, 1e-7]).compute(prev, rmttf, 100.0)
         plain = AvailableResourcesPolicy().compute(prev, rmttf, 100.0)
         assert weighted == pytest.approx(plain)
 
     def test_size_mismatch_raises(self):
-        policy = CostAwarePolicy(usd_per_req=[1e-6, 1e-7, 1e-7])
+        policy = priced([1e-6, 1e-7, 1e-7])
         with pytest.raises(ValueError):
             policy.compute(np.array([0.5, 0.5]), np.array([1.0, 1.0]), 1.0)
 
@@ -67,8 +80,8 @@ class TestCostWeighting:
         bound = CostAwarePolicy()
         bound.bind(regions)
         assert not bound.needs_costs
-        priced = CostAwarePolicy(
-            usd_per_req=[
+        catalog = priced(
+            [
                 effective_usd_per_req(get_instance_type(s.instance_type))
                 for s in regions
             ]
@@ -76,9 +89,9 @@ class TestCostWeighting:
         prev, rmttf = np.array([0.5, 0.5]), np.array([600.0, 600.0])
         assert np.array_equal(
             bound.compute(prev, rmttf, 100.0),
-            priced.compute(prev, rmttf, 100.0),
+            catalog.compute(prev, rmttf, 100.0),
         )
-        explicit = CostAwarePolicy(usd_per_req=[1e-6, 1e-7])
+        explicit = priced([1e-6, 1e-7])
         before = explicit.compute(prev, rmttf, 100.0)
         explicit.bind(regions)
         assert np.array_equal(explicit.compute(prev, rmttf, 100.0), before)
@@ -91,20 +104,17 @@ class TestCostWeighting:
             policy.configure_costs([1e-6, -1.0])
         with pytest.raises(ValueError):
             policy.configure_costs([1e-6, float("inf")])
-        with pytest.raises(ValueError):
-            CostAwarePolicy(cost_weight=-1.0)
 
 
 class TestMinFractionInteraction:
     """Satellite: expensive regions stay observable through the floor."""
 
-    def test_expensive_region_keeps_min_fraction(self):
+    def test_expensive_region_keeps_min_fraction(self, cost_weight):
         # an extreme price ratio starves region 0, but the simplex
         # floor must keep it observable (no requests -> no RMTTF signal
         # -> no recovery, the failure mode the floor exists to prevent)
-        policy = CostAwarePolicy(
-            min_fraction=0.01, usd_per_req=[1.0, 1e-9], cost_weight=100.0
-        )
+        cost_weight(100.0)
+        policy = priced([1.0, 1e-9], min_fraction=0.01)
         prev = np.array([1e-3, 1.0 - 1e-3])
         rmttf = np.array([600.0, 600.0])
         for _ in range(20):  # iterate the multiplicative policy
@@ -113,7 +123,7 @@ class TestMinFractionInteraction:
         assert prev.sum() == pytest.approx(1.0)
 
     def test_through_compute_fractions_seam(self):
-        policy = CostAwarePolicy(usd_per_req=[1e-6, 1e-7])
+        policy = priced([1e-6, 1e-7])
         prev = np.array([0.5, 0.5])
         rmttf = np.array([600.0, 600.0])
         direct = policy.compute(prev, rmttf, 100.0)

@@ -177,12 +177,9 @@ class TestReliableTransport:
             chaos_rng = mgr.rngs.stream("chaos/network")
 
             def bus_factory(sim, router):
-                return LossyBus(
-                    sim=sim,
-                    router=router,
-                    rng=chaos_rng,
-                    loss_probability=loss,
-                )
+                bus = LossyBus(sim=sim, router=router, rng=chaos_rng)
+                bus.loss_probability = loss
+                return bus
 
         return mgr, DistributedControlPlane(mgr.loop, bus_factory=bus_factory)
 

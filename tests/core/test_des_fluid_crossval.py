@@ -25,11 +25,9 @@ from repro.pcam import OracleRttfPredictor, VirtualMachine
 from repro.pcam.vm import fresh_ttf_s
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
 from repro.workload import AnomalyInjector, BrowserPopulation
-from repro.workload.browsers import closed_loop_rate
+from repro.workload.browsers import THINK_TIME_S, closed_loop_rate
 
 from ..pcam.reference_vmc import mm1_response_time_s
-
-THINK_TIME_S = 7.0
 
 
 def make_loop(n_vms=4, clients=40, itype=PRIVATE_SMALL, seed=1,
@@ -50,8 +48,7 @@ def make_loop(n_vms=4, clients=40, itype=PRIVATE_SMALL, seed=1,
     ]
     for vm in vms:
         vm.injector.thread_probability = thread_probability
-    population = BrowserPopulation(n_clients=clients,
-                                   think_time_s=THINK_TIME_S)
+    population = BrowserPopulation(n_clients=clients)
     loop = DesControlLoop(
         {"r": (vms, population, n_vms)},
         get_policy(policy),
@@ -76,6 +73,12 @@ def completed_and_mean_rt(loop):
     total = completed.sum()
     return total, float((completed * mean_rt).sum() / total)
 
+
+def nan_predictor():
+    """An oracle behind a corruptible predictor in its ``"nan"`` mode."""
+    corruptible = CorruptiblePredictor(OracleRttfPredictor())
+    corruptible.set_mode("nan")
+    return corruptible
 
 class TestFluidCrossValidation:
     def test_throughput_matches_closed_loop_law(self):
@@ -152,7 +155,7 @@ class TestNonFiniteReports:
         "predictor",
         [
             OracleRttfPredictor(),
-            CorruptiblePredictor(OracleRttfPredictor(), "nan"),
+            nan_predictor(),
         ],
         ids=["oracle-inf", "corrupted-nan"],
     )

@@ -23,13 +23,19 @@ from repro.core.des_loop import FORWARD_FALLBACK_PENALTY_S, DesControlLoop
 from repro.overlay import OverlayNetwork
 from repro.pcam import OracleRttfPredictor, VirtualMachine, VmState
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
-from repro.workload import AnomalyInjector, BrowserPopulation
+from repro.workload import AnomalyInjector, BrowserPopulation, browsers
 
 from ..pcam.conftest import set_load
 
 
+@pytest.fixture
+def think_time(monkeypatch):
+    """Sets :data:`browsers.THINK_TIME_S` for one test."""
+    return lambda value: monkeypatch.setattr(browsers, "THINK_TIME_S", value)
+
+
 def build_loop(policy="available-resources", seed=5, clients=(80, 48),
-               think_time_s=7.0, **kwargs):
+               **kwargs):
     rngs = RngRegistry(seed=seed)
 
     def pool(name, itype, n):
@@ -44,11 +50,9 @@ def build_loop(policy="available-resources", seed=5, clients=(80, 48),
 
     regions = {
         "r1": (pool("r1", M3_MEDIUM, 6),
-               BrowserPopulation(n_clients=clients[0],
-                                 think_time_s=think_time_s), 4),
+               BrowserPopulation(n_clients=clients[0]), 4),
         "r3": (pool("r3", PRIVATE_SMALL, 4),
-               BrowserPopulation(n_clients=clients[1],
-                                 think_time_s=think_time_s), 3),
+               BrowserPopulation(n_clients=clients[1]), 3),
     }
     return DesControlLoop(
         regions,
@@ -209,10 +213,11 @@ class _SpyPolicy:
 
 
 class TestIdleEraHoldsFractions:
-    def test_idle_era_skips_policy(self):
+    def test_idle_era_skips_policy(self, think_time):
         spy = _SpyPolicy(get_policy("available-resources"))
         # think times around 1e9 s: no request completes within 30 s eras
-        loop = build_loop(spy, seed=3, think_time_s=1e9)
+        think_time(1e9)
+        loop = build_loop(spy, seed=3)
         initial = loop.leader.fractions.copy()
         loop.run(3)
         assert spy.calls == 0
@@ -267,10 +272,11 @@ class TestStaleCompletionLifeGate:
                        t_start=0.0, extra=0.0)
         assert vm.total_requests == before + 1
 
-    def test_rejuvenation_bumps_slot_life(self):
+    def test_rejuvenation_bumps_slot_life(self, think_time):
         # end-to-end: every proactive/reactive swap at the era boundary
         # must advance the slot's incarnation counter
-        loop = build_loop(seed=9, clients=(160, 96), think_time_s=3.0)
+        think_time(3.0)
+        loop = build_loop(seed=9, clients=(160, 96))
         for _ in range(20):
             loop.run_era()
         if loop.total_rejuvenations == 0:
@@ -286,13 +292,12 @@ class TestRegionsRunTheVmc:
     loop keeps no PCAM copy, so its counters, events and life gate are
     the VMC's and the state table's."""
 
-    def test_counters_events_and_totals_agree(self):
+    def test_counters_events_and_totals_agree(self, think_time):
         from repro.obs.telemetry import Telemetry
 
         tel = Telemetry(enabled=True)
-        loop = build_loop(
-            seed=9, clients=(160, 96), think_time_s=3.0, telemetry=tel
-        )
+        think_time(3.0)
+        loop = build_loop(seed=9, clients=(160, 96), telemetry=tel)
         loop.run(20)
         assert loop.total_rejuvenations > loop.total_failures > 0
         snap = tel.snapshot()

@@ -115,3 +115,29 @@ class TestPlaneUnderFailures:
         reports = plane.run(3)
         assert reports[-1].detector_leaders["region2"] == "region1"
         assert reports[-1].views_agree
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig4"])
+@pytest.mark.parametrize(
+    "policy", ["sensible-routing", "available-resources", "exploration"]
+)
+def test_a_plane_stepped_run_is_the_oracle_run(figure, policy):
+    """Over a healthy overlay every fraction push is acked, so the plane
+    installs the plan as it is: a policy run stepped by the plane records
+    every series of the oracle-exchange run bit for bit."""
+    from repro.experiments import runner
+    from repro.experiments.figures import FIGURES
+
+    scenario = SCENARIOS[FIGURES[figure].scenario]()
+
+    def plane(manager, eras):
+        DistributedControlPlane(manager.loop).run(eras)
+
+    run = dict(eras=60, seed=5)
+    oracle = runner.run_policy_experiment(scenario, policy, **run).traces
+    stepped = runner._policy_run(plane, scenario, policy, **run).traces
+    assert stepped.names() == oracle.names()
+    for name in oracle.names():
+        a, b = oracle.series(name), stepped.series(name)
+        assert a.times.tobytes() == b.times.tobytes(), name
+        assert a.values.tobytes() == b.values.tobytes(), name

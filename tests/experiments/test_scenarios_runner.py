@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+
 import repro.ml.tree as tree_module
 from repro.experiments import runner
 from repro.experiments import (
@@ -16,6 +17,14 @@ from repro.experiments import (
 from repro.experiments.runner import paper_shape_holds
 from repro.ml.toolchain import F2PMToolchain
 from repro.sim import INSTANCE_CATALOG
+
+
+def profiled_every_15s(*args, **kwargs):
+    """:func:`make_trained_predictor` with its profiling runs sampled
+    every 15 s (``runner.SAMPLE_PERIOD_S`` patched for the call)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "SAMPLE_PERIOD_S", 15.0)
+        return make_trained_predictor(*args, **kwargs)
 
 
 class TestScenarios:
@@ -141,13 +150,12 @@ class TestRunner:
 class TestTrainedPredictorPath:
     @pytest.fixture(scope="class")
     def predictor(self):
-        return make_trained_predictor(
+        return profiled_every_15s(
             ["m3.medium", "private.small"],
             seed=1,
             profile_rates=(4.0, 8.0, 16.0),
             runs_per_rate=2,
-            sample_period_s=15.0,
-        )
+            )
 
     def test_trained_model_quality(self, predictor):
         # the REP-Tree must have real skill on the profiling data

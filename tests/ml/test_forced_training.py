@@ -173,9 +173,7 @@ class TestLazyLassoPath:
         X[:, 4] = X[:, 1] + rng.normal(0, 0.05, n)  # a correlated pair
         y = X @ (rng.normal(size=d) * np.arange(d)) + rng.normal(0, 0.5, n)
         names = [f"f{j}" for j in range(d)]
-        _, rows = _lazy_path(
-            X, y, n_alphas=50, alpha_min_ratio=1e-3, max_iter=1000, tol=1e-6
-        )
+        _, rows = _lazy_path(X, y, n_alphas=50, alpha_min_ratio=1e-3)
         coefs = np.stack(list(rows))
         for max_features in (1, 4, 8, None):
             limit = max_features if max_features is not None else d

@@ -1,10 +1,12 @@
 """Property-based tests (hypothesis) for the ML substrate invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.ml.reptree as reptree
 from repro.ml import LinearRegression, REPTree
 from repro.ml.lasso import soft_threshold
 from repro.ml.validation import r2_score, root_mean_squared_error
@@ -56,7 +58,10 @@ def test_tree_predictions_within_target_range(n, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 3))
     y = rng.uniform(-10, 10, size=n)
-    m = REPTree(max_depth=6, prune_fraction=0.0).fit(X, y)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reptree, "MAX_DEPTH", 6)
+        patch.setattr(reptree, "PRUNE_FRACTION", 0.0)
+        m = REPTree().fit(X, y)
     pred = m.predict(rng.normal(size=(50, 3)))
     assert pred.min() >= y.min() - 1e-9
     assert pred.max() <= y.max() + 1e-9

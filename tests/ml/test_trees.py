@@ -1,14 +1,18 @@
 """Tests for the regression tree, REP-Tree, and M5P model tree.
 
 The plain CART regression tree is ``build_tree`` + ``tree_predict``; an
-unpruned :class:`REPTree` (``prune_fraction=0``) grows exactly that tree
+unpruned :class:`REPTree` (``PRUNE_FRACTION = 0``) grows exactly that tree
 on its whole training set, so it stands in wherever a test needs one
-behind the ``Regressor`` interface.
+behind the ``Regressor`` interface.  The models' hyperparameters are
+module constants; a test that needs other values patches them around the
+fit (and, for M5P's smoothing, the predict).
 """
 
 import numpy as np
 import pytest
 
+import repro.ml.m5p as m5p
+import repro.ml.reptree as reptree
 import repro.ml.tree as tree_module
 from repro.ml import M5PModelTree, REPTree
 from repro.ml.tree import ROW_WALK_MAX_ROWS, best_split, build_tree, tree_predict
@@ -85,55 +89,70 @@ class TestBestSplit:
         assert not np.isnan([node.value for node in leaves]).any()
 
 
-def cart(**growth):
-    """A plain (unpruned) CART regression tree behind ``Regressor``."""
-    return REPTree(prune_fraction=0.0, **growth)
+def cart(X, y, **growth):
+    """A plain (unpruned) CART regression tree behind ``Regressor``, fit
+    on ``X, y``: a REPTree with ``PRUNE_FRACTION = 0`` and ``growth``
+    (``max_depth=6``, ...) patched over its module constants."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reptree, "PRUNE_FRACTION", 0.0)
+        for name, value in growth.items():
+            patch.setattr(reptree, name.upper(), value)
+        return REPTree().fit(X, y)
+
+
+@pytest.fixture
+def m5p_constants(monkeypatch):
+    """Sets M5P's module constants for one test: ``m5p_constants(smoothing=0.0)``."""
+    def patch(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(m5p, name.upper(), value)
+    return patch
 
 
 class TestRegressionTree:
     def test_fits_piecewise_function(self, piecewise_data):
         X, y = piecewise_data
-        m = cart(max_depth=6).fit(X, y)
+        m = cart(X, y, max_depth=6)
         resid = y - m.predict(X)
         assert np.std(resid) < 0.5
 
     def test_max_depth_zero_predicts_mean(self, piecewise_data):
         X, y = piecewise_data
-        m = cart(max_depth=0).fit(X, y)
+        m = cart(X, y, max_depth=0)
         assert np.allclose(m.predict(X), y.mean())
         assert m.depth() == 0
         assert m.n_leaves() == 1
 
     def test_depth_bounded(self, piecewise_data):
         X, y = piecewise_data
-        m = cart(max_depth=3).fit(X, y)
+        m = cart(X, y, max_depth=3)
         assert m.depth() <= 3
 
     def test_min_sse_decrease_stops_splitting_noise(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(200, 3))
         y = rng.normal(size=200)  # pure noise
-        big_gate = cart(min_sse_decrease=1e9).fit(X, y)
+        big_gate = cart(X, y, min_sse_decrease=1e9)
         assert big_gate.n_leaves() == 1
 
     def test_interpolates_training_data_when_unconstrained(self):
         X = np.arange(8.0).reshape(-1, 1)
         y = np.array([1.0, 5.0, 2.0, 8.0, 3.0, 9.0, 0.0, 4.0])
-        m = cart(max_depth=10, min_samples_split=2, min_samples_leaf=1)
-        m.fit(X, y)
+        m = cart(X, y, max_depth=10, min_samples_split=2, min_samples_leaf=1)
         assert np.allclose(m.predict(X), y)
 
     def test_introspection_before_fit(self):
         with pytest.raises(RuntimeError):
-            cart().depth()
+            REPTree().depth()
 
-    def test_invalid_params(self):
+    def test_invalid_params(self, piecewise_data):
+        X, y = piecewise_data
         with pytest.raises(ValueError):
-            cart(max_depth=-1)
+            cart(X, y, max_depth=-1)
         with pytest.raises(ValueError):
-            cart(min_samples_leaf=0)
+            cart(X, y, min_samples_leaf=0)
         with pytest.raises(ValueError):
-            cart(min_samples_split=1)
+            cart(X, y, min_samples_split=1)
 
     def test_vectorised_predict_matches_manual_walk(self, piecewise_data):
         X, y = piecewise_data
@@ -207,16 +226,15 @@ class TestRowWalk:
     """The small-batch row walk and the masked walk agree bit for bit."""
 
     MODELS = {
-        "regression-tree": lambda: cart(
-            max_depth=10, min_samples_split=2, min_samples_leaf=1
+        "regression-tree": lambda X, y: cart(
+            X, y, max_depth=10, min_samples_split=2, min_samples_leaf=1
         ),
-        "rep-tree": lambda: REPTree(seed=3),
+        "rep-tree": lambda X, y: REPTree(seed=3).fit(X, y),
     }
 
     @pytest.fixture(scope="class", params=sorted(MODELS))
     def model(self, request):
-        X, y = _walk_corpus()
-        return self.MODELS[request.param]().fit(X, y)
+        return self.MODELS[request.param](*_walk_corpus())
 
     def test_corpus_splits_at_signed_zero(self, model):
         assert any(
@@ -249,7 +267,7 @@ class TestRowWalk:
     @pytest.mark.parametrize("max_depth", [0, 1])
     def test_stump(self, monkeypatch, max_depth):
         X, y = _walk_corpus()
-        m = cart(max_depth=max_depth).fit(X, y)
+        m = cart(X, y, max_depth=max_depth)
         assert m.depth() == max_depth
         walked, masked = _both_walks(
             monkeypatch, m.predict, _query_rows(m.root_, 40, seed=2)
@@ -263,8 +281,8 @@ class TestREPTree:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(300, 5))
         y = np.where(X[:, 0] > 0, 5.0, -5.0) + rng.normal(0, 2.0, 300)
-        unpruned = REPTree(prune_fraction=0.0, seed=3).fit(X, y)
-        pruned = REPTree(prune_fraction=1 / 3, seed=3).fit(X, y)
+        unpruned = cart(X, y)
+        pruned = REPTree(seed=3).fit(X, y)
         assert pruned.n_leaves() < unpruned.n_leaves()
         assert pruned.pruned_leaves_ > 0
 
@@ -274,7 +292,7 @@ class TestREPTree:
         y = np.where(X[:, 0] > 0, 5.0, -5.0) + rng.normal(0, 2.0, 400)
         X_test = rng.normal(size=(200, 5))
         y_test = np.where(X_test[:, 0] > 0, 5.0, -5.0)
-        unpruned = REPTree(prune_fraction=0.0, seed=4).fit(X, y)
+        unpruned = cart(X, y)
         pruned = REPTree(seed=4).fit(X, y)
         err_u = np.mean((y_test - unpruned.predict(X_test)) ** 2)
         err_p = np.mean((y_test - pruned.predict(X_test)) ** 2)
@@ -291,29 +309,31 @@ class TestREPTree:
         p2 = REPTree(seed=9).fit(X, y).predict(X)
         assert np.array_equal(p1, p2)
 
-    def test_prune_fraction_validated(self):
-        with pytest.raises(ValueError):
-            REPTree(prune_fraction=1.0)
-        with pytest.raises(ValueError):
-            REPTree(prune_fraction=-0.1)
+    def test_prune_fraction_validated(self, piecewise_data, monkeypatch):
+        X, y = piecewise_data
+        for bad in (1.0, -0.1):
+            monkeypatch.setattr(reptree, "PRUNE_FRACTION", bad)
+            with pytest.raises(ValueError):
+                REPTree().fit(X, y)
 
     def test_tiny_dataset_skips_pruning(self):
         X = np.arange(4.0).reshape(-1, 1)
         y = np.arange(4.0)
-        m = REPTree(min_samples_leaf=2).fit(X, y)  # n - n_prune < 2*leaf
+        m = REPTree().fit(X, y)  # n - n_prune < 2 * MIN_SAMPLES_LEAF
         assert m.is_fitted
 
 
 class TestM5P:
-    def test_beats_plain_tree_on_smooth_function(self):
+    def test_beats_plain_tree_on_smooth_function(self, m5p_constants):
         rng = np.random.default_rng(5)
         X = rng.uniform(-2, 2, size=(400, 2))
         # piecewise-LINEAR target: exactly M5P's sweet spot
         y = np.where(X[:, 0] > 0, 3.0 * X[:, 1] + 5.0, -2.0 * X[:, 1])
         X_test = rng.uniform(-2, 2, size=(200, 2))
         y_test = np.where(X_test[:, 0] > 0, 3.0 * X_test[:, 1] + 5.0, -2.0 * X_test[:, 1])
-        m5 = M5PModelTree(max_depth=4).fit(X, y)
-        tree = cart(max_depth=4).fit(X, y)
+        m5p_constants(max_depth=4)
+        m5 = M5PModelTree().fit(X, y)
+        tree = cart(X, y, max_depth=4)
         err_m5 = np.mean((y_test - m5.predict(X_test)) ** 2)
         err_cart = np.mean((y_test - tree.predict(X_test)) ** 2)
         assert err_m5 < err_cart
@@ -324,24 +344,33 @@ class TestM5P:
         # pruning should collapse to (nearly) a single linear model
         assert np.std(y - m.predict(X)) < 0.6
 
-    def test_smoothing_zero_allowed(self, piecewise_data):
+    def test_smoothing_zero_allowed(self, piecewise_data, m5p_constants):
         X, y = piecewise_data
-        m = M5PModelTree(smoothing=0.0).fit(X, y)
+        m5p_constants(smoothing=0.0)
+        m = M5PModelTree().fit(X, y)
         assert np.isfinite(m.predict(X)).all()
 
     def test_no_prune_keeps_more_leaves(self):
+        """The tree M5P grows before its pruning pass has at least as many
+        leaves as the model tree it keeps."""
         rng = np.random.default_rng(6)
         X = rng.normal(size=(300, 4))
         y = rng.normal(size=300)
-        pruned = M5PModelTree(prune=True).fit(X, y)
-        unpruned = M5PModelTree(prune=False).fit(X, y)
-        assert pruned.n_leaves() <= unpruned.n_leaves()
+        pruned = M5PModelTree().fit(X, y)
+        unpruned = build_tree(
+            X, y, max_depth=m5p.MAX_DEPTH, min_samples_split=m5p.MIN_SAMPLES_SPLIT,
+            min_samples_leaf=m5p.MIN_SAMPLES_LEAF, min_sse_decrease=0.0,
+        )
+        assert pruned.n_leaves() <= unpruned.count_leaves()
 
-    def test_invalid_params(self):
+    def test_invalid_params(self, piecewise_data, m5p_constants):
+        X, y = piecewise_data
+        m5p_constants(smoothing=-1.0)
         with pytest.raises(ValueError):
-            M5PModelTree(smoothing=-1.0)
+            M5PModelTree().fit(X, y)
+        m5p_constants(smoothing=m5p.SMOOTHING, ridge=-1.0)
         with pytest.raises(ValueError):
-            M5PModelTree(ridge=-1.0)
+            M5PModelTree().fit(X, y)
 
     def test_introspection_before_fit(self):
         with pytest.raises(RuntimeError):

@@ -18,7 +18,8 @@ class FakeClock:
 @pytest.fixture()
 def clocked():
     clock = FakeClock()
-    tracer = SpanTracer(clock)
+    tracer = SpanTracer()
+    tracer.set_clock(clock)
     return clock, tracer
 
 

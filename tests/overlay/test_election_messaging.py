@@ -135,7 +135,8 @@ class TestMessageBus:
         net.add_node("r3")  # isolated
         sim = Simulator()
         dropped = []
-        bus = MessageBus(sim=sim, router=Router(net), on_drop=dropped.append)
+        bus = MessageBus(sim=sim, router=Router(net))
+        bus.on_drop = dropped.append
         bus.register("r3", lambda m: None)
         assert not bus.send("r1", "r3", "rmttf", 1.0)
         assert bus.dropped_count == 1

@@ -210,9 +210,9 @@ class ReferenceVm:
     def failure_point_reached(self) -> bool:
         """Evaluate the F2PM failure-point predicate on the current state."""
         p = self.failure_policy
-        if p.swap_exhaustion and self.leaked_mb >= self.anomaly_budget_mb:
+        if self.leaked_mb >= self.anomaly_budget_mb:
             return True
-        if p.thread_exhaustion and self.thread_pressure >= 1.0:
+        if self.thread_pressure >= 1.0:
             return True
         if self.last_response_time_s > p.sla_response_time_s:
             return True
@@ -243,8 +243,6 @@ class ReferenceVm:
             policy.sla_response_time_s,
             self.injector.expected_leak_rate_mb(request_rate),
             self.injector.expected_thread_rate(request_rate),
-            policy.swap_exhaustion,
-            policy.thread_exhaustion,
         )
 
     # ------------------------------------------------------------------ #

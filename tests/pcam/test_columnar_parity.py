@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.pcam.predictor as predictor_module
 from repro.chaos.predictor import CorruptiblePredictor
 from repro.pcam import (
     LocalBalancer,
@@ -203,17 +204,19 @@ def test_vmc_era_parity_oracle():
     "predictor_kind",
     ["trained", "trend", "corruptible", "corruptible-stale"],
 )
-def test_vmc_era_parity_predictor_variants(predictor_kind):
+def test_vmc_era_parity_predictor_variants(predictor_kind, monkeypatch):
     """Every predictor stack sees identical features on both paths."""
+    monkeypatch.setattr(predictor_module, "FLOOR_S", 5.0)
 
     def make_predictor():
         if predictor_kind == "trained":
-            return TrainedRttfPredictor(_LinModel(), floor_s=5.0)
+            return TrainedRttfPredictor(_LinModel())
         if predictor_kind == "trend":
             return TrendAwareRttfPredictor(_LinModel(), window=3)
-        inner = TrainedRttfPredictor(_LinModel(), floor_s=5.0)
-        mode = "stale" if predictor_kind.endswith("stale") else "off"
-        return CorruptiblePredictor(inner, mode=mode)
+        inner = TrainedRttfPredictor(_LinModel())
+        corruptible = CorruptiblePredictor(inner)
+        corruptible.set_mode("stale" if predictor_kind.endswith("stale") else "off")
+        return corruptible
 
     def build(cls, rngs, vms):
         return cls(
@@ -381,7 +384,7 @@ def test_vmc_parity_under_chaos_and_churn():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_vmc_parity_fuzz(seed):
+def test_vmc_parity_fuzz(seed, monkeypatch):
     """Randomized scenario sweep; any drift is a real bookkeeping bug."""
     fuzz = np.random.default_rng(seed)
     n_vms = int(fuzz.integers(3, 11))
@@ -400,7 +403,8 @@ def test_vmc_parity_fuzz(seed):
 
     def build(cls, rngs, vms):
         if predictor_kind == "trained":
-            predictor = TrainedRttfPredictor(_LinModel(), floor_s=1.0)
+            monkeypatch.setattr(predictor_module, "FLOOR_S", 1.0)
+            predictor = TrainedRttfPredictor(_LinModel())
         elif predictor_kind == "trend":
             predictor = TrendAwareRttfPredictor(_LinModel(), window=4)
         else:
@@ -503,14 +507,11 @@ def _build_des_loop(case: str):
             for i in range(n)
         ]
 
-    def browsers(n):
-        return BrowserPopulation(
-            n_clients=n, think_time_s=cfg["think_time_s"]
-        )
-
     regions = {
-        "r1": (pool("r1", M3_MEDIUM, 6), browsers(cfg["clients"][0]), 4),
-        "r3": (pool("r3", PRIVATE_SMALL, 4), browsers(cfg["clients"][1]), 3),
+        "r1": (pool("r1", M3_MEDIUM, 6),
+               BrowserPopulation(n_clients=cfg["clients"][0]), 4),
+        "r3": (pool("r3", PRIVATE_SMALL, 4),
+               BrowserPopulation(n_clients=cfg["clients"][1]), 3),
     }
     return DesControlLoop(
         regions,
@@ -521,8 +522,13 @@ def _build_des_loop(case: str):
 
 
 def _collect_des_loop(case: str) -> dict:
-    loop = _build_des_loop(case)
-    loop.run(DES_LOOP_CASES[case]["eras"])
+    from repro.workload import browsers
+
+    cfg = DES_LOOP_CASES[case]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(browsers, "THINK_TIME_S", cfg["think_time_s"])
+        loop = _build_des_loop(case)
+        loop.run(cfg["eras"])
     series = loop.traces.matching("")
     out = {
         "total_rejuvenations": int(loop.total_rejuvenations),

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ml import F2PMToolchain
 from repro.ml.features import FEATURE_NAMES
+import repro.pcam.predictor as predictor_module
 from repro.pcam import (
     OracleRttfPredictor,
     ProfilingHarness,
@@ -195,12 +196,14 @@ class TestTrainedPredictor:
             preds.append(predict_one(predictor, vm))
         assert preds[-1] < preds[0]
 
-    def test_floor_clamps(self, trained_model, rngs):
+    def test_floor_clamps(self, trained_model, rngs, monkeypatch):
         vm = build_vm(rngs, name="floored", cls=ReferenceVm)
         vm.activate()
-        predictor = TrainedRttfPredictor(trained_model, floor_s=100.0)
+        monkeypatch.setattr(predictor_module, "FLOOR_S", 100.0)
+        predictor = TrainedRttfPredictor(trained_model)
         assert predict_one(predictor, vm) >= 100.0
 
-    def test_floor_validation(self, trained_model):
+    def test_floor_validation(self, trained_model, monkeypatch):
+        monkeypatch.setattr(predictor_module, "FLOOR_S", -1.0)
         with pytest.raises(ValueError):
-            TrainedRttfPredictor(trained_model, floor_s=-1.0)
+            TrainedRttfPredictor(trained_model)

@@ -175,21 +175,18 @@ def test_kernel_equals_reference_exactly(
     # leak_probability == 0 leaves only the thread overhead leaking;
     # with thread_probability == 0 as well the leak rate is exactly 0
     thread_probability = 0.05 if leak_probability else 0.0
-    no_threads = FailurePolicy(sla_response_time_s=sla, thread_exhaustion=False)
     vm = make_vm(
         itype,
-        policy=no_threads,
+        policy=FailurePolicy(sla_response_time_s=sla),
         leak_probability=leak_probability,
         thread_probability=thread_probability,
     )
     vm.leaked_mb = leak_fraction * vm.anomaly_budget_mb
     vm.stuck_threads = int(thread_fraction * vm.thread_free_slots)
 
+    # the thread clause adds its closed-form bound to the reference's
+    # crash and SLA clauses
     expected = reference_ttf(vm, rate, mean_demand)
-    assert vm.true_time_to_failure_s(rate, mean_demand) == expected
-
-    # the thread clause only ever adds its closed-form bound
-    vm.failure_policy = FailurePolicy(sla_response_time_s=sla)
     thread_rate = vm.injector.expected_thread_rate(max(rate, 0.0))
     t_threads = (
         max(vm.thread_free_slots - vm.stuck_threads, 0) / thread_rate
@@ -206,9 +203,9 @@ def test_kernel_equals_reference_exactly(
 
 
 def reference_policy_ttf(vm, request_rate, mean_demand=1.5):
-    """``reference_ttf`` under any :class:`FailurePolicy`.
+    """``reference_ttf`` with the thread clause.
 
-    The kernel's clause logic (scan horizon, final ``min`` over enabled
+    The kernel's clause logic (scan horizon, final ``min`` over the three
     clauses) around the same property-driven probe.  Also returns the
     probe times, so a case can show which regime it exercised.
     """
@@ -223,8 +220,6 @@ def reference_policy_ttf(vm, request_rate, mean_demand=1.5):
         else float("inf")
     )
     horizon = t_crash
-    if not policy.swap_exhaustion and math.isfinite(t_threads):
-        horizon = max(t_crash, t_threads)
 
     saved = (vm.leaked_mb, vm.stuck_threads)
     probes = []
@@ -255,16 +250,10 @@ def reference_policy_ttf(vm, request_rate, mean_demand=1.5):
                 break
     finally:
         vm.leaked_mb, vm.stuck_threads = saved
-    ttf = min(
-        t_crash if policy.swap_exhaustion else float("inf"),
-        t_sla,
-        t_threads if policy.thread_exhaustion else float("inf"),
-    )
-    return ttf, probes, horizon
+    return min(t_crash, t_sla, t_threads), probes, horizon
 
 
 SWAPLESS = SHAPES[-1]
-NO_CLAUSES = dict(swap_exhaustion=False, thread_exhaustion=False)
 #: 6 free thread slots: the regimes below start with 7 stuck threads
 FEW_SLOTS = dataclasses.replace(PRIVATE_SMALL, name="few-slots", thread_slots=30)
 
@@ -272,7 +261,8 @@ FEW_SLOTS = dataclasses.replace(PRIVATE_SMALL, name="few-slots", thread_slots=30
 #: crossing found after ~20 scan steps).  name -> (VM kwargs, policy
 #: kwargs, fraction of the RAM+swap budget already leaked, rate, and what
 #: the reference's probe record must show for the case to be the regime
-#: it is named for).
+#: it is named for).  Both hard clauses are on, so where the SLA is never
+#: crossed the thread clause may end the life before the crash horizon.
 REGIMES = {
     "swapless-step-before-and-after": (
         dict(itype=SWAPLESS), {}, 0.5, 12.0,
@@ -280,33 +270,16 @@ REGIMES = {
     ),
     "swapless-sla-out-of-reach": (
         dict(itype=SWAPLESS),
-        dict(sla_response_time_s=1e6, thread_exhaustion=False), 0.0, 12.0,
-        lambda ttf, probes, horizon: ttf == horizon and len(probes) >= 400,
+        dict(sla_response_time_s=1e6), 0.0, 12.0,
+        lambda ttf, probes, horizon: ttf <= horizon and len(probes) >= 400,
     ),
     "no-thread-rate": (
         dict(thread_probability=0.0), {}, 0.2, 9.0,
         lambda ttf, probes, horizon: len(probes) > 31,
     ),
-    "no-thread-rate-clauses-off": (
-        dict(thread_probability=0.0), dict(**NO_CLAUSES), 0.2, 9.0,
-        lambda ttf, probes, horizon: math.isfinite(horizon),
-    ),
-    "clauses-off-horizon-is-threads": (
-        dict(leak_probability=0.5, thread_probability=0.005),
-        dict(**NO_CLAUSES), 0.0, 5.0,
-        lambda ttf, probes, horizon: ttf < horizon and len(probes) > 31,
-    ),
-    "clauses-off-never-violates": (
-        {}, dict(sla_response_time_s=1e6, **NO_CLAUSES), 0.0, 20.0,
-        lambda ttf, probes, horizon: ttf == float("inf") and len(probes) >= 400,
-    ),
     "past-the-budget": (
         {}, {}, 1.25, 8.0,
         lambda ttf, probes, horizon: horizon == 0.0 and not probes and ttf == 0.0,
-    ),
-    "past-the-budget-swap-clause-off": (
-        {}, dict(swap_exhaustion=False), 1.25, 8.0,
-        lambda ttf, probes, horizon: horizon > 0.0 and len(probes) == 31,
     ),
     "horizon-under-one-second": (
         {}, dict(sla_response_time_s=1e6), 0.9999, 20.0,
@@ -322,8 +295,8 @@ REGIMES = {
         lambda ttf, probes, horizon: len(probes) == 31 and 0.0 < ttf < 1e-6,
     ),
     "never-violating-before-the-crash": (
-        {}, dict(sla_response_time_s=1e6, thread_exhaustion=False), 0.3, 6.0,
-        lambda ttf, probes, horizon: ttf == horizon and len(probes) >= 400,
+        {}, dict(sla_response_time_s=1e6), 0.3, 6.0,
+        lambda ttf, probes, horizon: ttf <= horizon and len(probes) >= 400,
     ),
     # the edges of sla_crossing_estimate_s: private.small has 136 free
     # slots and 40 units of CPU, so at the default SLA of 1 s the factor
@@ -347,26 +320,26 @@ REGIMES = {
     "threshold-at-the-floor": (
         # 100 / 187.5 * 1.5 / 40 == 0.02: the floored capacity never
         # violates, even with every thread slot stuck
-        {}, dict(sla_response_time_s=187.5, thread_exhaustion=False), 0.0, 20.0,
-        lambda ttf, probes, horizon: ttf == horizon and len(probes) >= 400,
+        {}, dict(sla_response_time_s=187.5), 0.0, 20.0,
+        lambda ttf, probes, horizon: ttf <= horizon and len(probes) >= 400,
     ),
     "threshold-just-above-the-floor": (
         # ... while at 187 s it does, at the thread step where the factor
         # first drops under 0.02 (n = 134, t = 127 s)
-        {}, dict(sla_response_time_s=187.0, thread_exhaustion=False), 0.0, 20.0,
+        {}, dict(sla_response_time_s=187.0), 0.0, 20.0,
         lambda ttf, probes, horizon: abs(ttf - 127.0) < 1e-6,
     ),
     "swapless-swap-step-with-threads": (
         # the step to swap_p = 1 at (640 - 192) / 0.99 s trips the SLA
         # between two thread steps
         dict(itype=SWAPLESS, thread_probability=0.01),
-        dict(swap_exhaustion=False), 0.3, 12.0,
+        {}, 0.3, 12.0,
         lambda ttf, probes, horizon: abs(ttf - 448.0 / 0.99) < 1e-6
         and len(probes) > 31,
     ),
     "stuck-past-the-slots": (
-        dict(itype=FEW_SLOTS), dict(thread_exhaustion=False), 0.0, 12.0,
-        lambda ttf, probes, horizon: len(probes) == 31 and 0.0 < ttf < 1e-6,
+        dict(itype=FEW_SLOTS), {}, 0.0, 12.0,
+        lambda ttf, probes, horizon: len(probes) == 31 and ttf == 0.0,
     ),
 }
 
@@ -530,14 +503,19 @@ def test_scalar_and_table_pools_agree():
     assert scalar.tolist() == table.tolist()
 
 
+def stale(inner):
+    """``inner`` behind a corruptible predictor in its stale mode."""
+    corruptible = CorruptiblePredictor(inner)
+    corruptible.set_mode("stale")
+    return corruptible
+
+
 @pytest.mark.parametrize(
     "wrap",
     [
-        lambda inner: CorruptiblePredictor(inner, mode="stale"),
+        lambda inner: stale(inner),
         CorruptiblePredictor,
-        lambda inner: CorruptiblePredictor(
-            CorruptiblePredictor(inner), mode="stale"
-        ),
+        lambda inner: stale(CorruptiblePredictor(inner)),
     ],
 )
 def test_wrappers_batch_equals_loop(wrap):
@@ -624,19 +602,9 @@ def mean_field_failure_time(vm, rate, step_s=0.25, mean_demand=1.5):
     [
         FailurePolicy(),
         FailurePolicy(sla_response_time_s=1e6),
-        FailurePolicy(sla_response_time_s=1e6, thread_exhaustion=False),
-        FailurePolicy(sla_response_time_s=1e6, swap_exhaustion=False),
-        FailurePolicy(sla_response_time_s=2.0, swap_exhaustion=False),
-        FailurePolicy(
-            sla_response_time_s=1.0,
-            swap_exhaustion=False,
-            thread_exhaustion=False,
-        ),
     ],
-    ids=lambda p: (
-        f"sla{p.sla_response_time_s:g}"
-        f"-swap{int(p.swap_exhaustion)}-threads{int(p.thread_exhaustion)}"
-    ),
+    # both hard clauses are always on
+    ids=lambda p: f"sla{p.sla_response_time_s:g}-swap1-threads1",
 )
 @pytest.mark.parametrize("itype", [M3_MEDIUM, PRIVATE_SMALL], ids=lambda t: t.name)
 def test_oracle_matches_stepped_failure_point(itype, policy):
@@ -656,36 +624,3 @@ def test_thread_exhaustion_bounds_the_oracle():
     # already exhausted
     vm.stuck_threads = 500
     assert vm.true_time_to_failure_s(20.0) == 0.0
-
-
-def test_swap_horizon_ignored_when_clause_is_off():
-    on = make_vm(
-        M3_MEDIUM,
-        policy=FailurePolicy(sla_response_time_s=1e6, thread_exhaustion=False),
-    )
-    off = make_vm(
-        M3_MEDIUM,
-        policy=FailurePolicy(
-            sla_response_time_s=1e6,
-            swap_exhaustion=False,
-            thread_exhaustion=False,
-        ),
-    )
-    assert on.true_time_to_failure_s(20.0) == pytest.approx(2421.6, abs=0.05)
-    assert off.true_time_to_failure_s(20.0) == float("inf")
-    assert not math.isfinite(mean_field_failure_time(off, 20.0, step_s=5.0))
-
-
-def test_sla_crossing_found_past_swap_saturation():
-    """Swap clause off, threads slow: the SLA trips after the swap fills."""
-    vm = make_vm(
-        PRIVATE_SMALL,
-        policy=FailurePolicy(swap_exhaustion=False),
-        leak_probability=0.5,
-        thread_probability=0.005,
-    )
-    rate = 5.0
-    swap_full_s = vm.anomaly_budget_mb / vm.injector.expected_leak_rate_mb(rate)
-    stepped = mean_field_failure_time(vm, rate, step_s=1.0)
-    assert swap_full_s < stepped < float("inf")
-    assert vm.true_time_to_failure_s(rate) == pytest.approx(stepped, abs=1.0 + 1e-6)

@@ -10,6 +10,7 @@ built, so the windows are keyed by a fixed set of names.
 import numpy as np
 import pytest
 
+import repro.experiments.runner as runner_module
 from repro.experiments import make_trained_predictor
 from repro.pcam import VirtualMachineController, VmcConfig, VmState
 from repro.sim import RngRegistry
@@ -23,26 +24,32 @@ from .reference_vmc import (
 )
 
 
+def profiled_every_15s(*args, **kwargs):
+    """:func:`make_trained_predictor` with its profiling runs sampled
+    every 15 s (``runner.SAMPLE_PERIOD_S`` patched for the call)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "SAMPLE_PERIOD_S", 15.0)
+        return make_trained_predictor(*args, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def trend_predictor():
-    return make_trained_predictor(
+    return profiled_every_15s(
         ["private.small"],
         seed=3,
         profile_rates=(4.0, 8.0, 16.0),
         runs_per_rate=2,
-        sample_period_s=15.0,
         use_trend_features=True,
     )
 
 
 @pytest.fixture(scope="module")
 def trained_predictor():
-    return make_trained_predictor(
+    return profiled_every_15s(
         ["private.small"],
         seed=3,
         profile_rates=(4.0, 8.0, 16.0),
         runs_per_rate=2,
-        sample_period_s=15.0,
     )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.pcam.predictor as predictor_module
 from repro.pcam import (
     NoRejuvenation,
     OracleRttfPredictor,
@@ -151,6 +152,15 @@ class TestDisciplineComparison:
 NAN, INF = float("nan"), float("inf")
 
 
+def floored(cls, floor_s):
+    """Builds ``cls`` with :data:`FLOOR_S` patched to ``floor_s``."""
+    def build():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(predictor_module, "FLOOR_S", floor_s)
+            return cls(object())
+    return build
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -159,12 +169,12 @@ NAN, INF = float("nan"), float("inf")
         lambda: PeriodicRejuvenation(NAN),
         lambda: PeriodicRejuvenation(INF),
         lambda: PeriodicRejuvenation(-INF),
-        lambda: TrainedRttfPredictor(object(), floor_s=NAN),
-        lambda: TrainedRttfPredictor(object(), floor_s=INF),
-        lambda: TrainedRttfPredictor(object(), floor_s=-INF),
-        lambda: TrendAwareRttfPredictor(object(), floor_s=NAN),
-        lambda: TrendAwareRttfPredictor(object(), floor_s=INF),
-        lambda: TrendAwareRttfPredictor(object(), floor_s=-INF),
+        floored(TrainedRttfPredictor, NAN),
+        floored(TrainedRttfPredictor, INF),
+        floored(TrainedRttfPredictor, -INF),
+        floored(TrendAwareRttfPredictor, NAN),
+        floored(TrendAwareRttfPredictor, INF),
+        floored(TrendAwareRttfPredictor, -INF),
         lambda: OracleRttfPredictor(noise_std=NAN),
         lambda: OracleRttfPredictor(
             noise_std=INF, rng=np.random.default_rng(0)

@@ -55,7 +55,7 @@ class TestAdoptRelease:
     """Adoption is one-way: the table keeps the row for good."""
 
     def test_adopt_copies_the_spec(self):
-        policy = FailurePolicy(sla_response_time_s=0.5, swap_exhaustion=False)
+        policy = FailurePolicy(sla_response_time_s=0.5)
         vm = _vm(
             "a", M3_MEDIUM, rejuvenation_time_s=60.0, state=VmState.ACTIVE,
             rack_id=2, failure_policy=policy,
@@ -69,7 +69,6 @@ class TestAdoptRelease:
         assert table.cpu_power[0] == M3_MEDIUM.cpu_power
         assert table.swap_mb[0] == M3_MEDIUM.swap_mb
         assert table.sla_response_time_s[0] == 0.5
-        assert not table.swap_exhaustion[0] and table.thread_exhaustion[0]
         assert table.service_capacity[0] == M3_MEDIUM.cpu_power
 
     def test_double_adopt_rejected(self):
@@ -239,9 +238,9 @@ def _assert_derived_coherent(table: VmStateTable) -> None:
     rows = np.arange(len(table))
     pressures = table.pressures_of(rows)
     assert np.array_equal(table.service_capacity, pressures.capacity)
-    hard = (
-        table.swap_exhaustion & (table.leaked_mb >= table.anomaly_budget_mb)
-    ) | (table.thread_exhaustion & (pressures.thread_pressure >= 1.0))
+    hard = (table.leaked_mb >= table.anomaly_budget_mb) | (
+        pressures.thread_pressure >= 1.0
+    )
     assert np.array_equal(table.exhausted, hard)
 
 
@@ -263,8 +262,6 @@ class TestDerivedColumns:
                 state=VmState.ACTIVE if rng.random() < 0.5 else VmState.STANDBY,
                 failure_policy=FailurePolicy(
                     sla_response_time_s=float(rng.uniform(0.2, 2.0)),
-                    swap_exhaustion=bool(rng.random() < 0.5),
-                    thread_exhaustion=bool(rng.random() < 0.5),
                 ),
             )
 

@@ -8,6 +8,8 @@ one era at a time.
 import numpy as np
 import pytest
 
+import repro.experiments.runner as runner_module
+import repro.pcam.predictor as predictor_module
 from repro.experiments import make_trained_predictor
 from repro.pcam import TrendAwareRttfPredictor, VmState
 
@@ -16,14 +18,21 @@ from .reference_vmc import ReferenceVm, idle, predict_one
 from repro.sim import RngRegistry
 
 
+def profiled_every_15s(*args, **kwargs):
+    """:func:`make_trained_predictor` with its profiling runs sampled
+    every 15 s (``runner.SAMPLE_PERIOD_S`` patched for the call)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "SAMPLE_PERIOD_S", 15.0)
+        return make_trained_predictor(*args, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def trend_predictor():
-    return make_trained_predictor(
+    return profiled_every_15s(
         ["private.small"],
         seed=3,
         profile_rates=(4.0, 8.0, 16.0),
         runs_per_rate=2,
-        sample_period_s=15.0,
         use_trend_features=True,
     )
 
@@ -89,5 +98,7 @@ class TestTrendAwarePredictor:
     def test_validation(self, trend_predictor):
         with pytest.raises(ValueError):
             TrendAwareRttfPredictor(trend_predictor.model, window=0)
-        with pytest.raises(ValueError):
-            TrendAwareRttfPredictor(trend_predictor.model, floor_s=-1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(predictor_module, "FLOOR_S", -1.0)
+            with pytest.raises(ValueError):
+                TrendAwareRttfPredictor(trend_predictor.model)

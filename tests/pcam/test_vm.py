@@ -133,18 +133,6 @@ class TestFailurePoint:
         active_vm.last_response_time_s = 2.0  # > 1 s SLA
         assert active_vm.failure_point_reached()
 
-    def test_disabled_clauses(self, rngs):
-        policy = FailurePolicy(
-            sla_response_time_s=1.0,
-            swap_exhaustion=False,
-            thread_exhaustion=False,
-        )
-        vm = build_vm(rngs, failure_policy=policy, cls=ReferenceVm)
-        vm.activate()
-        vm.leaked_mb = vm.anomaly_budget_mb + 1
-        vm.stuck_threads = vm.itype.thread_slots
-        assert not vm.failure_point_reached()
-
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             FailurePolicy(sla_response_time_s=0.0)
@@ -154,12 +142,14 @@ class TestFailurePoint:
             FailurePolicy(sla_response_time_s=float("nan"))
 
     def test_infinite_sla_turns_the_clause_off(self, active_vm):
-        active_vm.failure_policy = FailurePolicy(
-            sla_response_time_s=float("inf"), thread_exhaustion=False
-        )
+        active_vm.failure_policy = FailurePolicy(sla_response_time_s=float("inf"))
         budget = active_vm.anomaly_budget_mb
         leak_rate = active_vm.injector.expected_leak_rate_mb(5.0)
-        assert active_vm.true_time_to_failure_s(5.0) == budget / leak_rate
+        slots = active_vm.thread_free_slots
+        thread_rate = active_vm.injector.expected_thread_rate(5.0)
+        assert active_vm.true_time_to_failure_s(5.0) == min(
+            budget / leak_rate, slots / thread_rate
+        )
         active_vm.last_response_time_s = 1e300
         assert not active_vm.failure_point_reached()
 

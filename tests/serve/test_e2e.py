@@ -18,6 +18,7 @@ import asyncio
 
 import pytest
 
+import repro.experiments.serve_campaign as serve_campaign
 from repro.experiments.serve_campaign import run_blackout_campaign
 from repro.experiments.scenarios import two_region_scenario
 from repro.serve import (
@@ -98,8 +99,9 @@ def test_boot_load_blackout_failover_mttr():
     assert snap["mttr_s"] == out["mttr"]
 
 
-def test_campaign_report_shape_and_recovery():
+def test_campaign_report_shape_and_recovery(monkeypatch):
     """The scripted campaign heals the victim and reports every field."""
+    monkeypatch.setattr(serve_campaign, "WINDOW_S", 1.0)
     report = asyncio.run(
         run_blackout_campaign(
             scenario_name="two-region",
@@ -109,7 +111,6 @@ def test_campaign_report_shape_and_recovery():
             phase_s=0.7,
             speed=SPEED,
             era_s=6.0,
-            window_s=1.0,
             seed=11,
             connections=2,
         )

@@ -78,9 +78,17 @@ class TestSchedules:
         assert np.all(arrivals < 2.0)
 
 
+def filled(**fields) -> LoadReport:
+    """A report whose counters a run would have filled with ``fields``."""
+    report = LoadReport(scheduled=fields.pop("scheduled", 0))
+    for name, value in fields.items():
+        setattr(report, name, value)
+    return report
+
+
 class TestReport:
     def test_quantiles_and_rates(self):
-        report = LoadReport(
+        report = filled(
             scheduled=10,
             completed=10,
             ok=8,
@@ -107,19 +115,19 @@ class TestReport:
     def test_known_answer_quantiles_n20(self):
         # nearest rank on 1..20 (in ms): p50 = 10th, p95 = 19th, p99 =
         # 20th order statistic.
-        report = LoadReport(latencies_s=[0.001 * v for v in range(1, 21)])
+        report = filled(latencies_s=[0.001 * v for v in range(1, 21)])
         assert report.quantile(0.50) == pytest.approx(0.010)
         assert report.quantile(0.95) == pytest.approx(0.019)
         assert report.quantile(0.99) == pytest.approx(0.020)
 
     def test_known_answer_quantiles_small_arrays(self):
         # n = 4: p50 -> 2nd, p95/p99 -> 4th order statistic
-        report = LoadReport(latencies_s=[0.4, 0.1, 0.3, 0.2])
+        report = filled(latencies_s=[0.4, 0.1, 0.3, 0.2])
         assert report.quantile(0.50) == pytest.approx(0.2)
         assert report.quantile(0.95) == pytest.approx(0.4)
         assert report.quantile(0.99) == pytest.approx(0.4)
         # n = 1: every quantile is the sample
-        single = LoadReport(latencies_s=[0.123])
+        single = filled(latencies_s=[0.123])
         for q in (0.0, 0.5, 0.95, 0.99, 1.0):
             assert single.quantile(q) == pytest.approx(0.123)
 
@@ -127,7 +135,7 @@ class TestReport:
         from repro.slo import nearest_rank_quantile
 
         lats = [0.005 * (i % 7 + 1) for i in range(23)]
-        report = LoadReport(latencies_s=lats)
+        report = filled(latencies_s=lats)
         for q in (0.5, 0.9, 0.95, 0.99):
             assert report.quantile(q) == nearest_rank_quantile(lats, q)
 

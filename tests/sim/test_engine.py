@@ -44,7 +44,8 @@ def test_priority_breaks_ties_before_seq():
 
 
 def test_schedule_in_past_raises():
-    sim = Simulator(start_time=10.0)
+    sim = Simulator()
+    sim.run_until(10.0)
     with pytest.raises(SimulationError):
         sim.schedule_at(5.0, lambda: None)
 
@@ -110,7 +111,8 @@ def test_run_until_includes_events_at_exact_boundary():
 
 
 def test_run_until_past_raises():
-    sim = Simulator(start_time=5.0)
+    sim = Simulator()
+    sim.run_until(5.0)
     with pytest.raises(SimulationError):
         sim.run_until(1.0)
 

@@ -41,21 +41,21 @@ class SortingReference:
     def schedule_at(self, time, action, *, priority=0):
         return self._push(time, priority, action)
 
-    def schedule_after(self, delay, action, *, priority=0):
-        return self._push(self.now + delay, priority, action)
+    def schedule_after(self, delay, action):
+        return self._push(self.now + delay, 0, action)
 
     def schedule_pooled(self, delay, action, args=()):
         self._push(self.now + delay, 0, action, args)
 
-    def schedule_periodic(self, period, action, *, priority=0):
+    def schedule_periodic(self, period, action):
         state = {"live": True}
 
         def fire():
             action()
             if state["live"]:
-                state["next"] = self._push(self.now + period, priority, fire)
+                state["next"] = self._push(self.now + period, 0, fire)
 
-        state["next"] = self._push(self.now + period, priority, fire)
+        state["next"] = self._push(self.now + period, 0, fire)
 
         def stop():
             state["live"] = False
@@ -97,9 +97,9 @@ _behaviour = st.one_of(
 )
 _op = st.one_of(
     st.tuples(st.just("at"), _ticks, _priority, _behaviour),
-    st.tuples(st.just("after"), _ticks, _priority, _behaviour),
+    st.tuples(st.just("after"), _ticks, _behaviour),
     st.tuples(st.just("pooled"), _ticks, _behaviour),
-    st.tuples(st.just("periodic"), _period, _priority, _behaviour),
+    st.tuples(st.just("periodic"), _period, _behaviour),
     st.tuples(st.just("cancel"), st.integers(0, 30)),
     st.tuples(st.just("stop_periodic"), st.integers(0, 30)),
     st.tuples(st.just("run_until"), _ticks),
@@ -131,16 +131,16 @@ def run_program(clock, ops):
                 priority=priority,
             ))
         elif kind == "after":
-            _, delay, priority, behaviour = op
+            _, delay, behaviour = op
             handles.append(clock.schedule_after(
-                delay, lambda t=tag, b=behaviour: fire(t, b), priority=priority
+                delay, lambda t=tag, b=behaviour: fire(t, b)
             ))
         elif kind == "pooled":
             clock.schedule_pooled(op[1], fire, (tag, op[2]))
         elif kind == "periodic":
-            _, period, priority, behaviour = op
+            _, period, behaviour = op
             stops.append(clock.schedule_periodic(
-                period, lambda t=tag, b=behaviour: fire(t, b), priority=priority
+                period, lambda t=tag, b=behaviour: fire(t, b)
             ))
         elif kind == "cancel":
             if handles:

@@ -13,7 +13,10 @@ The reach gate below the table holds the other half: every function
 under ``src/repro`` runs in some ``repro`` invocation, or has a
 ``REACH_EXEMPT`` row that says why not.  It records what the runs of
 :func:`repro_runs` enter in a fresh interpreter (``python
-tests/test_structure.py OUT.json`` does the recording alone).
+tests/test_structure.py OUT.json`` does the recording alone).  The same
+recording feeds the option gate: a defaulted parameter of an entered
+def that no run sets and no call under ``src/`` or ``benchmarks/``
+passes is a constant, or has an ``OPTION_EXEMPT`` row that says why not.
 
 Run alone: ``PYTHONPATH=src python -m pytest tests/test_structure.py``.
 """
@@ -398,7 +401,7 @@ AXIS_ON = {"domains": "2x2", "slo": "p95:1"}
 _DES = "the request-level DES: ROADMAP 9 runs it from the CLI or moves it under tests/"
 _RESIZE = (
     "pool resizing over the fixed pool (Autoscaler -> set_target_active -> "
-    "start_rejuvenation): ROADMAP 9(c)'s `autoscale` sweep axis wires it"
+    "start_rejuvenation): ROADMAP 20 runs it from the CLI, mends it or cuts it"
 )
 _DOMAIN = (
     "fault-domain-aware control: ROADMAP 9(c)'s `domain_aware` "
@@ -446,7 +449,6 @@ REACH_EXEMPT: dict[str, str] = {
         _HARNESS + " (it builds its overlay with it)",
     "pcam/balancer.py::DomainAwareBalancer.__init__": _DOMAIN,
     "pcam/balancer.py::DomainAwareBalancer.weights_of": _DOMAIN,
-    "pcam/predictor.py::TrendAwareRttfPredictor.__init__": _TREND,
     "pcam/predictor.py::TrendAwareRttfPredictor.predict_rttf_rows": _TREND,
     "pcam/state_table.py::VmStateTable._refresh":
         _DES + " (its complete_request)",
@@ -536,17 +538,65 @@ def repro_runs() -> list[tuple[list[str], set[int]]]:
     return runs
 
 
+def _function_of(frame) -> object | None:
+    """The function object whose call ``frame`` is, found through its
+    module's globals and ``co_qualname``; a dataclass's generated
+    ``__init__`` through its ``self``. ``None`` for a nested function, a
+    lambda or a def outside ``repro``."""
+    code = frame.f_code
+    globals_ = frame.f_globals
+    if not str(globals_.get("__name__", "")).startswith("repro"):
+        return None
+    if code.co_filename == "<string>":
+        if code.co_name != "__init__" or not code.co_argcount:
+            return None
+        owner = type(frame.f_locals.get(code.co_varnames[0]))
+        for cls in owner.__mro__:
+            fn = cls.__dict__.get("__init__")
+            if getattr(fn, "__code__", None) is code:
+                return fn
+        return None
+    if "<" in code.co_qualname:
+        return None
+    obj = globals_
+    for part in code.co_qualname.split("."):
+        obj = obj.get(part) if isinstance(obj, dict) else vars(obj).get(part)
+        if obj is None:
+            return None
+    for fn in (obj, *(getattr(obj, a, None) for a in ("__func__", "fget", "fset"))):
+        while fn is not None and getattr(fn, "__code__", None) is not code:
+            fn = getattr(fn, "__wrapped__", None)
+        if fn is not None:
+            return fn
+    return None
+
+
+def _same(value: object, default: object) -> bool:
+    """``value`` is ``default``, or an equal value of its type."""
+    if value is default:
+        return True
+    if type(value) is not type(default):
+        return False
+    try:
+        return bool(value == default)
+    except (TypeError, ValueError):  # an array's == has no single truth
+        return False
+
+
 def record_reach(out: str) -> None:
     """Run :func:`repro_runs` in this process; write to ``out`` (JSON) the
-    exit code of each and ``[file, first line]`` of every code object under
-    ``src/repro`` that any of them entered, forked fleet workers included.
-    The runs write their files beside ``out``.
+    exit code of each, ``[file, first line]`` of every code object under
+    ``src/repro`` that any of them entered, and, per entered ``repro``
+    def (``path::qualname``), its defaulted parameters in order with those
+    some call bound to a value other than the default; forked fleet
+    workers included. The runs write their files beside ``out``.
 
     The profile hook goes in before ``repro`` is imported, so what runs at
     import time (policy registration, the catalog's ``__post_init__``)
     counts. ``threading.setprofile`` carries it into threads; a wrapper of
     ``fleet.executor._job_worker`` has each forked worker write its own
-    set to a file as it exits.
+    sets to a file as it exits. A parameter is compared with its default
+    until some call sets it; then the hook stops looking at it.
     """
     import contextlib
     import io
@@ -555,10 +605,43 @@ def record_reach(out: str) -> None:
     import threading
 
     seen: dict[int, object] = {}
+    #: id(code) -> (``path::qualname``, [(name, default)] not yet seen set)
+    watch: dict[int, tuple[str, list] | None] = {}
+    #: ``path::qualname`` -> {"defaulted": [...], "positional": [...],
+    #: "set": {...}}
+    options: dict[str, dict] = {}
+
+    def resolve(frame) -> tuple[str, list] | None:
+        fn = _function_of(frame)
+        file = frame.f_globals.get("__file__")
+        if fn is None or not file or not Path(file).is_relative_to(REPO / SRC):
+            return None
+        code = fn.__code__
+        positional = code.co_varnames[: code.co_argcount]
+        defaults = fn.__defaults__ or ()
+        pairs = list(zip(positional[len(positional) - len(defaults):], defaults))
+        pairs += list((fn.__kwdefaults__ or {}).items())
+        if not pairs:
+            return None
+        key = f"{Path(file).relative_to(REPO / SRC).as_posix()}::{fn.__qualname__}"
+        entry = options.setdefault(key, {"set": set()})
+        entry["defaulted"] = [name for name, _ in pairs]
+        entry["positional"] = list(positional)
+        return key, pairs
 
     def hook(frame, event, arg):
         if event == "call":
-            seen[id(frame.f_code)] = frame.f_code
+            code = frame.f_code
+            seen[id(code)] = code
+            if id(code) not in watch:
+                watch[id(code)] = resolve(frame)
+            todo = watch[id(code)]
+            if todo and todo[1]:
+                key, pairs = todo
+                bound = frame.f_locals
+                for pair in [p for p in pairs if not _same(bound[p[0]], p[1])]:
+                    pairs.remove(pair)
+                    options[key]["set"].add(pair[0])
 
     def entered() -> list[tuple[str, int]]:
         return sorted(
@@ -568,6 +651,15 @@ def record_reach(out: str) -> None:
                 if (path := Path(code.co_filename)).is_relative_to(REPO / SRC)
             }
         )
+
+    def recorded() -> dict:
+        return {
+            "entered": entered(),
+            "options": {
+                key: {**entry, "set": sorted(entry["set"])}
+                for key, entry in options.items()
+            },
+        }
 
     sys.setprofile(hook)
     threading.setprofile(hook)
@@ -583,7 +675,7 @@ def record_reach(out: str) -> None:
         finally:
             sys.setprofile(None)
             (tmp / f"worker-{os.getpid()}.json").write_text(
-                json.dumps(entered())
+                json.dumps(recorded())
             )
 
     executor._job_worker = traced_worker
@@ -597,10 +689,16 @@ def record_reach(out: str) -> None:
                 codes.append(exit_.code)
     sys.setprofile(None)
     threading.setprofile(None)
-    found = set(map(tuple, entered()))
+    merged = recorded()
+    found = set(map(tuple, merged["entered"]))
     for worker in tmp.glob("worker-*.json"):
-        found |= set(map(tuple, json.loads(worker.read_text())))
-    Path(out).write_text(json.dumps({"codes": codes, "entered": sorted(found)}))
+        theirs = json.loads(worker.read_text())
+        found |= set(map(tuple, theirs["entered"]))
+        for key, entry in theirs["options"].items():
+            mine = merged["options"].setdefault(key, entry)
+            mine["set"] = sorted(set(mine["set"]) | set(entry["set"]))
+    merged["entered"] = sorted(found)
+    Path(out).write_text(json.dumps({"codes": codes, **merged}))
 
 
 def _is_stub(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -737,6 +835,242 @@ def test_an_injected_orphan_is_found_unless_it_runs(tree, mention, entered):
     ]
     ran = {(SRC + "sim/rng.py", line)} if entered else set()
     assert ("sim/rng.py::orphan_probe" not in unentered(files, ran)) is entered
+
+
+# ------------------------------------------------------------------ #
+# no option that nothing sets
+# ------------------------------------------------------------------ #
+
+_METRICS = (
+    "an assessment knob: ROADMAP 3 measures convergence where it happens "
+    "and drops or re-states it"
+)
+_PHYSICS = (
+    "deployment physics: ROADMAP 21(a) builds one record from the Scenario "
+    "and sets it"
+)
+_LATER = (
+    "ROADMAP 22(c): no run sets it, but cutting it retires the tests of "
+    "the behaviour only it gives ({}), so it goes in a cut of its own"
+)
+_DIURNAL = _LATER.format(
+    "test_profiles.py's phase and noise tests and five validation cases"
+)
+_MIN_FRACTION = (
+    "public API: get_policy(name, **kwargs) forwards it to the registered "
+    "class; benchmarks/bench_convergence.py and bench_scale.py pass "
+    "min_fraction=0.0"
+)
+#: ``path::qualname(parameter)`` -> why a defaulted parameter stays
+#: although no run of :func:`repro_runs` sets it and no call under
+#: ``src/`` or ``benchmarks/`` passes it: the open ROADMAP item that will
+#: set it, the frozen harness, a deployment setting, or public API
+OPTION_EXEMPT: dict[str, str] = {
+    "core/baselines.py::StaticWeightsPolicy.__init__(min_fraction)":
+        _MIN_FRACTION,
+    "core/baselines.py::StaticWeightsPolicy.__init__(weights)":
+        "public API: explicit static weights, the class docstring's "
+        "StaticWeightsPolicy(weights=[330, 312, 160])",
+    "core/costaware.py::CostAwarePolicy.__init__(min_fraction)": _MIN_FRACTION,
+    "core/exploration.py::ExplorationPolicy.__init__(min_fraction)":
+        _MIN_FRACTION,
+    "core/manager.py::AcmManager.__init__(autoscale_config)": _RESIZE,
+    "core/metrics.py::assess_policy_run(convergence_tolerance)": _METRICS,
+    "core/metrics.py::assess_policy_run(settle_fraction)": _METRICS,
+    "core/metrics.py::assess_policy_run(sla_threshold_s)": _METRICS,
+    "core/metrics.py::assess_policy_run(tail)": _METRICS,
+    "core/metrics.py::convergence_time(allowed_violation_rate)": _METRICS,
+    "core/metrics.py::convergence_time(min_window)": _METRICS,
+    "core/planner.py::recommend_pool(mean_demand)": _PHYSICS,
+    "core/sensible.py::SensibleRoutingPolicy.__init__(min_fraction)":
+        _MIN_FRACTION,
+    "experiments/scenarios.py::Scenario.__init__(egress_usd_per_req)":
+        "a deployment setting: the inter-region egress price a scenario bills",
+    "fleet/executor.py::FleetExecutor.__init__(store)":
+        "public API: a library caller attaches its result store here; the "
+        "CLI sets executor.store only after its dry-run check",
+    "ml/lasso.py::select_features(alpha)": _LATER.format(
+        "test_linear_models.py::TestSelectFeatures::test_alpha_mode"
+    ),
+    "ml/toolchain.py::F2PMToolchain.__init__(suite)":
+        "public API: the F2PM toolchain ranks a caller's own model suite",
+    "pcam/monitor.py::ProfilingHarness.__init__(mean_demand)": _PHYSICS,
+    "pcam/vm.py::FailurePolicy.__init__(sla_response_time_s)": _PHYSICS,
+    "pcam/vmc.py::VirtualMachineController.__init__(balancer)":
+        "the balancer: ROADMAP 9(c)'s `domain_aware` sweep axis installs "
+        "DomainAwareBalancer",
+    "pcam/vmc.py::VirtualMachineController.__init__(discipline)":
+        "the rejuvenation discipline: ROADMAP 10(a)'s `rejuvenation` sweep "
+        "axis sets it",
+    "serve/clock.py::WallClock.__init__(time_fn)":
+        "public API: the wall-time source, which a caller pins to step the "
+        "clock's heap deterministically",
+    "sim/engine.py::Simulator.schedule_periodic(start)": _LATER.format(
+        "test_engine.py::test_periodic_custom_start"
+    ),
+    "sim/tracing.py::TraceRecorder.to_csv(names)": _LATER.format(
+        "test_tracing_export.py's subset export and missing-series refusal"
+    ),
+    "workload/profiles.py::DiurnalProfile.__init__(noise_std)": _DIURNAL,
+    "workload/profiles.py::DiurnalProfile.__init__(phase_s)": _DIURNAL,
+    "workload/profiles.py::DiurnalProfile.__init__(rng)": _DIURNAL,
+}
+
+
+@dataclass
+class _Calls:
+    """What the calls to one name pass."""
+    keywords: set[str]
+    positional: int = 0
+    star: bool = False
+    double_star: bool = False
+
+
+def _callees(node: ast.Call, cls: ast.ClassDef | None) -> list[str]:
+    """The names a call may reach a def by: ``f(...)`` and ``x.f(...)``
+    reach ``f`` (a class name: its ``__init__``), ``cls(...)`` and
+    ``type(self)(...)`` the class they are written in, and
+    ``super().__init__(...)`` that class's bases."""
+    func = node.func
+    here = [cls.name] if cls is not None else []
+    if isinstance(func, ast.Name):
+        return here if func.id == "cls" and here else [func.id]
+    if isinstance(func, ast.Call) and getattr(func.func, "id", None) == "type":
+        return here
+    if isinstance(func, ast.Attribute):
+        owner = func.value
+        if (
+            func.attr == "__init__"
+            and isinstance(owner, ast.Call)
+            and getattr(owner.func, "id", None) == "super"
+        ):
+            return [getattr(b, "id", getattr(b, "attr", "")) for b in cls.bases]
+        return [func.attr]
+    return []
+
+
+@lru_cache(maxsize=None)
+def _calls_in(text: str) -> tuple[tuple[str, tuple[str, ...], int, bool, bool], ...]:
+    """Each call in a module as ``(callee name, keywords, positional
+    arguments, *args, **mapping)``."""
+    found = []
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                args = child.args
+                star = any(isinstance(a, ast.Starred) for a in args)
+                keywords = tuple(k.arg for k in child.keywords if k.arg)
+                double_star = any(k.arg is None for k in child.keywords)
+                for name in _callees(child, cls):
+                    found.append((name, keywords, len(args), star, double_star))
+            visit(child, child if isinstance(child, ast.ClassDef) else cls)
+
+    visit(ast.parse(text), None)
+    return tuple(found)
+
+
+def source_calls(files: dict[str, str]) -> dict[str, _Calls]:
+    """Callee name -> what the calls under ``src/`` and ``benchmarks/``
+    pass it. ``replace`` (``dataclasses.replace``) collects the fields
+    its calls set."""
+    calls: dict[str, _Calls] = {}
+    for path, text in files.items():
+        if not path.startswith(("src/", "benchmarks/")):
+            continue
+        for name, keywords, positional, star, double_star in _calls_in(text):
+            seen = calls.setdefault(name, _Calls(set()))
+            seen.keywords.update(keywords)
+            seen.positional = max(seen.positional, positional)
+            seen.star |= star
+            seen.double_star |= double_star
+    return calls
+
+
+def never_set(files: dict[str, str], options: dict[str, dict]) -> list[str]:
+    """``path::qualname(parameter)`` for each defaulted parameter of an
+    entered def (:func:`record_reach`'s ``options``) that no recorded call
+    set and no call under ``src/`` or ``benchmarks/`` passes: by keyword,
+    by position, through ``*args`` or ``**mapping``, or as a field of
+    ``replace``. A call is matched to a def by name only (a method's name,
+    a class's for its ``__init__``), so a call to another def of the same
+    name counts as setting it."""
+    calls = source_calls(files)
+    replaced = calls.get("replace", _Calls(set())).keywords
+    found = []
+    for key, entry in options.items():
+        qualname = key.split("::")[1]
+        parts = qualname.split(".")
+        is_init = parts[-1] == "__init__" and len(parts) > 1
+        seen = calls.get(parts[-2] if is_init else parts[-1], _Calls(set()))
+        positional = entry["positional"]
+        bound = int(is_init or positional[:1] in (["self"], ["cls"]))
+        for name in entry["defaulted"]:
+            if name in entry["set"] or name in seen.keywords or seen.double_star:
+                continue
+            if name in positional and (
+                seen.star or positional.index(name) - bound < seen.positional
+            ):
+                continue
+            if is_init and name in replaced:
+                continue
+            found.append(f"{key}({name})")
+    return sorted(found)
+
+
+def test_no_option_that_nothing_sets(tree, reach):
+    found = [key for key in never_set(tree, reach["options"])
+             if key not in OPTION_EXEMPT]
+    assert not found, (
+        "no `repro` run sets these and no call under src/ or benchmarks/ "
+        "passes them: make each a module constant, or add an OPTION_EXEMPT "
+        "row with its reason:\n" + "\n".join(found)
+    )
+
+
+def test_the_option_allowlist_is_current(tree, reach):
+    stale = sorted(set(OPTION_EXEMPT) - set(never_set(tree, reach["options"])))
+    assert not stale, f"gone, not entered, or set: {stale}"
+
+
+PROBE = "def option_probe(x, width=3, *, height=4):\n    return x * width * height\n"
+
+
+@pytest.mark.parametrize(
+    "call, ran, listed",
+    [
+        ("", [], {"width", "height"}),
+        ("option_probe(1)\n", ["height"], {"width"}),
+        ("option_probe(1, width=2)\n", [], {"height"}),
+        ("rng.option_probe(1, 2)\n", [], {"height"}),
+        ("option_probe(*args)\n", [], {"height"}),
+        ("option_probe(1, **extra)\n", [], set()),
+    ],
+    ids=["alone", "run", "keyword", "position", "star", "mapping"],
+)
+def test_an_injected_option_is_listed_unless_something_sets_it(
+    tree, call, ran, listed
+):
+    files = dict(tree)
+    files[SRC + "sim/rng.py"] += "\n" + PROBE
+    files[SRC + "sim/engine.py"] += "\n" + call
+    options = {
+        "sim/rng.py::option_probe": {
+            "defaulted": ["width", "height"],
+            "positional": ["x", "width"],
+            "set": ran,
+        }
+    }
+    assert set(never_set(files, options)) == {
+        f"sim/rng.py::option_probe({name})" for name in listed
+    }
+
+
+def test_a_stale_option_row_is_found(tree, reach, monkeypatch):
+    gone = "sim/rng.py::option_probe(width)"
+    monkeypatch.setitem(OPTION_EXEMPT, gone, "a def that is not there")
+    with pytest.raises(AssertionError, match=re.escape(gone)):
+        test_the_option_allowlist_is_current(tree, reach)
 
 
 # ------------------------------------------------------------------ #

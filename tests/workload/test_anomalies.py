@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workload import AnomalyEffect, AnomalyInjector
+from repro.workload import AnomalyEffect, AnomalyInjector, anomalies
 from repro.workload.anomalies import (
     DEFAULT_LEAK_PROBABILITY,
     DEFAULT_THREAD_PROBABILITY,
@@ -14,8 +14,18 @@ from repro.workload.anomalies import (
 )
 
 
+#: the leak-size constants an injector reads when it is built
+SIZES = ("leak_mean_mb", "leak_sigma", "thread_overhead_mb")
+
+
 def make_injector(seed=0, thread_probability=DEFAULT_THREAD_PROBABILITY, **kw):
-    inj = AnomalyInjector(np.random.default_rng(seed), **kw)
+    """An injector; a size keyword (``leak_mean_mb=1.0``) patches its
+    module constant (``LEAK_MEAN_MB``) while the injector is built."""
+    sizes = {name: kw.pop(name) for name in SIZES if name in kw}
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in sizes.items():
+            patch.setattr(anomalies, name.upper(), value)
+        inj = AnomalyInjector(np.random.default_rng(seed), **kw)
     inj.thread_probability = thread_probability  # the setter validates it
     return inj
 
@@ -115,13 +125,11 @@ def test_parameter_validation(kw):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-@pytest.mark.parametrize(
-    "name", ["leak_mean_mb", "leak_sigma", "thread_overhead_mb"]
-)
+@pytest.mark.parametrize("name", SIZES)
 def test_non_finite_parameters_refused(name, value):
     # a NaN or infinite size would become a NaN leak in ``leaked_mb`` and a
     # NaN ``expected_leak_rate_mb`` in the oracle
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=name.upper()):
         make_injector(**{name: value})
 
 

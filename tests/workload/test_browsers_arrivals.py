@@ -6,7 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.workload import BrowserPopulation, PoissonArrivals, closed_loop_rate
+from repro.workload import (
+    BrowserPopulation,
+    PoissonArrivals,
+    browsers,
+    closed_loop_rate,
+)
 
 
 class TestClosedLoopRate:
@@ -37,13 +42,19 @@ class TestClosedLoopRate:
             closed_loop_rate(10, think_time_s, 0.0)
 
 
+@pytest.fixture
+def think_time(monkeypatch):
+    """Sets :data:`browsers.THINK_TIME_S` for one test."""
+    return lambda value: monkeypatch.setattr(browsers, "THINK_TIME_S", value)
+
+
 class TestBrowserPopulation:
     def test_offered_rate_uses_closed_loop_law(self):
-        pop = BrowserPopulation(n_clients=70, think_time_s=7.0)
+        pop = BrowserPopulation(n_clients=70)
         assert pop.offered_rate(0.0) == pytest.approx(10.0)
 
     def test_think_time_samples_have_right_mean(self):
-        pop = BrowserPopulation(n_clients=10, think_time_s=7.0)
+        pop = BrowserPopulation(n_clients=10)
         rng = np.random.default_rng(0)
         samples = pop.sample_think_times(rng, 50_000)
         assert samples.mean() == pytest.approx(7.0, rel=0.05)
@@ -59,18 +70,13 @@ class TestBrowserPopulation:
     def test_validation(self):
         with pytest.raises(ValueError):
             BrowserPopulation(n_clients=-1)
-        with pytest.raises(ValueError):
-            BrowserPopulation(n_clients=1, think_time_s=0.0)
 
     @pytest.mark.parametrize("think_time_s", [math.nan, math.inf])
-    def test_non_finite_think_time_is_refused(self, think_time_s):
-        # nan made offered_rate() NaN; inf left every DES browser's first
-        # click at t = inf, so it never clicked
+    def test_non_finite_think_time_is_refused(self, think_time_s, think_time):
+        # nan would make offered_rate() NaN, inf a silent 0.0
+        think_time(think_time_s)
         with pytest.raises(ValueError, match="finite"):
-            BrowserPopulation(n_clients=16, think_time_s=think_time_s)
-        pop = BrowserPopulation(n_clients=16)
-        with pytest.raises(ValueError, match="finite"):
-            replace(pop, think_time_s=think_time_s)
+            BrowserPopulation(n_clients=16).offered_rate(0.0)
 
 
 class TestPoissonArrivals:
