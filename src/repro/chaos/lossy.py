@@ -47,7 +47,7 @@ class LossyBus(MessageBus):
     chaos_dropped: int = field(default=0, init=False)
     chaos_delayed: int = field(default=0, init=False)
 
-    def send(self, src, dst, kind, payload, on_outcome=None) -> bool:
+    def send(self, src, dst, kind, payload) -> bool:
         if self.loss_probability > 0.0 or self.jitter_ms > 0.0:
             if self.rng is None:
                 raise RuntimeError(
@@ -62,17 +62,15 @@ class LossyBus(MessageBus):
                 sent_at=self.sim.now,
             )
             self.chaos_dropped += 1
-            self._drop(msg, "chaos_loss", on_outcome)
+            self._drop(msg, "chaos_loss")
             return True  # the datagram was accepted; it just never arrives
         if self.jitter_ms > 0.0:
             delay_s = float(self.rng.uniform(0.0, self.jitter_ms)) / 1000.0
             self.chaos_delayed += 1
             self.sim.schedule_after(
                 delay_s,
-                lambda: MessageBus.send(
-                    self, src, dst, kind, payload, on_outcome=on_outcome
-                ),
+                lambda: MessageBus.send(self, src, dst, kind, payload),
                 label=f"jitter:{kind}",
             )
             return True
-        return super().send(src, dst, kind, payload, on_outcome=on_outcome)
+        return super().send(src, dst, kind, payload)

@@ -175,7 +175,9 @@ class AcmControlLoop:
         #: ``push_fractions``) a :class:`repro.core.distributed.
         #: DistributedControlPlane` installs; ``None`` keeps the
         #: overlay-oracle exchange: reachability decides which reports
-        #: arrive and fraction installs are instantaneous.
+        #: arrive and fraction installs are instantaneous.  The fluid and
+        #: the DES loop exchange through :meth:`receive_reports` and
+        #: :meth:`install_fractions`; serve calls the transport's halves.
         self.transport = None
         self.slo = slo
         self.cost = cost
@@ -303,16 +305,9 @@ class AcmControlLoop:
                         era=self.era_index,
                     )
                 self._last_leader = leader
-            raw_reports = {r: reports[r].last_rmttf for r in self.regions}
-            if self.transport is None:
-                received: dict[str, float] = {
-                    region: raw_reports[region]
-                    for region in self.regions
-                    if region == leader
-                    or self.router.reachable(region, leader)
-                }
-            else:
-                received = self.transport.gather_reports(leader, raw_reports)
+            received = self.receive_reports(
+                leader, {r: reports[r].last_rmttf for r in self.regions}
+            )
 
         with tel.span("plan", kind="mape", era=self.era_index):
             # ---- Plan (Algorithm 2, leader only) ------------------------ #
@@ -322,7 +317,7 @@ class AcmControlLoop:
 
         with tel.span("execute", kind="mape", era=self.era_index):
             # ---- Execute (Algorithm 3) ---------------------------------- #
-            self.fractions = self._install_fractions(leader, planned)
+            self.fractions = self.install_fractions(leader, planned)
             if self.autoscaler is not None:
                 for j, region in enumerate(self.regions):
                     self.autoscaler.apply(
@@ -443,7 +438,21 @@ class AcmControlLoop:
             [self.vmcs[r].healthy_capacity() for r in self.regions]
         )
 
-    def _install_fractions(self, leader: str, planned: np.ndarray) -> np.ndarray:
+    def receive_reports(
+        self, leader: str, raw_reports: dict[str, float]
+    ) -> dict[str, float]:
+        """The reports that reach ``leader`` (Analyze, Algorithm 1): over
+        the transport's channel, or without one by the overlay oracle (a
+        report arrives when its region can reach the leader)."""
+        if self.transport is None:
+            return {
+                region: raw_reports[region]
+                for region in self.regions
+                if region == leader or self.router.reachable(region, leader)
+            }
+        return self.transport.gather_reports(leader, raw_reports)
+
+    def install_fractions(self, leader: str, planned: np.ndarray) -> np.ndarray:
         """Push the planned fractions to the regions (Execute, Algorithm 3).
 
         Without a transport the install is an oracle: every region gets

@@ -12,8 +12,10 @@ per-request discrete events, the way the paper's actual testbed operated:
 * at every era boundary each region's
   :class:`~repro.pcam.vmc.VirtualMachineController` closes the era
   (``close_era``: predict per-VM RTTF, swap at-risk VMs against standbys,
-  report ``lastRMTTF``), and the leader folds the region reports through
-  Eq. (1), walks the degradation ladder and runs ``POLICY()``.
+  report ``lastRMTTF``), the reports reach the leader through its
+  exchange (``receive_reports``), and the leader folds them through
+  Eq. (1), walks the degradation ladder, runs ``POLICY()`` and installs
+  the fractions through the same exchange (``install_fractions``).
 
 Its job is to confirm that the policy conclusions do not depend on the
 fluid approximation (the DES-FIG3 bench runs both loops on the same
@@ -401,21 +403,24 @@ class DesControlLoop:
             self.sim.run_until(t_end)
         now = self.sim.now
 
+        # the leader's exchange and step, as the fluid loop runs them (an
+        # idle era, lam == 0, holds the installed fractions)
+        leader = self.leader
         with tel.span("analyze", kind="mape", era=self.era_index):
             reports, lam = self._analyze_regions(now)
-
-        # the leader step every host runs (an idle era, lam == 0, holds
-        # the installed fractions)
-        leader = self.leader
+            leader_name = leader.current_leader()
+            received = leader.receive_reports(leader_name, reports)
         with tel.span("plan", kind="mape", era=self.era_index):
-            planned, _, rmttf_vec = leader.plan(self.era_index, reports, lam)
-            leader.fractions = planned
+            planned, _, rmttf_vec = leader.plan(self.era_index, received, lam)
         with tel.span("execute", kind="mape", era=self.era_index):
+            installed = leader.fractions = leader.install_fractions(
+                leader_name, planned
+            )
             if lam > 0.0:
                 self._install_plan()
             for j, name in enumerate(self.region_names):
                 self.traces.record(f"rmttf/{name}", now, float(rmttf_vec[j]))
-                self.traces.record(f"fraction/{name}", now, float(planned[j]))
+                self.traces.record(f"fraction/{name}", now, float(installed[j]))
         self.era_index += 1
         return leader.aggregator.snapshot()
 

@@ -27,7 +27,10 @@ exactly the detector timeout, and the tests measure it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
+
+import numpy as np
 
 from repro.core.control_loop import AcmControlLoop, EraSummary
 from repro.obs.telemetry import Telemetry
@@ -40,7 +43,7 @@ from repro.overlay.heartbeat import (  # noqa: F401
 )
 from repro.overlay.messaging import Message, MessageBus
 from repro.overlay.network import OverlayNetwork
-from repro.overlay.reliable import ACK_KIND, DATA_KIND, ReliableChannel
+from repro.overlay.reliable import ACK_KIND, DATA_KIND, ReliableChannel, SendHandle
 from repro.overlay.routing import Router
 from repro.overlay.state_sync import (  # noqa: F401
     GOSSIP_PERIOD_S,
@@ -53,109 +56,121 @@ from repro.sim.engine import Simulator
 #: enough for the channel's retry ladder to resolve (a test holds it to
 #: the constants of :mod:`repro.overlay.reliable`).
 CONTROL_WINDOW_S = 3.0
+#: The control message kinds: Algorithm 1's report, Algorithm 3's push.
+REPORT_KIND = "rmttf-report"
+FRACTIONS_KIND = "fractions"
 
 
 class ReliableTransport:
     """Carries the MAPE control traffic over a :class:`ReliableChannel`.
 
-    The plane sets it as the loop's ``transport``, replacing the loop's
-    oracle exchange with real messages on the plane's bus: slave VMCs
-    send their ``lastRMTTF`` to the leader (Algorithm 1) and the leader
-    pushes each slave its new fraction (Algorithm 3), with acks, dedup,
-    and bounded retries underneath.  Each exchange opens a window of
-    :data:`CONTROL_WINDOW_S` simulated seconds during which the plane's
-    simulator runs, so retries and acks resolve *inside* the era that
-    issued them; what has not arrived when the window closes counts as
-    missing for that era (and feeds the loop's degradation ladder).
+    Slave VMCs send their ``lastRMTTF`` to the leader (Algorithm 1) and
+    the leader pushes each slave the planned fractions (Algorithm 3),
+    with acks, dedup and bounded retries underneath.  Every host keeps
+    the same rules: each live non-leader region reports, NaN included
+    (``plan`` drops it); a report counts only at the leader it was
+    addressed to in the current cycle; the leader pushes to every other
+    region, dark ones included, one payload carrying the whole fraction
+    vector in ``regions`` order.
 
-    Parameters
-    ----------
-    channel:
-        The reliable channel shared by all controller nodes.
-    regions:
-        All region names (transport registers an application handler for
-        each).
-    overlay:
-        Liveness source: a dead controller neither sends reports nor
-        installs fractions.
+    Each exchange has non-blocking halves (:meth:`send_reports` /
+    :meth:`received_reports`, :meth:`send_fractions` /
+    :meth:`acked_regions`); what lies between them is the host's.  The
+    plane's :meth:`gather_reports` / :meth:`push_fractions` run the
+    simulator through :data:`CONTROL_WINDOW_S`, so retries and acks
+    resolve inside the era that issued them and what has not arrived
+    counts as missing (and feeds the degradation ladder); serve's wall
+    clock runs its Plan phase ``window_s`` after the era tick.
+
+    The channel is built on ``bus`` (its clock times the retry ladder)
+    with the jitter stream ``rng``; the owner of the bus's per-node
+    registration chains ``channel.make_bus_handler(node)`` into it.
+    ``overlay`` is the liveness source: a dead controller sends no
+    report.
     """
 
     def __init__(
         self,
-        channel: ReliableChannel,
+        bus: MessageBus,
+        rng: np.random.Generator,
         regions: list[str],
         overlay: OverlayNetwork,
+        telemetry: Telemetry | None,
     ) -> None:
-        self.channel = channel
-        self.sim = channel.sim
+        self.channel = ReliableChannel(bus, rng, telemetry=telemetry)
+        self.sim = bus.sim
         self.regions = list(regions)
         self.overlay = overlay
-        self._report_inbox: dict[str, float] = {}
+        self._leader: str | None = None
+        self._inbox: dict[str, float] = {}
+        self._pushes: dict[str, SendHandle] = {}
         for node in self.regions:
-            self.channel.register(node, self._make_app_handler(node))
+            self.channel.register(node, partial(self._on_message, node))
 
-    def _make_app_handler(self, node: str) -> Callable[[Message], None]:
-        def handle(msg: Message) -> None:
-            if msg.kind == "rmttf-report":
-                self._report_inbox[msg.payload["region"]] = msg.payload[
-                    "rmttf"
-                ]
-            # "fractions" pushes need no receive-side action here: the
-            # loop owns the global fraction state, and the ack (observed
-            # by the sender) is what marks a region as installed.
+    def _on_message(self, node: str, msg: Message) -> None:
+        if msg.kind == REPORT_KIND:
+            self.report_landed(node, msg.payload)
+        elif msg.kind == FRACTIONS_KIND:
+            self.fractions_landed(node, msg.payload)
 
-        return handle
+    def report_landed(self, node: str, payload: dict) -> None:
+        """A report reached ``node``; only the cycle's leader keeps it."""
+        if node == self._leader:
+            self._inbox[payload["region"]] = payload["rmttf"]
 
-    # -- the AcmControlLoop transport interface ------------------------- #
+    def fractions_landed(self, node: str, fractions: tuple) -> None:
+        """The fraction vector reached ``node``.  The loop owns the
+        fraction state and the sender's ack marks the install, so
+        nothing happens here; serve installs the region's row."""
+
+    def send_reports(self, leader: str, raw_reports: dict[str, float]) -> None:
+        """Open a cycle addressed to ``leader``: every live non-leader
+        region of ``raw_reports`` sends; the leader's own is local."""
+        self._leader = leader
+        self._inbox = {}
+        for region in sorted(raw_reports):
+            if region != leader and self.overlay.is_alive(region):
+                self.channel.send(
+                    region,
+                    leader,
+                    REPORT_KIND,
+                    {"region": region, "rmttf": raw_reports[region]},
+                )
+        self._inbox[leader] = raw_reports[leader]
+
+    def received_reports(self) -> dict[str, float]:
+        """Region -> ``lastRMTTF`` of every report at the leader so far."""
+        return dict(self._inbox)
+
+    def send_fractions(self, leader: str, fractions: dict[str, float]) -> None:
+        """Push the fraction vector from ``leader`` to every other region."""
+        vector = tuple(fractions[r] for r in self.regions)
+        self._pushes = {
+            region: self.channel.send(leader, region, FRACTIONS_KIND, vector)
+            for region in self.regions
+            if region != leader
+        }
+
+    def acked_regions(self) -> set[str]:
+        """The regions that acknowledged their push so far: the leader's
+        definition of "installed"."""
+        return {r for r, h in self._pushes.items() if h.status == "acked"}
 
     def gather_reports(
         self, leader: str, raw_reports: dict[str, float]
     ) -> dict[str, float]:
-        """Algorithm 1's report collection, over real messages.
-
-        Returns region -> lastRMTTF for every report that *arrived at the
-        leader* within the exchange window (the leader's own report is
-        local and always present).
-        """
-        self._report_inbox = {}
-        for region in sorted(raw_reports):
-            if region == leader or not self.overlay.is_alive(region):
-                continue
-            self.channel.send(
-                region,
-                leader,
-                "rmttf-report",
-                {"region": region, "rmttf": raw_reports[region]},
-            )
+        """Algorithm 1's report collection, blocking through the window."""
+        self.send_reports(leader, raw_reports)
         self.sim.run_until(self.sim.now + CONTROL_WINDOW_S)
-        received = dict(self._report_inbox)
-        received[leader] = raw_reports[leader]
-        return received
+        return self.received_reports()
 
     def push_fractions(
         self, leader: str, fractions: dict[str, float]
     ) -> set[str]:
-        """Algorithm 3's fraction distribution, over real messages.
-
-        Returns the regions whose push was *acknowledged* within the
-        window -- the leader's definition of "installed".
-        """
-        handles = {}
-        for region in sorted(fractions):
-            if region == leader:
-                continue
-            handles[region] = self.channel.send(
-                leader,
-                region,
-                "fractions",
-                {"region": region, "fraction": fractions[region]},
-            )
+        """Algorithm 3's fraction push, blocking through the window."""
+        self.send_fractions(leader, fractions)
         self.sim.run_until(self.sim.now + CONTROL_WINDOW_S)
-        return {
-            region
-            for region, handle in handles.items()
-            if handle.status == "acked"
-        }
+        return self.acked_regions()
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,10 +237,14 @@ class DistributedControlPlane:
         )
         self.stores = {n: StateStore(n) for n in nodes}
         self.gossip = GossipSync(self.stores, self.sim, self.bus)
-        self.channel = ReliableChannel(
-            self.bus, loop.rngs.stream("reliable/jitter"), telemetry=telemetry
+        self.transport = ReliableTransport(
+            self.bus,
+            loop.rngs.stream("reliable/jitter"),
+            nodes,
+            loop.overlay,
+            telemetry,
         )
-        self.transport = ReliableTransport(self.channel, nodes, loop.overlay)
+        self.channel = self.transport.channel
         loop.transport = self.transport
         # one bus registration per node, demultiplexing by message kind
         for node in nodes:

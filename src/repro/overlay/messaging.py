@@ -3,7 +3,7 @@
 Slave VMCs send their ``lastRMTTF`` to the leader; the leader pushes the
 new workload fractions back (Algorithms 1-2).  :class:`MessageBus` carries
 those messages over the overlay: delivery is scheduled on the simulator
-after the best-path latency, and messages are dropped (with a callback) if
+after the best-path latency, and messages are dropped (and counted) if
 the endpoints are partitioned at *send* time.
 
 Every drop is tagged with a reason so operators (and the chaos campaigns)
@@ -52,9 +52,6 @@ class MessageBus:
         The simulator used to schedule deliveries.
     router:
         Path/latency source.
-    on_drop:
-        Optional callback invoked with the message when it is dropped
-        (for any reason; consult :attr:`drop_counts` for the breakdown).
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` facade mirroring
         ``delivered_count``/``drop_counts`` into the metrics registry and
@@ -64,7 +61,6 @@ class MessageBus:
 
     sim: Simulator
     router: Router
-    on_drop: Callable[[Message], None] | None = field(default=None, init=False)
     delivered_count: int = field(default=0, init=False)
     dropped_count: int = field(default=0, init=False)
     drop_counts: dict[str, int] = field(default_factory=dict, init=False)
@@ -94,15 +90,13 @@ class MessageBus:
         dst: str,
         kind: str,
         payload: Any,
-        on_outcome: Callable[[Message, str], None] | None = None,
     ) -> bool:
         """Send a message; returns False if dropped (no route / no handler).
 
         Delivery happens ``latency_ms / 1000`` simulated seconds later; a
         destination that dies in flight still receives the message only if
-        it is alive at delivery time.  ``on_outcome`` (if given) is called
-        exactly once with the message and its final outcome: one of
-        ``"delivered"``, ``"no_route"``, ``"no_handler"``, ``"dead_dst"``.
+        it is alive at delivery time.  Every outcome is counted:
+        ``delivered_count``, or ``drop_counts`` by reason.
         """
         msg = Message(
             src=src, dst=dst, kind=kind, payload=payload, sent_at=self.sim.now
@@ -110,32 +104,25 @@ class MessageBus:
         try:
             _, latency_ms = self.router.route(src, dst)
         except NoRouteError:
-            self._drop(msg, "no_route", on_outcome)
+            self._drop(msg, "no_route")
             return False
         if dst not in self._handlers:
-            self._drop(msg, "no_handler", on_outcome)
+            self._drop(msg, "no_handler")
             return False
 
         def deliver() -> None:
             if not self.router.network.is_alive(dst):
-                self._drop(msg, "dead_dst", on_outcome)
+                self._drop(msg, "dead_dst")
                 return
             self.delivered_count += 1
             if self._obs_delivered is not None:
                 self._obs_delivered.inc()
             self._handlers[dst](msg)
-            if on_outcome is not None:
-                on_outcome(msg, "delivered")
 
         self.sim.schedule_after(latency_ms / 1000.0, deliver, label=f"msg:{kind}")
         return True
 
-    def _drop(
-        self,
-        msg: Message,
-        reason: str,
-        on_outcome: Callable[[Message, str], None] | None = None,
-    ) -> None:
+    def _drop(self, msg: Message, reason: str) -> None:
         self.dropped_count += 1
         self.drop_counts[reason] = self.drop_counts.get(reason, 0) + 1
         if self._obs is not None:
@@ -147,7 +134,3 @@ class MessageBus:
                 dst=msg.dst,
                 msg_kind=msg.kind,
             )
-        if self.on_drop is not None:
-            self.on_drop(msg)
-        if on_outcome is not None:
-            on_outcome(msg, reason)

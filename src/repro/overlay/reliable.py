@@ -157,12 +157,11 @@ class ReliableChannel:
         (``channel_<field>_total``), every send records an async
         ``channel`` span from submission to ack/give-up, and give-ups
         leave a flight event.
-    clock:
-        Time source for the retry/backoff timers and ``acked_at``
-        stamps.  Defaults to the bus's simulator (virtual time); the
-        wall-clock serve runtime passes its
-        :class:`~repro.serve.clock.WallClock` so the same bounded-retry
-        ladder runs on real elapsed seconds.
+
+    The retry/backoff timers and ``acked_at`` stamps run on the bus's
+    clock: virtual time on a simulator, real elapsed seconds on the
+    serve runtime's :class:`~repro.serve.clock.WallClock`, with the same
+    bounded-retry ladder.
     """
 
     def __init__(
@@ -170,12 +169,9 @@ class ReliableChannel:
         bus: MessageBus,
         rng: np.random.Generator,
         telemetry: "Telemetry | None" = None,
-        clock: "Clock | None" = None,
     ) -> None:
         self.bus = bus
-        self.clock: "Clock" = clock if clock is not None else bus.sim
-        # Back-compat alias: existing callers and tests read `.sim`.
-        self.sim = self.clock
+        self.clock: "Clock" = bus.sim
         self.rng = rng
         self.stats = ChannelStats()
         self._obs = (

@@ -13,15 +13,17 @@ routes through.  This module adds only what real time forces:
   from browser populations; the service counts the real requests the
   ingress admitted and forwards those counts into
   ``vmc.process_era(...)`` at each era boundary.
-* **The Analyze window is an event, not a blocking drain.**
-  ``ReliableTransport.gather_reports`` fast-forwards the simulator
-  through its window; on a wall clock nothing can be fast-forwarded,
-  so the era tick sends the reports over the ``ReliableChannel`` and
-  schedules the Plan phase ``window_s`` later, with whatever arrived.
+* **The exchange is the plane's; only the wait is serve's.**  Reports
+  and fractions travel as the simulated plane's ``ReliableTransport``
+  messages (:mod:`repro.core.distributed`).  The plane's
+  ``gather_reports`` blocks through its window; nothing can
+  fast-forward a wall clock, so the era tick calls ``send_reports`` and
+  the Plan phase, ``window_s`` later, plans with ``received_reports()``.
 * **Execute is per row and liveness-aware.**  Regions dark when the Plan
-  phase fires are zeroed (``renormalize_live``), each live region
-  installs its row when its plan message lands, and the first row that
-  routes around a dead region stamps that region's failover MTTR.
+  phase fires are zeroed (``renormalize_live``) before
+  ``send_fractions``, each region installs its row when the fraction
+  vector lands (``_ServeTransport.fractions_landed``), and the first row
+  that routes around a dead region stamps that region's failover MTTR.
 
 The ingress data path (admission + per-row forwarding per the installed
 plan) lives here too; :mod:`repro.serve.ingress` is only the HTTP skin.
@@ -41,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chaos.engine import ChaosEngine
+from repro.core.distributed import ReliableTransport
 from repro.core.forward_plan import PlanTable, build_forward_plan
 from repro.core.manager import AcmManager
 from repro.core.policy import renormalize_live
@@ -48,15 +51,11 @@ from repro.experiments.scenarios import Scenario
 from repro.obs.exporters import to_prometheus_text
 from repro.obs.manifest import RunManifest
 from repro.obs.telemetry import Telemetry
-from repro.overlay.messaging import Message, MessageBus
-from repro.overlay.reliable import ReliableChannel
+from repro.overlay.messaging import MessageBus
 from repro.pcam.vm import VmState
 from repro.serve.clock import WallClock
 from repro.slo import LEVEL_DEGRADED, SloConfig, SloController
 
-#: Control-channel message kinds (application layer, over rc-data).
-REPORT_KIND = "rmttf-report"
-PLAN_KIND = "plan-row"
 #: Admission token-bucket depth, in seconds of ``admission_rps``.
 ADMISSION_BURST_S = 0.25
 
@@ -141,15 +140,11 @@ class AcmService:
         )
 
         self.bus = MessageBus(sim=clock, router=self.router, telemetry=tel)
-        self.channel = ReliableChannel(
-            self.bus,
-            self.manager.rngs.stream("serve/jitter"),
-            telemetry=tel,
-            clock=clock,
+        self.transport = _ServeTransport(
+            self, self.manager.rngs.stream("serve/jitter")
         )
         for r in self.regions:
-            self.channel.register(r, self._make_region_handler(r))
-            self.bus.register(r, self.channel.make_bus_handler(r))
+            self.bus.register(r, self.transport.channel.make_bus_handler(r))
         self.chaos = ChaosEngine(
             sim=clock,
             rng=self.manager.rngs.stream("serve/chaos"),
@@ -175,7 +170,6 @@ class AcmService:
         self._era_index = 0
         self._plan_era = -1
         self._leader_name: str | None = None
-        self._cycle_reports: dict[str, float] = {}
         self._cycle_stamp = 0.0
         self._rr = 0
 
@@ -423,27 +417,15 @@ class AcmService:
             if not self.overlay.is_alive(r):
                 continue  # controller dark: no era cycle, no report
             rep = self.vmcs[r].process_era(served[r], cfg.era_s, now)
-            if np.isfinite(rep.last_rmttf):
-                reports[r] = rep.last_rmttf
-            self._rmttf_latest[r] = rep.last_rmttf
+            reports[r] = self._rmttf_latest[r] = rep.last_rmttf
             self._m_rmttf[r].set(rep.last_rmttf)
 
         if not any(self._alive()):
             self._leader_name = None
             return  # whole deployment dark; monitor keeps watching
         leader = self._leader_name = self.loop.current_leader()
-        self._cycle_reports = {}
         self._cycle_stamp = now
-        for r, value in reports.items():
-            if r == leader:
-                self._cycle_reports[r] = value  # local, no network hop
-            else:
-                self.channel.send(
-                    r,
-                    leader,
-                    REPORT_KIND,
-                    {"region": r, "rmttf": value, "stamp": now},
-                )
+        self.transport.send_reports(leader, reports)
         self.clock.schedule_after(
             cfg.window_s,
             lambda: self._plan_phase(leader, era),
@@ -453,38 +435,33 @@ class AcmService:
     def _plan_phase(self, leader: str, era: int) -> None:
         """Plan + Execute: the shared leader step on whatever reports
         arrived, then what real time adds -- zero the regions that are
-        dark *now* and push one plan row per live region."""
-        planned, _, _ = self.loop.plan(era, self._cycle_reports, self._lam)
+        dark *now*, install the leader's row and push the fractions."""
+        planned, _, _ = self.loop.plan(
+            era, self.transport.received_reports(), self._lam
+        )
         # A dead region must not be planned traffic, whatever the policy
         # said: zero it and renormalise over the live ones.
         planned = renormalize_live(planned, self._alive())
         if planned is None:
             return
         self.loop.fractions = planned
-        payload = {
-            "fractions": [float(x) for x in planned],
-            "stamp": self._cycle_stamp,
-            "era": era,
-        }
-        for r in self.regions:
-            if not self.overlay.is_alive(r):
-                continue
-            if r == leader:
-                self._install_row(r, payload)
-            else:
-                self.channel.send(leader, r, PLAN_KIND, payload)
+        self._plan_era = era
+        self.transport.send_fractions(
+            leader, {r: float(planned[i]) for i, r in enumerate(self.regions)}
+        )
+        if self.overlay.is_alive(leader):
+            self._install_row(leader, planned)
 
-    def _install_row(self, region: str, payload: dict) -> None:
+    def _install_row(self, region: str, fractions) -> None:
         """A region's LB installs its forward-plan row (Execute)."""
-        fractions = np.asarray(payload["fractions"], dtype=float)
+        fractions = np.asarray(fractions, dtype=float)
         plan = build_forward_plan(
             self.regions, self._arrival_fracs, fractions
         )
         i = self._index[region]
         self.plan_table.install_row(i, plan.matrix[i])
-        self._plan_era = int(payload["era"])
         self._m_fraction[region].set(float(fractions[i]))
-        lag = self.clock.now - float(payload["stamp"])
+        lag = self.clock.now - self._cycle_stamp
         self._m_lag.observe(max(lag, 0.0))
         # Failover MTTR: the moment this ingress row routes around a dead
         # region (its planned share is zero), that region is "repaired"
@@ -500,22 +477,6 @@ class AcmService:
                 self.telemetry.event(
                     "serve.failover_repaired", region=dead, mttr_s=mttr
                 )
-
-    def _make_region_handler(self, region: str):
-        """Application-level control-message handler of one region."""
-
-        def handle(msg: Message) -> None:
-            if msg.kind == REPORT_KIND:
-                self._m_reports.inc()
-                # Reports are addressed to the era's leader; a late one
-                # arriving after a leader change is simply stale.
-                if region == self._leader_name:
-                    payload = msg.payload
-                    self._cycle_reports[payload["region"]] = payload["rmttf"]
-            elif msg.kind == PLAN_KIND:
-                self._install_row(region, msg.payload)
-
-        return handle
 
     def _monitor(self) -> None:
         """Liveness sweep: stamp down/heal transitions on the clock."""
@@ -604,3 +565,22 @@ class AcmService:
         """Prometheus text for ``/metrics`` (live scrape)."""
         snap = self.telemetry.snapshot()
         return to_prometheus_text(snap["metrics"], self.telemetry.manifest)
+
+
+class _ServeTransport(ReliableTransport):
+    """The plane's transport on the service's bus: a landed report also
+    counts in ``acm_reports_received_total``, and a landed fraction
+    vector installs the receiving region's row."""
+
+    def __init__(self, service: AcmService, rng: np.random.Generator) -> None:
+        self.service = service
+        super().__init__(
+            service.bus, rng, service.regions, service.overlay, service.telemetry
+        )
+
+    def report_landed(self, node: str, payload: dict) -> None:
+        self.service._m_reports.inc()
+        super().report_landed(node, payload)
+
+    def fractions_landed(self, node: str, fractions: tuple) -> None:
+        self.service._install_row(node, fractions)

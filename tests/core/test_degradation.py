@@ -9,7 +9,7 @@ from repro.core.degradation import (
     STALE_AFTER_ERAS,
     DegradationTracker,
 )
-from repro.core.distributed import DistributedControlPlane
+from repro.core.distributed import REPORT_KIND, DistributedControlPlane
 from repro.chaos import CorruptiblePredictor, LossyBus
 from repro.sim.rng import RngRegistry
 
@@ -221,6 +221,23 @@ class TestReliableTransport:
         assert plane.channel.stats.gave_up > 0  # region3 pushes failed
         # region3 kept its last installed fraction (renormalised mix)
         assert reports[-1].summary.fractions["region3"] > 0.0
+
+    def test_a_report_counts_only_at_the_cycle_leader(self):
+        """A report delivered to a region other than the cycle's leader
+        does not reach the leader's inbox."""
+        mgr, plane = self.make_plane()
+        plane.sim.schedule_after(
+            0.5,
+            lambda: plane.channel.send(
+                "region2", "region3", REPORT_KIND,
+                {"region": "region2", "rmttf": 1.0},
+            ),
+        )
+        received = plane.transport.gather_reports(
+            "region1", {"region1": 500.0}
+        )
+        assert plane.channel.stats.acked == 1  # it did land, at region3
+        assert received == {"region1": 500.0}
 
     def test_fraction_installs_tracked_per_region(self):
         mgr, plane = self.make_plane()

@@ -62,7 +62,7 @@ def test_route_equals_ndarray_searchsorted_and_choice(name):
 
 
 def test_serve_install_row_path_routes_like_the_ndarray_cdf():
-    """The rows serve installs from plan-row messages."""
+    """The rows serve installs from landed fraction vectors."""
     service = AcmService(
         three_region_scenario(), WallClock(speed=100.0), ServeConfig(seed=7)
     )
@@ -73,9 +73,8 @@ def test_serve_install_row_path_routes_like_the_ndarray_cdf():
         [0.0, 0.5, 0.5],
         [0.6, 0.1, 0.3],
     ):
-        payload = {"fractions": fractions, "stamp": service.clock.now, "era": 0}
         for region in service.regions:
-            service._install_row(region, payload)
+            service.transport.fractions_landed(region, tuple(fractions))
         table = service.plan_table
         for i in range(len(service.regions)):
             cdf = _row_cdf(table.matrix[i])

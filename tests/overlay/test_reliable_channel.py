@@ -28,11 +28,11 @@ class DropFirstN(MessageBus):
         self.n_drops = n_drops
         self.drop_kind = drop_kind
 
-    def send(self, src, dst, kind, payload, on_outcome=None):
+    def send(self, src, dst, kind, payload):
         if kind == self.drop_kind and self.n_drops > 0:
             self.n_drops -= 1
             return True  # accepted, silently lost
-        return super().send(src, dst, kind, payload, on_outcome=on_outcome)
+        return super().send(src, dst, kind, payload)
 
 
 def make_channel(net=None, bus_cls=MessageBus, seed=3, **bus_kw):

@@ -1,7 +1,7 @@
 """Sim/wall parity for the reliable channel (satellite of repro.serve).
 
-:class:`ReliableChannel` takes a ``clock`` so the serve runtime can run
-its retry/backoff ladder on real elapsed time.  The regression pinned
+:class:`ReliableChannel` times its retry/backoff ladder on its bus's
+clock, so the serve runtime runs it on real elapsed time.  The regression pinned
 here: for the same scripted loss pattern and the same jitter seed, a
 channel on a :class:`WallClock` resolves to the **same**
 :class:`ChannelStats` as one on the virtual-time simulator -- retries,
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.core.distributed import CONTROL_WINDOW_S, ReliableTransport
 from repro.overlay import MessageBus, OverlayNetwork, ReliableChannel, Router
 from repro.serve.clock import WallClock
 from repro.sim import SimClock
@@ -55,13 +56,13 @@ class ScriptedLossBus(MessageBus):
         self.drop_kind = drop_kind
         self.kind_sends = 0
 
-    def send(self, src, dst, kind, payload, on_outcome=None):
+    def send(self, src, dst, kind, payload):
         if kind == self.drop_kind:
             idx = self.kind_sends
             self.kind_sends += 1
             if idx in self.drops:
                 return True  # accepted, silently lost
-        return super().send(src, dst, kind, payload, on_outcome=on_outcome)
+        return super().send(src, dst, kind, payload)
 
 
 def run_script(clock, drops, drop_kind="rc-data", n_messages=3, seed=3):
@@ -70,9 +71,7 @@ def run_script(clock, drops, drop_kind="rc-data", n_messages=3, seed=3):
         sim=clock, router=Router(mesh()), drops=drops, drop_kind=drop_kind
     )
     channel = ReliableChannel(
-        bus,
-        RngRegistry(seed=seed).stream("reliable/jitter"),
-        clock=clock,
+        bus, RngRegistry(seed=seed).stream("reliable/jitter")
     )
     got = []
     channel.attach("r1", lambda m: None)
@@ -171,4 +170,78 @@ def test_channel_default_clock_is_the_bus_sim():
         bus, RngRegistry(seed=3).stream("reliable/jitter")
     )
     assert channel.clock is clock
-    assert channel.sim is channel.clock  # back-compat alias
+
+
+# ------------------------------------------------------------------ #
+# the control exchange on either clock
+# ------------------------------------------------------------------ #
+
+REGIONS = ["r1", "r2", "r3"]
+NAN = float("nan")
+#: (leader, raw reports, overlay change at the cycle's start, overlay
+#: change 1 ms into it): a NaN report; a dark slave, which sends no
+#: report and whose push is retried and given up; a leader that goes
+#: dark once the reports are in flight, so they are lost and so is
+#: every push it makes.
+EXCHANGE_SCRIPT = [
+    ("r1", {"r1": 900.0, "r2": NAN, "r3": 700.0}, None, None),
+    ("r1", {"r1": 880.0, "r2": 650.0, "r3": 720.0},
+     lambda net: net.fail_node("r3"), None),
+    ("r1", {"r1": 860.0, "r2": 640.0, "r3": 730.0},
+     lambda net: net.restore_node("r3"), lambda net: net.fail_node("r1")),
+]
+
+
+def run_exchange(clock, blocking):
+    """The script through one transport; per cycle the received reports
+    (``repr`` so a NaN compares) and the acked set, then the channel's
+    stats and the bus's drops."""
+    net = OverlayNetwork.full_mesh(
+        {("r1", "r2"): 10.0, ("r1", "r3"): 10.0, ("r2", "r3"): 10.0}
+    )
+    bus = MessageBus(sim=clock, router=Router(net))
+    transport = ReliableTransport(
+        bus, RngRegistry(seed=3).stream("reliable/jitter"), REGIONS, net, None
+    )
+    for r in REGIONS:
+        bus.register(r, transport.channel.make_bus_handler(r))
+    cycles = []
+    for leader, reports, at_start, in_flight in EXCHANGE_SCRIPT:
+        if at_start is not None:
+            at_start(net)
+        if in_flight is not None:
+            clock.schedule_after(0.001, lambda f=in_flight: f(net))
+        fractions = {"r1": 0.5, "r2": 0.3, "r3": 0.2}
+        if blocking:
+            received = transport.gather_reports(leader, reports)
+            acked = transport.push_fractions(leader, fractions)
+        else:
+            transport.send_reports(leader, reports)
+            clock.run_until(clock.now + CONTROL_WINDOW_S)
+            received = transport.received_reports()
+            transport.send_fractions(leader, fractions)
+            clock.run_until(clock.now + CONTROL_WINDOW_S)
+            acked = transport.acked_regions()
+        cycles.append(({r: repr(v) for r, v in received.items()}, acked))
+    return cycles, transport.channel.stats.as_dict(), dict(bus.drop_counts)
+
+
+def test_the_control_exchange_is_the_same_on_either_clock():
+    """The sim blocks through the window; serve sends, lets its clock
+    run, and reads what arrived.  A stepped wall clock (``time_fn``
+    pinned) and the simulator see the same exchange."""
+    on_sim = run_exchange(SimClock(), blocking=True)
+    on_wall = run_exchange(WallClock(time_fn=lambda: 0.0), blocking=False)
+    assert on_sim == on_wall
+    cycles, stats, drops = on_sim
+    assert cycles == [
+        ({"r1": "900.0", "r2": "nan", "r3": "700.0"}, {"r2", "r3"}),
+        ({"r1": "880.0", "r2": "650.0"}, {"r2"}),
+        ({"r1": "860.0"}, set()),
+    ]
+    # a give-up resolves after its last retry's timeout, past the window
+    # that sent it: r3's push and the two lost reports have given up,
+    # the dark leader's two pushes are still retrying
+    assert stats["gave_up"] == 3
+    assert stats["sent"] == stats["acked"] + stats["gave_up"] + 2
+    assert set(drops) == {"dead_dst", "no_route"}

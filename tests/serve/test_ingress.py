@@ -27,14 +27,10 @@ def make_service(**cfg_kw) -> AcmService:
 
 
 def force_plan(service: AcmService, fractions) -> None:
-    """Install the given target fractions on every region's LB row."""
-    payload = {
-        "fractions": [float(x) for x in fractions],
-        "stamp": service.clock.now,
-        "era": 0,
-    }
+    """Install the given target fractions on every region's LB row, as
+    a landed fraction vector does."""
     for r in service.regions:
-        service._install_row(r, payload)
+        service.transport.fractions_landed(r, tuple(fractions))
 
 
 class TestDataPath:

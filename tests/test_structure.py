@@ -237,6 +237,13 @@ RULES = (
          "degradation ladder and the flight ring's size are module "
          "constants: no option sets them",
          "after f07be4b"),
+    Rule("control-protocol",
+         r'ReliableChannel\(|\b(REPORT|PLAN|FRACTIONS)_KIND\b'
+         r'|"(rmttf-report|plan-row)"|"fractions"(?!\s*:)',
+         ("src/",), (SRC + "core/distributed.py", SRC + "overlay/reliable.py"),
+         "Algorithms 1 and 3 travel as ReliableTransport's messages on every "
+         "host: nobody else spells a control message kind or builds a "
+         "reliable channel", "after f3acc81"),
 )
 
 #: row id -> lines that each violate it: (file, line appended to it)
@@ -326,9 +333,17 @@ INJECT = {
          "degradation: DegradationConfig | None = None,"),
         (SRC + "obs/telemetry.py", "flight_capacity: int = 512,"),
         (SRC + "serve/service.py",
-         "channel = ReliableChannel(bus, rng, base_timeout_s=0.5)"),
+         "transport = _ServeTransport(self, rng, base_timeout_s=0.5)"),
         (SRC + "core/distributed.py",
          "mesh = build_detector_mesh(nodes, sim, bus, register=False)"),
+    ],
+    "control-protocol": [
+        (SRC + "serve/service.py", 'REPORT_KIND = "rmttf-report"'),
+        (SRC + "serve/service.py",
+         "self.channel = ReliableChannel(self.bus, rng, telemetry=tel)"),
+        (SRC + "core/des_loop.py",
+         'self.channel.send(r, leader, "plan-row", payload)'),
+        (SRC + "serve/service.py", 'installs = msg.kind == "fractions"'),
     ],
 }
 
