@@ -45,6 +45,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core import get_policy  # noqa: E402
 from repro.core.des_loop import DesControlLoop  # noqa: E402
 from repro.pcam.predictor import RttfPredictor  # noqa: E402
+from repro.pcam.state_table import VmStateTable  # noqa: E402
 from repro.pcam.vm import VirtualMachine  # noqa: E402
 from repro.sim.instances import get_instance_type  # noqa: E402
 from repro.sim.rng import RngRegistry  # noqa: E402
@@ -73,7 +74,11 @@ class _ConstantPredictor(RttfPredictor):
     """RTTF far above the swap threshold: no rejuvenation churn."""
 
     def predict_rttf_rows(
-        self, rows: np.ndarray, vms: list[VirtualMachine]
+        self,
+        features: np.ndarray,
+        vms: list[VirtualMachine],
+        table: VmStateTable,
+        rows: np.ndarray,
     ) -> np.ndarray:
         return np.full(len(vms), 1e9)
 

@@ -99,14 +99,20 @@ def _time_eras(fn) -> float:
 def bench_predictor(predictor, pool) -> dict:
     """Per-era latency (ms) of the scalar loop vs one batched call."""
 
+    table = pool[0].table
+
     def per_vm():
         for vm in pool:
             row = vm.sample_features().to_array()
-            predictor.predict_rttf_rows(row[np.newaxis, :], [vm])
+            predictor.predict_rttf_rows(
+                row[np.newaxis, :], [vm], table, np.array([vm.row])
+            )
 
     def batched():
         rows = np.vstack([vm.sample_features().to_array() for vm in pool])
-        predictor.predict_rttf_rows(rows, pool)
+        predictor.predict_rttf_rows(
+            rows, pool, table, np.array([vm.row for vm in pool])
+        )
 
     # warm up: fills any per-VM history windows and the allocator caches
     per_vm()

@@ -88,8 +88,8 @@ def main() -> None:
             break
         if int(t / dt) % 3 == 0:
             features = table.feature_matrix(row)
-            predicted = predictor.predict_rttf_rows(features, [vm])[0]
-            truth = oracle.predict_rttf_rows(features, [vm])[0]
+            predicted = predictor.predict_rttf_rows(features, [vm], table, row)[0]
+            truth = oracle.predict_rttf_rows(features, [vm], table, row)[0]
             print(f"  {t:6.0f} {predicted:14.0f}s {truth:9.0f}s")
         t += dt
     print(f"  VM reached its failure point at t={t:.0f}s")

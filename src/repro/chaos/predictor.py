@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.pcam.predictor import RttfPredictor
+from repro.pcam.state_table import VmStateTable
 from repro.pcam.vm import VirtualMachine
 
 #: Valid corruption modes.
@@ -47,14 +48,18 @@ class CorruptiblePredictor(RttfPredictor):
         self.mode = mode
 
     def predict_rttf_rows(
-        self, rows: np.ndarray, vms: list[VirtualMachine]
+        self,
+        features: np.ndarray,
+        vms: list[VirtualMachine],
+        table: VmStateTable,
+        rows: np.ndarray,
     ) -> np.ndarray:
         if self.mode == "nan":
             return np.full(len(vms), np.nan)
         if self.mode == "zero":
             return np.zeros(len(vms))
         if self.mode == "off":
-            values = self.inner.predict_rttf_rows(rows, vms)
+            values = self.inner.predict_rttf_rows(features, vms, table, rows)
             self._last.update(zip((vm.name for vm in vms), values.tolist()))
             return values
         # stale: serve the last healthy answer; ask the inner predictor,
@@ -64,6 +69,6 @@ class CorruptiblePredictor(RttfPredictor):
         fresh = [k for k, vm in enumerate(vms) if vm.name not in last]
         if fresh:
             values[fresh] = self.inner.predict_rttf_rows(
-                rows[fresh], [vms[k] for k in fresh]
+                features[fresh], [vms[k] for k in fresh], table, rows[fresh]
             )
         return values

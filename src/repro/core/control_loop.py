@@ -5,7 +5,8 @@ One era of the loop walks the four states:
 * **Monitor** -- client populations offer load to their region's LB; the
   global forward plan routes arrivals to processing regions; each VMC
   serves its batch (features are collected inside
-  :meth:`~repro.pcam.vmc.VirtualMachineController.process_era`).
+  :meth:`~repro.pcam.vmc.RegionGroup.process_era`, one pass over every
+  region's rows of the deployment's state table).
 * **Analyze** (Algorithm 1) -- every VMC predicts its local RMTTF with the
   ML models and actuates PCAM locally; slave VMCs send ``lastRMTTF_i`` to
   the leader over the overlay message bus; the leader folds each report
@@ -45,7 +46,7 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.overlay.election import LeaderElection
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.routing import NoRouteError, Router
-from repro.pcam.vmc import EraReport, VirtualMachineController
+from repro.pcam.vmc import EraReport, RegionGroup, VirtualMachineController
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import TraceRecorder
 from repro.workload.browsers import BrowserPopulation
@@ -159,6 +160,9 @@ class AcmControlLoop:
             )
         self.regions: list[str] = sorted(vmcs)
         self.vmcs = vmcs
+        #: one state table for the deployment, each region's pool a range
+        #: of its rows in region order; an era steps them all at once
+        self._regions_step = RegionGroup.join([vmcs[r] for r in self.regions])
         self.populations = populations
         self.policy = policy
         self.config = config or ControlLoopConfig()
@@ -262,11 +266,14 @@ class AcmControlLoop:
             processed = routed.sum(axis=0)
 
             # ---- Monitor/Analyze: serve the era, predict local RMTTF --- #
-            reports: dict[str, EraReport] = {}
-            for j, region in enumerate(self.regions):
-                reports[region] = self.vmcs[region].process_era(
-                    int(processed[j]), dt, now
+            reports: dict[str, EraReport] = dict(
+                zip(
+                    self.regions,
+                    self._regions_step.process_era(
+                        processed.tolist(), dt, now
+                    ),
                 )
+            )
 
             # clients of arrival region i see the plan-weighted response
             # time, plus the overlay round-trip for remotely served requests

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from repro.pcam.vm import VmState
+from repro.pcam.vm import CODE_STANDBY
 from repro.pcam.vmc import VirtualMachineController
 
 #: Fraction of the full hourly rate a STANDBY VM costs (EBS-backed
@@ -139,13 +139,12 @@ class CostTracker:
         if requests_served < 0:
             raise ValueError("requests_served must be >= 0")
         hours = dt_s / 3600.0
-        charge = 0.0
-        for vm in vmc.vms:
-            rate = vm.itype.hourly_cost
-            if vm.state in (VmState.ACTIVE, VmState.REJUVENATING, VmState.FAILED):
-                charge += rate * hours
-            elif vm.state is VmState.STANDBY:
-                charge += rate * hours * STANDBY_MULTIPLIER
+        # one pass over the region's rows; the sequential cumsum adds in
+        # pool order, as a running sum over the VMs would
+        table = vmc.table
+        billed = table.hourly_cost * hours
+        billed[table.state_code == CODE_STANDBY] *= STANDBY_MULTIPLIER
+        charge = float(billed.cumsum()[-1])
         if self.model is not None and requests_served:
             charge += requests_served * self.model.usd_per_req.get(
                 vmc.region_name, 0.0

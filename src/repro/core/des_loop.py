@@ -9,10 +9,11 @@ per-request discrete events, the way the paper's actual testbed operated:
   processing pays the overlay round trip);
 * requests queue at individual VMs (join-shortest-queue within a region)
   and inject anomalies on completion;
-* at every era boundary each region's
-  :class:`~repro.pcam.vmc.VirtualMachineController` closes the era
-  (``close_era``: predict per-VM RTTF, swap at-risk VMs against standbys,
-  report ``lastRMTTF``), the reports reach the leader through its
+* at every era boundary one :class:`~repro.pcam.vmc.RegionGroup` step
+  closes the era of every region's
+  :class:`~repro.pcam.vmc.VirtualMachineController` (``close_era``:
+  predict per-VM RTTF, swap at-risk VMs against standbys, report
+  ``lastRMTTF``), the reports reach the leader through its
   exchange (``receive_reports``), and the leader folds them through
   Eq. (1), walks the degradation ladder, runs ``POLICY()`` and installs
   the fractions through the same exchange (``install_fractions``).
@@ -86,7 +87,7 @@ from repro.overlay.routing import NoRouteError
 from repro.pcam.predictor import RttfPredictor
 from repro.pcam.state_table import VmStateTable
 from repro.pcam.vm import CODE_ACTIVE, VirtualMachine
-from repro.pcam.vmc import VirtualMachineController, VmcConfig
+from repro.pcam.vmc import RegionGroup, VirtualMachineController, VmcConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import ExactDraws, RngRegistry
 from repro.sim.tracing import TraceRecorder
@@ -238,9 +239,14 @@ class DesControlLoop:
             else None
         )
         #: The leader step over this loop's VMCs; its ``fractions`` route.
+        #: It joins the regions' tables into one deployment table, whose
+        #: views the request path keeps reading and writing.
         self.leader = AcmControlLoop(
             self.vmcs, {r: regions[r][1] for r in self.region_names},
             policy, rngs, overlay=overlay, config=config, telemetry=telemetry,
+        )
+        self._regions_step = RegionGroup(
+            [self.vmcs[r] for r in self.region_names]
         )
         # the leader points the telemetry clock at its own era arithmetic
         self._tel.set_clock(lambda: self.sim.now)
@@ -425,13 +431,13 @@ class DesControlLoop:
         return leader.aggregator.snapshot()
 
     def _analyze_regions(self, now: float) -> tuple[dict[str, float], float]:
-        """Per-region era accounting, then the VMC's close-out."""
-        reports: dict[str, float] = {}
-        lam = 0.0
-        for name in self.region_names:
-            state = self._states[name]
+        """Per-region era accounting, then one close-out of every VMC."""
+        states = self._state_by_idx
+        completed = []
+        mean_rts = []
+        for state in states:
             table = state.table
-            completed = state.era_completed
+            n = state.era_completed
             # what a batch era stamps while applying its load.  The per-VM
             # rate divides by the active count that *started* the era: VMs
             # that failed mid-era served part of it, and excluding them
@@ -439,19 +445,29 @@ class DesControlLoop:
             active = table.state_code == CODE_ACTIVE
             table.uptime_s[active] += self.era_s
             table.last_request_rate[active] = (
-                completed / max(state.era_active_start, 1) / self.era_s
+                n / max(state.era_active_start, 1) / self.era_s
             )
-            mean_rt = state.era_response_sum / completed if completed else 0.0
-            report = self.vmcs[name].close_era(
-                self.era_s, now, completed, mean_rt, state.era_failures
-            )
+            completed.append(n)
+            mean_rts.append(state.era_response_sum / n if n else 0.0)
+        closed = self._regions_step.close_era(
+            self.era_s,
+            now,
+            completed,
+            mean_rts,
+            [state.era_failures for state in states],
+        )
+        reports: dict[str, float] = {}
+        lam = 0.0
+        for name, state, report, n, mean_rt in zip(
+            self.region_names, states, closed, completed, mean_rts
+        ):
             state.rebuild_active_slots()
             self.total_rejuvenations += report.rejuvenations_triggered
             self.total_failures += report.failures
 
             reports[name] = report.last_rmttf
-            lam += completed / self.era_s
-            self.traces.record(f"completed/{name}", now, completed)
+            lam += n / self.era_s
+            self.traces.record(f"completed/{name}", now, n)
             self.traces.record(f"response_time/{name}", now, mean_rt)
         return reports, lam
 

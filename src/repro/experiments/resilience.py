@@ -282,6 +282,9 @@ def _unhealthy_windows(healthy: list[bool]) -> list[tuple[int, int]]:
 
 def _collect_message_stats(plane: DistributedControlPlane) -> dict[str, int]:
     stats = dict(plane.channel.stats.as_dict())
+    # sends still awaiting an ack or their last timeout when the run
+    # ended: sent == acked + gave_up + in_flight
+    stats["in_flight"] = plane.channel.pending_count()
     bus = plane.bus
     stats["bus_delivered"] = bus.delivered_count
     stats["bus_dropped"] = bus.dropped_count

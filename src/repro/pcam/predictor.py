@@ -17,7 +17,8 @@ Implementations share the :class:`RttfPredictor` interface:
   way to add prediction error in controlled amounts.
 
 Each answers one question, :meth:`RttfPredictor.predict_rttf_rows`: the
-RTTF of a pool's VMs from their feature rows, one call per era.
+RTTF of VMs from their feature rows and table rows, one call per era over
+every region the predictor serves.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from repro.ml.derived import slope_features
 from repro.ml.toolchain import TrainedModel
+from repro.pcam.state_table import VmStateTable
 from repro.pcam.vm import VirtualMachine, mean_field_ttf_s
 
 #: The trained predictors' lower clamp, read at each prediction: regression
@@ -42,19 +44,25 @@ class RttfPredictor(abc.ABC):
 
     @abc.abstractmethod
     def predict_rttf_rows(
-        self, rows: np.ndarray, vms: "list[VirtualMachine]"
+        self,
+        features: np.ndarray,
+        vms: "list[VirtualMachine]",
+        table: VmStateTable,
+        rows: np.ndarray,
     ) -> np.ndarray:
         """Predicted seconds until each VM fails, in ``vms`` order.
 
-        ``rows`` is the ``(len(vms), len(FEATURE_NAMES))`` matrix the VMC
-        builds with
-        :meth:`repro.pcam.state_table.VmStateTable.feature_matrix`; its
-        values are bit-identical to each VM's
+        ``vms[k]`` sits in row ``rows[k]`` of ``table`` (rows of several
+        regions when a :class:`~repro.pcam.vmc.RegionGroup` steps them
+        together), and ``features`` is the ``(len(vms),
+        len(FEATURE_NAMES))`` matrix
+        :meth:`repro.pcam.state_table.VmStateTable.feature_matrix` builds
+        over those rows; its values are bit-identical to each VM's
         ``sample_features().to_array()``.  Model-backed predictors feed
-        it straight into ``model.predict``; the oracle reads the VMs'
-        table rows instead.  A predictor with per-VM side effects (RNG
-        draws, history windows) applies them once per VM, in ``vms``
-        order, so a pooled call equals one one-row call per VM.
+        it straight into ``model.predict``; the oracle reads the table
+        rows instead.  A predictor with per-VM side effects (RNG draws,
+        history windows) applies them once per VM, in ``vms`` order, so
+        a pooled call equals one one-row call per VM.
         """
 
 
@@ -75,11 +83,15 @@ class TrainedRttfPredictor(RttfPredictor):
         self.model = model
 
     def predict_rttf_rows(
-        self, rows: np.ndarray, vms: list[VirtualMachine]
+        self,
+        features: np.ndarray,
+        vms: list[VirtualMachine],
+        table: VmStateTable,
+        rows: np.ndarray,
     ) -> np.ndarray:
         if not vms:
             return np.empty(0, dtype=float)
-        return np.maximum(self.model.predict(rows), FLOOR_S)
+        return np.maximum(self.model.predict(features), FLOOR_S)
 
 
 class TrendAwareRttfPredictor(RttfPredictor):
@@ -114,7 +126,11 @@ class TrendAwareRttfPredictor(RttfPredictor):
         self._history: dict[str, deque[tuple[float, np.ndarray]]] = {}
 
     def predict_rttf_rows(
-        self, rows: np.ndarray, vms: list[VirtualMachine]
+        self,
+        features: np.ndarray,
+        vms: list[VirtualMachine],
+        table: VmStateTable,
+        rows: np.ndarray,
     ) -> np.ndarray:
         """Append each VM's ``(uptime, row)`` to its window, then predict
         from the rows with their trailing slopes appended.
@@ -125,7 +141,7 @@ class TrendAwareRttfPredictor(RttfPredictor):
         if not vms:
             return np.empty(0, dtype=float)
         derived = []
-        for vm, row in zip(vms, rows):
+        for vm, row in zip(vms, features):
             hist = self._history.get(vm.name)
             if hist is None:
                 hist = self._history[vm.name] = deque(maxlen=self.window + 1)
@@ -164,24 +180,25 @@ class OracleRttfPredictor(RttfPredictor):
         self._rng = rng
 
     def predict_rttf_rows(
-        self, rows: np.ndarray, vms: list[VirtualMachine]
+        self,
+        features: np.ndarray,
+        vms: list[VirtualMachine],
+        table: VmStateTable,
+        rows: np.ndarray,
     ) -> np.ndarray:
         """One :func:`~repro.pcam.vm.mean_field_ttf_s` call per VM.
 
-        Ignores ``rows``: gathers each VM's anomaly level, last rate and
-        shape constants from the pool's
-        :class:`~repro.pcam.state_table.VmStateTable` in one pass, and
+        Ignores ``features``: gathers each VM's anomaly level, last rate
+        and shape constants from ``table``'s ``rows`` in one pass, and
         writes nothing back; noise draws happen per finite value in
         ``vms`` order.
         """
         out = np.empty(len(vms), dtype=float)
         if not vms:
             return out
-        table = vms[0].table
-        idx = np.array([vm.row for vm in vms])
         columns = zip(
             *(
-                getattr(table, name)[idx].tolist()
+                getattr(table, name)[rows].tolist()
                 for name in (
                     "leaked_mb",
                     "stuck_threads",

@@ -1,13 +1,19 @@
-"""The VM-state store: one struct-of-arrays table per region pool.
+"""The VM-state store: one struct-of-arrays table per deployment.
 
-:class:`VmStateTable` holds the mutable per-VM state of one region pool
-as parallel NumPy columns (one row per VM) plus per-VM static columns
-derived from the instance type and failure policy at adoption time.
-:class:`~repro.pcam.vmc.VirtualMachineController` builds one over its
-pool and does its era work (anomaly accumulation, failure checks,
-rejuvenation-threshold scans, feature extraction) as array passes over
-it; :class:`~repro.core.des_loop.DesControlLoop` builds a VMC per region
-and its per-request path reads and writes single cells of that table.
+:class:`VmStateTable` holds the mutable per-VM state of a deployment's
+VM pools as parallel NumPy columns (one row per VM) plus per-VM static
+columns derived from the instance type and failure policy at adoption
+time.  :class:`~repro.pcam.vmc.VirtualMachineController` builds one over
+its region's pool; the host of a deployment then joins its regions' tables
+into one (:meth:`VmStateTable.deployment`), each region's pool a
+contiguous range of its rows, and each region's table becomes a *view*
+whose columns are basic slices of the deployment table's.  Region-local
+row indices keep working unchanged, and a
+:class:`~repro.pcam.vmc.RegionGroup` does the era work of several regions
+(anomaly accumulation, failure checks, rejuvenation-threshold scans,
+feature extraction) as one array pass over their rows.
+:class:`~repro.core.des_loop.DesControlLoop`'s per-request path reads and
+writes single cells of a region's view.
 
 The table is the only place a VM's state lives.  It *adopts* its pool's
 :class:`~repro.pcam.vm.VirtualMachine` objects: each one's spec (shape,
@@ -43,7 +49,19 @@ Fixed pool
 Row ``i`` is ``vms[i]`` for the pool's lifetime: :class:`VmStateTable`
 adopts its whole pool at construction and never adds, drops or moves a
 row, so a host indexes it by pool position (the VMC, the DES request
-path).  Resizing (Sec. V) only moves rows between STANDBY and ACTIVE.
+path).  Joining a deployment copies the rows and re-points the region's
+columns, so the region view's row ``i`` is still ``vms[i]``.  Resizing
+(Sec. V) only moves rows between STANDBY and ACTIVE.
+
+Views
+-----
+A view's columns are slices of its ``base`` table's, from row ``offset``
+on: a write through either is a write to both.  Only this module's
+construction (``_fill``, ``block``, ``deployment``, ``_bind``) binds a
+column attribute; rebinding one elsewhere would detach the view and its
+writes would stop reaching the deployment table
+(``tests/test_structure.py``'s ``shared-columns`` row).  A view holds its
+base, never the reverse, so dropping a table frees it at once.
 """
 
 from __future__ import annotations
@@ -83,7 +101,8 @@ MUTABLE_COLUMNS: tuple[tuple[str, type], ...] = (
 )
 
 #: Static per-VM columns frozen from the VM's spec (``itype``,
-#: ``failure_policy``, ``rejuvenation_time_s``, ``rack_id``) at adoption.
+#: ``failure_policy``, ``rejuvenation_time_s``, ``rack_id``) at adoption;
+#: ``hourly_cost`` is what :class:`~repro.core.cost.CostTracker` bills.
 STATIC_COLUMNS: tuple[tuple[str, type], ...] = (
     ("rack_id", np.int64),
     ("cpu_power", np.float64),
@@ -94,6 +113,7 @@ STATIC_COLUMNS: tuple[tuple[str, type], ...] = (
     ("thread_free_slots", np.int64),
     ("rejuvenation_time_s", np.float64),
     ("sla_response_time_s", np.float64),
+    ("hourly_cost", np.float64),
 )
 
 #: Columns derived from a row's load state (``leaked_mb``,
@@ -139,6 +159,11 @@ class VmStateTable:
         for the table's lifetime (module docstring, "Fixed pool").
     """
 
+    #: The table whose columns this one's are slices of (``None``: this
+    #: one is no view), and the first of its rows there.
+    _base: VmStateTable | None = None
+    offset: int = 0
+
     def __init__(self, vms: list[VirtualMachine]) -> None:
         for vm in vms:
             if vm.table is not None:
@@ -157,6 +182,59 @@ class VmStateTable:
         for name, _ in _ALL_COLUMNS:
             setattr(table, name, getattr(table, name).repeat(n))
         return table
+
+    @property
+    def base(self) -> VmStateTable:
+        """The table whose columns this one's are slices of; itself when
+        it is no view."""
+        return self if self._base is None else self._base
+
+    @classmethod
+    def deployment(cls, tables: list[VmStateTable]) -> VmStateTable:
+        """One table over ``tables``' rows, each a contiguous range in list
+        order; every table in ``tables`` becomes a view of its range.
+
+        The rows are copied as they stand, so a pool that already ran
+        keeps its state.  Tables that already are the views of one
+        deployment in this order, covering all of it, return that
+        deployment unchanged.
+        """
+        if len({id(table) for table in tables}) != len(tables):
+            raise ValueError("a table appears twice in one deployment")
+        base = tables[0].base
+        at = 0
+        for table in tables:
+            if table.base is not base or table.offset != at:
+                break
+            at += len(table)
+        else:
+            if at == len(base):
+                return base
+        joined = cls.__new__(cls)
+        for name, _ in _ALL_COLUMNS:
+            setattr(
+                joined,
+                name,
+                np.concatenate([getattr(table, name) for table in tables]),
+            )
+        at = 0
+        for table in tables:
+            table._bind(joined, at, len(table))
+            at += len(table)
+        return joined
+
+    def view(self, lo: int, hi: int) -> VmStateTable:
+        """A table over this one's rows ``lo .. hi - 1``: its row ``k`` is
+        row ``lo + k`` here, and writes through it land here."""
+        out = VmStateTable.__new__(VmStateTable)
+        out._bind(self.base, self.offset + lo, hi - lo)
+        return out
+
+    def _bind(self, base: VmStateTable, offset: int, n: int) -> None:
+        """Point every column at ``base``'s rows ``offset .. offset+n-1``."""
+        for name, _ in _ALL_COLUMNS:
+            setattr(self, name, getattr(base, name)[offset:offset + n])
+        self._base, self.offset = base, offset
 
     def _fill(self, vms: list[VirtualMachine]) -> None:
         """One fresh row per spec in ``vms``: zero load state, the VM's
@@ -181,6 +259,7 @@ class VmStateTable:
         self.sla_response_time_s[:] = [
             vm.failure_policy.sla_response_time_s for vm in vms
         ]
+        self.hourly_cost[:] = [itype.hourly_cost for itype in itypes]
         self._refresh_rows(np.arange(n, dtype=np.intp))
 
     def __len__(self) -> int:
@@ -347,16 +426,26 @@ class VmStateTable:
         self.state_code[idx] = CODE_ACTIVE
         self.uptime_s[idx] = 0.0
 
-    def activate_standby(self, target_active: int) -> None:
-        """Top the pool up to ``target_active`` ACTIVE VMs.
+    def activate_standby(
+        self, region_of: np.ndarray, targets: np.ndarray
+    ) -> None:
+        """Top each region up to its target count of ACTIVE VMs.
 
-        Activates STANDBY rows in pool order (the ACTIVATE command)
-        until the target is met or no standby is left.
+        ``region_of[i]`` is the region (``0 .. len(targets) - 1``) of row
+        ``i``, non-decreasing over the rows.  Activates each region's
+        STANDBY rows in row order (the ACTIVATE command) until its target
+        is met or it has no standby left.
         """
         codes = self.state_code
-        need = target_active - int(np.count_nonzero(codes == CODE_ACTIVE))
-        if need > 0:
-            standby = (codes == CODE_STANDBY).nonzero()[0][:need]
+        need = targets - np.bincount(
+            region_of[codes == CODE_ACTIVE], minlength=len(targets)
+        )
+        if need.max() > 0:
+            standby = (codes == CODE_STANDBY).nonzero()[0]
+            region = region_of[standby]
+            # a standby's rank among its region's standbys, in row order
+            rank = np.arange(standby.size) - region.searchsorted(region)
+            standby = standby[rank < need[region]]
             if standby.size:
                 self.activate(standby)
 

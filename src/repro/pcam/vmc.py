@@ -16,6 +16,12 @@ RTTF dropped below the threshold, and (5) reports the region's lastRMTTF
 (mean predicted MTTF over ACTIVE VMs) and mean response time for the
 global control loop.  (4)-(5) are ``close_era``, which a host that applies
 the load itself (the request-level DES loop) calls directly.
+
+A deployment's regions share one state table, each region's pool a
+contiguous range of its rows, and :class:`RegionGroup` runs that era for
+several regions in one pass over their rows; a controller's own
+:meth:`~VirtualMachineController.process_era` and
+:meth:`~VirtualMachineController.close_era` are the one-region case.
 """
 
 from __future__ import annotations
@@ -215,7 +221,7 @@ class VirtualMachineController:
 
     def _ensure_active_pool(self) -> None:
         """Activate STANDBYs until the ACTIVE pool meets the target."""
-        self.table.activate_standby(self._target_active)
+        RegionGroup([self]).top_up()
 
     def healthy_capacity(self) -> float:
         """Nameplate capacity of the ACTIVE pool (no degradation)."""
@@ -261,59 +267,10 @@ class VirtualMachineController:
         """Serve one era's request batch and run the PCAM policies.
 
         Returns the :class:`EraReport` the slave VMC sends to the leader
-        (Algorithm 1: predict local RMTTF, actuate PCAM policies).
-
-        The era is array-at-a-time over the state table.  One loop stays
-        per-VM by necessity: the anomaly draws (each VM owns its RNG
-        stream and must consume it in pool order).  Everything else --
-        load accounting, response times, failure checks, feature
-        extraction, threshold scans -- is one NumPy pass over the ACTIVE
-        rows, bit-identical to walking scalar VM objects one at a time
-        (pinned by ``tests/pcam/test_columnar_parity.py``).
+        (Algorithm 1: predict local RMTTF, actuate PCAM policies): the
+        one-region case of :meth:`RegionGroup.process_era`.
         """
-        if n_requests < 0:
-            raise ValueError("n_requests must be >= 0")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        table = self.table
-        self._ensure_active_pool()
-        active_rows = self._active_rows()
-        era_failures = 0
-        pressures = None
-
-        # 1. split the batch over ACTIVE VMs and apply the load
-        response_num = 0.0
-        served = 0
-        if active_rows.size:
-            bal = self.balancer
-            counts = bal.split_counts(
-                n_requests, bal.weights_of(table, active_rows)
-            )
-            # each VM consumes its own stream in pool order, exactly like
-            # a walk of one VM at a time
-            leaked, threads = draw_pool(
-                [self.vms[r].injector for r in active_rows.tolist()],
-                counts.tolist(),
-            )
-            rt, failed, pressures = table.era_load_update(
-                active_rows, counts, dt, self.config.mean_demand,
-                leaked, threads,
-            )
-            # what is still ACTIVE below is `active_rows` minus the rows
-            # that just failed, in the same order
-            if failed.any():
-                pressures = pressures.take(~failed)
-            # sequential cumsum matches a scalar running float sum
-            products = rt * counts
-            if products.size:
-                response_num = float(products.cumsum()[-1])
-            served = int(counts.sum())
-            era_failures = int(np.count_nonzero(failed))
-
-        mean_rt = response_num / served if served else 0.0
-        return self.close_era(
-            dt, now, served, mean_rt, era_failures, pressures
-        )
+        return RegionGroup([self]).process_era([n_requests], dt, now)[0]
 
     def close_era(
         self,
@@ -322,119 +279,83 @@ class VirtualMachineController:
         served: int,
         response_time_s: float,
         failures: int,
-        pressures: Pressures | None = None,
     ) -> EraReport:
-        """Close an era whose load is already on the table (Algorithm 1).
+        """Close an era whose load is already on the table: the one-region
+        case of :meth:`RegionGroup.close_era`."""
+        return RegionGroup([self]).close_era(
+            dt, now, [served], [response_time_s], [failures]
+        )[0]
 
-        The per-region control step every host shares: advance the
-        rejuvenation clocks, monitor, predict RTTF, swap at-risk VMs
-        against STANDBYs, rejuvenate the failed ones, backfill, report.
-        How the load got there is the host's business: :meth:`process_era`
-        applies a batch and ends here; the request-level
-        :class:`~repro.core.des_loop.DesControlLoop` accumulates it one
-        completion at a time and calls this at the boundary with the
-        era's request count, mean response time and load-induced VM
-        failures as it measured them.  ``pressures`` is
-        :meth:`VmStateTable.pressures_of` of the rows still ACTIVE, when
-        the host has it in hand.
+    def _swap(
+        self,
+        rttf: np.ndarray,
+        uptime: np.ndarray,
+        monitored: list[VirtualMachine],
+        failed: list[VirtualMachine],
+        n_standby: int,
+        dt: float,
+        offset: int,
+        rejuvenate: list[int],
+    ) -> int:
+        """This region's REJUVENATE commands of one era; returns how many.
+
+        ``rttf`` and ``uptime`` are those of the ``monitored`` ACTIVE VMs,
+        ``failed`` the region's FAILED VMs, ``n_standby`` its STANDBY
+        count.  Appends the swapped VMs' rows, shifted by ``offset`` into
+        the caller's table, to ``rejuvenate``: at-risk VMs against
+        STANDBYs (PCAM's policy) first, then every failed VM.
         """
-        table = self.table
-        era_rejuvenations = 0
-
-        # advance rejuvenation clocks (STANDBY rows need no bookkeeping)
-        table.idle_tick(dt)
-
-        # 2. monitor + predict + proactive rejuvenation (PCAM policy);
-        # the snapshot excludes VMs that failed under this era's load
-        codes = table.state_code.copy()
-        mon_rows = (codes == CODE_ACTIVE).nonzero()[0]
-        monitored = [self.vms[r] for r in mon_rows.tolist()]
-        features = table.feature_matrix(mon_rows, pressures)
-        rttf_arr = np.asarray(
-            self.predictor.predict_rttf_rows(features, monitored),
-            dtype=np.float64,
-        )
-        uptime = table.uptime_s[mon_rows]
-        mttf = uptime + np.maximum(rttf_arr, 0.0)
-        at_risk_pos, urgency = self.discipline.at_risk(rttf_arr, uptime)
+        obs = self._obs
+        at_risk_pos, urgency = self.discipline.at_risk(rttf, uptime)
         order = urgency.argsort(kind="stable")
-        n_standby = int(np.count_nonzero(codes == CODE_STANDBY))
         rack_busy = (
             self._rack_rejuvenation_counts() if self.config.spread_k else None
         )
-        rejuvenate: list[int] = []
+        swapped = 0
         for p in at_risk_pos[order].tolist():
             vm = monitored[p]
-            rttf = float(rttf_arr[p])
+            at_rttf = float(rttf[p])
             if rack_busy is not None and self._spread_defer(rack_busy, vm):
                 continue
             if n_standby > 0:
                 n_standby -= 1
-            elif rttf >= dt:
+            elif at_rttf >= dt:
                 continue  # postpone: no replacement and not imminent
-            rejuvenate.append(vm.row)
+            rejuvenate.append(offset + vm.row)
             if rack_busy is not None:
                 rack_busy[vm.rack_id] = rack_busy.get(vm.rack_id, 0) + 1
-            era_rejuvenations += 1
-            if self._obs is not None:
-                self._obs.instant(
+            swapped += 1
+            if obs is not None:
+                obs.instant(
                     f"rejuvenate {vm.name}",
                     kind="rejuvenation",
                     region=self.region_name,
                     reason="at_risk",
-                    rttf_s=rttf,
+                    rttf_s=at_rttf,
                 )
-                self._obs.counter(
+                obs.counter(
                     "rejuvenations_total", region=self.region_name
                 ).inc()
 
-        # 3. reactive path: failed VMs go to rejuvenation too
-        for r in (codes == CODE_FAILED).nonzero()[0].tolist():
-            vm = self.vms[r]
-            rejuvenate.append(r)
-            era_rejuvenations += 1
-            if self._obs is not None:
-                self._obs.instant(
+        # the reactive path: failed VMs go to rejuvenation too
+        for vm in failed:
+            rejuvenate.append(offset + vm.row)
+            swapped += 1
+            if obs is not None:
+                obs.instant(
                     f"rejuvenate {vm.name}",
                     kind="rejuvenation",
                     region=self.region_name,
                     reason="failed",
                 )
-                self._obs.counter(
+                obs.counter(
                     "rejuvenations_total", region=self.region_name
                 ).inc()
-                self._obs.event(
-                    "vm.failure", region=self.region_name, vm=vm.name
-                )
-                self._obs.counter(
+                obs.event("vm.failure", region=self.region_name, vm=vm.name)
+                obs.counter(
                     "vm_failures_total", region=self.region_name
                 ).inc()
-
-        # the REJUVENATE commands of both paths
-        if rejuvenate:
-            table.start_rejuvenation(np.array(rejuvenate))
-
-        # 4. backfill the ACTIVE pool from STANDBY (the ACTIVATE command)
-        self._ensure_active_pool()
-
-        self.total_rejuvenations += era_rejuvenations
-        self.total_failures += failures
-
-        last_rmttf = float(mttf.sum() / mttf.size) if mttf.size else 0.0
-        n_active, n_stby, n_rejuv, n_failed = table.counts_by_state()
-        return EraReport(
-            region=self.region_name,
-            time=now,
-            last_rmttf=last_rmttf,
-            response_time_s=response_time_s,
-            n_active=n_active,
-            n_standby=n_stby,
-            n_rejuvenating=n_rejuv,
-            n_failed=n_failed,
-            requests_served=served,
-            rejuvenations_triggered=era_rejuvenations,
-            failures=failures,
-        )
+        return swapped
 
     def stats(self) -> dict[str, float]:
         """Aggregate pool statistics for reporting and dashboards."""
@@ -471,3 +392,318 @@ class VirtualMachineController:
             ),
             "healthy_capacity": self.healthy_capacity(),
         }
+
+
+class RegionGroup:
+    """Consecutive regions of one deployment table, stepped as one.
+
+    The regions' VMCs hold consecutive row ranges of one table, in list
+    order (:meth:`join` builds it; a lone VMC is the one-region case on
+    its own table).  An era runs each table kernel once over all their
+    rows: the top-up, the load, the rejuvenation clocks, the feature
+    rows, one prediction per distinct predictor object and the state
+    counts.  Only what is per region by definition stays a loop over the
+    regions: each balancer's split, each at-risk loop with its own
+    STANDBY count, telemetry, and each report's sums in the order a lone
+    region sums them, so every region's outcome is bit-identical to
+    stepping it alone.  Rows outside the group are not touched: a region
+    left out of a step keeps its state, rejuvenation clocks included.
+    """
+
+    def __init__(self, vmcs: list[VirtualMachineController]) -> None:
+        if not vmcs:
+            raise ValueError("a region group needs a region")
+        first = vmcs[0].table
+        self._base = base = first.base
+        lo = end = first.offset
+        for vmc in vmcs:
+            if vmc.table.base is not base or vmc.table.offset != end:
+                raise ValueError(
+                    "a region group steps consecutive regions of one table"
+                )
+            end += len(vmc.table)
+        self.vmcs = list(vmcs)
+        #: the group's rows as one table (a view of the deployment's)
+        if len(vmcs) == 1:
+            self.table = first
+        elif lo == 0 and end == len(base):
+            self.table = base
+        else:
+            self.table = base.view(lo, end)
+        sizes = [len(vmc.table) for vmc in vmcs]
+        #: the region index of each row, and each region's first row
+        #: followed by the end
+        self.region_of = np.repeat(np.arange(len(vmcs)), sizes)
+        self._code_key = self.region_of * 4
+        self.bounds = np.array([0, *sizes]).cumsum()
+        self.vms = (
+            vmcs[0].vms if len(vmcs) == 1
+            else [vm for vmc in vmcs for vm in vmc.vms]
+        )
+
+    @classmethod
+    def join(cls, vmcs: list[VirtualMachineController]) -> RegionGroup:
+        """One deployment table over ``vmcs``' pools, in list order
+        (:meth:`VmStateTable.deployment`), and the group that steps them."""
+        VmStateTable.deployment([vmc.table for vmc in vmcs])
+        return cls(vmcs)
+
+    def _check(self) -> None:
+        """Refuse to step a region whose table was joined elsewhere since."""
+        for vmc in self.vmcs:
+            if vmc.table.base is not self._base:
+                raise ValueError(
+                    f"region {vmc.region_name!r} left the group's table"
+                )
+
+    def top_up(self) -> None:
+        """Activate each region's STANDBYs until it meets its target."""
+        self.table.activate_standby(
+            self.region_of,
+            np.array([vmc.target_active for vmc in self.vmcs]),
+        )
+
+    def process_era(
+        self, n_requests: list[int], dt: float, now: float
+    ) -> list[EraReport]:
+        """Serve each region's request batch, then :meth:`close_era`.
+
+        ``n_requests[k]`` is region ``k``'s batch.  One loop stays
+        per-VM by necessity: the anomaly draws (each VM owns its RNG
+        stream and consumes it in row order).  Everything else -- load
+        accounting, response times, failure checks, feature extraction,
+        threshold scans -- is one NumPy pass over the ACTIVE rows,
+        bit-identical to walking scalar VM objects one at a time (pinned
+        by ``tests/pcam/test_columnar_parity.py``).
+        """
+        if min(n_requests) < 0:
+            raise ValueError("n_requests must be >= 0")
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        vmcs = self.vmcs
+        mean_demand = vmcs[0].config.mean_demand
+        if any(vmc.config.mean_demand != mean_demand for vmc in vmcs):
+            raise ValueError("the regions of a group disagree on mean_demand")
+        self._check()
+        table = self.table
+        self.top_up()
+        active = (table.state_code == CODE_ACTIVE).nonzero()[0]
+        cuts = active.searchsorted(self.bounds).tolist()
+        served = [0] * len(vmcs)
+        response_time_s = [0.0] * len(vmcs)
+        failures = [0] * len(vmcs)
+        pressures = None
+        if active.size:
+            # split each region's batch over its ACTIVE VMs
+            parts = []
+            for k, vmc in enumerate(vmcs):
+                rows = active[cuts[k]:cuts[k + 1]]
+                if rows.size:
+                    bal = vmc.balancer
+                    parts.append(
+                        bal.split_counts(
+                            n_requests[k], bal.weights_of(table, rows)
+                        )
+                    )
+            counts = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            # each VM consumes its own stream in row order, exactly like
+            # a walk of one VM at a time
+            vms = self.vms
+            leaked, threads = draw_pool(
+                [vms[r].injector for r in active.tolist()], counts.tolist()
+            )
+            rt, failed, pressures = table.era_load_update(
+                active, counts, dt, mean_demand, leaked, threads
+            )
+            # what is still ACTIVE below is `active` minus the rows that
+            # just failed, in the same order
+            if failed.any():
+                pressures = pressures.take(~failed)
+            products = rt * counts
+            for k in range(len(vmcs)):
+                a, b = cuts[k], cuts[k + 1]
+                if a < b:
+                    # sequential cumsum matches a scalar running float sum
+                    n = served[k] = int(counts[a:b].sum())
+                    if n:
+                        response_time_s[k] = (
+                            float(products[a:b].cumsum()[-1]) / n
+                        )
+                    failures[k] = int(np.count_nonzero(failed[a:b]))
+        return self._close(
+            dt, now, served, response_time_s, failures, pressures
+        )
+
+    def close_era(
+        self,
+        dt: float,
+        now: float,
+        served: list[int],
+        response_time_s: list[float],
+        failures: list[int],
+    ) -> list[EraReport]:
+        """Close an era whose load is already on the table (Algorithm 1).
+
+        The per-region control step every host shares: advance the
+        rejuvenation clocks, monitor, predict RTTF, swap at-risk VMs
+        against STANDBYs, rejuvenate the failed ones, backfill, report.
+        How the load got there is the host's business: :meth:`process_era`
+        applies a batch and ends here; the request-level
+        :class:`~repro.core.des_loop.DesControlLoop` accumulates it one
+        completion at a time and calls this at the boundary with each
+        region's request count, mean response time and load-induced VM
+        failures as it measured them.
+        """
+        self._check()
+        return self._close(dt, now, served, response_time_s, failures, None)
+
+    def _close(
+        self,
+        dt: float,
+        now: float,
+        served: list[int],
+        response_time_s: list[float],
+        failures: list[int],
+        pressures: Pressures | None,
+    ) -> list[EraReport]:
+        """:meth:`close_era`; ``pressures`` is
+        :meth:`VmStateTable.pressures_of` of the rows still ACTIVE, when
+        :meth:`process_era` has it in hand."""
+        table = self.table
+        vmcs = self.vmcs
+        vms = self.vms
+        bounds = self.bounds
+
+        # advance rejuvenation clocks (STANDBY rows need no bookkeeping)
+        table.idle_tick(dt)
+
+        # monitor + predict + proactive rejuvenation (PCAM policy); the
+        # snapshot excludes VMs that failed under this era's load
+        codes = table.state_code.copy()
+        mon = (codes == CODE_ACTIVE).nonzero()[0]
+        cuts = mon.searchsorted(bounds).tolist()
+        monitored = [vms[r] for r in mon.tolist()]
+        features = table.feature_matrix(mon, pressures)
+        rttf = self._predict(features, monitored, mon, cuts)
+        uptime = table.uptime_s[mon]
+        mttf = uptime + np.maximum(rttf, 0.0)
+        n_standby = np.bincount(
+            self.region_of[codes == CODE_STANDBY], minlength=len(vmcs)
+        ).tolist()
+        failed = (codes == CODE_FAILED).nonzero()[0]
+        failed_cuts = failed.searchsorted(bounds).tolist()
+        failed = failed.tolist()
+
+        # the REJUVENATE commands of every region, then the ACTIVATEs
+        rejuvenate: list[int] = []
+        swapped = []
+        for k, vmc in enumerate(vmcs):
+            a, b = cuts[k], cuts[k + 1]
+            swapped.append(
+                vmc._swap(
+                    rttf[a:b],
+                    uptime[a:b],
+                    monitored[a:b],
+                    [vms[r] for r in failed[failed_cuts[k]:failed_cuts[k + 1]]],
+                    n_standby[k],
+                    dt,
+                    int(bounds[k]),
+                    rejuvenate,
+                )
+            )
+        if rejuvenate:
+            table.start_rejuvenation(np.array(rejuvenate))
+        self.top_up()
+
+        counts = (
+            np.bincount(
+                self._code_key + table.state_code, minlength=4 * len(vmcs)
+            )
+            .reshape(len(vmcs), 4)
+            .tolist()
+        )
+        reports = []
+        for k, vmc in enumerate(vmcs):
+            vmc.total_rejuvenations += swapped[k]
+            vmc.total_failures += failures[k]
+            region_mttf = mttf[cuts[k]:cuts[k + 1]]
+            n_active, n_stby, n_rejuv, n_failed = counts[k]
+            reports.append(
+                EraReport(
+                    region=vmc.region_name,
+                    time=now,
+                    last_rmttf=(
+                        float(region_mttf.sum() / region_mttf.size)
+                        if region_mttf.size
+                        else 0.0
+                    ),
+                    response_time_s=response_time_s[k],
+                    n_active=n_active,
+                    n_standby=n_stby,
+                    n_rejuvenating=n_rejuv,
+                    n_failed=n_failed,
+                    requests_served=served[k],
+                    rejuvenations_triggered=swapped[k],
+                    failures=failures[k],
+                )
+            )
+        return reports
+
+    def _predict(
+        self,
+        features: np.ndarray,
+        monitored: list[VirtualMachine],
+        mon: np.ndarray,
+        cuts: list[int],
+    ) -> np.ndarray:
+        """The RTTF of the ``monitored`` rows ``mon``: one
+        ``predict_rttf_rows`` call per distinct predictor object, over the
+        rows of the regions it serves, in row order."""
+        table = self.table
+        predictors = [vmc.predictor for vmc in self.vmcs]
+        first = predictors[0]
+        if all(predictor is first for predictor in predictors):
+            return np.asarray(
+                first.predict_rttf_rows(features, monitored, table, mon),
+                dtype=np.float64,
+            )
+        rttf = np.empty(mon.size, dtype=np.float64)
+        for predictor in {id(p): p for p in predictors}.values():
+            pos = np.concatenate(
+                [
+                    np.arange(cuts[k], cuts[k + 1])
+                    for k, p in enumerate(predictors)
+                    if p is predictor
+                ]
+            )
+            rttf[pos] = predictor.predict_rttf_rows(
+                features[pos],
+                [monitored[p] for p in pos.tolist()],
+                table,
+                mon[pos],
+            )
+        return rttf
+
+
+def process_eras(
+    vmcs: list[VirtualMachineController],
+    n_requests: list[int],
+    dt: float,
+    now: float,
+) -> list[EraReport]:
+    """:meth:`RegionGroup.process_era` over regions of one deployment
+    table in row order, not necessarily consecutive: each run of
+    consecutive ones is one group.  The regions between runs are not
+    touched (serve leaves a dark region out this way)."""
+    reports: list[EraReport] = []
+    start = 0
+    for k in range(1, len(vmcs) + 1):
+        if k == len(vmcs) or (
+            vmcs[k].table.offset
+            != vmcs[k - 1].table.offset + len(vmcs[k - 1].table)
+        ):
+            reports += RegionGroup(vmcs[start:k]).process_era(
+                n_requests[start:k], dt, now
+            )
+            start = k
+    return reports

@@ -11,8 +11,9 @@ routes through.  This module adds only what real time forces:
 
 * **Load is measured, not synthesized.**  The simulator draws arrivals
   from browser populations; the service counts the real requests the
-  ingress admitted and forwards those counts into
-  ``vmc.process_era(...)`` at each era boundary.
+  ingress admitted and forwards those counts into one
+  :func:`~repro.pcam.vmc.process_eras` step over the live regions at
+  each era boundary.
 * **The exchange is the plane's; only the wait is serve's.**  Reports
   and fractions travel as the simulated plane's ``ReliableTransport``
   messages (:mod:`repro.core.distributed`).  The plane's
@@ -53,6 +54,7 @@ from repro.obs.manifest import RunManifest
 from repro.obs.telemetry import Telemetry
 from repro.overlay.messaging import MessageBus
 from repro.pcam.vm import VmState
+from repro.pcam.vmc import process_eras
 from repro.serve.clock import WallClock
 from repro.slo import LEVEL_DEGRADED, SloConfig, SloController
 
@@ -412,11 +414,16 @@ class AcmService:
                 [arrivals[r] / total_arrived for r in self.regions]
             )
 
+        # a dark controller runs no era cycle and sends no report
+        live = [r for r in self.regions if self.overlay.is_alive(r)]
+        stepped = process_eras(
+            [self.vmcs[r] for r in live],
+            [served[r] for r in live],
+            cfg.era_s,
+            now,
+        )
         reports: dict[str, float] = {}
-        for r in self.regions:
-            if not self.overlay.is_alive(r):
-                continue  # controller dark: no era cycle, no report
-            rep = self.vmcs[r].process_era(served[r], cfg.era_s, now)
+        for r, rep in zip(live, stepped):
             reports[r] = self._rmttf_latest[r] = rep.last_rmttf
             self._m_rmttf[r].set(rep.last_rmttf)
 

@@ -13,7 +13,7 @@ from repro.sim import PRIVATE_SMALL, RngRegistry
 from repro.workload import AnomalyInjector
 
 from ..pcam.conftest import apply_load
-from ..pcam.reference_vmc import feature_rows, predict_one
+from ..pcam.reference_vmc import predict_one, predict_rows
 
 
 def profiled_every_15s(*args, **kwargs):
@@ -45,25 +45,23 @@ def make_vms(n=3, seed=17):
 class TestCorruptibleBatch:
     def test_off_mode_batch_matches_inner_and_caches(self):
         vms = make_vms()
-        rows = feature_rows(vms)
         pred = CorruptiblePredictor(OracleRttfPredictor())
-        batch = pred.predict_rttf_rows(rows, vms)
+        batch = predict_rows(pred, vms)
         np.testing.assert_allclose(
-            batch, OracleRttfPredictor().predict_rttf_rows(rows, vms)
+            batch, predict_rows(OracleRttfPredictor(), vms)
         )
         # healthy predictions seed the stale cache
         pred.set_mode("stale")
-        np.testing.assert_allclose(pred.predict_rttf_rows(rows, vms), batch)
+        np.testing.assert_allclose(predict_rows(pred, vms), batch)
 
     def test_nan_and_zero_modes_corrupt_the_batch(self):
         vms = make_vms()
-        rows = feature_rows(vms)
         pred = CorruptiblePredictor(OracleRttfPredictor())
         pred.set_mode("nan")
-        assert np.isnan(pred.predict_rttf_rows(rows, vms)).all()
+        assert np.isnan(predict_rows(pred, vms)).all()
         pred.set_mode("zero")
         np.testing.assert_array_equal(
-            pred.predict_rttf_rows(rows, vms), np.zeros(len(vms))
+            predict_rows(pred, vms), np.zeros(len(vms))
         )
 
 
@@ -94,7 +92,7 @@ def test_stale_mode_equals_one_row_calls_in_pool_order(inner_kind, reptree):
     pred = CorruptiblePredictor(make_inner(4))
     twin = make_inner(4)
 
-    healthy = pred.predict_rttf_rows(feature_rows(cached), cached)
+    healthy = predict_rows(pred, cached)
     assert healthy.tolist() == [predict_one(twin, vm) for vm in cached]
 
     pred.set_mode("stale")
@@ -105,7 +103,7 @@ def test_stale_mode_equals_one_row_calls_in_pool_order(inner_kind, reptree):
         last[vm.name] if vm.name in last else predict_one(twin, vm)
         for vm in vms
     ]
-    assert pred.predict_rttf_rows(feature_rows(vms), vms).tolist() == want
+    assert predict_rows(pred, vms).tolist() == want
     if inner_kind == "noisy-oracle":
         assert (
             pred.inner._rng.bit_generator.state

@@ -7,7 +7,8 @@ import repro.core.cost as cost_module
 from repro.core import CostTracker
 from repro.core.cost import CostModel, cost_model_for, effective_usd_per_req
 from repro.pcam import OracleRttfPredictor, VirtualMachineController, VmcConfig, VmState
-from repro.sim import M3_MEDIUM, RngRegistry
+from repro.pcam.vmc import RegionGroup
+from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
 
 from ..pcam.conftest import build_vm
 
@@ -76,6 +77,47 @@ class TestCostTracker:
         # 1 failed + 1 rejuvenating at full rate, 2 standby at 25%
         expected = (2 + 0.25 * 2) * M3_MEDIUM.hourly_cost
         assert charge == pytest.approx(expected)
+
+    @pytest.mark.parametrize("multiplier", [0.25, 0.3, 0.0])
+    def test_bill_equals_a_running_sum_over_the_vms(
+        self, standby_multiplier, multiplier
+    ):
+        """The column pass bills what a walk of the pool's VMs adds up,
+        bit for bit: mixed shapes and all four states, in a region that is
+        a view of a deployment table."""
+        standby_multiplier(multiplier)
+        rngs = RngRegistry(seed=9)
+        vmcs = [
+            VirtualMachineController(
+                region,
+                [
+                    build_vm(
+                        rngs,
+                        name=f"{region}/vm{i}",
+                        itype=M3_MEDIUM if i % 3 else PRIVATE_SMALL,
+                    )
+                    for i in range(n)
+                ],
+                OracleRttfPredictor(),
+                VmcConfig(target_active=n - 3),
+            )
+            for region, n in (("a", 5), ("b", 9))
+        ]
+        RegionGroup.join(vmcs)
+        vmc = vmcs[1]
+        active = vmc.vms_in(VmState.ACTIVE)
+        active[0].fail()
+        vmc.table.start_rejuvenation(np.array([active[1].row]))
+        want = 0.0
+        hours = 1234.5 / 3600.0
+        for vm in vmc.vms:
+            rate = vm.itype.hourly_cost
+            if vm.state is VmState.STANDBY:
+                want += rate * hours * multiplier
+            else:
+                want += rate * hours
+        assert len({vm.state for vm in vmc.vms}) == 4
+        assert CostTracker().charge_era(vmc, 1234.5) == want
 
     def test_accumulates_per_region(self, vmc):
         tracker = CostTracker()

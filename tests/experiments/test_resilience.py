@@ -110,6 +110,17 @@ class TestSuite:
         }
 
 
+@pytest.mark.parametrize("name", list(CAMPAIGNS))
+def test_every_send_is_acked_given_up_or_in_flight(name):
+    """ROADMAP 14(a)'s conservation law for the channel, from a campaign
+    report: ``sent == acked + gave_up + in_flight``."""
+    stats = run_campaign(name, seed=7).message_stats
+    assert stats["sent"] > 0
+    assert stats["sent"] == (
+        stats["acked"] + stats["gave_up"] + stats["in_flight"]
+    )
+
+
 class TestCampaignBehaviour:
     def test_rolling_flaps_are_fully_masked(self):
         """A full mesh reroutes around any single link failure."""

@@ -223,7 +223,9 @@ def run_exchange(clock, blocking):
             clock.run_until(clock.now + CONTROL_WINDOW_S)
             acked = transport.acked_regions()
         cycles.append(({r: repr(v) for r, v in received.items()}, acked))
-    return cycles, transport.channel.stats.as_dict(), dict(bus.drop_counts)
+    channel = transport.channel
+    stats = {**channel.stats.as_dict(), "in_flight": channel.pending_count()}
+    return cycles, stats, dict(bus.drop_counts)
 
 
 def test_the_control_exchange_is_the_same_on_either_clock():
@@ -243,5 +245,6 @@ def test_the_control_exchange_is_the_same_on_either_clock():
     # that sent it: r3's push and the two lost reports have given up,
     # the dark leader's two pushes are still retrying
     assert stats["gave_up"] == 3
-    assert stats["sent"] == stats["acked"] + stats["gave_up"] + 2
+    assert stats["in_flight"] == 2
+    assert stats["sent"] == stats["acked"] + stats["gave_up"] + stats["in_flight"]
     assert set(drops) == {"dead_dst", "no_route"}

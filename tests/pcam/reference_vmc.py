@@ -366,7 +366,7 @@ class ReferenceOracle(RttfPredictor):
         self.oracle = oracle
 
     def predict_rttf_rows(
-        self, rows: np.ndarray, vms: list[ReferenceVm]
+        self, features: np.ndarray, vms: list[ReferenceVm], table, rows
     ) -> np.ndarray:
         oracle = self.oracle
         out = np.empty(len(vms), dtype=float)
@@ -402,9 +402,28 @@ def feature_rows(vms: list) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(vms), len(FEATURE_NAMES))
 
 
+def table_rows(vms: list):
+    """``(table, rows)`` of VM views of one table, the plug point's
+    arguments beside the VMs; ``(None, rows)`` for :class:`ReferenceVm`
+    objects, which have no table (only the table-reading oracle needs
+    one, and the reference side runs :class:`ReferenceOracle`)."""
+    table = getattr(vms[0], "table", None) if vms else None
+    rows = np.array(
+        [vm.row for vm in vms] if table is not None else range(len(vms)),
+        dtype=np.intp,
+    )
+    return table, rows
+
+
+def predict_rows(predictor: RttfPredictor, vms: list) -> np.ndarray:
+    """One ``predict_rttf_rows`` call over ``vms``, built as a VMC builds
+    it: their feature rows, and their table rows."""
+    return predictor.predict_rttf_rows(feature_rows(vms), vms, *table_rows(vms))
+
+
 def predict_one(predictor: RttfPredictor, vm) -> float:
     """One one-row call: ``vm``'s predicted RTTF."""
-    return float(predictor.predict_rttf_rows(feature_rows([vm]), [vm])[0])
+    return float(predict_rows(predictor, [vm])[0])
 
 
 class PredictCall(NamedTuple):
@@ -429,12 +448,12 @@ class RecordingPredictor(RttfPredictor):
         self.calls: list[PredictCall] = []
 
     def predict_rttf_rows(
-        self, rows: np.ndarray, vms: list
+        self, features: np.ndarray, vms: list, table, rows
     ) -> np.ndarray:
-        rttf = self.inner.predict_rttf_rows(rows, vms)
+        rttf = self.inner.predict_rttf_rows(features, vms, table, rows)
         self.calls.append(
             PredictCall(
-                np.asarray(rows).tolist(),
+                np.asarray(features).tolist(),
                 [vm.name for vm in vms],
                 np.asarray(rttf, dtype=np.float64).tolist(),
             )
@@ -619,9 +638,7 @@ class ReferenceVmc:
         # One prediction call for the whole ACTIVE pool; MTTF derives
         # from the RTTF already in hand (a second prediction per era
         # would double-append to trend-predictor histories).
-        rttf_batch = self.predictor.predict_rttf_rows(
-            feature_rows(monitored), monitored
-        )
+        rttf_batch = predict_rows(self.predictor, monitored)
         for vm, rttf in zip(monitored, rttf_batch):
             rttf = float(rttf)
             mttf_values.append(vm.uptime_s + max(rttf, 0.0))

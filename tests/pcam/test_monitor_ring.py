@@ -36,12 +36,13 @@ class _PoolCheckingPredictor(RecordingPredictor):
     vmc: VirtualMachineController
 
     def predict_rttf_rows(
-        self, rows: np.ndarray, vms: list[VirtualMachine]
+        self, features: np.ndarray, vms: list[VirtualMachine], table, rows
     ) -> np.ndarray:
         active = self.vmc.vms_in(VmState.ACTIVE)
         assert [vm.name for vm in vms] == [vm.name for vm in active]
-        assert np.asarray(rows).tolist() == feature_rows(active).tolist()
-        return super().predict_rttf_rows(rows, vms)
+        assert np.asarray(features).tolist() == feature_rows(active).tolist()
+        assert rows.tolist() == [vm.row for vm in active]
+        return super().predict_rttf_rows(features, vms, table, rows)
 
 
 class _Checked:

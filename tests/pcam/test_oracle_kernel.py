@@ -32,6 +32,8 @@ from .reference_vmc import (
     ReferenceVm,
     feature_rows,
     predict_one,
+    predict_rows,
+    table_rows,
 )
 
 SHAPES = [
@@ -456,7 +458,7 @@ def test_estimate_brackets_the_crossing():
 
 def pooled(predictor, vms):
     """One pooled call over ``vms``."""
-    return predictor.predict_rttf_rows(feature_rows(vms), vms)
+    return predict_rows(predictor, vms)
 
 
 def reference_predict_rttf(vm, mean_demand, noise_std, rng):
@@ -523,9 +525,11 @@ def test_wrappers_batch_equals_loop(wrap):
     batch_rng, loop_rng = np.random.default_rng(3), np.random.default_rng(3)
     batch = wrap(OracleRttfPredictor(noise_std=0.2, rng=batch_rng))
     loop = wrap(OracleRttfPredictor(noise_std=0.2, rng=loop_rng))
-    rows = vms[0].table.feature_matrix(np.array([vm.row for vm in vms]))
+    table, rows = table_rows(vms)
 
-    assert batch.predict_rttf_rows(rows, vms).tolist() == [
+    assert batch.predict_rttf_rows(
+        table.feature_matrix(rows), vms, table, rows
+    ).tolist() == [
         predict_one(loop, vm) for vm in vms
     ]
     assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
@@ -538,13 +542,15 @@ def test_wrappers_batch_equals_loop(wrap):
 
 def test_batch_writes_no_table_cell():
     vms = aged_pool(table=True)
-    rows = feature_rows(vms)
     # every column read-only: a store would raise
-    columns = list(vars(vms[0].table).values())
+    columns = [
+        column for column in vars(vms[0].table).values()
+        if isinstance(column, np.ndarray)
+    ]
     for column in columns:
         column.flags.writeable = False
     try:
-        OracleRttfPredictor().predict_rttf_rows(rows, vms)
+        predict_rows(OracleRttfPredictor(), vms)
     finally:
         for column in columns:
             column.flags.writeable = True
@@ -562,13 +568,12 @@ def test_batch_writes_no_vm_attribute(monkeypatch):
     vms[0].rack_id = vms[0].rack_id
     assert writes == ["rack_id"]
     writes.clear()
-    rows = feature_rows(vms)
 
     def spec(vm):
         return [getattr(vm, name) for name in VirtualMachine.__slots__]
 
     before = [spec(vm) for vm in vms]
-    OracleRttfPredictor().predict_rttf_rows(rows, vms)
+    predict_rows(OracleRttfPredictor(), vms)
     assert writes == []
     assert [spec(vm) for vm in vms] == before
 

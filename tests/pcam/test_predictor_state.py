@@ -21,6 +21,7 @@ from .reference_vmc import (
     ReferenceVm,
     feature_rows,
     predict_one,
+    predict_rows,
 )
 
 
@@ -112,12 +113,11 @@ class TestBatchScalarEquivalence:
             for _ in range(1 + i):
                 vm.apply_load(80, 30.0)
             vms.append(vm)
-        batch = trained_predictor.predict_rttf_rows(feature_rows(vms), vms)
+        batch = predict_rows(trained_predictor, vms)
         scalar = np.array([predict_one(trained_predictor, vm) for vm in vms])
         np.testing.assert_allclose(batch, scalar)
 
     def test_empty_batch(self, trained_predictor, trend_predictor):
-        rows = feature_rows([])
-        assert trained_predictor.predict_rttf_rows(rows, []).shape == (0,)
-        assert trend_predictor.predict_rttf_rows(rows, []).shape == (0,)
+        assert predict_rows(trained_predictor, []).shape == (0,)
+        assert predict_rows(trend_predictor, []).shape == (0,)
 

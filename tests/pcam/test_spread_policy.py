@@ -30,7 +30,7 @@ class FixedRttf(RttfPredictor):
     def __init__(self, rttf_s: float) -> None:
         self.rttf_s = rttf_s
 
-    def predict_rttf_rows(self, rows, vms) -> np.ndarray:
+    def predict_rttf_rows(self, features, vms, table, rows) -> np.ndarray:
         return np.full(len(vms), self.rttf_s)
 
 

@@ -301,7 +301,10 @@ class TestDerivedColumns:
                 table.fail(rows_of([vm]))
 
         def activate():
-            table.activate_standby(int(rng.integers(1, 6)))
+            table.activate_standby(
+                np.zeros(len(table), dtype=np.intp),
+                np.array([int(rng.integers(1, 6))]),
+            )
 
         def complete():
             vm = pick((CODE_ACTIVE,))

@@ -35,6 +35,8 @@ from repro.core.manager import AcmManager
 from repro.core.policy import get_policy, renormalize_live
 from repro.experiments.scenarios import three_region_scenario
 from repro.pcam import OracleRttfPredictor, VirtualMachine
+from repro.pcam.vmc import RegionGroup
+from repro.serve import service as service_module
 from repro.serve.clock import WallClock
 from repro.serve.service import AcmService, ServeConfig
 from repro.sim import M3_MEDIUM, PRIVATE_SMALL, RngRegistry
@@ -94,16 +96,17 @@ def test_fluid_plan_and_serve_plan_phase_agree(monkeypatch):
     regions = service.regions
     assert regions == fluid.regions and len(regions) == 3
 
-    # scripted reports in place of the VMCs' predictions
+    # scripted reports in place of the VMCs' predictions: the era tick's
+    # one step over the live regions answers with the scripted values
     current: dict[str, float] = {}
-    for r in regions:
-        monkeypatch.setattr(
-            service.vmcs[r],
-            "process_era",
-            lambda served, dt, now, r=r: SimpleNamespace(
-                last_rmttf=current[r]
-            ),
-        )
+    monkeypatch.setattr(
+        service_module,
+        "process_eras",
+        lambda vmcs, served, dt, now: [
+            SimpleNamespace(last_rmttf=current[vmc.region_name])
+            for vmc in vmcs
+        ],
+    )
     # what serve's Plan phase got back from the shared leader step
     serve_planned: list[tuple[np.ndarray, str]] = []
     real_plan = service.loop.plan
@@ -190,13 +193,15 @@ def test_des_leader_walks_the_fluid_ladder(monkeypatch):
 
     # the real close-out runs; only its lastRMTTF is the scripted value
     current: dict[str, float] = {}
-    for r in names:
-        close_era = des.vmcs[r].close_era
+    close_era = RegionGroup.close_era
 
-        def scripted(*args, r=r, close_era=close_era):
-            return dataclasses.replace(close_era(*args), last_rmttf=current[r])
+    def scripted(group, *args):
+        return [
+            dataclasses.replace(report, last_rmttf=current[report.region])
+            for report in close_era(group, *args)
+        ]
 
-        monkeypatch.setattr(des.vmcs[r], "close_era", scripted)
+    monkeypatch.setattr(RegionGroup, "close_era", scripted)
 
     # the fluid leader step over the same VMCs, for the fallback's
     # healthy capacities at the same instant

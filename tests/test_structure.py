@@ -71,6 +71,73 @@ def load_state_writes(tree: ast.Module) -> Iterator[int]:
                         yield node.lineno
 
 
+#: the ``VmStateTable`` methods that bind its columns (construction, and
+#: a view's slices)
+COLUMN_BINDERS = {"_fill", "block", "_bind", "deployment"}
+
+
+@lru_cache(maxsize=None)
+def table_columns() -> frozenset[str]:
+    """A state table's column attributes (imported when first asked for:
+    the reach recording imports ``repro`` only under its profile hook)."""
+    from repro.pcam.state_table import (
+        DERIVED_COLUMNS,
+        MUTABLE_COLUMNS,
+        STATIC_COLUMNS,
+    )
+
+    columns = MUTABLE_COLUMNS + STATIC_COLUMNS + DERIVED_COLUMNS
+    return frozenset({"state_code", *(name for name, _ in columns)})
+
+
+def column_rebinds(tree: ast.Module) -> Iterator[int]:
+    """Lines that bind a state-table column attribute -- ``table.<column>
+    = ...`` or ``setattr(table, ...)`` on a receiver named ``*table*``,
+    or on ``self`` in ``VmStateTable`` -- outside that class's
+    :data:`COLUMN_BINDERS`."""
+
+    def tableish(node: ast.AST, in_table: bool) -> bool:
+        name = getattr(node, "attr", getattr(node, "id", ""))
+        return "table" in name or (in_table and name == "self")
+
+    def visit(node: ast.AST, in_table: bool) -> Iterator[int]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name == "VmStateTable")
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if in_table and child.name in COLUMN_BINDERS:
+                    continue
+            elif isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    child.targets if isinstance(child, ast.Assign)
+                    else [child.target]
+                )
+                for target in targets:
+                    for t in getattr(target, "elts", [target]):
+                        if (
+                            isinstance(t, ast.Attribute)
+                            and t.attr in table_columns()
+                            and tableish(t.value, in_table)
+                        ):
+                            yield child.lineno
+            elif (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", None) == "setattr"
+                and len(child.args) >= 2
+                and tableish(child.args[0], in_table)
+            ):
+                name = child.args[1]
+                if (
+                    not isinstance(name, ast.Constant)
+                    or name.value in table_columns()
+                ):
+                    yield child.lineno
+            yield from visit(child, in_table)
+
+    yield from visit(tree, False)
+
+
 @dataclass(frozen=True)
 class Rule:
     id: str
@@ -244,6 +311,12 @@ RULES = (
          "Algorithms 1 and 3 travel as ReliableTransport's messages on every "
          "host: nobody else spells a control message kind or builds a "
          "reliable channel", "after f3acc81"),
+    Rule("shared-columns", column_rebinds,
+         ("src/", "tests/", "examples/", "benchmarks/"), (),
+         "a region's table is a view of its deployment's: a column rebound "
+         "anywhere but VmStateTable's construction detaches the view, whose "
+         "writes then stop reaching the deployment table",
+         "after cb6d72f"),
 )
 
 #: row id -> lines that each violate it: (file, line appended to it)
@@ -344,6 +417,12 @@ INJECT = {
         (SRC + "core/des_loop.py",
          'self.channel.send(r, leader, "plan-row", payload)'),
         (SRC + "serve/service.py", 'installs = msg.kind == "fractions"'),
+    ],
+    "shared-columns": [
+        (SRC + "core/des_loop.py", "state.table.leaked_mb = np.zeros(4)"),
+        (SRC + "chaos/engine.py", 'setattr(vmc.table, "uptime_s", uptime)'),
+        (SRC + "pcam/state_table.py", "table.state_code = codes.copy()"),
+        ("tests/pcam/test_region_group.py", "setattr(dep.table, name, col)"),
     ],
 }
 
@@ -470,6 +549,13 @@ REACH_EXEMPT: dict[str, str] = {
     "pcam/state_table.py::VmStateTable.complete_request": _DES,
     "pcam/vm.py::effective_capacity": _DES_REFRESH,
     "pcam/vm.py::swap_used_mb": _DES_REFRESH,
+    "pcam/vmc.py::RegionGroup.close_era":
+        _DES + " (its era boundary closes every region in one step)",
+    "pcam/vmc.py::VirtualMachineController.close_era":
+        "public API: the one-region close-out for a host that applies the "
+        "era's load to the table itself",
+    "pcam/vmc.py::VirtualMachineController.process_era":
+        _HARNESS + " (pcam_fleet_10k steps one 10 000-VM region through it)",
     "pcam/vmc.py::VirtualMachineController.set_target_active": _RESIZE,
     "pcam/vmc.py::VirtualMachineController.stats": _HARNESS + " (its pool totals)",
     "serve/service.py::AcmService._slo_check": _GATED_SERVE,
@@ -876,6 +962,10 @@ _MIN_FRACTION = (
     "class; benchmarks/bench_convergence.py and bench_scale.py pass "
     "min_fraction=0.0"
 )
+_BALANCER = (
+    "ROADMAP 9(c): the `domain_aware` sweep axis builds DomainAwareBalancer, "
+    "which forwards it; until then only tests set it"
+)
 #: ``path::qualname(parameter)`` -> why a defaulted parameter stays
 #: although no run of :func:`repro_runs` sets it and no call under
 #: ``src/`` or ``benchmarks/`` passes it: the open ROADMAP item that will
@@ -890,6 +980,11 @@ OPTION_EXEMPT: dict[str, str] = {
     "core/exploration.py::ExplorationPolicy.__init__(min_fraction)":
         _MIN_FRACTION,
     "core/manager.py::AcmManager.__init__(autoscale_config)": _RESIZE,
+    "core/policy.py::Policy.__init__(min_fraction)":
+        "ROADMAP 22(c): every registered policy forwards it through "
+        "super().__init__, and benchmarks/bench_convergence.py and "
+        "bench_scale.py set it through get_policy(name, min_fraction=0.0), "
+        "whose **kwargs the static half does not follow",
     "core/metrics.py::assess_policy_run(convergence_tolerance)": _METRICS,
     "core/metrics.py::assess_policy_run(settle_fraction)": _METRICS,
     "core/metrics.py::assess_policy_run(sla_threshold_s)": _METRICS,
@@ -909,6 +1004,8 @@ OPTION_EXEMPT: dict[str, str] = {
     ),
     "ml/toolchain.py::F2PMToolchain.__init__(suite)":
         "public API: the F2PM toolchain ranks a caller's own model suite",
+    "pcam/balancer.py::LocalBalancer.__init__(discipline)": _BALANCER,
+    "pcam/balancer.py::LocalBalancer.__init__(rng)": _BALANCER,
     "pcam/monitor.py::ProfilingHarness.__init__(mean_demand)": _PHYSICS,
     "pcam/vm.py::FailurePolicy.__init__(sla_response_time_s)": _PHYSICS,
     "pcam/vmc.py::VirtualMachineController.__init__(balancer)":
@@ -964,24 +1061,60 @@ def _callees(node: ast.Call, cls: ast.ClassDef | None) -> list[str]:
     return []
 
 
+def _is_super_init(node: ast.Call) -> bool:
+    """``super().__init__(...)``."""
+    func = node.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "__init__"
+        and isinstance(func.value, ast.Call)
+        and getattr(func.value.func, "id", None) == "super"
+    )
+
+
 @lru_cache(maxsize=None)
 def _calls_in(text: str) -> tuple[tuple[str, tuple[str, ...], int, bool, bool], ...]:
     """Each call in a module as ``(callee name, keywords, positional
-    arguments, *args, **mapping)``."""
+    arguments, *args, **mapping)``.  An argument of ``super().__init__``
+    that is a parameter of the def making the call is forwarded, not set:
+    whether it is set is up to the callers of that def."""
     found = []
 
-    def visit(node: ast.AST, cls: ast.ClassDef | None) -> None:
+    def visit(
+        node: ast.AST, cls: ast.ClassDef | None, params: frozenset[str]
+    ) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 args = child.args
-                star = any(isinstance(a, ast.Starred) for a in args)
-                keywords = tuple(k.arg for k in child.keywords if k.arg)
-                double_star = any(k.arg is None for k in child.keywords)
-                for name in _callees(child, cls):
-                    found.append((name, keywords, len(args), star, double_star))
-            visit(child, child if isinstance(child, ast.ClassDef) else cls)
+                keywords = child.keywords
+                if _is_super_init(child):
 
-    visit(ast.parse(text), None)
+                    def forwarded(value: ast.AST) -> bool:
+                        return getattr(value, "id", None) in params
+
+                    while args and forwarded(args[-1]):
+                        args = args[:-1]
+                    keywords = [k for k in keywords if not forwarded(k.value)]
+                star = any(isinstance(a, ast.Starred) for a in args)
+                names = tuple(k.arg for k in keywords if k.arg)
+                double_star = any(k.arg is None for k in keywords)
+                for name in _callees(child, cls):
+                    found.append((name, names, len(args), star, double_star))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                inner = frozenset(
+                    arg.arg
+                    for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)
+                )
+                visit(child, cls, inner)
+            else:
+                visit(
+                    child,
+                    child if isinstance(child, ast.ClassDef) else cls,
+                    params,
+                )
+
+    visit(ast.parse(text), None, frozenset())
     return tuple(found)
 
 
@@ -1081,6 +1214,45 @@ def test_an_injected_option_is_listed_unless_something_sets_it(
     }
 
 
+FORWARD_PROBE = (
+    "class ProbeBase:\n"
+    "    def __init__(self, width=3):\n"
+    "        self.width = width\n"
+    "class ProbeChild(ProbeBase):\n"
+    "    def __init__(self, width=3):\n"
+    "        super().__init__(width)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "call, listed",
+    [
+        ("", {"ProbeBase", "ProbeChild"}),
+        ("ProbeChild(width=2)\n", {"ProbeBase"}),
+        ("ProbeBase(2)\n", {"ProbeChild"}),
+    ],
+    ids=["alone", "child-set", "base-set"],
+)
+def test_a_forwarded_option_is_not_set_by_the_forwarding(tree, call, listed):
+    """``super().__init__(width)`` passes the subclass's own parameter on:
+    it sets the base's ``width`` only where a caller sets the subclass's,
+    so the static half does not count it as a setter."""
+    files = dict(tree)
+    files[SRC + "sim/rng.py"] += "\n" + FORWARD_PROBE
+    files[SRC + "sim/engine.py"] += "\n" + call
+    options = {
+        f"sim/rng.py::{cls}.__init__": {
+            "defaulted": ["width"],
+            "positional": ["self", "width"],
+            "set": [],
+        }
+        for cls in ("ProbeBase", "ProbeChild")
+    }
+    assert set(never_set(files, options)) == {
+        f"sim/rng.py::{cls}.__init__(width)" for cls in listed
+    }
+
+
 def test_a_stale_option_row_is_found(tree, reach, monkeypatch):
     gone = "sim/rng.py::option_probe(width)"
     monkeypatch.setitem(OPTION_EXEMPT, gone, "a def that is not there")
@@ -1133,7 +1305,7 @@ def test_a_fleet_era_binds_no_one_request_draw():
     from repro.workload.anomalies import AnomalyInjector
 
     class Steady(RttfPredictor):
-        def predict_rttf_rows(self, rows, vms):
+        def predict_rttf_rows(self, features, vms, table, rows):
             return np.full(len(vms), 1e9)
 
     n_vms = 10_000
